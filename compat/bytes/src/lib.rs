@@ -1,73 +1,122 @@
 //! Vendored stand-in for the `bytes` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors the subset it uses: cheaply-cloneable immutable [`Bytes`]
-//! (`Arc<[u8]>`-backed), a growable [`BytesMut`], and the [`Buf`] /
-//! [`BufMut`] traits with the little-endian accessors the wire codec
-//! relies on. Zero-copy splitting is not implemented — `freeze` copies
-//! once — which is fine for this workspace's message-encode use.
+//! vendors the subset it uses: a cheaply-cloneable immutable [`Bytes`],
+//! a growable [`BytesMut`], and the [`Buf`] / [`BufMut`] traits with the
+//! little-endian accessors the wire codec relies on.
+//!
+//! [`Bytes`] is a refcounted *view*: a shared owner plus a byte range.
+//! `clone` and [`Bytes::slice`] bump the refcount and copy nothing, and
+//! `From<Vec<u8>>` / [`BytesMut::freeze`] adopt the vector's allocation
+//! as it is, so an encoded frame is written once and every payload
+//! decoded out of it is a view of that one buffer (DESIGN.md §18). A view
+//! keeps its whole owner alive, which is why only payload fields are
+//! decoded as views. Equality, ordering, hashing and `Debug` go by
+//! content, never by owner.
+//!
+//! One deliberate addition to the published API: `Bytes` compares with
+//! byte arrays, so `assert_eq!(bytes, b"literal")` works in tests.
 
-use std::ops::Deref;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// Immutable, cheaply-cloneable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Bytes(Arc<[u8]>);
+/// Immutable, cheaply-cloneable view of a shared byte buffer.
+#[derive(Clone, Default)]
+pub struct Bytes {
+    owner: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
 
 impl Bytes {
     /// Empty buffer.
     #[must_use]
     pub fn new() -> Self {
-        Bytes(Arc::from(&[][..]))
+        Self::default()
     }
 
     /// Copies `data` into a new buffer.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes(Arc::from(data))
-    }
-
-    /// Creates a buffer from a static slice.
-    #[must_use]
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes(Arc::from(data))
+        Bytes::from(data.to_vec())
     }
 
     /// Number of bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.end - self.start
     }
 
     /// True if empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.start == self.end
     }
 
     /// Copies the contents into a `Vec<u8>`.
     #[must_use]
     pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
+        self.as_slice().to_vec()
+    }
+
+    /// A view of `range` (relative to this view) sharing the same owner;
+    /// nothing is copied.
+    ///
+    /// # Panics
+    /// If the range is decreasing or reaches past the end of this view.
+    #[must_use]
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let len = self.len();
+        let from = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n + 1,
+            Bound::Unbounded => 0,
+        };
+        let to = match range.end_bound() {
+            Bound::Included(&n) => n + 1,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(
+            from <= to && to <= len,
+            "slice {from}..{to} out of range for Bytes of length {len}"
+        );
+        Bytes {
+            owner: Arc::clone(&self.owner),
+            start: self.start + from,
+            end: self.start + to,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.owner[self.start..self.end]
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Adopts `v`'s allocation; no bytes move.
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Arc::from(v.into_boxed_slice()))
+        let end = v.len();
+        Bytes {
+            owner: Arc::new(v),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -77,10 +126,63 @@ impl From<&[u8]> for Bytes {
     }
 }
 
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl PartialEq<[u8]> for Bytes {
+    fn eq(&self, other: &[u8]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl PartialEq<Vec<u8>> for Bytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for Bytes {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        self.as_slice() == other
+    }
+}
+
+impl<T: ?Sized> PartialEq<&T> for Bytes
+where
+    Bytes: PartialEq<T>,
+{
+    fn eq(&self, other: &&T) -> bool {
+        *self == **other
+    }
+}
+
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.0.iter() {
+        for &b in self.as_slice() {
             for esc in std::ascii::escape_default(b) {
                 write!(f, "{}", esc as char)?;
             }
@@ -118,7 +220,20 @@ impl BytesMut {
         self.0.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Bytes the buffer can hold without reallocating.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
+    /// Makes room for at least `additional` more bytes in one step, so a
+    /// large `put_slice` that follows never grows the buffer by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.0.reserve(additional);
+    }
+
+    /// Converts into an immutable [`Bytes`] that keeps this buffer's
+    /// allocation; nothing is copied.
     #[must_use]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.0)
@@ -252,6 +367,71 @@ mod tests {
         r.copy_to_slice(&mut out);
         assert_eq!(&out, b"xy");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![1u8, 2, 3, 4];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.clone().as_ptr(), ptr);
+
+        let mut m = BytesMut::with_capacity(16);
+        m.put_slice(b"frame");
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn slice_is_a_view_with_checked_bounds() {
+        let b = Bytes::from(b"0123456789".to_vec());
+        let mid = b.slice(2..8);
+        assert_eq!(mid, b"234567");
+        assert_eq!(mid.as_ptr(), b[2..].as_ptr());
+        // Ranges are relative to the view, not to the owner.
+        let inner = mid.slice(1..=2);
+        assert_eq!(inner, b"34");
+        assert_eq!(inner.as_ptr(), b[3..].as_ptr());
+        assert_eq!(mid.slice(..), mid);
+        assert_eq!(mid.slice(6..), b"");
+        assert!(mid.slice(3..3).is_empty());
+        // The view outlives the handle it was cut from.
+        drop(b);
+        assert_eq!(inner.to_vec(), b"34");
+
+        for bad in [(0usize, 7usize), (7, 7), (4, 3)] {
+            let mid = mid.clone();
+            let caught = std::panic::catch_unwind(move || mid.slice(bad.0..bad.1));
+            assert!(caught.is_err(), "slice {bad:?} of a 6-byte view");
+        }
+    }
+
+    #[test]
+    fn eq_ord_hash_and_debug_go_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        // Same content, different owners and different offsets.
+        let whole = Bytes::copy_from_slice(b"abc");
+        let view = Bytes::from(b"xxabcxx".to_vec()).slice(2..5);
+        assert_eq!(whole, view);
+        assert_eq!(hash(&whole), hash(&view));
+        assert_eq!(whole.cmp(&view), Ordering::Equal);
+        assert_eq!(format!("{whole:?}"), format!("{view:?}"));
+        assert_eq!(format!("{view:?}"), "b\"abc\"");
+
+        let bigger = Bytes::copy_from_slice(b"abd");
+        assert_ne!(view, bigger);
+        assert!(view < bigger);
+        assert!(Bytes::new() < view);
+
+        assert_eq!(view, b"abc"[..]);
+        assert_eq!(view, b"abc".to_vec());
+        assert_eq!(view, *b"abc");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn bench_wire(c: &mut Criterion) {
     let req = NfsRequest::Write {
         fh: kosha_nfs::Fh { ino: 42, gen: 1 },
         offset: 8192,
-        data: vec![0x55u8; 32 * 1024],
+        data: vec![0x55u8; 32 * 1024].into(),
     };
     let encoded = req.encode();
     let mut g = c.benchmark_group("wire");

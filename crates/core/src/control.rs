@@ -9,7 +9,7 @@
 
 use kosha_nfs::messages::{WireAttr, WireSetAttr};
 use kosha_nfs::Fh;
-use kosha_rpc::{Reader, WireError, WireRead, WireWrite, Writer};
+use kosha_rpc::{Bytes, Reader, WireError, WireRead, WireWrite, Writer};
 use kosha_vfs::{ExportItem, ExportKind};
 
 /// One object pushed during anchor migration or replica repair.
@@ -245,8 +245,8 @@ pub enum KoshaRequest {
         path: String,
         /// Byte offset.
         offset: u64,
-        /// Data.
-        data: Vec<u8>,
+        /// Data (on the primary, a view of the request frame).
+        data: Bytes,
     },
     /// Update attributes of a file or directory hosted on this node.
     SetAttr {
@@ -510,8 +510,8 @@ pub enum ReplicaOp {
         path: String,
         /// Byte offset.
         offset: u64,
-        /// Data.
-        data: Vec<u8>,
+        /// Data (on the holder, a view of the request frame).
+        data: Bytes,
     },
     /// Update attributes.
     SetAttr {
@@ -660,7 +660,7 @@ impl WireRead for ReplicaOp {
             3 => ReplicaOp::Write {
                 path: r.string()?,
                 offset: r.u64()?,
-                data: r.bytes()?,
+                data: r.payload()?,
             },
             4 => ReplicaOp::SetAttr {
                 path: r.string()?,
@@ -903,7 +903,7 @@ impl WireRead for KoshaRequest {
             5 => KoshaRequest::Write {
                 path: r.string()?,
                 offset: r.u64()?,
-                data: r.bytes()?,
+                data: r.payload()?,
             },
             6 => KoshaRequest::SetAttr {
                 path: r.string()?,
@@ -1151,7 +1151,7 @@ mod tests {
             KoshaRequest::Write {
                 path: "/a/f".into(),
                 offset: 9,
-                data: vec![1, 2],
+                data: vec![1, 2].into(),
             },
             KoshaRequest::SetAttr {
                 path: "/a/f".into(),
@@ -1225,7 +1225,7 @@ mod tests {
                 op: ReplicaOp::Write {
                     path: "/a/f".into(),
                     offset: 4,
-                    data: vec![9, 8],
+                    data: vec![9, 8].into(),
                 },
             },
             KoshaRequest::ReplicaApplyBatch {
@@ -1240,7 +1240,7 @@ mod tests {
                     ReplicaOp::Write {
                         path: "/a/f".into(),
                         offset: 0,
-                        data: vec![3, 4],
+                        data: vec![3, 4].into(),
                     },
                     ReplicaOp::LagMark {
                         anchor: "/a".into(),
@@ -1347,7 +1347,7 @@ mod tests {
             ReplicaOp::Write {
                 path: "/a/f".into(),
                 offset: 0,
-                data: vec![1],
+                data: vec![1].into(),
             },
             ReplicaOp::SetAttr {
                 path: "/a/f".into(),

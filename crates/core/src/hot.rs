@@ -546,7 +546,7 @@ impl KoshaNode {
         self.apply(NfsRequest::Write {
             fh,
             offset: 0,
-            data: text.into_bytes(),
+            data: text.into_bytes().into(),
         })
         .map(|_| ())
     }
@@ -600,7 +600,7 @@ impl KoshaNode {
         self.apply(NfsRequest::Write {
             fh,
             offset: 0,
-            data: data.clone(),
+            data: data.clone().into(),
         })?;
         // Record the anchor's routing name so replica-slot GC can ask
         // the owner about this slot even though no full replica push
@@ -623,7 +623,7 @@ impl KoshaNode {
                 self.apply(NfsRequest::Write {
                     fh,
                     offset: 0,
-                    data: routing.as_bytes().to_vec(),
+                    data: routing.as_bytes().into(),
                 })?;
             }
         }

@@ -9,7 +9,7 @@
 
 use kosha_nfs::client::ClientDirEntry;
 use kosha_nfs::{Fh, NfsClient, NfsError, NfsResult, NfsStatus};
-use kosha_rpc::{Network, NodeAddr, ServiceId};
+use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId};
 use kosha_vfs::path::{parent_and_name, split_path};
 use kosha_vfs::{normalize, Attr, FileType, SetAttr};
 use parking_lot::Mutex;
@@ -265,27 +265,18 @@ impl KoshaMount {
         Ok(fh)
     }
 
-    /// Reads an entire file.
-    pub fn read_file(&self, path: &str) -> NfsResult<Vec<u8>> {
+    /// Reads an entire file. A file that fits one transfer chunk comes
+    /// back as the view of the reply frame it arrived in.
+    pub fn read_file(&self, path: &str) -> NfsResult<Bytes> {
         let (fh, attr) = self.stat(path)?;
         if attr.ftype != FileType::Regular {
             return Err(NfsError::Status(NfsStatus::IsDir));
         }
-        let mut out = Vec::with_capacity(attr.size as usize);
-        let mut off = 0u64;
-        loop {
-            let (data, eof) = self.nfs.read(self.koshad, fh, off, self.chunk)?;
-            off += data.len() as u64;
-            out.extend_from_slice(&data);
-            if eof || data.is_empty() {
-                break;
-            }
-        }
-        Ok(out)
+        self.nfs.read_whole(self.koshad, fh, attr.size, self.chunk)
     }
 
     /// Reads a byte range.
-    pub fn read_at(&self, path: &str, offset: u64, count: u32) -> NfsResult<Vec<u8>> {
+    pub fn read_at(&self, path: &str, offset: u64, count: u32) -> NfsResult<Bytes> {
         let (fh, _) = self.stat(path)?;
         Ok(self.nfs.read(self.koshad, fh, offset, count)?.0)
     }

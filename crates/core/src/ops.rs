@@ -16,7 +16,7 @@ use kosha_id::salted_name;
 use kosha_nfs::messages::{NfsReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsError, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
-use kosha_rpc::{NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
+use kosha_rpc::{Bytes, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::path::validate_name;
 use kosha_vfs::{join_path, Attr, FileType, SetAttr};
 use rand::Rng;
@@ -123,7 +123,7 @@ impl KoshaNode {
     /// optimization), with transparent fallback to the primary. Replica
     /// reads trade a window of staleness for read scalability, like NFS
     /// client caching does.
-    pub fn k_read(&self, fh: Fh, offset: u64, count: u32) -> NfsResult<(Vec<u8>, bool)> {
+    pub fn k_read(&self, fh: Fh, offset: u64, count: u32) -> NfsResult<(Bytes, bool)> {
         let vpath = self.vh_path(fh)?;
         // Feed the read-heat tracker before target selection: heat
         // counts demand for the object regardless of which holder ends
@@ -154,7 +154,7 @@ impl KoshaNode {
     /// repeated reads skip the mount + lookup RPCs; the cache entry is
     /// dropped on a failed read and by the same chain-, node-, and
     /// subtree-scoped invalidation as primary locations.
-    fn try_replica_read(&self, vpath: &str, offset: u64, count: u32) -> Option<(Vec<u8>, bool)> {
+    fn try_replica_read(&self, vpath: &str, offset: u64, count: u32) -> Option<(Bytes, bool)> {
         use crate::paths::{slot_local_path, Area};
         let (ppath, _) = kosha_vfs::path::parent_and_name(vpath)?;
         let ploc = self.resolve_dir(ppath).ok()?;
@@ -260,8 +260,10 @@ impl KoshaNode {
         })
     }
 
-    /// WRITE through the primary (which fans out to replicas).
-    pub fn k_write(&self, fh: Fh, offset: u64, data: &[u8]) -> NfsResult<u32> {
+    /// WRITE through the primary (which fans out to replicas). `data`
+    /// moves into the control request as it is: on the loopback path it
+    /// is still the view of the frame the client sent.
+    pub fn k_write(&self, fh: Fh, offset: u64, data: Bytes) -> NfsResult<u32> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
             let (path, loc, ftype) = s.ensure_obj(fh)?;
@@ -273,7 +275,7 @@ impl KoshaNode {
                 &KoshaRequest::Write {
                     path,
                     offset,
-                    data: data.to_vec(),
+                    data: data.clone(),
                 },
             )?;
             Ok(data.len() as u32)
@@ -829,9 +831,13 @@ fn nfs_error_to_status(e: NfsError) -> NfsStatus {
 }
 
 impl RpcHandler for VirtualFs {
+    fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+        self.handle_frame(from, &Bytes::copy_from_slice(body))
+    }
+
     // lint: allow(L005) client-side loopback facade: the koshad's own NFS interposition executes cluster ops by design and is never invoked from a remote handler context
-    fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        let req = NfsRequest::decode(body)?;
+    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+        let req = NfsRequest::decode_frame(frame)?;
         let k = &self.0;
         let proc = req.proc_name();
         let clock = k.net.clock();
@@ -895,7 +901,7 @@ impl VirtualFs {
                     NfsReply::Data { data, eof }
                 }
                 NfsRequest::Write { fh, offset, data } => NfsReply::Written {
-                    count: k.k_write(fh, offset, &data).map_err(nfs_error_to_status)?,
+                    count: k.k_write(fh, offset, data).map_err(nfs_error_to_status)?,
                 },
                 NfsRequest::Create {
                     dir,

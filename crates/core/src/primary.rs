@@ -12,7 +12,9 @@ use crate::paths::{
 };
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
-use kosha_rpc::{NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead};
+use kosha_rpc::{
+    Bytes, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead,
+};
 use kosha_vfs::path::parent_and_name;
 use kosha_vfs::SetAttr;
 use std::collections::HashMap;
@@ -103,7 +105,7 @@ impl KoshaNode {
         self.apply(NfsRequest::Write {
             fh,
             offset: 0,
-            data: routing.as_bytes().to_vec(),
+            data: routing.as_bytes().into(),
         })?;
         Ok(())
     }
@@ -507,7 +509,7 @@ impl KoshaNode {
                 self.apply(NfsRequest::Write {
                     fh,
                     offset: 0,
-                    data: bytes.to_string().into_bytes(),
+                    data: bytes.to_string().into_bytes().into(),
                 })
                 .map(|_| ())
             }
@@ -589,7 +591,7 @@ impl KoshaNode {
                         self.apply(NfsRequest::Write {
                             fh,
                             offset: 0,
-                            data: data.clone(),
+                            data: data.clone().into(),
                         })?;
                     }
                 }
@@ -1375,7 +1377,7 @@ impl KoshaNode {
                             self.apply(NfsRequest::Write {
                                 fh,
                                 offset: 0,
-                                data,
+                                data: data.into(),
                             })?;
                         }
                     }
@@ -1526,9 +1528,13 @@ fn default_routing(anchor: &str) -> String {
 }
 
 impl RpcHandler for ControlService {
+    fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+        self.handle_frame(from, &Bytes::copy_from_slice(body))
+    }
+
     // lint: allow(L005) designed one-level nesting: the control plane fans out to leaf replica/lease services only, and those handlers are verified RPC-free by this same rule
-    fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        let req = KoshaRequest::decode(body)?;
+    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+        let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.name();
         let clock = k.net.clock();
@@ -1543,8 +1549,12 @@ impl RpcHandler for ControlService {
 }
 
 impl RpcHandler for ReplicaService {
-    fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        let req = KoshaRequest::decode(body)?;
+    fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+        self.handle_frame(from, &Bytes::copy_from_slice(body))
+    }
+
+    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+        let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.name();
         let clock = k.net.clock();

@@ -220,7 +220,7 @@ pub fn coalesce(ops: Vec<ReplicaOp>) -> Vec<ReplicaOp> {
                         out.push(ReplicaOp::Write {
                             path,
                             offset: off,
-                            data: buf,
+                            data: buf.into(),
                         });
                     }
                     None => out.push(ReplicaOp::Write { path, offset, data }),
@@ -488,7 +488,7 @@ mod tests {
         ReplicaOp::Write {
             path: path.into(),
             offset,
-            data: data.to_vec(),
+            data: data.into(),
         }
     }
 

@@ -1,11 +1,14 @@
-//! Property tests for the Kosha control protocol and the end-to-end
-//! placement invariants of small clusters.
+//! Property tests for the Kosha control protocol (through both decoders:
+//! the copying `Reader::new` and the frame-viewing `Reader::over`) and
+//! the end-to-end placement invariants of small clusters.
 
-use kosha::control::{KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind};
+use kosha::control::{
+    KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
+};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::messages::WireSetAttr;
-use kosha_rpc::{Network, NodeAddr, SimNetwork, WireRead, WireWrite};
+use kosha_rpc::{Bytes, Network, NodeAddr, SimNetwork, WireError, WireRead, WireWrite};
 use kosha_vfs::SetAttr;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -35,6 +38,45 @@ fn arb_item() -> impl Strategy<Value = MigrateItem> {
             uid,
             gid,
         })
+}
+
+fn arb_replica_write() -> impl Strategy<Value = ReplicaOp> {
+    (
+        arb_path(),
+        any::<u64>(),
+        proptest::collection::vec(any::<u8>(), 0..128),
+    )
+        .prop_map(|(path, offset, data)| ReplicaOp::Write {
+            path,
+            offset,
+            data: data.into(),
+        })
+}
+
+fn op_payload(op: &ReplicaOp) -> Option<&Bytes> {
+    match op {
+        ReplicaOp::Write { data, .. } => Some(data),
+        _ => None,
+    }
+}
+
+/// Every payload field of a request, in encoding order.
+fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
+    match req {
+        KoshaRequest::Write { data, .. } => vec![data],
+        KoshaRequest::ReplicaApply { op } => op_payload(op).into_iter().collect(),
+        KoshaRequest::ReplicaApplyBatch { ops } => ops.iter().filter_map(op_payload).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Decodes `bytes` through `Reader::new` and through `Reader::over`,
+/// checks that the two agree, and returns what they said.
+fn decode_both<T: WireRead + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Result<T, WireError> {
+    let copied = T::decode(bytes);
+    let viewed = T::decode_frame(&Bytes::copy_from_slice(bytes));
+    assert_eq!(copied, viewed);
+    copied
 }
 
 fn arb_request() -> impl Strategy<Value = KoshaRequest> {
@@ -90,7 +132,22 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
             any::<u64>(),
             proptest::collection::vec(any::<u8>(), 0..128)
         )
-            .prop_map(|(path, offset, data)| KoshaRequest::Write { path, offset, data }),
+            .prop_map(|(path, offset, data)| KoshaRequest::Write {
+                path,
+                offset,
+                data: data.into()
+            }),
+        arb_replica_write().prop_map(|op| KoshaRequest::ReplicaApply { op }),
+        proptest::collection::vec(
+            prop_oneof![
+                arb_replica_write(),
+                arb_path().prop_map(|path| ReplicaOp::Remove { path }),
+                (arb_path(), any::<u64>())
+                    .prop_map(|(anchor, bytes)| ReplicaOp::LagMark { anchor, bytes }),
+            ],
+            0..4
+        )
+        .prop_map(|ops| KoshaRequest::ReplicaApplyBatch { ops }),
         (arb_path(), proptest::option::of(any::<u64>())).prop_map(|(path, size)| {
             KoshaRequest::SetAttr {
                 path,
@@ -123,7 +180,20 @@ proptest! {
     #[test]
     fn control_requests_round_trip(req in arb_request()) {
         let bytes = req.encode();
-        prop_assert_eq!(KoshaRequest::decode(&bytes).unwrap(), req);
+        prop_assert_eq!(decode_both::<KoshaRequest>(&bytes).unwrap(), req.clone());
+        // Over a frame every payload (nested ones too) is a view of it
+        // with the bytes a copying decode returns.
+        let viewed = KoshaRequest::decode_frame(&bytes).unwrap();
+        let copied = KoshaRequest::decode(&bytes).unwrap();
+        let views = payloads(&viewed);
+        prop_assert_eq!(views.len(), payloads(&req).len());
+        for (view, copy) in views.into_iter().zip(payloads(&copied)) {
+            prop_assert_eq!(view, copy);
+            if !view.is_empty() {
+                prop_assert!(bytes.as_ptr_range().contains(&view.as_ptr()));
+                prop_assert!(!bytes.as_ptr_range().contains(&copy.as_ptr()));
+            }
+        }
     }
 
     #[test]
@@ -138,13 +208,44 @@ proptest! {
     ]) {
         let frame = KoshaReplyFrame(Ok(reply));
         let bytes = frame.encode();
-        prop_assert_eq!(KoshaReplyFrame::decode(&bytes).unwrap(), frame);
+        prop_assert_eq!(decode_both::<KoshaReplyFrame>(&bytes).unwrap(), frame);
+    }
+
+    /// A frame cut short anywhere is an error from both decoders, never
+    /// a panic and never a shorter message.
+    #[test]
+    fn truncated_control_frames_are_rejected(req in arb_request(), cut in any::<usize>()) {
+        let bytes = req.encode();
+        prop_assert!(decode_both::<KoshaRequest>(&bytes[..cut % bytes.len()]).is_err());
+    }
+
+    /// A payload length prefix beyond the codec's limit is refused by
+    /// both decoders before anything is allocated for it.
+    #[test]
+    fn oversized_payload_lengths_are_rejected(
+        path in arb_path(),
+        len in (64u32 << 20) + 1..=u32::MAX,
+        nested in any::<bool>(),
+    ) {
+        let data = Bytes::new();
+        let mut frame = if nested {
+            KoshaRequest::ReplicaApply { op: ReplicaOp::Write { path, offset: 0, data } }.encode()
+        } else {
+            KoshaRequest::Write { path, offset: 0, data }.encode()
+        }
+        .to_vec();
+        let at = frame.len() - 4;
+        frame[at..].copy_from_slice(&len.to_le_bytes());
+        prop_assert_eq!(
+            decode_both::<KoshaRequest>(&frame),
+            Err(WireError::BadLength(u64::from(len)))
+        );
     }
 
     #[test]
     fn control_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = KoshaRequest::decode(&bytes);
-        let _ = KoshaReplyFrame::decode(&bytes);
+        let _ = decode_both::<KoshaRequest>(&bytes);
+        let _ = decode_both::<KoshaReplyFrame>(&bytes);
     }
 }
 

@@ -314,7 +314,7 @@ fn ops_from_script(script: &[(u8, u8, u8, u8, u8)]) -> Vec<ReplicaOp> {
                 out.push(ReplicaOp::Write {
                     path,
                     offset: u64::from(off % 48),
-                    data: vec![val; usize::from(len % 24) + 1],
+                    data: vec![val; usize::from(len % 24) + 1].into(),
                 });
                 live[pi] = true;
             }

@@ -362,8 +362,11 @@ impl<'a> Workspace<'a> {
 /// `impl <entry trait> for <Type>` block, plus functions named in
 /// [`Config::l005_extra_roots`]. An L005 waiver comment on (or one line
 /// above) the entry's `fn` line waives the whole entry — the in-place
-/// justification for a *designed* nesting level. A waiver on a call
-/// line cuts traversal through that edge only; a waiver on the RPC line
+/// justification for a *designed* nesting level — and traversal from
+/// other entries stops at it too, so a sibling entry that only
+/// delegates to it (`handle` copying its slice into a frame for
+/// `handle_frame`) needs no waiver of its own. A waiver on a call line
+/// cuts traversal through that edge only; a waiver on the RPC line
 /// accepts that one sink.
 pub(crate) fn check_l005(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding>) {
     // Collect entries in deterministic (file, fn) order.
@@ -384,18 +387,28 @@ pub(crate) fn check_l005(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding
         }
     }
 
+    // Entry-level waivers: the whole designed nesting is justified in
+    // place at the `fn` line.
+    let waived: BTreeSet<FnId> = entries
+        .iter()
+        .copied()
+        .filter(|&e| {
+            ws.files[e.0]
+                .ctx
+                .consume_allow(Rule::L005, ws.fninfo(e).def_line)
+        })
+        .collect();
+
     // Findings keyed by sink site so one risky call is reported once
     // even when several entries reach it.
     let mut findings: BTreeMap<(usize, usize), Finding> = BTreeMap::new();
 
     for entry in entries {
-        let ef = &ws.files[entry.0];
-        let eg = ws.fninfo(entry);
-        // Entry-level waiver: the whole designed nesting is justified in
-        // place at the `fn` line.
-        if ef.ctx.consume_allow(Rule::L005, eg.def_line) {
+        if waived.contains(&entry) {
             continue;
         }
+        let ef = &ws.files[entry.0];
+        let eg = ws.fninfo(entry);
         let entry_label = match &eg.impl_ty {
             Some(t) => format!("{t}::{}", eg.name),
             None => eg.name.clone(),
@@ -469,6 +482,9 @@ pub(crate) fn check_l005(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding
                     continue;
                 }
                 for t in targets {
+                    if waived.contains(&t) {
+                        continue;
+                    }
                     if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(t) {
                         e.insert(cur);
                         queue.push_back(t);

@@ -178,7 +178,9 @@ impl Rule {
                  - a call line: traversal through that hand-off edge stops\n\
                    (\"callee verified leaf-safe / runs after the handler returns\");\n\
                  - the entry's `fn` line: the whole entry is a designed nesting\n\
-                   level (e.g. the control service calling leaf replica services)."
+                   level (e.g. the control service calling leaf replica services);\n\
+                   traversal from other entries stops at a waived entry, so a\n\
+                   sibling that only delegates to it needs no second waiver."
             }
             Rule::L006 => {
                 "L006 — wire-tag registry\n\n\
@@ -1546,9 +1548,11 @@ impl LintReport {
 
 /// Directory names the workspace walk skips: build output, vendored
 /// shims, test/bench/example trees (including the lint fixtures under
-/// `tests/fixtures/`), and dotdirs.
-pub const SKIP_DIRS: [&str; 7] = [
-    "target", "compat", "tests", "benches", "examples", ".git", ".github",
+/// `tests/fixtures/`), the `perf/` wall-clock benchmark (a package of
+/// its own outside the workspace, made of exactly the wall-clock reads
+/// and `expect`s L002/L003 exist to keep out of the daemon), and dotdirs.
+pub const SKIP_DIRS: [&str; 8] = [
+    "target", "compat", "tests", "benches", "examples", "perf", ".git", ".github",
 ];
 
 fn collect_rs_files(

@@ -207,6 +207,42 @@ fn workspace_self_scan_is_clean() {
     assert!(stale.is_empty(), "{stale:#?}");
 }
 
+/// `perf/` is a package of its own that later changes may not edit; its
+/// handler wrappers time and `expect` by design. The walk never enters
+/// it: the same violating file is reported under `crates/` and not under
+/// `perf/`, and the live tree's report names no `perf/` path either.
+#[test]
+fn perf_directory_is_never_reported() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("perf_skip");
+    for dir in ["crates/relay/src", "perf/src"] {
+        std::fs::create_dir_all(root.join(dir)).expect("temp tree");
+        std::fs::write(
+            root.join(dir).join("relay.rs"),
+            include_str!("fixtures/l005_pos.rs"),
+        )
+        .expect("temp file");
+    }
+    let live = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    assert!(live.join("perf/src/trace.rs").is_file(), "perf/ moved?");
+    for (root, want_findings) in [(root, 1), (live, 0)] {
+        let report = scan_workspace(&root, &Config::default()).expect("walk workspace");
+        assert_eq!(
+            report.findings.len(),
+            want_findings,
+            "{:?}",
+            report.findings
+        );
+        let files = report
+            .findings
+            .iter()
+            .map(|f| &f.file)
+            .chain(report.unused_allows.iter().map(|u| &u.file));
+        for file in files {
+            assert!(!file.contains("perf/"), "{file} is in the report");
+        }
+    }
+}
+
 /// The machine-readable report must be deterministic: CI diffs two
 /// consecutive `--json` runs byte-for-byte.
 #[test]

@@ -25,7 +25,7 @@
 use crate::client::{ClientDirEntry, NfsClient};
 use crate::messages::{Fh, NfsError, NfsResult, NfsStatus};
 use kosha_obs::{Counter, Obs};
-use kosha_rpc::{Clock, NodeAddr, SimTime};
+use kosha_rpc::{Bytes, Clock, NodeAddr, SimTime};
 use kosha_vfs::{Attr, FileType, SetAttr};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -133,7 +133,7 @@ struct CachedDentry {
 }
 
 struct DataEntry {
-    data: Vec<u8>,
+    data: Bytes,
     /// Server mtime when the copy was taken; a different mtime on
     /// revalidation invalidates the copy.
     mtime: u64,
@@ -321,7 +321,7 @@ impl CachingClient {
     /// Whole-file READ through the data cache, with close-to-open
     /// revalidation: the cached copy is served only while the cached
     /// attributes are fresh or revalidate to the same mtime.
-    pub fn read_file(&self, fh: Fh) -> NfsResult<Vec<u8>> {
+    pub fn read_file(&self, fh: Fh) -> NfsResult<Bytes> {
         // Revalidate attributes (cheap if fresh).
         let attr = self.getattr(fh)?;
         if attr.ftype != FileType::Regular {
@@ -338,16 +338,9 @@ impl CachingClient {
             }
         }
         self.tally(&self.stats.data_misses, |m| &m.data_misses);
-        let mut out = Vec::with_capacity(attr.size as usize);
-        let mut off = 0u64;
-        loop {
-            let (chunk, eof) = self.inner.read(self.server, fh, off, 32 * 1024)?;
-            off += chunk.len() as u64;
-            out.extend_from_slice(&chunk);
-            if eof || chunk.is_empty() {
-                break;
-            }
-        }
+        let out = self
+            .inner
+            .read_whole(self.server, fh, attr.size, 32 * 1024)?;
         if out.len() <= self.cfg.max_cached_file {
             self.evict_to_fit(out.len());
             self.data.lock().insert(

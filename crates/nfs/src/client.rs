@@ -7,7 +7,7 @@
 
 use crate::messages::{Fh, NfsError, NfsReply, NfsReplyFrame, NfsRequest, NfsResult, WireSetAttr};
 use kosha_obs::{Counter, Histogram, Obs};
-use kosha_rpc::{Network, NodeAddr, RpcRequest, ServiceId};
+use kosha_rpc::{Bytes, Network, NodeAddr, RpcRequest, ServiceId, WireWrite};
 use kosha_vfs::{Attr, SetAttr};
 use std::sync::Arc;
 
@@ -97,29 +97,39 @@ impl NfsClient {
     }
 
     fn call(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {
+        self.call_encoded(to, req.proc_index(), req.encode())
+    }
+
+    /// Issues one already-encoded request of procedure `proc` (an index
+    /// into [`NfsRequest::PROC_NAMES`]).
+    fn call_encoded(&self, to: NodeAddr, proc: usize, body: Bytes) -> NfsResult<NfsReply> {
         match &self.obs {
-            None => self.call_inner(to, req),
+            None => self.call_inner(to, proc, body),
             Some(obs) => {
                 let clock = self.net.clock();
                 obs.tracer.child(
-                    || format!("nfsc:{}", req.proc_name()),
+                    || format!("nfsc:{}", NfsRequest::PROC_NAMES[proc]),
                     self.from.0,
                     || clock.now().0,
-                    || self.call_inner(to, req),
+                    || self.call_inner(to, proc, body),
                 )
             }
         }
     }
 
-    fn call_inner(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {
-        let rpc = RpcRequest::new(self.service, req);
+    fn call_inner(&self, to: NodeAddr, proc: usize, body: Bytes) -> NfsResult<NfsReply> {
+        let rpc = RpcRequest {
+            service: self.service,
+            trace: None,
+            body,
+        };
         let resp = match &self.metrics {
             None => self.net.call(self.from, to, rpc)?,
             Some(m) => {
                 let clock = self.net.clock();
                 let t0 = clock.now();
                 let result = self.net.call(self.from, to, rpc);
-                m.latency[req.proc_index()].record(clock.now().since_nanos(t0));
+                m.latency[proc].record(clock.now().since_nanos(t0));
                 if result.is_err() {
                     m.errors.inc();
                 }
@@ -196,30 +206,37 @@ impl NfsClient {
         }
     }
 
-    /// READ.
-    pub fn read(
-        &self,
-        to: NodeAddr,
-        fh: Fh,
-        offset: u64,
-        count: u32,
-    ) -> NfsResult<(Vec<u8>, bool)> {
+    /// READ. The data is a view of the reply frame, not a copy of it.
+    pub fn read(&self, to: NodeAddr, fh: Fh, offset: u64, count: u32) -> NfsResult<(Bytes, bool)> {
         match self.call(to, &NfsRequest::Read { fh, offset, count })? {
             NfsReply::Data { data, eof } => Ok((data, eof)),
             _ => Self::unexpected(),
         }
     }
 
-    /// WRITE.
+    /// Reads a whole file of (about) `size` bytes in `chunk`-byte READs.
+    /// A file that fits one READ comes back as the view that READ
+    /// returned; only a longer one is assembled into a new buffer.
+    pub fn read_whole(&self, to: NodeAddr, fh: Fh, size: u64, chunk: u32) -> NfsResult<Bytes> {
+        let (first, eof) = self.read(to, fh, 0, chunk)?;
+        if eof || first.is_empty() {
+            return Ok(first);
+        }
+        let mut out = Vec::with_capacity(size as usize);
+        out.extend_from_slice(&first);
+        loop {
+            let (data, eof) = self.read(to, fh, out.len() as u64, chunk)?;
+            out.extend_from_slice(&data);
+            if eof || data.is_empty() {
+                return Ok(out.into());
+            }
+        }
+    }
+
+    /// WRITE. The request is encoded straight from `data`.
     pub fn write(&self, to: NodeAddr, fh: Fh, offset: u64, data: &[u8]) -> NfsResult<u32> {
-        match self.call(
-            to,
-            &NfsRequest::Write {
-                fh,
-                offset,
-                data: data.to_vec(),
-            },
-        )? {
+        let body = NfsRequest::encode_write(fh, offset, data);
+        match self.call_encoded(to, NfsRequest::WRITE_PROC, body)? {
             NfsReply::Written { count } => Ok(count),
             _ => Self::unexpected(),
         }

@@ -2,9 +2,9 @@
 
 use crate::messages::{NfsReply, NfsReplyFrame, NfsRequest, WireAttr};
 use kosha_obs::{Counter, Obs};
-use kosha_rpc::{Clock, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
+use kosha_rpc::{Bytes, Clock, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead, WireWrite};
 use kosha_vfs::Vfs;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -123,26 +123,69 @@ impl NfsServer {
     }
 
     fn execute(&self, req: NfsRequest) -> NfsReplyFrame {
+        self.spanned(req, |req| self.execute_inner(req))
+    }
+
+    /// [`NfsServer::execute`] for the wire: the encoded reply frame. A
+    /// READ is encoded under the store lock straight from the stored
+    /// bytes, so its payload is copied once on the way out and never
+    /// exists as an owned [`NfsReply::Data`].
+    fn execute_encoded(&self, req: NfsRequest) -> Bytes {
+        self.spanned(req, |req| match req {
+            NfsRequest::Read { fh, offset, count } => {
+                let mut vfs = self.begin(&req);
+                self.read_locked(&mut vfs, fh, offset, count, NfsReplyFrame::encode_data)
+                    .unwrap_or_else(|status| NfsReplyFrame(Err(status)).encode())
+            }
+            req => self.execute_inner(req).encode(),
+        })
+    }
+
+    /// Runs `serve` inside the server span (`nfs:{proc}`) when observed.
+    fn spanned<R>(&self, req: NfsRequest, serve: impl FnOnce(NfsRequest) -> R) -> R {
         match &self.obs {
-            None => self.execute_inner(req),
+            None => serve(req),
             Some(obs) => {
                 let proc = req.proc_name();
                 obs.tracer.child(
                     || format!("nfs:{proc}"),
                     self.addr.0,
                     || self.clock.now().0,
-                    || self.execute_inner(req),
+                    || serve(req),
                 )
             }
         }
     }
 
-    fn execute_inner(&self, req: NfsRequest) -> NfsReplyFrame {
+    /// Counts the procedure and locks the store at the clock's time.
+    fn begin(&self, req: &NfsRequest) -> MutexGuard<'_, Vfs> {
         if let Some(c) = self.ops.get(req.proc_index()) {
             c.inc();
         }
         let mut vfs = self.vfs.lock();
         vfs.set_now(self.clock.now().0);
+        vfs
+    }
+
+    /// READ against the locked store: charges the disk model and lends
+    /// the stored bytes and the EOF flag to `finish`.
+    fn read_locked<R>(
+        &self,
+        vfs: &mut Vfs,
+        fh: crate::messages::Fh,
+        offset: u64,
+        count: u32,
+        finish: impl FnOnce(&[u8], bool) -> R,
+    ) -> Result<R, crate::messages::NfsStatus> {
+        vfs.read_with(fh.to_file_id(), offset, count, |data, eof| {
+            self.clock.advance(self.disk.transfer(data.len()));
+            finish(data, eof)
+        })
+        .map_err(Into::into)
+    }
+
+    fn execute_inner(&self, req: NfsRequest) -> NfsReplyFrame {
+        let mut vfs = self.begin(&req);
         let disk = &self.disk;
         let result = match req {
             NfsRequest::Null => Ok(NfsReply::Void),
@@ -175,13 +218,10 @@ impl NfsServer {
                 .map(|target| NfsReply::Target { target })
                 .map_err(Into::into),
             NfsRequest::Read { fh, offset, count } => {
-                match vfs.read(fh.to_file_id(), offset, count) {
-                    Ok((data, eof)) => {
-                        self.clock.advance(disk.transfer(data.len()));
-                        Ok(NfsReply::Data { data, eof })
-                    }
-                    Err(e) => Err(e.into()),
-                }
+                self.read_locked(&mut vfs, fh, offset, count, |data, eof| NfsReply::Data {
+                    data: Bytes::copy_from_slice(data),
+                    eof,
+                })
             }
             NfsRequest::Write { fh, offset, data } => {
                 self.clock.advance(disk.transfer(data.len()));
@@ -353,9 +393,15 @@ impl NfsServer {
 }
 
 impl RpcHandler for NfsServer {
-    fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        let req = NfsRequest::decode(body)?;
-        Ok(RpcResponse::new(&self.execute(req)))
+    fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+        self.handle_frame(from, &Bytes::copy_from_slice(body))
+    }
+
+    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+        let req = NfsRequest::decode_frame(frame)?;
+        Ok(RpcResponse {
+            body: self.execute_encoded(req),
+        })
     }
 }
 
@@ -397,7 +443,7 @@ mod tests {
             NfsRequest::Write {
                 fh,
                 offset: 0,
-                data: b"payload".to_vec(),
+                data: b"payload"[..].into(),
             },
         )
         .unwrap() else {
@@ -417,6 +463,33 @@ mod tests {
         };
         assert_eq!(data, b"payload");
         assert!(eof);
+    }
+
+    #[test]
+    fn wire_read_reply_is_the_encoding_of_the_owned_reply() {
+        // The handler encodes a READ straight from the store; `apply`
+        // builds an owned reply. Same bytes either way, errors included.
+        let s = server();
+        let NfsReply::Root { fh: root } = run(&s, NfsRequest::Mount).unwrap() else {
+            panic!()
+        };
+        let fh = s.with_store(|v| {
+            let (id, _) = v.create(v.root(), "f", 0o644, 0, 0).unwrap();
+            v.write(id, 0, b"hello world").unwrap();
+            crate::messages::Fh::from_file_id(id)
+        });
+        let stale = crate::messages::Fh { ino: 999, gen: 1 };
+        for (fh, offset, count) in [
+            (fh, 0, 100),
+            (fh, 6, 3),
+            (fh, 11, 5),
+            (root, 0, 1),
+            (stale, 0, 1),
+        ] {
+            let req = NfsRequest::Read { fh, offset, count };
+            let served = s.handle(NodeAddr(9), &req.encode()).unwrap();
+            assert_eq!(served.body, s.execute(req).encode());
+        }
     }
 
     #[test]
@@ -467,7 +540,7 @@ mod tests {
                 NfsRequest::Write {
                     fh,
                     offset: 0,
-                    data: vec![0u8; 100],
+                    data: vec![0u8; 100].into(),
                 }
             ),
             Err(NfsStatus::NoSpc)
@@ -507,7 +580,7 @@ mod tests {
             NfsRequest::Write {
                 fh,
                 offset: 0,
-                data: vec![1u8; 1_000_000],
+                data: vec![1u8; 1_000_000].into(),
             },
         )
         .unwrap();

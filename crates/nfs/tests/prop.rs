@@ -1,9 +1,11 @@
 //! Property tests: every NFS protocol message round-trips the wire
-//! exactly, for arbitrary field values.
+//! exactly, for arbitrary field values, through both decoders (the
+//! copying `Reader::new` and the frame-viewing `Reader::over`), and
+//! both reject damaged frames without panicking.
 
 use kosha_nfs::messages::{NfsReplyFrame, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
-use kosha_rpc::{WireRead, WireWrite};
+use kosha_rpc::{Bytes, WireError, WireRead, WireWrite};
 use kosha_vfs::{Attr, FileType, SetAttr};
 use proptest::prelude::*;
 
@@ -87,7 +89,11 @@ fn arb_request() -> impl Strategy<Value = NfsRequest> {
             any::<u64>(),
             proptest::collection::vec(any::<u8>(), 0..256)
         )
-            .prop_map(|(fh, offset, data)| NfsRequest::Write { fh, offset, data }),
+            .prop_map(|(fh, offset, data)| NfsRequest::Write {
+                fh,
+                offset,
+                data: data.into(),
+            }),
         (
             arb_fh(),
             arb_name(),
@@ -183,7 +189,10 @@ fn arb_reply() -> impl Strategy<Value = NfsReply> {
             proptest::collection::vec(any::<u8>(), 0..512),
             any::<bool>()
         )
-            .prop_map(|(data, eof)| NfsReply::Data { data, eof }),
+            .prop_map(|(data, eof)| NfsReply::Data {
+                data: data.into(),
+                eof,
+            }),
         any::<u32>().prop_map(|count| NfsReply::Written { count }),
         proptest::collection::vec((arb_name(), arb_fh(), arb_ftype()), 0..16).prop_map(|v| {
             NfsReply::Entries {
@@ -220,11 +229,37 @@ fn arb_status() -> impl Strategy<Value = NfsStatus> {
     ]
 }
 
+/// Decodes `bytes` through `Reader::new` and through `Reader::over`,
+/// checks that the two agree, and returns what they said.
+fn decode_both<T: WireRead + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Result<T, WireError> {
+    let copied = T::decode(bytes);
+    let viewed = T::decode_frame(&Bytes::copy_from_slice(bytes));
+    assert_eq!(copied, viewed);
+    copied
+}
+
+/// True if `view` lies inside `frame`'s buffer (or is empty).
+fn is_view_of(view: &Bytes, frame: &Bytes) -> bool {
+    view.is_empty() || frame.as_ptr_range().contains(&view.as_ptr())
+}
+
 proptest! {
     #[test]
     fn requests_round_trip(req in arb_request()) {
         let bytes = req.encode();
-        prop_assert_eq!(NfsRequest::decode(&bytes).unwrap(), req);
+        prop_assert_eq!(decode_both::<NfsRequest>(&bytes).unwrap(), req.clone());
+        if let NfsRequest::Write { fh, offset, data } = &req {
+            prop_assert_eq!(&NfsRequest::encode_write(*fh, *offset, data), &bytes);
+            let Ok(NfsRequest::Write { data: view, .. }) = NfsRequest::decode_frame(&bytes) else {
+                panic!("a write decodes to a write");
+            };
+            prop_assert!(is_view_of(&view, &bytes));
+            let Ok(NfsRequest::Write { data: copy, .. }) = NfsRequest::decode(&bytes) else {
+                panic!("a write decodes to a write");
+            };
+            prop_assert!(copy.is_empty() || !is_view_of(&copy, &bytes));
+            prop_assert_eq!(view, copy);
+        }
     }
 
     #[test]
@@ -233,14 +268,55 @@ proptest! {
         arb_status().prop_map(|s| NfsReplyFrame(Err(s))),
     ]) {
         let bytes = frame.encode();
-        prop_assert_eq!(NfsReplyFrame::decode(&bytes).unwrap(), frame);
+        prop_assert_eq!(decode_both::<NfsReplyFrame>(&bytes).unwrap(), frame.clone());
+        if let NfsReplyFrame(Ok(NfsReply::Data { data, eof })) = &frame {
+            prop_assert_eq!(&NfsReplyFrame::encode_data(data, *eof), &bytes);
+            let Ok(NfsReplyFrame(Ok(NfsReply::Data { data: view, .. }))) =
+                NfsReplyFrame::decode_frame(&bytes)
+            else {
+                panic!("a data reply decodes to a data reply");
+            };
+            prop_assert!(is_view_of(&view, &bytes));
+            prop_assert_eq!(&view, data);
+        }
+    }
+
+    /// A frame cut short anywhere is an error from both decoders, never
+    /// a panic and never a shorter message.
+    #[test]
+    fn truncated_frames_are_rejected(req in arb_request(), reply in arb_reply(), cut in any::<usize>()) {
+        let bytes = req.encode();
+        prop_assert!(decode_both::<NfsRequest>(&bytes[..cut % bytes.len()]).is_err());
+        let bytes = NfsReplyFrame(Ok(reply)).encode();
+        prop_assert!(decode_both::<NfsReplyFrame>(&bytes[..cut % bytes.len()]).is_err());
+    }
+
+    /// A payload length prefix beyond the codec's limit (or beyond the
+    /// frame) is refused before anything is allocated for it.
+    #[test]
+    fn oversized_payload_lengths_are_rejected(fh in arb_fh(), len in (64u32 << 20) + 1..=u32::MAX, tail in 0usize..64) {
+        let mut frame = NfsRequest::encode_write(fh, 0, &[]).to_vec();
+        let at = frame.len() - 4;
+        frame[at..].copy_from_slice(&len.to_le_bytes());
+        frame.resize(frame.len() + tail, 0xAA);
+        prop_assert_eq!(
+            decode_both::<NfsRequest>(&frame),
+            Err(WireError::BadLength(u64::from(len)))
+        );
+        let mut frame = NfsReplyFrame::encode_data(&[], true).to_vec();
+        let at = frame.len() - 5;
+        frame[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        prop_assert_eq!(
+            decode_both::<NfsReplyFrame>(&frame),
+            Err(WireError::BadLength(u64::from(len)))
+        );
     }
 
     /// Decoding arbitrary garbage never panics — it returns an error or
-    /// (rarely) parses as some valid message.
+    /// (rarely) parses as some valid message, the same from both decoders.
     #[test]
     fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = NfsRequest::decode(&bytes);
-        let _ = NfsReplyFrame::decode(&bytes);
+        let _ = decode_both::<NfsRequest>(&bytes);
+        let _ = decode_both::<NfsReplyFrame>(&bytes);
     }
 }

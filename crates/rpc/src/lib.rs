@@ -38,6 +38,8 @@ pub mod simnet;
 pub mod threadnet;
 pub mod wire;
 
+/// The refcounted byte view every frame and payload field is made of.
+pub use bytes::Bytes;
 pub use clock::{Clock, SimTime, VirtualClock, WallClock};
 pub use network::{
     CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcHandler, RpcRequest, RpcResponse,

@@ -259,7 +259,7 @@ impl WireRead for RpcRequest {
             return Ok(RpcRequest {
                 service: ServiceId::from_tag(first)?,
                 trace: None,
-                body: Bytes::from(r.bytes()?),
+                body: r.payload()?,
             });
         }
         let flags = r.u8()?;
@@ -272,7 +272,7 @@ impl WireRead for RpcRequest {
         Ok(RpcRequest {
             service,
             trace,
-            body: Bytes::from(r.bytes()?),
+            body: r.payload()?,
         })
     }
 }
@@ -290,9 +290,10 @@ impl RpcResponse {
         RpcResponse { body: msg.encode() }
     }
 
-    /// Decodes the body as `T`.
+    /// Decodes the body as `T`. The response owns its frame, so payload
+    /// fields of `T` come out as views of it.
     pub fn decode<T: WireRead>(&self) -> Result<T, RpcError> {
-        T::decode(&self.body).map_err(RpcError::Decode)
+        T::decode_frame(&self.body).map_err(RpcError::Decode)
     }
 
     /// Total frame size in bytes.
@@ -345,6 +346,15 @@ impl From<WireError> for RpcError {
 pub trait RpcHandler: Send + Sync {
     /// Handles one request from `from`, returning an encoded response.
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError>;
+
+    /// [`RpcHandler::handle`] for a caller that holds the request body
+    /// as a refcounted frame, which is what the transports call. The
+    /// handlers on the payload path override it to decode WRITE data as
+    /// views of `frame` ([`crate::WireRead::decode_frame`]); for every
+    /// other handler the default is the right thing.
+    fn handle_frame(&self, from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+        self.handle(from, frame)
+    }
 }
 
 /// Per-node table of service handlers.
@@ -374,7 +384,7 @@ impl ServiceMux {
             .get(&req.service)
             .cloned()
             .ok_or(RpcError::NoService(req.service))?;
-        handler.handle(from, &req.body)
+        handler.handle_frame(from, &req.body)
     }
 
     /// The services currently registered (used by transports that

@@ -217,7 +217,7 @@ fn run_one(shared: &Arc<ReactorShared>, actor: Arc<ServiceActor>) {
     let ctx = item.req.trace.map(TraceHeader::ctx);
     let handler = Arc::clone(&actor.handler);
     let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        trace::with_context(ctx, || handler.handle(item.from, &item.req.body))
+        trace::with_context(ctx, || handler.handle_frame(item.from, &item.req.body))
     }))
     .unwrap_or_else(|_| Err(RpcError::Remote("handler panicked".to_string())));
     // The caller may have timed out; ignore send failure.
@@ -566,14 +566,26 @@ impl ThreadedNetwork {
 impl Drop for ThreadedNetwork {
     fn drop(&mut self) {
         self.pump_stop.store(true, Ordering::SeqCst);
+        // The last reference may be released on one of the transport's
+        // own threads (a worker that was the last holder of a detached
+        // node's handler, the timer after upgrading a hook). Joining
+        // oneself fails with EDEADLK, so that handle is dropped instead:
+        // the thread exits by itself at its queued `Shutdown` (or at its
+        // next tick) once this `drop` returns.
+        let this_thread = std::thread::current().id();
+        let join = |h: std::thread::JoinHandle<()>| {
+            if h.thread().id() != this_thread {
+                let _ = h.join();
+            }
+        };
         if let Some(h) = self.timer_thread.lock().take() {
-            let _ = h.join();
+            join(h);
         }
         for _ in 0..self.worker_count {
             self.shared.runq.push(RunItem::Shutdown);
         }
         for h in self.workers.lock().drain(..) {
-            let _ = h.join();
+            join(h);
         }
         for (_, actor) in self.actors.write().drain() {
             let mut inner = actor.inner.lock();
@@ -801,6 +813,49 @@ mod tests {
         }
         let resp = net.call(NodeAddr(1), NodeAddr(7), req()).unwrap();
         assert_eq!(resp.decode::<u64>().unwrap(), 400);
+    }
+
+    #[test]
+    fn last_reference_dropped_inside_a_handler_does_not_join_itself() {
+        // The handler's node holds the transport (as every KoshaNode
+        // does). When the outside world lets go while a request is in
+        // service, the worker serving it releases the last reference and
+        // runs `ThreadedNetwork::drop` on a pool thread.
+        struct LastHolder {
+            net: Mutex<Option<Arc<ThreadedNetwork>>>,
+            released: Mutex<crossbeam::channel::Receiver<()>>,
+        }
+        impl RpcHandler for LastHolder {
+            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+                self.released
+                    .lock()
+                    .recv()
+                    .expect("the test releases first");
+                let net = self.net.lock().take().expect("wired");
+                assert_eq!(Arc::strong_count(&net), 1);
+                drop(net);
+                Ok(RpcResponse::new(&1u8))
+            }
+        }
+        let net = ThreadedNetwork::new(Duration::from_secs(5));
+        let (release, released) = bounded(1);
+        let holder = Arc::new(LastHolder {
+            net: Mutex::new(Some(Arc::clone(&net))),
+            released: Mutex::new(released),
+        });
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, holder);
+        net.attach(NodeAddr(7), mux);
+
+        let pending = net.call_async(NodeAddr(1), NodeAddr(7), req());
+        drop(net);
+        release.send(()).expect("handler is waiting");
+        // A panic in the handler (the self-join) would come back as
+        // `RpcError::Remote("handler panicked")`.
+        let resp = pending
+            .wait()
+            .expect("served by the worker that dropped the transport");
+        assert_eq!(resp.decode::<u8>().unwrap(), 1);
     }
 
     #[test]

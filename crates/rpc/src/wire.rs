@@ -72,7 +72,7 @@ impl Writer {
         }
     }
 
-    /// Finishes encoding and returns the frozen buffer.
+    /// Finishes encoding and returns the buffer as it stands (no copy).
     #[must_use]
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
@@ -108,8 +108,15 @@ impl Writer {
         self.buf.put_u8(u8::from(v));
     }
 
-    /// Appends a length-prefixed byte string.
+    /// Appends a length-prefixed byte string. If the buffer has to grow
+    /// for it, it grows once, to fit the prefix, the string and
+    /// [`PAYLOAD_TAIL`] more bytes: a 128 KiB payload must not grow the
+    /// frame by doubling, nor may the flag byte that follows it.
     pub fn bytes(&mut self, v: &[u8]) {
+        let need = 4 + v.len();
+        if self.buf.capacity() - self.buf.len() < need {
+            self.buf.reserve(need + PAYLOAD_TAIL);
+        }
         self.buf.put_u32_le(v.len() as u32);
         self.buf.put_slice(v);
     }
@@ -156,21 +163,39 @@ impl Writer {
     }
 }
 
+/// Spare room [`Writer::bytes`] leaves behind a byte string it had to
+/// grow for, enough for the few fixed-width fields that follow a payload
+/// in any message.
+const PAYLOAD_TAIL: usize = 16;
+
 /// Upper bound on any single length prefix; guards against corrupt frames
 /// allocating unbounded memory. 64 MiB comfortably exceeds the largest NFS
 /// WRITE payload the system produces.
 const MAX_LEN: u64 = 64 << 20;
 
-/// Decoder over a byte slice.
+/// Decoder over a byte slice, or over a refcounted frame (see
+/// [`Reader::over`]) whose payload fields it can hand out as views.
 pub struct Reader<'a> {
     buf: &'a [u8],
+    /// The frame `buf` is the unread tail of, when there is one.
+    frame: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     /// New reader over `buf`.
     #[must_use]
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+        Reader { buf, frame: None }
+    }
+
+    /// New reader over a whole received frame: [`Reader::payload`] then
+    /// returns views of `frame` instead of copies.
+    #[must_use]
+    pub fn over(frame: &'a Bytes) -> Self {
+        Reader {
+            buf: frame,
+            frame: Some(frame),
+        }
     }
 
     /// Number of unread bytes.
@@ -235,17 +260,38 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// Reads a length-prefixed byte string in place, after checking the
+    /// prefix against [`MAX_LEN`] and the bytes that are left.
+    fn byte_string(&mut self) -> Result<&'a [u8], WireError> {
         let len = u64::from(self.u32()?);
         if len > MAX_LEN {
             return Err(WireError::BadLength(len));
         }
         let len = len as usize;
         self.need(len)?;
-        let mut v = vec![0u8; len];
-        self.buf.copy_to_slice(&mut v);
-        Ok(v)
+        let (head, tail) = self.buf.split_at(len);
+        self.buf = tail;
+        Ok(head)
+    }
+
+    /// Reads a length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        Ok(self.byte_string()?.to_vec())
+    }
+
+    /// Reads a length-prefixed payload field: a view of the frame when
+    /// the reader was built with [`Reader::over`], one copy otherwise.
+    /// A view keeps the whole frame alive, so this is for READ/WRITE
+    /// data, not for names and other small fields.
+    pub fn payload(&mut self) -> Result<Bytes, WireError> {
+        let data = self.byte_string()?;
+        Ok(match self.frame {
+            Some(frame) => {
+                let end = frame.len() - self.buf.len();
+                frame.slice(end - data.len()..end)
+            }
+            None => Bytes::copy_from_slice(data),
+        })
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -302,6 +348,15 @@ pub trait WireRead: Sized {
     /// One-shot decode requiring the buffer to be fully consumed.
     fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
+        let v = Self::read(&mut r)?;
+        r.expect_end()?;
+        Ok(v)
+    }
+
+    /// [`WireRead::decode`] of a whole refcounted frame: payload fields
+    /// of the value are views of `frame`, not copies.
+    fn decode_frame(frame: &Bytes) -> Result<Self, WireError> {
+        let mut r = Reader::over(frame);
         let v = Self::read(&mut r)?;
         r.expect_end()?;
         Ok(v)
@@ -470,6 +525,63 @@ mod tests {
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert!(matches!(r.bytes(), Err(WireError::BadLength(_))));
+    }
+
+    #[test]
+    fn payload_is_a_view_over_a_frame_and_a_copy_otherwise() {
+        let mut w = Writer::new();
+        w.string("name");
+        w.bytes(&[7u8; 300]);
+        w.boolean(true);
+        let frame = w.finish();
+
+        let mut over = Reader::over(&frame);
+        assert_eq!(over.string().unwrap(), "name");
+        let view = over.payload().unwrap();
+        assert!(over.boolean().unwrap());
+        over.expect_end().unwrap();
+        // 4 + 4 bytes of name, 4 of length prefix, then the payload.
+        assert_eq!(view.as_ptr(), frame[12..].as_ptr());
+
+        let mut plain = Reader::new(&frame);
+        assert_eq!(plain.string().unwrap(), "name");
+        let copy = plain.payload().unwrap();
+        assert!(plain.boolean().unwrap());
+        assert_eq!(copy, view);
+        assert_ne!(copy.as_ptr(), view.as_ptr());
+    }
+
+    #[test]
+    fn payload_checks_length_like_bytes() {
+        let mut w = Writer::new();
+        w.u32(u32::MAX);
+        let huge = w.finish();
+        let mut w = Writer::new();
+        w.u32(10);
+        w.u8(1);
+        let short = w.finish();
+        for (frame, want) in [
+            (&huge, WireError::BadLength(u64::from(u32::MAX))),
+            (&short, WireError::Truncated),
+        ] {
+            assert_eq!(Reader::over(frame).payload(), Err(want.clone()));
+            assert_eq!(Reader::new(frame).payload(), Err(want.clone()));
+            assert_eq!(Reader::new(frame).bytes(), Err(want));
+        }
+    }
+
+    #[test]
+    fn a_payload_does_not_double_the_frame() {
+        // 128 KiB payload followed by a flag byte (the READ reply): the
+        // frame is allocated once, with the tail already in it.
+        let payload = vec![3u8; 128 * 1024];
+        let mut w = Writer::new();
+        w.u8(5);
+        w.bytes(&payload);
+        let at = w.buf.as_ptr();
+        w.boolean(true);
+        assert_eq!(w.buf.as_ptr(), at);
+        assert_eq!(w.len(), 1 + 4 + payload.len() + 1);
     }
 
     #[test]

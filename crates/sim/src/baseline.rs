@@ -5,7 +5,9 @@
 
 use crate::workbench::Workbench;
 use kosha_nfs::{DiskModel, Fh, NfsClient, NfsError, NfsResult, NfsServer, NfsStatus};
-use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, VirtualClock};
+use kosha_rpc::{
+    Bytes, LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, VirtualClock,
+};
 use kosha_vfs::path::parent_and_name;
 use kosha_vfs::{normalize, split_path, Attr, FileType, Vfs};
 use parking_lot::Mutex;
@@ -141,22 +143,12 @@ impl Workbench for NfsBaseline {
         Ok(())
     }
 
-    fn read_file(&self, path: &str) -> NfsResult<Vec<u8>> {
+    fn read_file(&self, path: &str) -> NfsResult<Bytes> {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         let (fh, attr) = self.nfs.lookup(SERVER, dir, name)?;
-        let mut out = Vec::with_capacity(attr.size as usize);
-        let mut off = 0u64;
-        loop {
-            let (data, eof) = self.nfs.read(SERVER, fh, off, self.chunk)?;
-            off += data.len() as u64;
-            out.extend_from_slice(&data);
-            if eof || data.is_empty() {
-                break;
-            }
-        }
-        Ok(out)
+        self.nfs.read_whole(SERVER, fh, attr.size, self.chunk)
     }
 
     fn stat(&self, path: &str) -> NfsResult<Attr> {

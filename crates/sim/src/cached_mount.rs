@@ -10,7 +10,7 @@
 
 use crate::workbench::Workbench;
 use kosha_nfs::{CacheConfig, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus};
-use kosha_rpc::{Network, NodeAddr, ServiceId};
+use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId};
 use kosha_vfs::path::{parent_and_name, split_path};
 use kosha_vfs::{normalize, Attr, FileType, SetAttr};
 use std::sync::Arc;
@@ -113,7 +113,7 @@ impl Workbench for CachedKoshaMount {
         Ok(())
     }
 
-    fn read_file(&self, path: &str) -> NfsResult<Vec<u8>> {
+    fn read_file(&self, path: &str) -> NfsResult<Bytes> {
         let (_, _, fh, _) = self.resolve_entry(path)?;
         self.cc.read_file(fh)
     }

@@ -391,7 +391,7 @@ pub fn run_churn(p: &ChurnParams) -> ChurnReport {
         let last_match = mount
             .read_file(path)
             .ok()
-            .and_then(|got| writes.iter().rposition(|w| *w == got));
+            .and_then(|got| writes.iter().rposition(|w| got == *w));
         match last_match {
             Some(idx) => {
                 survived += (idx + 1) as u64;

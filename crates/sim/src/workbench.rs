@@ -3,6 +3,7 @@
 
 use kosha::KoshaMount;
 use kosha_nfs::NfsResult;
+use kosha_rpc::Bytes;
 use kosha_vfs::{Attr, FileType};
 
 /// Minimal file-system surface the Modified Andrew Benchmark needs.
@@ -12,7 +13,7 @@ pub trait Workbench {
     /// Write a whole file (creating it).
     fn write_file(&self, path: &str, data: &[u8]) -> NfsResult<()>;
     /// Read a whole file.
-    fn read_file(&self, path: &str) -> NfsResult<Vec<u8>>;
+    fn read_file(&self, path: &str) -> NfsResult<Bytes>;
     /// Stat a path.
     fn stat(&self, path: &str) -> NfsResult<Attr>;
     /// List a directory: names and types.
@@ -34,7 +35,7 @@ impl Workbench for KoshaMount {
         KoshaMount::write_file(self, path, data).map(|_| ())
     }
 
-    fn read_file(&self, path: &str) -> NfsResult<Vec<u8>> {
+    fn read_file(&self, path: &str) -> NfsResult<Bytes> {
         KoshaMount::read_file(self, path)
     }
 

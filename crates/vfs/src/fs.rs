@@ -575,6 +575,20 @@ impl Vfs {
         offset: u64,
         count: u32,
     ) -> Result<(Vec<u8>, bool), VfsError> {
+        self.read_with(id, offset, count, |data, eof| (data.to_vec(), eof))
+    }
+
+    /// [`Vfs::read`] without the copy: lends the stored bytes of the range
+    /// and the EOF flag to `f`, so a caller that only moves them on (the
+    /// NFS server encoding a READ reply) copies them once, into their
+    /// destination.
+    pub fn read_with<R>(
+        &mut self,
+        id: FileId,
+        offset: u64,
+        count: u32,
+        f: impl FnOnce(&[u8], bool) -> R,
+    ) -> Result<R, VfsError> {
         let now = self.now;
         let inode = self.get_mut(id)?;
         let payload = match &inode.kind {
@@ -582,15 +596,15 @@ impl Vfs {
             Kind::Dir(_) => return Err(VfsError::IsDir),
             Kind::Symlink(_) => return Err(VfsError::NotFile),
         };
+        inode.attr.atime = now;
         let size = payload.len();
         let start = offset.min(size);
         let end = offset.saturating_add(u64::from(count)).min(size);
-        let data = match payload {
-            Payload::Bytes(b) => b[start as usize..end as usize].to_vec(),
-            Payload::Sparse(_) => vec![0u8; (end - start) as usize],
-        };
-        inode.attr.atime = now;
-        Ok((data, end >= size))
+        let eof = end >= size;
+        Ok(match payload {
+            Payload::Bytes(b) => f(&b[start as usize..end as usize], eof),
+            Payload::Sparse(_) => f(&vec![0u8; (end - start) as usize], eof),
+        })
     }
 
     /// Writes `data` at `offset`, extending the file if needed. Growth is
@@ -998,6 +1012,22 @@ mod tests {
         assert_eq!(id2, f);
         assert_eq!(a2.size, 11);
         assert_eq!(v.used_bytes(), 11);
+    }
+
+    #[test]
+    fn read_with_lends_what_read_returns() {
+        let mut v = fs();
+        let root = v.root();
+        let (f, _) = v.create(root, "f", 0o644, 0, 0).unwrap();
+        v.write(f, 0, b"hello world").unwrap();
+        let (s, _) = v.create_sized(root, "s", 64, 0o644, 0, 0).unwrap();
+        for (id, offset, count) in [(f, 0, 100), (f, 6, 3), (f, 11, 4), (f, 50, 1), (s, 60, 10)] {
+            let lent = v
+                .read_with(id, offset, count, |data, eof| (data.to_vec(), eof))
+                .unwrap();
+            assert_eq!(lent, v.read(id, offset, count).unwrap());
+        }
+        assert_eq!(v.read_with(root, 0, 1, |_, _| ()), Err(VfsError::IsDir));
     }
 
     #[test]

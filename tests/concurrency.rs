@@ -121,7 +121,7 @@ fn readers_and_writers_interleave_safely() {
             let m = KoshaMount::new(net as Arc<dyn Network>, NodeAddr(2), NodeAddr(2)).unwrap();
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let data = m.read_file("/hot/counter").expect("read");
-                let text = String::from_utf8(data).expect("utf8 content");
+                let text = std::str::from_utf8(&data).expect("utf8 content");
                 // NFS offers no atomic whole-file replace: a reader may
                 // observe the truncation point (empty) or a valid value,
                 // but never garbage.
