@@ -16,9 +16,10 @@
 //!   core (a binary-heap [`sched::Scheduler`] drives message delivery,
 //!   pump ticks, and timer wakeups in O(log n) per event), used by all
 //!   experiments, and
-//! * [`ThreadedNetwork`] — a real concurrent transport (reactor + fixed
-//!   worker pool, continuation-style [`Network::call_async`] dispatch)
-//!   used by concurrency integration tests and scale smoke runs.
+//! * [`ThreadedNetwork`] — a real concurrent transport (caller-runs
+//!   reactor over a fixed worker pool, continuation-style
+//!   [`Network::call_async`] dispatch) used by concurrency integration
+//!   tests, scale smoke runs and the wall-clock benchmark.
 //!
 //! Handlers are registered per [`ServiceId`] (Pastry, NFS, Kosha control),
 //! mirroring the two-level messaging of the prototype: "node lookup and

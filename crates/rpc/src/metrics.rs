@@ -27,7 +27,9 @@ use crate::network::{NodeAddr, ServiceId};
 use kosha_obs::registry::labeled;
 use kosha_obs::{Counter, Gauge, Histogram, Obs};
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Metric handles for one destination service.
@@ -61,10 +63,24 @@ impl Drop for InflightGuard {
 }
 
 /// One link's smoothed latency plus its registry gauge (created on the
-/// first sample, then updated in place with no registry lookup).
+/// first sample, then updated in place with no registry lookup and no
+/// exclusive lock, so samples of different links never serialise).
+/// The update is a load and a store, not a read-modify-write: two
+/// threads that finish a call on the *same* link at the same instant
+/// may fold only one of the two samples, which an estimate smoothed
+/// over eight does not notice, and a compare-exchange on every RPC of
+/// every transport is not worth that sample.
 struct PeerLat {
-    ewma: u64,
+    ewma: AtomicU64,
     gauge: Arc<Gauge>,
+}
+
+impl PeerLat {
+    fn note(&self, nanos: u64) {
+        let ewma = (self.ewma.load(Ordering::Relaxed) * 7 + nanos) / 8;
+        self.ewma.store(ewma, Ordering::Relaxed);
+        self.gauge.set(ewma as i64);
+    }
 }
 
 /// The `link="nFFFFFF>nTTTTTT"` gauge name for one directed link
@@ -149,20 +165,28 @@ impl NetMetrics {
     }
 
     /// Folds one completed round trip into the link's EWMA and mirrors
-    /// the new estimate into the link's registry gauge.
+    /// the new estimate into the link's registry gauge. Every completed
+    /// call of every client thread passes here, so the steady state
+    /// takes the map's read lock only; the write lock is for the first
+    /// sample of a link (and for `prune_peer`).
     pub fn note_peer_latency(&self, from: NodeAddr, to: NodeAddr, nanos: u64) {
-        let mut m = self.peer_latency.write();
-        match m.get_mut(&(from.0, to.0)) {
-            Some(p) => {
-                p.ewma = (p.ewma * 7 + nanos) / 8;
-                p.gauge.set(p.ewma as i64);
-            }
-            None => {
+        let link = (from.0, to.0);
+        if let Some(p) = self.peer_latency.read().get(&link) {
+            p.note(nanos);
+            return;
+        }
+        match self.peer_latency.write().entry(link) {
+            // Another thread saw the link first.
+            Entry::Occupied(e) => e.get().note(nanos),
+            Entry::Vacant(e) => {
                 let name = link_gauge_name(from, to);
                 let gauge = self.obs.registry.gauge(&name);
                 gauge.set(nanos as i64);
                 self.obs.recorder.watch_gauge(&name, &gauge);
-                m.insert((from.0, to.0), PeerLat { ewma: nanos, gauge });
+                e.insert(PeerLat {
+                    ewma: AtomicU64::new(nanos),
+                    gauge,
+                });
             }
         }
     }
@@ -173,7 +197,7 @@ impl NetMetrics {
         self.peer_latency
             .read()
             .get(&(from.0, to.0))
-            .map(|p| p.ewma)
+            .map(|p| p.ewma.load(Ordering::Relaxed))
     }
 
     /// Retires a departed peer's latency state: drops every link EWMA
@@ -183,18 +207,14 @@ impl NetMetrics {
     /// without it the per-link label set grows without bound under
     /// churn and exhausts the recorder's series budget.
     pub fn prune_peer(&self, addr: NodeAddr) {
-        let removed: Vec<(u64, u64)> = {
-            let mut m = self.peer_latency.write();
-            let keys: Vec<(u64, u64)> = m
-                .keys()
-                .filter(|(f, t)| *f == addr.0 || *t == addr.0)
-                .copied()
-                .collect();
-            for k in &keys {
-                m.remove(k);
+        let mut removed = Vec::new();
+        self.peer_latency.write().retain(|&(f, t), _| {
+            let departed = f == addr.0 || t == addr.0;
+            if departed {
+                removed.push((f, t));
             }
-            keys
-        };
+            !departed
+        });
         for (f, t) in removed {
             let name = link_gauge_name(NodeAddr(f), NodeAddr(t));
             self.obs.registry.remove(&name);

@@ -1,82 +1,107 @@
-//! Real-thread transport: reactor + fixed worker pool.
+//! Real-thread transport: a caller-runs reactor over a fixed worker pool.
 //!
-//! Used by the concurrency integration tests to exercise the same node
-//! logic as [`crate::SimNetwork`] but with genuine parallelism. Earlier
-//! versions dedicated one mailbox thread to every `(node, service)`
-//! pair, which made thread count grow linearly with cluster size — a
-//! 10k-node cluster would try to spawn ~30k OS threads. This version is
-//! event-driven: requests are queued on per-`(node, service)` *actors*
-//! and a small fixed pool of reactor workers (`max(4, cores)`, capped
-//! at 64) drains whichever actors have work. Thread count is a function
-//! of the host, not the cluster.
+//! Used by the concurrency integration tests and the wall-clock
+//! benchmark to exercise the same node logic as [`crate::SimNetwork`]
+//! with genuine parallelism. Every `(node, service)` pair is an
+//! *actor*: a handler, a FIFO queue of requests, and an ownership flag.
+//! No thread belongs to an actor, so thread count is a function of the
+//! host (`max(4, cores)` pool workers, capped at 64, plus one timer),
+//! not of the cluster.
 //!
-//! Dispatch is continuation-style: [`ThreadedNetwork::call_async`]
-//! (via the [`Network`] trait) enqueues the request and returns a
-//! [`CallCompletion`](crate::network::CallCompletion) immediately;
-//! `call` is now a blocking shim that issues and waits. A single caller
-//! thread can therefore put hundreds of RPCs in flight at once.
+//! # Who may serve an actor
 //!
-//! Actor discipline: each actor serves its queue FIFO and is held by at
-//! most one worker at a time, so requests to one `(node, service)`
-//! serialize exactly as they did behind the old per-service mailbox
-//! thread (each daemon — nfsd, koshad, the overlay — is one event loop
-//! on a real machine). Requests to *different* actors run on distinct
-//! workers and genuinely overlap.
+//! An actor is *owned* by at most one thread at a time (`running`), and
+//! only its owner runs its handler, so requests to one `(node,
+//! service)` serialize exactly as they would behind one daemon's event
+//! loop (nfsd, koshad, the overlay), in arrival order. Three kinds of
+//! thread take ownership, all through the one [`serve`] routine:
 //!
-//! Deadlock discipline: handlers issue nested blocking RPCs while
-//! running on pool workers, so a fixed pool must not wedge when every
-//! worker is parked in a wait. Two rules prevent that:
+//! * **The caller.** A blocking [`Network::call`] that finds its
+//!   destination idle claims it and runs the handler on its own stack:
+//!   no run queue, no wake-up, no reply channel, no thread change. This
+//!   is the common case — an uncontended RPC costs a lock, the handler,
+//!   and the accounting — and it nests: a handler's own blocking calls
+//!   claim their idle destinations the same way, so a whole
+//!   `client → koshad → control → replica` chain runs on the client's
+//!   thread as it does under `SimNetwork`.
+//! * **A pool worker.** A request that finds its actor owned, or that
+//!   was issued with [`Network::call_async`], is queued on the actor;
+//!   an actor with queued work and no owner goes onto the run queue,
+//!   and a worker serves one request of it per turn. Requests to
+//!   *different* actors genuinely overlap.
+//! * **A helping waiter.** Any thread blocked on a reply (a caller
+//!   queued behind a busy actor, or whoever redeems a
+//!   [`CallCompletion`]) may pull *the one actor its reply depends on*
+//!   off the run queue and serve it while it waits.
 //!
-//! * A worker blocked in a completion wait *helps*, but only with the
-//!   actor its own reply depends on: if that actor is sitting runnable
-//!   on the run queue, the waiter pulls it and serves it in place.
-//!   Driving one's own dependency chain is deadlock-free (the chain
+//! [`Network::call_many`] issues all but its last entry through the
+//! queued path and the last through the blocking one, so a K = 2 mirror
+//! fan-out still overlaps (one entry on a worker, one on the caller)
+//! and the caller works instead of parking.
+//!
+//! # Deadlock discipline
+//!
+//! Handlers issue nested blocking RPCs while they own an actor, so a
+//! fixed set of threads must not wedge when all of them wait. Two rules
+//! prevent that, and neither depends on *which* thread serves:
+//!
+//! * A waiter helps only with the actor its own reply depends on.
+//!   Driving one's own dependency chain is deadlock-free: the chain
 //!   mirrors the nested-call chain, which the service discipline keeps
-//!   acyclic), so a fully blocked pool still makes progress. Helping
+//!   acyclic, so the helped handler never needs an actor owned lower on
+//!   the helper's stack. Every waiter helps — pool worker or not — so
+//!   a reply is reachable even when every worker is parked. Helping
 //!   with *unrelated* actors would not be safe: the helped handler can
-//!   call back into an actor owned lower on the helper's own stack,
-//!   inverting the dependency into a wedge.
-//! * As before, nested calls may revisit a node only on a *different*
-//!   service — `client → koshad(A) → control(B) → nfsd(A)` is fine; a
-//!   same-service cycle such as `koshad(A) → … → koshad(A)` is not
-//!   (the actor is busy serving the outer request and the inner one
-//!   would wait on it forever, surfacing as a timeout).
+//!   call back into an actor the helper owns, inverting the dependency
+//!   into a wedge.
+//! * Nested calls may revisit a node only on a *different* service —
+//!   `client → koshad(A) → control(B) → nfsd(A)` is fine; a
+//!   same-service cycle such as `koshad(A) → … → koshad(A)` is not: the
+//!   actor is owned by the outer request, the inner one queues behind
+//!   it and surfaces as a timeout. The caller never recurses into an
+//!   actor that is already owned, its own included.
+//!
+//! One behavioural difference from a hand-off design: a request being
+//! served in place cannot be abandoned at `call_timeout`, because the
+//! thread that would give up is the one running the handler. Its nested
+//! calls still time out, which bounds it exactly as it bounds a handler
+//! on a worker.
 //!
 //! Periodic maintenance ([`PumpHook`]s) shares one `kosha-timer` thread
-//! for the whole transport instead of one thread per hook; it doubles
-//! as the flight-recorder sampling tick.
+//! for the whole transport; it doubles as the flight-recorder sampling
+//! tick.
 
-use crate::clock::{Clock, WallClock};
+use crate::clock::{Clock, SimTime, WallClock};
 use crate::metrics::{InflightGuard, NetMetrics};
 use crate::network::{
     CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceId,
     ServiceMux, TraceHeader,
 };
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use kosha_obs::{trace, Counter, Gauge, Histogram, Obs};
 use parking_lot::{Mutex, RwLock};
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-type ReplyTx = Sender<Result<RpcResponse, RpcError>>;
+type CallResult = Result<RpcResponse, RpcError>;
 
 /// One queued request awaiting dispatch on an actor.
 struct WorkItem {
     from: NodeAddr,
     req: RpcRequest,
-    reply: ReplyTx,
+    reply: Sender<CallResult>,
     /// Transport-clock reading at enqueue, for the reactor's
     /// dispatch-latency histogram.
     enqueued_nanos: u64,
 }
 
 /// Mutable half of an actor: its FIFO request queue plus scheduling
-/// state. `running` is true while some worker owns the actor (it is
-/// either executing a request or queued on the run queue), which is
-/// what guarantees per-actor serialization.
+/// state. `running` is true while some thread owns the actor (it is
+/// serving a request, or the actor sits on the run queue for the next
+/// owner), which is what guarantees per-actor serialization. A
+/// non-empty queue implies `running`.
 #[derive(Default)]
 struct ActorInner {
     q: VecDeque<WorkItem>,
@@ -136,11 +161,11 @@ impl RunQueue {
     }
 
     /// Non-blocking removal of one *specific* runnable actor, used by
-    /// helping waiters: a blocked worker may only pull the actor its
+    /// helping waiters: a blocked thread may only pull the actor its
     /// own reply depends on (see the module docs — popping unrelated
     /// actors can re-enter an actor owned lower on the helper's stack
     /// and invert the dependency into a deadlock). `Shutdown` items are
-    /// left for real workers to consume.
+    /// left for the workers to consume.
     fn try_pop_specific(&self, target: &Arc<ServiceActor>) -> Option<Arc<ServiceActor>> {
         let mut q = self.items.lock().ok()?;
         let pos = q
@@ -154,112 +179,203 @@ impl RunQueue {
 }
 
 /// State shared between the transport handle, its workers, and deferred
-/// completion waits: the run queue plus reactor self-observability.
+/// completion waits: the run queue, the clock and the metrics.
 struct ReactorShared {
     runq: RunQueue,
     clock: Arc<WallClock>,
+    metrics: Arc<NetMetrics>,
     /// Requests dispatched to handlers (`kosha_reactor_events_total`).
     events_total: Arc<Counter>,
-    /// Enqueue→dispatch sojourn per request, wall nanos.
+    /// Of those, the ones served on their caller's thread without ever
+    /// being queued (`kosha_reactor_inline_total`).
+    inline_total: Arc<Counter>,
+    /// Enqueue→dispatch sojourn per request, wall nanos; 0 for a
+    /// request served in place.
     dispatch_latency: Arc<Histogram>,
     /// Requests currently queued across all actors.
     queue_depth: Arc<Gauge>,
 }
 
-thread_local! {
-    /// Set once on each pool worker: which reactor it belongs to.
-    /// Completion waits consult this to decide whether they may help
-    /// drain the run queue (only on a worker of the *same* reactor —
-    /// helping across transports would run foreign handlers on this
-    /// pool and confuse both sides' accounting).
-    static WORKER_REACTOR: RefCell<Option<std::sync::Weak<ReactorShared>>> =
-        const { RefCell::new(None) };
-}
-
-/// The reactor shared-state of the current thread's pool, if this
-/// thread is a pool worker of `shared`'s reactor.
-fn helping_reactor(shared: &Arc<ReactorShared>) -> Option<Arc<ReactorShared>> {
-    WORKER_REACTOR
-        .with(|w| w.borrow().clone())
-        .and_then(|w| w.upgrade())
-        .filter(|s| Arc::ptr_eq(s, shared))
-}
-
-/// Serves one queued request of `actor`, then re-queues the actor if
-/// more work arrived meanwhile (one item per turn keeps the pool fair
-/// under load; FIFO order within the actor is preserved because only
-/// one worker owns it at a time).
-fn run_one(shared: &Arc<ReactorShared>, actor: Arc<ServiceActor>) {
-    let item = {
-        let mut inner = actor.inner.lock();
-        if inner.closed {
-            inner.q.clear();
-            inner.running = false;
-            return;
+/// Serves one request of `actor` on the calling thread, which owns the
+/// actor for the duration: `claimed` if the caller took the idle actor
+/// for a request of its own (returned: its result), else the head of
+/// the queue (answered through its reply channel). Afterwards the actor
+/// is released, or handed to the run queue if work arrived meanwhile
+/// (one request per turn keeps the pool fair under load; FIFO order
+/// within the actor is preserved because only the owner pops).
+fn serve(
+    shared: &ReactorShared,
+    actor: &Arc<ServiceActor>,
+    claimed: Option<(NodeAddr, RpcRequest)>,
+) -> Option<CallResult> {
+    let (from, req, reply, waited_nanos) = match claimed {
+        Some((from, req)) => {
+            shared.inline_total.inc();
+            (from, req, None, 0)
         }
-        match inner.q.pop_front() {
-            Some(item) => item,
-            None => {
-                inner.running = false;
-                return;
-            }
+        None => {
+            let item = {
+                let mut inner = actor.inner.lock();
+                if inner.closed {
+                    inner.q.clear();
+                }
+                let Some(item) = inner.q.pop_front() else {
+                    inner.running = false;
+                    return None;
+                };
+                item
+                // Lock released before dispatch: the handler may issue
+                // nested RPCs back into this transport (L001 discipline).
+            };
+            shared.queue_depth.add(-1);
+            let waited = shared.clock.now().0.saturating_sub(item.enqueued_nanos);
+            (item.from, item.req, Some(item.reply), waited)
         }
-        // Lock released before dispatch: the handler may issue nested
-        // RPCs back into this transport (L001 discipline).
     };
-    shared.queue_depth.add(-1);
     shared.events_total.inc();
-    let now = shared.clock.now().0;
-    shared
-        .dispatch_latency
-        .record(now.saturating_sub(item.enqueued_nanos));
-    // Bridge the caller's trace onto this worker from the wire header.
-    let ctx = item.req.trace.map(TraceHeader::ctx);
-    let handler = Arc::clone(&actor.handler);
-    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        trace::with_context(ctx, || handler.handle_frame(item.from, &item.req.body))
-    }))
+    shared.dispatch_latency.record(waited_nanos);
+    // Bridge the caller's trace onto the handler from the wire header
+    // (and restore this thread's own context afterwards, panic or not).
+    let resp = trace::with_context(req.trace.map(TraceHeader::ctx), || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            actor.handler.handle_frame(from, &req.body)
+        }))
+    })
     .unwrap_or_else(|_| Err(RpcError::Remote("handler panicked".to_string())));
-    // The caller may have timed out; ignore send failure.
-    let _ = item.reply.send(resp);
+    let result = match reply {
+        Some(reply) => {
+            // The caller may have timed out; ignore send failure.
+            let _ = reply.send(resp);
+            None
+        }
+        None => Some(resp),
+    };
     let more = {
         let mut inner = actor.inner.lock();
         if inner.closed {
             inner.q.clear();
         }
-        if inner.q.is_empty() {
-            inner.running = false;
-            false
-        } else {
-            true
-        }
+        inner.running = !inner.q.is_empty();
+        inner.running
     };
     if more {
-        shared.runq.push(RunItem::Actor(actor));
+        shared.runq.push(RunItem::Actor(Arc::clone(actor)));
     }
+    result
 }
 
-/// Queues `item` on `actor`, scheduling the actor onto the run queue if
-/// it was idle. Returns `false` if the actor is closed (detached).
-fn enqueue(shared: &ReactorShared, actor: &Arc<ServiceActor>, item: WorkItem) -> bool {
-    let newly_runnable = {
+/// How a request entered its actor, decided under the actor's lock.
+enum Admitted {
+    /// The actor was idle and the caller is going to block anyway: the
+    /// caller owns the actor now and serves the request itself.
+    InPlace(RpcRequest),
+    /// Queued behind the actor's owner, or (if it had none) handed to
+    /// the pool along with the actor.
+    Queued(Receiver<CallResult>),
+    /// The actor is detached.
+    Closed,
+}
+
+/// Admits one request to `actor`: claims the idle actor for a blocking
+/// caller, otherwise queues the request and, if the actor had no owner,
+/// schedules the actor onto the run queue.
+fn admit(
+    shared: &ReactorShared,
+    actor: &Arc<ServiceActor>,
+    from: NodeAddr,
+    req: RpcRequest,
+    now: SimTime,
+    blocking: bool,
+) -> Admitted {
+    let (reply, newly_runnable) = {
         let mut inner = actor.inner.lock();
         if inner.closed {
-            return false;
+            return Admitted::Closed;
         }
-        inner.q.push_back(item);
-        if inner.running {
-            false
-        } else {
-            inner.running = true;
-            true
+        let idle = !inner.running && inner.q.is_empty();
+        inner.running = true;
+        if idle && blocking {
+            return Admitted::InPlace(req);
         }
+        let (tx, rx) = bounded(1);
+        inner.q.push_back(WorkItem {
+            from,
+            req,
+            reply: tx,
+            enqueued_nanos: now.0,
+        });
+        (rx, idle)
     };
     shared.queue_depth.add(1);
     if newly_runnable {
         shared.runq.push(RunItem::Actor(Arc::clone(actor)));
     }
-    true
+    Admitted::Queued(reply)
+}
+
+/// Blocks until the queued request whose reply arrives on `reply` has
+/// been served, helping with `awaited` (the actor it is queued on)
+/// whenever that actor is runnable and nobody has picked it up.
+fn await_reply(
+    shared: &ReactorShared,
+    awaited: &Arc<ServiceActor>,
+    reply: &Receiver<CallResult>,
+    deadline_nanos: u64,
+    to: NodeAddr,
+) -> CallResult {
+    loop {
+        match reply.try_recv() {
+            Ok(resp) => return resp,
+            Err(TryRecvError::Disconnected) => return Err(RpcError::Unreachable(to)),
+            Err(TryRecvError::Empty) => {}
+        }
+        let now = shared.clock.now().0;
+        if now >= deadline_nanos {
+            return Err(RpcError::Unreachable(to));
+        }
+        // Drive the actor this reply depends on while waiting, so that
+        // a saturated pool cannot starve the waiter (see the module
+        // docs' deadlock discipline).
+        if let Some(target) = shared.runq.try_pop_specific(awaited) {
+            serve(shared, &target, None);
+            continue;
+        }
+        let nap = Duration::from_nanos(deadline_nanos - now).min(Duration::from_micros(500));
+        match reply.recv_timeout(nap) {
+            Ok(resp) => return resp,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return Err(RpcError::Unreachable(to)),
+        }
+    }
+}
+
+/// What is needed to account one admitted call when its result is in:
+/// the same for a call served in place, waited for inline, or redeemed
+/// later. The call counts as in flight until then (or until it is
+/// abandoned: dropping an unredeemed completion drops the guard too).
+struct CallAccount {
+    _inflight: InflightGuard,
+    service: ServiceId,
+    from: NodeAddr,
+    to: NodeAddr,
+    req_bytes: usize,
+    start: SimTime,
+}
+
+impl CallAccount {
+    fn finish(self, shared: &ReactorShared, result: CallResult) -> CallResult {
+        let svc = shared.metrics.svc(self.service);
+        match &result {
+            Ok(resp) => svc.bytes.add((self.req_bytes + resp.wire_size()) as u64),
+            Err(_) => svc.failed.inc(),
+        }
+        let elapsed = shared.clock.now().since_nanos(self.start);
+        svc.latency.record(elapsed);
+        shared
+            .metrics
+            .note_peer_latency(self.from, self.to, elapsed);
+        result
+    }
 }
 
 /// A periodic hook registration on the shared timer thread.
@@ -269,18 +385,16 @@ struct TimerEntry {
     since: Duration,
 }
 
-/// Reactor + fixed-worker-pool transport. Nodes are attached with their
-/// [`ServiceMux`]; attaching allocates per-service actors (no threads)
-/// served by the pool until the network is dropped or the node is
-/// detached.
+/// Caller-runs reactor transport. Nodes are attached with their
+/// [`ServiceMux`]; attaching allocates per-service actors (no threads),
+/// served by their callers and by the pool until the network is dropped
+/// or the node is detached.
 pub struct ThreadedNetwork {
-    clock: Arc<WallClock>,
     shared: Arc<ReactorShared>,
     actors: RwLock<HashMap<(NodeAddr, ServiceId), Arc<ServiceActor>>>,
     down: RwLock<HashSet<NodeAddr>>,
     /// How long callers wait for a reply before declaring the node dead.
     call_timeout: Duration,
-    metrics: Arc<NetMetrics>,
     worker_count: usize,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Every OS thread this transport has ever spawned
@@ -313,6 +427,7 @@ impl ThreadedNetwork {
         let metrics = Arc::new(NetMetrics::new());
         let obs = metrics.obs();
         let events_total = obs.registry.counter("kosha_reactor_events_total");
+        let inline_total = obs.registry.counter("kosha_reactor_inline_total");
         let dispatch_latency = obs
             .registry
             .histogram("kosha_reactor_dispatch_latency_nanos");
@@ -323,6 +438,8 @@ impl ThreadedNetwork {
             .watch_gauge("kosha_reactor_queue_depth", &queue_depth);
         obs.recorder
             .watch_counter("kosha_reactor_events_total", &events_total);
+        obs.recorder
+            .watch_counter("kosha_reactor_inline_total", &inline_total);
         obs.recorder.watch_histogram_pct(
             "kosha_reactor_dispatch_latency_nanos:p99",
             &dispatch_latency,
@@ -330,8 +447,10 @@ impl ThreadedNetwork {
         );
         let shared = Arc::new(ReactorShared {
             runq: RunQueue::new(),
-            clock: Arc::clone(&clock),
+            clock,
+            metrics,
             events_total,
+            inline_total,
             dispatch_latency,
             queue_depth,
         });
@@ -344,21 +463,18 @@ impl ThreadedNetwork {
             let handle = std::thread::Builder::new()
                 .name(format!("kosha-worker-{i}"))
                 .spawn(move || {
-                    WORKER_REACTOR.with(|w| *w.borrow_mut() = Some(Arc::downgrade(&shared)));
                     while let RunItem::Actor(actor) = shared.runq.pop_wait() {
-                        run_one(&shared, actor);
+                        serve(&shared, &actor, None);
                     }
                 })
                 .expect("spawn reactor worker");
             workers.push(handle);
         }
         let net = Arc::new(ThreadedNetwork {
-            clock,
             shared,
             actors: RwLock::new(HashMap::new()),
             down: RwLock::new(HashSet::new()),
             call_timeout,
-            metrics,
             worker_count,
             workers: Mutex::new(workers),
             threads_spawned,
@@ -367,8 +483,8 @@ impl ThreadedNetwork {
             timer_thread: Mutex::new(None),
         });
         #[cfg(feature = "lockcheck")]
-        crate::lockcheck_gate::install_cycle_hook(Arc::downgrade(&net.metrics.obs()), {
-            let clock = Arc::clone(&net.clock);
+        crate::lockcheck_gate::install_cycle_hook(Arc::downgrade(&net.obs()), {
+            let clock = Arc::clone(&net.shared.clock);
             move || clock.now().0
         });
         net
@@ -379,7 +495,7 @@ impl ThreadedNetwork {
     /// `kosha_reactor_*` series, timestamped on the monotonic wall clock.
     #[must_use]
     pub fn obs(&self) -> Arc<Obs> {
-        self.metrics.obs()
+        self.shared.metrics.obs()
     }
 
     /// Size of the fixed worker pool (constant for the transport's
@@ -441,7 +557,7 @@ impl ThreadedNetwork {
             inner.q.clear();
         }
         self.down.write().remove(&addr);
-        self.metrics.prune_peer(addr);
+        self.shared.metrics.prune_peer(addr);
     }
 
     /// Simulates a crash: the node stops answering (actors keep their
@@ -455,111 +571,79 @@ impl ThreadedNetwork {
         self.down.write().remove(&addr);
     }
 
-    /// The issue half of an RPC: validate the destination, enqueue on
-    /// its actor, and build the deferred completion that waits (with
-    /// helping), accounts the result, and returns it. `req.trace` must
-    /// already be stamped by the caller (`call`, `call_many`, or the
-    /// ambient-context shim in `call_async`).
-    fn issue(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> CallCompletion {
+    /// The one way into the transport: validate the destination, admit
+    /// the request to its actor, and account the result once it is in.
+    /// With `blocking`, the caller is about to wait for the result
+    /// anyway, so it serves an idle actor itself, waits inline behind a
+    /// busy one, and the completion comes back ready; without, the
+    /// request always goes to the pool and the completion defers the
+    /// wait. `req.trace` must already be stamped by the caller (`call`,
+    /// `call_many`, or the ambient-context shim in `call_async`).
+    fn issue(
+        &self,
+        from: NodeAddr,
+        to: NodeAddr,
+        req: RpcRequest,
+        blocking: bool,
+    ) -> CallCompletion {
         let service = req.service;
-        let svc = self.metrics.svc(service);
+        let svc = self.shared.metrics.svc(service);
         svc.calls.inc();
         let inflight = InflightGuard::enter(&svc.inflight);
         if from == to {
             svc.local.inc();
         }
+        let refuse = |err| {
+            svc.failed.inc();
+            CallCompletion::ready(Err(err))
+        };
         if self.down.read().contains(&to) {
-            svc.failed.inc();
-            return CallCompletion::ready(Err(RpcError::Unreachable(to)));
+            return refuse(RpcError::Unreachable(to));
         }
-        let actor = match self.actors.read().get(&(to, service)) {
-            Some(a) => Arc::clone(a),
-            None => {
-                svc.failed.inc();
-                // Distinguish "node exists but lacks the service" from a
-                // dead node, mirroring SimNetwork semantics.
-                let node_known = self.actors.read().keys().any(|(a, _)| *a == to);
-                return CallCompletion::ready(Err(if node_known {
-                    RpcError::NoService(service)
-                } else {
-                    RpcError::Unreachable(to)
-                }));
-            }
+        // No transport lock may be held from here on: the handler may
+        // run on this very stack.
+        let actor = self.actors.read().get(&(to, service)).cloned();
+        let Some(actor) = actor else {
+            // Distinguish "node exists but lacks the service" from a
+            // dead node, mirroring SimNetwork semantics.
+            let node_known = self.actors.read().keys().any(|(a, _)| *a == to);
+            return refuse(if node_known {
+                RpcError::NoService(service)
+            } else {
+                RpcError::Unreachable(to)
+            });
         };
-        let req_bytes = req.wire_size();
-        let awaited = Arc::clone(&actor);
-        let start = self.clock.now();
-        let (rtx, rrx) = bounded(1);
-        let item = WorkItem {
+        let shared = &self.shared;
+        let start = shared.clock.now();
+        let account = CallAccount {
+            _inflight: inflight,
+            service,
             from,
-            req,
-            reply: rtx,
-            enqueued_nanos: start.0,
+            to,
+            req_bytes: req.wire_size(),
+            start,
         };
-        if !enqueue(&self.shared, &actor, item) {
-            svc.failed.inc();
-            return CallCompletion::ready(Err(RpcError::Unreachable(to)));
-        }
-        let clock = Arc::clone(&self.clock);
-        let shared = Arc::clone(&self.shared);
-        let metrics = Arc::clone(&self.metrics);
-        let timeout = self.call_timeout;
-        CallCompletion::deferred(Box::new(move || {
-            // The call counts as in flight until its completion is
-            // redeemed (or abandoned: dropping the closure unredeemed
-            // drops the guard too).
-            let _inflight = inflight;
-            let deadline = start
-                .0
-                .saturating_add(timeout.as_nanos().min(u128::from(u64::MAX)) as u64);
-            let help = helping_reactor(&shared);
-            let result = loop {
-                match rrx.try_recv() {
-                    Ok(resp) => break resp,
-                    Err(TryRecvError::Disconnected) => break Err(RpcError::Unreachable(to)),
-                    Err(TryRecvError::Empty) => {}
-                }
-                let now = clock.now().0;
-                if now >= deadline {
-                    break Err(RpcError::Unreachable(to));
-                }
-                if let Some(reactor) = &help {
-                    // Pool worker blocked on a nested RPC: drive the
-                    // actor this reply depends on while waiting, so a
-                    // saturated pool cannot starve itself (see the
-                    // module docs' deadlock discipline).
-                    if let Some(target) = reactor.runq.try_pop_specific(&awaited) {
-                        run_one(reactor, target);
-                        continue;
-                    }
-                    match rrx.recv_timeout(Duration::from_micros(500)) {
-                        Ok(resp) => break resp,
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            break Err(RpcError::Unreachable(to))
-                        }
-                    }
-                } else {
-                    // Plain caller thread: park straight to the deadline.
-                    match rrx.recv_timeout(Duration::from_nanos(deadline - now)) {
-                        Ok(resp) => break resp,
-                        Err(RecvTimeoutError::Timeout) => break Err(RpcError::Unreachable(to)),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            break Err(RpcError::Unreachable(to))
-                        }
-                    }
-                }
-            };
-            let svc = metrics.svc(service);
-            match &result {
-                Ok(resp) => svc.bytes.add((req_bytes + resp.wire_size()) as u64),
-                Err(_) => svc.failed.inc(),
+        let reply = match admit(shared, &actor, from, req, start, blocking) {
+            Admitted::Closed => return refuse(RpcError::Unreachable(to)),
+            Admitted::InPlace(req) => {
+                let result = serve(shared, &actor, Some((from, req)))
+                    .expect("a claimed request is answered to its caller");
+                return CallCompletion::ready(account.finish(shared, result));
             }
-            let elapsed = clock.now().since_nanos(start);
-            svc.latency.record(elapsed);
-            metrics.note_peer_latency(from, to, elapsed);
-            result
-        }))
+            Admitted::Queued(reply) => reply,
+        };
+        let timeout = self.call_timeout.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let deadline = start.0.saturating_add(timeout);
+        let shared = Arc::clone(shared);
+        let wait = move || {
+            let result = await_reply(&shared, &actor, &reply, deadline, to);
+            account.finish(&shared, result)
+        };
+        if blocking {
+            CallCompletion::ready(wait())
+        } else {
+            CallCompletion::deferred(Box::new(wait))
+        }
     }
 }
 
@@ -596,10 +680,11 @@ impl Drop for ThreadedNetwork {
 }
 
 impl Network for ThreadedNetwork {
-    /// Blocking shim over [`Network::call_async`]: when a trace is
-    /// active on this thread, the RPC is wrapped in a client span
-    /// (wall-clock timed) whose context is stamped into the wire header
-    /// so the serving worker can pick it up.
+    /// Blocking RPC, served on this thread if the destination is idle
+    /// (see the module docs). When a trace is active on this thread,
+    /// the RPC is wrapped in a client span (wall-clock timed) whose
+    /// context is stamped into the wire header, so the handler picks it
+    /// up on whichever thread serves it.
     fn call(
         &self,
         from: NodeAddr,
@@ -608,19 +693,19 @@ impl Network for ThreadedNetwork {
     ) -> Result<RpcResponse, RpcError> {
         #[cfg(feature = "lockcheck")]
         crate::lockcheck_gate::rpc_gate(
-            &self.metrics.obs(),
-            self.clock.now().0,
+            &self.shared.metrics.obs(),
+            self.shared.clock.now().0,
             from,
             "ThreadedNetwork::call",
         );
         let span_name = req.service.rpc_span_name();
-        self.metrics.tracer().child_with(
+        self.shared.metrics.tracer().child_with(
             || span_name.to_string(),
             from.0,
-            || self.clock.now().0,
+            || self.shared.clock.now().0,
             |ctx| {
                 req.trace = ctx.map(TraceHeader::from_ctx);
-                self.issue(from, to, req).wait()
+                self.issue(from, to, req, true).wait()
             },
         )
     }
@@ -634,18 +719,19 @@ impl Network for ThreadedNetwork {
         if req.trace.is_none() {
             req.trace = trace::current().map(TraceHeader::from_ctx);
         }
-        self.issue(from, to, req)
+        self.issue(from, to, req, false)
     }
 
-    /// Concurrent fan-out without fan-out threads: every entry is
-    /// issued through `call_async` up front — putting the whole batch
-    /// in flight across the worker pool — then the completions are
-    /// redeemed in batch order. Calls to distinct `(node, service)`
-    /// actors genuinely overlap; calls sharing an actor still serialize
-    /// behind it, as on a real machine. Traced fan-outs record one
-    /// client span per entry (opened before issue, closed at
-    /// completion), so sibling spans overlap in the trace exactly as
-    /// the RPCs did on the wire.
+    /// Concurrent fan-out without fan-out threads: every entry but the
+    /// last is put in flight across the worker pool, the last is issued
+    /// as a blocking call (so the caller serves it itself if it can,
+    /// overlapping with the others, instead of parking), then the
+    /// completions are redeemed in batch order. Calls to distinct
+    /// `(node, service)` actors genuinely overlap; calls sharing an
+    /// actor still serialize behind it in batch order, as on a real
+    /// machine. Traced fan-outs record one client span per entry
+    /// (opened before issue, closed at completion), so sibling spans
+    /// overlap in the trace exactly as the RPCs did on the wire.
     fn call_many(
         &self,
         from: NodeAddr,
@@ -655,28 +741,39 @@ impl Network for ThreadedNetwork {
         // blocks on redemption.
         #[cfg(feature = "lockcheck")]
         crate::lockcheck_gate::rpc_gate(
-            &self.metrics.obs(),
-            self.clock.now().0,
+            &self.shared.metrics.obs(),
+            self.shared.clock.now().0,
             from,
             "ThreadedNetwork::call_many",
         );
-        self.metrics.fanout_batch.record(batch.len() as u64);
+        self.shared.metrics.fanout_batch.record(batch.len() as u64);
         if batch.len() <= 1 {
             return batch
                 .into_iter()
                 .map(|(to, req)| self.call(from, to, req))
                 .collect();
         }
-        let tracer = self.metrics.tracer();
+        let tracer = self.shared.metrics.tracer();
+        let now = || self.shared.clock.now().0;
+        let last = batch.len() - 1;
         let issued: Vec<_> = batch
             .into_iter()
-            .map(|(to, mut req)| {
-                let span = tracer.open_child(from.0, self.clock.now().0);
+            .enumerate()
+            .map(|(i, (to, mut req))| {
+                let mut span = tracer.open_child(from.0, now());
                 if let Some(s) = &span {
                     req.trace = Some(TraceHeader::from_ctx(s.ctx()));
                 }
                 let name = req.service.rpc_span_name();
-                (span, name, self.call_async(from, to, req))
+                let completion = self.issue(from, to, req, i == last);
+                // Finished inside `issue` (refused, or the blocking
+                // entry): its span ends now, not at redemption.
+                if completion.is_ready() {
+                    if let Some(s) = span.take() {
+                        tracer.close(s, name, now());
+                    }
+                }
+                (span, name, completion)
             })
             .collect();
         issued
@@ -684,7 +781,7 @@ impl Network for ThreadedNetwork {
             .map(|(span, name, completion)| {
                 let result = completion.wait();
                 if let Some(s) = span {
-                    tracer.close(s, name, self.clock.now().0);
+                    tracer.close(s, name, now());
                 }
                 result
             })
@@ -692,7 +789,7 @@ impl Network for ThreadedNetwork {
     }
 
     fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.clock) as Arc<dyn Clock>
+        Arc::clone(&self.shared.clock) as Arc<dyn Clock>
     }
 
     fn is_up(&self, addr: NodeAddr) -> bool {
@@ -714,8 +811,8 @@ impl Network for ThreadedNetwork {
         if timer.is_none() {
             let stop = Arc::clone(&self.pump_stop);
             let timers = Arc::clone(&self.timers);
-            let obs = self.metrics.obs();
-            let clock = Arc::clone(&self.clock);
+            let obs = self.shared.metrics.obs();
+            let clock = Arc::clone(&self.shared.clock);
             self.threads_spawned.inc();
             // Tick every 2ms so Drop never blocks behind a long flush
             // interval and short test intervals still fire promptly.
@@ -764,7 +861,7 @@ impl Network for ThreadedNetwork {
     }
 
     fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.metrics.peer_latency(from, to)
+        self.shared.metrics.peer_latency(from, to)
     }
 }
 
@@ -772,6 +869,7 @@ impl Network for ThreadedNetwork {
 mod tests {
     use super::*;
     use crate::network::RpcHandler;
+    use crate::wire::WireRead;
     use bytes::Bytes;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -790,6 +888,412 @@ mod tests {
             trace: None,
             body: Bytes::new(),
         }
+    }
+
+    /// `(events_total, inline_total)` of the reactor.
+    fn served(net: &ThreadedNetwork) -> (u64, u64) {
+        let reg = &net.obs().registry;
+        (
+            reg.counter("kosha_reactor_events_total").get(),
+            reg.counter("kosha_reactor_inline_total").get(),
+        )
+    }
+
+    /// Spins until `n` requests sit in actor queues: the only way to
+    /// know that another thread's blocking call has been admitted.
+    fn until_queued(net: &ThreadedNetwork, n: i64) {
+        let depth = net.obs().registry.gauge("kosha_reactor_queue_depth");
+        while depth.get() != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Logs the `u64` id of every request it serves, in service order,
+    /// and counts how many threads are inside it at once. Request 0
+    /// parks: it reports on `entered` and waits for `release`.
+    struct Logged {
+        order: Mutex<Vec<u64>>,
+        active: AtomicU64,
+        max_active: AtomicU64,
+        entered: Sender<()>,
+        release: Mutex<Receiver<()>>,
+    }
+
+    impl Logged {
+        /// The handler plus the test's ends of its two channels.
+        fn new() -> (Arc<Self>, Receiver<()>, Sender<()>) {
+            let (entered, has_entered) = bounded(1);
+            let (do_release, release) = bounded(1);
+            let handler = Arc::new(Logged {
+                order: Mutex::new(Vec::new()),
+                active: AtomicU64::new(0),
+                max_active: AtomicU64::new(0),
+                entered,
+                release: Mutex::new(release),
+            });
+            (handler, has_entered, do_release)
+        }
+    }
+
+    impl RpcHandler for Logged {
+        fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+            let inside = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max_active.fetch_max(inside, Ordering::SeqCst);
+            let id = u64::decode(body)?;
+            if id == 0 {
+                self.entered.send(()).expect("the test listens");
+                self.release.lock().recv().expect("the test releases");
+            }
+            std::thread::yield_now();
+            self.order.lock().push(id);
+            self.active.fetch_sub(1, Ordering::SeqCst);
+            Ok(RpcResponse::new(&id))
+        }
+    }
+
+    fn numbered(id: u64) -> RpcRequest {
+        RpcRequest::new(ServiceId::Kosha, &id)
+    }
+
+    #[test]
+    fn blocking_chain_on_an_idle_transport_never_leaves_the_calling_thread() {
+        // client → KoshaFs(1) → Kosha(2) → Nfs(2): each hop records the
+        // thread it ran on and returns its depth in the chain.
+        struct Hop {
+            net: Weak<ThreadedNetwork>,
+            me: NodeAddr,
+            next: Option<(NodeAddr, ServiceId)>,
+            ran_on: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+        }
+        impl RpcHandler for Hop {
+            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+                self.ran_on.lock().push(std::thread::current().id());
+                let below = match self.next {
+                    Some((to, service)) => {
+                        let net = self.net.upgrade().expect("the caller holds the transport");
+                        let request = RpcRequest::new(service, &0u8);
+                        net.call(self.me, to, request)?.decode::<u64>()?
+                    }
+                    None => 0,
+                };
+                Ok(RpcResponse::new(&(below + 1)))
+            }
+        }
+        let net = ThreadedNetwork::new(Duration::from_secs(5));
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let hop = |me, next| {
+            Arc::new(Hop {
+                net: Arc::downgrade(&net),
+                me,
+                next,
+                ran_on: Arc::clone(&ran_on),
+            })
+        };
+        let mux1 = Arc::new(ServiceMux::new());
+        mux1.register(
+            ServiceId::KoshaFs,
+            hop(NodeAddr(1), Some((NodeAddr(2), ServiceId::Kosha))),
+        );
+        net.attach(NodeAddr(1), mux1);
+        let mux2 = Arc::new(ServiceMux::new());
+        mux2.register(
+            ServiceId::Kosha,
+            hop(NodeAddr(2), Some((NodeAddr(2), ServiceId::Nfs))),
+        );
+        mux2.register(ServiceId::Nfs, hop(NodeAddr(2), None));
+        net.attach(NodeAddr(2), mux2);
+
+        let depth = net
+            .call(
+                NodeAddr(9),
+                NodeAddr(1),
+                RpcRequest::new(ServiceId::KoshaFs, &0u8),
+            )
+            .unwrap()
+            .decode::<u64>()
+            .unwrap();
+        assert_eq!(depth, 3);
+        assert_eq!(*ran_on.lock(), vec![std::thread::current().id(); 3]);
+        assert_eq!(served(&net), (3, 3));
+        // Never queued: one zero dispatch-latency sample per request.
+        let reg = &net.obs().registry;
+        let dispatch = reg.histogram("kosha_reactor_dispatch_latency_nanos");
+        assert_eq!((dispatch.count(), dispatch.max()), (3, 0));
+        assert_eq!(reg.gauge("kosha_reactor_queue_depth").get(), 0);
+    }
+
+    #[test]
+    fn callers_of_a_busy_actor_queue_behind_its_owner_in_order() {
+        let net = ThreadedNetwork::new(Duration::from_secs(10));
+        let (handler, has_entered, release) = Logged::new();
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, handler.clone());
+        net.attach(NodeAddr(1), mux);
+
+        std::thread::scope(|s| {
+            // Request 0 claims the idle actor and parks in its handler.
+            let owner = s.spawn(|| net.call(NodeAddr(8), NodeAddr(1), numbered(0)));
+            has_entered.recv().expect("request 0 is being served");
+            // A second blocking caller and an async one find it owned.
+            let second = s.spawn(|| net.call(NodeAddr(9), NodeAddr(1), numbered(1)));
+            until_queued(&net, 1);
+            let third = net.call_async(NodeAddr(9), NodeAddr(1), numbered(2));
+            until_queued(&net, 2);
+            assert_eq!(*handler.order.lock(), Vec::<u64>::new());
+            release.send(()).expect("request 0 is parked");
+            for (id, result) in [
+                (0, owner.join().expect("owner thread")),
+                (1, second.join().expect("second thread")),
+                (2, third.wait()),
+            ] {
+                assert_eq!(result.unwrap().decode::<u64>().unwrap(), id);
+            }
+        });
+        assert_eq!(*handler.order.lock(), vec![0, 1, 2]);
+        assert_eq!(handler.max_active.load(Ordering::SeqCst), 1);
+        // Only request 0 found the actor idle.
+        assert_eq!(served(&net), (3, 1));
+    }
+
+    #[test]
+    fn an_actor_never_runs_on_two_threads_at_once() {
+        let net = ThreadedNetwork::new(Duration::from_secs(30));
+        let (handler, _has_entered, _release) = Logged::new();
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, handler.clone());
+        net.attach(NodeAddr(1), mux);
+        std::thread::scope(|s| {
+            for caller in 0..8u64 {
+                let net = &net;
+                s.spawn(move || {
+                    for i in 1..=200u64 {
+                        let id = caller * 1000 + i;
+                        let from = NodeAddr(100 + caller);
+                        let result = if i % 2 == 0 {
+                            net.call(from, NodeAddr(1), numbered(id))
+                        } else {
+                            net.call_async(from, NodeAddr(1), numbered(id)).wait()
+                        };
+                        assert_eq!(result.unwrap().decode::<u64>().unwrap(), id);
+                    }
+                });
+            }
+        });
+        assert_eq!(handler.max_active.load(Ordering::SeqCst), 1);
+        let order = handler.order.lock();
+        assert_eq!(order.len(), 1600);
+        // Per caller, service order is issue order.
+        for caller in 0..8u64 {
+            let mine: Vec<u64> = order
+                .iter()
+                .copied()
+                .filter(|id| id / 1000 == caller)
+                .collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "caller {caller}");
+        }
+        let (events, inline) = served(&net);
+        assert_eq!(events, 1600);
+        assert!(inline <= 800, "call_async is never served in place");
+    }
+
+    #[test]
+    fn same_service_cycle_from_an_in_place_caller_times_out() {
+        // KoshaFs(1) calls KoshaFs(1) while serving: the actor is owned
+        // by the outer request (on the client's own thread), so the
+        // inner one must queue and time out, not recurse.
+        struct Reenter {
+            net: Weak<ThreadedNetwork>,
+            active: AtomicU64,
+            max_active: AtomicU64,
+        }
+        impl RpcHandler for Reenter {
+            fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+                let inside = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+                self.max_active.fetch_max(inside, Ordering::SeqCst);
+                let outer = u8::decode(body)? == 0;
+                let timed_out = outer && {
+                    let net = self.net.upgrade().expect("the caller holds the transport");
+                    let inner = net.call(
+                        NodeAddr(1),
+                        NodeAddr(1),
+                        RpcRequest::new(ServiceId::KoshaFs, &1u8),
+                    );
+                    matches!(inner, Err(RpcError::Unreachable(NodeAddr(1))))
+                };
+                self.active.fetch_sub(1, Ordering::SeqCst);
+                Ok(RpcResponse::new(&timed_out))
+            }
+        }
+        let timeout = Duration::from_millis(200);
+        let net = ThreadedNetwork::new(timeout);
+        let handler = Arc::new(Reenter {
+            net: Arc::downgrade(&net),
+            active: AtomicU64::new(0),
+            max_active: AtomicU64::new(0),
+        });
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::KoshaFs, handler.clone());
+        net.attach(NodeAddr(1), mux);
+
+        let started = std::time::Instant::now();
+        let outer = net.call(
+            NodeAddr(9),
+            NodeAddr(1),
+            RpcRequest::new(ServiceId::KoshaFs, &0u8),
+        );
+        assert!(outer.unwrap().decode::<bool>().unwrap(), "inner call");
+        assert!(started.elapsed() >= timeout);
+        assert_eq!(handler.max_active.load(Ordering::SeqCst), 1);
+        // The abandoned inner request is served once its owner lets go,
+        // and the actor is free again afterwards.
+        let again = net.call(
+            NodeAddr(9),
+            NodeAddr(1),
+            RpcRequest::new(ServiceId::KoshaFs, &1u8),
+        );
+        assert!(!again.unwrap().decode::<bool>().unwrap());
+        assert_eq!(served(&net).0, 3);
+    }
+
+    #[test]
+    fn panic_served_in_place_fails_the_call_and_releases_the_actor() {
+        struct BoomOnce(AtomicBool);
+        impl RpcHandler for BoomOnce {
+            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+                assert!(self.0.swap(true, Ordering::SeqCst), "boom");
+                Ok(RpcResponse::new(&1u8))
+            }
+        }
+        let net = ThreadedNetwork::new(Duration::from_secs(2));
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, Arc::new(BoomOnce(AtomicBool::new(false))));
+        net.attach(NodeAddr(1), mux);
+        assert!(matches!(
+            net.call(NodeAddr(2), NodeAddr(1), req()),
+            Err(RpcError::Remote(_))
+        ));
+        // A leaked `running` flag would queue this call behind nobody.
+        assert!(net.call(NodeAddr(2), NodeAddr(1), req()).is_ok());
+        assert_eq!(served(&net), (2, 2));
+        let failed = net
+            .obs()
+            .registry
+            .counter("rpc_failed_calls_total{service=\"kosha\"}");
+        assert_eq!(failed.get(), 1);
+    }
+
+    #[test]
+    fn detach_during_an_in_place_request_lets_it_finish_and_clears_the_queue() {
+        let net = ThreadedNetwork::new(Duration::from_secs(10));
+        let (handler, has_entered, release) = Logged::new();
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, handler.clone());
+        net.attach(NodeAddr(1), mux);
+        std::thread::scope(|s| {
+            let in_flight = s.spawn(|| net.call(NodeAddr(8), NodeAddr(1), numbered(0)));
+            has_entered.recv().expect("request 0 is being served");
+            let queued = net.call_async(NodeAddr(9), NodeAddr(1), numbered(1));
+            net.detach(NodeAddr(1));
+            assert!(matches!(
+                queued.wait(),
+                Err(RpcError::Unreachable(NodeAddr(1)))
+            ));
+            release.send(()).expect("request 0 is parked");
+            let finished = in_flight.join().expect("caller thread");
+            assert_eq!(finished.unwrap().decode::<u64>().unwrap(), 0);
+        });
+        assert!(matches!(
+            net.call(NodeAddr(9), NodeAddr(1), numbered(2)),
+            Err(RpcError::Unreachable(NodeAddr(1)))
+        ));
+        assert_eq!(*handler.order.lock(), vec![0]);
+    }
+
+    #[test]
+    fn a_plain_thread_waiting_on_a_completion_helps() {
+        // Every pool worker parks inside a gate handler; the request the
+        // test thread then issues with `call_async` can only be served
+        // by the test thread itself, while it waits.
+        struct Gate {
+            arrived: Sender<()>,
+            open: Arc<std::sync::Barrier>,
+        }
+        impl RpcHandler for Gate {
+            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+                self.arrived.send(()).expect("the test counts arrivals");
+                self.open.wait();
+                Ok(RpcResponse::new(&0u8))
+            }
+        }
+        let net = ThreadedNetwork::new(Duration::from_secs(10));
+        let pool = net.worker_threads();
+        let (arrived, arrivals) = bounded(pool);
+        let open = Arc::new(std::sync::Barrier::new(pool + 1));
+        for gate in 0..pool as u64 {
+            let mux = Arc::new(ServiceMux::new());
+            mux.register(
+                ServiceId::Kosha,
+                Arc::new(Gate {
+                    arrived: arrived.clone(),
+                    open: Arc::clone(&open),
+                }),
+            );
+            net.attach(NodeAddr(gate), mux);
+        }
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, Arc::new(Counter(AtomicU64::new(41))));
+        net.attach(NodeAddr(99), mux);
+
+        let parked: Vec<_> = (0..pool as u64)
+            .map(|gate| net.call_async(NodeAddr(100), NodeAddr(gate), req()))
+            .collect();
+        for _ in 0..pool {
+            arrivals.recv().expect("a worker reached its gate");
+        }
+        let helped = net.call_async(NodeAddr(100), NodeAddr(99), req()).wait();
+        assert_eq!(helped.unwrap().decode::<u64>().unwrap(), 41);
+        open.wait();
+        for completion in parked {
+            completion.wait().unwrap();
+        }
+        assert_eq!(served(&net), (pool as u64 + 1, 0));
+    }
+
+    #[test]
+    fn call_many_of_two_overlaps_a_worker_and_the_caller() {
+        // The K = 2 mirror fan-out: both handlers meet at a barrier, so
+        // the batch completes only if the two are in flight at once —
+        // the first on a pool worker, the last on the calling thread.
+        struct Rendezvous(Arc<std::sync::Barrier>, Mutex<Vec<std::thread::ThreadId>>);
+        impl RpcHandler for Rendezvous {
+            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+                self.0.wait();
+                self.1.lock().push(std::thread::current().id());
+                Ok(RpcResponse::new(&1u64))
+            }
+        }
+        let net = ThreadedNetwork::new(Duration::from_secs(10));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let handlers: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|a| {
+                let handler = Arc::new(Rendezvous(Arc::clone(&barrier), Mutex::new(Vec::new())));
+                let mux = Arc::new(ServiceMux::new());
+                mux.register(ServiceId::KoshaReplica, handler.clone());
+                net.attach(NodeAddr(a), mux);
+                handler
+            })
+            .collect();
+        let batch = [1, 2]
+            .into_iter()
+            .map(|a| (NodeAddr(a), RpcRequest::new(ServiceId::KoshaReplica, &0u8)))
+            .collect();
+        let out = net.call_many(NodeAddr(9), batch);
+        assert!(out.len() == 2 && out.iter().all(Result::is_ok));
+        let me = std::thread::current().id();
+        assert_ne!(*handlers[0].1.lock(), vec![me]);
+        assert_eq!(*handlers[1].1.lock(), vec![me]);
+        assert_eq!(served(&net), (2, 1));
     }
 
     #[test]
@@ -861,9 +1365,9 @@ mod tests {
     #[test]
     fn cross_service_self_call_does_not_deadlock() {
         // A service that, while handling a request, calls a *different*
-        // service on the same node — the koshad loopback pattern. The
-        // nested call runs from a pool worker, exercising the helping
-        // path when the pool is small.
+        // service on the same node — the koshad loopback pattern. Both
+        // actors end up owned by the calling thread, one above the other
+        // on its stack.
         struct Outer {
             net: RwLock<Option<Arc<ThreadedNetwork>>>,
         }

@@ -3,17 +3,24 @@
 //! the namespace at once. Shakes out locking mistakes a deterministic
 //! single-threaded simulation cannot.
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
+use kosha::{audit_cluster, AuditOptions, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_rpc::{Network, NodeAddr, ThreadedNetwork};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn threaded_cluster(n: usize) -> (Arc<ThreadedNetwork>, Vec<Arc<KoshaNode>>) {
+    threaded_cluster_with_replicas(n, 1)
+}
+
+fn threaded_cluster_with_replicas(
+    n: usize,
+    replicas: usize,
+) -> (Arc<ThreadedNetwork>, Vec<Arc<KoshaNode>>) {
     let net = ThreadedNetwork::new(Duration::from_secs(10));
     let cfg = KoshaConfig {
         distribution_level: 1,
-        replicas: 1,
+        replicas,
         contributed_bytes: 1 << 26,
         ..KoshaConfig::for_tests()
     };
@@ -154,4 +161,82 @@ fn failover_works_on_the_threaded_transport() {
         net.fail_node(primary.addr());
         assert_eq!(m.read_file("/ha/data").unwrap(), b"survives");
     }
+}
+
+/// The bytes shared file `file` holds for the whole stress run.
+fn shared_pattern(file: usize) -> Vec<u8> {
+    (0..4096).map(|off| (file * 31 + off) as u8).collect()
+}
+
+#[test]
+fn mixed_ops_from_four_mounts_leave_a_consistent_cluster() {
+    // Every blocking RPC below is served on whichever thread finds its
+    // actor idle, so the four clients run each other's koshad, control,
+    // replica and nfsd handlers on their own stacks, nested.
+    const CLIENTS: usize = 4;
+    const SHARED: usize = 8;
+    const OPS: usize = 2_000;
+    let (net, nodes) = threaded_cluster_with_replicas(6, 2);
+    let mount = |addr: NodeAddr| {
+        KoshaMount::new(net.clone() as Arc<dyn Network>, addr, addr).expect("mount")
+    };
+    let m0 = mount(NodeAddr(0));
+    m0.mkdir_p("/shared").unwrap();
+    for f in 0..SHARED {
+        m0.write_file(&format!("/shared/s{f}"), &shared_pattern(f))
+            .unwrap();
+    }
+    std::thread::scope(|s| {
+        for (c, node) in nodes.iter().take(CLIENTS).enumerate() {
+            let m = mount(node.addr());
+            s.spawn(move || {
+                let scratch = format!("/scratch{c}");
+                m.mkdir_p(&scratch).expect("mkdir");
+                for i in 0..OPS {
+                    let file = (i * 7 + c) % SHARED;
+                    let shared = format!("/shared/s{file}");
+                    match i % 4 {
+                        0 | 1 => {
+                            let (_, attr) = m.stat(&shared).expect("stat");
+                            assert_eq!(attr.size, 4096);
+                        }
+                        2 => {
+                            let data = m.read_file(&shared).expect("read");
+                            assert_eq!(data[..], shared_pattern(file)[..]);
+                        }
+                        _ => {
+                            let path = format!("{scratch}/f{i}");
+                            m.write_file(&path, &[c as u8; 64]).expect("write");
+                            m.remove(&path).expect("remove");
+                        }
+                    }
+                }
+            });
+        }
+    });
+    for c in 0..CLIENTS {
+        assert!(m0.readdir(&format!("/scratch{c}")).unwrap().is_empty());
+    }
+    for f in 0..SHARED {
+        let data = m0.read_file(&format!("/shared/s{f}")).unwrap();
+        assert_eq!(data[..], shared_pattern(f)[..]);
+    }
+    let peers: Vec<NodeAddr> = nodes.iter().map(|n| n.addr()).collect();
+    let report = audit_cluster(
+        net.as_ref(),
+        NodeAddr(0),
+        &peers,
+        net.clock().now().0,
+        &AuditOptions {
+            replicas: 2,
+            ..AuditOptions::default()
+        },
+    );
+    assert_eq!(report.nodes_scanned, 6);
+    assert!(report.objects > 0);
+    assert_eq!(
+        (report.objects_divergent, report.under_replicated),
+        (0, 0),
+        "{report:?}"
+    );
 }
