@@ -11,7 +11,10 @@
 //! as it is, so an encoded frame is written once and every payload
 //! decoded out of it is a view of that one buffer (DESIGN.md §18). A view
 //! keeps its whole owner alive, which is why only payload fields are
-//! decoded as views. Equality, ordering, hashing and `Debug` go by
+//! decoded as views. A payload that travels beside its frame (the wire
+//! codec's two-piece holding) is its own owner: it pins the payload, not
+//! the frames it passed through. The empty buffer has no owner and
+//! allocates nothing. Equality, ordering, hashing and `Debug` go by
 //! content, never by owner.
 //!
 //! One deliberate addition to the published API: `Bytes` compares with
@@ -25,13 +28,14 @@ use std::sync::Arc;
 /// Immutable, cheaply-cloneable view of a shared byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    owner: Arc<Vec<u8>>,
+    /// `None` only for the empty buffer, which then needs no allocation.
+    owner: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Empty buffer.
+    /// Empty buffer; allocates nothing.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -84,14 +88,17 @@ impl Bytes {
             "slice {from}..{to} out of range for Bytes of length {len}"
         );
         Bytes {
-            owner: Arc::clone(&self.owner),
+            owner: self.owner.clone(),
             start: self.start + from,
             end: self.start + to,
         }
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.owner[self.start..self.end]
+        match &self.owner {
+            Some(owner) => &owner[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -109,11 +116,15 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    /// Adopts `v`'s allocation; no bytes move.
+    /// Adopts `v`'s allocation; no bytes move. An empty `v` is dropped
+    /// for the owner-less empty buffer.
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let end = v.len();
         Bytes {
-            owner: Arc::new(v),
+            owner: Some(Arc::new(v)),
             start: 0,
             end,
         }

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kosha_id::{dir_key, node_id_from_seed, Sha1};
 use kosha_nfs::{NfsReply, NfsRequest};
 use kosha_pastry::{PastryConfig, PastryNode};
-use kosha_rpc::{Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, WireRead, WireWrite};
+use kosha_rpc::{Frame, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, WireRead, WireWrite};
 use kosha_vfs::Vfs;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -34,6 +34,19 @@ fn bench_wire(c: &mut Criterion) {
     g.bench_function("encode-write-32k", |b| b.iter(|| black_box(req.encode())));
     g.bench_function("decode-write-32k", |b| {
         b.iter(|| black_box(NfsRequest::decode(&encoded).unwrap()))
+    });
+    // The same message held as a head and a payload beside it: what a
+    // hop on the payload path pays to re-frame it.
+    let (head, part) = req.encode_split();
+    g.bench_function("encode-write-32k-split", |b| {
+        b.iter(|| black_box(req.encode_split()))
+    });
+    g.bench_function("decode-write-32k-split", |b| {
+        let frame = Frame {
+            body: &head,
+            payload: part.as_ref(),
+        };
+        b.iter(|| black_box(NfsRequest::decode_frame(frame).unwrap()))
     });
     let reply = NfsReply::Entries {
         entries: (0..64)

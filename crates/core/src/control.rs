@@ -602,7 +602,7 @@ impl WireWrite for ReplicaOp {
                 w.u8(3);
                 w.string(path);
                 w.u64(*offset);
-                w.bytes(data);
+                w.payload(data);
             }
             ReplicaOp::SetAttr { path, sattr } => {
                 w.u8(4);
@@ -759,7 +759,7 @@ impl WireWrite for KoshaRequest {
                 w.u8(5);
                 w.string(path);
                 w.u64(*offset);
-                w.bytes(data);
+                w.payload(data);
             }
             KoshaRequest::SetAttr { path, sattr } => {
                 w.u8(6);

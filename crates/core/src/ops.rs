@@ -16,7 +16,7 @@ use kosha_id::salted_name;
 use kosha_nfs::messages::{NfsReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsError, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
-use kosha_rpc::{Bytes, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
+use kosha_rpc::{Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::path::validate_name;
 use kosha_vfs::{join_path, Attr, FileType, SetAttr};
 use rand::Rng;
@@ -832,11 +832,11 @@ fn nfs_error_to_status(e: NfsError) -> NfsStatus {
 
 impl RpcHandler for VirtualFs {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, &Bytes::copy_from_slice(body))
+        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
     }
 
     // lint: allow(L005) client-side loopback facade: the koshad's own NFS interposition executes cluster ops by design and is never invoked from a remote handler context
-    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+    fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
         let req = NfsRequest::decode_frame(frame)?;
         let k = &self.0;
         let proc = req.proc_name();
@@ -865,7 +865,7 @@ impl RpcHandler for VirtualFs {
         } else {
             self.execute(req)
         };
-        Ok(RpcResponse::new(&frame))
+        Ok(RpcResponse::split(&frame))
     }
 }
 

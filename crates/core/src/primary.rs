@@ -13,7 +13,7 @@ use crate::paths::{
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{
-    Bytes, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead,
+    Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead,
 };
 use kosha_vfs::path::parent_and_name;
 use kosha_vfs::SetAttr;
@@ -158,7 +158,7 @@ impl KoshaNode {
             || clock.now().0,
             || {
                 let req =
-                    RpcRequest::new(ServiceId::KoshaReplica, &KoshaRequest::ReplicaApply { op });
+                    RpcRequest::split(ServiceId::KoshaReplica, &KoshaRequest::ReplicaApply { op });
                 let batch = targets.iter().map(|a| (*a, req.clone())).collect();
                 let results = self.net.call_many(self.info.addr, batch);
                 for (addr, result) in targets.into_iter().zip(results) {
@@ -1529,11 +1529,11 @@ fn default_routing(anchor: &str) -> String {
 
 impl RpcHandler for ControlService {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, &Bytes::copy_from_slice(body))
+        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
     }
 
     // lint: allow(L005) designed one-level nesting: the control plane fans out to leaf replica/lease services only, and those handlers are verified RPC-free by this same rule
-    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+    fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
         let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.name();
@@ -1544,16 +1544,16 @@ impl RpcHandler for ControlService {
             || clock.now().0,
             || k.handle_control(req),
         );
-        Ok(RpcResponse::new(&KoshaReplyFrame(result)))
+        Ok(RpcResponse::split(&KoshaReplyFrame(result)))
     }
 }
 
 impl RpcHandler for ReplicaService {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, &Bytes::copy_from_slice(body))
+        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
     }
 
-    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+    fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
         let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.name();
@@ -1564,6 +1564,6 @@ impl RpcHandler for ReplicaService {
             || clock.now().0,
             || k.handle_replica(req),
         );
-        Ok(RpcResponse::new(&KoshaReplyFrame(result)))
+        Ok(RpcResponse::split(&KoshaReplyFrame(result)))
     }
 }

@@ -50,7 +50,7 @@ impl KoshaNode {
     pub(crate) fn control(&self, to: NodeAddr, req: &KoshaRequest) -> NfsResult<KoshaReply> {
         let resp = self
             .net
-            .call(self.info.addr, to, RpcRequest::new(ServiceId::Kosha, req))
+            .call(self.info.addr, to, RpcRequest::split(ServiceId::Kosha, req))
             .map_err(NfsError::Rpc)?;
         let frame: KoshaReplyFrame = resp.decode().map_err(NfsError::Rpc)?;
         frame.0.map_err(NfsError::Status)

@@ -431,7 +431,7 @@ impl KoshaNode {
                     .map(|(t, ops, _)| {
                         (
                             *t,
-                            RpcRequest::new(
+                            RpcRequest::split(
                                 ServiceId::KoshaReplica,
                                 &KoshaRequest::ReplicaApplyBatch { ops: ops.clone() },
                             ),

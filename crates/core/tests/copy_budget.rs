@@ -1,8 +1,10 @@
 //! The copy budget of the payload path (DESIGN.md §18), held by
-//! `cargo test`: a warm 128 KiB WRITE through the koshad loopback with
-//! K = 2 replicas allocates at most 3.1 bytes per payload byte (one
-//! frame each at the client, at koshad and at the primary's mirror), a
-//! 128 KiB READ at most 2.1 (the store's reply frame and koshad's).
+//! `cargo test`: a payload byte is copied where it enters the system and
+//! where it enters a store, nowhere else. A warm 128 KiB WRITE through
+//! the koshad loopback with K = 2 replicas allocates at most 1.1 bytes
+//! per payload byte (the client's copy of the caller's slice; the three
+//! stores overwrite in place), a 128 KiB READ at most 1.1 (the store's
+//! copy into the reply), from the primary and from a replica holder.
 //!
 //! This file is a test binary of its own with a single test, so nothing
 //! else allocates while it counts, and `SimNetwork` runs the whole op
@@ -65,18 +67,20 @@ const BLOCK: usize = 128 * 1024;
 const NODES: u64 = 5;
 const REPLICAS: usize = 2;
 
-#[test]
-fn a_128k_write_allocates_three_bytes_per_payload_byte_and_a_read_two() {
+/// A joined cluster on a zero-latency `SimNetwork`, a 128 KiB file
+/// written through node 0's koshad, and an NFS client of that koshad.
+fn cluster(tag: &str, read_from_replicas: bool) -> (Vec<Arc<KoshaNode>>, NfsClient, kosha_nfs::Fh) {
     let net = SimNetwork::new_zero_latency();
     let cfg = KoshaConfig {
         replicas: REPLICAS,
+        read_from_replicas,
         ..KoshaConfig::for_tests()
     };
     let nodes: Vec<Arc<KoshaNode>> = (0..NODES)
         .map(|i| {
             let (node, mux) = KoshaNode::build(
                 cfg.clone(),
-                node_id_from_seed(&format!("budget-host-{i}")),
+                node_id_from_seed(&format!("{tag}-host-{i}")),
                 NodeAddr(i),
                 net.clone() as Arc<dyn Network>,
             );
@@ -85,16 +89,30 @@ fn a_128k_write_allocates_three_bytes_per_payload_byte_and_a_read_two() {
             node
         })
         .collect();
-
     let koshad = NodeAddr(0);
     let mount = KoshaMount::new(net.clone() as Arc<dyn Network>, koshad, koshad).expect("mount");
     mount.mkdir_p("/budget/dir").expect("mkdir");
     let fh = mount
         .write_file("/budget/dir/file", &vec![0u8; BLOCK])
         .expect("populate");
-    let nfs = NfsClient::with_service(net.clone() as Arc<dyn Network>, koshad, ServiceId::KoshaFs);
-    let payload: Vec<u8> = (0..BLOCK).map(|i| (i * 31 % 251) as u8).collect();
+    let nfs = NfsClient::with_service(net as Arc<dyn Network>, koshad, ServiceId::KoshaFs);
+    (nodes, nfs, fh)
+}
 
+#[test]
+fn a_128k_write_and_a_128k_read_allocate_one_byte_per_payload_byte() {
+    let koshad = NodeAddr(0);
+    let payload: Vec<u8> = (0..BLOCK).map(|i| (i * 31 % 251) as u8).collect();
+    let budget = |what: &str, bytes: u64| {
+        let per_byte = bytes as f64 / BLOCK as f64;
+        assert!(
+            per_byte <= 1.1,
+            "{what} allocated {per_byte:.3} bytes per payload byte"
+        );
+    };
+
+    // --- the primary path
+    let (nodes, nfs, fh) = cluster("budget", false);
     // Warm: the handle's location and the resolver caches are filled by
     // the first op; only steady-state ops have a budget.
     nfs.write(koshad, fh, 0, &vec![7u8; BLOCK])
@@ -103,21 +121,13 @@ fn a_128k_write_allocates_three_bytes_per_payload_byte_and_a_read_two() {
 
     let (written, bytes) = allocated_by(|| nfs.write(koshad, fh, 0, &payload).expect("write"));
     assert_eq!(written as usize, BLOCK);
-    let per_byte = bytes as f64 / BLOCK as f64;
-    assert!(
-        per_byte <= 3.1,
-        "a 128 KiB write allocated {per_byte:.3} bytes per payload byte"
-    );
+    budget("a 128 KiB write", bytes);
 
     let ((data, eof), bytes) =
         allocated_by(|| nfs.read(koshad, fh, 0, BLOCK as u32).expect("read"));
     assert!(eof);
     assert_eq!(data, payload);
-    let per_byte = bytes as f64 / BLOCK as f64;
-    assert!(
-        per_byte <= 2.1,
-        "a 128 KiB read allocated {per_byte:.3} bytes per payload byte"
-    );
+    budget("a 128 KiB read", bytes);
 
     // The budget was not met by skipping work: the primary and both
     // replica holders store the block.
@@ -126,4 +136,21 @@ fn a_128k_write_allocates_three_bytes_per_payload_byte_and_a_read_two() {
         .filter(|n| n.with_store(|v| v.used_bytes()) >= BLOCK as u64)
         .count();
     assert_eq!(holders, 1 + REPLICAS);
+
+    // --- a read served by a replica holder (`read_from_replicas`)
+    let (nodes, nfs, fh) = cluster("budget-rr", true);
+    nfs.write(koshad, fh, 0, &payload).expect("write");
+    // One full turn of the rotor warms the replica handle cache.
+    for _ in 0..=REPLICAS {
+        nfs.read(koshad, fh, 0, BLOCK as u32).expect("warm read");
+    }
+    let served_by_replicas = || nodes[0].stats().replica_reads;
+    let before = served_by_replicas();
+    for _ in 0..=REPLICAS {
+        let ((data, _), bytes) =
+            allocated_by(|| nfs.read(koshad, fh, 0, BLOCK as u32).expect("read"));
+        assert_eq!(data, payload);
+        budget("a 128 KiB read with replica reads on", bytes);
+    }
+    assert_eq!(served_by_replicas() - before, REPLICAS as u64);
 }

@@ -1,6 +1,7 @@
-//! Property tests for the Kosha control protocol (through both decoders:
-//! the copying `Reader::new` and the frame-viewing `Reader::over`) and
-//! the end-to-end placement invariants of small clusters.
+//! Property tests for the Kosha control protocol (through both decoders,
+//! the copying `Reader::new` and the frame-viewing `Reader::over`, and in
+//! both holdings, flat and split into a head and a payload part) and the
+//! end-to-end placement invariants of small clusters.
 
 use kosha::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
@@ -8,7 +9,9 @@ use kosha::control::{
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::messages::WireSetAttr;
-use kosha_rpc::{Bytes, Network, NodeAddr, SimNetwork, WireError, WireRead, WireWrite};
+use kosha_rpc::{
+    Bytes, Frame, Network, NodeAddr, PayloadPart, SimNetwork, WireError, WireRead, WireWrite,
+};
 use kosha_vfs::SetAttr;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -74,7 +77,7 @@ fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
 /// checks that the two agree, and returns what they said.
 fn decode_both<T: WireRead + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Result<T, WireError> {
     let copied = T::decode(bytes);
-    let viewed = T::decode_frame(&Bytes::copy_from_slice(bytes));
+    let viewed = T::decode_frame(Frame::flat(&Bytes::copy_from_slice(bytes)));
     assert_eq!(copied, viewed);
     copied
 }
@@ -183,7 +186,7 @@ proptest! {
         prop_assert_eq!(decode_both::<KoshaRequest>(&bytes).unwrap(), req.clone());
         // Over a frame every payload (nested ones too) is a view of it
         // with the bytes a copying decode returns.
-        let viewed = KoshaRequest::decode_frame(&bytes).unwrap();
+        let viewed = KoshaRequest::decode_frame(Frame::flat(&bytes)).unwrap();
         let copied = KoshaRequest::decode(&bytes).unwrap();
         let views = payloads(&viewed);
         prop_assert_eq!(views.len(), payloads(&req).len());
@@ -193,6 +196,57 @@ proptest! {
                 prop_assert!(bytes.as_ptr_range().contains(&view.as_ptr()));
                 prop_assert!(!bytes.as_ptr_range().contains(&copy.as_ptr()));
             }
+        }
+    }
+
+    /// The two holdings of a request: the split encoding flattens to the
+    /// flat one and decodes to the request; a frame gathers exactly the
+    /// first payload (of a `ReplicaApplyBatch` with several WRITEs too,
+    /// zero-length ones included) as the message's own buffer, decoding
+    /// hands that part out as it is, and later payloads are views of the
+    /// head.
+    #[test]
+    fn split_and_flat_holdings_agree(req in arb_request()) {
+        let flat = req.encode();
+        let (body, part) = req.encode_split();
+        let frame = Frame { body: &body, payload: part.as_ref() };
+        prop_assert_eq!(&frame.flatten(), &flat);
+        prop_assert_eq!(frame.len(), flat.len());
+        let decoded = KoshaRequest::decode_frame(frame).unwrap();
+        prop_assert_eq!(&decoded, &req);
+
+        let (sent, handed) = (payloads(&req), payloads(&decoded));
+        prop_assert_eq!(part.is_some(), !sent.is_empty());
+        if let Some(part) = &part {
+            prop_assert_eq!(part.data.as_ptr(), sent[0].as_ptr());
+            prop_assert_eq!(part.data.len(), sent[0].len());
+            prop_assert_eq!(handed[0].as_ptr(), part.data.as_ptr());
+            for inlined in handed[1..].iter().filter(|d| !d.is_empty()) {
+                prop_assert!(body.as_ptr_range().contains(&inlined.as_ptr()));
+            }
+        }
+    }
+
+    /// Any head, offset and part decode to an error or to the message
+    /// the frame's flat bytes spell: never a panic, and the payload is
+    /// handed out, not allocated.
+    #[test]
+    fn arbitrary_two_piece_frames_never_panic(
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        at in 0usize..128,
+        part in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in proptest::option::of(arb_request()),
+    ) {
+        let part = PayloadPart { at, data: part.into() };
+        let mut heads = vec![Bytes::from(body)];
+        // The head of a real message makes the deeper paths reachable.
+        heads.extend(seed.map(|req| req.encode_split().0));
+        for body in &heads {
+            let frame = Frame { body, payload: Some(&part) };
+            if let Ok(req) = KoshaRequest::decode_frame(frame) {
+                prop_assert_eq!(KoshaRequest::decode(&frame.flatten()).unwrap(), req);
+            }
+            let _ = KoshaReplyFrame::decode_frame(frame);
         }
     }
 

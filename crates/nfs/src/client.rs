@@ -7,7 +7,7 @@
 
 use crate::messages::{Fh, NfsError, NfsReply, NfsReplyFrame, NfsRequest, NfsResult, WireSetAttr};
 use kosha_obs::{Counter, Histogram, Obs};
-use kosha_rpc::{Bytes, Network, NodeAddr, RpcRequest, ServiceId, WireWrite};
+use kosha_rpc::{Bytes, Network, NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::{Attr, SetAttr};
 use std::sync::Arc;
 
@@ -97,39 +97,29 @@ impl NfsClient {
     }
 
     fn call(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {
-        self.call_encoded(to, req.proc_index(), req.encode())
-    }
-
-    /// Issues one already-encoded request of procedure `proc` (an index
-    /// into [`NfsRequest::PROC_NAMES`]).
-    fn call_encoded(&self, to: NodeAddr, proc: usize, body: Bytes) -> NfsResult<NfsReply> {
         match &self.obs {
-            None => self.call_inner(to, proc, body),
+            None => self.call_inner(to, req),
             Some(obs) => {
                 let clock = self.net.clock();
                 obs.tracer.child(
-                    || format!("nfsc:{}", NfsRequest::PROC_NAMES[proc]),
+                    || format!("nfsc:{}", req.proc_name()),
                     self.from.0,
                     || clock.now().0,
-                    || self.call_inner(to, proc, body),
+                    || self.call_inner(to, req),
                 )
             }
         }
     }
 
-    fn call_inner(&self, to: NodeAddr, proc: usize, body: Bytes) -> NfsResult<NfsReply> {
-        let rpc = RpcRequest {
-            service: self.service,
-            trace: None,
-            body,
-        };
+    fn call_inner(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {
+        let rpc = RpcRequest::split(self.service, req);
         let resp = match &self.metrics {
             None => self.net.call(self.from, to, rpc)?,
             Some(m) => {
                 let clock = self.net.clock();
                 let t0 = clock.now();
                 let result = self.net.call(self.from, to, rpc);
-                m.latency[proc].record(clock.now().since_nanos(t0));
+                m.latency[req.proc_index()].record(clock.now().since_nanos(t0));
                 if result.is_err() {
                     m.errors.inc();
                 }
@@ -217,12 +207,18 @@ impl NfsClient {
     /// Reads a whole file of (about) `size` bytes in `chunk`-byte READs.
     /// A file that fits one READ comes back as the view that READ
     /// returned; only a longer one is assembled into a new buffer.
+    /// `size` is the server's word (`attr.size`) and only a hint: the
+    /// buffer is reserved one chunk beyond what has arrived at most and
+    /// grows as data comes, so a wrong or hostile size (or a sparse
+    /// terabyte) cannot make the client reserve what it never receives.
     pub fn read_whole(&self, to: NodeAddr, fh: Fh, size: u64, chunk: u32) -> NfsResult<Bytes> {
         let (first, eof) = self.read(to, fh, 0, chunk)?;
         if eof || first.is_empty() {
             return Ok(first);
         }
-        let mut out = Vec::with_capacity(size as usize);
+        let arrived_plus_chunk = first.len().saturating_add(chunk as usize);
+        let hint = usize::try_from(size).unwrap_or(usize::MAX);
+        let mut out = Vec::with_capacity(hint.min(arrived_plus_chunk));
         out.extend_from_slice(&first);
         loop {
             let (data, eof) = self.read(to, fh, out.len() as u64, chunk)?;
@@ -233,10 +229,11 @@ impl NfsClient {
         }
     }
 
-    /// WRITE. The request is encoded straight from `data`.
+    /// WRITE. Copying the caller's slice is where the payload enters the
+    /// system; nothing downstream copies it again until a store does.
     pub fn write(&self, to: NodeAddr, fh: Fh, offset: u64, data: &[u8]) -> NfsResult<u32> {
-        let body = NfsRequest::encode_write(fh, offset, data);
-        match self.call_encoded(to, NfsRequest::WRITE_PROC, body)? {
+        let data = Bytes::copy_from_slice(data);
+        match self.call(to, &NfsRequest::Write { fh, offset, data })? {
             NfsReply::Written { count } => Ok(count),
             _ => Self::unexpected(),
         }
@@ -625,6 +622,43 @@ mod tests {
         let entries = c.readdir(s, root).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].ftype, FileType::Symlink);
+    }
+
+    /// A server whose GETATTR claims every file is 2^62 bytes long.
+    struct Overstating(Arc<NfsServer>);
+
+    impl kosha_rpc::RpcHandler for Overstating {
+        fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<kosha_rpc::RpcResponse, RpcError> {
+            let resp = self.0.handle(from, body)?;
+            Ok(match resp.decode::<NfsReplyFrame>()? {
+                NfsReplyFrame(Ok(NfsReply::Attr { mut attr })) => {
+                    attr.0.size = 1 << 62;
+                    kosha_rpc::RpcResponse::new(&NfsReplyFrame(Ok(NfsReply::Attr { attr })))
+                }
+                _ => resp,
+            })
+        }
+    }
+
+    #[test]
+    fn read_whole_does_not_trust_the_servers_size() {
+        let net = SimNetwork::new_zero_latency();
+        let s = NodeAddr(1);
+        let server = NfsServer::new(Vfs::new(1 << 20), net.clock(), DiskModel::zero());
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Nfs, Arc::new(Overstating(server)));
+        net.attach(s, mux);
+        let c = NfsClient::new(net.clone() as Arc<dyn Network>, NodeAddr(100));
+        let root = c.mount(s).unwrap();
+        let (fh, _) = c.create(s, root, "f", 0o644, 0, 0).unwrap();
+        c.write(s, fh, 0, b"0123456789").unwrap();
+        let size = c.getattr(s, fh).unwrap().size;
+        assert_eq!(size, 1 << 62);
+        // Three READs; `Vec::with_capacity(size)` would panic with
+        // "capacity overflow" before the second.
+        assert_eq!(c.read_whole(s, fh, size, 4).unwrap(), b"0123456789");
+        // An understated size only costs growth.
+        assert_eq!(c.read_whole(s, fh, 1, 4).unwrap(), b"0123456789");
     }
 
     #[test]

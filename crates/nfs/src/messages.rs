@@ -535,10 +535,6 @@ impl NfsRequest {
         "commit",
     ];
 
-    /// [`NfsRequest::proc_index`] of `Write`, for the client's
-    /// encode-from-a-slice path, which never builds the enum.
-    pub(crate) const WRITE_PROC: usize = 8;
-
     /// Dense index of this procedure into [`NfsRequest::PROC_NAMES`].
     #[must_use]
     pub fn proc_index(&self) -> usize {
@@ -551,7 +547,7 @@ impl NfsRequest {
             NfsRequest::Readlink { .. } => 5,
             NfsRequest::Access { .. } => 6,
             NfsRequest::Read { .. } => 7,
-            NfsRequest::Write { .. } => Self::WRITE_PROC,
+            NfsRequest::Write { .. } => 8,
             NfsRequest::Create { .. } => 9,
             NfsRequest::CreateSized { .. } => 10,
             NfsRequest::Mkdir { .. } => 11,
@@ -572,29 +568,6 @@ impl NfsRequest {
     pub fn proc_name(&self) -> &'static str {
         Self::PROC_NAMES[self.proc_index()]
     }
-
-    /// Encodes `NfsRequest::Write { fh, offset, data }` straight from the
-    /// caller's slice into an exact-capacity frame: the one copy a WRITE
-    /// payload needs on the client. Byte-identical to encoding the enum.
-    #[must_use]
-    pub fn encode_write(fh: Fh, offset: u64, data: &[u8]) -> Bytes {
-        // tag + handle (u64 + u32) + offset + length prefix + data
-        let mut w = Writer::with_capacity(1 + 12 + 8 + 4 + data.len());
-        w.u8(7);
-        write_write_fields(&mut w, fh, offset, data);
-        w.finish()
-    }
-}
-
-fn write_write_fields(w: &mut Writer, fh: Fh, offset: u64, data: &[u8]) {
-    w.value(&fh);
-    w.u64(offset);
-    w.bytes(data);
-}
-
-fn write_data_fields(w: &mut Writer, data: &[u8], eof: bool) {
-    w.bytes(data);
-    w.boolean(eof);
 }
 
 impl WireWrite for NfsRequest {
@@ -628,7 +601,9 @@ impl WireWrite for NfsRequest {
             }
             NfsRequest::Write { fh, offset, data } => {
                 w.u8(7);
-                write_write_fields(w, *fh, *offset, data);
+                w.value(fh);
+                w.u64(*offset);
+                w.payload(data);
             }
             NfsRequest::Create {
                 dir,
@@ -923,7 +898,8 @@ impl WireWrite for NfsReply {
             }
             NfsReply::Data { data, eof } => {
                 w.u8(5);
-                write_data_fields(w, data, *eof);
+                w.payload(data);
+                w.boolean(*eof);
             }
             NfsReply::Written { count } => {
                 w.u8(6);
@@ -990,22 +966,6 @@ impl WireRead for NfsReply {
 /// or a non-zero [`NfsStatus`] tag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NfsReplyFrame(pub Result<NfsReply, NfsStatus>);
-
-impl NfsReplyFrame {
-    /// Encodes `NfsReplyFrame(Ok(NfsReply::Data { data, eof }))` straight
-    /// from a borrowed slice into an exact-capacity frame: the one copy a
-    /// READ payload needs on the server, store to reply frame.
-    /// Byte-identical to encoding the owned reply.
-    #[must_use]
-    pub fn encode_data(data: &[u8], eof: bool) -> Bytes {
-        // status + tag + length prefix + data + eof
-        let mut w = Writer::with_capacity(1 + 1 + 4 + data.len() + 1);
-        w.u8(0);
-        w.u8(5);
-        write_data_fields(&mut w, data, eof);
-        w.finish()
-    }
-}
 
 impl WireWrite for NfsReplyFrame {
     fn write(&self, w: &mut Writer) {
@@ -1190,27 +1150,6 @@ mod tests {
         ] {
             let b = frame.encode();
             assert_eq!(NfsReplyFrame::decode(&b).unwrap(), frame);
-        }
-    }
-
-    #[test]
-    fn slice_encoders_match_the_enum_encoding() {
-        let fh = Fh { ino: 9, gen: 2 };
-        for len in [0usize, 1, 70, 5000] {
-            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let owned = NfsRequest::Write {
-                fh,
-                offset: 77,
-                data: data.clone().into(),
-            };
-            assert_eq!(NfsRequest::encode_write(fh, 77, &data), owned.encode());
-            for eof in [false, true] {
-                let owned = NfsReplyFrame(Ok(NfsReply::Data {
-                    data: data.clone().into(),
-                    eof,
-                }));
-                assert_eq!(NfsReplyFrame::encode_data(&data, eof), owned.encode());
-            }
         }
     }
 

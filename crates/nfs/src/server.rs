@@ -2,9 +2,9 @@
 
 use crate::messages::{NfsReply, NfsReplyFrame, NfsRequest, WireAttr};
 use kosha_obs::{Counter, Obs};
-use kosha_rpc::{Bytes, Clock, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead, WireWrite};
+use kosha_rpc::{Bytes, Clock, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::Vfs;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -123,69 +123,26 @@ impl NfsServer {
     }
 
     fn execute(&self, req: NfsRequest) -> NfsReplyFrame {
-        self.spanned(req, |req| self.execute_inner(req))
-    }
-
-    /// [`NfsServer::execute`] for the wire: the encoded reply frame. A
-    /// READ is encoded under the store lock straight from the stored
-    /// bytes, so its payload is copied once on the way out and never
-    /// exists as an owned [`NfsReply::Data`].
-    fn execute_encoded(&self, req: NfsRequest) -> Bytes {
-        self.spanned(req, |req| match req {
-            NfsRequest::Read { fh, offset, count } => {
-                let mut vfs = self.begin(&req);
-                self.read_locked(&mut vfs, fh, offset, count, NfsReplyFrame::encode_data)
-                    .unwrap_or_else(|status| NfsReplyFrame(Err(status)).encode())
-            }
-            req => self.execute_inner(req).encode(),
-        })
-    }
-
-    /// Runs `serve` inside the server span (`nfs:{proc}`) when observed.
-    fn spanned<R>(&self, req: NfsRequest, serve: impl FnOnce(NfsRequest) -> R) -> R {
         match &self.obs {
-            None => serve(req),
+            None => self.execute_inner(req),
             Some(obs) => {
                 let proc = req.proc_name();
                 obs.tracer.child(
                     || format!("nfs:{proc}"),
                     self.addr.0,
                     || self.clock.now().0,
-                    || serve(req),
+                    || self.execute_inner(req),
                 )
             }
         }
     }
 
-    /// Counts the procedure and locks the store at the clock's time.
-    fn begin(&self, req: &NfsRequest) -> MutexGuard<'_, Vfs> {
+    fn execute_inner(&self, req: NfsRequest) -> NfsReplyFrame {
         if let Some(c) = self.ops.get(req.proc_index()) {
             c.inc();
         }
         let mut vfs = self.vfs.lock();
         vfs.set_now(self.clock.now().0);
-        vfs
-    }
-
-    /// READ against the locked store: charges the disk model and lends
-    /// the stored bytes and the EOF flag to `finish`.
-    fn read_locked<R>(
-        &self,
-        vfs: &mut Vfs,
-        fh: crate::messages::Fh,
-        offset: u64,
-        count: u32,
-        finish: impl FnOnce(&[u8], bool) -> R,
-    ) -> Result<R, crate::messages::NfsStatus> {
-        vfs.read_with(fh.to_file_id(), offset, count, |data, eof| {
-            self.clock.advance(self.disk.transfer(data.len()));
-            finish(data, eof)
-        })
-        .map_err(Into::into)
-    }
-
-    fn execute_inner(&self, req: NfsRequest) -> NfsReplyFrame {
-        let mut vfs = self.begin(&req);
         let disk = &self.disk;
         let result = match req {
             NfsRequest::Null => Ok(NfsReply::Void),
@@ -217,12 +174,17 @@ impl NfsServer {
                 .readlink(fh.to_file_id())
                 .map(|target| NfsReply::Target { target })
                 .map_err(Into::into),
-            NfsRequest::Read { fh, offset, count } => {
-                self.read_locked(&mut vfs, fh, offset, count, |data, eof| NfsReply::Data {
-                    data: Bytes::copy_from_slice(data),
-                    eof,
+            NfsRequest::Read { fh, offset, count } => vfs
+                .read(fh.to_file_id(), offset, count)
+                .map(|(data, eof)| {
+                    self.clock.advance(disk.transfer(data.len()));
+                    // The store's copy is the reply's payload as it is.
+                    NfsReply::Data {
+                        data: Bytes::from(data),
+                        eof,
+                    }
                 })
-            }
+                .map_err(Into::into),
             NfsRequest::Write { fh, offset, data } => {
                 self.clock.advance(disk.transfer(data.len()));
                 vfs.write(fh.to_file_id(), offset, &data)
@@ -394,14 +356,12 @@ impl NfsServer {
 
 impl RpcHandler for NfsServer {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, &Bytes::copy_from_slice(body))
+        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
     }
 
-    fn handle_frame(&self, _from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
+    fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
         let req = NfsRequest::decode_frame(frame)?;
-        Ok(RpcResponse {
-            body: self.execute_encoded(req),
-        })
+        Ok(RpcResponse::split(&self.execute(req)))
     }
 }
 
@@ -409,7 +369,7 @@ impl RpcHandler for NfsServer {
 mod tests {
     use super::*;
     use crate::messages::NfsStatus;
-    use kosha_rpc::VirtualClock;
+    use kosha_rpc::{VirtualClock, WireWrite};
 
     fn server() -> Arc<NfsServer> {
         NfsServer::new(Vfs::new(1 << 20), VirtualClock::new(), DiskModel::zero())
@@ -466,9 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_read_reply_is_the_encoding_of_the_owned_reply() {
-        // The handler encodes a READ straight from the store; `apply`
-        // builds an owned reply. Same bytes either way, errors included.
+    fn a_read_reply_carries_the_stores_copy_beside_its_head() {
+        // Served over the wire, a READ's data is the part of a split
+        // reply; flattened, the reply is the encoding of what `apply`
+        // returns. Errors and empty reads included.
         let s = server();
         let NfsReply::Root { fh: root } = run(&s, NfsRequest::Mount).unwrap() else {
             panic!()
@@ -488,7 +449,10 @@ mod tests {
         ] {
             let req = NfsRequest::Read { fh, offset, count };
             let served = s.handle(NodeAddr(9), &req.encode()).unwrap();
-            assert_eq!(served.body, s.execute(req).encode());
+            let owned = s.execute(req);
+            assert_eq!(served.frame().flatten(), owned.encode());
+            assert_eq!(served.payload.is_some(), owned.0.is_ok());
+            assert_eq!(served.decode::<NfsReplyFrame>().unwrap(), owned);
         }
     }
 

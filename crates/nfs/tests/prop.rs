@@ -1,11 +1,12 @@
 //! Property tests: every NFS protocol message round-trips the wire
 //! exactly, for arbitrary field values, through both decoders (the
-//! copying `Reader::new` and the frame-viewing `Reader::over`), and
-//! both reject damaged frames without panicking.
+//! copying `Reader::new` and the frame-viewing `Reader::over`) and in
+//! both holdings (flat, and split into a head and a payload part), and
+//! the decoders reject damaged frames without panicking.
 
 use kosha_nfs::messages::{NfsReplyFrame, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
-use kosha_rpc::{Bytes, WireError, WireRead, WireWrite};
+use kosha_rpc::{Bytes, Frame, PayloadPart, WireError, WireRead, WireWrite};
 use kosha_vfs::{Attr, FileType, SetAttr};
 use proptest::prelude::*;
 
@@ -233,9 +234,34 @@ fn arb_status() -> impl Strategy<Value = NfsStatus> {
 /// checks that the two agree, and returns what they said.
 fn decode_both<T: WireRead + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Result<T, WireError> {
     let copied = T::decode(bytes);
-    let viewed = T::decode_frame(&Bytes::copy_from_slice(bytes));
+    let viewed = T::decode_frame(Frame::flat(&Bytes::copy_from_slice(bytes)));
     assert_eq!(copied, viewed);
     copied
+}
+
+/// Checks the split holding of `msg` against its flat encoding `flat`:
+/// the head and part flatten to `flat` and decode to `msg`, and the part
+/// (present exactly when `payload` is) is the message's own buffer.
+/// Returns the value decoded from the split frame and the part.
+fn check_split<T: WireRead + WireWrite + PartialEq + std::fmt::Debug>(
+    msg: &T,
+    flat: &Bytes,
+    payload: Option<&Bytes>,
+) -> (T, Option<PayloadPart>) {
+    let (body, part) = msg.encode_split();
+    let frame = Frame {
+        body: &body,
+        payload: part.as_ref(),
+    };
+    assert_eq!(&frame.flatten(), flat);
+    assert_eq!(frame.len(), flat.len());
+    let decoded = T::decode_frame(frame).expect("a split frame decodes");
+    assert_eq!(&decoded, msg);
+    assert_eq!(
+        part.as_ref().map(|p| (p.data.as_ptr(), p.data.len())),
+        payload.map(|d| (d.as_ptr(), d.len()))
+    );
+    (decoded, part)
 }
 
 /// True if `view` lies inside `frame`'s buffer (or is empty).
@@ -248,9 +274,17 @@ proptest! {
     fn requests_round_trip(req in arb_request()) {
         let bytes = req.encode();
         prop_assert_eq!(decode_both::<NfsRequest>(&bytes).unwrap(), req.clone());
-        if let NfsRequest::Write { fh, offset, data } = &req {
-            prop_assert_eq!(&NfsRequest::encode_write(*fh, *offset, data), &bytes);
-            let Ok(NfsRequest::Write { data: view, .. }) = NfsRequest::decode_frame(&bytes) else {
+        let payload = match &req {
+            NfsRequest::Write { data, .. } => Some(data),
+            _ => None,
+        };
+        let (from_split, part) = check_split(&req, &bytes, payload);
+        if let NfsRequest::Write { data: handed, .. } = &from_split {
+            // Decoding a split frame hands the part out as it is.
+            prop_assert_eq!(handed.as_ptr(), part.expect("a write has a part").data.as_ptr());
+            let Ok(NfsRequest::Write { data: view, .. }) =
+                NfsRequest::decode_frame(Frame::flat(&bytes))
+            else {
                 panic!("a write decodes to a write");
             };
             prop_assert!(is_view_of(&view, &bytes));
@@ -269,10 +303,18 @@ proptest! {
     ]) {
         let bytes = frame.encode();
         prop_assert_eq!(decode_both::<NfsReplyFrame>(&bytes).unwrap(), frame.clone());
-        if let NfsReplyFrame(Ok(NfsReply::Data { data, eof })) = &frame {
-            prop_assert_eq!(&NfsReplyFrame::encode_data(data, *eof), &bytes);
+        let payload = match &frame {
+            NfsReplyFrame(Ok(NfsReply::Data { data, .. })) => Some(data),
+            _ => None,
+        };
+        let (from_split, part) = check_split(&frame, &bytes, payload);
+        if let NfsReplyFrame(Ok(NfsReply::Data { data, .. })) = &frame {
+            let NfsReplyFrame(Ok(NfsReply::Data { data: handed, .. })) = &from_split else {
+                panic!("a data reply decodes to a data reply");
+            };
+            prop_assert_eq!(handed.as_ptr(), part.expect("a data reply has a part").data.as_ptr());
             let Ok(NfsReplyFrame(Ok(NfsReply::Data { data: view, .. }))) =
-                NfsReplyFrame::decode_frame(&bytes)
+                NfsReplyFrame::decode_frame(Frame::flat(&bytes))
             else {
                 panic!("a data reply decodes to a data reply");
             };
@@ -295,7 +337,8 @@ proptest! {
     /// frame) is refused before anything is allocated for it.
     #[test]
     fn oversized_payload_lengths_are_rejected(fh in arb_fh(), len in (64u32 << 20) + 1..=u32::MAX, tail in 0usize..64) {
-        let mut frame = NfsRequest::encode_write(fh, 0, &[]).to_vec();
+        let empty_write = NfsRequest::Write { fh, offset: 0, data: Bytes::new() };
+        let mut frame = empty_write.encode().to_vec();
         let at = frame.len() - 4;
         frame[at..].copy_from_slice(&len.to_le_bytes());
         frame.resize(frame.len() + tail, 0xAA);
@@ -303,13 +346,52 @@ proptest! {
             decode_both::<NfsRequest>(&frame),
             Err(WireError::BadLength(u64::from(len)))
         );
-        let mut frame = NfsReplyFrame::encode_data(&[], true).to_vec();
+        let empty_data = NfsReplyFrame(Ok(NfsReply::Data { data: Bytes::new(), eof: true }));
+        let mut frame = empty_data.encode().to_vec();
         let at = frame.len() - 5;
         frame[at..at + 4].copy_from_slice(&len.to_le_bytes());
         prop_assert_eq!(
             decode_both::<NfsReplyFrame>(&frame),
             Err(WireError::BadLength(u64::from(len)))
         );
+        // The same prefix in the head of a split frame: refused, whatever
+        // the part beside it holds.
+        let (head, part) = empty_data.encode_split();
+        let part = part.expect("a data reply has a part");
+        let mut head = head.to_vec();
+        head[part.at - 4..part.at].copy_from_slice(&len.to_le_bytes());
+        prop_assert_eq!(
+            NfsReplyFrame::decode_frame(Frame { body: &head.into(), payload: Some(&part) }),
+            Err(WireError::BadLength(u64::from(len)))
+        );
+    }
+
+    /// Any head, offset and part decode to an error or to the message
+    /// the frame's flat bytes spell: never a panic, and the payload is
+    /// handed out, not allocated.
+    #[test]
+    fn arbitrary_two_piece_frames_never_panic(
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        at in 0usize..128,
+        part in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in proptest::option::of((arb_request(), arb_reply())),
+    ) {
+        let part = PayloadPart { at, data: part.into() };
+        let mut heads = vec![Bytes::from(body)];
+        // Heads of real messages make the deeper paths reachable.
+        if let Some((req, reply)) = seed {
+            heads.push(req.encode_split().0);
+            heads.push(NfsReplyFrame(Ok(reply)).encode_split().0);
+        }
+        for body in &heads {
+            let frame = Frame { body, payload: Some(&part) };
+            if let Ok(req) = NfsRequest::decode_frame(frame) {
+                prop_assert_eq!(NfsRequest::decode(&frame.flatten()).unwrap(), req);
+            }
+            if let Ok(reply) = NfsReplyFrame::decode_frame(frame) {
+                prop_assert_eq!(NfsReplyFrame::decode(&frame.flatten()).unwrap(), reply);
+            }
+        }
     }
 
     /// Decoding arbitrary garbage never panics — it returns an error or

@@ -49,4 +49,4 @@ pub use network::{
 pub use sched::{heap_comparisons, Scheduler};
 pub use simnet::{LatencyModel, NetStats, SimNetwork};
 pub use threadnet::ThreadedNetwork;
-pub use wire::{Reader, WireError, WireRead, WireWrite, Writer};
+pub use wire::{Frame, PayloadPart, Reader, WireError, WireRead, WireWrite, Writer};

@@ -7,7 +7,7 @@
 //! delivery, latency, and failure semantics.
 
 use crate::clock::Clock;
-use crate::wire::{Reader, WireError, WireRead, WireWrite, Writer};
+use crate::wire::{Frame, PayloadPart, Reader, WireError, WireRead, WireWrite, Writer};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -186,40 +186,69 @@ impl WireRead for TraceHeader {
 /// [`RpcRequest::read`]'s docs).
 const FRAME_V2: u8 = 0x7E;
 
-/// A request frame: destination service plus an opaque encoded body,
+/// A request frame: destination service plus an opaque encoded message,
 /// optionally stamped with a [`TraceHeader`].
 #[derive(Debug, Clone)]
 pub struct RpcRequest {
-    /// Which protocol layer should handle the body.
+    /// Which protocol layer should handle the message.
     pub service: ServiceId,
     /// Causal-trace header, stamped by the transport from the caller's
     /// ambient context (`None` when tracing is off / no trace active).
     pub trace: Option<TraceHeader>,
-    /// Encoded request payload (layer-specific message type).
+    /// Encoded request message (layer-specific type): all of it, or the
+    /// head of it when `payload` is set.
     pub body: Bytes,
+    /// The message's READ/WRITE data held beside `body` (see
+    /// [`Frame`]); `None` for a flat request.
+    pub payload: Option<PayloadPart>,
 }
 
 impl RpcRequest {
-    /// Builds a request by encoding `msg` for `service`.
+    /// Builds a flat request by encoding `msg` for `service`: `body` is
+    /// the whole message, which a caller may pass to
+    /// [`RpcHandler::handle`] as it is.
     pub fn new<T: WireWrite>(service: ServiceId, msg: &T) -> Self {
         RpcRequest {
             service,
             trace: None,
             body: msg.encode(),
+            payload: None,
         }
     }
 
-    /// Total frame size in bytes (header + body), used for byte
-    /// accounting. Untraced requests use the legacy frame layout, so
-    /// enabling tracing does not change the modeled cost of untraced
-    /// traffic.
+    /// Builds a request whose payload field, if `msg` has one, travels
+    /// beside the head as a view instead of being copied into it. What
+    /// every sender of a message that can carry READ/WRITE data uses.
+    pub fn split<T: WireWrite>(service: ServiceId, msg: &T) -> Self {
+        let (body, payload) = msg.encode_split();
+        RpcRequest {
+            service,
+            trace: None,
+            body,
+            payload,
+        }
+    }
+
+    /// The encoded message, in whichever holding the request has it.
+    #[must_use]
+    pub fn frame(&self) -> Frame<'_> {
+        Frame {
+            body: &self.body,
+            payload: self.payload.as_ref(),
+        }
+    }
+
+    /// Total frame size in bytes (header + message), used for byte
+    /// accounting; the same in either holding. Untraced requests use the
+    /// legacy frame layout, so enabling tracing does not change the
+    /// modeled cost of untraced traffic.
     #[must_use]
     pub fn wire_size(&self) -> usize {
         match self.trace {
-            // service tag + u32 length + body
-            None => 1 + 4 + self.body.len(),
-            // marker + flags + service tag + trace ids + u32 length + body
-            Some(_) => 1 + 1 + 1 + 16 + 4 + self.body.len(),
+            // service tag + u32 length + message
+            None => 1 + 4 + self.frame().len(),
+            // marker + flags + service tag + trace ids + u32 length + message
+            Some(_) => 1 + 1 + 1 + 16 + 4 + self.frame().len(),
         }
     }
 }
@@ -230,21 +259,19 @@ const FLAG_TRACE: u8 = 0x01;
 impl WireWrite for RpcRequest {
     /// Encodes the frame. Untraced requests keep the legacy layout
     /// (`service tag, body`) byte-for-byte; traced requests use the v2
-    /// layout (`FRAME_V2, flags, service tag, trace header, body`).
+    /// layout (`FRAME_V2, flags, service tag, trace header, body`). The
+    /// message goes in flat: a whole encoded frame exists only in tests
+    /// (the transports pass the struct), so a held payload is copied.
     fn write(&self, w: &mut Writer) {
-        match self.trace {
-            None => {
-                self.service.write(w);
-                w.bytes(&self.body);
-            }
-            Some(h) => {
-                w.u8(FRAME_V2);
-                w.u8(FLAG_TRACE);
-                self.service.write(w);
-                h.write(w);
-                w.bytes(&self.body);
-            }
+        if let Some(h) = self.trace {
+            w.u8(FRAME_V2);
+            w.u8(FLAG_TRACE);
+            self.service.write(w);
+            h.write(w);
+        } else {
+            self.service.write(w);
         }
+        w.bytes(&self.frame().flatten());
     }
 }
 
@@ -260,6 +287,7 @@ impl WireRead for RpcRequest {
                 service: ServiceId::from_tag(first)?,
                 trace: None,
                 body: r.payload()?,
+                payload: None,
             });
         }
         let flags = r.u8()?;
@@ -273,33 +301,58 @@ impl WireRead for RpcRequest {
             service,
             trace,
             body: r.payload()?,
+            payload: None,
         })
     }
 }
 
-/// A reply frame: opaque encoded body.
+/// A reply frame: opaque encoded message.
 #[derive(Debug, Clone)]
 pub struct RpcResponse {
-    /// Encoded response payload.
+    /// Encoded response message: all of it, or the head of it when
+    /// `payload` is set.
     pub body: Bytes,
+    /// The message's READ data held beside `body` (see [`Frame`]);
+    /// `None` for a flat response.
+    pub payload: Option<PayloadPart>,
 }
 
 impl RpcResponse {
-    /// Builds a response by encoding `msg`.
+    /// Builds a flat response by encoding `msg`: `body` is the whole
+    /// message.
     pub fn new<T: WireWrite>(msg: &T) -> Self {
-        RpcResponse { body: msg.encode() }
+        RpcResponse {
+            body: msg.encode(),
+            payload: None,
+        }
     }
 
-    /// Decodes the body as `T`. The response owns its frame, so payload
-    /// fields of `T` come out as views of it.
+    /// Builds a response whose payload field, if `msg` has one, travels
+    /// beside the head as a view (see [`RpcRequest::split`]).
+    pub fn split<T: WireWrite>(msg: &T) -> Self {
+        let (body, payload) = msg.encode_split();
+        RpcResponse { body, payload }
+    }
+
+    /// The encoded message, in whichever holding the response has it.
+    #[must_use]
+    pub fn frame(&self) -> Frame<'_> {
+        Frame {
+            body: &self.body,
+            payload: self.payload.as_ref(),
+        }
+    }
+
+    /// Decodes the message as `T`. The response owns its frame, so
+    /// payload fields of `T` come out as its part or as views of it.
     pub fn decode<T: WireRead>(&self) -> Result<T, RpcError> {
-        T::decode_frame(&self.body).map_err(RpcError::Decode)
+        T::decode_frame(self.frame()).map_err(RpcError::Decode)
     }
 
-    /// Total frame size in bytes.
+    /// Total frame size in bytes; the same in either holding.
     #[must_use]
     pub fn wire_size(&self) -> usize {
-        4 + self.body.len()
+        4 + self.frame().len()
     }
 }
 
@@ -347,13 +400,18 @@ pub trait RpcHandler: Send + Sync {
     /// Handles one request from `from`, returning an encoded response.
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError>;
 
-    /// [`RpcHandler::handle`] for a caller that holds the request body
-    /// as a refcounted frame, which is what the transports call. The
-    /// handlers on the payload path override it to decode WRITE data as
-    /// views of `frame` ([`crate::WireRead::decode_frame`]); for every
-    /// other handler the default is the right thing.
-    fn handle_frame(&self, from: NodeAddr, frame: &Bytes) -> Result<RpcResponse, RpcError> {
-        self.handle(from, frame)
+    /// [`RpcHandler::handle`] for a caller that holds the request as a
+    /// refcounted [`Frame`], flat or split, which is what the transports
+    /// call. The handlers on the payload path override it to decode
+    /// WRITE data as the frame's part or as views of its body
+    /// ([`crate::WireRead::decode_frame`]). The default hands `handle`
+    /// the flat bytes, flattening a split frame once; for a handler
+    /// whose messages carry no payload that is free and the right thing.
+    fn handle_frame(&self, from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
+        match frame.payload {
+            None => self.handle(from, frame.body),
+            Some(_) => self.handle(from, &frame.flatten()),
+        }
     }
 }
 
@@ -384,7 +442,7 @@ impl ServiceMux {
             .get(&req.service)
             .cloned()
             .ok_or(RpcError::NoService(req.service))?;
-        handler.handle_frame(from, &req.body)
+        handler.handle_frame(from, req.frame())
     }
 
     /// The services currently registered (used by transports that
@@ -556,6 +614,7 @@ mod tests {
         fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
             Ok(RpcResponse {
                 body: Bytes::copy_from_slice(body),
+                payload: None,
             })
         }
     }

@@ -663,6 +663,7 @@ mod tests {
         fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
             Ok(RpcResponse {
                 body: Bytes::copy_from_slice(body),
+                payload: None,
             })
         }
     }

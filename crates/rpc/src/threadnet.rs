@@ -238,7 +238,7 @@ fn serve(
     // (and restore this thread's own context afterwards, panic or not).
     let resp = trace::with_context(req.trace.map(TraceHeader::ctx), || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            actor.handler.handle_frame(from, &req.body)
+            actor.handler.handle_frame(from, req.frame())
         }))
     })
     .unwrap_or_else(|_| Err(RpcError::Remote("handler panicked".to_string())));
@@ -887,6 +887,7 @@ mod tests {
             service: ServiceId::Kosha,
             trace: None,
             body: Bytes::new(),
+            payload: None,
         }
     }
 
@@ -1381,6 +1382,7 @@ mod tests {
                         service: ServiceId::Nfs,
                         trace: None,
                         body: Bytes::new(),
+                        payload: None,
                     },
                 )
             }
@@ -1403,6 +1405,7 @@ mod tests {
                     service: ServiceId::KoshaFs,
                     trace: None,
                     body: Bytes::new(),
+                    payload: None,
                 },
             )
             .unwrap();
@@ -1533,6 +1536,7 @@ mod tests {
                     service: ServiceId::Nfs,
                     trace: None,
                     body: Bytes::new(),
+                    payload: None,
                 }
             ),
             Err(RpcError::NoService(ServiceId::Nfs))
@@ -1601,6 +1605,7 @@ mod tests {
                 service: ServiceId::Nfs,
                 trace: None,
                 body: Bytes::new(),
+                payload: None,
             },
         );
         assert!(ok.is_ok());

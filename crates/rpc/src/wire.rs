@@ -11,6 +11,21 @@
 //! length-prefixed byte strings, `u8` tags for options and enums. All types
 //! round-trip exactly; property tests in each crate verify this for their
 //! message sets.
+//!
+//! An encoded message can be held in two ways, the way `writev` and the
+//! kernel's `xdr_buf` (head, pages, tail) hold one. *Flat* is one
+//! contiguous buffer. *Split* is a [`Frame`]: a head of a few dozen bytes
+//! plus one [`PayloadPart`], the READ or WRITE data as a refcounted view
+//! and the offset in the head where it belongs, so that
+//! `body[..at] ++ payload ++ body[at..]` is byte for byte the flat
+//! encoding. A hop that only changes the message around a payload
+//! (`NfsRequest::Write` → `KoshaRequest::Write` → `ReplicaOp::Write`, or
+//! koshad handing on the store's READ reply) encodes a new head and bumps
+//! a refcount; no payload byte moves (DESIGN.md §18). The holding is the
+//! encoder's and the decoder's business only: each message has one
+//! [`WireWrite::write`] and one [`WireRead::read`], which call
+//! [`Writer::payload`] and [`Reader::payload`] for a payload field and
+//! never learn which holding they serve.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -28,6 +43,9 @@ pub enum WireError {
     BadUtf8,
     /// Trailing bytes remained after a complete top-level decode.
     TrailingBytes(usize),
+    /// The payload part of a two-piece frame was never decoded: no
+    /// payload field's length prefix ends at the offset it claims.
+    StrayPayload(usize),
 }
 
 impl fmt::Display for WireError {
@@ -38,15 +56,80 @@ impl fmt::Display for WireError {
             WireError::BadLength(l) => write!(f, "implausible length {l}"),
             WireError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
+            WireError::StrayPayload(at) => write!(f, "no payload field at offset {at}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
+/// A payload held beside the head of a two-piece [`Frame`].
+#[derive(Debug, Clone)]
+pub struct PayloadPart {
+    /// Offset in the head at which `data` belongs: its length prefix is
+    /// the four head bytes before `at`.
+    pub at: usize,
+    /// The payload bytes, shared with whoever decoded or produced them.
+    pub data: Bytes,
+}
+
+/// A borrowed encoded message in either holding: flat when `payload` is
+/// `None`, split otherwise (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a> {
+    /// The whole message when flat, the head when split.
+    pub body: &'a Bytes,
+    /// The part held beside the head, if any.
+    pub payload: Option<&'a PayloadPart>,
+}
+
+impl<'a> Frame<'a> {
+    /// A flat frame over `body`.
+    #[must_use]
+    pub fn flat(body: &'a Bytes) -> Self {
+        Frame {
+            body,
+            payload: None,
+        }
+    }
+
+    /// Length of the flat encoding.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.body.len() + self.payload.map_or(0, |p| p.data.len())
+    }
+
+    /// True if the flat encoding is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The flat encoding: the body itself when there is no part (nothing
+    /// is copied), otherwise one new buffer with the part spliced in. A
+    /// part placed past the end of the head is appended; such a frame
+    /// decodes to an error in either holding.
+    #[must_use]
+    pub fn flatten(&self) -> Bytes {
+        let Some(part) = self.payload else {
+            return self.body.clone();
+        };
+        let (before, after) = self.body.split_at(part.at.min(self.body.len()));
+        let mut flat = Vec::with_capacity(self.len());
+        flat.extend_from_slice(before);
+        flat.extend_from_slice(&part.data);
+        flat.extend_from_slice(after);
+        flat.into()
+    }
+}
+
 /// Encoder over a growable byte buffer.
 pub struct Writer {
     buf: BytesMut,
+    /// Whether [`Writer::payload`] may keep a view instead of copying.
+    splitting: bool,
+    /// The one payload kept beside `buf`.
+    part: Option<PayloadPart>,
 }
 
 impl Default for Writer {
@@ -61,21 +144,41 @@ impl Writer {
     pub fn new() -> Self {
         Writer {
             buf: BytesMut::with_capacity(64),
+            splitting: false,
+            part: None,
         }
     }
 
-    /// New writer with a capacity hint for large payloads (e.g. WRITE data).
+    /// New writer that holds the first payload field it is given beside
+    /// the buffer; finish it with [`Writer::finish_split`].
     #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
+    pub fn splitting() -> Self {
         Writer {
-            buf: BytesMut::with_capacity(cap),
+            splitting: true,
+            ..Writer::new()
         }
     }
 
-    /// Finishes encoding and returns the buffer as it stands (no copy).
+    /// Finishes encoding and returns the flat encoding: the buffer as it
+    /// stands (no copy) unless a payload part was held.
     #[must_use]
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        let body = self.buf.freeze();
+        match self.part {
+            None => body,
+            Some(part) => Frame {
+                body: &body,
+                payload: Some(&part),
+            }
+            .flatten(),
+        }
+    }
+
+    /// Finishes encoding and returns the head as it stands (no copy) and
+    /// the payload part, if the writer was splitting and met one.
+    #[must_use]
+    pub fn finish_split(self) -> (Bytes, Option<PayloadPart>) {
+        (self.buf.freeze(), self.part)
     }
 
     /// Appends a single raw byte (enum/option tag).
@@ -121,6 +224,23 @@ impl Writer {
         self.buf.put_slice(v);
     }
 
+    /// Appends a length-prefixed payload field (READ/WRITE data). A
+    /// splitting writer that holds no part yet writes the prefix and
+    /// keeps `v` as a view beside the buffer; a message's further
+    /// payloads, and every payload of a flat writer, are copied in like
+    /// [`Writer::bytes`]. The flat encoding is the same either way.
+    pub fn payload(&mut self, v: &Bytes) {
+        if self.splitting && self.part.is_none() {
+            self.buf.put_u32_le(v.len() as u32);
+            self.part = Some(PayloadPart {
+                at: self.buf.len(),
+                data: v.clone(),
+            });
+        } else {
+            self.bytes(v);
+        }
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn string(&mut self, v: &str) {
         self.bytes(v.as_bytes());
@@ -150,16 +270,16 @@ impl Writer {
         }
     }
 
-    /// Bytes written so far.
+    /// Bytes written so far, a held payload part included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.part.as_ref().map_or(0, |p| p.data.len())
     }
 
     /// True if nothing has been written.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
@@ -174,11 +294,13 @@ const PAYLOAD_TAIL: usize = 16;
 const MAX_LEN: u64 = 64 << 20;
 
 /// Decoder over a byte slice, or over a refcounted frame (see
-/// [`Reader::over`]) whose payload fields it can hand out as views.
+/// [`Reader::over`], [`Reader::over_frame`]) whose payload fields it can
+/// hand out as views.
 pub struct Reader<'a> {
     buf: &'a [u8],
-    /// The frame `buf` is the unread tail of, when there is one.
-    frame: Option<&'a Bytes>,
+    /// The frame whose body `buf` is the unread tail of, when there is
+    /// one; its part is taken out when [`Reader::payload`] hands it out.
+    frame: Option<Frame<'a>>,
 }
 
 impl<'a> Reader<'a> {
@@ -192,8 +314,16 @@ impl<'a> Reader<'a> {
     /// returns views of `frame` instead of copies.
     #[must_use]
     pub fn over(frame: &'a Bytes) -> Self {
+        Self::over_frame(Frame::flat(frame))
+    }
+
+    /// New reader over a frame in either holding. The cursor runs over
+    /// the head; [`Reader::payload`] hands the part out when it stands
+    /// where the part belongs.
+    #[must_use]
+    pub fn over_frame(frame: Frame<'a>) -> Self {
         Reader {
-            buf: frame,
+            buf: frame.body,
             frame: Some(frame),
         }
     }
@@ -204,12 +334,17 @@ impl<'a> Reader<'a> {
         self.buf.len()
     }
 
-    /// Fails with [`WireError::TrailingBytes`] unless fully consumed.
+    /// Fails with [`WireError::TrailingBytes`] unless fully consumed, and
+    /// with [`WireError::StrayPayload`] if a two-piece frame's part was
+    /// never handed out (it lies outside the head, or not where a
+    /// payload field starts).
     pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
+        if !self.buf.is_empty() {
             Err(WireError::TrailingBytes(self.buf.len()))
+        } else if let Some(part) = self.frame.and_then(|f| f.payload) {
+            Err(WireError::StrayPayload(part.at))
+        } else {
+            Ok(())
         }
     }
 
@@ -260,14 +395,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed byte string in place, after checking the
-    /// prefix against [`MAX_LEN`] and the bytes that are left.
-    fn byte_string(&mut self) -> Result<&'a [u8], WireError> {
+    /// Reads a length prefix and checks it against [`MAX_LEN`].
+    fn length_prefix(&mut self) -> Result<usize, WireError> {
         let len = u64::from(self.u32()?);
         if len > MAX_LEN {
             return Err(WireError::BadLength(len));
         }
-        let len = len as usize;
+        Ok(len as usize)
+    }
+
+    /// Reads a length-prefixed byte string in place, after checking the
+    /// prefix against [`MAX_LEN`] and the bytes that are left.
+    fn byte_string(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.length_prefix()?;
         self.need(len)?;
         let (head, tail) = self.buf.split_at(len);
         self.buf = tail;
@@ -279,16 +419,32 @@ impl<'a> Reader<'a> {
         Ok(self.byte_string()?.to_vec())
     }
 
-    /// Reads a length-prefixed payload field: a view of the frame when
-    /// the reader was built with [`Reader::over`], one copy otherwise.
-    /// A view keeps the whole frame alive, so this is for READ/WRITE
-    /// data, not for names and other small fields.
+    /// Reads a length-prefixed payload field: the part of a two-piece
+    /// frame when the field's prefix ends where the part belongs (the
+    /// prefix must then be the part's length), a view of the frame when
+    /// the reader was built over one, one copy otherwise. A view keeps
+    /// the whole frame alive, so this is for READ/WRITE data, not for
+    /// names and other small fields.
     pub fn payload(&mut self) -> Result<Bytes, WireError> {
+        if let Some(Frame {
+            body,
+            payload: Some(part),
+        }) = self.frame
+        {
+            if body.len() - self.buf.len() + 4 == part.at {
+                let len = self.length_prefix()?;
+                if len != part.data.len() {
+                    return Err(WireError::BadLength(len as u64));
+                }
+                self.frame = Some(Frame::flat(body));
+                return Ok(part.data.clone());
+            }
+        }
         let data = self.byte_string()?;
         Ok(match self.frame {
-            Some(frame) => {
-                let end = frame.len() - self.buf.len();
-                frame.slice(end - data.len()..end)
+            Some(Frame { body, .. }) => {
+                let end = body.len() - self.buf.len();
+                body.slice(end - data.len()..end)
             }
             None => Bytes::copy_from_slice(data),
         })
@@ -338,6 +494,15 @@ pub trait WireWrite {
         self.write(&mut w);
         w.finish()
     }
+
+    /// One-shot encode into a head and, if the value has a payload field,
+    /// that payload beside it (see [`Frame`]); flattened, it is
+    /// [`WireWrite::encode`] byte for byte.
+    fn encode_split(&self) -> (Bytes, Option<PayloadPart>) {
+        let mut w = Writer::splitting();
+        self.write(&mut w);
+        w.finish_split()
+    }
 }
 
 /// Types that can decode themselves from a [`Reader`].
@@ -353,10 +518,11 @@ pub trait WireRead: Sized {
         Ok(v)
     }
 
-    /// [`WireRead::decode`] of a whole refcounted frame: payload fields
-    /// of the value are views of `frame`, not copies.
-    fn decode_frame(frame: &Bytes) -> Result<Self, WireError> {
-        let mut r = Reader::over(frame);
+    /// [`WireRead::decode`] of a whole refcounted frame in either
+    /// holding: payload fields of the value are the frame's part or views
+    /// of its body, not copies.
+    fn decode_frame(frame: Frame<'_>) -> Result<Self, WireError> {
+        let mut r = Reader::over_frame(frame);
         let v = Self::read(&mut r)?;
         r.expect_end()?;
         Ok(v)
@@ -567,6 +733,100 @@ mod tests {
             assert_eq!(Reader::over(frame).payload(), Err(want.clone()));
             assert_eq!(Reader::new(frame).payload(), Err(want.clone()));
             assert_eq!(Reader::new(frame).bytes(), Err(want));
+        }
+    }
+
+    #[test]
+    fn a_splitting_writer_keeps_its_first_payload_beside_the_head() {
+        let first = Bytes::from(vec![7u8; 300]);
+        let second = Bytes::from(vec![9u8; 20]);
+        let write = |w: &mut Writer| {
+            w.string("name");
+            w.payload(&first);
+            w.boolean(true);
+            w.payload(&second);
+        };
+        let mut flat = Writer::new();
+        write(&mut flat);
+        let flat = flat.finish();
+
+        let mut w = Writer::splitting();
+        write(&mut w);
+        assert_eq!(w.len(), flat.len());
+        let (head, part) = w.finish_split();
+        let part = part.expect("the first payload is held");
+        // 4 + 4 bytes of name, then the 4-byte prefix the part follows.
+        assert_eq!(part.at, 12);
+        assert_eq!(part.data.as_ptr(), first.as_ptr());
+        // The head has everything else, the second payload copied in.
+        assert_eq!(head.len(), flat.len() - first.len());
+        let frame = Frame {
+            body: &head,
+            payload: Some(&part),
+        };
+        assert_eq!(frame.flatten(), flat);
+
+        // `finish` on a splitting writer is the flat encoding too.
+        let mut w = Writer::splitting();
+        write(&mut w);
+        assert_eq!(w.finish(), flat);
+
+        let mut r = Reader::over_frame(frame);
+        assert_eq!(r.string().unwrap(), "name");
+        assert_eq!(r.payload().unwrap().as_ptr(), first.as_ptr());
+        assert!(r.boolean().unwrap());
+        assert_eq!(
+            r.expect_end(),
+            Err(WireError::TrailingBytes(4 + second.len()))
+        );
+        let inlined = r.payload().unwrap();
+        assert_eq!(inlined, second);
+        assert!(head.as_ptr_range().contains(&inlined.as_ptr()));
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_part_no_payload_field_claims_is_an_error() {
+        let mut w = Writer::new();
+        w.u32(3);
+        w.u8(1);
+        let head = w.finish();
+        let part = |at, len| PayloadPart {
+            at,
+            data: Bytes::from(vec![0u8; len]),
+        };
+        // Where the prefix ends and of the prefix's length: handed out.
+        let good = part(4, 3);
+        let mut r = Reader::over_frame(Frame {
+            body: &head,
+            payload: Some(&good),
+        });
+        assert_eq!(r.payload().unwrap().as_ptr(), good.data.as_ptr());
+        assert_eq!(r.u8().unwrap(), 1);
+        r.expect_end().unwrap();
+        // Of another length than its prefix says.
+        let long = part(4, 5);
+        let mut r = Reader::over_frame(Frame {
+            body: &head,
+            payload: Some(&long),
+        });
+        assert_eq!(r.payload(), Err(WireError::BadLength(3)));
+        // Not where a payload field starts, or outside the head: the
+        // field is read from the head (and is short), the part is stray.
+        for at in [0, 3, 5, 6, 99] {
+            let stray = part(at, 3);
+            let frame = Frame {
+                body: &head,
+                payload: Some(&stray),
+            };
+            assert_eq!(
+                Reader::over_frame(frame).payload(),
+                Err(WireError::Truncated)
+            );
+            let mut r = Reader::over_frame(frame);
+            assert_eq!((r.u32().unwrap(), r.u8().unwrap()), (3, 1));
+            assert_eq!(r.expect_end(), Err(WireError::StrayPayload(at)));
+            let _ = frame.flatten();
         }
     }
 

@@ -22,6 +22,7 @@ impl RpcHandler for Echo {
     fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
         Ok(RpcResponse {
             body: Bytes::copy_from_slice(body),
+            payload: None,
         })
     }
 }

@@ -2,11 +2,12 @@
 
 use bytes::Bytes;
 use kosha_rpc::{
-    LatencyModel, Network, NodeAddr, Reader, RpcError, RpcHandler, RpcRequest, RpcResponse,
-    ServiceId, ServiceMux, SimNetwork, TraceHeader, WireRead, WireWrite, Writer,
+    Frame, LatencyModel, Network, NodeAddr, PayloadPart, Reader, RpcError, RpcHandler, RpcRequest,
+    RpcResponse, ServiceId, ServiceMux, SimNetwork, TraceHeader, WireError, WireRead, WireWrite,
+    Writer,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 proptest! {
     /// Any sequence of primitive writes reads back identically.
@@ -109,6 +110,7 @@ proptest! {
                 span_id: s,
             }),
             body: Bytes::from(body),
+            payload: None,
         };
         let frame = req.encode();
         prop_assert_eq!(frame.len(), req.wire_size());
@@ -144,11 +146,212 @@ proptest! {
     }
 }
 
+/// A message with fields on both sides of a payload and further
+/// payloads after it, like a `ReplicaApplyBatch` of several WRITEs.
+#[derive(Debug, Clone, PartialEq)]
+struct Block {
+    name: String,
+    data: Bytes,
+    eof: bool,
+    more: Vec<Bytes>,
+}
+
+impl WireWrite for Block {
+    fn write(&self, w: &mut Writer) {
+        w.string(&self.name);
+        w.payload(&self.data);
+        w.boolean(self.eof);
+        w.u32(self.more.len() as u32);
+        for m in &self.more {
+            w.payload(m);
+        }
+    }
+}
+
+impl WireRead for Block {
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let name = r.string()?;
+        let data = r.payload()?;
+        let eof = r.boolean()?;
+        let more = (0..r.u32()?)
+            .map(|_| r.payload())
+            .collect::<Result<_, _>>()?;
+        Ok(Block {
+            name,
+            data,
+            eof,
+            more,
+        })
+    }
+}
+
+fn arb_block() -> impl Strategy<Value = Block> {
+    let blob = || proptest::collection::vec(any::<u8>(), 0..200).prop_map(Bytes::from);
+    (
+        "[a-z]{0,12}",
+        blob(),
+        any::<bool>(),
+        proptest::collection::vec(blob(), 0..3),
+    )
+        .prop_map(|(name, data, eof, more)| Block {
+            name,
+            data,
+            eof,
+            more,
+        })
+}
+
+/// Records the body it was handed; implements `handle` only, like the
+/// benchmark's wrappers.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<u8>>);
+
+impl RpcHandler for Recorder {
+    fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+        *self.0.lock().unwrap() = body.to_vec();
+        Ok(RpcResponse::new(&0u8))
+    }
+}
+
+proptest! {
+    /// The two holdings of one message: the split encoding flattens to
+    /// the flat one, both decode to the message, a frame gathers exactly
+    /// the first payload, and decoding a split frame hands that part out
+    /// as it is while later payloads are views of the head.
+    #[test]
+    fn split_and_flat_holdings_agree(msg in arb_block()) {
+        let flat = msg.encode();
+        let (body, part) = msg.encode_split();
+        let part = part.expect("a block has a payload field");
+        prop_assert_eq!(part.data.as_ptr(), msg.data.as_ptr());
+        prop_assert_eq!(part.data.len(), msg.data.len());
+        let frame = Frame { body: &body, payload: Some(&part) };
+        prop_assert_eq!(frame.len(), flat.len());
+        prop_assert_eq!(&frame.flatten(), &flat);
+
+        let from_split = Block::decode_frame(frame).unwrap();
+        prop_assert_eq!(&from_split, &msg);
+        prop_assert_eq!(&Block::decode_frame(Frame::flat(&flat)).unwrap(), &msg);
+        prop_assert_eq!(&Block::decode(&flat).unwrap(), &msg);
+        prop_assert_eq!(from_split.data.as_ptr(), part.data.as_ptr());
+        for m in from_split.more.iter().filter(|m| !m.is_empty()) {
+            prop_assert!(body.as_ptr_range().contains(&m.as_ptr()));
+        }
+
+        // Requests and responses built either way are the same bytes.
+        let split = RpcRequest::split(ServiceId::Nfs, &msg);
+        let whole = RpcRequest::new(ServiceId::Nfs, &msg);
+        prop_assert!(split.payload.is_some() && whole.payload.is_none());
+        prop_assert_eq!(split.wire_size(), whole.wire_size());
+        prop_assert_eq!(split.encode(), whole.encode());
+        prop_assert_eq!(&whole.body, &flat);
+        let reply = RpcResponse::split(&msg);
+        prop_assert_eq!(reply.wire_size(), RpcResponse::new(&msg).wire_size());
+        prop_assert_eq!(reply.decode::<Block>().unwrap(), msg);
+    }
+
+    /// A message without a payload field has no part, split or not.
+    #[test]
+    fn a_message_without_a_payload_has_one_holding(v in any::<u64>(), s in "[a-z]{0,20}") {
+        let msg = (v, s);
+        let (body, part) = msg.encode_split();
+        prop_assert!(part.is_none());
+        prop_assert_eq!(body, msg.encode());
+    }
+
+    /// Any head, offset and part decode to an error or a value: no panic,
+    /// and nothing is allocated for a payload (a part is handed out, not
+    /// copied, and only under a prefix that is its length).
+    #[test]
+    fn arbitrary_two_piece_frames_never_panic(
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        at in 0usize..128,
+        part in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let body = Bytes::from(body);
+        let part = PayloadPart { at, data: Bytes::from(part) };
+        let frame = Frame { body: &body, payload: Some(&part) };
+        if let Ok(block) = Block::decode_frame(frame) {
+            // The part was consumed, where it said it belonged.
+            prop_assert_eq!(block.data.as_ptr(), part.data.as_ptr());
+            prop_assert_eq!(&Block::decode(&frame.flatten()).unwrap(), &block);
+        }
+        let _ = frame.flatten();
+    }
+
+    /// A valid split frame with its part moved, resized or mislabelled
+    /// does not decode to a message its bytes do not spell.
+    #[test]
+    fn a_misplaced_or_mislabelled_part_is_rejected(
+        msg in arb_block(),
+        shift in 1usize..64,
+        grow in 1usize..8,
+        huge in (64u32 << 20) + 1..=u32::MAX,
+    ) {
+        let (body, part) = msg.encode_split();
+        let part = part.expect("a block has a payload field");
+        let decode = |body: &Bytes, part: &PayloadPart| {
+            Block::decode_frame(Frame { body, payload: Some(part) })
+        };
+        // Outside the head it can never be reached; elsewhere it is an
+        // error unless it lands on another payload field of its length,
+        // and then the value is that of the frame's own flattening.
+        let outside = PayloadPart { at: body.len() + shift, data: part.data.clone() };
+        prop_assert!(decode(&body, &outside).is_err());
+        for at in [part.at + shift, part.at.saturating_sub(shift)] {
+            let moved = PayloadPart { at, data: part.data.clone() };
+            if let Ok(block) = decode(&body, &moved) {
+                let flat = Frame { body: &body, payload: Some(&moved) }.flatten();
+                prop_assert_eq!(Block::decode(&flat).unwrap(), block);
+            }
+        }
+        let resized = PayloadPart {
+            at: part.at,
+            data: Bytes::from(vec![0u8; part.data.len() + grow]),
+        };
+        prop_assert_eq!(
+            decode(&body, &resized),
+            Err(WireError::BadLength(part.data.len() as u64))
+        );
+        // A prefix past the codec's limit is refused as in a flat frame.
+        let mut head = body.to_vec();
+        head[part.at - 4..part.at].copy_from_slice(&huge.to_le_bytes());
+        prop_assert_eq!(
+            decode(&Bytes::from(head), &part),
+            Err(WireError::BadLength(u64::from(huge)))
+        );
+        // A head with no payload field leaves the part stray.
+        let stray = PayloadPart { at: 4, data: part.data.clone() };
+        prop_assert_eq!(
+            u32::decode_frame(Frame { body: &7u32.encode(), payload: Some(&stray) }),
+            Err(WireError::StrayPayload(4))
+        );
+    }
+
+    /// A handler that implements only `handle(&[u8])` receives exactly
+    /// the flat encoding behind `ServiceMux::dispatch`, whichever way the
+    /// request holds it.
+    #[test]
+    fn a_handle_only_handler_receives_the_flat_bytes(msg in arb_block()) {
+        let recorder = Arc::new(Recorder::default());
+        let mux = ServiceMux::new();
+        mux.register(ServiceId::Nfs, recorder.clone());
+        for req in [
+            RpcRequest::split(ServiceId::Nfs, &msg),
+            RpcRequest::new(ServiceId::Nfs, &msg),
+        ] {
+            mux.dispatch(NodeAddr(1), &req).unwrap();
+            prop_assert_eq!(&recorder.0.lock().unwrap()[..], &msg.encode()[..]);
+        }
+    }
+}
+
 struct Echo;
 impl RpcHandler for Echo {
     fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
         Ok(RpcResponse {
             body: Bytes::copy_from_slice(body),
+            payload: None,
         })
     }
 }

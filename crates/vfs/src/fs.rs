@@ -568,27 +568,15 @@ impl Vfs {
     // ---- data -------------------------------------------------------------
 
     /// Reads up to `count` bytes at `offset`; returns the data and an EOF
-    /// flag. Sparse files read as zeros.
+    /// flag. Sparse files read as zeros. The returned vector is the one
+    /// copy a READ makes: callers adopt it (`Bytes::from`), they do not
+    /// copy it again.
     pub fn read(
         &mut self,
         id: FileId,
         offset: u64,
         count: u32,
     ) -> Result<(Vec<u8>, bool), VfsError> {
-        self.read_with(id, offset, count, |data, eof| (data.to_vec(), eof))
-    }
-
-    /// [`Vfs::read`] without the copy: lends the stored bytes of the range
-    /// and the EOF flag to `f`, so a caller that only moves them on (the
-    /// NFS server encoding a READ reply) copies them once, into their
-    /// destination.
-    pub fn read_with<R>(
-        &mut self,
-        id: FileId,
-        offset: u64,
-        count: u32,
-        f: impl FnOnce(&[u8], bool) -> R,
-    ) -> Result<R, VfsError> {
         let now = self.now;
         let inode = self.get_mut(id)?;
         let payload = match &inode.kind {
@@ -601,10 +589,11 @@ impl Vfs {
         let start = offset.min(size);
         let end = offset.saturating_add(u64::from(count)).min(size);
         let eof = end >= size;
-        Ok(match payload {
-            Payload::Bytes(b) => f(&b[start as usize..end as usize], eof),
-            Payload::Sparse(_) => f(&vec![0u8; (end - start) as usize], eof),
-        })
+        let data = match payload {
+            Payload::Bytes(b) => b[start as usize..end as usize].to_vec(),
+            Payload::Sparse(_) => vec![0u8; (end - start) as usize],
+        };
+        Ok((data, eof))
     }
 
     /// Writes `data` at `offset`, extending the file if needed. Growth is
@@ -1012,22 +1001,6 @@ mod tests {
         assert_eq!(id2, f);
         assert_eq!(a2.size, 11);
         assert_eq!(v.used_bytes(), 11);
-    }
-
-    #[test]
-    fn read_with_lends_what_read_returns() {
-        let mut v = fs();
-        let root = v.root();
-        let (f, _) = v.create(root, "f", 0o644, 0, 0).unwrap();
-        v.write(f, 0, b"hello world").unwrap();
-        let (s, _) = v.create_sized(root, "s", 64, 0o644, 0, 0).unwrap();
-        for (id, offset, count) in [(f, 0, 100), (f, 6, 3), (f, 11, 4), (f, 50, 1), (s, 60, 10)] {
-            let lent = v
-                .read_with(id, offset, count, |data, eof| (data.to_vec(), eof))
-                .unwrap();
-            assert_eq!(lent, v.read(id, offset, count).unwrap());
-        }
-        assert_eq!(v.read_with(root, 0, 1, |_, _| ()), Err(VfsError::IsDir));
     }
 
     #[test]
