@@ -37,52 +37,34 @@ impl WireRead for NodeAddr {
     }
 }
 
-/// Identifies which protocol layer a request is addressed to, mirroring the
-/// prototype's two-level messaging (Section 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServiceId {
-    /// Pastry overlay maintenance and routing queries.
-    Pastry,
-    /// NFS protocol operations against a node's local store.
-    Nfs,
-    /// Kosha-to-Kosha control traffic (replication, migration).
-    Kosha,
-    /// The `koshad` loopback NFS server exporting the virtual `/kosha`
-    /// file system (virtual handles). Distinct from [`ServiceId::Nfs`],
-    /// which is the node's *real* NFS export of its contributed disk.
-    KoshaFs,
-    /// Replica-maintenance traffic (mirror fan-out, batched anchor
-    /// pushes). A *leaf* service: its handlers only touch the local
-    /// replica area and never issue nested RPCs, so primaries may fan
-    /// out to each other concurrently without forming the same-service
-    /// call cycles the transports cannot serve (see the deadlock
-    /// discipline in [`crate::ThreadedNetwork`]'s docs).
-    KoshaReplica,
+crate::wire_enum! {
+    /// Identifies which protocol layer a request is addressed to, mirroring the
+    /// prototype's two-level messaging (Section 5.1). The labels name the
+    /// per-service metrics, which are pre-registered from `ALL` so that
+    /// expositions list every service even before traffic.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ServiceId labelled(NAMES, index, name) {
+        /// Pastry overlay maintenance and routing queries.
+        Pastry = 1 => "pastry",
+        /// NFS protocol operations against a node's local store.
+        Nfs = 2 => "nfs",
+        /// Kosha-to-Kosha control traffic (replication, migration).
+        Kosha = 3 => "kosha",
+        /// The `koshad` loopback NFS server exporting the virtual `/kosha`
+        /// file system (virtual handles). Distinct from [`ServiceId::Nfs`],
+        /// which is the node's *real* NFS export of its contributed disk.
+        KoshaFs = 4 => "koshafs",
+        /// Replica-maintenance traffic (mirror fan-out, batched anchor
+        /// pushes). A *leaf* service: its handlers only touch the local
+        /// replica area and never issue nested RPCs, so primaries may fan
+        /// out to each other concurrently without forming the same-service
+        /// call cycles the transports cannot serve (see the deadlock
+        /// discipline in [`crate::ThreadedNetwork`]'s docs).
+        KoshaReplica = 5 => "replica",
+    }
 }
 
 impl ServiceId {
-    /// All services, in tag order (used to pre-register per-service
-    /// metrics so expositions list every service even before traffic).
-    pub const ALL: [ServiceId; 5] = [
-        ServiceId::Pastry,
-        ServiceId::Nfs,
-        ServiceId::Kosha,
-        ServiceId::KoshaFs,
-        ServiceId::KoshaReplica,
-    ];
-
-    /// Stable lower-case label for metric names.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ServiceId::Pastry => "pastry",
-            ServiceId::Nfs => "nfs",
-            ServiceId::Kosha => "kosha",
-            ServiceId::KoshaFs => "koshafs",
-            ServiceId::KoshaReplica => "replica",
-        }
-    }
-
     /// Static span name for transport-level RPC spans (`rpc:<service>`),
     /// precomputed so the traced call path allocates nothing extra.
     #[must_use]
@@ -95,54 +77,20 @@ impl ServiceId {
             ServiceId::KoshaReplica => "rpc:replica",
         }
     }
-
-    pub(crate) fn index(self) -> usize {
-        self.tag() as usize - 1
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            ServiceId::Pastry => 1,
-            ServiceId::Nfs => 2,
-            ServiceId::Kosha => 3,
-            ServiceId::KoshaFs => 4,
-            ServiceId::KoshaReplica => 5,
-        }
-    }
-
-    fn from_tag(t: u8) -> Result<Self, WireError> {
-        match t {
-            1 => Ok(ServiceId::Pastry),
-            2 => Ok(ServiceId::Nfs),
-            3 => Ok(ServiceId::Kosha),
-            4 => Ok(ServiceId::KoshaFs),
-            5 => Ok(ServiceId::KoshaReplica),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
 }
 
-impl WireWrite for ServiceId {
-    fn write(&self, w: &mut Writer) {
-        w.u8(self.tag());
+crate::wire_struct! {
+    /// Optional causal-trace identifiers carried on a request frame
+    /// (Dapper-style propagation; see `kosha_obs::trace`). Absent on
+    /// untraced requests and on frames from pre-trace peers.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct TraceHeader {
+        /// Trace the request belongs to.
+        pub trace_id: u64,
+        /// The caller-side span that issued the request (the parent of any
+        /// server-side spans).
+        pub span_id: u64,
     }
-}
-impl WireRead for ServiceId {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        ServiceId::from_tag(r.u8()?)
-    }
-}
-
-/// Optional causal-trace identifiers carried on a request frame
-/// (Dapper-style propagation; see `kosha_obs::trace`). Absent on
-/// untraced requests and on frames from pre-trace peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceHeader {
-    /// Trace the request belongs to.
-    pub trace_id: u64,
-    /// The caller-side span that issued the request (the parent of any
-    /// server-side spans).
-    pub span_id: u64,
 }
 
 impl TraceHeader {
@@ -162,21 +110,6 @@ impl TraceHeader {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
         }
-    }
-}
-
-impl WireWrite for TraceHeader {
-    fn write(&self, w: &mut Writer) {
-        w.u64(self.trace_id);
-        w.u64(self.span_id);
-    }
-}
-impl WireRead for TraceHeader {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TraceHeader {
-            trace_id: r.u64()?,
-            span_id: r.u64()?,
-        })
     }
 }
 

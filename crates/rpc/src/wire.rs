@@ -264,10 +264,7 @@ impl Writer {
 
     /// Appends a `u32`-count-prefixed sequence.
     pub fn seq<T: WireWrite>(&mut self, items: &[T]) {
-        self.u32(items.len() as u32);
-        for it in items {
-            it.write(self);
-        }
+        T::write_seq(items, self);
     }
 
     /// Bytes written so far, a held payload part included.
@@ -471,15 +468,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u32`-count-prefixed sequence.
     pub fn seq<T: WireRead>(&mut self) -> Result<Vec<T>, WireError> {
-        let n = self.u32()? as usize;
-        if n as u64 > MAX_LEN {
-            return Err(WireError::BadLength(n as u64));
-        }
-        let mut v = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            v.push(T::read(self)?);
-        }
-        Ok(v)
+        T::read_seq(self)
     }
 }
 
@@ -487,6 +476,19 @@ impl<'a> Reader<'a> {
 pub trait WireWrite {
     /// Appends this value's encoding to `w`.
     fn write(&self, w: &mut Writer);
+
+    /// Appends `items` as a `u32` count and then each item: what a
+    /// `Vec<Self>` field is on the wire. `u8` overrides it with the one
+    /// `memcpy` of [`Writer::bytes`]; the bytes are the same.
+    fn write_seq(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        w.u32(items.len() as u32);
+        for it in items {
+            it.write(w);
+        }
+    }
 
     /// One-shot encode into a fresh buffer.
     fn encode(&self) -> Bytes {
@@ -509,6 +511,18 @@ pub trait WireWrite {
 pub trait WireRead: Sized {
     /// Reads one value from `r`.
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Reads what [`WireWrite::write_seq`] wrote. The count is checked
+    /// against [`MAX_LEN`] and no more than 4 096 slots are reserved
+    /// before the items themselves have been seen.
+    fn read_seq(r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
+        let n = r.length_prefix()?;
+        let mut v = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            v.push(Self::read(r)?);
+        }
+        Ok(v)
+    }
 
     /// One-shot decode requiring the buffer to be fully consumed.
     fn decode(buf: &[u8]) -> Result<Self, WireError> {
@@ -544,11 +558,29 @@ macro_rules! impl_wire_int {
     };
 }
 
-impl_wire_int!(u8, u8, u8);
 impl_wire_int!(u16, u16, u16);
 impl_wire_int!(u32, u32, u32);
 impl_wire_int!(u64, u64, u64);
 impl_wire_int!(u128, u128, u128);
+
+// A sequence of `u8` is a byte string: copied in and out whole, not
+// byte by byte.
+impl WireWrite for u8 {
+    fn write(&self, w: &mut Writer) {
+        w.u8(*self);
+    }
+    fn write_seq(items: &[u8], w: &mut Writer) {
+        w.bytes(items);
+    }
+}
+impl WireRead for u8 {
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u8()
+    }
+    fn read_seq(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        r.bytes()
+    }
+}
 
 impl WireWrite for bool {
     fn write(&self, w: &mut Writer) {
@@ -572,14 +604,26 @@ impl WireRead for String {
     }
 }
 
-impl WireWrite for Vec<u8> {
+// READ/WRITE data: the field that may travel beside the head.
+impl WireWrite for Bytes {
     fn write(&self, w: &mut Writer) {
-        w.bytes(self);
+        w.payload(self);
     }
 }
-impl WireRead for Vec<u8> {
+impl WireRead for Bytes {
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.bytes()
+        r.payload()
+    }
+}
+
+impl<T: WireWrite> WireWrite for Vec<T> {
+    fn write(&self, w: &mut Writer) {
+        T::write_seq(self, w);
+    }
+}
+impl<T: WireRead> WireRead for Vec<T> {
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::read_seq(r)
     }
 }
 
@@ -615,6 +659,218 @@ impl<A: WireRead, B: WireRead> WireRead for (A, B) {
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::read(r)?, B::read(r)?))
     }
+}
+
+/// Declares a message enum once: the type, its `u8` tags, both codec
+/// directions and, where asked for, its label tables.
+///
+/// A variant is written as in a Rust `enum` — doc comments, then unit,
+/// one-field tuple (`Name(field: Type)`; the field name is only the
+/// codec's binding) or struct form — followed by `= tag`. The encoding
+/// is the tag byte and then each field in declaration order, encoded by
+/// its type's [`WireWrite`]; no field carries an annotation. Decoding an
+/// unknown tag is [`WireError::BadTag`]; declaring one tag twice does
+/// not compile.
+///
+/// ```
+/// use kosha_rpc::{wire_enum, Bytes, WireRead, WireWrite};
+/// wire_enum! {
+///     /// A store request.
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub enum Store labelled(NAMES, index, name) {
+///         /// Liveness probe.
+///         Ping = 0 => "ping",
+///         /// Write `data` at `offset`.
+///         Put {
+///             /// Byte offset.
+///             offset: u64,
+///             /// The bytes, a view of the frame when decoded from one.
+///             data: Bytes,
+///         } = 4 => "put",
+///         /// Drop the named objects.
+///         Drop(names: Vec<String>) = 2 => "drop",
+///     }
+/// }
+/// let put = Store::Put { offset: 7, data: Bytes::from(vec![1, 2]) };
+/// assert_eq!(&put.encode()[..], [4, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2]);
+/// assert_eq!(Store::decode(&put.encode()), Ok(put.clone()));
+/// assert_eq!(Store::decode(&[3]), Err(kosha_rpc::WireError::BadTag(3)));
+/// assert_eq!((put.name(), put.index(), Store::NAMES), ("put", 1, ["ping", "put", "drop"]));
+/// ```
+///
+/// With `labelled(NAMES, index, name)` after the type's name every
+/// variant also carries `=> "label"`, and the type gains the constant
+/// array of labels in declaration order, the position of a value's
+/// variant in it, and the label itself, under the three names given.
+/// An enum of unit variants only is also given `ALL`, `tag()` and
+/// `from_tag()`.
+///
+/// ```compile_fail
+/// kosha_rpc::wire_enum! {
+///     pub enum Twice {
+///         A = 1,
+///         B = 1,
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident labelled($names:ident, $index:ident, $label_of:ident) {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $({ $($fields:tt)* })? $(( $($tuple:tt)* ))? = $tag:literal => $label:literal
+            ),* $(,)?
+        }
+    ) => {
+        $crate::wire_enum! {
+            $(#[$meta])*
+            $vis enum $name {
+                $( $(#[$vmeta])* $variant $({ $($fields)* })? $(( $($tuple)* ))? = $tag ),*
+            }
+        }
+        impl $name {
+            /// Stable lower-case label of every variant, in declaration
+            /// order (which is metric registration order).
+            pub const $names: [&'static str; [$($tag),*].len()] = [$($label),*];
+
+            /// Position of this value's variant in the declaration, and
+            /// so of its label in the label array.
+            #[must_use]
+            pub fn $index(&self) -> usize {
+                enum Position { $($variant),* }
+                match self { $( Self::$variant { .. } => Position::$variant as usize ),* }
+            }
+
+            /// Stable lower-case label of this value's variant (span
+            /// names, metric names, journal details).
+            #[must_use]
+            pub fn $label_of(&self) -> &'static str {
+                match self { $( Self::$variant { .. } => $label ),* }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $tag:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name { $( $(#[$vmeta])* $variant ),* }
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($tag),*].len()] = [$(Self::$variant),*];
+
+            /// The byte this variant is on the wire.
+            #[must_use]
+            pub fn tag(&self) -> u8 {
+                match self { $( Self::$variant => $tag ),* }
+            }
+
+            /// The variant `tag` stands for.
+            #[deny(unreachable_patterns)]
+            pub fn from_tag(tag: u8) -> Result<Self, $crate::WireError> {
+                match tag {
+                    $( $tag => Ok(Self::$variant), )*
+                    t => Err($crate::WireError::BadTag(t)),
+                }
+            }
+        }
+        impl $crate::WireWrite for $name {
+            fn write(&self, w: &mut $crate::Writer) {
+                w.u8(self.tag());
+            }
+        }
+        impl $crate::WireRead for $name {
+            fn read(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Self::from_tag(r.u8()?)
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $({ $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? })?
+                $(( $tfield:ident : $tty:ty ))?
+                = $tag:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $fty ),* })? $(( $tty ))? ),*
+        }
+        impl $crate::WireWrite for $name {
+            fn write(&self, w: &mut $crate::Writer) {
+                match self {
+                    $( Self::$variant $({ $($field),* })? $(( $tfield ))? => {
+                        w.u8($tag);
+                        $($( $crate::WireWrite::write($field, w); )*)?
+                        $( $crate::WireWrite::write($tfield, w); )?
+                    } )*
+                }
+            }
+        }
+        impl $crate::WireRead for $name {
+            #[deny(unreachable_patterns)]
+            fn read(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok(match r.u8()? {
+                    $( $tag => Self::$variant
+                        $({ $( $field: <$fty as $crate::WireRead>::read(r)? ),* })?
+                        $(( <$tty as $crate::WireRead>::read(r)? ))?, )*
+                    t => return Err($crate::WireError::BadTag(t)),
+                })
+            }
+        }
+    };
+}
+
+/// Declares a message struct once: the type and both codec directions,
+/// each field in declaration order by its type's [`WireWrite`] and
+/// [`WireRead`] (see [`wire_enum!`]).
+///
+/// ```
+/// use kosha_rpc::{wire_struct, WireRead, WireWrite};
+/// wire_struct! {
+///     /// A handle.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub struct Handle {
+///         /// Inode number.
+///         pub ino: u64,
+///         /// Generation.
+///         pub gen: u32,
+///     }
+/// }
+/// let h = Handle { ino: 1, gen: 2 };
+/// assert_eq!(&h.encode()[..], [1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_eq!(Handle::decode(&h.encode()), Ok(h));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name { $( $(#[$fmeta])* $fvis $field: $fty ),* }
+        impl $crate::WireWrite for $name {
+            fn write(&self, w: &mut $crate::Writer) {
+                $( $crate::WireWrite::write(&self.$field, w); )*
+            }
+        }
+        impl $crate::WireRead for $name {
+            fn read(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                Ok($name { $( $field: <$fty as $crate::WireRead>::read(r)? ),* })
+            }
+        }
+    };
 }
 
 #[cfg(test)]
