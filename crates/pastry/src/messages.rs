@@ -1,194 +1,98 @@
 //! Overlay protocol messages and their wire encodings.
 
 use kosha_id::Id;
-use kosha_rpc::{NodeAddr, Reader, WireError, WireRead, WireWrite, Writer};
+use kosha_rpc::{wire_enum, wire_struct, NodeAddr};
 
-/// A node's overlay identity: its Pastry id plus its physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeInfo {
-    /// Pastry node identifier (changes if the machine is reincarnated).
-    pub id: Id,
-    /// Physical address on the transport.
-    pub addr: NodeAddr,
-}
-
-impl WireWrite for NodeInfo {
-    fn write(&self, w: &mut Writer) {
-        w.value(&self.id);
-        w.value(&self.addr);
-    }
-}
-impl WireRead for NodeInfo {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeInfo {
-            id: r.value()?,
-            addr: r.value()?,
-        })
+wire_struct! {
+    /// A node's overlay identity: its Pastry id plus its physical address.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct NodeInfo {
+        /// Pastry node identifier (changes if the machine is reincarnated).
+        pub id: Id,
+        /// Physical address on the transport.
+        pub addr: NodeAddr,
     }
 }
 
-/// Requests a node's overlay service answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PastryRequest {
-    /// "Which node should handle `key` next?" — one step of iterative
-    /// routing. `exclude` lists addresses the caller has observed to be
-    /// dead so the hop proposes an alternative.
-    NextHop {
-        /// Routing key.
-        key: Id,
-        /// Known-dead addresses to route around.
-        exclude: Vec<NodeAddr>,
-    },
-    /// Fetch routing-table row `row` (used during join: the `i`-th node on
-    /// the join route supplies row `i`).
-    GetRow {
-        /// Row index.
-        row: u32,
-    },
-    /// Fetch the node's current leaf set (join and repair).
-    GetLeafSet,
-    /// "I exist; add me to your tables." Sent by a joined node to every
-    /// node it learned of, and by maintenance when links are refreshed.
-    Announce {
-        /// The announcing node.
-        node: NodeInfo,
-    },
-    /// Graceful departure notice.
-    Depart {
-        /// The departing node.
-        node: NodeInfo,
-    },
-    /// Liveness probe.
-    Ping,
-}
-
-impl WireWrite for PastryRequest {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            PastryRequest::NextHop { key, exclude } => {
-                w.u8(0);
-                w.value(key);
-                w.seq(exclude);
-            }
-            PastryRequest::GetRow { row } => {
-                w.u8(1);
-                w.u32(*row);
-            }
-            PastryRequest::GetLeafSet => w.u8(2),
-            PastryRequest::Announce { node } => {
-                w.u8(3);
-                w.value(node);
-            }
-            PastryRequest::Depart { node } => {
-                w.u8(4);
-                w.value(node);
-            }
-            PastryRequest::Ping => w.u8(5),
-        }
+wire_enum! {
+    /// Requests a node's overlay service answers.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum PastryRequest {
+        /// "Which node should handle `key` next?" — one step of iterative
+        /// routing. `exclude` lists addresses the caller has observed to be
+        /// dead so the hop proposes an alternative.
+        NextHop {
+            /// Routing key.
+            key: Id,
+            /// Known-dead addresses to route around.
+            exclude: Vec<NodeAddr>,
+        } = 0,
+        /// Fetch routing-table row `row` (used during join: the `i`-th node on
+        /// the join route supplies row `i`).
+        GetRow {
+            /// Row index.
+            row: u32,
+        } = 1,
+        /// Fetch the node's current leaf set (join and repair).
+        GetLeafSet = 2,
+        /// "I exist; add me to your tables." Sent by a joined node to every
+        /// node it learned of, and by maintenance when links are refreshed.
+        Announce {
+            /// The announcing node.
+            node: NodeInfo,
+        } = 3,
+        /// Graceful departure notice.
+        Depart {
+            /// The departing node.
+            node: NodeInfo,
+        } = 4,
+        /// Liveness probe.
+        Ping = 5,
     }
 }
 
-impl WireRead for PastryRequest {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => PastryRequest::NextHop {
-                key: r.value()?,
-                exclude: r.seq()?,
-            },
-            1 => PastryRequest::GetRow { row: r.u32()? },
-            2 => PastryRequest::GetLeafSet,
-            3 => PastryRequest::Announce { node: r.value()? },
-            4 => PastryRequest::Depart { node: r.value()? },
-            5 => PastryRequest::Ping,
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
-/// Replies to [`PastryRequest`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PastryReply {
-    /// Next-hop decision: if `owner` the replying node is the key's owner;
-    /// otherwise `next` names a strictly better hop (or `None` if the node
-    /// knows no better live candidate, in which case the replier is the
-    /// best known owner).
-    NextHop {
-        /// Better hop toward the key, if one exists.
-        next: Option<NodeInfo>,
-        /// True if the replying node owns the key.
-        owner: bool,
-    },
-    /// One routing-table row (non-empty entries only).
-    Row {
-        /// Entries present in the row.
-        entries: Vec<NodeInfo>,
-    },
-    /// The node's leaf set members (both sides, deduplicated), plus the
-    /// node itself.
-    LeafSet {
-        /// The replying node.
-        me: NodeInfo,
-        /// Leaf set members.
-        members: Vec<NodeInfo>,
-    },
-    /// Generic acknowledgement.
-    Ack,
-    /// Ping response carrying the node's current identity (a reincarnated
-    /// node answers with its *new* id, letting callers detect staleness).
-    Pong {
-        /// The responding node.
-        node: NodeInfo,
-    },
-}
-
-impl WireWrite for PastryReply {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            PastryReply::NextHop { next, owner } => {
-                w.u8(0);
-                w.option(next);
-                w.boolean(*owner);
-            }
-            PastryReply::Row { entries } => {
-                w.u8(1);
-                w.seq(entries);
-            }
-            PastryReply::LeafSet { me, members } => {
-                w.u8(2);
-                w.value(me);
-                w.seq(members);
-            }
-            PastryReply::Ack => w.u8(3),
-            PastryReply::Pong { node } => {
-                w.u8(4);
-                w.value(node);
-            }
-        }
-    }
-}
-
-impl WireRead for PastryReply {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => PastryReply::NextHop {
-                next: r.option()?,
-                owner: r.boolean()?,
-            },
-            1 => PastryReply::Row { entries: r.seq()? },
-            2 => PastryReply::LeafSet {
-                me: r.value()?,
-                members: r.seq()?,
-            },
-            3 => PastryReply::Ack,
-            4 => PastryReply::Pong { node: r.value()? },
-            t => return Err(WireError::BadTag(t)),
-        })
+wire_enum! {
+    /// Replies to [`PastryRequest`]s.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum PastryReply {
+        /// Next-hop decision: if `owner` the replying node is the key's owner;
+        /// otherwise `next` names a strictly better hop (or `None` if the node
+        /// knows no better live candidate, in which case the replier is the
+        /// best known owner).
+        NextHop {
+            /// Better hop toward the key, if one exists.
+            next: Option<NodeInfo>,
+            /// True if the replying node owns the key.
+            owner: bool,
+        } = 0,
+        /// One routing-table row (non-empty entries only).
+        Row {
+            /// Entries present in the row.
+            entries: Vec<NodeInfo>,
+        } = 1,
+        /// The node's leaf set members (both sides, deduplicated), plus the
+        /// node itself.
+        LeafSet {
+            /// The replying node.
+            me: NodeInfo,
+            /// Leaf set members.
+            members: Vec<NodeInfo>,
+        } = 2,
+        /// Generic acknowledgement.
+        Ack = 3,
+        /// Ping response carrying the node's current identity (a reincarnated
+        /// node answers with its *new* id, letting callers detect staleness).
+        Pong {
+            /// The responding node.
+            node: NodeInfo,
+        } = 4,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kosha_rpc::{WireRead, WireWrite};
 
     fn rt_req(m: PastryRequest) {
         let b = m.encode();
