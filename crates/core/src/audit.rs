@@ -31,6 +31,7 @@ use crate::control::{AuditEntry, KoshaReply, KoshaReplyFrame, KoshaRequest};
 use crate::node::KoshaNode;
 use crate::paths::{anchor_slot, is_internal_name, Area, HOT_MARK, LAG_MARK, MIGRATION_FLAG};
 use kosha_id::Sha1;
+use kosha_nfs::messages::ReplyFrame;
 use kosha_obs::Obs;
 use kosha_rpc::{Network, NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::{ExportItem, ExportKind};
@@ -343,7 +344,7 @@ pub fn audit_cluster(
     let mut replicas: BTreeMap<String, Vec<AuditCopy>> = BTreeMap::new();
     for (&addr, result) in peers.iter().zip(results) {
         let entries = match result.and_then(|r| r.decode::<KoshaReplyFrame>()) {
-            Ok(KoshaReplyFrame(Ok(KoshaReply::Audit(entries)))) => entries,
+            Ok(ReplyFrame(Ok(KoshaReply::Audit(entries)))) => entries,
             _ => {
                 report.nodes_unreachable += 1;
                 continue;

@@ -7,40 +7,44 @@
 //! against the primary's store. The protocol also carries promotion
 //! queries (fault handling, §4.4) and anchor migration (§4.3).
 
-use kosha_nfs::messages::{WireAttr, WireSetAttr};
+use kosha_nfs::messages::{ReplyFrame, WireAttr, WireSetAttr};
 use kosha_nfs::Fh;
-use kosha_rpc::{Bytes, Reader, WireError, WireRead, WireWrite, Writer};
+use kosha_rpc::{wire_enum, wire_struct, Bytes};
 use kosha_vfs::{ExportItem, ExportKind};
 
-/// One object pushed during anchor migration or replica repair.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrateItem {
-    /// Path relative to the anchor root ("" = the anchor directory).
-    pub rel_path: String,
-    /// Object payload.
-    pub kind: MigrateKind,
-    /// Permission bits.
-    pub mode: u32,
-    /// Owner uid.
-    pub uid: u32,
-    /// Owner gid.
-    pub gid: u32,
+wire_struct! {
+    /// One object pushed during anchor migration or replica repair.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MigrateItem {
+        /// Path relative to the anchor root ("" = the anchor directory).
+        pub rel_path: String,
+        /// Object payload.
+        pub kind: MigrateKind,
+        /// Permission bits.
+        pub mode: u32,
+        /// Owner uid.
+        pub uid: u32,
+        /// Owner gid.
+        pub gid: u32,
+    }
 }
 
-/// Payload variants for [`MigrateItem`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MigrateKind {
-    /// Directory.
-    Dir,
-    /// Regular file with contents.
-    Bytes(Vec<u8>),
-    /// Sparse (size-only) file.
-    Sparse(u64),
-    /// Symlink (user or special).
-    Symlink {
-        /// Link target.
-        target: String,
-    },
+wire_enum! {
+    /// Payload variants for [`MigrateItem`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum MigrateKind {
+        /// Directory.
+        Dir = 0,
+        /// Regular file with contents.
+        Bytes(data: Vec<u8>) = 1,
+        /// Sparse (size-only) file.
+        Sparse(size: u64) = 2,
+        /// Symlink (user or special).
+        Symlink {
+            /// Link target.
+            target: String,
+        } = 3,
+    }
 }
 
 impl From<ExportItem> for MigrateItem {
@@ -60,1057 +64,446 @@ impl From<ExportItem> for MigrateItem {
     }
 }
 
-impl WireWrite for MigrateItem {
-    fn write(&self, w: &mut Writer) {
-        w.string(&self.rel_path);
-        match &self.kind {
-            MigrateKind::Dir => w.u8(0),
-            MigrateKind::Bytes(b) => {
-                w.u8(1);
-                w.bytes(b);
-            }
-            MigrateKind::Sparse(n) => {
-                w.u8(2);
-                w.u64(*n);
-            }
-            MigrateKind::Symlink { target } => {
-                w.u8(3);
-                w.string(target);
-            }
-        }
-        w.u32(self.mode);
-        w.u32(self.uid);
-        w.u32(self.gid);
-    }
-}
-impl WireRead for MigrateItem {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let rel_path = r.string()?;
-        let kind = match r.u8()? {
-            0 => MigrateKind::Dir,
-            1 => MigrateKind::Bytes(r.bytes()?),
-            2 => MigrateKind::Sparse(r.u64()?),
-            3 => MigrateKind::Symlink {
-                target: r.string()?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(MigrateItem {
-            rel_path,
-            kind,
-            mode: r.u32()?,
-            uid: r.u32()?,
-            gid: r.u32()?,
-        })
+wire_struct! {
+    /// One store or replica slot's consistency digest, as reported by
+    /// [`KoshaRequest::AuditScan`]. The digest is a SHA-1 over the slot
+    /// subtree's canonical serialization with Kosha-internal bookkeeping
+    /// files (`.kosha_anchor`, `.kosha_lag`, `MIGRATION_NOT_COMPLETE`)
+    /// excluded, so a primary copy and an up-to-date replica copy hash
+    /// identically (see `kosha::audit::tree_digest`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AuditEntry {
+        /// Slot directory name (`@` + 16 hex of the anchor-path SHA-1).
+        pub slot: String,
+        /// Anchor virtual path, when the reporting node knows it (primaries
+        /// do; replica holders report `""` and the auditor joins on `slot`).
+        pub path: String,
+        /// False for a `/kosha_store` (primary) copy, true for a
+        /// `/kosha_replica` copy.
+        pub replica: bool,
+        /// Lower-case 40-hex SHA-1 of the canonical subtree serialization.
+        pub digest: String,
+        /// Payload bytes in the slot (file contents + symlink targets),
+        /// internal files excluded.
+        pub bytes: u64,
+        /// Objects in the slot (files, dirs, symlinks below the slot root),
+        /// internal files excluded.
+        pub files: u64,
+        /// A `.kosha_lag` marker is present: the copy is known to be behind
+        /// an unflushed write-behind window.
+        pub lag_marker: bool,
+        /// A `MIGRATION_NOT_COMPLETE` flag is present: the copy is mid-push
+        /// and expected to diverge until the bracket closes.
+        pub migrating: bool,
+        /// A `.kosha_hot` lease marker is present: the slot holds read-only
+        /// heat-driven cached copies, not a durable K replica. Hot slots
+        /// carry only the leased objects, so their digests are expected to
+        /// differ from the primary's; the auditor counts them separately
+        /// instead of reporting divergence/over-replication (DESIGN.md §16).
+        pub hot: bool,
     }
 }
 
-/// One store or replica slot's consistency digest, as reported by
-/// [`KoshaRequest::AuditScan`]. The digest is a SHA-1 over the slot
-/// subtree's canonical serialization with Kosha-internal bookkeeping
-/// files (`.kosha_anchor`, `.kosha_lag`, `MIGRATION_NOT_COMPLETE`)
-/// excluded, so a primary copy and an up-to-date replica copy hash
-/// identically (see `kosha::audit::tree_digest`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditEntry {
-    /// Slot directory name (`@` + 16 hex of the anchor-path SHA-1).
-    pub slot: String,
-    /// Anchor virtual path, when the reporting node knows it (primaries
-    /// do; replica holders report `""` and the auditor joins on `slot`).
-    pub path: String,
-    /// False for a `/kosha_store` (primary) copy, true for a
-    /// `/kosha_replica` copy.
-    pub replica: bool,
-    /// Lower-case 40-hex SHA-1 of the canonical subtree serialization.
-    pub digest: String,
-    /// Payload bytes in the slot (file contents + symlink targets),
-    /// internal files excluded.
-    pub bytes: u64,
-    /// Objects in the slot (files, dirs, symlinks below the slot root),
-    /// internal files excluded.
-    pub files: u64,
-    /// A `.kosha_lag` marker is present: the copy is known to be behind
-    /// an unflushed write-behind window.
-    pub lag_marker: bool,
-    /// A `MIGRATION_NOT_COMPLETE` flag is present: the copy is mid-push
-    /// and expected to diverge until the bracket closes.
-    pub migrating: bool,
-    /// A `.kosha_hot` lease marker is present: the slot holds read-only
-    /// heat-driven cached copies, not a durable K replica. Hot slots
-    /// carry only the leased objects, so their digests are expected to
-    /// differ from the primary's; the auditor counts them separately
-    /// instead of reporting divergence/over-replication (DESIGN.md §16).
-    pub hot: bool,
-}
-
-impl WireWrite for AuditEntry {
-    fn write(&self, w: &mut Writer) {
-        w.string(&self.slot);
-        w.string(&self.path);
-        w.boolean(self.replica);
-        w.string(&self.digest);
-        w.u64(self.bytes);
-        w.u64(self.files);
-        w.boolean(self.lag_marker);
-        w.boolean(self.migrating);
-        w.boolean(self.hot);
-    }
-}
-impl WireRead for AuditEntry {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AuditEntry {
-            slot: r.string()?,
-            path: r.string()?,
-            replica: r.boolean()?,
-            digest: r.string()?,
-            bytes: r.u64()?,
-            files: r.u64()?,
-            lag_marker: r.boolean()?,
-            migrating: r.boolean()?,
-            hot: r.boolean()?,
-        })
-    }
-}
-
-/// Requests handled by a node's Kosha control service. Every path is a
-/// full virtual path (relative to `/kosha`, normalized).
-#[derive(Debug, Clone, PartialEq)]
-pub enum KoshaRequest {
-    /// Create a regular file (primary of the parent directory). `size`
-    /// creates a quota-charged sparse file (simulation inserts).
-    CreateFile {
-        /// Virtual path of the new file.
-        path: String,
-        /// Permission bits.
-        mode: u32,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-        /// Sparse size, if any.
-        size: Option<u64>,
-    },
-    /// Create a non-distributed directory (depth > level) on the node
-    /// holding its parent.
-    MkdirLocal {
-        /// Virtual path of the new directory.
-        path: String,
-        /// Permission bits.
-        mode: u32,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-    },
-    /// Materialize a distributed directory on this node: create the empty
-    /// ancestor hierarchy, the directory itself, and the anchor metadata.
-    MkdirAnchor {
-        /// Virtual path of the new anchor directory.
-        path: String,
-        /// The (possibly salted) name this anchor is routed by.
-        routing_name: String,
-        /// Permission bits.
-        mode: u32,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-    },
-    /// Place a special link in a parent directory hosted on this node
-    /// (§3.1, §3.3). `path` is the link's own virtual path.
-    PlaceLink {
-        /// Virtual path of the link (parent's listing entry).
-        path: String,
-        /// Routing name the link points at (`name` or `name#salt`).
-        target: String,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-    },
-    /// Create a user-level symlink (lives with its parent directory).
-    SymlinkFile {
-        /// Virtual path of the symlink.
-        path: String,
-        /// Target string (opaque to Kosha).
-        target: String,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-    },
-    /// Write data to a file.
-    Write {
-        /// Virtual path of the file.
-        path: String,
-        /// Byte offset.
-        offset: u64,
-        /// Data (on the primary, a view of the request frame).
-        data: Bytes,
-    },
-    /// Update attributes of a file or directory hosted on this node.
-    SetAttr {
-        /// Virtual path.
-        path: String,
-        /// Attribute changes.
-        sattr: WireSetAttr,
-    },
-    /// Remove a file or user symlink.
-    Remove {
-        /// Virtual path.
-        path: String,
-    },
-    /// Remove an empty non-distributed directory.
-    Rmdir {
-        /// Virtual path.
-        path: String,
-    },
-    /// Tear down a distributed directory hosted on this node: verify
-    /// empty, remove it, prune the now-empty ancestor hierarchy (§4.1.5).
-    RmdirAnchor {
-        /// Virtual path of the anchor directory.
-        path: String,
-    },
-    /// Remove the special link entry for a deleted/migrated distributed
-    /// directory from its parent's listing on this node.
-    RemoveLink {
-        /// Virtual path of the link.
-        path: String,
-    },
-    /// Rename an entry where both source and destination live on this
-    /// node (same-parent renames and local moves). Renames a special link
-    /// without touching its target, per §4.1.4.
-    RenameLocal {
-        /// Source virtual path.
-        from: String,
-        /// Destination virtual path.
-        to: String,
-    },
-    /// Rename the materialized directory of an anchor hosted on this node
-    /// (the "rename on B" half of §4.1.4's two-node link rename).
-    RenameAnchorDir {
-        /// Current anchor virtual path.
-        from: String,
-        /// New anchor virtual path.
-        to: String,
-    },
-    /// Resolution/fault handling: make sure this node serves the anchor
-    /// at `path`. If the anchor is in the store, a no-op; if it is only in
-    /// the replica area, promote it (§4.4); if it is the root anchor and
-    /// absent everywhere, create it empty. Replies `DoneBool(promoted)`;
-    /// fails with `NoEnt` if the anchor cannot be served.
-    EnsureAnchor {
-        /// Anchor virtual path.
-        path: String,
-        /// Routing name the caller used to reach this node.
-        routing: String,
-    },
-    /// Query `(capacity, used, free)` of this node's contributed space —
-    /// the fullness test behind redirection (§3.3).
-    StoreStats,
-    /// Migration: begin receiving an anchor subtree into the store.
-    BeginTransfer {
-        /// Anchor virtual path.
-        path: String,
-    },
-    /// Migration: one object of the subtree.
-    TransferPut {
-        /// Anchor virtual path.
-        path: String,
-        /// The object.
-        item: MigrateItem,
-    },
-    /// Migration: subtree complete; adopt the anchor (record routing name,
-    /// clear flags, start replicating it).
-    CommitTransfer {
-        /// Anchor virtual path.
-        path: String,
-        /// Routing name of the anchor.
-        routing_name: String,
-    },
-    /// Introspection: list `(anchor_path, routing_name)` pairs hosted
-    /// here (tests and experiment harnesses).
-    ListAnchors,
-    /// Ask the primary for the current replica holders of the anchor
-    /// covering `path` (read-from-replica optimization, §4.2).
-    ReplicaTargets {
-        /// Virtual path whose covering anchor's replicas are wanted.
-        path: String,
-    },
-    /// Replica maintenance (served on `ServiceId::KoshaReplica`): replace
-    /// the receiver's replica copy of `path` with the batched subtree in
-    /// one round trip, bracketed by the `MIGRATION_NOT_COMPLETE` flag.
-    MigrateBatch {
-        /// Anchor virtual path.
-        path: String,
-        /// The full subtree, in parent-before-child order.
-        items: Vec<MigrateItem>,
-    },
-    /// Replica maintenance (served on `ServiceId::KoshaReplica`): apply
-    /// one mutation to the receiver's replica area. The primary fans the
-    /// same op out to all K replica holders concurrently. Handlers touch
-    /// only local state — no nested RPCs — so concurrent fan-outs
-    /// between primaries cannot form call cycles.
-    ReplicaApply {
-        /// The mutation, mirroring the primary's own store change.
-        op: ReplicaOp,
-    },
-    /// Replica maintenance (served on `ServiceId::KoshaReplica`): apply a
-    /// coalesced batch of mutations in order, in one round trip — the
-    /// write-behind pump's flush unit. Like `ReplicaApply`, handlers
-    /// touch only local state, so the service stays cycle-free.
-    ReplicaApplyBatch {
-        /// The mutations, in primary apply order (post-coalescing).
-        ops: Vec<ReplicaOp>,
-    },
-    /// Flush barrier: drain this primary's write-behind queues
-    /// synchronously before replying. Sent by koshad on NFS COMMIT; a
-    /// no-op under synchronous replication.
-    Flush {
-        /// Virtual path the barrier was issued against (journaled).
-        path: String,
-    },
-    /// Anti-entropy audit: digest every store and replica slot held by
-    /// the receiver and reply with one [`AuditEntry`] per slot. The
-    /// handler reads only local state (no nested RPCs), so the audit
-    /// pass can fan out to every node concurrently without risking call
-    /// cycles.
-    AuditScan,
-    /// Replica-slot garbage-collection probe: like `ReplicaTargets`, but
-    /// keyed by the replica-area slot name — holders know their slots,
-    /// not necessarily the anchor's virtual path. The owner replies with
-    /// the anchor's current replica holders, or `NoEnt` when it hosts no
-    /// anchor for `slot` (the holder then keeps its copy, conservatively).
-    ReplicaTargetsBySlot {
-        /// Slot directory name (`@` + 16 hex digits of the routing key).
-        slot: String,
-        /// Transport address of the probing holder. When the answer does
-        /// not list this node the holder will drop its copy, so the owner
-        /// voids its full-push memo for the anchor — the next maintenance
-        /// pass re-pushes even if the holder later rejoins the target set
-        /// with the primary content unchanged.
-        holder: u64,
-    },
-    /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
-    /// place or refresh one read-only cached copy of a hot object in the
-    /// receiver's replica area, leased until `expires_nanos` and stamped
-    /// with the primary's mutation sequence. The request carries the full
-    /// object payload, so the handler touches only local state (no nested
-    /// RPCs) like every other replica-service handler (DESIGN.md §16).
-    HotReplicaPush {
-        /// Covering anchor virtual path of the hot object.
-        anchor: String,
-        /// The anchor's routing name (recorded in the slot's
-        /// `.kosha_anchor` so replica-slot GC can find the owner).
-        routing: String,
-        /// Virtual path of the hot object.
-        path: String,
-        /// Primary mutation sequence the pushed payload reflects.
-        seq: u64,
-        /// Lease expiry in virtual nanoseconds.
-        expires_nanos: u64,
-        /// The object itself (`rel_path` relative to the anchor root,
-        /// parent directories implied).
-        item: MigrateItem,
-    },
-    /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
-    /// revoke the receiver's hot copy of `path` — heat decayed, the
-    /// object was mutated without a refresh, or it was removed. A no-op
-    /// when the receiver's slot carries no `.kosha_hot` lease for the
-    /// path (e.g. the slot became a durable replica in the meantime).
-    HotReplicaDrop {
-        /// Covering anchor virtual path.
-        anchor: String,
-        /// Virtual path of the object whose lease is revoked.
-        path: String,
-    },
-}
-
-impl KoshaRequest {
-    /// Short stable name of the request kind, used to label trace spans
-    /// (`kosha:{name}` on the control service, `replica:{name}` on the
-    /// replica service) and journal details.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            KoshaRequest::CreateFile { .. } => "create_file",
-            KoshaRequest::MkdirLocal { .. } => "mkdir_local",
-            KoshaRequest::MkdirAnchor { .. } => "mkdir_anchor",
-            KoshaRequest::PlaceLink { .. } => "place_link",
-            KoshaRequest::SymlinkFile { .. } => "symlink_file",
-            KoshaRequest::Write { .. } => "write",
-            KoshaRequest::SetAttr { .. } => "setattr",
-            KoshaRequest::Remove { .. } => "remove",
-            KoshaRequest::Rmdir { .. } => "rmdir",
-            KoshaRequest::RmdirAnchor { .. } => "rmdir_anchor",
-            KoshaRequest::RemoveLink { .. } => "remove_link",
-            KoshaRequest::RenameLocal { .. } => "rename_local",
-            KoshaRequest::RenameAnchorDir { .. } => "rename_anchor_dir",
-            KoshaRequest::EnsureAnchor { .. } => "ensure_anchor",
-            KoshaRequest::StoreStats => "store_stats",
-            KoshaRequest::BeginTransfer { .. } => "begin_transfer",
-            KoshaRequest::TransferPut { .. } => "transfer_put",
-            KoshaRequest::CommitTransfer { .. } => "commit_transfer",
-            KoshaRequest::ListAnchors => "list_anchors",
-            KoshaRequest::ReplicaTargets { .. } => "replica_targets",
-            KoshaRequest::MigrateBatch { .. } => "migrate_batch",
-            KoshaRequest::ReplicaApply { .. } => "replica_apply",
-            KoshaRequest::ReplicaApplyBatch { .. } => "replica_apply_batch",
-            KoshaRequest::Flush { .. } => "flush",
-            KoshaRequest::AuditScan => "audit_scan",
-            KoshaRequest::ReplicaTargetsBySlot { .. } => "replica_targets_by_slot",
-            KoshaRequest::HotReplicaPush { .. } => "hot_replica_push",
-            KoshaRequest::HotReplicaDrop { .. } => "hot_replica_drop",
-        }
+wire_enum! {
+    /// Requests handled by a node's Kosha control service. Every path is a
+    /// full virtual path (relative to `/kosha`, normalized).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum KoshaRequest labelled(NAMES, index, name) {
+        /// Create a regular file (primary of the parent directory). `size`
+        /// creates a quota-charged sparse file (simulation inserts).
+        CreateFile {
+            /// Virtual path of the new file.
+            path: String,
+            /// Permission bits.
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+            /// Sparse size, if any.
+            size: Option<u64>,
+        } = 0 => "create_file",
+        /// Create a non-distributed directory (depth > level) on the node
+        /// holding its parent.
+        MkdirLocal {
+            /// Virtual path of the new directory.
+            path: String,
+            /// Permission bits.
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 1 => "mkdir_local",
+        /// Materialize a distributed directory on this node: create the empty
+        /// ancestor hierarchy, the directory itself, and the anchor metadata.
+        MkdirAnchor {
+            /// Virtual path of the new anchor directory.
+            path: String,
+            /// The (possibly salted) name this anchor is routed by.
+            routing_name: String,
+            /// Permission bits.
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 2 => "mkdir_anchor",
+        /// Place a special link in a parent directory hosted on this node
+        /// (§3.1, §3.3). `path` is the link's own virtual path.
+        PlaceLink {
+            /// Virtual path of the link (parent's listing entry).
+            path: String,
+            /// Routing name the link points at (`name` or `name#salt`).
+            target: String,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 3 => "place_link",
+        /// Create a user-level symlink (lives with its parent directory).
+        SymlinkFile {
+            /// Virtual path of the symlink.
+            path: String,
+            /// Target string (opaque to Kosha).
+            target: String,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 4 => "symlink_file",
+        /// Write data to a file.
+        Write {
+            /// Virtual path of the file.
+            path: String,
+            /// Byte offset.
+            offset: u64,
+            /// Data (on the primary, a view of the request frame).
+            data: Bytes,
+        } = 5 => "write",
+        /// Update attributes of a file or directory hosted on this node.
+        SetAttr {
+            /// Virtual path.
+            path: String,
+            /// Attribute changes.
+            sattr: WireSetAttr,
+        } = 6 => "setattr",
+        /// Remove a file or user symlink.
+        Remove {
+            /// Virtual path.
+            path: String,
+        } = 7 => "remove",
+        /// Remove an empty non-distributed directory.
+        Rmdir {
+            /// Virtual path.
+            path: String,
+        } = 8 => "rmdir",
+        /// Tear down a distributed directory hosted on this node: verify
+        /// empty, remove it, prune the now-empty ancestor hierarchy (§4.1.5).
+        RmdirAnchor {
+            /// Virtual path of the anchor directory.
+            path: String,
+        } = 9 => "rmdir_anchor",
+        /// Remove the special link entry for a deleted/migrated distributed
+        /// directory from its parent's listing on this node.
+        RemoveLink {
+            /// Virtual path of the link.
+            path: String,
+        } = 10 => "remove_link",
+        /// Rename an entry where both source and destination live on this
+        /// node (same-parent renames and local moves). Renames a special link
+        /// without touching its target, per §4.1.4.
+        RenameLocal {
+            /// Source virtual path.
+            from: String,
+            /// Destination virtual path.
+            to: String,
+        } = 11 => "rename_local",
+        /// Rename the materialized directory of an anchor hosted on this node
+        /// (the "rename on B" half of §4.1.4's two-node link rename).
+        RenameAnchorDir {
+            /// Current anchor virtual path.
+            from: String,
+            /// New anchor virtual path.
+            to: String,
+        } = 12 => "rename_anchor_dir",
+        /// Resolution/fault handling: make sure this node serves the anchor
+        /// at `path`. If the anchor is in the store, a no-op; if it is only in
+        /// the replica area, promote it (§4.4); if it is the root anchor and
+        /// absent everywhere, create it empty. Replies `DoneBool(promoted)`;
+        /// fails with `NoEnt` if the anchor cannot be served.
+        EnsureAnchor {
+            /// Anchor virtual path.
+            path: String,
+            /// Routing name the caller used to reach this node.
+            routing: String,
+        } = 13 => "ensure_anchor",
+        /// Query `(capacity, used, free)` of this node's contributed space —
+        /// the fullness test behind redirection (§3.3).
+        StoreStats = 14 => "store_stats",
+        /// Migration: begin receiving an anchor subtree into the store.
+        BeginTransfer {
+            /// Anchor virtual path.
+            path: String,
+        } = 15 => "begin_transfer",
+        /// Migration: one object of the subtree.
+        TransferPut {
+            /// Anchor virtual path.
+            path: String,
+            /// The object.
+            item: MigrateItem,
+        } = 16 => "transfer_put",
+        /// Migration: subtree complete; adopt the anchor (record routing name,
+        /// clear flags, start replicating it).
+        CommitTransfer {
+            /// Anchor virtual path.
+            path: String,
+            /// Routing name of the anchor.
+            routing_name: String,
+        } = 17 => "commit_transfer",
+        /// Introspection: list `(anchor_path, routing_name)` pairs hosted
+        /// here (tests and experiment harnesses).
+        ListAnchors = 18 => "list_anchors",
+        /// Ask the primary for the current replica holders of the anchor
+        /// covering `path` (read-from-replica optimization, §4.2).
+        ReplicaTargets {
+            /// Virtual path whose covering anchor's replicas are wanted.
+            path: String,
+        } = 19 => "replica_targets",
+        /// Replica maintenance (served on `ServiceId::KoshaReplica`): replace
+        /// the receiver's replica copy of `path` with the batched subtree in
+        /// one round trip, bracketed by the `MIGRATION_NOT_COMPLETE` flag.
+        MigrateBatch {
+            /// Anchor virtual path.
+            path: String,
+            /// The full subtree, in parent-before-child order.
+            items: Vec<MigrateItem>,
+        } = 20 => "migrate_batch",
+        /// Replica maintenance (served on `ServiceId::KoshaReplica`): apply
+        /// one mutation to the receiver's replica area. The primary fans the
+        /// same op out to all K replica holders concurrently. Handlers touch
+        /// only local state — no nested RPCs — so concurrent fan-outs
+        /// between primaries cannot form call cycles.
+        ReplicaApply {
+            /// The mutation, mirroring the primary's own store change.
+            op: ReplicaOp,
+        } = 21 => "replica_apply",
+        /// Replica maintenance (served on `ServiceId::KoshaReplica`): apply a
+        /// coalesced batch of mutations in order, in one round trip — the
+        /// write-behind pump's flush unit. Like `ReplicaApply`, handlers
+        /// touch only local state, so the service stays cycle-free.
+        ReplicaApplyBatch {
+            /// The mutations, in primary apply order (post-coalescing).
+            ops: Vec<ReplicaOp>,
+        } = 22 => "replica_apply_batch",
+        /// Flush barrier: drain this primary's write-behind queues
+        /// synchronously before replying. Sent by koshad on NFS COMMIT; a
+        /// no-op under synchronous replication.
+        Flush {
+            /// Virtual path the barrier was issued against (journaled).
+            path: String,
+        } = 23 => "flush",
+        /// Anti-entropy audit: digest every store and replica slot held by
+        /// the receiver and reply with one [`AuditEntry`] per slot. The
+        /// handler reads only local state (no nested RPCs), so the audit
+        /// pass can fan out to every node concurrently without risking call
+        /// cycles.
+        AuditScan = 24 => "audit_scan",
+        /// Replica-slot garbage-collection probe: like `ReplicaTargets`, but
+        /// keyed by the replica-area slot name — holders know their slots,
+        /// not necessarily the anchor's virtual path. The owner replies with
+        /// the anchor's current replica holders, or `NoEnt` when it hosts no
+        /// anchor for `slot` (the holder then keeps its copy, conservatively).
+        ReplicaTargetsBySlot {
+            /// Slot directory name (`@` + 16 hex digits of the routing key).
+            slot: String,
+            /// Transport address of the probing holder. When the answer does
+            /// not list this node the holder will drop its copy, so the owner
+            /// voids its full-push memo for the anchor — the next maintenance
+            /// pass re-pushes even if the holder later rejoins the target set
+            /// with the primary content unchanged.
+            holder: u64,
+        } = 25 => "replica_targets_by_slot",
+        /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
+        /// place or refresh one read-only cached copy of a hot object in the
+        /// receiver's replica area, leased until `expires_nanos` and stamped
+        /// with the primary's mutation sequence. The request carries the full
+        /// object payload, so the handler touches only local state (no nested
+        /// RPCs) like every other replica-service handler (DESIGN.md §16).
+        HotReplicaPush {
+            /// Covering anchor virtual path of the hot object.
+            anchor: String,
+            /// The anchor's routing name (recorded in the slot's
+            /// `.kosha_anchor` so replica-slot GC can find the owner).
+            routing: String,
+            /// Virtual path of the hot object.
+            path: String,
+            /// Primary mutation sequence the pushed payload reflects.
+            seq: u64,
+            /// Lease expiry in virtual nanoseconds.
+            expires_nanos: u64,
+            /// The object itself (`rel_path` relative to the anchor root,
+            /// parent directories implied).
+            item: MigrateItem,
+        } = 26 => "hot_replica_push",
+        /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
+        /// revoke the receiver's hot copy of `path` — heat decayed, the
+        /// object was mutated without a refresh, or it was removed. A no-op
+        /// when the receiver's slot carries no `.kosha_hot` lease for the
+        /// path (e.g. the slot became a durable replica in the meantime).
+        HotReplicaDrop {
+            /// Covering anchor virtual path.
+            anchor: String,
+            /// Virtual path of the object whose lease is revoked.
+            path: String,
+        } = 27 => "hot_replica_drop",
     }
 }
 
-/// One replicated mutation, shipped by the primary to each replica
-/// holder after it has applied the change to its own store (§4.2).
-/// Paths are full virtual paths; the receiver derives the covering
-/// anchor (and thus the replica-area slot) itself, and treats already-
-/// done outcomes (`Exist` on creates, `NoEnt` on removes) as success so
-/// replays are idempotent.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplicaOp {
-    /// Ensure the replica directory for `path` (a directory) exists.
-    Mkdir {
-        /// Virtual path of the directory.
-        path: String,
-    },
-    /// Create a regular (or sparse, when `size` is set) file.
-    Create {
-        /// Virtual path of the file.
-        path: String,
-        /// Permission bits.
-        mode: u32,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-        /// Sparse size, if any.
-        size: Option<u64>,
-    },
-    /// Create a symlink (special or user-level; `mode` distinguishes).
-    Symlink {
-        /// Virtual path of the link.
-        path: String,
-        /// Link target.
-        target: String,
-        /// Permission bits (sticky bit marks special links).
-        mode: u32,
-        /// Owner uid.
-        uid: u32,
-        /// Owner gid.
-        gid: u32,
-    },
-    /// Write data (creating the file if the replica lacks it).
-    Write {
-        /// Virtual path of the file.
-        path: String,
-        /// Byte offset.
-        offset: u64,
-        /// Data (on the holder, a view of the request frame).
-        data: Bytes,
-    },
-    /// Update attributes.
-    SetAttr {
-        /// Virtual path.
-        path: String,
-        /// Attribute changes.
-        sattr: WireSetAttr,
-    },
-    /// Remove a file or symlink.
-    Remove {
-        /// Virtual path.
-        path: String,
-    },
-    /// Remove an empty directory.
-    Rmdir {
-        /// Virtual path.
-        path: String,
-    },
-    /// Drop the whole replica copy of an anchor (anchor teardown).
-    RemoveSlot {
-        /// Anchor virtual path.
-        anchor: String,
-    },
-    /// Rename an entry (both paths under anchors this replica mirrors).
-    Rename {
-        /// Source virtual path.
-        from: String,
-        /// Destination virtual path.
-        to: String,
-    },
-    /// Rename an anchor's replica slot (anchor directory rename).
-    RenameSlot {
-        /// Current anchor virtual path.
-        from: String,
-        /// New anchor virtual path.
-        to: String,
-    },
-    /// Write-behind lag marker. With `bytes > 0`, stamps the replica
-    /// slot as *behind* the primary by at least that many queued payload
-    /// bytes; with `bytes == 0`, clears the stamp (the flush carrying it
-    /// brought the slot current). A node promoting a slot that still
-    /// carries a stamp knows data was lost and journals `replica_lag`
-    /// instead of silently serving stale bytes.
-    LagMark {
-        /// Anchor virtual path of the stamped slot.
-        anchor: String,
-        /// Lower bound of queued payload bytes (0 = clear).
-        bytes: u64,
-    },
-}
-
-impl WireWrite for ReplicaOp {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            ReplicaOp::Mkdir { path } => {
-                w.u8(0);
-                w.string(path);
-            }
-            ReplicaOp::Create {
-                path,
-                mode,
-                uid,
-                gid,
-                size,
-            } => {
-                w.u8(1);
-                w.string(path);
-                w.u32(*mode);
-                w.u32(*uid);
-                w.u32(*gid);
-                w.option(size);
-            }
-            ReplicaOp::Symlink {
-                path,
-                target,
-                mode,
-                uid,
-                gid,
-            } => {
-                w.u8(2);
-                w.string(path);
-                w.string(target);
-                w.u32(*mode);
-                w.u32(*uid);
-                w.u32(*gid);
-            }
-            ReplicaOp::Write { path, offset, data } => {
-                w.u8(3);
-                w.string(path);
-                w.u64(*offset);
-                w.payload(data);
-            }
-            ReplicaOp::SetAttr { path, sattr } => {
-                w.u8(4);
-                w.string(path);
-                w.value(sattr);
-            }
-            ReplicaOp::Remove { path } => {
-                w.u8(5);
-                w.string(path);
-            }
-            ReplicaOp::Rmdir { path } => {
-                w.u8(6);
-                w.string(path);
-            }
-            ReplicaOp::RemoveSlot { anchor } => {
-                w.u8(7);
-                w.string(anchor);
-            }
-            ReplicaOp::Rename { from, to } => {
-                w.u8(8);
-                w.string(from);
-                w.string(to);
-            }
-            ReplicaOp::RenameSlot { from, to } => {
-                w.u8(9);
-                w.string(from);
-                w.string(to);
-            }
-            ReplicaOp::LagMark { anchor, bytes } => {
-                w.u8(10);
-                w.string(anchor);
-                w.u64(*bytes);
-            }
-        }
-    }
-}
-impl WireRead for ReplicaOp {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => ReplicaOp::Mkdir { path: r.string()? },
-            1 => ReplicaOp::Create {
-                path: r.string()?,
-                mode: r.u32()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-                size: r.option()?,
-            },
-            2 => ReplicaOp::Symlink {
-                path: r.string()?,
-                target: r.string()?,
-                mode: r.u32()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-            },
-            3 => ReplicaOp::Write {
-                path: r.string()?,
-                offset: r.u64()?,
-                data: r.payload()?,
-            },
-            4 => ReplicaOp::SetAttr {
-                path: r.string()?,
-                sattr: r.value()?,
-            },
-            5 => ReplicaOp::Remove { path: r.string()? },
-            6 => ReplicaOp::Rmdir { path: r.string()? },
-            7 => ReplicaOp::RemoveSlot {
-                anchor: r.string()?,
-            },
-            8 => ReplicaOp::Rename {
-                from: r.string()?,
-                to: r.string()?,
-            },
-            9 => ReplicaOp::RenameSlot {
-                from: r.string()?,
-                to: r.string()?,
-            },
-            10 => ReplicaOp::LagMark {
-                anchor: r.string()?,
-                bytes: r.u64()?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        })
+wire_enum! {
+    /// One replicated mutation, shipped by the primary to each replica
+    /// holder after it has applied the change to its own store (§4.2).
+    /// Paths are full virtual paths; the receiver derives the covering
+    /// anchor (and thus the replica-area slot) itself, and treats already-
+    /// done outcomes (`Exist` on creates, `NoEnt` on removes) as success so
+    /// replays are idempotent.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ReplicaOp {
+        /// Ensure the replica directory for `path` (a directory) exists.
+        Mkdir {
+            /// Virtual path of the directory.
+            path: String,
+        } = 0,
+        /// Create a regular (or sparse, when `size` is set) file.
+        Create {
+            /// Virtual path of the file.
+            path: String,
+            /// Permission bits.
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+            /// Sparse size, if any.
+            size: Option<u64>,
+        } = 1,
+        /// Create a symlink (special or user-level; `mode` distinguishes).
+        Symlink {
+            /// Virtual path of the link.
+            path: String,
+            /// Link target.
+            target: String,
+            /// Permission bits (sticky bit marks special links).
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 2,
+        /// Write data (creating the file if the replica lacks it).
+        Write {
+            /// Virtual path of the file.
+            path: String,
+            /// Byte offset.
+            offset: u64,
+            /// Data (on the holder, a view of the request frame).
+            data: Bytes,
+        } = 3,
+        /// Update attributes.
+        SetAttr {
+            /// Virtual path.
+            path: String,
+            /// Attribute changes.
+            sattr: WireSetAttr,
+        } = 4,
+        /// Remove a file or symlink.
+        Remove {
+            /// Virtual path.
+            path: String,
+        } = 5,
+        /// Remove an empty directory.
+        Rmdir {
+            /// Virtual path.
+            path: String,
+        } = 6,
+        /// Drop the whole replica copy of an anchor (anchor teardown).
+        RemoveSlot {
+            /// Anchor virtual path.
+            anchor: String,
+        } = 7,
+        /// Rename an entry (both paths under anchors this replica mirrors).
+        Rename {
+            /// Source virtual path.
+            from: String,
+            /// Destination virtual path.
+            to: String,
+        } = 8,
+        /// Rename an anchor's replica slot (anchor directory rename).
+        RenameSlot {
+            /// Current anchor virtual path.
+            from: String,
+            /// New anchor virtual path.
+            to: String,
+        } = 9,
+        /// Write-behind lag marker. With `bytes > 0`, stamps the replica
+        /// slot as *behind* the primary by at least that many queued payload
+        /// bytes; with `bytes == 0`, clears the stamp (the flush carrying it
+        /// brought the slot current). A node promoting a slot that still
+        /// carries a stamp knows data was lost and journals `replica_lag`
+        /// instead of silently serving stale bytes.
+        LagMark {
+            /// Anchor virtual path of the stamped slot.
+            anchor: String,
+            /// Lower bound of queued payload bytes (0 = clear).
+            bytes: u64,
+        } = 10,
     }
 }
 
-impl WireWrite for KoshaRequest {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            KoshaRequest::CreateFile {
-                path,
-                mode,
-                uid,
-                gid,
-                size,
-            } => {
-                w.u8(0);
-                w.string(path);
-                w.u32(*mode);
-                w.u32(*uid);
-                w.u32(*gid);
-                w.option(size);
-            }
-            KoshaRequest::MkdirLocal {
-                path,
-                mode,
-                uid,
-                gid,
-            } => {
-                w.u8(1);
-                w.string(path);
-                w.u32(*mode);
-                w.u32(*uid);
-                w.u32(*gid);
-            }
-            KoshaRequest::MkdirAnchor {
-                path,
-                routing_name,
-                mode,
-                uid,
-                gid,
-            } => {
-                w.u8(2);
-                w.string(path);
-                w.string(routing_name);
-                w.u32(*mode);
-                w.u32(*uid);
-                w.u32(*gid);
-            }
-            KoshaRequest::PlaceLink {
-                path,
-                target,
-                uid,
-                gid,
-            } => {
-                w.u8(3);
-                w.string(path);
-                w.string(target);
-                w.u32(*uid);
-                w.u32(*gid);
-            }
-            KoshaRequest::SymlinkFile {
-                path,
-                target,
-                uid,
-                gid,
-            } => {
-                w.u8(4);
-                w.string(path);
-                w.string(target);
-                w.u32(*uid);
-                w.u32(*gid);
-            }
-            KoshaRequest::Write { path, offset, data } => {
-                w.u8(5);
-                w.string(path);
-                w.u64(*offset);
-                w.payload(data);
-            }
-            KoshaRequest::SetAttr { path, sattr } => {
-                w.u8(6);
-                w.string(path);
-                w.value(sattr);
-            }
-            KoshaRequest::Remove { path } => {
-                w.u8(7);
-                w.string(path);
-            }
-            KoshaRequest::Rmdir { path } => {
-                w.u8(8);
-                w.string(path);
-            }
-            KoshaRequest::RmdirAnchor { path } => {
-                w.u8(9);
-                w.string(path);
-            }
-            KoshaRequest::RemoveLink { path } => {
-                w.u8(10);
-                w.string(path);
-            }
-            KoshaRequest::RenameLocal { from, to } => {
-                w.u8(11);
-                w.string(from);
-                w.string(to);
-            }
-            KoshaRequest::RenameAnchorDir { from, to } => {
-                w.u8(12);
-                w.string(from);
-                w.string(to);
-            }
-            KoshaRequest::EnsureAnchor { path, routing } => {
-                w.u8(13);
-                w.string(path);
-                w.string(routing);
-            }
-            KoshaRequest::StoreStats => w.u8(14),
-            KoshaRequest::BeginTransfer { path } => {
-                w.u8(15);
-                w.string(path);
-            }
-            KoshaRequest::TransferPut { path, item } => {
-                w.u8(16);
-                w.string(path);
-                w.value(item);
-            }
-            KoshaRequest::CommitTransfer { path, routing_name } => {
-                w.u8(17);
-                w.string(path);
-                w.string(routing_name);
-            }
-            KoshaRequest::ListAnchors => w.u8(18),
-            KoshaRequest::ReplicaTargets { path } => {
-                w.u8(19);
-                w.string(path);
-            }
-            KoshaRequest::MigrateBatch { path, items } => {
-                w.u8(20);
-                w.string(path);
-                w.seq(items);
-            }
-            KoshaRequest::ReplicaApply { op } => {
-                w.u8(21);
-                w.value(op);
-            }
-            KoshaRequest::ReplicaApplyBatch { ops } => {
-                w.u8(22);
-                w.seq(ops);
-            }
-            KoshaRequest::Flush { path } => {
-                w.u8(23);
-                w.string(path);
-            }
-            KoshaRequest::AuditScan => w.u8(24),
-            KoshaRequest::ReplicaTargetsBySlot { slot, holder } => {
-                w.u8(25);
-                w.string(slot);
-                w.u64(*holder);
-            }
-            KoshaRequest::HotReplicaPush {
-                anchor,
-                routing,
-                path,
-                seq,
-                expires_nanos,
-                item,
-            } => {
-                w.u8(26);
-                w.string(anchor);
-                w.string(routing);
-                w.string(path);
-                w.u64(*seq);
-                w.u64(*expires_nanos);
-                w.value(item);
-            }
-            KoshaRequest::HotReplicaDrop { anchor, path } => {
-                w.u8(27);
-                w.string(anchor);
-                w.string(path);
-            }
-        }
-    }
-}
-
-impl WireRead for KoshaRequest {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => KoshaRequest::CreateFile {
-                path: r.string()?,
-                mode: r.u32()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-                size: r.option()?,
-            },
-            1 => KoshaRequest::MkdirLocal {
-                path: r.string()?,
-                mode: r.u32()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-            },
-            2 => KoshaRequest::MkdirAnchor {
-                path: r.string()?,
-                routing_name: r.string()?,
-                mode: r.u32()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-            },
-            3 => KoshaRequest::PlaceLink {
-                path: r.string()?,
-                target: r.string()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-            },
-            4 => KoshaRequest::SymlinkFile {
-                path: r.string()?,
-                target: r.string()?,
-                uid: r.u32()?,
-                gid: r.u32()?,
-            },
-            5 => KoshaRequest::Write {
-                path: r.string()?,
-                offset: r.u64()?,
-                data: r.payload()?,
-            },
-            6 => KoshaRequest::SetAttr {
-                path: r.string()?,
-                sattr: r.value()?,
-            },
-            7 => KoshaRequest::Remove { path: r.string()? },
-            8 => KoshaRequest::Rmdir { path: r.string()? },
-            9 => KoshaRequest::RmdirAnchor { path: r.string()? },
-            10 => KoshaRequest::RemoveLink { path: r.string()? },
-            11 => KoshaRequest::RenameLocal {
-                from: r.string()?,
-                to: r.string()?,
-            },
-            12 => KoshaRequest::RenameAnchorDir {
-                from: r.string()?,
-                to: r.string()?,
-            },
-            13 => KoshaRequest::EnsureAnchor {
-                path: r.string()?,
-                routing: r.string()?,
-            },
-            14 => KoshaRequest::StoreStats,
-            15 => KoshaRequest::BeginTransfer { path: r.string()? },
-            16 => KoshaRequest::TransferPut {
-                path: r.string()?,
-                item: r.value()?,
-            },
-            17 => KoshaRequest::CommitTransfer {
-                path: r.string()?,
-                routing_name: r.string()?,
-            },
-            18 => KoshaRequest::ListAnchors,
-            19 => KoshaRequest::ReplicaTargets { path: r.string()? },
-            20 => KoshaRequest::MigrateBatch {
-                path: r.string()?,
-                items: r.seq()?,
-            },
-            21 => KoshaRequest::ReplicaApply { op: r.value()? },
-            22 => KoshaRequest::ReplicaApplyBatch { ops: r.seq()? },
-            23 => KoshaRequest::Flush { path: r.string()? },
-            24 => KoshaRequest::AuditScan,
-            25 => KoshaRequest::ReplicaTargetsBySlot {
-                slot: r.string()?,
-                holder: r.u64()?,
-            },
-            26 => KoshaRequest::HotReplicaPush {
-                anchor: r.string()?,
-                routing: r.string()?,
-                path: r.string()?,
-                seq: r.u64()?,
-                expires_nanos: r.u64()?,
-                item: r.value()?,
-            },
-            27 => KoshaRequest::HotReplicaDrop {
-                anchor: r.string()?,
-                path: r.string()?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
-/// Successful control replies; the wire frame is
-/// `Result<KoshaReply, NfsStatus>` like the NFS reply frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KoshaReply {
-    /// Acknowledged.
-    Done,
-    /// A created object's real handle and attributes (CreateFile,
-    /// MkdirLocal) — saves the caller a LOOKUP round trip, like NFS
-    /// CREATE's post-op handle.
-    Handle {
-        /// Real handle on the replying node.
-        fh: Fh,
-        /// Attributes at creation.
-        attr: WireAttr,
-    },
-    /// Boolean outcome (promotion happened or not).
-    DoneBool(bool),
-    /// Store statistics.
-    Stats {
-        /// Total contributed bytes.
-        capacity: u64,
-        /// Bytes used.
-        used: u64,
-        /// Bytes free.
-        free: u64,
-    },
-    /// Hosted anchors: `(virtual path, routing name)`.
-    Anchors(Vec<(String, String)>),
-    /// Node addresses (replica holders).
-    Nodes(Vec<kosha_rpc::NodeAddr>),
-    /// Per-slot consistency digests (`AuditScan`), slot order.
-    Audit(Vec<AuditEntry>),
-}
-
-impl WireWrite for KoshaReply {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            KoshaReply::Done => w.u8(0),
-            KoshaReply::Handle { fh, attr } => {
-                w.u8(4);
-                w.value(fh);
-                w.value(attr);
-            }
-            KoshaReply::DoneBool(b) => {
-                w.u8(1);
-                w.boolean(*b);
-            }
-            KoshaReply::Stats {
-                capacity,
-                used,
-                free,
-            } => {
-                w.u8(2);
-                w.u64(*capacity);
-                w.u64(*used);
-                w.u64(*free);
-            }
-            KoshaReply::Anchors(v) => {
-                w.u8(3);
-                w.u32(v.len() as u32);
-                for (p, r) in v {
-                    w.string(p);
-                    w.string(r);
-                }
-            }
-            KoshaReply::Nodes(v) => {
-                w.u8(5);
-                w.seq(v);
-            }
-            KoshaReply::Audit(v) => {
-                w.u8(6);
-                w.seq(v);
-            }
-        }
-    }
-}
-impl WireRead for KoshaReply {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            0 => KoshaReply::Done,
-            4 => KoshaReply::Handle {
-                fh: r.value()?,
-                attr: r.value()?,
-            },
-            1 => KoshaReply::DoneBool(r.boolean()?),
-            2 => KoshaReply::Stats {
-                capacity: r.u64()?,
-                used: r.u64()?,
-                free: r.u64()?,
-            },
-            3 => {
-                let n = r.u32()? as usize;
-                let mut v = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    v.push((r.string()?, r.string()?));
-                }
-                KoshaReply::Anchors(v)
-            }
-            5 => KoshaReply::Nodes(r.seq()?),
-            6 => KoshaReply::Audit(r.seq()?),
-            t => return Err(WireError::BadTag(t)),
-        })
+wire_enum! {
+    /// Successful control replies; the wire frame is
+    /// `Result<KoshaReply, NfsStatus>` like the NFS reply frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum KoshaReply {
+        /// Acknowledged.
+        Done = 0,
+        /// A created object's real handle and attributes (CreateFile,
+        /// MkdirLocal) — saves the caller a LOOKUP round trip, like NFS
+        /// CREATE's post-op handle.
+        Handle {
+            /// Real handle on the replying node.
+            fh: Fh,
+            /// Attributes at creation.
+            attr: WireAttr,
+        } = 4,
+        /// Boolean outcome (promotion happened or not).
+        DoneBool(promoted: bool) = 1,
+        /// Store statistics.
+        Stats {
+            /// Total contributed bytes.
+            capacity: u64,
+            /// Bytes used.
+            used: u64,
+            /// Bytes free.
+            free: u64,
+        } = 2,
+        /// Hosted anchors: `(virtual path, routing name)`.
+        Anchors(anchors: Vec<(String, String)>) = 3,
+        /// Node addresses (replica holders).
+        Nodes(holders: Vec<kosha_rpc::NodeAddr>) = 5,
+        /// Per-slot consistency digests (`AuditScan`), slot order.
+        Audit(entries: Vec<AuditEntry>) = 6,
     }
 }
 
 /// Wire frame for control replies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KoshaReplyFrame(pub Result<KoshaReply, kosha_nfs::NfsStatus>);
-
-impl WireWrite for KoshaReplyFrame {
-    fn write(&self, w: &mut Writer) {
-        match &self.0 {
-            Ok(rep) => {
-                w.u8(0);
-                w.value(rep);
-            }
-            Err(status) => {
-                // Reuse the NFS frame encoding for the status byte.
-                let frame = kosha_nfs::messages::NfsReplyFrame(Err(*status));
-                let enc = frame.encode();
-                w.u8(enc[0]);
-            }
-        }
-    }
-}
-impl WireRead for KoshaReplyFrame {
-    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        // Peek the status byte via the NFS frame decoder's convention.
-        let tag = r.u8()?;
-        if tag == 0 {
-            Ok(KoshaReplyFrame(Ok(r.value()?)))
-        } else {
-            let frame = kosha_nfs::messages::NfsReplyFrame::decode(&[tag])?;
-            match frame.0 {
-                Err(s) => Ok(KoshaReplyFrame(Err(s))),
-                Ok(_) => Err(WireError::BadTag(tag)),
-            }
-        }
-    }
-}
+pub type KoshaReplyFrame = ReplyFrame<KoshaReply>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use kosha_nfs::NfsStatus;
+    use kosha_rpc::{WireRead, WireWrite};
     use kosha_vfs::SetAttr;
 
     #[test]
@@ -1280,19 +673,19 @@ mod tests {
     #[test]
     fn replies_round_trip() {
         for frame in [
-            KoshaReplyFrame(Ok(KoshaReply::Done)),
-            KoshaReplyFrame(Ok(KoshaReply::DoneBool(true))),
-            KoshaReplyFrame(Ok(KoshaReply::Stats {
+            ReplyFrame(Ok(KoshaReply::Done)),
+            ReplyFrame(Ok(KoshaReply::DoneBool(true))),
+            ReplyFrame(Ok(KoshaReply::Stats {
                 capacity: 10,
                 used: 3,
                 free: 7,
             })),
-            KoshaReplyFrame(Ok(KoshaReply::Anchors(vec![("/a".into(), "a#1".into())]))),
-            KoshaReplyFrame(Ok(KoshaReply::Nodes(vec![
+            ReplyFrame(Ok(KoshaReply::Anchors(vec![("/a".into(), "a#1".into())]))),
+            ReplyFrame(Ok(KoshaReply::Nodes(vec![
                 kosha_rpc::NodeAddr(3),
                 kosha_rpc::NodeAddr(9),
             ]))),
-            KoshaReplyFrame(Ok(KoshaReply::Audit(vec![
+            ReplyFrame(Ok(KoshaReply::Audit(vec![
                 AuditEntry {
                     slot: "@00d4c05e3b0b08e1".into(),
                     path: "/a".into(),
@@ -1316,8 +709,8 @@ mod tests {
                     hot: true,
                 },
             ]))),
-            KoshaReplyFrame(Err(NfsStatus::NoSpc)),
-            KoshaReplyFrame(Err(NfsStatus::NotEmpty)),
+            ReplyFrame(Err(NfsStatus::NoSpc)),
+            ReplyFrame(Err(NfsStatus::NotEmpty)),
         ] {
             let b = frame.encode();
             assert_eq!(KoshaReplyFrame::decode(&b).unwrap(), frame);

@@ -13,7 +13,7 @@ use crate::node::{KoshaNode, VirtualFs};
 use crate::paths::{is_distributed_dir, is_internal_name};
 use crate::resolve::is_special_link_mode;
 use kosha_id::salted_name;
-use kosha_nfs::messages::{NfsReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
+use kosha_nfs::messages::{NfsReplyFrame, ReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsError, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
@@ -1022,6 +1022,6 @@ impl VirtualFs {
                 NfsRequest::LookupPath { .. } => return Err(NfsStatus::NotSupp),
             })
         })();
-        NfsReplyFrame(result)
+        ReplyFrame(result)
     }
 }

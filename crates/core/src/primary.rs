@@ -10,6 +10,7 @@ use crate::node::{ControlService, KoshaNode, ReplicaService};
 use crate::paths::{
     anchor_slot, is_internal_name, slot_local_path, Area, ANCHOR_META, LAG_MARK, MIGRATION_FLAG,
 };
+use kosha_nfs::messages::ReplyFrame;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{
@@ -1504,7 +1505,7 @@ impl KoshaNode {
 pub(crate) fn mirror_succeeded(result: Result<RpcResponse, RpcError>) -> bool {
     matches!(
         result.and_then(|r| r.decode::<KoshaReplyFrame>()),
-        Ok(KoshaReplyFrame(Ok(_)))
+        Ok(ReplyFrame(Ok(_)))
     )
 }
 
@@ -1544,7 +1545,7 @@ impl RpcHandler for ControlService {
             || clock.now().0,
             || k.handle_control(req),
         );
-        Ok(RpcResponse::split(&KoshaReplyFrame(result)))
+        Ok(RpcResponse::split(&ReplyFrame(result)))
     }
 }
 
@@ -1564,6 +1565,6 @@ impl RpcHandler for ReplicaService {
             || clock.now().0,
             || k.handle_replica(req),
         );
-        Ok(RpcResponse::split(&KoshaReplyFrame(result)))
+        Ok(RpcResponse::split(&ReplyFrame(result)))
     }
 }

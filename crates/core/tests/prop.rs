@@ -8,7 +8,7 @@ use kosha::control::{
 };
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
-use kosha_nfs::messages::WireSetAttr;
+use kosha_nfs::messages::{ReplyFrame, WireSetAttr};
 use kosha_rpc::{
     Bytes, Frame, Network, NodeAddr, PayloadPart, SimNetwork, WireError, WireRead, WireWrite,
 };
@@ -260,7 +260,7 @@ proptest! {
         proptest::collection::vec(any::<u64>(), 0..8)
             .prop_map(|v| KoshaReply::Nodes(v.into_iter().map(NodeAddr).collect())),
     ]) {
-        let frame = KoshaReplyFrame(Ok(reply));
+        let frame = ReplyFrame(Ok(reply));
         let bytes = frame.encode();
         prop_assert_eq!(decode_both::<KoshaReplyFrame>(&bytes).unwrap(), frame);
     }

@@ -534,7 +534,7 @@ impl NfsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::NfsStatus;
+    use crate::messages::{NfsStatus, ReplyFrame};
     use crate::server::{DiskModel, NfsServer};
     use kosha_rpc::{RpcError, ServiceMux, SimNetwork};
     use kosha_vfs::{FileType, Vfs};
@@ -631,9 +631,9 @@ mod tests {
         fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<kosha_rpc::RpcResponse, RpcError> {
             let resp = self.0.handle(from, body)?;
             Ok(match resp.decode::<NfsReplyFrame>()? {
-                NfsReplyFrame(Ok(NfsReply::Attr { mut attr })) => {
+                ReplyFrame(Ok(NfsReply::Attr { mut attr })) => {
                     attr.0.size = 1 << 62;
-                    kosha_rpc::RpcResponse::new(&NfsReplyFrame(Ok(NfsReply::Attr { attr })))
+                    kosha_rpc::RpcResponse::new(&ReplyFrame(Ok(NfsReply::Attr { attr })))
                 }
                 _ => resp,
             })

@@ -1,6 +1,6 @@
 //! The per-node NFS server: one export backed by one [`Vfs`] store.
 
-use crate::messages::{NfsReply, NfsReplyFrame, NfsRequest, WireAttr};
+use crate::messages::{NfsReply, NfsReplyFrame, NfsRequest, ReplyFrame, WireAttr};
 use kosha_obs::{Counter, Obs};
 use kosha_rpc::{Bytes, Clock, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::Vfs;
@@ -350,7 +350,7 @@ impl NfsServer {
                 }
             }
         };
-        NfsReplyFrame(result)
+        ReplyFrame(result)
     }
 }
 

@@ -4,7 +4,7 @@
 //! both holdings (flat, and split into a head and a payload part), and
 //! the decoders reject damaged frames without panicking.
 
-use kosha_nfs::messages::{NfsReplyFrame, WireDirEntry, WireSetAttr};
+use kosha_nfs::messages::{NfsReplyFrame, ReplyFrame, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
 use kosha_rpc::{Bytes, Frame, PayloadPart, WireError, WireRead, WireWrite};
 use kosha_vfs::{Attr, FileType, SetAttr};
@@ -298,22 +298,22 @@ proptest! {
 
     #[test]
     fn reply_frames_round_trip(frame in prop_oneof![
-        arb_reply().prop_map(|r| NfsReplyFrame(Ok(r))),
-        arb_status().prop_map(|s| NfsReplyFrame(Err(s))),
+        arb_reply().prop_map(|r| ReplyFrame(Ok(r))),
+        arb_status().prop_map(|s| ReplyFrame(Err(s))),
     ]) {
         let bytes = frame.encode();
         prop_assert_eq!(decode_both::<NfsReplyFrame>(&bytes).unwrap(), frame.clone());
         let payload = match &frame {
-            NfsReplyFrame(Ok(NfsReply::Data { data, .. })) => Some(data),
+            ReplyFrame(Ok(NfsReply::Data { data, .. })) => Some(data),
             _ => None,
         };
         let (from_split, part) = check_split(&frame, &bytes, payload);
-        if let NfsReplyFrame(Ok(NfsReply::Data { data, .. })) = &frame {
-            let NfsReplyFrame(Ok(NfsReply::Data { data: handed, .. })) = &from_split else {
+        if let ReplyFrame(Ok(NfsReply::Data { data, .. })) = &frame {
+            let ReplyFrame(Ok(NfsReply::Data { data: handed, .. })) = &from_split else {
                 panic!("a data reply decodes to a data reply");
             };
             prop_assert_eq!(handed.as_ptr(), part.expect("a data reply has a part").data.as_ptr());
-            let Ok(NfsReplyFrame(Ok(NfsReply::Data { data: view, .. }))) =
+            let Ok(ReplyFrame(Ok(NfsReply::Data { data: view, .. }))) =
                 NfsReplyFrame::decode_frame(Frame::flat(&bytes))
             else {
                 panic!("a data reply decodes to a data reply");
@@ -329,7 +329,7 @@ proptest! {
     fn truncated_frames_are_rejected(req in arb_request(), reply in arb_reply(), cut in any::<usize>()) {
         let bytes = req.encode();
         prop_assert!(decode_both::<NfsRequest>(&bytes[..cut % bytes.len()]).is_err());
-        let bytes = NfsReplyFrame(Ok(reply)).encode();
+        let bytes = ReplyFrame(Ok(reply)).encode();
         prop_assert!(decode_both::<NfsReplyFrame>(&bytes[..cut % bytes.len()]).is_err());
     }
 
@@ -346,7 +346,7 @@ proptest! {
             decode_both::<NfsRequest>(&frame),
             Err(WireError::BadLength(u64::from(len)))
         );
-        let empty_data = NfsReplyFrame(Ok(NfsReply::Data { data: Bytes::new(), eof: true }));
+        let empty_data = ReplyFrame(Ok(NfsReply::Data { data: Bytes::new(), eof: true }));
         let mut frame = empty_data.encode().to_vec();
         let at = frame.len() - 5;
         frame[at..at + 4].copy_from_slice(&len.to_le_bytes());
@@ -381,7 +381,7 @@ proptest! {
         // Heads of real messages make the deeper paths reachable.
         if let Some((req, reply)) = seed {
             heads.push(req.encode_split().0);
-            heads.push(NfsReplyFrame(Ok(reply)).encode_split().0);
+            heads.push(ReplyFrame(Ok(reply)).encode_split().0);
         }
         for body in &heads {
             let frame = Frame { body, payload: Some(&part) };
