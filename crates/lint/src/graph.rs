@@ -1,7 +1,7 @@
 //! Phase-two analysis: a zero-dependency symbol extractor over the
 //! sanitized source that builds a per-function view of the workspace —
 //! definitions, intra-workspace calls, and outbound-RPC sites — and the
-//! four graph/dataflow rules that run on it (DESIGN.md §17):
+//! three graph/dataflow rules that run on it (DESIGN.md §17):
 //!
 //! * **L005** — transitive handler deadlock: a blocking RPC
 //!   (`.call(` / `.call_many(` / `call_typed(`) reachable through any
@@ -9,10 +9,6 @@
 //!   L001 only sees hazards inside one function; this closes the gap the
 //!   replica-service deadlock discipline leaves once a handler calls a
 //!   helper.
-//! * **L006** — wire-tag registry: the `u8` tag literals of each
-//!   `WireWrite`/`WireRead` impl pair must be duplicate-free, agree
-//!   between encoder and decoder, and the decode dispatch must carry a
-//!   catch-all arm for unknown tags.
 //! * **L007** — must-call-before invariant: a configurable "every
 //!   function matching P must call one of A before B" engine, seeded
 //!   with the hot-lease rule (void leases before the mirror fan-out).
@@ -21,7 +17,7 @@
 //!   from the cleanup roots (`maintain`/`forget`/`detach`/…) and no
 //!   self-bounding eviction co-located with an insert.
 //!
-//! Everything here works on the same sanitized text as L001–L004:
+//! Everything here works on the same sanitized text as L001–L003:
 //! comments and string literals are blanked, so patterns in docs or
 //! strings never produce symbols, and `#[cfg(test)]` regions are masked
 //! out of both definitions and call sites.
@@ -494,218 +490,6 @@ pub(crate) fn check_l005(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding
         }
     }
     out.extend(findings.into_values());
-}
-
-// ---------------------------------------------------------------------------
-// L006: wire-tag registry
-// ---------------------------------------------------------------------------
-
-/// `u8` literals passed to `w.u8(..)` inside `text[span]`, in order.
-fn encode_tags(text: &str, span: (usize, usize)) -> Vec<(u8, usize)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for pos in crate::find_all(text, ".u8(") {
-        if pos < span.0 || pos >= span.1 {
-            continue;
-        }
-        let mut k = pos + 4;
-        while k < bytes.len() && bytes[k] == b' ' {
-            k += 1;
-        }
-        let start = k;
-        while k < bytes.len() && bytes[k].is_ascii_digit() {
-            k += 1;
-        }
-        if k == start {
-            continue; // not a literal (a field or expression)
-        }
-        // A pure literal argument ends right at the closing paren.
-        if bytes.get(k) != Some(&b')') {
-            continue;
-        }
-        if let Ok(v) = text[start..k].parse::<u8>() {
-            out.push((v, pos));
-        }
-    }
-    out
-}
-
-/// Decode-side dispatch: the literal arms (and catch-all presence) of
-/// the first `match` in `text[span]` whose scrutinee reads a `u8`.
-struct DecodeDispatch {
-    tags: Vec<(u8, usize)>,
-    has_catch_all: bool,
-    match_pos: usize,
-}
-
-fn decode_dispatch(text: &str, span: (usize, usize)) -> Option<DecodeDispatch> {
-    let bytes = text.as_bytes();
-    for pos in crate::find_all(text, "match ") {
-        if pos < span.0 || pos >= span.1 {
-            continue;
-        }
-        let open_rel = text[pos..span.1].find('{')?;
-        let open = pos + open_rel;
-        // The scrutinee must be the tag byte: either read inline
-        // (`match r.u8()? {`) or a plain binding fed by an earlier
-        // `.u8()` read in the same impl (`let t = r.u8()?; match t {`).
-        let scrutinee = text[pos + 6..open].trim();
-        let inline = scrutinee.contains("u8()");
-        let bound = scrutinee.bytes().all(is_ident_byte) && text[span.0..pos].contains(".u8()");
-        if !inline && !bound {
-            continue;
-        }
-        let close = close_of(bytes, open).min(span.1);
-        // Walk the block at arm depth, collecting the pattern text before
-        // each top-level `=>`.
-        let mut depth = 0i32;
-        let mut arm_start = open + 1;
-        let mut tags = Vec::new();
-        let mut has_catch_all = false;
-        let mut k = open;
-        while k < close {
-            match bytes[k] {
-                b'{' | b'(' | b'[' => depth += 1,
-                b'}' | b')' | b']' => {
-                    depth -= 1;
-                    if depth == 1 {
-                        // end of a braced arm body
-                        arm_start = k + 1;
-                    }
-                }
-                b',' if depth == 1 => arm_start = k + 1,
-                b'=' if depth == 1 && bytes.get(k + 1) == Some(&b'>') => {
-                    let pat = text[arm_start..k].trim();
-                    if let Ok(v) = pat.parse::<u8>() {
-                        tags.push((v, arm_start));
-                    } else if !pat.is_empty() {
-                        // `_`, a binding like `t`, or any non-literal
-                        // pattern counts as the unknown-tag arm.
-                        has_catch_all = true;
-                    }
-                    k += 1;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        return Some(DecodeDispatch {
-            tags,
-            has_catch_all,
-            match_pos: pos,
-        });
-    }
-    None
-}
-
-fn fmt_tags(tags: &BTreeSet<u8>) -> String {
-    tags.iter()
-        .map(|t| t.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Checks each `WireWrite`/`WireRead` pair in one file. Only codecs
-/// with at least two distinct encode tags are treated as tag registries
-/// (single-field codecs and plain struct codecs have no dispatch).
-pub(crate) fn check_l006(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let text = ctx.text;
-    let bytes = text.as_bytes();
-    let writes = crate::impl_blocks(text, "WireWrite");
-    let reads = crate::impl_blocks(text, "WireRead");
-    for (ty, wstart, wend) in &writes {
-        let Some((_, rstart, rend)) = reads.iter().find(|(t, _, _)| t == ty) else {
-            continue;
-        };
-        let enc = encode_tags(text, (*wstart, *wend));
-        let enc_set: BTreeSet<u8> = enc.iter().map(|&(v, _)| v).collect();
-        if enc_set.len() < 2 {
-            continue;
-        }
-        // Duplicate encode tags: two variants claiming one wire tag.
-        let mut seen: BTreeMap<u8, usize> = BTreeMap::new();
-        for &(v, pos) in &enc {
-            if let Some(&first) = seen.get(&v) {
-                ctx.emit(
-                    out,
-                    Rule::L006,
-                    line_of(bytes, pos),
-                    format!(
-                        "duplicate wire tag {v} in `{ty}` encoder (first written at line {}); \
-                         every variant needs a distinct tag",
-                        line_of(bytes, first)
-                    ),
-                );
-            } else {
-                seen.insert(v, pos);
-            }
-        }
-        let Some(dec) = decode_dispatch(text, (*rstart, *rend)) else {
-            ctx.emit(
-                out,
-                Rule::L006,
-                line_of(bytes, *rstart),
-                format!(
-                    "`{ty}` encoder advertises tags [{}] but the decoder has no `match` \
-                     dispatch on a u8 tag",
-                    fmt_tags(&enc_set)
-                ),
-            );
-            continue;
-        };
-        let mut dec_seen: BTreeMap<u8, usize> = BTreeMap::new();
-        for &(v, pos) in &dec.tags {
-            if let std::collections::btree_map::Entry::Vacant(e) = dec_seen.entry(v) {
-                e.insert(pos);
-            } else {
-                ctx.emit(
-                    out,
-                    Rule::L006,
-                    line_of(bytes, pos),
-                    format!(
-                        "duplicate wire tag {v} in `{ty}` decode dispatch; the later arm is \
-                         unreachable"
-                    ),
-                );
-            }
-        }
-        let dec_set: BTreeSet<u8> = dec.tags.iter().map(|&(v, _)| v).collect();
-        if enc_set != dec_set {
-            let missing: BTreeSet<u8> = enc_set.difference(&dec_set).copied().collect();
-            let extra: BTreeSet<u8> = dec_set.difference(&enc_set).copied().collect();
-            let mut parts = Vec::new();
-            if !missing.is_empty() {
-                parts.push(format!(
-                    "encoded tags [{}] have no decode arm (frames of those variants are \
-                     rejected)",
-                    fmt_tags(&missing)
-                ));
-            }
-            if !extra.is_empty() {
-                parts.push(format!(
-                    "decode arms for tags [{}] are never encoded (dead dispatch)",
-                    fmt_tags(&extra)
-                ));
-            }
-            ctx.emit(
-                out,
-                Rule::L006,
-                line_of(bytes, *rstart),
-                format!("`{ty}` wire-tag sets disagree: {}", parts.join("; ")),
-            );
-        }
-        if !dec.has_catch_all {
-            ctx.emit(
-                out,
-                Rule::L006,
-                line_of(bytes, dec.match_pos),
-                format!(
-                    "`{ty}` decode dispatch has no unknown-tag arm; a frame from a newer \
-                     peer would panic instead of failing with a wire error"
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

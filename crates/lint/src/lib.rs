@@ -21,18 +21,12 @@
 //!   server-handler module. A panic in a handler kills a mailbox thread
 //!   silently under `ThreadedNetwork`: the node keeps looking alive while
 //!   one of its services is gone.
-//! * **L004** — `WireWrite` / `WireRead` impl pairs whose field order
-//!   disagrees: the encoder writes fields in one order and the decoder
-//!   reads them in another, which corrupts every frame of that type.
 //!
 //! A second, call-graph-aware phase (see [`graph`]) builds a
-//! per-function view of the whole workspace and runs four more rules:
+//! per-function view of the whole workspace and runs three more rules:
 //!
 //! * **L005** — a blocking RPC transitively reachable from a
 //!   server-handler or pump entry point through any chain of helpers.
-//! * **L006** — wire-tag registry: duplicate tags, encode/decode
-//!   tag-set mismatches, and decode dispatches without an unknown-tag
-//!   arm in `WireWrite`/`WireRead` pairs.
 //! * **L007** — must-call-before invariants (seeded with the hot-lease
 //!   rule: mutations void leases before the mirror fan-out).
 //! * **L008** — long-lived map/set fields that grow but have no prune
@@ -66,12 +60,8 @@ pub enum Rule {
     L002,
     /// Panic path inside an RPC/NFS server-handler module.
     L003,
-    /// Wire encode/decode field-order asymmetry.
-    L004,
     /// Blocking RPC transitively reachable from a handler/pump entry.
     L005,
-    /// Wire-tag registry: duplicates, enc/dec mismatch, missing catch-all.
-    L006,
     /// Must-call-before invariant violated (e.g. lease void before mirror).
     L007,
     /// Growable map/set field with no prune path from cleanup roots.
@@ -80,13 +70,11 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in id order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 6] = [
         Rule::L001,
         Rule::L002,
         Rule::L003,
-        Rule::L004,
         Rule::L005,
-        Rule::L006,
         Rule::L007,
         Rule::L008,
     ];
@@ -98,9 +86,7 @@ impl Rule {
             Rule::L001 => "L001",
             Rule::L002 => "L002",
             Rule::L003 => "L003",
-            Rule::L004 => "L004",
             Rule::L005 => "L005",
-            Rule::L006 => "L006",
             Rule::L007 => "L007",
             Rule::L008 => "L008",
         }
@@ -113,9 +99,7 @@ impl Rule {
             Rule::L001 => "lock guard held across a blocking RPC (deadlock / head-of-line risk)",
             Rule::L002 => "nondeterminism source outside allowlisted clock/transport modules",
             Rule::L003 => "unwrap()/expect()/panic! inside an RPC/NFS server-handler module",
-            Rule::L004 => "Wire encode/decode field order asymmetry",
             Rule::L005 => "blocking RPC reachable from a server-handler/pump entry point",
-            Rule::L006 => "wire-tag registry: duplicate/mismatched tags or missing catch-all",
             Rule::L007 => "must-call-before invariant violated (lease void before mirror)",
             Rule::L008 => "growable map/set field with no prune path from cleanup roots",
         }
@@ -154,14 +138,6 @@ impl Rule {
                  protocol error instead.\n\n\
                  Waive: `// lint: allow(L003) <why>`."
             }
-            Rule::L004 => {
-                "L004 — Wire encode/decode field-order asymmetry\n\n\
-                 A `WireWrite`/`WireRead` impl pair for the same type whose field\n\
-                 order disagrees: the encoder writes [a, b] but the decoder reads\n\
-                 [b, a], corrupting every frame of that type. Field order is\n\
-                 compared over the fields both sides mention.\n\n\
-                 Waive: `// lint: allow(L004) <why>` above the WireWrite impl."
-            }
             Rule::L005 => {
                 "L005 — blocking RPC reachable from a handler/pump entry point\n\n\
                  Entry points are every function in an `impl RpcHandler for …` or\n\
@@ -181,18 +157,6 @@ impl Rule {
                    level (e.g. the control service calling leaf replica services);\n\
                    traversal from other entries stops at a waived entry, so a\n\
                    sibling that only delegates to it needs no second waiver."
-            }
-            Rule::L006 => {
-                "L006 — wire-tag registry\n\n\
-                 For each `WireWrite`/`WireRead` pair that writes two or more\n\
-                 distinct `w.u8(<literal>)` tags, the tag sets must agree:\n\
-                 duplicate encode tags (two variants claiming one wire tag),\n\
-                 encoded tags with no decode arm (those frames are rejected by\n\
-                 peers), decode arms never encoded (dead dispatch), duplicate\n\
-                 decode arms (unreachable), and a decode dispatch without an\n\
-                 unknown-tag catch-all arm (a frame from a newer peer would panic\n\
-                 instead of failing with a wire error) are all flagged.\n\n\
-                 Waive: `// lint: allow(L006) <why>` at the reported line."
             }
             Rule::L007 => {
                 "L007 — must-call-before invariant\n\n\
@@ -1160,170 +1124,6 @@ fn check_l003(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// L004: Wire encode/decode field-order symmetry
-// ---------------------------------------------------------------------------
-
-/// Finds `impl <Trait> for <Type>` blocks and returns
-/// `(type name, body start, body end)`.
-fn impl_blocks(text: &str, trait_name: &str) -> Vec<(String, usize, usize)> {
-    let bytes = text.as_bytes();
-    let pat = format!("impl {trait_name} for ");
-    let mut out = Vec::new();
-    for pos in find_all(text, &pat) {
-        let Some((ty, after)) = ident_after(text, pos + pat.len()) else {
-            continue;
-        };
-        let Some(open_rel) = text[after..].find('{') else {
-            continue;
-        };
-        let open = after + open_rel;
-        let mut depth = 0i32;
-        let mut end = bytes.len();
-        for (k, &b) in bytes.iter().enumerate().skip(open) {
-            if b == b'{' {
-                depth += 1;
-            } else if b == b'}' {
-                depth -= 1;
-                if depth == 0 {
-                    end = k;
-                    break;
-                }
-            }
-        }
-        out.push((ty, open, end));
-    }
-    out
-}
-
-/// Field names written by a `WireWrite` impl body, in order of first
-/// occurrence. Only "being written" forms count (`w.u64(self.f)`,
-/// `self.f.write(w)`, `(&self.f).write(w)`), so match scrutinees and
-/// other incidental `self.f` mentions don't pollute the order.
-fn written_fields(body: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let bytes = body.as_bytes();
-    for pos in find_all(body, "self.") {
-        let Some((field, after)) = ident_after(body, pos + 5) else {
-            continue;
-        };
-        // Writing forms: preceded by `(`/`&` (an argument to a writer
-        // primitive) or followed by `.write(`.
-        let prev = if pos == 0 { b' ' } else { bytes[pos - 1] };
-        let arg_form = prev == b'(' || prev == b'&' || prev == b'*';
-        let method_form = body[after..].starts_with(".write(")
-            || body[after..].starts_with(".encode()")
-            || body[after..].starts_with(" as ");
-        if (arg_form || method_form) && !out.contains(&field) {
-            out.push(field);
-        }
-    }
-    out
-}
-
-/// Field names produced by a `WireRead` impl body, in order: struct
-/// literal fields (`f: expr`) and `let f = …;` bindings that feed them.
-fn read_fields(body: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let bytes = body.as_bytes();
-    // `let f = r.…` bindings, in order.
-    for pos in find_all(body, "let ") {
-        let Some((name, _)) = ident_after(body, pos + 4) else {
-            continue;
-        };
-        let name = if name == "mut" {
-            match ident_after(body, pos + 8) {
-                Some((n, _)) => n,
-                None => continue,
-            }
-        } else {
-            name
-        };
-        if !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    // Struct-literal fields `f: expr,` — field name followed by `:` that
-    // is not `::`, inside the body.
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b':' {
-            continue;
-        }
-        if i + 1 < bytes.len() && bytes[i + 1] == b':' {
-            continue;
-        }
-        if i > 0 && bytes[i - 1] == b':' {
-            continue;
-        }
-        let mut start = i;
-        while start > 0 && is_ident_byte(bytes[start - 1]) {
-            start -= 1;
-        }
-        if start == i {
-            continue;
-        }
-        // Must look like a struct-literal entry: preceded by `{`, `,`, or
-        // start-of-line whitespace.
-        let mut k = start;
-        while k > 0 && (bytes[k - 1] == b' ' || bytes[k - 1] == b'\n') {
-            k -= 1;
-        }
-        let sep = if k == 0 { b'{' } else { bytes[k - 1] };
-        if sep != b'{' && sep != b',' && sep != b'(' {
-            continue;
-        }
-        let name = body[start..i].to_string();
-        if !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
-fn check_l004(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let text = ctx.text;
-    let bytes = text.as_bytes();
-    let writes = impl_blocks(text, "WireWrite");
-    let reads = impl_blocks(text, "WireRead");
-    for (ty, wstart, wend) in &writes {
-        let Some((_, rstart, rend)) = reads.iter().find(|(t, _, _)| t == ty) else {
-            continue;
-        };
-        let wfields = written_fields(&text[*wstart..*wend]);
-        if wfields.len() < 2 {
-            // Enum codecs and single-field structs have no order to get
-            // wrong at this granularity.
-            continue;
-        }
-        let rfields = read_fields(&text[*rstart..*rend]);
-        // Compare relative order of the fields both sides mention.
-        let common_w: Vec<&String> = wfields.iter().filter(|f| rfields.contains(f)).collect();
-        let common_r: Vec<&String> = rfields.iter().filter(|f| wfields.contains(f)).collect();
-        if common_w.len() >= 2 && common_w != common_r {
-            let line = line_of(bytes, *wstart);
-            ctx.emit(
-                out,
-                Rule::L004,
-                line,
-                format!(
-                    "Wire codec for `{ty}` is asymmetric: encoder writes fields in \
-                     order [{}] but decoder reads [{}]",
-                    common_w
-                        .iter()
-                        .map(|s| s.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    common_r
-                        .iter()
-                        .map(|s| s.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
@@ -1362,8 +1162,8 @@ pub struct LintReport {
 }
 
 /// Lints `files` (path, source) as one workspace: the per-file rules
-/// L001–L004 and L006 run on each file; the call-graph rules L005, L007,
-/// and L008 run across all of them together.
+/// L001–L003 run on each file; the call-graph rules L005, L007 and L008
+/// run across all of them together.
 #[must_use]
 pub fn lint_files(files: &[(String, String)], cfg: &Config) -> LintReport {
     let prepped: Vec<(&str, Sanitized)> = files
@@ -1395,8 +1195,6 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> LintReport {
         check_l001(&u.ctx, &mut findings);
         check_l002(&u.ctx, cfg, &mut findings);
         check_l003(&u.ctx, cfg, &mut findings);
-        check_l004(&u.ctx, &mut findings);
-        graph::check_l006(&u.ctx, &mut findings);
     }
     let ws = graph::Workspace::build(&units);
     graph::check_l005(&ws, cfg, &mut findings);
@@ -1786,51 +1584,6 @@ mod tests {
                    #[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         assert!(lint(src).is_empty());
     }
-
-    // ---- L004 -----------------------------------------------------------
-
-    #[test]
-    fn l004_flags_swapped_field_order() {
-        let src = "impl WireWrite for P {\n    fn write(&self, w: &mut Writer) {\n        \
-                   w.u64(self.a);\n        w.u64(self.b);\n    }\n}\n\
-                   impl WireRead for P {\n    fn read(r: &mut Reader) -> R<Self> {\n        \
-                   Ok(P { b: r.u64()?, a: r.u64()? })\n    }\n}\n";
-        let f = lint(src);
-        assert_eq!(rules(&f), vec![Rule::L004]);
-        assert!(f[0].message.contains("[a, b]"));
-        assert!(f[0].message.contains("[b, a]"));
-    }
-
-    #[test]
-    fn l004_accepts_symmetric_codec() {
-        let src = "impl WireWrite for P {\n    fn write(&self, w: &mut Writer) {\n        \
-                   w.u64(self.a);\n        w.u64(self.b);\n    }\n}\n\
-                   impl WireRead for P {\n    fn read(r: &mut Reader) -> R<Self> {\n        \
-                   Ok(P { a: r.u64()?, b: r.u64()? })\n    }\n}\n";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn l004_suppressed_with_justification() {
-        let src = "// lint: allow(L004) flag byte legitimately reorders decode\n\
-                   impl WireWrite for P {\n    fn write(&self, w: &mut Writer) {\n        \
-                   w.u64(self.a);\n        w.u64(self.b);\n    }\n}\n\
-                   impl WireRead for P {\n    fn read(r: &mut Reader) -> R<Self> {\n        \
-                   Ok(P { b: r.u64()?, a: r.u64()? })\n    }\n}\n";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn l004_accepts_let_binding_reads() {
-        let src = "impl WireWrite for P {\n    fn write(&self, w: &mut Writer) {\n        \
-                   w.u64(self.a);\n        w.str(&self.b);\n    }\n}\n\
-                   impl WireRead for P {\n    fn read(r: &mut Reader) -> R<Self> {\n        \
-                   let a = r.u64()?;\n        let b = r.str()?;\n        \
-                   Ok(P { a, b })\n    }\n}\n";
-        assert!(lint(src).is_empty());
-    }
-
-    // ---- JSON -----------------------------------------------------------
 
     #[test]
     fn json_output_escapes_and_counts() {

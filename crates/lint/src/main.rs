@@ -77,7 +77,7 @@ fn main() -> ExitCode {
                     return ExitCode::SUCCESS;
                 }
                 None => {
-                    eprintln!("kosha-lint: --explain needs a rule id (L001..L008)");
+                    eprintln!("kosha-lint: --explain needs a rule id (see --list-rules)");
                     return ExitCode::from(2);
                 }
             },
