@@ -296,6 +296,25 @@ proptest! {
         );
     }
 
+    /// A reply that claims more anchors than a frame can hold and ends
+    /// after the count is refused on the count, as every sequence is;
+    /// the largest count the codec accepts runs out of bytes instead,
+    /// with `Reader::seq`'s 4 096 slots reserved and not the 3 GiB the
+    /// count asks for.
+    #[test]
+    fn hostile_anchor_counts_are_rejected(count in (64u32 << 20) + 1..=u32::MAX) {
+        let claim = |count: u32| {
+            let mut frame = ReplyFrame(Ok(KoshaReply::Anchors(Vec::new()))).encode().to_vec();
+            let at = frame.len() - 4;
+            frame[at..].copy_from_slice(&count.to_le_bytes());
+            decode_both::<KoshaReplyFrame>(&frame)
+        };
+        for count in [count, u32::MAX] {
+            prop_assert_eq!(claim(count), Err(WireError::BadLength(u64::from(count))));
+        }
+        prop_assert_eq!(claim(64 << 20), Err(WireError::Truncated));
+    }
+
     #[test]
     fn control_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_both::<KoshaRequest>(&bytes);

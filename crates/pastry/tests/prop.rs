@@ -68,6 +68,16 @@ proptest! {
             prop_assert_eq!(PastryReply::decode(&b).unwrap(), reply);
         }
     }
+
+    /// Arbitrary bytes decode to a message or to an error, never to a
+    /// panic.
+    #[test]
+    fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        use kosha_pastry::{PastryReply, PastryRequest};
+        use kosha_rpc::WireRead;
+        let _ = PastryRequest::decode(&bytes);
+        let _ = PastryReply::decode(&bytes);
+    }
 }
 
 proptest! {

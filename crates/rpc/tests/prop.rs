@@ -71,6 +71,40 @@ proptest! {
         prop_assert_eq!(r.seq::<u32>().unwrap(), seq);
     }
 
+    /// The codecs written by hand in `wire.rs` and `network.rs`, through
+    /// the traits by which a declared message reaches them: every value
+    /// reads back, a `Vec<u8>` is a byte string, and any other `Vec` is
+    /// `Writer::seq`.
+    #[test]
+    fn trait_impls_round_trip(
+        ints in (any::<u8>(), any::<u16>(), any::<u32>(), any::<u64>(), any::<u128>()),
+        flag in any::<bool>(),
+        s in "\\PC{0,20}",
+        blob in proptest::collection::vec(any::<u8>(), 0..64),
+        opt in proptest::option::of(any::<u64>()),
+        pairs in proptest::collection::vec(("[a-z]{0,8}", any::<u32>()), 0..8),
+        id in any::<u128>(),
+        addr in any::<u64>(),
+    ) {
+        fn rt<T: WireWrite + WireRead + PartialEq + std::fmt::Debug>(v: T) -> Bytes {
+            let bytes = v.encode();
+            assert_eq!(T::decode(&bytes).unwrap(), v);
+            bytes
+        }
+        rt(((ints.0, ints.1), (ints.2, (ints.3, ints.4))));
+        rt((flag, s));
+        rt(opt);
+        rt(kosha_id::Id(id));
+        rt(NodeAddr(addr));
+        rt(Bytes::from(blob.clone()));
+        let mut w = Writer::new();
+        w.bytes(&blob);
+        prop_assert_eq!(rt(blob), w.finish());
+        let mut w = Writer::new();
+        w.seq(&pairs);
+        prop_assert_eq!(rt(pairs), w.finish());
+    }
+
     /// Decoding random bytes never panics.
     #[test]
     fn reader_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
