@@ -523,9 +523,9 @@ wire_enum! {
 
 /// The outermost frame of a reply, for NFS ([`NfsReplyFrame`]) and for
 /// the koshad control protocol alike: status byte 0 followed by the
-/// reply, or the non-zero tag of an [`NfsStatus`] and nothing more.
-/// Written by hand because the status byte is shared between the two
-/// arms (`nfsstat3`: `NFS3_OK` = 0), which no declared enum is.
+/// reply, or the non-zero tag of an [`NfsStatus`] and nothing more
+/// (`nfsstat3`: `NFS3_OK` = 0). Written by hand because the two arms
+/// share that one byte: it is the `Ok` tag and the error's own tag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplyFrame<T>(pub Result<T, NfsStatus>);
 

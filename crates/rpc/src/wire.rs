@@ -12,6 +12,17 @@
 //! round-trip exactly; property tests in each crate verify this for their
 //! message sets.
 //!
+//! As NFSv3 is declared in XDR and its marshalling generated from that,
+//! a message here is declared once, with [`wire_enum!`](crate::wire_enum)
+//! or [`wire_struct!`](crate::wire_struct): the type, its tags, its
+//! labels and both codec directions come from the one declaration, and a
+//! field's type is its codec ([`WireWrite`] / [`WireRead`]). This module
+//! writes by hand only what the declarations bottom out in: integers,
+//! `bool`, `String`, [`Bytes`] (a payload field, below), `Vec<T>`,
+//! `Option<T>`, pairs and [`kosha_id::Id`]. DESIGN.md §18 lists the few
+//! codecs written by hand elsewhere, each with its reason;
+//! `crates/core/tests/wire_golden.rs` pins the bytes of all of them.
+//!
 //! An encoded message can be held in two ways, the way `writev` and the
 //! kernel's `xdr_buf` (head, pages, tail) hold one. *Flat* is one
 //! contiguous buffer. *Split* is a [`Frame`]: a head of a few dozen bytes
@@ -23,9 +34,9 @@
 //! koshad handing on the store's READ reply) encodes a new head and bumps
 //! a refcount; no payload byte moves (DESIGN.md §18). The holding is the
 //! encoder's and the decoder's business only: each message has one
-//! [`WireWrite::write`] and one [`WireRead::read`], which call
-//! [`Writer::payload`] and [`Reader::payload`] for a payload field and
-//! never learn which holding they serve.
+//! [`WireWrite::write`] and one [`WireRead::read`], which reach
+//! [`Writer::payload`] and [`Reader::payload`] through a [`Bytes`] field
+//! and never learn which holding they serve.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -513,8 +524,8 @@ pub trait WireRead: Sized {
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError>;
 
     /// Reads what [`WireWrite::write_seq`] wrote. The count is checked
-    /// against [`MAX_LEN`] and no more than 4 096 slots are reserved
-    /// before the items themselves have been seen.
+    /// against the 64 MiB limit of every length prefix, and no more than
+    /// 4 096 slots are reserved before the items themselves are seen.
     fn read_seq(r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
         let n = r.length_prefix()?;
         let mut v = Vec::with_capacity(n.min(4096));
@@ -705,6 +716,9 @@ impl<A: WireRead, B: WireRead> WireRead for (A, B) {
 /// An enum of unit variants only is also given `ALL`, `tag()` and
 /// `from_tag()`.
 ///
+/// The generated decoder denies `unreachable_patterns`, so a tag claimed
+/// by two variants is a compile error that points at the second:
+///
 /// ```compile_fail
 /// kosha_rpc::wire_enum! {
 ///     pub enum Twice {
@@ -733,12 +747,12 @@ macro_rules! wire_enum {
         impl $name {
             /// Stable lower-case label of every variant, in declaration
             /// order (which is metric registration order).
-            pub const $names: [&'static str; [$($tag),*].len()] = [$($label),*];
+            $vis const $names: [&'static str; [$($tag),*].len()] = [$($label),*];
 
             /// Position of this value's variant in the declaration, and
             /// so of its label in the label array.
             #[must_use]
-            pub fn $index(&self) -> usize {
+            $vis fn $index(&self) -> usize {
                 enum Position { $($variant),* }
                 match self { $( Self::$variant { .. } => Position::$variant as usize ),* }
             }
@@ -746,7 +760,7 @@ macro_rules! wire_enum {
             /// Stable lower-case label of this value's variant (span
             /// names, metric names, journal details).
             #[must_use]
-            pub fn $label_of(&self) -> &'static str {
+            $vis fn $label_of(&self) -> &'static str {
                 match self { $( Self::$variant { .. } => $label ),* }
             }
         }
@@ -761,17 +775,17 @@ macro_rules! wire_enum {
         $vis enum $name { $( $(#[$vmeta])* $variant ),* }
         impl $name {
             /// Every variant, in declaration order.
-            pub const ALL: [$name; [$($tag),*].len()] = [$(Self::$variant),*];
+            $vis const ALL: [$name; [$($tag),*].len()] = [$(Self::$variant),*];
 
             /// The byte this variant is on the wire.
             #[must_use]
-            pub fn tag(&self) -> u8 {
+            $vis fn tag(&self) -> u8 {
                 match self { $( Self::$variant => $tag ),* }
             }
 
             /// The variant `tag` stands for.
             #[deny(unreachable_patterns)]
-            pub fn from_tag(tag: u8) -> Result<Self, $crate::WireError> {
+            $vis fn from_tag(tag: u8) -> Result<Self, $crate::WireError> {
                 match tag {
                     $( $tag => Ok(Self::$variant), )*
                     t => Err($crate::WireError::BadTag(t)),
