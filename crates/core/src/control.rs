@@ -106,7 +106,10 @@ wire_struct! {
 
 wire_enum! {
     /// Requests handled by a node's Kosha control service. Every path is a
-    /// full virtual path (relative to `/kosha`, normalized).
+    /// full virtual path (relative to `/kosha`, normalized). A variant's
+    /// label (`name()`) names its trace spans (`kosha:{name}` on the
+    /// control service, `replica:{name}` on the replica service) and its
+    /// journal details.
     #[derive(Debug, Clone, PartialEq)]
     pub enum KoshaRequest labelled(NAMES, index, name) {
         /// Create a regular file (primary of the parent directory). `size`

@@ -266,7 +266,9 @@ wire_enum! {
     /// The NFS procedure set. `Mount` plays the role of the MOUNT protocol's
     /// `MNT` (hand out the export's root handle); `CreateSized` and
     /// `RemoveTree` are documented extensions used by the simulation harness
-    /// and the replica manager respectively.
+    /// and the replica manager respectively. The labels (`PROC_NAMES`, in
+    /// declaration order, indexed by `proc_index()`) name the per-procedure
+    /// metrics and `nfsc:`/`nfs:` spans.
     #[derive(Debug, Clone, PartialEq)]
     pub enum NfsRequest labelled(PROC_NAMES, proc_index, proc_name) {
         /// No-op liveness probe (NFSPROC3_NULL).
