@@ -982,3 +982,185 @@ fn audit_counts_hot_copies_without_flagging_them() {
     );
     assert_eq!(report.objects_divergent, 0, "hot slots must not diverge");
 }
+
+/// Sends one request to `node`'s control service, as a peer koshad would.
+fn control(
+    c: &Cluster,
+    node: &Arc<KoshaNode>,
+    req: &kosha::control::KoshaRequest,
+) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    use kosha_rpc::{RpcRequest, ServiceId};
+    c.net
+        .call(
+            c.nodes[0].addr(),
+            node.addr(),
+            RpcRequest::new(ServiceId::Kosha, req),
+        )
+        .expect("control rpc")
+        .decode::<kosha::control::KoshaReplyFrame>()
+        .expect("control reply decodes")
+        .0
+}
+
+fn primary_of<'a>(c: &'a Cluster, anchor: &str) -> &'a Arc<KoshaNode> {
+    c.nodes
+        .iter()
+        .find(|n| n.hosted_anchors().iter().any(|(p, _)| p == anchor))
+        .expect("anchor hosted somewhere")
+}
+
+/// Hot-copy holders the primary of `anchor` advertises for `path`: what
+/// `ReplicaTargets` lists beyond the K durable targets, which is exactly
+/// the set of holders with a valid, unexpired lease.
+fn advertised_hot_holders(c: &Cluster, anchor: &str, path: &str) -> usize {
+    use kosha::control::{KoshaReply, KoshaRequest};
+    let primary = primary_of(c, anchor);
+    match control(
+        c,
+        primary,
+        &KoshaRequest::ReplicaTargets { path: path.into() },
+    ) {
+        Ok(KoshaReply::Nodes(targets)) => targets.len() - primary.config().replicas,
+        other => panic!("ReplicaTargets({path}): {other:?}"),
+    }
+}
+
+/// The lease-void rule (DESIGN.md §16), one row per mutation kind that can
+/// name an existing object: the moment the mutation's reply is back, the
+/// primary advertises no hot holder for the object's path, and no read
+/// returns the bytes the holders were given before the mutation. Rows
+/// that leave the path empty first put an empty file there, since a lease
+/// that outlives its object is only visible once the name is reused; a
+/// bare create is the one way to reuse it that voids nothing itself.
+#[test]
+fn every_mutation_kind_voids_hot_leases_before_it_replies() {
+    use kosha::control::KoshaRequest;
+    use kosha_nfs::messages::WireSetAttr;
+    use kosha_vfs::SetAttr;
+
+    const HOT: &str = "/t/hot";
+    const OLD: &[u8] = b"old bytes";
+    let path = |p: &str| p.to_string();
+    // What a row does to the hot object, and what `/t/hot` must read as
+    // afterwards (`None`: the name is gone and is re-created empty).
+    enum Do {
+        /// Requests sent straight to the primary's control service.
+        Control(Vec<KoshaRequest>),
+        /// Anchor-level operations, which also fix up the parent's special
+        /// link; koshad sends `RmdirAnchor` / `RenameAnchorDir` for them.
+        Mount(fn(&KoshaMount)),
+    }
+    let rows: Vec<(&str, Do, Option<&[u8]>)> = vec![
+        (
+            "Write",
+            Do::Control(vec![KoshaRequest::Write {
+                path: path(HOT),
+                offset: 0,
+                data: b"new".as_slice().into(),
+            }]),
+            Some(b"new bytes"),
+        ),
+        (
+            "SetAttr (truncate)",
+            Do::Control(vec![KoshaRequest::SetAttr {
+                path: path(HOT),
+                sattr: WireSetAttr(SetAttr {
+                    size: Some(3),
+                    ..Default::default()
+                }),
+            }]),
+            Some(b"old"),
+        ),
+        (
+            "Remove",
+            Do::Control(vec![KoshaRequest::Remove { path: path(HOT) }]),
+            None,
+        ),
+        (
+            "RemoveLink",
+            Do::Control(vec![KoshaRequest::RemoveLink { path: path(HOT) }]),
+            None,
+        ),
+        (
+            "RenameLocal, hot object is the source",
+            Do::Control(vec![KoshaRequest::RenameLocal {
+                from: path(HOT),
+                to: path("/t/moved"),
+            }]),
+            None,
+        ),
+        (
+            "RenameLocal, hot object is overwritten",
+            Do::Control(vec![KoshaRequest::RenameLocal {
+                from: path("/t/other"),
+                to: path(HOT),
+            }]),
+            Some(b"other"),
+        ),
+        (
+            // An anchor can only be removed empty, so the Remove that
+            // empties it has voided the lease already; the row pins that
+            // nothing about the torn-down anchor is advertised when the
+            // name comes back.
+            "RmdirAnchor",
+            Do::Mount(|m| {
+                m.remove(HOT).unwrap();
+                m.remove("/t/other").unwrap();
+                m.rmdir("/t").unwrap();
+            }),
+            None,
+        ),
+        (
+            "RenameAnchorDir",
+            Do::Mount(|m| m.rename("/t", "/u").unwrap()),
+            None,
+        ),
+    ];
+    for (name, action, expect) in rows {
+        let c = build_cluster(6, hot_cfg());
+        let m = mount(&c, 0);
+        m.mkdir_p("/t").unwrap();
+        m.write_file(HOT, OLD).unwrap();
+        m.write_file("/t/other", b"other").unwrap();
+        for _ in 0..24 {
+            assert_eq!(m.read_file(HOT).unwrap(), OLD);
+        }
+        assert!(
+            advertised_hot_holders(&c, "/t", HOT) > 0,
+            "{name}: the row needs a valid lease in place before the mutation"
+        );
+
+        match action {
+            Do::Control(reqs) => {
+                for req in &reqs {
+                    control(&c, primary_of(&c, "/t"), req)
+                        .unwrap_or_else(|e| panic!("{name}: {req:?} failed: {e:?}"));
+                }
+                // The mutation bypassed this koshad, so drop what it cached.
+                c.nodes[0].flush_caches();
+            }
+            Do::Mount(f) => f(&m),
+        }
+        let expect = match expect {
+            Some(bytes) => bytes,
+            None => {
+                m.mkdir_p("/t").unwrap();
+                m.create(HOT).unwrap();
+                b""
+            }
+        };
+
+        assert_eq!(
+            advertised_hot_holders(&c, "/t", HOT),
+            0,
+            "{name}: a hot-copy lease survived the mutation's reply"
+        );
+        for turn in 0..24 {
+            assert_eq!(
+                m.read_file(HOT).unwrap(),
+                expect,
+                "{name}: read {turn} after the mutation returned other bytes"
+            );
+        }
+    }
+}

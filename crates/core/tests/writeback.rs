@@ -428,17 +428,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// End-to-end version of the same property, through the real
-    /// write-behind queue: whatever random mutation mix was enqueued
-    /// (and however it coalesced), after a COMMIT flush barrier every
-    /// replica slot's audit digest equals the primary's.
+    /// mirror path of either replication mode: whatever random mutation
+    /// mix was applied (mirrored op by op under `Sync`; enqueued, and
+    /// however it coalesced, under write-behind), after a COMMIT flush
+    /// barrier every replica slot's audit digest equals the primary's.
     #[test]
     fn flush_barrier_makes_replica_digests_equal_primary(
         script in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>()),
             1..20,
         ),
+        sync in any::<bool>(),
     ) {
-        let c = build_cluster(4, wb_cfg(256));
+        let mut cfg = wb_cfg(256);
+        if sync {
+            cfg.replication_mode = ReplicationMode::Sync;
+        }
+        let c = build_cluster(4, cfg);
         let m = mount(&c, 0);
         m.mkdir_p("/prop").unwrap();
         let mut touched = std::collections::BTreeSet::new();
