@@ -463,6 +463,36 @@ wire_enum! {
     }
 }
 
+/// What a [`ReplicaOp`] names, which decides the slot it lands in.
+pub(crate) enum Names<'a> {
+    /// An entry of its parent directory, by virtual path; a rename names
+    /// two, and lands where the first does.
+    Entry(&'a str, Option<&'a str>),
+    /// A whole anchor slot, by the anchor's virtual path; a slot rename
+    /// names two.
+    Slot(&'a str, Option<&'a str>),
+}
+
+impl ReplicaOp {
+    /// The virtual paths this op names.
+    pub(crate) fn names(&self) -> Names<'_> {
+        match self {
+            ReplicaOp::Mkdir { path }
+            | ReplicaOp::Create { path, .. }
+            | ReplicaOp::Symlink { path, .. }
+            | ReplicaOp::Write { path, .. }
+            | ReplicaOp::SetAttr { path, .. }
+            | ReplicaOp::Remove { path }
+            | ReplicaOp::Rmdir { path } => Names::Entry(path, None),
+            ReplicaOp::Rename { from, to } => Names::Entry(from, Some(to)),
+            ReplicaOp::RemoveSlot { anchor } | ReplicaOp::LagMark { anchor, .. } => {
+                Names::Slot(anchor, None)
+            }
+            ReplicaOp::RenameSlot { from, to } => Names::Slot(from, Some(to)),
+        }
+    }
+}
+
 wire_enum! {
     /// Successful control replies; the wire frame is
     /// `Result<KoshaReply, NfsStatus>` like the NFS reply frame.

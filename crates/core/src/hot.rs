@@ -29,7 +29,6 @@ use crate::paths::{anchor_slot, slot_local_path, Area, ANCHOR_META, HOT_MARK};
 use kosha_nfs::{NfsReply, NfsRequest, NfsStatus};
 use kosha_rpc::{NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::path::parent_and_name;
-use kosha_vfs::SetAttr;
 use std::collections::BTreeMap;
 
 /// Primary-side record of one object's outstanding hot copies.
@@ -476,11 +475,7 @@ impl KoshaNode {
             slot_local_path(Area::Replica, anchor, anchor),
             HOT_MARK
         );
-        let Some(text) = self.store.with_store(|v| {
-            let (id, attr) = v.resolve(&mark).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            String::from_utf8(data).ok()
-        }) else {
+        let Some(text) = self.read_text(&mark) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -503,7 +498,7 @@ impl KoshaNode {
         anchor: &str,
         mut leases: Vec<(String, u64, u64)>,
     ) -> Result<(), NfsStatus> {
-        let dir = self.replica_dir_local(anchor, anchor)?;
+        let dir = self.op_dir(Area::Replica, anchor, anchor)?;
         if leases.is_empty() {
             return match self.apply(NfsRequest::Remove {
                 dir,
@@ -518,37 +513,8 @@ impl KoshaNode {
         for (path, seq, exp) in &leases {
             text.push_str(&format!("{path} {seq} {exp}\n"));
         }
-        let fh = match self.apply(NfsRequest::Lookup {
-            dir,
-            name: HOT_MARK.into(),
-        }) {
-            Ok(NfsReply::Handle { fh, .. }) => fh,
-            Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
-                dir,
-                name: HOT_MARK.into(),
-                mode: 0o600,
-                uid: 0,
-                gid: 0,
-            })? {
-                NfsReply::Handle { fh, .. } => fh,
-                _ => return Err(NfsStatus::Io),
-            },
-            Err(e) => return Err(e),
-            Ok(_) => return Err(NfsStatus::Io),
-        };
-        self.apply(NfsRequest::Setattr {
-            fh,
-            sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
-                size: Some(0),
-                ..Default::default()
-            }),
-        })?;
-        self.apply(NfsRequest::Write {
-            fh,
-            offset: 0,
-            data: text.into_bytes().into(),
-        })
-        .map(|_| ())
+        self.replace_file(dir, HOT_MARK, (0o600, 0, 0), text.into_bytes().into())
+            .map(|_| ())
     }
 
     /// `HotReplicaPush` handler: materializes the pushed copy in the
@@ -571,41 +537,17 @@ impl KoshaNode {
         // would live, so the client's replica-read path serves it with
         // no special casing.
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
-        let dir = self.replica_dir_local(anchor, pp)?;
-        let fh = match self.apply(NfsRequest::Lookup {
+        let dir = self.op_dir(Area::Replica, anchor, pp)?;
+        self.replace_file(
             dir,
-            name: name.to_string(),
-        }) {
-            Ok(NfsReply::Handle { fh, .. }) => fh,
-            Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
-                dir,
-                name: name.to_string(),
-                mode: item.mode,
-                uid: item.uid,
-                gid: item.gid,
-            })? {
-                NfsReply::Handle { fh, .. } => fh,
-                _ => return Err(NfsStatus::Io),
-            },
-            Err(e) => return Err(e),
-            Ok(_) => return Err(NfsStatus::Io),
-        };
-        self.apply(NfsRequest::Setattr {
-            fh,
-            sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
-                size: Some(0),
-                ..Default::default()
-            }),
-        })?;
-        self.apply(NfsRequest::Write {
-            fh,
-            offset: 0,
-            data: data.clone().into(),
-        })?;
+            name,
+            (item.mode, item.uid, item.gid),
+            data.clone().into(),
+        )?;
         // Record the anchor's routing name so replica-slot GC can ask
         // the owner about this slot even though no full replica push
         // ever wrote the meta here.
-        let root = self.replica_dir_local(anchor, anchor)?;
+        let root = self.op_dir(Area::Replica, anchor, anchor)?;
         if let Err(NfsStatus::NoEnt) = self
             .apply(NfsRequest::Lookup {
                 dir: root,
@@ -649,9 +591,10 @@ impl KoshaNode {
         }
         if leases.is_empty() {
             // Drop the entire slot; it existed only for hot copies.
-            return self.apply_replica_op(ReplicaOp::RemoveSlot {
+            let drop_slot = ReplicaOp::RemoveSlot {
                 anchor: anchor.to_string(),
-            });
+            };
+            return self.apply_op(Area::Replica, &drop_slot, None).map(|_| ());
         }
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
         let dirp = slot_local_path(Area::Replica, anchor, pp);

@@ -9,7 +9,7 @@
 //! which behaves as an anchor with the fixed routing name `"/"`.
 
 use kosha_id::Sha1;
-use kosha_vfs::path::{depth, split_path};
+use kosha_vfs::path::{depth, split_path, validate_name};
 use kosha_vfs::VfsError;
 
 /// Area of a node's local store.
@@ -73,6 +73,24 @@ pub const HOT_MARK: &str = ".kosha_hot";
 #[must_use]
 pub fn is_internal_name(name: &str) -> bool {
     name == ANCHOR_META || name == MIGRATION_FLAG || name == LAG_MARK || name == HOT_MARK
+}
+
+/// Accepts a virtual path a peer supplied only if it is absolute and
+/// already normalised (`normalize(p) == p`, checked without building the
+/// copy). Such a path is about to be joined into a path in the local
+/// store, where `..` resolves: un-normalised, a mirrored op for
+/// `/a/../../kosha_store/x` would leave the replica area. `Inval` for
+/// anything else.
+pub fn check_vpath(vpath: &str) -> Result<(), kosha_nfs::NfsStatus> {
+    let normalised = vpath == "/"
+        || vpath
+            .strip_prefix('/')
+            .is_some_and(|rest| rest.split('/').all(|c| validate_name(c).is_ok()));
+    if normalised {
+        Ok(())
+    } else {
+        Err(kosha_nfs::NfsStatus::Inval)
+    }
 }
 
 /// The routing name of the virtual root anchor.
@@ -209,6 +227,33 @@ mod tests {
             slot_local_path(Area::Replica, "/", "/f.txt"),
             format!("/kosha_replica/{root_slot}/f.txt")
         );
+    }
+
+    #[test]
+    fn check_vpath_is_normalize_fixed_point() {
+        let long = format!("/{}", "x".repeat(kosha_vfs::path::MAX_NAME + 1));
+        for p in [
+            "/",
+            "/a",
+            "/a/b.c/d",
+            "/a/..b/...",
+            "",
+            "a",
+            "a/b",
+            "//",
+            "/a/",
+            "/a//b",
+            "/.",
+            "/a/./b",
+            "/..",
+            "/a/../b",
+            "/a/b/../../../../kosha_store/evil/f",
+            "/a/b\0c",
+            long.as_str(),
+        ] {
+            let fixed = kosha_vfs::path::normalize(p).is_ok_and(|n| n == p);
+            assert_eq!(check_vpath(p).is_ok(), fixed, "{p:?}");
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! (§4.3).
 
 use crate::control::{
-    KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
+    KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
 use crate::paths::{
-    anchor_slot, is_internal_name, slot_local_path, Area, ANCHOR_META, LAG_MARK, MIGRATION_FLAG,
+    anchor_slot, check_vpath, is_internal_name, slot_local_path, Area, ANCHOR_META, LAG_MARK,
+    MIGRATION_FLAG,
 };
 use kosha_nfs::messages::ReplyFrame;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
@@ -36,30 +37,77 @@ impl KoshaNode {
         self.anchors.lock().get(anchor).cloned()
     }
 
-    /// Store path of the parent directory of `vpath`, plus the entry
-    /// name. Fails `NoEnt` if this node does not host the covering
-    /// anchor (the caller misrouted or we lost ownership).
-    fn local_entry(&self, area: Area, vpath: &str) -> Result<(String, String), NfsStatus> {
+    /// The slot an entry lands in: the covering anchor of its parent
+    /// directory, that directory's virtual path, and the entry's name.
+    /// Both areas, the write-behind queue and its lag marker derive the
+    /// slot here and nowhere else.
+    fn entry_slot<'a>(&self, vpath: &'a str) -> Result<(String, &'a str, &'a str), NfsStatus> {
         let (pp, name) = parent_and_name(vpath).ok_or(NfsStatus::Inval)?;
-        let anchor = self.covering_anchor(pp);
-        if !self.hosted(&anchor) {
-            return Err(NfsStatus::NoEnt);
-        }
-        Ok((slot_local_path(area, &anchor, pp), name.to_string()))
+        Ok((self.covering_anchor(pp), pp, name))
     }
 
-    /// Store path of an arbitrary object: the slot root for a hosted
-    /// anchor directory, otherwise an entry within its parent's slot.
-    pub(crate) fn local_object(&self, area: Area, vpath: &str) -> Result<String, NfsStatus> {
-        if vpath == "/" || self.hosted(vpath) {
-            let anchor = if vpath == "/" { "/" } else { vpath };
-            if !self.hosted(anchor) {
-                return Err(NfsStatus::NoEnt);
-            }
-            return Ok(slot_local_path(area, anchor, vpath));
+    /// The anchor whose slot `op` lands in — the slot a lag marker for
+    /// it must stamp.
+    pub(crate) fn landing_anchor(&self, op: &ReplicaOp) -> String {
+        match op.names() {
+            Names::Entry(path, _) => self
+                .entry_slot(path)
+                .map_or_else(|_| "/".to_string(), |(anchor, _, _)| anchor),
+            Names::Slot(anchor, _) => anchor.to_string(),
         }
-        let (pdir, name) = self.local_entry(area, vpath)?;
-        Ok(format!("{pdir}/{name}"))
+    }
+
+    /// Handle of the local directory holding virtual directory `vdir` of
+    /// `anchor`'s slot. First of the two policies that tell the areas
+    /// apart, what is missing: in the store an anchor this node does not
+    /// host (the caller misrouted, or we lost ownership) or a directory
+    /// it lacks is `NoEnt`; the replica area makes the chain, since a
+    /// mirrored op may arrive before, or without, the push that would
+    /// have made it.
+    pub(crate) fn op_dir(&self, area: Area, anchor: &str, vdir: &str) -> Result<Fh, NfsStatus> {
+        let p = slot_local_path(area, anchor, vdir);
+        match area {
+            Area::Store if !self.hosted(anchor) => Err(NfsStatus::NoEnt),
+            Area::Store => self.fh_of(&p),
+            Area::Replica => self
+                .store
+                .with_store(|v| v.mkdir_p(&p, 0o700))
+                .map(Fh::from_file_id)
+                .map_err(Into::into),
+        }
+    }
+
+    /// [`Self::op_dir`] of an entry's parent, plus the entry's name.
+    fn entry_dir(&self, area: Area, vpath: &str) -> Result<(Fh, String), NfsStatus> {
+        let (anchor, pp, name) = self.entry_slot(vpath)?;
+        Ok((self.op_dir(area, &anchor, pp)?, name.to_string()))
+    }
+
+    /// Handle of the existing object an op names, same policy: the store
+    /// resolves it (a hosted anchor directory is its slot's root) or
+    /// fails `NoEnt`; a holder looks it up under its made-on-demand
+    /// parent and, with `create_missing`, creates it as a plain file.
+    fn op_object(&self, area: Area, vpath: &str, create_missing: bool) -> Result<Fh, NfsStatus> {
+        match area {
+            Area::Store if self.hosted(vpath) => self.fh_of(&slot_local_path(area, vpath, vpath)),
+            Area::Store if vpath == "/" => Err(NfsStatus::NoEnt),
+            Area::Store => {
+                let (anchor, pp, name) = self.entry_slot(vpath)?;
+                if !self.hosted(&anchor) {
+                    return Err(NfsStatus::NoEnt);
+                }
+                self.fh_of(&format!("{}/{name}", slot_local_path(area, &anchor, pp)))
+            }
+            Area::Replica => {
+                let (dir, name) = self.entry_dir(area, vpath)?;
+                if create_missing {
+                    self.lookup_or_create(dir, &name, (0o644, 0, 0))
+                } else {
+                    self.apply(NfsRequest::Lookup { dir, name })
+                        .and_then(handle_of)
+                }
+            }
+        }
     }
 
     pub(crate) fn fh_of(&self, store_path: &str) -> Result<Fh, NfsStatus> {
@@ -71,6 +119,65 @@ impl KoshaNode {
 
     pub(crate) fn apply(&self, req: NfsRequest) -> Result<NfsReply, NfsStatus> {
         self.store.apply(req)
+    }
+
+    /// Handle of `name` in `dir`, created as a plain file owned by
+    /// `(mode, uid, gid)` if it is not there.
+    pub(crate) fn lookup_or_create(
+        &self,
+        dir: Fh,
+        name: &str,
+        (mode, uid, gid): (u32, u32, u32),
+    ) -> Result<Fh, NfsStatus> {
+        match self.apply(NfsRequest::Lookup {
+            dir,
+            name: name.to_string(),
+        }) {
+            Err(NfsStatus::NoEnt) => self.apply(NfsRequest::Create {
+                dir,
+                name: name.to_string(),
+                mode,
+                uid,
+                gid,
+            }),
+            found => found,
+        }
+        .and_then(handle_of)
+    }
+
+    /// Makes `data` the whole content of `name` in `dir`, creating the
+    /// file if needed. Truncates first, so shorter content never leaves
+    /// stale trailing bytes.
+    pub(crate) fn replace_file(
+        &self,
+        dir: Fh,
+        name: &str,
+        owner: (u32, u32, u32),
+        data: Bytes,
+    ) -> Result<NfsReply, NfsStatus> {
+        let fh = self.lookup_or_create(dir, name, owner)?;
+        self.apply(NfsRequest::Setattr {
+            fh,
+            sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
+                size: Some(0),
+                ..Default::default()
+            }),
+        })?;
+        self.apply(NfsRequest::Write {
+            fh,
+            offset: 0,
+            data,
+        })
+    }
+
+    /// Content of the small (marker or metadata) file at `store_path`,
+    /// `None` if there is no such file.
+    pub(crate) fn read_text(&self, store_path: &str) -> Option<String> {
+        self.store.with_store(|v| {
+            let (id, attr) = v.resolve(store_path).ok()?;
+            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
+            Some(String::from_utf8_lossy(&data).into_owned())
+        })
     }
 
     // ---- anchor metadata ------------------------------------------------
@@ -112,15 +219,10 @@ impl KoshaNode {
     }
 
     fn read_anchor_meta(&self, anchor: &str) -> Option<String> {
-        let p = format!(
+        self.read_text(&format!(
             "{}/{ANCHOR_META}",
             slot_local_path(Area::Store, anchor, anchor)
-        );
-        self.store.with_store(|v| {
-            let (id, attr) = v.resolve(&p).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            String::from_utf8(data).ok()
-        })
+        ))
     }
 
     // ---- replication ------------------------------------------------------
@@ -263,17 +365,6 @@ impl KoshaNode {
 
     // ---- the replica service (receiving side) -----------------------------
 
-    /// Local replica-area directory for `vdir` (creating the chain), the
-    /// receiving-side counterpart of the primary's old per-RPC
-    /// `mkdir_path` walk.
-    pub(crate) fn replica_dir_local(&self, anchor: &str, vdir: &str) -> Result<Fh, NfsStatus> {
-        let p = slot_local_path(Area::Replica, anchor, vdir);
-        self.store
-            .with_store(|v| v.mkdir_p(&p, 0o700))
-            .map(Fh::from_file_id)
-            .map_err(Into::into)
-    }
-
     /// Serves the replica-maintenance service: only replica-area
     /// requests (mirrored ops, full pushes, and hot-copy push/drop) are
     /// valid here, and all of them touch purely local state (no nested
@@ -281,7 +372,7 @@ impl KoshaNode {
     pub(crate) fn handle_replica(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
             KoshaRequest::ReplicaApply { op } => {
-                self.apply_replica_op(op)?;
+                self.apply_op(Area::Replica, &op, None)?;
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::ReplicaApplyBatch { ops } => {
@@ -289,8 +380,8 @@ impl KoshaNode {
                 // applied batch must leave the slot's lag marker set (the
                 // clears ride at the batch tail), so a later promotion of
                 // this copy still reports the divergence.
-                for op in ops {
-                    self.apply_replica_op(op)?;
+                for op in &ops {
+                    self.apply_op(Area::Replica, op, None)?;
                 }
                 Ok(KoshaReply::Done)
             }
@@ -306,10 +397,12 @@ impl KoshaNode {
                 expires_nanos,
                 item,
             } => {
+                check_vpath(&path)?;
                 self.receive_hot_push(&anchor, &routing, &path, seq, expires_nanos, &item)?;
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::HotReplicaDrop { anchor, path } => {
+                check_vpath(&path)?;
                 self.receive_hot_drop(&anchor, &path)?;
                 Ok(KoshaReply::Done)
             }
@@ -317,14 +410,42 @@ impl KoshaNode {
         }
     }
 
-    /// Applies one mirrored mutation to the local replica area.
-    /// Already-done outcomes (`Exist` on creates, `NoEnt` on removes and
-    /// renames) count as success so replays and re-pushes are idempotent.
-    pub(crate) fn apply_replica_op(&self, op: ReplicaOp) -> Result<(), NfsStatus> {
+    /// Applies one mutation to `area` of the local store: the whole
+    /// `ReplicaOp` → `NfsRequest` mapping, run by the primary on its
+    /// store and by each holder on its replica area (§4.2: one
+    /// operation, K+1 places). The areas differ in two policies only,
+    /// what is missing ([`Self::op_dir`], [`Self::op_object`]) and what
+    /// is already done ([`settle`]). `dir_attr` is the mode, uid and gid
+    /// of a directory `Mkdir` makes in the store; the wire op carries
+    /// none, and the replica area makes all its directories alike.
+    pub(crate) fn apply_op(
+        &self,
+        area: Area,
+        op: &ReplicaOp,
+        dir_attr: Option<(u32, u32, u32)>,
+    ) -> Result<NfsReply, NfsStatus> {
+        // The paths are a peer's and are about to be joined into local
+        // ones: nothing is touched for one that could climb out of its
+        // slot.
+        let (Names::Entry(a, b) | Names::Slot(a, b)) = op.names();
+        check_vpath(a)?;
+        b.map_or(Ok(()), check_vpath)?;
         match op {
             ReplicaOp::Mkdir { path } => {
-                let anchor = self.covering_anchor(&path);
-                self.replica_dir_local(&anchor, &path).map(|_| ())
+                let (anchor, pp, name) = self.entry_slot(path)?;
+                if area == Area::Replica {
+                    // Here the op *is* the missing-directory policy,
+                    // applied to `path` itself.
+                    return self.op_dir(area, &anchor, path).map(|_| NfsReply::Void);
+                }
+                let (mode, uid, gid) = dir_attr.unwrap_or((0o700, 0, 0));
+                self.apply(NfsRequest::Mkdir {
+                    dir: self.op_dir(area, &anchor, pp)?,
+                    name: name.to_string(),
+                    mode,
+                    uid,
+                    gid,
+                })
             }
             ReplicaOp::Create {
                 path,
@@ -333,28 +454,26 @@ impl KoshaNode {
                 gid,
                 size,
             } => {
-                let (pp, name) = parent_and_name(&path).ok_or(NfsStatus::Inval)?;
-                let anchor = self.covering_anchor(pp);
-                let dir = self.replica_dir_local(&anchor, pp)?;
-                let name = name.to_string();
-                let r = match size {
-                    None => self.apply(NfsRequest::Create {
+                let (dir, name) = self.entry_dir(area, path)?;
+                let (mode, uid, gid) = (*mode, *uid, *gid);
+                let req = match *size {
+                    None => NfsRequest::Create {
                         dir,
                         name,
                         mode,
                         uid,
                         gid,
-                    }),
-                    Some(sz) => self.apply(NfsRequest::CreateSized {
+                    },
+                    Some(size) => NfsRequest::CreateSized {
                         dir,
                         name,
-                        size: sz,
+                        size,
                         mode,
                         uid,
                         gid,
-                    }),
+                    },
                 };
-                absorb(r, NfsStatus::Exist)
+                settle(area, self.apply(req), NfsStatus::Exist)
             }
             ReplicaOp::Symlink {
                 path,
@@ -363,170 +482,138 @@ impl KoshaNode {
                 uid,
                 gid,
             } => {
-                let (pp, name) = parent_and_name(&path).ok_or(NfsStatus::Inval)?;
-                let anchor = self.covering_anchor(pp);
-                let dir = self.replica_dir_local(&anchor, pp)?;
-                absorb(
-                    self.apply(NfsRequest::Symlink {
-                        dir,
-                        name: name.to_string(),
-                        target,
-                        mode,
-                        uid,
-                        gid,
-                    }),
-                    NfsStatus::Exist,
-                )
+                let (dir, name) = self.entry_dir(area, path)?;
+                let req = NfsRequest::Symlink {
+                    dir,
+                    name,
+                    target: target.clone(),
+                    mode: *mode,
+                    uid: *uid,
+                    gid: *gid,
+                };
+                settle(area, self.apply(req), NfsStatus::Exist)
             }
             ReplicaOp::Write { path, offset, data } => {
-                let (pp, name) = parent_and_name(&path).ok_or(NfsStatus::Inval)?;
-                let anchor = self.covering_anchor(pp);
-                let dir = self.replica_dir_local(&anchor, pp)?;
-                let fh = match self.apply(NfsRequest::Lookup {
-                    dir,
-                    name: name.to_string(),
-                }) {
-                    Ok(NfsReply::Handle { fh, .. }) => fh,
-                    Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
-                        dir,
-                        name: name.to_string(),
-                        mode: 0o644,
-                        uid: 0,
-                        gid: 0,
-                    })? {
-                        NfsReply::Handle { fh, .. } => fh,
-                        _ => return Err(NfsStatus::Io),
-                    },
-                    Err(e) => return Err(e),
-                    Ok(_) => return Err(NfsStatus::Io),
-                };
-                self.apply(NfsRequest::Write { fh, offset, data })
-                    .map(|_| ())
-            }
-            ReplicaOp::SetAttr { path, sattr } => {
-                let (pp, name) = parent_and_name(&path).ok_or(NfsStatus::Inval)?;
-                let anchor = self.covering_anchor(pp);
-                let dir = self.replica_dir_local(&anchor, pp)?;
-                let fh = match self.apply(NfsRequest::Lookup {
-                    dir,
-                    name: name.to_string(),
-                })? {
-                    NfsReply::Handle { fh, .. } => fh,
-                    _ => return Err(NfsStatus::Io),
-                };
-                self.apply(NfsRequest::Setattr { fh, sattr }).map(|_| ())
-            }
-            ReplicaOp::Remove { path } => {
-                let (pp, name) = parent_and_name(&path).ok_or(NfsStatus::Inval)?;
-                let anchor = self.covering_anchor(pp);
-                let dir = self.replica_dir_local(&anchor, pp)?;
-                absorb(
-                    self.apply(NfsRequest::Remove {
-                        dir,
-                        name: name.to_string(),
-                    }),
-                    NfsStatus::NoEnt,
-                )
-            }
-            ReplicaOp::Rmdir { path } => {
-                let (pp, name) = parent_and_name(&path).ok_or(NfsStatus::Inval)?;
-                let anchor = self.covering_anchor(pp);
-                let dir = self.replica_dir_local(&anchor, pp)?;
-                absorb(
-                    self.apply(NfsRequest::Rmdir {
-                        dir,
-                        name: name.to_string(),
-                    }),
-                    NfsStatus::NoEnt,
-                )
-            }
-            ReplicaOp::RemoveSlot { anchor } => {
-                let rarea = self.fh_of(&format!("/{}", Area::Replica.dir_name()))?;
-                absorb(
-                    self.apply(NfsRequest::RemoveTree {
-                        dir: rarea,
-                        name: anchor_slot(&anchor),
-                    }),
-                    NfsStatus::NoEnt,
-                )
-            }
-            ReplicaOp::Rename { from, to } => {
-                let (fp, fname) = parent_and_name(&from).ok_or(NfsStatus::Inval)?;
-                let (tp, tname) = parent_and_name(&to).ok_or(NfsStatus::Inval)?;
-                let fanchor = self.covering_anchor(fp);
-                let tanchor = self.covering_anchor(tp);
-                let sdir = self.replica_dir_local(&fanchor, fp)?;
-                let ddir = self.replica_dir_local(&tanchor, tp)?;
-                absorb(
-                    self.apply(NfsRequest::Rename {
-                        sdir,
-                        sname: fname.to_string(),
-                        ddir,
-                        dname: tname.to_string(),
-                    }),
-                    NfsStatus::NoEnt,
-                )
-            }
-            ReplicaOp::LagMark { anchor, bytes } => {
-                let dir = self.replica_dir_local(&anchor, &anchor)?;
-                if bytes == 0 {
-                    // Clear: the flush batch carrying this op brought the
-                    // slot up to date.
-                    return absorb(
-                        self.apply(NfsRequest::Remove {
-                            dir,
-                            name: LAG_MARK.into(),
-                        }),
-                        NfsStatus::NoEnt,
-                    );
-                }
-                let fh = match self.apply(NfsRequest::Lookup {
-                    dir,
-                    name: LAG_MARK.into(),
-                }) {
-                    Ok(NfsReply::Handle { fh, .. }) => fh,
-                    Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
-                        dir,
-                        name: LAG_MARK.into(),
-                        mode: 0o600,
-                        uid: 0,
-                        gid: 0,
-                    })? {
-                        NfsReply::Handle { fh, .. } => fh,
-                        _ => return Err(NfsStatus::Io),
-                    },
-                    Err(e) => return Err(e),
-                    Ok(_) => return Err(NfsStatus::Io),
-                };
-                // Truncate before writing the decimal count so a shorter
-                // stamp never leaves stale trailing digits.
-                self.apply(NfsRequest::Setattr {
-                    fh,
-                    sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
-                        size: Some(0),
-                        ..Default::default()
-                    }),
-                })?;
+                let fh = self.op_object(area, path, true)?;
                 self.apply(NfsRequest::Write {
                     fh,
-                    offset: 0,
-                    data: bytes.to_string().into_bytes().into(),
+                    offset: *offset,
+                    data: data.clone(),
                 })
-                .map(|_| ())
+            }
+            ReplicaOp::SetAttr { path, sattr } => {
+                let fh = self.op_object(area, path, false)?;
+                self.apply(NfsRequest::Setattr {
+                    fh,
+                    sattr: sattr.clone(),
+                })
+            }
+            ReplicaOp::Remove { path } => {
+                let (dir, name) = self.entry_dir(area, path)?;
+                let r = self.apply(NfsRequest::Remove { dir, name });
+                settle(area, r, NfsStatus::NoEnt)
+            }
+            ReplicaOp::Rmdir { path } => {
+                let (dir, name) = self.entry_dir(area, path)?;
+                let r = self.apply(NfsRequest::Rmdir { dir, name });
+                settle(area, r, NfsStatus::NoEnt)
+            }
+            ReplicaOp::Rename { from, to } => {
+                let (sdir, sname) = self.entry_dir(area, from)?;
+                let (ddir, dname) = self.entry_dir(area, to)?;
+                let r = self.apply(NfsRequest::Rename {
+                    sdir,
+                    sname,
+                    ddir,
+                    dname,
+                });
+                settle(area, r, NfsStatus::NoEnt)
+            }
+            ReplicaOp::RemoveSlot { anchor } => {
+                let r = self.apply(NfsRequest::RemoveTree {
+                    dir: self.fh_of(&format!("/{}", area.dir_name()))?,
+                    name: anchor_slot(anchor),
+                });
+                settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::RenameSlot { from, to } => {
-                let rarea = self.fh_of(&format!("/{}", Area::Replica.dir_name()))?;
-                absorb(
-                    self.apply(NfsRequest::Rename {
-                        sdir: rarea,
-                        sname: anchor_slot(&from),
-                        ddir: rarea,
-                        dname: anchor_slot(&to),
-                    }),
-                    NfsStatus::NoEnt,
-                )
+                let slots = self.fh_of(&format!("/{}", area.dir_name()))?;
+                let r = self.apply(NfsRequest::Rename {
+                    sdir: slots,
+                    sname: anchor_slot(from),
+                    ddir: slots,
+                    dname: anchor_slot(to),
+                });
+                settle(area, r, NfsStatus::NoEnt)
+            }
+            ReplicaOp::LagMark { anchor, bytes } => {
+                let dir = self.op_dir(area, anchor, anchor)?;
+                if *bytes == 0 {
+                    // Clear: the flush batch carrying this op brought the
+                    // slot up to date.
+                    let r = self.apply(NfsRequest::Remove {
+                        dir,
+                        name: LAG_MARK.into(),
+                    });
+                    return settle(area, r, NfsStatus::NoEnt);
+                }
+                let stamp = bytes.to_string().into_bytes();
+                self.replace_file(dir, LAG_MARK, (0o600, 0, 0), stamp.into())
             }
         }
+    }
+
+    /// Voids the hot-copy leases of what `op` names (DESIGN.md §16). From
+    /// here `ReplicaTargets` stops advertising the holders, so a reader
+    /// that fetches targets after the mutation's reply is never steered
+    /// to pre-mutation data. The match has no wildcard: a new kind of
+    /// mutation does not compile until it says what it voids.
+    fn void_leases(&self, op: &ReplicaOp) {
+        match op {
+            // The object lives on with new content: its copies stay but
+            // are not advertised until the next sweep re-pushes them.
+            ReplicaOp::Write { path, .. } | ReplicaOp::SetAttr { path, .. } => {
+                self.hot_invalidate(path);
+            }
+            // The name stops meaning this object (removed, renamed away,
+            // renamed over): its heat slot and its copies go.
+            ReplicaOp::Remove { path } => self.hot_forget_object(path),
+            ReplicaOp::Rename { from, to } => {
+                self.hot_forget_object(from);
+                self.hot_forget_object(to);
+            }
+            // Hot copies are keyed by anchor name: a holder that kept
+            // serving a removed or renamed anchor would hand out reads
+            // of a directory that no longer exists under that path.
+            ReplicaOp::RemoveSlot { anchor } | ReplicaOp::RenameSlot { from: anchor, .. } => {
+                self.hot_forget_anchor(anchor);
+            }
+            // A name that was free has no copies (every way a name dies
+            // is above), and only file bodies and anchor slots go hot, so
+            // an empty directory has none either. Lag marks are
+            // holder-side files the primary never applies to itself.
+            ReplicaOp::Mkdir { .. }
+            | ReplicaOp::Create { .. }
+            | ReplicaOp::Symlink { .. }
+            | ReplicaOp::Rmdir { .. }
+            | ReplicaOp::LagMark { .. } => {}
+        }
+    }
+
+    /// The one way the primary changes replicated state, in the one
+    /// order that is sound: apply to the store, void the hot leases, and
+    /// only then mirror — a mutation that acked its fan-out while a lease
+    /// was live could be followed by a stale read. The only caller of
+    /// [`Self::mirror_op`].
+    fn mutate(
+        &self,
+        op: ReplicaOp,
+        dir_attr: Option<(u32, u32, u32)>,
+    ) -> Result<NfsReply, NfsStatus> {
+        let reply = self.apply_op(Area::Store, &op, dir_attr)?;
+        self.void_leases(&op);
+        self.mirror_op(op);
+        Ok(reply)
     }
 
     /// Installs a complete anchor copy shipped in one RPC: drop any stale
@@ -636,18 +723,10 @@ impl KoshaNode {
     /// from the now-authoritative copy.
     fn consume_lag_marker(&self, anchor: &str) {
         let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let marker = format!("{slot_path}/{LAG_MARK}");
-        let bytes = self.store.with_store(|v| {
-            let (id, attr) = v.resolve(&marker).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            Some(
-                String::from_utf8_lossy(&data)
-                    .trim()
-                    .parse::<u64>()
-                    .unwrap_or(0),
-            )
-        });
-        let Some(bytes) = bytes else { return };
+        let Some(stamp) = self.read_text(&format!("{slot_path}/{LAG_MARK}")) else {
+            return;
+        };
+        let bytes = stamp.trim().parse::<u64>().unwrap_or(0);
         if let Ok(dir) = self.fh_of(&slot_path) {
             let _ = self.apply(NfsRequest::Remove {
                 dir,
@@ -947,12 +1026,7 @@ impl KoshaNode {
             // (what the DHT keys on), which is exactly what we need to
             // find the owner. No meta → keep; the copy may still be
             // mid-migration.
-            let meta = format!("{root}/{slot}/{ANCHOR_META}");
-            let Some(routing) = self.store.with_store(|v| {
-                let (id, attr) = v.resolve(&meta).ok()?;
-                let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-                String::from_utf8(data).ok()
-            }) else {
+            let Some(routing) = self.read_text(&format!("{root}/{slot}/{ANCHOR_META}")) else {
                 continue;
             };
             let Ok(owner) = self.owner_of(&routing) else {
@@ -998,66 +1072,137 @@ impl KoshaNode {
 
     pub(crate) fn handle_control(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
+            // Mutations of replicated state: each is its `ReplicaOp`, run
+            // through `mutate`, plus the reply its sender expects.
             KoshaRequest::CreateFile {
                 path,
                 mode,
                 uid,
                 gid,
                 size,
-            } => {
-                let (pdir, name) = self.local_entry(Area::Store, &path)?;
-                let dir = self.fh_of(&pdir)?;
-                let reply = match size {
-                    None => self.apply(NfsRequest::Create {
-                        dir,
-                        name: name.clone(),
+            } => self
+                .mutate(
+                    ReplicaOp::Create {
+                        path,
                         mode,
                         uid,
                         gid,
-                    })?,
-                    Some(sz) => self.apply(NfsRequest::CreateSized {
-                        dir,
-                        name: name.clone(),
-                        size: sz,
-                        mode,
-                        uid,
-                        gid,
-                    })?,
-                };
-                // lint: allow(L007) fresh create: Remove/Rmdir void leases when a path dies, so a new name has no hot copy
-                self.mirror_op(ReplicaOp::Create {
-                    path,
-                    mode,
-                    uid,
-                    gid,
-                    size,
-                });
-                match reply {
-                    NfsReply::Handle { fh, attr } => Ok(KoshaReply::Handle { fh, attr }),
-                    _ => Ok(KoshaReply::Done),
-                }
-            }
+                        size,
+                    },
+                    None,
+                )
+                .map(handle_or_done),
             KoshaRequest::MkdirLocal {
                 path,
                 mode,
                 uid,
                 gid,
+            } => self
+                .mutate(ReplicaOp::Mkdir { path }, Some((mode, uid, gid)))
+                .map(handle_or_done),
+            KoshaRequest::PlaceLink {
+                path,
+                target,
+                uid,
+                gid,
             } => {
-                let (pdir, name) = self.local_entry(Area::Store, &path)?;
-                let dir = self.fh_of(&pdir)?;
-                let reply = self.apply(NfsRequest::Mkdir {
-                    dir,
-                    name,
-                    mode,
-                    uid,
-                    gid,
-                })?;
-                // lint: allow(L007) fresh mkdir: a newly created directory name has no hot copy to void
-                self.mirror_op(ReplicaOp::Mkdir { path });
-                match reply {
-                    NfsReply::Handle { fh, attr } => Ok(KoshaReply::Handle { fh, attr }),
-                    _ => Ok(KoshaReply::Done),
+                let mode = SPECIAL_LINK_MODE;
+                self.mutate(
+                    ReplicaOp::Symlink {
+                        path,
+                        target,
+                        mode,
+                        uid,
+                        gid,
+                    },
+                    None,
+                )?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::SymlinkFile {
+                path,
+                target,
+                uid,
+                gid,
+            } => {
+                let mode = USER_LINK_MODE;
+                self.mutate(
+                    ReplicaOp::Symlink {
+                        path,
+                        target,
+                        mode,
+                        uid,
+                        gid,
+                    },
+                    None,
+                )?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::Write { path, offset, data } => {
+                self.mutate(ReplicaOp::Write { path, offset, data }, None)?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::SetAttr { path, sattr } => {
+                self.mutate(ReplicaOp::SetAttr { path, sattr }, None)?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::Remove { path } | KoshaRequest::RemoveLink { path } => {
+                self.mutate(ReplicaOp::Remove { path }, None)?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::Rmdir { path } => {
+                self.mutate(ReplicaOp::Rmdir { path }, None)?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::RenameLocal { from, to } => {
+                self.mutate(ReplicaOp::Rename { from, to }, None)?;
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::RmdirAnchor { path } => {
+                if !self.hosted(&path) {
+                    return Err(NfsStatus::NoEnt);
                 }
+                let slot_path = slot_local_path(Area::Store, &path, &path);
+                // Empty check, ignoring Kosha-internal metadata.
+                let non_internal = self
+                    .store
+                    .with_store(|v| {
+                        let (id, _) = v.resolve(&slot_path)?;
+                        Ok::<_, kosha_vfs::VfsError>(
+                            v.readdir(id)?
+                                .into_iter()
+                                .filter(|e| !is_internal_name(&e.name))
+                                .count(),
+                        )
+                    })
+                    .map_err(NfsStatus::from)?;
+                if non_internal > 0 {
+                    return Err(NfsStatus::NotEmpty);
+                }
+                self.mutate(
+                    ReplicaOp::RemoveSlot {
+                        anchor: path.clone(),
+                    },
+                    None,
+                )?;
+                self.anchors.lock().remove(&path);
+                Ok(KoshaReply::Done)
+            }
+            KoshaRequest::RenameAnchorDir { from, to } => {
+                let Some(routing) = self.routing_of(&from) else {
+                    return Err(NfsStatus::NoEnt);
+                };
+                self.mutate(
+                    ReplicaOp::RenameSlot {
+                        from: from.clone(),
+                        to: to.clone(),
+                    },
+                    None,
+                )?;
+                let mut a = self.anchors.lock();
+                a.remove(&from);
+                a.insert(to, routing);
+                Ok(KoshaReply::Done)
             }
             KoshaRequest::MkdirAnchor {
                 path,
@@ -1085,184 +1230,6 @@ impl KoshaNode {
                 self.write_anchor_meta(&path, &routing_name)?;
                 self.anchors.lock().insert(path.clone(), routing_name);
                 self.ensure_replicas(&path);
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::PlaceLink {
-                path,
-                target,
-                uid,
-                gid,
-            } => {
-                let (pdir, name) = self.local_entry(Area::Store, &path)?;
-                let dir = self.fh_of(&pdir)?;
-                self.apply(NfsRequest::Symlink {
-                    dir,
-                    name: name.clone(),
-                    target: target.clone(),
-                    mode: SPECIAL_LINK_MODE,
-                    uid,
-                    gid,
-                })?;
-                // lint: allow(L007) fresh symlink: a newly created link name has no hot copy to void
-                self.mirror_op(ReplicaOp::Symlink {
-                    path,
-                    target,
-                    mode: SPECIAL_LINK_MODE,
-                    uid,
-                    gid,
-                });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::SymlinkFile {
-                path,
-                target,
-                uid,
-                gid,
-            } => {
-                let (pdir, name) = self.local_entry(Area::Store, &path)?;
-                let dir = self.fh_of(&pdir)?;
-                self.apply(NfsRequest::Symlink {
-                    dir,
-                    name,
-                    target: target.clone(),
-                    mode: USER_LINK_MODE,
-                    uid,
-                    gid,
-                })?;
-                // lint: allow(L007) fresh symlink: a newly created link name has no hot copy to void
-                self.mirror_op(ReplicaOp::Symlink {
-                    path,
-                    target,
-                    mode: USER_LINK_MODE,
-                    uid,
-                    gid,
-                });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::Write { path, offset, data } => {
-                let obj = self.local_object(Area::Store, &path)?;
-                let fh = self.fh_of(&obj)?;
-                self.apply(NfsRequest::Write {
-                    fh,
-                    offset,
-                    data: data.clone(),
-                })?;
-                // Void any hot-copy leases before acknowledging: a
-                // reader fetching targets after this reply must never be
-                // steered to a copy holding pre-write data.
-                self.hot_invalidate(&path);
-                self.mirror_op(ReplicaOp::Write { path, offset, data });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::SetAttr { path, sattr } => {
-                let obj = self.local_object(Area::Store, &path)?;
-                let fh = self.fh_of(&obj)?;
-                self.apply(NfsRequest::Setattr {
-                    fh,
-                    sattr: sattr.clone(),
-                })?;
-                self.hot_invalidate(&path);
-                self.mirror_op(ReplicaOp::SetAttr { path, sattr });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::Remove { path } | KoshaRequest::RemoveLink { path } => {
-                let (pdir, name) = self.local_entry(Area::Store, &path)?;
-                let dir = self.fh_of(&pdir)?;
-                self.apply(NfsRequest::Remove {
-                    dir,
-                    name: name.clone(),
-                })?;
-                // The object is gone: drop its heat slot and revoke any
-                // hot copies instead of leaving them to decay.
-                self.hot_forget_object(&path);
-                self.mirror_op(ReplicaOp::Remove { path });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::Rmdir { path } => {
-                let (pdir, name) = self.local_entry(Area::Store, &path)?;
-                let dir = self.fh_of(&pdir)?;
-                self.apply(NfsRequest::Rmdir {
-                    dir,
-                    name: name.clone(),
-                })?;
-                // lint: allow(L007) rmdir of an empty dir: hot leases cover file bodies and anchor slots, neither exists here
-                self.mirror_op(ReplicaOp::Rmdir { path });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::RmdirAnchor { path } => {
-                if !self.hosted(&path) {
-                    return Err(NfsStatus::NoEnt);
-                }
-                let slot_path = slot_local_path(Area::Store, &path, &path);
-                // Empty check, ignoring Kosha-internal metadata.
-                let non_internal = self
-                    .store
-                    .with_store(|v| {
-                        let (id, _) = v.resolve(&slot_path)?;
-                        Ok::<_, kosha_vfs::VfsError>(
-                            v.readdir(id)?
-                                .into_iter()
-                                .filter(|e| !is_internal_name(&e.name))
-                                .count(),
-                        )
-                    })
-                    .map_err(NfsStatus::from)?;
-                if non_internal > 0 {
-                    return Err(NfsStatus::NotEmpty);
-                }
-                let slot = anchor_slot(&path);
-                let sdir = self.fh_of(&format!("/{}", Area::Store.dir_name()))?;
-                self.apply(NfsRequest::RemoveTree {
-                    dir: sdir,
-                    name: slot.clone(),
-                })?;
-                self.anchors.lock().remove(&path);
-                self.hot_forget_anchor(&path);
-                self.mirror_op(ReplicaOp::RemoveSlot { anchor: path });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::RenameLocal { from, to } => {
-                let (fpdir, fname) = self.local_entry(Area::Store, &from)?;
-                let (tpdir, tname) = self.local_entry(Area::Store, &to)?;
-                let sdir = self.fh_of(&fpdir)?;
-                let ddir = self.fh_of(&tpdir)?;
-                self.apply(NfsRequest::Rename {
-                    sdir,
-                    sname: fname.clone(),
-                    ddir,
-                    dname: tname.clone(),
-                })?;
-                // Hot copies are keyed by path: both the vacated source
-                // and the overwritten destination lose theirs.
-                self.hot_forget_object(&from);
-                self.hot_forget_object(&to);
-                self.mirror_op(ReplicaOp::Rename { from, to });
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::RenameAnchorDir { from, to } => {
-                let Some(routing) = self.routing_of(&from) else {
-                    return Err(NfsStatus::NoEnt);
-                };
-                let fslot = anchor_slot(&from);
-                let tslot = anchor_slot(&to);
-                let sarea = self.fh_of(&format!("/{}", Area::Store.dir_name()))?;
-                self.apply(NfsRequest::Rename {
-                    sdir: sarea,
-                    sname: fslot.clone(),
-                    ddir: sarea,
-                    dname: tslot.clone(),
-                })?;
-                {
-                    let mut a = self.anchors.lock();
-                    a.remove(&from);
-                    a.insert(to.clone(), routing);
-                }
-                // Void hot copies keyed by the old anchor name before the
-                // mirror fan-out acks: a hot holder that kept serving
-                // `from` would hand out reads of a directory that no
-                // longer exists under that path.
-                self.hot_forget_anchor(&from);
-                self.mirror_op(ReplicaOp::RenameSlot { from, to });
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::EnsureAnchor { path, routing } => {
@@ -1342,6 +1309,7 @@ impl KoshaNode {
                 }
                 let base = slot_local_path(Area::Store, &path, &path);
                 let full = format!("{base}/{}", item.rel_path);
+                check_vpath(&full)?; // a peer's `rel_path` stays inside the slot
                 let (pp, name) = parent_and_name(&full).ok_or(NfsStatus::Inval)?;
                 let name = name.to_string();
                 let dir = self.fh_of(pp)?;
@@ -1509,12 +1477,35 @@ pub(crate) fn mirror_succeeded(result: Result<RpcResponse, RpcError>) -> bool {
     )
 }
 
-/// Treats `benign` as success (idempotent replica mutations).
-fn absorb(r: Result<NfsReply, NfsStatus>, benign: NfsStatus) -> Result<(), NfsStatus> {
+/// Second of the two policies that tell the areas apart, what is
+/// already done: `done` is the status that says the op had happened
+/// before (`Exist` on a create, `NoEnt` on a remove or rename). The store
+/// reports it, since there it is the caller's error; a holder absorbs it,
+/// so replays and re-pushes are idempotent.
+fn settle(
+    area: Area,
+    r: Result<NfsReply, NfsStatus>,
+    done: NfsStatus,
+) -> Result<NfsReply, NfsStatus> {
     match r {
-        Ok(_) => Ok(()),
-        Err(e) if e == benign => Ok(()),
-        Err(e) => Err(e),
+        Err(e) if area == Area::Replica && e == done => Ok(NfsReply::Void),
+        r => r,
+    }
+}
+
+/// The handle in a LOOKUP or CREATE reply.
+fn handle_of(reply: NfsReply) -> Result<Fh, NfsStatus> {
+    match reply {
+        NfsReply::Handle { fh, .. } => Ok(fh),
+        _ => Err(NfsStatus::Io),
+    }
+}
+
+/// The control reply to a create or mkdir: the new object's handle.
+fn handle_or_done(reply: NfsReply) -> KoshaReply {
+    match reply {
+        NfsReply::Handle { fh, attr } => KoshaReply::Handle { fh, attr },
+        _ => KoshaReply::Done,
     }
 }
 

@@ -28,12 +28,11 @@
 //! of silently serving stale data.
 
 use crate::config::ReplicationMode;
-use crate::control::{KoshaRequest, ReplicaOp};
+use crate::control::{KoshaRequest, Names, ReplicaOp};
 use crate::node::KoshaNode;
 use kosha_nfs::messages::WireSetAttr;
 use kosha_obs::{Gauge, Histogram, Obs};
 use kosha_rpc::{NodeAddr, PumpHook, RpcRequest, ServiceId};
-use kosha_vfs::path::parent_and_name;
 use kosha_vfs::SetAttr;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -90,18 +89,9 @@ impl WritebackState {
 /// Barrier ops (renames, slot removal, lag markers) return `None` and
 /// partition the coalescing windows.
 fn op_path(op: &ReplicaOp) -> Option<&str> {
-    match op {
-        ReplicaOp::Mkdir { path }
-        | ReplicaOp::Create { path, .. }
-        | ReplicaOp::Symlink { path, .. }
-        | ReplicaOp::Write { path, .. }
-        | ReplicaOp::SetAttr { path, .. }
-        | ReplicaOp::Remove { path }
-        | ReplicaOp::Rmdir { path } => Some(path),
-        ReplicaOp::RemoveSlot { .. }
-        | ReplicaOp::Rename { .. }
-        | ReplicaOp::RenameSlot { .. }
-        | ReplicaOp::LagMark { .. } => None,
+    match op.names() {
+        Names::Entry(path, None) => Some(path),
+        _ => None,
     }
 }
 
@@ -262,29 +252,6 @@ pub fn coalesce(ops: Vec<ReplicaOp>) -> Vec<ReplicaOp> {
 }
 
 impl KoshaNode {
-    /// The anchor whose replica slot an op lands in — the slot the lag
-    /// marker must stamp. Mirrors the derivation in `apply_replica_op`.
-    fn op_anchor(&self, op: &ReplicaOp) -> String {
-        match op {
-            ReplicaOp::Mkdir { path } => self.covering_anchor(path),
-            ReplicaOp::Create { path, .. }
-            | ReplicaOp::Symlink { path, .. }
-            | ReplicaOp::Write { path, .. }
-            | ReplicaOp::SetAttr { path, .. }
-            | ReplicaOp::Remove { path }
-            | ReplicaOp::Rmdir { path } => match parent_and_name(path) {
-                Some((pp, _)) => self.covering_anchor(pp),
-                None => "/".to_string(),
-            },
-            ReplicaOp::Rename { from, .. } => match parent_and_name(from) {
-                Some((pp, _)) => self.covering_anchor(pp),
-                None => "/".to_string(),
-            },
-            ReplicaOp::RemoveSlot { anchor } | ReplicaOp::LagMark { anchor, .. } => anchor.clone(),
-            ReplicaOp::RenameSlot { from, .. } => from.clone(),
-        }
-    }
-
     /// Write-behind enqueue: records `op` on every target's queue and
     /// returns without waiting for any replica RPC. Opening a new
     /// `(target, anchor)` window additionally sends one synchronous lag
@@ -292,7 +259,7 @@ impl KoshaNode {
     /// reaching `queue_ops` flushes its target before returning
     /// (backpressure — the queue is bounded, not the lag).
     pub(crate) fn enqueue_replica_op(&self, op: ReplicaOp, targets: &[NodeAddr], queue_ops: usize) {
-        let anchor = self.op_anchor(&op);
+        let anchor = self.landing_anchor(&op);
         let bytes = payload_bytes(&op);
         let mut to_mark = Vec::new();
         let mut overflowed = Vec::new();

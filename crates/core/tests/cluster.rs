@@ -1164,3 +1164,107 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         }
     }
 }
+
+/// A peer's virtual path is joined into a path in the local store, where
+/// `..` resolves. Un-normalised, one mirrored write would leave the
+/// replica area and land in the holder's *primary* area (it did: the
+/// first request below used to reply `Done` and create
+/// `/kosha_store/evil/f`). Every service that takes a path refuses one
+/// that is not absolute and normalised, before touching anything.
+#[test]
+fn peer_supplied_paths_cannot_leave_their_slot() {
+    use kosha::control::{KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
+    use kosha_rpc::{RpcRequest, ServiceId};
+
+    let c = build_cluster(1, KoshaConfig::for_tests());
+    let node = &c.nodes[0];
+    let m = mount(&c, 0);
+    m.mkdir_p("/a/b").unwrap();
+    let census = |n: &Arc<KoshaNode>| {
+        let mut paths = Vec::new();
+        n.with_store(|v| v.walk(|p, _| paths.push(p.to_string())));
+        paths
+    };
+    let before = census(node);
+
+    let write = |path: &str| ReplicaOp::Write {
+        path: path.into(),
+        offset: 0,
+        data: b"x".as_slice().into(),
+    };
+    let item = |rel_path: &str| MigrateItem {
+        rel_path: rel_path.into(),
+        kind: MigrateKind::Bytes(b"x".to_vec()),
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+    };
+    let mut hostile: Vec<(ServiceId, KoshaRequest)> = Vec::new();
+    for path in [
+        "/a/b/../../../../kosha_store/evil/f",
+        "/a/b/../f",
+        "/a/./f",
+        "/a//f",
+        "/a/f/",
+        "a/f",
+        "",
+    ] {
+        hostile.push((
+            ServiceId::KoshaReplica,
+            KoshaRequest::ReplicaApply { op: write(path) },
+        ));
+        hostile.push((
+            ServiceId::KoshaReplica,
+            KoshaRequest::ReplicaApplyBatch {
+                ops: vec![write(path)],
+            },
+        ));
+        hostile.push((
+            ServiceId::Kosha,
+            KoshaRequest::Write {
+                path: path.into(),
+                offset: 0,
+                data: b"x".as_slice().into(),
+            },
+        ));
+        hostile.push((
+            ServiceId::KoshaReplica,
+            KoshaRequest::HotReplicaPush {
+                anchor: "/a".into(),
+                routing: "a".into(),
+                path: path.into(),
+                seq: 1,
+                expires_nanos: u64::MAX,
+                item: item("f"),
+            },
+        ));
+    }
+    hostile.push((
+        ServiceId::KoshaReplica,
+        KoshaRequest::ReplicaApply {
+            op: ReplicaOp::Rename {
+                from: "/a/f".into(),
+                to: "/a/../../kosha_store/evil".into(),
+            },
+        },
+    ));
+    for rel_path in ["../../kosha_replica/evil", "b/../../x", "/x", "b//x", "b/"] {
+        hostile.push((
+            ServiceId::Kosha,
+            KoshaRequest::TransferPut {
+                path: "/a".into(),
+                item: item(rel_path),
+            },
+        ));
+    }
+    for (service, req) in &hostile {
+        let reply = c
+            .net
+            .call(node.addr(), node.addr(), RpcRequest::new(*service, req))
+            .expect("rpc")
+            .decode::<KoshaReplyFrame>()
+            .expect("reply decodes");
+        assert_eq!(reply.0, Err(NfsStatus::Inval), "{req:?}");
+    }
+    assert_eq!(census(node), before, "a refused request touched the store");
+}
