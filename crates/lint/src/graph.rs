@@ -1,7 +1,7 @@
 //! Phase-two analysis: a zero-dependency symbol extractor over the
 //! sanitized source that builds a per-function view of the workspace —
 //! definitions, intra-workspace calls, and outbound-RPC sites — and the
-//! three graph/dataflow rules that run on it (DESIGN.md §17):
+//! two graph/dataflow rules that run on it (DESIGN.md §17):
 //!
 //! * **L005** — transitive handler deadlock: a blocking RPC
 //!   (`.call(` / `.call_many(` / `call_typed(`) reachable through any
@@ -9,9 +9,6 @@
 //!   L001 only sees hazards inside one function; this closes the gap the
 //!   replica-service deadlock discipline leaves once a handler calls a
 //!   helper.
-//! * **L007** — must-call-before invariant: a configurable "every
-//!   function matching P must call one of A before B" engine, seeded
-//!   with the hot-lease rule (void leases before the mirror fan-out).
 //! * **L008** — unbounded state growth: a long-lived map/set struct
 //!   field with a reachable insert path but no prune path reachable
 //!   from the cleanup roots (`maintain`/`forget`/`detach`/…) and no
@@ -490,92 +487,6 @@ pub(crate) fn check_l005(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding
         }
     }
     out.extend(findings.into_values());
-}
-
-// ---------------------------------------------------------------------------
-// L007: must-call-before invariant
-// ---------------------------------------------------------------------------
-
-/// One configured ordering invariant: inside every function named
-/// `scope_fn` in files ending with `file_suffix`, each call to `target`
-/// must be preceded — within its innermost enclosing block — by a call
-/// to one of `before`.
-#[derive(Debug, Clone)]
-pub struct MustCallBefore {
-    /// Path suffix selecting the file(s) the rule applies to.
-    pub file_suffix: String,
-    /// Name of the function(s) whose bodies are checked.
-    pub scope_fn: String,
-    /// Accepted "A" calls (any one satisfies the invariant).
-    pub before: Vec<String>,
-    /// The "B" call that triggers the check.
-    pub target: String,
-    /// Short rationale, quoted in the finding.
-    pub why: String,
-}
-
-/// Innermost brace block inside `body` containing `pos`.
-fn innermost_block(bytes: &[u8], body: (usize, usize), pos: usize) -> (usize, usize) {
-    let mut best = body;
-    let mut k = body.0;
-    while k < body.1 {
-        if bytes[k] == b'{' {
-            let end = close_of(bytes, k);
-            if k < pos && pos < end && (end - k) < (best.1 - best.0) {
-                best = (k, end);
-            }
-            if end < pos {
-                k = end; // skip blocks entirely before pos
-            }
-        }
-        k += 1;
-    }
-    best
-}
-
-pub(crate) fn check_l007(ws: &Workspace<'_>, cfg: &Config, out: &mut Vec<Finding>) {
-    for rule in &cfg.l007_rules {
-        for f in ws.files {
-            if !f.ctx.path.ends_with(rule.file_suffix.as_str()) {
-                continue;
-            }
-            let text = f.ctx.text;
-            let bytes = text.as_bytes();
-            let target_pat = format!("{}(", rule.target);
-            for g in &f.fns {
-                if g.name != rule.scope_fn || f.ctx.in_test(g.def_line) {
-                    continue;
-                }
-                for pos in crate::find_all(text, &target_pat) {
-                    if pos <= g.body.0 || pos >= g.body.1 {
-                        continue;
-                    }
-                    let block = innermost_block(bytes, g.body, pos);
-                    let window = &text[block.0..pos];
-                    let satisfied = rule
-                        .before
-                        .iter()
-                        .any(|a| !crate::find_all(window, &format!("{a}(")).is_empty());
-                    if satisfied {
-                        continue;
-                    }
-                    f.ctx.emit(
-                        out,
-                        Rule::L007,
-                        line_of(bytes, pos),
-                        format!(
-                            "`{}` must call one of [{}] before `{}` in the same arm/block \
-                             ({})",
-                            rule.scope_fn,
-                            rule.before.join(", "),
-                            rule.target,
-                            rule.why
-                        ),
-                    );
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

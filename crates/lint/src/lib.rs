@@ -23,12 +23,10 @@
 //!   one of its services is gone.
 //!
 //! A second, call-graph-aware phase (see [`graph`]) builds a
-//! per-function view of the whole workspace and runs three more rules:
+//! per-function view of the whole workspace and runs two more rules:
 //!
 //! * **L005** — a blocking RPC transitively reachable from a
 //!   server-handler or pump entry point through any chain of helpers.
-//! * **L007** — must-call-before invariants (seeded with the hot-lease
-//!   rule: mutations void leases before the mirror fan-out).
 //! * **L008** — long-lived map/set fields that grow but have no prune
 //!   path reachable from the maintenance/cleanup roots.
 //!
@@ -45,8 +43,6 @@
 
 mod graph;
 
-pub use graph::MustCallBefore;
-
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -62,22 +58,13 @@ pub enum Rule {
     L003,
     /// Blocking RPC transitively reachable from a handler/pump entry.
     L005,
-    /// Must-call-before invariant violated (e.g. lease void before mirror).
-    L007,
     /// Growable map/set field with no prune path from cleanup roots.
     L008,
 }
 
 impl Rule {
     /// All rules, in id order.
-    pub const ALL: [Rule; 6] = [
-        Rule::L001,
-        Rule::L002,
-        Rule::L003,
-        Rule::L005,
-        Rule::L007,
-        Rule::L008,
-    ];
+    pub const ALL: [Rule; 5] = [Rule::L001, Rule::L002, Rule::L003, Rule::L005, Rule::L008];
 
     /// Stable rule id (`"L001"`…).
     #[must_use]
@@ -87,7 +74,6 @@ impl Rule {
             Rule::L002 => "L002",
             Rule::L003 => "L003",
             Rule::L005 => "L005",
-            Rule::L007 => "L007",
             Rule::L008 => "L008",
         }
     }
@@ -100,7 +86,6 @@ impl Rule {
             Rule::L002 => "nondeterminism source outside allowlisted clock/transport modules",
             Rule::L003 => "unwrap()/expect()/panic! inside an RPC/NFS server-handler module",
             Rule::L005 => "blocking RPC reachable from a server-handler/pump entry point",
-            Rule::L007 => "must-call-before invariant violated (lease void before mirror)",
             Rule::L008 => "growable map/set field with no prune path from cleanup roots",
         }
     }
@@ -157,20 +142,6 @@ impl Rule {
                    level (e.g. the control service calling leaf replica services);\n\
                    traversal from other entries stops at a waived entry, so a\n\
                    sibling that only delegates to it needs no second waiver."
-            }
-            Rule::L007 => {
-                "L007 — must-call-before invariant\n\n\
-                 A configurable ordering engine: every function named P in a\n\
-                 configured file must call one of {A…} before B within the same\n\
-                 innermost block (a match arm, typically). Seeded with the\n\
-                 hot-copy lease rule from the heat-driven replica layer: every\n\
-                 mutation arm of `handle_control` in primary.rs must void hot\n\
-                 leases (hot_invalidate / hot_forget_object / hot_forget_anchor)\n\
-                 before the mirror fan-out `mirror_op`, otherwise a stale hot copy\n\
-                 can serve reads after the mutation acks.\n\n\
-                 Waive: `// lint: allow(L007) <why>` on the B-call line — e.g. the\n\
-                 create-family arms, where a freshly created name has no hot\n\
-                 copies to void."
             }
             Rule::L008 => {
                 "L008 — unbounded state growth\n\n\
@@ -237,8 +208,6 @@ pub struct Config {
     /// Function names that are L005 entry points regardless of trait
     /// (dispatch helpers reached from handlers in other crates).
     pub l005_extra_roots: Vec<String>,
-    /// The must-call-before invariants L007 enforces.
-    pub l007_rules: Vec<MustCallBefore>,
     /// Function names that count as cleanup/maintenance roots for L008:
     /// a prune site reachable from any of these bounds the structure.
     pub l008_cleanup_roots: Vec<String>,
@@ -268,20 +237,6 @@ impl Default for Config {
                 // rule, now machine-checked).
                 "audit_scan".into(),
             ],
-            l007_rules: vec![MustCallBefore {
-                file_suffix: "core/src/primary.rs".into(),
-                scope_fn: "handle_control".into(),
-                before: vec![
-                    "hot_invalidate".into(),
-                    "hot_forget_object".into(),
-                    "hot_forget_anchor".into(),
-                ],
-                target: "mirror_op".into(),
-                why: "a mutation must void hot-copy leases before the mirror \
-                      fan-out acks, or a stale hot copy can serve reads after \
-                      the write completes"
-                    .into(),
-            }],
             l008_cleanup_roots: vec![
                 "maintain".into(),
                 "forget".into(),
@@ -1162,7 +1117,7 @@ pub struct LintReport {
 }
 
 /// Lints `files` (path, source) as one workspace: the per-file rules
-/// L001–L003 run on each file; the call-graph rules L005, L007 and L008
+/// L001–L003 run on each file; the call-graph rules L005 and L008
 /// run across all of them together.
 #[must_use]
 pub fn lint_files(files: &[(String, String)], cfg: &Config) -> LintReport {
@@ -1198,7 +1153,6 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> LintReport {
     }
     let ws = graph::Workspace::build(&units);
     graph::check_l005(&ws, cfg, &mut findings);
-    graph::check_l007(&ws, cfg, &mut findings);
     graph::check_l008(&ws, cfg, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 

@@ -1,11 +1,11 @@
-//! Golden tests for the call-graph rules (L005, L007, L008): each rule gets a
+//! Golden tests for the call-graph rules (L005, L008): each rule gets a
 //! positive fixture proving it fires, a negative fixture proving it
 //! stays quiet, and a suppressed fixture proving an in-place waiver
 //! silences it without reading as stale. A final self-scan asserts the
 //! live workspace is clean under `--deny --deny-unused-allow` and that
 //! the JSON report is run-to-run byte-identical.
 
-use kosha_lint::{lint_files, scan_workspace, Config, LintReport, MustCallBefore, Rule};
+use kosha_lint::{lint_files, scan_workspace, Config, LintReport, Rule};
 
 fn run_fixture(name: &str, source: &str, cfg: &Config) -> LintReport {
     lint_files(&[(format!("fixtures/{name}"), source.to_string())], cfg)
@@ -18,19 +18,6 @@ fn rule_findings(report: &LintReport, rule: Rule) -> Vec<String> {
         .filter(|f| f.rule == rule)
         .map(|f| format!("{f}"))
         .collect()
-}
-
-fn l007_cfg(suffix: &str) -> Config {
-    Config {
-        l007_rules: vec![MustCallBefore {
-            file_suffix: suffix.to_string(),
-            scope_fn: "apply_mutation".to_string(),
-            before: vec!["void_lease".to_string()],
-            target: "fan_out".to_string(),
-            why: "fixture: leases must be voided before the fan-out".to_string(),
-        }],
-        ..Config::default()
-    }
 }
 
 #[test]
@@ -64,42 +51,6 @@ fn l005_entry_waiver_suppresses_and_is_counted_used() {
         &Config::default(),
     );
     assert!(rule_findings(&report, Rule::L005).is_empty());
-    assert!(report.unused_allows.is_empty(), "waiver must read as used");
-}
-
-#[test]
-fn l007_fires_when_before_call_is_missing() {
-    let report = run_fixture(
-        "l007_pos.rs",
-        include_str!("fixtures/l007_pos.rs"),
-        &l007_cfg("l007_pos.rs"),
-    );
-    let hits = rule_findings(&report, Rule::L007);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(
-        hits[0].contains("must call one of [void_lease]"),
-        "{hits:?}"
-    );
-}
-
-#[test]
-fn l007_quiet_when_before_call_precedes_target() {
-    let report = run_fixture(
-        "l007_neg.rs",
-        include_str!("fixtures/l007_neg.rs"),
-        &l007_cfg("l007_neg.rs"),
-    );
-    assert!(rule_findings(&report, Rule::L007).is_empty());
-}
-
-#[test]
-fn l007_waiver_suppresses_justified_arm() {
-    let report = run_fixture(
-        "l007_sup.rs",
-        include_str!("fixtures/l007_sup.rs"),
-        &l007_cfg("l007_sup.rs"),
-    );
-    assert!(rule_findings(&report, Rule::L007).is_empty());
     assert!(report.unused_allows.is_empty(), "waiver must read as used");
 }
 
