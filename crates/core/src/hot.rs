@@ -25,7 +25,8 @@
 
 use crate::control::{KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
 use crate::node::KoshaNode;
-use crate::paths::{anchor_slot, slot_local_path, Area, ANCHOR_META, HOT_MARK};
+use crate::paths::{anchor_slot, check_vpath, slot_local_path, Area, ANCHOR_META, HOT_MARK};
+use crate::primary::settle;
 use kosha_nfs::{NfsReply, NfsRequest, NfsStatus};
 use kosha_rpc::{NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::path::parent_and_name;
@@ -500,13 +501,11 @@ impl KoshaNode {
     ) -> Result<(), NfsStatus> {
         let dir = self.op_dir(Area::Replica, anchor, anchor)?;
         if leases.is_empty() {
-            return match self.apply(NfsRequest::Remove {
+            let r = self.apply(NfsRequest::Remove {
                 dir,
                 name: HOT_MARK.into(),
-            }) {
-                Ok(_) | Err(NfsStatus::NoEnt) => Ok(()),
-                Err(e) => Err(e),
-            };
+            });
+            return settle(Area::Replica, r, NfsStatus::NoEnt).map(|_| ());
         }
         leases.sort();
         let mut text = String::new();
@@ -530,6 +529,7 @@ impl KoshaNode {
         expires_nanos: u64,
         item: &MigrateItem,
     ) -> Result<(), NfsStatus> {
+        check_vpath(path)?;
         let MigrateKind::Bytes(data) = &item.kind else {
             return Err(NfsStatus::Inval); // only plain files go hot
         };
@@ -583,6 +583,7 @@ impl KoshaNode {
     /// lease goes, the slot held nothing but hot copies, so the whole
     /// slot is removed.
     pub(crate) fn receive_hot_drop(&self, anchor: &str, path: &str) -> Result<(), NfsStatus> {
+        check_vpath(path)?;
         let mut leases = self.read_hot_mark(anchor);
         let before = leases.len();
         leases.retain(|(p, _, _)| p != path);
@@ -599,13 +600,11 @@ impl KoshaNode {
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
         let dirp = slot_local_path(Area::Replica, anchor, pp);
         if let Ok(dir) = self.fh_of(&dirp) {
-            match self.apply(NfsRequest::Remove {
+            let r = self.apply(NfsRequest::Remove {
                 dir,
                 name: name.to_string(),
-            }) {
-                Ok(_) | Err(NfsStatus::NoEnt) => {}
-                Err(e) => return Err(e),
-            }
+            });
+            settle(Area::Replica, r, NfsStatus::NoEnt)?;
         }
         self.write_hot_mark(anchor, leases)
     }

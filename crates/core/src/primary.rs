@@ -146,8 +146,7 @@ impl KoshaNode {
     }
 
     /// Makes `data` the whole content of `name` in `dir`, creating the
-    /// file if needed. Truncates first, so shorter content never leaves
-    /// stale trailing bytes.
+    /// file if needed.
     pub(crate) fn replace_file(
         &self,
         dir: Fh,
@@ -156,6 +155,12 @@ impl KoshaNode {
         data: Bytes,
     ) -> Result<NfsReply, NfsStatus> {
         let fh = self.lookup_or_create(dir, name, owner)?;
+        self.overwrite(fh, data)
+    }
+
+    /// Truncates, then writes: shorter content never leaves stale
+    /// trailing bytes.
+    fn overwrite(&self, fh: Fh, data: Bytes) -> Result<NfsReply, NfsStatus> {
         self.apply(NfsRequest::Setattr {
             fh,
             sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
@@ -192,29 +197,29 @@ impl KoshaNode {
             uid: 0,
             gid: 0,
         }) {
-            Ok(NfsReply::Handle { fh, .. }) => fh,
-            Err(NfsStatus::Exist) => {
-                let (id, _) = self
-                    .store
-                    .with_store(|v| v.resolve(&format!("{slot_path}/{ANCHOR_META}")))
-                    .map_err(NfsStatus::from)?;
-                Fh::from_file_id(id)
-            }
-            Err(e) => return Err(e),
-            Ok(_) => return Err(NfsStatus::Io),
-        };
-        self.apply(NfsRequest::Setattr {
-            fh,
-            sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
-                size: Some(0),
-                ..Default::default()
-            }),
+            Err(NfsStatus::Exist) => self.fh_of(&format!("{slot_path}/{ANCHOR_META}")),
+            created => created.and_then(handle_of),
+        }?;
+        self.overwrite(fh, routing.as_bytes().into()).map(|_| ())
+    }
+
+    /// Makes a new, empty anchor in the store and starts serving it.
+    fn create_anchor(
+        &self,
+        anchor: &str,
+        routing: String,
+        (mode, uid, gid): (u32, u32, u32),
+    ) -> Result<(), NfsStatus> {
+        self.apply(NfsRequest::Mkdir {
+            dir: self.fh_of(&format!("/{}", Area::Store.dir_name()))?,
+            name: anchor_slot(anchor),
+            mode,
+            uid,
+            gid,
         })?;
-        self.apply(NfsRequest::Write {
-            fh,
-            offset: 0,
-            data: routing.as_bytes().into(),
-        })?;
+        self.write_anchor_meta(anchor, &routing)?;
+        self.anchors.lock().insert(anchor.to_string(), routing);
+        self.ensure_replicas(anchor);
         Ok(())
     }
 
@@ -235,28 +240,31 @@ impl KoshaNode {
             .collect()
     }
 
-    /// Fans one replicated mutation out to every replica target
-    /// concurrently (§4.2) as a single `ReplicaApply` control RPC per
-    /// target on the dedicated replica service. Every failed target is
-    /// counted and journaled with its node id (and, via the journal's
-    /// ambient-trace stamping, linked to the active trace) so degraded
-    /// replication is fully attributable; the next full push
-    /// ([`Self::ensure_replicas`]) heals the copy.
+    /// Mirrors one mutation the store has taken (§4.2): queued per
+    /// target under write-behind (DESIGN.md §11; flush barriers and the
+    /// transport pump drain the queues, off the client's critical path),
+    /// else fanned out before the mutation is acknowledged.
     fn mirror_op(&self, op: ReplicaOp) {
         let targets = self.replica_addrs();
         if targets.is_empty() {
             return;
         }
-        if let Some(queue_ops) = self.write_behind_queue_ops() {
-            // Write-behind (DESIGN.md §11): queue instead of fanning out
-            // on the client's critical path. Flush barriers and the
-            // transport pump drain the queues.
-            self.enqueue_replica_op(op, &targets, queue_ops);
-            return;
+        match self.write_behind_queue_ops() {
+            Some(queue_ops) => self.enqueue_replica_op(op, &targets, queue_ops),
+            None => self.fan_out("kosha:mirror", &targets, op),
         }
+    }
+
+    /// Sends `op` to every target concurrently, one `ReplicaApply` each
+    /// on the dedicated replica service, under a `span` of the trace.
+    /// Every failed target is counted and journaled with its node id
+    /// (and, via the journal's ambient-trace stamping, linked to the
+    /// active trace) so degraded replication is fully attributable; the
+    /// next full push ([`Self::ensure_replicas`]) heals the copy.
+    pub(crate) fn fan_out(&self, span: &'static str, targets: &[NodeAddr], op: ReplicaOp) {
         let clock = self.net.clock();
         self.obs.tracer.child(
-            || "kosha:mirror".to_string(),
+            || span.to_string(),
             self.info.addr.0,
             || clock.now().0,
             || {
@@ -264,8 +272,8 @@ impl KoshaNode {
                     RpcRequest::split(ServiceId::KoshaReplica, &KoshaRequest::ReplicaApply { op });
                 let batch = targets.iter().map(|a| (*a, req.clone())).collect();
                 let results = self.net.call_many(self.info.addr, batch);
-                for (addr, result) in targets.into_iter().zip(results) {
-                    self.note_mirror_result(addr, mirror_succeeded(result));
+                for (addr, result) in targets.iter().zip(results) {
+                    self.note_mirror_result(*addr, mirror_succeeded(result));
                 }
             },
         );
@@ -371,24 +379,15 @@ impl KoshaNode {
     /// RPCs), preserving the transports' deadlock discipline.
     pub(crate) fn handle_replica(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
-            KoshaRequest::ReplicaApply { op } => {
-                self.apply_op(Area::Replica, &op, None)?;
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::ReplicaApplyBatch { ops } => {
-                // Apply in order and stop at the first failure: a partly
-                // applied batch must leave the slot's lag marker set (the
-                // clears ride at the batch tail), so a later promotion of
-                // this copy still reports the divergence.
-                for op in &ops {
-                    self.apply_op(Area::Replica, op, None)?;
-                }
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::MigrateBatch { path, items } => {
-                self.receive_migrate_batch(&path, &items)?;
-                Ok(KoshaReply::Done)
-            }
+            KoshaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op, None).map(drop),
+            // Apply in order and stop at the first failure: a partly
+            // applied batch must leave the slot's lag marker set (the
+            // clears ride at the batch tail), so a later promotion of
+            // this copy still reports the divergence.
+            KoshaRequest::ReplicaApplyBatch { ops } => ops
+                .iter()
+                .try_for_each(|op| self.apply_op(Area::Replica, op, None).map(drop)),
+            KoshaRequest::MigrateBatch { path, items } => self.receive_migrate_batch(&path, items),
             KoshaRequest::HotReplicaPush {
                 anchor,
                 routing,
@@ -396,18 +395,11 @@ impl KoshaNode {
                 seq,
                 expires_nanos,
                 item,
-            } => {
-                check_vpath(&path)?;
-                self.receive_hot_push(&anchor, &routing, &path, seq, expires_nanos, &item)?;
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::HotReplicaDrop { anchor, path } => {
-                check_vpath(&path)?;
-                self.receive_hot_drop(&anchor, &path)?;
-                Ok(KoshaReply::Done)
-            }
+            } => self.receive_hot_push(&anchor, &routing, &path, seq, expires_nanos, &item),
+            KoshaRequest::HotReplicaDrop { anchor, path } => self.receive_hot_drop(&anchor, &path),
             _ => Err(NfsStatus::NotSupp),
-        }
+        }?;
+        Ok(KoshaReply::Done)
     }
 
     /// Applies one mutation to `area` of the local store: the whole
@@ -604,38 +596,46 @@ impl KoshaNode {
     /// order that is sound: apply to the store, void the hot leases, and
     /// only then mirror — a mutation that acked its fan-out while a lease
     /// was live could be followed by a stale read. The only caller of
-    /// [`Self::mirror_op`].
+    /// [`Self::mirror_op`]. The reply is the one the requesting koshad
+    /// expects: the new handle for a create or mkdir, else `Done`.
     fn mutate(
         &self,
         op: ReplicaOp,
         dir_attr: Option<(u32, u32, u32)>,
-    ) -> Result<NfsReply, NfsStatus> {
+    ) -> Result<KoshaReply, NfsStatus> {
         let reply = self.apply_op(Area::Store, &op, dir_attr)?;
         self.void_leases(&op);
+        let makes_object = matches!(op, ReplicaOp::Create { .. } | ReplicaOp::Mkdir { .. });
         self.mirror_op(op);
-        Ok(reply)
+        Ok(match reply {
+            NfsReply::Handle { fh, attr } if makes_object => KoshaReply::Handle { fh, attr },
+            _ => KoshaReply::Done,
+        })
     }
 
     /// Installs a complete anchor copy shipped in one RPC: drop any stale
     /// replica, materialize the subtree under the migration flag, then
     /// clear the flag (§4.4's consistency bracket).
-    fn receive_migrate_batch(&self, anchor: &str, items: &[MigrateItem]) -> Result<(), NfsStatus> {
+    fn receive_migrate_batch(
+        &self,
+        anchor: &str,
+        items: Vec<MigrateItem>,
+    ) -> Result<(), NfsStatus> {
         let rarea = self.fh_of(&format!("/{}", Area::Replica.dir_name()))?;
         let slot = anchor_slot(anchor);
         let _ = self.apply(NfsRequest::RemoveTree {
             dir: rarea,
             name: slot.clone(),
         });
-        let aroot = match self.apply(NfsRequest::Mkdir {
-            dir: rarea,
-            name: slot,
-            mode: 0o700,
-            uid: 0,
-            gid: 0,
-        })? {
-            NfsReply::Handle { fh, .. } => fh,
-            _ => return Err(NfsStatus::Io),
-        };
+        let aroot = self
+            .apply(NfsRequest::Mkdir {
+                dir: rarea,
+                name: slot,
+                mode: 0o700,
+                uid: 0,
+                gid: 0,
+            })
+            .and_then(handle_of)?;
         self.apply(NfsRequest::Create {
             dir: aroot,
             name: MIGRATION_FLAG.into(),
@@ -646,63 +646,24 @@ impl KoshaNode {
         let mut dirs: HashMap<String, Fh> = HashMap::new();
         dirs.insert(String::new(), aroot);
         for item in items {
-            if item.rel_path.is_empty() {
+            let MigrateItem {
+                rel_path,
+                kind,
+                mode,
+                uid,
+                gid,
+            } = item;
+            if rel_path.is_empty() {
                 continue;
             }
-            let (prel, name) = match item.rel_path.rsplit_once('/') {
-                Some((p, n)) => (p.to_string(), n),
-                None => (String::new(), item.rel_path.as_str()),
-            };
-            let Some(&pfh) = dirs.get(&prel) else {
+            let (prel, name) = rel_path.rsplit_once('/').unwrap_or(("", &rel_path));
+            let Some(&pfh) = dirs.get(prel) else {
                 continue;
             };
-            match &item.kind {
-                MigrateKind::Dir => {
-                    if let NfsReply::Handle { fh, .. } = self.apply(NfsRequest::Mkdir {
-                        dir: pfh,
-                        name: name.to_string(),
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })? {
-                        dirs.insert(item.rel_path.clone(), fh);
-                    }
-                }
-                MigrateKind::Bytes(data) => {
-                    if let NfsReply::Handle { fh, .. } = self.apply(NfsRequest::Create {
-                        dir: pfh,
-                        name: name.to_string(),
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })? {
-                        self.apply(NfsRequest::Write {
-                            fh,
-                            offset: 0,
-                            data: data.clone().into(),
-                        })?;
-                    }
-                }
-                MigrateKind::Sparse(n) => {
-                    self.apply(NfsRequest::CreateSized {
-                        dir: pfh,
-                        name: name.to_string(),
-                        size: *n,
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })?;
-                }
-                MigrateKind::Symlink { target } => {
-                    self.apply(NfsRequest::Symlink {
-                        dir: pfh,
-                        name: name.to_string(),
-                        target: target.clone(),
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })?;
-                }
+            let is_dir = kind == MigrateKind::Dir;
+            let made = self.put_item(pfh, name, kind, (mode, uid, gid), false)?;
+            if let (true, NfsReply::Handle { fh, .. }) = (is_dir, made) {
+                dirs.insert(rel_path, fh);
             }
         }
         self.apply(NfsRequest::Remove {
@@ -710,6 +671,75 @@ impl KoshaNode {
             name: MIGRATION_FLAG.into(),
         })?;
         Ok(())
+    }
+
+    /// Materialises one migrated item as `name` in `dir`. With `merge` (a
+    /// transfer into a store that may hold an interim copy) whatever has
+    /// the name makes way for a file or link and a directory already
+    /// there is kept; a bracket push into a fresh slot needs neither.
+    fn put_item(
+        &self,
+        dir: Fh,
+        name: &str,
+        kind: MigrateKind,
+        (mode, uid, gid): (u32, u32, u32),
+        merge: bool,
+    ) -> Result<NfsReply, NfsStatus> {
+        let name = name.to_string();
+        if merge && kind != MigrateKind::Dir {
+            if matches!(kind, MigrateKind::Bytes(_)) {
+                let _ = self.apply(NfsRequest::RemoveTree {
+                    dir,
+                    name: name.clone(),
+                });
+            }
+            let _ = self.apply(NfsRequest::Remove {
+                dir,
+                name: name.clone(),
+            });
+        }
+        match kind {
+            MigrateKind::Dir => match self.apply(NfsRequest::Mkdir {
+                dir,
+                name,
+                mode,
+                uid,
+                gid,
+            }) {
+                Err(NfsStatus::Exist) if merge => Ok(NfsReply::Void),
+                made => made,
+            },
+            MigrateKind::Bytes(data) => {
+                let made = self.apply(NfsRequest::Create {
+                    dir,
+                    name,
+                    mode,
+                    uid,
+                    gid,
+                });
+                self.apply(NfsRequest::Write {
+                    fh: made.and_then(handle_of)?,
+                    offset: 0,
+                    data: data.into(),
+                })
+            }
+            MigrateKind::Sparse(size) => self.apply(NfsRequest::CreateSized {
+                dir,
+                name,
+                size,
+                mode,
+                uid,
+                gid,
+            }),
+            MigrateKind::Symlink { target } => self.apply(NfsRequest::Symlink {
+                dir,
+                name,
+                target,
+                mode,
+                uid,
+                gid,
+            }),
+        }
     }
 
     // ---- promotion & migration -------------------------------------------
@@ -1073,33 +1103,29 @@ impl KoshaNode {
     pub(crate) fn handle_control(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
             // Mutations of replicated state: each is its `ReplicaOp`, run
-            // through `mutate`, plus the reply its sender expects.
+            // through `mutate`.
             KoshaRequest::CreateFile {
                 path,
                 mode,
                 uid,
                 gid,
                 size,
-            } => self
-                .mutate(
-                    ReplicaOp::Create {
-                        path,
-                        mode,
-                        uid,
-                        gid,
-                        size,
-                    },
-                    None,
-                )
-                .map(handle_or_done),
+            } => self.mutate(
+                ReplicaOp::Create {
+                    path,
+                    mode,
+                    uid,
+                    gid,
+                    size,
+                },
+                None,
+            ),
             KoshaRequest::MkdirLocal {
                 path,
                 mode,
                 uid,
                 gid,
-            } => self
-                .mutate(ReplicaOp::Mkdir { path }, Some((mode, uid, gid)))
-                .map(handle_or_done),
+            } => self.mutate(ReplicaOp::Mkdir { path }, Some((mode, uid, gid))),
             KoshaRequest::PlaceLink {
                 path,
                 target,
@@ -1116,8 +1142,7 @@ impl KoshaNode {
                         gid,
                     },
                     None,
-                )?;
-                Ok(KoshaReply::Done)
+                )
             }
             KoshaRequest::SymlinkFile {
                 path,
@@ -1135,28 +1160,20 @@ impl KoshaNode {
                         gid,
                     },
                     None,
-                )?;
-                Ok(KoshaReply::Done)
+                )
             }
             KoshaRequest::Write { path, offset, data } => {
-                self.mutate(ReplicaOp::Write { path, offset, data }, None)?;
-                Ok(KoshaReply::Done)
+                self.mutate(ReplicaOp::Write { path, offset, data }, None)
             }
             KoshaRequest::SetAttr { path, sattr } => {
-                self.mutate(ReplicaOp::SetAttr { path, sattr }, None)?;
-                Ok(KoshaReply::Done)
+                self.mutate(ReplicaOp::SetAttr { path, sattr }, None)
             }
             KoshaRequest::Remove { path } | KoshaRequest::RemoveLink { path } => {
-                self.mutate(ReplicaOp::Remove { path }, None)?;
-                Ok(KoshaReply::Done)
+                self.mutate(ReplicaOp::Remove { path }, None)
             }
-            KoshaRequest::Rmdir { path } => {
-                self.mutate(ReplicaOp::Rmdir { path }, None)?;
-                Ok(KoshaReply::Done)
-            }
+            KoshaRequest::Rmdir { path } => self.mutate(ReplicaOp::Rmdir { path }, None),
             KoshaRequest::RenameLocal { from, to } => {
-                self.mutate(ReplicaOp::Rename { from, to }, None)?;
-                Ok(KoshaReply::Done)
+                self.mutate(ReplicaOp::Rename { from, to }, None)
             }
             KoshaRequest::RmdirAnchor { path } => {
                 if !self.hosted(&path) {
@@ -1164,45 +1181,39 @@ impl KoshaNode {
                 }
                 let slot_path = slot_local_path(Area::Store, &path, &path);
                 // Empty check, ignoring Kosha-internal metadata.
-                let non_internal = self
+                let empty = self
                     .store
                     .with_store(|v| {
                         let (id, _) = v.resolve(&slot_path)?;
+                        let entries = v.readdir(id)?;
                         Ok::<_, kosha_vfs::VfsError>(
-                            v.readdir(id)?
-                                .into_iter()
-                                .filter(|e| !is_internal_name(&e.name))
-                                .count(),
+                            entries.iter().all(|e| is_internal_name(&e.name)),
                         )
                     })
                     .map_err(NfsStatus::from)?;
-                if non_internal > 0 {
+                if !empty {
                     return Err(NfsStatus::NotEmpty);
                 }
-                self.mutate(
-                    ReplicaOp::RemoveSlot {
-                        anchor: path.clone(),
-                    },
-                    None,
-                )?;
+                let op = ReplicaOp::RemoveSlot {
+                    anchor: path.clone(),
+                };
+                let done = self.mutate(op, None)?;
                 self.anchors.lock().remove(&path);
-                Ok(KoshaReply::Done)
+                Ok(done)
             }
             KoshaRequest::RenameAnchorDir { from, to } => {
                 let Some(routing) = self.routing_of(&from) else {
                     return Err(NfsStatus::NoEnt);
                 };
-                self.mutate(
-                    ReplicaOp::RenameSlot {
-                        from: from.clone(),
-                        to: to.clone(),
-                    },
-                    None,
-                )?;
+                let op = ReplicaOp::RenameSlot {
+                    from: from.clone(),
+                    to: to.clone(),
+                };
+                let done = self.mutate(op, None)?;
                 let mut a = self.anchors.lock();
                 a.remove(&from);
                 a.insert(to, routing);
-                Ok(KoshaReply::Done)
+                Ok(done)
             }
             KoshaRequest::MkdirAnchor {
                 path,
@@ -1211,25 +1222,11 @@ impl KoshaNode {
                 uid,
                 gid,
             } => {
-                let slot = anchor_slot(&path);
-                let sarea = format!("/{}", Area::Store.dir_name());
-                let exists = self
-                    .store
-                    .with_store(|v| v.resolve(&format!("{sarea}/{slot}")).is_ok());
-                if exists {
+                let slot_path = slot_local_path(Area::Store, &path, &path);
+                if self.store.with_store(|v| v.resolve(&slot_path).is_ok()) {
                     return Err(NfsStatus::Exist);
                 }
-                let dir = self.fh_of(&sarea)?;
-                self.apply(NfsRequest::Mkdir {
-                    dir,
-                    name: slot,
-                    mode,
-                    uid,
-                    gid,
-                })?;
-                self.write_anchor_meta(&path, &routing_name)?;
-                self.anchors.lock().insert(path.clone(), routing_name);
-                self.ensure_replicas(&path);
+                self.create_anchor(&path, routing_name, (mode, uid, gid))?;
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::EnsureAnchor { path, routing } => {
@@ -1260,17 +1257,7 @@ impl KoshaNode {
                 if path == "/" {
                     // Brand-new deployment (or new root owner with no data
                     // yet): create the root anchor empty.
-                    let dir = self.fh_of(&format!("/{}", Area::Store.dir_name()))?;
-                    self.apply(NfsRequest::Mkdir {
-                        dir,
-                        name: anchor_slot("/"),
-                        mode: 0o755,
-                        uid: 0,
-                        gid: 0,
-                    })?;
-                    self.anchors.lock().insert("/".into(), routing.clone());
-                    self.write_anchor_meta("/", &routing)?;
-                    self.ensure_replicas("/");
+                    self.create_anchor("/", routing, (0o755, 0, 0))?;
                     return Ok(KoshaReply::DoneBool(false));
                 }
                 Err(NfsStatus::NoEnt)
@@ -1311,74 +1298,8 @@ impl KoshaNode {
                 let full = format!("{base}/{}", item.rel_path);
                 check_vpath(&full)?; // a peer's `rel_path` stays inside the slot
                 let (pp, name) = parent_and_name(&full).ok_or(NfsStatus::Inval)?;
-                let name = name.to_string();
-                let dir = self.fh_of(pp)?;
-                match item.kind {
-                    MigrateKind::Dir => {
-                        match self.apply(NfsRequest::Mkdir {
-                            dir,
-                            name,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        }) {
-                            Ok(_) | Err(NfsStatus::Exist) => {} // merge
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    MigrateKind::Bytes(data) => {
-                        let _ = self.apply(NfsRequest::RemoveTree {
-                            dir,
-                            name: name.clone(),
-                        });
-                        let _ = self.apply(NfsRequest::Remove {
-                            dir,
-                            name: name.clone(),
-                        });
-                        let reply = self.apply(NfsRequest::Create {
-                            dir,
-                            name,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        })?;
-                        if let NfsReply::Handle { fh, .. } = reply {
-                            self.apply(NfsRequest::Write {
-                                fh,
-                                offset: 0,
-                                data: data.into(),
-                            })?;
-                        }
-                    }
-                    MigrateKind::Sparse(n) => {
-                        let _ = self.apply(NfsRequest::Remove {
-                            dir,
-                            name: name.clone(),
-                        });
-                        self.apply(NfsRequest::CreateSized {
-                            dir,
-                            name,
-                            size: n,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        })?;
-                    }
-                    MigrateKind::Symlink { target } => {
-                        let _ = self.apply(NfsRequest::Remove {
-                            dir,
-                            name: name.clone(),
-                        });
-                        self.apply(NfsRequest::Symlink {
-                            dir,
-                            name,
-                            target,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        })?;
-                    }
-                }
+                let owner = (item.mode, item.uid, item.gid);
+                self.put_item(self.fh_of(pp)?, name, item.kind, owner, true)?;
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::CommitTransfer { path, routing_name } => {
@@ -1482,7 +1403,7 @@ pub(crate) fn mirror_succeeded(result: Result<RpcResponse, RpcError>) -> bool {
 /// before (`Exist` on a create, `NoEnt` on a remove or rename). The store
 /// reports it, since there it is the caller's error; a holder absorbs it,
 /// so replays and re-pushes are idempotent.
-fn settle(
+pub(crate) fn settle(
     area: Area,
     r: Result<NfsReply, NfsStatus>,
     done: NfsStatus,
@@ -1498,14 +1419,6 @@ fn handle_of(reply: NfsReply) -> Result<Fh, NfsStatus> {
     match reply {
         NfsReply::Handle { fh, .. } => Ok(fh),
         _ => Err(NfsStatus::Io),
-    }
-}
-
-/// The control reply to a create or mkdir: the new object's handle.
-fn handle_or_done(reply: NfsReply) -> KoshaReply {
-    match reply {
-        NfsReply::Handle { fh, attr } => KoshaReply::Handle { fh, attr },
-        _ => KoshaReply::Done,
     }
 }
 

@@ -282,9 +282,16 @@ impl KoshaNode {
         }
         self.stats.writeback_enqueued.add(targets.len() as u64);
         if !to_mark.is_empty() {
-            // Marker bytes are a lower bound and must be nonzero (zero
-            // is the clear encoding) even for metadata-only windows.
-            self.send_lag_marks(&to_mark, &anchor, bytes.max(1));
+            // Stamp the slot on each newly lagging target, synchronously:
+            // the one RPC a window's first op still pays. Marker bytes
+            // are a lower bound and must be nonzero (zero is the clear
+            // encoding) even for metadata-only windows.
+            let bytes = bytes.max(1);
+            self.fan_out(
+                "kosha:lagmark",
+                &to_mark,
+                ReplicaOp::LagMark { anchor, bytes },
+            );
         }
         if !overflowed.is_empty() {
             self.journal(
@@ -296,33 +303,6 @@ impl KoshaNode {
             );
             self.flush_writeback_targets(overflowed);
         }
-    }
-
-    /// Stamps `anchor`'s replica slot on each target with a lag marker,
-    /// synchronously — the one RPC a window's first op still pays.
-    fn send_lag_marks(&self, targets: &[NodeAddr], anchor: &str, bytes: u64) {
-        let req = RpcRequest::new(
-            ServiceId::KoshaReplica,
-            &KoshaRequest::ReplicaApply {
-                op: ReplicaOp::LagMark {
-                    anchor: anchor.to_string(),
-                    bytes,
-                },
-            },
-        );
-        let clock = self.net.clock();
-        self.obs.tracer.child(
-            || "kosha:lagmark".to_string(),
-            self.info.addr.0,
-            || clock.now().0,
-            || {
-                let batch = targets.iter().map(|a| (*a, req.clone())).collect();
-                let results = self.net.call_many(self.info.addr, batch);
-                for (addr, result) in targets.iter().zip(results) {
-                    self.note_mirror_result(*addr, crate::primary::mirror_succeeded(result));
-                }
-            },
-        );
     }
 
     /// Flush barrier: drains every write-behind queue synchronously.

@@ -1199,16 +1199,24 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
         uid: 0,
         gid: 0,
     };
-    let mut hostile: Vec<(ServiceId, KoshaRequest)> = Vec::new();
-    for path in [
+    let hostile_paths = [
         "/a/b/../../../../kosha_store/evil/f",
         "/a/b/../f",
         "/a/./f",
         "/a//f",
         "/a/f/",
+        "/..",
+        "/a/f\0",
         "a/f",
         "",
-    ] {
+    ];
+    // The check is `normalize(p) == p`, made without building the copy.
+    for p in hostile_paths.into_iter().chain(["/", "/a", "/a/..b/.c"]) {
+        let fixed_point = kosha_vfs::path::normalize(p).is_ok_and(|n| n == p);
+        assert_eq!(kosha::paths::check_vpath(p).is_ok(), fixed_point, "{p:?}");
+    }
+    let mut hostile: Vec<(ServiceId, KoshaRequest)> = Vec::new();
+    for path in hostile_paths {
         hostile.push((
             ServiceId::KoshaReplica,
             KoshaRequest::ReplicaApply { op: write(path) },
@@ -1267,4 +1275,61 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
         assert_eq!(reply.0, Err(NfsStatus::Inval), "{req:?}");
     }
     assert_eq!(census(node), before, "a refused request touched the store");
+}
+
+/// `apply_op` is one mapping run in two areas: after every kind of
+/// mirrored mutation (all ten `ReplicaOp`s a primary sends under `Sync`)
+/// each holder's replica slot has the audit digest of the primary's store
+/// slot, and slot-level ops rename and remove the holders' slots too.
+#[test]
+fn every_op_kind_lands_alike_in_store_and_replica_areas() {
+    use kosha::paths::{anchor_slot, Area};
+    use kosha_vfs::SetAttr;
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    let c = build_cluster(5, cfg);
+    let m = mount(&c, 0);
+    let slot_digests = |area: Area, anchor: &str| -> Vec<[u8; 20]> {
+        let root = format!("/{}/{}", area.dir_name(), anchor_slot(anchor));
+        c.nodes
+            .iter()
+            .filter_map(|n| n.with_store(|v| v.export_tree(&root).ok()))
+            .map(|items| kosha::tree_digest(&items))
+            .collect()
+    };
+    let assert_mirrored = |anchor: &str| {
+        let store = slot_digests(Area::Store, anchor);
+        assert_eq!(store.len(), 1, "{anchor}: one primary");
+        let replicas = slot_digests(Area::Replica, anchor);
+        assert_eq!(replicas, vec![store[0]; 2], "{anchor}: K = 2 equal copies");
+    };
+
+    m.mkdir_p("/one").unwrap();
+    m.mkdir("/one/d").unwrap(); // Mkdir
+    m.create("/one/d/empty").unwrap(); // Create
+    m.create_sized("/one/sparse", 4096).unwrap(); // Create, sized
+    m.symlink("/one/ln", "d/empty").unwrap(); // Symlink
+    m.write_file("/one/d/f", &[7u8; 300]).unwrap(); // Create + Write
+    m.write_at("/one/d/f", 100, &[9u8; 50]).unwrap(); // Write
+    let shorter = SetAttr {
+        size: Some(120),
+        mode: Some(0o600),
+        ..Default::default()
+    };
+    m.setattr("/one/d/f", shorter).unwrap(); // SetAttr
+    m.rename("/one/d/f", "/one/d/g").unwrap(); // Rename
+    m.remove("/one/d/empty").unwrap(); // Remove
+    m.mkdir("/one/gone").unwrap();
+    m.rmdir("/one/gone").unwrap(); // Rmdir
+    assert_mirrored("/one");
+
+    m.rename("/one", "/two").unwrap(); // RenameSlot
+    assert_mirrored("/two");
+    assert!(slot_digests(Area::Replica, "/one").is_empty());
+
+    m.remove_tree("/two").unwrap(); // ... and RemoveSlot
+    assert!(slot_digests(Area::Store, "/two").is_empty());
+    assert!(slot_digests(Area::Replica, "/two").is_empty());
 }
