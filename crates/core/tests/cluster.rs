@@ -1333,3 +1333,145 @@ fn every_op_kind_lands_alike_in_store_and_replica_areas() {
     assert!(slot_digests(Area::Store, "/two").is_empty());
     assert!(slot_digests(Area::Replica, "/two").is_empty());
 }
+
+/// Sends one request to `node`'s replica service, as a primary would.
+fn replica(
+    c: &Cluster,
+    node: &Arc<KoshaNode>,
+    req: &kosha::control::KoshaRequest,
+) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    use kosha_rpc::{RpcRequest, ServiceId};
+    c.net
+        .call(
+            node.addr(),
+            node.addr(),
+            RpcRequest::new(ServiceId::KoshaReplica, req),
+        )
+        .expect("replica rpc")
+        .decode::<kosha::control::KoshaReplyFrame>()
+        .expect("replica reply decodes")
+        .0
+}
+
+/// The first of the two policies that tell the areas apart (DESIGN.md
+/// §11): what an op needs and does not find is `NoEnt` in the store (the
+/// caller misrouted or raced a removal) and is made on demand by a
+/// holder (a mirrored op may arrive before the push that would have made
+/// it) — except the object of a `SetAttr`, which a holder cannot invent.
+#[test]
+fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
+    use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
+    use kosha::paths::{slot_local_path, Area};
+    use kosha_nfs::messages::WireSetAttr;
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(1, cfg);
+    let node = &c.nodes[0];
+    mount(&c, 0).mkdir_p("/p").unwrap();
+    let write = |path: &str| (path.to_string(), 0u64, b"x".as_slice().into());
+    let chmod = || WireSetAttr(kosha_vfs::SetAttr::default());
+
+    // No directory /p/q: the store refuses the create and the write...
+    let (path, offset, data) = write("/p/q/f");
+    let req = KoshaRequest::Write { path, offset, data };
+    assert_eq!(control(&c, node, &req), Err(NfsStatus::NoEnt));
+    // ...an anchor this node does not host is refused the same way...
+    let (path, offset, data) = write("/elsewhere/f");
+    let req = KoshaRequest::Write { path, offset, data };
+    assert_eq!(control(&c, node, &req), Err(NfsStatus::NoEnt));
+    // ...and a holder makes the chain and the file.
+    let (path, offset, data) = write("/p/q/f");
+    let op = ReplicaOp::Write { path, offset, data };
+    assert_eq!(
+        replica(&c, node, &KoshaRequest::ReplicaApply { op }),
+        Ok(KoshaReply::Done)
+    );
+    let landed = slot_local_path(Area::Replica, "/p", "/p/q/f");
+    assert!(node.with_store(|v| v.resolve(&landed).is_ok()), "{landed}");
+
+    let op = ReplicaOp::SetAttr {
+        path: "/p/q/absent".into(),
+        sattr: chmod(),
+    };
+    assert_eq!(
+        replica(&c, node, &KoshaRequest::ReplicaApply { op }),
+        Err(NfsStatus::NoEnt)
+    );
+}
+
+/// The second policy: an outcome that says the op had already happened
+/// (`Exist` on a create, `NoEnt` on a remove or rename) is the caller's
+/// error in the store and is absorbed by a holder, so a replayed or
+/// re-pushed op is idempotent there.
+#[test]
+fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
+    use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(1, cfg);
+    let node = &c.nodes[0];
+    mount(&c, 0).mkdir_p("/p").unwrap();
+    let path = || "/p/f".to_string();
+    let create = || ReplicaOp::Create {
+        path: path(),
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+        size: None,
+    };
+    let moved = || ReplicaOp::Rename {
+        from: path(),
+        to: "/p/g".into(),
+    };
+    let replay = |op: ReplicaOp| {
+        for round in 0..2 {
+            let req = KoshaRequest::ReplicaApply { op: op.clone() };
+            assert_eq!(
+                replica(&c, node, &req),
+                Ok(KoshaReply::Done),
+                "{op:?} #{round}"
+            );
+        }
+    };
+    replay(create());
+    replay(ReplicaOp::Symlink {
+        path: "/p/ln".into(),
+        target: "f".into(),
+        mode: 0o777,
+        uid: 0,
+        gid: 0,
+    });
+    replay(moved());
+    replay(ReplicaOp::Remove {
+        path: "/p/g".into(),
+    });
+    replay(ReplicaOp::Rmdir {
+        path: "/p/d".into(),
+    });
+    replay(ReplicaOp::RemoveSlot {
+        anchor: "/p".into(),
+    });
+
+    let file = KoshaRequest::CreateFile {
+        path: path(),
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+        size: None,
+    };
+    assert!(matches!(
+        control(&c, node, &file),
+        Ok(KoshaReply::Handle { .. })
+    ));
+    assert_eq!(control(&c, node, &file), Err(NfsStatus::Exist));
+    let gone = KoshaRequest::Remove { path: path() };
+    assert_eq!(control(&c, node, &gone), Ok(KoshaReply::Done));
+    assert_eq!(control(&c, node, &gone), Err(NfsStatus::NoEnt));
+    let rename = KoshaRequest::RenameLocal {
+        from: path(),
+        to: "/p/g".into(),
+    };
+    assert_eq!(control(&c, node, &rename), Err(NfsStatus::NoEnt));
+}

@@ -77,11 +77,11 @@ use crate::network::{
     CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceId,
     ServiceMux, TraceHeader,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use kosha_obs::{trace, Counter, Gauge, Histogram, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -91,7 +91,7 @@ type CallResult = Result<RpcResponse, RpcError>;
 struct WorkItem {
     from: NodeAddr,
     req: RpcRequest,
-    reply: Sender<CallResult>,
+    reply: SyncSender<CallResult>,
     /// Transport-clock reading at enqueue, for the reactor's
     /// dispatch-latency histogram.
     enqueued_nanos: u64,
@@ -122,8 +122,8 @@ enum RunItem {
 }
 
 /// The reactor's MPMC run queue of runnable actors. Hand-rolled on
-/// `std` `Mutex`/`Condvar` because the vendored crossbeam shim's
-/// `Receiver` is single-consumer.
+/// `std` `Mutex`/`Condvar` because an `std::sync::mpsc` `Receiver` is
+/// single-consumer.
 struct RunQueue {
     items: std::sync::Mutex<VecDeque<RunItem>>,
     ready: std::sync::Condvar,
@@ -297,7 +297,7 @@ fn admit(
         if idle && blocking {
             return Admitted::InPlace(req);
         }
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         inner.q.push_back(WorkItem {
             from,
             req,
@@ -916,15 +916,15 @@ mod tests {
         order: Mutex<Vec<u64>>,
         active: AtomicU64,
         max_active: AtomicU64,
-        entered: Sender<()>,
+        entered: SyncSender<()>,
         release: Mutex<Receiver<()>>,
     }
 
     impl Logged {
         /// The handler plus the test's ends of its two channels.
-        fn new() -> (Arc<Self>, Receiver<()>, Sender<()>) {
-            let (entered, has_entered) = bounded(1);
-            let (do_release, release) = bounded(1);
+        fn new() -> (Arc<Self>, Receiver<()>, SyncSender<()>) {
+            let (entered, has_entered) = sync_channel(1);
+            let (do_release, release) = sync_channel(1);
             let handler = Arc::new(Logged {
                 order: Mutex::new(Vec::new()),
                 active: AtomicU64::new(0),
@@ -1216,7 +1216,7 @@ mod tests {
         // test thread then issues with `call_async` can only be served
         // by the test thread itself, while it waits.
         struct Gate {
-            arrived: Sender<()>,
+            arrived: SyncSender<()>,
             open: Arc<std::sync::Barrier>,
         }
         impl RpcHandler for Gate {
@@ -1228,7 +1228,7 @@ mod tests {
         }
         let net = ThreadedNetwork::new(Duration::from_secs(10));
         let pool = net.worker_threads();
-        let (arrived, arrivals) = bounded(pool);
+        let (arrived, arrivals) = sync_channel(pool);
         let open = Arc::new(std::sync::Barrier::new(pool + 1));
         for gate in 0..pool as u64 {
             let mux = Arc::new(ServiceMux::new());
@@ -1328,7 +1328,7 @@ mod tests {
         // runs `ThreadedNetwork::drop` on a pool thread.
         struct LastHolder {
             net: Mutex<Option<Arc<ThreadedNetwork>>>,
-            released: Mutex<crossbeam::channel::Receiver<()>>,
+            released: Mutex<Receiver<()>>,
         }
         impl RpcHandler for LastHolder {
             fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
@@ -1343,7 +1343,7 @@ mod tests {
             }
         }
         let net = ThreadedNetwork::new(Duration::from_secs(5));
-        let (release, released) = bounded(1);
+        let (release, released) = sync_channel(1);
         let holder = Arc::new(LastHolder {
             net: Mutex::new(Some(Arc::clone(&net))),
             released: Mutex::new(released),
