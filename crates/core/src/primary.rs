@@ -99,13 +99,14 @@ impl KoshaNode {
                 self.fh_of(&format!("{}/{name}", slot_local_path(area, &anchor, pp)))
             }
             Area::Replica => {
-                let (dir, name) = self.entry_dir(area, vpath)?;
+                let (anchor, pp, name) = self.entry_slot(vpath)?;
+                let dir = self.op_dir(area, &anchor, pp)?;
                 if create_missing {
-                    self.lookup_or_create(dir, &name, (0o644, 0, 0))
-                } else {
-                    self.apply(NfsRequest::Lookup { dir, name })
-                        .and_then(handle_of)
+                    return self.lookup_or_create(dir, name, (0o644, 0, 0));
                 }
+                let name = name.to_string();
+                self.apply(NfsRequest::Lookup { dir, name })
+                    .and_then(handle_of)
             }
         }
     }
