@@ -499,7 +499,7 @@ impl KoshaNode {
         anchor: &str,
         mut leases: Vec<(String, u64, u64)>,
     ) -> Result<(), NfsStatus> {
-        let dir = self.op_dir(Area::Replica, anchor, anchor)?;
+        let dir = self.slot_fh(Area::Replica, anchor, anchor)?;
         if leases.is_empty() {
             let r = self.apply(NfsRequest::Remove {
                 dir,
@@ -537,7 +537,7 @@ impl KoshaNode {
         // would live, so the client's replica-read path serves it with
         // no special casing.
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
-        let dir = self.op_dir(Area::Replica, anchor, pp)?;
+        let dir = self.slot_fh(Area::Replica, anchor, pp)?;
         self.replace_file(
             dir,
             name,
@@ -547,7 +547,7 @@ impl KoshaNode {
         // Record the anchor's routing name so replica-slot GC can ask
         // the owner about this slot even though no full replica push
         // ever wrote the meta here.
-        let root = self.op_dir(Area::Replica, anchor, anchor)?;
+        let root = self.slot_fh(Area::Replica, anchor, anchor)?;
         if let Err(NfsStatus::NoEnt) = self
             .apply(NfsRequest::Lookup {
                 dir: root,

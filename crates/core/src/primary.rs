@@ -57,15 +57,15 @@ impl KoshaNode {
         }
     }
 
-    /// Handle of the local directory holding virtual directory `vdir` of
-    /// `anchor`'s slot. First of the two policies that tell the areas
-    /// apart, what is missing: in the store an anchor this node does not
-    /// host (the caller misrouted, or we lost ownership) or a directory
-    /// it lacks is `NoEnt`; the replica area makes the chain, since a
-    /// mirrored op may arrive before, or without, the push that would
-    /// have made it.
-    pub(crate) fn op_dir(&self, area: Area, anchor: &str, vdir: &str) -> Result<Fh, NfsStatus> {
-        let p = slot_local_path(area, anchor, vdir);
+    /// Handle of what virtual path `vpath` is within `anchor`'s slot.
+    /// First of the two policies that tell the areas apart, what is
+    /// missing: in the store an anchor this node does not host (the
+    /// caller misrouted, or we lost ownership) or a path it lacks is
+    /// `NoEnt`; the replica area takes `vpath` for a directory and makes
+    /// the chain, since a mirrored op may arrive before, or without, the
+    /// push that would have made it.
+    pub(crate) fn slot_fh(&self, area: Area, anchor: &str, vpath: &str) -> Result<Fh, NfsStatus> {
+        let p = slot_local_path(area, anchor, vpath);
         match area {
             Area::Store if !self.hosted(anchor) => Err(NfsStatus::NoEnt),
             Area::Store => self.fh_of(&p),
@@ -77,38 +77,35 @@ impl KoshaNode {
         }
     }
 
-    /// [`Self::op_dir`] of an entry's parent, plus the entry's name.
+    /// [`Self::slot_fh`] of an entry's parent directory, plus the
+    /// entry's name.
     fn entry_dir(&self, area: Area, vpath: &str) -> Result<(Fh, String), NfsStatus> {
         let (anchor, pp, name) = self.entry_slot(vpath)?;
-        Ok((self.op_dir(area, &anchor, pp)?, name.to_string()))
+        Ok((self.slot_fh(area, &anchor, pp)?, name.to_string()))
     }
 
-    /// Handle of the existing object an op names, same policy: the store
-    /// resolves it (a hosted anchor directory is its slot's root) or
-    /// fails `NoEnt`; a holder looks it up under its made-on-demand
-    /// parent and, with `create_missing`, creates it as a plain file.
+    /// Handle of the existing object an op names, same policy. The store
+    /// resolves it by path: a hosted anchor directory is the root of its
+    /// own slot, anything else an entry of its parent's. A holder looks
+    /// it up under its made-on-demand parent and, with `create_missing`,
+    /// creates it as a plain file.
     fn op_object(&self, area: Area, vpath: &str, create_missing: bool) -> Result<Fh, NfsStatus> {
-        match area {
-            Area::Store if self.hosted(vpath) => self.fh_of(&slot_local_path(area, vpath, vpath)),
-            Area::Store if vpath == "/" => Err(NfsStatus::NoEnt),
-            Area::Store => {
-                let (anchor, pp, name) = self.entry_slot(vpath)?;
-                if !self.hosted(&anchor) {
-                    return Err(NfsStatus::NoEnt);
-                }
-                self.fh_of(&format!("{}/{name}", slot_local_path(area, &anchor, pp)))
-            }
-            Area::Replica => {
-                let (anchor, pp, name) = self.entry_slot(vpath)?;
-                let dir = self.op_dir(area, &anchor, pp)?;
-                if create_missing {
-                    return self.lookup_or_create(dir, name, (0o644, 0, 0));
-                }
-                let name = name.to_string();
-                self.apply(NfsRequest::Lookup { dir, name })
-                    .and_then(handle_of)
-            }
+        if area == Area::Store {
+            let anchor = if vpath == "/" || self.hosted(vpath) {
+                vpath.to_string()
+            } else {
+                self.entry_slot(vpath)?.0
+            };
+            return self.slot_fh(area, &anchor, vpath);
         }
+        let (anchor, pp, name) = self.entry_slot(vpath)?;
+        let dir = self.slot_fh(area, &anchor, pp)?;
+        if create_missing {
+            return self.lookup_or_create(dir, name, (0o644, 0, 0));
+        }
+        let name = name.to_string();
+        self.apply(NfsRequest::Lookup { dir, name })
+            .and_then(handle_of)
     }
 
     pub(crate) fn fh_of(&self, store_path: &str) -> Result<Fh, NfsStatus> {
@@ -212,7 +209,7 @@ impl KoshaNode {
         (mode, uid, gid): (u32, u32, u32),
     ) -> Result<(), NfsStatus> {
         self.apply(NfsRequest::Mkdir {
-            dir: self.fh_of(&format!("/{}", Area::Store.dir_name()))?,
+            dir: self.fh_of(&Area::Store.local_path("/"))?,
             name: anchor_slot(anchor),
             mode,
             uid,
@@ -407,7 +404,7 @@ impl KoshaNode {
     /// `ReplicaOp` → `NfsRequest` mapping, run by the primary on its
     /// store and by each holder on its replica area (§4.2: one
     /// operation, K+1 places). The areas differ in two policies only,
-    /// what is missing ([`Self::op_dir`], [`Self::op_object`]) and what
+    /// what is missing ([`Self::slot_fh`], [`Self::op_object`]) and what
     /// is already done ([`settle`]). `dir_attr` is the mode, uid and gid
     /// of a directory `Mkdir` makes in the store; the wire op carries
     /// none, and the replica area makes all its directories alike.
@@ -429,11 +426,11 @@ impl KoshaNode {
                 if area == Area::Replica {
                     // Here the op *is* the missing-directory policy,
                     // applied to `path` itself.
-                    return self.op_dir(area, &anchor, path).map(|_| NfsReply::Void);
+                    return self.slot_fh(area, &anchor, path).map(|_| NfsReply::Void);
                 }
                 let (mode, uid, gid) = dir_attr.unwrap_or((0o700, 0, 0));
                 self.apply(NfsRequest::Mkdir {
-                    dir: self.op_dir(area, &anchor, pp)?,
+                    dir: self.slot_fh(area, &anchor, pp)?,
                     name: name.to_string(),
                     mode,
                     uid,
@@ -524,13 +521,13 @@ impl KoshaNode {
             }
             ReplicaOp::RemoveSlot { anchor } => {
                 let r = self.apply(NfsRequest::RemoveTree {
-                    dir: self.fh_of(&format!("/{}", area.dir_name()))?,
+                    dir: self.fh_of(&area.local_path("/"))?,
                     name: anchor_slot(anchor),
                 });
                 settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::RenameSlot { from, to } => {
-                let slots = self.fh_of(&format!("/{}", area.dir_name()))?;
+                let slots = self.fh_of(&area.local_path("/"))?;
                 let r = self.apply(NfsRequest::Rename {
                     sdir: slots,
                     sname: anchor_slot(from),
@@ -540,7 +537,7 @@ impl KoshaNode {
                 settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::LagMark { anchor, bytes } => {
-                let dir = self.op_dir(area, anchor, anchor)?;
+                let dir = self.slot_fh(area, anchor, anchor)?;
                 if *bytes == 0 {
                     // Clear: the flush batch carrying this op brought the
                     // slot up to date.

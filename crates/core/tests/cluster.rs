@@ -983,23 +983,41 @@ fn audit_counts_hot_copies_without_flagging_them() {
     assert_eq!(report.objects_divergent, 0, "hot slots must not diverge");
 }
 
+/// Sends one request to a service of `node` and decodes the reply frame.
+fn send(
+    c: &Cluster,
+    node: &Arc<KoshaNode>,
+    service: kosha_rpc::ServiceId,
+    req: &kosha::control::KoshaRequest,
+) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    c.net
+        .call(
+            c.nodes[0].addr(),
+            node.addr(),
+            kosha_rpc::RpcRequest::new(service, req),
+        )
+        .expect("rpc")
+        .decode::<kosha::control::KoshaReplyFrame>()
+        .expect("reply decodes")
+        .0
+}
+
 /// Sends one request to `node`'s control service, as a peer koshad would.
 fn control(
     c: &Cluster,
     node: &Arc<KoshaNode>,
     req: &kosha::control::KoshaRequest,
 ) -> Result<kosha::control::KoshaReply, NfsStatus> {
-    use kosha_rpc::{RpcRequest, ServiceId};
-    c.net
-        .call(
-            c.nodes[0].addr(),
-            node.addr(),
-            RpcRequest::new(ServiceId::Kosha, req),
-        )
-        .expect("control rpc")
-        .decode::<kosha::control::KoshaReplyFrame>()
-        .expect("control reply decodes")
-        .0
+    send(c, node, kosha_rpc::ServiceId::Kosha, req)
+}
+
+/// Sends one request to `node`'s replica service, as a primary would.
+fn replica(
+    c: &Cluster,
+    node: &Arc<KoshaNode>,
+    req: &kosha::control::KoshaRequest,
+) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    send(c, node, kosha_rpc::ServiceId::KoshaReplica, req)
 }
 
 fn primary_of<'a>(c: &'a Cluster, anchor: &str) -> &'a Arc<KoshaNode> {
@@ -1173,8 +1191,8 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
 /// that is not absolute and normalised, before touching anything.
 #[test]
 fn peer_supplied_paths_cannot_leave_their_slot() {
-    use kosha::control::{KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
-    use kosha_rpc::{RpcRequest, ServiceId};
+    use kosha::control::{KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
+    use kosha_rpc::ServiceId;
 
     let c = build_cluster(1, KoshaConfig::for_tests());
     let node = &c.nodes[0];
@@ -1266,13 +1284,11 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
         ));
     }
     for (service, req) in &hostile {
-        let reply = c
-            .net
-            .call(node.addr(), node.addr(), RpcRequest::new(*service, req))
-            .expect("rpc")
-            .decode::<KoshaReplyFrame>()
-            .expect("reply decodes");
-        assert_eq!(reply.0, Err(NfsStatus::Inval), "{req:?}");
+        assert_eq!(
+            send(&c, node, *service, req),
+            Err(NfsStatus::Inval),
+            "{req:?}"
+        );
     }
     assert_eq!(census(node), before, "a refused request touched the store");
 }
@@ -1332,25 +1348,6 @@ fn every_op_kind_lands_alike_in_store_and_replica_areas() {
     m.remove_tree("/two").unwrap(); // ... and RemoveSlot
     assert!(slot_digests(Area::Store, "/two").is_empty());
     assert!(slot_digests(Area::Replica, "/two").is_empty());
-}
-
-/// Sends one request to `node`'s replica service, as a primary would.
-fn replica(
-    c: &Cluster,
-    node: &Arc<KoshaNode>,
-    req: &kosha::control::KoshaRequest,
-) -> Result<kosha::control::KoshaReply, NfsStatus> {
-    use kosha_rpc::{RpcRequest, ServiceId};
-    c.net
-        .call(
-            node.addr(),
-            node.addr(),
-            RpcRequest::new(ServiceId::KoshaReplica, req),
-        )
-        .expect("replica rpc")
-        .decode::<kosha::control::KoshaReplyFrame>()
-        .expect("replica reply decodes")
-        .0
 }
 
 /// The first of the two policies that tell the areas apart (DESIGN.md
