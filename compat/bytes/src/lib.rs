@@ -9,13 +9,22 @@
 //! `clone` and [`Bytes::slice`] bump the refcount and copy nothing, and
 //! `From<Vec<u8>>` / [`BytesMut::freeze`] adopt the vector's allocation
 //! as it is, so an encoded frame is written once and every payload
-//! decoded out of it is a view of that one buffer (DESIGN.md §18). A view
-//! keeps its whole owner alive, which is why only payload fields are
-//! decoded as views. A payload that travels beside its frame (the wire
-//! codec's two-piece holding) is its own owner: it pins the payload, not
-//! the frames it passed through. The empty buffer has no owner and
-//! allocates nothing. Equality, ordering, hashing and `Debug` go by
-//! content, never by owner.
+//! decoded out of it is a view of that one buffer (DESIGN.md §18).
+//!
+//! What a view pins: its whole owner, however small its range, until the
+//! last view of that owner is dropped. That is why only payload fields
+//! are decoded as views, and why a holder that keeps bytes for long (the
+//! store keeps file content as a `Bytes`) keeps only *whole* views
+//! ([`Bytes::is_whole`]: the range is all of the owner, so it pins its
+//! own length and nothing more) and copies a piece instead. A payload
+//! that travels beside its frame (the wire codec's two-piece holding) is
+//! its own owner, hence whole: it pins the payload, not the frames it
+//! passed through. The empty buffer has no owner and allocates nothing.
+//!
+//! A view is immutable for as long as anyone else can see the owner:
+//! [`Bytes::with_unique`] lends the owner's vector out for change only
+//! to a whole view that is the owner's one handle. Equality, ordering,
+//! hashing and `Debug` go by content, never by owner.
 //!
 //! One deliberate addition to the published API: `Bytes` compares with
 //! byte arrays, so `assert_eq!(bytes, b"literal")` works in tests.
@@ -92,6 +101,32 @@ impl Bytes {
             start: self.start + from,
             end: self.start + to,
         }
+    }
+
+    /// True when this view covers all of its owner, so that holding it
+    /// pins `len()` bytes and nothing more. The empty buffer is whole.
+    #[must_use]
+    pub fn is_whole(&self) -> bool {
+        self.owner
+            .as_ref()
+            .is_none_or(|owner| self.start == 0 && self.end == owner.len())
+    }
+
+    /// Runs `f` on the owner's vector if this handle is whole and the
+    /// owner's only one, so nobody can watch the bytes change; `None`, and
+    /// `f` not run, otherwise (the owner-less empty buffer included).
+    /// `f` may resize the vector: the view is whatever it leaves.
+    pub fn with_unique<R>(&mut self, f: impl FnOnce(&mut Vec<u8>) -> R) -> Option<R> {
+        if !self.is_whole() {
+            return None;
+        }
+        let vec = Arc::get_mut(self.owner.as_mut()?)?;
+        let result = f(vec);
+        self.end = vec.len();
+        if self.end == 0 {
+            self.owner = None;
+        }
+        Some(result)
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -416,6 +451,57 @@ mod tests {
             let caught = std::panic::catch_unwind(move || mid.slice(bad.0..bad.1));
             assert!(caught.is_err(), "slice {bad:?} of a 6-byte view");
         }
+    }
+
+    #[test]
+    fn whole_means_the_view_pins_only_itself() {
+        let b = Bytes::from(b"0123456789".to_vec());
+        assert!(b.is_whole());
+        assert!(b.clone().is_whole());
+        assert!(b.slice(..).is_whole());
+        assert!(!b.slice(1..).is_whole());
+        assert!(!b.slice(..9).is_whole());
+        // An empty piece of an owner still pins it; the owner-less empty
+        // buffer pins nothing.
+        assert!(!b.slice(3..3).is_whole());
+        assert!(Bytes::new().is_whole());
+        assert!(Bytes::from(Vec::new()).is_whole());
+    }
+
+    #[test]
+    fn with_unique_needs_a_whole_view_and_no_other_holder() {
+        let mut b = Bytes::from(b"0123456789".to_vec());
+        let ptr = b.as_ptr();
+        assert_eq!(b.with_unique(|v| v[0] = b'x'), Some(()));
+        assert_eq!(b, b"x123456789");
+        assert_eq!(b.as_ptr(), ptr);
+
+        // Another handle, however small its range, forbids it, and the
+        // closure does not run.
+        let other = b.slice(4..5);
+        assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
+        // So does being a piece, even the only handle left.
+        let mut piece = other;
+        assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
+        assert_eq!(piece.with_unique(|_| unreachable!()), None::<()>);
+        drop(piece);
+        assert_eq!(b.with_unique(|v| v.len()), Some(10));
+        assert_eq!(Bytes::new().with_unique(|_| unreachable!()), None::<()>);
+    }
+
+    #[test]
+    fn with_unique_may_resize_and_the_view_follows() {
+        let mut b = Bytes::from(b"abc".to_vec());
+        b.with_unique(|v| v.extend_from_slice(b"def")).unwrap();
+        assert_eq!(b, b"abcdef");
+        assert!(b.is_whole());
+        b.with_unique(|v| v.truncate(2)).unwrap();
+        assert_eq!(b, b"ab");
+        assert_eq!(b.len(), 2);
+        // Emptied, it is the owner-less empty buffer again.
+        b.with_unique(Vec::clear).unwrap();
+        assert!(b.is_empty());
+        assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
     }
 
     #[test]

@@ -581,13 +581,13 @@ mod tests {
         let base = vec![
             item("", ExportKind::Dir, 0o755),
             item("d", ExportKind::Dir, 0o755),
-            item("d/f", ExportKind::Bytes(b"hello".to_vec()), 0o644),
+            item("d/f", ExportKind::Bytes(b"hello"[..].into()), 0o644),
         ];
         let mut with_internal = base.clone();
-        with_internal.push(item(LAG_MARK, ExportKind::Bytes(b"42".to_vec()), 0o600));
+        with_internal.push(item(LAG_MARK, ExportKind::Bytes(b"42"[..].into()), 0o600));
         with_internal.push(item(
             ".kosha_anchor",
-            ExportKind::Bytes(b"a".to_vec()),
+            ExportKind::Bytes(b"a"[..].into()),
             0o600,
         ));
         let reordered: Vec<ExportItem> = base.iter().rev().cloned().collect();
@@ -603,13 +603,13 @@ mod tests {
     fn digest_covers_content_and_file_attrs_not_dir_modes() {
         let base = vec![
             item("", ExportKind::Dir, 0o755),
-            item("f", ExportKind::Bytes(b"x".to_vec()), 0o644),
+            item("f", ExportKind::Bytes(b"x"[..].into()), 0o644),
         ];
         let mut dir_mode = base.clone();
         dir_mode[0].mode = 0o700; // replica dirs get fixed modes
         assert_eq!(tree_digest(&base), tree_digest(&dir_mode));
         let mut content = base.clone();
-        content[1].kind = ExportKind::Bytes(b"y".to_vec());
+        content[1].kind = ExportKind::Bytes(b"y"[..].into());
         assert_ne!(tree_digest(&base), tree_digest(&content));
         let mut fmode = base.clone();
         fmode[1].mode = 0o600;

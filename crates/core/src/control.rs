@@ -35,8 +35,9 @@ wire_enum! {
     pub enum MigrateKind {
         /// Directory.
         Dir = 0,
-        /// Regular file with contents.
-        Bytes(data: Vec<u8>) = 1,
+        /// Regular file with contents: the exporting store's buffer by
+        /// refcount on the way out, a view of the frame on the way in.
+        Bytes(data: Bytes) = 1,
         /// Sparse (size-only) file.
         Sparse(size: u64) = 2,
         /// Symlink (user or special).
@@ -612,7 +613,7 @@ mod tests {
                 path: "/a".into(),
                 item: MigrateItem {
                     rel_path: "x/f".into(),
-                    kind: MigrateKind::Bytes(vec![7; 9]),
+                    kind: MigrateKind::Bytes(vec![7; 9].into()),
                     mode: 0o644,
                     uid: 3,
                     gid: 4,
@@ -640,7 +641,7 @@ mod tests {
                     },
                     MigrateItem {
                         rel_path: "d/f".into(),
-                        kind: MigrateKind::Bytes(vec![5; 3]),
+                        kind: MigrateKind::Bytes(vec![5; 3].into()),
                         mode: 0o644,
                         uid: 1,
                         gid: 2,
@@ -686,7 +687,7 @@ mod tests {
                 expires_nanos: 9_000_000_000,
                 item: MigrateItem {
                     rel_path: "hot".into(),
-                    kind: MigrateKind::Bytes(vec![6; 5]),
+                    kind: MigrateKind::Bytes(vec![6; 5].into()),
                     mode: 0o644,
                     uid: 1,
                     gid: 2,
@@ -814,7 +815,7 @@ mod tests {
     fn migrate_items_round_trip() {
         for kind in [
             MigrateKind::Dir,
-            MigrateKind::Bytes(vec![1, 2, 3]),
+            MigrateKind::Bytes(vec![1, 2, 3].into()),
             MigrateKind::Sparse(1 << 40),
             MigrateKind::Symlink {
                 target: "t#1".into(),

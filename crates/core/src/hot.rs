@@ -292,24 +292,40 @@ impl KoshaNode {
         }
     }
 
-    /// Removal hook: forgets `path`'s heat and revokes its hot copies
-    /// (the object is gone, so there is nothing left to refresh).
+    /// Takes every tracked hot object `dead` picks out of the map,
+    /// forgetting its heat and revoking its copies.
+    fn hot_take(&self, dead: impl Fn(&str, &HotObject) -> bool) -> Vec<(String, HotObject)> {
+        let victims: Vec<(String, HotObject)> =
+            self.hot.lock().extract_if(.., |p, o| dead(p, o)).collect();
+        for (path, o) in &victims {
+            self.heat.forget(path);
+            self.hot_drop_on(&o.holders, &o.anchor, path);
+        }
+        if !victims.is_empty() {
+            self.hot_gauge_sync(&self.hot.lock());
+        }
+        victims
+    }
+
+    /// Removal hook: the name `path` stops meaning its object, and if
+    /// that is a directory so does every name under it (a rename moves
+    /// the whole subtree). Forgets their heat and revokes their hot
+    /// copies; there is nothing left to refresh.
     pub(crate) fn hot_forget_object(&self, path: &str) {
         self.heat.forget(path);
         if !self.hot_enabled() {
             return;
         }
-        let entry = self.hot.lock().remove(path);
-        let Some(o) = entry else { return };
-        self.hot_drop_on(&o.holders, &o.anchor, path);
-        self.journal(
-            "hot_drop",
-            format!(
-                "removed object {path}: revoked {} hot cop(ies)",
-                o.holders.len()
-            ),
-        );
-        self.hot_gauge_sync(&self.hot.lock());
+        let below = format!("{path}/");
+        for (gone, o) in self.hot_take(|p, _| p == path || p.starts_with(&below)) {
+            self.journal(
+                "hot_drop",
+                format!(
+                    "removed object {gone}: revoked {} hot cop(ies)",
+                    o.holders.len()
+                ),
+            );
+        }
     }
 
     /// Anchor teardown hook (rmdir of an anchor, demotion, migration
@@ -318,21 +334,7 @@ impl KoshaNode {
         if !self.hot_enabled() {
             return;
         }
-        let victims: Vec<(String, HotObject)> = {
-            let mut map = self.hot.lock();
-            let keys: Vec<String> = map
-                .iter()
-                .filter(|(_, o)| o.anchor == anchor)
-                .map(|(p, _)| p.clone())
-                .collect();
-            keys.into_iter()
-                .filter_map(|p| map.remove(&p).map(|o| (p, o)))
-                .collect()
-        };
-        for (path, o) in &victims {
-            self.heat.forget(path);
-            self.hot_drop_on(&o.holders, &o.anchor, path);
-        }
+        let victims = self.hot_take(|_, o| o.anchor == anchor);
         if !victims.is_empty() {
             self.journal(
                 "hot_drop",
@@ -341,7 +343,6 @@ impl KoshaNode {
                     victims.len()
                 ),
             );
-            self.hot_gauge_sync(&self.hot.lock());
         }
     }
 
@@ -538,12 +539,7 @@ impl KoshaNode {
         // no special casing.
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
         let dir = self.slot_fh(Area::Replica, anchor, pp)?;
-        self.replace_file(
-            dir,
-            name,
-            (item.mode, item.uid, item.gid),
-            data.clone().into(),
-        )?;
+        self.replace_file(dir, name, (item.mode, item.uid, item.gid), data.clone())?;
         // Record the anchor's routing name so replica-slot GC can ask
         // the owner about this slot even though no full replica push
         // ever wrote the meta here.

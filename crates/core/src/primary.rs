@@ -566,7 +566,8 @@ impl KoshaNode {
                 self.hot_invalidate(path);
             }
             // The name stops meaning this object (removed, renamed away,
-            // renamed over): its heat slot and its copies go.
+            // renamed over), and a renamed directory takes every name
+            // under it along: their heat slots and their copies go.
             ReplicaOp::Remove { path } => self.hot_forget_object(path),
             ReplicaOp::Rename { from, to } => {
                 self.hot_forget_object(from);
@@ -718,7 +719,7 @@ impl KoshaNode {
                 self.apply(NfsRequest::Write {
                     fh: made.and_then(handle_of)?,
                     offset: 0,
-                    data: data.into(),
+                    data,
                 })
             }
             MigrateKind::Sparse(size) => self.apply(NfsRequest::CreateSized {

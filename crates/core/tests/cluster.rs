@@ -1057,10 +1057,12 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
     use kosha_vfs::SetAttr;
 
     const HOT: &str = "/t/hot";
+    const DEEP: &str = "/t/d/hot";
     const OLD: &[u8] = b"old bytes";
     let path = |p: &str| p.to_string();
-    // What a row does to the hot object, and what `/t/hot` must read as
-    // afterwards (`None`: the name is gone and is re-created empty).
+    // A row's hot object, what the row does to it, and what its path
+    // must read as afterwards (`None`: the name is gone and is re-created
+    // empty).
     enum Do {
         /// Requests sent straight to the primary's control service.
         Control(Vec<KoshaRequest>),
@@ -1068,9 +1070,10 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         /// link; koshad sends `RmdirAnchor` / `RenameAnchorDir` for them.
         Mount(fn(&KoshaMount)),
     }
-    let rows: Vec<(&str, Do, Option<&[u8]>)> = vec![
+    let rows: Vec<(&str, &str, Do, Option<&[u8]>)> = vec![
         (
             "Write",
+            HOT,
             Do::Control(vec![KoshaRequest::Write {
                 path: path(HOT),
                 offset: 0,
@@ -1080,6 +1083,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         ),
         (
             "SetAttr (truncate)",
+            HOT,
             Do::Control(vec![KoshaRequest::SetAttr {
                 path: path(HOT),
                 sattr: WireSetAttr(SetAttr {
@@ -1091,16 +1095,19 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         ),
         (
             "Remove",
+            HOT,
             Do::Control(vec![KoshaRequest::Remove { path: path(HOT) }]),
             None,
         ),
         (
             "RemoveLink",
+            HOT,
             Do::Control(vec![KoshaRequest::RemoveLink { path: path(HOT) }]),
             None,
         ),
         (
             "RenameLocal, hot object is the source",
+            HOT,
             Do::Control(vec![KoshaRequest::RenameLocal {
                 from: path(HOT),
                 to: path("/t/moved"),
@@ -1109,6 +1116,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         ),
         (
             "RenameLocal, hot object is overwritten",
+            HOT,
             Do::Control(vec![KoshaRequest::RenameLocal {
                 from: path("/t/other"),
                 to: path(HOT),
@@ -1116,11 +1124,24 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
             Some(b"other"),
         ),
         (
+            // The names under a renamed directory stop meaning their
+            // objects too: a lease on one outlives the rename unless the
+            // whole subtree is forgotten.
+            "RenameLocal, a directory above the hot object",
+            DEEP,
+            Do::Control(vec![KoshaRequest::RenameLocal {
+                from: path("/t/d"),
+                to: path("/t/e"),
+            }]),
+            None,
+        ),
+        (
             // An anchor can only be removed empty, so the Remove that
             // empties it has voided the lease already; the row pins that
             // nothing about the torn-down anchor is advertised when the
             // name comes back.
             "RmdirAnchor",
+            HOT,
             Do::Mount(|m| {
                 m.remove(HOT).unwrap();
                 m.remove("/t/other").unwrap();
@@ -1130,21 +1151,23 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         ),
         (
             "RenameAnchorDir",
+            HOT,
             Do::Mount(|m| m.rename("/t", "/u").unwrap()),
             None,
         ),
     ];
-    for (name, action, expect) in rows {
+    for (name, hot, action, expect) in rows {
+        let dir = hot.rsplit_once('/').expect("absolute").0;
         let c = build_cluster(6, hot_cfg());
         let m = mount(&c, 0);
-        m.mkdir_p("/t").unwrap();
-        m.write_file(HOT, OLD).unwrap();
+        m.mkdir_p(dir).unwrap();
+        m.write_file(hot, OLD).unwrap();
         m.write_file("/t/other", b"other").unwrap();
         for _ in 0..24 {
-            assert_eq!(m.read_file(HOT).unwrap(), OLD);
+            assert_eq!(m.read_file(hot).unwrap(), OLD);
         }
         assert!(
-            advertised_hot_holders(&c, "/t", HOT) > 0,
+            advertised_hot_holders(&c, "/t", hot) > 0,
             "{name}: the row needs a valid lease in place before the mutation"
         );
 
@@ -1162,20 +1185,20 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         let expect = match expect {
             Some(bytes) => bytes,
             None => {
-                m.mkdir_p("/t").unwrap();
-                m.create(HOT).unwrap();
+                m.mkdir_p(dir).unwrap();
+                m.create(hot).unwrap();
                 b""
             }
         };
 
         assert_eq!(
-            advertised_hot_holders(&c, "/t", HOT),
+            advertised_hot_holders(&c, "/t", hot),
             0,
             "{name}: a hot-copy lease survived the mutation's reply"
         );
         for turn in 0..24 {
             assert_eq!(
-                m.read_file(HOT).unwrap(),
+                m.read_file(hot).unwrap(),
                 expect,
                 "{name}: read {turn} after the mutation returned other bytes"
             );
@@ -1212,7 +1235,7 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
     };
     let item = |rel_path: &str| MigrateItem {
         rel_path: rel_path.into(),
-        kind: MigrateKind::Bytes(b"x".to_vec()),
+        kind: MigrateKind::Bytes(b"x"[..].into()),
         mode: 0o644,
         uid: 0,
         gid: 0,

@@ -26,7 +26,8 @@ fn arb_item() -> impl Strategy<Value = MigrateItem> {
         "[a-z/]{0,16}",
         prop_oneof![
             Just(MigrateKind::Dir),
-            proptest::collection::vec(any::<u8>(), 0..128).prop_map(MigrateKind::Bytes),
+            proptest::collection::vec(any::<u8>(), 0..128)
+                .prop_map(|b| MigrateKind::Bytes(b.into())),
             any::<u64>().prop_map(MigrateKind::Sparse),
             "[a-z#0-9]{1,16}".prop_map(|target| MigrateKind::Symlink { target }),
         ],

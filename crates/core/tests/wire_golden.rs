@@ -72,7 +72,7 @@ fn item(kind: MigrateKind) -> MigrateItem {
 fn items() -> Vec<MigrateItem> {
     vec![
         item(MigrateKind::Dir),
-        item(MigrateKind::Bytes(vec![1, 2, 3])),
+        item(MigrateKind::Bytes(vec![1, 2, 3].into())),
         item(MigrateKind::Sparse(1 << 40)),
         item(MigrateKind::Symlink {
             target: "t#1".into(),
@@ -226,7 +226,7 @@ fn kosha_requests() -> Vec<KoshaRequest> {
         KoshaRequest::BeginTransfer { path: "/a".into() },
         KoshaRequest::TransferPut {
             path: "/a".into(),
-            item: item(MigrateKind::Bytes(vec![7; 4])),
+            item: item(MigrateKind::Bytes(vec![7; 4].into())),
         },
         KoshaRequest::CommitTransfer {
             path: "/a".into(),

@@ -7,7 +7,7 @@ use kosha::paths::{anchor_slot, slot_local_path, Area};
 use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode, ReplicationMode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::messages::WireSetAttr;
-use kosha_rpc::{Network, NodeAddr, RpcRequest, ServiceId, SimNetwork};
+use kosha_rpc::{Bytes, Network, NodeAddr, RpcRequest, ServiceId, SimNetwork};
 use kosha_vfs::SetAttr;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -65,7 +65,7 @@ fn primary_of<'a>(c: &'a Cluster, anchor: &str) -> &'a Arc<KoshaNode> {
 }
 
 /// Bytes of `vpath` in `node`'s *replica* area, if present.
-fn replica_bytes(node: &Arc<KoshaNode>, anchor: &str, vpath: &str) -> Option<Vec<u8>> {
+fn replica_bytes(node: &Arc<KoshaNode>, anchor: &str, vpath: &str) -> Option<Bytes> {
     let rpath = slot_local_path(Area::Replica, anchor, vpath);
     node.with_store(|v| {
         let (id, attr) = v.resolve(&rpath).ok()?;

@@ -2,6 +2,7 @@
 
 use crate::messages::{NfsReply, NfsReplyFrame, NfsRequest, ReplyFrame, WireAttr};
 use kosha_obs::{Counter, Obs};
+use kosha_rpc::wire::MAX_LEN;
 use kosha_rpc::{Bytes, Clock, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::Vfs;
 use parking_lot::Mutex;
@@ -175,19 +176,19 @@ impl NfsServer {
                 .map(|target| NfsReply::Target { target })
                 .map_err(Into::into),
             NfsRequest::Read { fh, offset, count } => vfs
-                .read(fh.to_file_id(), offset, count)
+                // `count` is the peer's: a sparse file allocates what it
+                // reads, and no reply may carry more than the wire's
+                // longest field. A short read without EOF is legal NFS.
+                .read(fh.to_file_id(), offset, count.min(MAX_LEN as u32))
                 .map(|(data, eof)| {
                     self.clock.advance(disk.transfer(data.len()));
-                    // The store's copy is the reply's payload as it is.
-                    NfsReply::Data {
-                        data: Bytes::from(data),
-                        eof,
-                    }
+                    // A view of the store's buffer is the reply's payload.
+                    NfsReply::Data { data, eof }
                 })
                 .map_err(Into::into),
             NfsRequest::Write { fh, offset, data } => {
                 self.clock.advance(disk.transfer(data.len()));
-                vfs.write(fh.to_file_id(), offset, &data)
+                vfs.write_bytes(fh.to_file_id(), offset, &data)
                     .map(|count| NfsReply::Written { count })
                     .map_err(Into::into)
             }

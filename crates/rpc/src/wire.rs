@@ -298,8 +298,9 @@ const PAYLOAD_TAIL: usize = 16;
 
 /// Upper bound on any single length prefix; guards against corrupt frames
 /// allocating unbounded memory. 64 MiB comfortably exceeds the largest NFS
-/// WRITE payload the system produces.
-const MAX_LEN: u64 = 64 << 20;
+/// WRITE payload the system produces. It is also the most a server may
+/// put in one reply, so a READ's `count` is clamped to it.
+pub const MAX_LEN: u64 = 64 << 20;
 
 /// Decoder over a byte slice, or over a refcounted frame (see
 /// [`Reader::over`], [`Reader::over_frame`]) whose payload fields it can

@@ -4,14 +4,28 @@
 use crate::error::VfsError;
 use crate::inode::{Attr, FileId, FileType, Ino};
 use crate::path::{join_path, parent_and_name, split_path, validate_name};
+use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 
 /// File payload: real bytes, or a sparse size-only record used by
 /// trace-driven simulations (charges quota, stores no data).
+///
+/// The bytes are a refcounted buffer that readers and exports share
+/// with the store, under two conditions that every change keeps: the
+/// stored handle is whole ([`Bytes::is_whole`]: a file pins its own
+/// length, never a larger allocation it is a piece of), and a buffer
+/// another handle shares is replaced, never changed.
 #[derive(Debug, Clone)]
 enum Payload {
-    Bytes(Vec<u8>),
+    Bytes(Bytes),
     Sparse(u64),
+}
+
+/// `old`'s bytes in a vector of their own, with room for `len`.
+fn unshared(old: &[u8], len: usize) -> Vec<u8> {
+    let mut v = Vec::with_capacity(len.max(old.len()));
+    v.extend_from_slice(old);
+    v
 }
 
 impl Payload {
@@ -42,8 +56,9 @@ struct Inode {
 pub enum ExportKind {
     /// A directory (children follow as separate items).
     Dir,
-    /// A regular file with real contents.
-    Bytes(Vec<u8>),
+    /// A regular file with real contents: the stored buffer itself, by
+    /// refcount.
+    Bytes(Bytes),
     /// A sparse (size-only) file.
     Sparse(u64),
     /// A symbolic link.
@@ -376,7 +391,17 @@ impl Vfs {
             let inode = self.get_mut(id)?;
             if let Kind::File(p) = &mut inode.kind {
                 match p {
-                    Payload::Bytes(b) => b.resize(new_size as usize, 0),
+                    Payload::Bytes(b) => {
+                        let len = new_size as usize;
+                        if len < b.len() {
+                            // A view of the head would pin the old tail.
+                            *b = Bytes::copy_from_slice(&b[..len]);
+                        } else if len > b.len() && b.with_unique(|v| v.resize(len, 0)).is_none() {
+                            let mut v = unshared(b, len);
+                            v.resize(len, 0);
+                            *b = v.into();
+                        }
+                    }
                     Payload::Sparse(n) => *n = new_size,
                 }
             }
@@ -470,7 +495,7 @@ impl Vfs {
         self.insert_child(
             dir,
             name,
-            Kind::File(Payload::Bytes(Vec::new())),
+            Kind::File(Payload::Bytes(Bytes::new())),
             mode,
             uid,
             gid,
@@ -568,15 +593,14 @@ impl Vfs {
     // ---- data -------------------------------------------------------------
 
     /// Reads up to `count` bytes at `offset`; returns the data and an EOF
-    /// flag. Sparse files read as zeros. The returned vector is the one
-    /// copy a READ makes: callers adopt it (`Bytes::from`), they do not
-    /// copy it again.
-    pub fn read(
-        &mut self,
-        id: FileId,
-        offset: u64,
-        count: u32,
-    ) -> Result<(Vec<u8>, bool), VfsError> {
+    /// flag. The data is a view of the stored buffer: nothing is copied
+    /// and nothing allocated. The view keeps the bytes it was taken over
+    /// whatever happens to the file afterwards (a write that finds the
+    /// buffer shared replaces it, see [`Vfs::write_bytes`]), and until it
+    /// is dropped it pins the file's whole buffer as of the read, not
+    /// only the range asked for. Sparse files read as zeros, allocated
+    /// per call, so `count` must have been bounded by the caller.
+    pub fn read(&mut self, id: FileId, offset: u64, count: u32) -> Result<(Bytes, bool), VfsError> {
         let now = self.now;
         let inode = self.get_mut(id)?;
         let payload = match &inode.kind {
@@ -590,15 +614,47 @@ impl Vfs {
         let end = offset.saturating_add(u64::from(count)).min(size);
         let eof = end >= size;
         let data = match payload {
-            Payload::Bytes(b) => b[start as usize..end as usize].to_vec(),
-            Payload::Sparse(_) => vec![0u8; (end - start) as usize],
+            Payload::Bytes(b) => b.slice(start as usize..end as usize),
+            Payload::Sparse(_) => vec![0u8; (end - start) as usize].into(),
         };
         Ok((data, eof))
     }
 
     /// Writes `data` at `offset`, extending the file if needed. Growth is
-    /// charged against the quota; on `NoSpc` nothing is modified.
+    /// charged against the quota; on `NoSpc` nothing is modified. The
+    /// borrowed entry into [`Vfs::write_bytes`]: with no buffer to adopt,
+    /// the bytes are copied into the file's own.
     pub fn write(&mut self, id: FileId, offset: u64, data: &[u8]) -> Result<u32, VfsError> {
+        self.store(id, offset, data, None)
+    }
+
+    /// [`Vfs::write`] of a buffer the store may keep. One rule decides
+    /// what happens to the bytes, for every caller:
+    ///
+    /// 1. the file's buffer has no other holder (no reader's view, no
+    ///    export, no co-hosted replica) and has room: it is changed in
+    ///    place, and nothing is allocated;
+    /// 2. otherwise, if `data` is a whole buffer ([`Bytes::is_whole`])
+    ///    and covers the whole file (the first write into a fresh file,
+    ///    or an overwrite of a buffer somebody still shares), it becomes
+    ///    the file's buffer, and nothing is copied;
+    /// 3. otherwise the bytes are copied once: a buffer with no other
+    ///    holder grows as a vector does, a shared one is left to its
+    ///    holders and replaced by a fresh one.
+    ///
+    /// A view that is a piece of a larger buffer (a field of a flat
+    /// frame) is never adopted: the file would pin the frame.
+    pub fn write_bytes(&mut self, id: FileId, offset: u64, data: &Bytes) -> Result<u32, VfsError> {
+        self.store(id, offset, data, data.is_whole().then_some(data))
+    }
+
+    fn store(
+        &mut self,
+        id: FileId,
+        offset: u64,
+        data: &[u8],
+        whole: Option<&Bytes>,
+    ) -> Result<u32, VfsError> {
         let old_size = {
             let inode = self.get(id)?;
             match &inode.kind {
@@ -616,10 +672,33 @@ impl Vfs {
         if let Kind::File(p) = &mut inode.kind {
             match p {
                 Payload::Bytes(b) => {
-                    if end > b.len() as u64 {
-                        b.resize(end as usize, 0);
+                    let (at, to) = (offset as usize, end as usize);
+                    let put = |v: &mut Vec<u8>| {
+                        if to > v.len() {
+                            v.resize(to, 0);
+                        }
+                        v[at..to].copy_from_slice(data);
+                    };
+                    // Rule 2's condition on the incoming buffer.
+                    let adopt = whole.filter(|_| at == 0 && to >= b.len());
+                    // Rule 1, and rule 3 for a buffer nobody shares: it
+                    // leaves its allocation only for a buffer to adopt.
+                    let in_place = b.with_unique(|v| {
+                        let stays = v.capacity() >= to || adopt.is_none();
+                        if stays {
+                            put(v);
+                        }
+                        stays
+                    });
+                    match (in_place, adopt) {
+                        (Some(true), _) => {}
+                        (_, Some(data)) => *b = data.clone(),
+                        _ => {
+                            let mut v = unshared(b, to);
+                            put(&mut v);
+                            *b = v.into();
+                        }
                     }
-                    b[offset as usize..end as usize].copy_from_slice(data);
                 }
                 Payload::Sparse(n) => {
                     // Writing to a sparse file keeps it sparse: only the
@@ -704,9 +783,9 @@ impl Vfs {
             *entries.get(name).ok_or(VfsError::NoEnt)?
         };
         let before = self.used;
+        let was_dir = matches!(self.inodes.get(&ino).map(|i| &i.kind), Some(Kind::Dir(_)));
         self.remove_tree_ino(ino);
         let now = self.now;
-        let was_dir = true;
         if let Some(parent) = self.inodes.get_mut(&dir.ino) {
             if let Kind::Dir(entries) = &mut parent.kind {
                 entries.remove(name);
@@ -896,7 +975,8 @@ impl Vfs {
     /// Exports the subtree rooted at `root_path` in pre-order, for
     /// migration and replica pushes. The root itself is included with an
     /// empty relative path. Sparse files export their size only; real
-    /// files export their bytes.
+    /// files export their stored buffer by refcount, which like a
+    /// [`Vfs::read`] view keeps its bytes whatever happens to the file.
     pub fn export_tree(&self, root_path: &str) -> Result<Vec<ExportItem>, VfsError> {
         let (id, _) = self.resolve(root_path)?;
         let mut out = Vec::new();
@@ -1001,6 +1081,125 @@ mod tests {
         assert_eq!(id2, f);
         assert_eq!(a2.size, 11);
         assert_eq!(v.used_bytes(), 11);
+    }
+
+    /// A fresh file holding `len` bytes of `fill` in a buffer of the
+    /// store's own.
+    fn file_of(v: &mut Vfs, name: &str, fill: u8, len: usize) -> FileId {
+        let (f, _) = v.create(v.root(), name, 0o644, 0, 0).unwrap();
+        v.write(f, 0, &vec![fill; len]).unwrap();
+        f
+    }
+
+    #[test]
+    fn read_and_export_lend_the_stored_buffer() {
+        let mut v = fs();
+        let f = file_of(&mut v, "f", 7, 4096);
+        let (whole, _) = v.read(f, 0, 4096).unwrap();
+        let (mid, eof) = v.read(f, 1000, 24).unwrap();
+        assert!(!eof);
+        assert_eq!(mid.as_ptr(), whole[1000..].as_ptr());
+        let ExportKind::Bytes(exported) = &v.export_tree("/f").unwrap()[0].kind else {
+            panic!()
+        };
+        assert_eq!(exported.as_ptr(), whole.as_ptr());
+        assert!(exported.is_whole());
+    }
+
+    #[test]
+    fn write_rule_1_a_buffer_nobody_shares_is_changed_in_place() {
+        let mut v = fs();
+        let f = file_of(&mut v, "f", 1, 4096);
+        let before = v.read(f, 0, 1).unwrap().0.as_ptr();
+        // Whole-cover, partial, borrowed or a whole buffer of the
+        // caller's: with room and no other holder, the allocation stays.
+        let incoming = Bytes::from(vec![2u8; 4096]);
+        v.write_bytes(f, 0, &incoming).unwrap();
+        v.write_bytes(f, 100, &incoming.slice(..10)).unwrap();
+        v.write(f, 4000, &[3u8; 96]).unwrap();
+        let (data, _) = v.read(f, 0, 4096).unwrap();
+        assert_eq!(data.as_ptr(), before);
+        assert_ne!(data.as_ptr(), incoming.as_ptr());
+        assert_eq!(data[..4000], [2u8; 4000]);
+        assert_eq!(data[4000..], [3u8; 96]);
+    }
+
+    #[test]
+    fn write_rule_2_a_whole_buffer_covering_the_file_is_adopted() {
+        let mut v = fs();
+        // The first write into a fresh file.
+        let (f, _) = v.create(v.root(), "f", 0o644, 0, 0).unwrap();
+        let first = Bytes::from(vec![1u8; 4096]);
+        v.write_bytes(f, 0, &first).unwrap();
+        assert_eq!(v.read(f, 0, 4096).unwrap().0.as_ptr(), first.as_ptr());
+        // An overwrite of a buffer a holder (here `first` itself) shares,
+        // longer than the file or not.
+        let second = Bytes::from(vec![2u8; 5000]);
+        v.write_bytes(f, 0, &second).unwrap();
+        assert_eq!(v.read(f, 0, 5000).unwrap().0.as_ptr(), second.as_ptr());
+        assert_eq!(first, vec![1u8; 4096]);
+        assert_eq!(v.used_bytes(), 5000);
+        // A piece of a larger buffer is not adopted, whatever it covers.
+        let frame = Bytes::from(vec![3u8; 6000]);
+        v.write_bytes(f, 0, &frame.slice(..5000)).unwrap();
+        let (data, _) = v.read(f, 0, 5000).unwrap();
+        assert!(!(frame.as_ptr()..frame[5999..].as_ptr()).contains(&data.as_ptr()));
+        assert_eq!(data, vec![3u8; 5000]);
+        assert_eq!(second, vec![2u8; 5000]);
+    }
+
+    #[test]
+    fn write_rule_3_a_shared_buffer_written_in_part_is_copied_once() {
+        let mut v = fs();
+        let f = file_of(&mut v, "f", 1, 4096);
+        let (reader, _) = v.read(f, 0, 4096).unwrap();
+        let incoming = Bytes::from(vec![2u8; 1000]);
+        v.write_bytes(f, 96, &incoming).unwrap();
+        // The reader keeps what it read; the file has a buffer of its
+        // own again, so the next write finds rule 1.
+        assert_eq!(reader, vec![1u8; 4096]);
+        let (data, _) = v.read(f, 0, 4096).unwrap();
+        assert_ne!(data.as_ptr(), reader.as_ptr());
+        assert_eq!(data[..96], [1u8; 96]);
+        assert_eq!(data[96..1096], [2u8; 1000]);
+        assert_eq!(data[1096..], [1u8; 3000]);
+        let own = data.as_ptr();
+        drop(data);
+        v.write(f, 0, &[4u8; 8]).unwrap();
+        assert_eq!(v.read(f, 0, 1).unwrap().0.as_ptr(), own);
+        // Growing past the end of a shared buffer is the same copy.
+        let (reader, _) = v.read(f, 0, 4096).unwrap();
+        v.write(f, 4090, &[5u8; 10]).unwrap();
+        assert_eq!(reader.len(), 4096);
+        assert_eq!(v.read(f, 4090, 10).unwrap().0, [5u8; 10]);
+    }
+
+    #[test]
+    fn truncate_copies_and_extend_leaves_readers_alone() {
+        let mut v = fs();
+        let f = file_of(&mut v, "f", 1, 4096);
+        let (reader, _) = v.read(f, 0, 4096).unwrap();
+        let resize = |v: &mut Vfs, size| {
+            v.setattr(
+                f,
+                &SetAttr {
+                    size: Some(size),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        };
+        resize(&mut v, 100);
+        let ExportKind::Bytes(kept) = &v.export_tree("/f").unwrap()[0].kind else {
+            panic!()
+        };
+        assert!(kept.is_whole(), "a truncated file pins its old tail");
+        assert_eq!(kept.len(), 100);
+        let (short, _) = v.read(f, 0, 4096).unwrap();
+        resize(&mut v, 200);
+        assert_eq!(short, vec![1u8; 100]);
+        assert_eq!(v.read(f, 100, 100).unwrap().0, vec![0u8; 100]);
+        assert_eq!(reader, vec![1u8; 4096]);
     }
 
     #[test]
@@ -1285,7 +1484,7 @@ mod tests {
         assert_eq!(by_path["sub"].mode, 0o750);
         assert_eq!(
             by_path["sub/data.bin"].kind,
-            ExportKind::Bytes(b"payload".to_vec())
+            ExportKind::Bytes(b"payload"[..].into())
         );
         assert_eq!(by_path["sub/data.bin"].uid, 3);
         assert_eq!(
