@@ -37,6 +37,11 @@ pub struct VhEntry {
 /// The virtual-handle table. Handles are never reused within a session;
 /// looking up the same path returns the same handle (NFS clients rely on
 /// handle equality for cache identity).
+///
+/// Invariant: `entries` and `by_path` are a bijection. Every entry's path
+/// maps back to its handle and no two entries share a path, so forgetting
+/// one path is two hash look-ups and a handle whose object was removed or
+/// overwritten is `Stale`, never an alias of what replaced it.
 #[derive(Debug, Default)]
 pub struct HandleTable {
     next: u64,
@@ -179,18 +184,13 @@ impl HandleTable {
             self.clear_locations_everywhere();
             return;
         }
-        let descendant_prefix = format!("{path}/");
-        let on_chain = |p: &str| {
-            let is_ancestor = p == "/" || path.starts_with(&format!("{p}/"));
-            is_ancestor || p == path || p.starts_with(&descendant_prefix)
-        };
         // lint: allow(L002) independent per-entry mutation; no order leaks out
         for e in self.entries.values_mut() {
-            if on_chain(e.path.as_str()) {
+            if on_chain(&e.path, path) {
                 e.loc = None;
             }
         }
-        self.replica_locs.retain(|p, _| !on_chain(p.as_str()));
+        self.replica_locs.retain(|p, _| !on_chain(p, path));
     }
 
     /// Drops every cached location pointing at a failed node.
@@ -210,8 +210,11 @@ impl HandleTable {
 
     /// Rewrites paths after a rename: `old` itself and everything under
     /// it move beneath `new`. Cached locations of rewritten entries are
-    /// dropped (handles on the destination must re-resolve).
+    /// dropped (handles on the destination must re-resolve). Whatever
+    /// `new` named before is overwritten, so those handles are forgotten
+    /// first: they go stale and `by_path[new]` is free for what moves in.
     pub fn rename_subtree(&mut self, old: &str, new: &str) {
+        self.forget_subtree(new);
         let prefix = format!("{old}/");
         let affected: Vec<u64> = self
             .entries
@@ -233,10 +236,24 @@ impl HandleTable {
             self.by_path.insert(new_path, vh);
         }
         self.replica_locs
-            .retain(|p, _| p != old && !p.starts_with(&prefix) && p != new);
+            .retain(|p, _| p != old && !p.starts_with(&prefix));
     }
 
-    /// Forgets `path` and its whole subtree (after remove/rmdir). The
+    /// Forgets `path` alone, which is all a REMOVE of a non-directory
+    /// makes stale: one hash remove a map, where [`Self::forget_subtree`]
+    /// scans the table. If the table held `path` as a directory (its type
+    /// changed behind this koshad's back), the subtree goes as well.
+    pub fn forget(&mut self, path: &str) {
+        self.replica_locs.remove(path);
+        if let Some(vh) = self.by_path.remove(path) {
+            let entry = self.entries.remove(&vh);
+            if entry.is_some_and(|e| e.ftype == FileType::Directory) {
+                self.forget_subtree(path);
+            }
+        }
+    }
+
+    /// Forgets `path` and its whole subtree (after rmdir/rename). The
     /// handles stay allocated but become dangling, matching NFS stale
     /// handle semantics for deleted objects.
     pub fn forget_subtree(&mut self, path: &str) {
@@ -267,6 +284,14 @@ impl HandleTable {
     pub fn is_empty(&self) -> bool {
         self.entries.len() <= 1
     }
+}
+
+/// True if `p` is on the resolution chain of `path` (not `/`): `path`
+/// itself, an ancestor or a descendant. Allocates nothing: every `NoEnt`
+/// retry runs it once per table entry.
+pub(crate) fn on_chain(p: &str, path: &str) -> bool {
+    let below = |p: &str, dir: &str| p.strip_prefix(dir).is_some_and(|r| r.starts_with('/'));
+    p == "/" || p == path || below(path, p) || below(p, path)
 }
 
 #[cfg(test)]

@@ -293,7 +293,10 @@ impl KoshaMount {
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         self.nfs.remove(self.koshad, dir, name)?;
-        self.drop_cache_subtree(&path);
+        // REMOVE took no directory; a scan only if this cache held one here.
+        if self.dcache.lock().remove(&path).is_some() {
+            self.drop_cache_subtree(&path);
+        }
         Ok(())
     }
 

@@ -542,7 +542,19 @@ impl KoshaNode {
                     .map(|_| ()),
             }
         })?;
-        self.forget_path(&vpath);
+        // No directory went, so no subtree did: each table forgets the
+        // one key, and scans only if it held `vpath` as a directory.
+        let mut c = self.client.lock();
+        c.handles.forget(&vpath);
+        let cached_as_dir = c.dir_cache.remove(&vpath).is_some();
+        drop(c);
+        if cached_as_dir {
+            self.invalidate_dir_subtree(&vpath);
+        }
+        // A removed object must not squat in the read-heat sketch: its
+        // slot would otherwise pin sketch capacity (and could even keep
+        // spawning hot copies) until enough fresh traffic evicts it.
+        self.heat.forget(&vpath);
         Ok(())
     }
 
@@ -587,7 +599,9 @@ impl KoshaNode {
                     .map(|_| ()),
             }
         })?;
-        self.forget_path(&vpath);
+        self.client.lock().handles.forget_subtree(&vpath);
+        self.invalidate_dir_subtree(&vpath);
+        self.heat.forget(&vpath);
         Ok(())
     }
 
@@ -725,12 +739,11 @@ impl KoshaNode {
                 .map(|_| ())
             }
         })?;
-        {
-            let mut c = self.client.lock();
-            c.handles.rename_subtree(&spath, &dpath);
-        }
+        self.client.lock().handles.rename_subtree(&spath, &dpath);
         self.invalidate_dir_subtree(&spath);
         self.invalidate_dir_subtree(&dpath);
+        // What `dpath` named is gone, exactly as if it had been removed.
+        self.heat.forget(&dpath);
         Ok(())
     }
 
@@ -809,17 +822,6 @@ impl KoshaNode {
             }
         }
         Ok((cap, used, cap.saturating_sub(used)))
-    }
-
-    fn forget_path(&self, vpath: &str) {
-        let mut c = self.client.lock();
-        c.handles.forget_subtree(vpath);
-        drop(c);
-        self.invalidate_dir_subtree(vpath);
-        // A removed object must not squat in the read-heat sketch: its
-        // slot would otherwise pin sketch capacity (and could even keep
-        // spawning hot copies) until enough fresh traffic evicts it.
-        self.heat.forget(vpath);
     }
 }
 

@@ -111,9 +111,12 @@ pub const ROOT_ANCHOR: &str = "/";
 /// records this substitution.
 #[must_use]
 pub fn anchor_slot(anchor_path: &str) -> String {
-    let digest = Sha1::digest(anchor_path.as_bytes());
-    let hex = Sha1::hex(&digest);
-    format!("@{}", &hex[..16])
+    // One SHA-1 block for a path under 56 bytes; only the 8 digest bytes
+    // the name keeps are rendered.
+    let mut slot = String::with_capacity(17);
+    slot.push('@');
+    Sha1::push_hex(&mut slot, &Sha1::digest(anchor_path.as_bytes())[..8]);
+    slot
 }
 
 /// The node-local path of an anchor-relative object: `area/slot` for the
@@ -121,7 +124,6 @@ pub fn anchor_slot(anchor_path: &str) -> String {
 /// itself or a descendant.
 #[must_use]
 pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
-    let slot = anchor_slot(anchor_path);
     let rel = if anchor_path == "/" {
         vpath.strip_prefix('/').unwrap_or("")
     } else {
@@ -130,11 +132,13 @@ pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
             .map(|r| r.strip_prefix('/').unwrap_or(r))
             .unwrap_or("")
     };
-    if rel.is_empty() {
-        format!("/{}/{}", area.dir_name(), slot)
-    } else {
-        format!("/{}/{}/{}", area.dir_name(), slot, rel)
+    let (dir, slot) = (area.dir_name(), anchor_slot(anchor_path));
+    let mut path = String::with_capacity(dir.len() + slot.len() + rel.len() + 3);
+    path.extend(["/", dir, "/", &slot]);
+    if !rel.is_empty() {
+        path.extend(["/", rel]);
     }
+    path
 }
 
 /// The anchor (directory whose name is hashed for placement) responsible
@@ -205,6 +209,14 @@ mod tests {
         assert_ne!(anchor_slot("/u1/src"), anchor_slot("/u2/src")); // same name, different path
         assert!(anchor_slot("/").starts_with('@'));
         assert_eq!(anchor_slot("/x").len(), 17);
+    }
+
+    /// Store layout, derived independently by the primary and every holder.
+    #[test]
+    fn slot_names_are_pinned() {
+        assert_eq!(anchor_slot("/"), "@42099b4af021e53f");
+        assert_eq!(anchor_slot("/a"), "@2256c6ac80d3eb26");
+        assert_eq!(anchor_slot("/u1/src"), "@155237a31a998a59");
     }
 
     #[test]

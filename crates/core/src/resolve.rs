@@ -13,7 +13,7 @@
 //! primary (§4.4).
 
 use crate::control::{KoshaReply, KoshaReplyFrame, KoshaRequest};
-use crate::handles::Location;
+use crate::handles::{on_chain, Location};
 use crate::node::KoshaNode;
 use crate::paths::{anchor_dir_of, anchor_slot, is_distributed_dir, Area, ROOT_ANCHOR};
 use kosha_id::dir_key;
@@ -130,14 +130,8 @@ impl KoshaNode {
     /// descendants (the resolution chain a migrated anchor poisons).
     /// Handles on unrelated branches keep their cached locations.
     pub(crate) fn invalidate_chain(&self, vpath: &str) {
-        let prefix = format!("{vpath}/");
         let mut c = self.client.lock();
-        c.dir_cache.retain(|p, _| {
-            let is_ancestor = p == "/" || vpath.starts_with(&format!("{p}/"));
-            let is_self = p == vpath;
-            let is_descendant = p.starts_with(&prefix);
-            !(is_ancestor || is_self || is_descendant)
-        });
+        c.dir_cache.retain(|p, _| !on_chain(p, vpath));
         c.handles.clear_locations_chain(vpath);
     }
 

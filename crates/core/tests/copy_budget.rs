@@ -8,13 +8,14 @@
 //! buffer. So is every file body in an `export_tree`, which the
 //! maintenance tick and the audit take of every anchor just to digest it.
 //! And a READ allocates no more than the wire can carry, whatever
-//! `count` the peer names.
+//! `count` the peer names. Naming a slot, which every mutation does K + 1
+//! times, allocates the name and the path it is joined into, no more.
 //!
 //! This file is a test binary of its own with a single test, so nothing
 //! else allocates while it counts, and `SimNetwork` runs the whole op
 //! inline on the calling thread.
 
-use kosha::paths::{slot_local_path, Area};
+use kosha::paths::{anchor_slot, slot_local_path, Area};
 use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{DiskModel, NfsClient, NfsReply, NfsRequest, NfsServer};
@@ -32,10 +33,12 @@ struct Counting;
 
 // Statistics only: they publish no other data, so `Relaxed` is enough.
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
 static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 fn count(size: usize) {
     BYTES.fetch_add(size as u64, Relaxed);
+    CALLS.fetch_add(1, Relaxed);
     LARGEST.fetch_max(size as u64, Relaxed);
 }
 
@@ -75,6 +78,13 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = BYTES.load(Relaxed);
     let result = f();
     (result, BYTES.load(Relaxed) - before)
+}
+
+/// `f`'s result and the number of allocations made while it ran.
+fn allocations_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = CALLS.load(Relaxed);
+    let result = f();
+    (result, CALLS.load(Relaxed) - before)
 }
 
 /// `f`'s result and the largest single allocation made while it ran.
@@ -131,6 +141,19 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
             "{what} allocated {per_byte:.3} bytes per payload byte"
         );
     };
+
+    // --- naming a slot: the K + 1 `slot_fh`s of every mutation, the
+    // resolver, audit, GC and the hot push all start here.
+    let (slot, calls) = allocations_by(|| anchor_slot("/budget"));
+    assert_eq!((slot.len(), calls), (17, 1), "anchor_slot");
+    for vpath in ["/budget", "/budget/dir/file"] {
+        let (path, calls) = allocations_by(|| slot_local_path(Area::Replica, "/budget", vpath));
+        assert!(path.starts_with("/kosha_replica/@"), "{path}");
+        assert!(
+            calls <= 2,
+            "slot_local_path({vpath}) made {calls} allocations"
+        );
+    }
 
     // --- the primary path
     let (nodes, nfs, fh) = cluster("budget", false);

@@ -377,3 +377,271 @@ proptest! {
         }
     }
 }
+
+// ---- the virtual-handle table against a naive model -------------------
+//
+// `HandleTable` keeps `entries` (handle → entry) and `by_path` (path →
+// handle) as a bijection; an exact `forget` relies on it. The model is one
+// vector and linear scans, so it cannot get an index out of step.
+
+use kosha::handles::{HandleTable, Location, VIRTUAL_GEN};
+use kosha_nfs::Fh;
+use kosha_vfs::FileType;
+
+fn vfh(vh: u64) -> Fh {
+    Fh {
+        ino: vh,
+        gen: VIRTUAL_GEN,
+    }
+}
+
+fn below(p: &str, dir: &str) -> bool {
+    p.starts_with(&format!("{dir}/"))
+}
+
+/// Every path of depth 1–3 over three names, one a prefix of another.
+fn table_paths() -> Vec<String> {
+    let names = ["a", "ab", "f"];
+    let mut level: Vec<String> = vec![String::new()];
+    let mut all = Vec::new();
+    for _ in 0..3 {
+        level = level
+            .iter()
+            .flat_map(|p| names.iter().map(move |n| format!("{p}/{n}")))
+            .collect();
+        all.extend(level.iter().cloned());
+    }
+    all
+}
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    Mint(usize, bool),
+    Forget(usize),
+    ForgetSubtree(usize),
+    Rename(usize, usize),
+    /// The n-th handle ever minted (live or not) gets a location on a node.
+    SetLocation(usize, u64),
+    SetReplica(usize, u64),
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    let path = 0usize..39;
+    prop_oneof![
+        (path.clone(), any::<bool>()).prop_map(|(p, dir)| TableOp::Mint(p, dir)),
+        path.clone().prop_map(TableOp::Forget),
+        path.clone().prop_map(TableOp::ForgetSubtree),
+        (path.clone(), path.clone()).prop_map(|(a, b)| TableOp::Rename(a, b)),
+        (0usize..64, 1u64..3).prop_map(|(h, n)| TableOp::SetLocation(h, n)),
+        (path, 1u64..3).prop_map(|(p, n)| TableOp::SetReplica(p, n)),
+    ]
+}
+
+struct ModelEntry {
+    vh: u64,
+    path: String,
+    ftype: FileType,
+    loc: Option<Location>,
+}
+
+struct TableModel {
+    next: u64,
+    live: Vec<ModelEntry>,
+    replica: Vec<(String, NodeAddr, Fh)>,
+}
+
+impl TableModel {
+    fn new() -> Self {
+        let root = ModelEntry {
+            vh: 1,
+            path: "/".into(),
+            ftype: FileType::Directory,
+            loc: None,
+        };
+        TableModel {
+            next: 2,
+            live: vec![root],
+            replica: Vec::new(),
+        }
+    }
+
+    fn mint(&mut self, path: &str, ftype: FileType) -> u64 {
+        if let Some(e) = self.live.iter_mut().find(|e| e.path == path) {
+            e.ftype = ftype;
+            return e.vh;
+        }
+        self.live.push(ModelEntry {
+            vh: self.next,
+            path: path.into(),
+            ftype,
+            loc: None,
+        });
+        self.next += 1;
+        self.next - 1
+    }
+
+    fn forget_subtree(&mut self, path: &str) {
+        self.live
+            .retain(|e| e.path != path && !below(&e.path, path));
+        self.replica.retain(|(p, ..)| p != path && !below(p, path));
+    }
+
+    fn forget(&mut self, path: &str) {
+        let held_dir = |e: &ModelEntry| e.path == path && e.ftype == FileType::Directory;
+        if self.live.iter().any(held_dir) {
+            self.forget_subtree(path);
+        } else {
+            self.live.retain(|e| e.path != path);
+            self.replica.retain(|(p, ..)| p != path);
+        }
+    }
+
+    fn rename(&mut self, old: &str, new: &str) {
+        self.forget_subtree(new);
+        for e in &mut self.live {
+            if e.path == old || below(&e.path, old) {
+                e.path = format!("{new}{}", &e.path[old.len()..]);
+                e.loc = None;
+            }
+        }
+        self.replica.retain(|(p, ..)| p != old && !below(p, old));
+    }
+
+    /// The table holds what the model holds, handle for handle and path
+    /// for path, and no path twice.
+    fn check(&self, table: &mut HandleTable, paths: &[String]) {
+        let mut seen = std::collections::BTreeSet::new();
+        for vh in 1..self.next {
+            let want = self.live.iter().find(|e| e.vh == vh);
+            let got = table.get(vfh(vh));
+            assert_eq!(
+                got.map(|e| (e.path.as_str(), e.ftype, e.loc)),
+                want.map(|e| (e.path.as_str(), e.ftype, e.loc)),
+                "handle {vh}"
+            );
+            if let Some(e) = got {
+                assert!(seen.insert(e.path.clone()), "two handles name {}", e.path);
+            }
+        }
+        // `by_path` leads back to the same handle (a miss would mint, and
+        // the length below would tell).
+        for e in &self.live {
+            assert_eq!(table.mint(&e.path, e.ftype), vfh(e.vh), "{}", e.path);
+        }
+        assert_eq!(table.len(), self.live.len());
+        for p in paths {
+            for addr in [NodeAddr(1), NodeAddr(2)] {
+                let want = self.replica.iter().find(|(q, a, _)| q == p && *a == addr);
+                assert_eq!(table.replica_location(addr, p), want.map(|r| r.2), "{p}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn handle_table_stays_a_bijection_and_agrees_with_a_naive_model(
+        ops in proptest::collection::vec(arb_table_op(), 1..60),
+    ) {
+        let paths = table_paths();
+        let mut table = HandleTable::new();
+        let mut model = TableModel::new();
+        let ftype = |dir| if dir { FileType::Directory } else { FileType::Regular };
+        for op in ops {
+            match op {
+                TableOp::Mint(p, dir) => {
+                    let got = table.mint(&paths[p], ftype(dir));
+                    prop_assert_eq!(got, vfh(model.mint(&paths[p], ftype(dir))));
+                }
+                TableOp::Forget(p) => {
+                    table.forget(&paths[p]);
+                    model.forget(&paths[p]);
+                }
+                TableOp::ForgetSubtree(p) => {
+                    table.forget_subtree(&paths[p]);
+                    model.forget_subtree(&paths[p]);
+                }
+                TableOp::Rename(a, b) => {
+                    let (old, new) = (&paths[a], &paths[b]);
+                    // The renames a file system refuses never reach the table.
+                    if old == new || below(old, new) || below(new, old) {
+                        continue;
+                    }
+                    table.rename_subtree(old, new);
+                    model.rename(old, new);
+                }
+                TableOp::SetLocation(h, node) => {
+                    let vh = 1 + h as u64 % (model.next - 1);
+                    let loc = Location { addr: NodeAddr(node), fh: Fh { ino: vh, gen: 7 } };
+                    table.set_location(vfh(vh), loc);
+                    if let Some(e) = model.live.iter_mut().find(|e| e.vh == vh) {
+                        e.loc = Some(loc);
+                    }
+                }
+                TableOp::SetReplica(p, node) => {
+                    let (addr, fh) = (NodeAddr(node), Fh { ino: p as u64, gen: 9 });
+                    table.set_replica_location(addr, &paths[p], fh);
+                    model.replica.retain(|(q, a, _)| !(q == &paths[p] && *a == addr));
+                    model.replica.push((paths[p].clone(), addr, fh));
+                }
+            }
+            model.check(&mut table, &paths);
+        }
+        // No forgotten path left a key behind: each one mints afresh.
+        for p in &paths {
+            prop_assert_eq!(table.mint(p, FileType::Regular), vfh(model.mint(p, FileType::Regular)));
+        }
+        model.check(&mut table, &paths);
+    }
+}
+
+#[test]
+fn an_exact_forget_takes_one_path_and_a_held_directory_takes_its_subtree() {
+    let mut t = HandleTable::new();
+    let rfh = Fh { ino: 9, gen: 1 };
+    let gone = t.mint("/a/f", FileType::Regular);
+    let kept: Vec<Fh> = ["/a", "/a/f2", "/a/f.bak", "/a/fx", "/a/fx/y", "/a/f/stale"]
+        .iter()
+        .map(|p| t.mint(p, FileType::Regular))
+        .collect();
+    for p in ["/a/f", "/a/f2", "/a/f/stale"] {
+        t.set_replica_location(NodeAddr(1), p, rfh);
+    }
+    t.forget("/a/f");
+    assert!(t.get(gone).is_none());
+    assert!(kept.iter().all(|&fh| t.get(fh).is_some()));
+    assert_eq!(t.replica_location(NodeAddr(1), "/a/f"), None);
+    assert_eq!(t.replica_location(NodeAddr(1), "/a/f2"), Some(rfh));
+    assert_eq!(t.replica_location(NodeAddr(1), "/a/f/stale"), Some(rfh));
+    // A fresh mint of the forgotten path is a new handle, not the old one.
+    assert_ne!(t.mint("/a/f", FileType::Regular), gone);
+
+    // Held as a directory (its type changed behind this koshad's back):
+    // the subtree goes, the prefix traps stay.
+    let dir = t.mint("/a/fx", FileType::Directory);
+    t.set_replica_location(NodeAddr(1), "/a/fx/y", rfh);
+    t.forget("/a/fx");
+    assert!(t.get(dir).is_none());
+    assert!(t.get(kept[4]).is_none(), "/a/fx/y outlived its directory");
+    assert_eq!(t.replica_location(NodeAddr(1), "/a/fx/y"), None);
+    assert!(t.get(kept[1]).is_some() && t.get(kept[2]).is_some());
+}
+
+#[test]
+fn rename_over_an_existing_path_leaves_one_handle_for_it() {
+    let mut t = HandleTable::new();
+    let src = t.mint("/a/new", FileType::Regular);
+    let dst = t.mint("/a/old", FileType::Regular);
+    let rfh = Fh { ino: 9, gen: 1 };
+    t.set_replica_location(NodeAddr(1), "/a/old/below", rfh);
+    let before = t.len();
+    t.rename_subtree("/a/new", "/a/old");
+    assert_eq!(t.get(src).unwrap().path, "/a/old");
+    assert!(
+        t.get(dst).is_none(),
+        "the overwritten file's handle aliases the new one"
+    );
+    assert_eq!(t.len(), before - 1);
+    assert_eq!(t.mint("/a/old", FileType::Regular), src);
+    assert_eq!(t.replica_location(NodeAddr(1), "/a/old/below"), None);
+}

@@ -1,13 +1,18 @@
 //! Resolver cache behavior: directory-cache hits avoid RPCs, the
 //! compound LOOKUPPATH walk cuts resolution round trips against the
-//! per-component baseline, and an exhausted failover retry budget
-//! surfaces the underlying transport error instead of masking it.
+//! per-component baseline, an exhausted failover retry budget surfaces
+//! the underlying transport error instead of masking it, and a removed or
+//! overwritten file takes exactly its own handle and cache keys with it,
+//! at a cost that does not grow with the handle table.
 
+use kosha::handles::VIRTUAL_GEN;
+use kosha::paths::{slot_local_path, Area};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
-use kosha_nfs::{NfsError, NfsStatus};
-use kosha_rpc::{Network, NodeAddr, SimNetwork};
+use kosha_nfs::{Fh, NfsClient, NfsError, NfsStatus};
+use kosha_rpc::{Network, NodeAddr, ServiceId, SimNetwork};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct Cluster {
     net: Arc<SimNetwork>,
@@ -40,6 +45,14 @@ fn mount(c: &Cluster, node: usize) -> KoshaMount {
         c.nodes[node].addr(),
     )
     .expect("mount")
+}
+
+/// GETATTR on a virtual handle, straight at node 0's koshad.
+fn getattr_by_handle(c: &Cluster, fh: Fh) -> Result<u64, NfsError> {
+    let koshad = c.nodes[0].addr();
+    let net = c.net.clone() as Arc<dyn Network>;
+    let nfs = NfsClient::with_service(net, koshad, ServiceId::KoshaFs);
+    nfs.getattr(koshad, fh).map(|a| a.size)
 }
 
 fn nfs_calls(c: &Cluster) -> u64 {
@@ -156,5 +169,141 @@ fn exhausted_retry_budget_returns_underlying_error() {
         c.nodes[gateway].stats().failovers,
         0,
         "a zero budget must not trigger failover retries"
+    );
+}
+
+#[test]
+fn remove_forgets_the_file_and_nothing_else() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(4, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/box/d1").unwrap();
+    m.mkdir_p("/far/d2").unwrap();
+    for p in ["/box/d1/f", "/box/d1/f2", "/far/d2/h"] {
+        m.write_file(p, b"kept").unwrap();
+    }
+    let cost_of_stat = |p: &str| {
+        let before = nfs_calls(&c);
+        m.stat(p).unwrap();
+        nfs_calls(&c) - before
+    };
+    // Warm once, then take the steady-state price of each stat.
+    let others = ["/box/d1/f2", "/far/d2/h"];
+    let _cold = others.map(cost_of_stat);
+    let warm = others.map(cost_of_stat);
+    let (gone, _) = m.stat("/box/d1/f").unwrap();
+    let (sibling, _) = m.stat("/box/d1/f2").unwrap();
+
+    m.remove("/box/d1/f").unwrap();
+    // Nothing was over-invalidated: a sibling and a file elsewhere cost
+    // what they cost before, and the sibling keeps its handle.
+    assert_eq!(cost_of_stat("/box/d1/f2"), warm[0]);
+    assert_eq!(cost_of_stat("/far/d2/h"), warm[1]);
+    assert_eq!(m.stat("/box/d1/f2").unwrap().0, sibling);
+    assert_eq!(getattr_by_handle(&c, sibling).unwrap(), 4);
+    // Nothing was under-invalidated: the removed file's handle is dead.
+    assert!(matches!(
+        getattr_by_handle(&c, gone),
+        Err(NfsError::Status(NfsStatus::Stale))
+    ));
+    assert!(!m.exists("/box/d1/f"));
+}
+
+#[test]
+fn remove_of_a_path_cached_as_a_directory_still_drops_its_subtree() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(4, cfg);
+    let (m0, m1) = (mount(&c, 0), mount(&c, 1));
+    m0.mkdir_p("/box/d3/sub").unwrap();
+    m0.write_file("/box/d3/sub/f", b"first").unwrap();
+    assert_eq!(m0.read_file("/box/d3/sub/f").unwrap(), b"first");
+    // Behind node 0's back the directory becomes a file...
+    m1.remove_tree("/box/d3").unwrap();
+    m1.write_file("/box/d3", b"now a file").unwrap();
+    // ...which node 0 removes while its mount, its koshad's directory
+    // cache and its handle table all still hold `/box/d3` as a directory.
+    m0.remove("/box/d3").unwrap();
+    m1.mkdir_p("/box/d3/sub").unwrap();
+    m1.write_file("/box/d3/sub/f", b"second").unwrap();
+    assert_eq!(m0.read_file("/box/d3/sub/f").unwrap(), b"second");
+}
+
+#[test]
+fn rename_over_an_existing_file_makes_its_old_handle_stale() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(4, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/box/d1").unwrap();
+    m.write_file("/box/d1/new", b"new bytes").unwrap();
+    m.write_file("/box/d1/old", b"old").unwrap();
+    let (moved, _) = m.stat("/box/d1/new").unwrap();
+    let (overwritten, _) = m.stat("/box/d1/old").unwrap();
+
+    m.rename("/box/d1/new", "/box/d1/old").unwrap();
+    // One handle names the path, and it is the one that moved in; the
+    // overwritten file's handle must not resolve to the new object.
+    assert_eq!(m.stat("/box/d1/old").unwrap().0, moved);
+    assert_eq!(getattr_by_handle(&c, moved).unwrap(), 9);
+    assert!(matches!(
+        getattr_by_handle(&c, overwritten),
+        Err(NfsError::Status(NfsStatus::Stale))
+    ));
+    assert_eq!(m.read_file("/box/d1/old").unwrap(), b"new bytes");
+}
+
+/// Time for 2 000 REMOVEs through a koshad whose handle table holds
+/// `held` other handles.
+fn time_removes_with_table_of(held: usize) -> Duration {
+    const REMOVES: usize = 2_000;
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 0;
+    let c = build_cluster(1, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/bulk/held").unwrap();
+    m.mkdir_p("/bulk/work").unwrap();
+    // Files put straight into the store, then one READDIR through the
+    // koshad: it mints a virtual handle for every entry.
+    let dir = slot_local_path(Area::Store, "/bulk", "/bulk/held");
+    c.nodes[0].with_store(|v| {
+        let (dir, _) = v.resolve(&dir).expect("held dir in the store");
+        for i in 0..held {
+            v.create(dir, &format!("h{i:06}"), 0o644, 0, 0)
+                .expect("create");
+        }
+    });
+    let minted = m.readdir("/bulk/held").unwrap();
+    assert_eq!(minted.len(), held);
+    assert!(minted.iter().all(|e| e.fh.gen == VIRTUAL_GEN));
+    let work: Vec<String> = (0..REMOVES)
+        .map(|i| format!("/bulk/work/w{i:04}"))
+        .collect();
+    for p in &work {
+        m.create(p).unwrap();
+    }
+    let start = Instant::now();
+    for p in &work {
+        m.remove(p).unwrap();
+    }
+    let took = start.elapsed();
+    assert!(m.readdir("/bulk/work").unwrap().is_empty());
+    took
+}
+
+/// A REMOVE forgets one key: its cost does not follow the number of
+/// handles the koshad holds. When it scanned the table the ratio below
+/// was ≈ 100; 5 is generous on purpose, and each side is the better of
+/// two runs, so that a loaded machine cannot fail it.
+#[test]
+fn remove_cost_does_not_grow_with_the_handle_table() {
+    let best_of_two = |held| time_removes_with_table_of(held).min(time_removes_with_table_of(held));
+    let small = best_of_two(1_000);
+    let large = best_of_two(100_000);
+    assert!(
+        large < small * 5,
+        "2 000 removes took {small:?} beside 1 000 handles and {large:?} beside 100 000"
     );
 }

@@ -108,11 +108,18 @@ impl Sha1 {
     #[must_use]
     pub fn hex(digest: &[u8; 20]) -> String {
         let mut s = String::with_capacity(40);
-        for b in digest {
-            use std::fmt::Write;
-            let _ = write!(s, "{b:02x}");
-        }
+        Self::push_hex(&mut s, digest);
         s
+    }
+
+    /// Appends the lowercase hex rendering of `bytes` (a digest or a
+    /// prefix of one) to `out`: two table look-ups a byte, no formatter.
+    pub fn push_hex(out: &mut String, bytes: &[u8]) {
+        const NIBBLE: &[u8; 16] = b"0123456789abcdef";
+        for &b in bytes {
+            out.push(char::from(NIBBLE[usize::from(b >> 4)]));
+            out.push(char::from(NIBBLE[usize::from(b & 0x0f)]));
+        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -162,6 +169,15 @@ mod tests {
             Sha1::hex(&Sha1::digest(b"abc")),
             "a9993e364706816aba3e25717850c26c9cd0d89d"
         );
+    }
+
+    #[test]
+    fn push_hex_agrees_with_the_formatter_on_every_byte() {
+        let all: Vec<u8> = (0..=255).collect();
+        let mut got = String::new();
+        Sha1::push_hex(&mut got, &all);
+        let want: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
