@@ -1,5 +1,5 @@
 //! Ablation timings for the design choices DESIGN.md §4 calls out
-//! (`cargo run --release -p kosha-bench --bin ablations`):
+//! (`cargo run --release -p kosha-bench -- ablations`):
 //!
 //! * **Replication factor K** — write amplification on the full stack:
 //!   every mutation fans out to K replicas (§4.2), so write cost should
@@ -16,12 +16,11 @@
 //! each case, mean and minimum printed. `perf/` is the benchmark with a
 //! baseline and bounds; these are the comparisons nothing else makes.
 
+use crate::{outln, timed, Report};
 use kosha::KoshaConfig;
 use kosha_id::{dir_key, node_id_from_seed};
 use kosha_pastry::{PastryConfig, PastryNode};
-use kosha_rpc::{
-    Clock, LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, WallClock,
-};
+use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
 use kosha_sim::cached_mount::CachedKoshaMount;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::experiments::{mab_lan, table1_kosha_config};
@@ -31,47 +30,55 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs `f` once to warm up, then `samples` timed times.
-fn time<R>(label: &str, samples: u32, mut f: impl FnMut() -> R) {
-    let clock = WallClock::new();
+fn time<R>(out: &mut String, label: &str, samples: u32, mut f: impl FnMut() -> R) {
     black_box(f());
     let runs: Vec<Duration> = (0..samples)
         .map(|_| {
-            let t0 = clock.now();
-            black_box(f());
-            clock.now().since(t0)
+            timed(|| {
+                black_box(f());
+            })
+            .1
         })
         .collect();
     let mean = runs.iter().sum::<Duration>() / samples;
     let min = runs.iter().min().copied().unwrap_or_default();
-    println!("{label:<50} mean {mean:>12.3?}  min {min:>12.3?}  ({samples} samples)");
+    outln!(
+        out,
+        "{label:<50} mean {mean:>12.3?}  min {min:>12.3?}  ({samples} samples)"
+    );
 }
 
-fn replication_write_amplification() {
+fn replication_write_amplification(out: &mut String) {
     for k in [0usize, 1, 2, 3] {
-        time(&format!("ablation_replication/write-k/{k}"), 10, || {
-            let mut cfg = KoshaConfig::for_tests();
-            cfg.replicas = k;
-            cfg.distribution_level = 1;
-            let cluster = SimCluster::build(&ClusterParams {
-                nodes: 6,
-                kosha: cfg,
-                latency: LatencyModel::zero(),
-                seed: 42,
-            });
-            let m = cluster.mount(0);
-            m.mkdir_p("/w").unwrap();
-            for i in 0..20 {
-                m.write_file(&format!("/w/f{i}"), &[7u8; 2048]).unwrap();
-            }
-        });
+        time(
+            out,
+            &format!("ablation_replication/write-k/{k}"),
+            10,
+            || {
+                let mut cfg = KoshaConfig::for_tests();
+                cfg.replicas = k;
+                cfg.distribution_level = 1;
+                let cluster = SimCluster::build(&ClusterParams {
+                    nodes: 6,
+                    kosha: cfg,
+                    latency: LatencyModel::zero(),
+                    seed: 42,
+                });
+                let m = cluster.mount(0);
+                m.mkdir_p("/w").unwrap();
+                for i in 0..20 {
+                    m.write_file(&format!("/w/f{i}"), &[7u8; 2048]).unwrap();
+                }
+            },
+        );
     }
 }
 
-fn granularity() {
+fn granularity(out: &mut String) {
     let paths: Vec<String> = (0..64)
         .flat_map(|d| (0..16).map(move |f| format!("/dir{d}/file{f}")))
         .collect();
-    time("ablation_granularity/hash-per-directory", 10, || {
+    time(out, "ablation_granularity/hash-per-directory", 10, || {
         // One hash per directory; files reuse the directory's key.
         let mut last_dir = "";
         let mut key = dir_key("/");
@@ -84,17 +91,17 @@ fn granularity() {
             black_box(key);
         }
     });
-    time("ablation_granularity/hash-per-file", 10, || {
+    time(out, "ablation_granularity/hash-per-file", 10, || {
         for p in &paths {
             black_box(dir_key(p));
         }
     });
 }
 
-fn leafset() {
+fn leafset(out: &mut String) {
     for half in [2usize, 4, 8] {
         let label = format!("ablation_leafset/route-after-failures/{half}");
-        time(&label, 10, || {
+        time(out, &label, 10, || {
             let net = SimNetwork::new_zero_latency();
             let mut nodes = Vec::new();
             for i in 0..20u64 {
@@ -134,7 +141,7 @@ fn leafset() {
     }
 }
 
-fn read_from_replicas() {
+fn read_from_replicas(out: &mut String) {
     // §4.2's future-work optimization: measures the end-to-end cost of
     // round-robined replica reads vs primary-only reads.
     for (enabled, label) in [(false, "primary-only"), (true, "replica-rr")] {
@@ -151,7 +158,7 @@ fn read_from_replicas() {
         let m = cluster.mount(0);
         m.mkdir_p("/r").unwrap();
         m.write_file("/r/blob", &[3u8; 64 * 1024]).unwrap();
-        time(&format!("ablation_replica_reads/{label}"), 10, || {
+        time(out, &format!("ablation_replica_reads/{label}"), 10, || {
             for _ in 0..6 {
                 black_box(m.read_file("/r/blob").unwrap());
             }
@@ -159,7 +166,7 @@ fn read_from_replicas() {
     }
 }
 
-fn client_cache() {
+fn client_cache(out: &mut String) {
     // §4.1.1: Kosha under a caching NFS client. Compares MAB cost with
     // and without attribute/dentry/data caching in front of koshad.
     let build = || {
@@ -170,14 +177,14 @@ fn client_cache() {
             seed: 900,
         })
     };
-    time("ablation_client_cache/uncached-client", 10, || {
+    time(out, "ablation_client_cache/uncached-client", 10, || {
         let cluster = build();
         let m = cluster.mount(0);
         let clock = cluster.clock();
         clock.reset();
         run_mab(&MabParams::small(), &m, &clock).unwrap()
     });
-    time("ablation_client_cache/caching-client", 10, || {
+    time(out, "ablation_client_cache/caching-client", 10, || {
         let cluster = build();
         let m = CachedKoshaMount::new(
             cluster.net.clone() as Arc<dyn Network>,
@@ -192,10 +199,13 @@ fn client_cache() {
     });
 }
 
-fn main() {
-    replication_write_amplification();
-    granularity();
-    leafset();
-    read_from_replicas();
-    client_cache();
+/// Every ablation, in DESIGN.md §4's order.
+pub fn run(_full: bool) -> Report {
+    let mut out = String::new();
+    replication_write_amplification(&mut out);
+    granularity(&mut out);
+    leafset(&mut out);
+    read_from_replicas(&mut out);
+    client_cache(&mut out);
+    Report::text(out)
 }

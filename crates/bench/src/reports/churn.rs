@@ -19,12 +19,12 @@
 //! deterministic counters, so double runs are byte-identical — the CI
 //! `scale-smoke` gate diffs exactly that.
 
+use crate::{outln, timed, Report};
 use kosha_sim::{run_churn, ChurnParams};
 use std::time::Duration;
 
-fn main() {
-    let json_only = std::env::args().any(|a| a == "--json");
-
+/// The churn run, its assertions, and its rendered report.
+pub fn run(_full: bool) -> Report {
     let params = ChurnParams {
         nodes: 1_000,
         start_hour: 600,
@@ -38,10 +38,7 @@ fn main() {
         replicas: 2,
         seed: 7,
     };
-    // lint: allow(L002) wall clock feeds the stdout timing line only, never the JSON
-    let wall_start = std::time::Instant::now();
-    let report = run_churn(&params);
-    let wall = wall_start.elapsed();
+    let (report, wall) = timed(|| run_churn(&params));
 
     // The gate's substance: churn really happened, mutations were
     // acked under it, the accounting is closed, and repair converged.
@@ -67,18 +64,15 @@ fn main() {
         report.final_over_replicated
     );
 
-    let json = report.to_json();
-    std::fs::write("BENCH_churn.json", format!("{json}\n")).expect("write BENCH_churn.json");
-
-    if json_only {
-        println!("{json}");
-        return;
-    }
-    print!("{}", report.render());
-    println!(
-        "ran {} virtual hours in {:.1}s wall",
+    let mut text = report.render();
+    outln!(
+        text,
+        "ran {} virtual hours in {:.1}s wall\n",
         report.hours,
         wall.as_secs_f64()
     );
-    println!("\nwrote BENCH_churn.json");
+    Report {
+        text,
+        json: Some(report.to_json()),
+    }
 }

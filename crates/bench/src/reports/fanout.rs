@@ -9,11 +9,11 @@
 //! fan-out is visible in virtual time. Resolution is counted twice via
 //! the `compound_lookup` config knob, comparing NFS RPC totals for a
 //! cold deep-path walk. Everything runs on the virtual clock with seeded
-//! ids, so two runs emit byte-identical output; the JSON summary is also
-//! written to `BENCH_fanout.json` for CI's determinism check.
+//! ids, so two runs emit byte-identical output; the JSON summary is the
+//! `BENCH_fanout.json` gate.
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
-use kosha_id::node_id_from_seed;
+use crate::{x100, Report};
+use kosha::{boot_cluster, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_rpc::{
     Clock, LatencyModel, Network, NodeAddr, RpcError, RpcRequest, RpcResponse, SimNetwork,
 };
@@ -47,22 +47,15 @@ struct Cluster {
     nodes: Vec<Arc<KoshaNode>>,
 }
 
-fn build_cluster(serial: bool, cfg: KoshaConfig) -> Cluster {
+fn build_cluster(serial: bool, cfg: &KoshaConfig) -> Cluster {
     let sim = SimNetwork::new(LatencyModel::default());
     let net: Arc<dyn Network> = if serial {
         Arc::new(SerialNet(Arc::clone(&sim)))
     } else {
         Arc::clone(&sim) as Arc<dyn Network>
     };
-    let mut nodes = Vec::new();
-    for i in 0..NODES {
-        let id = node_id_from_seed(&format!("kosha-host-{i}"));
-        let (node, mux) = KoshaNode::build(cfg.clone(), id, NodeAddr(i as u64), Arc::clone(&net));
-        sim.attach(node.addr(), mux);
-        node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-            .expect("join");
-        nodes.push(node);
-    }
+    let attach = |addr, mux| sim.attach(addr, mux);
+    let nodes = boot_cluster(&net, attach, cfg, NODES, "kosha-host-", NodeAddr(0)).expect("join");
     Cluster { sim, net, nodes }
 }
 
@@ -76,7 +69,7 @@ fn replication_run(serial: bool) -> (u64, u64) {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = REPLICAS;
-    let c = build_cluster(serial, cfg);
+    let c = build_cluster(serial, &cfg);
     let m = mount(&c);
     m.mkdir_p("/repl/data").expect("mkdir");
 
@@ -116,7 +109,7 @@ fn resolution_run(compound: bool) -> u64 {
     cfg.distribution_level = 1;
     cfg.replicas = 0;
     cfg.compound_lookup = compound;
-    let c = build_cluster(false, cfg);
+    let c = build_cluster(false, &cfg);
     let m = mount(&c);
     m.mkdir_p(WALK_DIR).expect("mkdir");
     m.write_file(&format!("{WALK_DIR}/leaf"), b"payload")
@@ -140,75 +133,18 @@ fn resolution_run(compound: bool) -> u64 {
     counter.get() - before
 }
 
-fn main() {
-    let json_only = std::env::args().any(|a| a == "--json");
-
+/// Both comparisons, their assertions, and the summary.
+pub fn run(_full: bool) -> Report {
     let (serial_nanos, serial_rpcs) = replication_run(true);
     let (fanout_nanos, fanout_rpcs) = replication_run(false);
     let per_component_rpcs = resolution_run(false);
     let compound_rpcs = resolution_run(true);
 
     let speedup_x100 = serial_nanos * 100 / fanout_nanos.max(1);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"replication\": {{\n",
-            "    \"k\": {},\n",
-            "    \"ops\": {},\n",
-            "    \"serial_total_nanos\": {},\n",
-            "    \"fanout_total_nanos\": {},\n",
-            "    \"serial_per_op_nanos\": {},\n",
-            "    \"fanout_per_op_nanos\": {},\n",
-            "    \"serial_replica_rpcs\": {},\n",
-            "    \"fanout_replica_rpcs\": {},\n",
-            "    \"speedup_x100\": {}\n",
-            "  }},\n",
-            "  \"resolution\": {{\n",
-            "    \"depth\": {},\n",
-            "    \"per_component_nfs_rpcs\": {},\n",
-            "    \"compound_nfs_rpcs\": {}\n",
-            "  }}\n",
-            "}}"
-        ),
-        REPLICAS,
-        WRITE_OPS,
-        serial_nanos,
-        fanout_nanos,
+    let (serial_per_op, fanout_per_op) = (
         serial_nanos / WRITE_OPS as u64,
         fanout_nanos / WRITE_OPS as u64,
-        serial_rpcs,
-        fanout_rpcs,
-        speedup_x100,
-        WALK_DEPTH,
-        per_component_rpcs,
-        compound_rpcs,
     );
-    std::fs::write("BENCH_fanout.json", format!("{json}\n")).expect("write BENCH_fanout.json");
-
-    if json_only {
-        println!("{json}");
-        return;
-    }
-
-    println!("==== parallel RPC fan-out report ====");
-    println!("replication (K={REPLICAS}, {WRITE_OPS} replicated writes, virtual time):");
-    println!(
-        "  serial mirror:   {serial_nanos} ns total, {} ns/op, {serial_rpcs} replica RPCs",
-        serial_nanos / WRITE_OPS as u64
-    );
-    println!(
-        "  call_many:       {fanout_nanos} ns total, {} ns/op, {fanout_rpcs} replica RPCs",
-        fanout_nanos / WRITE_OPS as u64
-    );
-    println!(
-        "  speedup:         {}.{:02}x",
-        speedup_x100 / 100,
-        speedup_x100 % 100
-    );
-    println!("resolution (cold depth-{WALK_DEPTH} walk, NFS RPC count):");
-    println!("  per-component:   {per_component_rpcs} RPCs");
-    println!("  compound lookup: {compound_rpcs} RPCs");
-    println!("wrote BENCH_fanout.json");
     assert!(
         speedup_x100 >= 200,
         "replica fan-out speedup below 2x: {speedup_x100}/100"
@@ -217,4 +153,40 @@ fn main() {
         compound_rpcs < per_component_rpcs,
         "compound lookup did not reduce resolution RPCs"
     );
+    let json = format!(
+        r#"{{
+  "replication": {{
+    "k": {REPLICAS},
+    "ops": {WRITE_OPS},
+    "serial_total_nanos": {serial_nanos},
+    "fanout_total_nanos": {fanout_nanos},
+    "serial_per_op_nanos": {serial_per_op},
+    "fanout_per_op_nanos": {fanout_per_op},
+    "serial_replica_rpcs": {serial_rpcs},
+    "fanout_replica_rpcs": {fanout_rpcs},
+    "speedup_x100": {speedup_x100}
+  }},
+  "resolution": {{
+    "depth": {WALK_DEPTH},
+    "per_component_nfs_rpcs": {per_component_rpcs},
+    "compound_nfs_rpcs": {compound_rpcs}
+  }}
+}}"#
+    );
+    let speedup = x100(speedup_x100);
+    let text = format!(
+        "==== parallel RPC fan-out report ====
+replication (K={REPLICAS}, {WRITE_OPS} replicated writes, virtual time):
+  serial mirror:   {serial_nanos} ns total, {serial_per_op} ns/op, {serial_rpcs} replica RPCs
+  call_many:       {fanout_nanos} ns total, {fanout_per_op} ns/op, {fanout_rpcs} replica RPCs
+  speedup:         {speedup}x
+resolution (cold depth-{WALK_DEPTH} walk, NFS RPC count):
+  per-component:   {per_component_rpcs} RPCs
+  compound lookup: {compound_rpcs} RPCs
+"
+    );
+    Report {
+        text,
+        json: Some(json),
+    }
 }

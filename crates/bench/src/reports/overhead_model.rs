@@ -1,20 +1,30 @@
 //! Evaluates the Section 6.1.2 analytical overhead model
 //! `D = I + (H·hc)·(N−1)/N` out to the paper's 10⁴-node design point.
 
+use crate::{outln, Report};
+use kosha_rpc::Clock;
+use kosha_sim::baseline::NfsBaseline;
+use kosha_sim::cluster::{ClusterParams, SimCluster};
+use kosha_sim::experiments::{mab_disk, mab_lan, table1_kosha_config};
 use kosha_sim::model::OverheadModel;
+use kosha_sim::workbench::Workbench;
 
-fn main() {
+/// The model's table, then the measured per-op overhead beside it.
+pub fn run(_full: bool) -> Report {
+    let mut out = String::new();
     let m = OverheadModel::default();
-    println!("Analytical overhead model D(N) = I + H*hc*(N-1)/N");
-    println!(
+    outln!(out, "Analytical overhead model D(N) = I + H*hc*(N-1)/N");
+    outln!(
+        out,
         "I = {:?}, hc = {:?}, digit base = {}",
         m.interposition,
         m.hop_latency,
         1u32 << m.digit_bits
     );
-    println!("{:>8} {:>6} {:>10} {:>12}", "N", "H", "(N-1)/N", "D");
+    outln!(out, "{:>8} {:>6} {:>10} {:>12}", "N", "H", "(N-1)/N", "D");
     for n in [1u64, 2, 4, 8, 16, 64, 256, 1024, 4096, 10_000, 65_536] {
-        println!(
+        outln!(
+            out,
             "{:>8} {:>6} {:>10.4} {:>12.3?}",
             n,
             m.hops(n),
@@ -22,7 +32,8 @@ fn main() {
             m.overhead(n)
         );
     }
-    println!(
+    outln!(
+        out,
         "\nPaper reference: at N = 10^4, H <= 4 and hc < 1 ms, so D does not\n\
          exceed 4 ms plus the constant interposition factor."
     );
@@ -30,12 +41,6 @@ fn main() {
     // Validate the model against the measured full stack: the per-op
     // *overhead* of Kosha vs plain NFS for a metadata micro-workload
     // should follow D(N)'s saturating shape.
-    use kosha_rpc::Clock;
-    use kosha_sim::baseline::NfsBaseline;
-    use kosha_sim::cluster::{ClusterParams, SimCluster};
-    use kosha_sim::experiments::{mab_disk, mab_lan, table1_kosha_config};
-    use kosha_sim::workbench::Workbench;
-
     let ops = 300usize;
     let run = |fs: &dyn Workbench, clock: &dyn Fn() -> std::time::Duration| {
         for d in 0..10 {
@@ -54,14 +59,25 @@ fn main() {
     let nfs_per_op = {
         let b = NfsBaseline::build(mab_lan(), mab_disk(), 64 << 30);
         let c = b.clock();
-        run(&b, &|| c.now().as_duration())
+        run(b.mount(), &|| c.now().as_duration())
     };
-    println!("\nMeasured mean per-op latency (stat micro-workload):");
-    println!(
+    outln!(out, "\nMeasured mean per-op latency (stat micro-workload):");
+    outln!(
+        out,
         "{:>8} {:>14} {:>14} {:>12}",
-        "N", "per-op", "overhead", "model D(N)"
+        "N",
+        "per-op",
+        "overhead",
+        "model D(N)"
     );
-    println!("{:>8} {:>14.3?} {:>14} {:>12}", "NFS", nfs_per_op, "-", "-");
+    outln!(
+        out,
+        "{:>8} {:>14.3?} {:>14} {:>12}",
+        "NFS",
+        nfs_per_op,
+        "-",
+        "-"
+    );
     let mm = OverheadModel {
         interposition: std::time::Duration::from_micros(520),
         hop_latency: std::time::Duration::from_micros(360),
@@ -78,7 +94,8 @@ fn main() {
         let c = cluster.clock();
         let per_op = run(&m, &|| c.now().as_duration());
         let overhead = per_op.saturating_sub(nfs_per_op);
-        println!(
+        outln!(
+            out,
             "{:>8} {:>14.3?} {:>14.3?} {:>12.3?}",
             n,
             per_op,
@@ -86,8 +103,10 @@ fn main() {
             mm.overhead(n as u64)
         );
     }
-    println!(
+    outln!(
+        out,
         "\nThe measured overhead column should follow the model's saturating\n\
          (N-1)/N shape, within a small constant (extra koshad round trips)."
     );
+    Report::text(out)
 }

@@ -16,9 +16,10 @@
 //!
 //! Every figure in the JSON derives from virtual time, event counts,
 //! and comparison counters, so double runs are byte-identical (the CI
-//! `scale-smoke` gate). Wall-clock throughput is printed to stdout
-//! only and never serialized.
+//! `scale-smoke` gate). Wall-clock throughput goes to the text form
+//! only and is never serialized.
 
+use crate::{outln, timed, Report};
 use kosha_rpc::{
     heap_comparisons, Clock, LatencyModel, Network, NodeAddr, PumpHook, RpcError, RpcHandler,
     RpcRequest, RpcResponse, ServiceId, ServiceMux, SimNetwork, ThreadedNetwork, WireRead,
@@ -98,25 +99,20 @@ const SIM_HORIZON_MS: u64 = 100;
 const THREADED_NODES: usize = 512;
 const THREADED_ASYNC_CALLS: usize = 2000;
 
-/// Deterministic results of one sim-phase run.
+/// One sim-phase run: what the scaling evidence and the text need, and
+/// the phase's JSON object (virtual time and counts only).
 struct SimPhase {
     nodes: usize,
     events_total: u64,
-    comparisons: u64,
     /// Comparisons charged per event, x100 (integer fixed-point so the
     /// JSON never carries float formatting).
     cmp_per_event_x100: u64,
     heap_hwm: u64,
     dispatch_p99_nanos: u64,
-    virtual_elapsed_nanos: u64,
-    storm_calls: u64,
-    pump_fires: u64,
-    /// Events per *virtual* second — throughput in modeled time, which
-    /// is deterministic (wall-clock throughput goes to stdout only).
-    events_per_virtual_sec: u64,
+    json: String,
 }
 
-fn sim_phase(nodes: usize) -> SimPhase {
+fn sim_phase(nodes: usize, out: &mut String) -> SimPhase {
     // Zero-cost latency model: storm calls must not advance the virtual
     // clock, or they would race it past every armed tick's rearm
     // deadline and the catch-up fires would never drain. With calls
@@ -163,10 +159,7 @@ fn sim_phase(nodes: usize) -> SimPhase {
     let obs = net.obs();
     let cmp_before = heap_comparisons();
     let start = net.virtual_clock().now();
-    // lint: allow(L002) wall clock feeds the stdout throughput line only, never the JSON
-    let wall_start = std::time::Instant::now();
-    net.run_for(Duration::from_millis(SIM_HORIZON_MS));
-    let wall = wall_start.elapsed();
+    let ((), wall) = timed(|| net.run_for(Duration::from_millis(SIM_HORIZON_MS)));
     let virtual_elapsed = net.virtual_clock().now().0 - start.0;
 
     let events_total = obs.registry.counter("kosha_sched_events_total").get();
@@ -181,43 +174,49 @@ fn sim_phase(nodes: usize) -> SimPhase {
     } else {
         (u128::from(events_total) * 1_000_000_000 / wall.as_nanos()) as u64
     };
-    println!(
+    outln!(
+        out,
         "sim {nodes} nodes: {events_total} events in {:.1} ms wall ({wall_events_per_sec} events/s wall)",
         wall.as_secs_f64() * 1e3,
     );
 
+    let cmp_per_event_x100 = (comparisons * 100).checked_div(events_total).unwrap_or(0);
+    let (storm_calls, pump_fires) = (
+        storm_calls.load(Ordering::Relaxed),
+        tick_fires.load(Ordering::Relaxed),
+    );
+    // Events per *virtual* second: throughput in modeled time, which is
+    // deterministic (wall-clock throughput goes to the text only).
+    let events_per_virtual_sec = (u128::from(events_total) * 1_000_000_000)
+        .checked_div(u128::from(virtual_elapsed))
+        .unwrap_or(0);
+    let json = format!(
+        r#"    {{
+      "nodes": {nodes},
+      "events_total": {events_total},
+      "heap_comparisons": {comparisons},
+      "cmp_per_event_x100": {cmp_per_event_x100},
+      "heap_depth_hwm": {hwm},
+      "dispatch_p99_nanos": {p99},
+      "virtual_elapsed_nanos": {virtual_elapsed},
+      "events_per_virtual_sec": {events_per_virtual_sec},
+      "storm_calls": {storm_calls},
+      "pump_fires": {pump_fires}
+    }}"#
+    );
     SimPhase {
         nodes,
         events_total,
-        comparisons,
-        cmp_per_event_x100: (comparisons * 100).checked_div(events_total).unwrap_or(0),
+        cmp_per_event_x100,
         heap_hwm: hwm,
         dispatch_p99_nanos: p99,
-        virtual_elapsed_nanos: virtual_elapsed,
-        storm_calls: storm_calls.load(Ordering::Relaxed),
-        pump_fires: tick_fires.load(Ordering::Relaxed),
-        events_per_virtual_sec: if virtual_elapsed == 0 {
-            0
-        } else {
-            (u128::from(events_total) * 1_000_000_000 / u128::from(virtual_elapsed)) as u64
-        },
+        json,
     }
 }
 
-/// Deterministic results of the reactor phase.
-struct ThreadedPhase {
-    attached_nodes: usize,
-    async_calls: usize,
-    worker_threads: usize,
-    cpu_cores: usize,
-    threads_spawned_total: u64,
-    /// True when attach + the whole async storm spawned zero threads
-    /// beyond the boot-time pool.
-    pool_fixed: bool,
-    workers_le_2x_cores: bool,
-}
-
-fn threaded_phase() -> ThreadedPhase {
+/// The reactor phase: its JSON object and its line of text. The pool is
+/// sized by the host, so `check` masks what follows from the core count.
+fn threaded_phase() -> (String, String) {
     let net = ThreadedNetwork::new(Duration::from_secs(10));
     let spawned_at_boot = net.threads_spawned();
     for i in 0..THREADED_NODES {
@@ -242,53 +241,34 @@ fn threaded_phase() -> ThreadedPhase {
     assert_eq!(ok, THREADED_ASYNC_CALLS, "async echo storm had failures");
 
     let cpu_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let spawned_total = net.threads_spawned();
-    ThreadedPhase {
-        attached_nodes: THREADED_NODES,
-        async_calls: THREADED_ASYNC_CALLS,
-        worker_threads: net.worker_threads(),
-        cpu_cores,
-        threads_spawned_total: spawned_total,
-        pool_fixed: spawned_total == spawned_at_boot,
-        workers_le_2x_cores: net.worker_threads() <= 2 * cpu_cores.max(2),
-    }
+    let (workers, spawned) = (net.worker_threads(), net.threads_spawned());
+    // True when attach + the whole async storm spawned zero threads
+    // beyond the boot-time pool.
+    let pool_fixed = spawned == spawned_at_boot;
+    let workers_le_2x_cores = workers <= 2 * cpu_cores.max(2);
+    let json = format!(
+        r#"  "threaded": {{
+    "attached_nodes": {THREADED_NODES},
+    "async_calls": {THREADED_ASYNC_CALLS},
+    "worker_threads": {workers},
+    "cpu_cores": {cpu_cores},
+    "threads_spawned_total": {spawned},
+    "pool_fixed": {pool_fixed},
+    "workers_le_2x_cores": {workers_le_2x_cores}
+  }}"#
+    );
+    let text = format!(
+        "  {THREADED_NODES} nodes attached, {THREADED_ASYNC_CALLS} async calls completed on {workers} workers ({cpu_cores} cores, {spawned} threads ever spawned, pool_fixed={pool_fixed})"
+    );
+    (json, text)
 }
 
-fn sim_json(p: &SimPhase) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"nodes\": {},\n",
-            "      \"events_total\": {},\n",
-            "      \"heap_comparisons\": {},\n",
-            "      \"cmp_per_event_x100\": {},\n",
-            "      \"heap_depth_hwm\": {},\n",
-            "      \"dispatch_p99_nanos\": {},\n",
-            "      \"virtual_elapsed_nanos\": {},\n",
-            "      \"events_per_virtual_sec\": {},\n",
-            "      \"storm_calls\": {},\n",
-            "      \"pump_fires\": {}\n",
-            "    }}"
-        ),
-        p.nodes,
-        p.events_total,
-        p.comparisons,
-        p.cmp_per_event_x100,
-        p.heap_hwm,
-        p.dispatch_p99_nanos,
-        p.virtual_elapsed_nanos,
-        p.events_per_virtual_sec,
-        p.storm_calls,
-        p.pump_fires,
-    )
-}
-
-fn main() {
-    let json_only = std::env::args().any(|a| a == "--json");
-
-    let small = sim_phase(1_000);
-    let large = sim_phase(10_000);
-    let threaded = threaded_phase();
+/// Both sim scales and the reactor phase, with the scaling evidence.
+pub fn run(_full: bool) -> Report {
+    let mut out = String::new();
+    let small = sim_phase(1_000, &mut out);
+    let large = sim_phase(10_000, &mut out);
+    let (threaded_json, threaded_text) = threaded_phase();
 
     // O(log n) evidence: heap depth grew ~10x, comparisons-per-event by
     // ~log(10k)/log(1k) ~= 1.33x. Linear dispatch would be ~10x (1000
@@ -300,92 +280,52 @@ fn main() {
         .checked_div(small.heap_hwm)
         .unwrap_or(0);
 
+    let (small_json, large_json) = (&small.json, &large.json);
     let json = format!(
-        concat!(
-            "{{\n",
-            "  \"workload\": {{\n",
-            "    \"sim_horizon_ms\": {},\n",
-            "    \"tick_interval_spread_ms\": {},\n",
-            "    \"storm_hooks\": {},\n",
-            "    \"storm_calls_per_fire\": {}\n",
-            "  }},\n",
-            "  \"sim\": [\n",
-            "{},\n",
-            "{}\n",
-            "  ],\n",
-            "  \"scaling\": {{\n",
-            "    \"heap_hwm_ratio_x100\": {},\n",
-            "    \"cmp_per_event_ratio_x100\": {},\n",
-            "    \"linear_dispatch_would_be_x100\": 1000\n",
-            "  }},\n",
-            "  \"threaded\": {{\n",
-            "    \"attached_nodes\": {},\n",
-            "    \"async_calls\": {},\n",
-            "    \"worker_threads\": {},\n",
-            "    \"cpu_cores\": {},\n",
-            "    \"threads_spawned_total\": {},\n",
-            "    \"pool_fixed\": {},\n",
-            "    \"workers_le_2x_cores\": {}\n",
-            "  }}\n",
-            "}}"
-        ),
-        SIM_HORIZON_MS,
-        TICK_INTERVAL_SPREAD_MS,
-        STORM_HOOKS,
-        STORM_CALLS_PER_FIRE,
-        sim_json(&small),
-        sim_json(&large),
-        hwm_ratio_x100,
-        cmp_ratio_x100,
-        threaded.attached_nodes,
-        threaded.async_calls,
-        threaded.worker_threads,
-        threaded.cpu_cores,
-        threaded.threads_spawned_total,
-        threaded.pool_fixed,
-        threaded.workers_le_2x_cores,
+        r#"{{
+  "workload": {{
+    "sim_horizon_ms": {SIM_HORIZON_MS},
+    "tick_interval_spread_ms": {TICK_INTERVAL_SPREAD_MS},
+    "storm_hooks": {STORM_HOOKS},
+    "storm_calls_per_fire": {STORM_CALLS_PER_FIRE}
+  }},
+  "sim": [
+{small_json},
+{large_json}
+  ],
+  "scaling": {{
+    "heap_hwm_ratio_x100": {hwm_ratio_x100},
+    "cmp_per_event_ratio_x100": {cmp_ratio_x100},
+    "linear_dispatch_would_be_x100": 1000
+  }},
+{threaded_json}
+}}"#
     );
-    // lint: allow(L003) bench binary's own output file, not a server handler
-    std::fs::write("BENCH_sched.json", format!("{json}\n")).expect("write BENCH_sched.json");
 
-    if json_only {
-        println!("{json}");
-        return;
+    outln!(out);
+    outln!(out, "scheduler runtime — event heap at scale");
+    for p in [&small, &large] {
+        outln!(
+            out,
+            "  {:>7} nodes: {:>8} events, {:>5.2} cmp/event, heap hwm {:>6}, p99 dispatch {:.1} ms",
+            p.nodes,
+            p.events_total,
+            p.cmp_per_event_x100 as f64 / 100.0,
+            p.heap_hwm,
+            p.dispatch_p99_nanos as f64 / 1e6
+        );
     }
-
-    println!();
-    println!("scheduler runtime — event heap at scale");
-    println!(
-        "  {:>7} nodes: {:>8} events, {:>5.2} cmp/event, heap hwm {:>6}, p99 dispatch {:.1} ms",
-        small.nodes,
-        small.events_total,
-        small.cmp_per_event_x100 as f64 / 100.0,
-        small.heap_hwm,
-        small.dispatch_p99_nanos as f64 / 1e6
-    );
-    println!(
-        "  {:>7} nodes: {:>8} events, {:>5.2} cmp/event, heap hwm {:>6}, p99 dispatch {:.1} ms",
-        large.nodes,
-        large.events_total,
-        large.cmp_per_event_x100 as f64 / 100.0,
-        large.heap_hwm,
-        large.dispatch_p99_nanos as f64 / 1e6
-    );
-    println!(
+    outln!(
+        out,
         "  heap grew {:.1}x, comparisons/event grew {:.2}x (linear would be ~10x) => O(log n)",
         hwm_ratio_x100 as f64 / 100.0,
         cmp_ratio_x100 as f64 / 100.0,
     );
-    println!();
-    println!("reactor — thread-count collapse");
-    println!(
-        "  {} nodes attached, {} async calls completed on {} workers ({} cores, {} threads ever spawned, pool_fixed={})",
-        threaded.attached_nodes,
-        threaded.async_calls,
-        threaded.worker_threads,
-        threaded.cpu_cores,
-        threaded.threads_spawned_total,
-        threaded.pool_fixed,
-    );
-    println!("\nwrote BENCH_sched.json");
+    outln!(out);
+    outln!(out, "reactor — thread-count collapse");
+    outln!(out, "{threaded_text}\n");
+    Report {
+        text: out,
+        json: Some(json),
+    }
 }

@@ -9,62 +9,18 @@
 //!
 //! Everything runs on seeded ids and the virtual clock, and the report
 //! contains no raw span ids, so two runs emit byte-identical output; the
-//! JSON summary is written to `BENCH_trace.json` for CI's determinism
-//! check.
+//! JSON summary is the `BENCH_trace.json` gate.
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
-use kosha_id::node_id_from_seed;
+use crate::{default_cluster, take_spans, Report};
+use kosha::KoshaConfig;
 use kosha_obs::trace::{build_traces, folded_stacks, report_json, TraceTree};
 use kosha_obs::SpanRecord;
-use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
-use std::sync::Arc;
+use kosha_rpc::Network;
 
 const NODES: usize = 8;
 const REPLICAS: usize = 3;
 const WRITE_OPS: usize = 6;
 const WALK_DIR: &str = "/walk/a/b/c/d/e/f";
-
-struct Cluster {
-    net: Arc<SimNetwork>,
-    nodes: Vec<Arc<KoshaNode>>,
-}
-
-fn build_cluster(cfg: KoshaConfig) -> Cluster {
-    let net = SimNetwork::new(LatencyModel::default());
-    let mut nodes = Vec::new();
-    for i in 0..NODES {
-        let id = node_id_from_seed(&format!("kosha-host-{i}"));
-        let (node, mux) = KoshaNode::build(
-            cfg.clone(),
-            id,
-            NodeAddr(i as u64),
-            net.clone() as Arc<dyn Network>,
-        );
-        net.attach(node.addr(), mux);
-        node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-            .expect("join");
-        nodes.push(node);
-    }
-    Cluster { net, nodes }
-}
-
-/// Drains every span buffer in the cluster (transport + all nodes).
-fn collect_spans(c: &Cluster) -> Vec<SpanRecord> {
-    let mut spans = c.net.obs().tracer.take();
-    for n in &c.nodes {
-        spans.extend(n.obs().tracer.take());
-    }
-    spans
-}
-
-fn mount(c: &Cluster) -> KoshaMount {
-    KoshaMount::new(
-        c.net.clone() as Arc<dyn Network>,
-        c.nodes[0].addr(),
-        c.nodes[0].addr(),
-    )
-    .expect("mount")
-}
 
 /// A trace whose replica fan-out ran in parallel: some span has >= 2
 /// `rpc:replica` children sharing a start instant.
@@ -79,19 +35,18 @@ fn has_parallel_fanout(t: &TraceTree) -> bool {
     })
 }
 
-fn main() {
-    let json_only = std::env::args().any(|a| a == "--json");
-
+/// Both traced workloads, their assertions, and the reduced traces.
+pub fn run(_full: bool) -> Report {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = REPLICAS;
-    let c = build_cluster(cfg);
-    let m = mount(&c);
+    let c = default_cluster(&cfg, NODES);
+    let m = c.mount(0);
     m.mkdir_p("/repl/data").expect("mkdir");
     m.mkdir_p(WALK_DIR).expect("mkdir walk");
     m.write_file(&format!("{WALK_DIR}/leaf"), b"payload")
         .expect("seed walk file");
-    collect_spans(&c); // discard setup noise
+    take_spans(&c); // discard setup noise
 
     let clock = c.net.clock();
     let client = c.nodes[0].addr().0;
@@ -117,7 +72,7 @@ fn main() {
         );
     });
 
-    let traces = build_traces(collect_spans(&c));
+    let traces = build_traces(take_spans(&c));
     assert_eq!(
         traces.len(),
         WRITE_OPS + 1,
@@ -140,22 +95,18 @@ fn main() {
     );
 
     let json = report_json(&traces);
-    std::fs::write("BENCH_trace.json", format!("{json}\n")).expect("write BENCH_trace.json");
+    let (ops, stacks) = (traces.len(), folded_stacks(&traces));
+    let text = format!(
+        "==== causal trace report ====
+cluster: {NODES} nodes, K={REPLICAS}; {ops} traced ops
 
-    if json_only {
-        println!("{json}");
-        return;
-    }
-
-    println!("==== causal trace report ====");
-    println!(
-        "cluster: {NODES} nodes, K={REPLICAS}; {} traced ops",
-        traces.len()
+folded stacks (span path -> self nanos):
+{stacks}
+{json}
+"
     );
-    println!();
-    println!("folded stacks (span path -> self nanos):");
-    print!("{}", folded_stacks(&traces));
-    println!();
-    println!("{json}");
-    println!("wrote BENCH_trace.json");
+    Report {
+        text,
+        json: Some(json),
+    }
 }

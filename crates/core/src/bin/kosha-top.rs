@@ -10,10 +10,9 @@
 //! snapshot instead of the text dashboard.
 
 use kosha::{
-    audit_cluster, cluster_flight, AuditOptions, FlightOptions, KoshaConfig, KoshaMount, KoshaNode,
-    ReplicationMode,
+    audit_cluster, boot_cluster, cluster_flight, AuditOptions, FlightOptions, KoshaConfig,
+    KoshaMount, KoshaNode, ReplicationMode,
 };
-use kosha_id::node_id_from_seed;
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,23 +23,23 @@ fn main() {
     let json = std::env::args().any(|a| a == "--json");
 
     let net = SimNetwork::new(LatencyModel::default());
-    let mut nodes: Vec<Arc<KoshaNode>> = Vec::new();
-    for i in 0..NODES {
-        let id = node_id_from_seed(&format!("kosha-host-{i}"));
-        let mut cfg = KoshaConfig::for_tests();
-        cfg.distribution_level = 1;
-        cfg.replicas = 2;
-        cfg.read_from_replicas = true;
-        cfg.replication_mode = ReplicationMode::WriteBehind {
-            queue_ops: 256,
-            flush_interval: Duration::from_millis(5),
-        };
-        let (node, mux) = KoshaNode::build(cfg, id, NodeAddr(i as u64 + 1), net.clone() as _);
-        net.attach(node.addr(), mux);
-        node.join(if i == 0 { None } else { Some(NodeAddr(1)) })
-            .expect("join");
-        nodes.push(node);
-    }
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    cfg.read_from_replicas = true;
+    cfg.replication_mode = ReplicationMode::WriteBehind {
+        queue_ops: 256,
+        flush_interval: Duration::from_millis(5),
+    };
+    let nodes = boot_cluster(
+        &(net.clone() as Arc<dyn Network>),
+        |addr, mux| net.attach(addr, mux),
+        &cfg,
+        NODES,
+        "kosha-host-",
+        NodeAddr(1),
+    )
+    .expect("join");
 
     let mount =
         KoshaMount::new(net.clone() as Arc<dyn Network>, NodeAddr(1), NodeAddr(1)).expect("mount");

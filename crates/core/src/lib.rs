@@ -60,5 +60,5 @@ pub use audit::{audit_cluster, slot_summary, tree_digest, AuditOptions, AuditRep
 pub use config::{KoshaConfig, ReplicationMode};
 pub use flight::{cluster_flight, FlightOptions, FlightReport, NodeRow};
 pub use mount::KoshaMount;
-pub use node::KoshaNode;
+pub use node::{boot_cluster, KoshaNode};
 pub use stats::{KoshaStats, StatsSnapshot};

@@ -60,11 +60,20 @@ impl KoshaMount {
     /// Mounts the virtual file system exported by the koshad at
     /// `koshad` (normally the caller's own machine — the loopback).
     pub fn new(net: Arc<dyn Network>, client_addr: NodeAddr, koshad: NodeAddr) -> NfsResult<Self> {
-        let nfs = NfsClient::with_service(net, client_addr, ServiceId::KoshaFs);
-        let root = nfs.mount(koshad)?;
+        Self::over(
+            NfsClient::with_service(net, client_addr, ServiceId::KoshaFs),
+            koshad,
+        )
+    }
+
+    /// Mounts whatever `nfs` reaches at `server`: the koshad loopback
+    /// for [`KoshaMount::new`], a plain NFS server for the baseline the
+    /// paper measures Kosha against, through this same client (§6.1.1).
+    pub fn over(nfs: NfsClient, server: NodeAddr) -> NfsResult<Self> {
+        let root = nfs.mount(server)?;
         Ok(KoshaMount {
             nfs,
-            koshad,
+            koshad: server,
             root,
             dcache: Mutex::new(HashMap::new()),
             uid: 0,

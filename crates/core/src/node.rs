@@ -3,7 +3,7 @@
 use crate::config::KoshaConfig;
 use crate::handles::{HandleTable, Location};
 use crate::stats::{KoshaStats, StatsSnapshot};
-use kosha_id::Id;
+use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
 use kosha_obs::Obs;
 use kosha_pastry::{NodeInfo, OverlayError, OverlayObserver, PastryConfig, PastryNode};
@@ -137,6 +137,35 @@ impl OverlayObserver for LeafWatcher {
             k.on_leaf_change(None);
         }
     }
+}
+
+/// Stands up `nodes` machines on one transport, joining each through
+/// the first: node `i` gets the id `node_id_from_seed("{host_prefix}{i}")`
+/// and the address `first + i`. The one place outside tests where a
+/// deployment is booted in a loop: the simulator, the benches,
+/// `kosha-top` and the examples differ only in the arguments.
+///
+/// `net` is the handle the nodes call through (a decorator works);
+/// `attach` registers a node's mux with the transport underneath it,
+/// and runs before that node joins.
+pub fn boot_cluster(
+    net: &Arc<dyn Network>,
+    attach: impl Fn(NodeAddr, Arc<ServiceMux>),
+    cfg: &KoshaConfig,
+    nodes: usize,
+    host_prefix: &str,
+    first: NodeAddr,
+) -> Result<Vec<Arc<KoshaNode>>, OverlayError> {
+    (0..nodes)
+        .map(|i| {
+            let id = node_id_from_seed(&format!("{host_prefix}{i}"));
+            let addr = NodeAddr(first.0 + i as u64);
+            let (node, mux) = KoshaNode::build(cfg.clone(), id, addr, Arc::clone(net));
+            attach(addr, mux);
+            node.join((i > 0).then_some(first))?;
+            Ok(node)
+        })
+        .collect()
 }
 
 impl KoshaNode {

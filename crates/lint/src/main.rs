@@ -25,8 +25,8 @@
 //! fixtures), `benches/`, `examples/`, `perf/` (the wall-clock
 //! benchmark: a separate package whose handlers time, allocate-count
 //! and `expect` on purpose), and anything inside `#[cfg(test)]` modules.
-//! Bench *binaries* under `crates/bench/src/bin/` are scanned on purpose
-//! — they feed the BENCH_* determinism gates L002 protects.
+//! The bench reports under `crates/bench/src/reports/` are scanned on
+//! purpose — they feed the BENCH_* determinism gates L002 protects.
 
 use kosha_lint::{baseline_key, parse_baseline, Config, Rule};
 use std::path::PathBuf;

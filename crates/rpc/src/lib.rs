@@ -47,6 +47,6 @@ pub use network::{
     ServiceId, ServiceMux, TraceHeader,
 };
 pub use sched::{heap_comparisons, Scheduler};
-pub use simnet::{LatencyModel, NetStats, SimNetwork};
+pub use simnet::{LatencyModel, SimNetwork};
 pub use threadnet::ThreadedNetwork;
 pub use wire::{Frame, PayloadPart, Reader, WireError, WireRead, WireWrite, Writer};

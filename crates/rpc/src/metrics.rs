@@ -5,10 +5,13 @@
 //! by destination [`ServiceId`]:
 //!
 //! * `rpc_calls_total{service=...}` — attempts, including failures,
-//! * `rpc_local_calls_total{service=...}` — loopback (same-host) calls,
+//! * `rpc_local_calls_total{service=...}` — loopback (same-host) calls
+//!   that reached their handler,
 //! * `rpc_failed_calls_total{service=...}` — calls that returned an
 //!   error (dead node, missing service, handler failure),
-//! * `rpc_bytes_total{service=...}` — request + response wire bytes,
+//! * `rpc_bytes_total{service=...}` — request + response wire bytes of
+//!   remote calls (loopback moves none; a failed call's reply is a bare
+//!   16-byte status),
 //! * `rpc_latency_nanos{service=...}` — round-trip latency histogram,
 //!   measured as a delta on the transport's own clock (virtual under
 //!   `SimNetwork`, so values are deterministic).
@@ -23,7 +26,8 @@
 //! inflight/latency/call series are registered with the domain's flight
 //! recorder so samplers can capture their evolution over time.
 
-use crate::network::{NodeAddr, ServiceId};
+use crate::clock::SimTime;
+use crate::network::{NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId};
 use kosha_obs::registry::labeled;
 use kosha_obs::{Counter, Gauge, Histogram, Obs};
 use parking_lot::RwLock;
@@ -59,6 +63,73 @@ impl InflightGuard {
 impl Drop for InflightGuard {
     fn drop(&mut self) {
         self.0.add(-1);
+    }
+}
+
+/// Wire bytes charged for the reply of a call that failed: a bare
+/// status, no body.
+pub(crate) const ERR_REPLY_BYTES: usize = 16;
+
+/// What is needed to account one admitted call when its result is in:
+/// the same on both transports, and on `ThreadedNetwork` the same for a
+/// call served in place, waited for inline, or redeemed later. The call
+/// counts as in flight until then (or until it is abandoned: dropping
+/// an unredeemed completion drops the guard too).
+pub(crate) struct CallAccount {
+    _inflight: InflightGuard,
+    service: ServiceId,
+    from: NodeAddr,
+    to: NodeAddr,
+    req_bytes: usize,
+    start: SimTime,
+}
+
+impl CallAccount {
+    /// Counts the attempt and raises the in-flight gauge.
+    pub fn enter(
+        metrics: &NetMetrics,
+        from: NodeAddr,
+        to: NodeAddr,
+        req: &RpcRequest,
+        start: SimTime,
+    ) -> Self {
+        let svc = metrics.svc(req.service);
+        svc.calls.inc();
+        CallAccount {
+            _inflight: InflightGuard::enter(&svc.inflight),
+            service: req.service,
+            from,
+            to,
+            req_bytes: req.wire_size(),
+            start,
+        }
+    }
+
+    /// Accounts the result of a call that reached a live node at `now`.
+    /// A loopback call moves no wire bytes; a remote one moves its
+    /// request and its reply, which for an error is a bare status.
+    pub fn finish(
+        self,
+        metrics: &NetMetrics,
+        now: SimTime,
+        result: Result<RpcResponse, RpcError>,
+    ) -> Result<RpcResponse, RpcError> {
+        let svc = metrics.svc(self.service);
+        if self.from == self.to {
+            svc.local.inc();
+        } else {
+            let resp_bytes = result
+                .as_ref()
+                .map_or(ERR_REPLY_BYTES, RpcResponse::wire_size);
+            svc.bytes.add((self.req_bytes + resp_bytes) as u64);
+        }
+        if result.is_err() {
+            svc.failed.inc();
+        }
+        let elapsed = now.since_nanos(self.start);
+        svc.latency.record(elapsed);
+        metrics.note_peer_latency(self.from, self.to, elapsed);
+        result
     }
 }
 
@@ -262,6 +333,59 @@ mod tests {
                 .get(),
             1
         );
+    }
+
+    /// Echoes a `u32`; refuses zero.
+    struct Picky;
+    impl crate::RpcHandler for Picky {
+        fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+            match <u32 as crate::WireRead>::decode(body).map_err(RpcError::Decode)? {
+                0 => Err(RpcError::Remote("zero".into())),
+                v => Ok(RpcResponse::new(&v)),
+            }
+        }
+    }
+
+    #[test]
+    fn both_transports_count_one_script_alike() {
+        use crate::{Network, ServiceMux, SimNetwork, ThreadedNetwork};
+        fn script(
+            net: &dyn Network,
+            obs: &Obs,
+            attach: &dyn Fn(NodeAddr, Arc<ServiceMux>),
+        ) -> Vec<u64> {
+            for a in [1, 2] {
+                let mux = Arc::new(ServiceMux::new());
+                mux.register(ServiceId::Nfs, Arc::new(Picky));
+                attach(NodeAddr(a), mux);
+            }
+            let call = |to, v: u32| {
+                net.call(
+                    NodeAddr(1),
+                    NodeAddr(to),
+                    RpcRequest::new(ServiceId::Nfs, &v),
+                )
+            };
+            assert!(call(2, 7).is_ok(), "remote");
+            assert!(call(1, 7).is_ok(), "loopback");
+            assert!(call(2, 0).is_err(), "handler refuses");
+            ["calls", "local_calls", "failed_calls", "bytes"]
+                .iter()
+                .map(|f| {
+                    obs.registry
+                        .counter(&format!("rpc_{f}_total{{service=\"nfs\"}}"))
+                        .get()
+                })
+                .collect()
+        }
+        let sim = SimNetwork::new_zero_latency();
+        let thr = ThreadedNetwork::new(std::time::Duration::from_secs(5));
+        let on_sim = script(sim.as_ref(), &sim.obs(), &|a, m| sim.attach(a, m));
+        let on_thr = script(thr.as_ref(), &thr.obs(), &|a, m| thr.attach(a, m));
+        assert_eq!(on_sim, on_thr, "calls, local, failed, bytes");
+        // Remote ok: 4-byte request and reply; refused: request + 16.
+        assert_eq!(on_sim[..3], [3, 1, 1]);
+        assert!(on_sim[3] > ERR_REPLY_BYTES as u64);
     }
 
     #[test]

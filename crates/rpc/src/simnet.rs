@@ -36,7 +36,7 @@
 //!   planted with [`SimNetwork::schedule_after`].
 
 use crate::clock::{Clock, SimTime, VirtualClock};
-use crate::metrics::NetMetrics;
+use crate::metrics::{CallAccount, NetMetrics, ERR_REPLY_BYTES};
 use crate::network::{
     Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceMux, TraceHeader,
 };
@@ -44,7 +44,6 @@ use crate::sched::Scheduler;
 use kosha_obs::{trace, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -116,40 +115,6 @@ impl LatencyModel {
     }
 }
 
-/// Aggregate traffic counters, exposed for experiments and ablations.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// Total RPCs attempted (including those that failed).
-    pub calls: AtomicU64,
-    /// RPCs that were node-local (loopback).
-    pub local_calls: AtomicU64,
-    /// RPCs to dead nodes (charged the timeout).
-    pub failed_calls: AtomicU64,
-    /// Total bytes across the wire (requests + responses, remote only).
-    pub bytes: AtomicU64,
-}
-
-impl NetStats {
-    /// Snapshot `(calls, local, failed, bytes)`.
-    #[must_use]
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.calls.load(Ordering::Relaxed),
-            self.local_calls.load(Ordering::Relaxed),
-            self.failed_calls.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Zeroes all counters.
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.local_calls.store(0, Ordering::Relaxed);
-        self.failed_calls.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-    }
-}
-
 struct Registered {
     mux: Arc<ServiceMux>,
 }
@@ -199,7 +164,6 @@ pub struct SimNetwork {
     down: RwLock<HashSet<NodeAddr>>,
     /// Optional coordinates per host for distance-dependent latency.
     coords: RwLock<HashMap<NodeAddr, (f64, f64)>>,
-    stats: NetStats,
     metrics: NetMetrics,
     /// The event heap driving all clock movement (see the module docs).
     sched: Scheduler<SimEvent>,
@@ -225,7 +189,6 @@ impl SimNetwork {
             nodes: RwLock::new(HashMap::new()),
             down: RwLock::new(HashSet::new()),
             coords: RwLock::new(HashMap::new()),
-            stats: NetStats::default(),
             metrics,
             sched,
             pumps: Mutex::new(Vec::new()),
@@ -295,12 +258,6 @@ impl SimNetwork {
             }
             _ => self.model.hop_latency,
         }
-    }
-
-    /// Traffic counters.
-    #[must_use]
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
     }
 
     /// Transport-level observability: per-service call/byte counters and
@@ -484,11 +441,8 @@ impl SimNetwork {
         to: NodeAddr,
         req: RpcRequest,
     ) -> Result<RpcResponse, RpcError> {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let svc = self.metrics.svc(req.service);
-        svc.calls.inc();
-        let _inflight = crate::metrics::InflightGuard::enter(&svc.inflight);
         let start = self.clock.now();
+        let account = CallAccount::enter(&self.metrics, from, to, &req, start);
 
         let is_down = self.down.read().contains(&to);
         let mux = if is_down {
@@ -498,8 +452,8 @@ impl SimNetwork {
         };
 
         let Some(mux) = mux else {
-            self.stats.failed_calls.fetch_add(1, Ordering::Relaxed);
             self.step(self.model.timeout);
+            let svc = self.metrics.svc(req.service);
             svc.failed.inc();
             let elapsed = self.clock.now().since_nanos(start);
             svc.latency.record(elapsed);
@@ -508,51 +462,33 @@ impl SimNetwork {
             self.metrics.note_peer_latency(from, to, elapsed);
             return Err(RpcError::Unreachable(to));
         };
-
-        if from == to {
-            self.stats.local_calls.fetch_add(1, Ordering::Relaxed);
-            svc.local.inc();
-            self.step(self.model.loopback_cost);
-            let result =
-                trace::with_context(req.trace.map(TraceHeader::ctx), || mux.dispatch(from, &req));
-            if result.is_err() {
-                svc.failed.inc();
-            }
-            let elapsed = self.clock.now().since_nanos(start);
-            svc.latency.record(elapsed);
-            self.metrics.note_peer_latency(from, to, elapsed);
-            return result;
-        }
-
-        let req_bytes = req.wire_size();
-        let link = self.link_latency(from, to);
-        // Charge request-direction costs before the handler runs so that
-        // nested calls see a clock that already includes delivery. The
-        // delivery leg is a heap waypoint: timers and armed pump ticks
-        // that come due before it fire first, in deadline order.
-        self.step(link + self.model.transfer_time(req_bytes) + self.model.server_op_cost);
         // Install the request's trace header as the handler's ambient
         // context: on this same-thread transport the caller's context is
         // usually already in scope, but stamping from the header keeps
         // the semantics identical to a cross-thread transport.
-        let result =
-            trace::with_context(req.trace.map(TraceHeader::ctx), || mux.dispatch(from, &req));
-        let resp_bytes = match &result {
-            Ok(r) => r.wire_size(),
-            Err(_) => 16,
+        let dispatch =
+            || trace::with_context(req.trace.map(TraceHeader::ctx), || mux.dispatch(from, &req));
+
+        let result = if from == to {
+            self.step(self.model.loopback_cost);
+            dispatch()
+        } else {
+            let link = self.link_latency(from, to);
+            // Charge request-direction costs before the handler runs so
+            // that nested calls see a clock that already includes
+            // delivery. The delivery leg is a heap waypoint: timers and
+            // armed pump ticks that come due before it fire first, in
+            // deadline order.
+            let req_time = self.model.transfer_time(req.wire_size());
+            self.step(link + req_time + self.model.server_op_cost);
+            let result = dispatch();
+            let resp_bytes = result
+                .as_ref()
+                .map_or(ERR_REPLY_BYTES, RpcResponse::wire_size);
+            self.step(link + self.model.transfer_time(resp_bytes));
+            result
         };
-        self.step(link + self.model.transfer_time(resp_bytes));
-        self.stats
-            .bytes
-            .fetch_add((req_bytes + resp_bytes) as u64, Ordering::Relaxed);
-        svc.bytes.add((req_bytes + resp_bytes) as u64);
-        if result.is_err() {
-            svc.failed.inc();
-        }
-        let elapsed = self.clock.now().since_nanos(start);
-        svc.latency.record(elapsed);
-        self.metrics.note_peer_latency(from, to, elapsed);
-        result
+        account.finish(&self.metrics, self.clock.now(), result)
     }
 }
 
@@ -716,9 +652,17 @@ mod tests {
         let t = net.clock().now();
         // At least two hop latencies + server cost must have elapsed.
         assert!(t.as_duration() >= Duration::from_micros(2 * 150 + 60));
-        let (calls, local, failed, bytes) = net.stats().snapshot();
-        assert_eq!((calls, local, failed), (1, 0, 0));
-        assert!(bytes > 0);
+        let reg = &net.obs().registry;
+        let nfs = |family: &str| reg.counter(&format!("{family}{{service=\"nfs\"}}")).get();
+        assert_eq!(
+            (
+                nfs("rpc_calls_total"),
+                nfs("rpc_local_calls_total"),
+                nfs("rpc_failed_calls_total")
+            ),
+            (1, 0, 0)
+        );
+        assert!(nfs("rpc_bytes_total") > 0);
     }
 
     #[test]

@@ -72,7 +72,7 @@
 //! tick.
 
 use crate::clock::{Clock, SimTime, WallClock};
-use crate::metrics::{InflightGuard, NetMetrics};
+use crate::metrics::{CallAccount, NetMetrics};
 use crate::network::{
     CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceId,
     ServiceMux, TraceHeader,
@@ -349,35 +349,6 @@ fn await_reply(
     }
 }
 
-/// What is needed to account one admitted call when its result is in:
-/// the same for a call served in place, waited for inline, or redeemed
-/// later. The call counts as in flight until then (or until it is
-/// abandoned: dropping an unredeemed completion drops the guard too).
-struct CallAccount {
-    _inflight: InflightGuard,
-    service: ServiceId,
-    from: NodeAddr,
-    to: NodeAddr,
-    req_bytes: usize,
-    start: SimTime,
-}
-
-impl CallAccount {
-    fn finish(self, shared: &ReactorShared, result: CallResult) -> CallResult {
-        let svc = shared.metrics.svc(self.service);
-        match &result {
-            Ok(resp) => svc.bytes.add((self.req_bytes + resp.wire_size()) as u64),
-            Err(_) => svc.failed.inc(),
-        }
-        let elapsed = shared.clock.now().since_nanos(self.start);
-        svc.latency.record(elapsed);
-        shared
-            .metrics
-            .note_peer_latency(self.from, self.to, elapsed);
-        result
-    }
-}
-
 /// A periodic hook registration on the shared timer thread.
 struct TimerEntry {
     hook: Weak<dyn PumpHook>,
@@ -587,14 +558,11 @@ impl ThreadedNetwork {
         blocking: bool,
     ) -> CallCompletion {
         let service = req.service;
-        let svc = self.shared.metrics.svc(service);
-        svc.calls.inc();
-        let inflight = InflightGuard::enter(&svc.inflight);
-        if from == to {
-            svc.local.inc();
-        }
+        let shared = &self.shared;
+        let start = shared.clock.now();
+        let account = CallAccount::enter(&shared.metrics, from, to, &req, start);
         let refuse = |err| {
-            svc.failed.inc();
+            shared.metrics.svc(service).failed.inc();
             CallCompletion::ready(Err(err))
         };
         if self.down.read().contains(&to) {
@@ -613,22 +581,16 @@ impl ThreadedNetwork {
                 RpcError::Unreachable(to)
             });
         };
-        let shared = &self.shared;
-        let start = shared.clock.now();
-        let account = CallAccount {
-            _inflight: inflight,
-            service,
-            from,
-            to,
-            req_bytes: req.wire_size(),
-            start,
-        };
         let reply = match admit(shared, &actor, from, req, start, blocking) {
             Admitted::Closed => return refuse(RpcError::Unreachable(to)),
             Admitted::InPlace(req) => {
                 let result = serve(shared, &actor, Some((from, req)))
                     .expect("a claimed request is answered to its caller");
-                return CallCompletion::ready(account.finish(shared, result));
+                return CallCompletion::ready(account.finish(
+                    &shared.metrics,
+                    shared.clock.now(),
+                    result,
+                ));
             }
             Admitted::Queued(reply) => reply,
         };
@@ -637,7 +599,7 @@ impl ThreadedNetwork {
         let shared = Arc::clone(shared);
         let wait = move || {
             let result = await_reply(&shared, &actor, &reply, deadline, to);
-            account.finish(&shared, result)
+            account.finish(&shared.metrics, shared.clock.now(), result)
         };
         if blocking {
             CallCompletion::ready(wait())

@@ -2,8 +2,7 @@
 //! modeled 100 Mb/s switched LAN — the substitute for the paper's
 //! FreeBSD testbed (Section 6.1).
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
-use kosha_id::node_id_from_seed;
+use kosha::{boot_cluster, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork, VirtualClock};
 use std::sync::Arc;
 
@@ -40,25 +39,39 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Boots `params.nodes` machines, joining them one at a time through
-    /// the first.
+    /// Boots `params.nodes` machines on a fresh transport, named
+    /// `cluster{seed}-host-{i}` at addresses `0..`.
     #[must_use]
     pub fn build(params: &ClusterParams) -> Self {
-        let net = SimNetwork::new(params.latency.clone());
-        let mut nodes = Vec::with_capacity(params.nodes);
-        for i in 0..params.nodes {
-            let id = node_id_from_seed(&format!("cluster{}-host-{i}", params.seed));
-            let (node, mux) = KoshaNode::build(
-                params.kosha.clone(),
-                id,
-                NodeAddr(i as u64),
-                net.clone() as Arc<dyn Network>,
-            );
-            net.attach(node.addr(), mux);
-            node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-                .expect("join overlay");
-            nodes.push(node);
-        }
+        Self::on(
+            SimNetwork::new(params.latency.clone()),
+            &params.kosha,
+            params.nodes,
+            &format!("cluster{}-host-", params.seed),
+            NodeAddr(0),
+        )
+    }
+
+    /// Boots `nodes` machines on `net` (which may already carry
+    /// coordinates), named `{host_prefix}{i}` at addresses `first + i`,
+    /// joining them one at a time through the first.
+    #[must_use]
+    pub fn on(
+        net: Arc<SimNetwork>,
+        kosha: &KoshaConfig,
+        nodes: usize,
+        host_prefix: &str,
+        first: NodeAddr,
+    ) -> Self {
+        let nodes = boot_cluster(
+            &(net.clone() as Arc<dyn Network>),
+            |addr, mux| net.attach(addr, mux),
+            kosha,
+            nodes,
+            host_prefix,
+            first,
+        )
+        .expect("join overlay");
         SimCluster { net, nodes }
     }
 

@@ -3,7 +3,7 @@
 //! Each experiment returns a result struct with a `render()` that prints
 //! rows shaped like the paper's (EXPERIMENTS.md records the comparison).
 //! `quick` variants shrink workloads for tests; the `kosha-bench`
-//! binaries run the full configurations.
+//! reports run the full configurations.
 
 use crate::availability::{
     simulate_availability, AvailabilityParams, AvailabilitySeries, AvailabilityTrace,
@@ -92,7 +92,7 @@ impl Table1 {
         let nfs = {
             let b = NfsBaseline::build(mab_lan(), mab_disk(), 64 << 30);
             let clock = b.clock();
-            run_mab(&params, &b, &clock).expect("baseline MAB")
+            run_mab(&params, b.mount(), &clock).expect("baseline MAB")
         };
         let mut kosha = Vec::new();
         for &n in &[1usize, 2, 4, 8] {
@@ -525,8 +525,23 @@ mod tests {
         // Kosha's total overhead is positive but modest, and grows (or at
         // least does not shrink dramatically) as nodes increase.
         for (n, ov) in &overheads {
-            assert!(*ov > -15.0, "kosha-{n} faster than NFS by {ov}%?");
+            assert!(*ov > 0.0, "kosha-{n} beats the NFS under it by {ov}%");
             assert!(*ov < 150.0, "kosha-{n} overhead {ov}% out of regime");
+        }
+        // One client drives both sides (§6.1.1), so each op costs Kosha
+        // its interposition on top. Only payload can pay that back: the
+        // one-node client never crosses the wire, which is worth more
+        // than interposition from about 26 kB a chunk. The quick
+        // tree's files are 8 KiB, so no phase may come out ahead.
+        let one = &t.kosha[0].1;
+        for (phase, kosha, nfs) in [
+            ("mkdir", one.mkdir, t.nfs.mkdir),
+            ("copy", one.copy, t.nfs.copy),
+            ("stat", one.stat, t.nfs.stat),
+            ("grep", one.grep, t.nfs.grep),
+            ("compile", one.compile, t.nfs.compile),
+        ] {
+            assert!(kosha >= nfs, "{phase}: kosha-1 {kosha:?} < NFS {nfs:?}");
         }
         let first = overheads.first().unwrap().1;
         let last = overheads.last().unwrap().1;

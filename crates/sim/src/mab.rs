@@ -280,7 +280,7 @@ mod tests {
     fn mab_runs_on_baseline() {
         let b = NfsBaseline::build(LatencyModel::default(), DiskModel::default(), 1 << 30);
         let clock = b.clock();
-        let times = run_mab(&MabParams::small(), &b, &clock).unwrap();
+        let times = run_mab(&MabParams::small(), b.mount(), &clock).unwrap();
         assert!(times.mkdir > Duration::ZERO);
         assert!(times.copy > Duration::ZERO);
         assert!(times.stat > Duration::ZERO);

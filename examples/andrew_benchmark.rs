@@ -22,7 +22,7 @@ fn main() {
     let nfs = {
         let b = NfsBaseline::build(mab_lan(), mab_disk(), 64 << 30);
         let clock = b.clock();
-        run_mab(&params, &b, &clock).expect("baseline")
+        run_mab(&params, b.mount(), &clock).expect("baseline")
     };
     let kosha = {
         let cluster = SimCluster::build(&ClusterParams {

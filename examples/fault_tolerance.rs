@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --example fault_tolerance`
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
-use kosha_id::node_id_from_seed;
+use kosha::{boot_cluster, KoshaConfig, KoshaMount};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
 use std::sync::Arc;
 
@@ -16,20 +15,15 @@ fn main() {
         contributed_bytes: 1 << 30,
         ..KoshaConfig::for_tests()
     };
-    let mut nodes = Vec::new();
-    for i in 0..6u64 {
-        let id = node_id_from_seed(&format!("ft-host-{i}"));
-        let (node, mux) = KoshaNode::build(
-            cfg.clone(),
-            id,
-            NodeAddr(i),
-            net.clone() as Arc<dyn Network>,
-        );
-        net.attach(node.addr(), mux);
-        node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-            .unwrap();
-        nodes.push(node);
-    }
+    let nodes = boot_cluster(
+        &(net.clone() as Arc<dyn Network>),
+        |addr, mux| net.attach(addr, mux),
+        &cfg,
+        6,
+        "ft-host-",
+        NodeAddr(0),
+    )
+    .unwrap();
 
     let mount = KoshaMount::new(net.clone() as Arc<dyn Network>, NodeAddr(0), NodeAddr(0)).unwrap();
     mount.mkdir_p("/thesis").unwrap();

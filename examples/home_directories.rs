@@ -6,14 +6,13 @@
 //!
 //! Run with: `cargo run --release --example home_directories`
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
-use kosha_id::node_id_from_seed;
+use kosha::{boot_cluster, KoshaConfig, KoshaMount};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
 use kosha_sim::{FsTrace, TraceParams};
 use std::sync::Arc;
 
 fn main() {
-    let nodes_count = 16u64;
+    let nodes_count = 16;
     let net = SimNetwork::new(LatencyModel::zero());
     let cfg = KoshaConfig {
         distribution_level: 2,
@@ -21,20 +20,15 @@ fn main() {
         contributed_bytes: 4 << 30,
         ..KoshaConfig::for_tests()
     };
-    let mut nodes = Vec::new();
-    for i in 0..nodes_count {
-        let id = node_id_from_seed(&format!("lab-pc-{i}"));
-        let (node, mux) = KoshaNode::build(
-            cfg.clone(),
-            id,
-            NodeAddr(i),
-            net.clone() as Arc<dyn Network>,
-        );
-        net.attach(node.addr(), mux);
-        node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-            .unwrap();
-        nodes.push(node);
-    }
+    let nodes = boot_cluster(
+        &(net.clone() as Arc<dyn Network>),
+        |addr, mux| net.attach(addr, mux),
+        &cfg,
+        nodes_count,
+        "lab-pc-",
+        NodeAddr(0),
+    )
+    .unwrap();
 
     // A small synthetic slice of the departmental trace: a few thousand
     // files across user homes, inserted as sparse (size-only) files.

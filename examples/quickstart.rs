@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
-use kosha_id::node_id_from_seed;
+use kosha::{boot_cluster, KoshaConfig, KoshaMount};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
 use std::sync::Arc;
 
@@ -20,20 +19,15 @@ fn main() {
         contributed_bytes: 2 << 30,
         ..KoshaConfig::default()
     };
-    let mut nodes = Vec::new();
-    for i in 0..8u64 {
-        let id = node_id_from_seed(&format!("desktop-{i}"));
-        let (node, mux) = KoshaNode::build(
-            cfg.clone(),
-            id,
-            NodeAddr(i),
-            net.clone() as Arc<dyn Network>,
-        );
-        net.attach(node.addr(), mux);
-        node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-            .expect("join overlay");
-        nodes.push(node);
-    }
+    let nodes = boot_cluster(
+        &(net.clone() as Arc<dyn Network>),
+        |addr, mux| net.attach(addr, mux),
+        &cfg,
+        8,
+        "desktop-",
+        NodeAddr(0),
+    )
+    .expect("join overlay");
     println!("booted {} nodes; aggregate pool ready", nodes.len());
 
     // 3. Mount /kosha through the local koshad (node 0) and use it.

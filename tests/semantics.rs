@@ -10,7 +10,6 @@ use kosha_rpc::LatencyModel;
 use kosha_sim::baseline::NfsBaseline;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::workbench::Workbench;
-use kosha_vfs::FileType;
 use proptest::prelude::*;
 
 fn kosha_cluster() -> SimCluster {
@@ -78,7 +77,7 @@ fn identical_results_for_a_scripted_session() {
     ];
 
     for (i, step) in steps.iter().enumerate() {
-        let expect = norm(step(&nfs));
+        let expect = norm(step(nfs.mount()));
         let got = norm(step(&kosha));
         assert_eq!(got, expect, "step {i} diverged");
     }
@@ -131,72 +130,41 @@ proptest! {
         let kosha = cluster.mount(0);
 
         for (i, op) in ops.iter().enumerate() {
-            let (a, b): (Result<String, _>, Result<String, _>) = match op {
-                Op::MkdirP(d, s) => {
-                    let p = format!("{}/sub{}", dir_name(*d), s % 3);
-                    (
-                        norm(nfs.mkdir_p(&p).map(|_| "ok".to_string())),
-                        norm(Workbench::mkdir_p(&kosha, &p).map(|_| "ok".to_string())),
-                    )
-                }
-                Op::Write(d, f, n) => {
-                    let p = file_path(*d, *f);
-                    let data = vec![(*f).wrapping_add(1); *n as usize];
-                    (
-                        norm(nfs.write_file(&p, &data).map(|_| "ok".to_string())),
-                        norm(Workbench::write_file(&kosha, &p, &data).map(|_| "ok".to_string())),
-                    )
-                }
-                Op::Read(d, f) => {
-                    let p = file_path(*d, *f);
-                    (
-                        norm(nfs.read_file(&p).map(|v| format!("{}:{:x?}", v.len(), v.first()))),
-                        norm(Workbench::read_file(&kosha, &p).map(|v| format!("{}:{:x?}", v.len(), v.first()))),
-                    )
-                }
-                Op::Stat(d, f) => {
-                    let p = file_path(*d, *f);
-                    (
-                        norm(nfs.stat(&p).map(|a| format!("{}:{:?}", a.size, a.ftype))),
-                        norm(Workbench::stat(&kosha, &p).map(|a| format!("{}:{:?}", a.size, a.ftype))),
-                    )
-                }
-                Op::List(d) => {
-                    let p = dir_name(*d);
-                    let fmt = |v: Vec<(String, FileType)>| {
+            let run = |fs: &dyn Workbench| -> Result<String, _> {
+                let ok = |()| "ok".to_string();
+                norm(match op {
+                    Op::MkdirP(d, s) => fs
+                        .mkdir_p(&format!("{}/sub{}", dir_name(*d), s % 3))
+                        .map(ok),
+                    Op::Write(d, f, n) => {
+                        let data = vec![(*f).wrapping_add(1); *n as usize];
+                        fs.write_file(&file_path(*d, *f), &data).map(ok)
+                    }
+                    Op::Read(d, f) => fs
+                        .read_file(&file_path(*d, *f))
+                        .map(|v| format!("{}:{:x?}", v.len(), v.first())),
+                    Op::Stat(d, f) => fs
+                        .stat(&file_path(*d, *f))
+                        .map(|a| format!("{}:{:?}", a.size, a.ftype)),
+                    Op::List(d) => fs.readdir(&dir_name(*d)).map(|v| {
                         v.into_iter()
                             .map(|(n, t)| format!("{n}:{t:?}"))
                             .collect::<Vec<_>>()
                             .join(",")
-                    };
-                    (
-                        norm(nfs.readdir(&p).map(fmt)),
-                        norm(Workbench::readdir(&kosha, &p).map(fmt)),
-                    )
-                }
-                Op::Remove(d, f) => {
-                    let p = file_path(*d, *f);
-                    (
-                        norm(Workbench::remove(&nfs, &p).map(|_| "ok".to_string())),
-                        norm(Workbench::remove(&kosha, &p).map(|_| "ok".to_string())),
-                    )
-                }
-                Op::RmdirSub(d, s) => {
-                    let p = format!("{}/sub{}", dir_name(*d), s % 3);
-                    (
-                        norm(Workbench::rmdir(&nfs, &p).map(|_| "ok".to_string())),
-                        norm(Workbench::rmdir(&kosha, &p).map(|_| "ok".to_string())),
-                    )
-                }
-                Op::RenameFile(d, f, t) => {
-                    let from = file_path(*d, *f);
-                    let to = format!("{}/renamed{}", dir_name(*d), t % 3);
-                    (
-                        norm(Workbench::rename(&nfs, &from, &to).map(|_| "ok".to_string())),
-                        norm(Workbench::rename(&kosha, &from, &to).map(|_| "ok".to_string())),
-                    )
-                }
+                    }),
+                    Op::Remove(d, f) => fs.remove(&file_path(*d, *f)).map(ok),
+                    Op::RmdirSub(d, s) => fs
+                        .rmdir(&format!("{}/sub{}", dir_name(*d), s % 3))
+                        .map(ok),
+                    Op::RenameFile(d, f, t) => fs
+                        .rename(
+                            &file_path(*d, *f),
+                            &format!("{}/renamed{}", dir_name(*d), t % 3),
+                        )
+                        .map(ok),
+                })
             };
+            let (a, b) = (run(nfs.mount()), run(&kosha));
             prop_assert_eq!(b, a, "op {} ({:?}) diverged", i, op);
         }
     }
