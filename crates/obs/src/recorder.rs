@@ -29,8 +29,8 @@
 
 use crate::histogram::Histogram;
 use crate::registry::{Counter, Gauge};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -351,20 +351,54 @@ pub struct HeatEntry {
 
 #[derive(Debug)]
 struct HeatSlot {
-    key: String,
+    key: Arc<str>,
     heat: f64,
     err: f64,
     last_t: u64,
+    /// This slot's rank as it stands in [`Sketch::coldest`].
+    rank: u64,
+}
+
+/// What the heat lock guards: the slots by key, and the same slots in
+/// eviction order.
+#[derive(Debug, Default)]
+struct Sketch {
+    slots: HashMap<Arc<str>, HeatSlot>,
+    /// One `(rank, Reverse(key))` per slot, so the first element is the
+    /// coldest slot, and among equally cold ones the greater key.
+    coldest: BTreeSet<(u64, Reverse<Arc<str>>)>,
+    /// The latest instant any touch has shown the sketch.
+    latest: u64,
 }
 
 /// Per-object read popularity: EWMA with half-life decay per key, capped
 /// by a space-saving sketch (on overflow the coldest entry is replaced
 /// and its heat becomes the newcomer's overestimate bound).
+///
+/// A touch costs a hash lookup and two moves in an ordered set, whatever
+/// the capacity; nothing scans. The order rests on two facts. Every slot
+/// decays at the one half-life, so between two slots the ratio of their
+/// decayed heats is the same at every instant, and
+/// `last_t / half_life + log2(heat)` (the *rank*: the slot's heat in
+/// half-lives, as of time zero) orders them as their decayed heats do at
+/// any instant that is not before either `last_t`. And the sketch's time
+/// never runs backwards: a touch or a query at an instant earlier than
+/// the latest touch seen counts as happening at that latest instant (a
+/// caller's clock may be rewound, as `SimNetwork::call_many` rewinds its
+/// own per entry), so no slot's `last_t` moves back, no interval is
+/// decayed twice, and every comparison is made at an instant the rank is
+/// good for. The rank is an `f64`, like the heats: two slots whose
+/// decayed heats differ by less than the rank resolves (a part in 10^13
+/// once `last_t / half_life` is in the thousands) may tie or swap where
+/// comparing the decayed heats themselves would not, and the tie rule
+/// then decides; in return the rank still tells slots apart after more
+/// than a thousand half-lives of silence, where decayed heats all
+/// underflow to zero.
 #[derive(Debug)]
 pub struct ReadHeat {
     half_life_nanos: u64,
     capacity: usize,
-    slots: Mutex<Vec<HeatSlot>>,
+    sketch: Mutex<Sketch>,
     touches: AtomicU64,
     evictions: AtomicU64,
 }
@@ -389,7 +423,7 @@ impl ReadHeat {
         ReadHeat {
             half_life_nanos: half_life_nanos.max(1),
             capacity: capacity.max(1),
-            slots: Mutex::new(Vec::new()),
+            sketch: Mutex::new(Sketch::default()),
             touches: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
@@ -403,61 +437,73 @@ impl ReadHeat {
         heat * (-dt).exp2()
     }
 
+    /// The rank of a slot just touched (see the type's docs). A touch
+    /// leaves `heat >= 1`, so the rank is a non-negative float and its
+    /// bit pattern orders as it does.
+    fn rank(&self, heat: f64, last_t: u64) -> u64 {
+        let rank = last_t as f64 / self.half_life_nanos as f64 + heat.log2();
+        debug_assert!(rank >= 0.0, "a touched slot holds at least one read");
+        rank.to_bits()
+    }
+
     /// Records one read of `key` at time `t_nanos`.
     pub fn touch(&self, key: &str, t_nanos: u64) {
         self.touches.fetch_add(1, Ordering::Relaxed);
-        let mut slots = self.slots.lock().expect("heat lock");
-        if let Some(s) = slots.iter_mut().find(|s| s.key == key) {
-            s.heat = self.decayed(s.heat, s.last_t, t_nanos) + 1.0;
-            s.err = self.decayed(s.err, s.last_t, t_nanos);
-            s.last_t = t_nanos;
+        let mut guard = self.sketch.lock().expect("heat lock");
+        let sketch = &mut *guard;
+        let t = t_nanos.max(sketch.latest);
+        sketch.latest = t;
+        if let Some(s) = sketch.slots.get_mut(key) {
+            s.heat = self.decayed(s.heat, s.last_t, t) + 1.0;
+            s.err = self.decayed(s.err, s.last_t, t);
+            s.last_t = t;
+            let was = (s.rank, Reverse(Arc::clone(&s.key)));
+            sketch.coldest.remove(&was);
+            s.rank = self.rank(s.heat, t);
+            sketch.coldest.insert((s.rank, was.1));
             return;
         }
-        if slots.len() < self.capacity {
-            slots.push(HeatSlot {
-                key: key.to_string(),
-                heat: 1.0,
-                err: 0.0,
-                last_t: t_nanos,
-            });
-            return;
+        // Space-saving: a newcomer to a full sketch replaces the coldest
+        // slot, whose decayed heat becomes its overestimate bound.
+        let mut err = 0.0;
+        if sketch.slots.len() >= self.capacity {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            let (_, Reverse(victim)) = sketch.coldest.pop_first().expect("capacity >= 1");
+            let gone = sketch.slots.remove(&victim).expect("ranked slot exists");
+            err = self.decayed(gone.heat, gone.last_t, t);
         }
-        // Space-saving: replace the coldest slot; its decayed heat
-        // becomes the newcomer's overestimate bound.
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        let (idx, min_heat) = slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, self.decayed(s.heat, s.last_t, t_nanos)))
-            // min by heat, ties broken by the later (greater) key so the
-            // lexicographically-smallest survivor wins deterministically.
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| slots[b.0].key.cmp(&slots[a.0].key))
-            })
-            .expect("capacity >= 1");
-        let s = &mut slots[idx];
-        s.key = key.to_string();
-        s.err = min_heat;
-        s.heat = min_heat + 1.0;
-        s.last_t = t_nanos;
+        let key: Arc<str> = Arc::from(key);
+        let heat = err + 1.0;
+        let rank = self.rank(heat, t);
+        sketch.coldest.insert((rank, Reverse(Arc::clone(&key))));
+        sketch.slots.insert(
+            Arc::clone(&key),
+            HeatSlot {
+                key,
+                heat,
+                err,
+                last_t: t,
+                rank,
+            },
+        );
     }
 
     /// The `n` hottest objects as of `now_nanos`, hottest first, ties
     /// broken by key. Heat is reported in milli-units.
     #[must_use]
     pub fn top(&self, n: usize, now_nanos: u64) -> Vec<HeatEntry> {
-        let slots = self.slots.lock().expect("heat lock");
-        let mut all: Vec<HeatEntry> = slots
-            .iter()
+        let sketch = self.sketch.lock().expect("heat lock");
+        let now = now_nanos.max(sketch.latest);
+        let mut all: Vec<HeatEntry> = sketch
+            .slots
+            .values()
             .map(|s| HeatEntry {
-                key: s.key.clone(),
-                heat_milli: (self.decayed(s.heat, s.last_t, now_nanos) * 1000.0).round() as u64,
-                err_milli: (self.decayed(s.err, s.last_t, now_nanos) * 1000.0).round() as u64,
+                key: s.key.to_string(),
+                heat_milli: (self.decayed(s.heat, s.last_t, now) * 1000.0).round() as u64,
+                err_milli: (self.decayed(s.err, s.last_t, now) * 1000.0).round() as u64,
             })
             .collect();
-        drop(slots);
+        drop(sketch);
         all.sort_by(|a, b| {
             b.heat_milli
                 .cmp(&a.heat_milli)
@@ -470,14 +516,15 @@ impl ReadHeat {
     /// Decayed heat of one key in milli-units as of `now_nanos`, or
     /// `None` if the sketch does not track it. Threshold checks (did
     /// this object cross the hot-spawn line? has it cooled past the shed
-    /// line?) want a point query, not a full sorted `top` scan.
+    /// line?) want a point query, not a full sorted `top`.
     #[must_use]
     pub fn heat_milli_of(&self, key: &str, now_nanos: u64) -> Option<u64> {
-        let slots = self.slots.lock().expect("heat lock");
-        slots
-            .iter()
-            .find(|s| s.key == key)
-            .map(|s| (self.decayed(s.heat, s.last_t, now_nanos) * 1000.0).round() as u64)
+        let sketch = self.sketch.lock().expect("heat lock");
+        let now = now_nanos.max(sketch.latest);
+        sketch
+            .slots
+            .get(key)
+            .map(|s| (self.decayed(s.heat, s.last_t, now) * 1000.0).round() as u64)
     }
 
     /// Drops `key`'s slot, if tracked. Removal of the underlying object
@@ -485,10 +532,10 @@ impl ReadHeat {
     /// squat in the sketch until enough fresh heat evicts it), so
     /// unlink/rmdir paths call this alongside their cache invalidation.
     pub fn forget(&self, key: &str) {
-        self.slots
-            .lock()
-            .expect("heat lock")
-            .retain(|s| s.key != key);
+        let mut sketch = self.sketch.lock().expect("heat lock");
+        if let Some(s) = sketch.slots.remove(key) {
+            sketch.coldest.remove(&(s.rank, Reverse(s.key)));
+        }
     }
 
     /// Total reads observed.
@@ -801,6 +848,225 @@ mod tests {
         // Forgetting an untracked key is a no-op.
         heat.forget("/ghost");
         assert_eq!(heat.top(8, 3).len(), 2);
+    }
+
+    #[test]
+    fn heat_time_never_runs_backwards() {
+        let hl = 1_000;
+        let heat = ReadHeat::new(hl, 8);
+        heat.touch("/a", 10 * hl);
+        // A touch from a rewound clock counts at the latest instant seen:
+        // `last_t` stays put, so the third touch decays nothing twice.
+        heat.touch("/a", 0);
+        heat.touch("/a", 10 * hl);
+        assert_eq!(heat.heat_milli_of("/a", 10 * hl), Some(3000));
+        // A newcomer from the rewound clock is as fresh as the latest
+        // touch, and queries are held to the same clock.
+        heat.touch("/b", 3 * hl);
+        assert_eq!(heat.heat_milli_of("/b", 11 * hl), Some(500));
+        assert_eq!(heat.heat_milli_of("/b", 0), Some(1000));
+        assert_eq!(heat.top(1, 0)[0].heat_milli, 3000);
+    }
+
+    /// The sketch as it was before it kept an order: slots in a `Vec`,
+    /// found by scanning for the key, the victim found by decaying every
+    /// slot to the instant of the eviction and taking the least (on a
+    /// tie the greater key). With the rule that its time never runs
+    /// backwards, this is the definition [`ReadHeat`] is held to.
+    struct ScanHeat {
+        half_life_nanos: u64,
+        capacity: usize,
+        slots: Vec<ScanSlot>,
+        latest: u64,
+        evictions: u64,
+    }
+
+    struct ScanSlot {
+        key: String,
+        heat: f64,
+        err: f64,
+        last_t: u64,
+    }
+
+    impl ScanHeat {
+        fn decayed(&self, heat: f64, from_t: u64, to_t: u64) -> f64 {
+            if to_t <= from_t {
+                return heat;
+            }
+            let dt = (to_t - from_t) as f64 / self.half_life_nanos as f64;
+            heat * (-dt).exp2()
+        }
+
+        fn touch(&mut self, key: &str, t_nanos: u64) {
+            let t = t_nanos.max(self.latest);
+            self.latest = t;
+            if let Some(i) = self.slots.iter().position(|s| s.key == key) {
+                let (heat, err, last_t) = {
+                    let s = &self.slots[i];
+                    (s.heat, s.err, s.last_t)
+                };
+                self.slots[i].heat = self.decayed(heat, last_t, t) + 1.0;
+                self.slots[i].err = self.decayed(err, last_t, t);
+                self.slots[i].last_t = t;
+                return;
+            }
+            let mut slot = ScanSlot {
+                key: key.to_string(),
+                heat: 1.0,
+                err: 0.0,
+                last_t: t,
+            };
+            if self.slots.len() < self.capacity {
+                self.slots.push(slot);
+                return;
+            }
+            self.evictions += 1;
+            let (idx, min_heat) = self
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i, self.decayed(s.heat, s.last_t, t)))
+                .min_by(|a, b| {
+                    a.1.partial_cmp(&b.1)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| self.slots[b.0].key.cmp(&self.slots[a.0].key))
+                })
+                .expect("capacity >= 1");
+            slot.err = min_heat;
+            slot.heat = min_heat + 1.0;
+            self.slots[idx] = slot;
+        }
+
+        fn top(&self, n: usize, now_nanos: u64) -> Vec<HeatEntry> {
+            let now = now_nanos.max(self.latest);
+            let mut all: Vec<HeatEntry> = self
+                .slots
+                .iter()
+                .map(|s| HeatEntry {
+                    key: s.key.clone(),
+                    heat_milli: (self.decayed(s.heat, s.last_t, now) * 1000.0).round() as u64,
+                    err_milli: (self.decayed(s.err, s.last_t, now) * 1000.0).round() as u64,
+                })
+                .collect();
+            all.sort_by(|a, b| {
+                b.heat_milli
+                    .cmp(&a.heat_milli)
+                    .then_with(|| a.key.cmp(&b.key))
+            });
+            all.truncate(n);
+            all
+        }
+
+        fn forget(&mut self, key: &str) {
+            self.slots.retain(|s| s.key != key);
+        }
+    }
+
+    /// Replays `ops` (`(kind, key, time step)`) on the sketch and on the
+    /// scan and holds them to each other after every one. `step_scale`
+    /// is 0 for a frozen clock. A step now and then goes backwards.
+    fn replay_against_scan(capacity: usize, step_scale: u64, ops: &[(u8, u8, u32)]) {
+        // Half-life and steps keep a whole replay within some twenty
+        // half-lives, where `f64` tells any two histories apart both as
+        // decayed heats and as ranks.
+        let hl = 1_000_000_000;
+        let heat = ReadHeat::new(hl, capacity);
+        let mut scan = ScanHeat {
+            half_life_nanos: hl,
+            capacity,
+            slots: Vec::new(),
+            latest: 0,
+            evictions: 0,
+        };
+        let keys: Vec<String> = (0..=capacity * 3).map(|i| format!("/f{i}")).collect();
+        let mut now = 5 * hl;
+        for &(kind, key, step) in ops {
+            let key = &keys[key as usize % keys.len()];
+            let step = u64::from(step) * step_scale;
+            let t = if kind % 16 == 15 {
+                now.saturating_sub(step)
+            } else {
+                now += step;
+                now
+            };
+            match kind % 8 {
+                0 => {
+                    heat.forget(key);
+                    scan.forget(key);
+                }
+                1 => assert_eq!(heat.top(3, t), scan.top(3, t)),
+                _ => {
+                    heat.touch(key, t);
+                    scan.touch(key, t);
+                }
+            }
+            // Every slot's key, heat and bound after every op: the same
+            // keys before a touch and after it is the same victim.
+            let all = scan.top(usize::MAX, t);
+            assert_eq!(heat.top(usize::MAX, t), all);
+            assert_eq!(heat.evictions(), scan.evictions);
+            assert_eq!(
+                heat.heat_milli_of(key, t),
+                all.iter().find(|e| &e.key == key).map(|e| e.heat_milli)
+            );
+        }
+    }
+
+    fn arb_heat_ops() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u8, u32)>> {
+        use proptest::prelude::*;
+        proptest::collection::vec((any::<u8>(), any::<u8>(), 0u32..50_000), 0..400)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sketch_agrees_with_the_scan_on_a_frozen_clock(ops in arb_heat_ops()) {
+            for capacity in [1, 2, 64] {
+                replay_against_scan(capacity, 0, &ops);
+            }
+        }
+
+        #[test]
+        fn sketch_agrees_with_the_scan_on_a_moving_clock(ops in arb_heat_ops()) {
+            for capacity in [1, 2, 64] {
+                // Steps of up to 50 µs (many near-ties in time) and of up
+                // to 50 ms (a replay spans twenty half-lives).
+                replay_against_scan(capacity, 1, &ops);
+                replay_against_scan(capacity, 1_000, &ops);
+            }
+        }
+    }
+
+    fn time_missing_touches(capacity: usize) -> std::time::Duration {
+        let heat = ReadHeat::new(DEFAULT_HEAT_HALF_LIFE_NANOS, capacity);
+        let keys: Vec<String> = (0..capacity * 4).map(|i| format!("/bulk/f{i}")).collect();
+        // Fill the sketch, then time touches that all miss and evict: a
+        // key comes round again long after the sketch has let it go.
+        for (t, key) in keys.iter().enumerate() {
+            heat.touch(key, t as u64);
+        }
+        let start = std::time::Instant::now();
+        for t in 0..100_000usize {
+            heat.touch(&keys[t % keys.len()], (keys.len() + t) as u64 * 1_000);
+        }
+        let took = start.elapsed();
+        assert!(heat.evictions() > 100_000);
+        took
+    }
+
+    /// A touch finds its key by hash and its victim at the front of an
+    /// order: its cost does not follow the number of slots. When it
+    /// scanned them the ratio below was ≈ 60; 3 leaves room for the
+    /// deeper tree and the colder cache, and each side is the better of
+    /// two runs, so that a loaded machine cannot fail it.
+    #[test]
+    fn touch_cost_does_not_grow_with_capacity() {
+        let best_of_two = |cap| time_missing_touches(cap).min(time_missing_touches(cap));
+        let small = best_of_two(64);
+        let large = best_of_two(4_096);
+        assert!(
+            large < small * 3,
+            "100 000 missing touches took {small:?} at capacity 64 and {large:?} at 4 096"
+        );
     }
 
     #[test]

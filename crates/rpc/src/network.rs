@@ -10,7 +10,6 @@ use crate::clock::Clock;
 use crate::wire::{Frame, PayloadPart, Reader, WireError, WireRead, WireWrite, Writer};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -348,11 +347,10 @@ pub trait RpcHandler: Send + Sync {
     }
 }
 
-/// Per-node table of service handlers.
+/// Per-node table of service handlers, one slot per [`ServiceId`].
 #[derive(Default)]
 pub struct ServiceMux {
-    // lint: allow(L008) bounded by the fixed ServiceId set: registered once at node construction, never per-peer
-    handlers: RwLock<HashMap<ServiceId, Arc<dyn RpcHandler>>>,
+    handlers: RwLock<[Option<Arc<dyn RpcHandler>>; ServiceId::ALL.len()]>,
 }
 
 impl ServiceMux {
@@ -364,35 +362,33 @@ impl ServiceMux {
 
     /// Registers (or replaces) the handler for `service`.
     pub fn register(&self, service: ServiceId, handler: Arc<dyn RpcHandler>) {
-        self.handlers.write().insert(service, handler);
+        self.handlers.write()[service.index()] = Some(handler);
     }
 
     /// Dispatches a request to the registered handler.
     pub fn dispatch(&self, from: NodeAddr, req: &RpcRequest) -> Result<RpcResponse, RpcError> {
         let handler = self
-            .handlers
-            .read()
-            .get(&req.service)
-            .cloned()
+            .handler(req.service)
             .ok_or(RpcError::NoService(req.service))?;
         handler.handle_frame(from, req.frame())
     }
 
-    /// The services currently registered (used by transports that
-    /// dedicate resources per service, e.g. one mailbox thread each).
+    /// The services currently registered, in tag order (used by
+    /// transports that dedicate resources per service, e.g. one mailbox
+    /// thread each, and spawn them in this order).
     #[must_use]
     pub fn services(&self) -> Vec<ServiceId> {
-        let mut services: Vec<ServiceId> = self.handlers.read().keys().copied().collect();
-        // Tag order, not hash order: callers spawn per-service resources
-        // (mailbox threads) in this order, and that must be stable.
-        services.sort_by_key(|s| s.index());
-        services
+        let handlers = self.handlers.read();
+        ServiceId::ALL
+            .into_iter()
+            .filter(|s| handlers[s.index()].is_some())
+            .collect()
     }
 
     /// Fetches one service's handler.
     #[must_use]
     pub fn handler(&self, service: ServiceId) -> Option<Arc<dyn RpcHandler>> {
-        self.handlers.read().get(&service).cloned()
+        self.handlers.read()[service.index()].clone()
     }
 }
 

@@ -12,10 +12,11 @@
 //! * **Determinism** — pop order is a pure function of the insert
 //!   sequence. Same seed, same inserts ⇒ byte-identical drain, which is
 //!   what the CI determinism gates rely on.
-//! * **Scale** — a 10k-node churn run schedules millions of message
-//!   deliveries, pump ticks, and timer wakeups; each costs one heap push
-//!   and one pop, so total work grows as `m log n` rather than the
-//!   `m · n` of scanning per-node state per step.
+//! * **Scale** — a 10k-node churn run schedules millions of pump ticks,
+//!   timer wakeups, and the message deliveries that fall due among them;
+//!   each costs one heap push and one pop, so total work grows as
+//!   `m log n` rather than the `m · n` of scanning per-node state per
+//!   step.
 //!
 //! The scheduler is payload-generic so the transport can queue its own
 //! event enum while property tests drive it with plain integers.
@@ -25,6 +26,12 @@
 //! dispatch-latency histogram (virtual nanoseconds an event spent queued
 //! before its deadline arrived), all registered as flight-recorder
 //! sources so `kosha-top` shows runtime health.
+//!
+//! `kosha_sched_events_total` counts events popped from the heap, no
+//! more: it is not a count of RPCs or of clock movements. The transport
+//! queues a delivery leg only when something else is due at or before
+//! the leg's deadline (see [`SimNetwork`](crate::SimNetwork)'s module
+//! docs), so calls made while nothing is armed leave it at zero.
 
 use kosha_obs::{Counter, Gauge, Histogram, Obs};
 use parking_lot::Mutex;

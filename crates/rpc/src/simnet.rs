@@ -18,13 +18,15 @@
 //! naturally. Failure injection: a call to a failed node charges the
 //! configured timeout and returns [`RpcError::Unreachable`].
 //!
-//! **Event-driven core.** The clock no longer steps inline: every modeled
-//! cost becomes a waypoint event on a binary-heap
-//! [`Scheduler`](crate::sched::Scheduler) keyed by `(deadline, seq)`, and
-//! the transport advances time by draining due events in O(log n) each —
-//! message-delivery legs, pump ticks, and timer wakeups all interleave in
-//! deadline order. Determinism is preserved because ties break on the
-//! insertion sequence number. Two driving styles coexist:
+//! **Event-driven core.** Timers and pump ticks are events on a
+//! binary-heap [`Scheduler`](crate::sched::Scheduler) keyed by
+//! `(deadline, seq)`, and every modeled cost advances time through it:
+//! a message-delivery leg whose deadline something queued is due at or
+//! before becomes a waypoint event itself and drains the heap up to its
+//! deadline in O(log n) per event, so legs, pump ticks, and timer wakeups
+//! interleave in deadline order; a leg nothing is due before moves the
+//! clock and schedules nothing. Determinism is preserved because ties
+//! break on the insertion sequence number. Two driving styles coexist:
 //!
 //! * Legacy [`SimNetwork::run_pumps`] fires every registered pump once at
 //!   the current instant (heap-routed, registration order via `seq`),
@@ -43,7 +45,7 @@ use crate::network::{
 use crate::sched::Scheduler;
 use kosha_obs::{trace, Obs};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -115,14 +117,19 @@ impl LatencyModel {
     }
 }
 
+/// One attached address: its mux, and whether the machine is up. An
+/// address that is not attached is not up, and `attach` brings a machine
+/// up, so a crash needs remembering only for addresses in this table.
 struct Registered {
     mux: Arc<ServiceMux>,
+    up: bool,
 }
 
 /// Payload of one scheduler event.
 enum SimEvent {
     /// A pure clock waypoint: the end of a modeled message-delivery leg
-    /// or failure timeout. Dispatching it only moves the clock.
+    /// or failure timeout that something else is due before. Dispatching
+    /// it only moves the clock.
     Wakeup,
     /// One `run_pumps()`-style tick of pump-table entry `i` (one-shot).
     PumpOnce(usize),
@@ -161,7 +168,6 @@ pub struct SimNetwork {
     clock: Arc<VirtualClock>,
     model: LatencyModel,
     nodes: RwLock<HashMap<NodeAddr, Registered>>,
-    down: RwLock<HashSet<NodeAddr>>,
     /// Optional coordinates per host for distance-dependent latency.
     coords: RwLock<HashMap<NodeAddr, (f64, f64)>>,
     metrics: NetMetrics,
@@ -187,7 +193,6 @@ impl SimNetwork {
             clock: VirtualClock::new(),
             model,
             nodes: RwLock::new(HashMap::new()),
-            down: RwLock::new(HashSet::new()),
             coords: RwLock::new(HashMap::new()),
             metrics,
             sched,
@@ -210,8 +215,9 @@ impl SimNetwork {
     /// Attaches a node's service mux at `addr`. Re-attaching replaces the
     /// previous registration (a reinstalled machine).
     pub fn attach(&self, addr: NodeAddr, mux: Arc<ServiceMux>) {
-        self.nodes.write().insert(addr, Registered { mux });
-        self.down.write().remove(&addr);
+        self.nodes
+            .write()
+            .insert(addr, Registered { mux, up: true });
     }
 
     /// Detaches a node entirely (permanent removal). The departed peer's
@@ -220,7 +226,6 @@ impl SimNetwork {
     /// bound.
     pub fn detach(&self, addr: NodeAddr) {
         self.nodes.write().remove(&addr);
-        self.down.write().remove(&addr);
         self.coords.write().remove(&addr);
         self.metrics.prune_peer(addr);
     }
@@ -229,12 +234,18 @@ impl SimNetwork {
     /// preserved (a crashed machine's disk persists), matching the
     /// availability-trace semantics of Section 6.3.
     pub fn fail_node(&self, addr: NodeAddr) {
-        self.down.write().insert(addr);
+        self.set_up(addr, false);
     }
 
     /// Revives a previously failed node with its state intact.
     pub fn recover_node(&self, addr: NodeAddr) {
-        self.down.write().remove(&addr);
+        self.set_up(addr, true);
+    }
+
+    fn set_up(&self, addr: NodeAddr, up: bool) {
+        if let Some(r) = self.nodes.write().get_mut(&addr) {
+            r.up = up;
+        }
     }
 
     /// Places a host at coordinates `(x, y)` in the latency space. Pairs
@@ -367,14 +378,21 @@ impl SimNetwork {
         );
     }
 
-    /// Advances the clock by `d` through the event heap: schedules a
-    /// waypoint at `now + d` and drains everything due before it. This
-    /// is the modeled-cost primitive every RPC leg charges through.
+    /// Advances the clock by `d`, the modeled-cost primitive every RPC
+    /// leg charges through. When something queued is due at or before
+    /// `now + d` the leg is a waypoint in the heap and everything due
+    /// before it is drained in `(deadline, seq)` order; when nothing is,
+    /// the drain would pop the waypoint alone, so the clock moves and
+    /// nothing is scheduled.
     fn step(&self, d: Duration) {
         let now = self.clock.now().0;
         let target = now.saturating_add(d.as_nanos() as u64);
-        self.sched.schedule_at(target, now, SimEvent::Wakeup);
-        self.dispatch_until(target);
+        if self.sched.peek_deadline().is_some_and(|due| due <= target) {
+            self.sched.schedule_at(target, now, SimEvent::Wakeup);
+            self.dispatch_until(target);
+        } else {
+            self.clock.set(SimTime(target));
+        }
     }
 
     /// Pops and dispatches every event with `deadline <= target`, moving
@@ -444,12 +462,12 @@ impl SimNetwork {
         let start = self.clock.now();
         let account = CallAccount::enter(&self.metrics, from, to, &req, start);
 
-        let is_down = self.down.read().contains(&to);
-        let mux = if is_down {
-            None
-        } else {
-            self.nodes.read().get(&to).map(|r| Arc::clone(&r.mux))
-        };
+        let mux = self
+            .nodes
+            .read()
+            .get(&to)
+            .filter(|r| r.up)
+            .map(|r| Arc::clone(&r.mux));
 
         let Some(mux) = mux else {
             self.step(self.model.timeout);
@@ -476,9 +494,8 @@ impl SimNetwork {
             let link = self.link_latency(from, to);
             // Charge request-direction costs before the handler runs so
             // that nested calls see a clock that already includes
-            // delivery. The delivery leg is a heap waypoint: timers and
-            // armed pump ticks that come due before it fire first, in
-            // deadline order.
+            // delivery. Timers and armed pump ticks that come due before
+            // the delivery leg ends fire first, in deadline order.
             let req_time = self.model.transfer_time(req.wire_size());
             self.step(link + req_time + self.model.server_op_cost);
             let result = dispatch();
@@ -567,7 +584,7 @@ impl Network for SimNetwork {
     }
 
     fn is_up(&self, addr: NodeAddr) -> bool {
-        !self.down.read().contains(&addr) && self.nodes.read().contains_key(&addr)
+        self.nodes.read().get(&addr).is_some_and(|r| r.up)
     }
 
     /// Records the hook (and its interval, the recurring-timer cadence
@@ -694,6 +711,60 @@ mod tests {
         net.recover_node(NodeAddr(2));
         assert!(net.is_up(NodeAddr(2)));
         assert!(net.call(NodeAddr(1), NodeAddr(2), req).is_ok());
+    }
+
+    #[test]
+    fn fail_node_before_attach_is_forgotten_by_attach() {
+        let net = net_with_echo(LatencyModel::zero());
+        let req = RpcRequest::new(ServiceId::Nfs, &1u32);
+        // A crash report for an address nobody attached leaves it what
+        // it was, not up; attaching brings the machine up.
+        net.fail_node(NodeAddr(9));
+        assert!(!net.is_up(NodeAddr(9)));
+        assert_eq!(
+            net.call(NodeAddr(1), NodeAddr(9), req.clone()).unwrap_err(),
+            RpcError::Unreachable(NodeAddr(9))
+        );
+        net.recover_node(NodeAddr(9));
+        assert!(!net.is_up(NodeAddr(9)));
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Nfs, Arc::new(Echo));
+        net.attach(NodeAddr(9), mux);
+        assert!(net.is_up(NodeAddr(9)));
+        assert!(net.call(NodeAddr(1), NodeAddr(9), req.clone()).is_ok());
+        // Detaching a failed node forgets the crash with the node.
+        net.fail_node(NodeAddr(9));
+        net.detach(NodeAddr(9));
+        net.recover_node(NodeAddr(9));
+        assert!(!net.is_up(NodeAddr(9)));
+        assert!(net.call(NodeAddr(1), NodeAddr(9), req).is_err());
+    }
+
+    #[test]
+    fn an_uncontended_call_schedules_nothing() {
+        for model in [LatencyModel::zero(), LatencyModel::default()] {
+            let net = net_with_echo(model.clone());
+            net.fail_node(NodeAddr(2));
+            let mux = Arc::new(ServiceMux::new());
+            mux.register(ServiceId::Nfs, Arc::new(Echo));
+            net.attach(NodeAddr(3), mux);
+            let mut modelled = Duration::ZERO;
+            for i in 0..1000u32 {
+                let req = RpcRequest::new(ServiceId::Nfs, &vec![0u8; i as usize]);
+                let req_bytes = req.wire_size();
+                // Remote, loopback and timed-out calls in turn.
+                let to = NodeAddr(u64::from(i % 3) + 1);
+                modelled += match net.call(NodeAddr(1), to, req) {
+                    Ok(_) if to == NodeAddr(1) => model.loopback_cost,
+                    Ok(resp) => model.remote_rtt(req_bytes, resp.wire_size()),
+                    Err(_) => model.timeout,
+                };
+            }
+            assert_eq!(net.clock().now().as_duration(), modelled);
+            let reg = &net.obs().registry;
+            assert_eq!(reg.counter("kosha_sched_events_total").get(), 0);
+            assert_eq!(reg.gauge("kosha_sched_heap_depth_hwm").get(), 0);
+        }
     }
 
     #[test]

@@ -123,3 +123,162 @@ fn simnet_timers_fire_in_deadline_order() {
     assert_eq!(fired.lock()[3], (3, "late"));
     assert_eq!(net.virtual_clock().now(), SimTime(50_000_000));
 }
+
+/// What the property below replays: timers, calls (loopback, remote with
+/// a nested call from the handler, to a crashed node) and `run_for`
+/// spans, against two recurring pumps of which one calls out.
+#[derive(Debug, Clone)]
+enum Step {
+    Timer(u64),
+    Call(u64),
+    RunFor(u64),
+}
+
+/// One replay. `forced` plants an already-due no-op timer before every
+/// delivery leg (ahead of each call, and as the last act of each
+/// handler), so every leg finds something due and takes the heap path;
+/// without it a leg queues only when a real event is due before it.
+/// Returns the `(instant, who)` log of every real firing, ending with
+/// the final clock.
+fn replay(steps: &[Step], forced: bool) -> Vec<(u64, u32)> {
+    use kosha_rpc::{
+        Network, NodeAddr, PumpHook, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId,
+        ServiceMux,
+    };
+    use std::sync::Weak;
+
+    struct World {
+        net: Arc<SimNetwork>,
+        log: parking_lot::Mutex<Vec<(u64, u32)>>,
+        forced: bool,
+        sentinels: AtomicUsize,
+        legs: AtomicUsize,
+    }
+    impl World {
+        fn note(&self, who: u32) {
+            self.log
+                .lock()
+                .push((self.net.virtual_clock().now().0, who));
+        }
+        fn force_next_leg(self: &Arc<Self>) {
+            if self.forced {
+                let w = Arc::clone(self);
+                self.net.schedule_after(Duration::ZERO, move || {
+                    w.sentinels.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        }
+        fn call(self: &Arc<Self>, from: u64, to: u64) {
+            self.force_next_leg();
+            let local_or_dead = from == to || !self.net.is_up(NodeAddr(to));
+            self.legs
+                .fetch_add(if local_or_dead { 1 } else { 2 }, Ordering::SeqCst);
+            let req = RpcRequest::new(ServiceId::Nfs, &vec![0u8; 100 * to as usize]);
+            let _ = self.net.call(NodeAddr(from), NodeAddr(to), req);
+        }
+    }
+    /// Handler of one node: logs its address; node 2 relays to node 1
+    /// and logs again; replies.
+    struct Node(Weak<World>, u64);
+    impl RpcHandler for Node {
+        fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+            let w = self.0.upgrade().expect("world outlives its calls");
+            w.note(100 + self.1 as u32);
+            if self.1 == 2 {
+                w.call(2, 1);
+                w.note(112);
+            }
+            w.force_next_leg();
+            Ok(RpcResponse::new(&0u8))
+        }
+    }
+    /// Pump `id`: logs; pump 1 also calls node 2 (which relays).
+    struct Pump(Weak<World>, u32);
+    impl PumpHook for Pump {
+        fn pump(&self) {
+            let w = self.0.upgrade().expect("world outlives its pumps");
+            w.note(200 + self.1);
+            if self.1 == 1 {
+                w.call(1, 2);
+            }
+        }
+    }
+
+    let world = Arc::new(World {
+        // Every cost a multiple of 50 µs, like the timers and spans of
+        // `arb_steps`, so events falling due exactly when a leg ends
+        // are common; and a timeout of a few pump intervals.
+        net: SimNetwork::new(LatencyModel {
+            hop_latency: Duration::from_micros(100),
+            server_op_cost: Duration::from_micros(50),
+            loopback_cost: Duration::from_micros(50),
+            timeout: Duration::from_millis(5),
+            ..LatencyModel::zero()
+        }),
+        log: parking_lot::Mutex::new(Vec::new()),
+        forced,
+        sentinels: AtomicUsize::new(0),
+        legs: AtomicUsize::new(0),
+    });
+    let net = &world.net;
+    for a in 1..=3 {
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Nfs, Arc::new(Node(Arc::downgrade(&world), a)));
+        net.attach(NodeAddr(a), mux);
+    }
+    net.fail_node(NodeAddr(3));
+    let pumps: Vec<Arc<dyn PumpHook>> = vec![
+        Arc::new(Pump(Arc::downgrade(&world), 0)),
+        Arc::new(Pump(Arc::downgrade(&world), 1)),
+    ];
+    net.schedule_pump(Arc::downgrade(&pumps[0]), Duration::from_micros(700));
+    net.schedule_pump(Arc::downgrade(&pumps[1]), Duration::from_micros(1900));
+
+    for (i, step) in steps.iter().enumerate() {
+        match *step {
+            Step::Timer(after_us) => {
+                let w = Arc::clone(&world);
+                net.schedule_after(Duration::from_micros(after_us), move || {
+                    w.note(300 + i as u32);
+                });
+            }
+            Step::Call(to) => world.call(1, to),
+            Step::RunFor(us) => net.run_for(Duration::from_micros(us)),
+        }
+    }
+    let mut log = std::mem::take(&mut *world.log.lock());
+    let fired = log.iter().filter(|&&(_, who)| who >= 200).count();
+    let popped = net.obs().registry.counter("kosha_sched_events_total").get() as usize;
+    let waypoints = popped - fired - world.sentinels.load(Ordering::SeqCst);
+    if forced {
+        assert_eq!(waypoints, world.legs.load(Ordering::SeqCst));
+    } else {
+        assert!(waypoints <= world.legs.load(Ordering::SeqCst));
+    }
+    log.push((net.virtual_clock().now().0, 0));
+    log
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (0u64..60).prop_map(|n| Step::Timer(n * 50)),
+            (1u64..4).prop_map(Step::Call),
+            (0u64..50).prop_map(|n| Step::RunFor(n * 50)),
+        ],
+        0..40,
+    )
+}
+
+proptest! {
+    /// A delivery leg that skips the heap because nothing is due before
+    /// it is the same leg: timers, pump ticks and handlers (nested calls
+    /// included) fire in the same order at the same instants, and the
+    /// clock ends where it would, as when every leg is a heap waypoint.
+    #[test]
+    fn skipping_the_heap_changes_no_instant_and_no_order(steps in arb_steps()) {
+        let plain = replay(&steps, false);
+        let forced = replay(&steps, true);
+        prop_assert_eq!(plain, forced);
+    }
+}
