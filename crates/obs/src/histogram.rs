@@ -3,10 +3,11 @@
 //! Values (typically latencies in nanoseconds) are binned into buckets
 //! whose width grows geometrically: each power-of-two octave is split
 //! into 16 linear sub-buckets, so the relative error of any recorded
-//! value is at most 1/16 (~6%). All state is atomic; recording is a
-//! single `fetch_add` plus a `fetch_max`, safe from any thread without
-//! locks. Histograms merge losslessly (bucket-wise addition), which the
-//! property tests exercise for associativity/commutativity.
+//! value is at most 1/16 (~6%). All state is atomic; recording is three
+//! `fetch_add`s, and a `fetch_max` when the sample is a new maximum, safe
+//! from any thread without locks. Histograms merge losslessly
+//! (bucket-wise addition), which the property tests exercise for
+//! associativity/commutativity.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -91,7 +92,11 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The maximum only grows, and seldom: look before writing, so a
+        // sample that does not raise it leaves the word alone.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Records a `Duration` as nanoseconds (saturating at `u64::MAX`).

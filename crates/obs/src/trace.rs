@@ -101,30 +101,6 @@ static TRACER_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Bits of a span id reserved for the per-tracer counter.
 const LOCAL_BITS: u32 = 40;
 
-/// A child span opened with [`Tracer::open_child`] and not yet closed:
-/// the split-phase form of [`Tracer::child_with`], used when multiple
-/// spans overlap on one thread (async fan-out).
-#[derive(Debug, Clone, Copy)]
-pub struct OpenSpan {
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
-    node: u64,
-    start_nanos: u64,
-}
-
-impl OpenSpan {
-    /// The span's context, for stamping into an outgoing wire header so
-    /// server-side spans parent under it.
-    #[must_use]
-    pub fn ctx(&self) -> SpanContext {
-        SpanContext {
-            trace_id: self.trace_id,
-            span_id: self.span_id,
-        }
-    }
-}
-
 /// A bounded buffer of completed spans plus a deterministic id
 /// allocator. One per [`crate::Obs`] domain.
 #[derive(Debug)]
@@ -248,40 +224,6 @@ impl Tracer {
             end_nanos: now(),
         });
         out
-    }
-
-    /// Opens a child span of the ambient context *without* scoping it to
-    /// a closure, for overlapped (fan-out / continuation-style) work
-    /// where several spans must be in flight on one thread at once.
-    /// Returns `None` when no trace is active. The caller stamps
-    /// [`OpenSpan::ctx`] into outgoing wire headers and finishes the
-    /// span with [`Tracer::close`] once the work completes; dropping an
-    /// `OpenSpan` without closing records nothing.
-    #[must_use]
-    pub fn open_child(&self, node: u64, start_nanos: u64) -> Option<OpenSpan> {
-        let parent = current()?;
-        let span_id = self.next_id();
-        Some(OpenSpan {
-            trace_id: parent.trace_id,
-            span_id,
-            parent_id: parent.span_id,
-            node,
-            start_nanos,
-        })
-    }
-
-    /// Records an [`OpenSpan`] opened by [`Tracer::open_child`] as
-    /// completed at `end_nanos`.
-    pub fn close(&self, span: OpenSpan, name: impl Into<String>, end_nanos: u64) {
-        self.push(SpanRecord {
-            trace_id: span.trace_id,
-            span_id: span.span_id,
-            parent_id: span.parent_id,
-            name: name.into(),
-            node: span.node,
-            start_nanos: span.start_nanos,
-            end_nanos,
-        });
     }
 
     /// Number of buffered spans.

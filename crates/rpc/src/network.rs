@@ -373,18 +373,6 @@ impl ServiceMux {
         handler.handle_frame(from, req.frame())
     }
 
-    /// The services currently registered, in tag order (used by
-    /// transports that dedicate resources per service, e.g. one mailbox
-    /// thread each, and spawn them in this order).
-    #[must_use]
-    pub fn services(&self) -> Vec<ServiceId> {
-        let handlers = self.handlers.read();
-        ServiceId::ALL
-            .into_iter()
-            .filter(|s| handlers[s.index()].is_some())
-            .collect()
-    }
-
     /// Fetches one service's handler.
     #[must_use]
     pub fn handler(&self, service: ServiceId) -> Option<Arc<dyn RpcHandler>> {
@@ -435,12 +423,6 @@ impl CallCompletion {
         }
     }
 
-    /// True when the result is already available and `wait` cannot block.
-    #[must_use]
-    pub fn is_ready(&self) -> bool {
-        matches!(self.inner, CompletionInner::Ready(_))
-    }
-
     /// Blocks until the RPC finishes (or times out at the transport's
     /// configured deadline) and returns its result.
     pub fn wait(self) -> Result<RpcResponse, RpcError> {
@@ -469,16 +451,20 @@ pub trait Network: Send + Sync {
         CallCompletion::ready(self.call(from, to, req))
     }
 
-    /// Performs a batch of RPCs issued concurrently from `from`,
-    /// blocking until every one has completed. Results are returned in
-    /// batch order, each carrying the same success/failure outcome
-    /// [`Network::call`] would have produced for that entry.
+    /// Performs a batch of RPCs from `from`, blocking until every one
+    /// has completed. Results are returned in batch order, each carrying
+    /// the same success/failure outcome [`Network::call`] would have
+    /// produced for that entry.
     ///
-    /// Transports overlap the batch: [`crate::SimNetwork`] charges the
-    /// virtual clock the `max` of the per-call latencies instead of
-    /// their sum, and [`crate::ThreadedNetwork`] runs the calls on real
-    /// concurrent threads. The default implementation is serial, which
-    /// is always semantically correct — just slower.
+    /// The provided method is serial: one blocking `call` per entry, in
+    /// batch order. That is always semantically correct, so no handler
+    /// may depend on its batch-mates being in flight, and it is what
+    /// [`crate::ThreadedNetwork`] does (plus a batch-size sample): the
+    /// handlers a fan-out reaches take microseconds, less than handing
+    /// one to another thread costs. [`crate::SimNetwork`] overrides it to
+    /// model the overlap of a real network, charging the virtual clock
+    /// the `max` of the per-call latencies instead of their sum. A caller
+    /// that wants overlap in real time uses [`Network::call_async`].
     fn call_many(
         &self,
         from: NodeAddr,

@@ -34,10 +34,10 @@
 //!   [`CallCompletion`]) may pull *the one actor its reply depends on*
 //!   off the run queue and serve it while it waits.
 //!
-//! [`Network::call_many`] issues all but its last entry through the
-//! queued path and the last through the blocking one, so a K = 2 mirror
-//! fan-out still overlaps (one entry on a worker, one on the caller)
-//! and the caller works instead of parking.
+//! [`Network::call_many`] is the trait's serial fan-out: each entry is a
+//! blocking `call`, in batch order, so a batch of idle destinations runs
+//! on its caller and wakes nobody. A caller that wants its RPCs in
+//! flight at once asks for that by name, with [`Network::call_async`].
 //!
 //! # Deadlock discipline
 //!
@@ -79,7 +79,7 @@ use crate::network::{
 };
 use kosha_obs::{trace, Counter, Gauge, Histogram, Obs};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Weak};
@@ -349,6 +349,28 @@ fn await_reply(
     }
 }
 
+/// One attached address: its actors by [`ServiceId::index`], and whether
+/// the machine is up. An address that is not attached is not up, and
+/// `attach` brings a machine up, so a crash needs remembering only for
+/// addresses in this table.
+struct Registered {
+    actors: [Option<Arc<ServiceActor>>; ServiceId::ALL.len()],
+    up: bool,
+}
+
+impl Registered {
+    /// Closes every actor of a node that has left the table. Dropping
+    /// queued items drops their reply senders; waiters observe the
+    /// disconnect as `Unreachable`.
+    fn close(self) {
+        for actor in self.actors.into_iter().flatten() {
+            let mut inner = actor.inner.lock();
+            inner.closed = true;
+            inner.q.clear();
+        }
+    }
+}
+
 /// A periodic hook registration on the shared timer thread.
 struct TimerEntry {
     hook: Weak<dyn PumpHook>,
@@ -362,8 +384,7 @@ struct TimerEntry {
 /// or the node is detached.
 pub struct ThreadedNetwork {
     shared: Arc<ReactorShared>,
-    actors: RwLock<HashMap<(NodeAddr, ServiceId), Arc<ServiceActor>>>,
-    down: RwLock<HashSet<NodeAddr>>,
+    nodes: RwLock<HashMap<NodeAddr, Registered>>,
     /// How long callers wait for a reply before declaring the node dead.
     call_timeout: Duration,
     worker_count: usize,
@@ -443,8 +464,7 @@ impl ThreadedNetwork {
         }
         let net = Arc::new(ThreadedNetwork {
             shared,
-            actors: RwLock::new(HashMap::new()),
-            down: RwLock::new(HashSet::new()),
+            nodes: RwLock::new(HashMap::new()),
             call_timeout,
             worker_count,
             workers: Mutex::new(workers),
@@ -486,28 +506,21 @@ impl ThreadedNetwork {
     /// Attaches a node, allocating one actor per registered service
     /// (services registered after attach are not served — register
     /// everything first, as [`ServiceMux`] users do). No threads are
-    /// spawned: the shared pool serves the new actors.
+    /// spawned: the shared pool serves the new actors. Re-attaching
+    /// replaces the previous registration and closes its actors.
     pub fn attach(&self, addr: NodeAddr, mux: Arc<ServiceMux>) {
-        let mut replaced = Vec::new();
-        for service in mux.services() {
-            let Some(handler) = mux.handler(service) else {
-                continue;
-            };
-            let actor = Arc::new(ServiceActor {
-                handler,
-                inner: Mutex::new(ActorInner::default()),
-            });
-            if let Some(prev) = self.actors.write().insert((addr, service), actor) {
-                replaced.push(prev);
-            }
-        }
-        self.down.write().remove(&addr);
-        for prev in replaced {
-            let mut inner = prev.inner.lock();
-            inner.closed = true;
-            // Dropping queued items drops their reply senders; waiters
-            // observe the disconnect as Unreachable.
-            inner.q.clear();
+        let actors = ServiceId::ALL.map(|service| {
+            mux.handler(service).map(|handler| {
+                Arc::new(ServiceActor {
+                    handler,
+                    inner: Mutex::new(ActorInner::default()),
+                })
+            })
+        });
+        let node = Registered { actors, up: true };
+        let replaced = self.nodes.write().insert(addr, node);
+        if let Some(prev) = replaced {
+            prev.close();
         }
     }
 
@@ -517,29 +530,29 @@ impl ThreadedNetwork {
     /// are pruned with it, so churn does not grow any per-peer state
     /// without bound.
     pub fn detach(&self, addr: NodeAddr) {
-        let removed: Vec<Arc<ServiceActor>> = {
-            let mut actors = self.actors.write();
-            let keys: Vec<_> = actors.keys().filter(|(a, _)| *a == addr).copied().collect();
-            keys.into_iter().filter_map(|k| actors.remove(&k)).collect()
-        };
-        for actor in removed {
-            let mut inner = actor.inner.lock();
-            inner.closed = true;
-            inner.q.clear();
+        let removed = self.nodes.write().remove(&addr);
+        if let Some(node) = removed {
+            node.close();
         }
-        self.down.write().remove(&addr);
         self.shared.metrics.prune_peer(addr);
     }
 
     /// Simulates a crash: the node stops answering (actors keep their
-    /// state, but calls are rejected at the transport).
+    /// state, but calls are rejected at the transport). A no-op for an
+    /// address that is not attached.
     pub fn fail_node(&self, addr: NodeAddr) {
-        self.down.write().insert(addr);
+        self.set_up(addr, false);
     }
 
     /// Revives a crashed node.
     pub fn recover_node(&self, addr: NodeAddr) {
-        self.down.write().remove(&addr);
+        self.set_up(addr, true);
+    }
+
+    fn set_up(&self, addr: NodeAddr, up: bool) {
+        if let Some(node) = self.nodes.write().get_mut(&addr) {
+            node.up = up;
+        }
     }
 
     /// The one way into the transport: validate the destination, admit
@@ -549,7 +562,7 @@ impl ThreadedNetwork {
     /// busy one, and the completion comes back ready; without, the
     /// request always goes to the pool and the completion defers the
     /// wait. `req.trace` must already be stamped by the caller (`call`,
-    /// `call_many`, or the ambient-context shim in `call_async`).
+    /// or the ambient-context shim in `call_async`).
     fn issue(
         &self,
         from: NodeAddr,
@@ -565,21 +578,20 @@ impl ThreadedNetwork {
             shared.metrics.svc(service).failed.inc();
             CallCompletion::ready(Err(err))
         };
-        if self.down.read().contains(&to) {
-            return refuse(RpcError::Unreachable(to));
-        }
-        // No transport lock may be held from here on: the handler may
-        // run on this very stack.
-        let actor = self.actors.read().get(&(to, service)).cloned();
-        let Some(actor) = actor else {
-            // Distinguish "node exists but lacks the service" from a
-            // dead node, mirroring SimNetwork semantics.
-            let node_known = self.actors.read().keys().any(|(a, _)| *a == to);
-            return refuse(if node_known {
-                RpcError::NoService(service)
-            } else {
-                RpcError::Unreachable(to)
-            });
+        // One look at the table: a down or unknown node is unreachable,
+        // a live one that lacks the service says so, mirroring
+        // SimNetwork semantics.
+        let actor = match self.nodes.read().get(&to) {
+            Some(node) if node.up => node.actors[service.index()]
+                .clone()
+                .ok_or(RpcError::NoService(service)),
+            _ => Err(RpcError::Unreachable(to)),
+        };
+        // No transport lock is held from here on: the handler may run
+        // on this very stack.
+        let actor = match actor {
+            Ok(actor) => actor,
+            Err(err) => return refuse(err),
         };
         let reply = match admit(shared, &actor, from, req, start, blocking) {
             Admitted::Closed => return refuse(RpcError::Unreachable(to)),
@@ -633,10 +645,8 @@ impl Drop for ThreadedNetwork {
         for h in self.workers.lock().drain(..) {
             join(h);
         }
-        for (_, actor) in self.actors.write().drain() {
-            let mut inner = actor.inner.lock();
-            inner.closed = true;
-            inner.q.clear();
+        for (_, node) in self.nodes.write().drain() {
+            node.close();
         }
     }
 }
@@ -675,8 +685,7 @@ impl Network for ThreadedNetwork {
     /// Continuation-style dispatch: enqueue on the destination actor
     /// and return immediately. If no span context has been stamped, the
     /// ambient trace (if any) is propagated; callers that want a
-    /// per-call client span stamp one themselves (as `call` and
-    /// `call_many` do).
+    /// per-call client span stamp one themselves (as `call` does).
     fn call_async(&self, from: NodeAddr, to: NodeAddr, mut req: RpcRequest) -> CallCompletion {
         if req.trace.is_none() {
             req.trace = trace::current().map(TraceHeader::from_ctx);
@@ -684,23 +693,16 @@ impl Network for ThreadedNetwork {
         self.issue(from, to, req, false)
     }
 
-    /// Concurrent fan-out without fan-out threads: every entry but the
-    /// last is put in flight across the worker pool, the last is issued
-    /// as a blocking call (so the caller serves it itself if it can,
-    /// overlapping with the others, instead of parking), then the
-    /// completions are redeemed in batch order. Calls to distinct
-    /// `(node, service)` actors genuinely overlap; calls sharing an
-    /// actor still serialize behind it in batch order, as on a real
-    /// machine. Traced fan-outs record one client span per entry
-    /// (opened before issue, closed at completion), so sibling spans
-    /// overlap in the trace exactly as the RPCs did on the wire.
+    /// The trait's serial fan-out (every entry a blocking `call`, in
+    /// batch order: served on this thread if its destination is idle,
+    /// queued behind the owner and helped otherwise), plus the batch-size
+    /// sample. Each entry's client span is the one `call` records, so a
+    /// traced fan-out shows its RPCs one after another, as they ran.
     fn call_many(
         &self,
         from: NodeAddr,
         batch: Vec<(NodeAddr, RpcRequest)>,
     ) -> Vec<Result<RpcResponse, RpcError>> {
-        // The caller's held-lock set must be checked before the batch
-        // blocks on redemption.
         #[cfg(feature = "lockcheck")]
         crate::lockcheck_gate::rpc_gate(
             &self.shared.metrics.obs(),
@@ -709,44 +711,9 @@ impl Network for ThreadedNetwork {
             "ThreadedNetwork::call_many",
         );
         self.shared.metrics.fanout_batch.record(batch.len() as u64);
-        if batch.len() <= 1 {
-            return batch
-                .into_iter()
-                .map(|(to, req)| self.call(from, to, req))
-                .collect();
-        }
-        let tracer = self.shared.metrics.tracer();
-        let now = || self.shared.clock.now().0;
-        let last = batch.len() - 1;
-        let issued: Vec<_> = batch
+        batch
             .into_iter()
-            .enumerate()
-            .map(|(i, (to, mut req))| {
-                let mut span = tracer.open_child(from.0, now());
-                if let Some(s) = &span {
-                    req.trace = Some(TraceHeader::from_ctx(s.ctx()));
-                }
-                let name = req.service.rpc_span_name();
-                let completion = self.issue(from, to, req, i == last);
-                // Finished inside `issue` (refused, or the blocking
-                // entry): its span ends now, not at redemption.
-                if completion.is_ready() {
-                    if let Some(s) = span.take() {
-                        tracer.close(s, name, now());
-                    }
-                }
-                (span, name, completion)
-            })
-            .collect();
-        issued
-            .into_iter()
-            .map(|(span, name, completion)| {
-                let result = completion.wait();
-                if let Some(s) = span {
-                    tracer.close(s, name, now());
-                }
-                result
-            })
+            .map(|(to, req)| self.call(from, to, req))
             .collect()
     }
 
@@ -755,7 +722,7 @@ impl Network for ThreadedNetwork {
     }
 
     fn is_up(&self, addr: NodeAddr) -> bool {
-        !self.down.read().contains(&addr) && self.actors.read().keys().any(|(a, _)| *a == addr)
+        self.nodes.read().get(&addr).is_some_and(|node| node.up)
     }
 
     /// Registers the hook on the transport's shared timer thread
@@ -1223,40 +1190,40 @@ mod tests {
     }
 
     #[test]
-    fn call_many_of_two_overlaps_a_worker_and_the_caller() {
-        // The K = 2 mirror fan-out: both handlers meet at a barrier, so
-        // the batch completes only if the two are in flight at once —
-        // the first on a pool worker, the last on the calling thread.
-        struct Rendezvous(Arc<std::sync::Barrier>, Mutex<Vec<std::thread::ThreadId>>);
-        impl RpcHandler for Rendezvous {
+    fn call_many_runs_on_its_caller_in_batch_order() {
+        // The K = 2 mirror fan-out on an idle transport: both entries
+        // are served in place, one after the other, and nothing is
+        // queued for the pool.
+        struct Stamp(u64, Arc<Mutex<Vec<(u64, std::thread::ThreadId)>>>);
+        impl RpcHandler for Stamp {
             fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
-                self.0.wait();
-                self.1.lock().push(std::thread::current().id());
-                Ok(RpcResponse::new(&1u64))
+                self.1.lock().push((self.0, std::thread::current().id()));
+                Ok(RpcResponse::new(&self.0))
             }
         }
         let net = ThreadedNetwork::new(Duration::from_secs(10));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let handlers: Vec<_> = [1, 2]
-            .into_iter()
-            .map(|a| {
-                let handler = Arc::new(Rendezvous(Arc::clone(&barrier), Mutex::new(Vec::new())));
-                let mux = Arc::new(ServiceMux::new());
-                mux.register(ServiceId::KoshaReplica, handler.clone());
-                net.attach(NodeAddr(a), mux);
-                handler
-            })
-            .collect();
-        let batch = [1, 2]
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for a in [1, 2] {
+            let mux = Arc::new(ServiceMux::new());
+            let stamp = Arc::new(Stamp(a, Arc::clone(&ran)));
+            mux.register(ServiceId::KoshaReplica, stamp);
+            net.attach(NodeAddr(a), mux);
+        }
+        let batch = [2, 1]
             .into_iter()
             .map(|a| (NodeAddr(a), RpcRequest::new(ServiceId::KoshaReplica, &0u8)))
             .collect();
-        let out = net.call_many(NodeAddr(9), batch);
-        assert!(out.len() == 2 && out.iter().all(Result::is_ok));
+        let out: Vec<u64> = net
+            .call_many(NodeAddr(9), batch)
+            .into_iter()
+            .map(|r| r.unwrap().decode().unwrap())
+            .collect();
+        assert_eq!(out, vec![2, 1]);
         let me = std::thread::current().id();
-        assert_ne!(*handlers[0].1.lock(), vec![me]);
-        assert_eq!(*handlers[1].1.lock(), vec![me]);
-        assert_eq!(served(&net), (2, 1));
+        assert_eq!(*ran.lock(), vec![(2, me), (1, me)]);
+        assert_eq!(served(&net), (2, 2));
+        let batches = net.obs().registry.histogram("rpc_fanout_batch_size");
+        assert_eq!((batches.count(), batches.max()), (1, 2));
     }
 
     #[test]
@@ -1375,13 +1342,12 @@ mod tests {
     }
 
     #[test]
-    fn call_many_is_truly_concurrent() {
+    fn call_async_is_truly_concurrent() {
         // Each target's handler blocks on a shared barrier sized to the
-        // batch: the batch completes only if all three calls are in
-        // flight at once. A serial implementation would stall the first
-        // call forever (surfacing as a timeout error here). Under the
-        // reactor this also proves distinct actors really run on
-        // distinct pool workers.
+        // three calls: they complete only if all three are in flight at
+        // once. A serial dispatch would stall the first call forever
+        // (surfacing as a timeout error here). This proves that distinct
+        // actors really overlap on distinct pool workers.
         struct Rendezvous(Arc<std::sync::Barrier>);
         impl RpcHandler for Rendezvous {
             fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
@@ -1396,16 +1362,11 @@ mod tests {
             mux.register(ServiceId::Kosha, Arc::new(Rendezvous(Arc::clone(&barrier))));
             net.attach(NodeAddr(a), mux);
         }
-        let out = net.call_many(
-            NodeAddr(9),
-            vec![
-                (NodeAddr(1), req()),
-                (NodeAddr(2), req()),
-                (NodeAddr(3), req()),
-            ],
-        );
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(Result::is_ok));
+        let in_flight: Vec<_> = [1, 2, 3]
+            .into_iter()
+            .map(|a| net.call_async(NodeAddr(9), NodeAddr(a), req()))
+            .collect();
+        assert!(in_flight.into_iter().all(|c| c.wait().is_ok()));
     }
 
     #[test]
@@ -1418,6 +1379,36 @@ mod tests {
         assert!(net.call(NodeAddr(1), NodeAddr(3), req()).is_err());
         net.recover_node(NodeAddr(3));
         assert!(net.call(NodeAddr(1), NodeAddr(3), req()).is_ok());
+    }
+
+    #[test]
+    fn fail_node_before_attach_is_forgotten_by_attach() {
+        let net = ThreadedNetwork::new(Duration::from_secs(1));
+        let counter = || {
+            let mux = Arc::new(ServiceMux::new());
+            mux.register(ServiceId::Kosha, Arc::new(Counter(AtomicU64::new(0))));
+            mux
+        };
+        net.attach(NodeAddr(1), counter());
+        // A crash report for an address nobody attached leaves it what
+        // it was, not up; attaching brings the machine up.
+        net.fail_node(NodeAddr(9));
+        assert!(!net.is_up(NodeAddr(9)));
+        assert_eq!(
+            net.call(NodeAddr(1), NodeAddr(9), req()).unwrap_err(),
+            RpcError::Unreachable(NodeAddr(9))
+        );
+        net.recover_node(NodeAddr(9));
+        assert!(!net.is_up(NodeAddr(9)));
+        net.attach(NodeAddr(9), counter());
+        assert!(net.is_up(NodeAddr(9)));
+        assert!(net.call(NodeAddr(1), NodeAddr(9), req()).is_ok());
+        // Detaching a failed node forgets the crash with the node.
+        net.fail_node(NodeAddr(9));
+        net.detach(NodeAddr(9));
+        net.recover_node(NodeAddr(9));
+        assert!(!net.is_up(NodeAddr(9)));
+        assert!(net.call(NodeAddr(1), NodeAddr(9), req()).is_err());
     }
 
     #[test]
@@ -1470,13 +1461,19 @@ mod tests {
                 .map(|r| r.unwrap().decode::<u64>().unwrap())
                 .collect();
             assert!(many.iter().all(|&t| t == tid));
+            // The cross-thread half: a pool worker picks the context up
+            // from the wire header `call_async` stamps.
+            let crossed = net.call_async(NodeAddr(0), NodeAddr(1), req()).wait();
+            let crossed = crossed.unwrap().decode::<u64>().unwrap();
+            assert_eq!(crossed, tid, "pool worker must see the caller's trace");
             (single == tid, many.len())
         });
-        assert!(single, "pool worker must see the caller's trace");
+        assert!(single, "a handler served in place sees the caller's trace");
         assert_eq!(many, 3);
 
         // Root + one rpc:kosha + three rpc:replica client spans, on the
-        // wall clock, all in one trace.
+        // wall clock, all in one trace (`call_async` propagates the
+        // ambient context and records no client span of its own).
         let spans = obs.tracer.take();
         assert_eq!(spans.len(), 5);
         let tid = spans[0].trace_id;

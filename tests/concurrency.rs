@@ -163,6 +163,63 @@ fn failover_works_on_the_threaded_transport() {
     }
 }
 
+/// `audit_cluster` over all of a K = 2 cluster's `nodes`, which must come
+/// back clean.
+fn assert_audit_clean(net: &ThreadedNetwork, nodes: &[Arc<KoshaNode>]) {
+    let peers: Vec<NodeAddr> = nodes.iter().map(|n| n.addr()).collect();
+    let report = audit_cluster(
+        net,
+        NodeAddr(0),
+        &peers,
+        net.clock().now().0,
+        &AuditOptions {
+            replicas: 2,
+            ..AuditOptions::default()
+        },
+    );
+    assert_eq!(report.nodes_scanned, nodes.len() as u64);
+    assert!(report.objects > 0);
+    assert_eq!(
+        (report.objects_divergent, report.under_replicated),
+        (0, 0),
+        "{report:?}"
+    );
+}
+
+#[test]
+fn one_client_mutating_a_k2_cluster_queues_nothing() {
+    // Every RPC of a lone client finds its actor idle, the K = 2 mirror
+    // fan-out included: each is served on the client's thread, so the
+    // requests the reactor dispatched and the ones it served in place
+    // stay equal (nothing was queued, nobody was woken).
+    let (net, nodes) = threaded_cluster_with_replicas(8, 2);
+    let m = KoshaMount::new(net.clone() as Arc<dyn Network>, NodeAddr(0), NodeAddr(0)).unwrap();
+    m.mkdir_p("/solo").unwrap();
+    let reg = &net.obs().registry;
+    let queued = || {
+        let events = reg.counter("kosha_reactor_events_total").get();
+        (
+            events,
+            events - reg.counter("kosha_reactor_inline_total").get(),
+        )
+    };
+    let (events_before, queued_before) = queued();
+    for i in 0..1_000 {
+        let path = format!("/solo/f{i}");
+        m.write_file(&path, &[i as u8; 64]).expect("create + write");
+        m.remove(&path).expect("remove");
+    }
+    let (events_after, queued_after) = queued();
+    assert!(
+        events_after - events_before >= 3_000,
+        "the loop issued RPCs"
+    );
+    assert_eq!(queued_after, queued_before);
+    assert!(m.readdir("/solo").unwrap().is_empty());
+    m.write_file("/solo/kept", b"audited").unwrap();
+    assert_audit_clean(&net, &nodes);
+}
+
 /// The bytes shared file `file` holds for the whole stress run.
 fn shared_pattern(file: usize) -> Vec<u8> {
     (0..4096).map(|off| (file * 31 + off) as u8).collect()
@@ -221,22 +278,5 @@ fn mixed_ops_from_four_mounts_leave_a_consistent_cluster() {
         let data = m0.read_file(&format!("/shared/s{f}")).unwrap();
         assert_eq!(data[..], shared_pattern(f)[..]);
     }
-    let peers: Vec<NodeAddr> = nodes.iter().map(|n| n.addr()).collect();
-    let report = audit_cluster(
-        net.as_ref(),
-        NodeAddr(0),
-        &peers,
-        net.clock().now().0,
-        &AuditOptions {
-            replicas: 2,
-            ..AuditOptions::default()
-        },
-    );
-    assert_eq!(report.nodes_scanned, 6);
-    assert!(report.objects > 0);
-    assert_eq!(
-        (report.objects_divergent, report.under_replicated),
-        (0, 0),
-        "{report:?}"
-    );
+    assert_audit_clean(&net, &nodes);
 }
