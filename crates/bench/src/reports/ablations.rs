@@ -21,7 +21,6 @@ use kosha::KoshaConfig;
 use kosha_id::{dir_key, node_id_from_seed};
 use kosha_pastry::{PastryConfig, PastryNode};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
-use kosha_sim::cached_mount::CachedKoshaMount;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::experiments::{mab_lan, table1_kosha_config};
 use kosha_sim::mab::{run_mab, MabParams};
@@ -186,13 +185,7 @@ fn client_cache(out: &mut String) {
     });
     time(out, "ablation_client_cache/caching-client", 10, || {
         let cluster = build();
-        let m = CachedKoshaMount::new(
-            cluster.net.clone() as Arc<dyn Network>,
-            cluster.nodes[0].addr(),
-            cluster.nodes[0].addr(),
-            kosha_nfs::CacheConfig::default(),
-        )
-        .unwrap();
+        let m = cluster.cached_mount(0, kosha_nfs::CacheConfig::default());
         let clock = cluster.clock();
         clock.reset();
         run_mab(&MabParams::small(), &m, &clock).unwrap()

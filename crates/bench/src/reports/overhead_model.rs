@@ -2,12 +2,12 @@
 //! `D = I + (H·hc)·(N−1)/N` out to the paper's 10⁴-node design point.
 
 use crate::{outln, Report};
+use kosha::KoshaMount;
 use kosha_rpc::Clock;
 use kosha_sim::baseline::NfsBaseline;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::experiments::{mab_disk, mab_lan, table1_kosha_config};
 use kosha_sim::model::OverheadModel;
-use kosha_sim::workbench::Workbench;
 
 /// The model's table, then the measured per-op overhead beside it.
 pub fn run(_full: bool) -> Report {
@@ -42,7 +42,7 @@ pub fn run(_full: bool) -> Report {
     // *overhead* of Kosha vs plain NFS for a metadata micro-workload
     // should follow D(N)'s saturating shape.
     let ops = 300usize;
-    let run = |fs: &dyn Workbench, clock: &dyn Fn() -> std::time::Duration| {
+    let run = |fs: &KoshaMount, clock: &dyn Fn() -> std::time::Duration| {
         for d in 0..10 {
             fs.mkdir_p(&format!("/m{d}")).unwrap();
         }

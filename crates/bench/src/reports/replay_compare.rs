@@ -4,12 +4,13 @@
 //! with a sustained, read-heavy, hot-set-skewed stream.
 
 use crate::{outln, Report};
-use kosha_rpc::{Network, VirtualClock};
+use kosha::KoshaMount;
+use kosha_nfs::CacheConfig;
+use kosha_rpc::VirtualClock;
 use kosha_sim::baseline::NfsBaseline;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::experiments::{mab_disk, mab_lan, table1_kosha_config};
 use kosha_sim::replay::{generate_ops, populate, replay, ReplayParams};
-use kosha_sim::workbench::Workbench;
 use kosha_sim::{FsTrace, TraceParams};
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ pub fn run(_full: bool) -> Report {
     );
 
     // Populate, zero the clock, replay, print the row.
-    let mut row = |name: &str, fs: &dyn Workbench, clock: Arc<VirtualClock>| {
+    let mut row = |name: &str, fs: &KoshaMount, clock: Arc<VirtualClock>| {
         populate(&trace, fs).expect("populate");
         clock.reset();
         let rep = replay(&ops, fs, &clock);
@@ -78,17 +79,21 @@ pub fn run(_full: bool) -> Report {
             cluster.clock(),
         );
     }
-    // Kosha behind a caching kernel-style client (§4.1.1): the hot-set
-    // skew makes attribute/data caches absorb most interposition cost.
+    // Both behind a caching kernel-style client (§4.1.1), same
+    // `CacheConfig`: the hot-set skew makes attribute/data caches absorb
+    // most of the interposition cost, and most of what NFS costs too.
+    let b = NfsBaseline::build(mab_lan(), mab_disk(), 64 << 30);
+    row(
+        "nfs-central+cache",
+        &b.cached_mount(CacheConfig::default()),
+        b.clock(),
+    );
     let cluster = kosha(8);
-    let cached = kosha_sim::CachedKoshaMount::new(
-        cluster.net.clone() as Arc<dyn Network>,
-        cluster.nodes[0].addr(),
-        cluster.nodes[0].addr(),
-        kosha_nfs::CacheConfig::default(),
-    )
-    .expect("cached mount");
-    row("kosha-8+cache", &cached, cluster.clock());
+    row(
+        "kosha-8+cache",
+        &cluster.cached_mount(0, CacheConfig::default()),
+        cluster.clock(),
+    );
     outln!(
         out,
         "\nExpected shape: uncached Kosha pays roughly the per-op interposition\n\

@@ -50,8 +50,6 @@ pub struct KoshaConfig {
     /// directories when the local disk space has exceeded the
     /// pre-specified utilization", §3.3).
     pub redirect_utilization: f64,
-    /// Nodes per leaf-set side in the Pastry overlay (`l/2`).
-    pub leaf_half: usize,
     /// Bytes of local disk contributed by this node.
     pub contributed_bytes: u64,
     /// Retries a client-side operation makes across failovers before
@@ -93,12 +91,6 @@ pub struct KoshaConfig {
     /// path (the default, matching the prototype) or write-behind
     /// through per-target coalescing queues (DESIGN.md §11).
     pub replication_mode: ReplicationMode,
-    /// Flight-recorder sampling interval: how often the node's sampler
-    /// hook snapshots every recorder source into its time-series. Under
-    /// `SimNetwork` the interval is nominal (each `run_pumps()` call
-    /// ticks every hook once); under `ThreadedNetwork` the pump thread
-    /// honors it in wall time.
-    pub sample_interval: Duration,
     /// Maximum extra read-only cached copies a primary may push for one
     /// hot object, beyond the K durable replicas (DESIGN.md §16). `0`
     /// disables heat-driven read scaling entirely: no hot-path heat
@@ -123,7 +115,6 @@ impl Default for KoshaConfig {
             replicas: 0,
             redirect_attempts: 4,
             redirect_utilization: 0.95,
-            leaf_half: 8,
             contributed_bytes: 35 * 1_000_000_000, // paper: 35 GB per node
             failover_retries: 4,
             io_chunk: 32 * 1024,
@@ -134,7 +125,6 @@ impl Default for KoshaConfig {
             koshad_op_cost: Duration::from_micros(350),
             trace_sampling: 0,
             replication_mode: ReplicationMode::Sync,
-            sample_interval: Duration::from_millis(50),
             hot_replicas: 0,
             hot_threshold_milli: 8_000,
             hot_lease_nanos: 2_000_000_000,
@@ -151,7 +141,6 @@ impl KoshaConfig {
             replicas: 1,
             redirect_attempts: 4,
             redirect_utilization: 0.95,
-            leaf_half: 8,
             contributed_bytes: 1 << 22, // 4 MiB
             failover_retries: 4,
             io_chunk: 4096,
@@ -162,7 +151,6 @@ impl KoshaConfig {
             koshad_op_cost: Duration::ZERO,
             trace_sampling: 0,
             replication_mode: ReplicationMode::Sync,
-            sample_interval: Duration::from_millis(50),
             hot_replicas: 0,
             hot_threshold_milli: 8_000,
             hot_lease_nanos: 2_000_000_000,

@@ -6,9 +6,19 @@
 //! node's [`kosha_rpc::ServiceId::KoshaFs`] service, caches directory
 //! handles exactly as a kernel client caches lookups, and exposes a
 //! path-level convenience API that examples and workloads drive.
+//!
+//! It is the one path walker in the tree. The paper pointed one FreeBSD
+//! client at `nfsd` and at koshad (§6.1.1), so what differs between the
+//! measured configurations is never the walker: the server is an address
+//! ([`KoshaMount::new`] for a koshad, [`KoshaMount::over`] for anything
+//! that speaks NFS) and attribute/dentry/data caching is a mount option
+//! ([`KoshaMount::cached`]), held by the [`CachingClient`] every call
+//! below goes through.
 
 use kosha_nfs::client::ClientDirEntry;
-use kosha_nfs::{Fh, NfsClient, NfsError, NfsResult, NfsStatus};
+use kosha_nfs::{
+    CacheConfig, CacheStats, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus,
+};
 use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId};
 use kosha_vfs::path::{parent_and_name, split_path};
 use kosha_vfs::{normalize, Attr, FileType, SetAttr};
@@ -42,8 +52,7 @@ use std::sync::Arc;
 /// assert_eq!(m.read_file("/docs/hello.txt").unwrap(), b"hi");
 /// ```
 pub struct KoshaMount {
-    nfs: NfsClient,
-    koshad: NodeAddr,
+    nfs: CachingClient,
     root: Fh,
     /// Directory-handle cache (the kernel NFS client's dcache analogue).
     // lint: allow(L008) client-session cache: lives only as long as one mount and is invalidated on mutations, not node state
@@ -70,10 +79,20 @@ impl KoshaMount {
     /// for [`KoshaMount::new`], a plain NFS server for the baseline the
     /// paper measures Kosha against, through this same client (§6.1.1).
     pub fn over(nfs: NfsClient, server: NodeAddr) -> NfsResult<Self> {
-        let root = nfs.mount(server)?;
+        Self::through(CachingClient::plain(nfs, server))
+    }
+
+    /// [`KoshaMount::over`] with the kernel client's caches switched on:
+    /// attributes and directory entries for `cache.attr_ttl`, file data
+    /// close-to-open (§4.1.1).
+    pub fn cached(nfs: NfsClient, server: NodeAddr, cache: CacheConfig) -> NfsResult<Self> {
+        Self::through(CachingClient::new(nfs, server, cache))
+    }
+
+    fn through(nfs: CachingClient) -> NfsResult<Self> {
+        let root = nfs.mount()?;
         Ok(KoshaMount {
             nfs,
-            koshad: server,
             root,
             dcache: Mutex::new(HashMap::new()),
             uid: 0,
@@ -92,6 +111,13 @@ impl KoshaMount {
     #[must_use]
     pub fn root(&self) -> Fh {
         self.root
+    }
+
+    /// Hit and miss counts of the client's caches (all zero unless the
+    /// mount is [`KoshaMount::cached`]).
+    #[must_use]
+    pub fn cache_stats(&self) -> &CacheStats {
+        self.nfs.stats()
     }
 
     fn cached_dir(&self, path: &str) -> Option<Fh> {
@@ -128,7 +154,7 @@ impl KoshaMount {
             cur = match self.cached_dir(&cur_path) {
                 Some(fh) => fh,
                 None => {
-                    let (fh, attr) = self.nfs.lookup(self.koshad, cur, c)?;
+                    let (fh, attr) = self.nfs.lookup(cur, c)?;
                     if attr.ftype != FileType::Directory {
                         return Err(NfsError::Status(NfsStatus::NotDir));
                     }
@@ -144,12 +170,12 @@ impl KoshaMount {
     pub fn stat(&self, path: &str) -> NfsResult<(Fh, Attr)> {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         if path == "/" {
-            let attr = self.nfs.getattr(self.koshad, self.root)?;
+            let attr = self.nfs.getattr(self.root)?;
             return Ok((self.root, attr));
         }
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
-        self.nfs.lookup(self.koshad, dir, name)
+        self.nfs.lookup(dir, name)
     }
 
     /// True if the path resolves.
@@ -163,9 +189,7 @@ impl KoshaMount {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
-        let (fh, _) = self
-            .nfs
-            .mkdir(self.koshad, dir, name, 0o755, self.uid, self.gid)?;
+        let (fh, _) = self.nfs.mkdir(dir, name, 0o755, self.uid, self.gid)?;
         self.cache_dir(&path, fh);
         Ok(fh)
     }
@@ -182,7 +206,7 @@ impl KoshaMount {
         for c in comps {
             cur_path.push('/');
             cur_path.push_str(c);
-            cur = match self.nfs.lookup(self.koshad, cur, c) {
+            cur = match self.nfs.lookup(cur, c) {
                 Ok((fh, attr)) => {
                     if attr.ftype != FileType::Directory {
                         return Err(NfsError::Status(NfsStatus::NotDir));
@@ -190,9 +214,7 @@ impl KoshaMount {
                     fh
                 }
                 Err(NfsError::Status(NfsStatus::NoEnt)) => {
-                    self.nfs
-                        .mkdir(self.koshad, cur, c, 0o755, self.uid, self.gid)?
-                        .0
+                    self.nfs.mkdir(cur, c, 0o755, self.uid, self.gid)?.0
                 }
                 Err(e) => return Err(e),
             };
@@ -206,10 +228,7 @@ impl KoshaMount {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
-        Ok(self
-            .nfs
-            .create(self.koshad, dir, name, 0o644, self.uid, self.gid)?
-            .0)
+        Ok(self.nfs.create(dir, name, 0o644, self.uid, self.gid)?.0)
     }
 
     /// Creates a quota-charged sparse file of `size` bytes (simulation
@@ -220,7 +239,7 @@ impl KoshaMount {
         let dir = self.dir_handle(pp)?;
         Ok(self
             .nfs
-            .create_sized(self.koshad, dir, name, size, 0o644, self.uid, self.gid)?
+            .create_sized(dir, name, size, 0o644, self.uid, self.gid)?
             .0)
     }
 
@@ -228,12 +247,14 @@ impl KoshaMount {
     /// chunk, like an appending NFS client).
     pub fn write_at(&self, path: &str, offset: u64, data: &[u8]) -> NfsResult<()> {
         let (fh, _) = self.stat(path)?;
-        let mut off = 0usize;
-        while off < data.len() {
-            let end = (off + self.chunk as usize).min(data.len());
-            self.nfs
-                .write(self.koshad, fh, offset + off as u64, &data[off..end])?;
-            off = end;
+        self.write_chunks(fh, offset, data)
+    }
+
+    fn write_chunks(&self, fh: Fh, offset: u64, data: &[u8]) -> NfsResult<()> {
+        let mut at = offset;
+        for piece in data.chunks(self.chunk as usize) {
+            self.nfs.write(fh, at, piece)?;
+            at += piece.len() as u64;
         }
         Ok(())
     }
@@ -252,7 +273,6 @@ impl KoshaMount {
                 }
                 if attr.size > 0 {
                     self.nfs.setattr(
-                        self.koshad,
                         fh,
                         SetAttr {
                             size: Some(0),
@@ -264,13 +284,7 @@ impl KoshaMount {
             }
             Err(e) => return Err(e),
         };
-        let mut off = 0usize;
-        while off < data.len() {
-            let end = (off + self.chunk as usize).min(data.len());
-            self.nfs
-                .write(self.koshad, fh, off as u64, &data[off..end])?;
-            off = end;
-        }
+        self.write_chunks(fh, 0, data)?;
         Ok(fh)
     }
 
@@ -281,19 +295,19 @@ impl KoshaMount {
         if attr.ftype != FileType::Regular {
             return Err(NfsError::Status(NfsStatus::IsDir));
         }
-        self.nfs.read_whole(self.koshad, fh, attr.size, self.chunk)
+        self.nfs.read_whole(fh, &attr, self.chunk)
     }
 
     /// Reads a byte range.
     pub fn read_at(&self, path: &str, offset: u64, count: u32) -> NfsResult<Bytes> {
         let (fh, _) = self.stat(path)?;
-        Ok(self.nfs.read(self.koshad, fh, offset, count)?.0)
+        Ok(self.nfs.read(fh, offset, count)?.0)
     }
 
     /// Lists a directory.
     pub fn readdir(&self, path: &str) -> NfsResult<Vec<ClientDirEntry>> {
         let dir = self.dir_handle(path)?;
-        self.nfs.readdir(self.koshad, dir)
+        self.nfs.readdir(dir)
     }
 
     /// Removes a file or symlink.
@@ -301,7 +315,7 @@ impl KoshaMount {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
-        self.nfs.remove(self.koshad, dir, name)?;
+        self.nfs.remove(dir, name)?;
         // REMOVE took no directory; a scan only if this cache held one here.
         if self.dcache.lock().remove(&path).is_some() {
             self.drop_cache_subtree(&path);
@@ -314,7 +328,7 @@ impl KoshaMount {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
-        self.nfs.rmdir(self.koshad, dir, name)?;
+        self.nfs.rmdir(dir, name)?;
         self.dcache.lock().remove(&path);
         self.drop_cache_subtree(&path);
         Ok(())
@@ -325,7 +339,7 @@ impl KoshaMount {
         let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
-        self.nfs.remove_tree(self.koshad, dir, name)?;
+        self.nfs.remove_tree(dir, name)?;
         self.drop_cache_subtree(&path);
         self.dcache.lock().remove(&path);
         Ok(())
@@ -339,7 +353,7 @@ impl KoshaMount {
         let (tp, tname) = parent_and_name(&to).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let sdir = self.dir_handle(fp)?;
         let ddir = self.dir_handle(tp)?;
-        self.nfs.rename(self.koshad, sdir, fname, ddir, tname)?;
+        self.nfs.rename(sdir, fname, ddir, tname)?;
         self.drop_cache_subtree(&from);
         self.drop_cache_subtree(&to);
         self.dcache.lock().remove(&from);
@@ -353,20 +367,20 @@ impl KoshaMount {
         let dir = self.dir_handle(pp)?;
         Ok(self
             .nfs
-            .symlink(self.koshad, dir, name, target, 0o777, self.uid, self.gid)?
+            .symlink(dir, name, target, 0o777, self.uid, self.gid)?
             .0)
     }
 
     /// Reads a symlink target.
     pub fn readlink(&self, path: &str) -> NfsResult<String> {
         let (fh, _) = self.stat(path)?;
-        self.nfs.readlink(self.koshad, fh)
+        self.nfs.readlink(fh)
     }
 
     /// Updates attributes.
     pub fn setattr(&self, path: &str, sattr: SetAttr) -> NfsResult<Attr> {
         let (fh, _) = self.stat(path)?;
-        self.nfs.setattr(self.koshad, fh, sattr)
+        self.nfs.setattr(fh, sattr)
     }
 
     /// COMMIT (fsync) on `path`: forces the primary to flush any queued
@@ -374,17 +388,17 @@ impl KoshaMount {
     /// no-op under synchronous replication.
     pub fn commit(&self, path: &str) -> NfsResult<()> {
         let (fh, _) = self.stat(path)?;
-        self.nfs.commit(self.koshad, fh)
+        self.nfs.commit(fh)
     }
 
     /// ACCESS check for the mount's identity on `path`.
     pub fn access(&self, path: &str, want: u32) -> NfsResult<u32> {
         let (fh, _) = self.stat(path)?;
-        self.nfs.access(self.koshad, fh, self.uid, self.gid, want)
+        self.nfs.access(fh, self.uid, self.gid, want)
     }
 
     /// Aggregate `(capacity, used, free)` of the visible storage pool.
     pub fn fsstat(&self) -> NfsResult<(u64, u64, u64)> {
-        self.nfs.fsstat(self.koshad)
+        self.nfs.fsstat()
     }
 }

@@ -14,6 +14,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
+
+/// How often the node's sampler hook snapshots every flight-recorder
+/// source into its time-series. Under `SimNetwork` the interval is
+/// nominal (each `run_pumps()` call ticks every hook once); under
+/// `ThreadedNetwork` the pump thread honors it in wall time.
+const SAMPLE_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Per-anchor memo of the last fully-acknowledged replica push: content
 /// digest and the target set it was acked by.
@@ -192,11 +199,8 @@ impl KoshaNode {
             addr,
         );
         let pastry = PastryNode::new_with_obs(
-            PastryConfig {
-                leaf_half: cfg.leaf_half,
-                max_hops: 64,
-                proximity_aware: false,
-            },
+            // The paper's overlay: `l = 16`, no proximity heuristics.
+            PastryConfig::default(),
             id,
             addr,
             Arc::clone(&net),
@@ -260,7 +264,7 @@ impl KoshaNode {
         // interval.
         let _ = node.net.schedule_pump(
             Arc::downgrade(&sampler) as Weak<dyn kosha_rpc::PumpHook>,
-            node.cfg.sample_interval,
+            SAMPLE_INTERVAL,
         );
 
         let mux = Arc::new(ServiceMux::new());

@@ -1,13 +1,17 @@
-//! Client-side NFS caching: attribute, directory-entry, and whole-file
-//! data caches with TTL-based revalidation.
+//! The server-bound NFS client under `kosha::KoshaMount`, with optional
+//! client-side caching: attribute, directory-entry, and whole-file data
+//! caches with TTL-based revalidation.
 //!
 //! Kernel NFS clients cache aggressively — attributes for a few seconds,
 //! directory entries, and file data validated on open against the
 //! server's mtime ("close-to-open" consistency). The paper leans on
 //! this: "The behavior of Kosha in the presence of client caching also
-//! remains the same as that of NFS" (§4.1.1). [`CachingClient`] wraps
-//! any [`NfsClient`] (a real per-node server *or* the koshad virtual
-//! server) with exactly those semantics:
+//! remains the same as that of NFS" (§4.1.1). [`CachingClient`] binds an
+//! [`NfsClient`] to one server (a real per-node server *or* the koshad
+//! virtual server). [`CachingClient::plain`] has no cache: every method
+//! is the [`NfsClient`] call of the same name and nothing else, so each
+//! operation's cost is visible (the Table 1/2 configuration).
+//! [`CachingClient::new`] has exactly the kernel client's semantics:
 //!
 //! * **attributes** are served from cache within `attr_ttl` of the last
 //!   fetch, then revalidated with one GETATTR;
@@ -24,9 +28,8 @@
 
 use crate::client::{ClientDirEntry, NfsClient};
 use crate::messages::{Fh, NfsError, NfsResult, NfsStatus};
-use kosha_obs::{Counter, Obs};
 use kosha_rpc::{Bytes, Clock, NodeAddr, SimTime};
-use kosha_vfs::{Attr, FileType, SetAttr};
+use kosha_vfs::{Attr, SetAttr};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,31 +76,6 @@ pub struct CacheStats {
     pub data_misses: AtomicU64,
 }
 
-/// Registry-backed mirrors of [`CacheStats`], named
-/// `nfs_cache_hits_total{cache=...}` / `nfs_cache_misses_total{cache=...}`.
-struct CacheMetrics {
-    attr_hits: Arc<Counter>,
-    attr_misses: Arc<Counter>,
-    dentry_hits: Arc<Counter>,
-    dentry_misses: Arc<Counter>,
-    data_hits: Arc<Counter>,
-    data_misses: Arc<Counter>,
-}
-
-impl CacheMetrics {
-    fn new(obs: &Obs) -> Self {
-        let c = |name: &str| obs.registry.counter(name);
-        CacheMetrics {
-            attr_hits: c("nfs_cache_hits_total{cache=\"attr\"}"),
-            attr_misses: c("nfs_cache_misses_total{cache=\"attr\"}"),
-            dentry_hits: c("nfs_cache_hits_total{cache=\"dentry\"}"),
-            dentry_misses: c("nfs_cache_misses_total{cache=\"dentry\"}"),
-            data_hits: c("nfs_cache_hits_total{cache=\"data\"}"),
-            data_misses: c("nfs_cache_misses_total{cache=\"data\"}"),
-        }
-    }
-}
-
 impl CacheStats {
     /// `(attr_hits, attr_misses, dentry_hits, dentry_misses, data_hits,
     /// data_misses)`.
@@ -112,6 +90,10 @@ impl CacheStats {
             self.data_misses.load(Ordering::Relaxed),
         )
     }
+}
+
+fn tally(stat: &AtomicU64) {
+    stat.fetch_add(1, Ordering::Relaxed);
 }
 
 struct AttrEntry {
@@ -141,12 +123,14 @@ struct DataEntry {
     last_used: SimTime,
 }
 
-/// A caching NFS client bound to one server address.
+/// An NFS client bound to one server address, caching or not.
 pub struct CachingClient {
     inner: NfsClient,
     server: NodeAddr,
     clock: Arc<dyn Clock>,
-    cfg: CacheConfig,
+    /// `None` is the cache-less form: every method tests this once, makes
+    /// the plain call, and the tables below stay empty.
+    cfg: Option<CacheConfig>,
     // lint: allow(L008) client cache: TTL-expired on access and dropped wholesale by clear(); process-scoped, not node state
     attrs: Mutex<HashMap<Fh, AttrEntry>>,
     // lint: allow(L008) client cache: TTL-expired on access and dropped wholesale by clear()
@@ -155,52 +139,37 @@ pub struct CachingClient {
     data: Mutex<HashMap<Fh, DataEntry>>,
     data_bytes: AtomicU64,
     stats: CacheStats,
-    metrics: Option<CacheMetrics>,
 }
 
 impl CachingClient {
-    /// Wraps `inner` (bound to `server`) with caches driven by `clock`.
-    pub fn new(
-        inner: NfsClient,
-        server: NodeAddr,
-        clock: Arc<dyn Clock>,
-        cfg: CacheConfig,
-    ) -> Self {
+    /// Wraps `inner` (bound to `server`) with caches that age on the
+    /// transport's clock.
+    pub fn new(inner: NfsClient, server: NodeAddr, cfg: CacheConfig) -> Self {
         CachingClient {
+            cfg: Some(cfg),
+            ..Self::plain(inner, server)
+        }
+    }
+
+    /// Binds `inner` to `server` with no cache at all.
+    pub fn plain(inner: NfsClient, server: NodeAddr) -> Self {
+        CachingClient {
+            clock: inner.clock(),
             inner,
             server,
-            clock,
-            cfg,
+            cfg: None,
             attrs: Mutex::new(HashMap::new()),
             dentries: Mutex::new(HashMap::new()),
             data: Mutex::new(HashMap::new()),
             data_bytes: AtomicU64::new(0),
             stats: CacheStats::default(),
-            metrics: None,
         }
     }
 
-    /// Mirrors hit/miss counters into `obs` as
-    /// `nfs_cache_{hits,misses}_total{cache=...}`. Chainable after
-    /// [`CachingClient::new`].
-    #[must_use]
-    pub fn observed(mut self, obs: &Obs) -> Self {
-        self.metrics = Some(CacheMetrics::new(obs));
-        self
-    }
-
-    /// Cache counters.
+    /// Cache counters (all zero in the cache-less form).
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Bumps a local stat and, when observed, its registry mirror.
-    fn tally(&self, stat: &AtomicU64, mirror: fn(&CacheMetrics) -> &Counter) {
-        stat.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            mirror(m).inc();
-        }
     }
 
     /// Drops every cached entry (umount / failover).
@@ -211,8 +180,8 @@ impl CachingClient {
         self.data_bytes.store(0, Ordering::Relaxed);
     }
 
-    fn fresh(&self, fetched: SimTime) -> bool {
-        self.clock.now().since(fetched) < self.cfg.attr_ttl
+    fn fresh(&self, cfg: &CacheConfig, fetched: SimTime) -> bool {
+        self.clock.now().since(fetched) < cfg.attr_ttl
     }
 
     fn remember_attr(&self, fh: Fh, attr: &Attr) {
@@ -235,6 +204,23 @@ impl CachingClient {
         );
     }
 
+    fn remember_name(&self, key: (Fh, String), entry: DentryEntry) {
+        let fetched = self.clock.now();
+        self.dentries
+            .lock()
+            .insert(key, CachedDentry { entry, fetched });
+    }
+
+    /// What every creating procedure leaves behind: the new object's
+    /// attributes and a positive dentry, replacing a negative one.
+    fn prime(&self, dir: Fh, name: &str, made: NfsResult<(Fh, Attr)>) -> NfsResult<(Fh, Attr)> {
+        if let (Some(_), Ok((fh, attr))) = (&self.cfg, &made) {
+            self.remember_attr(*fh, attr);
+            self.remember_name((dir, name.to_string()), DentryEntry::Positive(*fh));
+        }
+        made
+    }
+
     fn invalidate_fh(&self, fh: Fh) {
         self.attrs.lock().remove(&fh);
         if let Some(e) = self.data.lock().remove(&fh) {
@@ -247,7 +233,16 @@ impl CachingClient {
         self.dentries.lock().remove(&(dir, name.to_string()));
     }
 
-    // ---- cached operations -------------------------------------------
+    /// Forgets the name and, if the cache knew which object it named,
+    /// that object.
+    fn invalidate_entry(&self, dir: Fh, name: &str) {
+        let gone = self.dentries.lock().remove(&(dir, name.to_string()));
+        if let Some(DentryEntry::Positive(fh)) = gone.map(|d| d.entry) {
+            self.invalidate_fh(fh);
+        }
+    }
+
+    // ---- operations ---------------------------------------------------
 
     /// MOUNT (uncached).
     pub fn mount(&self) -> NfsResult<Fh> {
@@ -256,13 +251,16 @@ impl CachingClient {
 
     /// GETATTR with TTL caching.
     pub fn getattr(&self, fh: Fh) -> NfsResult<Attr> {
+        let Some(cfg) = &self.cfg else {
+            return self.inner.getattr(self.server, fh);
+        };
         if let Some(e) = self.attrs.lock().get(&fh) {
-            if self.fresh(e.fetched) {
-                self.tally(&self.stats.attr_hits, |m| &m.attr_hits);
+            if self.fresh(cfg, e.fetched) {
+                tally(&self.stats.attr_hits);
                 return Ok(e.attr.clone());
             }
         }
-        self.tally(&self.stats.attr_misses, |m| &m.attr_misses);
+        tally(&self.stats.attr_misses);
         let attr = self.inner.getattr(self.server, fh)?;
         self.remember_attr(fh, &attr);
         Ok(attr)
@@ -270,11 +268,14 @@ impl CachingClient {
 
     /// LOOKUP with dentry caching (positive and negative entries).
     pub fn lookup(&self, dir: Fh, name: &str) -> NfsResult<(Fh, Attr)> {
+        let Some(cfg) = &self.cfg else {
+            return self.inner.lookup(self.server, dir, name);
+        };
         let key = (dir, name.to_string());
         let cached = {
             let dentries = self.dentries.lock();
             dentries.get(&key).and_then(|d| {
-                if self.fresh(d.fetched) {
+                if self.fresh(cfg, d.fetched) {
                     Some(match &d.entry {
                         DentryEntry::Positive(fh) => Some(*fh),
                         DentryEntry::Negative => None,
@@ -285,64 +286,50 @@ impl CachingClient {
             })
         };
         if let Some(hit) = cached {
-            self.tally(&self.stats.dentry_hits, |m| &m.dentry_hits);
+            tally(&self.stats.dentry_hits);
             return match hit {
                 Some(fh) => Ok((fh, self.getattr(fh)?)),
                 None => Err(NfsError::Status(NfsStatus::NoEnt)),
             };
         }
-        self.tally(&self.stats.dentry_misses, |m| &m.dentry_misses);
+        tally(&self.stats.dentry_misses);
         match self.inner.lookup(self.server, dir, name) {
             Ok((fh, attr)) => {
                 self.remember_attr(fh, &attr);
-                self.dentries.lock().insert(
-                    key,
-                    CachedDentry {
-                        entry: DentryEntry::Positive(fh),
-                        fetched: self.clock.now(),
-                    },
-                );
+                self.remember_name(key, DentryEntry::Positive(fh));
                 Ok((fh, attr))
             }
             Err(NfsError::Status(NfsStatus::NoEnt)) => {
-                self.dentries.lock().insert(
-                    key,
-                    CachedDentry {
-                        entry: DentryEntry::Negative,
-                        fetched: self.clock.now(),
-                    },
-                );
+                self.remember_name(key, DentryEntry::Negative);
                 Err(NfsError::Status(NfsStatus::NoEnt))
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Whole-file READ through the data cache, with close-to-open
-    /// revalidation: the cached copy is served only while the cached
-    /// attributes are fresh or revalidate to the same mtime.
-    pub fn read_file(&self, fh: Fh) -> NfsResult<Bytes> {
-        // Revalidate attributes (cheap if fresh).
-        let attr = self.getattr(fh)?;
-        if attr.ftype != FileType::Regular {
-            return Err(NfsError::Status(NfsStatus::IsDir));
-        }
+    /// Whole-file READ in `chunk`-byte transfers through the data cache,
+    /// with close-to-open revalidation: `attr` is what this client
+    /// returned for `fh` just now (the caller's LOOKUP or GETATTR, fresh
+    /// or revalidated), and the cached copy is served only if it was
+    /// taken at that mtime. The caller has checked the type.
+    pub fn read_whole(&self, fh: Fh, attr: &Attr, chunk: u32) -> NfsResult<Bytes> {
+        let Some(cfg) = &self.cfg else {
+            return self.inner.read_whole(self.server, fh, attr.size, chunk);
+        };
         {
             let mut data = self.data.lock();
             if let Some(e) = data.get_mut(&fh) {
                 if e.mtime == attr.mtime {
                     e.last_used = self.clock.now();
-                    self.tally(&self.stats.data_hits, |m| &m.data_hits);
+                    tally(&self.stats.data_hits);
                     return Ok(e.data.clone());
                 }
             }
         }
-        self.tally(&self.stats.data_misses, |m| &m.data_misses);
-        let out = self
-            .inner
-            .read_whole(self.server, fh, attr.size, 32 * 1024)?;
-        if out.len() <= self.cfg.max_cached_file {
-            self.evict_to_fit(out.len());
+        tally(&self.stats.data_misses);
+        let out = self.inner.read_whole(self.server, fh, attr.size, chunk)?;
+        if out.len() <= cfg.max_cached_file {
+            self.evict_to_fit(cfg, out.len());
             self.data.lock().insert(
                 fh,
                 DataEntry {
@@ -357,8 +344,8 @@ impl CachingClient {
         Ok(out)
     }
 
-    fn evict_to_fit(&self, incoming: usize) {
-        let cap = self.cfg.data_capacity as u64;
+    fn evict_to_fit(&self, cfg: &CacheConfig, incoming: usize) {
+        let cap = cfg.data_capacity as u64;
         let mut data = self.data.lock();
         while self.data_bytes.load(Ordering::Relaxed) + incoming as u64 > cap && !data.is_empty() {
             let oldest = data
@@ -373,19 +360,28 @@ impl CachingClient {
         }
     }
 
+    /// READ of a byte range (uncached: only whole files are kept).
+    pub fn read(&self, fh: Fh, offset: u64, count: u32) -> NfsResult<(Bytes, bool)> {
+        self.inner.read(self.server, fh, offset, count)
+    }
+
     /// WRITE: write-through, then update caches with the new reality.
     pub fn write(&self, fh: Fh, offset: u64, data: &[u8]) -> NfsResult<u32> {
         let n = self.inner.write(self.server, fh, offset, data)?;
-        // The server-side mtime changed; drop cached attr + data.
-        self.invalidate_fh(fh);
+        if self.cfg.is_some() {
+            // The server-side mtime changed; drop cached attr + data.
+            self.invalidate_fh(fh);
+        }
         Ok(n)
     }
 
     /// SETATTR: write-through + invalidate.
     pub fn setattr(&self, fh: Fh, sattr: SetAttr) -> NfsResult<Attr> {
         let attr = self.inner.setattr(self.server, fh, sattr)?;
-        self.invalidate_fh(fh);
-        self.remember_attr(fh, &attr);
+        if self.cfg.is_some() {
+            self.invalidate_fh(fh);
+            self.remember_attr(fh, &attr);
+        }
         Ok(attr)
     }
 
@@ -398,16 +394,24 @@ impl CachingClient {
         uid: u32,
         gid: u32,
     ) -> NfsResult<(Fh, Attr)> {
-        let (fh, attr) = self.inner.create(self.server, dir, name, mode, uid, gid)?;
-        self.remember_attr(fh, &attr);
-        self.dentries.lock().insert(
-            (dir, name.to_string()),
-            CachedDentry {
-                entry: DentryEntry::Positive(fh),
-                fetched: self.clock.now(),
-            },
-        );
-        Ok((fh, attr))
+        let made = self.inner.create(self.server, dir, name, mode, uid, gid);
+        self.prime(dir, name, made)
+    }
+
+    /// Extension: CREATE of a quota-charged sparse file; as CREATE.
+    pub fn create_sized(
+        &self,
+        dir: Fh,
+        name: &str,
+        size: u64,
+        mode: u32,
+        uid: u32,
+        gid: u32,
+    ) -> NfsResult<(Fh, Attr)> {
+        let made = self
+            .inner
+            .create_sized(self.server, dir, name, size, mode, uid, gid);
+        self.prime(dir, name, made)
     }
 
     /// MKDIR: write-through + prime.
@@ -419,43 +423,59 @@ impl CachingClient {
         uid: u32,
         gid: u32,
     ) -> NfsResult<(Fh, Attr)> {
-        let (fh, attr) = self.inner.mkdir(self.server, dir, name, mode, uid, gid)?;
-        self.remember_attr(fh, &attr);
-        self.dentries.lock().insert(
-            (dir, name.to_string()),
-            CachedDentry {
-                entry: DentryEntry::Positive(fh),
-                fetched: self.clock.now(),
-            },
-        );
-        Ok((fh, attr))
+        let made = self.inner.mkdir(self.server, dir, name, mode, uid, gid);
+        self.prime(dir, name, made)
+    }
+
+    /// SYMLINK: write-through + prime, so a name that was looked up and
+    /// missed is not still missing.
+    pub fn symlink(
+        &self,
+        dir: Fh,
+        name: &str,
+        target: &str,
+        mode: u32,
+        uid: u32,
+        gid: u32,
+    ) -> NfsResult<(Fh, Attr)> {
+        let made = self
+            .inner
+            .symlink(self.server, dir, name, target, mode, uid, gid);
+        self.prime(dir, name, made)
+    }
+
+    /// READLINK (uncached).
+    pub fn readlink(&self, fh: Fh) -> NfsResult<String> {
+        self.inner.readlink(self.server, fh)
     }
 
     /// REMOVE: write-through + invalidate the dentry and object.
     pub fn remove(&self, dir: Fh, name: &str) -> NfsResult<()> {
         self.inner.remove(self.server, dir, name)?;
-        if let Some(CachedDentry {
-            entry: DentryEntry::Positive(fh),
-            ..
-        }) = self.dentries.lock().remove(&(dir, name.to_string()))
-        {
-            self.invalidate_fh(fh);
+        if self.cfg.is_some() {
+            self.invalidate_entry(dir, name);
         }
-        self.invalidate_dentry(dir, name);
         Ok(())
     }
 
     /// RMDIR: write-through + invalidate.
     pub fn rmdir(&self, dir: Fh, name: &str) -> NfsResult<()> {
         self.inner.rmdir(self.server, dir, name)?;
-        if let Some(CachedDentry {
-            entry: DentryEntry::Positive(fh),
-            ..
-        }) = self.dentries.lock().remove(&(dir, name.to_string()))
-        {
-            self.invalidate_fh(fh);
+        if self.cfg.is_some() {
+            self.invalidate_entry(dir, name);
         }
-        self.invalidate_dentry(dir, name);
+        Ok(())
+    }
+
+    /// Extension: recursive subtree removal. Write-through. Names are
+    /// cached by parent handle, so finding what was below `name` is a
+    /// walk that trusts the cache to know the whole subtree; the call is
+    /// rare, and dropping everything is right whatever the cache held.
+    pub fn remove_tree(&self, dir: Fh, name: &str) -> NfsResult<()> {
+        self.inner.remove_tree(self.server, dir, name)?;
+        if self.cfg.is_some() {
+            self.flush();
+        }
         Ok(())
     }
 
@@ -463,8 +483,10 @@ impl CachingClient {
     /// handle survives a rename, so its attr/data entries stay valid).
     pub fn rename(&self, sdir: Fh, sname: &str, ddir: Fh, dname: &str) -> NfsResult<()> {
         self.inner.rename(self.server, sdir, sname, ddir, dname)?;
-        self.invalidate_dentry(sdir, sname);
-        self.invalidate_dentry(ddir, dname);
+        if self.cfg.is_some() {
+            self.invalidate_dentry(sdir, sname);
+            self.invalidate_dentry(ddir, dname);
+        }
         Ok(())
     }
 
@@ -473,6 +495,21 @@ impl CachingClient {
     pub fn readdir(&self, dir: Fh) -> NfsResult<Vec<ClientDirEntry>> {
         self.inner.readdir(self.server, dir)
     }
+
+    /// ACCESS (uncached).
+    pub fn access(&self, fh: Fh, uid: u32, gid: u32, want: u32) -> NfsResult<u32> {
+        self.inner.access(self.server, fh, uid, gid, want)
+    }
+
+    /// COMMIT (nothing cached depends on it: writes go through).
+    pub fn commit(&self, fh: Fh) -> NfsResult<()> {
+        self.inner.commit(self.server, fh)
+    }
+
+    /// FSSTAT (uncached).
+    pub fn fsstat(&self) -> NfsResult<(u64, u64, u64)> {
+        self.inner.fsstat(self.server)
+    }
 }
 
 #[cfg(test)]
@@ -480,10 +517,16 @@ mod tests {
     use super::*;
     use crate::server::{DiskModel, NfsServer};
     use kosha_rpc::{LatencyModel, Network, ServiceId, ServiceMux, SimNetwork};
-    use kosha_vfs::Vfs;
+    use kosha_vfs::{FileType, Vfs};
 
     const SERVER: NodeAddr = NodeAddr(1);
     const CLIENT: NodeAddr = NodeAddr(2);
+
+    /// Open-and-read, as the mount does it: revalidate, then the data.
+    fn read_file(cc: &CachingClient, fh: Fh) -> NfsResult<Bytes> {
+        let attr = cc.getattr(fh)?;
+        cc.read_whole(fh, &attr, 4096)
+    }
 
     fn setup(ttl: Duration) -> (Arc<SimNetwork>, CachingClient) {
         let net = SimNetwork::new(LatencyModel::zero());
@@ -496,7 +539,6 @@ mod tests {
         let cc = CachingClient::new(
             inner,
             SERVER,
-            net.clock(),
             CacheConfig {
                 attr_ttl: ttl,
                 ..Default::default()
@@ -543,8 +585,8 @@ mod tests {
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.write(fh, 0, b"version one").unwrap();
-        assert_eq!(cc.read_file(fh).unwrap(), b"version one");
-        assert_eq!(cc.read_file(fh).unwrap(), b"version one");
+        assert_eq!(read_file(&cc, fh).unwrap(), b"version one");
+        assert_eq!(read_file(&cc, fh).unwrap(), b"version one");
         let s = cc.stats().snapshot();
         assert_eq!(s.5, 1, "one data miss");
         assert!(s.4 >= 1, "subsequent read hit the cache");
@@ -556,10 +598,10 @@ mod tests {
         let other = NfsClient::new(net.clone() as Arc<dyn Network>, NodeAddr(9));
         other.write(SERVER, fh, 0, b"version TWO").unwrap();
         // Within the TTL we may serve stale (the NFS window)…
-        assert_eq!(cc.read_file(fh).unwrap(), b"version one");
+        assert_eq!(read_file(&cc, fh).unwrap(), b"version one");
         // …after the TTL, revalidation sees the new mtime and refetches.
         net.virtual_clock().advance(Duration::from_secs(4));
-        assert_eq!(cc.read_file(fh).unwrap(), b"version TWO");
+        assert_eq!(read_file(&cc, fh).unwrap(), b"version TWO");
     }
 
     #[test]
@@ -568,9 +610,9 @@ mod tests {
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.write(fh, 0, b"first").unwrap();
-        assert_eq!(cc.read_file(fh).unwrap(), b"first");
+        assert_eq!(read_file(&cc, fh).unwrap(), b"first");
         cc.write(fh, 0, b"second").unwrap();
-        assert_eq!(cc.read_file(fh).unwrap(), b"second");
+        assert_eq!(read_file(&cc, fh).unwrap(), b"second");
     }
 
     #[test]
@@ -579,11 +621,11 @@ mod tests {
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.write(fh, 0, b"bye").unwrap();
-        cc.read_file(fh).unwrap();
+        read_file(&cc, fh).unwrap();
         cc.remove(root, "f").unwrap();
         assert!(cc.lookup(root, "f").is_err());
         // The handle is gone server-side; the cache must not resurrect it.
-        assert!(cc.read_file(fh).is_err());
+        assert!(read_file(&cc, fh).is_err());
     }
 
     #[test]
@@ -593,7 +635,6 @@ mod tests {
         let cc = CachingClient::new(
             inner,
             SERVER,
-            net.clock(),
             CacheConfig {
                 attr_ttl: Duration::from_secs(30),
                 max_cached_file: 1 << 20,
@@ -605,7 +646,7 @@ mod tests {
         for i in 0..4 {
             let (fh, _) = cc.create(root, &format!("f{i}"), 0o644, 0, 0).unwrap();
             cc.write(fh, 0, &[i as u8; 1000]).unwrap();
-            cc.read_file(fh).unwrap();
+            read_file(&cc, fh).unwrap();
             fhs.push(fh);
         }
         assert!(
@@ -615,7 +656,26 @@ mod tests {
         );
         // All files still readable (evicted ones refetch).
         for (i, fh) in fhs.iter().enumerate() {
-            assert_eq!(cc.read_file(*fh).unwrap(), vec![i as u8; 1000]);
+            assert_eq!(read_file(&cc, *fh).unwrap(), vec![i as u8; 1000]);
         }
+    }
+
+    #[test]
+    fn plain_form_keeps_nothing_and_counts_nothing() {
+        let (net, _) = setup(Duration::from_secs(30));
+        let inner = NfsClient::new(net.clone() as Arc<dyn Network>, CLIENT);
+        let cc = CachingClient::plain(inner, SERVER);
+        let root = cc.mount().unwrap();
+        let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
+        cc.write(fh, 0, b"through").unwrap();
+        assert!(cc.lookup(root, "ghost").is_err());
+        cc.symlink(root, "ghost", "f", 0o777, 0, 0).unwrap();
+        assert_eq!(cc.lookup(root, "ghost").unwrap().1.ftype, FileType::Symlink);
+        assert_eq!(read_file(&cc, fh).unwrap(), b"through");
+        cc.rename(root, "f", root, "g").unwrap();
+        cc.remove(root, "g").unwrap();
+        assert_eq!(cc.stats().snapshot(), (0, 0, 0, 0, 0, 0));
+        assert!(cc.attrs.lock().is_empty() && cc.dentries.lock().is_empty());
+        assert!(cc.data.lock().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::messages::{Fh, NfsError, NfsReply, NfsReplyFrame, NfsRequest, NfsResult, WireSetAttr};
 use kosha_obs::{Counter, Histogram, Obs};
-use kosha_rpc::{Bytes, Network, NodeAddr, RpcRequest, ServiceId};
+use kosha_rpc::{Bytes, Clock, Network, NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::{Attr, SetAttr};
 use std::sync::Arc;
 
@@ -94,6 +94,13 @@ impl NfsClient {
     #[must_use]
     pub fn from_addr(&self) -> NodeAddr {
         self.from
+    }
+
+    /// The transport's clock, which a cache over this client ages its
+    /// entries by.
+    #[must_use]
+    pub fn clock(&self) -> Arc<dyn Clock> {
+        self.net.clock()
     }
 
     fn call(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {

@@ -4,7 +4,7 @@
 //! the other running as a server", Section 6.1.1).
 
 use kosha::KoshaMount;
-use kosha_nfs::{DiskModel, NfsClient, NfsServer};
+use kosha_nfs::{CacheConfig, DiskModel, NfsClient, NfsServer};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, VirtualClock};
 use kosha_vfs::Vfs;
 use std::sync::Arc;
@@ -34,15 +34,24 @@ impl NfsBaseline {
         net.attach(SERVER, mux);
         // The client machine needs no services; it only issues calls.
         net.attach(CLIENT, Arc::new(ServiceMux::new()));
-        let nfs = NfsClient::new(net.clone() as Arc<dyn Network>, CLIENT);
-        let mount = KoshaMount::over(nfs, SERVER).expect("mount baseline");
+        let mount = KoshaMount::over(Self::client(&net), SERVER).expect("mount baseline");
         NfsBaseline { net, mount }
+    }
+
+    fn client(net: &Arc<SimNetwork>) -> NfsClient {
+        NfsClient::new(net.clone() as Arc<dyn Network>, CLIENT)
     }
 
     /// The client's view of the central server's export.
     #[must_use]
     pub fn mount(&self) -> &KoshaMount {
         &self.mount
+    }
+
+    /// The same export through a caching client on the same machine.
+    #[must_use]
+    pub fn cached_mount(&self, cache: CacheConfig) -> KoshaMount {
+        KoshaMount::cached(Self::client(&self.net), SERVER, cache).expect("mount baseline")
     }
 
     /// The shared virtual clock.
@@ -55,22 +64,20 @@ impl NfsBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workbench::Workbench;
     use kosha_rpc::Clock;
     use kosha_vfs::FileType;
 
     #[test]
     fn baseline_round_trip() {
         let nfs = NfsBaseline::build(LatencyModel::zero(), DiskModel::zero(), 1 << 24);
-        let b: &dyn Workbench = nfs.mount();
+        let b = nfs.mount();
         b.mkdir_p("/a/b").unwrap();
         b.write_file("/a/b/f.txt", b"baseline").unwrap();
         assert_eq!(b.read_file("/a/b/f.txt").unwrap(), b"baseline");
-        assert_eq!(b.stat("/a/b/f.txt").unwrap().size, 8);
-        assert_eq!(
-            b.readdir("/a/b").unwrap(),
-            vec![("f.txt".to_string(), FileType::Regular)]
-        );
+        assert_eq!(b.stat("/a/b/f.txt").unwrap().1.size, 8);
+        let listed = b.readdir("/a/b").unwrap();
+        let listed: Vec<_> = listed.iter().map(|e| (&*e.name, e.ftype)).collect();
+        assert_eq!(listed, [("f.txt", FileType::Regular)]);
     }
 
     #[test]

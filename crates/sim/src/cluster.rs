@@ -3,7 +3,8 @@
 //! FreeBSD testbed (Section 6.1).
 
 use kosha::{boot_cluster, KoshaConfig, KoshaMount, KoshaNode};
-use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork, VirtualClock};
+use kosha_nfs::{CacheConfig, NfsClient};
+use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
 use std::sync::Arc;
 
 /// Parameters of a simulated cluster.
@@ -75,7 +76,7 @@ impl SimCluster {
         SimCluster { net, nodes }
     }
 
-    /// Mounts `/kosha` through node `idx`'s koshad.
+    /// Mounts `/kosha` through node `idx`'s koshad (no client cache).
     pub fn mount(&self, idx: usize) -> KoshaMount {
         KoshaMount::new(
             self.net.clone() as Arc<dyn Network>,
@@ -83,6 +84,17 @@ impl SimCluster {
             self.nodes[idx].addr(),
         )
         .expect("mount kosha")
+    }
+
+    /// [`SimCluster::mount`] with the kernel client's caches on (§4.1.1).
+    pub fn cached_mount(&self, idx: usize, cache: CacheConfig) -> KoshaMount {
+        let addr = self.nodes[idx].addr();
+        let nfs = NfsClient::with_service(
+            self.net.clone() as Arc<dyn Network>,
+            addr,
+            ServiceId::KoshaFs,
+        );
+        KoshaMount::cached(nfs, addr, cache).expect("mount kosha")
     }
 
     /// The shared virtual clock.
@@ -117,6 +129,8 @@ impl Drop for SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{mab_lan, table1_kosha_config};
+    use crate::mab::{run_mab, MabParams};
     use kosha_rpc::Clock;
 
     #[test]
@@ -147,5 +161,52 @@ mod tests {
         m.mkdir_p("/t").unwrap();
         m.write_file("/t/f", &[0u8; 100_000]).unwrap();
         assert!(c.clock().now() > before, "virtual time did not advance");
+    }
+
+    #[test]
+    fn cached_mount_round_trips() {
+        let c = SimCluster::build(&ClusterParams {
+            nodes: 4,
+            kosha: KoshaConfig::for_tests(),
+            latency: LatencyModel::zero(),
+            seed: 31,
+        });
+        let m = c.cached_mount(0, CacheConfig::default());
+        m.mkdir_p("/cachetest/sub").unwrap();
+        m.write_file("/cachetest/sub/f", b"cached bytes").unwrap();
+        assert_eq!(m.read_file("/cachetest/sub/f").unwrap(), b"cached bytes");
+        assert_eq!(m.read_file("/cachetest/sub/f").unwrap(), b"cached bytes");
+        let (_, _, _, _, data_hits, _) = m.cache_stats().snapshot();
+        assert!(data_hits >= 1, "repeat read missed the cache");
+        assert_eq!(m.stat("/cachetest/sub/f").unwrap().1.size, 12);
+        m.remove("/cachetest/sub/f").unwrap();
+        assert!(m.read_file("/cachetest/sub/f").is_err());
+    }
+
+    #[test]
+    fn client_caching_cuts_mab_time() {
+        // §4.1.1: Kosha behaves the same under client caching — and the
+        // caches absorb a large share of the interposition cost.
+        let params = MabParams::small();
+        let total = |cache: Option<CacheConfig>| {
+            let c = SimCluster::build(&ClusterParams {
+                nodes: 4,
+                kosha: table1_kosha_config(),
+                latency: mab_lan(),
+                seed: 32,
+            });
+            let m = match cache {
+                None => c.mount(0),
+                Some(cache) => c.cached_mount(0, cache),
+            };
+            let clock = c.clock();
+            clock.reset();
+            run_mab(&params, &m, &clock).unwrap().total()
+        };
+        let (uncached, cached) = (total(None), total(Some(CacheConfig::default())));
+        assert!(
+            cached < uncached,
+            "caching did not help: {cached:?} !< {uncached:?}"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * **Prototype measurements** (Tables 1–2): the Modified Andrew
 //!   Benchmark run against the *full* Kosha stack (overlay + NFS + koshad)
-//!   on a simulated LAN with a virtual clock — [`cluster`], [`workbench`],
-//!   [`mab`], with the unmodified-NFS baseline in [`baseline`].
+//!   on a simulated LAN with a virtual clock — [`cluster`], [`mab`], with
+//!   the unmodified-NFS baseline in [`baseline`].
 //! * **Trace-driven simulations** (Figures 5–7): load balance,
 //!   redirection, and availability studies driven by synthetic traces
 //!   that match the aggregate statistics of the paper's Purdue
@@ -22,7 +22,6 @@
 
 pub mod availability;
 pub mod baseline;
-pub mod cached_mount;
 pub mod churn;
 pub mod cluster;
 pub mod experiments;
@@ -31,10 +30,8 @@ pub mod mab;
 pub mod model;
 pub mod placement;
 pub mod replay;
-pub mod workbench;
 
 pub use availability::{AvailabilityParams, AvailabilityTrace};
-pub use cached_mount::CachedKoshaMount;
 pub use churn::{run_churn, ChurnParams, ChurnReport, ChurnWindow, DivergencePoint};
 pub use cluster::{ClusterParams, SimCluster};
 pub use fstrace::{FsTrace, TraceFile, TraceParams};

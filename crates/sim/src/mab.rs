@@ -4,11 +4,11 @@
 //! classic five phases (mkdir, copy, stat, grep, compile) "modified to
 //! run ... with a larger workload": a 51 MB source tree with a maximum
 //! subdirectory level of 5. This module generates such a tree
-//! deterministically and drives the phases against any [`Workbench`]
-//! (Kosha mount or plain-NFS baseline), measuring each phase on the
-//! shared virtual clock.
+//! deterministically and drives the phases through a [`KoshaMount`] (of a
+//! koshad or of the plain-NFS baseline, cached or not), measuring each
+//! phase on the shared virtual clock.
 
-use crate::workbench::Workbench;
+use kosha::KoshaMount;
 use kosha_nfs::NfsResult;
 use kosha_rpc::{Clock, VirtualClock};
 use kosha_vfs::FileType;
@@ -173,7 +173,7 @@ impl MabTimes {
 /// Runs all five phases against `fs`, measuring on `clock`.
 pub fn run_mab(
     params: &MabParams,
-    fs: &dyn Workbench,
+    fs: &KoshaMount,
     clock: &Arc<VirtualClock>,
 ) -> NfsResult<MabTimes> {
     let dirs = params.dirs();
@@ -199,10 +199,10 @@ pub fn run_mab(
     let t0 = clock.now();
     let mut stack: Vec<String> = params.dirs().into_iter().take(params.top_dirs).collect();
     while let Some(dir) = stack.pop() {
-        for (name, ftype) in fs.readdir(&dir)? {
-            let p = format!("{dir}/{name}");
+        for e in fs.readdir(&dir)? {
+            let p = format!("{dir}/{}", e.name);
             fs.stat(&p)?;
-            if ftype == FileType::Directory {
+            if e.ftype == FileType::Directory {
                 stack.push(p);
             }
         }

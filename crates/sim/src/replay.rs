@@ -1,5 +1,5 @@
-//! Operation-trace workloads: day-in-the-life replays against any
-//! [`Workbench`].
+//! Operation-trace workloads: day-in-the-life replays through any
+//! [`KoshaMount`].
 //!
 //! The MAB measures a compile-style burst; real NFS servers mostly see
 //! long mixed streams of metadata and I/O with a skewed hot set. This
@@ -10,7 +10,7 @@
 //! between Kosha and the NFS baseline beyond the paper's benchmark.
 
 use crate::fstrace::FsTrace;
-use crate::workbench::Workbench;
+use kosha::KoshaMount;
 use kosha_rpc::{Clock, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,7 +166,7 @@ fn files_name_of(ops: &[ReplayOp]) -> String {
 
 /// Replays `ops` against `fs`, timing on `clock`. The target tree (dirs
 /// and files of `trace`) must already be populated.
-pub fn replay(ops: &[ReplayOp], fs: &dyn Workbench, clock: &Arc<VirtualClock>) -> ReplayReport {
+pub fn replay(ops: &[ReplayOp], fs: &KoshaMount, clock: &Arc<VirtualClock>) -> ReplayReport {
     let start = clock.now();
     let mut rep = ReplayReport::default();
     for op in ops {
@@ -174,7 +174,7 @@ pub fn replay(ops: &[ReplayOp], fs: &dyn Workbench, clock: &Arc<VirtualClock>) -
             ReplayOp::Read(p) => fs.read_file(p).map(|_| &mut rep.reads),
             ReplayOp::Write(p, len) => {
                 let data = vec![0xCD; *len as usize];
-                fs.write_file(p, &data).map(|()| &mut rep.writes)
+                fs.write_file(p, &data).map(|_| &mut rep.writes)
             }
             ReplayOp::Stat(p) => fs.stat(p).map(|_| &mut rep.metas),
             ReplayOp::List(d) => fs.readdir(d).map(|_| &mut rep.metas),
@@ -182,7 +182,7 @@ pub fn replay(ops: &[ReplayOp], fs: &dyn Workbench, clock: &Arc<VirtualClock>) -
             ReplayOp::Recreate(p, len) => fs
                 .remove(p)
                 .and_then(|()| fs.write_file(p, &vec![0xEF; *len as usize]))
-                .map(|()| &mut rep.churn),
+                .map(|_| &mut rep.churn),
         };
         match ok {
             Ok(counter) => *counter += 1,
@@ -195,7 +195,7 @@ pub fn replay(ops: &[ReplayOp], fs: &dyn Workbench, clock: &Arc<VirtualClock>) -
 
 /// Populates `fs` with the trace's directories and (zero-filled) files so
 /// a replay has its targets.
-pub fn populate(trace: &FsTrace, fs: &dyn Workbench) -> Result<(), kosha_nfs::NfsError> {
+pub fn populate(trace: &FsTrace, fs: &KoshaMount) -> Result<(), kosha_nfs::NfsError> {
     for d in &trace.dirs {
         fs.mkdir_p(d)?;
     }

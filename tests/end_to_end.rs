@@ -2,7 +2,7 @@
 //! simulation harness) exercised together.
 
 use kosha::KoshaConfig;
-use kosha_rpc::{Clock, LatencyModel};
+use kosha_rpc::{Clock, LatencyModel, ServiceId};
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::mab::{run_mab, MabParams};
 use kosha_sim::{FsTrace, TraceParams};
@@ -100,4 +100,105 @@ fn kosha_mount_is_shareable_across_user_sessions() {
     assert_eq!(m2.read_file("/shared/note").unwrap(), b"from m1");
     m2.remove("/shared/note").unwrap();
     assert!(!m1.exists("/shared/note"));
+}
+
+enum Op {
+    MkdirP(&'static str),
+    Write(&'static str, usize),
+    Stat(&'static str),
+    Read(&'static str),
+    List(&'static str),
+    Rename(&'static str, &'static str),
+    Remove(&'static str),
+    Rmdir(&'static str),
+}
+
+/// What the plain mount puts on the wire, per service, for a fixed
+/// session: every kind of call a workload makes through it, new and
+/// existing targets, files longer than a transfer chunk, and the errors
+/// the walker itself decides (`IsDir`, `NotDir`). The numbers were read
+/// off the mount when it held a bare `NfsClient`; the client layer now
+/// under the walker may not move one of them.
+#[test]
+fn plain_mount_sends_a_pinned_number_of_rpcs_per_service() {
+    use Op::*;
+    const SCRIPT: [Op; 40] = [
+        MkdirP("/pin/a/b"),
+        MkdirP("/pin/a/c"),
+        MkdirP("/other"),
+        Write("/pin/a/b/f1", 100),
+        Write("/pin/a/b/f2", 40 * 1024),
+        Write("/pin/a/c/g", 7),
+        Write("/other/h", 1),
+        Write("/pin/a/b/f1", 50),
+        Write("/pin/a/b/f2", 0),
+        Stat("/pin/a/b/f1"),
+        Stat("/pin/a"),
+        Stat("/"),
+        Stat("/pin/missing"),
+        Read("/pin/a/b/f1"),
+        Read("/pin/a/b/f2"),
+        Read("/pin/a/c/g"),
+        List("/pin/a/b"),
+        List("/"),
+        List("/pin/a"),
+        Rename("/pin/a/b/f1", "/pin/a/b/f3"),
+        Rename("/pin/a/b/f3", "/pin/a/b/f2"),
+        Stat("/pin/a/b/f2"),
+        Read("/pin/a/b/f2"),
+        Write("/pin/a", 3),
+        MkdirP("/pin/a/b/f2/x"),
+        Remove("/pin/a/c/g"),
+        Remove("/pin/a/c/g"),
+        Rmdir("/pin/a/c"),
+        Rmdir("/pin/a"),
+        Write("/other/h2", 70 * 1024),
+        Read("/other/h2"),
+        Stat("/other/h2"),
+        Remove("/other/h"),
+        Remove("/other/h2"),
+        Rmdir("/other"),
+        Remove("/pin/a/b/f2"),
+        Rmdir("/pin/a/b"),
+        Rmdir("/pin/a"),
+        Rmdir("/pin"),
+        List("/"),
+    ];
+    let c = cluster(4, 2, 1);
+    let calls = |s: ServiceId| {
+        let name = format!("rpc_calls_total{{service=\"{}\"}}", s.name());
+        c.net.obs().registry.counter(&name).get()
+    };
+    let before = ServiceId::ALL.map(calls);
+    let m = c.mount(0);
+    let outcome: String = SCRIPT
+        .iter()
+        .map(|op| match *op {
+            MkdirP(p) => m.mkdir_p(p).is_ok(),
+            Write(p, len) => m.write_file(p, &vec![7; len]).is_ok(),
+            Stat(p) => m.stat(p).is_ok(),
+            Read(p) => m.read_file(p).is_ok(),
+            List(p) => m.readdir(p).is_ok(),
+            Rename(from, to) => m.rename(from, to).is_ok(),
+            Remove(p) => m.remove(p).is_ok(),
+            Rmdir(p) => m.rmdir(p).is_ok(),
+        })
+        .map(|ok| if ok { '.' } else { 'x' })
+        .collect();
+    assert_eq!(outcome, "............x..........xx.x.x...........");
+    let sent: Vec<_> = ServiceId::ALL
+        .iter()
+        .zip(before)
+        .map(|(&s, b)| (s.name(), calls(s) - b))
+        .collect();
+    assert_eq!(
+        sent,
+        [
+            ("pastry", 17),
+            ("nfs", 121),
+            ("kosha", 46),
+            ("koshafs", 74),
+            ("replica", 39),
+        ]
+    );
 }
