@@ -112,6 +112,18 @@ impl Bytes {
             .is_none_or(|owner| self.start == 0 && self.end == owner.len())
     }
 
+    /// True when this handle is whole and its owner's only one: what
+    /// [`Bytes::with_unique`] asks before it lends the vector out. The
+    /// owner-less empty buffer is not unique.
+    #[must_use]
+    pub fn is_unique(&self) -> bool {
+        self.is_whole()
+            && self
+                .owner
+                .as_ref()
+                .is_some_and(|owner| Arc::strong_count(owner) == 1 && Arc::weak_count(owner) == 0)
+    }
+
     /// Runs `f` on the owner's vector if this handle is whole and the
     /// owner's only one, so nobody can watch the bytes change; `None`, and
     /// `f` not run, otherwise (the owner-less empty buffer included).
@@ -472,6 +484,7 @@ mod tests {
     fn with_unique_needs_a_whole_view_and_no_other_holder() {
         let mut b = Bytes::from(b"0123456789".to_vec());
         let ptr = b.as_ptr();
+        assert!(b.is_unique());
         assert_eq!(b.with_unique(|v| v[0] = b'x'), Some(()));
         assert_eq!(b, b"x123456789");
         assert_eq!(b.as_ptr(), ptr);
@@ -479,14 +492,18 @@ mod tests {
         // Another handle, however small its range, forbids it, and the
         // closure does not run.
         let other = b.slice(4..5);
+        assert!(!b.is_unique());
         assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
         // So does being a piece, even the only handle left.
         let mut piece = other;
         assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
         assert_eq!(piece.with_unique(|_| unreachable!()), None::<()>);
+        assert!(!piece.is_unique());
         drop(piece);
+        assert!(b.is_unique());
         assert_eq!(b.with_unique(|v| v.len()), Some(10));
         assert_eq!(Bytes::new().with_unique(|_| unreachable!()), None::<()>);
+        assert!(!Bytes::new().is_unique());
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! `cargo test`: a payload byte is copied where it enters the system,
 //! nowhere else. A warm 128 KiB WRITE through the koshad loopback with
 //! K = 2 replicas allocates at most 1.1 bytes per payload byte (the
-//! client's copy of the caller's slice; the three stores overwrite in
-//! place). A 128 KiB READ, from the primary or from a replica holder,
-//! allocates at most 0.01: the reply's payload is a view of the store's
-//! buffer. So is every file body in an `export_tree`, which the
+//! client's copy of the caller's slice; the three stores keep that
+//! buffer, one buffer between them). So does a new file written in four
+//! 32 KiB WRITEs: each store keeps the chunks as parts of the file, and
+//! its first export joins them, once. A 128 KiB READ, from the primary
+//! or from a replica holder, allocates at most 0.01: the reply's payload
+//! is a view of the store's buffer. So is every file body in an
+//! `export_tree` after the first, which the
 //! maintenance tick and the audit take of every anchor just to digest it.
 //! And a READ allocates no more than the wire can carry, whatever
 //! `count` the peer names. Naming a slot, which every mutation does K + 1
@@ -20,8 +23,8 @@ use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{DiskModel, NfsClient, NfsReply, NfsRequest, NfsServer};
 use kosha_rpc::wire::MAX_LEN;
-use kosha_rpc::{Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
-use kosha_vfs::Vfs;
+use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
+use kosha_vfs::{ExportKind, Vfs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -98,9 +101,31 @@ const BLOCK: usize = 128 * 1024;
 const NODES: u64 = 5;
 const REPLICAS: usize = 2;
 
+/// The anchor the test files live under: `for_tests` distributes two
+/// levels, so the second-level directory is an anchor of its own.
+const ANCHOR: &str = "/budget/dir";
+
+/// The body `node` stores for `vpath` under `ANCHOR`, as an export
+/// lends it: from its primary area, else from its replica area.
+fn stored_body(node: &KoshaNode, vpath: &str) -> Option<Bytes> {
+    node.with_store(|v| {
+        [Area::Store, Area::Replica].into_iter().find_map(|area| {
+            let items = v.export_tree(&slot_local_path(area, ANCHOR, vpath)).ok()?;
+            match &items[0].kind {
+                ExportKind::Bytes(body) => Some(body.clone()),
+                _ => None,
+            }
+        })
+    })
+}
+
 /// A joined cluster on a zero-latency `SimNetwork`, a 128 KiB file
-/// written through node 0's koshad, and an NFS client of that koshad.
-fn cluster(tag: &str, read_from_replicas: bool) -> (Vec<Arc<KoshaNode>>, NfsClient, kosha_nfs::Fh) {
+/// written through node 0's koshad by a mount of it, and an NFS client
+/// of that koshad.
+fn cluster(
+    tag: &str,
+    read_from_replicas: bool,
+) -> (Vec<Arc<KoshaNode>>, KoshaMount, NfsClient, kosha_nfs::Fh) {
     let net = SimNetwork::new_zero_latency();
     let cfg = KoshaConfig {
         replicas: REPLICAS,
@@ -122,12 +147,12 @@ fn cluster(tag: &str, read_from_replicas: bool) -> (Vec<Arc<KoshaNode>>, NfsClie
         .collect();
     let koshad = NodeAddr(0);
     let mount = KoshaMount::new(net.clone() as Arc<dyn Network>, koshad, koshad).expect("mount");
-    mount.mkdir_p("/budget/dir").expect("mkdir");
+    mount.mkdir_p(ANCHOR).expect("mkdir");
     let fh = mount
         .write_file("/budget/dir/file", &vec![0u8; BLOCK])
         .expect("populate");
     let nfs = NfsClient::with_service(net as Arc<dyn Network>, koshad, ServiceId::KoshaFs);
-    (nodes, nfs, fh)
+    (nodes, mount, nfs, fh)
 }
 
 #[test]
@@ -156,7 +181,7 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
     }
 
     // --- the primary path
-    let (nodes, nfs, fh) = cluster("budget", false);
+    let (nodes, mount, nfs, fh) = cluster("budget", false);
     // Warm: the handle's location and the resolver caches are filled by
     // the first op; only steady-state ops have a budget.
     nfs.write(koshad, fh, 0, &vec![7u8; BLOCK])
@@ -180,21 +205,33 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
         .filter(|n| n.with_store(|v| v.used_bytes()) >= BLOCK as u64)
         .count();
     assert_eq!(holders, 1 + REPLICAS);
+    // And all three keep the one buffer the WRITE brought.
+    let bodies: Vec<Bytes> = nodes
+        .iter()
+        .filter_map(|n| stored_body(n, "/budget/dir/file"))
+        .collect();
+    assert_eq!(bodies.len(), 1 + REPLICAS);
+    assert!(bodies.iter().all(|b| *b == payload));
+    assert!(
+        bodies.iter().all(|b| b.as_ptr() == bodies[0].as_ptr()),
+        "a whole-file overwrite was copied by a store"
+    );
+    drop(bodies);
 
     // --- what maintenance and the audit do to every anchor: export it
     // and digest it. The file's body is lent, not copied.
     let primary = nodes
         .iter()
-        .find(|n| n.hosted_anchors().iter().any(|(p, _)| p == "/budget"))
+        .find(|n| n.hosted_anchors().iter().any(|(p, _)| p == ANCHOR))
         .expect("anchor hosted somewhere");
-    let slot = slot_local_path(Area::Store, "/budget", "/budget");
+    let slot = slot_local_path(Area::Store, ANCHOR, ANCHOR);
     let (exported, bytes) = allocated_by(|| {
         let items = primary
             .with_store(|v| v.export_tree(&slot))
             .expect("export");
         (items.len(), tree_digest(&items))
     });
-    assert!(exported.0 >= 3, "anchor, dir and file: {exported:?}");
+    assert!(exported.0 >= 3, "anchor, marker and file: {exported:?}");
     assert!(
         bytes < 4096,
         "export + digest of an anchor holding a 128 KiB file allocated {bytes} bytes"
@@ -214,8 +251,29 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
         "a skipped push allocated a block of {largest} bytes"
     );
 
+    // --- a new file written in chunks, as `write_file` does: each
+    // chunk enters the system once, and each store keeps it as one part
+    // of the file beside the others' (they all share the last one).
+    let chunked = "/budget/dir/chunked";
+    let (written, bytes) = allocated_by(|| mount.write_file(chunked, &payload));
+    written.expect("chunked write");
+    budget("a 128 KiB file written in four WRITEs", bytes, 1.1);
+    // Its first export joins the parts, once; the second lends that.
+    let slot = slot_local_path(Area::Store, ANCHOR, chunked);
+    let export = || primary.with_store(|v| v.export_tree(&slot).expect("export").len());
+    let (_, bytes) = allocated_by(export);
+    assert!(
+        (BLOCK as u64..BLOCK as u64 + 4096).contains(&bytes),
+        "the first export of a chunk-written file allocated {bytes} bytes"
+    );
+    let (_, bytes) = allocated_by(export);
+    assert!(
+        bytes < 4096,
+        "the second export of a chunk-written file allocated {bytes} bytes"
+    );
+
     // --- a read served by a replica holder (`read_from_replicas`)
-    let (nodes, nfs, fh) = cluster("budget-rr", true);
+    let (nodes, _, nfs, fh) = cluster("budget-rr", true);
     nfs.write(koshad, fh, 0, &payload).expect("write");
     // One full turn of the rotor warms the replica handle cache.
     for _ in 0..=REPLICAS {

@@ -6,20 +6,29 @@ use crate::inode::{Attr, FileId, FileType, Ino};
 use crate::path::{join_path, parent_and_name, split_path, validate_name};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
+use std::mem;
 
 /// File payload: real bytes, or a sparse size-only record used by
 /// trace-driven simulations (charges quota, stores no data).
 ///
-/// The bytes are a refcounted buffer that readers and exports share
-/// with the store, under two conditions that every change keeps: the
-/// stored handle is whole ([`Bytes::is_whole`]: a file pins its own
-/// length, never a larger allocation it is a piece of), and a buffer
-/// another handle shares is replaced, never changed.
+/// The bytes are refcounted buffers that readers, exports and WRITEs
+/// share with the store, under two conditions every change keeps: each
+/// stored buffer, each part included, is whole ([`Bytes::is_whole`]: a
+/// file pins its own length, never a larger allocation it is a piece
+/// of), and a buffer another handle shares is replaced, never changed.
+/// Appends in buffers somebody else holds too are kept as parts (see
+/// [`Vfs::write_bytes`]) until a READ, a resize or an export joins them.
 #[derive(Debug, Clone)]
 enum Payload {
     Bytes(Bytes),
+    /// Two to `MAX_PARTS` whole, non-empty buffers, in file order.
+    Parts(Vec<Bytes>),
     Sparse(u64),
 }
+
+/// The most parts a file keeps: the append that would add one more
+/// joins them instead, so the length stays a bounded sum.
+const MAX_PARTS: usize = 16;
 
 /// `old`'s bytes in a vector of their own, with room for `len`.
 fn unshared(old: &[u8], len: usize) -> Vec<u8> {
@@ -32,7 +41,32 @@ impl Payload {
     fn len(&self) -> u64 {
         match self {
             Payload::Bytes(b) => b.len() as u64,
+            Payload::Parts(parts) => parts.iter().map(|p| p.len() as u64).sum(),
             Payload::Sparse(n) => *n,
+        }
+    }
+
+    /// Whether an append may be one more part: there is room for one, and
+    /// the last buffer has another holder, so it cannot grow in place.
+    fn takes_part(&self) -> bool {
+        match self {
+            Payload::Bytes(b) => !b.is_unique(),
+            Payload::Parts(p) => p.len() < MAX_PARTS && p.last().is_some_and(|b| !b.is_unique()),
+            Payload::Sparse(_) => false,
+        }
+    }
+
+    /// The bytes as one buffer, the parts first joined into a vector of
+    /// the store's own with room for `room` bytes; `None` if sparse.
+    fn joined(&mut self, room: usize) -> Option<&mut Bytes> {
+        if let Payload::Parts(parts) = self {
+            let mut v = Vec::with_capacity(room.max(parts.iter().map(|p| p.len()).sum()));
+            parts.iter().for_each(|p| v.extend_from_slice(p));
+            *self = Payload::Bytes(v.into());
+        }
+        match self {
+            Payload::Bytes(b) => Some(b),
+            _ => None,
         }
     }
 }
@@ -390,19 +424,18 @@ impl Vfs {
             }
             let inode = self.get_mut(id)?;
             if let Kind::File(p) = &mut inode.kind {
-                match p {
-                    Payload::Bytes(b) => {
-                        let len = new_size as usize;
-                        if len < b.len() {
-                            // A view of the head would pin the old tail.
-                            *b = Bytes::copy_from_slice(&b[..len]);
-                        } else if len > b.len() && b.with_unique(|v| v.resize(len, 0)).is_none() {
-                            let mut v = unshared(b, len);
-                            v.resize(len, 0);
-                            *b = v.into();
-                        }
+                let len = new_size as usize;
+                if let Some(b) = p.joined(len) {
+                    if len < b.len() {
+                        // A view of the head would pin the old tail.
+                        *b = Bytes::copy_from_slice(&b[..len]);
+                    } else if len > b.len() && b.with_unique(|v| v.resize(len, 0)).is_none() {
+                        let mut v = unshared(b, len);
+                        v.resize(len, 0);
+                        *b = v.into();
                     }
-                    Payload::Sparse(n) => *n = new_size,
+                } else {
+                    *p = Payload::Sparse(new_size);
                 }
             }
             inode.attr.size = new_size;
@@ -594,16 +627,16 @@ impl Vfs {
 
     /// Reads up to `count` bytes at `offset`; returns the data and an EOF
     /// flag. The data is a view of the stored buffer: nothing is copied
-    /// and nothing allocated. The view keeps the bytes it was taken over
-    /// whatever happens to the file afterwards (a write that finds the
-    /// buffer shared replaces it, see [`Vfs::write_bytes`]), and until it
-    /// is dropped it pins the file's whole buffer as of the read, not
-    /// only the range asked for. Sparse files read as zeros, allocated
-    /// per call, so `count` must have been bounded by the caller.
+    /// and nothing allocated (but the first READ of a file kept in parts
+    /// joins them, once). The view keeps the bytes it was taken over
+    /// whatever happens to the file afterwards (see [`Vfs::write_bytes`]),
+    /// and until it is dropped it pins the file's whole buffer as of the
+    /// read, not only the range asked for. Sparse files read as zeros,
+    /// allocated per call, so `count` must have been bounded by the caller.
     pub fn read(&mut self, id: FileId, offset: u64, count: u32) -> Result<(Bytes, bool), VfsError> {
         let now = self.now;
         let inode = self.get_mut(id)?;
-        let payload = match &inode.kind {
+        let payload = match &mut inode.kind {
             Kind::File(p) => p,
             Kind::Dir(_) => return Err(VfsError::IsDir),
             Kind::Symlink(_) => return Err(VfsError::NotFile),
@@ -613,9 +646,9 @@ impl Vfs {
         let start = offset.min(size);
         let end = offset.saturating_add(u64::from(count)).min(size);
         let eof = end >= size;
-        let data = match payload {
-            Payload::Bytes(b) => b.slice(start as usize..end as usize),
-            Payload::Sparse(_) => vec![0u8; (end - start) as usize].into(),
+        let data = match payload.joined(0) {
+            Some(b) => b.slice(start as usize..end as usize),
+            None => vec![0u8; (end - start) as usize].into(),
         };
         Ok((data, eof))
     }
@@ -629,21 +662,22 @@ impl Vfs {
     }
 
     /// [`Vfs::write`] of a buffer the store may keep. One rule decides
-    /// what happens to the bytes, for every caller:
+    /// what happens to the bytes, for every caller, in this order:
     ///
-    /// 1. the file's buffer has no other holder (no reader's view, no
-    ///    export, no co-hosted replica) and has room: it is changed in
-    ///    place, and nothing is allocated;
-    /// 2. otherwise, if `data` is a whole buffer ([`Bytes::is_whole`])
-    ///    and covers the whole file (the first write into a fresh file,
-    ///    or an overwrite of a buffer somebody still shares), it becomes
-    ///    the file's buffer, and nothing is copied;
-    /// 3. otherwise the bytes are copied once: a buffer with no other
-    ///    holder grows as a vector does, a shared one is left to its
-    ///    holders and replaced by a fresh one.
+    /// 1. `data` is a whole buffer ([`Bytes::is_whole`]) covering the
+    ///    file (a first write, a whole-file overwrite): it becomes the
+    ///    file's buffer, whoever else holds it or the old one;
+    /// 2. `data` is a whole buffer appended exactly at the end, and the
+    ///    file's last buffer has another holder (a reader's view, an
+    ///    export, a co-hosted replica that kept the same WRITE): it
+    ///    becomes one more part of the file, up to sixteen;
+    /// 3. otherwise the parts are joined into one buffer, once, and the
+    ///    bytes are copied into it: in place if nobody else holds it (so
+    ///    a store that alone holds its file grows it, and never keeps
+    ///    parts), else into a fresh buffer that replaces the shared one.
     ///
     /// A view that is a piece of a larger buffer (a field of a flat
-    /// frame) is never adopted: the file would pin the frame.
+    /// frame) is never kept, as the file or as a part: it pins the frame.
     pub fn write_bytes(&mut self, id: FileId, offset: u64, data: &Bytes) -> Result<u32, VfsError> {
         self.store(id, offset, data, data.is_whole().then_some(data))
     }
@@ -670,41 +704,37 @@ impl Vfs {
         let now = self.now;
         let inode = self.get_mut(id)?;
         if let Kind::File(p) = &mut inode.kind {
-            match p {
-                Payload::Bytes(b) => {
-                    let (at, to) = (offset as usize, end as usize);
-                    let put = |v: &mut Vec<u8>| {
-                        if to > v.len() {
-                            v.resize(to, 0);
-                        }
-                        v[at..to].copy_from_slice(data);
-                    };
-                    // Rule 2's condition on the incoming buffer.
-                    let adopt = whole.filter(|_| at == 0 && to >= b.len());
-                    // Rule 1, and rule 3 for a buffer nobody shares: it
-                    // leaves its allocation only for a buffer to adopt.
-                    let in_place = b.with_unique(|v| {
-                        let stays = v.capacity() >= to || adopt.is_none();
-                        if stays {
-                            put(v);
-                        }
-                        stays
-                    });
-                    match (in_place, adopt) {
-                        (Some(true), _) => {}
-                        (_, Some(data)) => *b = data.clone(),
-                        _ => {
+            let (at, to, size) = (offset as usize, end as usize, old_size as usize);
+            // A sparse file stays sparse: only its size is tracked.
+            match whole.filter(|_| !matches!(p, Payload::Sparse(_))) {
+                // (1) A whole buffer covering the file becomes it.
+                Some(data) if at == 0 && to >= size => *p = Payload::Bytes(data.clone()),
+                // (2) One appended onto a shared last buffer is a part.
+                Some(data) if at == size && to > at && p.takes_part() => {
+                    if let Payload::Bytes(b) = p {
+                        *p = Payload::Parts(vec![mem::take(b)]);
+                    }
+                    if let Payload::Parts(parts) = p {
+                        parts.push(data.clone());
+                    }
+                }
+                // (3) Anything else is copied once, into one buffer.
+                _ => match p.joined(to) {
+                    Some(b) => {
+                        let put = |v: &mut Vec<u8>| {
+                            if to > v.len() {
+                                v.resize(to, 0);
+                            }
+                            v[at..to].copy_from_slice(data);
+                        };
+                        if b.with_unique(put).is_none() {
                             let mut v = unshared(b, to);
                             put(&mut v);
                             *b = v.into();
                         }
                     }
-                }
-                Payload::Sparse(n) => {
-                    // Writing to a sparse file keeps it sparse: only the
-                    // size is tracked (simulation mode).
-                    *n = (*n).max(end);
-                }
+                    None => *p = Payload::Sparse(old_size.max(end)),
+                },
             }
             inode.attr.size = inode.attr.size.max(end);
             inode.attr.mtime = now;
@@ -975,41 +1005,44 @@ impl Vfs {
     /// Exports the subtree rooted at `root_path` in pre-order, for
     /// migration and replica pushes. The root itself is included with an
     /// empty relative path. Sparse files export their size only; real
-    /// files export their stored buffer by refcount, which like a
-    /// [`Vfs::read`] view keeps its bytes whatever happens to the file.
-    pub fn export_tree(&self, root_path: &str) -> Result<Vec<ExportItem>, VfsError> {
+    /// files export their stored buffer by refcount (a file kept in parts
+    /// is joined into one buffer first, once), which like a [`Vfs::read`]
+    /// view keeps its bytes whatever happens to the file.
+    pub fn export_tree(&mut self, root_path: &str) -> Result<Vec<ExportItem>, VfsError> {
         let (id, _) = self.resolve(root_path)?;
         let mut out = Vec::new();
-        self.export_ino(id.ino, String::new(), &mut out)?;
-        Ok(out)
-    }
-
-    fn export_ino(&self, ino: Ino, rel: String, out: &mut Vec<ExportItem>) -> Result<(), VfsError> {
-        let inode = self.inodes.get(&ino).ok_or(VfsError::Stale)?;
-        let kind = match &inode.kind {
-            Kind::Dir(_) => ExportKind::Dir,
-            Kind::File(Payload::Bytes(b)) => ExportKind::Bytes(b.clone()),
-            Kind::File(Payload::Sparse(n)) => ExportKind::Sparse(*n),
-            Kind::Symlink(t) => ExportKind::Symlink { target: t.clone() },
-        };
-        out.push(ExportItem {
-            rel_path: rel.clone(),
-            kind,
-            mode: inode.attr.mode,
-            uid: inode.attr.uid,
-            gid: inode.attr.gid,
-        });
-        if let Kind::Dir(entries) = &inode.kind {
-            for (name, &child) in entries {
-                let crel = if rel.is_empty() {
-                    name.clone()
-                } else {
-                    format!("{rel}/{name}")
-                };
-                self.export_ino(child, crel, out)?;
-            }
+        // A directory's children go on the stack last first, so they come
+        // off it, each with its subtree, in name order.
+        let mut stack = vec![(id.ino, String::new())];
+        while let Some((ino, rel)) = stack.pop() {
+            let inode = self.inodes.get_mut(&ino).ok_or(VfsError::Stale)?;
+            let kind = match &mut inode.kind {
+                Kind::Dir(entries) => {
+                    for (name, &child) in entries.iter().rev() {
+                        let crel = if rel.is_empty() {
+                            name.clone()
+                        } else {
+                            format!("{rel}/{name}")
+                        };
+                        stack.push((child, crel));
+                    }
+                    ExportKind::Dir
+                }
+                Kind::File(p) => match p.joined(0) {
+                    Some(b) => ExportKind::Bytes(b.clone()),
+                    None => ExportKind::Sparse(p.len()),
+                },
+                Kind::Symlink(t) => ExportKind::Symlink { target: t.clone() },
+            };
+            out.push(ExportItem {
+                rel_path: rel,
+                kind,
+                mode: inode.attr.mode,
+                uid: inode.attr.uid,
+                gid: inode.attr.gid,
+            });
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Full path of an object, reconstructed from parent pointers (O(depth);
@@ -1106,46 +1139,79 @@ mod tests {
         assert!(exported.is_whole());
     }
 
-    #[test]
-    fn write_rule_1_a_buffer_nobody_shares_is_changed_in_place() {
-        let mut v = fs();
-        let f = file_of(&mut v, "f", 1, 4096);
-        let before = v.read(f, 0, 1).unwrap().0.as_ptr();
-        // Whole-cover, partial, borrowed or a whole buffer of the
-        // caller's: with room and no other holder, the allocation stays.
-        let incoming = Bytes::from(vec![2u8; 4096]);
-        v.write_bytes(f, 0, &incoming).unwrap();
-        v.write_bytes(f, 100, &incoming.slice(..10)).unwrap();
-        v.write(f, 4000, &[3u8; 96]).unwrap();
-        let (data, _) = v.read(f, 0, 4096).unwrap();
-        assert_eq!(data.as_ptr(), before);
-        assert_ne!(data.as_ptr(), incoming.as_ptr());
-        assert_eq!(data[..4000], [2u8; 4000]);
-        assert_eq!(data[4000..], [3u8; 96]);
+    /// `len` bytes of `fill` in a whole buffer of the caller's.
+    fn buf(fill: u8, len: usize) -> Bytes {
+        vec![fill; len].into()
+    }
+
+    /// Where each buffer `f` is kept in starts, in file order.
+    fn buffers(v: &Vfs, f: FileId) -> Vec<*const u8> {
+        match &v.get(f).unwrap().kind {
+            Kind::File(Payload::Bytes(b)) => vec![b.as_ptr()],
+            Kind::File(Payload::Parts(parts)) => parts.iter().map(|p| p.as_ptr()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn resize(v: &mut Vfs, f: FileId, size: u64) {
+        let set = SetAttr {
+            size: Some(size),
+            ..Default::default()
+        };
+        v.setattr(f, &set).unwrap();
     }
 
     #[test]
-    fn write_rule_2_a_whole_buffer_covering_the_file_is_adopted() {
+    fn write_rule_1_a_whole_buffer_covering_the_file_becomes_it() {
         let mut v = fs();
-        // The first write into a fresh file.
         let (f, _) = v.create(v.root(), "f", 0o644, 0, 0).unwrap();
-        let first = Bytes::from(vec![1u8; 4096]);
-        v.write_bytes(f, 0, &first).unwrap();
-        assert_eq!(v.read(f, 0, 4096).unwrap().0.as_ptr(), first.as_ptr());
-        // An overwrite of a buffer a holder (here `first` itself) shares,
-        // longer than the file or not.
-        let second = Bytes::from(vec![2u8; 5000]);
-        v.write_bytes(f, 0, &second).unwrap();
-        assert_eq!(v.read(f, 0, 5000).unwrap().0.as_ptr(), second.as_ptr());
-        assert_eq!(first, vec![1u8; 4096]);
+        // A first write, then overwrites of a buffer nobody else holds
+        // (each `incoming` is dropped), longer than the file or not.
+        for incoming in [buf(1, 4096), buf(2, 4096), buf(3, 5000)] {
+            v.write_bytes(f, 0, &incoming).unwrap();
+            assert_eq!(buffers(&v, f), [incoming.as_ptr()]);
+        }
         assert_eq!(v.used_bytes(), 5000);
         // A piece of a larger buffer is not adopted, whatever it covers.
-        let frame = Bytes::from(vec![3u8; 6000]);
+        let frame = buf(4, 6000);
         v.write_bytes(f, 0, &frame.slice(..5000)).unwrap();
         let (data, _) = v.read(f, 0, 5000).unwrap();
         assert!(!(frame.as_ptr()..frame[5999..].as_ptr()).contains(&data.as_ptr()));
-        assert_eq!(data, vec![3u8; 5000]);
-        assert_eq!(second, vec![2u8; 5000]);
+        assert_eq!(data, vec![4u8; 5000]);
+    }
+
+    #[test]
+    fn write_rule_2_an_append_onto_a_shared_buffer_is_a_part_up_to_sixteen() {
+        let mut v = fs();
+        let (f, _) = v.create(v.root(), "f", 0o644, 0, 0).unwrap();
+        // The caller keeps every chunk, so the last buffer is shared.
+        let chunks: Vec<Bytes> = (0..17).map(|i| buf(i, 100)).collect();
+        let ptrs: Vec<_> = chunks.iter().map(|c| c.as_ptr()).collect();
+        for (at, chunk) in (0..).step_by(100).zip(&chunks[..MAX_PARTS]) {
+            v.write_bytes(f, at, chunk).unwrap();
+        }
+        assert_eq!(buffers(&v, f), ptrs[..MAX_PARTS]);
+        // The 17th joins them into one buffer of the store's own.
+        v.write_bytes(f, 1600, &chunks[16]).unwrap();
+        let joined = buffers(&v, f);
+        assert!(joined.len() == 1 && !ptrs.contains(&joined[0]));
+        // A view shares it, so the next append is a part again, and a
+        // READ across the two joins them, once.
+        let (held, _) = v.read(f, 0, 1700).unwrap();
+        assert_eq!(held.as_ptr(), joined[0]);
+        v.write_bytes(f, 1700, &chunks[0]).unwrap();
+        assert_eq!(buffers(&v, f), [joined[0], ptrs[0]]);
+        let (across, _) = v.read(f, 1650, 100).unwrap();
+        let (data, _) = v.read(f, 0, 4096).unwrap();
+        assert_eq!(
+            (buffers(&v, f), across.as_ptr()),
+            (vec![data.as_ptr()], data[1650..].as_ptr())
+        );
+        assert!(data
+            .chunks(100)
+            .zip((0..17).chain([0]))
+            .all(|(c, i)| c == [i; 100]));
+        assert_eq!(v.used_bytes(), 1800);
     }
 
     #[test]
@@ -1153,10 +1219,10 @@ mod tests {
         let mut v = fs();
         let f = file_of(&mut v, "f", 1, 4096);
         let (reader, _) = v.read(f, 0, 4096).unwrap();
-        let incoming = Bytes::from(vec![2u8; 1000]);
+        let incoming = buf(2, 1000);
         v.write_bytes(f, 96, &incoming).unwrap();
         // The reader keeps what it read; the file has a buffer of its
-        // own again, so the next write finds rule 1.
+        // own again, so the next write changes it in place.
         assert_eq!(reader, vec![1u8; 4096]);
         let (data, _) = v.read(f, 0, 4096).unwrap();
         assert_ne!(data.as_ptr(), reader.as_ptr());
@@ -1166,12 +1232,29 @@ mod tests {
         let own = data.as_ptr();
         drop(data);
         v.write(f, 0, &[4u8; 8]).unwrap();
-        assert_eq!(v.read(f, 0, 1).unwrap().0.as_ptr(), own);
-        // Growing past the end of a shared buffer is the same copy.
+        assert_eq!(buffers(&v, f), [own]);
+        // Growing past the end of a shared buffer is the same copy, and a
+        // piece of a flat frame appended there is never a part.
         let (reader, _) = v.read(f, 0, 4096).unwrap();
-        v.write(f, 4090, &[5u8; 10]).unwrap();
+        let frame = buf(5, 300);
+        v.write_bytes(f, 4096, &frame.slice(100..200)).unwrap();
+        let copied = buffers(&v, f);
+        assert!(copied.len() == 1 && copied != [own] && copied != [frame[100..].as_ptr()]);
         assert_eq!(reader.len(), 4096);
-        assert_eq!(v.read(f, 4090, 10).unwrap().0, [5u8; 10]);
+        assert_eq!(v.read(f, 4090, 200).unwrap().0[6..], [5u8; 100]);
+    }
+
+    #[test]
+    fn an_append_onto_a_buffer_nobody_shares_grows_it_in_place() {
+        let mut v = fs();
+        let (f, _) = v.create(v.root(), "f", 0o644, 0, 0).unwrap();
+        let mut roomy = Vec::with_capacity(4096);
+        roomy.resize(100, 1u8);
+        v.write_bytes(f, 0, &roomy.into()).unwrap();
+        let own = buffers(&v, f);
+        v.write_bytes(f, 100, &buf(2, 100)).unwrap();
+        assert_eq!(buffers(&v, f), own);
+        assert_eq!(v.read(f, 0, 4096).unwrap().0[99..101], [1, 2]);
     }
 
     #[test]
@@ -1179,27 +1262,33 @@ mod tests {
         let mut v = fs();
         let f = file_of(&mut v, "f", 1, 4096);
         let (reader, _) = v.read(f, 0, 4096).unwrap();
-        let resize = |v: &mut Vfs, size| {
-            v.setattr(
-                f,
-                &SetAttr {
-                    size: Some(size),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        };
-        resize(&mut v, 100);
+        resize(&mut v, f, 100);
         let ExportKind::Bytes(kept) = &v.export_tree("/f").unwrap()[0].kind else {
             panic!()
         };
         assert!(kept.is_whole(), "a truncated file pins its old tail");
         assert_eq!(kept.len(), 100);
         let (short, _) = v.read(f, 0, 4096).unwrap();
-        resize(&mut v, 200);
+        resize(&mut v, f, 200);
         assert_eq!(short, vec![1u8; 100]);
-        assert_eq!(v.read(f, 100, 100).unwrap().0, vec![0u8; 100]);
+        let (held, _) = v.read(f, 0, 200).unwrap();
+        assert_eq!(held[100..], [0u8; 100]);
         assert_eq!(reader, vec![1u8; 4096]);
+        // A file in parts is joined, then extended or truncated.
+        let parts = [buf(2, 100), buf(3, 100)];
+        v.write_bytes(f, 200, &parts[0]).unwrap();
+        v.write_bytes(f, 300, &parts[1]).unwrap();
+        assert_eq!(buffers(&v, f).len(), 3);
+        resize(&mut v, f, 500);
+        let (extended, _) = v.read(f, 0, 4096).unwrap();
+        v.write_bytes(f, 500, &parts[0]).unwrap();
+        assert_eq!(buffers(&v, f).len(), 2);
+        resize(&mut v, f, 250);
+        assert_eq!(buffers(&v, f).len(), 1);
+        let body = [[1u8; 100], [0; 100], [2; 100], [3; 100], [0; 100]].concat();
+        assert_eq!(extended, body);
+        assert_eq!(v.read(f, 0, 4096).unwrap().0, body[..250]);
+        assert_eq!(v.used_bytes(), 250);
     }
 
     #[test]

@@ -56,6 +56,23 @@ enum Op {
         len: u16,
         lead: u8,
     },
+    /// `write_bytes` of a whole buffer at the end of the file, which the
+    /// caller keeps, so the last buffer of the file is shared when the
+    /// next one comes; with `view`, a view of the file is lent first, so
+    /// it is shared when this one comes too.
+    Append {
+        dir: u8,
+        name: u8,
+        len: u16,
+        view: bool,
+    },
+    /// `write_bytes` of a whole buffer covering the file, `extra` bytes
+    /// longer, while a view of the file is lent.
+    Overwrite {
+        dir: u8,
+        name: u8,
+        extra: u16,
+    },
     /// Takes a view and holds it to the end of the run.
     Read {
         dir: u8,
@@ -112,6 +129,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 lead
             }
         ),
+        (any::<u8>(), any::<u8>(), 0u16..2048, any::<bool>()).prop_map(|(dir, name, len, view)| {
+            Op::Append {
+                dir,
+                name,
+                len,
+                view,
+            }
+        }),
+        (any::<u8>(), any::<u8>(), 0u16..512).prop_map(|(dir, name, extra)| Op::Overwrite {
+            dir,
+            name,
+            extra
+        }),
         (any::<u8>(), any::<u8>(), 0u16..4096, any::<u16>()).prop_map(
             |(dir, name, offset, count)| Op::Read {
                 dir,
@@ -179,7 +209,7 @@ impl World {
                 let data = vec![fill; len as usize];
                 let offset = offset % 4096;
                 v.write(f, u64::from(offset), &data)?;
-                self.wrote(f, offset, &data);
+                self.wrote(f, offset.into(), &data);
             }
             Op::WriteView {
                 dir,
@@ -193,9 +223,26 @@ impl World {
                 let owner = Bytes::from(vec![fill; lead + len + lead]);
                 let data = owner.slice(lead..lead + len);
                 v.write_bytes(f, u64::from(offset), &data)?;
-                self.wrote(f, offset, &data);
+                self.wrote(f, offset.into(), &data);
                 // The caller's buffer is a holder too.
                 self.lent.push((owner.clone(), owner.to_vec()));
+            }
+            Op::Append {
+                dir,
+                name,
+                len,
+                view,
+            } => {
+                let (f, attr) = v.lookup(pick_dir(v, dir), &name_for(name))?;
+                if view {
+                    self.lend(v.read(f, 0, u32::MAX)?.0);
+                }
+                self.keep(v, f, attr.size, vec![fill; len as usize])?;
+            }
+            Op::Overwrite { dir, name, extra } => {
+                let (f, attr) = v.lookup(pick_dir(v, dir), &name_for(name))?;
+                self.lend(v.read(f, 0, u32::MAX)?.0);
+                self.keep(v, f, 0, vec![fill; attr.size as usize + extra as usize])?;
             }
             Op::Truncate { dir, name, size } => {
                 let (f, _) = v.lookup(pick_dir(v, dir), &name_for(name))?;
@@ -231,14 +278,13 @@ impl World {
                 count,
             } => {
                 let (f, _) = v.lookup(pick_dir(v, dir), &name_for(name))?;
-                let (view, _) = v.read(f, u64::from(offset), u32::from(count))?;
-                self.lent.push((view.clone(), view.to_vec()));
+                self.lend(v.read(f, u64::from(offset), u32::from(count))?.0);
             }
             Op::Export { dir } => {
                 let path = DIRS[(dir % 4) as usize];
                 for item in v.export_tree(path)? {
                     if let ExportKind::Bytes(b) = item.kind {
-                        self.lent.push((b.clone(), b.to_vec()));
+                        self.lend(b);
                     }
                 }
             }
@@ -250,7 +296,23 @@ impl World {
         Ok(())
     }
 
-    fn wrote(&mut self, f: FileId, offset: u16, data: &[u8]) {
+    /// Holds `view` to the end of the run.
+    fn lend(&mut self, view: Bytes) {
+        let taken = view.to_vec();
+        self.lent.push((view, taken));
+    }
+
+    /// `write_bytes` of `data` at `offset` in a whole buffer the caller
+    /// keeps holding.
+    fn keep(&mut self, v: &mut Vfs, f: FileId, offset: u64, data: Vec<u8>) -> Result<(), VfsError> {
+        let data = Bytes::from(data);
+        v.write_bytes(f, offset, &data)?;
+        self.wrote(f, offset, &data);
+        self.lend(data);
+        Ok(())
+    }
+
+    fn wrote(&mut self, f: FileId, offset: u64, data: &[u8]) {
         let Some(m) = self.model.get_mut(&f) else {
             return; // a symlink or directory: the write failed
         };
@@ -310,6 +372,10 @@ proptest! {
             prop_assert_eq!(v.used_bytes(), recount(&v), "quota accounting drifted");
             prop_assert!(v.used_bytes() <= v.capacity(), "quota exceeded");
         }
+        // Nothing joined the files along the way, so appends without a
+        // view in between kept up to sixteen parts: they still read back
+        // as written, each in one whole buffer.
+        world.check(&mut v);
 
         // Every reachable object's path resolves back to itself.
         let mut paths = Vec::new();
@@ -321,9 +387,10 @@ proptest! {
     }
 
     /// The aliasing property. Bytes the store hands out by reference
-    /// (`read`, `export_tree`) and buffers it adopts (`write_bytes`) have
-    /// other holders; after any later sequence of write, truncate,
-    /// extend, remove, rename, `remove_tree` and `purge`, every holder
+    /// (`read`, `export_tree`) and buffers it keeps (`write_bytes`, whole
+    /// file or part) have other holders; after any later sequence of
+    /// write, append, overwrite, truncate, extend, remove, rename,
+    /// `remove_tree` and `purge`, every holder
     /// still sees the bytes it had, every file holds what was written to
     /// it, and no file pins more than its own length.
     #[test]
