@@ -6,17 +6,17 @@
 //! primaries under churn. This module adds that measurement:
 //!
 //! * [`slot_summary`] / [`tree_digest`] — a canonical SHA-1 digest over
-//!   a slot subtree (internal bookkeeping files excluded), computed
-//!   identically for `/kosha_store` and `/kosha_replica` copies, so an
-//!   up-to-date replica hashes byte-for-byte equal to its primary;
+//!   a slot subtree, computed identically for `/kosha_store` and
+//!   `/kosha_replica` copies, so an up-to-date replica hashes
+//!   byte-for-byte equal to its primary;
 //! * `KoshaRequest::AuditScan` — each node digests every slot it holds
 //!   locally (no nested RPCs, preserving the replica-service deadlock
 //!   discipline) and reports one [`AuditEntry`] per copy;
 //! * [`audit_cluster`] — the audit pass: fan the scan out to every
 //!   node, join replica entries to primary entries by slot, and report
 //!   divergence (objects/bytes), under-/over-replication versus the
-//!   configured K, orphaned replica slots, outstanding `.kosha_lag`
-//!   markers, and in-flight migrations;
+//!   configured K, orphaned replica slots, replica slots whose record
+//!   carries write-behind lag, and in-flight migrations;
 //! * [`AuditReport::publish`] — feeds the results into a registry +
 //!   flight-recorder domain as `kosha_audit_*` gauges and series, so
 //!   divergence-over-time is observable like any other metric.
@@ -29,7 +29,7 @@
 
 use crate::control::{AuditEntry, KoshaReply, KoshaReplyFrame, KoshaRequest};
 use crate::node::KoshaNode;
-use crate::paths::{anchor_slot, is_internal_name, Area, HOT_MARK, LAG_MARK, MIGRATION_FLAG};
+use crate::paths::{anchor_slot, Area};
 use kosha_id::Sha1;
 use kosha_nfs::messages::ReplyFrame;
 use kosha_obs::Obs;
@@ -44,32 +44,15 @@ pub struct SlotSummary {
     pub digest: [u8; 20],
     /// Payload bytes (file contents, sparse sizes, symlink targets).
     pub bytes: u64,
-    /// Objects below the slot root, internal files excluded.
+    /// Objects below the slot root.
     pub files: u64,
-    /// A `.kosha_lag` marker sits at the slot root.
-    pub lag_marker: bool,
-    /// A `MIGRATION_NOT_COMPLETE` flag sits at the slot root.
-    pub migrating: bool,
-    /// A `.kosha_hot` lease marker sits at the slot root: the slot holds
-    /// heat-driven cached copies (DESIGN.md §16), not a durable replica.
-    pub hot: bool,
-}
-
-/// Whether an exported item is Kosha-internal bookkeeping (`.kosha_anchor`,
-/// `.kosha_lag`, `MIGRATION_NOT_COMPLETE`). Internal files are leaves, so
-/// checking the final path component suffices.
-fn is_internal_item(item: &ExportItem) -> bool {
-    item.rel_path
-        .rsplit('/')
-        .next()
-        .is_some_and(is_internal_name)
 }
 
 /// SHA-1 digest of a slot subtree's canonical serialization.
 ///
 /// Canonical means: items sorted by relative path (independent of export
-/// traversal order), internal bookkeeping files excluded, each item
-/// hashed as `rel_path NUL kind-tag payload [mode uid gid] 0xFF`.
+/// traversal order), each item hashed as
+/// `rel_path NUL kind-tag payload [mode uid gid] 0xFF`.
 /// Directory permission bits are deliberately *excluded*: replica-side
 /// directories are materialized with fixed modes by `ReplicaOp::Mkdir`,
 /// so including them would report permanent false divergence. File and
@@ -89,12 +72,12 @@ pub fn tree_digest(items: &[ExportItem]) -> [u8; 20] {
 /// Computes the full [`SlotSummary`] for an exported slot subtree.
 #[must_use]
 pub fn slot_summary(items: &[ExportItem]) -> SlotSummary {
-    let mut kept: Vec<&ExportItem> = items.iter().filter(|i| !is_internal_item(i)).collect();
-    kept.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+    let mut sorted: Vec<&ExportItem> = items.iter().collect();
+    sorted.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
     let mut h = Sha1::new();
     let mut bytes = 0u64;
     let mut files = 0u64;
-    for item in &kept {
+    for item in &sorted {
         h.update(item.rel_path.as_bytes());
         h.update(&[0]);
         match &item.kind {
@@ -130,9 +113,6 @@ pub fn slot_summary(items: &[ExportItem]) -> SlotSummary {
         digest: h.finalize(),
         bytes,
         files,
-        lag_marker: items.iter().any(|i| i.rel_path == LAG_MARK),
-        migrating: items.iter().any(|i| i.rel_path == MIGRATION_FLAG),
-        hot: items.iter().any(|i| i.rel_path == HOT_MARK),
     }
 }
 
@@ -141,7 +121,8 @@ impl KoshaNode {
     /// `AuditScan` handler body. Local state only: no RPCs, so the
     /// control service stays cycle-free when an auditor fans the scan
     /// out to every node at once. Slots are reported in area order
-    /// (store first), then slot-name order, deterministically.
+    /// (store first), then slot-name order, deterministically, with the
+    /// flags of their records.
     pub(crate) fn audit_scan(&self) -> Vec<AuditEntry> {
         let slot_paths: BTreeMap<String, String> = self
             .anchors
@@ -149,51 +130,42 @@ impl KoshaNode {
             .keys()
             .map(|p| (anchor_slot(p), p.clone()))
             .collect();
+        let flags = |m: &crate::slots::SlotMeta| (m.lag_bytes > 0, m.migrating, !m.hot.is_empty());
+        let slots: Vec<_> = self
+            .slot_table
+            .lock()
+            .iter()
+            .map(|((area, slot), m)| (*area, slot.clone(), flags(m)))
+            .collect();
         let mut out = Vec::new();
-        for (area, replica) in [(Area::Store, false), (Area::Replica, true)] {
-            let root = format!("/{}", area.dir_name());
-            let slots: Vec<String> = self.with_store(|v| {
-                let Ok((dir, _)) = v.resolve(&root) else {
-                    return Vec::new();
-                };
-                v.readdir(dir)
-                    .map(|entries| {
-                        entries
-                            .into_iter()
-                            .filter(|e| e.name.starts_with('@'))
-                            .map(|e| e.name)
-                            .collect()
-                    })
-                    .unwrap_or_default()
+        for (area, slot, (lag_marker, migrating, hot)) in slots {
+            let slot_path = format!("{}/{slot}", area.local_path("/"));
+            let Some(summary) = self.with_store(|v| {
+                v.export_tree(&slot_path)
+                    .ok()
+                    .map(|items| slot_summary(&items))
+            }) else {
+                continue;
+            };
+            let replica = area == Area::Replica;
+            out.push(AuditEntry {
+                path: if replica {
+                    String::new()
+                } else {
+                    slot_paths.get(&slot).cloned().unwrap_or_default()
+                },
+                slot,
+                replica,
+                digest: Sha1::hex(&summary.digest),
+                bytes: summary.bytes,
+                files: summary.files,
+                lag_marker,
+                migrating,
+                hot,
             });
-            for slot in slots {
-                let slot_path = format!("{root}/{slot}");
-                let Some(summary) = self.with_store(|v| {
-                    v.export_tree(&slot_path)
-                        .ok()
-                        .map(|items| slot_summary(&items))
-                }) else {
-                    continue;
-                };
-                out.push(AuditEntry {
-                    path: if replica {
-                        String::new()
-                    } else {
-                        slot_paths.get(&slot).cloned().unwrap_or_default()
-                    },
-                    slot,
-                    replica,
-                    digest: Sha1::hex(&summary.digest),
-                    bytes: summary.bytes,
-                    files: summary.files,
-                    lag_marker: summary.lag_marker,
-                    migrating: summary.migrating,
-                    hot: summary.hot,
-                });
-            }
         }
-        // A scan is also the freshest possible lag-marker census; keep
-        // the gauge in step with what we just observed.
+        // A scan is also the freshest possible lag census; keep the
+        // gauge in step with what we just observed.
         let lag = out.iter().filter(|e| e.replica && e.lag_marker).count();
         self.obs
             .registry
@@ -202,28 +174,18 @@ impl KoshaNode {
         out
     }
 
-    /// Refreshes the `kosha_replica_lag_markers` gauge: counts the
-    /// `.kosha_lag` markers currently stamped on this node's replica
-    /// slots. Called from the node's flight-recorder sampler tick so the
-    /// gauge (and its recorder series) tracks outstanding write-behind
-    /// windows without waiting for an audit pass.
+    /// Refreshes the `kosha_replica_lag_markers` gauge: counts this
+    /// node's replica slots whose record carries lag. Called from the
+    /// node's flight-recorder sampler tick so the gauge (and its
+    /// recorder series) tracks outstanding write-behind windows without
+    /// waiting for an audit pass.
     pub fn refresh_lag_marker_gauge(&self) -> u64 {
-        let root = format!("/{}", Area::Replica.dir_name());
-        let count = self.with_store(|v| {
-            let Ok((dir, _)) = v.resolve(&root) else {
-                return 0u64;
-            };
-            let Ok(entries) = v.readdir(dir) else {
-                return 0u64;
-            };
-            entries
-                .iter()
-                .filter(|e| {
-                    e.name.starts_with('@')
-                        && v.resolve(&format!("{root}/{}/{LAG_MARK}", e.name)).is_ok()
-                })
-                .count() as u64
-        });
+        let table = self.slot_table.lock();
+        let lagging = table
+            .iter()
+            .filter(|((area, _), m)| *area == Area::Replica && m.lag_bytes > 0);
+        let count = lagging.count() as u64;
+        drop(table);
         self.obs
             .registry
             .gauge("kosha_replica_lag_markers")
@@ -294,17 +256,17 @@ pub struct AuditReport {
     pub orphaned_replicas: u64,
     /// Extra primary copies beyond one per slot (split-brain residue).
     pub duplicate_primaries: u64,
-    /// Replica copies mid-push (`MIGRATION_NOT_COMPLETE` present);
+    /// Replica copies mid-push (their record's migration flag set);
     /// expected to diverge, so excluded from the divergence counts.
     pub migrations_in_flight: u64,
-    /// Lease-stamped hot-copy slots (`.kosha_hot` present, DESIGN.md
+    /// Lease-stamped hot-copy slots (leases in the record, DESIGN.md
     /// §16). Hot copies are read caches beyond K, hold only the leased
     /// objects (their digests are *expected* to differ from the full
     /// primary slot), and are governed by their lease — so they are
     /// counted here and excluded from replication, divergence, and
     /// orphan accounting entirely.
     pub hot_copies: u64,
-    /// Outstanding `.kosha_lag` markers across all replica slots.
+    /// Replica slots whose record carries write-behind lag.
     pub lag_markers: u64,
     /// `replica_lag` journal events across the nodes' journals, and the
     /// age of the oldest retained one. Zero unless
@@ -577,26 +539,17 @@ mod tests {
     }
 
     #[test]
-    fn digest_ignores_internal_files_and_order() {
+    fn digest_ignores_export_order() {
         let base = vec![
             item("", ExportKind::Dir, 0o755),
             item("d", ExportKind::Dir, 0o755),
             item("d/f", ExportKind::Bytes(b"hello"[..].into()), 0o644),
         ];
-        let mut with_internal = base.clone();
-        with_internal.push(item(LAG_MARK, ExportKind::Bytes(b"42"[..].into()), 0o600));
-        with_internal.push(item(
-            ".kosha_anchor",
-            ExportKind::Bytes(b"a"[..].into()),
-            0o600,
-        ));
         let reordered: Vec<ExportItem> = base.iter().rev().cloned().collect();
-        assert_eq!(tree_digest(&base), tree_digest(&with_internal));
         assert_eq!(tree_digest(&base), tree_digest(&reordered));
-        let s = slot_summary(&with_internal);
-        assert!(s.lag_marker && !s.migrating);
-        assert_eq!(s.bytes, 5, "internal payload must not count");
-        assert_eq!(s.files, 2);
+        let s = slot_summary(&reordered);
+        assert_eq!(s.bytes, 5);
+        assert_eq!(s.files, 2, "the slot root is not an object of the slot");
     }
 
     #[test]
@@ -795,6 +748,7 @@ mod tests {
             ServiceId::KoshaReplica,
             &KoshaRequest::MigrateBatch {
                 path: "/gc".into(),
+                routing: "gc".into(),
                 items,
             },
         );

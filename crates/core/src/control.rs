@@ -68,10 +68,10 @@ impl From<ExportItem> for MigrateItem {
 wire_struct! {
     /// One store or replica slot's consistency digest, as reported by
     /// [`KoshaRequest::AuditScan`]. The digest is a SHA-1 over the slot
-    /// subtree's canonical serialization with Kosha-internal bookkeeping
-    /// files (`.kosha_anchor`, `.kosha_lag`, `MIGRATION_NOT_COMPLETE`)
-    /// excluded, so a primary copy and an up-to-date replica copy hash
-    /// identically (see `kosha::audit::tree_digest`).
+    /// subtree's canonical serialization, so a primary copy and an
+    /// up-to-date replica copy hash identically (see
+    /// `kosha::audit::tree_digest`); the three flags come from the slot's
+    /// record ([`crate::slots::SlotMeta`]).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct AuditEntry {
         /// Slot directory name (`@` + 16 hex of the anchor-path SHA-1).
@@ -84,19 +84,17 @@ wire_struct! {
         pub replica: bool,
         /// Lower-case 40-hex SHA-1 of the canonical subtree serialization.
         pub digest: String,
-        /// Payload bytes in the slot (file contents + symlink targets),
-        /// internal files excluded.
+        /// Payload bytes in the slot (file contents + symlink targets).
         pub bytes: u64,
-        /// Objects in the slot (files, dirs, symlinks below the slot root),
-        /// internal files excluded.
+        /// Objects in the slot (files, dirs, symlinks below the slot root).
         pub files: u64,
-        /// A `.kosha_lag` marker is present: the copy is known to be behind
-        /// an unflushed write-behind window.
+        /// The record carries lag: the copy is known to be behind an
+        /// unflushed write-behind window.
         pub lag_marker: bool,
-        /// A `MIGRATION_NOT_COMPLETE` flag is present: the copy is mid-push
-        /// and expected to diverge until the bracket closes.
+        /// The record is flagged mid-push: the copy is expected to diverge
+        /// until the bracket closes.
         pub migrating: bool,
-        /// A `.kosha_hot` lease marker is present: the slot holds read-only
+        /// The record carries hot-copy leases: the slot holds read-only
         /// heat-driven cached copies, not a durable K replica. Hot slots
         /// carry only the leased objects, so their digests are expected to
         /// differ from the primary's; the auditor counts them separately
@@ -276,10 +274,12 @@ wire_enum! {
         } = 19 => "replica_targets",
         /// Replica maintenance (served on `ServiceId::KoshaReplica`): replace
         /// the receiver's replica copy of `path` with the batched subtree in
-        /// one round trip, bracketed by the `MIGRATION_NOT_COMPLETE` flag.
+        /// one round trip, bracketed by the slot record's `migrating` flag.
         MigrateBatch {
             /// Anchor virtual path.
             path: String,
+            /// The anchor's routing name, for the copy's record.
+            routing: String,
             /// The full subtree, in parent-before-child order.
             items: Vec<MigrateItem>,
         } = 20 => "migrate_batch",
@@ -337,8 +337,8 @@ wire_enum! {
         HotReplicaPush {
             /// Covering anchor virtual path of the hot object.
             anchor: String,
-            /// The anchor's routing name (recorded in the slot's
-            /// `.kosha_anchor` so replica-slot GC can find the owner).
+            /// The anchor's routing name (recorded in the slot's record so
+            /// replica-slot GC can find the owner).
             routing: String,
             /// Virtual path of the hot object.
             path: String,
@@ -353,14 +353,22 @@ wire_enum! {
         /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
         /// revoke the receiver's hot copy of `path` — heat decayed, the
         /// object was mutated without a refresh, or it was removed. A no-op
-        /// when the receiver's slot carries no `.kosha_hot` lease for the
-        /// path (e.g. the slot became a durable replica in the meantime).
+        /// when the receiver's slot record holds no lease for the path
+        /// (e.g. the slot became a durable replica in the meantime).
         HotReplicaDrop {
             /// Covering anchor virtual path.
             anchor: String,
             /// Virtual path of the object whose lease is revoked.
             path: String,
         } = 27 => "hot_replica_drop",
+        /// Replica pull (served on `ServiceId::KoshaReplica`): the record of
+        /// the receiver's replica slot of `anchor`, which a node copying that
+        /// slot over NFS cannot read from its files. `NoEnt` when there is
+        /// none.
+        SlotRecord {
+            /// Anchor virtual path.
+            anchor: String,
+        } = 28 => "slot_record",
     }
 }
 
@@ -527,6 +535,8 @@ wire_enum! {
         Nodes(holders: Vec<kosha_rpc::NodeAddr>) = 5,
         /// Per-slot consistency digests (`AuditScan`), slot order.
         Audit(entries: Vec<AuditEntry>) = 6,
+        /// One slot's record (`SlotRecord`).
+        Record(meta: crate::slots::SlotMeta) = 7,
     }
 }
 
@@ -631,6 +641,7 @@ mod tests {
             },
             KoshaRequest::MigrateBatch {
                 path: "/a".into(),
+                routing: "a#4".into(),
                 items: vec![
                     MigrateItem {
                         rel_path: "d".into(),

@@ -13,21 +13,24 @@
 //! A hot copy is not a durable replica: it never counts toward K, is
 //! never promoted, and is advertised to readers only while it holds a
 //! **lease** — a `(mutation sequence, expiry)` pair stamped into the
-//! holding slot's `.kosha_hot` marker. Any mutation of the object voids
-//! the lease at the primary *before the mutation is acknowledged*, so a
-//! reader that re-fetches targets (every `/kosha` read does) can never be
-//! steered to pre-write data; the next flush barrier or maintenance tick
+//! holding slot's record ([`crate::slots::SlotMeta::hot`]). Any mutation
+//! of the object voids the lease at the primary *before the mutation is
+//! acknowledged*, so a reader that re-fetches targets (every `/kosha`
+//! read does) can never be steered to pre-write data; the next flush
+//! barrier or maintenance tick
 //! re-pushes fresh payload under a new lease while the object stays hot,
 //! and drops the copies once heat decays below half the spawn threshold
 //! (hysteresis). Copies orphaned by a primary failure age out through the
-//! regular replica-slot GC: the slot carries a `.kosha_anchor`, and the
-//! new owner's `ReplicaTargetsBySlot` answer will not list the holder.
+//! regular replica-slot GC: the slot's record carries the routing name,
+//! and the new owner's `ReplicaTargetsBySlot` answer will not list the
+//! holder.
 
 use crate::control::{KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
 use crate::node::KoshaNode;
-use crate::paths::{anchor_slot, check_vpath, slot_local_path, Area, ANCHOR_META, HOT_MARK};
+use crate::paths::{anchor_slot, check_vpath, slot_local_path, Area};
 use crate::primary::settle;
-use kosha_nfs::{NfsReply, NfsRequest, NfsStatus};
+use crate::slots::HotLease;
+use kosha_nfs::{NfsRequest, NfsStatus};
 use kosha_rpc::{NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::path::parent_and_name;
 use std::collections::BTreeMap;
@@ -469,58 +472,10 @@ impl KoshaNode {
 
     // ---- the holder (replica-service) side --------------------------------
 
-    /// Parses the local slot's `.kosha_hot` marker:
-    /// `(path, seq, expires)` per line, sorted by path.
-    fn read_hot_mark(&self, anchor: &str) -> Vec<(String, u64, u64)> {
-        let mark = format!(
-            "{}/{}",
-            slot_local_path(Area::Replica, anchor, anchor),
-            HOT_MARK
-        );
-        let Some(text) = self.read_text(&mark) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let mut it = line.rsplitn(3, ' ');
-            let (Some(exp), Some(seq), Some(path)) = (it.next(), it.next(), it.next()) else {
-                continue;
-            };
-            if let (Ok(seq), Ok(exp)) = (seq.parse(), exp.parse()) {
-                out.push((path.to_string(), seq, exp));
-            }
-        }
-        out
-    }
-
-    /// Rewrites the slot's `.kosha_hot` marker (sorted, one lease per
-    /// line), or removes it when no leases remain.
-    fn write_hot_mark(
-        &self,
-        anchor: &str,
-        mut leases: Vec<(String, u64, u64)>,
-    ) -> Result<(), NfsStatus> {
-        let dir = self.slot_fh(Area::Replica, anchor, anchor)?;
-        if leases.is_empty() {
-            let r = self.apply(NfsRequest::Remove {
-                dir,
-                name: HOT_MARK.into(),
-            });
-            return settle(Area::Replica, r, NfsStatus::NoEnt).map(|_| ());
-        }
-        leases.sort();
-        let mut text = String::new();
-        for (path, seq, exp) in &leases {
-            text.push_str(&format!("{path} {seq} {exp}\n"));
-        }
-        self.replace_file(dir, HOT_MARK, (0o600, 0, 0), text.into_bytes().into())
-            .map(|_| ())
-    }
-
     /// `HotReplicaPush` handler: materializes the pushed copy in the
-    /// local replica area and stamps its lease into `.kosha_hot`. Local
-    /// state only — the payload rides in the request — preserving the
-    /// replica service's no-nested-RPC discipline.
+    /// local replica area and stamps its lease into the slot's record.
+    /// Local state only — the payload rides in the request — preserving
+    /// the replica service's no-nested-RPC discipline.
     pub(crate) fn receive_hot_push(
         &self,
         anchor: &str,
@@ -540,49 +495,34 @@ impl KoshaNode {
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
         let dir = self.slot_fh(Area::Replica, anchor, pp)?;
         self.replace_file(dir, name, (item.mode, item.uid, item.gid), data.clone())?;
-        // Record the anchor's routing name so replica-slot GC can ask
-        // the owner about this slot even though no full replica push
-        // ever wrote the meta here.
-        let root = self.slot_fh(Area::Replica, anchor, anchor)?;
-        if let Err(NfsStatus::NoEnt) = self
-            .apply(NfsRequest::Lookup {
-                dir: root,
-                name: ANCHOR_META.into(),
-            })
-            .map(|_| ())
-        {
-            if let NfsReply::Handle { fh, .. } = self.apply(NfsRequest::Create {
-                dir: root,
-                name: ANCHOR_META.into(),
-                mode: 0o600,
-                uid: 0,
-                gid: 0,
-            })? {
-                self.apply(NfsRequest::Write {
-                    fh,
-                    offset: 0,
-                    data: routing.as_bytes().into(),
-                })?;
-            }
-        }
-        let mut leases = self.read_hot_mark(anchor);
-        leases.retain(|(p, _, _)| p != path);
-        leases.push((path.to_string(), seq, expires_nanos));
-        self.write_hot_mark(anchor, leases)
+        let lease = HotLease {
+            path: path.to_string(),
+            seq,
+            expires_nanos,
+        };
+        self.slot_update(Area::Replica, anchor, |m| {
+            // The routing name lets replica-slot GC ask the owner about
+            // this slot even though no full replica push ever named it.
+            m.routing.get_or_insert_with(|| routing.to_string());
+            m.hot.retain(|l| l.path != path);
+            m.hot.push(lease);
+            m.hot.sort();
+        });
+        Ok(())
     }
 
-    /// `HotReplicaDrop` handler: removes the leased copy and its marker
-    /// line. A no-op when the slot carries no `.kosha_hot` lease for the
-    /// path — in particular when this holder has since been promoted to
-    /// a durable replica target (the full push's bracket replace cleared
-    /// the marker, and the file now *is* the replica). When the last
-    /// lease goes, the slot held nothing but hot copies, so the whole
-    /// slot is removed.
+    /// `HotReplicaDrop` handler: removes the leased copy and its lease.
+    /// A no-op when the slot's record holds no lease for the path — in
+    /// particular when this holder has since been promoted to a durable
+    /// replica target (the full push's bracket replace reset the record,
+    /// and the file now *is* the replica). When the last lease goes, the
+    /// slot held nothing but hot copies, so the whole slot is removed.
     pub(crate) fn receive_hot_drop(&self, anchor: &str, path: &str) -> Result<(), NfsStatus> {
         check_vpath(path)?;
-        let mut leases = self.read_hot_mark(anchor);
+        let leases = self.slot_meta(Area::Replica, anchor).map(|m| m.hot);
+        let mut leases = leases.unwrap_or_default();
         let before = leases.len();
-        leases.retain(|(p, _, _)| p != path);
+        leases.retain(|l| l.path != path);
         if leases.len() == before {
             return Ok(()); // nothing leased under that path here
         }
@@ -602,7 +542,8 @@ impl KoshaNode {
             });
             settle(Area::Replica, r, NfsStatus::NoEnt)?;
         }
-        self.write_hot_mark(anchor, leases)
+        self.slot_update(Area::Replica, anchor, |m| m.hot = leases);
+        Ok(())
     }
 }
 

@@ -35,8 +35,9 @@
 //!   mapping, re-routes the key — which lands on a replica holder — and
 //!   promotes that replica to primary;
 //! * **migration** (§4.3): when a node joins, anchors whose keys now map
-//!   to it are pushed over (guarded by a `MIGRATION_NOT_COMPLETE` flag),
-//!   and the old primary's copy becomes a replica.
+//!   to it are pushed over (guarded by a migration flag, a bit of the
+//!   slot's record in [`slots`]), and the old primary's copy becomes a
+//!   replica.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +54,7 @@ pub mod ops;
 pub mod paths;
 pub mod primary;
 pub mod resolve;
+pub mod slots;
 pub mod stats;
 pub mod writeback;
 

@@ -2,6 +2,7 @@
 
 use crate::config::KoshaConfig;
 use crate::handles::{HandleTable, Location};
+use crate::paths::Area;
 use crate::stats::{KoshaStats, StatsSnapshot};
 use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
@@ -47,6 +48,9 @@ pub struct KoshaNode {
     pub(crate) net: Arc<dyn Network>,
     pub(crate) pastry: Arc<PastryNode>,
     pub(crate) store: Arc<NfsServer>,
+    /// The record of every slot in `store`, by area and slot name
+    /// ([`crate::slots`]): store state, wiped with it.
+    pub(crate) slot_table: Mutex<BTreeMap<(Area, String), crate::slots::SlotMeta>>,
     pub(crate) nfs: NfsClient,
     pub(crate) client: Mutex<ClientState>,
     /// Anchors this node hosts as primary: virtual path → routing name.
@@ -110,8 +114,8 @@ struct NodeSampler {
 impl kosha_rpc::PumpHook for NodeSampler {
     fn pump(&self) {
         if let Some(node) = self.node.lock().upgrade() {
-            // Scan-based, self-healing census of outstanding `.kosha_lag`
-            // markers (the consistency observatory's per-node gauge).
+            // Census of replica slots whose record carries lag (the
+            // consistency observatory's per-node gauge).
             node.refresh_lag_marker_gauge();
         }
         self.obs.export_self_gauges();
@@ -238,6 +242,7 @@ impl KoshaNode {
             net,
             pastry: Arc::clone(&pastry),
             store,
+            slot_table: Mutex::new(BTreeMap::new()),
             client: Mutex::new(ClientState {
                 handles: HandleTable::new(),
                 dir_cache: HashMap::new(),
@@ -388,11 +393,7 @@ impl KoshaNode {
     /// the overlay under a new identity is left to the caller (purge only
     /// here).
     pub fn purge(&self) {
-        self.store.with_store(|v| {
-            v.purge();
-            v.mkdir_p("/kosha_store", 0o755).expect("store area");
-            v.mkdir_p("/kosha_replica", 0o700).expect("replica area");
-        });
+        self.slot_wipe();
         self.anchors.lock().clear();
         let mut c = self.client.lock();
         c.dir_cache.clear();

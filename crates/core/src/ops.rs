@@ -10,7 +10,7 @@
 use crate::control::{KoshaReply, KoshaRequest};
 use crate::handles::Location;
 use crate::node::{KoshaNode, VirtualFs};
-use crate::paths::{is_distributed_dir, is_internal_name};
+use crate::paths::is_distributed_dir;
 use crate::resolve::is_special_link_mode;
 use kosha_id::salted_name;
 use kosha_nfs::messages::{NfsReplyFrame, ReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
@@ -747,8 +747,8 @@ impl KoshaNode {
         Ok(())
     }
 
-    /// READDIR: the directory's authoritative listing, with Kosha's
-    /// internal names hidden and special links shown as directories.
+    /// READDIR: the directory's authoritative listing, with special links
+    /// shown as directories.
     pub fn k_readdir(&self, dir: Fh) -> NfsResult<Vec<KoshaDirEntry>> {
         let dpath = self.vh_path(dir)?;
         let (loc, entries) = self.with_path_retry(&dpath, |s| {
@@ -757,9 +757,6 @@ impl KoshaNode {
         })?;
         let mut out = Vec::with_capacity(entries.len());
         for e in entries {
-            if is_internal_name(&e.name) {
-                continue;
-            }
             let vpath = join_path(&dpath, &e.name);
             let ftype = if e.ftype == FileType::Symlink
                 && is_distributed_dir(&vpath, self.cfg.distribution_level)

@@ -1,5 +1,5 @@
-//! Path semantics of the virtual `/kosha` namespace: anchors, store
-//! mapping, and internal (metadata) names.
+//! Path semantics of the virtual `/kosha` namespace: anchors and store
+//! mapping.
 //!
 //! A virtual path like `/alice/src/main.rs` is interpreted relative to the
 //! `/kosha` mount point. Its **anchor** is the deepest distributed
@@ -13,7 +13,7 @@ use kosha_vfs::path::{depth, split_path, validate_name};
 use kosha_vfs::VfsError;
 
 /// Area of a node's local store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Area {
     /// Primary data: `/kosha_store/...`.
     Store,
@@ -41,38 +41,6 @@ impl Area {
             format!("/{}{}", self.dir_name(), vpath)
         }
     }
-}
-
-/// Name of the per-anchor metadata file storing the anchor's routing name
-/// (written at the anchor's root; lets a promoted replica recover the
-/// salted key it must answer for).
-pub const ANCHOR_META: &str = ".kosha_anchor";
-
-/// Name of the migration-in-progress flag file (§4.4).
-pub const MIGRATION_FLAG: &str = "MIGRATION_NOT_COMPLETE";
-
-/// Name of the replica-lag marker a write-behind primary drops at a
-/// replica slot's root while queued mutations have not yet been flushed
-/// to that replica. The file holds the decimal count of payload bytes
-/// queued when the marker was written (a lower bound on the lag); a
-/// flushed batch clears it, and a promotion that finds one journals a
-/// `replica_lag` event instead of silently serving stale data
-/// (DESIGN.md §11).
-pub const LAG_MARK: &str = ".kosha_lag";
-
-/// Name of the hot-copy lease marker a primary stamps at a replica
-/// slot's root when it pushes heat-driven cached copies there. The file
-/// holds one line per leased virtual path, sorted: the path, the
-/// primary's mutation sequence the copy reflects, and the lease expiry
-/// in virtual nanoseconds (DESIGN.md §16). Its presence distinguishes a
-/// leased hot copy from a stale over-replicated slot in audits and GC.
-pub const HOT_MARK: &str = ".kosha_hot";
-
-/// True for names Kosha manages internally and hides from directory
-/// listings.
-#[must_use]
-pub fn is_internal_name(name: &str) -> bool {
-    name == ANCHOR_META || name == MIGRATION_FLAG || name == LAG_MARK || name == HOT_MARK
 }
 
 /// Accepts a virtual path a peer supplied only if it is absolute and
@@ -239,14 +207,5 @@ mod tests {
             slot_local_path(Area::Replica, "/", "/f.txt"),
             format!("/kosha_replica/{root_slot}/f.txt")
         );
-    }
-
-    #[test]
-    fn internal_names_recognized() {
-        assert!(is_internal_name(".kosha_anchor"));
-        assert!(is_internal_name("MIGRATION_NOT_COMPLETE"));
-        assert!(is_internal_name(".kosha_lag"));
-        assert!(is_internal_name(".kosha_hot"));
-        assert!(!is_internal_name("data.txt"));
     }
 }

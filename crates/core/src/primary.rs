@@ -7,10 +7,8 @@ use crate::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
-use crate::paths::{
-    anchor_slot, check_vpath, is_internal_name, slot_local_path, Area, ANCHOR_META, LAG_MARK,
-    MIGRATION_FLAG,
-};
+use crate::paths::{anchor_slot, check_vpath, slot_local_path, Area};
+use crate::slots::SlotMeta;
 use kosha_nfs::messages::ReplyFrame;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
@@ -65,15 +63,10 @@ impl KoshaNode {
     /// the chain, since a mirrored op may arrive before, or without, the
     /// push that would have made it.
     pub(crate) fn slot_fh(&self, area: Area, anchor: &str, vpath: &str) -> Result<Fh, NfsStatus> {
-        let p = slot_local_path(area, anchor, vpath);
         match area {
             Area::Store if !self.hosted(anchor) => Err(NfsStatus::NoEnt),
-            Area::Store => self.fh_of(&p),
-            Area::Replica => self
-                .store
-                .with_store(|v| v.mkdir_p(&p, 0o700))
-                .map(Fh::from_file_id)
-                .map_err(Into::into),
+            Area::Store => self.fh_of(&slot_local_path(area, anchor, vpath)),
+            Area::Replica => self.replica_dir(anchor, vpath),
         }
     }
 
@@ -173,59 +166,21 @@ impl KoshaNode {
         })
     }
 
-    /// Content of the small (marker or metadata) file at `store_path`,
-    /// `None` if there is no such file.
-    pub(crate) fn read_text(&self, store_path: &str) -> Option<String> {
-        self.store.with_store(|v| {
-            let (id, attr) = v.resolve(store_path).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            Some(String::from_utf8_lossy(&data).into_owned())
-        })
-    }
-
-    // ---- anchor metadata ------------------------------------------------
-
-    fn write_anchor_meta(&self, anchor: &str, routing: &str) -> Result<(), NfsStatus> {
-        let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let dir = self.fh_of(&slot_path)?;
-        let fh = match self.apply(NfsRequest::Create {
-            dir,
-            name: ANCHOR_META.into(),
-            mode: 0o600,
-            uid: 0,
-            gid: 0,
-        }) {
-            Err(NfsStatus::Exist) => self.fh_of(&format!("{slot_path}/{ANCHOR_META}")),
-            created => created.and_then(handle_of),
-        }?;
-        self.overwrite(fh, routing.as_bytes().into()).map(|_| ())
-    }
-
     /// Makes a new, empty anchor in the store and starts serving it.
     fn create_anchor(
         &self,
         anchor: &str,
         routing: String,
-        (mode, uid, gid): (u32, u32, u32),
+        attr: (u32, u32, u32),
     ) -> Result<(), NfsStatus> {
-        self.apply(NfsRequest::Mkdir {
-            dir: self.fh_of(&Area::Store.local_path("/"))?,
-            name: anchor_slot(anchor),
-            mode,
-            uid,
-            gid,
-        })?;
-        self.write_anchor_meta(anchor, &routing)?;
+        let meta = SlotMeta {
+            routing: Some(routing.clone()),
+            ..SlotMeta::default()
+        };
+        self.slot_make(Area::Store, anchor, attr, meta, false)?;
         self.anchors.lock().insert(anchor.to_string(), routing);
         self.ensure_replicas(anchor);
         Ok(())
-    }
-
-    fn read_anchor_meta(&self, anchor: &str) -> Option<String> {
-        self.read_text(&format!(
-            "{}/{ANCHOR_META}",
-            slot_local_path(Area::Store, anchor, anchor)
-        ))
     }
 
     // ---- replication ------------------------------------------------------
@@ -299,7 +254,7 @@ impl KoshaNode {
 
     /// Pushes a full, fresh copy of `anchor` to every replica target in
     /// parallel, each as one batched `MigrateBatch` RPC bracketed by the
-    /// `MIGRATION_NOT_COMPLETE` flag on the receiving side (§4.4).
+    /// migration flag of the receiving slot's record (§4.4).
     ///
     /// The push is skipped when the anchor's content digest and target
     /// set both match the last fully-acknowledged push (the memo on
@@ -313,9 +268,9 @@ impl KoshaNode {
         if self.cfg.replicas == 0 {
             return;
         }
-        if self.routing_of(anchor).is_none() {
+        let Some(routing) = self.routing_of(anchor) else {
             return;
-        }
+        };
         let targets = self.replica_addrs();
         if targets.is_empty() {
             return;
@@ -339,6 +294,7 @@ impl KoshaNode {
             ServiceId::KoshaReplica,
             &KoshaRequest::MigrateBatch {
                 path: anchor.to_string(),
+                routing,
                 items,
             },
         );
@@ -372,11 +328,17 @@ impl KoshaNode {
     // ---- the replica service (receiving side) -----------------------------
 
     /// Serves the replica-maintenance service: only replica-area
-    /// requests (mirrored ops, full pushes, and hot-copy push/drop) are
-    /// valid here, and all of them touch purely local state (no nested
-    /// RPCs), preserving the transports' deadlock discipline.
+    /// requests (mirrored ops, full pushes, hot-copy push/drop, and a
+    /// slot's record) are valid here, and all of them touch purely local
+    /// state (no nested RPCs), preserving the transports' deadlock
+    /// discipline.
     pub(crate) fn handle_replica(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
+            // For a node pulling this copy: what its files cannot say.
+            KoshaRequest::SlotRecord { anchor } => {
+                let meta = self.slot_meta(Area::Replica, &anchor);
+                return meta.map(KoshaReply::Record).ok_or(NfsStatus::NoEnt);
+            }
             KoshaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op, None).map(drop),
             // Apply in order and stop at the first failure: a partly
             // applied batch must leave the slot's lag marker set (the
@@ -385,7 +347,11 @@ impl KoshaNode {
             KoshaRequest::ReplicaApplyBatch { ops } => ops
                 .iter()
                 .try_for_each(|op| self.apply_op(Area::Replica, op, None).map(drop)),
-            KoshaRequest::MigrateBatch { path, items } => self.receive_migrate_batch(&path, items),
+            KoshaRequest::MigrateBatch {
+                path,
+                routing,
+                items,
+            } => self.receive_migrate_batch(&path, routing, items),
             KoshaRequest::HotReplicaPush {
                 anchor,
                 routing,
@@ -520,35 +486,17 @@ impl KoshaNode {
                 settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::RemoveSlot { anchor } => {
-                let r = self.apply(NfsRequest::RemoveTree {
-                    dir: self.fh_of(&area.local_path("/"))?,
-                    name: anchor_slot(anchor),
-                });
-                settle(area, r, NfsStatus::NoEnt)
+                settle(area, self.slot_remove(area, anchor), NfsStatus::NoEnt)
             }
             ReplicaOp::RenameSlot { from, to } => {
-                let slots = self.fh_of(&area.local_path("/"))?;
-                let r = self.apply(NfsRequest::Rename {
-                    sdir: slots,
-                    sname: anchor_slot(from),
-                    ddir: slots,
-                    dname: anchor_slot(to),
-                });
-                settle(area, r, NfsStatus::NoEnt)
+                settle(area, self.slot_rename(area, from, to), NfsStatus::NoEnt)
             }
             ReplicaOp::LagMark { anchor, bytes } => {
-                let dir = self.slot_fh(area, anchor, anchor)?;
-                if *bytes == 0 {
-                    // Clear: the flush batch carrying this op brought the
-                    // slot up to date.
-                    let r = self.apply(NfsRequest::Remove {
-                        dir,
-                        name: LAG_MARK.into(),
-                    });
-                    return settle(area, r, NfsStatus::NoEnt);
-                }
-                let stamp = bytes.to_string().into_bytes();
-                self.replace_file(dir, LAG_MARK, (0o600, 0, 0), stamp.into())
+                // A clear (0) says the flush batch carrying it brought the
+                // slot up to date.
+                self.slot_fh(area, anchor, anchor)?;
+                self.slot_update(area, anchor, |m| m.lag_bytes = *bytes);
+                Ok(NfsReply::Void)
             }
         }
     }
@@ -581,8 +529,9 @@ impl KoshaNode {
             }
             // A name that was free has no copies (every way a name dies
             // is above), and only file bodies and anchor slots go hot, so
-            // an empty directory has none either. Lag marks are
-            // holder-side files the primary never applies to itself.
+            // an empty directory has none either. A lag mark sets a
+            // holder's slot record, which the primary never applies to
+            // itself.
             ReplicaOp::Mkdir { .. }
             | ReplicaOp::Create { .. }
             | ReplicaOp::Symlink { .. }
@@ -618,30 +567,15 @@ impl KoshaNode {
     fn receive_migrate_batch(
         &self,
         anchor: &str,
+        routing: String,
         items: Vec<MigrateItem>,
     ) -> Result<(), NfsStatus> {
-        let rarea = self.fh_of(&format!("/{}", Area::Replica.dir_name()))?;
-        let slot = anchor_slot(anchor);
-        let _ = self.apply(NfsRequest::RemoveTree {
-            dir: rarea,
-            name: slot.clone(),
-        });
-        let aroot = self
-            .apply(NfsRequest::Mkdir {
-                dir: rarea,
-                name: slot,
-                mode: 0o700,
-                uid: 0,
-                gid: 0,
-            })
-            .and_then(handle_of)?;
-        self.apply(NfsRequest::Create {
-            dir: aroot,
-            name: MIGRATION_FLAG.into(),
-            mode: 0o600,
-            uid: 0,
-            gid: 0,
-        })?;
+        let meta = SlotMeta {
+            routing: Some(routing),
+            migrating: true,
+            ..SlotMeta::default()
+        };
+        let aroot = self.slot_make(Area::Replica, anchor, (0o700, 0, 0), meta, true)?;
         let mut dirs: HashMap<String, Fh> = HashMap::new();
         dirs.insert(String::new(), aroot);
         for item in items {
@@ -665,10 +599,7 @@ impl KoshaNode {
                 dirs.insert(rel_path, fh);
             }
         }
-        self.apply(NfsRequest::Remove {
-            dir: aroot,
-            name: MIGRATION_FLAG.into(),
-        })?;
+        self.slot_update(Area::Replica, anchor, |m| m.migrating = false);
         Ok(())
     }
 
@@ -743,24 +674,23 @@ impl KoshaNode {
 
     // ---- promotion & migration -------------------------------------------
 
-    /// Checks a freshly promoted (or pulled) store copy of `anchor` for
-    /// a write-behind lag marker left behind by the failed primary. A
-    /// present marker means this copy is missing ops the primary had
-    /// queued but never flushed: the divergence is journaled as
-    /// `replica_lag` with the stamped payload-byte lower bound — failover
-    /// never *silently* serves stale data — and the marker is removed
-    /// from the now-authoritative copy.
-    fn consume_lag_marker(&self, anchor: &str) {
-        let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let Some(stamp) = self.read_text(&format!("{slot_path}/{LAG_MARK}")) else {
-            return;
-        };
-        let bytes = stamp.trim().parse::<u64>().unwrap_or(0);
-        if let Ok(dir) = self.fh_of(&slot_path) {
-            let _ = self.apply(NfsRequest::Remove {
-                dir,
-                name: LAG_MARK.into(),
-            });
+    /// Readies a freshly promoted (or pulled) store copy of `anchor`:
+    /// clears the holder-side bits of its record (a push the failed
+    /// primary never finished leaves our best, and only reachable, copy,
+    /// which we serve and refresh the other replicas from; a store slot
+    /// carries no lease) and checks it for write-behind lag. Lag means
+    /// this copy is missing ops the primary had queued but never flushed:
+    /// the divergence is journaled as `replica_lag` with the stamped
+    /// payload-byte lower bound — failover never *silently* serves stale
+    /// data. Returns the routing name the record holds.
+    fn adopt_copy(&self, anchor: &str) -> Option<String> {
+        let (bytes, routing) = self.slot_update(Area::Store, anchor, |m| {
+            m.migrating = false;
+            m.hot.clear();
+            (std::mem::take(&mut m.lag_bytes), m.routing.clone())
+        })?;
+        if bytes == 0 {
+            return routing;
         }
         self.stats.replica_lag_events.inc();
         self.journal(
@@ -770,33 +700,15 @@ impl KoshaNode {
                  bytes the failed primary never flushed"
             ),
         );
+        routing
     }
 
     /// Moves `anchor` from the replica area into the store and starts
     /// serving it as primary (§4.4's transparent failover end-state).
     fn promote_anchor(&self, anchor: &str) -> Result<(), NfsStatus> {
-        let slot = anchor_slot(anchor);
-        self.store
-            .with_store(|v| {
-                let (rparent, _) = v.resolve(&format!("/{}", Area::Replica.dir_name()))?;
-                let (sparent, _) = v.resolve(&format!("/{}", Area::Store.dir_name()))?;
-                let _ = v.remove_tree(sparent, &slot); // drop any stale store copy
-                v.rename(rparent, &slot, sparent, &slot)
-            })
-            .map_err(NfsStatus::from)?;
-        // If the old primary died mid-push, the flag file is present; the
-        // content is our best (and only reachable) copy — serve it and
-        // refresh the other replicas from it.
-        let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        if let Ok(dir) = self.fh_of(&slot_path) {
-            let _ = self.apply(NfsRequest::Remove {
-                dir,
-                name: MIGRATION_FLAG.into(),
-            });
-        }
-        self.consume_lag_marker(anchor);
+        self.slot_move(anchor, Area::Replica, Area::Store)?;
         let routing = self
-            .read_anchor_meta(anchor)
+            .adopt_copy(anchor)
             .unwrap_or_else(|| default_routing(anchor));
         self.anchors.lock().insert(anchor.to_string(), routing);
         self.stats.promotions.inc();
@@ -825,38 +737,26 @@ impl KoshaNode {
             let Ok((src, _)) = self.nfs.lookup(m.addr, rarea, &slot) else {
                 continue;
             };
-            // Found a replica holder: materialize into our store.
-            let dst = {
-                let sarea = match self.fh_of(&format!("/{}", Area::Store.dir_name())) {
-                    Ok(fh) => fh,
-                    Err(_) => continue,
-                };
-                let _ = self.apply(NfsRequest::RemoveTree {
-                    dir: sarea,
-                    name: slot.clone(),
-                });
-                match self.apply(NfsRequest::Mkdir {
-                    dir: sarea,
-                    name: slot.clone(),
-                    mode: 0o755,
-                    uid: 0,
-                    gid: 0,
-                }) {
-                    Ok(NfsReply::Handle { fh, .. }) => fh,
-                    _ => continue,
-                }
+            // Found a replica holder: its record says what the files
+            // cannot, then the files go into our store.
+            let req = KoshaRequest::SlotRecord {
+                anchor: anchor.to_string(),
+            };
+            let req = RpcRequest::new(ServiceId::KoshaReplica, &req);
+            let reply = self.net.call(self.info.addr, m.addr, req);
+            let Ok(ReplyFrame(Ok(KoshaReply::Record(meta)))) =
+                reply.and_then(|r| r.decode::<KoshaReplyFrame>())
+            else {
+                continue;
+            };
+            let Ok(dst) = self.slot_make(Area::Store, anchor, (0o755, 0, 0), meta, true) else {
+                continue;
             };
             if self.pull_tree(m.addr, src, dst).is_err() {
                 continue;
             }
-            // Drop a stale migration flag if the holder's copy had one.
-            let _ = self.apply(NfsRequest::Remove {
-                dir: dst,
-                name: MIGRATION_FLAG.into(),
-            });
-            self.consume_lag_marker(anchor);
             let routing = self
-                .read_anchor_meta(anchor)
+                .adopt_copy(anchor)
                 .unwrap_or_else(|| routing.to_string());
             self.anchors.lock().insert(anchor.to_string(), routing);
             self.stats.replica_pulls.inc();
@@ -991,13 +891,7 @@ impl KoshaNode {
         self.hot_forget_anchor(anchor);
         self.replica_push_memo.lock().remove(anchor);
         self.anchors.lock().remove(anchor);
-        let slot = anchor_slot(anchor);
-        let _ = self.store.with_store(|v| {
-            let (sparent, _) = v.resolve(&format!("/{}", Area::Store.dir_name()))?;
-            let (rparent, _) = v.resolve(&format!("/{}", Area::Replica.dir_name()))?;
-            let _ = v.remove_tree(rparent, &slot);
-            v.rename(sparent, &slot, rparent, &slot)
-        });
+        let _ = self.slot_move(anchor, Area::Store, Area::Replica);
         self.invalidate_dir_subtree(anchor);
         let mut c = self.client.lock();
         c.dir_cache.remove(anchor);
@@ -1028,34 +922,18 @@ impl KoshaNode {
     /// set, and [`Self::ensure_replicas`] only refreshes *current*
     /// targets — an ex-holder's copy would otherwise diverge forever and
     /// show up as over-replication in every audit. Conservative on every
-    /// uncertain answer (owner unreachable, `NoEnt`, missing anchor
-    /// meta): a stale copy is an audit nuisance, a wrongly dropped one
-    /// is data loss. Returns the number of slots dropped. Called from
+    /// uncertain answer (owner unreachable, `NoEnt`, no routing name in
+    /// the record): a stale copy is an audit nuisance, a wrongly dropped
+    /// one is data loss. Returns the number of slots dropped. Called from
     /// [`KoshaNode::maintain`], never from the leaf-change hook, so its
     /// per-slot owner round-trips stay off the failover critical path.
     pub fn gc_replica_slots(&self) -> u64 {
-        let root = format!("/{}", Area::Replica.dir_name());
-        let slots: Vec<String> = self.store.with_store(|v| {
-            let Ok((dir, _)) = v.resolve(&root) else {
-                return Vec::new();
-            };
-            v.readdir(dir)
-                .map(|entries| {
-                    entries
-                        .into_iter()
-                        .filter(|e| e.name.starts_with('@'))
-                        .map(|e| e.name)
-                        .collect()
-                })
-                .unwrap_or_default()
-        });
         let mut dropped = 0u64;
-        for slot in slots {
-            // The anchor meta inside the slot carries the ROUTING name
-            // (what the DHT keys on), which is exactly what we need to
-            // find the owner. No meta → keep; the copy may still be
-            // mid-migration.
-            let Some(routing) = self.read_text(&format!("{root}/{slot}/{ANCHOR_META}")) else {
+        for (slot, meta) in self.slot_records(Area::Replica) {
+            // The record carries the ROUTING name (what the DHT keys on),
+            // which is exactly what we need to find the owner. None →
+            // keep; no push has named the copy yet.
+            let Some(routing) = meta.routing else {
                 continue;
             };
             let Ok(owner) = self.owner_of(&routing) else {
@@ -1078,14 +956,7 @@ impl KoshaNode {
             if targets.contains(&self.info.addr) {
                 continue;
             }
-            let removed = self
-                .store
-                .with_store(|v| {
-                    let (rparent, _) = v.resolve(&root)?;
-                    v.remove_tree(rparent, &slot)
-                })
-                .is_ok();
-            if removed {
+            if self.slot_discard(&slot) {
                 dropped += 1;
                 self.stats.replica_gc.inc();
                 self.journal(
@@ -1179,15 +1050,11 @@ impl KoshaNode {
                     return Err(NfsStatus::NoEnt);
                 }
                 let slot_path = slot_local_path(Area::Store, &path, &path);
-                // Empty check, ignoring Kosha-internal metadata.
                 let empty = self
                     .store
                     .with_store(|v| {
                         let (id, _) = v.resolve(&slot_path)?;
-                        let entries = v.readdir(id)?;
-                        Ok::<_, kosha_vfs::VfsError>(
-                            entries.iter().all(|e| is_internal_name(&e.name)),
-                        )
+                        v.readdir(id).map(|entries| entries.is_empty())
                     })
                     .map_err(NfsStatus::from)?;
                 if !empty {
@@ -1229,20 +1096,14 @@ impl KoshaNode {
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::EnsureAnchor { path, routing } => {
-                let slot_path = slot_local_path(Area::Store, &path, &path);
-                let in_store = self.store.with_store(|v| v.resolve(&slot_path).is_ok());
-                if in_store {
+                if let Some(meta) = self.slot_meta(Area::Store, &path) {
                     if !self.hosted(&path) {
-                        let r = self
-                            .read_anchor_meta(&path)
-                            .unwrap_or_else(|| routing.clone());
+                        let r = meta.routing.unwrap_or_else(|| routing.clone());
                         self.anchors.lock().insert(path, r);
                     }
                     return Ok(KoshaReply::DoneBool(false));
                 }
-                let rslot_path = slot_local_path(Area::Replica, &path, &path);
-                let in_replica = self.store.with_store(|v| v.resolve(&rslot_path).is_ok());
-                if in_replica {
+                if self.slot_meta(Area::Replica, &path).is_some() {
                     self.promote_anchor(&path)?;
                     return Ok(KoshaReply::DoneBool(true));
                 }
@@ -1276,17 +1137,7 @@ impl KoshaNode {
                 // copy during an outage; wiping would lose every entry
                 // the interim copy never saw. Transferred items overwrite
                 // same-named entries; everything else survives.
-                let slot = anchor_slot(&path);
-                self.store
-                    .with_store(|v| {
-                        let sarea = format!("/{}", Area::Store.dir_name());
-                        let (sparent, _) = v.resolve(&sarea)?;
-                        match v.mkdir(sparent, &slot, 0o755, 0, 0) {
-                            Ok(_) | Err(kosha_vfs::VfsError::Exist) => Ok(()),
-                            Err(e) => Err(e),
-                        }
-                    })
-                    .map_err(NfsStatus::from)?;
+                self.slot_open_for_transfer(&path)?;
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::TransferPut { path, item } => {
@@ -1302,7 +1153,9 @@ impl KoshaNode {
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::CommitTransfer { path, routing_name } => {
-                self.write_anchor_meta(&path, &routing_name)?;
+                let routing = Some(routing_name.clone());
+                self.slot_update(Area::Store, &path, |m| m.routing = routing)
+                    .ok_or(NfsStatus::NoEnt)?;
                 self.anchors.lock().insert(path.clone(), routing_name);
                 self.stats.migrations_in.inc();
                 self.journal(
@@ -1334,7 +1187,8 @@ impl KoshaNode {
             | KoshaRequest::ReplicaApply { .. }
             | KoshaRequest::ReplicaApplyBatch { .. }
             | KoshaRequest::HotReplicaPush { .. }
-            | KoshaRequest::HotReplicaDrop { .. } => Err(NfsStatus::NotSupp),
+            | KoshaRequest::HotReplicaDrop { .. }
+            | KoshaRequest::SlotRecord { .. } => Err(NfsStatus::NotSupp),
             KoshaRequest::ReplicaTargets { path } => {
                 let anchor = self.covering_anchor(&path);
                 if !self.hosted(&anchor) {
@@ -1367,8 +1221,8 @@ impl KoshaNode {
                 let Some(anchor) = anchor else {
                     return Err(NfsStatus::NoEnt);
                 };
-                // Vouch for hot-copy holders too: their slots carry our
-                // anchor meta, and GC must not collect a copy we still
+                // Vouch for hot-copy holders too: their slot records carry
+                // our routing name, and GC must not collect a copy we still
                 // track (orphans — dead or demoted primary — get no such
                 // vouching and age out).
                 let mut targets = self.replica_addrs();
@@ -1414,7 +1268,7 @@ pub(crate) fn settle(
 }
 
 /// The handle in a LOOKUP or CREATE reply.
-fn handle_of(reply: NfsReply) -> Result<Fh, NfsStatus> {
+pub(crate) fn handle_of(reply: NfsReply) -> Result<Fh, NfsStatus> {
     match reply {
         NfsReply::Handle { fh, .. } => Ok(fh),
         _ => Err(NfsStatus::Io),

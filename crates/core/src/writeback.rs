@@ -21,8 +21,9 @@
 //!   against replicas that are behind the primary).
 //!
 //! While a queue window is open the primary stamps each affected
-//! anchor's replica slot with a lag marker (`.kosha_lag`, carrying a
-//! lower bound of the queued payload bytes); the flush batch clears it.
+//! anchor's replica slot with a lag marker (`ReplicaOp::LagMark`, which
+//! sets a lower bound of the queued payload bytes in the slot's record);
+//! the flush batch clears it.
 //! A node that later *promotes* a still-stamped slot knows the old
 //! primary died with unflushed ops and journals `replica_lag` instead
 //! of silently serving stale data.

@@ -857,22 +857,13 @@ fn hot_copies_total(c: &Cluster) -> i64 {
         .sum()
 }
 
+/// Nodes with a replica slot whose record holds a hot-copy lease.
 fn hot_mark_holders(c: &Cluster) -> usize {
-    let mut holders = 0;
-    for node in &c.nodes {
-        let mut has_mark = false;
-        node.with_store(|v| {
-            v.walk(|p, _| {
-                if p.starts_with("/kosha_replica") && p.ends_with(".kosha_hot") {
-                    has_mark = true;
-                }
-            })
-        });
-        if has_mark {
-            holders += 1;
-        }
-    }
-    holders
+    let leased = |n: &Arc<KoshaNode>| {
+        let records = n.slot_records(kosha::paths::Area::Replica);
+        records.iter().any(|(_, meta)| !meta.hot.is_empty())
+    };
+    c.nodes.iter().filter(|n| leased(n)).count()
 }
 
 #[test]
@@ -893,7 +884,7 @@ fn hot_object_gains_then_sheds_cached_copies() {
     assert!(hot_copies_total(&c) > 0, "hot-copy gauge stayed zero");
     assert!(
         hot_mark_holders(&c) > 0,
-        "no holder carries a .kosha_hot lease marker"
+        "no holder's slot record carries a lease"
     );
 
     // Leave the object alone far past the heat half-life: maintenance
@@ -1494,4 +1485,180 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
         to: "/p/g".into(),
     };
     assert_eq!(control(&c, node, &rename), Err(NfsStatus::NoEnt));
+}
+
+/// A slot's record lives beside its directory, and every way a slot
+/// moves takes the record along (DESIGN.md §26): after each step below,
+/// on every node and in both areas, the record keys are exactly the
+/// `@…` slot directories.
+#[test]
+fn the_record_follows_its_slot() {
+    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem};
+    use kosha::paths::{anchor_slot, slot_local_path, Area};
+    use kosha::slots::SlotMeta;
+
+    let c = build_cluster(6, hot_cfg());
+    let m = mount(&c, 0);
+    let check = |step: &str| {
+        for n in &c.nodes {
+            let odd = n.slot_mismatches();
+            assert!(odd.is_empty(), "{step}: node {} {odd:?}", n.addr());
+        }
+    };
+    let record = |n: &KoshaNode, area: Area, anchor: &str| -> Option<SlotMeta> {
+        let slot = anchor_slot(anchor);
+        let records = n.slot_records(area);
+        records
+            .into_iter()
+            .find(|(s, _)| *s == slot)
+            .map(|(_, m)| m)
+    };
+    let held_anywhere =
+        |area: Area, anchor: &str| c.nodes.iter().any(|n| record(n, area, anchor).is_some());
+
+    // An anchor under a salted routing name, made on the name's owner:
+    // the name a promoted copy answers for can only come from its record.
+    const ROUTING: &str = "rec#5";
+    let owner_addr = c.nodes[0]
+        .pastry()
+        .route_owner(kosha_id::dir_key(ROUTING))
+        .expect("owner")
+        .addr;
+    let owner = c
+        .nodes
+        .iter()
+        .find(|n| n.addr() == owner_addr)
+        .expect("owner node");
+    let mkdir = KoshaRequest::MkdirAnchor {
+        path: "/rec".into(),
+        routing_name: ROUTING.into(),
+        mode: 0o755,
+        uid: 0,
+        gid: 0,
+    };
+    control(&c, owner, &mkdir).expect("mkdir anchor");
+    let file = KoshaRequest::CreateFile {
+        path: "/rec/f".into(),
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+        size: None,
+    };
+    control(&c, owner, &file).expect("create");
+    check("create_anchor and the push");
+    let holder = c
+        .nodes
+        .iter()
+        .find(|n| record(n, Area::Replica, "/rec").is_some())
+        .expect("a replica holder");
+    let pushed = record(holder, Area::Replica, "/rec").expect("record");
+    assert_eq!(pushed.routing.as_deref(), Some(ROUTING));
+
+    // Promotion: the request names the unsalted name, as a stale caller
+    // might; the promoted copy answers for the record's.
+    let ensure = KoshaRequest::EnsureAnchor {
+        path: "/rec".into(),
+        routing: "rec".into(),
+    };
+    assert_eq!(control(&c, holder, &ensure), Ok(KoshaReply::DoneBool(true)));
+    let hosted = ("/rec".to_string(), ROUTING.to_string());
+    assert!(
+        holder.hosted_anchors().contains(&hosted),
+        "{:?}",
+        holder.hosted_anchors()
+    );
+    check("promotion");
+
+    // Transfer and demotion: the key belongs to `owner`, so maintenance
+    // hands the anchor back and keeps the local copy as a replica.
+    holder.maintain();
+    assert!(!holder.hosted_anchors().contains(&hosted));
+    assert_eq!(holder.stats().migrations_out, 1);
+    let demoted = record(holder, Area::Replica, "/rec").expect("demoted record");
+    assert_eq!(demoted.routing.as_deref(), Some(ROUTING));
+    check("transfer and demotion");
+
+    // Pull: a node holding no copy is asked to serve the anchor, copies
+    // a neighbour's replica over NFS and fetches its record.
+    let puller = c
+        .nodes
+        .iter()
+        .find(|n| {
+            record(n, Area::Store, "/rec").is_none() && record(n, Area::Replica, "/rec").is_none()
+        })
+        .expect("a node holding no copy");
+    assert_eq!(control(&c, puller, &ensure), Ok(KoshaReply::DoneBool(true)));
+    assert_eq!(puller.stats().replica_pulls, 1);
+    assert!(
+        puller.hosted_anchors().contains(&hosted),
+        "{:?}",
+        puller.hosted_anchors()
+    );
+    check("pull");
+
+    // RenameSlot, then RemoveSlot, in the store and on the holders.
+    m.mkdir_p("/ren").unwrap();
+    m.write_file("/ren/f", b"x").unwrap();
+    m.rename("/ren", "/ren2").unwrap();
+    assert!(!held_anywhere(Area::Replica, "/ren") && held_anywhere(Area::Replica, "/ren2"));
+    check("RenameSlot");
+    m.remove("/ren2/f").unwrap();
+    m.rmdir("/ren2").unwrap();
+    assert!(!held_anywhere(Area::Store, "/ren2") && !held_anywhere(Area::Replica, "/ren2"));
+    check("RemoveSlot");
+
+    // GC: a full copy planted on a node that is no target is dropped.
+    m.mkdir_p("/gc").unwrap();
+    m.write_file("/gc/f", b"y").unwrap();
+    let primary = primary_of(&c, "/gc");
+    let stray = c
+        .nodes
+        .iter()
+        .find(|n| n.addr() != primary.addr() && record(n, Area::Replica, "/gc").is_none())
+        .expect("a node holding no copy");
+    let slot_path = slot_local_path(Area::Store, "/gc", "/gc");
+    let exported = primary
+        .with_store(|v| v.export_tree(&slot_path))
+        .expect("export");
+    let plant = KoshaRequest::MigrateBatch {
+        path: "/gc".into(),
+        routing: "gc".into(),
+        items: exported.into_iter().map(MigrateItem::from).collect(),
+    };
+    replica(&c, stray, &plant).expect("plant");
+    check("MigrateBatch");
+    assert_eq!(stray.gc_replica_slots(), 1);
+    assert!(record(stray, Area::Replica, "/gc").is_none());
+    check("GC");
+
+    // A hot push makes slots with leases; shedding drops them again.
+    m.mkdir_p("/zipf").unwrap();
+    m.write_file("/zipf/hot.bin", &[9u8; 64]).unwrap();
+    for _ in 0..24 {
+        m.read_file("/zipf/hot.bin").unwrap();
+    }
+    assert!(hot_mark_holders(&c) > 0, "no hot copy was pushed");
+    check("hot push");
+    c.net
+        .virtual_clock()
+        .advance(std::time::Duration::from_secs(600));
+    for node in &c.nodes {
+        node.maintain();
+    }
+    assert_eq!(hot_mark_holders(&c), 0, "a lease survived shedding");
+    check("hot drop");
+
+    // Purge wipes the records with the store; repair refills both.
+    let victim = c.nodes[1..]
+        .iter()
+        .find(|n| !n.slot_records(Area::Store).is_empty())
+        .expect("a node hosting a slot");
+    victim.purge();
+    assert!(victim.slot_records(Area::Store).is_empty());
+    assert!(victim.slot_records(Area::Replica).is_empty());
+    check("purge");
+    for node in &c.nodes {
+        node.maintain();
+    }
+    check("repair after the purge");
 }

@@ -6,6 +6,7 @@
 use kosha::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
 };
+use kosha::slots::{HotLease, SlotMeta};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::messages::{ReplyFrame, WireSetAttr};
@@ -70,6 +71,13 @@ fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
         KoshaRequest::Write { data, .. } => vec![data],
         KoshaRequest::ReplicaApply { op } => op_payload(op).into_iter().collect(),
         KoshaRequest::ReplicaApplyBatch { ops } => ops.iter().filter_map(op_payload).collect(),
+        KoshaRequest::MigrateBatch { items, .. } => items
+            .iter()
+            .filter_map(|i| match &i.kind {
+                MigrateKind::Bytes(data) => Some(data),
+                _ => None,
+            })
+            .collect(),
         _ => Vec::new(),
     }
 }
@@ -177,7 +185,40 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
             KoshaRequest::CommitTransfer { path, routing_name }
         }),
         arb_path().prop_map(|path| KoshaRequest::ReplicaTargets { path }),
+        (
+            arb_path(),
+            "[a-z#0-9]{1,16}",
+            proptest::collection::vec(arb_item(), 0..4)
+        )
+            .prop_map(|(path, routing, items)| KoshaRequest::MigrateBatch {
+                path,
+                routing,
+                items
+            }),
+        arb_path().prop_map(|anchor| KoshaRequest::SlotRecord { anchor }),
     ]
+}
+
+fn arb_slot_meta() -> impl Strategy<Value = SlotMeta> {
+    (
+        proptest::option::of("[a-z#0-9]{1,16}"),
+        any::<u64>(),
+        any::<bool>(),
+        proptest::collection::vec((arb_path(), any::<u64>(), any::<u64>()), 0..4),
+    )
+        .prop_map(|(routing, lag_bytes, migrating, hot)| SlotMeta {
+            routing,
+            lag_bytes,
+            migrating,
+            hot: hot
+                .into_iter()
+                .map(|(path, seq, expires_nanos)| HotLease {
+                    path,
+                    seq,
+                    expires_nanos,
+                })
+                .collect(),
+        })
 }
 
 proptest! {
@@ -260,6 +301,7 @@ proptest! {
             .prop_map(|v| KoshaReply::Anchors(v.into_iter().collect())),
         proptest::collection::vec(any::<u64>(), 0..8)
             .prop_map(|v| KoshaReply::Nodes(v.into_iter().map(NodeAddr).collect())),
+        arb_slot_meta().prop_map(KoshaReply::Record),
     ]) {
         let frame = ReplyFrame(Ok(reply));
         let bytes = frame.encode();
@@ -320,6 +362,18 @@ proptest! {
     fn control_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_both::<KoshaRequest>(&bytes);
         let _ = decode_both::<KoshaReplyFrame>(&bytes);
+    }
+
+    /// The same, behind the tags of the slot-record messages, which
+    /// arbitrary bytes rarely reach: `MigrateBatch`, `SlotRecord` and an
+    /// `Ok(Record)` frame, each followed by anything.
+    #[test]
+    fn slot_record_decoders_are_total(tail in proptest::collection::vec(any::<u8>(), 0..256)) {
+        for tag in [20u8, 28] {
+            let _ = decode_both::<KoshaRequest>(&[&[tag], &tail[..]].concat());
+        }
+        let _ = decode_both::<KoshaReplyFrame>(&[&[0u8, 7], &tail[..]].concat());
+        let _ = decode_both::<SlotMeta>(&tail);
     }
 }
 

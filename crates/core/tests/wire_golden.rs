@@ -13,6 +13,7 @@
 use kosha::control::{
     AuditEntry, KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
 };
+use kosha::slots::{HotLease, SlotMeta};
 use kosha_id::Id;
 use kosha_nfs::messages::{NfsReplyFrame, WireAttr, WireDirEntry, WirePathNode, WireSetAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
@@ -103,6 +104,34 @@ fn audit_entries() -> Vec<AuditEntry> {
             lag_marker: false,
             migrating: true,
             hot: true,
+        },
+    ]
+}
+
+fn slot_metas() -> Vec<SlotMeta> {
+    vec![
+        SlotMeta {
+            routing: Some("a#1".into()),
+            lag_bytes: 4096,
+            migrating: false,
+            hot: vec![
+                HotLease {
+                    path: "/a/h".into(),
+                    seq: 3,
+                    expires_nanos: 9,
+                },
+                HotLease {
+                    path: "/a/i".into(),
+                    seq: 4,
+                    expires_nanos: 10,
+                },
+            ],
+        },
+        SlotMeta {
+            routing: None,
+            lag_bytes: 0,
+            migrating: true,
+            hot: Vec::new(),
         },
     ]
 }
@@ -236,6 +265,7 @@ fn kosha_requests() -> Vec<KoshaRequest> {
         KoshaRequest::ReplicaTargets { path: "/a".into() },
         KoshaRequest::MigrateBatch {
             path: "/a".into(),
+            routing: "a#4".into(),
             items: items(),
         },
         KoshaRequest::ReplicaApply {
@@ -265,6 +295,9 @@ fn kosha_requests() -> Vec<KoshaRequest> {
             anchor: "/a".into(),
             path: "/a/hot".into(),
         },
+        KoshaRequest::SlotRecord {
+            anchor: "/a/b".into(),
+        },
     ]
 }
 
@@ -287,6 +320,7 @@ fn kosha_replies() -> Vec<KoshaReply> {
         ]),
         KoshaReply::Nodes(vec![NodeAddr(3), NodeAddr(9)]),
         KoshaReply::Audit(audit_entries()),
+        KoshaReply::Record(slot_metas().remove(0)),
     ]
 }
 
@@ -543,7 +577,7 @@ fn primitives() -> String {
 /// What the wire looked like before any message was declared: the
 /// expectations below were generated from the hand-written codecs and
 /// must not be edited by a change that claims to move no byte.
-const GOLDEN: [(&str, &str); 22] = [
+const GOLDEN: [(&str, &str); 23] = [
     ("primitives", "a1b2b1c4c3c2c1d8d7d6d5d4d3d2d1f0efeeedecebeae9e8e7e6e5e4e3e2e100010600000068c3a96c6c6f000000000300000001020300000000010700000000010000006b09000000000000007766554433221100efcdab8967452301"),
     ("NodeAddr", "0807060504030201"),
     ("ServiceId", "0102030405"),
@@ -562,9 +596,14 @@ const GOLDEN: [(&str, &str); 22] = [
     ("PastryReply", "000101000000000000000000000000000000020000000000000000000001010200000001000000000000000000000000000000020000000000000003000000000000000000000000000000040000000000000002090000000000000000000000000000000900000000000000010000000100000000000000000000000000000002000000000000000304080000000000000000000000000000000700000000000000"),
     ("MigrateItem", "03000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000"),
     ("AuditEntry", "110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c00000000000000010000020000004031000000000102000000623601000000000000000200000000000000000101"),
+    // New: the per-slot record a `Record` reply carries.
+    ("SlotMeta", "010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000000000000000000000100000000"),
     ("ReplicaOp", "00040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f610010000000000000"),
-    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123330e0f020000002f6110020000002f6103000000642f66010400000007070707ed0100001f0000002000000011020000002f6101000000611213020000002f6114020000002f610400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160b00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f61001000000000000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f74"),
-    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000101020a00000000000000030000000000000007000000000000000302000000020000002f6103000000612331040000002f622f6301000000630502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c00000000000000010000020000004031000000000102000000623601000000000000000200000000000000000101"),
+    // `MigrateBatch` gained `routing` after `path` (its items lost the routing-name file);
+    // `SlotRecord` (tag 28) is new.
+    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123330e0f020000002f6110020000002f6103000000642f66010400000007070707ed0100001f0000002000000011020000002f6101000000611213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160b00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f61001000000000000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
+    // `Record` (tag 7) is new.
+    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000101020a00000000000000030000000000000007000000000000000302000000020000002f6103000000612331040000002f622f6301000000630502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010107010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a00000000000000"),
     ("KoshaReplyFrame", "0001000102030405060708090a0b"),
 ];
 
@@ -617,6 +656,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
         ("PastryReply", cat(&pastry_replies())),
         ("MigrateItem", cat(&items())),
         ("AuditEntry", cat(&audit_entries())),
+        ("SlotMeta", cat(&slot_metas())),
         ("ReplicaOp", cat(&replica_ops())),
         ("KoshaRequest", cat(&kosha_requests())),
         ("KoshaReply", cat(&kosha_replies())),
@@ -641,7 +681,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
 #[test]
 fn every_variant_has_a_value_and_keeps_its_label() {
     assert_eq!(replica_ops().len(), 11);
-    assert_eq!(kosha_replies().len(), 7);
+    assert_eq!(kosha_replies().len(), 8);
     assert_eq!(nfs_replies().len(), 11);
     for (i, req) in nfs_requests().iter().enumerate() {
         assert_eq!(req.proc_index(), i, "{}", req.proc_name());
@@ -658,7 +698,7 @@ fn every_variant_has_a_value_and_keeps_its_label() {
          rmdir rmdir_anchor remove_link rename_local rename_anchor_dir ensure_anchor \
          store_stats begin_transfer transfer_put commit_transfer list_anchors replica_targets \
          migrate_batch replica_apply replica_apply_batch flush audit_scan \
-         replica_targets_by_slot hot_replica_push hot_replica_drop"
+         replica_targets_by_slot hot_replica_push hot_replica_drop slot_record"
     );
     assert_eq!(
         ServiceId::ALL.map(|s| s.name()).join(" "),

@@ -100,7 +100,7 @@ pub struct DivergencePoint {
     pub bytes_divergent: u64,
     /// Objects below the configured K.
     pub under_replicated: u64,
-    /// Outstanding `.kosha_lag` markers cluster-wide.
+    /// Replica slots cluster-wide whose record carries write-behind lag.
     pub lag_markers: u64,
     /// Nodes the audit could not reach (crashed).
     pub nodes_unreachable: u64,
@@ -148,7 +148,7 @@ pub struct ChurnReport {
     pub final_orphaned: u64,
     /// Slots claimed by more than one primary after repair.
     pub final_duplicate_primaries: u64,
-    /// `.kosha_lag` markers still outstanding after repair.
+    /// Replica slots whose record still carries lag after repair.
     pub final_lag_markers: u64,
     /// RPC calls spent in the final repair phase.
     pub repair_rpc_calls: u64,
@@ -446,6 +446,10 @@ pub fn run_churn(p: &ChurnParams) -> ChurnReport {
         report.replica_pushes += s.replica_pushes;
         report.promotions += s.promotions;
         report.failovers += s.failovers;
+        // Every crash, purge, promotion, transfer and GC of the run moved
+        // slots: each one's record must have moved with it.
+        let odd = node.slot_mismatches();
+        assert!(odd.is_empty(), "node {}: {odd:?}", node.addr());
     }
     report
 }

@@ -101,6 +101,16 @@ fn kind(fs: &KoshaMount, path: &str) -> Result<String, NfsError> {
     fs.stat(path).map(|(_, a)| format!("{:?}", a.ftype))
 }
 
+/// The four names koshad once kept its own bookkeeping under, inside the
+/// user's tree. They are ordinary user names now; no source file spells
+/// them whole, so they are put together here.
+const RESERVED: [&str; 4] = [
+    concat!(".kosha_", "anchor"),
+    concat!(".kosha_", "lag"),
+    concat!(".kosha_", "hot"),
+    concat!("MIGRATION_", "NOT_COMPLETE"),
+];
+
 #[test]
 fn identical_results_for_a_scripted_session() {
     let four = FourWays::new();
@@ -145,11 +155,45 @@ fn identical_results_for_a_scripted_session() {
         |fs| kind(fs, "/proj/tmp/deep"),
         |fs| fs.mkdir_p("/proj/tmp/deep/f").map(ok),
         |fs| kind(fs, "/proj/tmp/deep/f"),
+        // An anchor whose only entry has the name of the old migration
+        // flag is not empty.
+        |fs| fs.mkdir_p("/flagged").map(ok),
+        |fs| {
+            fs.write_file(&format!("/flagged/{}", RESERVED[3]), b"mine")
+                .map(ok)
+        },
+        |fs| fs.rmdir("/flagged").map(ok), // NotEmpty
+        |fs| fs.readdir("/flagged").map(names),
+        |fs| fs.mkdir_p("/proj/src/plain").map(ok),
     ];
 
     for (i, step) in steps.iter().enumerate() {
         if let Err(e) = four.agree(step) {
             panic!("step {i} diverged: {e}");
+        }
+    }
+
+    // Every reserved name is a user's to create, list, read, rename and
+    // remove, in an anchor root and in a plain directory alike.
+    type NameStep<'a> = &'a dyn Fn(&KoshaMount) -> Result<String, NfsError>;
+    for dir in ["/proj", "/proj/src/plain"] {
+        for name in RESERVED {
+            let path = format!("{dir}/{name}");
+            let moved = format!("{dir}/moved");
+            let steps: [NameStep; 7] = [
+                &|fs| fs.write_file(&path, name.as_bytes()).map(ok),
+                &|fs| fs.readdir(dir).map(names),
+                &|fs| fs.read_file(&path).map(bytes),
+                &|fs| fs.rename(&path, &moved).map(ok),
+                &|fs| fs.rename(&moved, &path).map(ok),
+                &|fs| fs.remove(&path).map(ok),
+                &|fs| fs.readdir(dir).map(names),
+            ];
+            for (i, step) in steps.iter().enumerate() {
+                if let Err(e) = four.agree(step) {
+                    panic!("{path} step {i} diverged: {e}");
+                }
+            }
         }
     }
 }
@@ -173,8 +217,12 @@ fn dir_name(sel: u8) -> String {
     format!("/zone{}", sel % 4)
 }
 
+/// One of six names in the directory: five plain ones and a reserved one.
 fn file_path(d: u8, f: u8) -> String {
-    format!("{}/file{}", dir_name(d), f % 5)
+    match f % 6 {
+        5 => format!("{}/{}", dir_name(d), RESERVED[0]),
+        n => format!("{}/file{n}", dir_name(d)),
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
