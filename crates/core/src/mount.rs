@@ -20,8 +20,8 @@ use kosha_nfs::{
     CacheConfig, CacheStats, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus,
 };
 use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId};
-use kosha_vfs::path::{parent_and_name, split_path};
-use kosha_vfs::{normalize, Attr, FileType, SetAttr};
+use kosha_vfs::path::{components, normalized, parent_and_name};
+use kosha_vfs::{Attr, FileType, SetAttr};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,17 +138,16 @@ impl KoshaMount {
     /// Resolves a directory path to its (virtual) handle, caching
     /// intermediate directories like a kernel NFS client.
     pub fn dir_handle(&self, path: &str) -> NfsResult<Fh> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         if path == "/" {
             return Ok(self.root);
         }
         if let Some(fh) = self.cached_dir(&path) {
             return Ok(fh);
         }
-        let comps = split_path(&path).map_err(|e| NfsError::Status(e.into()))?;
         let mut cur = self.root;
         let mut cur_path = String::new();
-        for c in comps {
+        for c in components(&path) {
             cur_path.push('/');
             cur_path.push_str(c);
             cur = match self.cached_dir(&cur_path) {
@@ -168,7 +167,7 @@ impl KoshaMount {
 
     /// LOOKUP of an arbitrary path, returning `(handle, attributes)`.
     pub fn stat(&self, path: &str) -> NfsResult<(Fh, Attr)> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         if path == "/" {
             let attr = self.nfs.getattr(self.root)?;
             return Ok((self.root, attr));
@@ -186,7 +185,7 @@ impl KoshaMount {
 
     /// Creates a directory (parents must exist).
     pub fn mkdir(&self, path: &str) -> NfsResult<Fh> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         let (fh, _) = self.nfs.mkdir(dir, name, 0o755, self.uid, self.gid)?;
@@ -196,14 +195,13 @@ impl KoshaMount {
 
     /// Creates a directory and any missing ancestors.
     pub fn mkdir_p(&self, path: &str) -> NfsResult<Fh> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         if path == "/" {
             return Ok(self.root);
         }
-        let comps = split_path(&path).map_err(|e| NfsError::Status(e.into()))?;
         let mut cur = self.root;
         let mut cur_path = String::new();
-        for c in comps {
+        for c in components(&path) {
             cur_path.push('/');
             cur_path.push_str(c);
             cur = match self.nfs.lookup(cur, c) {
@@ -225,7 +223,7 @@ impl KoshaMount {
 
     /// Creates an empty file (parents must exist), returning its handle.
     pub fn create(&self, path: &str) -> NfsResult<Fh> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         Ok(self.nfs.create(dir, name, 0o644, self.uid, self.gid)?.0)
@@ -234,7 +232,7 @@ impl KoshaMount {
     /// Creates a quota-charged sparse file of `size` bytes (simulation
     /// workloads).
     pub fn create_sized(&self, path: &str, size: u64) -> NfsResult<Fh> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         Ok(self
@@ -312,12 +310,12 @@ impl KoshaMount {
 
     /// Removes a file or symlink.
     pub fn remove(&self, path: &str) -> NfsResult<()> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         self.nfs.remove(dir, name)?;
         // REMOVE took no directory; a scan only if this cache held one here.
-        if self.dcache.lock().remove(&path).is_some() {
+        if self.dcache.lock().remove(&*path).is_some() {
             self.drop_cache_subtree(&path);
         }
         Ok(())
@@ -325,30 +323,30 @@ impl KoshaMount {
 
     /// Removes an empty directory.
     pub fn rmdir(&self, path: &str) -> NfsResult<()> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         self.nfs.rmdir(dir, name)?;
-        self.dcache.lock().remove(&path);
+        self.dcache.lock().remove(&*path);
         self.drop_cache_subtree(&path);
         Ok(())
     }
 
     /// Recursively removes a subtree.
     pub fn remove_tree(&self, path: &str) -> NfsResult<()> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         self.nfs.remove_tree(dir, name)?;
         self.drop_cache_subtree(&path);
-        self.dcache.lock().remove(&path);
+        self.dcache.lock().remove(&*path);
         Ok(())
     }
 
     /// Renames a file or directory.
     pub fn rename(&self, from: &str, to: &str) -> NfsResult<()> {
-        let from = normalize(from).map_err(|e| NfsError::Status(e.into()))?;
-        let to = normalize(to).map_err(|e| NfsError::Status(e.into()))?;
+        let from = normalized(from).map_err(|e| NfsError::Status(e.into()))?;
+        let to = normalized(to).map_err(|e| NfsError::Status(e.into()))?;
         let (fp, fname) = parent_and_name(&from).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let (tp, tname) = parent_and_name(&to).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let sdir = self.dir_handle(fp)?;
@@ -356,13 +354,13 @@ impl KoshaMount {
         self.nfs.rename(sdir, fname, ddir, tname)?;
         self.drop_cache_subtree(&from);
         self.drop_cache_subtree(&to);
-        self.dcache.lock().remove(&from);
+        self.dcache.lock().remove(&*from);
         Ok(())
     }
 
     /// Creates a symlink.
     pub fn symlink(&self, path: &str, target: &str) -> NfsResult<Fh> {
-        let path = normalize(path).map_err(|e| NfsError::Status(e.into()))?;
+        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         Ok(self

@@ -419,6 +419,9 @@ impl KoshaNode {
     /// Chooses the storage node for a new distributed directory, salting
     /// and re-hashing while the mapped node is too full (§3.3).
     fn place_with_redirection(&self, name: &str) -> NfsResult<(NodeInfo, String)> {
+        // `NoSpc` only if some owner said it was full; an owner that could
+        // not be asked leaves its error, so the caller fails over.
+        let mut full = false;
         let mut last_err = NfsError::Status(NfsStatus::NoSpc);
         for attempt in 0..=self.cfg.redirect_attempts {
             let salt = if attempt == 0 {
@@ -449,13 +452,17 @@ impl KoshaNode {
                     if util < self.cfg.redirect_utilization {
                         return Ok((owner, routing));
                     }
+                    full = true;
                 }
                 Ok(_) => {}
                 Err(e) => last_err = e,
             }
         }
-        let _ = last_err;
-        Err(NfsError::Status(NfsStatus::NoSpc))
+        Err(if full {
+            NfsError::Status(NfsStatus::NoSpc)
+        } else {
+            last_err
+        })
     }
 
     /// SYMLINK (user-level; lives with its parent directory).
@@ -521,26 +528,17 @@ impl KoshaNode {
         validate_name(name).map_err(|e| NfsError::Status(e.into()))?;
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
+        // No LOOKUP first: the parent's primary refuses a directory and a
+        // special link itself, with `IsDir`.
         self.with_path_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            let (_, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
-            match attr.ftype {
-                FileType::Directory => Err(NfsError::Status(NfsStatus::IsDir)),
-                FileType::Symlink
-                    if is_special_link_mode(attr.mode)
-                        && is_distributed_dir(&vpath, s.cfg.distribution_level) =>
-                {
-                    Err(NfsError::Status(NfsStatus::IsDir))
-                }
-                _ => s
-                    .control(
-                        parent.addr,
-                        &KoshaRequest::Remove {
-                            path: vpath.clone(),
-                        },
-                    )
-                    .map(|_| ()),
-            }
+            s.control(
+                parent.addr,
+                &KoshaRequest::Remove {
+                    path: vpath.clone(),
+                },
+            )
+            .map(|_| ())
         })?;
         // No directory went, so no subtree did: each table forgets the
         // one key, and scans only if it held `vpath` as a directory.

@@ -9,8 +9,9 @@
 //! which behaves as an anchor with the fixed routing name `"/"`.
 
 use kosha_id::Sha1;
-use kosha_vfs::path::{depth, split_path, validate_name};
+use kosha_vfs::path::{depth, is_normal, normalized};
 use kosha_vfs::VfsError;
+use std::borrow::Cow;
 
 /// Area of a node's local store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,17 +45,12 @@ impl Area {
 }
 
 /// Accepts a virtual path a peer supplied only if it is absolute and
-/// already normalised (`normalize(p) == p`, checked without building the
-/// copy). Such a path is about to be joined into a path in the local
-/// store, where `..` resolves: un-normalised, a mirrored op for
-/// `/a/../../kosha_store/x` would leave the replica area. `Inval` for
-/// anything else.
+/// already normalised ([`is_normal`]). Such a path is about to be joined
+/// into a path in the local store, where `..` resolves: un-normalised, a
+/// mirrored op for `/a/../../kosha_store/x` would leave the replica area.
+/// `Inval` for anything else.
 pub fn check_vpath(vpath: &str) -> Result<(), kosha_nfs::NfsStatus> {
-    let normalised = vpath == "/"
-        || vpath
-            .strip_prefix('/')
-            .is_some_and(|rest| rest.split('/').all(|c| validate_name(c).is_ok()));
-    if normalised {
+    if is_normal(vpath) {
         Ok(())
     } else {
         Err(kosha_nfs::NfsStatus::Inval)
@@ -79,17 +75,25 @@ pub const ROOT_ANCHOR: &str = "/";
 /// records this substitution.
 #[must_use]
 pub fn anchor_slot(anchor_path: &str) -> String {
-    // One SHA-1 block for a path under 56 bytes; only the 8 digest bytes
-    // the name keeps are rendered.
-    let mut slot = String::with_capacity(17);
-    slot.push('@');
-    Sha1::push_hex(&mut slot, &Sha1::digest(anchor_path.as_bytes())[..8]);
+    let mut slot = String::with_capacity(SLOT_LEN);
+    push_slot(&mut slot, anchor_path);
     slot
+}
+
+/// Length of a slot name: `@` and 16 hex digits.
+const SLOT_LEN: usize = 17;
+
+/// Appends `anchor_path`'s slot name to `out`. One SHA-1 block for a path
+/// under 56 bytes; only the 8 digest bytes the name keeps are rendered.
+fn push_slot(out: &mut String, anchor_path: &str) {
+    out.push('@');
+    Sha1::push_hex(out, &Sha1::digest(anchor_path.as_bytes())[..8]);
 }
 
 /// The node-local path of an anchor-relative object: `area/slot` for the
 /// anchor root, `area/slot/rel` below it. `vpath` must be the anchor path
-/// itself or a descendant.
+/// itself or a descendant. One allocation: the slot name is written
+/// straight into the path.
 #[must_use]
 pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
     let rel = if anchor_path == "/" {
@@ -100,9 +104,10 @@ pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
             .map(|r| r.strip_prefix('/').unwrap_or(r))
             .unwrap_or("")
     };
-    let (dir, slot) = (area.dir_name(), anchor_slot(anchor_path));
-    let mut path = String::with_capacity(dir.len() + slot.len() + rel.len() + 3);
-    path.extend(["/", dir, "/", &slot]);
+    let dir = area.dir_name();
+    let mut path = String::with_capacity(dir.len() + SLOT_LEN + rel.len() + 3);
+    path.extend(["/", dir, "/"]);
+    push_slot(&mut path, anchor_path);
     if !rel.is_empty() {
         path.extend(["/", rel]);
     }
@@ -112,25 +117,25 @@ pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
 /// The anchor (directory whose name is hashed for placement) responsible
 /// for the *listing* of directory `path`: `path` itself if it is the root
 /// or lies within the distribution levels, otherwise its depth-`level`
-/// ancestor.
-pub fn anchor_dir_of(path: &str, level: usize) -> Result<String, VfsError> {
-    if path == "/" {
-        return Ok("/".to_string());
-    }
-    let comps = split_path(path)?;
-    let d = comps.len();
-    if d <= level {
-        return Ok(path.to_string());
-    }
-    let mut s = String::new();
-    for c in comps.iter().take(level) {
-        s.push('/');
-        s.push_str(c);
-    }
-    if s.is_empty() {
-        s.push('/');
-    }
-    Ok(s)
+/// ancestor. Of a normal path that is a prefix, borrowed.
+pub fn anchor_dir_of(path: &str, level: usize) -> Result<Cow<'_, str>, VfsError> {
+    let path = normalized(path)?;
+    // A path deeper than `level` ends its anchor at its `level + 1`-th
+    // slash; the root's anchor is the first slash itself.
+    let end = path
+        .bytes()
+        .enumerate()
+        .filter(|&(_, b)| b == b'/')
+        .nth(level)
+        .map_or(path.len(), |(i, _)| i)
+        .max(1);
+    Ok(match path {
+        Cow::Borrowed(p) => Cow::Borrowed(&p[..end]),
+        Cow::Owned(mut p) => {
+            p.truncate(end);
+            Cow::Owned(p)
+        }
+    })
 }
 
 /// True if a directory at `path` is itself distributed (hashed to its own
@@ -160,6 +165,9 @@ mod tests {
         assert_eq!(anchor_dir_of("/a/b", 2).unwrap(), "/a/b");
         assert_eq!(anchor_dir_of("/a/b/c", 2).unwrap(), "/a/b");
         assert_eq!(anchor_dir_of("/a", 4).unwrap(), "/a");
+        assert_eq!(anchor_dir_of("/a/b", 0).unwrap(), "/");
+        assert_eq!(anchor_dir_of("//a/./b/c", 2).unwrap(), "/a/b");
+        assert!(anchor_dir_of("a/b", 1).is_err());
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
-use crate::paths::{anchor_slot, check_vpath, slot_local_path, Area};
+use crate::paths::{anchor_slot, check_vpath, is_distributed_dir, slot_local_path, Area};
+use crate::resolve::is_special_link_mode;
 use crate::slots::SlotMeta;
 use kosha_nfs::messages::ReplyFrame;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
@@ -16,7 +17,8 @@ use kosha_rpc::{
     Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead,
 };
 use kosha_vfs::path::parent_and_name;
-use kosha_vfs::SetAttr;
+use kosha_vfs::{FileType, SetAttr};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Mode bits used for special links (sticky bit marks them).
@@ -39,7 +41,10 @@ impl KoshaNode {
     /// directory, that directory's virtual path, and the entry's name.
     /// Both areas, the write-behind queue and its lag marker derive the
     /// slot here and nowhere else.
-    fn entry_slot<'a>(&self, vpath: &'a str) -> Result<(String, &'a str, &'a str), NfsStatus> {
+    fn entry_slot<'a>(
+        &self,
+        vpath: &'a str,
+    ) -> Result<(Cow<'a, str>, &'a str, &'a str), NfsStatus> {
         let (pp, name) = parent_and_name(vpath).ok_or(NfsStatus::Inval)?;
         Ok((self.covering_anchor(pp), pp, name))
     }
@@ -50,7 +55,7 @@ impl KoshaNode {
         match op.names() {
             Names::Entry(path, _) => self
                 .entry_slot(path)
-                .map_or_else(|_| "/".to_string(), |(anchor, _, _)| anchor),
+                .map_or_else(|_| "/".to_string(), |(anchor, _, _)| anchor.into_owned()),
             Names::Slot(anchor, _) => anchor.to_string(),
         }
     }
@@ -85,7 +90,7 @@ impl KoshaNode {
     fn op_object(&self, area: Area, vpath: &str, create_missing: bool) -> Result<Fh, NfsStatus> {
         if area == Area::Store {
             let anchor = if vpath == "/" || self.hosted(vpath) {
-                vpath.to_string()
+                Cow::Borrowed(vpath)
             } else {
                 self.entry_slot(vpath)?.0
             };
@@ -99,6 +104,22 @@ impl KoshaNode {
         let name = name.to_string();
         self.apply(NfsRequest::Lookup { dir, name })
             .and_then(handle_of)
+    }
+
+    /// True if `vpath` is a special link in this node's store. Only a
+    /// name at distributed depth can be one, so only there does this cost
+    /// a lookup.
+    fn is_special_link(&self, vpath: &str) -> bool {
+        if !is_distributed_dir(vpath, self.cfg.distribution_level) || check_vpath(vpath).is_err() {
+            return false;
+        }
+        let Ok((anchor, _, _)) = self.entry_slot(vpath) else {
+            return false;
+        };
+        let local = slot_local_path(Area::Store, &anchor, vpath);
+        self.store
+            .with_store(|v| v.resolve(&local))
+            .is_ok_and(|(_, a)| a.ftype == FileType::Symlink && is_special_link_mode(a.mode))
     }
 
     pub(crate) fn fh_of(&self, store_path: &str) -> Result<Fh, NfsStatus> {
@@ -1038,6 +1059,9 @@ impl KoshaNode {
             KoshaRequest::SetAttr { path, sattr } => {
                 self.mutate(ReplicaOp::SetAttr { path, sattr }, None)
             }
+            // REMOVE is for files and user links; `Vfs::remove` refuses a
+            // directory, and a special link stands for one.
+            KoshaRequest::Remove { path } if self.is_special_link(&path) => Err(NfsStatus::IsDir),
             KoshaRequest::Remove { path } | KoshaRequest::RemoveLink { path } => {
                 self.mutate(ReplicaOp::Remove { path }, None)
             }

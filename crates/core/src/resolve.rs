@@ -22,6 +22,7 @@ use kosha_pastry::{NodeInfo, OverlayError};
 use kosha_rpc::{NodeAddr, RpcError, RpcRequest, ServiceId};
 use kosha_vfs::path::parent_and_name;
 use kosha_vfs::FileType;
+use std::borrow::Cow;
 
 /// True if a symlink's mode marks it as a Kosha special link (sticky
 /// bit set by [`crate::primary`] when placing links).
@@ -395,8 +396,8 @@ impl KoshaNode {
 
     /// The covering anchor of a path: the anchor whose slot holds its
     /// listing/entry.
-    pub(crate) fn covering_anchor(&self, vpath: &str) -> String {
-        anchor_dir_of(vpath, self.cfg.distribution_level).unwrap_or_else(|_| "/".to_string())
+    pub(crate) fn covering_anchor<'a>(&self, vpath: &'a str) -> Cow<'a, str> {
+        anchor_dir_of(vpath, self.cfg.distribution_level).unwrap_or(Cow::Borrowed("/"))
     }
 }
 

@@ -4,13 +4,19 @@
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{NfsError, NfsStatus};
-use kosha_rpc::{Clock, LatencyModel, Network, NodeAddr, SimNetwork};
+use kosha_rpc::{
+    Clock, LatencyModel, Network, NodeAddr, RpcError, RpcHandler, RpcResponse, ServiceId,
+    ServiceMux, SimNetwork,
+};
 use kosha_vfs::FileType;
 use std::sync::Arc;
 
 struct Cluster {
     net: Arc<SimNetwork>,
     nodes: Vec<Arc<KoshaNode>>,
+    /// Each node's service table, by index, for a test to swap one
+    /// service's handler.
+    muxes: Vec<Arc<ServiceMux>>,
 }
 
 fn build_cluster(n: usize, cfg: KoshaConfig) -> Cluster {
@@ -19,6 +25,7 @@ fn build_cluster(n: usize, cfg: KoshaConfig) -> Cluster {
 
 fn build_cluster_on(net: Arc<SimNetwork>, n: usize, cfg: KoshaConfig) -> Cluster {
     let mut nodes = Vec::new();
+    let mut muxes = Vec::new();
     for i in 0..n {
         let id = node_id_from_seed(&format!("kosha-host-{i}"));
         let (node, mux) = KoshaNode::build(
@@ -27,12 +34,13 @@ fn build_cluster_on(net: Arc<SimNetwork>, n: usize, cfg: KoshaConfig) -> Cluster
             NodeAddr(i as u64),
             net.clone() as Arc<dyn Network>,
         );
-        net.attach(node.addr(), mux);
+        net.attach(node.addr(), Arc::clone(&mux));
         node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
             .expect("join");
         nodes.push(node);
+        muxes.push(mux);
     }
-    Cluster { net, nodes }
+    Cluster { net, nodes, muxes }
 }
 
 fn mount(c: &Cluster, node: usize) -> KoshaMount {
@@ -260,6 +268,66 @@ fn capacity_redirection_spills_to_other_nodes() {
         });
     }
     assert!(salted > 0, "no salted redirection links found");
+}
+
+/// The control service of a machine that goes down as it is asked: an
+/// owner that answered its route and died before the next call.
+struct DiesWhenAsked {
+    net: Arc<SimNetwork>,
+    addr: NodeAddr,
+}
+
+impl RpcHandler for DiesWhenAsked {
+    fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+        self.net.fail_node(self.addr);
+        Err(RpcError::Unreachable(self.addr))
+    }
+}
+
+/// Placement that could not ask an owner is not a full disk: the owner's
+/// transport error reaches the retry wrapper, which fails over to the
+/// next owner of the name (it used to come back as `NoSpc`, and nothing
+/// retried).
+#[test]
+fn placement_fails_over_when_the_owner_is_unreachable() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 1;
+    cfg.redirect_attempts = 0;
+    let c = build_cluster(8, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/first").unwrap();
+    let owner = |routing: &str| {
+        c.nodes[0]
+            .pastry()
+            .route_owner(kosha_id::dir_key(routing))
+            .expect("owner")
+            .addr
+    };
+    // The root anchor's primary and our gateway stay up.
+    let keep = [c.nodes[0].addr(), owner("/")];
+    let name = (0..)
+        .map(|i| format!("p{i}"))
+        .find(|n| !keep.contains(&owner(n)))
+        .expect("a name some other node owns");
+    let victim = owner(&name);
+    let dies = DiesWhenAsked {
+        net: Arc::clone(&c.net),
+        addr: victim,
+    };
+    c.muxes[victim.0 as usize].register(ServiceId::Kosha, Arc::new(dies));
+    let path = format!("/{name}");
+    m.mkdir(&path)
+        .expect("placement fails over to a live owner");
+    assert!(!c.net.is_up(victim), "the owner was asked, and died");
+    m.write_file(&format!("{path}/f"), b"placed").unwrap();
+    assert_eq!(m.read_file(&format!("{path}/f")).unwrap(), b"placed");
+    let host = c
+        .nodes
+        .iter()
+        .find(|n| n.hosted_anchors().iter().any(|(p, _)| *p == path))
+        .expect("anchor hosted");
+    assert_ne!(host.addr(), victim);
 }
 
 #[test]

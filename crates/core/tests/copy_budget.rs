@@ -12,7 +12,10 @@
 //! maintenance tick and the audit take of every anchor just to digest it.
 //! And a READ allocates no more than the wire can carry, whatever
 //! `count` the peer names. Naming a slot, which every mutation does K + 1
-//! times, allocates the name and the path it is joined into, no more.
+//! times, allocates the path the name is written into, no more. And
+//! a warm `stat`, `remove` and 64-byte `write_file` through the mount,
+//! which carry no payload at all, make no more allocations than they do
+//! today.
 //!
 //! This file is a test binary of its own with a single test, so nothing
 //! else allocates while it counts, and `SimNetwork` runs the whole op
@@ -119,11 +122,12 @@ fn stored_body(node: &KoshaNode, vpath: &str) -> Option<Bytes> {
     })
 }
 
-/// A joined cluster on a zero-latency `SimNetwork`, a 128 KiB file
-/// written through node 0's koshad by a mount of it, and an NFS client
-/// of that koshad.
+/// A joined cluster of `nodes` on a zero-latency `SimNetwork`, a 128 KiB
+/// file written through node 0's koshad by a mount of it, and an NFS
+/// client of that koshad.
 fn cluster(
     tag: &str,
+    nodes: u64,
     read_from_replicas: bool,
 ) -> (Vec<Arc<KoshaNode>>, KoshaMount, NfsClient, kosha_nfs::Fh) {
     let net = SimNetwork::new_zero_latency();
@@ -132,7 +136,7 @@ fn cluster(
         read_from_replicas,
         ..KoshaConfig::for_tests()
     };
-    let nodes: Vec<Arc<KoshaNode>> = (0..NODES)
+    let nodes: Vec<Arc<KoshaNode>> = (0..nodes)
         .map(|i| {
             let (node, mux) = KoshaNode::build(
                 cfg.clone(),
@@ -174,14 +178,11 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
     for vpath in ["/budget", "/budget/dir/file"] {
         let (path, calls) = allocations_by(|| slot_local_path(Area::Replica, "/budget", vpath));
         assert!(path.starts_with("/kosha_replica/@"), "{path}");
-        assert!(
-            calls <= 2,
-            "slot_local_path({vpath}) made {calls} allocations"
-        );
+        assert_eq!(calls, 1, "slot_local_path({vpath})");
     }
 
     // --- the primary path
-    let (nodes, mount, nfs, fh) = cluster("budget", false);
+    let (nodes, mount, nfs, fh) = cluster("budget", NODES, false);
     // Warm: the handle's location and the resolver caches are filled by
     // the first op; only steady-state ops have a budget.
     nfs.write(koshad, fh, 0, &vec![7u8; BLOCK])
@@ -273,7 +274,7 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
     );
 
     // --- a read served by a replica holder (`read_from_replicas`)
-    let (nodes, _, nfs, fh) = cluster("budget-rr", true);
+    let (nodes, _, nfs, fh) = cluster("budget-rr", NODES, true);
     nfs.write(koshad, fh, 0, &payload).expect("write");
     // One full turn of the rotor warms the replica handle cache.
     for _ in 0..=REPLICAS {
@@ -288,6 +289,35 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
         budget("a 128 KiB read with replica reads on", bytes, 0.01);
     }
     assert_eq!(served_by_replicas() - before, REPLICAS as u64);
+
+    // --- metadata ops through the mount, warm, on the 8-node K = 2
+    // cluster `perf`'s `meta_sim` runs: no payload, so every allocation
+    // is per-op overhead.
+    let (_, mount, _, _) = cluster("budget-meta", 8, false);
+    let [file, warm, gone, new] = ["file", "warm", "gone", "new"].map(|f| format!("{ANCHOR}/{f}"));
+    for path in [&warm, &gone] {
+        mount.write_file(path, &[1; 64]).expect("warm write_file");
+    }
+    mount.stat(&file).expect("warm stat");
+    mount.remove(&warm).expect("warm remove");
+    let (stat, stat_calls) = allocations_by(|| mount.stat(&file));
+    assert_eq!(stat.expect("stat").1.size, BLOCK as u64);
+    let (removed, remove_calls) = allocations_by(|| mount.remove(&gone));
+    removed.expect("remove");
+    let (written, write_calls) = allocations_by(|| mount.write_file(&new, &[2; 64]));
+    written.expect("write_file");
+    // Pinned at what they make today. They made 20, 55 and 96 while a
+    // REMOVE looked its name up first and every path walk built a `Vec`.
+    for (what, calls, limit) in [
+        ("a warm stat", stat_calls, 15),
+        ("a remove", remove_calls, 32),
+        ("a 64-byte write_file", write_calls, 67),
+    ] {
+        assert!(
+            calls <= limit,
+            "{what} made {calls} allocations, budget {limit}"
+        );
+    }
 
     // --- `count` is a peer's number. A sparse file allocates the zeros
     // it reads: the server reads no more than the wire's longest field,

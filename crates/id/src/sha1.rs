@@ -57,41 +57,38 @@ impl Sha1 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return; // `data` fitted in the buffer
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Finishes the hash and returns the 20-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding, written in place: 0x80, zeros up to 56 mod 64, then the
+        // 64-bit big-endian bit length. A tail of 56 bytes or more leaves
+        // no room for the length, which then takes a block of its own.
+        let tail = self.buf_len;
+        self.buf[tail] = 0x80;
+        self.buf[tail + 1..].fill(0);
+        if tail >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
         }
-        // Manual append of the length: do not go through update() again for
-        // the final 8 bytes, since update() would keep growing self.len.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -121,40 +118,67 @@ impl Sha1 {
             out.push(char::from(NIBBLE[usize::from(b & 0x0f)]));
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for t in 16..80 {
-            w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (t, &wt) in w.iter().enumerate() {
-            let (f, k) = match t {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wt);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+/// Word `t` of the message schedule. The first sixteen are the block's;
+/// each later one is derived from the four at `t - 3`, `t - 8`, `t - 14`
+/// and `t - 16` and overwrites the last of them, so sixteen words of
+/// state serve all eighty rounds.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    if t >= 16 {
+        w[t & 15] =
+            (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15]).rotate_left(1);
+    }
+    w[t & 15]
+}
+
+/// One round: `f` is the round function of `b, c, d`, `k` its constant.
+#[inline(always)]
+fn round(s: &mut [u32; 5], f: u32, k: u32, wt: u32) {
+    let [a, b, c, d, e] = *s;
+    let t = a
+        .rotate_left(5)
+        .wrapping_add(f)
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(wt);
+    *s = [t, a, b.rotate_left(30), c, d];
+}
+
+/// Folds one 64-byte block into `state`: one loop per round function,
+/// so no round decides which function it runs.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    let mut s = *state;
+    for t in 0..20 {
+        let [_, b, c, d, _] = s;
+        // Ch: `c` where `b` is set, else `d`.
+        round(&mut s, d ^ (b & (c ^ d)), 0x5A82_7999, schedule(&mut w, t));
+    }
+    for t in 20..40 {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, schedule(&mut w, t));
+    }
+    for t in 40..60 {
+        let [_, b, c, d, _] = s;
+        // Maj: the majority bit of `b, c, d`.
+        round(
+            &mut s,
+            (b & c) | (d & (b | c)),
+            0x8F1B_BCDC,
+            schedule(&mut w, t),
+        );
+    }
+    for t in 60..80 {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0xCA62_C1D6, schedule(&mut w, t));
+    }
+    for (word, add) in state.iter_mut().zip(s) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -209,6 +233,38 @@ mod tests {
             Sha1::hex(&h.finalize()),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
         );
+    }
+
+    /// Lengths either side of the padding's boundaries: 55 is the longest
+    /// tail that leaves room for the length in its own block, 56 to 63
+    /// push the length into a block of its own, and 64, 119 and 120 repeat
+    /// that one block later. Digests from Python's `hashlib.sha1`.
+    #[test]
+    fn vector_padding_boundaries() {
+        let vectors = [
+            (55, "ddf57317ef34bfee3b6df83d359098930eb278bc"),
+            (56, "a0d492bb0fc889d0eca3bc137066ab6f4f74f369"),
+            (57, "11a02dcf95859677a62e75024067c22b165d890f"),
+            (63, "c55856749bef509bdfe6bfebfc7bf4e793e82132"),
+            (64, "bede92be29c3874e1b54ddc77988d606fc857a8e"),
+            (65, "b05a80522b053d6dc7e0a517d0e70212c7dad11f"),
+            (119, "504e27376a6e0f0dba8295b85cb25dc4dfa17d23"),
+            (120, "82134b02fb3f702491be9bed581eeab59334acb2"),
+        ];
+        for (len, want) in vectors {
+            // `bytes((i * 7 + 3) % 256 for i in range(len))`
+            let msg: Vec<u8> = (0..len).map(|i: usize| (i * 7 + 3) as u8).collect();
+            assert_eq!(Sha1::hex(&Sha1::digest(&msg)), want, "{len} bytes one-shot");
+            let mut h = Sha1::new();
+            for b in &msg {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(
+                Sha1::hex(&h.finalize()),
+                want,
+                "{len} bytes a byte at a time"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::error::VfsError;
 use crate::inode::{Attr, FileId, FileType, Ino};
-use crate::path::{join_path, parent_and_name, split_path, validate_name};
+use crate::path::{components, join_path, normalized, parent_and_name, validate_name};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
@@ -359,9 +359,9 @@ impl Vfs {
     /// Resolves an absolute path of directories (no symlink following —
     /// special links are interpreted by the Kosha layer, not here).
     pub fn resolve(&self, path: &str) -> Result<(FileId, Attr), VfsError> {
-        let comps = split_path(path)?;
+        let path = normalized(path)?;
         let mut cur = self.root();
-        for c in comps {
+        for c in components(&path) {
             let (next, _) = self.lookup(cur, c)?;
             cur = next;
         }
@@ -574,9 +574,9 @@ impl Vfs {
     /// Creates every missing component of `path` as a directory and
     /// returns the final directory (like `mkdir -p`).
     pub fn mkdir_p(&mut self, path: &str, mode: u32) -> Result<FileId, VfsError> {
-        let comps = split_path(path)?;
+        let path = normalized(path)?;
         let mut cur = self.root();
-        for c in comps {
+        for c in components(&path) {
             cur = match self.lookup(cur, c) {
                 Ok((id, attr)) => {
                     if attr.ftype != FileType::Directory {
@@ -1078,7 +1078,7 @@ impl Vfs {
 
     /// Convenience for tests: resolves `(parent, name)` of a path.
     pub fn resolve_parent(&self, path: &str) -> Result<(FileId, String), VfsError> {
-        let norm = crate::path::normalize(path)?;
+        let norm = normalized(path)?;
         let (parent, name) = parent_and_name(&norm).ok_or(VfsError::Inval)?;
         let (pid, pattr) = self.resolve(parent)?;
         if pattr.ftype != FileType::Directory {

@@ -8,6 +8,7 @@
 //! components after [`normalize`].
 
 use crate::error::VfsError;
+use std::borrow::Cow;
 
 /// Maximum length of a single path component, as in NFSv3 implementations.
 pub const MAX_NAME: usize = 255;
@@ -21,7 +22,7 @@ pub fn validate_name(name: &str) -> Result<(), VfsError> {
     if name.len() > MAX_NAME {
         return Err(VfsError::NameTooLong);
     }
-    if name.contains('/') || name.contains('\0') {
+    if name.bytes().any(|b| b == b'/' || b == 0) {
         return Err(VfsError::Inval);
     }
     Ok(())
@@ -51,28 +52,55 @@ pub fn split_path(path: &str) -> Result<Vec<&str>, VfsError> {
     Ok(out)
 }
 
-/// Normalizes an absolute path: collapses `//`, resolves `.`/`..`.
-pub fn normalize(path: &str) -> Result<String, VfsError> {
+/// True if `path` is absolute and already normal: every component a
+/// valid name, so no `//`, `.` or `..` and no trailing `/` (except `"/"`
+/// itself). [`normalize`] leaves exactly these unchanged.
+#[must_use]
+pub fn is_normal(path: &str) -> bool {
+    path == "/"
+        || path
+            .strip_prefix('/')
+            .is_some_and(|rest| rest.split('/').all(|c| validate_name(c).is_ok()))
+}
+
+/// [`normalize`] without the copy when there is nothing to change: an
+/// already-normal path comes back borrowed, anything else takes the
+/// [`split_path`] route and is rebuilt.
+pub fn normalized(path: &str) -> Result<Cow<'_, str>, VfsError> {
+    if is_normal(path) {
+        return Ok(Cow::Borrowed(path));
+    }
     let comps = split_path(path)?;
     if comps.is_empty() {
-        return Ok("/".to_string());
+        return Ok(Cow::Borrowed("/"));
     }
     let mut s = String::with_capacity(path.len());
     for c in comps {
         s.push('/');
         s.push_str(c);
     }
-    Ok(s)
+    Ok(Cow::Owned(s))
 }
 
-/// Joins a normalized directory path and a child name.
+/// Normalizes an absolute path: collapses `//`, resolves `.`/`..`.
+pub fn normalize(path: &str) -> Result<String, VfsError> {
+    normalized(path).map(Cow::into_owned)
+}
+
+/// The components of a normal path, in order, as [`split_path`] returns
+/// them but without collecting them: `"/"` has none.
+pub fn components(normal: &str) -> impl Iterator<Item = &str> {
+    normal.split('/').filter(|c| !c.is_empty())
+}
+
+/// Joins a normalized directory path and a child name, in one allocation
+/// of the exact size.
 #[must_use]
 pub fn join_path(dir: &str, name: &str) -> String {
-    if dir == "/" {
-        format!("/{name}")
-    } else {
-        format!("{dir}/{name}")
-    }
+    let dir = if dir == "/" { "" } else { dir };
+    let mut path = String::with_capacity(dir.len() + 1 + name.len());
+    path.extend([dir, "/", name]);
+    path
 }
 
 /// Splits a normalized path into `(parent, name)`. Root has no parent.
@@ -92,7 +120,7 @@ pub fn depth(path: &str) -> usize {
     if path == "/" {
         0
     } else {
-        path.matches('/').count()
+        path.bytes().filter(|&b| b == b'/').count()
     }
 }
 
@@ -109,6 +137,25 @@ mod tests {
         assert_eq!(normalize("/").unwrap(), "/");
         assert!(split_path("relative/a").is_err());
         assert!(normalize("/..").is_err());
+        assert!(normalize("a/b").is_err());
+        assert!(normalize(&format!("/{}", "x".repeat(256))).is_err());
+    }
+
+    #[test]
+    fn a_normal_path_is_borrowed_and_walked_in_place() {
+        for path in ["/", "/a", "/a/b/c"] {
+            assert!(is_normal(path), "{path}");
+            assert!(matches!(normalized(path), Ok(Cow::Borrowed(p)) if p == path));
+            let walked: Vec<&str> = components(path).collect();
+            assert_eq!(walked, split_path(path).unwrap(), "{path}");
+        }
+        for path in [
+            "", "a", "//a", "/a/", "/a//b", "/./a", "/a/..", "/a/./b", "/a\0b",
+        ] {
+            assert!(!is_normal(path), "{path:?}");
+        }
+        assert!(matches!(normalized("/a/./b/"), Ok(Cow::Owned(p)) if p == "/a/b"));
+        assert!(matches!(normalized("//"), Ok(p) if p == "/"));
     }
 
     #[test]

@@ -145,6 +145,12 @@ fn identical_results_for_a_scripted_session() {
         |fs| fs.readlink("/proj/link"),
         |fs| fs.remove("/proj/link").map(ok),
         |fs| fs.readlink("/proj/link"),
+        // REMOVE refuses a directory without looking the name up first.
+        // At distribution level 2 both of these are distributed: what
+        // their parents' primaries hold under the name is a special link.
+        |fs| fs.remove("/proj").map(ok),     // IsDir
+        |fs| fs.remove("/proj/src").map(ok), // IsDir
+        |fs| fs.readdir("/proj/src").map(names),
         // A subtree removed in one call takes every cached name and
         // attribute under it along, so the path can be reused at once.
         |fs| fs.mkdir_p("/proj/tmp/deep").map(ok),
@@ -165,6 +171,9 @@ fn identical_results_for_a_scripted_session() {
         |fs| fs.rmdir("/flagged").map(ok), // NotEmpty
         |fs| fs.readdir("/flagged").map(names),
         |fs| fs.mkdir_p("/proj/src/plain").map(ok),
+        // Below the distribution level a directory is a plain one.
+        |fs| fs.remove("/proj/src/plain").map(ok), // IsDir
+        |fs| kind(fs, "/proj/src/plain"),
     ];
 
     for (i, step) in steps.iter().enumerate() {
