@@ -69,7 +69,7 @@ pub fn run(_full: bool) -> Report {
     // Recorder footprint across all domains, plus a depth probe of one
     // known-busy series on the transport.
     let transport_obs = net.obs();
-    let probe = "rpc_calls_total{service=\"nfs\"}";
+    let probe = "rpc_latency_nanos{service=\"nfs\"}:p99";
     let probe_points = transport_obs.recorder.series(probe).map_or(0, |p| p.len());
     let ticks = transport_obs.recorder.ticks();
 

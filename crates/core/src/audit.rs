@@ -16,10 +16,7 @@
 //!   node, join replica entries to primary entries by slot, and report
 //!   divergence (objects/bytes), under-/over-replication versus the
 //!   configured K, orphaned replica slots, replica slots whose record
-//!   carries write-behind lag, and in-flight migrations;
-//! * [`AuditReport::publish`] — feeds the results into a registry +
-//!   flight-recorder domain as `kosha_audit_*` gauges and series, so
-//!   divergence-over-time is observable like any other metric.
+//!   carries write-behind lag, and in-flight migrations.
 //!
 //! The audit is *advisory*: it never mutates state. Repair remains the
 //! job of the existing maintenance paths (`maintain` → `ensure_replicas`
@@ -32,7 +29,6 @@ use crate::node::KoshaNode;
 use crate::paths::{anchor_slot, Area};
 use kosha_id::Sha1;
 use kosha_nfs::messages::ReplyFrame;
-use kosha_obs::Obs;
 use kosha_rpc::{Network, NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::{ExportItem, ExportKind};
 use std::collections::BTreeMap;
@@ -164,33 +160,7 @@ impl KoshaNode {
                 hot,
             });
         }
-        // A scan is also the freshest possible lag census; keep the
-        // gauge in step with what we just observed.
-        let lag = out.iter().filter(|e| e.replica && e.lag_marker).count();
-        self.obs
-            .registry
-            .gauge("kosha_replica_lag_markers")
-            .set(lag as i64);
         out
-    }
-
-    /// Refreshes the `kosha_replica_lag_markers` gauge: counts this
-    /// node's replica slots whose record carries lag. Called from the
-    /// node's flight-recorder sampler tick so the gauge (and its
-    /// recorder series) tracks outstanding write-behind windows without
-    /// waiting for an audit pass.
-    pub fn refresh_lag_marker_gauge(&self) -> u64 {
-        let table = self.slot_table.lock();
-        let lagging = table
-            .iter()
-            .filter(|((area, _), m)| *area == Area::Replica && m.lag_bytes > 0);
-        let count = lagging.count() as u64;
-        drop(table);
-        self.obs
-            .registry
-            .gauge("kosha_replica_lag_markers")
-            .set(count as i64);
-        count
     }
 }
 
@@ -416,31 +386,6 @@ impl AuditReport {
                     .lag_max_age_nanos
                     .max(now_nanos.saturating_sub(ev.t_nanos));
             }
-        }
-    }
-
-    /// Publishes the pass into an observability domain: `kosha_audit_*`
-    /// gauges in the registry plus flight-recorder points stamped at the
-    /// pass time, building the divergence-over-time series the churn
-    /// bench and dashboard read.
-    pub fn publish(&self, obs: &Obs) {
-        let g = |name: &str, v: u64| obs.registry.gauge(name).set(v as i64);
-        g("kosha_audit_objects", self.objects);
-        g("kosha_audit_objects_divergent", self.objects_divergent);
-        g("kosha_audit_bytes_divergent", self.bytes_divergent);
-        g("kosha_audit_under_replicated", self.under_replicated);
-        g("kosha_audit_over_replicated", self.over_replicated);
-        g("kosha_audit_orphaned_replicas", self.orphaned_replicas);
-        g("kosha_audit_hot_copies", self.hot_copies);
-        g("kosha_audit_lag_markers", self.lag_markers);
-        g("kosha_audit_nodes_unreachable", self.nodes_unreachable);
-        for (series, v) in [
-            ("kosha_audit_objects_divergent", self.objects_divergent),
-            ("kosha_audit_bytes_divergent", self.bytes_divergent),
-            ("kosha_audit_under_replicated", self.under_replicated),
-            ("kosha_audit_lag_markers", self.lag_markers),
-        ] {
-            obs.recorder.record(series, self.now_nanos, v);
         }
     }
 
@@ -772,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn crashed_nodes_count_unreachable_and_lag_gauge_tracks_markers() {
+    fn crashed_nodes_count_unreachable_and_the_audit_counts_lag_markers() {
         let (net, nodes) = build_cluster(
             4,
             ReplicationMode::WriteBehind {
@@ -789,23 +734,18 @@ mod tests {
             .find(|n| n.hosted_anchors().iter().any(|(p, _)| p == "/gauge"))
             .expect("a node hosts /gauge");
         let victim = *primary.replica_addrs().first().expect("replica target");
-        let holder = nodes.iter().find(|n| n.addr() == victim).expect("holder");
         assert!(
-            holder.refresh_lag_marker_gauge() >= 1,
+            run_audit(&net, &nodes).lag_markers >= 1,
             "open window must stamp a marker"
-        );
-        assert!(
-            holder
-                .obs()
-                .registry
-                .gauge("kosha_replica_lag_markers")
-                .get()
-                >= 1
         );
         for n in &nodes {
             n.flush_replication();
         }
-        assert_eq!(holder.refresh_lag_marker_gauge(), 0, "flush clears markers");
+        assert_eq!(
+            run_audit(&net, &nodes).lag_markers,
+            0,
+            "flush clears markers"
+        );
 
         net.fail_node(victim);
         let report = run_audit(&net, &nodes);
@@ -815,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn report_publish_and_render_are_consistent() {
+    fn report_render_and_json_are_consistent() {
         let report = AuditReport {
             now_nanos: 42,
             nodes_scanned: 3,
@@ -836,15 +776,6 @@ mod tests {
             lag_max_age_nanos: 0,
             examples: vec!["/a".into(), "@beef (orphan)".into()],
         };
-        let obs = Obs::default();
-        report.publish(&obs);
-        assert_eq!(obs.registry.gauge("kosha_audit_objects_divergent").get(), 2);
-        assert_eq!(obs.registry.gauge("kosha_audit_lag_markers").get(), 2);
-        assert_eq!(obs.registry.gauge("kosha_audit_hot_copies").get(), 2);
-        assert_eq!(
-            obs.recorder.last("kosha_audit_objects_divergent"),
-            Some((42, 2))
-        );
         let text = report.render();
         assert!(
             text.contains("divergent: 2 (3 copies, 1024B at risk)"),

@@ -3,7 +3,7 @@
 //!
 //! Builds an 8-node `SimNetwork` cluster, runs a short mixed workload
 //! (directory churn, a hot read set, replica reads, write-behind
-//! flushes), ticks the per-node flight recorders via `run_pumps()`, and
+//! flushes), ticks the transport's flight recorder via `run_pumps()`, and
 //! prints the assembled [`kosha::FlightReport`]. Everything runs on the
 //! virtual clock with seeded ids, so two invocations print byte-for-byte
 //! identical output — CI diffs exactly that. Pass `--json` for the JSON
@@ -46,7 +46,7 @@ fn main() {
 
     // Mixed workload: several distributed directories, one hot file read
     // in a tight loop, a warm file, and a cold tail — then periodic
-    // pump/sample ticks so the recorders see the workload evolve.
+    // pump/sample ticks so the recorder sees the workload evolve.
     for d in 0..4 {
         mount.mkdir_p(&format!("/kosha/dir{d}")).expect("mkdir");
     }
@@ -97,7 +97,6 @@ fn main() {
         },
     );
     audit.enrich_from_journals(&refs, now);
-    audit.publish(&net.obs());
     report.attach_audit(audit);
     if json {
         print!("{}", report.to_json());

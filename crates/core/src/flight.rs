@@ -1,10 +1,10 @@
-//! Cluster flight report: the analytics layer over the per-node flight
-//! recorders, rendered as the `kosha-top` text dashboard and as a JSON
-//! snapshot for benches.
+//! Cluster flight report: the analytics layer over the nodes' telemetry
+//! and the transport's flight recorder, rendered as the `kosha-top` text
+//! dashboard and as a JSON snapshot for benches.
 //!
 //! The report is assembled from already-collected state only — node
-//! registries, journals, recorders, and read-heat trackers, plus the
-//! transport's own observability domain. Building it issues no RPCs and
+//! registries, journals, and read-heat trackers, plus the transport's
+//! own observability domain. Building it issues no RPCs and
 //! takes no node locks beyond the metric/journal mutexes, so it is safe
 //! to render at any point of a simulation. Given a deterministic
 //! transport (SimNetwork with a fixed seed) both renderings are
@@ -64,8 +64,6 @@ pub struct NodeRow {
     pub journal_len: usize,
     /// Journal events evicted by the ring.
     pub journal_dropped: u64,
-    /// Live flight-recorder series on this node.
-    pub series: usize,
 }
 
 /// The assembled cluster report.
@@ -156,7 +154,6 @@ pub fn cluster_flight(
             leaf_size: obs.registry.gauge("pastry_leaf_set_size").get(),
             journal_len: obs.journal.len(),
             journal_dropped: obs.journal.dropped(),
-            series: obs.recorder.series_count(),
         });
         for e in node.heat.top(opts.top_n.max(1), now_nanos) {
             let slot = heat_merge.entry(e.key).or_insert((0, 0));
@@ -266,11 +263,11 @@ impl FlightReport {
         ));
         out.push('\n');
         out.push_str(
-            "NODE      FSOPS   STOREOPS  REPL.RD  HOT  WB.Q  COAL   LEAF  J.LEN  J.DROP  SERIES\n",
+            "NODE      FSOPS   STOREOPS  REPL.RD  HOT  WB.Q  COAL   LEAF  J.LEN  J.DROP\n",
         );
         for r in &self.rows {
             out.push_str(&format!(
-                "n{:<8} {:<7} {:<9} {:<8} {:<4} {:<5} {:<6} {:<5} {:<6} {:<7} {}\n",
+                "n{:<8} {:<7} {:<9} {:<8} {:<4} {:<5} {:<6} {:<5} {:<6} {}\n",
                 r.addr,
                 r.fs_ops,
                 r.store_ops,
@@ -281,7 +278,6 @@ impl FlightReport {
                 r.leaf_size,
                 r.journal_len,
                 r.journal_dropped,
-                r.series,
             ));
         }
         out.push('\n');
@@ -340,8 +336,7 @@ impl FlightReport {
                 "    {{\"addr\": {}, \"fs_ops\": {}, \"store_ops\": {}, \
                  \"replica_reads\": {}, \"hot_copies\": {}, \"wb_depth\": {}, \
                  \"wb_coalesce_x1000\": {}, \"leaf_size\": {}, \
-                 \"journal_len\": {}, \"journal_dropped\": {}, \
-                 \"series\": {}}}{}\n",
+                 \"journal_len\": {}, \"journal_dropped\": {}}}{}\n",
                 r.addr,
                 r.fs_ops,
                 r.store_ops,
@@ -352,7 +347,6 @@ impl FlightReport {
                 r.leaf_size,
                 r.journal_len,
                 r.journal_dropped,
-                r.series,
                 if i + 1 < self.rows.len() { "," } else { "" }
             ));
         }
@@ -458,9 +452,11 @@ mod tests {
             "\"hot\": {\"copies\": 0, \"pushes\": 0, \"drops\": 0, \
              \"lease_invalidations\": 0}"
         ));
-        // Rows exist for every node and series were recorded.
+        // Rows exist for every node, and the transport recorded its one
+        // p99 series per service.
         assert_eq!(text1.matches("\nn").count(), 4, "{text1}");
-        assert!(json1.contains("\"series\": "));
+        let series = format!("\"series\": {},", kosha_rpc::ServiceId::ALL.len());
+        assert!(json1.contains(&series), "{json1}");
         // Store load is spread over more than one node at level 1
         // distribution, so skew is finite and gini is below 1.
         let report_line = text1.lines().nth(1).unwrap().to_string();

@@ -15,13 +15,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
-
-/// How often the node's sampler hook snapshots every flight-recorder
-/// source into its time-series. Under `SimNetwork` the interval is
-/// nominal (each `run_pumps()` call ticks every hook once); under
-/// `ThreadedNetwork` the pump thread honors it in wall time.
-const SAMPLE_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Per-anchor memo of the last fully-acknowledged replica push: content
 /// digest and the target set it was acked by.
@@ -71,8 +64,8 @@ pub struct KoshaNode {
     /// endpoint, NFS server/client, and interposition layer so their
     /// metrics and journal events correlate.
     pub(crate) obs: Arc<Obs>,
-    /// Write-behind replication queues (one per replica target) and the
-    /// flush-path metric handles; idle under `ReplicationMode::Sync`.
+    /// Write-behind replication queues (one per replica target) and their
+    /// depth gauge; idle under `ReplicationMode::Sync`.
     pub(crate) writeback: crate::writeback::WritebackState,
     /// Per-object read popularity (EWMA with half-life decay, capped by
     /// a space-saving sketch) fed by the `/kosha` read path — the input
@@ -89,38 +82,6 @@ pub struct KoshaNode {
     /// reader's cached replica handles) for nothing. Any mirror/push
     /// failure clears the memo, so anti-entropy healing still converges.
     pub(crate) replica_push_memo: Mutex<PushMemo>,
-    /// Keeps the flight-recorder sampler hook alive: the transport holds
-    /// only a `Weak`, so the node owns the `Arc` (dropping the node
-    /// silently unregisters the hook on both transports).
-    _sampler: Arc<NodeSampler>,
-}
-
-/// Per-node flight-recorder ticker. Registered as a transport pump hook:
-/// `SimNetwork` fires it through its event heap — one-shot per
-/// `run_pumps()` call, or as a recurring scheduler timer under
-/// `run_until`/`run_for` (deterministic virtual time either way) —
-/// while `ThreadedNetwork` ticks it from its shared timer thread. Each
-/// tick refreshes the self-observability gauges and snapshots every
-/// recorder source at the transport clock's current time.
-struct NodeSampler {
-    obs: Arc<Obs>,
-    clock: Arc<dyn kosha_rpc::Clock>,
-    /// Back-reference to the owning node, filled in right after the node
-    /// is built (the sampler must exist first — the node owns it). Weak,
-    /// so the sampler never keeps a dropped node alive.
-    node: Mutex<Weak<KoshaNode>>,
-}
-
-impl kosha_rpc::PumpHook for NodeSampler {
-    fn pump(&self) {
-        if let Some(node) = self.node.lock().upgrade() {
-            // Census of replica slots whose record carries lag (the
-            // consistency observatory's per-node gauge).
-            node.refresh_lag_marker_gauge();
-        }
-        self.obs.export_self_gauges();
-        self.obs.recorder.sample_all(self.clock.now().0);
-    }
 }
 
 /// Handler wrapper for the Kosha control service.
@@ -210,21 +171,10 @@ impl KoshaNode {
             Arc::clone(&net),
             Arc::clone(&obs),
         );
-        let sampler = Arc::new(NodeSampler {
-            obs: Arc::clone(&obs),
-            clock: net.clock(),
-            node: Mutex::new(Weak::new()),
-        });
-        // The lag-marker gauge doubles as a flight-recorder series so
-        // churn analysis can plot outstanding write-behind windows.
-        let lag_gauge = obs.registry.gauge("kosha_replica_lag_markers");
-        obs.recorder
-            .watch_gauge("kosha_replica_lag_markers", &lag_gauge);
-        // Outstanding heat-driven cached copies pushed by this primary
-        // (DESIGN.md §16), also recorded so the hotspot bench can plot
-        // spawn and decay over time.
-        let hot_gauge = obs.registry.gauge("kosha_hot_copies");
-        obs.recorder.watch_gauge("kosha_hot_copies", &hot_gauge);
+        // Heat-driven cached copies this primary has outstanding
+        // (DESIGN.md §16, the `kosha-top` HOT column): registered now so
+        // every node exposes it before its first push.
+        obs.registry.gauge("kosha_hot_copies");
         let node = Arc::new(KoshaNode {
             info: pastry.info(),
             nfs: NfsClient::new(Arc::clone(&net), addr).observed(&obs),
@@ -236,7 +186,6 @@ impl KoshaNode {
             heat: kosha_obs::ReadHeat::default(),
             hot: Mutex::new(BTreeMap::new()),
             replica_push_memo: Mutex::new(BTreeMap::new()),
-            _sampler: Arc::clone(&sampler),
             obs,
             cfg,
             net,
@@ -250,7 +199,6 @@ impl KoshaNode {
             }),
             anchors: Mutex::new(BTreeMap::new()),
         });
-        *sampler.node.lock() = Arc::downgrade(&node);
         pastry.add_observer(Arc::new(LeafWatcher(Arc::downgrade(&node))));
         if let crate::config::ReplicationMode::WriteBehind { flush_interval, .. } =
             node.cfg.replication_mode
@@ -262,15 +210,6 @@ impl KoshaNode {
             let hook = Arc::downgrade(&node) as Weak<dyn kosha_rpc::PumpHook>;
             let _ = node.net.schedule_pump(hook, flush_interval);
         }
-        // The sampler is always armed (every replication mode): under
-        // SimNetwork each `run_pumps()` call (or `run_for` timer tick)
-        // takes one flight-recorder snapshot per node; under
-        // ThreadedNetwork the shared timer ticks it on the sampling
-        // interval.
-        let _ = node.net.schedule_pump(
-            Arc::downgrade(&sampler) as Weak<dyn kosha_rpc::PumpHook>,
-            SAMPLE_INTERVAL,
-        );
 
         let mux = Arc::new(ServiceMux::new());
         mux.register(ServiceId::Pastry, pastry);

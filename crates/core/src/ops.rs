@@ -212,10 +212,7 @@ impl KoshaNode {
         let addr = eligible[(turn - 1) as usize % eligible.len()];
         let cached = self.client.lock().handles.replica_location(addr, vpath);
         let rfh = match cached {
-            Some(fh) => {
-                self.stats.replica_handle_hits.inc();
-                fh
-            }
+            Some(fh) => fh,
             None => {
                 let anchor = self.covering_anchor(ppath);
                 let rpath = slot_local_path(Area::Replica, &anchor, vpath);

@@ -253,10 +253,9 @@ impl KoshaNode {
         );
     }
 
-    /// Records one replica target's mirror outcome: every failure bumps
-    /// `replica_mirror_failures` and journals the missed target's node
-    /// id, so a batch that loses several replicas reports all of them,
-    /// not just the first.
+    /// Records one replica target's mirror outcome: every failure
+    /// journals the missed target's node id, so a batch that loses
+    /// several replicas reports all of them, not just the first.
     pub(crate) fn note_mirror_result(&self, addr: NodeAddr, ok: bool) {
         if ok {
             return;
@@ -266,7 +265,6 @@ impl KoshaNode {
         // not change again — void the full-push memo so the next
         // maintenance pass re-pushes and heals the divergence.
         self.replica_push_memo.lock().clear();
-        self.stats.replica_mirror_failures.inc();
         self.journal(
             "mirror_failure",
             format!("replica on node {} missed a mirrored mutation", addr.0),
@@ -1181,7 +1179,6 @@ impl KoshaNode {
                 self.slot_update(Area::Store, &path, |m| m.routing = routing)
                     .ok_or(NfsStatus::NoEnt)?;
                 self.anchors.lock().insert(path.clone(), routing_name);
-                self.stats.migrations_in.inc();
                 self.journal(
                     "migration_in",
                     format!("anchor {path:?} received from previous owner"),

@@ -30,9 +30,6 @@ pub struct KoshaStats {
     /// Anchors migrated *away* to a new owner (§4.3.1;
     /// `kosha_migrations_out_total`).
     pub migrations_out: Arc<Counter>,
-    /// Anchors received from a previous owner (§4.3.1;
-    /// `kosha_migrations_in_total`).
-    pub migrations_in: Arc<Counter>,
     /// Full replica pushes completed to neighbor nodes (§4.2;
     /// `kosha_replica_pushes_total`).
     pub replica_pushes: Arc<Counter>,
@@ -50,13 +47,6 @@ pub struct KoshaStats {
     /// READs served from a replica instead of the primary (§4.2's
     /// read-spreading optimization; `kosha_replica_reads_total`).
     pub replica_reads: Arc<Counter>,
-    /// Mirror fan-outs that failed on a replica target, leaving that
-    /// replica behind the primary until the next full push
-    /// (`kosha_replica_mirror_failures_total`).
-    pub replica_mirror_failures: Arc<Counter>,
-    /// Replica reads that reused a cached replica file handle, skipping
-    /// the mount + lookup RPCs (`kosha_replica_handle_hits_total`).
-    pub replica_handle_hits: Arc<Counter>,
     /// Ops enqueued on write-behind replica queues instead of being
     /// mirrored synchronously, counted per target queue — the same unit
     /// as [`KoshaStats::writeback_flushed_ops`]
@@ -107,8 +97,6 @@ pub struct StatsSnapshot {
     pub promotions: u64,
     /// See [`KoshaStats::migrations_out`].
     pub migrations_out: u64,
-    /// See [`KoshaStats::migrations_in`].
-    pub migrations_in: u64,
     /// See [`KoshaStats::replica_pushes`].
     pub replica_pushes: u64,
     /// See [`KoshaStats::replica_push_skips`].
@@ -119,10 +107,6 @@ pub struct StatsSnapshot {
     pub redirections: u64,
     /// See [`KoshaStats::replica_reads`].
     pub replica_reads: u64,
-    /// See [`KoshaStats::replica_mirror_failures`].
-    pub replica_mirror_failures: u64,
-    /// See [`KoshaStats::replica_handle_hits`].
-    pub replica_handle_hits: u64,
     /// See [`KoshaStats::writeback_enqueued`].
     pub writeback_enqueued: u64,
     /// See [`KoshaStats::writeback_flushes`].
@@ -147,26 +131,17 @@ impl KoshaStats {
     /// Resolves (or creates) every counter in `obs`'s registry.
     #[must_use]
     pub fn new(obs: &Obs) -> Self {
-        let c = |name: &str| {
-            let counter = obs.registry.counter(name);
-            // Every koshad counter doubles as a flight-recorder source,
-            // so samplers capture its evolution (rates, not just totals).
-            obs.recorder.watch_counter(name, &counter);
-            counter
-        };
+        let c = |name: &str| obs.registry.counter(name);
         KoshaStats {
             fs_ops: c("kosha_fs_ops_total"),
             failovers: c("kosha_failovers_total"),
             promotions: c("kosha_promotions_total"),
             migrations_out: c("kosha_migrations_out_total"),
-            migrations_in: c("kosha_migrations_in_total"),
             replica_pushes: c("kosha_replica_pushes_total"),
             replica_push_skips: c("kosha_replica_push_skips_total"),
             replica_pulls: c("kosha_replica_pulls_total"),
             redirections: c("kosha_redirections_total"),
             replica_reads: c("kosha_replica_reads_total"),
-            replica_mirror_failures: c("kosha_replica_mirror_failures_total"),
-            replica_handle_hits: c("kosha_replica_handle_hits_total"),
             writeback_enqueued: c("kosha_writeback_enqueued_total"),
             writeback_flushes: c("kosha_writeback_flushes_total"),
             writeback_flushed_ops: c("kosha_writeback_flushed_ops_total"),
@@ -187,14 +162,11 @@ impl KoshaStats {
             failovers: self.failovers.get(),
             promotions: self.promotions.get(),
             migrations_out: self.migrations_out.get(),
-            migrations_in: self.migrations_in.get(),
             replica_pushes: self.replica_pushes.get(),
             replica_push_skips: self.replica_push_skips.get(),
             replica_pulls: self.replica_pulls.get(),
             redirections: self.redirections.get(),
             replica_reads: self.replica_reads.get(),
-            replica_mirror_failures: self.replica_mirror_failures.get(),
-            replica_handle_hits: self.replica_handle_hits.get(),
             writeback_enqueued: self.writeback_enqueued.get(),
             writeback_flushes: self.writeback_flushes.get(),
             writeback_flushed_ops: self.writeback_flushed_ops.get(),

@@ -32,7 +32,7 @@ use crate::config::ReplicationMode;
 use crate::control::{KoshaRequest, Names, ReplicaOp};
 use crate::node::KoshaNode;
 use kosha_nfs::messages::WireSetAttr;
-use kosha_obs::{Gauge, Histogram, Obs};
+use kosha_obs::{Gauge, Obs};
 use kosha_rpc::{NodeAddr, PumpHook, RpcRequest, ServiceId};
 use kosha_vfs::SetAttr;
 use parking_lot::Mutex;
@@ -51,38 +51,21 @@ struct TargetQueue {
     marked: HashSet<String>,
 }
 
-/// Per-node write-behind state: the per-target queues plus the metric
-/// handles the flush path records into.
+/// Per-node write-behind state: the per-target queues plus the depth
+/// gauge they keep current.
 pub(crate) struct WritebackState {
     queues: Mutex<HashMap<NodeAddr, TargetQueue>>,
-    /// `kosha_writeback_queue_depth`: ops queued across all targets.
+    /// `kosha_writeback_queue_depth`: ops queued across all targets (the
+    /// `kosha-top` WB.Q column).
     depth: Arc<Gauge>,
-    /// `kosha_writeback_flush_batch_size`: ops per flushed target batch.
-    flush_batch: Arc<Histogram>,
-    /// `kosha_writeback_flush_latency_nanos`: one flush fan-out round.
-    flush_latency: Arc<Histogram>,
 }
 
 impl WritebackState {
     pub(crate) fn new(obs: &Obs) -> Self {
-        let s = WritebackState {
+        WritebackState {
             queues: Mutex::new(HashMap::new()),
             depth: obs.registry.gauge("kosha_writeback_queue_depth"),
-            flush_batch: obs.registry.histogram("kosha_writeback_flush_batch_size"),
-            flush_latency: obs
-                .registry
-                .histogram("kosha_writeback_flush_latency_nanos"),
-        };
-        // Flight-recorder series: queue depth over time is the signal
-        // the churn-soak analysis watches for writeback falling behind.
-        obs.recorder
-            .watch_gauge("kosha_writeback_queue_depth", &s.depth);
-        obs.recorder.watch_histogram_pct(
-            "kosha_writeback_flush_latency_nanos:p99",
-            &s.flush_latency,
-            99,
-        );
-        s
+        }
     }
 }
 
@@ -361,11 +344,7 @@ impl KoshaNode {
         if batches.is_empty() {
             return;
         }
-        let mut shipped = 0u64;
-        for (_, ops, _) in &batches {
-            self.writeback.flush_batch.record(ops.len() as u64);
-            shipped += ops.len() as u64;
-        }
+        let shipped: u64 = batches.iter().map(|(_, ops, _)| ops.len() as u64).sum();
         self.stats.writeback_flushed_ops.add(shipped);
         self.stats.writeback_flushes.inc();
         let clock = self.net.clock();
@@ -386,11 +365,7 @@ impl KoshaNode {
                         )
                     })
                     .collect();
-                let t0 = clock.now();
                 let results = self.net.call_many(self.info.addr, reqs);
-                self.writeback
-                    .flush_latency
-                    .record(clock.now().since_nanos(t0));
                 for ((t, _, bytes), result) in batches.iter().zip(results) {
                     if !crate::primary::mirror_succeeded(result) {
                         self.stats.replica_lag_events.inc();

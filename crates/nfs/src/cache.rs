@@ -20,7 +20,10 @@
 //! * **file data** is cached whole-file up to a size cap and revalidated
 //!   by mtime comparison whenever the attribute entry is refreshed — the
 //!   close-to-open model;
-//! * **mutations** write through and invalidate the affected entries.
+//! * **mutations** write through and invalidate the affected entries;
+//!   one that adds, removes or renames a name also drops the cached
+//!   attributes of the directory (or both directories) it changed,
+//!   because the reply carries no post-op attributes for them.
 //!
 //! The consistency trade-off is the standard NFS one: a reader may
 //! observe data up to `attr_ttl` stale; tests pin down both the hit
@@ -212,9 +215,11 @@ impl CachingClient {
     }
 
     /// What every creating procedure leaves behind: the new object's
-    /// attributes and a positive dentry, replacing a negative one.
+    /// attributes and a positive dentry, replacing a negative one, and
+    /// no attributes for the directory that gained the name.
     fn prime(&self, dir: Fh, name: &str, made: NfsResult<(Fh, Attr)>) -> NfsResult<(Fh, Attr)> {
         if let (Some(_), Ok((fh, attr))) = (&self.cfg, &made) {
+            self.invalidate_fh(dir);
             self.remember_attr(*fh, attr);
             self.remember_name((dir, name.to_string()), DentryEntry::Positive(*fh));
         }
@@ -233,9 +238,10 @@ impl CachingClient {
         self.dentries.lock().remove(&(dir, name.to_string()));
     }
 
-    /// Forgets the name and, if the cache knew which object it named,
-    /// that object.
+    /// Forgets the name, the directory's attributes and, if the cache
+    /// knew which object the name named, that object.
     fn invalidate_entry(&self, dir: Fh, name: &str) {
+        self.invalidate_fh(dir);
         let gone = self.dentries.lock().remove(&(dir, name.to_string()));
         if let Some(DentryEntry::Positive(fh)) = gone.map(|d| d.entry) {
             self.invalidate_fh(fh);
@@ -479,13 +485,16 @@ impl CachingClient {
         Ok(())
     }
 
-    /// RENAME: write-through; both dentries invalidated (the object's
-    /// handle survives a rename, so its attr/data entries stay valid).
+    /// RENAME: write-through; both dentries and both directories'
+    /// attributes invalidated (the object's handle survives a rename, so
+    /// its attr/data entries stay valid).
     pub fn rename(&self, sdir: Fh, sname: &str, ddir: Fh, dname: &str) -> NfsResult<()> {
         self.inner.rename(self.server, sdir, sname, ddir, dname)?;
         if self.cfg.is_some() {
-            self.invalidate_dentry(sdir, sname);
-            self.invalidate_dentry(ddir, dname);
+            for (dir, name) in [(sdir, sname), (ddir, dname)] {
+                self.invalidate_fh(dir);
+                self.invalidate_dentry(dir, name);
+            }
         }
         Ok(())
     }

@@ -6,36 +6,10 @@
 //! both the local loopback store and any remote node.
 
 use crate::messages::{Fh, NfsError, NfsReply, NfsReplyFrame, NfsRequest, NfsResult, WireSetAttr};
-use kosha_obs::{Counter, Histogram, Obs};
+use kosha_obs::Obs;
 use kosha_rpc::{Bytes, Clock, Network, NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::{Attr, SetAttr};
 use std::sync::Arc;
-
-/// Pre-resolved per-procedure client metrics (one latency histogram per
-/// NFS procedure, plus a transport-error counter).
-struct ProcMetrics {
-    latency: Vec<Arc<Histogram>>,
-    errors: Arc<Counter>,
-}
-
-impl ProcMetrics {
-    fn new(obs: &Obs) -> Self {
-        ProcMetrics {
-            latency: NfsRequest::PROC_NAMES
-                .iter()
-                .map(|p| {
-                    let name = format!("nfs_client_latency_nanos{{proc=\"{p}\"}}");
-                    let h = obs.registry.histogram(&name);
-                    // Tail latency per procedure as a recorder series.
-                    obs.recorder
-                        .watch_histogram_pct(&format!("{name}:p99"), &h, 99);
-                    h
-                })
-                .collect(),
-            errors: obs.registry.counter("nfs_client_rpc_errors_total"),
-        }
-    }
-}
 
 /// A directory entry as seen by clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +28,6 @@ pub struct NfsClient {
     net: Arc<dyn Network>,
     from: NodeAddr,
     service: ServiceId,
-    metrics: Option<Arc<ProcMetrics>>,
     /// When observed, client spans (`nfsc:{proc}`) are recorded here.
     obs: Option<Arc<Obs>>,
 }
@@ -74,18 +47,15 @@ impl NfsClient {
             net,
             from,
             service,
-            metrics: None,
             obs: None,
         }
     }
 
-    /// Enables per-procedure latency metrics
-    /// (`nfs_client_latency_nanos{proc=...}`, measured on the transport
-    /// clock) and client-side trace spans (`nfsc:{proc}`), both recorded
-    /// into `obs`. Chainable after either constructor.
+    /// Enables client-side trace spans (`nfsc:{proc}`, timed on the
+    /// transport clock), recorded into `obs` while a trace is active.
+    /// Chainable after either constructor.
     #[must_use]
     pub fn observed(mut self, obs: &Arc<Obs>) -> Self {
-        self.metrics = Some(Arc::new(ProcMetrics::new(obs)));
         self.obs = Some(Arc::clone(obs));
         self
     }
@@ -120,20 +90,7 @@ impl NfsClient {
 
     fn call_inner(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {
         let rpc = RpcRequest::split(self.service, req);
-        let resp = match &self.metrics {
-            None => self.net.call(self.from, to, rpc)?,
-            Some(m) => {
-                let clock = self.net.clock();
-                let t0 = clock.now();
-                let result = self.net.call(self.from, to, rpc);
-                m.latency[req.proc_index()].record(clock.now().since_nanos(t0));
-                if result.is_err() {
-                    m.errors.inc();
-                }
-                result?
-            }
-        };
-        let frame: NfsReplyFrame = resp.decode()?;
+        let frame: NfsReplyFrame = self.net.call(self.from, to, rpc)?.decode()?;
         frame.0.map_err(NfsError::Status)
     }
 

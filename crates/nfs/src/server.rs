@@ -90,12 +90,8 @@ impl NfsServer {
         let ops: Vec<_> = NfsRequest::PROC_NAMES
             .iter()
             .map(|p| {
-                let name = format!("nfs_server_ops_total{{proc=\"{p}\"}}");
-                let c = obs.registry.counter(&name);
-                // Per-procedure rates become flight-recorder series so a
-                // sampler can show how the mix evolves, not just totals.
-                obs.recorder.watch_counter(&name, &c);
-                c
+                obs.registry
+                    .counter(&format!("nfs_server_ops_total{{proc=\"{p}\"}}"))
             })
             .collect();
         Arc::new(NfsServer {

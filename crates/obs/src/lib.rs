@@ -90,26 +90,6 @@ impl Obs {
     pub fn next_op_id(&self) -> u64 {
         self.next_op.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// Self-observability: publishes this domain's own telemetry-loss
-    /// counters as registry gauges, so silent drops (journal ring full,
-    /// tracer buffer full, recorder series budget exhausted) are visible
-    /// through the same exposition as everything else. Called on each
-    /// sampler tick; cheap (four atomic loads, four atomic stores).
-    pub fn export_self_gauges(&self) {
-        self.registry
-            .gauge("kosha_obs_journal_dropped_total")
-            .set(self.journal.dropped() as i64);
-        self.registry
-            .gauge("kosha_obs_trace_dropped_total")
-            .set(self.tracer.dropped() as i64);
-        self.registry
-            .gauge("kosha_obs_recorder_dropped_total")
-            .set(self.recorder.dropped() as i64);
-        self.registry
-            .gauge("kosha_obs_recorder_downsamples_total")
-            .set(self.recorder.downsamples() as i64);
-    }
 }
 
 #[cfg(test)]
@@ -122,52 +102,6 @@ mod tests {
         let a = obs.next_op_id();
         let b = obs.next_op_id();
         assert!(b > a);
-    }
-
-    #[test]
-    fn self_gauges_expose_telemetry_loss() {
-        let obs = Obs::with_journal_capacity(2);
-        obs.journal.record(0, 1, "k", 1, "a");
-        obs.journal.record(1, 1, "k", 2, "b");
-        obs.journal.record(2, 1, "k", 3, "c"); // ring full → one drop
-        obs.export_self_gauges();
-        assert_eq!(
-            obs.registry.gauge("kosha_obs_journal_dropped_total").get(),
-            1
-        );
-        assert_eq!(obs.registry.gauge("kosha_obs_trace_dropped_total").get(), 0);
-        assert_eq!(
-            obs.registry.gauge("kosha_obs_recorder_dropped_total").get(),
-            0
-        );
-        assert_eq!(
-            obs.registry
-                .gauge("kosha_obs_recorder_downsamples_total")
-                .get(),
-            0
-        );
-    }
-
-    #[test]
-    fn recorder_ceiling_overflow_surfaces_in_self_gauges() {
-        // Churn past the series ceiling must show up in the standard
-        // exposition (`kosha_obs_recorder_dropped_total`), not vanish.
-        let obs = Obs::default();
-        for i in 0..recorder::DEFAULT_MAX_SERIES {
-            obs.recorder.record(&format!("s{i:04}"), 1, 0);
-        }
-        obs.recorder.record("one-too-many", 2, 0);
-        obs.recorder.record("two-too-many", 2, 0);
-        obs.export_self_gauges();
-        assert_eq!(
-            obs.registry.gauge("kosha_obs_recorder_dropped_total").get(),
-            2
-        );
-        assert_eq!(
-            obs.recorder.series_count(),
-            recorder::DEFAULT_MAX_SERIES,
-            "ceiling held without eviction"
-        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   and the `max` of the two values, which preserves peaks for gauges
 //!   and is the last value for monotonic counters), so a series always
 //!   spans its whole lifetime in bounded memory.
-//! * [`Recorder`] — a named set of series plus *sources* (counter,
-//!   gauge, or histogram-percentile handles). [`Recorder::sample_all`]
+//! * [`Recorder`] — a named set of series plus their *sources*
+//!   (a percentile of a live histogram). [`Recorder::sample_all`]
 //!   snapshots every source at a caller-supplied timestamp; under
 //!   `SimNetwork` that timestamp comes from the virtual clock, so two
 //!   runs with the same seed produce byte-identical series.
@@ -28,11 +28,10 @@
 //! determinism contract (DESIGN.md §13).
 
 use crate::histogram::Histogram;
-use crate::registry::{Counter, Gauge};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default number of points a series holds before downsampling.
 pub const DEFAULT_SERIES_CAPACITY: usize = 256;
@@ -94,12 +93,6 @@ impl Series {
         self.points.iter().copied().collect()
     }
 
-    /// The most recent point, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<Point> {
-        self.points.back().copied()
-    }
-
     /// Number of points currently held.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -126,30 +119,19 @@ impl Series {
     }
 }
 
-/// What a [`Recorder`] samples on each tick: a live handle plus how to
-/// turn it into a `u64`.
-#[derive(Debug, Clone)]
-enum Source {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    /// Histogram percentile in parts-per-hundred (50 → p50, 99 → p99).
-    HistPct(Arc<Histogram>, u8),
+/// One watched source and the series it feeds.
+#[derive(Debug)]
+struct Watched {
+    name: String,
+    hist: Arc<Histogram>,
+    /// The percentile read on each tick, in parts per hundred (99 → p99).
+    pct: u8,
+    series: Series,
 }
 
-impl Source {
-    fn read(&self) -> u64 {
-        match self {
-            Source::Counter(c) => c.get(),
-            Source::Gauge(g) => g.get().max(0) as u64,
-            Source::HistPct(h, pct) => h.quantile(f64::from(*pct) / 100.0),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    series: BTreeMap<String, Series>,
-    sources: BTreeMap<String, Source>,
+/// A series is live once a tick has given it a point.
+fn is_live(w: &&Watched) -> bool {
+    !w.series.is_empty()
 }
 
 /// Named time-series store plus the sources sampled into it.
@@ -158,10 +140,10 @@ struct Inner {
 /// atomics under it, so it never blocks on I/O or RPC.
 #[derive(Debug)]
 pub struct Recorder {
-    inner: Mutex<Inner>,
+    /// Watched sources in name order, at most `max_series` of them.
+    watched: Mutex<Vec<Watched>>,
     series_capacity: usize,
     max_series: usize,
-    downsamples: AtomicU64,
     dropped: AtomicU64,
     ticks: AtomicU64,
 }
@@ -178,154 +160,94 @@ impl Recorder {
     #[must_use]
     pub fn new(series_capacity: usize, max_series: usize) -> Self {
         Recorder {
-            inner: Mutex::new(Inner::default()),
+            watched: Mutex::new(Vec::new()),
             series_capacity: series_capacity.max(2),
             max_series: max_series.max(1),
-            downsamples: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
         }
     }
 
-    /// Registers a counter to be sampled as series `name` on every tick.
-    pub fn watch_counter(&self, name: &str, c: &Arc<Counter>) {
-        self.watch(name, Source::Counter(Arc::clone(c)));
-    }
-
-    /// Registers a gauge to be sampled as series `name` on every tick.
-    /// Negative gauge values clamp to 0 (series points are `u64`).
-    pub fn watch_gauge(&self, name: &str, g: &Arc<Gauge>) {
-        self.watch(name, Source::Gauge(Arc::clone(g)));
-    }
-
     /// Registers a histogram percentile (e.g. `pct = 99` for p99) to be
-    /// sampled as series `name` on every tick.
+    /// sampled as series `name` on every tick; a name already watched
+    /// keeps its points and samples the new source from then on. A new
+    /// name past the series budget is refused and counted in
+    /// [`Recorder::dropped`].
     pub fn watch_histogram_pct(&self, name: &str, h: &Arc<Histogram>, pct: u8) {
-        self.watch(name, Source::HistPct(Arc::clone(h), pct.min(100)));
-    }
-
-    fn watch(&self, name: &str, src: Source) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        if inner.sources.len() >= self.max_series && !inner.sources.contains_key(name) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut watched = self.lock();
+        let (hist, pct) = (Arc::clone(h), pct.min(100));
+        match watched.binary_search_by(|w| w.name.as_str().cmp(name)) {
+            Ok(i) => (watched[i].hist, watched[i].pct) = (hist, pct),
+            Err(_) if watched.len() >= self.max_series => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(i) => watched.insert(
+                i,
+                Watched {
+                    name: name.to_string(),
+                    hist,
+                    pct,
+                    series: Series::new(self.series_capacity),
+                },
+            ),
         }
-        inner.sources.insert(name.to_string(), src);
-    }
-
-    /// Appends one point directly to series `name` (for values that are
-    /// not registry handles). Drops the point if the series budget is
-    /// exhausted.
-    pub fn record(&self, name: &str, t_nanos: u64, value: u64) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        self.record_locked(&mut inner, name, t_nanos, value);
-    }
-
-    fn record_locked(&self, inner: &mut Inner, name: &str, t_nanos: u64, value: u64) {
-        if inner.series.len() >= self.max_series && !inner.series.contains_key(name) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let cap = self.series_capacity;
-        let s = inner
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(cap));
-        let before = s.downsamples();
-        s.push(t_nanos, value);
-        let merged = s.downsamples() - before;
-        if merged > 0 {
-            self.downsamples.fetch_add(merged, Ordering::Relaxed);
-        }
-    }
-
-    /// Forgets series `name`: removes both its source registration and
-    /// its recorded points, freeing a slot in the series budget. Returns
-    /// whether anything was removed. Unlike budget exhaustion this is a
-    /// deliberate retirement (a peer departed), so it does **not** count
-    /// toward [`Recorder::dropped`].
-    pub fn forget(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        let had_source = inner.sources.remove(name).is_some();
-        let had_series = inner.series.remove(name).is_some();
-        had_source || had_series
     }
 
     /// One tick: snapshots every registered source at `t_nanos`, in
     /// sorted name order. Deterministic given deterministic sources and
     /// timestamps.
     pub fn sample_all(&self, t_nanos: u64) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        let reads: Vec<(String, u64)> = inner
-            .sources
-            .iter()
-            .map(|(name, src)| (name.clone(), src.read()))
-            .collect();
-        for (name, v) in reads {
-            self.record_locked(&mut inner, &name, t_nanos, v);
+        for w in self.lock().iter_mut() {
+            let v = w.hist.quantile(f64::from(w.pct) / 100.0);
+            w.series.push(t_nanos, v);
         }
         self.ticks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Watched>> {
+        self.watched.lock().expect("recorder lock")
     }
 
     /// Points of series `name`, oldest first.
     #[must_use]
     pub fn series(&self, name: &str) -> Option<Vec<Point>> {
-        self.inner
-            .lock()
-            .expect("recorder lock")
-            .series
-            .get(name)
-            .map(Series::points)
-    }
-
-    /// The most recent point of series `name`.
-    #[must_use]
-    pub fn last(&self, name: &str) -> Option<Point> {
-        self.inner
-            .lock()
-            .expect("recorder lock")
-            .series
-            .get(name)
-            .and_then(Series::last)
+        let watched = self.lock();
+        let w = watched.iter().filter(is_live).find(|w| w.name == name)?;
+        Some(w.series.points())
     }
 
     /// Names of all live series, sorted.
     #[must_use]
     pub fn series_names(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("recorder lock")
-            .series
-            .keys()
-            .cloned()
+        let watched = self.lock();
+        watched
+            .iter()
+            .filter(is_live)
+            .map(|w| w.name.clone())
             .collect()
     }
 
     /// Number of live series.
     #[must_use]
     pub fn series_count(&self) -> usize {
-        self.inner.lock().expect("recorder lock").series.len()
+        self.lock().iter().filter(is_live).count()
     }
 
     /// Worst-case payload bytes across all live series.
     #[must_use]
     pub fn memory_ceiling_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("recorder lock")
-            .series
-            .values()
-            .map(Series::memory_ceiling_bytes)
-            .sum()
+        let watched = self.lock();
+        let live = watched.iter().filter(is_live);
+        live.map(|w| w.series.memory_ceiling_bytes()).sum()
     }
 
     /// Total pair-merge passes across all series.
     #[must_use]
     pub fn downsamples(&self) -> u64 {
-        self.downsamples.load(Ordering::Relaxed)
+        self.lock().iter().map(|w| w.series.downsamples()).sum()
     }
 
-    /// Points or sources dropped because the series budget was full.
+    /// Sources refused because the series budget was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -631,45 +553,42 @@ mod tests {
         assert_eq!(s.points()[0].0, 0);
     }
 
-    #[test]
-    fn recorder_samples_sources_deterministically() {
-        let rec = Recorder::default();
-        let c = Arc::new(Counter::default());
-        let g = Arc::new(Gauge::default());
+    /// A histogram holding one sample of `v`.
+    fn one_sample(v: u64) -> Arc<Histogram> {
         let h = Arc::new(Histogram::new());
-        rec.watch_counter("c_total", &c);
-        rec.watch_gauge("g_now", &g);
-        rec.watch_histogram_pct("lat:p99", &h, 99);
-        c.add(3);
-        g.set(7);
-        h.record(1000);
-        rec.sample_all(100);
-        c.add(2);
-        rec.sample_all(200);
-        assert_eq!(rec.series("c_total").unwrap(), vec![(100, 3), (200, 5)]);
-        assert_eq!(rec.series("g_now").unwrap()[1], (200, 7));
-        assert!(rec.series("lat:p99").unwrap()[0].1 >= 1000);
-        assert_eq!(rec.ticks(), 2);
-        assert_eq!(rec.series_names(), vec!["c_total", "g_now", "lat:p99"]);
+        h.record(v);
+        h
     }
 
     #[test]
-    fn recorder_negative_gauge_clamps_to_zero() {
+    fn recorder_samples_sources_deterministically() {
         let rec = Recorder::default();
-        let g = Arc::new(Gauge::default());
-        g.set(-5);
-        rec.watch_gauge("g", &g);
-        rec.sample_all(1);
-        assert_eq!(rec.last("g"), Some((1, 0)));
+        let h = Arc::new(Histogram::new());
+        rec.watch_histogram_pct("lat:p99", &h, 99);
+        rec.watch_histogram_pct("lat:p50", &h, 50);
+        h.record(1000);
+        rec.sample_all(100);
+        for _ in 0..99 {
+            h.record(10);
+        }
+        rec.sample_all(200);
+        let p99 = rec.series("lat:p99").unwrap();
+        assert_eq!(p99.iter().map(|p| p.0).collect::<Vec<_>>(), [100, 200]);
+        assert!(p99[0].1 >= 1000 && p99[1].1 < 1000, "{p99:?}");
+        assert!(rec.series("lat:p50").unwrap()[1].1 < 1000);
+        assert_eq!(rec.ticks(), 2);
+        assert_eq!(rec.series_names(), vec!["lat:p50", "lat:p99"]);
     }
 
     #[test]
     fn recorder_enforces_series_budget() {
         let rec = Recorder::new(4, 2);
-        rec.record("a", 1, 1);
-        rec.record("b", 1, 1);
-        rec.record("c", 1, 1); // over budget → dropped
-        rec.record("a", 2, 2); // existing series still accepts
+        let h = one_sample(1);
+        rec.watch_histogram_pct("a", &h, 99);
+        rec.watch_histogram_pct("b", &h, 99);
+        rec.watch_histogram_pct("c", &h, 99); // over budget → dropped
+        rec.watch_histogram_pct("a", &h, 50); // a watched name re-registers
+        rec.sample_all(1);
         assert_eq!(rec.series_count(), 2);
         assert_eq!(rec.dropped(), 1);
         assert!(rec.series("c").is_none());
@@ -678,74 +597,50 @@ mod tests {
 
     #[test]
     fn recorder_at_default_ceiling_drops_new_series_loudly() {
-        // Churn scenario: 512 per-peer series exist, then new peers keep
-        // arriving. Every new series past the ceiling must be refused
-        // with a `dropped` increment — never a panic, never a silent
-        // eviction of an existing series.
+        // 512 series exist, then new sources keep arriving. Every new
+        // one past the ceiling must be refused with a `dropped`
+        // increment — never a panic, never a silent eviction of an
+        // existing series.
         let rec = Recorder::default();
+        let h = one_sample(7);
         for i in 0..DEFAULT_MAX_SERIES {
-            rec.record(&format!("peer{i:04}"), 1, i as u64);
+            rec.watch_histogram_pct(&format!("s{i:04}"), &h, 99);
         }
+        rec.sample_all(1);
         assert_eq!(rec.series_count(), DEFAULT_MAX_SERIES);
         assert_eq!(rec.dropped(), 0);
         for i in 0..32 {
-            rec.record(&format!("late{i:04}"), 2, 9);
+            rec.watch_histogram_pct(&format!("late{i:04}"), &h, 99);
         }
+        rec.sample_all(2);
         assert_eq!(rec.series_count(), DEFAULT_MAX_SERIES, "no eviction");
         assert_eq!(rec.dropped(), 32, "each refusal counted");
         assert!(rec.series("late0000").is_none());
-        // Every pre-ceiling series survived untouched.
-        assert_eq!(rec.series("peer0000").unwrap(), vec![(1, 0)]);
-        assert_eq!(
-            rec.series(&format!("peer{:04}", DEFAULT_MAX_SERIES - 1))
-                .unwrap()
-                .len(),
-            1
-        );
+        // Every pre-ceiling series survived and kept sampling.
+        for name in [
+            "s0000".to_string(),
+            format!("s{:04}", DEFAULT_MAX_SERIES - 1),
+        ] {
+            assert_eq!(rec.series(&name).unwrap(), vec![(1, 7), (2, 7)]);
+        }
     }
 
     #[test]
     fn recorder_at_ceiling_refuses_new_sources_on_watch_and_tick() {
         let rec = Recorder::new(4, DEFAULT_MAX_SERIES);
-        let old = Arc::new(Gauge::default());
-        old.set(5);
-        rec.watch_gauge("keeper", &old);
+        rec.watch_histogram_pct("keeper", &one_sample(5), 99);
         for i in 1..DEFAULT_MAX_SERIES {
-            rec.watch_gauge(&format!("g{i:04}"), &Arc::new(Gauge::default()));
+            rec.watch_histogram_pct(&format!("h{i:04}"), &Arc::new(Histogram::new()), 99);
         }
         assert_eq!(rec.dropped(), 0);
         // The 513th watch is refused and counted; ticking afterwards
         // must not panic and must still sample every accepted source.
-        rec.watch_gauge("overflow", &Arc::new(Gauge::default()));
+        rec.watch_histogram_pct("overflow", &Arc::new(Histogram::new()), 99);
         assert_eq!(rec.dropped(), 1);
         rec.sample_all(10);
         assert_eq!(rec.series_count(), DEFAULT_MAX_SERIES);
         assert!(rec.series("overflow").is_none());
-        assert_eq!(rec.last("keeper"), Some((10, 5)));
-    }
-
-    #[test]
-    fn forget_retires_series_and_frees_budget() {
-        let rec = Recorder::new(4, 2);
-        let g = Arc::new(Gauge::default());
-        g.set(3);
-        rec.watch_gauge("a", &g);
-        rec.record("b", 1, 1);
-        rec.sample_all(2);
-        assert_eq!(rec.series_count(), 2);
-        // Budget full: a new series is refused...
-        rec.record("c", 3, 1);
-        assert_eq!(rec.dropped(), 1);
-        // ...until the departed peer's series is forgotten.
-        assert!(rec.forget("a"));
-        assert!(!rec.forget("a"), "second forget is a no-op");
-        assert!(rec.series("a").is_none());
-        rec.record("c", 4, 1);
-        assert_eq!(rec.series_count(), 2);
-        assert_eq!(rec.dropped(), 1, "forget is not a drop");
-        // The forgotten source is no longer sampled back into existence.
-        rec.sample_all(5);
-        assert!(rec.series("a").is_none());
+        assert_eq!(rec.series("keeper"), Some(vec![(10, 5)]));
     }
 
     #[test]

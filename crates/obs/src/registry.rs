@@ -134,20 +134,6 @@ impl Registry {
             .insert(base.to_string(), help.to_string());
     }
 
-    /// Removes the metric named `name`, returning whether it existed.
-    ///
-    /// Existing handles keep working (they are plain `Arc`s) but the
-    /// metric no longer appears in exposition — the hook for pruning
-    /// per-peer label sets when a peer permanently departs, so the
-    /// registry does not grow without bound under churn.
-    pub fn remove(&self, name: &str) -> bool {
-        self.metrics
-            .lock()
-            .expect("registry lock")
-            .remove(name)
-            .is_some()
-    }
-
     /// Names of all registered metrics, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {

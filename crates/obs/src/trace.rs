@@ -485,8 +485,9 @@ pub fn folded_stacks(trees: &[TraceTree]) -> String {
 /// Deterministic JSON report: traces grouped by root-span name, each
 /// group carrying its count, summed end-to-end nanoseconds, and the
 /// aggregated critical-path breakdown (share in basis points of the
-/// group total, largest first). No raw ids appear, so two identical
-/// runs emit identical bytes even across processes.
+/// group total, largest first; a span that kept no time on the critical
+/// path has no row). No raw ids appear, so two identical runs emit
+/// identical bytes even across processes.
 #[must_use]
 pub fn report_json(trees: &[TraceTree]) -> String {
     struct Group {
@@ -517,7 +518,8 @@ pub fn report_json(trees: &[TraceTree]) -> String {
             "    {{\n      \"op\": {op:?},\n      \"traces\": {},\n      \"total_nanos\": {},\n      \"critical_path\": [\n",
             g.count, g.total
         ));
-        let mut entries: Vec<(String, u64)> = g.breakdown.into_iter().collect();
+        let mut entries: Vec<(String, u64)> =
+            g.breakdown.into_iter().filter(|&(_, n)| n > 0).collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let n = entries.len();
         for (i, (name, nanos)) in entries.into_iter().enumerate() {
@@ -733,5 +735,14 @@ mod tests {
         assert!(a.contains("\"op\": \"read\""));
         // Shares are in basis points of the group total.
         assert!(a.contains("\"share_bps\""));
+        // `read` is one leaf span: its whole time is its own row. A span
+        // with no time of its own on the critical path has no row.
+        assert!(a.contains("{\"name\": \"read\", \"nanos\": 10, \"share_bps\": 10000}\n"));
+        let zero = report_json(&build_traces(vec![
+            span(4, 1, 0, "op", 0, 50),
+            span(4, 2, 1, "leaf", 0, 50),
+        ]));
+        assert!(!zero.contains("\"name\": \"op\""), "{zero}");
+        assert!(zero.contains("{\"name\": \"leaf\", \"nanos\": 50, \"share_bps\": 10000}\n"));
     }
 }

@@ -4,7 +4,7 @@
 use crate::messages::{NodeInfo, PastryReply, PastryRequest};
 use crate::state::{LeafSet, RoutingTable};
 use kosha_id::Id;
-use kosha_obs::{Counter, Gauge, Histogram, Obs};
+use kosha_obs::{Gauge, Obs};
 use kosha_rpc::network::call_typed;
 use kosha_rpc::{Network, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId};
 use parking_lot::{Mutex, RwLock};
@@ -140,43 +140,9 @@ pub struct PastryNode {
     state: Mutex<State>,
     observers: RwLock<Vec<Arc<dyn OverlayObserver>>>,
     obs: Arc<Obs>,
-    metrics: OverlayMetrics,
-}
-
-/// Pre-resolved overlay metric handles (see `DESIGN.md` §Observability).
-struct OverlayMetrics {
-    /// Hops taken by successful [`PastryNode::route`] calls.
-    route_hops: Arc<Histogram>,
-    /// Routes that exhausted the hop cap or ran out of live candidates.
-    route_failures: Arc<Counter>,
-    /// Duration of successful [`PastryNode::join`] calls, in nanoseconds
-    /// on the transport clock.
-    join_nanos: Arc<Histogram>,
-    /// Leaf-set repairs triggered by observed failures.
-    leaf_repairs: Arc<Counter>,
-    /// Current distinct leaf-set membership (`pastry_leaf_set_size`),
-    /// refreshed at every mutation site so churn is visible live and as
-    /// a flight-recorder series.
+    /// Current distinct leaf-set membership (`pastry_leaf_set_size`, the
+    /// `kosha-top` LEAF column), refreshed at every mutation site.
     leaf_size: Arc<Gauge>,
-}
-
-impl OverlayMetrics {
-    fn new(obs: &Obs) -> Self {
-        let m = OverlayMetrics {
-            route_hops: obs.registry.histogram("pastry_route_hops"),
-            route_failures: obs.registry.counter("pastry_route_failures_total"),
-            join_nanos: obs.registry.histogram("pastry_join_nanos"),
-            leaf_repairs: obs.registry.counter("pastry_leaf_repairs_total"),
-            leaf_size: obs.registry.gauge("pastry_leaf_set_size"),
-        };
-        // Flight-recorder sources: leaf-set size and route-hop median
-        // become time-series on every sampler tick.
-        obs.recorder
-            .watch_gauge("pastry_leaf_set_size", &m.leaf_size);
-        obs.recorder
-            .watch_histogram_pct("pastry_route_hops:p50", &m.route_hops, 50);
-        m
-    }
 }
 
 impl PastryNode {
@@ -187,9 +153,10 @@ impl PastryNode {
         Self::new_with_obs(cfg, id, addr, net, Obs::new())
     }
 
-    /// Like [`PastryNode::new`], but recording metrics and journal events
-    /// into a caller-supplied observability domain (the hosting `koshad`
-    /// shares one `Obs` across its layers so events correlate).
+    /// Like [`PastryNode::new`], but recording its metric, spans and
+    /// journal events into a caller-supplied observability domain (the
+    /// hosting `koshad` shares one `Obs` across its layers so events
+    /// correlate).
     pub fn new_with_obs(
         cfg: PastryConfig,
         id: Id,
@@ -198,7 +165,6 @@ impl PastryNode {
         obs: Arc<Obs>,
     ) -> Arc<Self> {
         let info = NodeInfo { id, addr };
-        let metrics = OverlayMetrics::new(&obs);
         Arc::new(PastryNode {
             info,
             state: Mutex::new(State {
@@ -210,8 +176,8 @@ impl PastryNode {
             cfg,
             net,
             observers: RwLock::new(Vec::new()),
+            leaf_size: obs.registry.gauge("pastry_leaf_set_size"),
             obs,
-            metrics,
         })
     }
 
@@ -304,7 +270,7 @@ impl PastryNode {
             st.rt.insert_with_rtt(node, rtt);
             let entered = st.ls.insert(node);
             if entered {
-                self.metrics.leaf_size.set(st.ls.members().len() as i64);
+                self.leaf_size.set(st.ls.members().len() as i64);
             }
             entered
         };
@@ -344,7 +310,7 @@ impl PastryNode {
                 return; // already processed this failure
             }
             if !removed.is_empty() {
-                self.metrics.leaf_size.set(st.ls.members().len() as i64);
+                self.leaf_size.set(st.ls.members().len() as i64);
             }
             removed
         };
@@ -359,7 +325,6 @@ impl PastryNode {
                 obs.on_leaf_left(*n);
             }
         }
-        self.metrics.leaf_repairs.inc();
         let op = self.obs.next_op_id();
         self.journal(
             "leaf_repair",
@@ -460,8 +425,6 @@ impl PastryNode {
         let Some(boot) = bootstrap else {
             return Ok(());
         };
-        let clock = self.net.clock();
-        let t0 = clock.now();
         // Identify the bootstrap node.
         let boot_info = match self.rpc(boot, &PastryRequest::Ping)? {
             PastryReply::Pong { node } => node,
@@ -546,7 +509,6 @@ impl PastryNode {
                 .collect();
             let _ = self.net.call_many(self.info.addr, batch);
         }
-        self.metrics.join_nanos.record(clock.now().since_nanos(t0));
         let op = self.obs.next_op_id();
         self.journal("join", op, format!("joined via {boot} after {hops} hop(s)"));
         Ok(())
@@ -626,17 +588,12 @@ impl PastryNode {
     /// (0 when this node owns the key).
     pub fn route(&self, key: Id) -> Result<(NodeInfo, usize), OverlayError> {
         let clock = self.net.clock();
-        let result = self.obs.tracer.child(
+        self.obs.tracer.child(
             || "pastry:route".to_string(),
             self.info.addr.0,
             || clock.now().0,
             || self.route_inner(key),
-        );
-        match &result {
-            Ok((_, hops)) => self.metrics.route_hops.record(*hops as u64),
-            Err(_) => self.metrics.route_failures.inc(),
-        }
-        result
+        )
     }
 
     fn route_inner(&self, key: Id) -> Result<(NodeInfo, usize), OverlayError> {

@@ -5,8 +5,6 @@
 //! by destination [`ServiceId`]:
 //!
 //! * `rpc_calls_total{service=...}` — attempts, including failures,
-//! * `rpc_local_calls_total{service=...}` — loopback (same-host) calls
-//!   that reached their handler,
 //! * `rpc_failed_calls_total{service=...}` — calls that returned an
 //!   error (dead node, missing service, handler failure),
 //! * `rpc_bytes_total{service=...}` — request + response wire bytes of
@@ -14,24 +12,23 @@
 //!   16-byte status),
 //! * `rpc_latency_nanos{service=...}` — round-trip latency histogram,
 //!   measured as a delta on the transport's own clock (virtual under
-//!   `SimNetwork`, so values are deterministic).
+//!   `SimNetwork`, so values are deterministic), whose p99 per service
+//!   is the domain's one flight-recorder source (`kosha-top`'s SLO
+//!   burn reads the `koshafs` series).
 //!
 //! Handles are resolved once at construction; the per-call path is a few
 //! relaxed atomic adds with no locking.
 //!
-//! The smoothed per-link latency map is additionally published through
-//! the registry as `rpc_peer_latency_ewma_nanos{link="nFFFFFF>nTTTTTT"}`
-//! gauges (addresses zero-padded so the registry's sorted render lists
-//! links in source-then-destination order), and the per-service
-//! inflight/latency/call series are registered with the domain's flight
-//! recorder so samplers can capture their evolution over time.
+//! The smoothed per-link latency map behind
+//! [`crate::Network::peer_latency_nanos`] lives here too. It is not a
+//! metric: nothing exports it, so its size follows the links in use
+//! and `prune_peer` alone bounds it.
 
 use crate::clock::SimTime;
 use crate::network::{NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId};
 use kosha_obs::registry::labeled;
-use kosha_obs::{Counter, Gauge, Histogram, Obs};
+use kosha_obs::{Counter, Histogram, Obs};
 use parking_lot::RwLock;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,31 +36,9 @@ use std::sync::Arc;
 /// Metric handles for one destination service.
 pub(crate) struct SvcMetrics {
     pub calls: Arc<Counter>,
-    pub local: Arc<Counter>,
     pub failed: Arc<Counter>,
     pub bytes: Arc<Counter>,
     pub latency: Arc<Histogram>,
-    /// Calls currently in flight (`rpc_inflight{service=...}`): raised
-    /// on entry to `call`, lowered on exit, so fan-out depth is visible
-    /// live without tracing enabled.
-    pub inflight: Arc<Gauge>,
-}
-
-/// RAII guard: decrements an inflight gauge on drop (early returns and
-/// handler panics both lower it).
-pub(crate) struct InflightGuard(Arc<Gauge>);
-
-impl InflightGuard {
-    pub fn enter(g: &Arc<Gauge>) -> Self {
-        g.add(1);
-        InflightGuard(Arc::clone(g))
-    }
-}
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.0.add(-1);
-    }
 }
 
 /// Wire bytes charged for the reply of a call that failed: a bare
@@ -72,11 +47,8 @@ pub(crate) const ERR_REPLY_BYTES: usize = 16;
 
 /// What is needed to account one admitted call when its result is in:
 /// the same on both transports, and on `ThreadedNetwork` the same for a
-/// call served in place, waited for inline, or redeemed later. The call
-/// counts as in flight until then (or until it is abandoned: dropping
-/// an unredeemed completion drops the guard too).
+/// call served in place, waited for inline, or redeemed later.
 pub(crate) struct CallAccount {
-    _inflight: InflightGuard,
     service: ServiceId,
     from: NodeAddr,
     to: NodeAddr,
@@ -85,7 +57,7 @@ pub(crate) struct CallAccount {
 }
 
 impl CallAccount {
-    /// Counts the attempt and raises the in-flight gauge.
+    /// Counts the attempt.
     pub fn enter(
         metrics: &NetMetrics,
         from: NodeAddr,
@@ -93,10 +65,8 @@ impl CallAccount {
         req: &RpcRequest,
         start: SimTime,
     ) -> Self {
-        let svc = metrics.svc(req.service);
-        svc.calls.inc();
+        metrics.svc(req.service).calls.inc();
         CallAccount {
-            _inflight: InflightGuard::enter(&svc.inflight),
             service: req.service,
             from,
             to,
@@ -115,9 +85,7 @@ impl CallAccount {
         result: Result<RpcResponse, RpcError>,
     ) -> Result<RpcResponse, RpcError> {
         let svc = metrics.svc(self.service);
-        if self.from == self.to {
-            svc.local.inc();
-        } else {
+        if self.from != self.to {
             let resp_bytes = result
                 .as_ref()
                 .map_or(ERR_REPLY_BYTES, RpcResponse::wire_size);
@@ -133,43 +101,10 @@ impl CallAccount {
     }
 }
 
-/// One link's smoothed latency plus its registry gauge (created on the
-/// first sample, then updated in place with no registry lookup and no
-/// exclusive lock, so samples of different links never serialise).
-/// The update is a load and a store, not a read-modify-write: two
-/// threads that finish a call on the *same* link at the same instant
-/// may fold only one of the two samples, which an estimate smoothed
-/// over eight does not notice, and a compare-exchange on every RPC of
-/// every transport is not worth that sample.
-struct PeerLat {
-    ewma: AtomicU64,
-    gauge: Arc<Gauge>,
-}
-
-impl PeerLat {
-    fn note(&self, nanos: u64) {
-        let ewma = (self.ewma.load(Ordering::Relaxed) * 7 + nanos) / 8;
-        self.ewma.store(ewma, Ordering::Relaxed);
-        self.gauge.set(ewma as i64);
-    }
-}
-
-/// The `link="nFFFFFF>nTTTTTT"` gauge name for one directed link
-/// (addresses zero-padded so the registry's sorted render lists links
-/// in source-then-destination address order).
-fn link_gauge_name(from: NodeAddr, to: NodeAddr) -> String {
-    labeled(
-        "rpc_peer_latency_ewma_nanos",
-        &[("link", &format!("n{:06}>n{:06}", from.0, to.0))],
-    )
-}
-
 /// All per-service handles plus the owning [`Obs`] domain.
 pub(crate) struct NetMetrics {
     obs: Arc<Obs>,
     per_service: Vec<SvcMetrics>,
-    /// Sizes of `call_many` batches (`rpc_fanout_batch_size`).
-    pub fanout_batch: Arc<Histogram>,
     /// Smoothed round-trip latency per directed `(source, destination)`
     /// link (EWMA, α = 1/8 like TCP's SRTT), fed by every completed
     /// call. Keying by link rather than destination alone matters on
@@ -177,8 +112,14 @@ pub(crate) struct NetMetrics {
     /// B's estimate of C, or background maintenance traffic from far
     /// peers would perturb every reader's nearest-replica choice. Backs
     /// [`crate::Network::peer_latency_nanos`] for latency-aware replica
-    /// selection, and is mirrored into per-link registry gauges.
-    peer_latency: RwLock<HashMap<(u64, u64), PeerLat>>,
+    /// selection.
+    ///
+    /// An update is a load and a store, not a read-modify-write: two
+    /// threads that finish a call on the *same* link at the same instant
+    /// may fold only one of the two samples, which an estimate smoothed
+    /// over eight does not notice, and a compare-exchange on every RPC of
+    /// every transport is not worth that sample.
+    peer_latency: RwLock<HashMap<(u64, u64), AtomicU64>>,
 }
 
 impl NetMetrics {
@@ -188,78 +129,55 @@ impl NetMetrics {
             .iter()
             .map(|s| {
                 let l = s.name();
+                let latency = obs
+                    .registry
+                    .histogram(&format!("rpc_latency_nanos{{service=\"{l}\"}}"));
+                obs.recorder.watch_histogram_pct(
+                    &format!("{}:p99", labeled("rpc_latency_nanos", &[("service", l)])),
+                    &latency,
+                    99,
+                );
                 SvcMetrics {
                     calls: obs
                         .registry
                         .counter(&format!("rpc_calls_total{{service=\"{l}\"}}")),
-                    local: obs
-                        .registry
-                        .counter(&format!("rpc_local_calls_total{{service=\"{l}\"}}")),
                     failed: obs
                         .registry
                         .counter(&format!("rpc_failed_calls_total{{service=\"{l}\"}}")),
                     bytes: obs
                         .registry
                         .counter(&format!("rpc_bytes_total{{service=\"{l}\"}}")),
-                    latency: obs
-                        .registry
-                        .histogram(&format!("rpc_latency_nanos{{service=\"{l}\"}}")),
-                    inflight: obs
-                        .registry
-                        .gauge(&format!("rpc_inflight{{service=\"{l}\"}}")),
+                    latency,
                 }
             })
             .collect();
-        let fanout_batch = obs.registry.histogram("rpc_fanout_batch_size");
-        let m = NetMetrics {
+        NetMetrics {
             obs,
             per_service,
-            fanout_batch,
             peer_latency: RwLock::new(HashMap::new()),
-        };
-        // Arm the flight recorder: in-flight depth, attempt counters,
-        // and tail latency per service evolve into time-series on every
-        // sampler tick (no-ops until something calls `sample_all`).
-        let rec = &m.obs.recorder;
-        for s in ServiceId::ALL {
-            let svc = m.svc(s);
-            let l = s.name();
-            rec.watch_gauge(&labeled("rpc_inflight", &[("service", l)]), &svc.inflight);
-            rec.watch_counter(&labeled("rpc_calls_total", &[("service", l)]), &svc.calls);
-            rec.watch_histogram_pct(
-                &format!("{}:p99", labeled("rpc_latency_nanos", &[("service", l)])),
-                &svc.latency,
-                99,
-            );
         }
-        m
     }
 
-    /// Folds one completed round trip into the link's EWMA and mirrors
-    /// the new estimate into the link's registry gauge. Every completed
-    /// call of every client thread passes here, so the steady state
-    /// takes the map's read lock only; the write lock is for the first
-    /// sample of a link (and for `prune_peer`).
+    /// Folds one completed round trip into the link's EWMA. Every
+    /// completed call of every client thread passes here, so the steady
+    /// state takes the map's read lock only; the write lock is for the
+    /// first sample of a link (and for `prune_peer`).
     pub fn note_peer_latency(&self, from: NodeAddr, to: NodeAddr, nanos: u64) {
         let link = (from.0, to.0);
-        if let Some(p) = self.peer_latency.read().get(&link) {
-            p.note(nanos);
+        let fold = |ewma: &AtomicU64| {
+            let v = (ewma.load(Ordering::Relaxed) * 7 + nanos) / 8;
+            ewma.store(v, Ordering::Relaxed);
+        };
+        if let Some(ewma) = self.peer_latency.read().get(&link) {
+            fold(ewma);
             return;
         }
-        match self.peer_latency.write().entry(link) {
-            // Another thread saw the link first.
-            Entry::Occupied(e) => e.get().note(nanos),
-            Entry::Vacant(e) => {
-                let name = link_gauge_name(from, to);
-                let gauge = self.obs.registry.gauge(&name);
-                gauge.set(nanos as i64);
-                self.obs.recorder.watch_gauge(&name, &gauge);
-                e.insert(PeerLat {
-                    ewma: AtomicU64::new(nanos),
-                    gauge,
-                });
-            }
-        }
+        // Another thread may have seen the link first.
+        self.peer_latency
+            .write()
+            .entry(link)
+            .and_modify(|ewma| fold(ewma))
+            .or_insert_with(|| AtomicU64::new(nanos));
     }
 
     /// The link's smoothed latency as observed by `from`'s own
@@ -268,29 +186,16 @@ impl NetMetrics {
         self.peer_latency
             .read()
             .get(&(from.0, to.0))
-            .map(|p| p.ewma.load(Ordering::Relaxed))
+            .map(|ewma| ewma.load(Ordering::Relaxed))
     }
 
     /// Retires a departed peer's latency state: drops every link EWMA
-    /// touching it (as source or destination), the matching
-    /// `rpc_peer_latency_ewma_nanos{link=...}` registry gauges, and the
-    /// flight-recorder sources/series. Called on transport `detach`;
-    /// without it the per-link label set grows without bound under
-    /// churn and exhausts the recorder's series budget.
+    /// touching it, as source or destination. Called on transport
+    /// `detach`; without it the map grows without bound under churn.
     pub fn prune_peer(&self, addr: NodeAddr) {
-        let mut removed = Vec::new();
-        self.peer_latency.write().retain(|&(f, t), _| {
-            let departed = f == addr.0 || t == addr.0;
-            if departed {
-                removed.push((f, t));
-            }
-            !departed
-        });
-        for (f, t) in removed {
-            let name = link_gauge_name(NodeAddr(f), NodeAddr(t));
-            self.obs.registry.remove(&name);
-            self.obs.recorder.forget(&name);
-        }
+        self.peer_latency
+            .write()
+            .retain(|&(f, t), _| f != addr.0 && t != addr.0);
     }
 
     /// The observability domain (for exposition and tests).
@@ -369,7 +274,7 @@ mod tests {
             assert!(call(2, 7).is_ok(), "remote");
             assert!(call(1, 7).is_ok(), "loopback");
             assert!(call(2, 0).is_err(), "handler refuses");
-            ["calls", "local_calls", "failed_calls", "bytes"]
+            ["calls", "failed_calls", "bytes"]
                 .iter()
                 .map(|f| {
                     obs.registry
@@ -382,30 +287,11 @@ mod tests {
         let thr = ThreadedNetwork::new(std::time::Duration::from_secs(5));
         let on_sim = script(sim.as_ref(), &sim.obs(), &|a, m| sim.attach(a, m));
         let on_thr = script(thr.as_ref(), &thr.obs(), &|a, m| thr.attach(a, m));
-        assert_eq!(on_sim, on_thr, "calls, local, failed, bytes");
-        // Remote ok: 4-byte request and reply; refused: request + 16.
-        assert_eq!(on_sim[..3], [3, 1, 1]);
-        assert!(on_sim[3] > ERR_REPLY_BYTES as u64);
-    }
-
-    #[test]
-    fn inflight_gauge_tracks_guard_lifetime() {
-        let m = NetMetrics::new();
-        let g = &m.svc(ServiceId::KoshaReplica).inflight;
-        assert_eq!(g.get(), 0);
-        {
-            let _a = InflightGuard::enter(g);
-            let _b = InflightGuard::enter(g);
-            assert_eq!(g.get(), 2);
-        }
-        assert_eq!(g.get(), 0);
-        assert_eq!(
-            m.obs()
-                .registry
-                .gauge("rpc_inflight{service=\"replica\"}")
-                .get(),
-            0
-        );
+        assert_eq!(on_sim, on_thr, "calls, failed, bytes");
+        // Remote ok: 4-byte request and reply; refused: request + 16;
+        // the loopback call moves no bytes.
+        assert_eq!(on_sim[..2], [3, 1]);
+        assert!(on_sim[2] > ERR_REPLY_BYTES as u64);
     }
 
     #[test]
@@ -438,100 +324,44 @@ mod tests {
     }
 
     #[test]
-    fn peer_latency_is_exposed_as_sorted_gauges() {
+    fn prune_peer_retires_every_link_of_the_peer() {
         let m = NetMetrics::new();
-        let from = NodeAddr(1);
-        // Insert out of address order; the render must sort by address.
-        m.note_peer_latency(from, NodeAddr(20), 900);
-        m.note_peer_latency(from, NodeAddr(3), 500);
-        m.note_peer_latency(from, NodeAddr(100), 700);
-        m.note_peer_latency(from, NodeAddr(3), 500); // EWMA steady state
-        let reg = &m.obs().registry;
-        assert_eq!(
-            reg.gauge("rpc_peer_latency_ewma_nanos{link=\"n000001>n000003\"}")
-                .get(),
-            500
-        );
-        let text = reg.render();
-        let pos: Vec<usize> = ["n000003", "n000020", "n000100"]
-            .iter()
-            .map(|p| {
-                text.find(&format!("link=\"n000001>{p}\""))
-                    .expect("link gauge")
-            })
-            .collect();
-        assert!(pos[0] < pos[1] && pos[1] < pos[2], "{text}");
-        // The EWMA is also a recorder source: one tick → one point.
-        m.obs().recorder.sample_all(42);
-        assert_eq!(
-            m.obs()
-                .recorder
-                .last("rpc_peer_latency_ewma_nanos{link=\"n000001>n000020\"}"),
-            Some((42, 900))
-        );
-    }
-
-    #[test]
-    fn prune_peer_retires_gauge_ewma_and_recorder_series() {
-        let m = NetMetrics::new();
+        let names = m.obs().registry.names();
         m.note_peer_latency(NodeAddr(1), NodeAddr(7), 400);
         m.note_peer_latency(NodeAddr(7), NodeAddr(8), 500);
         m.note_peer_latency(NodeAddr(1), NodeAddr(8), 600);
-        m.obs().recorder.sample_all(1);
-        let name7 = "rpc_peer_latency_ewma_nanos{link=\"n000001>n000007\"}";
-        let name78 = "rpc_peer_latency_ewma_nanos{link=\"n000007>n000008\"}";
-        assert!(m.obs().recorder.series(name7).is_some());
+        // Links are not metrics: the registry holds what it held.
+        assert_eq!(m.obs().registry.names(), names);
 
         // Pruning peer 7 drops links where it is source OR destination.
         m.prune_peer(NodeAddr(7));
         assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(7)), None);
         assert_eq!(m.peer_latency(NodeAddr(7), NodeAddr(8)), None);
-        for name in [name7, name78] {
-            assert!(
-                !m.obs().registry.names().iter().any(|n| n == name),
-                "gauge must leave the exposition"
-            );
-            assert!(m.obs().recorder.series(name).is_none());
-        }
-        // Ticking again must not resurrect the pruned series.
-        m.obs().recorder.sample_all(2);
-        assert!(m.obs().recorder.series(name7).is_none());
-        // The surviving link is untouched, and pruning counts no drops.
+        // The surviving link is untouched.
         assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(8)), Some(600));
-        assert_eq!(m.obs().recorder.dropped(), 0);
         // Pruning an unknown peer is a no-op.
         m.prune_peer(NodeAddr(99));
-        // A returning peer re-registers cleanly from scratch.
+        assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(8)), Some(600));
+        // A returning peer starts over.
         m.note_peer_latency(NodeAddr(1), NodeAddr(7), 1000);
         assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(7)), Some(1000));
-        m.obs().recorder.sample_all(3);
-        assert_eq!(m.obs().recorder.last(name7), Some((3, 1000)));
     }
 
     #[test]
     fn service_series_are_recorder_sources() {
         let m = NetMetrics::new();
-        m.svc(ServiceId::Nfs).calls.inc();
+        m.svc(ServiceId::KoshaFs).latency.record(5);
         m.obs().recorder.sample_all(7);
+        let rec = &m.obs().recorder;
         assert_eq!(
-            m.obs().recorder.last("rpc_calls_total{service=\"nfs\"}"),
-            Some((7, 1))
+            rec.series("rpc_latency_nanos{service=\"koshafs\"}:p99"),
+            Some(vec![(7, 5)])
         );
-        assert!(m
-            .obs()
-            .recorder
+        // One p99 series per service, and nothing else.
+        assert_eq!(rec.series_count(), ServiceId::ALL.len());
+        assert!(rec
             .series_names()
             .iter()
-            .any(|n| n == "rpc_latency_nanos{service=\"nfs\"}:p99"));
-    }
-
-    #[test]
-    fn fanout_batch_histogram_is_registered() {
-        let m = NetMetrics::new();
-        m.fanout_batch.record(3);
-        assert_eq!(
-            m.obs().registry.histogram("rpc_fanout_batch_size").count(),
-            1
-        );
+            .all(|n| n.starts_with("rpc_latency_nanos{service=") && n.ends_with(":p99")));
     }
 }

@@ -459,9 +459,9 @@ pub trait Network: Send + Sync {
     /// The provided method is serial: one blocking `call` per entry, in
     /// batch order. That is always semantically correct, so no handler
     /// may depend on its batch-mates being in flight, and it is what
-    /// [`crate::ThreadedNetwork`] does (plus a batch-size sample): the
-    /// handlers a fan-out reaches take microseconds, less than handing
-    /// one to another thread costs. [`crate::SimNetwork`] overrides it to
+    /// [`crate::ThreadedNetwork`] uses: the handlers a fan-out reaches
+    /// take microseconds, less than handing one to another thread
+    /// costs. [`crate::SimNetwork`] overrides it to
     /// model the overlap of a real network, charging the virtual clock
     /// the `max` of the per-call latencies instead of their sum. A caller
     /// that wants overlap in real time uses [`Network::call_async`].

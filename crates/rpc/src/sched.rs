@@ -21,11 +21,10 @@
 //! The scheduler is payload-generic so the transport can queue its own
 //! event enum while property tests drive it with plain integers.
 //!
-//! Self-observability (the `observed` constructor): heap depth and its
-//! high-water mark as gauges, a dispatched-event counter, and a
+//! Self-observability (the `observed` constructor): the heap's
+//! high-water mark as a gauge, a dispatched-event counter, and a
 //! dispatch-latency histogram (virtual nanoseconds an event spent queued
-//! before its deadline arrived), all registered as flight-recorder
-//! sources so `kosha-top` shows runtime health.
+//! before its deadline arrived), which the `sched` bench reads.
 //!
 //! `kosha_sched_events_total` counts events popped from the heap, no
 //! more: it is not a count of RPCs or of clock movements. The transport
@@ -87,7 +86,6 @@ impl<T> PartialOrd for Entry<T> {
 
 /// Metric handles for one scheduler (see the module docs).
 struct SchedStats {
-    depth: Arc<Gauge>,
     depth_hwm: Arc<Gauge>,
     events_total: Arc<Counter>,
     dispatch_latency: Arc<Histogram>,
@@ -131,32 +129,16 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// New scheduler publishing `kosha_sched_*` metrics into `obs` and
-    /// arming them as flight-recorder sources.
+    /// New scheduler publishing `kosha_sched_*` metrics into `obs`.
     #[must_use]
     pub fn observed(obs: &Obs) -> Self {
-        let depth = obs.registry.gauge("kosha_sched_heap_depth");
-        let depth_hwm = obs.registry.gauge("kosha_sched_heap_depth_hwm");
-        let events_total = obs.registry.counter("kosha_sched_events_total");
-        let dispatch_latency = obs.registry.histogram("kosha_sched_dispatch_latency_nanos");
-        obs.recorder.watch_gauge("kosha_sched_heap_depth", &depth);
-        obs.recorder
-            .watch_counter("kosha_sched_events_total", &events_total);
-        obs.recorder.watch_histogram_pct(
-            "kosha_sched_dispatch_latency_nanos:p99",
-            &dispatch_latency,
-            99,
-        );
         Scheduler {
-            heap: Mutex::new(BinaryHeap::new()),
-            seq: AtomicU64::new(0),
-            hwm: AtomicU64::new(0),
             stats: Some(SchedStats {
-                depth,
-                depth_hwm,
-                events_total,
-                dispatch_latency,
+                depth_hwm: obs.registry.gauge("kosha_sched_heap_depth_hwm"),
+                events_total: obs.registry.counter("kosha_sched_events_total"),
+                dispatch_latency: obs.registry.histogram("kosha_sched_dispatch_latency_nanos"),
             }),
+            ..Self::new()
         }
     }
 
@@ -178,10 +160,9 @@ impl<T> Scheduler<T> {
         };
         if depth > self.hwm.load(Ordering::Relaxed) {
             self.hwm.store(depth, Ordering::Relaxed);
-        }
-        if let Some(s) = &self.stats {
-            s.depth.set(depth as i64);
-            s.depth_hwm.set(self.hwm.load(Ordering::Relaxed) as i64);
+            if let Some(s) = &self.stats {
+                s.depth_hwm.set(depth as i64);
+            }
         }
         seq
     }
@@ -199,7 +180,6 @@ impl<T> Scheduler<T> {
             }
         }?;
         if let Some(s) = &self.stats {
-            s.depth.add(-1);
             s.events_total.inc();
             s.dispatch_latency
                 .record(entry.deadline.saturating_sub(entry.enqueued_at));
@@ -266,24 +246,13 @@ mod tests {
         let s: Scheduler<u8> = Scheduler::observed(&obs);
         s.schedule_at(5, 0, 1);
         s.schedule_at(9, 2, 2);
-        assert_eq!(obs.registry.gauge("kosha_sched_heap_depth").get(), 2);
         assert_eq!(s.high_water(), 2);
         s.pop_due(10);
         s.pop_due(10);
-        assert_eq!(obs.registry.gauge("kosha_sched_heap_depth").get(), 0);
         assert_eq!(obs.registry.gauge("kosha_sched_heap_depth_hwm").get(), 2);
         assert_eq!(obs.registry.counter("kosha_sched_events_total").get(), 2);
         let h = obs.registry.histogram("kosha_sched_dispatch_latency_nanos");
-        assert_eq!(h.count(), 2); // sojourns 5 and 7
-                                  // Scheduler series are flight-recorder sources: one sampler
-                                  // tick materializes them.
-        obs.recorder.sample_all(11);
-        assert!(obs
-            .recorder
-            .series_names()
-            .iter()
-            .any(|n| n == "kosha_sched_heap_depth"));
-        assert_eq!(obs.recorder.last("kosha_sched_events_total"), Some((11, 2)));
+        assert_eq!((h.count(), h.sum()), (2, 5 + 7));
     }
 
     #[test]

@@ -221,9 +221,8 @@ impl SimNetwork {
     }
 
     /// Detaches a node entirely (permanent removal). The departed peer's
-    /// latency gauge, recorder series, crash marker, and coordinates are
-    /// pruned with it, so churn does not grow any per-peer state without
-    /// bound.
+    /// link latencies, crash marker, and coordinates are pruned with it,
+    /// so churn does not grow any per-peer state without bound.
     pub fn detach(&self, addr: NodeAddr) {
         self.nodes.write().remove(&addr);
         self.coords.write().remove(&addr);
@@ -323,12 +322,9 @@ impl SimNetwork {
             self.sched.schedule_at(now, now, SimEvent::PumpOnce(i));
         }
         self.dispatch_until(now);
-        // One flight-recorder tick for the transport's own domain, at
-        // the (deterministic) virtual time the pumps settled on. Node
-        // domains tick themselves via their sampler hooks above.
-        let obs = self.metrics.obs();
-        obs.export_self_gauges();
-        obs.recorder.sample_all(self.clock.now().0);
+        // One flight-recorder tick for the transport's domain, at the
+        // (deterministic) virtual time the pumps settled on.
+        self.metrics.obs().recorder.sample_all(self.clock.now().0);
         live.len()
     }
 
@@ -442,9 +438,7 @@ impl SimNetwork {
                 .schedule_at(next, self.clock.now().0, SimEvent::PumpTick(i));
             // A recurring tick also refreshes the transport-domain
             // recorder so long idle runs produce a time-series.
-            let obs = self.metrics.obs();
-            obs.export_self_gauges();
-            obs.recorder.sample_all(self.clock.now().0);
+            self.metrics.obs().recorder.sample_all(self.clock.now().0);
         } else if let Some(p) = self.pumps.lock().get_mut(i) {
             p.armed = false;
         }
@@ -555,7 +549,6 @@ impl Network for SimNetwork {
         from: NodeAddr,
         batch: Vec<(NodeAddr, RpcRequest)>,
     ) -> Vec<Result<RpcResponse, RpcError>> {
-        self.metrics.fanout_batch.record(batch.len() as u64);
         if batch.len() <= 1 {
             return batch
                 .into_iter()
@@ -634,6 +627,15 @@ mod tests {
     #[test]
     fn detach_prunes_peer_latency_telemetry() {
         let net = net_with_echo(LatencyModel::default());
+        let obs = net.obs();
+        net.call(
+            NodeAddr(1),
+            NodeAddr(2),
+            RpcRequest::new(ServiceId::Nfs, &0u64),
+        )
+        .unwrap();
+        net.run_pumps();
+        let (names, series) = (obs.registry.names(), obs.recorder.series_names());
         // Generations of short-lived peers join, serve one call, leave.
         for gen in 0..40u64 {
             let addr = NodeAddr(100 + gen);
@@ -642,22 +644,17 @@ mod tests {
             net.attach(addr, mux);
             net.call(NodeAddr(1), addr, RpcRequest::new(ServiceId::Nfs, &gen))
                 .unwrap();
-            net.obs().recorder.sample_all(gen);
+            assert!(net.peer_latency_nanos(NodeAddr(1), addr).is_some());
+            net.run_pumps();
             net.detach(addr);
             assert_eq!(net.peer_latency_nanos(NodeAddr(1), addr), None);
         }
-        let obs = net.obs();
-        let peers = |v: Vec<String>| {
-            v.into_iter()
-                .filter(|n| n.starts_with("rpc_peer_latency_ewma_nanos"))
-                .count()
-        };
-        // Only the long-lived peer 2 may still hold a gauge (from the
-        // net_with_echo warm-up path); every churned peer is gone from
-        // registry and recorder alike, with nothing counted as dropped.
-        assert!(peers(obs.registry.names()) <= 1, "registry grew");
-        assert!(peers(obs.recorder.series_names()) <= 1, "recorder grew");
+        // No name in the registry or the recorder follows a peer or a
+        // link, and the long-lived link kept its estimate.
+        assert_eq!(obs.registry.names(), names, "registry grew");
+        assert_eq!(obs.recorder.series_names(), series, "recorder grew");
         assert_eq!(obs.recorder.dropped(), 0);
+        assert!(net.peer_latency_nanos(NodeAddr(1), NodeAddr(2)).is_some());
     }
 
     #[test]
@@ -672,12 +669,8 @@ mod tests {
         let reg = &net.obs().registry;
         let nfs = |family: &str| reg.counter(&format!("{family}{{service=\"nfs\"}}")).get();
         assert_eq!(
-            (
-                nfs("rpc_calls_total"),
-                nfs("rpc_local_calls_total"),
-                nfs("rpc_failed_calls_total")
-            ),
-            (1, 0, 0)
+            (nfs("rpc_calls_total"), nfs("rpc_failed_calls_total")),
+            (1, 0)
         );
         assert!(nfs("rpc_bytes_total") > 0);
     }

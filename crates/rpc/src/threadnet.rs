@@ -424,19 +424,7 @@ impl ThreadedNetwork {
             .registry
             .histogram("kosha_reactor_dispatch_latency_nanos");
         let queue_depth = obs.registry.gauge("kosha_reactor_queue_depth");
-        let workers_gauge = obs.registry.gauge("kosha_reactor_workers");
         let threads_spawned = obs.registry.counter("kosha_reactor_threads_spawned_total");
-        obs.recorder
-            .watch_gauge("kosha_reactor_queue_depth", &queue_depth);
-        obs.recorder
-            .watch_counter("kosha_reactor_events_total", &events_total);
-        obs.recorder
-            .watch_counter("kosha_reactor_inline_total", &inline_total);
-        obs.recorder.watch_histogram_pct(
-            "kosha_reactor_dispatch_latency_nanos:p99",
-            &dispatch_latency,
-            99,
-        );
         let shared = Arc::new(ReactorShared {
             runq: RunQueue::new(),
             clock,
@@ -447,7 +435,6 @@ impl ThreadedNetwork {
             queue_depth,
         });
         let worker_count = worker_pool_size();
-        workers_gauge.set(worker_count as i64);
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
             threads_spawned.inc();
@@ -526,9 +513,8 @@ impl ThreadedNetwork {
 
     /// Detaches a node, closing all of its actors. Requests already
     /// queued are dropped (their callers observe `Unreachable`). The
-    /// departed peer's latency gauge, recorder series, and crash marker
-    /// are pruned with it, so churn does not grow any per-peer state
-    /// without bound.
+    /// departed peer's link latencies and crash marker are pruned with
+    /// it, so churn does not grow any per-peer state without bound.
     pub fn detach(&self, addr: NodeAddr) {
         let removed = self.nodes.write().remove(&addr);
         if let Some(node) = removed {
@@ -693,30 +679,6 @@ impl Network for ThreadedNetwork {
         self.issue(from, to, req, false)
     }
 
-    /// The trait's serial fan-out (every entry a blocking `call`, in
-    /// batch order: served on this thread if its destination is idle,
-    /// queued behind the owner and helped otherwise), plus the batch-size
-    /// sample. Each entry's client span is the one `call` records, so a
-    /// traced fan-out shows its RPCs one after another, as they ran.
-    fn call_many(
-        &self,
-        from: NodeAddr,
-        batch: Vec<(NodeAddr, RpcRequest)>,
-    ) -> Vec<Result<RpcResponse, RpcError>> {
-        #[cfg(feature = "lockcheck")]
-        crate::lockcheck_gate::rpc_gate(
-            &self.shared.metrics.obs(),
-            self.shared.clock.now().0,
-            from,
-            "ThreadedNetwork::call_many",
-        );
-        self.shared.metrics.fanout_batch.record(batch.len() as u64);
-        batch
-            .into_iter()
-            .map(|(to, req)| self.call(from, to, req))
-            .collect()
-    }
-
     fn clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.shared.clock) as Arc<dyn Clock>
     }
@@ -780,7 +742,6 @@ impl Network for ThreadedNetwork {
                     for hook in due {
                         hook.pump();
                     }
-                    obs.export_self_gauges();
                     obs.recorder.sample_all(clock.now().0);
                 })
                 .expect("spawn timer thread");
@@ -1222,8 +1183,6 @@ mod tests {
         let me = std::thread::current().id();
         assert_eq!(*ran.lock(), vec![(2, me), (1, me)]);
         assert_eq!(served(&net), (2, 2));
-        let batches = net.obs().registry.histogram("rpc_fanout_batch_size");
-        assert_eq!((batches.count(), batches.max()), (1, 2));
     }
 
     #[test]

@@ -207,6 +207,37 @@ fn identical_results_for_a_scripted_session() {
     }
 }
 
+/// A cached client's own CREATE, MKDIR, SYMLINK, REMOVE, RMDIR and
+/// RENAME change the parent directory, and the reply carries no
+/// attributes for it: the next `stat` of the parent must not be served
+/// from what the cache held before. `nlink` moves on a MKDIR and an
+/// RMDIR even with the clock frozen.
+#[test]
+fn a_cached_parent_sees_its_own_namespace_changes() {
+    let four = FourWays::new();
+    let nlink = |fs: &KoshaMount| fs.stat("/p/q").map(|(_, a)| a.nlink.to_string());
+    type Step<'a> = &'a dyn Fn(&KoshaMount) -> Result<String, NfsError>;
+    let steps: [(Step, Option<&str>); 9] = [
+        (&|fs| fs.mkdir_p("/p/q").map(ok), None),
+        (&nlink, Some("2")),
+        (&|fs| fs.mkdir_p("/p/q/sub").map(ok), None),
+        (&nlink, Some("3")),
+        (&|fs| fs.write_file("/p/q/f", b"x").map(ok), None),
+        (&|fs| fs.rename("/p/q/f", "/p/q/g").map(ok), None),
+        (&|fs| fs.readdir("/p/q").map(names), Some("g,sub")),
+        (&|fs| fs.rmdir("/p/q/sub").map(ok), None),
+        (&nlink, Some("2")),
+    ];
+    for (i, (step, want)) in steps.iter().enumerate() {
+        if let Some(want) = want {
+            assert_eq!(step(four.nfs[0].mount()).unwrap(), *want, "step {i}");
+        }
+        if let Err(e) = four.agree(step) {
+            panic!("step {i} diverged: {e}");
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     MkdirP(u8, u8),
