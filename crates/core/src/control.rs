@@ -137,8 +137,11 @@ wire_enum! {
             /// Owner gid.
             gid: u32,
         } = 1 => "mkdir_local",
-        /// Materialize a distributed directory on this node: create the empty
-        /// ancestor hierarchy, the directory itself, and the anchor metadata.
+        /// Materialize a distributed directory on this node: its slot and
+        /// the slot's record. Replies `Handle` for the slot root; `NoSpc`
+        /// when this node's store is at or above the redirection
+        /// utilization (§3.3), so the caller salts the name and asks
+        /// another node.
         MkdirAnchor {
             /// Virtual path of the new anchor directory.
             path: String,
@@ -240,9 +243,6 @@ wire_enum! {
             /// Routing name the caller used to reach this node.
             routing: String,
         } = 13 => "ensure_anchor",
-        /// Query `(capacity, used, free)` of this node's contributed space —
-        /// the fullness test behind redirection (§3.3).
-        StoreStats = 14 => "store_stats",
         /// Migration: begin receiving an anchor subtree into the store.
         BeginTransfer {
             /// Anchor virtual path.
@@ -510,8 +510,8 @@ wire_enum! {
         /// Acknowledged.
         Done = 0,
         /// A created object's real handle and attributes (CreateFile,
-        /// MkdirLocal) — saves the caller a LOOKUP round trip, like NFS
-        /// CREATE's post-op handle.
+        /// MkdirLocal, MkdirAnchor) — saves the caller a LOOKUP round
+        /// trip, like NFS CREATE's post-op handle.
         Handle {
             /// Real handle on the replying node.
             fh: Fh,
@@ -520,15 +520,6 @@ wire_enum! {
         } = 4,
         /// Boolean outcome (promotion happened or not).
         DoneBool(promoted: bool) = 1,
-        /// Store statistics.
-        Stats {
-            /// Total contributed bytes.
-            capacity: u64,
-            /// Bytes used.
-            used: u64,
-            /// Bytes free.
-            free: u64,
-        } = 2,
         /// Hosted anchors: `(virtual path, routing name)`.
         Anchors(anchors: Vec<(String, String)>) = 3,
         /// Node addresses (replica holders).
@@ -617,7 +608,6 @@ mod tests {
                 path: "/a".into(),
                 routing: "a#3".into(),
             },
-            KoshaRequest::StoreStats,
             KoshaRequest::BeginTransfer { path: "/a".into() },
             KoshaRequest::TransferPut {
                 path: "/a".into(),
@@ -720,11 +710,6 @@ mod tests {
         for frame in [
             ReplyFrame(Ok(KoshaReply::Done)),
             ReplyFrame(Ok(KoshaReply::DoneBool(true))),
-            ReplyFrame(Ok(KoshaReply::Stats {
-                capacity: 10,
-                used: 3,
-                free: 7,
-            })),
             ReplyFrame(Ok(KoshaReply::Anchors(vec![("/a".into(), "a#1".into())]))),
             ReplyFrame(Ok(KoshaReply::Nodes(vec![
                 kosha_rpc::NodeAddr(3),

@@ -38,15 +38,20 @@ pub struct VhEntry {
 /// looking up the same path returns the same handle (NFS clients rely on
 /// handle equality for cache identity).
 ///
-/// Invariant: `entries` and `by_path` are a bijection. Every entry's path
+/// Invariants: `entries` and `by_path` are a bijection. Every entry's path
 /// maps back to its handle and no two entries share a path, so forgetting
 /// one path is two hash look-ups and a handle whose object was removed or
-/// overwritten is `Stale`, never an alias of what replaced it.
+/// overwritten is `Stale`, never an alias of what replaced it. `below`
+/// holds, for every path with live entries anywhere beneath it, how many,
+/// and no other key: forgetting a subtree with nothing below it scans
+/// nothing.
 #[derive(Debug, Default)]
 pub struct HandleTable {
     next: u64,
     entries: HashMap<u64, VhEntry>,
     by_path: HashMap<String, u64>,
+    /// Live entries strictly below each directory path, all depths.
+    below: HashMap<String, usize>,
     /// Cached *replica-area* file handles per virtual path: which
     /// replica holders have been read from and the real handle each
     /// handed out. Lets repeated replica reads skip the mount +
@@ -68,6 +73,7 @@ impl HandleTable {
             next: 1,
             entries: HashMap::new(),
             by_path: HashMap::new(),
+            below: HashMap::new(),
             replica_locs: HashMap::new(),
         };
         t.mint("/", FileType::Directory);
@@ -105,10 +111,66 @@ impl HandleTable {
             },
         );
         self.by_path.insert(path.to_string(), vh);
+        self.count_above(path);
         Fh {
             ino: vh,
             gen: VIRTUAL_GEN,
         }
+    }
+
+    /// Counts a new entry at `path` in every directory above it.
+    fn count_above(&mut self, path: &str) {
+        for dir in ancestors(path) {
+            match self.below.get_mut(dir) {
+                Some(n) => *n += 1,
+                None => {
+                    self.below.insert(dir.to_string(), 1);
+                }
+            }
+        }
+    }
+
+    /// Takes a gone entry at `path` out of every count above it; a count
+    /// that reaches zero goes.
+    fn uncount_above(&mut self, path: &str) {
+        for dir in ancestors(path) {
+            if let Some(n) = self.below.get_mut(dir) {
+                *n -= 1;
+                if *n == 0 {
+                    self.below.remove(dir);
+                }
+            }
+        }
+    }
+
+    /// Handles of `path` and of every entry below it. Scans the table
+    /// only if the counts say something is below.
+    fn subtree(&self, path: &str) -> Vec<u64> {
+        let mut found: Vec<u64> = self.by_path.get(path).copied().into_iter().collect();
+        if self.below.contains_key(path) {
+            let prefix = format!("{path}/");
+            found.extend(
+                self.entries
+                    .iter()
+                    .filter(|(_, e)| e.path.starts_with(&prefix))
+                    .map(|(&vh, _)| vh),
+            );
+        }
+        found
+    }
+
+    /// Live entries strictly below `dir`, at any depth: what the table
+    /// keeps so that forgetting an empty subtree scans nothing.
+    #[must_use]
+    pub fn descendants(&self, dir: &str) -> usize {
+        self.below.get(dir).copied().unwrap_or(0)
+    }
+
+    /// Number of directories with a live entry below them: the keys of
+    /// the counts [`Self::descendants`] reads, none of them zero.
+    #[must_use]
+    pub fn counted_dirs(&self) -> usize {
+        self.below.len()
     }
 
     /// Looks up an entry; `None` for unknown or non-virtual handles.
@@ -215,37 +277,28 @@ impl HandleTable {
     /// first: they go stale and `by_path[new]` is free for what moves in.
     pub fn rename_subtree(&mut self, old: &str, new: &str) {
         self.forget_subtree(new);
-        let prefix = format!("{old}/");
-        let affected: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.path == old || e.path.starts_with(&prefix))
-            .map(|(&vh, _)| vh)
-            .collect();
-        for vh in affected {
+        for vh in self.subtree(old) {
             let e = self.entries.get_mut(&vh).expect("present");
-            let old_path = e.path.clone();
-            let new_path = if old_path == old {
-                new.to_string()
-            } else {
-                format!("{new}{}", &old_path[old.len()..])
-            };
+            let old_path = std::mem::take(&mut e.path);
+            let new_path = format!("{new}{}", &old_path[old.len()..]);
             e.path = new_path.clone();
             e.loc = None;
             self.by_path.remove(&old_path);
+            self.uncount_above(&old_path);
+            self.count_above(&new_path);
             self.by_path.insert(new_path, vh);
         }
-        self.replica_locs
-            .retain(|p, _| p != old && !p.starts_with(&prefix));
+        self.forget_replica_subtree(old);
     }
 
     /// Forgets `path` alone, which is all a REMOVE of a non-directory
-    /// makes stale: one hash remove a map, where [`Self::forget_subtree`]
-    /// scans the table. If the table held `path` as a directory (its type
-    /// changed behind this koshad's back), the subtree goes as well.
+    /// makes stale: a hash remove a map and one per directory above it.
+    /// If the table held `path` as a directory (its type changed behind
+    /// this koshad's back), the subtree goes as well.
     pub fn forget(&mut self, path: &str) {
         self.replica_locs.remove(path);
         if let Some(vh) = self.by_path.remove(path) {
+            self.uncount_above(path);
             let entry = self.entries.remove(&vh);
             if entry.is_some_and(|e| e.ftype == FileType::Directory) {
                 self.forget_subtree(path);
@@ -255,20 +308,27 @@ impl HandleTable {
 
     /// Forgets `path` and its whole subtree (after rmdir/rename). The
     /// handles stay allocated but become dangling, matching NFS stale
-    /// handle semantics for deleted objects.
+    /// handle semantics for deleted objects. With nothing below `path`
+    /// (an RMDIR always, since the directory was empty) this is the cost
+    /// of [`Self::forget`], whatever the size of the table.
     pub fn forget_subtree(&mut self, path: &str) {
-        let prefix = format!("{path}/");
-        let affected: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.path == path || e.path.starts_with(&prefix))
-            .map(|(&vh, _)| vh)
-            .collect();
-        for vh in affected {
+        for vh in self.subtree(path) {
             if let Some(e) = self.entries.remove(&vh) {
                 self.by_path.remove(&e.path);
+                self.uncount_above(&e.path);
             }
         }
+        self.forget_replica_subtree(path);
+    }
+
+    /// Drops the cached replica handles of `path` and everything below
+    /// it. The cache is filled only by replica reads, so unless those are
+    /// on it is empty and this touches nothing.
+    fn forget_replica_subtree(&mut self, path: &str) {
+        if self.replica_locs.is_empty() {
+            return;
+        }
+        let prefix = format!("{path}/");
         self.replica_locs
             .retain(|p, _| p != path && !p.starts_with(&prefix));
     }
@@ -284,6 +344,17 @@ impl HandleTable {
     pub fn is_empty(&self) -> bool {
         self.entries.len() <= 1
     }
+}
+
+/// The directories strictly above `path`, deepest first: `/a/b/c` gives
+/// `/a/b`, `/a` and `/`; `/` gives none.
+fn ancestors(path: &str) -> impl Iterator<Item = &str> {
+    let mut p = path;
+    std::iter::from_fn(move || {
+        let cut = p.rfind('/').filter(|_| p != "/")?;
+        p = if cut == 0 { "/" } else { &p[..cut] };
+        Some(p)
+    })
 }
 
 /// True if `p` is on the resolution chain of `path` (not `/`): `path`

@@ -15,7 +15,6 @@ use crate::resolve::is_special_link_mode;
 use kosha_id::salted_name;
 use kosha_nfs::messages::{NfsReplyFrame, ReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
 use kosha_nfs::{Fh, NfsError, NfsReply, NfsRequest, NfsResult, NfsStatus};
-use kosha_pastry::NodeInfo;
 use kosha_rpc::{Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::path::validate_name;
 use kosha_vfs::{join_path, Attr, FileType, SetAttr};
@@ -345,7 +344,9 @@ impl KoshaNode {
     }
 
     /// MKDIR: distributed placement for directories within the
-    /// distribution level (§3.1–3.3), plain creation below it.
+    /// distribution level (§3.1–3.3), plain creation below it. Either way
+    /// the reply carries the new directory's handle and attributes, which
+    /// are cached and returned as they are: nothing is re-resolved.
     pub fn k_mkdir(
         &self,
         dir: Fh,
@@ -360,62 +361,71 @@ impl KoshaNode {
         let distributed = is_distributed_dir(&vpath, self.cfg.distribution_level);
         let (loc, attr) = self.with_path_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            if distributed {
-                match s.nfs.lookup(parent.addr, parent.fh, name) {
-                    Ok(_) => return Err(NfsError::Status(NfsStatus::Exist)),
-                    Err(NfsError::Status(NfsStatus::NoEnt)) => {}
-                    Err(e) => return Err(e),
-                }
-                let (owner, routing) = s.place_with_redirection(name)?;
-                s.control(
-                    owner.addr,
-                    &KoshaRequest::MkdirAnchor {
-                        path: vpath.clone(),
-                        routing_name: routing.clone(),
-                        mode,
-                        uid,
-                        gid,
-                    },
-                )?;
-                s.control(
-                    parent.addr,
-                    &KoshaRequest::PlaceLink {
-                        path: vpath.clone(),
-                        target: routing,
-                        uid,
-                        gid,
-                    },
-                )?;
+            let (loc, attr) = if distributed {
+                s.mkdir_distributed(parent, &vpath, name, (mode, uid, gid))?
             } else {
-                let reply = s.control(
-                    parent.addr,
-                    &KoshaRequest::MkdirLocal {
-                        path: vpath.clone(),
-                        mode,
-                        uid,
-                        gid,
-                    },
-                )?;
-                if let KoshaReply::Handle { fh, attr } = reply {
-                    let loc = Location {
-                        addr: parent.addr,
-                        fh,
-                    };
-                    s.client.lock().dir_cache.insert(vpath.clone(), loc);
-                    return Ok((loc, attr.0));
-                }
-            }
-            let loc = s.resolve_dir(&vpath)?;
-            let attr = s.nfs.getattr(loc.addr, loc.fh)?;
+                let req = KoshaRequest::MkdirLocal {
+                    path: vpath.clone(),
+                    mode,
+                    uid,
+                    gid,
+                };
+                let (fh, attr) = made(s.control(parent.addr, &req)?)?;
+                let loc = Location {
+                    addr: parent.addr,
+                    fh,
+                };
+                (loc, attr)
+            };
+            s.client.lock().dir_cache.insert(vpath.clone(), loc);
             Ok((loc, attr))
         })?;
         let fh = self.mint(&vpath, FileType::Directory, Some(loc));
         Ok((fh, attr))
     }
 
-    /// Chooses the storage node for a new distributed directory, salting
-    /// and re-hashing while the mapped node is too full (§3.3).
-    fn place_with_redirection(&self, name: &str) -> NfsResult<(NodeInfo, String)> {
+    /// The distributed half of MKDIR: the name must be free in `parent`'s
+    /// listing, the anchor is made where its routing name maps, and the
+    /// special link is placed in `parent` (§3.1). A link that cannot be
+    /// placed (a stale `parent` answers `NoEnt`) takes its anchor down
+    /// again, so a retry of the whole call never meets its own first step.
+    fn mkdir_distributed(
+        &self,
+        parent: Location,
+        vpath: &str,
+        name: &str,
+        (mode, uid, gid): (u32, u32, u32),
+    ) -> NfsResult<(Location, Attr)> {
+        match self.nfs.lookup(parent.addr, parent.fh, name) {
+            Ok(_) => return Err(NfsError::Status(NfsStatus::Exist)),
+            Err(NfsError::Status(NfsStatus::NoEnt)) => {}
+            Err(e) => return Err(e),
+        }
+        let (anchor, routing, attr) = self.place_anchor(vpath, name, (mode, uid, gid))?;
+        let link = KoshaRequest::PlaceLink {
+            path: vpath.to_string(),
+            target: routing,
+            uid,
+            gid,
+        };
+        if let Err(e) = self.control(parent.addr, &link) {
+            let path = vpath.to_string();
+            let _ = self.control(anchor.addr, &KoshaRequest::RmdirAnchor { path });
+            return Err(e);
+        }
+        Ok((anchor, attr))
+    }
+
+    /// Makes the anchor of a new distributed directory on the node its
+    /// name maps to, salting and re-hashing while that node refuses it as
+    /// too full (§3.3). Returns the slot root's location and attributes
+    /// and the routing name the link must carry.
+    fn place_anchor(
+        &self,
+        vpath: &str,
+        name: &str,
+        (mode, uid, gid): (u32, u32, u32),
+    ) -> NfsResult<(Location, String, Attr)> {
         // `NoSpc` only if some owner said it was full; an owner that could
         // not be asked leaves its error, so the caller fails over.
         let mut full = false;
@@ -439,20 +449,21 @@ impl KoshaNode {
                     continue;
                 }
             };
-            match self.control(owner.addr, &KoshaRequest::StoreStats) {
-                Ok(KoshaReply::Stats { capacity, used, .. }) => {
-                    let util = if capacity == 0 {
-                        1.0
-                    } else {
-                        used as f64 / capacity as f64
-                    };
-                    if util < self.cfg.redirect_utilization {
-                        return Ok((owner, routing));
-                    }
-                    full = true;
+            let req = KoshaRequest::MkdirAnchor {
+                path: vpath.to_string(),
+                routing_name: routing.clone(),
+                mode,
+                uid,
+                gid,
+            };
+            match self.control(owner.addr, &req).and_then(made) {
+                Ok((fh, attr)) => {
+                    let addr = owner.addr;
+                    return Ok((Location { addr, fh }, routing, attr));
                 }
-                Ok(_) => {}
-                Err(e) => last_err = e,
+                Err(NfsError::Status(NfsStatus::NoSpc)) => full = true,
+                Err(e @ NfsError::Rpc(_)) => last_err = e,
+                Err(e) => return Err(e),
             }
         }
         Err(if full {
@@ -554,45 +565,54 @@ impl KoshaNode {
     }
 
     /// RMDIR: empty-directory removal, including distributed directories
-    /// (anchor teardown plus special-link removal, §4.1.5).
+    /// (anchor teardown plus special-link removal, §4.1.5). Nothing is
+    /// looked up first where the answer is known: below the distribution
+    /// level `Rmdir` goes to the parent's primary, whose store refuses a
+    /// file or a link with `NotDir`; at distributed depth every directory
+    /// is a special link, so a cached anchor location is torn down as it
+    /// is. A stale one answers `NoEnt` from its old owner and the path
+    /// retry re-resolves; only an uncached name costs a LOOKUP. Once the
+    /// anchor is gone, a retry (a stale parent refused the link's
+    /// removal) only removes the link: it never meets its own first step.
     pub fn k_rmdir(&self, dir: Fh, name: &str) -> NfsResult<()> {
         validate_name(name).map_err(|e| NfsError::Status(e.into()))?;
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
+        let distributed = is_distributed_dir(&vpath, self.cfg.distribution_level);
+        let mut anchor_gone = false;
         self.with_path_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            let (_, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
-            match attr.ftype {
-                FileType::Regular => Err(NfsError::Status(NfsStatus::NotDir)),
-                FileType::Symlink
-                    if is_special_link_mode(attr.mode)
-                        && is_distributed_dir(&vpath, s.cfg.distribution_level) =>
-                {
-                    let anchor = s.resolve_dir(&vpath)?;
-                    s.control(
-                        anchor.addr,
-                        &KoshaRequest::RmdirAnchor {
-                            path: vpath.clone(),
-                        },
-                    )?;
-                    s.control(
-                        parent.addr,
-                        &KoshaRequest::RemoveLink {
-                            path: vpath.clone(),
-                        },
-                    )?;
-                    Ok(())
-                }
-                FileType::Symlink => Err(NfsError::Status(NfsStatus::NotDir)),
-                FileType::Directory => s
-                    .control(
-                        parent.addr,
-                        &KoshaRequest::Rmdir {
-                            path: vpath.clone(),
-                        },
-                    )
-                    .map(|_| ()),
+            let rmdir = || {
+                let req = KoshaRequest::Rmdir {
+                    path: vpath.clone(),
+                };
+                s.control(parent.addr, &req).map(drop)
+            };
+            if !distributed {
+                return rmdir();
             }
+            if !anchor_gone {
+                let cached = s.client.lock().dir_cache.get(&vpath).copied();
+                let anchor = match cached {
+                    Some(anchor) => anchor,
+                    None => {
+                        let (_, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
+                        match attr.ftype {
+                            FileType::Symlink if is_special_link_mode(attr.mode) => {
+                                s.resolve_dir(&vpath)?
+                            }
+                            FileType::Directory => return rmdir(),
+                            _ => return Err(NfsError::Status(NfsStatus::NotDir)),
+                        }
+                    }
+                };
+                let path = vpath.clone();
+                s.control(anchor.addr, &KoshaRequest::RmdirAnchor { path })?;
+                anchor_gone = true;
+            }
+            let path = vpath.clone();
+            s.control(parent.addr, &KoshaRequest::RemoveLink { path })
+                .map(drop)
         })?;
         self.client.lock().handles.forget_subtree(&vpath);
         self.invalidate_dir_subtree(&vpath);
@@ -814,6 +834,14 @@ impl KoshaNode {
             }
         }
         Ok((cap, used, cap.saturating_sub(used)))
+    }
+}
+
+/// The handle and attributes of what a MKDIR made, from its reply.
+fn made(reply: KoshaReply) -> NfsResult<(Fh, Attr)> {
+    match reply {
+        KoshaReply::Handle { fh, attr } => Ok((fh, attr.0)),
+        _ => Err(NfsError::Status(NfsStatus::Io)),
     }
 }
 

@@ -10,7 +10,7 @@ use crate::node::{ControlService, KoshaNode, ReplicaService};
 use crate::paths::{anchor_slot, check_vpath, is_distributed_dir, slot_local_path, Area};
 use crate::resolve::is_special_link_mode;
 use crate::slots::SlotMeta;
-use kosha_nfs::messages::ReplyFrame;
+use kosha_nfs::messages::{ReplyFrame, WireAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{
@@ -188,20 +188,21 @@ impl KoshaNode {
     }
 
     /// Makes a new, empty anchor in the store and starts serving it.
+    /// Returns the slot root's handle and attributes.
     fn create_anchor(
         &self,
         anchor: &str,
         routing: String,
         attr: (u32, u32, u32),
-    ) -> Result<(), NfsStatus> {
+    ) -> Result<(Fh, WireAttr), NfsStatus> {
         let meta = SlotMeta {
             routing: Some(routing.clone()),
             ..SlotMeta::default()
         };
-        self.slot_make(Area::Store, anchor, attr, meta, false)?;
+        let made = self.slot_make(Area::Store, anchor, attr, meta, false)?;
         self.anchors.lock().insert(anchor.to_string(), routing);
         self.ensure_replicas(anchor);
-        Ok(())
+        Ok(made)
     }
 
     // ---- replication ------------------------------------------------------
@@ -594,7 +595,7 @@ impl KoshaNode {
             migrating: true,
             ..SlotMeta::default()
         };
-        let aroot = self.slot_make(Area::Replica, anchor, (0o700, 0, 0), meta, true)?;
+        let (aroot, _) = self.slot_make(Area::Replica, anchor, (0o700, 0, 0), meta, true)?;
         let mut dirs: HashMap<String, Fh> = HashMap::new();
         dirs.insert(String::new(), aroot);
         for item in items {
@@ -768,7 +769,8 @@ impl KoshaNode {
             else {
                 continue;
             };
-            let Ok(dst) = self.slot_make(Area::Store, anchor, (0o755, 0, 0), meta, true) else {
+            let Ok((dst, _)) = self.slot_make(Area::Store, anchor, (0o755, 0, 0), meta, true)
+            else {
                 continue;
             };
             if self.pull_tree(m.addr, src, dst).is_err() {
@@ -1110,12 +1112,19 @@ impl KoshaNode {
                 uid,
                 gid,
             } => {
+                // Redirection (§3.3): at or above the utilization every node
+                // is configured with, the owner refuses new directories and
+                // the placing koshad salts the name and asks another.
+                let (capacity, used, _) = self.store.with_store(|v| v.fsstat());
+                if capacity == 0 || used as f64 / capacity as f64 >= self.cfg.redirect_utilization {
+                    return Err(NfsStatus::NoSpc);
+                }
                 let slot_path = slot_local_path(Area::Store, &path, &path);
                 if self.store.with_store(|v| v.resolve(&slot_path).is_ok()) {
                     return Err(NfsStatus::Exist);
                 }
-                self.create_anchor(&path, routing_name, (mode, uid, gid))?;
-                Ok(KoshaReply::Done)
+                let (fh, attr) = self.create_anchor(&path, routing_name, (mode, uid, gid))?;
+                Ok(KoshaReply::Handle { fh, attr })
             }
             KoshaRequest::EnsureAnchor { path, routing } => {
                 if let Some(meta) = self.slot_meta(Area::Store, &path) {
@@ -1143,14 +1152,6 @@ impl KoshaNode {
                     return Ok(KoshaReply::DoneBool(false));
                 }
                 Err(NfsStatus::NoEnt)
-            }
-            KoshaRequest::StoreStats => {
-                let (capacity, used, free) = self.store.with_store(|v| v.fsstat());
-                Ok(KoshaReply::Stats {
-                    capacity,
-                    used,
-                    free,
-                })
             }
             KoshaRequest::BeginTransfer { path } => {
                 // Merge semantics: do NOT wipe an existing copy. A

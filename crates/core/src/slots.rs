@@ -16,7 +16,7 @@
 
 use crate::node::KoshaNode;
 use crate::paths::{anchor_slot, slot_local_path, Area};
-use crate::primary::handle_of;
+use kosha_nfs::messages::WireAttr;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
 use kosha_rpc::wire_struct;
 use kosha_vfs::VfsError;
@@ -105,8 +105,9 @@ impl KoshaNode {
     }
 
     /// Makes `anchor`'s slot in `area` with record `meta`, as one charged
-    /// MKDIR. With `fresh` a copy already there goes first, else an
-    /// existing slot is `Exist`.
+    /// MKDIR, and returns the slot root's handle and attributes. With
+    /// `fresh` a copy already there goes first, else an existing slot is
+    /// `Exist`.
     pub(crate) fn slot_make(
         &self,
         area: Area,
@@ -114,7 +115,7 @@ impl KoshaNode {
         (mode, uid, gid): (u32, u32, u32),
         meta: SlotMeta,
         fresh: bool,
-    ) -> Result<Fh, NfsStatus> {
+    ) -> Result<(Fh, WireAttr), NfsStatus> {
         let (dir, name) = (self.fh_of(&area.local_path("/"))?, anchor_slot(anchor));
         if fresh {
             let _ = self.slot_remove_at(area, dir, &name);
@@ -126,9 +127,11 @@ impl KoshaNode {
             uid,
             gid,
         };
-        let fh = self.apply(req).and_then(handle_of)?;
+        let NfsReply::Handle { fh, attr } = self.apply(req)? else {
+            return Err(NfsStatus::Io);
+        };
         self.slot_table.lock().insert((area, name), meta);
-        Ok(fh)
+        Ok((fh, attr))
     }
 
     /// Makes `anchor`'s store slot unless it is there (a transfer merges

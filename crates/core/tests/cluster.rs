@@ -405,6 +405,184 @@ fn rmdir_distributed_directory() {
     assert!(m.exists("/temp"));
 }
 
+/// Calls sent so far, per service, in `ServiceId::ALL` order.
+fn calls(c: &Cluster) -> [u64; 5] {
+    let reg = &c.net.obs().registry;
+    ServiceId::ALL.map(|s| {
+        reg.counter(&format!("rpc_calls_total{{service=\"{}\"}}", s.name()))
+            .get()
+    })
+}
+
+/// What one level-1 MKDIR and its RMDIR put on the wire, per service
+/// (pastry, nfs, kosha, koshafs, replica), on the cluster `meta_sim`
+/// runs: 8 nodes, K = 2. The MKDIR routes its name once, checks the name
+/// is free, makes the anchor (which answers with its handle: no probe of
+/// the owner's space first, no re-resolve after) and places the link,
+/// each mutation mirrored to two holders. The RMDIR finds the anchor in
+/// the location cache the MKDIR filled and looks nothing up.
+#[test]
+fn a_distributed_mkdir_and_its_rmdir_send_only_their_mutations() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 2;
+    cfg.replicas = 2;
+    let c = build_cluster(8, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/warm").unwrap();
+    m.stat("/").unwrap();
+    let sent = |op: &dyn Fn()| {
+        let before = calls(&c);
+        op();
+        let after = calls(&c);
+        [0, 1, 2, 3, 4].map(|i| after[i] - before[i])
+    };
+    let mkdir = sent(&|| m.mkdir("/t1").map(drop).unwrap());
+    let rmdir = sent(&|| m.rmdir("/t1").unwrap());
+    // 1 route; 1 LOOKUP; MkdirAnchor + PlaceLink; the push of the new
+    // slot and the link's mirror to 2 holders each. Before: [2, 4, 3, 1, 4].
+    assert_eq!(mkdir, [1, 1, 2, 1, 4]);
+    // RmdirAnchor + RemoveLink, each mirrored twice. Before: [0, 1, 2, 1, 4].
+    assert_eq!(rmdir, [0, 0, 2, 1, 4]);
+    assert!(!m.exists("/t1"));
+}
+
+/// Joins nodes `range` of the `kosha-host-` series to `c`'s overlay.
+fn join_nodes(
+    c: &Cluster,
+    cfg: &KoshaConfig,
+    range: std::ops::Range<usize>,
+) -> Vec<Arc<KoshaNode>> {
+    range
+        .map(|i| {
+            let id = node_id_from_seed(&format!("kosha-host-{i}"));
+            let (node, mux) = KoshaNode::build(
+                cfg.clone(),
+                id,
+                NodeAddr(i as u64),
+                c.net.clone() as Arc<dyn Network>,
+            );
+            c.net.attach(node.addr(), mux);
+            node.join(Some(NodeAddr(0))).unwrap();
+            node
+        })
+        .collect()
+}
+
+/// Where each of `paths` is hosted, by node address.
+fn hosts(nodes: &[&Arc<KoshaNode>], paths: &[String]) -> Vec<Option<NodeAddr>> {
+    let host = |p: &String| {
+        let held = |n: &&&Arc<KoshaNode>| n.hosted_anchors().iter().any(|(a, _)| a == p);
+        nodes.iter().find(held).map(|n| n.addr())
+    };
+    paths.iter().map(host).collect()
+}
+
+/// A distributed MKDIR under a parent whose anchor migrated: the link goes
+/// to the parent's cached, old primary, which refuses it with `NoEnt`, and
+/// the path retry runs the MKDIR again. The anchor the first pass made
+/// must not meet the retry. It used to, as `Exist` (4 of these 12), and it
+/// stayed behind, hosted and listed by no parent.
+#[test]
+fn mkdir_under_a_migrated_parent_succeeds_and_orphans_no_anchor() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 2;
+    cfg.replicas = 1;
+    let c = build_cluster(3, cfg.clone());
+    let m = mount(&c, 0);
+    let parents: Vec<String> = (0..12).map(|i| format!("/p{i}")).collect();
+    for p in &parents {
+        m.mkdir_p(p).unwrap();
+        m.write_file(&format!("{p}/f"), b"x").unwrap();
+        m.stat(p).unwrap();
+    }
+    let grown = join_nodes(&c, &cfg, 3..8);
+    let all: Vec<&Arc<KoshaNode>> = c.nodes.iter().chain(&grown).collect();
+    for p in &parents {
+        m.mkdir(&format!("{p}/child"))
+            .unwrap_or_else(|e| panic!("mkdir {p}/child: {e:?}"));
+    }
+    let mut anchors = 0;
+    for node in &all {
+        for (path, _) in node.hosted_anchors() {
+            let Some((parent, name)) = path.rsplit_once('/').filter(|_| path != "/") else {
+                continue;
+            };
+            let parent = if parent.is_empty() { "/" } else { parent };
+            let listed = m.readdir(parent).unwrap().iter().any(|e| e.name == name);
+            assert!(listed, "{path} is hosted on {} but not listed", node.addr());
+            anchors += 1;
+        }
+    }
+    assert_eq!(anchors, 2 * parents.len());
+}
+
+/// An RMDIR through a stale location cache entry. After the directory's
+/// anchor migrated, the old owner answers `NoEnt` and the retry finds the
+/// new one. After only its parent's anchor migrated, the anchor goes and
+/// the old parent refuses the link's removal: the retry removes the link
+/// alone (it used to look the name up, find the link, fail to resolve the
+/// anchor it had just removed, and answer `NoEnt` with the link left
+/// behind). K = 0, so that no copy a join left on an old holder brings the
+/// removed anchor back for that retry to find. After another koshad
+/// replaced the directory with a file, the retry looks the name up and
+/// answers `NotDir`, and the file stays.
+#[test]
+fn rmdir_through_a_stale_cached_anchor() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 2;
+    cfg.replicas = 0;
+    let c = build_cluster(3, cfg.clone());
+    let (m0, m1) = (mount(&c, 0), mount(&c, 1));
+    let dirs: Vec<String> = (0..12).map(|i| format!("/q{i}")).collect();
+    let children: Vec<String> = (0..12).map(|i| format!("/q{i}/c{i}")).collect();
+    for (d, child) in dirs.iter().zip(&children) {
+        m0.mkdir(d).unwrap();
+        m0.mkdir(child).unwrap();
+    }
+    m0.mkdir_p("/r/x").unwrap();
+
+    let (dirs_were, children_were) = (hosts(&c.nodes.iter().collect::<Vec<_>>(), &dirs), {
+        hosts(&c.nodes.iter().collect::<Vec<_>>(), &children)
+    });
+    let grown = join_nodes(&c, &cfg, 3..8);
+    let all: Vec<&Arc<KoshaNode>> = c.nodes.iter().chain(&grown).collect();
+    let (dirs_are, children_are) = (hosts(&all, &dirs), hosts(&all, &children));
+    let moved = |i: usize| {
+        (
+            dirs_are[i] != dirs_were[i],
+            children_are[i] != children_were[i],
+        )
+    };
+    assert!((0..12).any(|i| moved(i).1), "no child anchor migrated");
+    assert!(
+        (0..12).any(|i| moved(i) == (true, false)),
+        "no parent migrated away from a child that stayed"
+    );
+    for (d, child) in dirs.iter().zip(&children) {
+        m0.rmdir(child)
+            .unwrap_or_else(|e| panic!("rmdir {child}: {e:?}"));
+        m0.rmdir(d).unwrap_or_else(|e| panic!("rmdir {d}: {e:?}"));
+    }
+    assert!(hosts(&all, &dirs).iter().all(Option::is_none));
+    assert!(hosts(&all, &children).iter().all(Option::is_none));
+    let left: Vec<String> = m0
+        .readdir("/")
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(left, ["r"]);
+
+    m1.rmdir("/r/x").unwrap();
+    m1.write_file("/r/x", b"a file now").unwrap();
+    assert!(matches!(
+        m0.rmdir("/r/x"),
+        Err(NfsError::Status(NfsStatus::NotDir))
+    ));
+    assert_eq!(m0.read_file("/r/x").unwrap(), b"a file now");
+    assert_eq!(m1.read_file("/r/x").unwrap(), b"a file now");
+}
+
 #[test]
 fn replication_places_copies_on_neighbors() {
     let mut cfg = KoshaConfig::for_tests();
@@ -494,19 +672,7 @@ fn migration_follows_key_space_on_join() {
     // Add five more nodes: anchors whose keys now map to the newcomers
     // must move (§4.3.1: "a new node always has the files for which it
     // is the primary node").
-    let mut new_nodes = Vec::new();
-    for i in 3..8 {
-        let id = node_id_from_seed(&format!("kosha-host-{i}"));
-        let (node, mux) = KoshaNode::build(
-            cfg.clone(),
-            id,
-            NodeAddr(i as u64),
-            c.net.clone() as Arc<dyn Network>,
-        );
-        c.net.attach(node.addr(), mux);
-        node.join(Some(NodeAddr(0))).unwrap();
-        new_nodes.push(node);
-    }
+    let new_nodes = join_nodes(&c, &cfg, 3..8);
     // Every anchor is hosted by the node its key routes to.
     let all: Vec<&Arc<KoshaNode>> = c.nodes.iter().chain(new_nodes.iter()).collect();
     for node in &all {
@@ -813,7 +979,7 @@ fn same_name_directories_colocate_without_conflict() {
 #[test]
 fn stats_record_capacity_redirections() {
     // `kosha_redirections_total` only bumps on placement attempt > 0
-    // (crates/core/src/ops.rs, place_with_redirection), so it stays at
+    // (crates/core/src/ops.rs, place_anchor), so it stays at
     // zero under roomy defaults; this scenario forces the full-node path.
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;

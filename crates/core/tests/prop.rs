@@ -9,11 +9,11 @@ use kosha::control::{
 use kosha::slots::{HotLease, SlotMeta};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
-use kosha_nfs::messages::{ReplyFrame, WireSetAttr};
+use kosha_nfs::messages::{ReplyFrame, WireAttr, WireSetAttr};
 use kosha_rpc::{
     Bytes, Frame, Network, NodeAddr, PayloadPart, SimNetwork, WireError, WireRead, WireWrite,
 };
-use kosha_vfs::SetAttr;
+use kosha_vfs::{Attr, SetAttr};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -177,7 +177,6 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
         (arb_path(), arb_path()).prop_map(|(from, to)| KoshaRequest::RenameAnchorDir { from, to }),
         (arb_path(), "[a-z#0-9]{1,16}")
             .prop_map(|(path, routing)| KoshaRequest::EnsureAnchor { path, routing }),
-        Just(KoshaRequest::StoreStats),
         Just(KoshaRequest::ListAnchors),
         arb_path().prop_map(|path| KoshaRequest::BeginTransfer { path }),
         (arb_path(), arb_item()).prop_map(|(path, item)| KoshaRequest::TransferPut { path, item }),
@@ -296,7 +295,10 @@ proptest! {
     fn control_replies_round_trip(reply in prop_oneof![
         Just(KoshaReply::Done),
         any::<bool>().prop_map(KoshaReply::DoneBool),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(capacity, used, free)| KoshaReply::Stats { capacity, used, free }),
+        (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(ino, gen, size)| KoshaReply::Handle {
+            fh: Fh { ino, gen },
+            attr: WireAttr(Attr { ftype: FileType::Directory, mode: 0o755, uid: 1, gid: 2, size, nlink: 2, atime: 3, mtime: 4, ctime: 5 }),
+        }),
         proptest::collection::vec(("[a-z/]{1,12}", "[a-z#0-9]{1,12}"), 0..8)
             .prop_map(|v| KoshaReply::Anchors(v.into_iter().collect())),
         proptest::collection::vec(any::<u64>(), 0..8)
@@ -435,8 +437,10 @@ proptest! {
 // ---- the virtual-handle table against a naive model -------------------
 //
 // `HandleTable` keeps `entries` (handle → entry) and `by_path` (path →
-// handle) as a bijection; an exact `forget` relies on it. The model is one
-// vector and linear scans, so it cannot get an index out of step.
+// handle) as a bijection, and a count of the live entries below every
+// directory; an exact `forget` and a scan-free `forget_subtree` rely on
+// them. The model is one vector and linear scans, so it cannot get an
+// index or a count out of step.
 
 use kosha::handles::{HandleTable, Location, VIRTUAL_GEN};
 use kosha_nfs::Fh;
@@ -583,6 +587,20 @@ impl TableModel {
             assert_eq!(table.mint(&e.path, e.ftype), vfh(e.vh), "{}", e.path);
         }
         assert_eq!(table.len(), self.live.len());
+        // The descendant counts are a recount of the live entries, every
+        // depth below each directory, and keep no zero.
+        let mut recount = std::collections::BTreeMap::new();
+        for e in &self.live {
+            let mut p = e.path.clone();
+            while let Some(cut) = p.rfind('/').filter(|_| p != "/") {
+                p.truncate(cut.max(1));
+                *recount.entry(p.clone()).or_insert(0) += 1;
+            }
+        }
+        for (dir, n) in &recount {
+            assert_eq!(table.descendants(dir), *n, "below {dir}");
+        }
+        assert_eq!(table.counted_dirs(), recount.len());
         for p in paths {
             for addr in [NodeAddr(1), NodeAddr(2)] {
                 let want = self.replica.iter().find(|(q, a, _)| q == p && *a == addr);

@@ -254,9 +254,17 @@ fn rename_over_an_existing_file_makes_its_old_handle_stale() {
     assert_eq!(m.read_file("/box/d1/old").unwrap(), b"new bytes");
 }
 
-/// Time for 2 000 REMOVEs through a koshad whose handle table holds
-/// `held` other handles.
-fn time_removes_with_table_of(held: usize) -> Duration {
+/// What a timed run removes: files, or empty directories below the
+/// distribution level.
+#[derive(Clone, Copy)]
+enum Victim {
+    File,
+    Dir,
+}
+
+/// Time for 2 000 REMOVEs or RMDIRs through a koshad whose handle table
+/// holds `held` other handles.
+fn time_removes_with_table_of(held: usize, victim: Victim) -> Duration {
     const REMOVES: usize = 2_000;
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
@@ -282,15 +290,32 @@ fn time_removes_with_table_of(held: usize) -> Duration {
         .map(|i| format!("/bulk/work/w{i:04}"))
         .collect();
     for p in &work {
-        m.create(p).unwrap();
+        match victim {
+            Victim::File => m.create(p).map(drop),
+            Victim::Dir => m.mkdir(p).map(drop),
+        }
+        .unwrap();
     }
     let start = Instant::now();
     for p in &work {
-        m.remove(p).unwrap();
+        match victim {
+            Victim::File => m.remove(p),
+            Victim::Dir => m.rmdir(p),
+        }
+        .unwrap();
     }
     let took = start.elapsed();
     assert!(m.readdir("/bulk/work").unwrap().is_empty());
     took
+}
+
+/// The better of two timings, beside 1 000 and beside 100 000 handles.
+fn small_and_large_table(victim: Victim) -> (Duration, Duration) {
+    let best_of_two = |held| {
+        let once = || time_removes_with_table_of(held, victim);
+        once().min(once())
+    };
+    (best_of_two(1_000), best_of_two(100_000))
 }
 
 /// A REMOVE forgets one key: its cost does not follow the number of
@@ -299,11 +324,21 @@ fn time_removes_with_table_of(held: usize) -> Duration {
 /// two runs, so that a loaded machine cannot fail it.
 #[test]
 fn remove_cost_does_not_grow_with_the_handle_table() {
-    let best_of_two = |held| time_removes_with_table_of(held).min(time_removes_with_table_of(held));
-    let small = best_of_two(1_000);
-    let large = best_of_two(100_000);
+    let (small, large) = small_and_large_table(Victim::File);
     assert!(
         large < small * 5,
         "2 000 removes took {small:?} beside 1 000 handles and {large:?} beside 100 000"
+    );
+}
+
+/// An RMDIR of an empty directory forgets its subtree, and the handle
+/// table's descendant counts say it has none: no scan of the table, so
+/// the cost does not follow its size either. Same bound as for REMOVE.
+#[test]
+fn rmdir_cost_does_not_grow_with_the_handle_table() {
+    let (small, large) = small_and_large_table(Victim::Dir);
+    assert!(
+        large < small * 5,
+        "2 000 rmdirs took {small:?} beside 1 000 handles and {large:?} beside 100 000"
     );
 }

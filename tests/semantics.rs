@@ -238,6 +238,53 @@ fn a_cached_parent_sees_its_own_namespace_changes() {
     }
 }
 
+/// RMDIR sends no LOOKUP before it acts, at distributed depth (level 2:
+/// `/r` and `/r/d` are anchors) or below it (`/r/d/...`), so whatever
+/// holds the name must refuse it: a file or a user symlink answers
+/// `NotDir` and stays, a directory with entries answers `NotEmpty`.
+#[test]
+fn rmdir_refuses_what_is_not_an_empty_directory() {
+    let four = FourWays::new();
+    type Step = fn(&KoshaMount) -> Result<String, NfsError>;
+    let steps: Vec<Step> = vec![
+        |fs| fs.mkdir_p("/r/d/plain").map(ok),
+        |fs| fs.write_file("/r/f", b"distributed depth").map(ok),
+        |fs| fs.symlink("/r/l", "f").map(ok),
+        |fs| fs.write_file("/r/d/g", b"below it").map(ok),
+        |fs| fs.symlink("/r/d/m", "g").map(ok),
+        |fs| fs.rmdir("/r/f").map(ok),   // NotDir
+        |fs| fs.rmdir("/r/l").map(ok),   // NotDir
+        |fs| fs.rmdir("/r/d/g").map(ok), // NotDir
+        |fs| fs.rmdir("/r/d/m").map(ok), // NotDir
+        |fs| fs.read_file("/r/f").map(bytes),
+        |fs| fs.readlink("/r/l"),
+        |fs| fs.read_file("/r/d/g").map(bytes),
+        |fs| fs.readlink("/r/d/m"),
+        |fs| fs.rmdir("/r/d").map(ok), // NotEmpty
+        |fs| fs.rmdir("/r").map(ok),   // NotEmpty
+        |fs| fs.readdir("/r/d").map(names),
+        |fs| fs.readdir("/r").map(names),
+        |fs| fs.rmdir("/r/d/plain").map(ok),
+        |fs| fs.readdir("/r/d").map(names),
+    ];
+    for (i, step) in steps.iter().enumerate() {
+        if let Err(e) = four.agree(step) {
+            panic!("step {i} diverged: {e}");
+        }
+    }
+    // The agreement above could be an agreement on the wrong answer.
+    let refused = |p: &str| match four.kosha.rmdir(p) {
+        Err(NfsError::Status(s)) => Some(s),
+        _ => None,
+    };
+    for p in ["/r/f", "/r/l", "/r/d/g", "/r/d/m"] {
+        assert_eq!(refused(p), Some(NfsStatus::NotDir), "{p}");
+    }
+    for p in ["/r/d", "/r"] {
+        assert_eq!(refused(p), Some(NfsStatus::NotEmpty), "{p}");
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     MkdirP(u8, u8),
