@@ -159,7 +159,7 @@ impl KoshaNode {
         if !self.hot_enabled() {
             return Vec::new();
         }
-        let now = self.net.clock().now().0;
+        let now = self.clock.now().0;
         self.heat.touch(path, now);
         let tracked = self.hot.lock().contains_key(path);
         if !tracked
@@ -371,7 +371,7 @@ impl KoshaNode {
             }
             map.iter().map(|(p, o)| (p.clone(), o.clone())).collect()
         };
-        let now = self.net.clock().now().0;
+        let now = self.clock.now().0;
         for (path, o) in snapshot {
             let heat = self.heat.heat_milli_of(&path, now).unwrap_or(0);
             if heat < self.hot_shed_milli() {

@@ -8,7 +8,7 @@ use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
 use kosha_obs::Obs;
 use kosha_pastry::{NodeInfo, OverlayError, OverlayObserver, PastryConfig, PastryNode};
-use kosha_rpc::{Network, NodeAddr, ServiceId, ServiceMux};
+use kosha_rpc::{Clock, Network, NodeAddr, ServiceId, ServiceMux};
 use kosha_vfs::Vfs;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -39,6 +39,10 @@ pub struct KoshaNode {
     pub(crate) cfg: KoshaConfig,
     pub(crate) info: NodeInfo,
     pub(crate) net: Arc<dyn Network>,
+    /// The transport's clock, taken once: asking `net` clones an `Arc`
+    /// that every thread's calls read, two read-modify-writes on a
+    /// shared line per look at the time.
+    pub(crate) clock: Arc<dyn Clock>,
     pub(crate) pastry: Arc<PastryNode>,
     pub(crate) store: Arc<NfsServer>,
     /// The record of every slot in `store`, by area and slot name
@@ -150,12 +154,13 @@ impl KoshaNode {
         net: Arc<dyn Network>,
     ) -> (Arc<Self>, Arc<ServiceMux>) {
         let obs = Obs::new();
+        let clock = net.clock();
         let mut vfs = Vfs::new(cfg.contributed_bytes);
         vfs.mkdir_p("/kosha_store", 0o755).expect("store area");
         vfs.mkdir_p("/kosha_replica", 0o700).expect("replica area");
         let store = NfsServer::new_with_obs(
             vfs,
-            net.clock(),
+            Arc::clone(&clock),
             DiskModel {
                 bandwidth_bps: cfg.disk_bandwidth_bps,
                 meta_op_cost: cfg.disk_meta_op,
@@ -188,6 +193,7 @@ impl KoshaNode {
             replica_push_memo: Mutex::new(BTreeMap::new()),
             obs,
             cfg,
+            clock,
             net,
             pastry: Arc::clone(&pastry),
             store,
@@ -306,7 +312,7 @@ impl KoshaNode {
     /// entries may carry an overestimate bound from sketch evictions.
     #[must_use]
     pub fn read_heat_top(&self, n: usize) -> Vec<kosha_obs::HeatEntry> {
-        self.heat.top(n, self.net.clock().now().0)
+        self.heat.top(n, self.clock.now().0)
     }
 
     /// Journals a node-scoped event stamped on the transport clock.
@@ -314,7 +320,7 @@ impl KoshaNode {
         let op = self.obs.next_op_id();
         self.obs
             .journal
-            .record(self.net.clock().now().0, self.info.addr.0, kind, op, detail);
+            .record(self.clock.now().0, self.info.addr.0, kind, op, detail);
     }
 
     /// Anchors hosted on this node as primary: `(path, routing name)`.

@@ -127,7 +127,7 @@ impl KoshaNode {
         // Feed the read-heat tracker before target selection: heat
         // counts demand for the object regardless of which holder ends
         // up serving it (the signal hot-replica spawning needs).
-        self.heat.touch(&vpath, self.net.clock().now().0);
+        self.heat.touch(&vpath, self.clock.now().0);
         if self.cfg.read_from_replicas {
             if let Some(out) = self.try_replica_read(&vpath, offset, count) {
                 return Ok(out);
@@ -185,7 +185,7 @@ impl KoshaNode {
         let weight = if self.cfg.hot_replicas > 0 && self.cfg.hot_threshold_milli > 0 {
             let heat = self
                 .heat
-                .heat_milli_of(vpath, self.net.clock().now().0)
+                .heat_milli_of(vpath, self.clock.now().0)
                 .unwrap_or(0);
             1 + (heat / self.cfg.hot_threshold_milli).min(4)
         } else {
@@ -862,7 +862,6 @@ impl RpcHandler for VirtualFs {
         let req = NfsRequest::decode_frame(frame)?;
         let k = &self.0;
         let proc = req.proc_name();
-        let clock = k.net.clock();
         // Server span for the koshad loopback op. Requests arriving with
         // a caller trace always record a child span; untraced requests
         // start a sampled root per [`KoshaConfig::trace_sampling`].
@@ -870,7 +869,7 @@ impl RpcHandler for VirtualFs {
             k.obs.tracer.child(
                 || format!("koshafs:{proc}"),
                 k.info.addr.0,
-                || clock.now().0,
+                || k.clock.now().0,
                 || self.execute(req),
             )
         } else if k.cfg.trace_sampling > 0
@@ -881,7 +880,7 @@ impl RpcHandler for VirtualFs {
             k.obs.tracer.root(
                 format!("koshafs:{proc}"),
                 k.info.addr.0,
-                || clock.now().0,
+                || k.clock.now().0,
                 || self.execute(req),
             )
         } else {
@@ -896,7 +895,7 @@ impl VirtualFs {
         let k = &self.0;
         // Fixed interposition cost of the user-level loopback server
         // (the `I` term of the Section 6.1.2 overhead model).
-        k.net.clock().advance(k.cfg.koshad_op_cost);
+        k.clock.advance(k.cfg.koshad_op_cost);
         k.stats.fs_ops.inc();
         let result: Result<NfsReply, NfsStatus> = (|| {
             Ok(match req {

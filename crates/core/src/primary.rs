@@ -237,11 +237,10 @@ impl KoshaNode {
     /// active trace) so degraded replication is fully attributable; the
     /// next full push ([`Self::ensure_replicas`]) heals the copy.
     pub(crate) fn fan_out(&self, span: &'static str, targets: &[NodeAddr], op: ReplicaOp) {
-        let clock = self.net.clock();
         self.obs.tracer.child(
             || span.to_string(),
             self.info.addr.0,
-            || clock.now().0,
+            || self.clock.now().0,
             || {
                 let req =
                     RpcRequest::split(ServiceId::KoshaReplica, &KoshaRequest::ReplicaApply { op });
@@ -318,12 +317,11 @@ impl KoshaNode {
                 items,
             },
         );
-        let clock = self.net.clock();
         let mut all_ok = true;
         self.obs.tracer.child(
             || "kosha:replica_push".to_string(),
             self.info.addr.0,
-            || clock.now().0,
+            || self.clock.now().0,
             || {
                 let batch = targets.iter().map(|a| (*a, req.clone())).collect();
                 let results = self.net.call_many(self.info.addr, batch);
@@ -1317,11 +1315,10 @@ impl RpcHandler for ControlService {
         let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.name();
-        let clock = k.net.clock();
         let result = k.obs.tracer.child(
             || format!("kosha:{name}"),
             k.info.addr.0,
-            || clock.now().0,
+            || k.clock.now().0,
             || k.handle_control(req),
         );
         Ok(RpcResponse::split(&ReplyFrame(result)))
@@ -1337,11 +1334,10 @@ impl RpcHandler for ReplicaService {
         let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.name();
-        let clock = k.net.clock();
         let result = k.obs.tracer.child(
             || format!("replica:{name}"),
             k.info.addr.0,
-            || clock.now().0,
+            || k.clock.now().0,
             || k.handle_replica(req),
         );
         Ok(RpcResponse::split(&ReplyFrame(result)))

@@ -347,11 +347,10 @@ impl KoshaNode {
         let shipped: u64 = batches.iter().map(|(_, ops, _)| ops.len() as u64).sum();
         self.stats.writeback_flushed_ops.add(shipped);
         self.stats.writeback_flushes.inc();
-        let clock = self.net.clock();
         self.obs.tracer.child(
             || "kosha:flush".to_string(),
             self.info.addr.0,
-            || clock.now().0,
+            || self.clock.now().0,
             || {
                 let reqs = batches
                     .iter()

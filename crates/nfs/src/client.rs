@@ -26,6 +26,9 @@ pub struct ClientDirEntry {
 #[derive(Clone)]
 pub struct NfsClient {
     net: Arc<dyn Network>,
+    /// The transport's clock, taken once: asking `net` clones an `Arc`
+    /// that every thread's calls read.
+    clock: Arc<dyn Clock>,
     from: NodeAddr,
     service: ServiceId,
     /// When observed, client spans (`nfsc:{proc}`) are recorded here.
@@ -44,6 +47,7 @@ impl NfsClient {
     /// exporting the virtual `/kosha` file system.
     pub fn with_service(net: Arc<dyn Network>, from: NodeAddr, service: ServiceId) -> Self {
         NfsClient {
+            clock: net.clock(),
             net,
             from,
             service,
@@ -70,21 +74,18 @@ impl NfsClient {
     /// entries by.
     #[must_use]
     pub fn clock(&self) -> Arc<dyn Clock> {
-        self.net.clock()
+        Arc::clone(&self.clock)
     }
 
     fn call(&self, to: NodeAddr, req: &NfsRequest) -> NfsResult<NfsReply> {
         match &self.obs {
             None => self.call_inner(to, req),
-            Some(obs) => {
-                let clock = self.net.clock();
-                obs.tracer.child(
-                    || format!("nfsc:{}", req.proc_name()),
-                    self.from.0,
-                    || clock.now().0,
-                    || self.call_inner(to, req),
-                )
-            }
+            Some(obs) => obs.tracer.child(
+                || format!("nfsc:{}", req.proc_name()),
+                self.from.0,
+                || self.clock.now().0,
+                || self.call_inner(to, req),
+            ),
         }
     }
 

@@ -56,6 +56,7 @@ pub struct NfsServer {
     disk: DiskModel,
     /// Per-procedure op counters (`nfs_server_ops_total{proc=...}`),
     /// indexed by [`NfsRequest::proc_index`]. Empty when unobserved.
+    /// Striped per thread: every client's calls to this store bump them.
     ops: Vec<Arc<Counter>>,
     /// When observed, server spans (`nfs:{proc}`) are recorded here,
     /// attributed to `addr`.
@@ -91,7 +92,7 @@ impl NfsServer {
             .iter()
             .map(|p| {
                 obs.registry
-                    .counter(&format!("nfs_server_ops_total{{proc=\"{p}\"}}"))
+                    .striped_counter(&format!("nfs_server_ops_total{{proc=\"{p}\"}}"))
             })
             .collect();
         Arc::new(NfsServer {

@@ -8,7 +8,14 @@
 //! from any thread without locks. Histograms merge losslessly
 //! (bucket-wise addition), which the property tests exercise for
 //! associativity/commutativity.
+//!
+//! Every histogram is striped per thread ([`crate::stripe`]): a thread
+//! records into a shard of its own and readers add the shards up. Every
+//! histogram in the tree is a transport's, recorded on each RPC by
+//! whichever threads make RPCs; a shard is made on a thread's first
+//! sample, so a histogram only one thread records into is one shard.
 
+use crate::stripe::Striped;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: 2^4 = 16 linear bins per octave.
@@ -47,12 +54,29 @@ fn bucket_upper(i: usize) -> u64 {
     base.wrapping_add((sub as u64 + 1) * width).wrapping_sub(1)
 }
 
-/// Lock-free log-linear histogram of `u64` samples.
-pub struct Histogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
+/// One thread stripe's samples.
+#[repr(align(128))]
+struct Shard {
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
+
+impl Default for Shard {
+    fn default() -> Self {
+        Shard {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+/// Lock-free log-linear histogram of `u64` samples.
+pub struct Histogram {
+    shards: Striped<Shard>,
 }
 
 impl Default for Histogram {
@@ -75,27 +99,21 @@ impl Histogram {
     /// New empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        // `AtomicU64` is not Copy; build the array through a Vec.
-        let v: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; BUCKETS]> =
-            v.into_boxed_slice().try_into().expect("bucket count");
         Histogram {
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            shards: Striped::new(),
         }
     }
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        let shard = self.shards.local();
+        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        shard.count.fetch_add(1, Ordering::Relaxed);
+        shard.sum.fetch_add(v, Ordering::Relaxed);
         // The maximum only grows, and seldom: look before writing, so a
         // sample that does not raise it leaves the word alone.
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
+        if v > shard.max.load(Ordering::Relaxed) {
+            shard.max.fetch_max(v, Ordering::Relaxed);
         }
     }
 
@@ -104,22 +122,44 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
+    fn total(&self, word: impl Fn(&Shard) -> &AtomicU64) -> u64 {
+        self.shards
+            .each()
+            .map(|s| word(s).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Samples per bucket, over every shard.
+    fn buckets(&self) -> Vec<u64> {
+        let mut out = vec![0; BUCKETS];
+        for shard in self.shards.each() {
+            for (n, b) in out.iter_mut().zip(&shard.buckets) {
+                *n += b.load(Ordering::Relaxed);
+            }
+        }
+        out
+    }
+
     /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.total(|s| &s.count)
     }
 
     /// Sum of recorded samples.
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.total(|s| &s.sum)
     }
 
     /// Largest recorded sample (0 when empty).
     #[must_use]
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.shards
+            .each()
+            .map(|s| s.max.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Arithmetic mean of recorded samples (0.0 when empty).
@@ -148,8 +188,8 @@ impl Histogram {
         // n=10 is the 5th smallest sample.
         let rank = ((q * n as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+        for (i, n) in self.buckets().into_iter().enumerate() {
+            seen += n;
             if seen >= rank {
                 return bucket_upper(i).min(self.max());
             }
@@ -160,18 +200,19 @@ impl Histogram {
     /// Adds all of `other`'s buckets into `self` (lossless; the merged
     /// histogram equals one built from the concatenated sample streams).
     pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let v = src.load(Ordering::Relaxed);
-            if v != 0 {
-                dst.fetch_add(v, Ordering::Relaxed);
+        let mine = self.shards.local();
+        for theirs in other.shards.each() {
+            for (dst, src) in mine.buckets.iter().zip(&theirs.buckets) {
+                let n = src.load(Ordering::Relaxed);
+                if n != 0 {
+                    dst.fetch_add(n, Ordering::Relaxed);
+                }
             }
+            let load = |w: &AtomicU64| w.load(Ordering::Relaxed);
+            mine.count.fetch_add(load(&theirs.count), Ordering::Relaxed);
+            mine.sum.fetch_add(load(&theirs.sum), Ordering::Relaxed);
+            mine.max.fetch_max(load(&theirs.max), Ordering::Relaxed);
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Bucket-wise equality (used by merge property tests).
@@ -180,11 +221,7 @@ impl Histogram {
         self.count() == other.count()
             && self.sum() == other.sum()
             && self.max() == other.max()
-            && self
-                .buckets
-                .iter()
-                .zip(other.buckets.iter())
-                .all(|(a, b)| a.load(Ordering::Relaxed) == b.load(Ordering::Relaxed))
+            && self.buckets() == other.buckets()
     }
 
     /// `(p50, p95, p99, max)` convenience tuple.
@@ -293,6 +330,28 @@ mod tests {
         // Out-of-range q clamps instead of panicking.
         assert_eq!(h.quantile(7.5), u64::MAX);
         assert_eq!(h.quantile(-1.0), 1);
+    }
+
+    #[test]
+    fn samples_from_many_threads_read_as_one_stream() {
+        let striped = Histogram::new();
+        let serial = Histogram::new();
+        let sample = |t: u64, i: u64| (t * 7_919 + i * i * 31) % 5_000_000;
+        std::thread::scope(|s| {
+            for t in 0..11u64 {
+                let h = &striped;
+                s.spawn(move || (0..2_000).for_each(|i| h.record(sample(t, i))));
+            }
+        });
+        for t in 0..11u64 {
+            (0..2_000).for_each(|i| serial.record(sample(t, i)));
+        }
+        assert!(striped.same_distribution(&serial), "{striped:?} {serial:?}");
+        assert_eq!(striped.summary(), serial.summary());
+        // Merging a striped histogram into a fresh one keeps every shard.
+        let merged = Histogram::new();
+        merged.merge_from(&striped);
+        assert!(merged.same_distribution(&serial));
     }
 
     #[test]

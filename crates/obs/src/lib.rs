@@ -8,8 +8,9 @@
 //!
 //! * [`Histogram`] — a lock-free log-linear latency histogram (atomic
 //!   buckets, ~6% relative error) with p50/p95/p99/max and lossless
-//!   merge,
-//! * [`Registry`] — named counters, gauges, and histograms with a
+//!   merge, striped per thread ([`stripe`]),
+//! * [`Registry`] — named counters (one word, or striped per thread
+//!   where every RPC bumps them), gauges, and histograms with a
 //!   Prometheus-style text exposition ([`Registry::render`]) and a
 //!   compact JSON dump ([`Registry::to_json`]) for benches,
 //! * [`Journal`] — a bounded ring buffer of structured events stamped
@@ -33,6 +34,7 @@ pub mod histogram;
 pub mod journal;
 pub mod recorder;
 pub mod registry;
+pub mod stripe;
 pub mod trace;
 
 pub use histogram::Histogram;

@@ -10,29 +10,62 @@
 //! forever, no lock on the hot path.
 
 use crate::histogram::Histogram;
+use crate::stripe::{Padded, Striped};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// Monotonically increasing counter: one word, or with
+/// [`Counter::striped`] one word per thread stripe ([`crate::stripe`]).
+pub struct Counter(Words);
+
+enum Words {
+    One(AtomicU64),
+    Striped(Box<Striped<Padded<AtomicU64>>>),
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter(Words::One(AtomicU64::new(0)))
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
+    }
+}
 
 impl Counter {
+    /// A counter that each thread adds to on lines of its own, for one
+    /// that threads bump concurrently on every call. Reading sums the
+    /// stripes.
+    #[must_use]
+    pub fn striped() -> Self {
+        Counter(Words::Striped(Box::new(Striped::new())))
+    }
+
     /// Adds 1.
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        let word = match &self.0 {
+            Words::One(word) => word,
+            Words::Striped(lines) => &lines.local().0,
+        };
+        word.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        match &self.0 {
+            Words::One(word) => word.load(Ordering::Relaxed),
+            Words::Striped(lines) => lines.each().map(|l| l.0.load(Ordering::Relaxed)).sum(),
+        }
     }
 }
 
@@ -85,10 +118,24 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
+        self.counter_or(name, Counter::default)
+    }
+
+    /// Gets or creates the counter named `name`, striped per thread
+    /// ([`Counter::striped`]) if this call creates it. Whoever registers
+    /// a name first decides; [`Registry::counter`] finds either kind.
+    ///
+    /// # Panics
+    /// If `name` is already registered as a different metric kind.
+    pub fn striped_counter(&self, name: &str) -> Arc<Counter> {
+        self.counter_or(name, Counter::striped)
+    }
+
+    fn counter_or(&self, name: &str, make: fn() -> Counter) -> Arc<Counter> {
         let mut m = self.metrics.lock().expect("registry lock");
         match m
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
+            .or_insert_with(|| Metric::Counter(Arc::new(make())))
         {
             Metric::Counter(c) => Arc::clone(c),
             other => panic!("metric {name:?} already registered as {other:?}"),
@@ -323,6 +370,25 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(r.counter("ops_total").get(), 3);
+    }
+
+    #[test]
+    fn a_striped_counter_sums_what_every_thread_added() {
+        let r = Registry::new();
+        let c = r.striped_counter("calls_total");
+        std::thread::scope(|s| {
+            for _ in 0..12 {
+                s.spawn(|| (0..1000).for_each(|_| c.inc()));
+            }
+        });
+        c.add(5);
+        assert_eq!(r.counter("calls_total").get(), 12_005);
+        assert!(r.render().contains("calls_total 12005"));
+        // The first registration decides the kind: a plain counter stays
+        // plain when asked for striped, and both handles are one counter.
+        r.counter("plain_total").inc();
+        r.striped_counter("plain_total").inc();
+        assert_eq!(r.counter("plain_total").get(), 2);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use crate::state::{LeafSet, RoutingTable};
 use kosha_id::Id;
 use kosha_obs::{Gauge, Obs};
 use kosha_rpc::network::call_typed;
-use kosha_rpc::{Network, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId};
+use kosha_rpc::{
+    Clock, Network, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId,
+};
 use parking_lot::{Mutex, RwLock};
 use std::fmt;
 use std::sync::Arc;
@@ -137,6 +139,9 @@ pub struct PastryNode {
     info: NodeInfo,
     cfg: PastryConfig,
     net: Arc<dyn Network>,
+    /// The transport's clock, taken once: asking `net` clones an `Arc`
+    /// that every thread's calls read.
+    clock: Arc<dyn Clock>,
     state: Mutex<State>,
     observers: RwLock<Vec<Arc<dyn OverlayObserver>>>,
     obs: Arc<Obs>,
@@ -174,6 +179,7 @@ impl PastryNode {
                 dead_seq: 0,
             }),
             cfg,
+            clock: net.clock(),
             net,
             observers: RwLock::new(Vec::new()),
             leaf_size: obs.registry.gauge("pastry_leaf_set_size"),
@@ -188,13 +194,9 @@ impl PastryNode {
     }
 
     fn journal(&self, kind: &'static str, op_id: u64, detail: String) {
-        self.obs.journal.record(
-            self.net.clock().now().0,
-            self.info.addr.0,
-            kind,
-            op_id,
-            detail,
-        );
+        self.obs
+            .journal
+            .record(self.clock.now().0, self.info.addr.0, kind, op_id, detail);
     }
 
     /// This node's overlay identity.
@@ -587,11 +589,10 @@ impl PastryNode {
     /// closest. Returns the owner and the number of overlay hops taken
     /// (0 when this node owns the key).
     pub fn route(&self, key: Id) -> Result<(NodeInfo, usize), OverlayError> {
-        let clock = self.net.clock();
         self.obs.tracer.child(
             || "pastry:route".to_string(),
             self.info.addr.0,
-            || clock.now().0,
+            || self.clock.now().0,
             || self.route_inner(key),
         )
     }
@@ -655,10 +656,9 @@ impl PastryNode {
     /// Measures round-trip time to `addr` with one ping, on the shared
     /// clock (virtual or wall). `None` if the node is unreachable.
     pub fn measure_rtt(&self, addr: NodeAddr) -> Option<std::time::Duration> {
-        let clock = self.net.clock();
-        let t0 = clock.now();
+        let t0 = self.clock.now();
         match self.rpc(addr, &PastryRequest::Ping) {
-            Ok(PastryReply::Pong { .. }) => Some(clock.now().since(t0)),
+            Ok(PastryReply::Pong { .. }) => Some(self.clock.now().since(t0)),
             _ => None,
         }
     }

@@ -17,16 +17,20 @@
 //!   burn reads the `koshafs` series).
 //!
 //! Handles are resolved once at construction; the per-call path is a few
-//! relaxed atomic adds with no locking.
+//! relaxed atomic adds with no locking. Every one of them is striped per
+//! thread (`Counter::striped`, and every `Histogram` is), so two threads
+//! making calls at once write no accounting line in common.
 //!
 //! The smoothed per-link latency map behind
 //! [`crate::Network::peer_latency_nanos`] lives here too. It is not a
 //! metric: nothing exports it, so its size follows the links in use
-//! and `prune_peer` alone bounds it.
+//! and `prune_peer` alone bounds it. It is split into shards by link, so
+//! that calls on different links take different read locks.
 
 use crate::clock::SimTime;
 use crate::network::{NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId};
 use kosha_obs::registry::labeled;
+use kosha_obs::stripe::Padded;
 use kosha_obs::{Counter, Histogram, Obs};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -118,9 +122,17 @@ pub(crate) struct NetMetrics {
     /// threads that finish a call on the *same* link at the same instant
     /// may fold only one of the two samples, which an estimate smoothed
     /// over eight does not notice, and a compare-exchange on every RPC of
-    /// every transport is not worth that sample.
-    peer_latency: RwLock<HashMap<(u64, u64), AtomicU64>>,
+    /// every transport is not worth that sample. The read lock is a
+    /// read-modify-write, so the map is [`LINK_SHARDS`] maps, by link.
+    peer_latency: Box<[Padded<RwLock<Links>>]>,
 }
+
+/// Link EWMAs by `(source, destination)` address.
+type Links = HashMap<(u64, u64), AtomicU64>;
+
+/// Shards of the link map: two threads on different links share a
+/// shard's lock one time in this many.
+const LINK_SHARDS: usize = 64;
 
 impl NetMetrics {
     pub fn new() -> Self {
@@ -137,16 +149,14 @@ impl NetMetrics {
                     &latency,
                     99,
                 );
+                let counter = |f: &str| {
+                    obs.registry
+                        .striped_counter(&format!("rpc_{f}{{service=\"{l}\"}}"))
+                };
                 SvcMetrics {
-                    calls: obs
-                        .registry
-                        .counter(&format!("rpc_calls_total{{service=\"{l}\"}}")),
-                    failed: obs
-                        .registry
-                        .counter(&format!("rpc_failed_calls_total{{service=\"{l}\"}}")),
-                    bytes: obs
-                        .registry
-                        .counter(&format!("rpc_bytes_total{{service=\"{l}\"}}")),
+                    calls: counter("calls_total"),
+                    failed: counter("failed_calls_total"),
+                    bytes: counter("bytes_total"),
                     latency,
                 }
             })
@@ -154,8 +164,15 @@ impl NetMetrics {
         NetMetrics {
             obs,
             per_service,
-            peer_latency: RwLock::new(HashMap::new()),
+            peer_latency: (0..LINK_SHARDS).map(|_| Padded::default()).collect(),
         }
+    }
+
+    /// The shard holding `link`'s EWMA.
+    fn links(&self, link: (u64, u64)) -> &RwLock<Links> {
+        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        let h = (link.0.wrapping_mul(MIX) ^ link.1).wrapping_mul(MIX);
+        &self.peer_latency[(h >> 58) as usize % LINK_SHARDS].0
     }
 
     /// Folds one completed round trip into the link's EWMA. Every
@@ -168,12 +185,13 @@ impl NetMetrics {
             let v = (ewma.load(Ordering::Relaxed) * 7 + nanos) / 8;
             ewma.store(v, Ordering::Relaxed);
         };
-        if let Some(ewma) = self.peer_latency.read().get(&link) {
+        let links = self.links(link);
+        if let Some(ewma) = links.read().get(&link) {
             fold(ewma);
             return;
         }
         // Another thread may have seen the link first.
-        self.peer_latency
+        links
             .write()
             .entry(link)
             .and_modify(|ewma| fold(ewma))
@@ -183,9 +201,10 @@ impl NetMetrics {
     /// The link's smoothed latency as observed by `from`'s own
     /// completed calls, if it has made any.
     pub fn peer_latency(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.peer_latency
+        let link = (from.0, to.0);
+        self.links(link)
             .read()
-            .get(&(from.0, to.0))
+            .get(&link)
             .map(|ewma| ewma.load(Ordering::Relaxed))
     }
 
@@ -193,9 +212,12 @@ impl NetMetrics {
     /// touching it, as source or destination. Called on transport
     /// `detach`; without it the map grows without bound under churn.
     pub fn prune_peer(&self, addr: NodeAddr) {
-        self.peer_latency
-            .write()
-            .retain(|&(f, t), _| f != addr.0 && t != addr.0);
+        for shard in self.peer_latency.iter() {
+            shard
+                .0
+                .write()
+                .retain(|&(f, t), _| f != addr.0 && t != addr.0);
+        }
     }
 
     /// The observability domain (for exposition and tests).
@@ -292,6 +314,50 @@ mod tests {
         // the loopback call moves no bytes.
         assert_eq!(on_sim[..2], [3, 1]);
         assert!(on_sim[2] > ERR_REPLY_BYTES as u64);
+    }
+
+    #[test]
+    fn calls_from_many_threads_are_counted_exactly() {
+        use crate::{Network, ServiceMux, ThreadedNetwork};
+        let net = ThreadedNetwork::new(std::time::Duration::from_secs(5));
+        for a in 0..4 {
+            let mux = Arc::new(ServiceMux::new());
+            mux.register(ServiceId::Nfs, Arc::new(Picky));
+            net.attach(NodeAddr(a), mux);
+        }
+        let (threads, calls) = (11u64, 300u64);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let net = &net;
+                s.spawn(move || {
+                    for i in 0..calls {
+                        let to = NodeAddr((t + i) % 4);
+                        let v = u32::from(i % 10 != 0);
+                        let _ = net.call(NodeAddr(10 + t), to, RpcRequest::new(ServiceId::Nfs, &v));
+                    }
+                });
+            }
+        });
+        let reg = &net.obs().registry;
+        let get = |f: &str| {
+            reg.counter(&format!("rpc_{f}_total{{service=\"nfs\"}}"))
+                .get()
+        };
+        assert_eq!(get("calls"), threads * calls);
+        assert_eq!(get("failed_calls"), threads * calls / 10);
+        // Every call is remote: a 4-byte request, then a 4-byte reply or
+        // a bare status.
+        let req = RpcRequest::new(ServiceId::Nfs, &0u32).wire_size() as u64;
+        let ok = RpcResponse::new(&1u32).wire_size() as u64;
+        let refused = threads * calls / 10;
+        assert_eq!(
+            get("bytes"),
+            threads * calls * req
+                + (threads * calls - refused) * ok
+                + refused * ERR_REPLY_BYTES as u64
+        );
+        let latency = reg.histogram("rpc_latency_nanos{service=\"nfs\"}");
+        assert_eq!(latency.count(), threads * calls);
     }
 
     #[test]

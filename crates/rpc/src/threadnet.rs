@@ -77,7 +77,7 @@ use crate::network::{
     CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceId,
     ServiceMux, TraceHeader,
 };
-use kosha_obs::{trace, Counter, Gauge, Histogram, Obs};
+use kosha_obs::{stripe, trace, Counter, Gauge, Histogram, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -353,6 +353,7 @@ fn await_reply(
 /// the machine is up. An address that is not attached is not up, and
 /// `attach` brings a machine up, so a crash needs remembering only for
 /// addresses in this table.
+#[derive(Clone)]
 struct Registered {
     actors: [Option<Arc<ServiceActor>>; ServiceId::ALL.len()],
     up: bool,
@@ -371,6 +372,42 @@ impl Registered {
     }
 }
 
+/// The attached addresses, kept as one copy per thread stripe
+/// ([`kosha_obs::stripe`]). A call reads its own thread's copy, so the
+/// read lock it takes is on lines that no other thread's calls write;
+/// attach, detach, fail and recover are rare, and change every copy in
+/// turn.
+struct NodeTable {
+    copies: Box<[stripe::Padded<RwLock<Nodes>>]>,
+}
+
+type Nodes = HashMap<NodeAddr, Registered>;
+
+impl NodeTable {
+    fn new() -> Self {
+        NodeTable {
+            copies: (0..stripe::count())
+                .map(|_| stripe::Padded::default())
+                .collect(),
+        }
+    }
+
+    /// The calling thread's copy.
+    fn read(&self) -> parking_lot::RwLockReadGuard<'_, Nodes> {
+        self.copies[stripe::index()].0.read()
+    }
+
+    /// Applies `change` to every copy; returns what it returned for the
+    /// last one (every copy holds the same entries, so any would do).
+    fn change<R>(&self, mut change: impl FnMut(&mut Nodes) -> R) -> R {
+        let mut out = None;
+        for copy in self.copies.iter() {
+            out = Some(change(&mut copy.0.write()));
+        }
+        out.expect("at least one copy")
+    }
+}
+
 /// A periodic hook registration on the shared timer thread.
 struct TimerEntry {
     hook: Weak<dyn PumpHook>,
@@ -384,7 +421,7 @@ struct TimerEntry {
 /// or the node is detached.
 pub struct ThreadedNetwork {
     shared: Arc<ReactorShared>,
-    nodes: RwLock<HashMap<NodeAddr, Registered>>,
+    nodes: NodeTable,
     /// How long callers wait for a reply before declaring the node dead.
     call_timeout: Duration,
     worker_count: usize,
@@ -418,8 +455,8 @@ impl ThreadedNetwork {
         let clock = WallClock::new();
         let metrics = Arc::new(NetMetrics::new());
         let obs = metrics.obs();
-        let events_total = obs.registry.counter("kosha_reactor_events_total");
-        let inline_total = obs.registry.counter("kosha_reactor_inline_total");
+        let events_total = obs.registry.striped_counter("kosha_reactor_events_total");
+        let inline_total = obs.registry.striped_counter("kosha_reactor_inline_total");
         let dispatch_latency = obs
             .registry
             .histogram("kosha_reactor_dispatch_latency_nanos");
@@ -451,7 +488,7 @@ impl ThreadedNetwork {
         }
         let net = Arc::new(ThreadedNetwork {
             shared,
-            nodes: RwLock::new(HashMap::new()),
+            nodes: NodeTable::new(),
             call_timeout,
             worker_count,
             workers: Mutex::new(workers),
@@ -505,7 +542,7 @@ impl ThreadedNetwork {
             })
         });
         let node = Registered { actors, up: true };
-        let replaced = self.nodes.write().insert(addr, node);
+        let replaced = self.nodes.change(|nodes| nodes.insert(addr, node.clone()));
         if let Some(prev) = replaced {
             prev.close();
         }
@@ -516,7 +553,7 @@ impl ThreadedNetwork {
     /// departed peer's link latencies and crash marker are pruned with
     /// it, so churn does not grow any per-peer state without bound.
     pub fn detach(&self, addr: NodeAddr) {
-        let removed = self.nodes.write().remove(&addr);
+        let removed = self.nodes.change(|nodes| nodes.remove(&addr));
         if let Some(node) = removed {
             node.close();
         }
@@ -536,9 +573,11 @@ impl ThreadedNetwork {
     }
 
     fn set_up(&self, addr: NodeAddr, up: bool) {
-        if let Some(node) = self.nodes.write().get_mut(&addr) {
-            node.up = up;
-        }
+        self.nodes.change(|nodes| {
+            if let Some(node) = nodes.get_mut(&addr) {
+                node.up = up;
+            }
+        });
     }
 
     /// The one way into the transport: validate the destination, admit
@@ -631,7 +670,8 @@ impl Drop for ThreadedNetwork {
         for h in self.workers.lock().drain(..) {
             join(h);
         }
-        for (_, node) in self.nodes.write().drain() {
+        let nodes = self.nodes.change(std::mem::take);
+        for node in nodes.into_values() {
             node.close();
         }
     }
@@ -1338,6 +1378,47 @@ mod tests {
         assert!(net.call(NodeAddr(1), NodeAddr(3), req()).is_err());
         net.recover_node(NodeAddr(3));
         assert!(net.call(NodeAddr(1), NodeAddr(3), req()).is_ok());
+    }
+
+    #[test]
+    fn every_thread_sees_a_table_change_once_it_returns() {
+        // Each caller thread reads the node table through a copy of its
+        // own stripe; a change made on one thread must be in all of them
+        // by the time it returns, whoever calls next.
+        let net = ThreadedNetwork::new(Duration::from_secs(5));
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, Arc::new(Counter(AtomicU64::new(0))));
+        net.attach(NodeAddr(3), mux);
+        let callers = 2 * stripe::count();
+        let (go, gate) = (
+            std::sync::Barrier::new(callers + 1),
+            std::sync::Barrier::new(callers + 1),
+        );
+        std::thread::scope(|s| {
+            for c in 0..callers as u64 {
+                let (net, go, gate) = (&net, &go, &gate);
+                s.spawn(move || {
+                    let call = || net.call(NodeAddr(100 + c), NodeAddr(3), req());
+                    for expect_up in [true, false, true] {
+                        go.wait();
+                        assert_eq!(call().is_ok(), expect_up, "caller {c}");
+                        assert_eq!(net.is_up(NodeAddr(3)), expect_up, "caller {c}");
+                        gate.wait();
+                    }
+                });
+            }
+            for change in [None, Some(false), Some(true)] {
+                match change {
+                    Some(false) => net.fail_node(NodeAddr(3)),
+                    Some(true) => net.recover_node(NodeAddr(3)),
+                    None => {}
+                }
+                go.wait();
+                gate.wait();
+            }
+        });
+        // Requests served: the first and the last round, one per caller.
+        assert_eq!(served(&net).0, 2 * callers as u64);
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! the namespace at once. Shakes out locking mistakes a deterministic
 //! single-threaded simulation cannot.
 
-use kosha::{audit_cluster, AuditOptions, KoshaConfig, KoshaMount, KoshaNode};
+use kosha::{audit_cluster, boot_cluster, AuditOptions, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
-use kosha_rpc::{Network, NodeAddr, ThreadedNetwork};
+use kosha_rpc::{
+    CallCompletion, Clock, Network, NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId,
+    ThreadedNetwork,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -278,5 +282,114 @@ fn mixed_ops_from_four_mounts_leave_a_consistent_cluster() {
         let data = m0.read_file(&format!("/shared/s{f}")).unwrap();
         assert_eq!(data[..], shared_pattern(f)[..]);
     }
+    assert_audit_clean(&net, &nodes);
+}
+
+/// Forwards every call to a threaded transport and counts how often a
+/// node asks it for its clock.
+struct ClockCounting {
+    inner: Arc<ThreadedNetwork>,
+    asked: AtomicU64,
+}
+
+impl Network for ClockCounting {
+    fn call(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> Result<RpcResponse, RpcError> {
+        self.inner.call(from, to, req)
+    }
+
+    fn call_async(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> CallCompletion {
+        self.inner.call_async(from, to, req)
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        self.asked.fetch_add(1, Ordering::Relaxed);
+        self.inner.clock()
+    }
+
+    fn is_up(&self, addr: NodeAddr) -> bool {
+        self.inner.is_up(addr)
+    }
+
+    fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
+        self.inner.peer_latency_nanos(from, to)
+    }
+}
+
+#[test]
+fn two_mounts_at_work_share_no_clock_handle_and_lose_no_count() {
+    // Asking the transport for its clock clones one `Arc` that every
+    // thread's calls read, so a node and a client take the handle once,
+    // when they are built: two clients working at once ask for it never.
+    // And the transport's striped accounting adds up across threads:
+    // every call a healthy cluster makes is dispatched to a handler once.
+    const OPS: usize = 600;
+    let net = ThreadedNetwork::new(Duration::from_secs(10));
+    let counting = Arc::new(ClockCounting {
+        inner: Arc::clone(&net),
+        asked: AtomicU64::new(0),
+    });
+    let cfg = KoshaConfig {
+        distribution_level: 1,
+        replicas: 2,
+        contributed_bytes: 1 << 26,
+        ..KoshaConfig::for_tests()
+    };
+    let nodes = boot_cluster(
+        &(counting.clone() as Arc<dyn Network>),
+        |addr, mux| net.attach(addr, mux),
+        &cfg,
+        6,
+        "clock-",
+        NodeAddr(0),
+    )
+    .expect("join");
+    let mounts: Vec<KoshaMount> = (0..2)
+        .map(|i| {
+            let addr = NodeAddr(i);
+            KoshaMount::new(counting.clone() as Arc<dyn Network>, addr, addr).expect("mount")
+        })
+        .collect();
+    mounts[0].mkdir_p("/shared").unwrap();
+    mounts[0]
+        .write_file("/shared/s", &shared_pattern(0))
+        .unwrap();
+    let asked = counting.asked.load(Ordering::Relaxed);
+    let reg = &net.obs().registry;
+    let calls = || -> u64 {
+        ServiceId::ALL
+            .iter()
+            .map(|s| {
+                let name = format!("rpc_calls_total{{service=\"{}\"}}", s.name());
+                reg.counter(&name).get()
+            })
+            .sum()
+    };
+    let events = || reg.counter("kosha_reactor_events_total").get();
+    let (calls_before, events_before) = (calls(), events());
+    std::thread::scope(|s| {
+        for (c, m) in mounts.iter().enumerate() {
+            s.spawn(move || {
+                let scratch = format!("/scratch{c}");
+                m.mkdir_p(&scratch).expect("mkdir");
+                for i in 0..OPS {
+                    match i % 3 {
+                        0 => assert_eq!(m.stat("/shared/s").expect("stat").1.size, 4096),
+                        1 => assert_eq!(m.read_file("/shared/s").expect("read"), shared_pattern(0)),
+                        _ => {
+                            let path = format!("{scratch}/f{i}");
+                            m.write_file(&path, &[c as u8; 64]).expect("write");
+                            m.rename(&path, &format!("{path}.old")).expect("rename");
+                            m.remove(&format!("{path}.old")).expect("remove");
+                        }
+                    }
+                }
+                m.rmdir(&scratch).expect("rmdir");
+            });
+        }
+    });
+    assert_eq!(counting.asked.load(Ordering::Relaxed), asked);
+    let sent = calls() - calls_before;
+    assert!(sent >= 4 * OPS as u64, "the clients made calls: {sent}");
+    assert_eq!(events() - events_before, sent);
     assert_audit_clean(&net, &nodes);
 }
