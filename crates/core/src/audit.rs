@@ -130,8 +130,8 @@ impl KoshaNode {
         let slots: Vec<_> = self
             .slot_table
             .lock()
-            .iter()
-            .map(|((area, slot), m)| (*area, slot.clone(), flags(m)))
+            .records()
+            .map(|(area, slot, m)| (area, slot.clone(), flags(m)))
             .collect();
         let mut out = Vec::new();
         for (area, slot, (lag_marker, migrating, hot)) in slots {

@@ -376,9 +376,9 @@ wire_enum! {
     /// One replicated mutation, shipped by the primary to each replica
     /// holder after it has applied the change to its own store (§4.2).
     /// Paths are full virtual paths; the receiver derives the covering
-    /// anchor (and thus the replica-area slot) itself, and treats already-
-    /// done outcomes (`Exist` on creates, `NoEnt` on removes) as success so
-    /// replays are idempotent.
+    /// anchor itself and finds its replica-area slot in its slot table,
+    /// and treats already-done outcomes (`Exist` on creates, `NoEnt` on
+    /// removes) as success so replays are idempotent.
     #[derive(Debug, Clone, PartialEq)]
     pub enum ReplicaOp {
         /// Ensure the replica directory for `path` (a directory) exists.
@@ -469,6 +469,23 @@ wire_enum! {
             /// Lower bound of queued payload bytes (0 = clear).
             bytes: u64,
         } = 10,
+        /// Make a new, empty anchor's slot (`mkdir` of a distributed
+        /// directory). The primary makes its store slot with the given
+        /// owner; a holder replaces whatever stale copy it held with an
+        /// empty slot of its own, as the first full push of the anchor
+        /// would have. Both records carry `routing`.
+        MakeSlot {
+            /// Anchor virtual path.
+            anchor: String,
+            /// The anchor's routing name, for the slot's record.
+            routing: String,
+            /// Permission bits of the store slot root.
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 11,
     }
 }
 
@@ -494,9 +511,9 @@ impl ReplicaOp {
             | ReplicaOp::Remove { path }
             | ReplicaOp::Rmdir { path } => Names::Entry(path, None),
             ReplicaOp::Rename { from, to } => Names::Entry(from, Some(to)),
-            ReplicaOp::RemoveSlot { anchor } | ReplicaOp::LagMark { anchor, .. } => {
-                Names::Slot(anchor, None)
-            }
+            ReplicaOp::RemoveSlot { anchor }
+            | ReplicaOp::LagMark { anchor, .. }
+            | ReplicaOp::MakeSlot { anchor, .. } => Names::Slot(anchor, None),
             ReplicaOp::RenameSlot { from, to } => Names::Slot(from, Some(to)),
         }
     }
@@ -799,6 +816,13 @@ mod tests {
             ReplicaOp::LagMark {
                 anchor: "/a".into(),
                 bytes: 4096,
+            },
+            ReplicaOp::MakeSlot {
+                anchor: "/a".into(),
+                routing: "a#3".into(),
+                mode: 0o755,
+                uid: 1,
+                gid: 2,
             },
         ];
         for op in ops {

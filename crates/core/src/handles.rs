@@ -348,7 +348,7 @@ impl HandleTable {
 
 /// The directories strictly above `path`, deepest first: `/a/b/c` gives
 /// `/a/b`, `/a` and `/`; `/` gives none.
-fn ancestors(path: &str) -> impl Iterator<Item = &str> {
+pub(crate) fn ancestors(path: &str) -> impl Iterator<Item = &str> {
     let mut p = path;
     std::iter::from_fn(move || {
         let cut = p.rfind('/').filter(|_| p != "/")?;

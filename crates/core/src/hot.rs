@@ -493,7 +493,7 @@ impl KoshaNode {
         // would live, so the client's replica-read path serves it with
         // no special casing.
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
-        let dir = self.slot_fh(Area::Replica, anchor, pp)?;
+        let dir = self.slot_fh(Area::Replica, anchor, pp, true)?;
         self.replace_file(dir, name, (item.mode, item.uid, item.gid), data.clone())?;
         let lease = HotLease {
             path: path.to_string(),
@@ -534,8 +534,7 @@ impl KoshaNode {
             return self.apply_op(Area::Replica, &drop_slot, None).map(|_| ());
         }
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
-        let dirp = slot_local_path(Area::Replica, anchor, pp);
-        if let Ok(dir) = self.fh_of(&dirp) {
+        if let Ok(dir) = self.slot_fh(Area::Replica, anchor, pp, false) {
             let r = self.apply(NfsRequest::Remove {
                 dir,
                 name: name.to_string(),

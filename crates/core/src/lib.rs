@@ -45,6 +45,7 @@
 pub mod audit;
 pub mod config;
 pub mod control;
+mod dircache;
 pub mod flight;
 pub mod handles;
 mod hot;

@@ -15,6 +15,7 @@
 //! ([`KoshaMount::cached`]), held by the [`CachingClient`] every call
 //! below goes through.
 
+use crate::dircache::DirCache;
 use kosha_nfs::client::ClientDirEntry;
 use kosha_nfs::{
     CacheConfig, CacheStats, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus,
@@ -23,7 +24,6 @@ use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId};
 use kosha_vfs::path::{components, normalized, parent_and_name};
 use kosha_vfs::{Attr, FileType, SetAttr};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A mounted view of `/kosha` through one node's koshad.
@@ -55,8 +55,7 @@ pub struct KoshaMount {
     nfs: CachingClient,
     root: Fh,
     /// Directory-handle cache (the kernel NFS client's dcache analogue).
-    // lint: allow(L008) client-session cache: lives only as long as one mount and is invalidated on mutations, not node state
-    dcache: Mutex<HashMap<String, Fh>>,
+    dcache: Mutex<DirCache<Fh>>,
     /// Default identity for operations.
     uid: u32,
     /// Default group.
@@ -94,7 +93,7 @@ impl KoshaMount {
         Ok(KoshaMount {
             nfs,
             root,
-            dcache: Mutex::new(HashMap::new()),
+            dcache: Mutex::new(DirCache::default()),
             uid: 0,
             gid: 0,
             chunk: 32 * 1024,
@@ -121,7 +120,7 @@ impl KoshaMount {
     }
 
     fn cached_dir(&self, path: &str) -> Option<Fh> {
-        self.dcache.lock().get(path).copied()
+        self.dcache.lock().get(path)
     }
 
     fn cache_dir(&self, path: &str, fh: Fh) {
@@ -129,10 +128,7 @@ impl KoshaMount {
     }
 
     fn drop_cache_subtree(&self, path: &str) {
-        let prefix = format!("{path}/");
-        self.dcache
-            .lock()
-            .retain(|p, _| p != path && !p.starts_with(&prefix));
+        self.dcache.lock().remove_subtree(path);
     }
 
     /// Resolves a directory path to its (virtual) handle, caching
@@ -314,10 +310,7 @@ impl KoshaMount {
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         self.nfs.remove(dir, name)?;
-        // REMOVE took no directory; a scan only if this cache held one here.
-        if self.dcache.lock().remove(&*path).is_some() {
-            self.drop_cache_subtree(&path);
-        }
+        self.drop_cache_subtree(&path);
         Ok(())
     }
 
@@ -327,7 +320,6 @@ impl KoshaMount {
         let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let dir = self.dir_handle(pp)?;
         self.nfs.rmdir(dir, name)?;
-        self.dcache.lock().remove(&*path);
         self.drop_cache_subtree(&path);
         Ok(())
     }
@@ -339,7 +331,6 @@ impl KoshaMount {
         let dir = self.dir_handle(pp)?;
         self.nfs.remove_tree(dir, name)?;
         self.drop_cache_subtree(&path);
-        self.dcache.lock().remove(&*path);
         Ok(())
     }
 
@@ -354,7 +345,6 @@ impl KoshaMount {
         self.nfs.rename(sdir, fname, ddir, tname)?;
         self.drop_cache_subtree(&from);
         self.drop_cache_subtree(&to);
-        self.dcache.lock().remove(&*from);
         Ok(())
     }
 

@@ -1,8 +1,8 @@
 //! The per-machine Kosha daemon (`koshad`) and its wiring.
 
 use crate::config::KoshaConfig;
+use crate::dircache::DirCache;
 use crate::handles::{HandleTable, Location};
-use crate::paths::Area;
 use crate::stats::{KoshaStats, StatsSnapshot};
 use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
@@ -26,7 +26,7 @@ pub(crate) struct ClientState {
     /// Virtual handle table (§4.1.2).
     pub handles: HandleTable,
     /// Cache: virtual directory path → real location of its listing.
-    pub dir_cache: HashMap<String, Location>,
+    pub(crate) dir_cache: DirCache<Location>,
     /// Cache: node address → handle of its `/kosha_store` export root.
     pub root_cache: HashMap<NodeAddr, kosha_nfs::Fh>,
 }
@@ -45,9 +45,9 @@ pub struct KoshaNode {
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) pastry: Arc<PastryNode>,
     pub(crate) store: Arc<NfsServer>,
-    /// The record of every slot in `store`, by area and slot name
-    /// ([`crate::slots`]): store state, wiped with it.
-    pub(crate) slot_table: Mutex<BTreeMap<(Area, String), crate::slots::SlotMeta>>,
+    /// The record of every slot in `store` and the index from anchor to
+    /// slot ([`crate::slots`]): store state, wiped with it.
+    pub(crate) slot_table: Mutex<crate::slots::SlotTable>,
     pub(crate) nfs: NfsClient,
     pub(crate) client: Mutex<ClientState>,
     /// Anchors this node hosts as primary: virtual path → routing name.
@@ -80,7 +80,8 @@ pub struct KoshaNode {
     /// Empty unless [`KoshaConfig::hot_replicas`] is non-zero.
     pub(crate) hot: Mutex<BTreeMap<String, crate::hot::HotObject>>,
     /// Full-push memo: per hosted anchor, the content digest and target
-    /// set of the last fully-acknowledged replica push. Maintenance
+    /// set of the last fully-acknowledged replica push, or of the empty
+    /// slot a `MakeSlot` made on those targets. Maintenance
     /// skips the `MigrateBatch` fan-out while both still match — the
     /// bracket replace would churn holder file identities (and every
     /// reader's cached replica handles) for nothing. Any mirror/push
@@ -197,10 +198,10 @@ impl KoshaNode {
             net,
             pastry: Arc::clone(&pastry),
             store,
-            slot_table: Mutex::new(BTreeMap::new()),
+            slot_table: Mutex::new(crate::slots::SlotTable::default()),
             client: Mutex::new(ClientState {
                 handles: HandleTable::new(),
-                dir_cache: HashMap::new(),
+                dir_cache: DirCache::default(),
                 root_cache: HashMap::new(),
             }),
             anchors: Mutex::new(BTreeMap::new()),

@@ -549,14 +549,11 @@ impl KoshaNode {
             .map(|_| ())
         })?;
         // No directory went, so no subtree did: each table forgets the
-        // one key, and scans only if it held `vpath` as a directory.
+        // one key.
         let mut c = self.client.lock();
         c.handles.forget(&vpath);
-        let cached_as_dir = c.dir_cache.remove(&vpath).is_some();
+        c.dir_cache.remove_subtree(&vpath);
         drop(c);
-        if cached_as_dir {
-            self.invalidate_dir_subtree(&vpath);
-        }
         // A removed object must not squat in the read-heat sketch: its
         // slot would otherwise pin sketch capacity (and could even keep
         // spawning hot copies) until enough fresh traffic evicts it.
@@ -592,7 +589,7 @@ impl KoshaNode {
                 return rmdir();
             }
             if !anchor_gone {
-                let cached = s.client.lock().dir_cache.get(&vpath).copied();
+                let cached = s.client.lock().dir_cache.get(&vpath);
                 let anchor = match cached {
                     Some(anchor) => anchor,
                     None => {

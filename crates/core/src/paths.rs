@@ -33,6 +33,12 @@ impl Area {
         }
     }
 
+    /// The area's position in per-area tables: the store first.
+    #[must_use]
+    pub(crate) fn idx(self) -> usize {
+        self as usize
+    }
+
     /// Maps a virtual path to this node-local area path.
     #[must_use]
     pub fn local_path(self, vpath: &str) -> String {
@@ -96,14 +102,7 @@ fn push_slot(out: &mut String, anchor_path: &str) {
 /// straight into the path.
 #[must_use]
 pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
-    let rel = if anchor_path == "/" {
-        vpath.strip_prefix('/').unwrap_or("")
-    } else {
-        vpath
-            .strip_prefix(anchor_path)
-            .map(|r| r.strip_prefix('/').unwrap_or(r))
-            .unwrap_or("")
-    };
+    let rel = slot_rel(anchor_path, vpath);
     let dir = area.dir_name();
     let mut path = String::with_capacity(dir.len() + SLOT_LEN + rel.len() + 3);
     path.extend(["/", dir, "/"]);
@@ -112,6 +111,21 @@ pub fn slot_local_path(area: Area, anchor_path: &str, vpath: &str) -> String {
         path.extend(["/", rel]);
     }
     path
+}
+
+/// The part of `vpath` below its anchor's slot root, without a leading
+/// slash: `""` for the anchor itself. `vpath` must be the anchor path or
+/// a descendant.
+#[must_use]
+pub fn slot_rel<'a>(anchor_path: &str, vpath: &'a str) -> &'a str {
+    if anchor_path == "/" {
+        vpath.strip_prefix('/').unwrap_or("")
+    } else {
+        vpath
+            .strip_prefix(anchor_path)
+            .map(|r| r.strip_prefix('/').unwrap_or(r))
+            .unwrap_or("")
+    }
 }
 
 /// The anchor (directory whose name is hashed for placement) responsible

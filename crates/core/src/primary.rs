@@ -64,29 +64,37 @@ impl KoshaNode {
     /// First of the two policies that tell the areas apart, what is
     /// missing: in the store an anchor this node does not host (the
     /// caller misrouted, or we lost ownership) or a path it lacks is
-    /// `NoEnt`; the replica area takes `vpath` for a directory and makes
-    /// the chain, since a mirrored op may arrive before, or without, the
-    /// push that would have made it.
-    pub(crate) fn slot_fh(&self, area: Area, anchor: &str, vpath: &str) -> Result<Fh, NfsStatus> {
+    /// `NoEnt`. So it is on a holder, unless the op puts something into
+    /// the slot (`make`): then the replica area takes `vpath` for a
+    /// directory and makes the chain, since a mirrored op may arrive
+    /// before, or without, the push that would have made it. An op that
+    /// takes something away makes nothing, and finds it already gone.
+    pub(crate) fn slot_fh(
+        &self,
+        area: Area,
+        anchor: &str,
+        vpath: &str,
+        make: bool,
+    ) -> Result<Fh, NfsStatus> {
         match area {
             Area::Store if !self.hosted(anchor) => Err(NfsStatus::NoEnt),
-            Area::Store => self.fh_of(&slot_local_path(area, anchor, vpath)),
-            Area::Replica => self.replica_dir(anchor, vpath),
+            Area::Store => self.slot_dir(area, anchor, vpath, false),
+            Area::Replica => self.slot_dir(area, anchor, vpath, make),
         }
     }
 
     /// [`Self::slot_fh`] of an entry's parent directory, plus the
     /// entry's name.
-    fn entry_dir(&self, area: Area, vpath: &str) -> Result<(Fh, String), NfsStatus> {
+    fn entry_dir(&self, area: Area, vpath: &str, make: bool) -> Result<(Fh, String), NfsStatus> {
         let (anchor, pp, name) = self.entry_slot(vpath)?;
-        Ok((self.slot_fh(area, &anchor, pp)?, name.to_string()))
+        Ok((self.slot_fh(area, &anchor, pp, make)?, name.to_string()))
     }
 
     /// Handle of the existing object an op names, same policy. The store
     /// resolves it by path: a hosted anchor directory is the root of its
     /// own slot, anything else an entry of its parent's. A holder looks
-    /// it up under its made-on-demand parent and, with `create_missing`,
-    /// creates it as a plain file.
+    /// it up under its parent and, with `create_missing`, makes the
+    /// parent's chain and creates it as a plain file.
     fn op_object(&self, area: Area, vpath: &str, create_missing: bool) -> Result<Fh, NfsStatus> {
         if area == Area::Store {
             let anchor = if vpath == "/" || self.hosted(vpath) {
@@ -94,10 +102,10 @@ impl KoshaNode {
             } else {
                 self.entry_slot(vpath)?.0
             };
-            return self.slot_fh(area, &anchor, vpath);
+            return self.slot_fh(area, &anchor, vpath, false);
         }
         let (anchor, pp, name) = self.entry_slot(vpath)?;
-        let dir = self.slot_fh(area, &anchor, pp)?;
+        let dir = self.slot_fh(area, &anchor, pp, create_missing)?;
         if create_missing {
             return self.lookup_or_create(dir, name, (0o644, 0, 0));
         }
@@ -116,10 +124,12 @@ impl KoshaNode {
         let Ok((anchor, _, _)) = self.entry_slot(vpath) else {
             return false;
         };
-        let local = slot_local_path(Area::Store, &anchor, vpath);
+        let Ok(fh) = self.slot_fh(Area::Store, &anchor, vpath, false) else {
+            return false;
+        };
         self.store
-            .with_store(|v| v.resolve(&local))
-            .is_ok_and(|(_, a)| a.ftype == FileType::Symlink && is_special_link_mode(a.mode))
+            .with_store(|v| v.getattr(fh.to_file_id()))
+            .is_ok_and(|a| a.ftype == FileType::Symlink && is_special_link_mode(a.mode))
     }
 
     pub(crate) fn fh_of(&self, store_path: &str) -> Result<Fh, NfsStatus> {
@@ -187,22 +197,43 @@ impl KoshaNode {
         })
     }
 
-    /// Makes a new, empty anchor in the store and starts serving it.
-    /// Returns the slot root's handle and attributes.
+    /// Makes a new, empty anchor in the store and on its holders, a
+    /// mirrored [`ReplicaOp::MakeSlot`], and starts serving it. Returns
+    /// the slot root's handle and attributes.
     fn create_anchor(
         &self,
         anchor: &str,
         routing: String,
-        attr: (u32, u32, u32),
+        (mode, uid, gid): (u32, u32, u32),
     ) -> Result<(Fh, WireAttr), NfsStatus> {
-        let meta = SlotMeta {
-            routing: Some(routing.clone()),
-            ..SlotMeta::default()
+        let op = ReplicaOp::MakeSlot {
+            anchor: anchor.to_string(),
+            routing,
+            mode,
+            uid,
+            gid,
         };
-        let made = self.slot_make(Area::Store, anchor, attr, meta, false)?;
-        self.anchors.lock().insert(anchor.to_string(), routing);
-        self.ensure_replicas(anchor);
-        Ok(made)
+        match self.mutate(op, None)? {
+            KoshaReply::Handle { fh, attr } => Ok((fh, attr)),
+            _ => Err(NfsStatus::Io),
+        }
+    }
+
+    /// Starts serving a slot a `MakeSlot` just made. Its holders' copies
+    /// will be the empty slot the op makes there, exactly what a full
+    /// push would send, so the push memo says so before the op goes out
+    /// and the next maintenance pass pushes nothing. A mirror that fails,
+    /// now or at a later flush, clears the memo as it clears every entry.
+    fn start_serving(&self, anchor: &str, routing: &str, targets: &[NodeAddr]) {
+        self.anchors
+            .lock()
+            .insert(anchor.to_string(), routing.to_string());
+        if self.cfg.replicas > 0 && !targets.is_empty() {
+            let pushed = (*EMPTY_SLOT_DIGEST, targets.to_vec());
+            self.replica_push_memo
+                .lock()
+                .insert(anchor.to_string(), pushed);
+        }
     }
 
     // ---- replication ------------------------------------------------------
@@ -215,18 +246,18 @@ impl KoshaNode {
             .collect()
     }
 
-    /// Mirrors one mutation the store has taken (§4.2): queued per
-    /// target under write-behind (DESIGN.md §11; flush barriers and the
-    /// transport pump drain the queues, off the client's critical path),
-    /// else fanned out before the mutation is acknowledged.
-    fn mirror_op(&self, op: ReplicaOp) {
-        let targets = self.replica_addrs();
+    /// Mirrors one mutation the store has taken to `targets` (§4.2):
+    /// queued per target under write-behind (DESIGN.md §11; flush
+    /// barriers and the transport pump drain the queues, off the client's
+    /// critical path), else fanned out before the mutation is
+    /// acknowledged.
+    fn mirror_op(&self, op: ReplicaOp, targets: &[NodeAddr]) {
         if targets.is_empty() {
             return;
         }
         match self.write_behind_queue_ops() {
-            Some(queue_ops) => self.enqueue_replica_op(op, &targets, queue_ops),
-            None => self.fan_out("kosha:mirror", &targets, op),
+            Some(queue_ops) => self.enqueue_replica_op(op, targets, queue_ops),
+            None => self.fan_out("kosha:mirror", targets, op),
         }
     }
 
@@ -410,11 +441,13 @@ impl KoshaNode {
                 if area == Area::Replica {
                     // Here the op *is* the missing-directory policy,
                     // applied to `path` itself.
-                    return self.slot_fh(area, &anchor, path).map(|_| NfsReply::Void);
+                    return self
+                        .slot_fh(area, &anchor, path, true)
+                        .map(|_| NfsReply::Void);
                 }
                 let (mode, uid, gid) = dir_attr.unwrap_or((0o700, 0, 0));
                 self.apply(NfsRequest::Mkdir {
-                    dir: self.slot_fh(area, &anchor, pp)?,
+                    dir: self.slot_fh(area, &anchor, pp, false)?,
                     name: name.to_string(),
                     mode,
                     uid,
@@ -428,7 +461,7 @@ impl KoshaNode {
                 gid,
                 size,
             } => {
-                let (dir, name) = self.entry_dir(area, path)?;
+                let (dir, name) = self.entry_dir(area, path, true)?;
                 let (mode, uid, gid) = (*mode, *uid, *gid);
                 let req = match *size {
                     None => NfsRequest::Create {
@@ -456,7 +489,7 @@ impl KoshaNode {
                 uid,
                 gid,
             } => {
-                let (dir, name) = self.entry_dir(area, path)?;
+                let (dir, name) = self.entry_dir(area, path, true)?;
                 let req = NfsRequest::Symlink {
                     dir,
                     name,
@@ -482,24 +515,28 @@ impl KoshaNode {
                     sattr: sattr.clone(),
                 })
             }
+            // A removal resolves without making: on a holder that lacks
+            // the name, or its parent, or the whole slot, it is already
+            // done.
             ReplicaOp::Remove { path } => {
-                let (dir, name) = self.entry_dir(area, path)?;
-                let r = self.apply(NfsRequest::Remove { dir, name });
+                let r = self.entry_dir(area, path, false);
+                let r = r.and_then(|(dir, name)| self.apply(NfsRequest::Remove { dir, name }));
                 settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::Rmdir { path } => {
-                let (dir, name) = self.entry_dir(area, path)?;
-                let r = self.apply(NfsRequest::Rmdir { dir, name });
+                let r = self.entry_dir(area, path, false);
+                let r = r.and_then(|(dir, name)| self.apply(NfsRequest::Rmdir { dir, name }));
                 settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::Rename { from, to } => {
-                let (sdir, sname) = self.entry_dir(area, from)?;
-                let (ddir, dname) = self.entry_dir(area, to)?;
-                let r = self.apply(NfsRequest::Rename {
-                    sdir,
-                    sname,
-                    ddir,
-                    dname,
+                let r = self.entry_dir(area, from, false).and_then(|(sdir, sname)| {
+                    let (ddir, dname) = self.entry_dir(area, to, true)?;
+                    self.apply(NfsRequest::Rename {
+                        sdir,
+                        sname,
+                        ddir,
+                        dname,
+                    })
                 });
                 settle(area, r, NfsStatus::NoEnt)
             }
@@ -510,11 +547,44 @@ impl KoshaNode {
                 settle(area, self.slot_rename(area, from, to), NfsStatus::NoEnt)
             }
             ReplicaOp::LagMark { anchor, bytes } => {
-                // A clear (0) says the flush batch carrying it brought the
-                // slot up to date.
-                self.slot_fh(area, anchor, anchor)?;
+                // A stamp makes the slot it stamps: the window's ops are
+                // still on their way. A clear (0) says the flush batch
+                // carrying it brought the slot up to date; a slot the
+                // batch removed stays removed.
+                match self.slot_fh(area, anchor, anchor, *bytes > 0) {
+                    Err(NfsStatus::NoEnt) if *bytes == 0 => return Ok(NfsReply::Void),
+                    found => found?,
+                };
                 self.slot_update(area, anchor, |m| m.lag_bytes = *bytes);
                 Ok(NfsReply::Void)
+            }
+            ReplicaOp::MakeSlot {
+                anchor,
+                routing,
+                mode,
+                uid,
+                gid,
+            } => {
+                let meta = SlotMeta {
+                    routing: Some(routing.clone()),
+                    ..SlotMeta::default()
+                };
+                let made = match area {
+                    Area::Store => self.slot_make(area, anchor, (*mode, *uid, *gid), meta, false),
+                    // A holder makes its directories alike and replaces any
+                    // stale copy, as a push did. A lag stamp is the
+                    // primary's: only the batch tail that carries its
+                    // clear may drop it.
+                    Area::Replica => {
+                        let lag_bytes = self.slot_update(area, anchor, |m| m.lag_bytes);
+                        let meta = SlotMeta {
+                            lag_bytes: lag_bytes.unwrap_or(0),
+                            ..meta
+                        };
+                        self.slot_make(area, anchor, (0o700, 0, 0), meta, true)
+                    }
+                };
+                made.map(|(fh, attr)| NfsReply::Handle { fh, attr })
             }
         }
     }
@@ -547,14 +617,15 @@ impl KoshaNode {
             }
             // A name that was free has no copies (every way a name dies
             // is above), and only file bodies and anchor slots go hot, so
-            // an empty directory has none either. A lag mark sets a
-            // holder's slot record, which the primary never applies to
-            // itself.
+            // an empty directory has none either, nor does a slot being
+            // made. A lag mark sets a holder's slot record, which the
+            // primary never applies to itself.
             ReplicaOp::Mkdir { .. }
             | ReplicaOp::Create { .. }
             | ReplicaOp::Symlink { .. }
             | ReplicaOp::Rmdir { .. }
-            | ReplicaOp::LagMark { .. } => {}
+            | ReplicaOp::LagMark { .. }
+            | ReplicaOp::MakeSlot { .. } => {}
         }
     }
 
@@ -571,8 +642,18 @@ impl KoshaNode {
     ) -> Result<KoshaReply, NfsStatus> {
         let reply = self.apply_op(Area::Store, &op, dir_attr)?;
         self.void_leases(&op);
-        let makes_object = matches!(op, ReplicaOp::Create { .. } | ReplicaOp::Mkdir { .. });
-        self.mirror_op(op);
+        let targets = self.replica_addrs();
+        if let ReplicaOp::MakeSlot {
+            anchor, routing, ..
+        } = &op
+        {
+            self.start_serving(anchor, routing, &targets);
+        }
+        let makes_object = matches!(
+            op,
+            ReplicaOp::Create { .. } | ReplicaOp::Mkdir { .. } | ReplicaOp::MakeSlot { .. }
+        );
+        self.mirror_op(op, &targets);
         Ok(match reply {
             NfsReply::Handle { fh, attr } if makes_object => KoshaReply::Handle { fh, attr },
             _ => KoshaReply::Done,
@@ -912,9 +993,6 @@ impl KoshaNode {
         self.anchors.lock().remove(anchor);
         let _ = self.slot_move(anchor, Area::Store, Area::Replica);
         self.invalidate_dir_subtree(anchor);
-        let mut c = self.client.lock();
-        c.dir_cache.remove(anchor);
-        drop(c);
     }
 
     /// Reacts to leaf-set changes: migrate anchors whose keys now map to
@@ -1068,16 +1146,10 @@ impl KoshaNode {
                 self.mutate(ReplicaOp::Rename { from, to }, None)
             }
             KoshaRequest::RmdirAnchor { path } => {
-                if !self.hosted(&path) {
-                    return Err(NfsStatus::NoEnt);
-                }
-                let slot_path = slot_local_path(Area::Store, &path, &path);
+                let root = self.slot_fh(Area::Store, &path, &path, false)?;
                 let empty = self
                     .store
-                    .with_store(|v| {
-                        let (id, _) = v.resolve(&slot_path)?;
-                        v.readdir(id).map(|entries| entries.is_empty())
-                    })
+                    .with_store(|v| v.readdir(root.to_file_id()).map(|e| e.is_empty()))
                     .map_err(NfsStatus::from)?;
                 if !empty {
                     return Err(NfsStatus::NotEmpty);
@@ -1087,6 +1159,7 @@ impl KoshaNode {
                 };
                 let done = self.mutate(op, None)?;
                 self.anchors.lock().remove(&path);
+                self.replica_push_memo.lock().remove(&path);
                 Ok(done)
             }
             KoshaRequest::RenameAnchorDir { from, to } => {
@@ -1116,10 +1189,6 @@ impl KoshaNode {
                 let (capacity, used, _) = self.store.with_store(|v| v.fsstat());
                 if capacity == 0 || used as f64 / capacity as f64 >= self.cfg.redirect_utilization {
                     return Err(NfsStatus::NoSpc);
-                }
-                let slot_path = slot_local_path(Area::Store, &path, &path);
-                if self.store.with_store(|v| v.resolve(&slot_path).is_ok()) {
-                    return Err(NfsStatus::Exist);
                 }
                 let (fh, attr) = self.create_anchor(&path, routing_name, (mode, uid, gid))?;
                 Ok(KoshaReply::Handle { fh, attr })
@@ -1294,6 +1363,18 @@ pub(crate) fn handle_of(reply: NfsReply) -> Result<Fh, NfsStatus> {
         _ => Err(NfsStatus::Io),
     }
 }
+
+/// The audit digest of an empty slot: what a holder's copy of an anchor
+/// `MakeSlot` just made hashes to.
+static EMPTY_SLOT_DIGEST: std::sync::LazyLock<[u8; 20]> = std::sync::LazyLock::new(|| {
+    crate::audit::tree_digest(&[kosha_vfs::ExportItem {
+        rel_path: String::new(),
+        kind: kosha_vfs::ExportKind::Dir,
+        mode: 0o700,
+        uid: 0,
+        gid: 0,
+    }])
+});
 
 fn default_routing(anchor: &str) -> String {
     if anchor == "/" {

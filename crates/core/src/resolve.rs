@@ -230,7 +230,7 @@ impl KoshaNode {
     /// false` baseline.
     fn resolve_dir_per_component(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
         if let Some(l) = self.client.lock().dir_cache.get(vpath) {
-            return Ok(*l);
+            return Ok(l);
         }
         if vpath == "/" {
             return self.resolve_root();
@@ -270,7 +270,7 @@ impl KoshaNode {
     /// the per-component walk would have cached it.
     fn resolve_dir_compound(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
         if let Some(l) = self.client.lock().dir_cache.get(vpath) {
-            return Ok(*l);
+            return Ok(l);
         }
         if vpath == "/" {
             return self.resolve_root();
@@ -284,7 +284,7 @@ impl KoshaNode {
             while let Some((pp, _)) = parent_and_name(p) {
                 if let Some(l) = c.dir_cache.get(pp) {
                     done = pp;
-                    start = Some(*l);
+                    start = Some(l);
                     break;
                 }
                 p = pp;
@@ -388,10 +388,7 @@ impl KoshaNode {
     /// Invalidates cached directory locations for `vpath` and everything
     /// beneath it (after renames and removals).
     pub(crate) fn invalidate_dir_subtree(&self, vpath: &str) {
-        let prefix = format!("{vpath}/");
-        let mut c = self.client.lock();
-        c.dir_cache
-            .retain(|p, _| p != vpath && !p.starts_with(&prefix));
+        self.client.lock().dir_cache.remove_subtree(vpath);
     }
 
     /// The covering anchor of a path: the anchor whose slot holds its

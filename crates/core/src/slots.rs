@@ -13,14 +13,22 @@
 //! keys are the slot directories, always ([`KoshaNode::slot_mismatches`]
 //! checks it). The table is store state, like a disk: it lives and is
 //! wiped with the store, not with the node's memory.
+//!
+//! Beside the records the table keeps an index from each anchor to its
+//! slot's name and the file id of the slot root, updated in the same
+//! step. A slot is named (one SHA-1 of the anchor path) when it is made;
+//! every later op on it finds the root by the anchor and walks only the
+//! path below it. A root id that has gone stale (the directory was
+//! removed behind koshad's back) falls back to the walk by name.
 
 use crate::node::KoshaNode;
-use crate::paths::{anchor_slot, slot_local_path, Area};
+use crate::paths::{anchor_slot, slot_rel, Area};
 use kosha_nfs::messages::WireAttr;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
 use kosha_rpc::wire_struct;
-use kosha_vfs::VfsError;
-use std::collections::BTreeSet;
+use kosha_vfs::path::components;
+use kosha_vfs::{FileId, FileType, Vfs, VfsError};
+use std::collections::{BTreeMap, BTreeSet};
 
 wire_struct! {
     /// One hot-copy lease a holder carries (DESIGN.md §16).
@@ -55,6 +63,67 @@ wire_struct! {
     }
 }
 
+/// Where the index finds one anchor's slot.
+#[derive(Debug)]
+struct SlotRef {
+    /// The slot directory's name, `@` + 16 hex digits.
+    name: String,
+    /// The slot root's file id in the store.
+    root: FileId,
+}
+
+/// Every slot's record by name, and the index from anchor to slot, one
+/// map of each per area. Both iterate in a fixed order: the store's
+/// slots first, each area by key.
+#[derive(Debug, Default)]
+pub(crate) struct SlotTable {
+    records: [BTreeMap<String, SlotMeta>; 2],
+    index: [BTreeMap<String, SlotRef>; 2],
+}
+
+impl SlotTable {
+    /// Every record, the store's first, each area in slot-name order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (Area, &String, &SlotMeta)> {
+        [Area::Store, Area::Replica]
+            .into_iter()
+            .flat_map(|a| self.records[a.idx()].iter().map(move |(s, m)| (a, s, m)))
+    }
+
+    fn slot(&self, area: Area, anchor: &str) -> Option<&SlotRef> {
+        self.index[area.idx()].get(anchor)
+    }
+
+    fn meta_mut(&mut self, area: Area, anchor: &str) -> Option<&mut SlotMeta> {
+        let name = &self.index[area.idx()].get(anchor)?.name;
+        self.records[area.idx()].get_mut(name)
+    }
+
+    /// Files `anchor`'s slot `name` at `root` with record `meta`.
+    fn insert(&mut self, area: Area, anchor: &str, name: String, root: FileId, meta: SlotMeta) {
+        self.records[area.idx()].insert(name.clone(), meta);
+        self.index[area.idx()].insert(anchor.to_string(), SlotRef { name, root });
+    }
+
+    /// Takes `anchor` out of the index and slot `name`'s record out of
+    /// the table, and returns the record.
+    fn take(&mut self, area: Area, anchor: &str, name: &str) -> Option<SlotMeta> {
+        self.index[area.idx()].remove(anchor);
+        self.records[area.idx()].remove(name)
+    }
+
+    /// Takes slot `name` out of the table and the index, whichever anchor
+    /// it is filed under: the one removal that knows no anchor (replica
+    /// GC), so the one that scans.
+    fn take_name(&mut self, area: Area, name: &str) {
+        self.records[area.idx()].remove(name);
+        self.index[area.idx()].retain(|_, s| s.name != name);
+    }
+
+    fn clear(&mut self) {
+        *self = SlotTable::default();
+    }
+}
+
 impl KoshaNode {
     /// The record of `anchor`'s slot in `area`, if the slot is there.
     pub(crate) fn slot_meta(&self, area: Area, anchor: &str) -> Option<SlotMeta> {
@@ -69,45 +138,141 @@ impl KoshaNode {
         anchor: &str,
         f: impl FnOnce(&mut SlotMeta) -> R,
     ) -> Option<R> {
-        self.slot_table
-            .lock()
-            .get_mut(&(area, anchor_slot(anchor)))
-            .map(f)
+        self.slot_table.lock().meta_mut(area, anchor).map(f)
     }
 
     /// The records of `area`'s slots, by slot name.
     #[must_use]
     pub fn slot_records(&self, area: Area) -> Vec<(String, SlotMeta)> {
         let table = self.slot_table.lock();
-        let of_area = table.iter().filter(|((a, _), _)| *a == area);
-        of_area.map(|((_, s), m)| (s.clone(), m.clone())).collect()
+        let of_area = table.records().filter(|(a, _, _)| *a == area);
+        of_area.map(|(_, s, m)| (s.clone(), m.clone())).collect()
     }
 
-    /// Every `area/name` in an area's root that has no record, and every
-    /// record with no such directory. Empty while every slot moves through
-    /// this module.
+    /// Every `area/name` in an area's root that has no record, every
+    /// record with no such directory, and every way the index disagrees
+    /// with a fresh recomputation from the records and the store: an
+    /// anchor filed under a name that is not its hash, a record no anchor
+    /// finds, a root id that is not the slot directory's. Empty while
+    /// every slot moves through this module.
     #[must_use]
     pub fn slot_mismatches(&self) -> Vec<String> {
-        let (dirs, keys) = self.store.with_store(|v| {
-            let dirs: BTreeSet<_> = [Area::Store, Area::Replica]
-                .into_iter()
-                .flat_map(|area| {
-                    let root = v.resolve(&area.local_path("/"));
-                    let entries = root.and_then(|(d, _)| v.readdir(d)).unwrap_or_default();
-                    entries.into_iter().map(move |e| (area, e.name))
-                })
-                .collect();
-            let keys: BTreeSet<_> = self.slot_table.lock().keys().cloned().collect();
-            (dirs, keys)
-        });
-        let odd = dirs.symmetric_difference(&keys);
-        odd.map(|(a, s)| format!("/{}/{s}", a.dir_name())).collect()
+        self.store.with_store(|v| {
+            let table = self.slot_table.lock();
+            let mut odd = Vec::new();
+            for area in [Area::Store, Area::Replica] {
+                let root = v.lookup(v.root(), area.dir_name()).map(|(d, _)| d);
+                let entries = root.and_then(|d| v.readdir(d)).unwrap_or_default();
+                let dirs: BTreeMap<_, _> = entries.into_iter().map(|e| (e.name, e.id)).collect();
+                let keys: BTreeSet<_> = table.records[area.idx()].keys().cloned().collect();
+                let named: BTreeSet<_> = dirs.keys().cloned().collect();
+                let area_dir = area.dir_name();
+                for s in named.symmetric_difference(&keys) {
+                    odd.push(format!("/{area_dir}/{s}"));
+                }
+                let mut indexed = BTreeSet::new();
+                for (anchor, slot) in &table.index[area.idx()] {
+                    let name = &slot.name;
+                    if *name != anchor_slot(anchor) {
+                        odd.push(format!("index /{area_dir}: {anchor} filed as {name}"));
+                    }
+                    if !indexed.insert(name.clone()) {
+                        odd.push(format!("index /{area_dir}: {name} filed twice"));
+                    }
+                    if dirs.get(name) != Some(&slot.root) {
+                        odd.push(format!("index /{area_dir}/{name}: stale root id"));
+                    }
+                }
+                for name in keys.difference(&indexed) {
+                    odd.push(format!("index /{area_dir}/{name}: no anchor"));
+                }
+                for name in indexed.difference(&keys) {
+                    odd.push(format!("index /{area_dir}/{name}: no record"));
+                }
+            }
+            odd
+        })
+    }
+
+    /// Handle of `area`'s root directory, uncharged.
+    fn area_root(&self, area: Area) -> Result<Fh, NfsStatus> {
+        let root = self
+            .store
+            .with_store(|v| v.lookup(v.root(), area.dir_name()));
+        root.map(|(id, _)| Fh::from_file_id(id)).map_err(Into::into)
+    }
+
+    /// The slot name of `anchor` in `area`: the index's, or the hash of
+    /// the anchor path for a slot the index does not know.
+    fn slot_name(&self, area: Area, anchor: &str) -> String {
+        let known = self
+            .slot_table
+            .lock()
+            .slot(area, anchor)
+            .map(|s| s.name.clone());
+        known.unwrap_or_else(|| anchor_slot(anchor))
+    }
+
+    /// Handle of directory (or, without `make`, object) `vpath` in
+    /// `anchor`'s slot in `area`, found from the slot root the index
+    /// holds, uncharged. With `make` (a holder's missing-directory
+    /// policy) what is missing is made as a directory, the slot itself
+    /// included, with an empty record; without it a missing slot or name
+    /// is `NoEnt`.
+    pub(crate) fn slot_dir(
+        &self,
+        area: Area,
+        anchor: &str,
+        vpath: &str,
+        make: bool,
+    ) -> Result<Fh, NfsStatus> {
+        let rel = slot_rel(anchor, vpath);
+        self.store.with_store(|v| {
+            let known = self.slot_table.lock().slot(area, anchor).map(|s| s.root);
+            let root = match known {
+                Some(root) if v.getattr(root).is_ok() => root,
+                // Every slot this module made is indexed, so a miss is a
+                // slot that is not there: unless a holder is about to
+                // make it, nothing needs its name.
+                None if !make => return Err(NfsStatus::NoEnt),
+                _ => self.slot_root_by_name(v, area, anchor, make)?,
+            };
+            let found = walk_below(v, root, rel, make);
+            found.map(Fh::from_file_id).map_err(Into::into)
+        })
+    }
+
+    /// The walk by name a stale or missing index entry falls back to:
+    /// finds (or, with `make`, makes) `area/slot` and files it.
+    fn slot_root_by_name(
+        &self,
+        v: &mut Vfs,
+        area: Area,
+        anchor: &str,
+        make: bool,
+    ) -> Result<FileId, VfsError> {
+        let name = anchor_slot(anchor);
+        let (dir, _) = v.lookup(v.root(), area.dir_name())?;
+        let mode = match area {
+            Area::Store => 0o755,
+            Area::Replica => 0o700,
+        };
+        let root = match v.lookup(dir, &name) {
+            Ok((id, _)) => id,
+            Err(VfsError::NoEnt) if make => v.mkdir(dir, &name, mode, 0, 0)?.0,
+            Err(e) => return Err(e),
+        };
+        let mut table = self.slot_table.lock();
+        let meta = table.take(area, anchor, &name).unwrap_or_default();
+        table.insert(area, anchor, name, root, meta);
+        Ok(root)
     }
 
     /// Makes `anchor`'s slot in `area` with record `meta`, as one charged
     /// MKDIR, and returns the slot root's handle and attributes. With
-    /// `fresh` a copy already there goes first, else an existing slot is
-    /// `Exist`.
+    /// `fresh` a copy already there goes first (one charged REMOVE of the
+    /// tree; a slot that is not there costs nothing), else an existing
+    /// slot is `Exist`.
     pub(crate) fn slot_make(
         &self,
         area: Area,
@@ -116,9 +281,13 @@ impl KoshaNode {
         meta: SlotMeta,
         fresh: bool,
     ) -> Result<(Fh, WireAttr), NfsStatus> {
-        let (dir, name) = (self.fh_of(&area.local_path("/"))?, anchor_slot(anchor));
-        if fresh {
-            let _ = self.slot_remove_at(area, dir, &name);
+        let there = self.slot_dir(area, anchor, anchor, false).is_ok();
+        if there && !fresh {
+            return Err(NfsStatus::Exist);
+        }
+        let (dir, name) = (self.area_root(area)?, anchor_slot(anchor));
+        if there {
+            let _ = self.slot_remove_at(area, dir, anchor, &name);
         }
         let req = NfsRequest::Mkdir {
             dir,
@@ -130,79 +299,58 @@ impl KoshaNode {
         let NfsReply::Handle { fh, attr } = self.apply(req)? else {
             return Err(NfsStatus::Io);
         };
-        self.slot_table.lock().insert((area, name), meta);
+        let mut table = self.slot_table.lock();
+        table.insert(area, anchor, name, fh.to_file_id(), meta);
         Ok((fh, attr))
     }
 
     /// Makes `anchor`'s store slot unless it is there (a transfer merges
     /// into whatever interim copy the receiver served), uncharged.
     pub(crate) fn slot_open_for_transfer(&self, anchor: &str) -> Result<(), NfsStatus> {
-        let slot = anchor_slot(anchor);
-        self.store.with_store(|v| {
-            let (sarea, _) = v.resolve(&Area::Store.local_path("/"))?;
-            match v.mkdir(sarea, &slot, 0o755, 0, 0) {
-                Ok(_) | Err(VfsError::Exist) => {}
-                Err(e) => return Err(e.into()),
-            }
-            let mut table = self.slot_table.lock();
-            table.entry((Area::Store, slot)).or_default();
-            Ok(())
-        })
-    }
-
-    /// The replica-area directory `vpath` of `anchor`, made with its chain
-    /// when missing (a holder's missing-directory policy, uncharged); a
-    /// slot this makes starts with an empty record.
-    pub(crate) fn replica_dir(&self, anchor: &str, vpath: &str) -> Result<Fh, NfsStatus> {
-        let p = slot_local_path(Area::Replica, anchor, vpath);
-        self.store.with_store(|v| {
-            // Only a call that made a directory can have made the slot,
-            // so the common call, which makes none, never takes the lock.
-            let objects = v.object_count();
-            let made = v.mkdir_p(&p, 0o700);
-            if v.object_count() != objects {
-                let mut table = self.slot_table.lock();
-                table
-                    .entry((Area::Replica, anchor_slot(anchor)))
-                    .or_default();
-            }
-            made.map(Fh::from_file_id).map_err(Into::into)
-        })
+        self.slot_dir(Area::Store, anchor, anchor, true).map(drop)
     }
 
     /// Moves `anchor`'s slot and record from one area to the other over
     /// any copy the destination held, uncharged: promotion (replica to
     /// store) and demotion after a transfer (store to replica).
     pub(crate) fn slot_move(&self, anchor: &str, from: Area, to: Area) -> Result<(), NfsStatus> {
-        let slot = anchor_slot(anchor);
+        let slot = self.slot_name(from, anchor);
         self.store.with_store(|v| {
-            let (src, _) = v.resolve(&from.local_path("/"))?;
-            let (dst, _) = v.resolve(&to.local_path("/"))?;
+            let (src, _) = v.lookup(v.root(), from.dir_name())?;
+            let (dst, _) = v.lookup(v.root(), to.dir_name())?;
             let dropped = v.remove_tree(dst, &slot).is_ok();
-            let moved = v.rename(src, &slot, dst, &slot);
+            let moved = v
+                .rename(src, &slot, dst, &slot)
+                .and_then(|()| v.lookup(dst, &slot));
             let mut table = self.slot_table.lock();
             if dropped {
-                table.remove(&(to, slot.clone()));
+                table.take(to, anchor, &slot);
             }
-            if moved.is_ok() {
-                let meta = table.remove(&(from, slot.clone())).unwrap_or_default();
-                table.insert((to, slot), meta);
+            if let Ok((root, _)) = moved {
+                let meta = table.take(from, anchor, &slot).unwrap_or_default();
+                table.insert(to, anchor, slot, root, meta);
             }
-            moved.map_err(Into::into)
+            moved.map(drop).map_err(Into::into)
         })
     }
 
     /// Removes `anchor`'s slot and record from `area` (`RemoveSlot`), as
     /// one charged REMOVE of the tree.
     pub(crate) fn slot_remove(&self, area: Area, anchor: &str) -> Result<NfsReply, NfsStatus> {
-        let dir = self.fh_of(&area.local_path("/"))?;
-        self.slot_remove_at(area, dir, &anchor_slot(anchor))
+        let dir = self.area_root(area)?;
+        self.slot_remove_at(area, dir, anchor, &self.slot_name(area, anchor))
     }
 
-    fn slot_remove_at(&self, area: Area, dir: Fh, slot: &str) -> Result<NfsReply, NfsStatus> {
+    fn slot_remove_at(
+        &self,
+        area: Area,
+        dir: Fh,
+        anchor: &str,
+        slot: &str,
+    ) -> Result<NfsReply, NfsStatus> {
         let name = slot.to_string();
         let removed = self.apply(NfsRequest::RemoveTree { dir, name })?;
-        self.slot_table.lock().remove(&(area, slot.into()));
+        self.slot_table.lock().take(area, anchor, slot);
         Ok(removed)
     }
 
@@ -214,17 +362,23 @@ impl KoshaNode {
         from: &str,
         to: &str,
     ) -> Result<NfsReply, NfsStatus> {
-        let dir = self.fh_of(&area.local_path("/"))?;
-        let (sname, dname) = (anchor_slot(from), anchor_slot(to));
+        let dir = self.area_root(area)?;
+        let (sname, dname) = (self.slot_name(area, from), anchor_slot(to));
         let renamed = self.apply(NfsRequest::Rename {
             sdir: dir,
             sname: sname.clone(),
             ddir: dir,
             dname: dname.clone(),
         })?;
+        let root = self
+            .store
+            .with_store(|v| v.lookup(dir.to_file_id(), &dname));
         let mut table = self.slot_table.lock();
-        let meta = table.remove(&(area, sname)).unwrap_or_default();
-        table.insert((area, dname), meta);
+        let meta = table.take(area, from, &sname).unwrap_or_default();
+        table.take(area, to, &dname);
+        if let Ok((root, _)) = root {
+            table.insert(area, to, dname, root, meta);
+        }
         Ok(renamed)
     }
 
@@ -232,9 +386,9 @@ impl KoshaNode {
     /// uncharged. True if it was there.
     pub(crate) fn slot_discard(&self, slot: &str) -> bool {
         let discarded = self.store.with_store(|v| {
-            let (rarea, _) = v.resolve("/kosha_replica").ok()?;
+            let (rarea, _) = v.lookup(v.root(), Area::Replica.dir_name()).ok()?;
             v.remove_tree(rarea, slot).ok()?;
-            self.slot_table.lock().remove(&(Area::Replica, slot.into()));
+            self.slot_table.lock().take_name(Area::Replica, slot);
             Some(())
         });
         discarded.is_some()
@@ -249,4 +403,22 @@ impl KoshaNode {
             self.slot_table.lock().clear();
         });
     }
+}
+
+/// Walks `rel` below the directory `root`, one lookup a component; with
+/// `make` every missing component is made as a directory and every one
+/// must be a directory.
+fn walk_below(v: &mut Vfs, root: FileId, rel: &str, make: bool) -> Result<FileId, VfsError> {
+    let mut cur = root;
+    for c in components(rel) {
+        cur = match v.lookup(cur, c) {
+            Ok((_, attr)) if make && attr.ftype != FileType::Directory => {
+                return Err(VfsError::NotDir)
+            }
+            Ok((id, _)) => id,
+            Err(VfsError::NoEnt) if make => v.mkdir(cur, c, 0o700, 0, 0)?.0,
+            Err(e) => return Err(e),
+        };
+    }
+    Ok(cur)
 }

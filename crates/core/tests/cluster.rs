@@ -809,7 +809,11 @@ fn stats_record_failover_promotion_and_migration() {
 
     // Baseline: fs ops counted on the gateway.
     assert!(c.nodes[0].stats().fs_ops > 0);
-    // Replication pushed copies somewhere.
+    // A new anchor's holders get its empty slot by a mirrored op, so the
+    // first full push is the maintenance pass after the file landed.
+    for n in &c.nodes {
+        n.maintain();
+    }
     let pushes: u64 = c.nodes.iter().map(|n| n.stats().replica_pushes).sum();
     assert!(pushes > 0, "no replica pushes recorded");
 
@@ -1895,4 +1899,438 @@ fn the_record_follows_its_slot() {
         node.maintain();
     }
     check("repair after the purge");
+}
+
+/// A holder that lacks what a removal names, its parent or the whole slot
+/// has nothing to remove: the op is already done, and it makes nothing
+/// on the way (it once made the slot's directory chain, and so an empty
+/// slot with no routing name that replica GC could never drop). Only an
+/// op that puts something into the slot makes what is missing.
+#[test]
+fn a_removal_mirrored_to_a_holder_without_the_slot_makes_nothing() {
+    use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
+    use kosha::paths::Area;
+    use kosha_nfs::messages::WireSetAttr;
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(1, cfg);
+    let node = &c.nodes[0];
+    mount(&c, 0).mkdir_p("/p").unwrap();
+    let replica_slots = || {
+        node.with_store(|v| {
+            let (area, _) = v.resolve("/kosha_replica").expect("replica area");
+            v.readdir(area).expect("readdir").len()
+        })
+    };
+    let nothing_made = |what: &str| {
+        assert_eq!(replica_slots(), 0, "{what} made a slot");
+        assert!(
+            node.slot_records(Area::Replica).is_empty(),
+            "{what} left a record"
+        );
+        assert!(node.slot_mismatches().is_empty(), "{what}");
+    };
+    nothing_made("mkdir of the anchor");
+    let removals = [
+        ReplicaOp::Remove {
+            path: "/p/f".into(),
+        },
+        ReplicaOp::Rmdir {
+            path: "/p/d".into(),
+        },
+        ReplicaOp::Remove {
+            path: "/p/q/deep".into(),
+        },
+        ReplicaOp::Rename {
+            from: "/p/q/f".into(),
+            to: "/p/r/g".into(),
+        },
+        ReplicaOp::RemoveSlot {
+            anchor: "/p".into(),
+        },
+        ReplicaOp::LagMark {
+            anchor: "/p".into(),
+            bytes: 0,
+        },
+    ];
+    for op in removals {
+        let what = format!("{op:?}");
+        let req = KoshaRequest::ReplicaApply { op };
+        assert_eq!(replica(&c, node, &req), Ok(KoshaReply::Done), "{what}");
+        nothing_made(&what);
+    }
+    // A SetAttr cannot invent its object, and makes no parent for it.
+    let op = ReplicaOp::SetAttr {
+        path: "/p/q/f".into(),
+        sattr: WireSetAttr(kosha_vfs::SetAttr::default()),
+    };
+    let req = KoshaRequest::ReplicaApply { op };
+    assert_eq!(replica(&c, node, &req), Err(NfsStatus::NoEnt));
+    nothing_made("SetAttr");
+}
+
+/// Swaps every node's replica service for one that records each request
+/// it receives, with the receiving node, and then serves it.
+fn record_replica_requests(
+    c: &Cluster,
+) -> Arc<std::sync::Mutex<Vec<(NodeAddr, kosha::control::KoshaRequest)>>> {
+    struct Recording {
+        addr: NodeAddr,
+        inner: Arc<dyn RpcHandler>,
+        seen: Arc<std::sync::Mutex<Vec<(NodeAddr, kosha::control::KoshaRequest)>>>,
+    }
+    impl RpcHandler for Recording {
+        fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+            use kosha_rpc::WireRead;
+            if let Ok(req) = kosha::control::KoshaRequest::decode(body) {
+                self.seen.lock().unwrap().push((self.addr, req));
+            }
+            self.inner.handle(from, body)
+        }
+    }
+    let seen = Arc::default();
+    for (node, mux) in c.nodes.iter().zip(&c.muxes) {
+        let inner = mux
+            .handler(ServiceId::KoshaReplica)
+            .expect("replica service");
+        let recording = Recording {
+            addr: node.addr(),
+            inner,
+            seen: Arc::clone(&seen),
+        };
+        mux.register(ServiceId::KoshaReplica, Arc::new(recording));
+    }
+    seen
+}
+
+/// The record of `anchor`'s slot in `area` on `n`.
+fn slot_record(
+    n: &KoshaNode,
+    area: kosha::paths::Area,
+    anchor: &str,
+) -> Option<kosha::slots::SlotMeta> {
+    let slot = kosha::paths::anchor_slot(anchor);
+    let records = n.slot_records(area);
+    records
+        .into_iter()
+        .find(|(s, _)| *s == slot)
+        .map(|(_, m)| m)
+}
+
+/// A distributed MKDIR mirrors `MakeSlot` to the new anchor's holders in
+/// place of the full push of an empty slot, and leaves each holder what
+/// that push left: the slot root alone, and a record with the routing
+/// name, no lag and no push in progress. The audit finds the copies
+/// current, and so does the next maintenance pass, which pushes nothing
+/// for the new anchor (the primary primed its push memo with the empty
+/// slot's digest).
+#[test]
+fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
+    use kosha::control::{KoshaRequest, ReplicaOp};
+    use kosha::paths::{anchor_slot, Area};
+    use kosha::slots::SlotMeta;
+    use kosha::{audit_cluster, AuditOptions};
+    use kosha_vfs::ExportKind;
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 2;
+    cfg.replicas = 2;
+    let c = build_cluster(8, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/warm").unwrap();
+    let seen = record_replica_requests(&c);
+    m.mkdir("/t1").unwrap();
+
+    let routing = primary_of(&c, "/t1")
+        .hosted_anchors()
+        .into_iter()
+        .find(|(p, _)| p == "/t1")
+        .expect("hosted")
+        .1;
+    let holders: Vec<NodeAddr> = seen
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|(to, req)| match req {
+            KoshaRequest::ReplicaApply {
+                op: ReplicaOp::MakeSlot { anchor, .. },
+            } if anchor == "/t1" => Some(*to),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(holders.len(), 2, "one MakeSlot per holder");
+    let pushes = |seen: &[(NodeAddr, KoshaRequest)]| {
+        let pushed = |req: &KoshaRequest| matches!(req, KoshaRequest::MigrateBatch { path, .. } if path == "/t1");
+        seen.iter().filter(|(_, req)| pushed(req)).count()
+    };
+    assert_eq!(
+        pushes(&seen.lock().unwrap()),
+        0,
+        "no push of the empty slot"
+    );
+
+    let pushed_record = SlotMeta {
+        routing: Some(routing),
+        ..SlotMeta::default()
+    };
+    let root = format!("/kosha_replica/{}", anchor_slot("/t1"));
+    for addr in holders {
+        let holder = c.nodes.iter().find(|n| n.addr() == addr).expect("holder");
+        assert_eq!(
+            slot_record(holder, Area::Replica, "/t1"),
+            Some(pushed_record.clone())
+        );
+        let tree = holder.with_store(|v| v.export_tree(&root)).expect("slot");
+        assert_eq!(tree.len(), 1, "the slot root alone");
+        let it = &tree[0];
+        assert!(matches!(it.kind, ExportKind::Dir));
+        assert_eq!((it.mode, it.uid, it.gid), (0o700, 0, 0));
+        assert!(holder.slot_mismatches().is_empty());
+    }
+
+    let peers: Vec<NodeAddr> = c.nodes.iter().map(|n| n.addr()).collect();
+    let opts = AuditOptions {
+        replicas: 2,
+        ..AuditOptions::default()
+    };
+    let report = audit_cluster(&*c.net, peers[0], &peers, 0, &opts);
+    assert_eq!(report.objects_divergent, 0, "{report:?}");
+    assert_eq!(report.under_replicated, 0, "{report:?}");
+
+    seen.lock().unwrap().clear();
+    for n in &c.nodes {
+        n.maintain();
+    }
+    assert_eq!(
+        pushes(&seen.lock().unwrap()),
+        0,
+        "maintenance pushed the new anchor"
+    );
+}
+
+/// True if `op` puts something into, or changes something in, `anchor`'s
+/// slot below its root.
+fn lands_below(op: &kosha::control::ReplicaOp, anchor: &str) -> bool {
+    use kosha::control::ReplicaOp;
+    let path = match op {
+        ReplicaOp::Mkdir { path }
+        | ReplicaOp::Create { path, .. }
+        | ReplicaOp::Symlink { path, .. }
+        | ReplicaOp::Write { path, .. }
+        | ReplicaOp::SetAttr { path, .. }
+        | ReplicaOp::Remove { path }
+        | ReplicaOp::Rmdir { path }
+        | ReplicaOp::Rename { from: path, .. } => path,
+        _ => return false,
+    };
+    path.strip_prefix(anchor)
+        .is_some_and(|rest| rest.starts_with('/'))
+}
+
+/// Under write-behind the new anchor's `MakeSlot` is queued like every
+/// other mutation, and it reaches each holder before any op that lands
+/// in the slot it makes (the only thing ahead of it is the synchronous
+/// lag stamp that opens the window). After the COMMIT barrier each
+/// holder's copy is the primary's, and its record is what a push left.
+#[test]
+fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
+    use kosha::control::{KoshaRequest, ReplicaOp};
+    use kosha::paths::{anchor_slot, Area};
+    use kosha::slots::SlotMeta;
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    cfg.replication_mode = kosha::ReplicationMode::WriteBehind {
+        queue_ops: 256,
+        flush_interval: std::time::Duration::from_millis(5),
+    };
+    let c = build_cluster(6, cfg);
+    let m = mount(&c, 0);
+    m.stat("/").unwrap();
+    let seen = record_replica_requests(&c);
+    m.mkdir("/wb").unwrap();
+    m.write_file("/wb/f", b"queued").unwrap();
+    m.mkdir("/wb/d").unwrap();
+    m.commit("/wb/f").unwrap();
+
+    let primary = primary_of(&c, "/wb");
+    let routing = primary
+        .hosted_anchors()
+        .into_iter()
+        .find(|(p, _)| p == "/wb")
+        .expect("hosted")
+        .1;
+    let slot = format!("/{}", anchor_slot("/wb"));
+    let digest = |n: &KoshaNode, area: Area| {
+        let root = format!("/{}{slot}", area.dir_name());
+        n.with_store(|v| v.export_tree(&root).ok().map(|t| kosha::tree_digest(&t)))
+    };
+    let mut holders = 0;
+    for holder in c
+        .nodes
+        .iter()
+        .filter(|n| slot_record(n, Area::Replica, "/wb").is_some())
+    {
+        holders += 1;
+        let ops: Vec<ReplicaOp> = seen
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(to, _)| *to == holder.addr())
+            .flat_map(|(_, req)| match req {
+                KoshaRequest::ReplicaApply { op } => vec![op.clone()],
+                KoshaRequest::ReplicaApplyBatch { ops } => ops.clone(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let made = ops
+            .iter()
+            .position(|op| matches!(op, ReplicaOp::MakeSlot { anchor, .. } if anchor == "/wb"))
+            .expect("the MakeSlot reached the holder");
+        let first_in = ops
+            .iter()
+            .position(|op| lands_below(op, "/wb"))
+            .expect("the file's ops reached the holder");
+        assert!(made < first_in, "{ops:?}");
+        assert!(
+            ops[..made]
+                .iter()
+                .all(|op| matches!(op, ReplicaOp::LagMark { .. }) || !lands_below(op, "/wb")),
+            "{ops:?}"
+        );
+        let record = SlotMeta {
+            routing: Some(routing.clone()),
+            ..SlotMeta::default()
+        };
+        assert_eq!(slot_record(holder, Area::Replica, "/wb"), Some(record));
+        assert_eq!(digest(holder, Area::Replica), digest(primary, Area::Store));
+        assert!(holder.slot_mismatches().is_empty());
+    }
+    assert_eq!(holders, 2);
+}
+
+/// The slot index finds every slot through each way a slot moves, and a
+/// root id gone stale behind koshad's back falls back to the walk by
+/// name. After every step, on every live node, `slot_mismatches` (which
+/// recomputes the index from the records and the store) is empty, and
+/// the files read back through the mount.
+#[test]
+fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
+    use kosha::control::{KoshaRequest, MigrateItem};
+    use kosha::paths::{anchor_slot, slot_local_path, Area};
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    let c = build_cluster(6, cfg);
+    let m = mount(&c, 0);
+    let coherent = |step: &str| {
+        for n in c.nodes.iter().filter(|n| c.net.is_up(n.addr())) {
+            let odd = n.slot_mismatches();
+            assert!(odd.is_empty(), "{step}: node {} {odd:?}", n.addr());
+        }
+    };
+    // An anchor whose primary is not the mount's own node, so that node
+    // can fail.
+    let anchor = (0..16)
+        .map(|i| format!("/a{i}"))
+        .find(|a| {
+            m.mkdir_p(a).unwrap();
+            primary_of(&c, a).addr() != c.nodes[0].addr()
+        })
+        .expect("an anchor hosted elsewhere");
+    m.write_file(&format!("{anchor}/f"), b"one").unwrap();
+    coherent("mkdir");
+
+    // Promotion (`slot_move`): the primary fails, a holder takes over, and
+    // the next write lands in the moved slot.
+    c.net.fail_node(primary_of(&c, &anchor).addr());
+    assert_eq!(m.read_file(&format!("{anchor}/f")).unwrap(), b"one");
+    m.write_file(&format!("{anchor}/g"), b"two").unwrap();
+    assert_eq!(m.read_file(&format!("{anchor}/g")).unwrap(), b"two");
+    coherent("promotion");
+
+    // RenameSlot: the index moves to the new anchor name.
+    m.rename(&anchor, "/b").unwrap();
+    m.write_file("/b/h", b"three").unwrap();
+    assert_eq!(m.read_file("/b/f").unwrap(), b"one");
+    coherent("RenameSlot");
+
+    // RemoveSlot, then a new slot under the same name.
+    for f in ["/b/f", "/b/g", "/b/h"] {
+        m.remove(f).unwrap();
+    }
+    m.rmdir("/b").unwrap();
+    coherent("RemoveSlot");
+    m.mkdir("/b").unwrap();
+    m.write_file("/b/new", b"four").unwrap();
+    assert_eq!(m.read_file("/b/new").unwrap(), b"four");
+    coherent("a new slot under a removed one's name");
+
+    // Replica GC (`slot_discard`) of a copy planted on a node that is no
+    // target.
+    let primary = primary_of(&c, "/b");
+    let stray = c
+        .nodes
+        .iter()
+        .find(|n| {
+            c.net.is_up(n.addr())
+                && n.addr() != primary.addr()
+                && slot_record(n, Area::Replica, "/b").is_none()
+        })
+        .expect("a node holding no copy");
+    let exported = primary
+        .with_store(|v| v.export_tree(&slot_local_path(Area::Store, "/b", "/b")))
+        .expect("export");
+    let plant = KoshaRequest::MigrateBatch {
+        path: "/b".into(),
+        routing: "b".into(),
+        items: exported.into_iter().map(MigrateItem::from).collect(),
+    };
+    replica(&c, stray, &plant).expect("plant");
+    coherent("MigrateBatch");
+    assert!(stray.gc_replica_slots() >= 1);
+    assert!(slot_record(stray, Area::Replica, "/b").is_none());
+    coherent("GC");
+
+    // A holder's slot root removed behind koshad's back: the index's root
+    // id is stale, and the check says so. The next mirrored op falls back
+    // to the slot's name and makes it again, and the index follows.
+    let holder = c
+        .nodes
+        .iter()
+        .find(|n| c.net.is_up(n.addr()) && slot_record(n, Area::Replica, "/b").is_some())
+        .expect("a holder");
+    holder.with_store(|v| {
+        let (area, _) = v.resolve("/kosha_replica").expect("replica area");
+        v.remove_tree(area, &anchor_slot("/b")).expect("slot");
+    });
+    assert!(!holder.slot_mismatches().is_empty(), "a stale root id");
+    m.write_file("/b/after", b"five").unwrap();
+    let landed = slot_local_path(Area::Replica, "/b", "/b/after");
+    assert!(
+        holder.with_store(|v| v.resolve(&landed).is_ok()),
+        "{landed}"
+    );
+    coherent("a stale root, found again by name");
+
+    // The same behind the primary's back: its store has no slot to serve,
+    // so the write fails, and nothing panics.
+    let primary = primary_of(&c, "/b");
+    primary.with_store(|v| {
+        let (area, _) = v.resolve("/kosha_store").expect("store area");
+        v.remove_tree(area, &anchor_slot("/b")).expect("slot");
+    });
+    assert!(m.write_file("/b/lost", b"six").is_err());
+
+    // Purge wipes slots, records and index together; repair refills them.
+    primary.purge();
+    coherent("purge");
+    for n in c.nodes.iter().filter(|n| c.net.is_up(n.addr())) {
+        n.maintain();
+    }
+    coherent("repair after the purge");
+    assert_eq!(m.read_file("/b/after").unwrap(), b"five");
 }

@@ -66,18 +66,22 @@ fn op_payload(op: &ReplicaOp) -> Option<&Bytes> {
 }
 
 /// Every payload field of a request, in encoding order.
+fn item_payload(item: &MigrateItem) -> Option<&Bytes> {
+    match &item.kind {
+        MigrateKind::Bytes(data) => Some(data),
+        _ => None,
+    }
+}
+
 fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
     match req {
         KoshaRequest::Write { data, .. } => vec![data],
         KoshaRequest::ReplicaApply { op } => op_payload(op).into_iter().collect(),
         KoshaRequest::ReplicaApplyBatch { ops } => ops.iter().filter_map(op_payload).collect(),
-        KoshaRequest::MigrateBatch { items, .. } => items
-            .iter()
-            .filter_map(|i| match &i.kind {
-                MigrateKind::Bytes(data) => Some(data),
-                _ => None,
-            })
-            .collect(),
+        KoshaRequest::MigrateBatch { items, .. } => items.iter().filter_map(item_payload).collect(),
+        KoshaRequest::TransferPut { item, .. } | KoshaRequest::HotReplicaPush { item, .. } => {
+            item_payload(item).into_iter().collect()
+        }
         _ => Vec::new(),
     }
 }
@@ -156,6 +160,15 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
                 arb_path().prop_map(|path| ReplicaOp::Remove { path }),
                 (arb_path(), any::<u64>())
                     .prop_map(|(anchor, bytes)| ReplicaOp::LagMark { anchor, bytes }),
+                (arb_path(), arb_path(), any::<u32>()).prop_map(|(anchor, routing, mode)| {
+                    ReplicaOp::MakeSlot {
+                        anchor,
+                        routing,
+                        mode,
+                        uid: mode >> 3,
+                        gid: mode >> 5,
+                    }
+                }),
             ],
             0..4
         )

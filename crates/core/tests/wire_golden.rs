@@ -185,6 +185,13 @@ fn replica_ops() -> Vec<ReplicaOp> {
             anchor: "/a".into(),
             bytes: 4096,
         },
+        ReplicaOp::MakeSlot {
+            anchor: "/a".into(),
+            routing: "a#5".into(),
+            mode: 0o755,
+            uid: 6,
+            gid: 7,
+        },
     ]
 }
 
@@ -592,11 +599,16 @@ const GOLDEN: [(&str, &str); 23] = [
     ("AuditEntry", "110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c00000000000000010000020000004031000000000102000000623601000000000000000200000000000000000101"),
     // New: the per-slot record a `Record` reply carries.
     ("SlotMeta", "010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000000000000000000000100000000"),
-    ("ReplicaOp", "00040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f610010000000000000"),
+    // `MakeSlot` (tag 11) is new: a distributed mkdir mirrors the new anchor's
+    // slot to its holders instead of pushing an empty tree. The older variants
+    // keep their bytes; the row gains the new one at its end.
+    ("ReplicaOp", "00040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed0100000600000007000000"),
     // `MigrateBatch` gained `routing` after `path` (its items lost the routing-name file);
     // `SlotRecord` (tag 28) is new. `StoreStats` (tag 14, one byte) is gone: the owner
     // of a new directory answers `MkdirAnchor` with `NoSpc` itself when it is full.
-    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123330f020000002f6110020000002f6103000000642f66010400000007070707ed0100001f0000002000000011020000002f6101000000611213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160b00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f61001000000000000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
+    // `ReplicaApplyBatch` carries one of every `ReplicaOp`, so its count goes
+    // 11 -> 12 and `MakeSlot`'s 26 bytes follow `LagMark`'s; no other byte moved.
+    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123330f020000002f6110020000002f6103000000642f66010400000007070707ed0100001f0000002000000011020000002f6101000000611213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed010000060000000700000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
     // `Record` (tag 7) is new. `Stats` (tag 2, three u64s) is gone with `StoreStats`.
     // `MkdirAnchor` now replies `Handle` for the slot root (no byte of `Handle` moved):
     // the placing koshad caches it instead of resolving the new directory again.
@@ -677,7 +689,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
 /// (span names, metric registration order) as they were.
 #[test]
 fn every_variant_has_a_value_and_keeps_its_label() {
-    assert_eq!(replica_ops().len(), 11);
+    assert_eq!(replica_ops().len(), 12);
     assert_eq!(kosha_replies().len(), 7);
     assert_eq!(nfs_replies().len(), 11);
     for (i, req) in nfs_requests().iter().enumerate() {

@@ -291,11 +291,20 @@ fn apply_replica(net: &Arc<SimNetwork>, node: &Arc<KoshaNode>, req: &KoshaReques
 /// Turns a random script into a valid replica-op sequence (SetAttr and
 /// Remove only target files known to exist, so per-op application never
 /// fails and batches never stop early for reasons unrelated to
-/// coalescing).
+/// coalescing). It starts as a new anchor's stream does on a holder, with
+/// the op that makes the slot: a removal makes nothing, so on a holder
+/// without the slot a coalesced remove would leave no slot where the
+/// create it dropped had made one.
 fn ops_from_script(script: &[(u8, u8, u8, u8, u8)]) -> Vec<ReplicaOp> {
     const FILES: [&str; 3] = ["/d/a", "/d/b", "/d/c"];
     let mut live = [false; 3];
-    let mut out = Vec::new();
+    let mut out = vec![ReplicaOp::MakeSlot {
+        anchor: "/d".into(),
+        routing: "d".into(),
+        mode: 0o755,
+        uid: 0,
+        gid: 0,
+    }];
     for &(sel, pi, off, len, val) in script {
         let pi = (pi % 3) as usize;
         let path = FILES[pi].to_string();
@@ -378,7 +387,7 @@ proptest! {
         chunks in proptest::collection::vec(1usize..8, 1..12),
     ) {
         let ops = ops_from_script(&script);
-        prop_assume!(!ops.is_empty());
+        prop_assume!(ops.len() > 1);
 
         // Reference: one ReplicaApply per op, in order.
         let (net_a, node_a) = solo_node("wb-prop-seq");
