@@ -26,7 +26,7 @@
 
 use crate::control::{AuditEntry, KoshaReply, KoshaReplyFrame, KoshaRequest};
 use crate::node::KoshaNode;
-use crate::paths::{anchor_slot, Area};
+use crate::paths::Area;
 use kosha_id::Sha1;
 use kosha_nfs::messages::ReplyFrame;
 use kosha_rpc::{Network, NodeAddr, RpcRequest, ServiceId};
@@ -120,21 +120,20 @@ impl KoshaNode {
     /// (store first), then slot-name order, deterministically, with the
     /// flags of their records.
     pub(crate) fn audit_scan(&self) -> Vec<AuditEntry> {
-        let slot_paths: BTreeMap<String, String> = self
-            .anchors
-            .lock()
-            .keys()
-            .map(|p| (anchor_slot(p), p.clone()))
-            .collect();
         let flags = |m: &crate::slots::SlotMeta| (m.lag_bytes > 0, m.migrating, !m.hot.is_empty());
-        let slots: Vec<_> = self
-            .slot_table
-            .lock()
+        let table = self.slot_table.lock();
+        let anchors: BTreeMap<_, _> = table.slot_names(Area::Store).map(|(a, n)| (n, a)).collect();
+        let path = |area, slot| anchors.get(slot).filter(|_| area == Area::Store);
+        let slots: Vec<_> = table
             .records()
-            .map(|(area, slot, m)| (area, slot.clone(), flags(m)))
+            .map(|(area, slot, m)| {
+                let path = path(area, slot).map_or_else(String::new, |a| a.to_string());
+                (area, slot.clone(), path, flags(m))
+            })
             .collect();
+        drop(table);
         let mut out = Vec::new();
-        for (area, slot, (lag_marker, migrating, hot)) in slots {
+        for (area, slot, path, (lag_marker, migrating, hot)) in slots {
             let slot_path = format!("{}/{slot}", area.local_path("/"));
             let Some(summary) = self.with_store(|v| {
                 v.export_tree(&slot_path)
@@ -143,15 +142,10 @@ impl KoshaNode {
             }) else {
                 continue;
             };
-            let replica = area == Area::Replica;
             out.push(AuditEntry {
-                path: if replica {
-                    String::new()
-                } else {
-                    slot_paths.get(&slot).cloned().unwrap_or_default()
-                },
+                path,
                 slot,
-                replica,
+                replica: area == Area::Replica,
                 digest: Sha1::hex(&summary.digest),
                 bytes: summary.bytes,
                 files: summary.files,

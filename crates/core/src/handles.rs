@@ -8,10 +8,11 @@
 //! The table also stores the full path of every object because NFSv3
 //! lookups only carry `(parent handle, name)` (§4.1.3).
 
+use crate::pathmap::PathMap;
 use kosha_nfs::Fh;
 use kosha_rpc::NodeAddr;
 use kosha_vfs::FileType;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Where an object currently lives: the node and the real NFS handle on
 /// that node's store.
@@ -40,24 +41,21 @@ pub struct VhEntry {
 ///
 /// Invariants: `entries` and `by_path` are a bijection. Every entry's path
 /// maps back to its handle and no two entries share a path, so forgetting
-/// one path is two hash look-ups and a handle whose object was removed or
-/// overwritten is `Stale`, never an alias of what replaced it. `below`
-/// holds, for every path with live entries anywhere beneath it, how many,
-/// and no other key: forgetting a subtree with nothing below it scans
-/// nothing.
+/// one path is two look-ups and a handle whose object was removed or
+/// overwritten is `Stale`, never an alias of what replaced it. `by_path`
+/// counts the entries below each directory, so forgetting a subtree with
+/// nothing below it scans nothing.
 #[derive(Debug, Default)]
 pub struct HandleTable {
     next: u64,
-    entries: HashMap<u64, VhEntry>,
-    by_path: HashMap<String, u64>,
-    /// Live entries strictly below each directory path, all depths.
-    below: HashMap<String, usize>,
+    entries: BTreeMap<u64, VhEntry>,
+    by_path: PathMap<u64>,
     /// Cached *replica-area* file handles per virtual path: which
     /// replica holders have been read from and the real handle each
     /// handed out. Lets repeated replica reads skip the mount +
     /// compound-lookup RPCs; invalidated on the same chain-, node-, and
     /// subtree-scoped events as primary locations.
-    replica_locs: HashMap<String, Vec<(NodeAddr, Fh)>>,
+    replica_locs: BTreeMap<String, Vec<(NodeAddr, Fh)>>,
 }
 
 /// Generation stamped into virtual handles (they outlive store purges; a
@@ -71,12 +69,20 @@ impl HandleTable {
     pub fn new() -> Self {
         let mut t = HandleTable {
             next: 1,
-            entries: HashMap::new(),
-            by_path: HashMap::new(),
-            below: HashMap::new(),
-            replica_locs: HashMap::new(),
+            ..HandleTable::default()
         };
         t.mint("/", FileType::Directory);
+        t
+    }
+
+    /// An empty table for a restarted koshad: its handles are numbered
+    /// after every one `self` minted, so a client's handle from before
+    /// the restart is `Stale`, never an alias of a new object (the root,
+    /// handle 1, is the root in every table).
+    #[must_use]
+    pub(crate) fn restarted(&self) -> Self {
+        let mut t = HandleTable::new();
+        t.next = self.next;
         t
     }
 
@@ -91,7 +97,7 @@ impl HandleTable {
 
     /// Returns the existing handle for `path` or mints a new one.
     pub fn mint(&mut self, path: &str, ftype: FileType) -> Fh {
-        if let Some(&vh) = self.by_path.get(path) {
+        if let Some(vh) = self.by_path.get(path) {
             if let Some(e) = self.entries.get_mut(&vh) {
                 e.ftype = ftype;
             }
@@ -111,66 +117,24 @@ impl HandleTable {
             },
         );
         self.by_path.insert(path.to_string(), vh);
-        self.count_above(path);
         Fh {
             ino: vh,
             gen: VIRTUAL_GEN,
         }
     }
 
-    /// Counts a new entry at `path` in every directory above it.
-    fn count_above(&mut self, path: &str) {
-        for dir in ancestors(path) {
-            match self.below.get_mut(dir) {
-                Some(n) => *n += 1,
-                None => {
-                    self.below.insert(dir.to_string(), 1);
-                }
-            }
-        }
-    }
-
-    /// Takes a gone entry at `path` out of every count above it; a count
-    /// that reaches zero goes.
-    fn uncount_above(&mut self, path: &str) {
-        for dir in ancestors(path) {
-            if let Some(n) = self.below.get_mut(dir) {
-                *n -= 1;
-                if *n == 0 {
-                    self.below.remove(dir);
-                }
-            }
-        }
-    }
-
-    /// Handles of `path` and of every entry below it. Scans the table
-    /// only if the counts say something is below.
-    fn subtree(&self, path: &str) -> Vec<u64> {
-        let mut found: Vec<u64> = self.by_path.get(path).copied().into_iter().collect();
-        if self.below.contains_key(path) {
-            let prefix = format!("{path}/");
-            found.extend(
-                self.entries
-                    .iter()
-                    .filter(|(_, e)| e.path.starts_with(&prefix))
-                    .map(|(&vh, _)| vh),
-            );
-        }
-        found
-    }
-
     /// Live entries strictly below `dir`, at any depth: what the table
     /// keeps so that forgetting an empty subtree scans nothing.
     #[must_use]
     pub fn descendants(&self, dir: &str) -> usize {
-        self.below.get(dir).copied().unwrap_or(0)
+        self.by_path.descendants(dir)
     }
 
     /// Number of directories with a live entry below them: the keys of
     /// the counts [`Self::descendants`] reads, none of them zero.
     #[must_use]
     pub fn counted_dirs(&self) -> usize {
-        self.below.len()
+        self.by_path.counted_dirs()
     }
 
     /// Looks up an entry; `None` for unknown or non-virtual handles.
@@ -189,18 +153,8 @@ impl HandleTable {
         }
     }
 
-    /// Drops the cached location of one handle (the §4.4 failure step:
-    /// "Kosha detects an RPC error and removes the mapping for the
-    /// virtual handle").
-    pub fn clear_location(&mut self, fh: Fh) {
-        if let Some(e) = self.entries.get_mut(&fh.ino) {
-            e.loc = None;
-        }
-    }
-
     /// Drops every cached location in the table (full cache flush).
     pub fn clear_locations_everywhere(&mut self) {
-        // lint: allow(L002) independent per-entry mutation; no order leaks out
         for e in self.entries.values_mut() {
             e.loc = None;
         }
@@ -246,7 +200,6 @@ impl HandleTable {
             self.clear_locations_everywhere();
             return;
         }
-        // lint: allow(L002) independent per-entry mutation; no order leaks out
         for e in self.entries.values_mut() {
             if on_chain(&e.path, path) {
                 e.loc = None;
@@ -257,13 +210,11 @@ impl HandleTable {
 
     /// Drops every cached location pointing at a failed node.
     pub fn clear_locations_at(&mut self, addr: NodeAddr) {
-        // lint: allow(L002) independent per-entry mutation; no order leaks out
         for e in self.entries.values_mut() {
             if e.loc.map(|l| l.addr) == Some(addr) {
                 e.loc = None;
             }
         }
-        // lint: allow(L002) independent per-entry mutation; no order leaks out
         for v in self.replica_locs.values_mut() {
             v.retain(|(a, _)| *a != addr);
         }
@@ -277,28 +228,24 @@ impl HandleTable {
     /// first: they go stale and `by_path[new]` is free for what moves in.
     pub fn rename_subtree(&mut self, old: &str, new: &str) {
         self.forget_subtree(new);
-        for vh in self.subtree(old) {
+        let mut moved = Vec::new();
+        self.by_path.remove_subtree(old, |vh| moved.push(vh));
+        for vh in moved {
             let e = self.entries.get_mut(&vh).expect("present");
-            let old_path = std::mem::take(&mut e.path);
-            let new_path = format!("{new}{}", &old_path[old.len()..]);
-            e.path = new_path.clone();
+            e.path = format!("{new}{}", &e.path[old.len()..]);
             e.loc = None;
-            self.by_path.remove(&old_path);
-            self.uncount_above(&old_path);
-            self.count_above(&new_path);
-            self.by_path.insert(new_path, vh);
+            self.by_path.insert(e.path.clone(), vh);
         }
         self.forget_replica_subtree(old);
     }
 
     /// Forgets `path` alone, which is all a REMOVE of a non-directory
-    /// makes stale: a hash remove a map and one per directory above it.
-    /// If the table held `path` as a directory (its type changed behind
-    /// this koshad's back), the subtree goes as well.
+    /// makes stale: a remove from each map and a count update per
+    /// directory above it. If the table held `path` as a directory (its
+    /// type changed behind this koshad's back), the subtree goes as well.
     pub fn forget(&mut self, path: &str) {
         self.replica_locs.remove(path);
         if let Some(vh) = self.by_path.remove(path) {
-            self.uncount_above(path);
             let entry = self.entries.remove(&vh);
             if entry.is_some_and(|e| e.ftype == FileType::Directory) {
                 self.forget_subtree(path);
@@ -312,12 +259,9 @@ impl HandleTable {
     /// (an RMDIR always, since the directory was empty) this is the cost
     /// of [`Self::forget`], whatever the size of the table.
     pub fn forget_subtree(&mut self, path: &str) {
-        for vh in self.subtree(path) {
-            if let Some(e) = self.entries.remove(&vh) {
-                self.by_path.remove(&e.path);
-                self.uncount_above(&e.path);
-            }
-        }
+        self.by_path.remove_subtree(path, |vh| {
+            self.entries.remove(&vh);
+        });
         self.forget_replica_subtree(path);
     }
 
@@ -344,17 +288,6 @@ impl HandleTable {
     pub fn is_empty(&self) -> bool {
         self.entries.len() <= 1
     }
-}
-
-/// The directories strictly above `path`, deepest first: `/a/b/c` gives
-/// `/a/b`, `/a` and `/`; `/` gives none.
-pub(crate) fn ancestors(path: &str) -> impl Iterator<Item = &str> {
-    let mut p = path;
-    std::iter::from_fn(move || {
-        let cut = p.rfind('/').filter(|_| p != "/")?;
-        p = if cut == 0 { "/" } else { &p[..cut] };
-        Some(p)
-    })
 }
 
 /// True if `p` is on the resolution chain of `path` (not `/`): `path`

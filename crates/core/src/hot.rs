@@ -27,7 +27,7 @@
 
 use crate::control::{KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
 use crate::node::KoshaNode;
-use crate::paths::{anchor_slot, check_vpath, slot_local_path, Area};
+use crate::paths::{check_vpath, slot_local_path, Area};
 use crate::primary::settle;
 use crate::slots::HotLease;
 use kosha_nfs::{NfsRequest, NfsStatus};
@@ -181,7 +181,7 @@ impl KoshaNode {
     /// the lease. `seq` continuity: a re-spawn after a drop starts a new
     /// lease generation, readers only ever see the latest.
     fn hot_spawn(&self, path: &str, anchor: &str, now: u64) {
-        let Some(routing) = self.anchors.lock().get(anchor).cloned() else {
+        let Some(routing) = self.routing_of(anchor) else {
             return;
         };
         let Some(item) = self.hot_export(anchor, path) else {
@@ -402,7 +402,7 @@ impl KoshaNode {
     /// it). Only commits the new lease if the tracked generation has not
     /// changed underneath the push (a concurrent write re-invalidates).
     fn hot_refresh(&self, path: &str, o: &HotObject, now: u64) {
-        let Some(routing) = self.anchors.lock().get(&o.anchor).cloned() else {
+        let Some(routing) = self.routing_of(&o.anchor) else {
             // No longer the primary for this anchor: forget the state;
             // holders converge through replica-slot GC.
             self.hot.lock().remove(path);
@@ -452,14 +452,14 @@ impl KoshaNode {
     /// to `ReplicaTargetsBySlot` GC answers so active hot slots survive
     /// the replica-slot GC while orphaned ones (dead or demoted primary)
     /// are collected.
-    pub(crate) fn hot_holders_for_slot(&self, slot: &str) -> Vec<NodeAddr> {
+    pub(crate) fn hot_holders_for_anchor(&self, anchor: &str) -> Vec<NodeAddr> {
         if !self.hot_enabled() {
             return Vec::new();
         }
         let map = self.hot.lock();
         let mut out = Vec::new();
         for o in map.values() {
-            if anchor_slot(&o.anchor) == slot {
+            if o.anchor == anchor {
                 for a in &o.holders {
                     if !out.contains(a) {
                         out.push(*a);

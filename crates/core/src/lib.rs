@@ -45,13 +45,13 @@
 pub mod audit;
 pub mod config;
 pub mod control;
-mod dircache;
 pub mod flight;
 pub mod handles;
 mod hot;
 pub mod mount;
 pub mod node;
 pub mod ops;
+mod pathmap;
 pub mod paths;
 pub mod primary;
 pub mod resolve;

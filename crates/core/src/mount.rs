@@ -15,7 +15,7 @@
 //! ([`KoshaMount::cached`]), held by the [`CachingClient`] every call
 //! below goes through.
 
-use crate::dircache::DirCache;
+use crate::pathmap::PathMap;
 use kosha_nfs::client::ClientDirEntry;
 use kosha_nfs::{
     CacheConfig, CacheStats, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus,
@@ -55,7 +55,7 @@ pub struct KoshaMount {
     nfs: CachingClient,
     root: Fh,
     /// Directory-handle cache (the kernel NFS client's dcache analogue).
-    dcache: Mutex<DirCache<Fh>>,
+    dcache: Mutex<PathMap<Fh>>,
     /// Default identity for operations.
     uid: u32,
     /// Default group.
@@ -93,7 +93,7 @@ impl KoshaMount {
         Ok(KoshaMount {
             nfs,
             root,
-            dcache: Mutex::new(DirCache::default()),
+            dcache: Mutex::new(PathMap::default()),
             uid: 0,
             gid: 0,
             chunk: 32 * 1024,
@@ -128,7 +128,7 @@ impl KoshaMount {
     }
 
     fn drop_cache_subtree(&self, path: &str) {
-        self.dcache.lock().remove_subtree(path);
+        self.dcache.lock().remove_subtree(path, drop);
     }
 
     /// Resolves a directory path to its (virtual) handle, caching

@@ -1,8 +1,8 @@
 //! The per-machine Kosha daemon (`koshad`) and its wiring.
 
 use crate::config::KoshaConfig;
-use crate::dircache::DirCache;
 use crate::handles::{HandleTable, Location};
+use crate::pathmap::PathMap;
 use crate::stats::{KoshaStats, StatsSnapshot};
 use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
@@ -26,9 +26,19 @@ pub(crate) struct ClientState {
     /// Virtual handle table (§4.1.2).
     pub handles: HandleTable,
     /// Cache: virtual directory path → real location of its listing.
-    pub(crate) dir_cache: DirCache<Location>,
+    pub(crate) dir_cache: PathMap<Location>,
     /// Cache: node address → handle of its `/kosha_store` export root.
     pub root_cache: HashMap<NodeAddr, kosha_nfs::Fh>,
+}
+
+impl ClientState {
+    fn new(handles: HandleTable) -> Self {
+        ClientState {
+            handles,
+            dir_cache: PathMap::default(),
+            root_cache: HashMap::new(),
+        }
+    }
 }
 
 /// One machine's Kosha instance: overlay endpoint, real NFS store, and
@@ -50,8 +60,6 @@ pub struct KoshaNode {
     pub(crate) slot_table: Mutex<crate::slots::SlotTable>,
     pub(crate) nfs: NfsClient,
     pub(crate) client: Mutex<ClientState>,
-    /// Anchors this node hosts as primary: virtual path → routing name.
-    pub(crate) anchors: Mutex<BTreeMap<String, String>>,
     /// Salt source for capacity redirection (seeded from the node id for
     /// reproducible simulations).
     pub(crate) salt_rng: Mutex<StdRng>,
@@ -199,12 +207,7 @@ impl KoshaNode {
             pastry: Arc::clone(&pastry),
             store,
             slot_table: Mutex::new(crate::slots::SlotTable::default()),
-            client: Mutex::new(ClientState {
-                handles: HandleTable::new(),
-                dir_cache: DirCache::default(),
-                root_cache: HashMap::new(),
-            }),
-            anchors: Mutex::new(BTreeMap::new()),
+            client: Mutex::new(ClientState::new(HandleTable::new())),
         });
         pastry.add_observer(Arc::new(LeafWatcher(Arc::downgrade(&node))));
         if let crate::config::ReplicationMode::WriteBehind { flush_interval, .. } =
@@ -324,25 +327,32 @@ impl KoshaNode {
             .record(self.clock.now().0, self.info.addr.0, kind, op, detail);
     }
 
-    /// Anchors hosted on this node as primary: `(path, routing name)`.
-    #[must_use]
-    pub fn hosted_anchors(&self) -> Vec<(String, String)> {
-        self.anchors
-            .lock()
-            .iter()
-            .map(|(p, r)| (p.clone(), r.clone()))
-            .collect()
+    /// Models a koshad restart on an intact disk: the store and its slot
+    /// table, the configuration, the identity, the counters and the
+    /// observability domain stay; all else the process held is lost
+    /// (DESIGN.md §2 lists each field and why losing it is safe). Which
+    /// anchors the node serves is a fact of the store, so the restarted
+    /// node serves them at once and rebuilds nothing.
+    pub fn crash(&self) {
+        let mut c = self.client.lock();
+        *c = ClientState::new(c.handles.restarted());
+        drop(c);
+        self.writeback.clear();
+        self.hot.lock().clear();
+        self.obs.registry.gauge("kosha_hot_copies").set(0);
+        self.replica_push_memo.lock().clear();
+        self.heat.clear();
+        self.read_rr.store(0, std::sync::atomic::Ordering::Relaxed);
+        self.trace_seq
+            .store(0, std::sync::atomic::Ordering::Relaxed);
+        *self.salt_rng.lock() = StdRng::seed_from_u64(self.info.id.0 as u64);
     }
 
-    /// Simulates this machine being reincarnated: wipes all Kosha data
-    /// (§4.3: "all Kosha data on a revived node is purged") and rejoins
-    /// the overlay under a new identity is left to the caller (purge only
-    /// here).
+    /// Simulates this machine being reincarnated (§4.3: "all Kosha data
+    /// on a revived node is purged"): a crash that loses the disk too.
+    /// Rejoining the overlay under a new identity is left to the caller.
     pub fn purge(&self) {
+        self.crash();
         self.slot_wipe();
-        self.anchors.lock().clear();
-        let mut c = self.client.lock();
-        c.dir_cache.clear();
-        c.root_cache.clear();
     }
 }

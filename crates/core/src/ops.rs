@@ -552,7 +552,7 @@ impl KoshaNode {
         // one key.
         let mut c = self.client.lock();
         c.handles.forget(&vpath);
-        c.dir_cache.remove_subtree(&vpath);
+        c.dir_cache.remove_subtree(&vpath, drop);
         drop(c);
         // A removed object must not squat in the read-heat sketch: its
         // slot would otherwise pin sketch capacity (and could even keep

@@ -1,45 +1,44 @@
-//! A cache keyed by directory path that forgets a subtree without a scan.
+//! A map keyed by path that forgets a subtree without a scan.
 
-use crate::handles::ancestors;
 use std::collections::HashMap;
 
-/// Values by directory path, plus, for every path with cached entries
-/// anywhere below it, how many (the scheme [`crate::handles::HandleTable`]
-/// keeps for handles). A lookup is one hash lookup. Forgetting a path
-/// with nothing cached below it, as an RMDIR does, is one remove and one
-/// count update per ancestor; only a path with cached descendants costs
-/// a scan of the keys.
+/// Values by path, plus, for every path with entries anywhere below it,
+/// how many. A lookup is one hash lookup. Forgetting a path with nothing
+/// below it, as an RMDIR does, is one remove and one count update per
+/// ancestor; only a path with descendants costs a scan of the keys. It
+/// backs the virtual-handle table's path index and both directory
+/// caches, the mount's and koshad's.
 ///
 /// Invariant: `below` holds, for every path with a key strictly below it
 /// in `map`, the number of such keys, and no other key.
 #[derive(Debug)]
-pub(crate) struct DirCache<V> {
+pub(crate) struct PathMap<V> {
     map: HashMap<String, V>,
     below: HashMap<String, usize>,
 }
 
-impl<V> Default for DirCache<V> {
+impl<V> Default for PathMap<V> {
     fn default() -> Self {
-        DirCache {
+        PathMap {
             map: HashMap::new(),
             below: HashMap::new(),
         }
     }
 }
 
-impl<V: Copy> DirCache<V> {
-    /// The value cached for `path`.
+impl<V: Copy> PathMap<V> {
+    /// The value for `path`.
     pub(crate) fn get(&self, path: &str) -> Option<V> {
         self.map.get(path).copied()
     }
 
-    /// True if `path` is cached.
+    /// True if `path` has a value.
     #[cfg(test)]
     pub(crate) fn contains_key(&self, path: &str) -> bool {
         self.map.contains_key(path)
     }
 
-    /// Caches `v` for `path`.
+    /// Sets `v` for `path`.
     pub(crate) fn insert(&mut self, path: String, v: V) {
         if !self.map.contains_key(&path) {
             for dir in ancestors(&path) {
@@ -54,11 +53,9 @@ impl<V: Copy> DirCache<V> {
         self.map.insert(path, v);
     }
 
-    /// Forgets `path` alone; true if it was cached.
-    pub(crate) fn remove(&mut self, path: &str) -> bool {
-        if self.map.remove(path).is_none() {
-            return false;
-        }
+    /// Forgets `path` alone and returns its value.
+    pub(crate) fn remove(&mut self, path: &str) -> Option<V> {
+        let v = self.map.remove(path)?;
         for dir in ancestors(path) {
             if let Some(n) = self.below.get_mut(dir) {
                 *n -= 1;
@@ -67,14 +64,27 @@ impl<V: Copy> DirCache<V> {
                 }
             }
         }
-        true
+        Some(v)
     }
 
-    /// Forgets `path` and everything cached below it.
-    pub(crate) fn remove_subtree(&mut self, path: &str) {
-        self.remove(path);
+    /// Forgets `path` and everything below it, handing each value to
+    /// `gone`, `path`'s first.
+    pub(crate) fn remove_subtree(&mut self, path: &str, mut gone: impl FnMut(V)) {
+        if let Some(v) = self.remove(path) {
+            gone(v);
+        }
         if self.below.contains_key(path) {
-            self.retain(|p, _| !is_below(p, path));
+            let under: Vec<String> = self
+                .map
+                .keys()
+                .filter(|p| is_below(p, path))
+                .cloned()
+                .collect();
+            for p in under {
+                if let Some(v) = self.remove(&p) {
+                    gone(v);
+                }
+            }
         }
     }
 
@@ -97,17 +107,33 @@ impl<V: Copy> DirCache<V> {
         self.below.clear();
     }
 
-    /// Number of cached paths.
+    /// Number of paths with a value.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Number of paths with a cached entry below them.
-    #[cfg(test)]
+    /// Paths with a value strictly below `dir`, at any depth.
+    pub(crate) fn descendants(&self, dir: &str) -> usize {
+        self.below.get(dir).copied().unwrap_or(0)
+    }
+
+    /// Number of paths with a value below them: the keys of the counts
+    /// [`Self::descendants`] reads, none of them zero.
     pub(crate) fn counted_dirs(&self) -> usize {
         self.below.len()
     }
+}
+
+/// The directories strictly above `path`, deepest first: `/a/b/c` gives
+/// `/a/b`, `/a` and `/`; `/` gives none.
+fn ancestors(path: &str) -> impl Iterator<Item = &str> {
+    let mut p = path;
+    std::iter::from_fn(move || {
+        let cut = p.rfind('/').filter(|_| p != "/")?;
+        p = if cut == 0 { "/" } else { &p[..cut] };
+        Some(p)
+    })
 }
 
 /// True if `p` lies strictly below directory `dir`.
@@ -124,11 +150,13 @@ mod tests {
 
     #[test]
     fn a_subtree_goes_and_its_neighbours_stay() {
-        let mut c = DirCache::default();
+        let mut c = PathMap::default();
         for p in ["/", "/a", "/a/x", "/a/x/y", "/ab", "/ab/y", "/a-b", "/b"] {
             c.insert(p.to_string(), 7u8);
         }
-        c.remove_subtree("/a");
+        let mut gone = 0;
+        c.remove_subtree("/a", |_| gone += 1);
+        assert_eq!(gone, 3);
         for gone in ["/a", "/a/x", "/a/x/y"] {
             assert!(!c.contains_key(gone), "{gone}");
         }
@@ -136,14 +164,15 @@ mod tests {
             assert!(c.contains_key(kept), "{kept}");
         }
         // Counts: `/` has four below it, `/ab` one; nothing else.
+        assert_eq!((c.descendants("/"), c.descendants("/ab")), (4, 1));
         assert_eq!(c.counted_dirs(), 2);
-        c.remove_subtree("/");
+        c.remove_subtree("/", drop);
         assert_eq!((c.len(), c.counted_dirs()), (0, 0));
     }
 
     #[test]
     fn counts_follow_inserts_removes_and_retains() {
-        let mut c = DirCache::default();
+        let mut c = PathMap::default();
         c.insert("/a/b/c".to_string(), 1u8);
         c.insert("/a/b/c".to_string(), 2u8);
         assert_eq!(c.get("/a/b/c"), Some(2));
@@ -151,8 +180,8 @@ mod tests {
         c.insert("/a".to_string(), 3u8);
         c.retain(|_, v| *v != 2);
         assert_eq!((c.len(), c.counted_dirs()), (1, 1));
-        assert!(c.remove("/a"));
-        assert!(!c.remove("/a"));
+        assert_eq!(c.remove("/a"), Some(3));
+        assert_eq!(c.remove("/a"), None);
         assert_eq!(c.counted_dirs(), 0);
     }
 }

@@ -29,12 +29,15 @@ pub const USER_LINK_MODE: u32 = 0o777;
 impl KoshaNode {
     // ---- local store addressing ----------------------------------------
 
+    /// True if this node serves `anchor`: its store slot's record names
+    /// a routing name. The store is the one record of what a node serves.
     fn hosted(&self, anchor: &str) -> bool {
-        self.anchors.lock().contains_key(anchor)
+        self.slot_table.lock().routing(anchor).is_some()
     }
 
-    fn routing_of(&self, anchor: &str) -> Option<String> {
-        self.anchors.lock().get(anchor).cloned()
+    /// The routing name `anchor` is served under here, if it is.
+    pub(crate) fn routing_of(&self, anchor: &str) -> Option<String> {
+        self.slot_table.lock().routing(anchor).cloned()
     }
 
     /// The slot an entry lands in: the covering anchor of its parent
@@ -62,13 +65,14 @@ impl KoshaNode {
 
     /// Handle of what virtual path `vpath` is within `anchor`'s slot.
     /// First of the two policies that tell the areas apart, what is
-    /// missing: in the store an anchor this node does not host (the
-    /// caller misrouted, or we lost ownership) or a path it lacks is
-    /// `NoEnt`. So it is on a holder, unless the op puts something into
-    /// the slot (`make`): then the replica area takes `vpath` for a
-    /// directory and makes the chain, since a mirrored op may arrive
-    /// before, or without, the push that would have made it. An op that
-    /// takes something away makes nothing, and finds it already gone.
+    /// missing: in the store an anchor this node does not serve (the
+    /// caller misrouted, we lost ownership, or a transfer is not yet
+    /// committed) or a path it lacks is `NoEnt`. So it is on a holder,
+    /// unless the op puts something into the slot (`make`): then the
+    /// replica area takes `vpath` for a directory and makes the chain,
+    /// since a mirrored op may arrive before, or without, the push that
+    /// would have made it. An op that takes something away makes
+    /// nothing, and finds it already gone.
     pub(crate) fn slot_fh(
         &self,
         area: Area,
@@ -76,11 +80,7 @@ impl KoshaNode {
         vpath: &str,
         make: bool,
     ) -> Result<Fh, NfsStatus> {
-        match area {
-            Area::Store if !self.hosted(anchor) => Err(NfsStatus::NoEnt),
-            Area::Store => self.slot_dir(area, anchor, vpath, false),
-            Area::Replica => self.slot_dir(area, anchor, vpath, make),
-        }
+        self.slot_dir(area, anchor, vpath, make && area == Area::Replica)
     }
 
     /// [`Self::slot_fh`] of an entry's parent directory, plus the
@@ -219,15 +219,13 @@ impl KoshaNode {
         }
     }
 
-    /// Starts serving a slot a `MakeSlot` just made. Its holders' copies
-    /// will be the empty slot the op makes there, exactly what a full
-    /// push would send, so the push memo says so before the op goes out
-    /// and the next maintenance pass pushes nothing. A mirror that fails,
-    /// now or at a later flush, clears the memo as it clears every entry.
-    fn start_serving(&self, anchor: &str, routing: &str, targets: &[NodeAddr]) {
-        self.anchors
-            .lock()
-            .insert(anchor.to_string(), routing.to_string());
+    /// Primes the push memo for a slot a `MakeSlot` just made (and the
+    /// node serves, its record routed). Its holders' copies will be the
+    /// empty slot the op makes there, exactly what a full push would
+    /// send, so the push memo says so before the op goes out and the
+    /// next maintenance pass pushes nothing. A mirror that fails, now or
+    /// at a later flush, clears the memo as it clears every entry.
+    fn prime_push_memo(&self, anchor: &str, targets: &[NodeAddr]) {
         if self.cfg.replicas > 0 && !targets.is_empty() {
             let pushed = (*EMPTY_SLOT_DIGEST, targets.to_vec());
             self.replica_push_memo
@@ -643,11 +641,8 @@ impl KoshaNode {
         let reply = self.apply_op(Area::Store, &op, dir_attr)?;
         self.void_leases(&op);
         let targets = self.replica_addrs();
-        if let ReplicaOp::MakeSlot {
-            anchor, routing, ..
-        } = &op
-        {
-            self.start_serving(anchor, routing, &targets);
+        if let ReplicaOp::MakeSlot { anchor, .. } = &op {
+            self.prime_push_memo(anchor, &targets);
         }
         let makes_object = matches!(
             op,
@@ -773,24 +768,26 @@ impl KoshaNode {
 
     // ---- promotion & migration -------------------------------------------
 
-    /// Readies a freshly promoted (or pulled) store copy of `anchor`:
-    /// clears the holder-side bits of its record (a push the failed
-    /// primary never finished leaves our best, and only reachable, copy,
-    /// which we serve and refresh the other replicas from; a store slot
-    /// carries no lease) and checks it for write-behind lag. Lag means
-    /// this copy is missing ops the primary had queued but never flushed:
-    /// the divergence is journaled as `replica_lag` with the stamped
+    /// Serves a freshly promoted (or pulled) store copy of `anchor`:
+    /// names it `routing` unless its record names it already, clears the
+    /// holder-side bits of the record (a push the failed primary never
+    /// finished leaves our best, and only reachable, copy, which we serve
+    /// and refresh the other replicas from; a store slot carries no
+    /// lease) and checks it for write-behind lag. Lag means this copy is
+    /// missing ops the primary had queued but never flushed: the
+    /// divergence is journaled as `replica_lag` with the stamped
     /// payload-byte lower bound — failover never *silently* serves stale
-    /// data. Returns the routing name the record holds.
-    fn adopt_copy(&self, anchor: &str) -> Option<String> {
-        let (bytes, routing) = self.slot_update(Area::Store, anchor, |m| {
+    /// data.
+    fn adopt_copy(&self, anchor: &str, routing: &str) {
+        let bytes = self.slot_update(Area::Store, anchor, |m| {
+            m.routing.get_or_insert_with(|| routing.to_string());
             m.migrating = false;
             m.hot.clear();
-            (std::mem::take(&mut m.lag_bytes), m.routing.clone())
-        })?;
-        if bytes == 0 {
-            return routing;
-        }
+            std::mem::take(&mut m.lag_bytes)
+        });
+        let Some(bytes @ 1..) = bytes else {
+            return;
+        };
         self.stats.replica_lag_events.inc();
         self.journal(
             "replica_lag",
@@ -799,17 +796,13 @@ impl KoshaNode {
                  bytes the failed primary never flushed"
             ),
         );
-        routing
     }
 
     /// Moves `anchor` from the replica area into the store and starts
     /// serving it as primary (§4.4's transparent failover end-state).
     fn promote_anchor(&self, anchor: &str) -> Result<(), NfsStatus> {
         self.slot_move(anchor, Area::Replica, Area::Store)?;
-        let routing = self
-            .adopt_copy(anchor)
-            .unwrap_or_else(|| default_routing(anchor));
-        self.anchors.lock().insert(anchor.to_string(), routing);
+        self.adopt_copy(anchor, &default_routing(anchor));
         self.stats.promotions.inc();
         self.journal(
             "promotion",
@@ -843,11 +836,15 @@ impl KoshaNode {
             };
             let req = RpcRequest::new(ServiceId::KoshaReplica, &req);
             let reply = self.net.call(self.info.addr, m.addr, req);
-            let Ok(ReplyFrame(Ok(KoshaReply::Record(meta)))) =
+            let Ok(ReplyFrame(Ok(KoshaReply::Record(mut meta)))) =
                 reply.and_then(|r| r.decode::<KoshaReplyFrame>())
             else {
                 continue;
             };
+            // Served once its files are in: until then the record names
+            // no routing, and a pull cut short leaves a slot the next
+            // `EnsureAnchor` adopts.
+            let named = meta.routing.take().unwrap_or_else(|| routing.to_string());
             let Ok((dst, _)) = self.slot_make(Area::Store, anchor, (0o755, 0, 0), meta, true)
             else {
                 continue;
@@ -855,10 +852,7 @@ impl KoshaNode {
             if self.pull_tree(m.addr, src, dst).is_err() {
                 continue;
             }
-            let routing = self
-                .adopt_copy(anchor)
-                .unwrap_or_else(|| routing.to_string());
-            self.anchors.lock().insert(anchor.to_string(), routing);
+            self.adopt_copy(anchor, &named);
             self.stats.replica_pulls.inc();
             self.journal(
                 "replica_pull",
@@ -990,7 +984,9 @@ impl KoshaNode {
         // its own heat and spawns its own copies if demand persists.
         self.hot_forget_anchor(anchor);
         self.replica_push_memo.lock().remove(anchor);
-        self.anchors.lock().remove(anchor);
+        // A move that fails leaves the slot, and its routing name, in the
+        // store: the node keeps serving it, and the next leaf change
+        // offers it to its owner again.
         let _ = self.slot_move(anchor, Area::Store, Area::Replica);
         self.invalidate_dir_subtree(anchor);
     }
@@ -1158,23 +1154,14 @@ impl KoshaNode {
                     anchor: path.clone(),
                 };
                 let done = self.mutate(op, None)?;
-                self.anchors.lock().remove(&path);
                 self.replica_push_memo.lock().remove(&path);
                 Ok(done)
             }
             KoshaRequest::RenameAnchorDir { from, to } => {
-                let Some(routing) = self.routing_of(&from) else {
+                if !self.hosted(&from) {
                     return Err(NfsStatus::NoEnt);
-                };
-                let op = ReplicaOp::RenameSlot {
-                    from: from.clone(),
-                    to: to.clone(),
-                };
-                let done = self.mutate(op, None)?;
-                let mut a = self.anchors.lock();
-                a.remove(&from);
-                a.insert(to, routing);
-                Ok(done)
+                }
+                self.mutate(ReplicaOp::RenameSlot { from, to }, None)
             }
             KoshaRequest::MkdirAnchor {
                 path,
@@ -1194,11 +1181,13 @@ impl KoshaNode {
                 Ok(KoshaReply::Handle { fh, attr })
             }
             KoshaRequest::EnsureAnchor { path, routing } => {
-                if let Some(meta) = self.slot_meta(Area::Store, &path) {
-                    if !self.hosted(&path) {
-                        let r = meta.routing.unwrap_or_else(|| routing.clone());
-                        self.anchors.lock().insert(path, r);
-                    }
+                // A store slot is served under the routing name its record
+                // holds; one without (a transfer cut short) adopts the name
+                // it is sent.
+                let name = |m: &mut SlotMeta| {
+                    m.routing.get_or_insert_with(|| routing.clone());
+                };
+                if self.slot_update(Area::Store, &path, name).is_some() {
                     return Ok(KoshaReply::DoneBool(false));
                 }
                 if self.slot_meta(Area::Replica, &path).is_some() {
@@ -1227,7 +1216,7 @@ impl KoshaNode {
                 // copy during an outage; wiping would lose every entry
                 // the interim copy never saw. Transferred items overwrite
                 // same-named entries; everything else survives.
-                self.slot_open_for_transfer(&path)?;
+                self.slot_dir(Area::Store, &path, &path, true)?;
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::TransferPut { path, item } => {
@@ -1243,10 +1232,9 @@ impl KoshaNode {
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::CommitTransfer { path, routing_name } => {
-                let routing = Some(routing_name.clone());
+                let routing = Some(routing_name);
                 self.slot_update(Area::Store, &path, |m| m.routing = routing)
                     .ok_or(NfsStatus::NoEnt)?;
-                self.anchors.lock().insert(path.clone(), routing_name);
                 self.journal(
                     "migration_in",
                     format!("anchor {path:?} received from previous owner"),
@@ -1298,15 +1286,15 @@ impl KoshaNode {
             }
             KoshaRequest::ReplicaTargetsBySlot { slot, holder } => {
                 // GC probe: a replica holder only knows the slot name, so
-                // map it back through our hosted-anchor table. `NoEnt`
-                // (we don't host it) tells the holder to keep its copy —
+                // map it back through the store's slot index. `NoEnt` (we
+                // don't serve it) tells the holder to keep its copy —
                 // never to drop anything.
-                let anchor = self
-                    .anchors
-                    .lock()
-                    .keys()
-                    .find(|p| anchor_slot(p) == slot)
-                    .cloned();
+                let anchor = {
+                    let table = self.slot_table.lock();
+                    let mut names = table.slot_names(Area::Store);
+                    let found = names.find(|(_, name)| **name == slot).map(|(a, _)| a);
+                    found.filter(|a| table.routing(a).is_some()).cloned()
+                };
                 let Some(anchor) = anchor else {
                     return Err(NfsStatus::NoEnt);
                 };
@@ -1315,7 +1303,7 @@ impl KoshaNode {
                 // track (orphans — dead or demoted primary — get no such
                 // vouching and age out).
                 let mut targets = self.replica_addrs();
-                for a in self.hot_holders_for_slot(&slot) {
+                for a in self.hot_holders_for_anchor(&anchor) {
                     if !targets.contains(&a) {
                         targets.push(a);
                     }

@@ -388,7 +388,7 @@ impl KoshaNode {
     /// Invalidates cached directory locations for `vpath` and everything
     /// beneath it (after renames and removals).
     pub(crate) fn invalidate_dir_subtree(&self, vpath: &str) {
-        self.client.lock().dir_cache.remove_subtree(vpath);
+        self.client.lock().dir_cache.remove_subtree(vpath, drop);
     }
 
     /// The covering anchor of a path: the anchor whose slot holds its

@@ -12,7 +12,9 @@
 //! directory, and it moves the slot's record in the same step: the table's
 //! keys are the slot directories, always ([`KoshaNode::slot_mismatches`]
 //! checks it). The table is store state, like a disk: it lives and is
-//! wiped with the store, not with the node's memory.
+//! wiped with the store, not with the node's memory. It is also the one
+//! record of what the node serves: an anchor whose store slot's record
+//! names a routing name.
 //!
 //! Beside the records the table keeps an index from each anchor to its
 //! slot's name and the file id of the slot root, updated in the same
@@ -98,6 +100,19 @@ impl SlotTable {
         self.records[area.idx()].get_mut(name)
     }
 
+    /// The routing name of `anchor`'s store slot: `Some` exactly when
+    /// this node serves the anchor.
+    pub(crate) fn routing(&self, anchor: &str) -> Option<&String> {
+        let name = &self.slot(Area::Store, anchor)?.name;
+        self.records[Area::Store.idx()].get(name)?.routing.as_ref()
+    }
+
+    /// Every anchor with a slot in `area` and the slot's name, in anchor
+    /// order.
+    pub(crate) fn slot_names(&self, area: Area) -> impl Iterator<Item = (&String, &String)> {
+        self.index[area.idx()].iter().map(|(a, s)| (a, &s.name))
+    }
+
     /// Files `anchor`'s slot `name` at `root` with record `meta`.
     fn insert(&mut self, area: Area, anchor: &str, name: String, root: FileId, meta: SlotMeta) {
         self.records[area.idx()].insert(name.clone(), meta);
@@ -141,6 +156,17 @@ impl KoshaNode {
         self.slot_table.lock().meta_mut(area, anchor).map(f)
     }
 
+    /// Anchors hosted on this node as primary: `(path, routing name)`,
+    /// in path order. The store says which: a store slot whose record
+    /// has a routing name.
+    #[must_use]
+    pub fn hosted_anchors(&self) -> Vec<(String, String)> {
+        let table = self.slot_table.lock();
+        let anchors = table.index[Area::Store.idx()].keys();
+        let served = anchors.filter_map(|a| Some((a.clone(), table.routing(a)?.clone())));
+        served.collect()
+    }
+
     /// The records of `area`'s slots, by slot name.
     #[must_use]
     pub fn slot_records(&self, area: Area) -> Vec<(String, SlotMeta)> {
@@ -150,11 +176,12 @@ impl KoshaNode {
     }
 
     /// Every `area/name` in an area's root that has no record, every
-    /// record with no such directory, and every way the index disagrees
-    /// with a fresh recomputation from the records and the store: an
-    /// anchor filed under a name that is not its hash, a record no anchor
-    /// finds, a root id that is not the slot directory's. Empty while
-    /// every slot moves through this module.
+    /// record with no such directory, every way the index disagrees with
+    /// a fresh recomputation from the records and the store (an anchor
+    /// filed under a name that is not its hash, a record no anchor finds,
+    /// a root id that is not the slot directory's), and every store
+    /// record with no routing name. Empty while every slot moves through
+    /// this module and no transfer is half done.
     #[must_use]
     pub fn slot_mismatches(&self) -> Vec<String> {
         self.store.with_store(|v| {
@@ -189,6 +216,12 @@ impl KoshaNode {
                 for name in indexed.difference(&keys) {
                     odd.push(format!("index /{area_dir}/{name}: no record"));
                 }
+                if area == Area::Store {
+                    let records = table.records[area.idx()].iter();
+                    for (name, _) in records.filter(|(_, m)| m.routing.is_none()) {
+                        odd.push(format!("/{area_dir}/{name}: no routing name"));
+                    }
+                }
             }
             odd
         })
@@ -216,9 +249,11 @@ impl KoshaNode {
     /// Handle of directory (or, without `make`, object) `vpath` in
     /// `anchor`'s slot in `area`, found from the slot root the index
     /// holds, uncharged. With `make` (a holder's missing-directory
-    /// policy) what is missing is made as a directory, the slot itself
-    /// included, with an empty record; without it a missing slot or name
-    /// is `NoEnt`.
+    /// policy, or a transfer opening the store slot it fills) what is
+    /// missing is made as a directory, the slot itself included, with an
+    /// empty record; without it a missing slot or name is `NoEnt`, and
+    /// so is a store slot this node does not serve (no routing name in
+    /// its record: a transfer not yet committed).
     pub(crate) fn slot_dir(
         &self,
         area: Area,
@@ -228,7 +263,11 @@ impl KoshaNode {
     ) -> Result<Fh, NfsStatus> {
         let rel = slot_rel(anchor, vpath);
         self.store.with_store(|v| {
-            let known = self.slot_table.lock().slot(area, anchor).map(|s| s.root);
+            let table = self.slot_table.lock();
+            let routed = |s: &SlotRef| table.records[area.idx()].get(&s.name)?.routing.as_ref();
+            let usable = |s: &&SlotRef| make || area == Area::Replica || routed(s).is_some();
+            let known = table.slot(area, anchor).filter(usable).map(|s| s.root);
+            drop(table);
             let root = match known {
                 Some(root) if v.getattr(root).is_ok() => root,
                 // Every slot this module made is indexed, so a miss is a
@@ -281,11 +320,13 @@ impl KoshaNode {
         meta: SlotMeta,
         fresh: bool,
     ) -> Result<(Fh, WireAttr), NfsStatus> {
-        let there = self.slot_dir(area, anchor, anchor, false).is_ok();
+        let (dir, name) = (self.area_root(area)?, anchor_slot(anchor));
+        let there = self
+            .store
+            .with_store(|v| v.lookup(dir.to_file_id(), &name).is_ok());
         if there && !fresh {
             return Err(NfsStatus::Exist);
         }
-        let (dir, name) = (self.area_root(area)?, anchor_slot(anchor));
         if there {
             let _ = self.slot_remove_at(area, dir, anchor, &name);
         }
@@ -302,12 +343,6 @@ impl KoshaNode {
         let mut table = self.slot_table.lock();
         table.insert(area, anchor, name, fh.to_file_id(), meta);
         Ok((fh, attr))
-    }
-
-    /// Makes `anchor`'s store slot unless it is there (a transfer merges
-    /// into whatever interim copy the receiver served), uncharged.
-    pub(crate) fn slot_open_for_transfer(&self, anchor: &str) -> Result<(), NfsStatus> {
-        self.slot_dir(Area::Store, anchor, anchor, true).map(drop)
     }
 
     /// Moves `anchor`'s slot and record from one area to the other over

@@ -67,6 +67,12 @@ impl WritebackState {
             depth: obs.registry.gauge("kosha_writeback_queue_depth"),
         }
     }
+
+    /// Drops every queued op unsent (a crash).
+    pub(crate) fn clear(&self) {
+        self.queues.lock().clear();
+        self.depth.set(0);
+    }
 }
 
 /// The virtual path an op mutates, if it is a plain per-object op.

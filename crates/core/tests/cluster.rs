@@ -2334,3 +2334,71 @@ fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
     coherent("repair after the purge");
     assert_eq!(m.read_file("/b/after").unwrap(), b"five");
 }
+
+/// Which anchors a node serves is a fact of its store: a store slot whose
+/// record names a routing name. Between `BeginTransfer` and
+/// `CommitTransfer` the receiver holds a store slot whose record names
+/// none, so the anchor is missing from `hosted_anchors`, a store op on it
+/// is `NoEnt` and `slot_mismatches` reports it. The commit names it and
+/// it is served. A transfer cut short before its commit leaves such a
+/// slot, and an `EnsureAnchor` on it adopts the routing name it is sent.
+#[test]
+fn an_uncommitted_transfer_is_not_served() {
+    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, MigrateKind};
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(1, cfg);
+    let node = &c.nodes[0];
+    mount(&c, 0).mkdir_p("/").unwrap();
+    let served = |anchor: &str| node.hosted_anchors().into_iter().find(|(a, _)| a == anchor);
+    let receive = |anchor: &str| {
+        let path = anchor.to_string();
+        control(&c, node, &KoshaRequest::BeginTransfer { path }).expect("begin");
+        let item = MigrateItem {
+            rel_path: "f".into(),
+            kind: MigrateKind::Bytes(b"moved"[..].into()),
+            mode: 0o644,
+            uid: 0,
+            gid: 0,
+        };
+        let path = anchor.to_string();
+        control(&c, node, &KoshaRequest::TransferPut { path, item }).expect("put");
+    };
+    let write = |path: &str| {
+        let req = KoshaRequest::Write {
+            path: path.into(),
+            offset: 0,
+            data: b"new"[..].into(),
+        };
+        control(&c, node, &req)
+    };
+
+    receive("/t");
+    assert_eq!(served("/t"), None);
+    assert_eq!(write("/t/f"), Err(NfsStatus::NoEnt));
+    let odd = node.slot_mismatches();
+    assert_eq!(odd.len(), 1, "{odd:?}");
+    assert!(odd[0].ends_with("no routing name"), "{odd:?}");
+
+    let commit = KoshaRequest::CommitTransfer {
+        path: "/t".into(),
+        routing_name: "t#3".into(),
+    };
+    assert_eq!(control(&c, node, &commit), Ok(KoshaReply::Done));
+    assert_eq!(served("/t"), Some(("/t".into(), "t#3".into())));
+    assert_eq!(write("/t/f"), Ok(KoshaReply::Done));
+    assert!(node.slot_mismatches().is_empty());
+
+    // Cut short: no commit. The owner's `EnsureAnchor` names the slot.
+    receive("/u");
+    assert_eq!(served("/u"), None);
+    let ensure = KoshaRequest::EnsureAnchor {
+        path: "/u".into(),
+        routing: "u#1".into(),
+    };
+    assert_eq!(control(&c, node, &ensure), Ok(KoshaReply::DoneBool(false)));
+    assert_eq!(served("/u"), Some(("/u".into(), "u#1".into())));
+    assert!(node.slot_mismatches().is_empty());
+    assert_eq!(write("/u/f"), Ok(KoshaReply::Done));
+}

@@ -481,3 +481,111 @@ proptest! {
         prop_assert!(matching >= 2, "only {} replica slots found", matching);
     }
 }
+
+/// A write-behind primary acks four writes and crashes with them still
+/// queued (`KoshaNode::crash`: memory lost, disk kept). It is off the
+/// wire while a reader makes a holder its successor, then comes back, and
+/// the cluster repairs (`maintain`, whose leaf-change pass runs
+/// `ensure_replicas`, then `audit_cluster`). Each acked write ends in
+/// exactly one of three outcomes, pinned here: it reads back, it is lost
+/// and a `replica_lag` event names its anchor, or it is lost silently.
+///
+/// The store kept every write, and the successor's promotion journaled
+/// its lag. When the anchor goes home, the transfer merges the
+/// successor's copy into the restarted primary's store: what the
+/// successor had overwrites, what it lacked survives. So the overwrite
+/// of a flushed file is lost (journaled) and the new files read back.
+/// None is lost silently.
+#[test]
+fn a_crash_with_queued_writes_keeps_each_acked_write_or_journals_its_loss() {
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        ReadsBack,
+        LostJournaled,
+        LostSilently,
+    }
+    let c = build_cluster(6, wb_cfg(1024));
+    let m = mount(&c, 0);
+    let anchor = (0..16)
+        .map(|i| format!("/cr{i}"))
+        .find(|a| {
+            m.mkdir_p(a).unwrap();
+            primary_of(&c, a).addr() != c.nodes[0].addr()
+        })
+        .expect("an anchor hosted away from the mount");
+    let base = format!("{anchor}/base");
+    m.write_file(&base, b"flushed base").unwrap();
+    m.commit(&base).unwrap();
+    let new = |i: usize| (format!("{anchor}/new{i}"), format!("new {i}").into_bytes());
+    let acked: Vec<(String, Vec<u8>)> = std::iter::once((base, b"queued update".to_vec()))
+        .chain((0..3).map(new))
+        .collect();
+    for (path, data) in &acked {
+        m.write_file(path, data).unwrap();
+    }
+    let victim = Arc::clone(primary_of(&c, &anchor));
+    let depth = || {
+        victim
+            .obs()
+            .registry
+            .gauge("kosha_writeback_queue_depth")
+            .get()
+    };
+    assert!(depth() > 0, "the writes are still queued");
+
+    victim.crash();
+    assert_eq!(depth(), 0, "the queue died with the process");
+    c.net.fail_node(victim.addr());
+    for (path, _) in &acked {
+        let _ = m.read_file(path); // the successor takes over
+    }
+    c.net.recover_node(victim.addr());
+    for _ in 0..2 {
+        for n in &c.nodes {
+            n.maintain();
+        }
+    }
+    let peers: Vec<NodeAddr> = c.nodes.iter().map(|n| n.addr()).collect();
+    let opts = kosha::AuditOptions {
+        replicas: 2,
+        max_examples: 4,
+    };
+    let now = c.net.clock().now().0;
+    let audit = kosha::audit_cluster(c.net.as_ref(), c.nodes[0].addr(), &peers, now, &opts);
+
+    let named = format!("{anchor:?}");
+    let journaled = c.nodes.iter().any(|n| {
+        let lag = n.obs().journal.of_kind("replica_lag");
+        lag.iter().any(|e| e.detail.contains(&named))
+    });
+    let outcomes: Vec<Outcome> = acked
+        .iter()
+        .map(|(path, data)| match m.read_file(path) {
+            Ok(got) if got == *data => Outcome::ReadsBack,
+            _ if journaled => Outcome::LostJournaled,
+            _ => Outcome::LostSilently,
+        })
+        .collect();
+    assert_eq!(
+        outcomes,
+        [
+            Outcome::LostJournaled,
+            Outcome::ReadsBack,
+            Outcome::ReadsBack,
+            Outcome::ReadsBack
+        ]
+    );
+    assert_eq!(m.read_file(&acked[0].0).unwrap(), b"flushed base");
+    // The repair leaves one stale copy: the successor's demotion moves
+    // its store copy over the fresh push the restarted primary's commit
+    // had just made to it, and the push memo then skips the anchor.
+    assert_eq!(
+        (
+            audit.objects,
+            audit.objects_divergent,
+            audit.duplicate_primaries
+        ),
+        (2, 1, 0),
+        "{audit:?}"
+    );
+}

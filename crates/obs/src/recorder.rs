@@ -368,6 +368,12 @@ impl ReadHeat {
         rank.to_bits()
     }
 
+    /// Forgets every object (a restart). The touch and eviction counts
+    /// are telemetry and keep counting.
+    pub fn clear(&self) {
+        *self.sketch.lock().expect("heat lock") = Sketch::default();
+    }
+
     /// Records one read of `key` at time `t_nanos`.
     pub fn touch(&self, key: &str, t_nanos: u64) {
         self.touches.fetch_add(1, Ordering::Relaxed);
