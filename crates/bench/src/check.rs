@@ -16,7 +16,8 @@ const SCHED_HOST_KEYS: [&str; 4] = [
     "workers_le_2x_cores",
 ];
 
-/// `text` by lines, with the value of each host-derived line blanked.
+/// `text` by lines, with the value of each host-derived `"key": value`
+/// pair blanked wherever on its line the pair stands.
 fn masked_lines<'a>(gate: &str, text: &'a str) -> Vec<Cow<'a, str>> {
     let host_keys: &[&str] = match gate {
         "BENCH_sched.json" => &SCHED_HOST_KEYS,
@@ -24,11 +25,18 @@ fn masked_lines<'a>(gate: &str, text: &'a str) -> Vec<Cow<'a, str>> {
     };
     text.split_inclusive('\n')
         .map(|line| {
-            let key = line.trim_start().strip_prefix('"');
-            match key.and_then(|rest| rest.split_once("\":")) {
-                Some((k, _)) if host_keys.contains(&k) => format!("\"{k}\": <host>\n").into(),
-                _ => line.into(),
+            let mut line = Cow::Borrowed(line);
+            for key in host_keys {
+                let pair = format!("\"{key}\": ");
+                if let Some(at) = line.find(&pair) {
+                    let value = at + pair.len();
+                    let end = line[value..]
+                        .find([',', '}', '\n'])
+                        .map_or(line.len(), |n| value + n);
+                    line = format!("{}<host>{}", &line[..value], &line[end..]).into();
+                }
             }
+            line
         })
         .collect()
 }

@@ -10,6 +10,7 @@ pub mod check;
 mod reports;
 
 use kosha::{KoshaConfig, KoshaMount};
+use kosha_obs::json::Value;
 use kosha_obs::SpanRecord;
 use kosha_rpc::{Clock, LatencyModel, NodeAddr, SimNetwork, WallClock};
 use kosha_sim::SimCluster;
@@ -20,16 +21,26 @@ use std::time::Duration;
 
 /// What one report computed.
 pub struct Report {
-    /// The human-readable form: what a plain run prints.
+    /// What a plain run prints before the JSON: for a report with a
+    /// JSON form, only what its JSON must not hold (wall-clock lines,
+    /// folded stacks, the Prometheus exposition).
     pub text: String,
-    /// The JSON form, if the report has one: what `--json` prints.
-    pub json: Option<String>,
+    /// The JSON form, if the report has one: every number a gate holds.
+    pub value: Option<Value>,
 }
 
 impl Report {
     /// A report with a text form only.
     fn text(text: String) -> Self {
-        Report { text, json: None }
+        Report { text, value: None }
+    }
+
+    /// A report with a JSON form only.
+    fn json(value: Value) -> Self {
+        Report {
+            text: String::new(),
+            value: Some(value),
+        }
     }
 }
 
@@ -97,16 +108,6 @@ macro_rules! outln {
     }};
 }
 pub(crate) use outln;
-
-/// `v` hundredths as `i.ff`.
-fn x100(v: u64) -> String {
-    format!("{}.{:02}", v / 100, v % 100)
-}
-
-/// `v` thousandths as `i.fff`.
-fn x1000(v: u64) -> String {
-    format!("{}.{:03}", v / 1000, v % 1000)
-}
 
 /// Runs `f` and returns its result with the wall time it took. Wall
 /// time goes to a report's text only, never to its JSON.

@@ -1,12 +1,12 @@
 //! `kosha-bench <report> [--json] [--full]`, `kosha-bench list`,
 //! `kosha-bench check [report…]`.
 //!
-//! A plain run prints the report's text and, for a gate report, writes
-//! its `BENCH_*.json` into the working directory. `--json` prints the
-//! JSON form instead. `check` regenerates each named gate report (all
-//! of them by default) twice and compares both runs with the checked-in
-//! file in the working directory, writing nothing; on a difference it
-//! prints a unified diff and exits 1.
+//! A plain run prints the report's text, then its JSON if it has one,
+//! and for a gate report writes its `BENCH_*.json` into the working
+//! directory. `--json` prints the JSON form alone. `check` regenerates
+//! each named gate report (all of them by default) twice and compares
+//! both runs with the checked-in file in the working directory, writing
+//! nothing; on a difference it prints a unified diff and exits 1.
 
 use kosha_bench::{check::compare, report, Entry, REPORTS};
 use std::process::ExitCode;
@@ -23,17 +23,18 @@ fn usage() -> ExitCode {
 /// Runs one report and prints it; a gate report also writes its file.
 fn run(entry: &Entry, json_only: bool, full: bool) -> ExitCode {
     let r = (entry.run)(full);
-    if let (Some(gate), Some(json)) = (entry.gate, &r.json) {
-        std::fs::write(gate, format!("{json}\n")).expect("write the gate file");
+    let json = r.value.map(|v| format!("{v}\n"));
+    if let (Some(gate), Some(json)) = (entry.gate, &json) {
+        std::fs::write(gate, json).expect("write the gate file");
     }
-    match (json_only, r.json) {
-        (true, Some(json)) => println!("{json}"),
+    match (json_only, json) {
+        (true, Some(json)) => print!("{json}"),
         (true, None) => {
             eprintln!("kosha-bench: {} has no JSON form", entry.name);
             return ExitCode::from(2);
         }
-        (false, _) => {
-            print!("{}", r.text);
+        (false, json) => {
+            print!("{}{}", r.text, json.unwrap_or_default());
             if let Some(gate) = entry.gate {
                 println!("wrote {gate}");
             }
@@ -66,8 +67,9 @@ fn check(names: &[String]) -> ExitCode {
             .map_err(|e| e.to_string())
             .and_then(|checked_in| {
                 (1..=2).try_for_each(|pass| {
-                    let json = (entry.run)(false).json.unwrap_or_default();
-                    match compare(gate, &checked_in, &format!("{json}\n")) {
+                    let value = (entry.run)(false).value;
+                    let json = value.map(|v| format!("{v}\n")).unwrap_or_default();
+                    match compare(gate, &checked_in, &json) {
                         Some(diff) => Err(format!("run {pass} of 2\n{diff}")),
                         None => Ok(()),
                     }

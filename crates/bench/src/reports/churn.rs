@@ -19,11 +19,11 @@
 //! deterministic counters, so double runs are byte-identical — the CI
 //! `scale-smoke` gate diffs exactly that.
 
-use crate::{outln, timed, Report};
+use crate::{timed, Report};
 use kosha_sim::{run_churn, ChurnParams};
 use std::time::Duration;
 
-/// The churn run, its assertions, and its rendered report.
+/// The churn run, its assertions, and its report.
 pub fn run(_full: bool) -> Report {
     let params = ChurnParams {
         nodes: 1_000,
@@ -64,15 +64,13 @@ pub fn run(_full: bool) -> Report {
         report.final_over_replicated
     );
 
-    let mut text = report.render();
-    outln!(
-        text,
+    let text = format!(
         "ran {} virtual hours in {:.1}s wall\n",
         report.hours,
         wall.as_secs_f64()
     );
     Report {
         text,
-        json: Some(report.to_json()),
+        value: Some(report.json()),
     }
 }

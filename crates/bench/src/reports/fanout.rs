@@ -12,8 +12,9 @@
 //! ids, so two runs emit byte-identical output; the JSON summary is the
 //! `BENCH_fanout.json` gate.
 
-use crate::{x100, Report};
+use crate::Report;
 use kosha::{boot_cluster, KoshaConfig, KoshaMount, KoshaNode};
+use kosha_obs::obj;
 use kosha_rpc::{
     Clock, LatencyModel, Network, NodeAddr, RpcError, RpcRequest, RpcResponse, SimNetwork,
 };
@@ -153,40 +154,18 @@ pub fn run(_full: bool) -> Report {
         compound_rpcs < per_component_rpcs,
         "compound lookup did not reduce resolution RPCs"
     );
-    let json = format!(
-        r#"{{
-  "replication": {{
-    "k": {REPLICAS},
-    "ops": {WRITE_OPS},
-    "serial_total_nanos": {serial_nanos},
-    "fanout_total_nanos": {fanout_nanos},
-    "serial_per_op_nanos": {serial_per_op},
-    "fanout_per_op_nanos": {fanout_per_op},
-    "serial_replica_rpcs": {serial_rpcs},
-    "fanout_replica_rpcs": {fanout_rpcs},
-    "speedup_x100": {speedup_x100}
-  }},
-  "resolution": {{
-    "depth": {WALK_DEPTH},
-    "per_component_nfs_rpcs": {per_component_rpcs},
-    "compound_nfs_rpcs": {compound_rpcs}
-  }}
-}}"#
-    );
-    let speedup = x100(speedup_x100);
-    let text = format!(
-        "==== parallel RPC fan-out report ====
-replication (K={REPLICAS}, {WRITE_OPS} replicated writes, virtual time):
-  serial mirror:   {serial_nanos} ns total, {serial_per_op} ns/op, {serial_rpcs} replica RPCs
-  call_many:       {fanout_nanos} ns total, {fanout_per_op} ns/op, {fanout_rpcs} replica RPCs
-  speedup:         {speedup}x
-resolution (cold depth-{WALK_DEPTH} walk, NFS RPC count):
-  per-component:   {per_component_rpcs} RPCs
-  compound lookup: {compound_rpcs} RPCs
-"
-    );
-    Report {
-        text,
-        json: Some(json),
-    }
+    let value = obj! {
+        "replication": obj! {
+            "k": REPLICAS, "ops": WRITE_OPS,
+            "serial_total_nanos": serial_nanos, "fanout_total_nanos": fanout_nanos,
+            "serial_per_op_nanos": serial_per_op, "fanout_per_op_nanos": fanout_per_op,
+            "serial_replica_rpcs": serial_rpcs, "fanout_replica_rpcs": fanout_rpcs,
+            "speedup_x100": speedup_x100,
+        },
+        "resolution": obj! {
+            "depth": WALK_DEPTH, "per_component_nfs_rpcs": per_component_rpcs,
+            "compound_nfs_rpcs": compound_rpcs,
+        },
+    };
+    Report::json(value)
 }

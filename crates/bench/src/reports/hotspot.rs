@@ -23,6 +23,8 @@
 
 use crate::{bench_cluster, seed_files, Report, Zipf};
 use kosha::{cluster_flight, FlightOptions, KoshaConfig, KoshaNode};
+use kosha_obs::json::Value;
+use kosha_obs::obj;
 use kosha_rpc::{Clock, LatencyModel, Network, NodeAddr, SimNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,17 +160,16 @@ fn run_storm(hot: bool) -> RunOutcome {
 }
 
 impl RunOutcome {
-    fn json(&self, name: &str) -> String {
-        let (p50, p99, skew, gini) = (self.p50, self.p99, self.skew, self.gini);
-        let (copies, pushes, drops, voided) = self.hot;
-        format!(
-            r#"  "{name}": {{
-    "read_p50_nanos": {p50},
-    "read_p99_nanos": {p99},
-    "skew": {{"max_over_mean_x1000": {skew}, "gini_x1000": {gini}}},
-    "hot": {{"copies_final": {copies}, "pushes": {pushes}, "drops": {drops}, "lease_invalidations": {voided}}}
-  }},"#
-        )
+    fn json(&self) -> Value {
+        let h = self.hot;
+        obj! {
+            "read_p50_nanos": self.p50,
+            "read_p99_nanos": self.p99,
+            "skew": obj! {"max_over_mean_x1000": self.skew, "gini_x1000": self.gini},
+            "hot": obj! {
+                "copies_final": h.0, "pushes": h.1, "drops": h.2, "lease_invalidations": h.3,
+            },
+        }
     }
 }
 
@@ -178,7 +179,6 @@ pub fn run(_full: bool) -> Report {
     let hot = run_storm(true);
     let peak_copies = hot.copies_series.iter().map(|&(_, c)| c).max().unwrap_or(0);
     let final_copies = hot.copies_series.last().map_or(0, |&(_, c)| c);
-    let (_, pushes, drops, voided) = hot.hot;
 
     // The feature must pay for itself on its target workload...
     assert!(
@@ -203,42 +203,20 @@ pub fn run(_full: bool) -> Report {
     // The baseline run must be genuinely feature-off.
     assert_eq!(base.hot, (0, 0, 0, 0), "baseline spawned hot state");
     // Writes into the hot set voided leases synchronously.
-    assert!(voided > 0, "storm writes never invalidated a lease");
+    assert!(hot.hot.3 > 0, "storm writes never invalidated a lease");
 
-    let series_json: Vec<String> = hot
+    let series = hot
         .copies_series
         .iter()
-        .map(|(reads, copies)| format!(r#"    {{"reads": {reads}, "copies": {copies}}}"#))
-        .collect();
-    let (base_json, hot_json, series_json) = (
-        base.json("baseline"),
-        hot.json("hot"),
-        series_json.join(",\n"),
-    );
-    let json = format!(
-        r#"{{
-  "nodes": {NODES},
-  "files": {FILES},
-  "reads": {READS},
-{base_json}
-{hot_json}
-  "hot_copies_peak": {peak_copies},
-  "hot_copies_series": [
-{series_json}
-  ]
-}}"#
-    );
-    let text = format!(
-        "==== hot-spot relief (Zipf reads, baseline vs heat-driven copies) ====
-cluster: {NODES} nodes, {FILES} files, {READS} Zipf(s=1) READs, K=1
-read latency: p50 {} -> {} ns, p99 {} -> {} ns
-store-load skew: max/mean {} -> {} (x1000), gini {} -> {} (x1000)
-hot copies: peak {peak_copies}, final {final_copies} (pushes {pushes}, drops {drops}, lease invalidations {voided})
-",
-        base.p50, hot.p50, base.p99, hot.p99, base.skew, hot.skew, base.gini, hot.gini
-    );
-    Report {
-        text,
-        json: Some(json),
-    }
+        .map(|&(reads, copies)| obj! {"reads": reads, "copies": copies});
+    let value = obj! {
+        "nodes": NODES,
+        "files": FILES,
+        "reads": READS,
+        "baseline": base.json(),
+        "hot": hot.json(),
+        "hot_copies_peak": peak_copies,
+        "hot_copies_series": Value::Array(series.collect()),
+    };
+    Report::json(value)
 }

@@ -1,15 +1,17 @@
 //! Runs a small cluster scenario under the simulated transport and
 //! prints everything the observability layer captured: the transport's
 //! per-service RPC metrics, one node's metric registry (Prometheus text
-//! and compact JSON), and the tail of its event journal.
+//! and JSON), and the tail of its event journal.
 //!
 //! The scenario — build, populate, kill the primary of a replicated
 //! directory, read through the failover — is fixed, and `SimNetwork`
 //! stamps everything on the virtual clock, so two runs print identical
-//! bytes. The JSON form is the two registry dumps, one per line.
+//! bytes. The JSON form is one object holding both registries,
+//! `{"transport": …, "gateway": …}`.
 
 use crate::{default_cluster, Report};
 use kosha::KoshaConfig;
+use kosha_obs::obj;
 
 const NODES: usize = 6;
 
@@ -55,21 +57,19 @@ pub fn run(_full: bool) -> Report {
 
     let (transport, gateway) = (&net.obs().registry, nodes[0].obs());
     let (transport_text, gateway_text) = (transport.render(), gateway.registry.render());
-    let (transport_json, gateway_json) = (transport.to_json(), gateway.registry.to_json());
     let journal = gateway.journal.render_recent(20);
     let text = format!(
         "==== transport RPC metrics (cluster-wide) ====
 {transport_text}
 ==== gateway node metrics (node 0) ====
 {gateway_text}
-==== gateway node metrics (node 0, JSON) ====
-{gateway_json}
-
 ==== gateway journal (last 20 events) ====
-{journal}"
+{journal}
+"
     );
+    let value = obj! {"transport": transport.json(), "gateway": gateway.registry.json()};
     Report {
         text,
-        json: Some(format!("{transport_json}\n{gateway_json}")),
+        value: Some(value),
     }
 }

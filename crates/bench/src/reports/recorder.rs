@@ -16,8 +16,10 @@
 //! workload RNG; two runs emit byte-identical output. The JSON summary
 //! is the `BENCH_recorder.json` gate.
 
-use crate::{bench_cluster, outln, seed_files, x1000, Report, Zipf};
+use crate::{bench_cluster, seed_files, Report, Zipf};
 use kosha::{cluster_flight, FlightOptions, FlightReport, KoshaConfig, KoshaNode};
+use kosha_obs::json::Value;
+use kosha_obs::{obj, HeatEntry};
 use kosha_rpc::{LatencyModel, Network, SimNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,52 +96,17 @@ pub fn run(_full: bool) -> Report {
     assert!(probe_points > 0, "transport recorder never ticked");
     assert!(probe_points <= cap, "series exceeded its capacity");
 
-    let heat_json: Vec<String> = heat
-        .iter()
-        .map(|e| {
-            let (key, heat, err) = (&e.key, e.heat_milli, e.err_milli);
-            format!(r#"    {{"key": "{key}", "heat_milli": {heat}, "err_milli": {err}}}"#)
-        })
-        .collect();
-    let heat_json = heat_json.join(",\n");
-    let json = format!(
-        r#"{{
-  "nodes": {NODES},
-  "files": {FILES},
-  "reads": {READS},
-  "heat_top": [
-{heat_json}
-  ],
-  "skew": {{"max_over_mean_x1000": {skew}, "gini_x1000": {gini}}},
-  "slo": {{"burn_x1000": {burn}, "over": {over}, "total": {total}}},
-  "recorder": {{
-    "series": {series},
-    "memory_ceiling_bytes": {ceiling},
-    "downsamples": {downsamples},
-    "dropped": {dropped},
-    "transport_ticks": {ticks},
-    "probe_series_points": {probe_points}
-  }}
-}}"#
-    );
-    let mut text = format!(
-        "==== flight recorder report (Zipf reads) ====
-cluster: {NODES} nodes, {FILES} files, {READS} Zipf(s=1) READs, replica reads on
-hot set (top {}):\n",
-        heat.len()
-    );
-    for (i, e) in heat.iter().enumerate() {
-        let (rank, heat, err) = (i + 1, x1000(e.heat_milli), x1000(e.err_milli));
-        outln!(text, "  {rank:>2}. {}  heat={heat}  err={err}", e.key);
-    }
-    let (skew, gini) = (x1000(skew), x1000(gini));
-    outln!(text, "load skew: max/mean {skew}x, gini {gini}");
-    outln!(
-        text,
-        "recorder: {series} series, {ceiling} B ceiling, {downsamples} downsamples, {dropped} dropped, {ticks} transport ticks, probe {probe_points} points"
-    );
-    Report {
-        text,
-        json: Some(json),
-    }
+    let value = obj! {
+        "nodes": NODES,
+        "files": FILES,
+        "reads": READS,
+        "heat_top": Value::Array(heat.iter().map(HeatEntry::json).collect()),
+        "skew": obj! {"max_over_mean_x1000": skew, "gini_x1000": gini},
+        "slo": obj! {"burn_x1000": burn, "over": over, "total": total},
+        "recorder": obj! {
+            "series": series, "memory_ceiling_bytes": ceiling, "downsamples": downsamples,
+            "dropped": dropped, "transport_ticks": ticks, "probe_series_points": probe_points,
+        },
+    };
+    Report::json(value)
 }

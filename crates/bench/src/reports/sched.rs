@@ -20,6 +20,8 @@
 //! only and is never serialized.
 
 use crate::{outln, timed, Report};
+use kosha_obs::json::Value;
+use kosha_obs::obj;
 use kosha_rpc::{
     heap_comparisons, Clock, LatencyModel, Network, NodeAddr, PumpHook, RpcError, RpcHandler,
     RpcRequest, RpcResponse, ServiceId, ServiceMux, SimNetwork, ThreadedNetwork, WireRead,
@@ -99,17 +101,14 @@ const SIM_HORIZON_MS: u64 = 100;
 const THREADED_NODES: usize = 512;
 const THREADED_ASYNC_CALLS: usize = 2000;
 
-/// One sim-phase run: what the scaling evidence and the text need, and
-/// the phase's JSON object (virtual time and counts only).
+/// One sim-phase run: what the scaling evidence needs, and the phase's
+/// JSON object (virtual time and counts only).
 struct SimPhase {
-    nodes: usize,
-    events_total: u64,
     /// Comparisons charged per event, x100 (integer fixed-point so the
     /// JSON never carries float formatting).
     cmp_per_event_x100: u64,
     heap_hwm: u64,
-    dispatch_p99_nanos: u64,
-    json: String,
+    value: Value,
 }
 
 fn sim_phase(nodes: usize, out: &mut String) -> SimPhase {
@@ -189,34 +188,24 @@ fn sim_phase(nodes: usize, out: &mut String) -> SimPhase {
     // deterministic (wall-clock throughput goes to the text only).
     let events_per_virtual_sec = (u128::from(events_total) * 1_000_000_000)
         .checked_div(u128::from(virtual_elapsed))
-        .unwrap_or(0);
-    let json = format!(
-        r#"    {{
-      "nodes": {nodes},
-      "events_total": {events_total},
-      "heap_comparisons": {comparisons},
-      "cmp_per_event_x100": {cmp_per_event_x100},
-      "heap_depth_hwm": {hwm},
-      "dispatch_p99_nanos": {p99},
-      "virtual_elapsed_nanos": {virtual_elapsed},
-      "events_per_virtual_sec": {events_per_virtual_sec},
-      "storm_calls": {storm_calls},
-      "pump_fires": {pump_fires}
-    }}"#
-    );
+        .map_or(0, |n| u64::try_from(n).unwrap_or(u64::MAX));
+    let value = obj! {
+        "nodes": nodes, "events_total": events_total, "heap_comparisons": comparisons,
+        "cmp_per_event_x100": cmp_per_event_x100, "heap_depth_hwm": hwm,
+        "dispatch_p99_nanos": p99, "virtual_elapsed_nanos": virtual_elapsed,
+        "events_per_virtual_sec": events_per_virtual_sec, "storm_calls": storm_calls,
+        "pump_fires": pump_fires,
+    };
     SimPhase {
-        nodes,
-        events_total,
         cmp_per_event_x100,
         heap_hwm: hwm,
-        dispatch_p99_nanos: p99,
-        json,
+        value,
     }
 }
 
-/// The reactor phase: its JSON object and its line of text. The pool is
-/// sized by the host, so `check` masks what follows from the core count.
-fn threaded_phase() -> (String, String) {
+/// The reactor phase's JSON object. The pool is sized by the host, so
+/// `check` masks what follows from the core count.
+fn threaded_phase() -> Value {
     let net = ThreadedNetwork::new(Duration::from_secs(10));
     let spawned_at_boot = net.threads_spawned();
     for i in 0..THREADED_NODES {
@@ -246,21 +235,11 @@ fn threaded_phase() -> (String, String) {
     // beyond the boot-time pool.
     let pool_fixed = spawned == spawned_at_boot;
     let workers_le_2x_cores = workers <= 2 * cpu_cores.max(2);
-    let json = format!(
-        r#"  "threaded": {{
-    "attached_nodes": {THREADED_NODES},
-    "async_calls": {THREADED_ASYNC_CALLS},
-    "worker_threads": {workers},
-    "cpu_cores": {cpu_cores},
-    "threads_spawned_total": {spawned},
-    "pool_fixed": {pool_fixed},
-    "workers_le_2x_cores": {workers_le_2x_cores}
-  }}"#
-    );
-    let text = format!(
-        "  {THREADED_NODES} nodes attached, {THREADED_ASYNC_CALLS} async calls completed on {workers} workers ({cpu_cores} cores, {spawned} threads ever spawned, pool_fixed={pool_fixed})"
-    );
-    (json, text)
+    obj! {
+        "attached_nodes": THREADED_NODES, "async_calls": THREADED_ASYNC_CALLS,
+        "worker_threads": workers, "cpu_cores": cpu_cores, "threads_spawned_total": spawned,
+        "pool_fixed": pool_fixed, "workers_le_2x_cores": workers_le_2x_cores,
+    }
 }
 
 /// Both sim scales and the reactor phase, with the scaling evidence.
@@ -268,7 +247,7 @@ pub fn run(_full: bool) -> Report {
     let mut out = String::new();
     let small = sim_phase(1_000, &mut out);
     let large = sim_phase(10_000, &mut out);
-    let (threaded_json, threaded_text) = threaded_phase();
+    let threaded = threaded_phase();
 
     // O(log n) evidence: heap depth grew ~10x, comparisons-per-event by
     // ~log(10k)/log(1k) ~= 1.33x. Linear dispatch would be ~10x (1000
@@ -280,52 +259,20 @@ pub fn run(_full: bool) -> Report {
         .checked_div(small.heap_hwm)
         .unwrap_or(0);
 
-    let (small_json, large_json) = (&small.json, &large.json);
-    let json = format!(
-        r#"{{
-  "workload": {{
-    "sim_horizon_ms": {SIM_HORIZON_MS},
-    "tick_interval_spread_ms": {TICK_INTERVAL_SPREAD_MS},
-    "storm_hooks": {STORM_HOOKS},
-    "storm_calls_per_fire": {STORM_CALLS_PER_FIRE}
-  }},
-  "sim": [
-{small_json},
-{large_json}
-  ],
-  "scaling": {{
-    "heap_hwm_ratio_x100": {hwm_ratio_x100},
-    "cmp_per_event_ratio_x100": {cmp_ratio_x100},
-    "linear_dispatch_would_be_x100": 1000
-  }},
-{threaded_json}
-}}"#
-    );
-
-    outln!(out);
-    outln!(out, "scheduler runtime — event heap at scale");
-    for p in [&small, &large] {
-        outln!(
-            out,
-            "  {:>7} nodes: {:>8} events, {:>5.2} cmp/event, heap hwm {:>6}, p99 dispatch {:.1} ms",
-            p.nodes,
-            p.events_total,
-            p.cmp_per_event_x100 as f64 / 100.0,
-            p.heap_hwm,
-            p.dispatch_p99_nanos as f64 / 1e6
-        );
-    }
-    outln!(
-        out,
-        "  heap grew {:.1}x, comparisons/event grew {:.2}x (linear would be ~10x) => O(log n)",
-        hwm_ratio_x100 as f64 / 100.0,
-        cmp_ratio_x100 as f64 / 100.0,
-    );
-    outln!(out);
-    outln!(out, "reactor — thread-count collapse");
-    outln!(out, "{threaded_text}\n");
+    let value = obj! {
+        "workload": obj! {
+            "sim_horizon_ms": SIM_HORIZON_MS, "tick_interval_spread_ms": TICK_INTERVAL_SPREAD_MS,
+            "storm_hooks": STORM_HOOKS, "storm_calls_per_fire": STORM_CALLS_PER_FIRE,
+        },
+        "sim": Value::Array(vec![small.value, large.value]),
+        "scaling": obj! {
+            "heap_hwm_ratio_x100": hwm_ratio_x100, "cmp_per_event_ratio_x100": cmp_ratio_x100,
+            "linear_dispatch_would_be_x100": 1000u64,
+        },
+        "threaded": threaded,
+    };
     Report {
         text: out,
-        json: Some(json),
+        value: Some(value),
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::{default_cluster, take_spans, Report};
 use kosha::KoshaConfig;
-use kosha_obs::trace::{build_traces, folded_stacks, report_json, TraceTree};
+use kosha_obs::trace::{build_traces, folded_stacks, report, TraceTree};
 use kosha_obs::SpanRecord;
 use kosha_rpc::Network;
 
@@ -94,19 +94,8 @@ pub fn run(_full: bool) -> Report {
         "replicated writes should fan out to parallel replica RPCs"
     );
 
-    let json = report_json(&traces);
-    let (ops, stacks) = (traces.len(), folded_stacks(&traces));
-    let text = format!(
-        "==== causal trace report ====
-cluster: {NODES} nodes, K={REPLICAS}; {ops} traced ops
-
-folded stacks (span path -> self nanos):
-{stacks}
-{json}
-"
-    );
     Report {
-        text,
-        json: Some(json),
+        text: folded_stacks(&traces),
+        value: Some(report(&traces)),
     }
 }

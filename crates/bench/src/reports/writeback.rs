@@ -12,9 +12,10 @@
 //! emit byte-identical output; the JSON summary is the
 //! `BENCH_writeback.json` gate.
 
-use crate::{default_cluster, take_spans, x100, Report};
+use crate::{default_cluster, take_spans, Report};
 use kosha::{KoshaConfig, ReplicationMode};
 use kosha_nfs::NfsClient;
+use kosha_obs::obj;
 use kosha_obs::trace::build_traces;
 use kosha_rpc::{Network, ServiceId};
 use std::sync::Arc;
@@ -172,42 +173,21 @@ pub fn run(_full: bool) -> Report {
         !wb_mirror,
         "write-behind left the mirror on the WRITE critical path"
     );
-    let json = format!(
-        r#"{{
-  "k": {REPLICAS},
-  "ops": {WRITE_OPS},
-  "write_bytes": {WRITE_BYTES},
-  "sync": {{
-    "p50_write_nanos": {sync_p50},
-    "total_nanos": {sync_total},
-    "replica_rpcs": {sync_rpcs},
-    "mirror_on_critical_path": {sync_mirror}
-  }},
-  "write_behind": {{
-    "p50_write_nanos": {wb_p50},
-    "total_nanos": {wb_total},
-    "replica_rpcs": {wb_rpcs},
-    "enqueued_ops": {enqueued},
-    "flushed_ops": {flushed_ops},
-    "coalesced_ops": {coalesced_ops},
-    "mirror_on_critical_path": {wb_mirror}
-  }},
-  "p50_speedup_x100": {speedup_x100},
-  "coalesce_ratio_x100": {coalesce_ratio_x100}
-}}"#
-    );
-    let (speedup, ratio) = (x100(speedup_x100), x100(coalesce_ratio_x100));
-    let text = format!(
-        "==== write-behind replication report ====
-cluster: {NODES} nodes, K={REPLICAS}; {WRITE_OPS} sequential {WRITE_BYTES}B writes + COMMIT (virtual time)
-  sync:         p50 {sync_p50} ns/write, {sync_total} ns total, {sync_rpcs} replica RPCs, mirror on critical path: {sync_mirror}
-  write-behind: p50 {wb_p50} ns/write, {wb_total} ns total, {wb_rpcs} replica RPCs, mirror on critical path: {wb_mirror}
-  p50 speedup:  {speedup}x
-  coalescing:   {enqueued} enqueued -> {flushed_ops} shipped ({coalesced_ops} merged away), ratio {ratio}
-"
-    );
-    Report {
-        text,
-        json: Some(json),
-    }
+    let value = obj! {
+        "k": REPLICAS,
+        "ops": WRITE_OPS,
+        "write_bytes": WRITE_BYTES,
+        "sync": obj! {
+            "p50_write_nanos": sync_p50, "total_nanos": sync_total,
+            "replica_rpcs": sync_rpcs, "mirror_on_critical_path": sync_mirror,
+        },
+        "write_behind": obj! {
+            "p50_write_nanos": wb_p50, "total_nanos": wb_total, "replica_rpcs": wb_rpcs,
+            "enqueued_ops": enqueued, "flushed_ops": flushed_ops, "coalesced_ops": coalesced_ops,
+            "mirror_on_critical_path": wb_mirror,
+        },
+        "p50_speedup_x100": speedup_x100,
+        "coalesce_ratio_x100": coalesce_ratio_x100,
+    };
+    Report::json(value)
 }

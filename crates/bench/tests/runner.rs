@@ -64,7 +64,11 @@ fn compare_reports_a_one_byte_change() {
     let new = old.replacen("\"k\": 3", "\"k\": 4", 1);
     assert_ne!(new, old);
     let diff = compare("BENCH_fanout.json", &old, &new).expect("a diff");
-    assert!(diff.contains("-    \"k\": 3,\n+    \"k\": 4,\n"), "{diff}");
+    // `replication` holds scalars only, so it is one line.
+    let line = old.lines().find(|l| l.contains("\"k\": 3")).expect("k");
+    assert!(line.starts_with("  \"replication\": {\"k\": 3, \"ops\": "));
+    let changed = line.replacen("\"k\": 3", "\"k\": 4", 1);
+    assert!(diff.contains(&format!("-{line}\n+{changed}\n")), "{diff}");
     assert!(diff.starts_with("--- BENCH_fanout.json (checked in)\n"));
     // A lost final newline is a change too.
     assert!(compare("BENCH_fanout.json", &old, old.trim_end()).is_some());

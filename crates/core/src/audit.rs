@@ -29,6 +29,8 @@ use crate::node::KoshaNode;
 use crate::paths::Area;
 use kosha_id::Sha1;
 use kosha_nfs::messages::ReplyFrame;
+use kosha_obs::json::Value;
+use kosha_obs::obj;
 use kosha_rpc::{Network, NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::{ExportItem, ExportKind};
 use std::collections::BTreeMap;
@@ -421,37 +423,21 @@ impl AuditReport {
         out
     }
 
-    /// The pass as one hand-formatted JSON object (no trailing newline),
-    /// embedded by the flight report's JSON and `BENCH_churn.json`.
+    /// The pass as a JSON object, embedded by the flight report's JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_nanos\": {}, \"nodes_scanned\": {}, \"nodes_unreachable\": {}, \
-             \"objects\": {}, \"objects_divergent\": {}, \
-             \"replica_copies\": {}, \"replica_copies_divergent\": {}, \
-             \"bytes_divergent\": {}, \"under_replicated\": {}, \
-             \"over_replicated\": {}, \"orphaned_replicas\": {}, \
-             \"duplicate_primaries\": {}, \"migrations_in_flight\": {}, \
-             \"hot_copies\": {}, \
-             \"lag_markers\": {}, \"lag_events\": {}, \"lag_max_age_nanos\": {}}}",
-            self.now_nanos,
-            self.nodes_scanned,
-            self.nodes_unreachable,
-            self.objects,
-            self.objects_divergent,
-            self.replica_copies,
-            self.replica_copies_divergent,
-            self.bytes_divergent,
-            self.under_replicated,
-            self.over_replicated,
-            self.orphaned_replicas,
-            self.duplicate_primaries,
-            self.migrations_in_flight,
-            self.hot_copies,
-            self.lag_markers,
-            self.lag_events,
-            self.lag_max_age_nanos,
-        )
+    pub fn json(&self) -> Value {
+        obj! {
+            "t_nanos": self.now_nanos, "nodes_scanned": self.nodes_scanned,
+            "nodes_unreachable": self.nodes_unreachable, "objects": self.objects,
+            "objects_divergent": self.objects_divergent, "replica_copies": self.replica_copies,
+            "replica_copies_divergent": self.replica_copies_divergent,
+            "bytes_divergent": self.bytes_divergent, "under_replicated": self.under_replicated,
+            "over_replicated": self.over_replicated, "orphaned_replicas": self.orphaned_replicas,
+            "duplicate_primaries": self.duplicate_primaries,
+            "migrations_in_flight": self.migrations_in_flight, "hot_copies": self.hot_copies,
+            "lag_markers": self.lag_markers, "lag_events": self.lag_events,
+            "lag_max_age_nanos": self.lag_max_age_nanos,
+        }
     }
 }
 
@@ -777,7 +763,7 @@ mod tests {
         );
         assert!(text.contains("attention: /a, @beef (orphan)"), "{text}");
         assert!(text.contains("2 hot cop(ies)"), "{text}");
-        let json = report.to_json();
+        let json = report.json().to_string();
         assert!(json.contains("\"objects_divergent\": 2"), "{json}");
         assert!(json.contains("\"hot_copies\": 2"), "{json}");
         assert!(json.ends_with('}') && json.starts_with('{'));

@@ -99,7 +99,7 @@ fn main() {
     audit.enrich_from_journals(&refs, now);
     report.attach_audit(audit);
     if json {
-        print!("{}", report.to_json());
+        println!("{}", report.json());
     } else {
         print!("{}", report.render());
     }

@@ -12,8 +12,9 @@
 
 use crate::audit::AuditReport;
 use crate::node::KoshaNode;
+use kosha_obs::json::Value;
 use kosha_obs::recorder::{load_skew_x1000, slo_burn_x1000};
-use kosha_obs::{HeatEntry, Obs};
+use kosha_obs::{obj, HeatEntry, Obs};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -233,7 +234,7 @@ fn fmt_milli(v: u64) -> String {
 
 impl FlightReport {
     /// Attaches the result of an [`crate::audit_cluster`] pass taken at
-    /// (roughly) the same instant; `render` and `to_json` then include
+    /// (roughly) the same instant; `render` and `json` then include
     /// the consistency-observatory panel.
     pub fn attach_audit(&mut self, audit: AuditReport) {
         self.audit = Some(audit);
@@ -313,76 +314,52 @@ impl FlightReport {
         out
     }
 
-    /// The report as a JSON object (hand-formatted, sorted, no deps).
+    /// The report as a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"t_nanos\": {},\n", self.now_nanos));
-        out.push_str(&format!(
-            "  \"skew\": {{\"max_over_mean_x1000\": {}, \"gini_x1000\": {}}},\n",
-            self.skew_max_over_mean_x1000, self.skew_gini_x1000
-        ));
-        out.push_str(&format!(
-            "  \"slo\": {{\"burn_x1000\": {}, \"over\": {}, \"total\": {}}},\n",
-            self.slo.0, self.slo.1, self.slo.2
-        ));
-        out.push_str(&format!(
-            "  \"replica_lag\": {{\"events\": {}, \"max_age_nanos\": {}}},\n",
-            self.lag_events, self.lag_max_age_nanos
-        ));
-        out.push_str("  \"nodes\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"addr\": {}, \"fs_ops\": {}, \"store_ops\": {}, \
-                 \"replica_reads\": {}, \"hot_copies\": {}, \"wb_depth\": {}, \
-                 \"wb_coalesce_x1000\": {}, \"leaf_size\": {}, \
-                 \"journal_len\": {}, \"journal_dropped\": {}}}{}\n",
-                r.addr,
-                r.fs_ops,
-                r.store_ops,
-                r.replica_reads,
-                r.hot_copies,
-                r.wb_depth,
-                r.wb_coalesce_x1000,
-                r.leaf_size,
-                r.journal_len,
-                r.journal_dropped,
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
+    pub fn json(&self) -> Value {
+        let nodes = self.rows.iter().map(|r| {
+            obj! {
+                "addr": r.addr,
+                "fs_ops": r.fs_ops,
+                "store_ops": r.store_ops,
+                "replica_reads": r.replica_reads,
+                "hot_copies": r.hot_copies,
+                "wb_depth": r.wb_depth,
+                "wb_coalesce_x1000": r.wb_coalesce_x1000,
+                "leaf_size": r.leaf_size,
+                "journal_len": r.journal_len,
+                "journal_dropped": r.journal_dropped,
+            }
+        });
+        let (hot, drops) = (self.hot, self.telemetry_drops);
+        let mut out = obj! {
+            "t_nanos": self.now_nanos,
+            "skew": obj! {
+                "max_over_mean_x1000": self.skew_max_over_mean_x1000,
+                "gini_x1000": self.skew_gini_x1000,
+            },
+            "slo": obj! {"burn_x1000": self.slo.0, "over": self.slo.1, "total": self.slo.2},
+            "replica_lag": obj! {
+                "events": self.lag_events,
+                "max_age_nanos": self.lag_max_age_nanos,
+            },
+            "nodes": Value::Array(nodes.collect()),
+            "heat_top": Value::Array(self.heat.iter().map(HeatEntry::json).collect()),
+            "hot": obj! {
+                "copies": hot.0, "pushes": hot.1, "drops": hot.2, "lease_invalidations": hot.3,
+            },
+            "telemetry": obj! {
+                "journal_drops": drops.0,
+                "trace_drops": drops.1,
+                "recorder_drops": drops.2,
+                "downsamples": drops.3,
+                "series": self.total_series,
+                "memory_ceiling_bytes": self.memory_ceiling_bytes,
+            },
+        };
+        if let (Some(audit), Value::Object(members)) = (&self.audit, &mut out) {
+            members.push(("audit".to_string(), audit.json()));
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"heat_top\": [\n");
-        for (i, e) in self.heat.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"key\": \"{}\", \"heat_milli\": {}, \"err_milli\": {}}}{}\n",
-                e.key.replace('\\', "\\\\").replace('"', "\\\""),
-                e.heat_milli,
-                e.err_milli,
-                if i + 1 < self.heat.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"hot\": {{\"copies\": {}, \"pushes\": {}, \"drops\": {}, \
-             \"lease_invalidations\": {}}},\n",
-            self.hot.0, self.hot.1, self.hot.2, self.hot.3,
-        ));
-        out.push_str(&format!(
-            "  \"telemetry\": {{\"journal_drops\": {}, \"trace_drops\": {}, \
-             \"recorder_drops\": {}, \"downsamples\": {}, \"series\": {}, \
-             \"memory_ceiling_bytes\": {}}}{}\n",
-            self.telemetry_drops.0,
-            self.telemetry_drops.1,
-            self.telemetry_drops.2,
-            self.telemetry_drops.3,
-            self.total_series,
-            self.memory_ceiling_bytes,
-            if self.audit.is_some() { "," } else { "" },
-        ));
-        if let Some(audit) = &self.audit {
-            out.push_str(&format!("  \"audit\": {}\n", audit.to_json()));
-        }
-        out.push_str("}\n");
         out
     }
 }
@@ -436,7 +413,7 @@ mod tests {
                 net.clock().now().0,
                 &FlightOptions::default(),
             );
-            (report.render(), report.to_json())
+            (report.render(), report.json().to_string())
         };
         let (text1, json1) = run();
         let (text2, json2) = run();
@@ -464,6 +441,28 @@ mod tests {
     }
 
     #[test]
+    fn a_hot_file_name_with_quotes_and_control_characters_is_escaped_in_the_json() {
+        let (net, nodes) = build_cluster(3);
+        let mount = KoshaMount::new(net.clone() as _, NodeAddr(1), NodeAddr(1)).expect("mount");
+        mount.mkdir_p("/kosha/proj").expect("mkdir");
+        let path = "/kosha/proj/q\"b\\s\tc\u{1}";
+        mount.write_file(path, b"hot").expect("write");
+        for _ in 0..10 {
+            mount.read_file(path).expect("read hot");
+        }
+        net.run_pumps();
+        let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
+        let now = net.clock().now().0;
+        let json = cluster_flight(Some(&net.obs()), &refs, now, &FlightOptions::default())
+            .json()
+            .to_string();
+        assert!(
+            json.contains(r#"{"key": "/kosha/proj/q\"b\\s\tc\u0001", "heat_milli": "#),
+            "{json}"
+        );
+    }
+
+    #[test]
     fn flight_report_includes_audit_panel_when_attached() {
         let (net, nodes) = build_cluster(3);
         let mount = KoshaMount::new(net.clone() as _, NodeAddr(1), NodeAddr(1)).expect("mount");
@@ -473,7 +472,7 @@ mod tests {
         let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
         let now = net.clock().now().0;
         let mut report = cluster_flight(Some(&net.obs()), &refs, now, &FlightOptions::default());
-        let plain = report.to_json();
+        let plain = report.json().to_string();
         assert!(!plain.contains("\"audit\""), "audit absent until attached");
 
         let peers: Vec<NodeAddr> = nodes.iter().map(|n| n.addr()).collect();
@@ -487,9 +486,9 @@ mod tests {
         report.attach_audit(audit);
         let text = report.render();
         assert!(text.contains("AUDIT  t="), "{text}");
-        let json = report.to_json();
+        let json = report.json().to_string();
         assert!(json.contains("\"audit\": {\"t_nanos\""), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
+        assert!(json.ends_with("}\n}"), "{json}");
     }
 
     #[test]

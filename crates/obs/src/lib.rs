@@ -12,14 +12,16 @@
 //! * [`Registry`] — named counters (one word, or striped per thread
 //!   where every RPC bumps them), gauges, and histograms with a
 //!   Prometheus-style text exposition ([`Registry::render`]) and a
-//!   compact JSON dump ([`Registry::to_json`]) for benches,
+//!   JSON object ([`Registry::json`]) for benches,
 //! * [`Journal`] — a bounded ring buffer of structured events stamped
 //!   with the transport clock ([`crate::journal::Event`]) and an op-id
 //!   for causality, scoped per node,
 //! * [`trace`] — Dapper-style causal tracing: per-node span buffers
 //!   ([`Tracer`]) whose ids propagate through the RPC wire header, plus
 //!   a collector/analyzer that reconstructs span trees and attributes
-//!   critical-path time (parallel fan-out charged as `max`, not sum).
+//!   critical-path time (parallel fan-out charged as `max`, not sum),
+//! * [`json`] — the one JSON writer: a [`json::Value`] tree that every
+//!   report and dump builds, printed by one layout rule and one escaper.
 //!
 //! The crate has zero dependencies (it sits *below* `kosha-rpc` in the
 //! dependency graph, so every layer can use it). Time is plain `u64`
@@ -32,6 +34,7 @@
 
 pub mod histogram;
 pub mod journal;
+pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod stripe;

@@ -28,6 +28,8 @@
 //! determinism contract (DESIGN.md §13).
 
 use crate::histogram::Histogram;
+use crate::json::Value;
+use crate::obj;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -269,6 +271,14 @@ pub struct HeatEntry {
     pub heat_milli: u64,
     /// Overestimate bound inherited from evicted entries, milli-units.
     pub err_milli: u64,
+}
+
+impl HeatEntry {
+    /// The entry as `{"key", "heat_milli", "err_milli"}`.
+    #[must_use]
+    pub fn json(&self) -> Value {
+        obj! {"key": self.key.as_str(), "heat_milli": self.heat_milli, "err_milli": self.err_milli}
+    }
 }
 
 #[derive(Debug)]

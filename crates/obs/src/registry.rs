@@ -10,6 +10,8 @@
 //! forever, no lock on the hot path.
 
 use crate::histogram::Histogram;
+use crate::json::Value;
+use crate::obj;
 use crate::stripe::{Padded, Striped};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -192,18 +194,20 @@ impl Registry {
             .collect()
     }
 
+    /// Every metric by name, taken under the lock once.
+    fn snapshot(&self) -> Vec<(String, Metric)> {
+        let m = self.metrics.lock().expect("registry lock");
+        m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
     /// Prometheus-style text exposition. Deterministic: metrics are
     /// emitted in sorted name order; histograms render as summaries
     /// (`{quantile="..."}` samples plus `_sum`/`_count`/`_max`).
     #[must_use]
     pub fn render(&self) -> String {
-        let snapshot: Vec<(String, Metric)> = {
-            let m = self.metrics.lock().expect("registry lock");
-            m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
         let mut out = String::new();
         let mut last_base = String::new();
-        for (name, metric) in snapshot {
+        for (name, metric) in self.snapshot() {
             let (base, labels) = split_labels(&name);
             let kind = match metric {
                 Metric::Counter(_) => "counter",
@@ -237,36 +241,23 @@ impl Registry {
         out
     }
 
-    /// Compact single-line-per-metric JSON dump (sorted keys) for bench
-    /// artifacts. Histograms emit `{count, sum, max, p50, p95, p99}`.
+    /// The registry as one JSON object, keys in sorted name order.
+    /// Histograms are `{count, sum, max, p50, p95, p99}`.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let snapshot: Vec<(String, Metric)> = {
-            let m = self.metrics.lock().expect("registry lock");
-            m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        let mut out = String::from("{");
-        for (i, (name, metric)) in snapshot.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n  \"{}\": ", escape_json(name)));
-            match metric {
-                Metric::Counter(c) => out.push_str(&c.get().to_string()),
-                Metric::Gauge(g) => out.push_str(&g.get().to_string()),
+    pub fn json(&self) -> Value {
+        let members = self.snapshot().into_iter().map(|(name, metric)| {
+            let value = match metric {
+                Metric::Counter(c) => c.get().into(),
+                Metric::Gauge(g) => g.get().into(),
                 Metric::Histogram(h) => {
                     let (p50, p95, p99, max) = h.summary();
-                    out.push_str(&format!(
-                        "{{\"count\": {}, \"sum\": {}, \"max\": {max}, \
-                         \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}",
-                        h.count(),
-                        h.sum(),
-                    ));
+                    obj! {"count": h.count(), "sum": h.sum(), "max": max,
+                    "p50": p50, "p95": p95, "p99": p99}
                 }
-            }
-        }
-        out.push_str("\n}");
-        out
+            };
+            (name, value)
+        });
+        Value::Object(members.collect())
     }
 }
 
@@ -348,14 +339,6 @@ pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     }
     out.push('}');
     out
-}
-
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-        .replace('\t', "\\t")
 }
 
 #[cfg(test)]
@@ -441,12 +424,12 @@ mod tests {
         let end = sample.rfind("\"}").unwrap();
         assert_eq!(unescape_label_value(&sample[start..end]), hostile);
         // JSON stays parseable too: the key re-escapes onto one line.
-        let json = r.to_json();
+        let json = r.json().to_string();
         let key_line = json
             .lines()
             .find(|l| l.contains("kosha_heat"))
             .expect("json key");
-        assert!(key_line.trim_end().ends_with(": 7"), "{json}");
+        assert!(key_line.trim_end().ends_with(": 7}"), "{json}");
     }
 
     #[test]
@@ -478,8 +461,8 @@ mod tests {
         let r = Registry::new();
         r.counter("z_total").inc();
         r.gauge("m_now").set(4);
-        let j1 = r.to_json();
-        let j2 = r.to_json();
+        let j1 = r.json().to_string();
+        let j2 = r.json().to_string();
         assert_eq!(j1, j2);
         assert!(j1.contains("\"m_now\": 4"));
         assert!(j1.contains("\"z_total\": 1"));

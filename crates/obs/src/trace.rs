@@ -27,9 +27,11 @@
 //! *critical path*: overlapping children — `call_many` replica fan-out
 //! records its per-target RPCs as parallel siblings — are charged the
 //! `max` of the group, not the sum ([`TraceTree::critical_path`]).
-//! [`folded_stacks`] and [`report_json`] emit deterministic text/JSON
+//! [`folded_stacks`] and [`report`] emit deterministic text/JSON
 //! renderings for benches and CI.
 
+use crate::json::Value;
+use crate::obj;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -489,7 +491,7 @@ pub fn folded_stacks(trees: &[TraceTree]) -> String {
 /// path has no row). No raw ids appear, so two identical runs emit
 /// identical bytes even across processes.
 #[must_use]
-pub fn report_json(trees: &[TraceTree]) -> String {
+pub fn report(trees: &[TraceTree]) -> Value {
     struct Group {
         count: u64,
         total: u64,
@@ -511,34 +513,25 @@ pub fn report_json(trees: &[TraceTree]) -> String {
             *g.breakdown.entry(name).or_insert(0) += nanos;
         }
     }
-    let mut out = String::from("{\n  \"ops\": [\n");
-    let n_groups = groups.len();
-    for (gi, (op, g)) in groups.into_iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"op\": {op:?},\n      \"traces\": {},\n      \"total_nanos\": {},\n      \"critical_path\": [\n",
-            g.count, g.total
-        ));
+    let ops = groups.into_iter().map(|(op, g)| {
         let mut entries: Vec<(String, u64)> =
             g.breakdown.into_iter().filter(|&(_, n)| n > 0).collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let n = entries.len();
-        for (i, (name, nanos)) in entries.into_iter().enumerate() {
+        let critical_path = entries.into_iter().map(|(name, nanos)| {
             let bps = nanos
                 .saturating_mul(10_000)
                 .checked_div(g.total)
                 .unwrap_or(0);
-            out.push_str(&format!(
-                "        {{\"name\": {name:?}, \"nanos\": {nanos}, \"share_bps\": {bps}}}{}\n",
-                if i + 1 < n { "," } else { "" }
-            ));
+            obj! {"name": name, "nanos": nanos, "share_bps": bps}
+        });
+        obj! {
+            "op": op,
+            "traces": g.count,
+            "total_nanos": g.total,
+            "critical_path": Value::Array(critical_path.collect()),
         }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if gi + 1 < n_groups { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
+    });
+    obj! {"ops": Value::Array(ops.collect())}
 }
 
 #[cfg(test)]
@@ -727,8 +720,8 @@ mod tests {
             span(2, 5, 0, "write", 200, 280),
             span(3, 7, 0, "read", 300, 310),
         ];
-        let a = report_json(&build_traces(spans.clone()));
-        let b = report_json(&build_traces(spans));
+        let a = report(&build_traces(spans.clone())).to_string();
+        let b = report(&build_traces(spans)).to_string();
         assert_eq!(a, b);
         assert!(a.contains("\"op\": \"write\""));
         assert!(a.contains("\"traces\": 2"));
@@ -738,10 +731,11 @@ mod tests {
         // `read` is one leaf span: its whole time is its own row. A span
         // with no time of its own on the critical path has no row.
         assert!(a.contains("{\"name\": \"read\", \"nanos\": 10, \"share_bps\": 10000}\n"));
-        let zero = report_json(&build_traces(vec![
+        let zero = report(&build_traces(vec![
             span(4, 1, 0, "op", 0, 50),
             span(4, 2, 1, "leaf", 0, 50),
-        ]));
+        ]))
+        .to_string();
         assert!(!zero.contains("\"name\": \"op\""), "{zero}");
         assert!(zero.contains("{\"name\": \"leaf\", \"nanos\": 50, \"share_bps\": 10000}\n"));
     }

@@ -14,12 +14,14 @@
 //!
 //! Everything runs on the virtual clock with seeded randomness, so a
 //! given [`ChurnParams`] always yields a byte-identical
-//! [`ChurnReport::to_json`] — the `BENCH_churn.json` CI gate diffs
+//! [`ChurnReport::json`] — the `BENCH_churn.json` CI gate diffs
 //! exactly that across double runs.
 
 use crate::availability::{AvailabilityParams, AvailabilityTrace};
 use crate::cluster::{ClusterParams, SimCluster};
 use kosha::{audit_cluster, AuditOptions, KoshaConfig, KoshaNode, ReplicationMode};
+use kosha_obs::json::Value;
+use kosha_obs::obj;
 use kosha_rpc::{Clock, LatencyModel, NodeAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -455,137 +457,54 @@ pub fn run_churn(p: &ChurnParams) -> ChurnReport {
 }
 
 impl ChurnReport {
-    /// Hand-formatted JSON (sorted, no deps, trailing-newline-free);
-    /// byte-identical across runs with equal params.
+    /// The report as a JSON object; byte-identical across runs with
+    /// equal params.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"cluster\": {{\"nodes\": {}, \"hours\": {}, \"replicas\": {}}},\n",
-            self.nodes, self.hours, self.replicas
-        ));
-        out.push_str(&format!(
-            "  \"mutations\": {{\"attempted\": {}, \"acked\": {}, \"survived\": {}, \"lost\": {}}},\n",
-            self.mutations_attempted,
-            self.mutations_acked,
-            self.mutations_survived,
-            self.mutations_lost
-        ));
-        out.push_str(&format!(
-            "  \"objects\": {{\"total\": {}, \"lost\": {}}},\n",
-            self.objects_total, self.objects_lost
-        ));
-        out.push_str(&format!(
-            "  \"divergence_peak\": {{\"objects\": {}, \"bytes\": {}}},\n",
-            self.peak_objects_divergent, self.peak_bytes_divergent
-        ));
-        out.push_str(&format!(
-            "  \"final\": {{\"objects_divergent\": {}, \"under_replicated\": {}, \
-             \"over_replicated\": {}, \"orphaned\": {}, \"duplicate_primaries\": {}, \
-             \"lag_markers\": {}}},\n",
-            self.final_objects_divergent,
-            self.final_under_replicated,
-            self.final_over_replicated,
-            self.final_orphaned,
-            self.final_duplicate_primaries,
-            self.final_lag_markers
-        ));
-        out.push_str(&format!(
-            "  \"repair\": {{\"rpc_calls\": {}, \"rpc_bytes\": {}, \"replica_pushes\": {}, \
-             \"promotions\": {}, \"failovers\": {}, \"purged_recoveries\": {}}},\n",
-            self.repair_rpc_calls,
-            self.repair_rpc_bytes,
-            self.replica_pushes,
-            self.promotions,
-            self.failovers,
-            self.purged_recoveries
-        ));
-        out.push_str("  \"repair_bytes_by_service\": {");
-        for (i, (svc, bytes)) in self.repair_bytes_by_service.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+    pub fn json(&self) -> Value {
+        let by_service = self
+            .repair_bytes_by_service
+            .iter()
+            .map(|(svc, bytes)| (svc.clone(), Value::from(*bytes)));
+        let windows = self.windows.iter().map(|w| {
+            obj! {
+                "hour": w.hour, "up_nodes": w.up_nodes, "attempted": w.attempted, "acked": w.acked,
             }
-            out.push_str(&format!("\"{svc}\": {bytes}"));
+        });
+        let divergence = self.divergence.iter().map(|d| {
+            obj! {
+                "hour": d.hour, "objects_divergent": d.objects_divergent,
+                "bytes_divergent": d.bytes_divergent, "under_replicated": d.under_replicated,
+                "lag_markers": d.lag_markers, "nodes_unreachable": d.nodes_unreachable,
+            }
+        });
+        obj! {
+            "cluster": obj! {"nodes": self.nodes, "hours": self.hours, "replicas": self.replicas},
+            "mutations": obj! {
+                "attempted": self.mutations_attempted, "acked": self.mutations_acked,
+                "survived": self.mutations_survived, "lost": self.mutations_lost,
+            },
+            "objects": obj! {"total": self.objects_total, "lost": self.objects_lost},
+            "divergence_peak": obj! {
+                "objects": self.peak_objects_divergent,
+                "bytes": self.peak_bytes_divergent,
+            },
+            "final": obj! {
+                "objects_divergent": self.final_objects_divergent,
+                "under_replicated": self.final_under_replicated,
+                "over_replicated": self.final_over_replicated, "orphaned": self.final_orphaned,
+                "duplicate_primaries": self.final_duplicate_primaries,
+                "lag_markers": self.final_lag_markers,
+            },
+            "repair": obj! {
+                "rpc_calls": self.repair_rpc_calls, "rpc_bytes": self.repair_rpc_bytes,
+                "replica_pushes": self.replica_pushes, "promotions": self.promotions,
+                "failovers": self.failovers, "purged_recoveries": self.purged_recoveries,
+            },
+            "repair_bytes_by_service": Value::Object(by_service.collect()),
+            "windows": Value::Array(windows.collect()),
+            "divergence_series": Value::Array(divergence.collect()),
+            "virtual_elapsed_nanos": self.virtual_elapsed_nanos,
         }
-        out.push_str("},\n");
-        out.push_str("  \"windows\": [\n");
-        for (i, w) in self.windows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"hour\": {}, \"up_nodes\": {}, \"attempted\": {}, \"acked\": {}}}{}\n",
-                w.hour,
-                w.up_nodes,
-                w.attempted,
-                w.acked,
-                if i + 1 < self.windows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"divergence_series\": [\n");
-        for (i, d) in self.divergence.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"hour\": {}, \"objects_divergent\": {}, \"bytes_divergent\": {}, \
-                 \"under_replicated\": {}, \"lag_markers\": {}, \"nodes_unreachable\": {}}}{}\n",
-                d.hour,
-                d.objects_divergent,
-                d.bytes_divergent,
-                d.under_replicated,
-                d.lag_markers,
-                d.nodes_unreachable,
-                if i + 1 < self.divergence.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"virtual_elapsed_nanos\": {}\n",
-            self.virtual_elapsed_nanos
-        ));
-        out.push('}');
-        out
-    }
-
-    /// Human-readable summary for stdout.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let min_up = self.windows.iter().map(|w| w.up_nodes).min().unwrap_or(0);
-        format!(
-            "CHURN  {} nodes, {} hours, K={}\n\
-             mutations: {} attempted, {} acked, {} survived, {} lost\n\
-             objects: {} written, {} lost\n\
-             divergence peak: {} objects ({}B); final: {} divergent, {} under-rep, {} over-rep, \
-             {} orphaned, {} dup primaries, {} lag markers\n\
-             repair: {} rpc calls, {}B, {} pushes, {} promotions, {} failovers, {} purged disks\n\
-             availability floor: {}/{} nodes up at the worst hour\n",
-            self.nodes,
-            self.hours,
-            self.replicas,
-            self.mutations_attempted,
-            self.mutations_acked,
-            self.mutations_survived,
-            self.mutations_lost,
-            self.objects_total,
-            self.objects_lost,
-            self.peak_objects_divergent,
-            self.peak_bytes_divergent,
-            self.final_objects_divergent,
-            self.final_under_replicated,
-            self.final_over_replicated,
-            self.final_orphaned,
-            self.final_duplicate_primaries,
-            self.final_lag_markers,
-            self.repair_rpc_calls,
-            self.repair_rpc_bytes,
-            self.replica_pushes,
-            self.promotions,
-            self.failovers,
-            self.purged_recoveries,
-            min_up,
-            self.nodes,
-        )
     }
 }
 
@@ -642,8 +561,8 @@ mod tests {
     #[test]
     fn churn_report_is_deterministic() {
         let p = small_params();
-        let a = run_churn(&p).to_json();
-        let b = run_churn(&p).to_json();
+        let a = run_churn(&p).json().to_string();
+        let b = run_churn(&p).json().to_string();
         assert_eq!(a, b, "same params must produce byte-identical reports");
     }
 
