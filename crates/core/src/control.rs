@@ -243,26 +243,6 @@ wire_enum! {
             /// Routing name the caller used to reach this node.
             routing: String,
         } = 13 => "ensure_anchor",
-        /// Migration: begin receiving an anchor subtree into the store.
-        BeginTransfer {
-            /// Anchor virtual path.
-            path: String,
-        } = 15 => "begin_transfer",
-        /// Migration: one object of the subtree.
-        TransferPut {
-            /// Anchor virtual path.
-            path: String,
-            /// The object.
-            item: MigrateItem,
-        } = 16 => "transfer_put",
-        /// Migration: subtree complete; adopt the anchor (record routing name,
-        /// clear flags, start replicating it).
-        CommitTransfer {
-            /// Anchor virtual path.
-            path: String,
-            /// Routing name of the anchor.
-            routing_name: String,
-        } = 17 => "commit_transfer",
         /// Introspection: list `(anchor_path, routing_name)` pairs hosted
         /// here (tests and experiment harnesses).
         ListAnchors = 18 => "list_anchors",
@@ -361,14 +341,26 @@ wire_enum! {
             /// Virtual path of the object whose lease is revoked.
             path: String,
         } = 27 => "hot_replica_drop",
-        /// Replica pull (served on `ServiceId::KoshaReplica`): the record of
-        /// the receiver's replica slot of `anchor`, which a node copying that
-        /// slot over NFS cannot read from its files. `NoEnt` when there is
-        /// none.
+        /// Replica pull (served on `ServiceId::KoshaReplica`): the record
+        /// and the items of the receiver's replica slot of `anchor`, read
+        /// from local state only. `NoEnt` when there is none.
         SlotRecord {
             /// Anchor virtual path.
             anchor: String,
         } = 28 => "slot_record",
+        /// Migration (§4.3.1): the receiver is the anchor's owner now. It
+        /// merges the items into its store slot, names the slot `routing`
+        /// last (so the slot is served only once it is whole) and pushes
+        /// the result to its replica targets. Tags 15–17, the three-step
+        /// transfer this replaces, are retired.
+        TransferAnchor {
+            /// Anchor virtual path.
+            path: String,
+            /// The anchor's routing name, for the slot's record.
+            routing: String,
+            /// The full subtree, in parent-before-child order.
+            items: Vec<MigrateItem>,
+        } = 29 => "transfer_anchor",
     }
 }
 
@@ -543,8 +535,14 @@ wire_enum! {
         Nodes(holders: Vec<kosha_rpc::NodeAddr>) = 5,
         /// Per-slot consistency digests (`AuditScan`), slot order.
         Audit(entries: Vec<AuditEntry>) = 6,
-        /// One slot's record (`SlotRecord`).
-        Record(meta: crate::slots::SlotMeta) = 7,
+        /// One replica slot's record and items (`SlotRecord`). Tag 7, the
+        /// record alone, is retired.
+        Slot {
+            /// The slot's record.
+            record: crate::slots::SlotMeta,
+            /// The slot's subtree, in parent-before-child order.
+            items: Vec<MigrateItem>,
+        } = 8,
     }
 }
 
@@ -624,21 +622,6 @@ mod tests {
             KoshaRequest::EnsureAnchor {
                 path: "/a".into(),
                 routing: "a#3".into(),
-            },
-            KoshaRequest::BeginTransfer { path: "/a".into() },
-            KoshaRequest::TransferPut {
-                path: "/a".into(),
-                item: MigrateItem {
-                    rel_path: "x/f".into(),
-                    kind: MigrateKind::Bytes(vec![7; 9].into()),
-                    mode: 0o644,
-                    uid: 3,
-                    gid: 4,
-                },
-            },
-            KoshaRequest::CommitTransfer {
-                path: "/a".into(),
-                routing_name: "a".into(),
             },
             KoshaRequest::ListAnchors,
             KoshaRequest::ReplicaTargets { path: "/a".into() },

@@ -33,6 +33,15 @@ impl Area {
         }
     }
 
+    /// Permission bits of a slot root koshad makes in this area itself.
+    #[must_use]
+    pub(crate) fn slot_mode(self) -> u32 {
+        match self {
+            Area::Store => 0o755,
+            Area::Replica => 0o700,
+        }
+    }
+
     /// The area's position in per-area tables: the store first.
     #[must_use]
     pub(crate) fn idx(self) -> usize {

@@ -7,7 +7,7 @@ use crate::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
-use crate::paths::{anchor_slot, check_vpath, is_distributed_dir, slot_local_path, Area};
+use crate::paths::{check_vpath, is_distributed_dir, slot_local_path, Area};
 use crate::resolve::is_special_link_mode;
 use crate::slots::SlotMeta;
 use kosha_nfs::messages::{ReplyFrame, WireAttr};
@@ -17,7 +17,7 @@ use kosha_rpc::{
     Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead,
 };
 use kosha_vfs::path::parent_and_name;
-use kosha_vfs::{FileType, SetAttr};
+use kosha_vfs::{ExportItem, FileType, SetAttr};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -130,13 +130,6 @@ impl KoshaNode {
         self.store
             .with_store(|v| v.getattr(fh.to_file_id()))
             .is_ok_and(|a| a.ftype == FileType::Symlink && is_special_link_mode(a.mode))
-    }
-
-    pub(crate) fn fh_of(&self, store_path: &str) -> Result<Fh, NfsStatus> {
-        self.store
-            .with_store(|v| v.resolve(store_path))
-            .map(|(id, _)| Fh::from_file_id(id))
-            .map_err(Into::into)
     }
 
     pub(crate) fn apply(&self, req: NfsRequest) -> Result<NfsReply, NfsStatus> {
@@ -323,8 +316,7 @@ impl KoshaNode {
         if targets.is_empty() {
             return;
         }
-        let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let Ok(exported) = self.store.with_store(|v| v.export_tree(&slot_path)) else {
+        let Ok(exported) = self.export_slot(Area::Store, anchor) else {
             return;
         };
         let digest = crate::audit::tree_digest(&exported);
@@ -337,13 +329,12 @@ impl KoshaNode {
             self.stats.replica_push_skips.inc();
             return;
         }
-        let items: Vec<MigrateItem> = exported.into_iter().map(MigrateItem::from).collect();
         let req = RpcRequest::new(
             ServiceId::KoshaReplica,
             &KoshaRequest::MigrateBatch {
                 path: anchor.to_string(),
                 routing,
-                items,
+                items: migrate_items(exported),
             },
         );
         let mut all_ok = true;
@@ -381,10 +372,13 @@ impl KoshaNode {
     /// discipline.
     pub(crate) fn handle_replica(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
-            // For a node pulling this copy: what its files cannot say.
+            // For a node pulling this copy: the record and the files.
             KoshaRequest::SlotRecord { anchor } => {
-                let meta = self.slot_meta(Area::Replica, &anchor);
-                return meta.map(KoshaReply::Record).ok_or(NfsStatus::NoEnt);
+                let record = self
+                    .slot_meta(Area::Replica, &anchor)
+                    .ok_or(NfsStatus::NoEnt)?;
+                let items = migrate_items(self.export_slot(Area::Replica, &anchor)?);
+                return Ok(KoshaReply::Slot { record, items });
             }
             KoshaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op, None).map(drop),
             // Apply in order and stop at the first failure: a partly
@@ -394,11 +388,22 @@ impl KoshaNode {
             KoshaRequest::ReplicaApplyBatch { ops } => ops
                 .iter()
                 .try_for_each(|op| self.apply_op(Area::Replica, op, None).map(drop)),
+            // A full push replaces the copy under §4.4's bracket: the
+            // record says a push is landing until the last item has.
             KoshaRequest::MigrateBatch {
                 path,
                 routing,
                 items,
-            } => self.receive_migrate_batch(&path, routing, items),
+            } => {
+                let record = SlotMeta {
+                    routing: Some(routing),
+                    migrating: true,
+                    ..SlotMeta::default()
+                };
+                self.install(Area::Replica, &path, Some(record), items)?;
+                self.slot_update(Area::Replica, &path, |m| m.migrating = false);
+                Ok(())
+            }
             KoshaRequest::HotReplicaPush {
                 anchor,
                 routing,
@@ -655,52 +660,58 @@ impl KoshaNode {
         })
     }
 
-    /// Installs a complete anchor copy shipped in one RPC: drop any stale
-    /// replica, materialize the subtree under the migration flag, then
-    /// clear the flag (§4.4's consistency bracket).
-    fn receive_migrate_batch(
+    /// `anchor`'s slot in `area` exported, parents before children: the
+    /// one format a slot travels in, for a push, a migration and a pull.
+    fn export_slot(&self, area: Area, anchor: &str) -> Result<Vec<ExportItem>, NfsStatus> {
+        let root = slot_local_path(area, anchor, anchor);
+        let exported = self.store.with_store(|v| v.export_tree(&root));
+        exported.map_err(Into::into)
+    }
+
+    /// Lands a slot that travelled as items in `anchor`'s slot in `area`:
+    /// the one way a push, a migration and a pull land. The paths are a
+    /// peer's, so all are checked before anything is touched, and one
+    /// that could leave the slot fails the install with `Inval`. With a
+    /// `record` the slot is made fresh under it, over any copy there;
+    /// without one the items merge into the slot there (made if missing,
+    /// with an empty record), where a file or link replaces what has its
+    /// name and a directory there is kept. An item whose parent is not a
+    /// directory of the list is `Inval` too, the items before it landed.
+    fn install(
         &self,
+        area: Area,
         anchor: &str,
-        routing: String,
+        record: Option<SlotMeta>,
         items: Vec<MigrateItem>,
     ) -> Result<(), NfsStatus> {
-        let meta = SlotMeta {
-            routing: Some(routing),
-            migrating: true,
-            ..SlotMeta::default()
+        check_vpath(anchor)?;
+        for item in &items {
+            check_vpath(&format!("/{}", item.rel_path))?;
+        }
+        let (merge, mode) = (record.is_none(), (area.slot_mode(), 0, 0));
+        let root = match record {
+            Some(meta) => self.slot_make(area, anchor, mode, meta, true)?.0,
+            None => self.slot_dir(area, anchor, anchor, true)?,
         };
-        let (aroot, _) = self.slot_make(Area::Replica, anchor, (0o700, 0, 0), meta, true)?;
-        let mut dirs: HashMap<String, Fh> = HashMap::new();
-        dirs.insert(String::new(), aroot);
-        for item in items {
-            let MigrateItem {
-                rel_path,
-                kind,
-                mode,
-                uid,
-                gid,
-            } = item;
-            if rel_path.is_empty() {
-                continue;
-            }
-            let (prel, name) = rel_path.rsplit_once('/').unwrap_or(("", &rel_path));
-            let Some(&pfh) = dirs.get(prel) else {
-                continue;
-            };
-            let is_dir = kind == MigrateKind::Dir;
-            let made = self.put_item(pfh, name, kind, (mode, uid, gid), false)?;
-            if let (true, NfsReply::Handle { fh, .. }) = (is_dir, made) {
-                dirs.insert(rel_path, fh);
+        let mut dirs = HashMap::from([(String::new(), root)]);
+        for item in items.into_iter().filter(|i| !i.rel_path.is_empty()) {
+            let rel = &item.rel_path;
+            let (parent, name) = rel.rsplit_once('/').unwrap_or(("", rel));
+            let dir = *dirs.get(parent).ok_or(NfsStatus::Inval)?;
+            let is_dir = item.kind == MigrateKind::Dir;
+            let owner = (item.mode, item.uid, item.gid);
+            let made = self.put_item(dir, name, item.kind, owner, merge)?;
+            if is_dir {
+                dirs.insert(item.rel_path, handle_of(made)?);
             }
         }
-        self.slot_update(Area::Replica, anchor, |m| m.migrating = false);
         Ok(())
     }
 
-    /// Materialises one migrated item as `name` in `dir`. With `merge` (a
-    /// transfer into a store that may hold an interim copy) whatever has
-    /// the name makes way for a file or link and a directory already
-    /// there is kept; a bracket push into a fresh slot needs neither.
+    /// Materialises one item as `name` in `dir`. With `merge` (a transfer
+    /// into a store that may hold an interim copy) whatever has the name
+    /// makes way for a file or link, and a directory already there is
+    /// kept and looked up; a fresh slot needs neither.
     fn put_item(
         &self,
         dir: Fh,
@@ -725,12 +736,12 @@ impl KoshaNode {
         match kind {
             MigrateKind::Dir => match self.apply(NfsRequest::Mkdir {
                 dir,
-                name,
+                name: name.clone(),
                 mode,
                 uid,
                 gid,
             }) {
-                Err(NfsStatus::Exist) if merge => Ok(NfsReply::Void),
+                Err(NfsStatus::Exist) if merge => self.apply(NfsRequest::Lookup { dir, name }),
                 made => made,
             },
             MigrateKind::Bytes(data) => {
@@ -812,161 +823,85 @@ impl KoshaNode {
         Ok(())
     }
 
-    /// Searches the leaf set for a node holding a replica of `anchor`
-    /// and copies it into the local store over NFS. Returns true on
+    /// Searches the leaf set for a node holding a replica of `anchor`,
+    /// copies it into the local store and serves it. Returns true on
     /// success. This covers the corner the paper's §4.4 glosses over:
     /// with few replicas, the node that becomes numerically closest after
-    /// a failure is not always one of the replica holders.
-    fn pull_anchor_from_neighbors(&self, anchor: &str, routing: &str) -> bool {
-        let slot = anchor_slot(anchor);
+    /// a failure is not always one of the replica holders. One
+    /// `SlotRecord` per member asked brings the holder's record and
+    /// items. A copy whose record lists hot leases holds only the hot
+    /// files (DESIGN.md §16): it is taken, if `leased_ok`, only when no
+    /// member holding a full copy answers.
+    fn pull_anchor_from_neighbors(&self, anchor: &str, routing: &str, leased_ok: bool) -> bool {
+        let req = KoshaRequest::SlotRecord {
+            anchor: anchor.to_string(),
+        };
+        let req = RpcRequest::new(ServiceId::KoshaReplica, &req);
+        let mut leased = None;
         for m in self.pastry.leaf_members() {
-            let Ok(root) = self.nfs.mount(m.addr) else {
-                continue;
-            };
-            let Ok((rarea, _)) = self.nfs.lookup(m.addr, root, Area::Replica.dir_name()) else {
-                continue;
-            };
-            let Ok((src, _)) = self.nfs.lookup(m.addr, rarea, &slot) else {
-                continue;
-            };
-            // Found a replica holder: its record says what the files
-            // cannot, then the files go into our store.
-            let req = KoshaRequest::SlotRecord {
-                anchor: anchor.to_string(),
-            };
-            let req = RpcRequest::new(ServiceId::KoshaReplica, &req);
-            let reply = self.net.call(self.info.addr, m.addr, req);
-            let Ok(ReplyFrame(Ok(KoshaReply::Record(mut meta)))) =
+            let reply = self.net.call(self.info.addr, m.addr, req.clone());
+            let Ok(ReplyFrame(Ok(KoshaReply::Slot { record, items }))) =
                 reply.and_then(|r| r.decode::<KoshaReplyFrame>())
             else {
                 continue;
             };
-            // Served once its files are in: until then the record names
-            // no routing, and a pull cut short leaves a slot the next
-            // `EnsureAnchor` adopts.
-            let named = meta.routing.take().unwrap_or_else(|| routing.to_string());
-            let Ok((dst, _)) = self.slot_make(Area::Store, anchor, (0o755, 0, 0), meta, true)
-            else {
-                continue;
-            };
-            if self.pull_tree(m.addr, src, dst).is_err() {
-                continue;
+            if record.hot.is_empty() {
+                if self.adopt_pulled(anchor, routing, record, items) {
+                    return true;
+                }
+            } else if leased_ok && leased.is_none() {
+                leased = Some((record, items));
             }
-            self.adopt_copy(anchor, &named);
-            self.stats.replica_pulls.inc();
-            self.journal(
-                "replica_pull",
-                format!("pulled {anchor:?} from a neighbor replica"),
-            );
-            self.ensure_replicas(anchor);
-            return true;
         }
-        false
+        leased.is_some_and(|(record, items)| self.adopt_pulled(anchor, routing, record, items))
     }
 
-    /// Recursively copies a remote directory (by NFS reads) into a local
-    /// store directory.
-    fn pull_tree(&self, src_addr: NodeAddr, src: Fh, dst: Fh) -> NfsResult<()> {
-        for e in self.nfs.readdir(src_addr, src)? {
-            let attr = self.nfs.getattr(src_addr, e.fh)?;
-            match e.ftype {
-                kosha_vfs::FileType::Directory => {
-                    let child = match self.apply(NfsRequest::Mkdir {
-                        dir: dst,
-                        name: e.name.clone(),
-                        mode: attr.mode,
-                        uid: attr.uid,
-                        gid: attr.gid,
-                    }) {
-                        Ok(NfsReply::Handle { fh, .. }) => fh,
-                        Ok(_) => continue,
-                        Err(err) => return Err(kosha_nfs::NfsError::Status(err)),
-                    };
-                    self.pull_tree(src_addr, e.fh, child)?;
-                }
-                kosha_vfs::FileType::Regular => {
-                    let local = match self.apply(NfsRequest::Create {
-                        dir: dst,
-                        name: e.name.clone(),
-                        mode: attr.mode,
-                        uid: attr.uid,
-                        gid: attr.gid,
-                    }) {
-                        Ok(NfsReply::Handle { fh, .. }) => fh,
-                        Ok(_) => continue,
-                        Err(err) => return Err(kosha_nfs::NfsError::Status(err)),
-                    };
-                    let mut off = 0u64;
-                    loop {
-                        let (data, eof) = self.nfs.read(src_addr, e.fh, off, self.cfg.io_chunk)?;
-                        if !data.is_empty() {
-                            self.apply(NfsRequest::Write {
-                                fh: local,
-                                offset: off,
-                                data: data.clone(),
-                            })
-                            .map_err(kosha_nfs::NfsError::Status)?;
-                            off += data.len() as u64;
-                        }
-                        if eof {
-                            break;
-                        }
-                    }
-                }
-                kosha_vfs::FileType::Symlink => {
-                    let target = self.nfs.readlink(src_addr, e.fh)?;
-                    let _ = self.apply(NfsRequest::Symlink {
-                        dir: dst,
-                        name: e.name.clone(),
-                        target,
-                        mode: attr.mode,
-                        uid: attr.uid,
-                        gid: attr.gid,
-                    });
-                }
-            }
+    /// Installs a pulled copy in the store and serves it. Until its files
+    /// are in its record names no routing, so a pull cut short leaves a
+    /// slot the next `EnsureAnchor` adopts.
+    fn adopt_pulled(
+        &self,
+        anchor: &str,
+        routing: &str,
+        mut record: SlotMeta,
+        items: Vec<MigrateItem>,
+    ) -> bool {
+        let named = record.routing.take().unwrap_or_else(|| routing.to_string());
+        if self
+            .install(Area::Store, anchor, Some(record), items)
+            .is_err()
+        {
+            return false;
         }
-        Ok(())
+        self.adopt_copy(anchor, &named);
+        self.stats.replica_pulls.inc();
+        self.journal(
+            "replica_pull",
+            format!("pulled {anchor:?} from a neighbor replica"),
+        );
+        self.ensure_replicas(anchor);
+        true
     }
 
     /// Sends the anchor's subtree to `owner` (the node the key space now
-    /// assigns it to) and demotes the local copy to a replica (§4.3.1:
-    /// "the files are copied to the new node, and their copy on N becomes
-    /// one of the replicas").
+    /// assigns it to) in one `TransferAnchor` and demotes the local copy
+    /// to a replica (§4.3.1: "the files are copied to the new node, and
+    /// their copy on N becomes one of the replicas").
     pub(crate) fn transfer_anchor(
         &self,
         anchor: &str,
         routing: &str,
         owner: NodeInfo,
     ) -> NfsResult<()> {
-        let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let items: Vec<MigrateItem> = self
-            .store
-            .with_store(|v| v.export_tree(&slot_path))
-            .map_err(|e| kosha_nfs::NfsError::Status(e.into()))?
-            .into_iter()
-            .map(MigrateItem::from)
-            .collect();
+        let items = self
+            .export_slot(Area::Store, anchor)
+            .map_err(kosha_nfs::NfsError::Status)?;
         self.control(
             owner.addr,
-            &KoshaRequest::BeginTransfer {
+            &KoshaRequest::TransferAnchor {
                 path: anchor.to_string(),
-            },
-        )?;
-        for item in items {
-            self.control(
-                owner.addr,
-                &KoshaRequest::TransferPut {
-                    path: anchor.to_string(),
-                    item,
-                },
-            )?;
-        }
-        self.control(
-            owner.addr,
-            &KoshaRequest::CommitTransfer {
-                path: anchor.to_string(),
-                routing_name: routing.to_string(),
+                routing: routing.to_string(),
+                items: migrate_items(items),
             },
         )?;
         self.demote_anchor(anchor);
@@ -984,9 +919,11 @@ impl KoshaNode {
         // its own heat and spawns its own copies if demand persists.
         self.hot_forget_anchor(anchor);
         self.replica_push_memo.lock().remove(anchor);
-        // A move that fails leaves the slot, and its routing name, in the
-        // store: the node keeps serving it, and the next leaf change
-        // offers it to its owner again.
+        // The new owner's push of the copy it merged may already be in
+        // the replica area; `slot_move` keeps it and drops ours. A move
+        // that fails leaves the slot, and its routing name, in the store:
+        // the node keeps serving it, and the next leaf change offers it to
+        // its owner again.
         let _ = self.slot_move(anchor, Area::Store, Area::Replica);
         self.invalidate_dir_subtree(anchor);
     }
@@ -1190,15 +1127,24 @@ impl KoshaNode {
                 if self.slot_update(Area::Store, &path, name).is_some() {
                     return Ok(KoshaReply::DoneBool(false));
                 }
-                if self.slot_meta(Area::Replica, &path).is_some() {
+                // A copy with hot leases holds only the hot files (§16):
+                // it is promoted only when no full copy can be pulled.
+                let leased = self
+                    .slot_meta(Area::Replica, &path)
+                    .map(|m| !m.hot.is_empty());
+                if leased == Some(false) {
                     self.promote_anchor(&path)?;
                     return Ok(KoshaReply::DoneBool(true));
                 }
-                // We own the key but hold no copy (e.g. K=1 and the sole
-                // replica sits on the *other* neighbor of the failed
+                // We own the key but hold no full copy (e.g. K=1 and the
+                // sole replica sits on the *other* neighbor of the failed
                 // primary). Pull the anchor from whichever leaf-set
                 // member still holds a replica, then serve it.
-                if self.pull_anchor_from_neighbors(&path, &routing) {
+                if self.pull_anchor_from_neighbors(&path, &routing, leased.is_none()) {
+                    return Ok(KoshaReply::DoneBool(true));
+                }
+                if leased == Some(true) {
+                    self.promote_anchor(&path)?;
                     return Ok(KoshaReply::DoneBool(true));
                 }
                 if path == "/" {
@@ -1209,32 +1155,20 @@ impl KoshaNode {
                 }
                 Err(NfsStatus::NoEnt)
             }
-            KoshaRequest::BeginTransfer { path } => {
+            KoshaRequest::TransferAnchor {
+                path,
+                routing,
+                items,
+            } => {
                 // Merge semantics: do NOT wipe an existing copy. A
                 // recovered node may receive its own anchor back from a
                 // node that served (a possibly empty or partial) interim
                 // copy during an outage; wiping would lose every entry
                 // the interim copy never saw. Transferred items overwrite
-                // same-named entries; everything else survives.
-                self.slot_dir(Area::Store, &path, &path, true)?;
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::TransferPut { path, item } => {
-                if item.rel_path.is_empty() {
-                    return Ok(KoshaReply::Done);
-                }
-                let base = slot_local_path(Area::Store, &path, &path);
-                let full = format!("{base}/{}", item.rel_path);
-                check_vpath(&full)?; // a peer's `rel_path` stays inside the slot
-                let (pp, name) = parent_and_name(&full).ok_or(NfsStatus::Inval)?;
-                let owner = (item.mode, item.uid, item.gid);
-                self.put_item(self.fh_of(pp)?, name, item.kind, owner, true)?;
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::CommitTransfer { path, routing_name } => {
-                let routing = Some(routing_name);
-                self.slot_update(Area::Store, &path, |m| m.routing = routing)
-                    .ok_or(NfsStatus::NoEnt)?;
+                // same-named entries; everything else survives. The
+                // routing name goes last: the slot is served once whole.
+                self.install(Area::Store, &path, None, items)?;
+                self.slot_update(Area::Store, &path, |m| m.routing = Some(routing));
                 self.journal(
                     "migration_in",
                     format!("anchor {path:?} received from previous owner"),
@@ -1318,6 +1252,11 @@ impl KoshaNode {
             }
         }
     }
+}
+
+/// Exported items as they travel.
+fn migrate_items(exported: Vec<ExportItem>) -> Vec<MigrateItem> {
+    exported.into_iter().map(MigrateItem::from).collect()
 }
 
 /// Whether a mirror RPC's outcome means the replica applied the change.

@@ -292,13 +292,9 @@ impl KoshaNode {
     ) -> Result<FileId, VfsError> {
         let name = anchor_slot(anchor);
         let (dir, _) = v.lookup(v.root(), area.dir_name())?;
-        let mode = match area {
-            Area::Store => 0o755,
-            Area::Replica => 0o700,
-        };
         let root = match v.lookup(dir, &name) {
             Ok((id, _)) => id,
-            Err(VfsError::NoEnt) if make => v.mkdir(dir, &name, mode, 0, 0)?.0,
+            Err(VfsError::NoEnt) if make => v.mkdir(dir, &name, area.slot_mode(), 0, 0)?.0,
             Err(e) => return Err(e),
         };
         let mut table = self.slot_table.lock();
@@ -345,27 +341,28 @@ impl KoshaNode {
         Ok((fh, attr))
     }
 
-    /// Moves `anchor`'s slot and record from one area to the other over
-    /// any copy the destination held, uncharged: promotion (replica to
-    /// store) and demotion after a transfer (store to replica).
+    /// Moves `anchor`'s slot and record from one area to the other,
+    /// uncharged: promotion (replica to store) and demotion after a
+    /// transfer (store to replica). A copy the destination already holds
+    /// stays and the moving one is dropped: after a transfer that is the
+    /// new owner's push of the copy it merged, which the old store copy
+    /// must not overwrite. A promotion finds no store copy there.
     pub(crate) fn slot_move(&self, anchor: &str, from: Area, to: Area) -> Result<(), NfsStatus> {
         let slot = self.slot_name(from, anchor);
         self.store.with_store(|v| {
             let (src, _) = v.lookup(v.root(), from.dir_name())?;
             let (dst, _) = v.lookup(v.root(), to.dir_name())?;
-            let dropped = v.remove_tree(dst, &slot).is_ok();
-            let moved = v
-                .rename(src, &slot, dst, &slot)
-                .and_then(|()| v.lookup(dst, &slot));
+            if v.lookup(dst, &slot).is_ok() {
+                v.remove_tree(src, &slot)?;
+                self.slot_table.lock().take(from, anchor, &slot);
+                return Ok(());
+            }
+            v.rename(src, &slot, dst, &slot)?;
+            let (root, _) = v.lookup(dst, &slot)?;
             let mut table = self.slot_table.lock();
-            if dropped {
-                table.take(to, anchor, &slot);
-            }
-            if let Ok((root, _)) = moved {
-                let meta = table.take(from, anchor, &slot).unwrap_or_default();
-                table.insert(to, anchor, slot, root, meta);
-            }
-            moved.map(drop).map_err(Into::into)
+            let meta = table.take(from, anchor, &slot).unwrap_or_default();
+            table.insert(to, anchor, slot, root, meta);
+            Ok(())
         })
     }
 

@@ -1212,6 +1212,97 @@ fn audit_counts_hot_copies_without_flagging_them() {
     assert_eq!(report.objects_divergent, 0, "hot slots must not diverge");
 }
 
+/// A hot copy holds only the hot files, so it must not become the store
+/// copy while a holder of the full copy answers. With K = 1 and two hot
+/// copies, two nodes past the one durable target hold leased slots that
+/// lack the cold file. A hot holder asked to serve the anchor after its
+/// primary failed pulls the durable holder's copy instead of promoting
+/// its own, and a node that holds no copy pulls the durable one even
+/// when a hot holder comes first in its leaf set.
+#[test]
+fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
+    use kosha::control::{KoshaReply, KoshaRequest};
+    use kosha::paths::{slot_local_path, Area};
+
+    let c = build_cluster(6, hot_cfg());
+    let m = mount(&c, 0);
+    let leased = |n: &KoshaNode, anchor: &str| {
+        slot_record(n, Area::Replica, anchor).map(|r| !r.hot.is_empty())
+    };
+    let heat = |anchor: &str| {
+        m.mkdir_p(anchor).unwrap();
+        m.write_file(&format!("{anchor}/cold.txt"), b"cold")
+            .unwrap();
+        m.write_file(&format!("{anchor}/hot.bin"), &[7u8; 64])
+            .unwrap();
+        for _ in 0..24 {
+            m.read_file(&format!("{anchor}/hot.bin")).unwrap();
+        }
+        c.nodes.iter().any(|n| leased(n, anchor) == Some(true))
+    };
+    let serves_cold = |n: &KoshaNode, anchor: &str| {
+        let cold = slot_local_path(Area::Store, anchor, &format!("{anchor}/cold.txt"));
+        n.with_store(|v| v.resolve(&cold).is_ok())
+    };
+    let ensure = |anchor: &str| KoshaRequest::EnsureAnchor {
+        path: anchor.into(),
+        routing: anchor[1..].into(),
+    };
+
+    // Pull: a node with no copy whose leaf set lists a hot holder before
+    // the durable one.
+    let mut pull = None;
+    for anchor in (0..16).map(|i| format!("/p{i}")) {
+        if !heat(&anchor) {
+            continue;
+        }
+        let durable = c.nodes.iter().find(|n| leased(n, &anchor) == Some(false));
+        let Some(durable) = durable.map(|n| n.addr()) else {
+            continue;
+        };
+        let primary = primary_of(&c, &anchor).addr();
+        let hot_first = |n: &&Arc<KoshaNode>| {
+            let members = n.pastry().leaf_members();
+            let rank = |a: NodeAddr| members.iter().position(|m| m.addr == a);
+            let first_hot = c.nodes.iter().filter(|h| leased(h, &anchor) == Some(true));
+            let first_hot = first_hot.filter_map(|h| rank(h.addr())).min();
+            n.addr() != primary
+                && leased(n, &anchor).is_none()
+                && first_hot.is_some_and(|h| rank(durable).is_some_and(|d| h < d))
+        };
+        if let Some(puller) = c.nodes.iter().find(hot_first) {
+            pull = Some((anchor, Arc::clone(puller)));
+            break;
+        }
+    }
+    let (anchor, puller) = pull.expect("a puller that meets a hot holder first");
+    assert_eq!(
+        control(&c, &puller, &ensure(&anchor)),
+        Ok(KoshaReply::DoneBool(true))
+    );
+    assert!(
+        serves_cold(&puller, &anchor),
+        "pulled a hot-only copy of {anchor}"
+    );
+
+    // Promotion: a hot holder of an anchor whose primary failed.
+    let anchor = (0..16)
+        .map(|i| format!("/h{i}"))
+        .find(|a| heat(a) && primary_of(&c, a).addr() != c.nodes[0].addr())
+        .expect("a hot anchor hosted away from the mount");
+    let holder = c.nodes.iter().find(|n| leased(n, &anchor) == Some(true));
+    let holder = Arc::clone(holder.expect("a hot holder"));
+    c.net.fail_node(primary_of(&c, &anchor).addr());
+    assert_eq!(
+        control(&c, &holder, &ensure(&anchor)),
+        Ok(KoshaReply::DoneBool(true))
+    );
+    assert!(
+        serves_cold(&holder, &anchor),
+        "promoted a hot-only copy of {anchor}"
+    );
+}
+
 /// Sends one request to a service of `node` and decodes the reply frame.
 fn send(
     c: &Cluster,
@@ -1529,9 +1620,10 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
     for rel_path in ["../../kosha_replica/evil", "b/../../x", "/x", "b//x", "b/"] {
         hostile.push((
             ServiceId::Kosha,
-            KoshaRequest::TransferPut {
+            KoshaRequest::TransferAnchor {
                 path: "/a".into(),
-                item: item(rel_path),
+                routing: "a".into(),
+                items: vec![item(rel_path)],
             },
         ));
     }
@@ -1543,6 +1635,96 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
         );
     }
     assert_eq!(census(node), before, "a refused request touched the store");
+}
+
+/// A slot travels as items, and every item's `rel_path` is a peer's: the
+/// one installer checks them all before it touches anything. A push
+/// (`MigrateBatch`) and a migration (`TransferAnchor`) carrying an item
+/// that climbs out of its slot are refused with `Inval`. So is a pulled
+/// copy: a holder whose `SlotRecord` reply carries one is passed over,
+/// and with no other holder the `EnsureAnchor` finds nothing to serve.
+/// In every case the receiver's store is as it was.
+#[test]
+fn items_from_a_peer_land_in_their_slot_or_nowhere() {
+    use kosha::control::{KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind};
+    use kosha_rpc::WireRead;
+    use std::sync::Mutex;
+
+    /// A replica service whose every slot holds the items it is given.
+    struct Liar(Arc<Mutex<Vec<MigrateItem>>>);
+    impl RpcHandler for Liar {
+        fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+            let reply = match KoshaRequest::decode(body)? {
+                KoshaRequest::SlotRecord { .. } => Ok(KoshaReply::Slot {
+                    record: kosha::slots::SlotMeta::default(),
+                    items: self.0.lock().unwrap().clone(),
+                }),
+                _ => Err(NfsStatus::NotSupp),
+            };
+            Ok(RpcResponse::new(&KoshaReplyFrame { 0: reply }))
+        }
+    }
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    let c = build_cluster(2, cfg);
+    let node = &c.nodes[0];
+    mount(&c, 0).mkdir_p("/a").unwrap();
+    let lies = Arc::new(Mutex::new(Vec::new()));
+    c.muxes[1].register(ServiceId::KoshaReplica, Arc::new(Liar(Arc::clone(&lies))));
+    let census = || {
+        let mut paths = Vec::new();
+        node.with_store(|v| v.walk(|p, _| paths.push(p.to_string())));
+        paths
+    };
+    let before = census();
+
+    let item = |rel_path: &str, kind: MigrateKind| MigrateItem {
+        rel_path: rel_path.into(),
+        kind,
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+    };
+    for hostile in [
+        "../x",
+        "a/../../b",
+        "../../kosha_store/evil",
+        "/x",
+        "a//b",
+        "a/",
+    ] {
+        let items = vec![
+            item("", MigrateKind::Dir),
+            item("a", MigrateKind::Dir),
+            item(hostile, MigrateKind::Bytes(b"x"[..].into())),
+        ];
+        let push = KoshaRequest::MigrateBatch {
+            path: "/t".into(),
+            routing: "t".into(),
+            items: items.clone(),
+        };
+        assert_eq!(replica(&c, node, &push), Err(NfsStatus::Inval), "{hostile}");
+        let migration = KoshaRequest::TransferAnchor {
+            path: "/t".into(),
+            routing: "t".into(),
+            items: items.clone(),
+        };
+        assert_eq!(
+            control(&c, node, &migration),
+            Err(NfsStatus::Inval),
+            "{hostile}"
+        );
+        *lies.lock().unwrap() = items;
+        let pull = KoshaRequest::EnsureAnchor {
+            path: "/t".into(),
+            routing: "t".into(),
+        };
+        assert_eq!(control(&c, node, &pull), Err(NfsStatus::NoEnt), "{hostile}");
+        assert_eq!(census(), before, "{hostile} touched the store");
+    }
+    assert_eq!(node.stats().replica_pulls, 0);
+    assert!(node.slot_mismatches().is_empty());
 }
 
 /// `apply_op` is one mapping run in two areas: after every kind of
@@ -1970,10 +2152,11 @@ fn a_removal_mirrored_to_a_holder_without_the_slot_makes_nothing() {
     nothing_made("SetAttr");
 }
 
-/// Swaps every node's replica service for one that records each request
-/// it receives, with the receiving node, and then serves it.
-fn record_replica_requests(
+/// Swaps every node's handler of `service` for one that records each
+/// request it receives, with the receiving node, and then serves it.
+fn record_requests(
     c: &Cluster,
+    service: ServiceId,
 ) -> Arc<std::sync::Mutex<Vec<(NodeAddr, kosha::control::KoshaRequest)>>> {
     struct Recording {
         addr: NodeAddr,
@@ -1991,15 +2174,13 @@ fn record_replica_requests(
     }
     let seen = Arc::default();
     for (node, mux) in c.nodes.iter().zip(&c.muxes) {
-        let inner = mux
-            .handler(ServiceId::KoshaReplica)
-            .expect("replica service");
+        let inner = mux.handler(service).expect("service");
         let recording = Recording {
             addr: node.addr(),
             inner,
             seen: Arc::clone(&seen),
         };
-        mux.register(ServiceId::KoshaReplica, Arc::new(recording));
+        mux.register(service, Arc::new(recording));
     }
     seen
 }
@@ -2039,7 +2220,7 @@ fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
     let c = build_cluster(8, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/warm").unwrap();
-    let seen = record_replica_requests(&c);
+    let seen = record_requests(&c, ServiceId::KoshaReplica);
     m.mkdir("/t1").unwrap();
 
     let routing = primary_of(&c, "/t1")
@@ -2149,7 +2330,7 @@ fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     m.stat("/").unwrap();
-    let seen = record_replica_requests(&c);
+    let seen = record_requests(&c, ServiceId::KoshaReplica);
     m.mkdir("/wb").unwrap();
     m.write_file("/wb/f", b"queued").unwrap();
     m.mkdir("/wb/d").unwrap();
@@ -2336,14 +2517,16 @@ fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
 }
 
 /// Which anchors a node serves is a fact of its store: a store slot whose
-/// record names a routing name. Between `BeginTransfer` and
-/// `CommitTransfer` the receiver holds a store slot whose record names
-/// none, so the anchor is missing from `hosted_anchors`, a store op on it
-/// is `NoEnt` and `slot_mismatches` reports it. The commit names it and
-/// it is served. A transfer cut short before its commit leaves such a
-/// slot, and an `EnsureAnchor` on it adopts the routing name it is sent.
+/// record names a routing name. A `TransferAnchor` names its slot only
+/// once every item has landed, so a transfer the receiver cuts short (an
+/// item whose parent is a file: `Inval`, the items before it landed)
+/// leaves a store slot whose record names none. The anchor is missing
+/// from `hosted_anchors`, a store op on it is `NoEnt` and
+/// `slot_mismatches` reports it. A whole transfer names it and it is
+/// served, and an `EnsureAnchor` on a slot left cut short adopts the
+/// routing name it is sent.
 #[test]
-fn an_uncommitted_transfer_is_not_served() {
+fn a_transfer_cut_short_is_not_served() {
     use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, MigrateKind};
 
     let mut cfg = KoshaConfig::for_tests();
@@ -2352,18 +2535,24 @@ fn an_uncommitted_transfer_is_not_served() {
     let node = &c.nodes[0];
     mount(&c, 0).mkdir_p("/").unwrap();
     let served = |anchor: &str| node.hosted_anchors().into_iter().find(|(a, _)| a == anchor);
-    let receive = |anchor: &str| {
-        let path = anchor.to_string();
-        control(&c, node, &KoshaRequest::BeginTransfer { path }).expect("begin");
-        let item = MigrateItem {
-            rel_path: "f".into(),
-            kind: MigrateKind::Bytes(b"moved"[..].into()),
-            mode: 0o644,
-            uid: 0,
-            gid: 0,
+    let file = |rel_path: &str| MigrateItem {
+        rel_path: rel_path.into(),
+        kind: MigrateKind::Bytes(b"moved"[..].into()),
+        mode: 0o644,
+        uid: 0,
+        gid: 0,
+    };
+    let transfer = |anchor: &str, items: Vec<MigrateItem>| {
+        let req = KoshaRequest::TransferAnchor {
+            path: anchor.into(),
+            routing: format!("{}#3", &anchor[1..]),
+            items,
         };
-        let path = anchor.to_string();
-        control(&c, node, &KoshaRequest::TransferPut { path, item }).expect("put");
+        control(&c, node, &req)
+    };
+    let cut_short = |anchor: &str| {
+        let refused = transfer(anchor, vec![file("f"), file("f/g")]);
+        assert_eq!(refused, Err(NfsStatus::Inval));
     };
     let write = |path: &str| {
         let req = KoshaRequest::Write {
@@ -2374,24 +2563,21 @@ fn an_uncommitted_transfer_is_not_served() {
         control(&c, node, &req)
     };
 
-    receive("/t");
+    cut_short("/t");
     assert_eq!(served("/t"), None);
     assert_eq!(write("/t/f"), Err(NfsStatus::NoEnt));
     let odd = node.slot_mismatches();
     assert_eq!(odd.len(), 1, "{odd:?}");
     assert!(odd[0].ends_with("no routing name"), "{odd:?}");
 
-    let commit = KoshaRequest::CommitTransfer {
-        path: "/t".into(),
-        routing_name: "t#3".into(),
-    };
-    assert_eq!(control(&c, node, &commit), Ok(KoshaReply::Done));
+    assert_eq!(transfer("/t", vec![file("f")]), Ok(KoshaReply::Done));
     assert_eq!(served("/t"), Some(("/t".into(), "t#3".into())));
     assert_eq!(write("/t/f"), Ok(KoshaReply::Done));
     assert!(node.slot_mismatches().is_empty());
 
-    // Cut short: no commit. The owner's `EnsureAnchor` names the slot.
-    receive("/u");
+    // Cut short, and never resent. The owner's `EnsureAnchor` names the
+    // slot.
+    cut_short("/u");
     assert_eq!(served("/u"), None);
     let ensure = KoshaRequest::EnsureAnchor {
         path: "/u".into(),
@@ -2401,4 +2587,98 @@ fn an_uncommitted_transfer_is_not_served() {
     assert_eq!(served("/u"), Some(("/u".into(), "u#1".into())));
     assert!(node.slot_mismatches().is_empty());
     assert_eq!(write("/u/f"), Ok(KoshaReply::Done));
+}
+
+/// What one migration and one pull of an N-item slot put on the wire. A
+/// migration is one `TransferAnchor` carrying all N items, then the new
+/// owner's push to its K targets. A pull is one `SlotRecord` to each leaf
+/// member asked, up to the first that holds a copy, then the puller's
+/// push to its K targets. Neither sends an NFS request.
+#[test]
+fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
+    use kosha::control::{KoshaReply, KoshaRequest};
+    use kosha::paths::Area;
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    let c = build_cluster(6, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/mv/d").unwrap();
+    for i in 0..3u8 {
+        m.write_file(&format!("/mv/d/f{i}"), &[i; 100]).unwrap();
+    }
+    m.write_file("/mv/g", b"g").unwrap();
+    // The slot root, `d`, the three files in it, and `g`.
+    const N: usize = 6;
+    const K: usize = 2;
+    let owner = Arc::clone(primary_of(&c, "/mv"));
+    let ensure = KoshaRequest::EnsureAnchor {
+        path: "/mv".into(),
+        routing: "mv".into(),
+    };
+
+    // Migration: a holder serves the anchor, and maintenance hands it
+    // back to the key's owner.
+    let holder = c
+        .nodes
+        .iter()
+        .find(|n| slot_record(n, Area::Replica, "/mv").is_some())
+        .expect("a holder");
+    assert_eq!(control(&c, holder, &ensure), Ok(KoshaReply::DoneBool(true)));
+    let control_log = record_requests(&c, ServiceId::Kosha);
+    let replica_log = record_requests(&c, ServiceId::KoshaReplica);
+    let nfs_before = calls(&c)[1];
+    holder.maintain();
+    assert_eq!(calls(&c)[1], nfs_before, "a migration sends no NFS request");
+    let transfers: Vec<usize> = control_log
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|(to, req)| match req {
+            KoshaRequest::TransferAnchor { path, items, .. } if path == "/mv" => {
+                assert_eq!(*to, owner.addr());
+                Some(items.len())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(transfers, [N]);
+    let pushes = |log: &[(NodeAddr, KoshaRequest)]| {
+        let pushed = |(_, r): &&(NodeAddr, KoshaRequest)| matches!(r, KoshaRequest::MigrateBatch { path, .. } if path == "/mv");
+        log.iter().filter(pushed).count()
+    };
+    assert_eq!(pushes(&replica_log.lock().unwrap()), K);
+
+    // Pull: a node with no copy is asked to serve the anchor.
+    let puller = c
+        .nodes
+        .iter()
+        .find(|n| {
+            slot_record(n, Area::Store, "/mv").is_none()
+                && slot_record(n, Area::Replica, "/mv").is_none()
+        })
+        .expect("a node holding no copy");
+    let holds = |a: NodeAddr| {
+        let n = c.nodes.iter().find(|n| n.addr() == a).expect("member");
+        slot_record(n, Area::Replica, "/mv").is_some()
+    };
+    let members = puller.pastry().leaf_members();
+    let asked = 1 + members
+        .iter()
+        .position(|m| holds(m.addr))
+        .expect("a holder");
+    replica_log.lock().unwrap().clear();
+    let before = calls(&c);
+    assert_eq!(control(&c, puller, &ensure), Ok(KoshaReply::DoneBool(true)));
+    let after = calls(&c);
+    let sent = [0, 1, 2, 3, 4].map(|i| after[i] - before[i]);
+    // pastry, nfs, kosha (the `EnsureAnchor` itself), koshafs, replica.
+    assert_eq!(sent, [0, 0, 1, 0, (asked + K) as u64]);
+    let log = replica_log.lock().unwrap();
+    let records = log
+        .iter()
+        .filter(|(_, r)| matches!(r, KoshaRequest::SlotRecord { .. }));
+    assert_eq!((records.count(), pushes(&log)), (asked, K));
+    assert_eq!(m.read_file("/mv/d/f2").unwrap(), [2u8; 100]);
 }

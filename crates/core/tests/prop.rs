@@ -78,10 +78,10 @@ fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
         KoshaRequest::Write { data, .. } => vec![data],
         KoshaRequest::ReplicaApply { op } => op_payload(op).into_iter().collect(),
         KoshaRequest::ReplicaApplyBatch { ops } => ops.iter().filter_map(op_payload).collect(),
-        KoshaRequest::MigrateBatch { items, .. } => items.iter().filter_map(item_payload).collect(),
-        KoshaRequest::TransferPut { item, .. } | KoshaRequest::HotReplicaPush { item, .. } => {
-            item_payload(item).into_iter().collect()
+        KoshaRequest::MigrateBatch { items, .. } | KoshaRequest::TransferAnchor { items, .. } => {
+            items.iter().filter_map(item_payload).collect()
         }
+        KoshaRequest::HotReplicaPush { item, .. } => item_payload(item).into_iter().collect(),
         _ => Vec::new(),
     }
 }
@@ -191,11 +191,6 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
         (arb_path(), "[a-z#0-9]{1,16}")
             .prop_map(|(path, routing)| KoshaRequest::EnsureAnchor { path, routing }),
         Just(KoshaRequest::ListAnchors),
-        arb_path().prop_map(|path| KoshaRequest::BeginTransfer { path }),
-        (arb_path(), arb_item()).prop_map(|(path, item)| KoshaRequest::TransferPut { path, item }),
-        (arb_path(), "[a-z#0-9]{1,16}").prop_map(|(path, routing_name)| {
-            KoshaRequest::CommitTransfer { path, routing_name }
-        }),
         arb_path().prop_map(|path| KoshaRequest::ReplicaTargets { path }),
         (
             arb_path(),
@@ -208,6 +203,16 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
                 items
             }),
         arb_path().prop_map(|anchor| KoshaRequest::SlotRecord { anchor }),
+        (
+            arb_path(),
+            "[a-z#0-9]{1,16}",
+            proptest::collection::vec(arb_item(), 0..4)
+        )
+            .prop_map(|(path, routing, items)| KoshaRequest::TransferAnchor {
+                path,
+                routing,
+                items
+            }),
     ]
 }
 
@@ -316,7 +321,8 @@ proptest! {
             .prop_map(|v| KoshaReply::Anchors(v.into_iter().collect())),
         proptest::collection::vec(any::<u64>(), 0..8)
             .prop_map(|v| KoshaReply::Nodes(v.into_iter().map(NodeAddr).collect())),
-        arb_slot_meta().prop_map(KoshaReply::Record),
+        (arb_slot_meta(), proptest::collection::vec(arb_item(), 0..4))
+            .prop_map(|(record, items)| KoshaReply::Slot { record, items }),
     ]) {
         let frame = ReplyFrame(Ok(reply));
         let bytes = frame.encode();
@@ -379,15 +385,16 @@ proptest! {
         let _ = decode_both::<KoshaReplyFrame>(&bytes);
     }
 
-    /// The same, behind the tags of the slot-record messages, which
-    /// arbitrary bytes rarely reach: `MigrateBatch`, `SlotRecord` and an
-    /// `Ok(Record)` frame, each followed by anything.
+    /// The same, behind the tags of the messages a slot travels in,
+    /// which arbitrary bytes rarely reach: `MigrateBatch`, `SlotRecord`,
+    /// `TransferAnchor` and an `Ok(Slot)` frame, each followed by
+    /// anything.
     #[test]
     fn slot_record_decoders_are_total(tail in proptest::collection::vec(any::<u8>(), 0..256)) {
-        for tag in [20u8, 28] {
+        for tag in [20u8, 28, 29] {
             let _ = decode_both::<KoshaRequest>(&[&[tag], &tail[..]].concat());
         }
-        let _ = decode_both::<KoshaReplyFrame>(&[&[0u8, 7], &tail[..]].concat());
+        let _ = decode_both::<KoshaReplyFrame>(&[&[0u8, 8], &tail[..]].concat());
         let _ = decode_both::<SlotMeta>(&tail);
     }
 }

@@ -258,15 +258,6 @@ fn kosha_requests() -> Vec<KoshaRequest> {
             path: "/a".into(),
             routing: "a#3".into(),
         },
-        KoshaRequest::BeginTransfer { path: "/a".into() },
-        KoshaRequest::TransferPut {
-            path: "/a".into(),
-            item: item(MigrateKind::Bytes(vec![7; 4].into())),
-        },
-        KoshaRequest::CommitTransfer {
-            path: "/a".into(),
-            routing_name: "a".into(),
-        },
         KoshaRequest::ListAnchors,
         KoshaRequest::ReplicaTargets { path: "/a".into() },
         KoshaRequest::MigrateBatch {
@@ -304,6 +295,11 @@ fn kosha_requests() -> Vec<KoshaRequest> {
         KoshaRequest::SlotRecord {
             anchor: "/a/b".into(),
         },
+        KoshaRequest::TransferAnchor {
+            path: "/a".into(),
+            routing: "a#6".into(),
+            items: vec![item(MigrateKind::Bytes(vec![7; 4].into()))],
+        },
     ]
 }
 
@@ -321,7 +317,10 @@ fn kosha_replies() -> Vec<KoshaReply> {
         ]),
         KoshaReply::Nodes(vec![NodeAddr(3), NodeAddr(9)]),
         KoshaReply::Audit(audit_entries()),
-        KoshaReply::Record(slot_metas().remove(0)),
+        KoshaReply::Slot {
+            record: slot_metas().remove(0),
+            items: vec![item(MigrateKind::Sparse(9))],
+        },
     ]
 }
 
@@ -608,11 +607,15 @@ const GOLDEN: [(&str, &str); 23] = [
     // of a new directory answers `MkdirAnchor` with `NoSpc` itself when it is full.
     // `ReplicaApplyBatch` carries one of every `ReplicaOp`, so its count goes
     // 11 -> 12 and `MakeSlot`'s 26 bytes follow `LagMark`'s; no other byte moved.
-    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123330f020000002f6110020000002f6103000000642f66010400000007070707ed0100001f0000002000000011020000002f6101000000611213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed010000060000000700000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
-    // `Record` (tag 7) is new. `Stats` (tag 2, three u64s) is gone with `StoreStats`.
-    // `MkdirAnchor` now replies `Handle` for the slot root (no byte of `Handle` moved):
-    // the placing koshad caches it instead of resolving the new directory again.
-    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f000000000000001000000000000000110000000000000001010302000000020000002f6103000000612331040000002f622f6301000000630502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010107010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a00000000000000"),
+    // One way to copy a slot: the three-step transfer's requests (tags 15-17) are
+    // gone and `TransferAnchor` (tag 29: path, routing, items) is new at the end;
+    // every other variant keeps its bytes.
+    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123331213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed010000060000000700000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f621d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
+    // `Stats` (tag 2, three u64s) is gone with `StoreStats`. `MkdirAnchor` replies
+    // `Handle` for the slot root: the placing koshad caches it. `Record` (tag 7, the
+    // record alone) is gone: `Slot` (tag 8) carries the record and the items, so a
+    // pull is one `SlotRecord`. No other byte moved.
+    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f000000000000001000000000000000110000000000000001010302000000020000002f6103000000612331040000002f622f6301000000630502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000100000003000000642f66020900000000000000ed0100001f00000020000000"),
     ("KoshaReplyFrame", "0001000102030405060708090a0b"),
 ];
 
@@ -705,12 +708,33 @@ fn every_variant_has_a_value_and_keeps_its_label() {
         names.join(" "),
         "create_file mkdir_local mkdir_anchor place_link symlink_file write setattr remove \
          rmdir rmdir_anchor remove_link rename_local rename_anchor_dir ensure_anchor \
-         begin_transfer transfer_put commit_transfer list_anchors replica_targets \
-         migrate_batch replica_apply replica_apply_batch flush audit_scan \
-         replica_targets_by_slot hot_replica_push hot_replica_drop slot_record"
+         list_anchors replica_targets migrate_batch replica_apply replica_apply_batch \
+         flush audit_scan replica_targets_by_slot hot_replica_push hot_replica_drop \
+         slot_record transfer_anchor"
     );
     assert_eq!(
         ServiceId::ALL.map(|s| s.name()).join(" "),
         "pastry nfs kosha koshafs replica"
     );
+}
+
+/// A retired tag is an unknown tag: the three-step transfer's requests
+/// (15–17) and the record-only reply (7) decode to `BadTag`, whatever
+/// follows, as the long-retired `StoreStats` (14) and `Stats` (2) do.
+#[test]
+fn retired_tags_decode_as_unknown() {
+    use kosha_rpc::{WireError, WireRead};
+    let tail = KoshaRequest::EnsureAnchor {
+        path: "/a".into(),
+        routing: "a".into(),
+    }
+    .encode();
+    for tag in [14u8, 15, 16, 17] {
+        let bytes = [&[tag], &tail[1..]].concat();
+        assert_eq!(KoshaRequest::decode(&bytes), Err(WireError::BadTag(tag)));
+    }
+    for tag in [2u8, 7] {
+        let bytes = [0u8, tag, 0, 0, 0, 0];
+        assert_eq!(KoshaReplyFrame::decode(&bytes), Err(WireError::BadTag(tag)));
+    }
 }

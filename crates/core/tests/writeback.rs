@@ -576,16 +576,16 @@ fn a_crash_with_queued_writes_keeps_each_acked_write_or_journals_its_loss() {
         ]
     );
     assert_eq!(m.read_file(&acked[0].0).unwrap(), b"flushed base");
-    // The repair leaves one stale copy: the successor's demotion moves
-    // its store copy over the fresh push the restarted primary's commit
-    // had just made to it, and the push memo then skips the anchor.
+    // The repair leaves no stale copy: the successor's demotion keeps the
+    // push of the merged copy the restarted primary made to it during the
+    // transfer, which the primary's push memo then counts as current.
     assert_eq!(
         (
             audit.objects,
             audit.objects_divergent,
             audit.duplicate_primaries
         ),
-        (2, 1, 0),
+        (2, 0, 0),
         "{audit:?}"
     );
 }

@@ -209,14 +209,19 @@ fn plain_mount_sends_a_pinned_number_of_rpcs_per_service() {
     //   refused `NotEmpty`) use the anchor location the MKDIR cached;
     // - kosha 48 -> 45: the three `StoreStats` probes; the owner refuses
     //   a `MkdirAnchor` itself when it is full.
+    //
+    // The first op makes the root anchor, whose owner first asks its three
+    // leaf members for a copy to pull: one `SlotRecord` each on the
+    // replica service (39 -> 42), where it sent each a MOUNT and two
+    // LOOKUPs (nfs 100 -> 91).
     assert_eq!(
         sent,
         [
             ("pastry", 15),
-            ("nfs", 100),
+            ("nfs", 91),
             ("kosha", 45),
             ("koshafs", 74),
-            ("replica", 39),
+            ("replica", 42),
         ]
     );
 }
