@@ -1,12 +1,17 @@
-//! The virtual file handle table (§4.1.2).
+//! The virtual file handle table (§4.1.2): all koshad knows, as a
+//! client, about where a path lives.
 //!
 //! NFS handles are opaque, so koshad hands its clients *virtual* handles
 //! and keeps the mapping `virtual handle → (full path, real location)`.
 //! The indirection is what buys location transparency: when a primary
-//! fails, the table entry's cached location is dropped and the next use
+//! fails, the path's cached location is dropped and the next use
 //! re-resolves the stored path — which now routes to a replica (§4.4).
 //! The table also stores the full path of every object because NFSv3
-//! lookups only carry `(parent handle, name)` (§4.1.3).
+//! lookups only carry `(parent handle, name)` (§4.1.3). Locations are
+//! kept by path, with or without a handle: the listing a walk found for
+//! a directory and the replica handles a replica read found sit in the
+//! entry a handle of that path uses, so an event that makes a location
+//! stale clears it in one place.
 
 use crate::pathmap::PathMap;
 use kosha_nfs::Fh;
@@ -24,38 +29,72 @@ pub struct Location {
     pub fh: Fh,
 }
 
-/// One virtual-handle table entry.
-#[derive(Debug, Clone)]
-pub struct VhEntry {
-    /// Full virtual path (relative to `/kosha`).
-    pub path: String,
-    /// Object type at mint time.
+/// What the table knows about one path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathEntry {
+    /// The virtual handle minted for the path, if one was.
+    pub vh: Option<u64>,
+    /// Object type: a handle's at mint time, `Directory` for a listing a
+    /// walk cached.
     pub ftype: FileType,
-    /// Cached real location; `None` after a failure until re-resolved.
+    /// Cached real location, a directory's listing or a file's object;
+    /// `None` after a failure until re-resolved.
     pub loc: Option<Location>,
+    /// Cached *replica-area* file handles, one per holder a replica read
+    /// used: repeated replica reads skip the mount and lookup RPCs.
+    pub replicas: Vec<(NodeAddr, Fh)>,
+}
+
+impl PathEntry {
+    fn new(ftype: FileType) -> Self {
+        PathEntry {
+            vh: None,
+            ftype,
+            loc: None,
+            replicas: Vec::new(),
+        }
+    }
+
+    /// Records the object's type; a changed type drops the locations,
+    /// which were the old object's.
+    fn set_type(&mut self, ftype: FileType) {
+        if self.ftype != ftype {
+            *self = PathEntry {
+                vh: self.vh,
+                ..PathEntry::new(ftype)
+            };
+        }
+    }
+
+    /// Drops every cached location; false if nothing is left to keep.
+    fn clear(&mut self) -> bool {
+        self.loc = None;
+        self.replicas.clear();
+        self.is_held()
+    }
+
+    /// True while the entry holds a handle or a location.
+    fn is_held(&self) -> bool {
+        self.vh.is_some() || self.loc.is_some() || !self.replicas.is_empty()
+    }
 }
 
 /// The virtual-handle table. Handles are never reused within a session;
 /// looking up the same path returns the same handle (NFS clients rely on
 /// handle equality for cache identity).
 ///
-/// Invariants: `entries` and `by_path` are a bijection. Every entry's path
-/// maps back to its handle and no two entries share a path, so forgetting
-/// one path is two look-ups and a handle whose object was removed or
-/// overwritten is `Stale`, never an alias of what replaced it. `by_path`
-/// counts the entries below each directory, so forgetting a subtree with
-/// nothing below it scans nothing.
+/// Invariants: `paths` and the handles in `by_path` are a bijection.
+/// Every handle's path leads back to it and no two handles share a path,
+/// so forgetting one path is two look-ups and a handle whose object was
+/// removed or overwritten is `Stale`, never an alias of what replaced it.
+/// No entry is empty: one without a handle holds a location or a replica
+/// handle. `by_path` counts the entries below each directory, so
+/// clearing or forgetting a path with nothing below it scans nothing.
 #[derive(Debug, Default)]
 pub struct HandleTable {
     next: u64,
-    entries: BTreeMap<u64, VhEntry>,
-    by_path: PathMap<u64>,
-    /// Cached *replica-area* file handles per virtual path: which
-    /// replica holders have been read from and the real handle each
-    /// handed out. Lets repeated replica reads skip the mount +
-    /// compound-lookup RPCs; invalidated on the same chain-, node-, and
-    /// subtree-scoped events as primary locations.
-    replica_locs: BTreeMap<String, Vec<(NodeAddr, Fh)>>,
+    paths: BTreeMap<u64, String>,
+    by_path: PathMap<PathEntry>,
 }
 
 /// Generation stamped into virtual handles (they outlive store purges; a
@@ -97,75 +136,80 @@ impl HandleTable {
 
     /// Returns the existing handle for `path` or mints a new one.
     pub fn mint(&mut self, path: &str, ftype: FileType) -> Fh {
-        if let Some(vh) = self.by_path.get(path) {
-            if let Some(e) = self.entries.get_mut(&vh) {
-                e.ftype = ftype;
-            }
-            return Fh {
-                ino: vh,
-                gen: VIRTUAL_GEN,
-            };
+        let next = self.next;
+        let e = self
+            .by_path
+            .get_or_insert_with(path, || PathEntry::new(ftype));
+        e.set_type(ftype);
+        let vh = *e.vh.get_or_insert(next);
+        if vh == next {
+            self.next += 1;
+            self.paths.insert(vh, path.to_string());
         }
-        let vh = self.next;
-        self.next += 1;
-        self.entries.insert(
-            vh,
-            VhEntry {
-                path: path.to_string(),
-                ftype,
-                loc: None,
-            },
-        );
-        self.by_path.insert(path.to_string(), vh);
         Fh {
             ino: vh,
             gen: VIRTUAL_GEN,
         }
     }
 
-    /// Live entries strictly below `dir`, at any depth: what the table
-    /// keeps so that forgetting an empty subtree scans nothing.
+    /// Entries strictly below `dir`, at any depth: what the table keeps
+    /// so that forgetting an empty subtree scans nothing.
     #[must_use]
     pub fn descendants(&self, dir: &str) -> usize {
         self.by_path.descendants(dir)
     }
 
-    /// Number of directories with a live entry below them: the keys of
-    /// the counts [`Self::descendants`] reads, none of them zero.
+    /// Number of directories with an entry below them: the keys of the
+    /// counts [`Self::descendants`] reads, none of them zero.
     #[must_use]
     pub fn counted_dirs(&self) -> usize {
         self.by_path.counted_dirs()
     }
 
-    /// Looks up an entry; `None` for unknown or non-virtual handles.
+    /// The path a handle names; `None` for unknown or non-virtual handles.
     #[must_use]
-    pub fn get(&self, fh: Fh) -> Option<&VhEntry> {
+    pub fn path(&self, fh: Fh) -> Option<&str> {
         if fh.gen != VIRTUAL_GEN {
             return None;
         }
-        self.entries.get(&fh.ino)
+        self.paths.get(&fh.ino).map(String::as_str)
     }
 
-    /// Caches the real location for a handle's object.
-    pub fn set_location(&mut self, fh: Fh, loc: Location) {
-        if let Some(e) = self.entries.get_mut(&fh.ino) {
-            e.loc = Some(loc);
-        }
+    /// A handle's path and its entry.
+    #[must_use]
+    pub fn get(&self, fh: Fh) -> Option<(&str, &PathEntry)> {
+        let path = self.path(fh)?;
+        Some((path, self.entry(path)?))
     }
 
-    /// Drops every cached location in the table (full cache flush).
-    pub fn clear_locations_everywhere(&mut self) {
-        for e in self.entries.values_mut() {
-            e.loc = None;
-        }
-        self.replica_locs.clear();
+    /// The entry for `path`, handle or not.
+    #[must_use]
+    pub fn entry(&self, path: &str) -> Option<&PathEntry> {
+        self.by_path.get(path)
+    }
+
+    /// The cached listing of directory `path`.
+    #[must_use]
+    pub fn dir_location(&self, path: &str) -> Option<Location> {
+        let e = self.by_path.get(path)?;
+        e.loc.filter(|_| e.ftype == FileType::Directory)
+    }
+
+    /// Caches where `path`'s object lives and what it is: a directory's
+    /// listing, which a walk caches without a handle, or a file's object.
+    pub fn set_location(&mut self, path: &str, ftype: FileType, loc: Location) {
+        let e = self
+            .by_path
+            .get_or_insert_with(path, || PathEntry::new(ftype));
+        e.set_type(ftype);
+        e.loc = Some(loc);
     }
 
     /// Cached replica file handle on `addr` for `path`, if any.
     #[must_use]
     pub fn replica_location(&self, addr: NodeAddr, path: &str) -> Option<Fh> {
-        self.replica_locs
-            .get(path)?
+        let e = self.by_path.get(path)?;
+        e.replicas
             .iter()
             .find(|(a, _)| *a == addr)
             .map(|&(_, fh)| fh)
@@ -173,70 +217,79 @@ impl HandleTable {
 
     /// Caches the replica file handle `addr` handed out for `path`.
     pub fn set_replica_location(&mut self, addr: NodeAddr, path: &str, fh: Fh) {
-        let v = self.replica_locs.entry(path.to_string()).or_default();
-        match v.iter_mut().find(|(a, _)| *a == addr) {
+        let e = self
+            .by_path
+            .get_or_insert_with(path, || PathEntry::new(FileType::Regular));
+        match e.replicas.iter_mut().find(|(a, _)| *a == addr) {
             Some(slot) => slot.1 = fh,
-            None => v.push((addr, fh)),
+            None => e.replicas.push((addr, fh)),
         }
     }
 
     /// Drops one cached replica handle (after a failed replica read).
     pub fn clear_replica_location(&mut self, addr: NodeAddr, path: &str) {
-        if let Some(v) = self.replica_locs.get_mut(path) {
-            v.retain(|(a, _)| *a != addr);
-            if v.is_empty() {
-                self.replica_locs.remove(path);
+        if let Some(e) = self.by_path.get_mut(path) {
+            e.replicas.retain(|(a, _)| *a != addr);
+            if !e.is_held() {
+                self.by_path.remove(path);
             }
         }
     }
 
-    /// Drops cached locations along one path's resolution chain: `path`
-    /// itself, its ancestors, and its descendants. Entries on unrelated
-    /// branches keep their locations, so one poisoned chain does not
-    /// force the whole table to re-resolve (contrast
-    /// [`HandleTable::clear_locations_everywhere`]).
-    pub fn clear_locations_chain(&mut self, path: &str) {
-        if path == "/" {
-            self.clear_locations_everywhere();
-            return;
-        }
-        for e in self.entries.values_mut() {
-            if on_chain(&e.path, path) {
-                e.loc = None;
-            }
-        }
-        self.replica_locs.retain(|p, _| !on_chain(p, path));
+    /// Drops the cached locations on one path's resolution chain: `path`
+    /// itself, its ancestors and its descendants (what a `NoEnt` retry
+    /// distrusts). Entries on other branches keep theirs, and with
+    /// nothing below `path` this touches one entry per ancestor, whatever
+    /// the size of the table.
+    pub fn clear_chain(&mut self, path: &str) {
+        self.by_path.retain_subtree(path, true, PathEntry::clear);
     }
 
-    /// Drops every cached location pointing at a failed node.
-    pub fn clear_locations_at(&mut self, addr: NodeAddr) {
-        for e in self.entries.values_mut() {
-            if e.loc.map(|l| l.addr) == Some(addr) {
+    /// Drops the cached locations of `path` and everything below it (an
+    /// anchor this node demoted: its slot left the store).
+    pub fn clear_subtree(&mut self, path: &str) {
+        self.by_path.retain_subtree(path, false, PathEntry::clear);
+    }
+
+    /// Drops every cached location on a failed node.
+    pub fn clear_node(&mut self, addr: NodeAddr) {
+        self.by_path.retain(|e| {
+            if e.loc.is_some_and(|l| l.addr == addr) {
                 e.loc = None;
             }
-        }
-        for v in self.replica_locs.values_mut() {
-            v.retain(|(a, _)| *a != addr);
-        }
-        self.replica_locs.retain(|_, v| !v.is_empty());
+            e.replicas.retain(|(a, _)| *a != addr);
+            e.is_held()
+        });
+    }
+
+    /// Drops every cached location in the table (full cache flush).
+    /// Handles stay: their paths re-resolve on next use.
+    pub fn clear_all(&mut self) {
+        self.by_path.retain(PathEntry::clear);
     }
 
     /// Rewrites paths after a rename: `old` itself and everything under
-    /// it move beneath `new`. Cached locations of rewritten entries are
-    /// dropped (handles on the destination must re-resolve). Whatever
-    /// `new` named before is overwritten, so those handles are forgotten
-    /// first: they go stale and `by_path[new]` is free for what moves in.
+    /// it move beneath `new`, without their locations (handles on the
+    /// destination must re-resolve). Whatever `new` named before is
+    /// overwritten, so it is forgotten first: its handles go stale and
+    /// the path is free for what moves in.
     pub fn rename_subtree(&mut self, old: &str, new: &str) {
         self.forget_subtree(new);
         let mut moved = Vec::new();
-        self.by_path.remove_subtree(old, |vh| moved.push(vh));
-        for vh in moved {
-            let e = self.entries.get_mut(&vh).expect("present");
-            e.path = format!("{new}{}", &e.path[old.len()..]);
-            e.loc = None;
-            self.by_path.insert(e.path.clone(), vh);
+        self.by_path.remove_subtree(old, |e| {
+            if let Some(vh) = e.vh {
+                moved.push((vh, e.ftype));
+            }
+        });
+        for (vh, ftype) in moved {
+            let p = self.paths.get_mut(&vh).expect("a handle has a path");
+            *p = format!("{new}{}", &p[old.len()..]);
+            let e = PathEntry {
+                vh: Some(vh),
+                ..PathEntry::new(ftype)
+            };
+            self.by_path.insert(p.clone(), e);
         }
-        self.forget_replica_subtree(old);
     }
 
     /// Forgets `path` alone, which is all a REMOVE of a non-directory
@@ -244,10 +297,11 @@ impl HandleTable {
     /// directory above it. If the table held `path` as a directory (its
     /// type changed behind this koshad's back), the subtree goes as well.
     pub fn forget(&mut self, path: &str) {
-        self.replica_locs.remove(path);
-        if let Some(vh) = self.by_path.remove(path) {
-            let entry = self.entries.remove(&vh);
-            if entry.is_some_and(|e| e.ftype == FileType::Directory) {
+        if let Some(e) = self.by_path.remove(path) {
+            if let Some(vh) = e.vh {
+                self.paths.remove(&vh);
+            }
+            if e.ftype == FileType::Directory {
                 self.forget_subtree(path);
             }
         }
@@ -259,48 +313,35 @@ impl HandleTable {
     /// (an RMDIR always, since the directory was empty) this is the cost
     /// of [`Self::forget`], whatever the size of the table.
     pub fn forget_subtree(&mut self, path: &str) {
-        self.by_path.remove_subtree(path, |vh| {
-            self.entries.remove(&vh);
+        let paths = &mut self.paths;
+        self.by_path.remove_subtree(path, |e| {
+            if let Some(vh) = e.vh {
+                paths.remove(&vh);
+            }
         });
-        self.forget_replica_subtree(path);
     }
 
-    /// Drops the cached replica handles of `path` and everything below
-    /// it. The cache is filled only by replica reads, so unless those are
-    /// on it is empty and this touches nothing.
-    fn forget_replica_subtree(&mut self, path: &str) {
-        if self.replica_locs.is_empty() {
-            return;
-        }
-        let prefix = format!("{path}/");
-        self.replica_locs
-            .retain(|p, _| p != path && !p.starts_with(&prefix));
-    }
-
-    /// Number of live entries.
+    /// Number of live handles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.paths.len()
     }
 
-    /// True if only the root entry exists.
+    /// True if only the root handle exists.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.len() <= 1
+        self.paths.len() <= 1
     }
-}
-
-/// True if `p` is on the resolution chain of `path` (not `/`): `path`
-/// itself, an ancestor or a descendant. Allocates nothing: every `NoEnt`
-/// retry runs it once per table entry.
-pub(crate) fn on_chain(p: &str, path: &str) -> bool {
-    let below = |p: &str, dir: &str| p.strip_prefix(dir).is_some_and(|r| r.starts_with('/'));
-    p == "/" || p == path || below(path, p) || below(p, path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const LOC: Location = Location {
+        addr: NodeAddr(3),
+        fh: Fh { ino: 9, gen: 1 },
+    };
 
     #[test]
     fn mint_is_stable_per_path() {
@@ -310,13 +351,13 @@ mod tests {
         assert_eq!(a, b);
         let c = t.mint("/y", FileType::Directory);
         assert_ne!(a, c);
-        assert_eq!(t.get(a).unwrap().path, "/x");
+        assert_eq!(t.path(a), Some("/x"));
     }
 
     #[test]
     fn root_premade() {
         let t = HandleTable::new();
-        assert_eq!(t.get(t.root()).unwrap().path, "/");
+        assert_eq!(t.path(t.root()), Some("/"));
     }
 
     #[test]
@@ -330,23 +371,22 @@ mod tests {
     fn location_lifecycle() {
         let mut t = HandleTable::new();
         let fh = t.mint("/f", FileType::Regular);
-        let loc = Location {
-            addr: NodeAddr(3),
-            fh: Fh { ino: 9, gen: 1 },
-        };
-        t.set_location(fh, loc);
-        assert_eq!(t.get(fh).unwrap().loc, Some(loc));
-        t.clear_locations_at(NodeAddr(3));
-        assert_eq!(t.get(fh).unwrap().loc, None);
+        t.set_location("/f", FileType::Regular, LOC);
+        assert_eq!(t.get(fh).unwrap().1.loc, Some(LOC));
+        assert_eq!(t.dir_location("/f"), None, "a file is no listing");
+        t.clear_node(NodeAddr(3));
+        assert_eq!(t.get(fh).unwrap().1.loc, None);
+        // A walk's listing needs no handle; a handle minted later finds it.
+        t.set_location("/d", FileType::Directory, LOC);
+        let d = t.mint("/d", FileType::Directory);
+        assert_eq!(t.get(d).unwrap().1.loc, Some(LOC));
+        t.mint("/d", FileType::Regular);
+        assert_eq!(t.get(d).unwrap().1.loc, None, "a new type, no location");
     }
 
     #[test]
     fn clear_locations_chain_spares_unrelated_branches() {
         let mut t = HandleTable::new();
-        let loc = Location {
-            addr: NodeAddr(3),
-            fh: Fh { ino: 9, gen: 1 },
-        };
         let root = t.root();
         let ancestor = t.mint("/a", FileType::Directory);
         let target = t.mint("/a/b", FileType::Directory);
@@ -354,16 +394,21 @@ mod tests {
         let sibling = t.mint("/a/c", FileType::Regular);
         let prefix_trap = t.mint("/a/bc", FileType::Regular);
         for fh in [root, ancestor, target, child, sibling, prefix_trap] {
-            t.set_location(fh, loc);
+            let (path, e) = t.get(fh).unwrap();
+            let (path, ftype) = (path.to_string(), e.ftype);
+            t.set_location(&path, ftype, LOC);
         }
-        t.clear_locations_chain("/a/b");
-        // The chain (root, ancestor, self, descendant) is dropped...
+        t.set_location("/a/b/d", FileType::Directory, LOC);
+        t.clear_chain("/a/b");
+        // The chain (root, ancestor, self, descendant) is dropped, and an
+        // entry left with nothing in it goes...
         for fh in [root, ancestor, target, child] {
-            assert_eq!(t.get(fh).unwrap().loc, None);
+            assert_eq!(t.get(fh).unwrap().1.loc, None);
         }
+        assert_eq!(t.entry("/a/b/d"), None);
         // ...while the sibling and the /a/bc prefix trap survive.
         for fh in [sibling, prefix_trap] {
-            assert_eq!(t.get(fh).unwrap().loc, Some(loc));
+            assert_eq!(t.get(fh).unwrap().1.loc, Some(LOC));
         }
     }
 
@@ -373,10 +418,12 @@ mod tests {
         let d = t.mint("/a", FileType::Directory);
         let f = t.mint("/a/f", FileType::Regular);
         let other = t.mint("/ab", FileType::Regular); // prefix trap
+        t.set_location("/a/g", FileType::Directory, LOC);
         t.rename_subtree("/a", "/z");
-        assert_eq!(t.get(d).unwrap().path, "/z");
-        assert_eq!(t.get(f).unwrap().path, "/z/f");
-        assert_eq!(t.get(other).unwrap().path, "/ab");
+        assert_eq!(t.path(d), Some("/z"));
+        assert_eq!(t.path(f), Some("/z/f"));
+        assert_eq!(t.path(other), Some("/ab"));
+        assert_eq!((t.entry("/a/g"), t.entry("/z/g")), (None, None));
         // Re-minting the new path returns the moved handle.
         assert_eq!(t.mint("/z/f", FileType::Regular), f);
     }
@@ -390,12 +437,12 @@ mod tests {
         t.set_replica_location(NodeAddr(1), "/other", fh);
         assert_eq!(t.replica_location(NodeAddr(1), "/a/b/f"), Some(fh));
         // Node-scoped invalidation drops only that node's handles.
-        t.clear_locations_at(NodeAddr(1));
+        t.clear_node(NodeAddr(1));
         assert_eq!(t.replica_location(NodeAddr(1), "/a/b/f"), None);
         assert_eq!(t.replica_location(NodeAddr(2), "/a/b/f"), Some(fh));
         // Chain-scoped invalidation spares unrelated branches.
         t.set_replica_location(NodeAddr(1), "/other", fh);
-        t.clear_locations_chain("/a/b");
+        t.clear_chain("/a/b");
         assert_eq!(t.replica_location(NodeAddr(2), "/a/b/f"), None);
         assert_eq!(t.replica_location(NodeAddr(1), "/other"), Some(fh));
         // Targeted clear after a failed replica read.
@@ -405,6 +452,7 @@ mod tests {
         t.set_replica_location(NodeAddr(3), "/gone/f", fh);
         t.forget_subtree("/gone");
         assert_eq!(t.replica_location(NodeAddr(3), "/gone/f"), None);
+        assert_eq!(t.counted_dirs(), 0, "no entry is left");
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl KoshaMount {
     }
 
     fn cached_dir(&self, path: &str) -> Option<Fh> {
-        self.dcache.lock().get(path)
+        self.dcache.lock().get(path).copied()
     }
 
     fn cache_dir(&self, path: &str, fh: Fh) {

@@ -1,8 +1,7 @@
 //! The per-machine Kosha daemon (`koshad`) and its wiring.
 
 use crate::config::KoshaConfig;
-use crate::handles::{HandleTable, Location};
-use crate::pathmap::PathMap;
+use crate::handles::HandleTable;
 use crate::stats::{KoshaStats, StatsSnapshot};
 use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
@@ -20,13 +19,11 @@ use std::sync::{Arc, Weak};
 /// digest and the target set it was acked by.
 pub(crate) type PushMemo = BTreeMap<String, ([u8; 20], Vec<NodeAddr>)>;
 
-/// Client-side (interposition) state: the virtual handle table and the
-/// resolution caches.
+/// Client-side (interposition) state: the virtual handle table, which
+/// holds every location koshad knows by path, and the export roots.
 pub(crate) struct ClientState {
-    /// Virtual handle table (§4.1.2).
+    /// Virtual handle table and path locations (§4.1.2).
     pub handles: HandleTable,
-    /// Cache: virtual directory path → real location of its listing.
-    pub(crate) dir_cache: PathMap<Location>,
     /// Cache: node address → handle of its `/kosha_store` export root.
     pub root_cache: HashMap<NodeAddr, kosha_nfs::Fh>,
 }
@@ -35,7 +32,6 @@ impl ClientState {
     fn new(handles: HandleTable) -> Self {
         ClientState {
             handles,
-            dir_cache: PathMap::default(),
             root_cache: HashMap::new(),
         }
     }

@@ -44,8 +44,8 @@ impl KoshaNode {
         self.client
             .lock()
             .handles
-            .get(fh)
-            .map(|e| e.path.clone())
+            .path(fh)
+            .map(str::to_string)
             .ok_or(NfsError::Status(NfsStatus::Stale))
     }
 
@@ -53,27 +53,29 @@ impl KoshaNode {
         let mut c = self.client.lock();
         let fh = c.handles.mint(path, ftype);
         if let Some(l) = loc {
-            c.handles.set_location(fh, l);
+            c.handles.set_location(path, ftype, l);
         }
         fh
     }
 
-    fn ensure_obj(&self, fh: Fh) -> NfsResult<(String, Location, FileType)> {
-        let (path, ftype, loc) = {
+    /// Where a handle's object lives and what it is: the table's entry,
+    /// or else a resolution of the handle's path.
+    fn ensure_obj(&self, fh: Fh) -> NfsResult<(Location, FileType)> {
+        let path = {
             let c = self.client.lock();
-            let e = c
+            let (path, e) = c
                 .handles
                 .get(fh)
                 .ok_or(NfsError::Status(NfsStatus::Stale))?;
-            (e.path.clone(), e.ftype, e.loc)
+            if let Some(l) = e.loc {
+                return Ok((l, e.ftype));
+            }
+            path.to_string()
         };
-        if let Some(l) = loc {
-            return Ok((path, l, ftype));
-        }
         let (l, attr) = self.resolve_object(&path)?;
         let mut c = self.client.lock();
-        c.handles.set_location(fh, l);
-        Ok((path, l, attr.ftype))
+        c.handles.set_location(&path, attr.ftype, l);
+        Ok((l, attr.ftype))
     }
 
     // ---- namespace operations -----------------------------------------
@@ -95,7 +97,7 @@ impl KoshaNode {
     pub fn k_getattr(&self, fh: Fh) -> NfsResult<Attr> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
-            let (_, loc, _) = s.ensure_obj(fh)?;
+            let (loc, _) = s.ensure_obj(fh)?;
             s.nfs.getattr(loc.addr, loc.fh)
         })
     }
@@ -104,11 +106,11 @@ impl KoshaNode {
     pub fn k_setattr(&self, fh: Fh, sattr: SetAttr) -> NfsResult<Attr> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
-            let (path, loc, _) = s.ensure_obj(fh)?;
+            let (loc, _) = s.ensure_obj(fh)?;
             s.control(
                 loc.addr,
                 &KoshaRequest::SetAttr {
-                    path,
+                    path: vpath.clone(),
                     sattr: WireSetAttr(sattr.clone()),
                 },
             )?;
@@ -134,7 +136,7 @@ impl KoshaNode {
             }
         }
         self.with_path_retry(&vpath, |s| {
-            let (_, loc, ftype) = s.ensure_obj(fh)?;
+            let (loc, ftype) = s.ensure_obj(fh)?;
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
             }
@@ -250,7 +252,8 @@ impl KoshaNode {
     pub fn k_commit(&self, fh: Fh) -> NfsResult<()> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
-            let (path, loc, _) = s.ensure_obj(fh)?;
+            let (loc, _) = s.ensure_obj(fh)?;
+            let path = vpath.clone();
             s.control(loc.addr, &KoshaRequest::Flush { path })
                 .map(|_| ())
         })
@@ -262,14 +265,14 @@ impl KoshaNode {
     pub fn k_write(&self, fh: Fh, offset: u64, data: Bytes) -> NfsResult<u32> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
-            let (path, loc, ftype) = s.ensure_obj(fh)?;
+            let (loc, ftype) = s.ensure_obj(fh)?;
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
             }
             s.control(
                 loc.addr,
                 &KoshaRequest::Write {
-                    path,
+                    path: vpath.clone(),
                     offset,
                     data: data.clone(),
                 },
@@ -361,24 +364,18 @@ impl KoshaNode {
         let distributed = is_distributed_dir(&vpath, self.cfg.distribution_level);
         let (loc, attr) = self.with_path_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            let (loc, attr) = if distributed {
-                s.mkdir_distributed(parent, &vpath, name, (mode, uid, gid))?
-            } else {
-                let req = KoshaRequest::MkdirLocal {
-                    path: vpath.clone(),
-                    mode,
-                    uid,
-                    gid,
-                };
-                let (fh, attr) = made(s.control(parent.addr, &req)?)?;
-                let loc = Location {
-                    addr: parent.addr,
-                    fh,
-                };
-                (loc, attr)
+            if distributed {
+                return s.mkdir_distributed(parent, &vpath, name, (mode, uid, gid));
+            }
+            let req = KoshaRequest::MkdirLocal {
+                path: vpath.clone(),
+                mode,
+                uid,
+                gid,
             };
-            s.client.lock().dir_cache.insert(vpath.clone(), loc);
-            Ok((loc, attr))
+            let (fh, attr) = made(s.control(parent.addr, &req)?)?;
+            let addr = parent.addr;
+            Ok((Location { addr, fh }, attr))
         })?;
         let fh = self.mint(&vpath, FileType::Directory, Some(loc));
         Ok((fh, attr))
@@ -517,7 +514,7 @@ impl KoshaNode {
     pub fn k_access(&self, fh: Fh, uid: u32, gid: u32, want: u32) -> NfsResult<u32> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
-            let (_, loc, _) = s.ensure_obj(fh)?;
+            let (loc, _) = s.ensure_obj(fh)?;
             s.nfs.access(loc.addr, loc.fh, uid, gid, want)
         })
     }
@@ -526,7 +523,7 @@ impl KoshaNode {
     pub fn k_readlink(&self, fh: Fh) -> NfsResult<String> {
         let vpath = self.vh_path(fh)?;
         self.with_path_retry(&vpath, |s| {
-            let (_, loc, _) = s.ensure_obj(fh)?;
+            let (loc, _) = s.ensure_obj(fh)?;
             s.nfs.readlink(loc.addr, loc.fh)
         })
     }
@@ -548,12 +545,9 @@ impl KoshaNode {
             )
             .map(|_| ())
         })?;
-        // No directory went, so no subtree did: each table forgets the
-        // one key.
-        let mut c = self.client.lock();
-        c.handles.forget(&vpath);
-        c.dir_cache.remove_subtree(&vpath, drop);
-        drop(c);
+        // No directory went, so no subtree did: the table forgets the one
+        // key.
+        self.client.lock().handles.forget(&vpath);
         // A removed object must not squat in the read-heat sketch: its
         // slot would otherwise pin sketch capacity (and could even keep
         // spawning hot copies) until enough fresh traffic evicts it.
@@ -589,7 +583,7 @@ impl KoshaNode {
                 return rmdir();
             }
             if !anchor_gone {
-                let cached = s.client.lock().dir_cache.get(&vpath);
+                let cached = s.client.lock().handles.dir_location(&vpath);
                 let anchor = match cached {
                     Some(anchor) => anchor,
                     None => {
@@ -612,7 +606,6 @@ impl KoshaNode {
                 .map(drop)
         })?;
         self.client.lock().handles.forget_subtree(&vpath);
-        self.invalidate_dir_subtree(&vpath);
         self.heat.forget(&vpath);
         Ok(())
     }
@@ -637,6 +630,11 @@ impl KoshaNode {
         self.with_path_retry(&spath, |s| {
             let sp = s.resolve_dir(&sdpath)?;
             let dp = s.resolve_dir(&ddpath)?;
+            let rename_local = || {
+                let (from, to) = (spath.clone(), dpath.clone());
+                s.control(sp.addr, &KoshaRequest::RenameLocal { from, to })
+                    .map(drop)
+            };
             let (sefh, sattr) = s.nfs.lookup(sp.addr, sp.fh, sname)?;
             let special = sattr.ftype == FileType::Symlink
                 && is_special_link_mode(sattr.mode)
@@ -669,35 +667,11 @@ impl KoshaNode {
                         to: dpath.clone(),
                     },
                 )?;
-                s.control(
-                    sp.addr,
-                    &KoshaRequest::RenameLocal {
-                        from: spath.clone(),
-                        to: dpath.clone(),
-                    },
-                )?;
-                Ok(())
-            } else if sattr.ftype == FileType::Directory {
-                if sp.addr != dp.addr {
-                    return Err(NfsError::Status(NfsStatus::NotSupp));
-                }
-                s.control(
-                    sp.addr,
-                    &KoshaRequest::RenameLocal {
-                        from: spath.clone(),
-                        to: dpath.clone(),
-                    },
-                )
-                .map(|_| ())
+                rename_local()
             } else if sp.addr == dp.addr {
-                s.control(
-                    sp.addr,
-                    &KoshaRequest::RenameLocal {
-                        from: spath.clone(),
-                        to: dpath.clone(),
-                    },
-                )
-                .map(|_| ())
+                rename_local()
+            } else if sattr.ftype == FileType::Directory {
+                Err(NfsError::Status(NfsStatus::NotSupp))
             } else {
                 // Cross-node move: copy then delete.
                 if sattr.ftype == FileType::Symlink {
@@ -752,8 +726,6 @@ impl KoshaNode {
             }
         })?;
         self.client.lock().handles.rename_subtree(&spath, &dpath);
-        self.invalidate_dir_subtree(&spath);
-        self.invalidate_dir_subtree(&dpath);
         // What `dpath` named is gone, exactly as if it had been removed.
         self.heat.forget(&dpath);
         Ok(())

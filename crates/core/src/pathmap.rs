@@ -6,8 +6,8 @@ use std::collections::HashMap;
 /// how many. A lookup is one hash lookup. Forgetting a path with nothing
 /// below it, as an RMDIR does, is one remove and one count update per
 /// ancestor; only a path with descendants costs a scan of the keys. It
-/// backs the virtual-handle table's path index and both directory
-/// caches, the mount's and koshad's.
+/// backs koshad's handle table, all it knows about where a path lives,
+/// and the mount's directory cache.
 ///
 /// Invariant: `below` holds, for every path with a key strictly below it
 /// in `map`, the number of such keys, and no other key.
@@ -26,10 +26,23 @@ impl<V> Default for PathMap<V> {
     }
 }
 
-impl<V: Copy> PathMap<V> {
+impl<V> PathMap<V> {
     /// The value for `path`.
-    pub(crate) fn get(&self, path: &str) -> Option<V> {
-        self.map.get(path).copied()
+    pub(crate) fn get(&self, path: &str) -> Option<&V> {
+        self.map.get(path)
+    }
+
+    /// The value for `path`, to change in place.
+    pub(crate) fn get_mut(&mut self, path: &str) -> Option<&mut V> {
+        self.map.get_mut(path)
+    }
+
+    /// The value for `path`, made by `make` first if it has none.
+    pub(crate) fn get_or_insert_with(&mut self, path: &str, make: impl FnOnce() -> V) -> &mut V {
+        if !self.map.contains_key(path) {
+            self.insert(path.to_string(), make());
+        }
+        self.map.get_mut(path).expect("inserted above")
     }
 
     /// True if `path` has a value.
@@ -88,23 +101,41 @@ impl<V: Copy> PathMap<V> {
         }
     }
 
-    /// Keeps only the entries `keep` accepts.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&str, &V) -> bool) {
+    /// Hands every value to `keep`, which may change it, and forgets the
+    /// paths whose value it refuses.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&mut V) -> bool) {
+        self.retain_where(|_| true, keep);
+    }
+
+    /// [`Self::retain`] on `path` and every path below it and, if `up`,
+    /// every directory above it: the chain a walk to `path` went through.
+    /// Only a path with values below it costs a scan of the keys.
+    pub(crate) fn retain_subtree(
+        &mut self,
+        path: &str,
+        up: bool,
+        mut keep: impl FnMut(&mut V) -> bool,
+    ) {
+        if self.below.contains_key(path) {
+            self.retain_where(|p| is_below(p, path), &mut keep);
+        }
+        for p in std::iter::once(path).chain(ancestors(path).take_while(|_| up)) {
+            if self.map.get_mut(p).is_some_and(|v| !keep(v)) {
+                self.remove(p);
+            }
+        }
+    }
+
+    fn retain_where(&mut self, pick: impl Fn(&str) -> bool, mut keep: impl FnMut(&mut V) -> bool) {
         let gone: Vec<String> = self
             .map
-            .iter()
-            .filter(|(p, v)| !keep(p, v))
-            .map(|(p, _)| p.clone())
+            .iter_mut()
+            .filter(|(p, _)| pick(p))
+            .filter_map(|(p, v)| (!keep(v)).then(|| p.clone()))
             .collect();
         for p in gone {
             self.remove(&p);
         }
-    }
-
-    /// Forgets everything.
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.below.clear();
     }
 
     /// Number of paths with a value.
@@ -175,10 +206,10 @@ mod tests {
         let mut c = PathMap::default();
         c.insert("/a/b/c".to_string(), 1u8);
         c.insert("/a/b/c".to_string(), 2u8);
-        assert_eq!(c.get("/a/b/c"), Some(2));
+        assert_eq!(c.get("/a/b/c"), Some(&2));
         assert_eq!(c.counted_dirs(), 3, "/, /a and /a/b");
         c.insert("/a".to_string(), 3u8);
-        c.retain(|_, v| *v != 2);
+        c.retain(|v| *v != 2);
         assert_eq!((c.len(), c.counted_dirs()), (1, 1));
         assert_eq!(c.remove("/a"), Some(3));
         assert_eq!(c.remove("/a"), None);

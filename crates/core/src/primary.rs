@@ -925,7 +925,7 @@ impl KoshaNode {
         // the node keeps serving it, and the next leaf change offers it to
         // its owner again.
         let _ = self.slot_move(anchor, Area::Store, Area::Replica);
-        self.invalidate_dir_subtree(anchor);
+        self.client.lock().handles.clear_subtree(anchor);
     }
 
     /// Reacts to leaf-set changes: migrate anchors whose keys now map to

@@ -13,7 +13,7 @@
 //! primary (§4.4).
 
 use crate::control::{KoshaReply, KoshaReplyFrame, KoshaRequest};
-use crate::handles::{on_chain, Location};
+use crate::handles::Location;
 use crate::node::KoshaNode;
 use crate::paths::{anchor_dir_of, anchor_slot, is_distributed_dir, Area, ROOT_ANCHOR};
 use kosha_id::dir_key;
@@ -69,8 +69,7 @@ impl KoshaNode {
         self.pastry.note_failed(addr);
         let mut c = self.client.lock();
         c.root_cache.remove(&addr);
-        c.dir_cache.retain(|_, l| l.addr != addr);
-        c.handles.clear_locations_at(addr);
+        c.handles.clear_node(addr);
     }
 
     /// Drops all resolution caches: the internal reaction to a
@@ -80,23 +79,32 @@ impl KoshaNode {
     pub fn flush_caches(&self) {
         let mut c = self.client.lock();
         c.root_cache.clear();
-        c.dir_cache.clear();
-        c.handles.clear_locations_everywhere();
+        c.handles.clear_all();
     }
 
     /// Retry wrapper implementing transparent fault handling: on an
     /// unreachable node, fail over and re-run; on a stale handle, flush
     /// caches and re-run.
     pub(crate) fn with_retry<T>(&self, mut f: impl FnMut(&Self) -> NfsResult<T>) -> NfsResult<T> {
-        let mut attempts = self.cfg.failover_retries;
+        let mut budget = self.cfg.failover_retries;
+        self.retry_within(&mut budget, |s, _| f(s))
+    }
+
+    /// [`Self::with_retry`] on a `budget` that `f` spends too: a walk's
+    /// retries of its own parents share one.
+    fn retry_within<T>(
+        &self,
+        budget: &mut usize,
+        mut f: impl FnMut(&Self, &mut usize) -> NfsResult<T>,
+    ) -> NfsResult<T> {
         loop {
-            match f(self) {
-                Err(NfsError::Rpc(RpcError::Unreachable(a))) if attempts > 0 => {
-                    attempts -= 1;
+            match f(self, budget) {
+                Err(NfsError::Rpc(RpcError::Unreachable(a))) if *budget > 0 => {
+                    *budget -= 1;
                     self.fail_over(a);
                 }
-                Err(NfsError::Status(NfsStatus::Stale)) if attempts > 0 => {
-                    attempts -= 1;
+                Err(NfsError::Status(NfsStatus::Stale)) if *budget > 0 => {
+                    *budget -= 1;
                     self.flush_caches();
                 }
                 r => return r,
@@ -109,10 +117,11 @@ impl KoshaNode {
     /// point at a node that *demoted* the covering anchor (migration to
     /// a newcomer, or an interim owner that served during an outage);
     /// that node answers `NoEnt` for paths it no longer authoritatively
-    /// hosts. Invalidating just this path's chain and re-resolving finds
-    /// the current primary. Genuinely missing paths still report
-    /// `NoEnt`, after one extra resolution of this path only — all other
-    /// cached state is untouched.
+    /// hosts. Invalidating just this path's chain (the path, its
+    /// ancestors and its descendants) and re-resolving finds the current
+    /// primary. Genuinely missing paths still report `NoEnt`, after one
+    /// extra resolution of this path only — all other cached state is
+    /// untouched.
     pub(crate) fn with_path_retry<T>(
         &self,
         vpath: &str,
@@ -120,20 +129,11 @@ impl KoshaNode {
     ) -> NfsResult<T> {
         match self.with_retry(&mut f) {
             Err(NfsError::Status(NfsStatus::NoEnt)) => {
-                self.invalidate_chain(vpath);
+                self.client.lock().handles.clear_chain(vpath);
                 self.with_retry(f)
             }
             r => r,
         }
-    }
-
-    /// Invalidates cached locations for `vpath`, its ancestors, and its
-    /// descendants (the resolution chain a migrated anchor poisons).
-    /// Handles on unrelated branches keep their cached locations.
-    pub(crate) fn invalidate_chain(&self, vpath: &str) {
-        let mut c = self.client.lock();
-        c.dir_cache.retain(|p, _| !on_chain(p, vpath));
-        c.handles.clear_locations_chain(vpath);
     }
 
     /// The handle of a node's `/kosha_store` export root, cached.
@@ -184,27 +184,17 @@ impl KoshaNode {
         self.resolve_dir_budget(vpath, &mut budget)
     }
 
-    pub(crate) fn resolve_dir_budget(
-        &self,
-        vpath: &str,
-        budget: &mut usize,
-    ) -> NfsResult<Location> {
-        loop {
-            match self.resolve_dir_once(vpath, budget) {
-                Err(NfsError::Rpc(RpcError::Unreachable(a))) if *budget > 0 => {
-                    *budget -= 1;
-                    self.fail_over(a);
-                }
-                Err(NfsError::Status(NfsStatus::Stale)) if *budget > 0 => {
-                    *budget -= 1;
-                    self.flush_caches();
-                }
-                r => return r,
-            }
-        }
+    fn resolve_dir_budget(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
+        self.retry_within(budget, |s, b| s.resolve_dir_once(vpath, b))
     }
 
     fn resolve_dir_once(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
+        if let Some(l) = self.client.lock().handles.dir_location(vpath) {
+            return Ok(l);
+        }
+        if vpath == "/" {
+            return self.resolve_root();
+        }
         if self.cfg.compound_lookup {
             self.resolve_dir_compound(vpath, budget)
         } else {
@@ -214,14 +204,16 @@ impl KoshaNode {
 
     /// Resolves the virtual root's listing location.
     fn resolve_root(&self) -> NfsResult<Location> {
-        let owner = self.owner_of(ROOT_ANCHOR)?;
-        let fh = self.locate_anchor(owner.addr, "/", ROOT_ANCHOR)?;
-        let loc = Location {
-            addr: owner.addr,
-            fh,
-        };
-        self.client.lock().dir_cache.insert("/".to_string(), loc);
-        Ok(loc)
+        let addr = self.owner_of(ROOT_ANCHOR)?.addr;
+        let fh = self.locate_anchor(addr, "/", ROOT_ANCHOR)?;
+        Ok(self.cache_dir("/", Location { addr, fh }))
+    }
+
+    /// Caches the listing a walk found for directory `vpath`.
+    fn cache_dir(&self, vpath: &str, loc: Location) -> Location {
+        let mut c = self.client.lock();
+        c.handles.set_location(vpath, FileType::Directory, loc);
+        loc
     }
 
     /// The original NFSv3-style walk: recurse to the parent, LOOKUP one
@@ -229,37 +221,25 @@ impl KoshaNode {
     /// Kept as the [`crate::config::KoshaConfig::compound_lookup`] `=
     /// false` baseline.
     fn resolve_dir_per_component(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
-        if let Some(l) = self.client.lock().dir_cache.get(vpath) {
-            return Ok(l);
-        }
-        if vpath == "/" {
-            return self.resolve_root();
-        }
         let (ppath, name) = parent_and_name(vpath).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let name = name.to_string();
         let parent = self.resolve_dir_budget(ppath, budget)?;
-        let (efh, attr) = self.nfs.lookup(parent.addr, parent.fh, &name)?;
+        let (fh, attr) = self.nfs.lookup(parent.addr, parent.fh, &name)?;
+        let addr = parent.addr;
         let loc = match attr.ftype {
-            FileType::Directory => Location {
-                addr: parent.addr,
-                fh: efh,
-            },
+            FileType::Directory => Location { addr, fh },
             FileType::Symlink
                 if is_special_link_mode(attr.mode)
                     && is_distributed_dir(vpath, self.cfg.distribution_level) =>
             {
-                let target = self.nfs.readlink(parent.addr, efh)?;
-                let owner = self.owner_of(&target)?;
-                let fh = self.locate_anchor(owner.addr, vpath, &target)?;
-                Location {
-                    addr: owner.addr,
-                    fh,
-                }
+                let target = self.nfs.readlink(addr, fh)?;
+                let addr = self.owner_of(&target)?.addr;
+                let fh = self.locate_anchor(addr, vpath, &target)?;
+                Location { addr, fh }
             }
             _ => return Err(NfsError::Status(NfsStatus::NotDir)),
         };
-        self.client.lock().dir_cache.insert(vpath.to_string(), loc);
-        Ok(loc)
+        Ok(self.cache_dir(vpath, loc))
     }
 
     /// Compound walk: one LOOKUPPATH RPC per *server* along the path
@@ -269,12 +249,6 @@ impl KoshaNode {
     /// in the reply), and every resolved directory is cached exactly as
     /// the per-component walk would have cached it.
     fn resolve_dir_compound(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
-        if let Some(l) = self.client.lock().dir_cache.get(vpath) {
-            return Ok(l);
-        }
-        if vpath == "/" {
-            return self.resolve_root();
-        }
         // Start from the deepest cached ancestor (the root at worst).
         let mut done = "/";
         let mut start = None;
@@ -282,7 +256,7 @@ impl KoshaNode {
             let c = self.client.lock();
             let mut p = vpath;
             while let Some((pp, _)) = parent_and_name(p) {
-                if let Some(l) = c.dir_cache.get(pp) {
+                if let Some(l) = c.handles.dir_location(pp) {
                     done = pp;
                     start = Some(l);
                     break;
@@ -312,12 +286,8 @@ impl KoshaNode {
                 };
                 match node.attr.0.ftype {
                     FileType::Directory => {
-                        let loc = Location {
-                            addr: cur.addr,
-                            fh: node.fh,
-                        };
-                        self.client.lock().dir_cache.insert(child.clone(), loc);
-                        cur = loc;
+                        let (addr, fh) = (cur.addr, node.fh);
+                        cur = self.cache_dir(&child, Location { addr, fh });
                         done = child;
                     }
                     FileType::Symlink
@@ -328,14 +298,9 @@ impl KoshaNode {
                             Some(t) => t.clone(),
                             None => self.nfs.readlink(cur.addr, node.fh)?,
                         };
-                        let owner = self.owner_of(&target)?;
-                        let fh = self.locate_anchor(owner.addr, &child, &target)?;
-                        let loc = Location {
-                            addr: owner.addr,
-                            fh,
-                        };
-                        self.client.lock().dir_cache.insert(child.clone(), loc);
-                        cur = loc;
+                        let addr = self.owner_of(&target)?.addr;
+                        let fh = self.locate_anchor(addr, &child, &target)?;
+                        cur = self.cache_dir(&child, Location { addr, fh });
                         done = child;
                         hopped = true;
                         break; // resume the walk on the anchor's owner
@@ -358,10 +323,12 @@ impl KoshaNode {
     /// its location and attributes. Directories resolve to their
     /// authoritative listing (following special links).
     pub(crate) fn resolve_object(&self, vpath: &str) -> NfsResult<(Location, kosha_vfs::Attr)> {
+        let listing = || {
+            let loc = self.resolve_dir(vpath)?;
+            Ok((loc, self.nfs.getattr(loc.addr, loc.fh)?))
+        };
         if vpath == "/" {
-            let loc = self.resolve_dir("/")?;
-            let attr = self.nfs.getattr(loc.addr, loc.fh)?;
-            return Ok((loc, attr));
+            return listing();
         }
         let (ppath, name) = parent_and_name(vpath).ok_or(NfsError::Status(NfsStatus::Inval))?;
         let name = name.to_string();
@@ -372,23 +339,10 @@ impl KoshaNode {
                 && is_special_link_mode(attr.mode)
                 && is_distributed_dir(vpath, self.cfg.distribution_level))
         {
-            let loc = self.resolve_dir(vpath)?;
-            let attr = self.nfs.getattr(loc.addr, loc.fh)?;
-            return Ok((loc, attr));
+            return listing();
         }
-        Ok((
-            Location {
-                addr: parent.addr,
-                fh: efh,
-            },
-            attr,
-        ))
-    }
-
-    /// Invalidates cached directory locations for `vpath` and everything
-    /// beneath it (after renames and removals).
-    pub(crate) fn invalidate_dir_subtree(&self, vpath: &str) {
-        self.client.lock().dir_cache.remove_subtree(vpath, drop);
+        let addr = parent.addr;
+        Ok((Location { addr, fh: efh }, attr))
     }
 
     /// The covering anchor of a path: the anchor whose slot holds its
@@ -429,22 +383,19 @@ mod tests {
     #[test]
     fn invalidate_dir_subtree_is_prefix_exact() {
         let node = solo_node();
-        {
-            let mut c = node.client.lock();
-            for p in ["/a", "/a/x", "/ab", "/ab/y", "/b"] {
-                c.dir_cache.insert(p.to_string(), fake_loc(7));
-            }
+        let mut c = node.client.lock();
+        for p in ["/a", "/a/x", "/ab", "/ab/y", "/b"] {
+            c.handles.set_location(p, FileType::Directory, fake_loc(7));
         }
-        node.invalidate_dir_subtree("/a");
-        let c = node.client.lock();
-        assert!(!c.dir_cache.contains_key("/a"));
-        assert!(!c.dir_cache.contains_key("/a/x"));
-        assert!(
-            c.dir_cache.contains_key("/ab"),
-            "/ab wrongly swept up with /a"
-        );
-        assert!(c.dir_cache.contains_key("/ab/y"));
-        assert!(c.dir_cache.contains_key("/b"));
+        c.handles.forget_subtree("/a");
+        assert_eq!(c.handles.dir_location("/a"), None);
+        assert_eq!(c.handles.dir_location("/a/x"), None);
+        for kept in ["/ab", "/ab/y", "/b"] {
+            assert!(
+                c.handles.dir_location(kept).is_some(),
+                "{kept} swept up with /a"
+            );
+        }
     }
 
     #[test]
@@ -454,25 +405,26 @@ mod tests {
         {
             let mut c = node.client.lock();
             for p in ["/", "/a", "/a/b", "/ab"] {
-                c.dir_cache.insert(p.to_string(), fake_loc(7));
+                c.handles.set_location(p, FileType::Directory, fake_loc(7));
             }
-            on_chain = c.handles.mint("/a/b/f", FileType::Regular);
-            off_chain = c.handles.mint("/other/g", FileType::Regular);
-            prefix_trap = c.handles.mint("/a/bc", FileType::Regular);
-            for fh in [on_chain, off_chain, prefix_trap] {
-                c.handles.set_location(fh, fake_loc(9));
-            }
+            [on_chain, off_chain, prefix_trap] = ["/a/b/f", "/other/g", "/a/bc"].map(|p| {
+                c.handles.set_location(p, FileType::Regular, fake_loc(9));
+                c.handles.mint(p, FileType::Regular)
+            });
         }
-        node.invalidate_chain("/a/b");
+        // A `NoEnt` for `/a/b` distrusts its chain before the retry.
+        let missing = || Err::<(), _>(NfsError::Status(NfsStatus::NoEnt));
+        assert!(node.with_path_retry("/a/b", |_| missing()).is_err());
         let c = node.client.lock();
-        // Directory cache: the chain is dropped, the /ab sibling stays.
-        assert!(!c.dir_cache.contains_key("/"));
-        assert!(!c.dir_cache.contains_key("/a"));
-        assert!(!c.dir_cache.contains_key("/a/b"));
-        assert!(c.dir_cache.contains_key("/ab"));
+        // Directory listings: the chain is dropped, the /ab sibling stays.
+        for gone in ["/", "/a", "/a/b"] {
+            assert_eq!(c.handles.dir_location(gone), None, "{gone}");
+        }
+        assert_eq!(c.handles.dir_location("/ab"), Some(fake_loc(7)));
         // Handles: only locations on the invalidated chain are dropped.
-        assert_eq!(c.handles.get(on_chain).unwrap().loc, None);
-        assert_eq!(c.handles.get(off_chain).unwrap().loc, Some(fake_loc(9)));
-        assert_eq!(c.handles.get(prefix_trap).unwrap().loc, Some(fake_loc(9)));
+        let loc = |fh| c.handles.get(fh).unwrap().1.loc;
+        assert_eq!(loc(on_chain), None);
+        assert_eq!(loc(off_chain), Some(fake_loc(9)));
+        assert_eq!(loc(prefix_trap), Some(fake_loc(9)));
     }
 }

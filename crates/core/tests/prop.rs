@@ -456,13 +456,15 @@ proptest! {
 
 // ---- the virtual-handle table against a naive model -------------------
 //
-// `HandleTable` keeps `entries` (handle → entry) and `by_path` (path →
-// handle) as a bijection, and a count of the live entries below every
-// directory; an exact `forget` and a scan-free `forget_subtree` rely on
-// them. The model is one vector and linear scans, so it cannot get an
-// index or a count out of step.
+// `HandleTable` keeps `paths` (handle → path) and `by_path` (path →
+// entry: handle, type, location, replica handles) with the handles a
+// bijection, no empty entry, and a count of the entries below every
+// directory; an exact `forget`, a scan-free `forget_subtree` and a
+// chain clear that touches only the chain rely on them. The model is one
+// vector and linear scans, so it cannot get an index or a count out of
+// step.
 
-use kosha::handles::{HandleTable, Location, VIRTUAL_GEN};
+use kosha::handles::{HandleTable, Location, PathEntry, VIRTUAL_GEN};
 use kosha_nfs::Fh;
 use kosha_vfs::FileType;
 
@@ -498,9 +500,18 @@ enum TableOp {
     Forget(usize),
     ForgetSubtree(usize),
     Rename(usize, usize),
-    /// The n-th handle ever minted (live or not) gets a location on a node.
-    SetLocation(usize, u64),
+    /// A path, with a handle or not, gets a location on a node: a
+    /// directory's listing (what a walk caches) or a file's object.
+    SetLocation(usize, u64, bool),
     SetReplica(usize, u64),
+    /// A `NoEnt` retry distrusts one path's chain.
+    ClearChain(usize),
+    /// A demoted anchor's subtree.
+    ClearSubtree(usize),
+    /// A node fails.
+    ClearNode(u64),
+    /// A stale handle flushes everything.
+    ClearAll,
 }
 
 fn arb_table_op() -> impl Strategy<Value = TableOp> {
@@ -510,79 +521,121 @@ fn arb_table_op() -> impl Strategy<Value = TableOp> {
         path.clone().prop_map(TableOp::Forget),
         path.clone().prop_map(TableOp::ForgetSubtree),
         (path.clone(), path.clone()).prop_map(|(a, b)| TableOp::Rename(a, b)),
-        (0usize..64, 1u64..3).prop_map(|(h, n)| TableOp::SetLocation(h, n)),
-        (path, 1u64..3).prop_map(|(p, n)| TableOp::SetReplica(p, n)),
+        (path.clone(), 1u64..3, any::<bool>()).prop_map(|(p, n, d)| TableOp::SetLocation(p, n, d)),
+        (path.clone(), 1u64..3).prop_map(|(p, n)| TableOp::SetReplica(p, n)),
+        path.clone().prop_map(TableOp::ClearChain),
+        path.prop_map(TableOp::ClearSubtree),
+        (1u64..3).prop_map(TableOp::ClearNode),
+        Just(TableOp::ClearAll),
     ]
 }
 
 struct ModelEntry {
-    vh: u64,
     path: String,
-    ftype: FileType,
-    loc: Option<Location>,
+    entry: PathEntry,
 }
 
 struct TableModel {
     next: u64,
-    live: Vec<ModelEntry>,
-    replica: Vec<(String, NodeAddr, Fh)>,
+    entries: Vec<ModelEntry>,
+}
+
+fn model_entry(path: &str, vh: Option<u64>, ftype: FileType) -> ModelEntry {
+    ModelEntry {
+        path: path.into(),
+        entry: PathEntry {
+            vh,
+            ftype,
+            loc: None,
+            replicas: Vec::new(),
+        },
+    }
+}
+
+/// True while an entry holds a handle or a location.
+fn held(e: &PathEntry) -> bool {
+    e.vh.is_some() || e.loc.is_some() || !e.replicas.is_empty()
 }
 
 impl TableModel {
     fn new() -> Self {
-        let root = ModelEntry {
-            vh: 1,
-            path: "/".into(),
-            ftype: FileType::Directory,
-            loc: None,
-        };
         TableModel {
             next: 2,
-            live: vec![root],
-            replica: Vec::new(),
+            entries: vec![model_entry("/", Some(1), FileType::Directory)],
         }
+    }
+
+    /// The entry for `path`, made with `ftype` if there is none.
+    fn entry(&mut self, path: &str, ftype: FileType) -> &mut PathEntry {
+        if !self.entries.iter().any(|e| e.path == path) {
+            self.entries.push(model_entry(path, None, ftype));
+        }
+        &mut self
+            .entries
+            .iter_mut()
+            .find(|e| e.path == path)
+            .unwrap()
+            .entry
+    }
+
+    /// The entry for `path` as a `ftype`: a changed type keeps only the
+    /// handle.
+    fn at(&mut self, path: &str, ftype: FileType) -> &mut PathEntry {
+        let e = self.entry(path, ftype);
+        if e.ftype != ftype {
+            *e = PathEntry {
+                vh: e.vh,
+                ..model_entry(path, None, ftype).entry
+            };
+        }
+        e
     }
 
     fn mint(&mut self, path: &str, ftype: FileType) -> u64 {
-        if let Some(e) = self.live.iter_mut().find(|e| e.path == path) {
-            e.ftype = ftype;
-            return e.vh;
+        let next = self.next;
+        let vh = *self.at(path, ftype).vh.get_or_insert(next);
+        if vh == next {
+            self.next += 1;
         }
-        self.live.push(ModelEntry {
-            vh: self.next,
-            path: path.into(),
-            ftype,
-            loc: None,
-        });
-        self.next += 1;
-        self.next - 1
+        vh
     }
 
     fn forget_subtree(&mut self, path: &str) {
-        self.live
+        self.entries
             .retain(|e| e.path != path && !below(&e.path, path));
-        self.replica.retain(|(p, ..)| p != path && !below(p, path));
     }
 
     fn forget(&mut self, path: &str) {
-        let held_dir = |e: &ModelEntry| e.path == path && e.ftype == FileType::Directory;
-        if self.live.iter().any(held_dir) {
+        let Some(i) = self.entries.iter().position(|e| e.path == path) else {
+            return;
+        };
+        if self.entries.remove(i).entry.ftype == FileType::Directory {
             self.forget_subtree(path);
-        } else {
-            self.live.retain(|e| e.path != path);
-            self.replica.retain(|(p, ..)| p != path);
         }
     }
 
     fn rename(&mut self, old: &str, new: &str) {
         self.forget_subtree(new);
-        for e in &mut self.live {
+        self.entries
+            .retain(|e| e.entry.vh.is_some() || (e.path != old && !below(&e.path, old)));
+        for e in &mut self.entries {
             if e.path == old || below(&e.path, old) {
                 e.path = format!("{new}{}", &e.path[old.len()..]);
-                e.loc = None;
+                e.entry = model_entry(&e.path, e.entry.vh, e.entry.ftype).entry;
             }
         }
-        self.replica.retain(|(p, ..)| p != old && !below(p, old));
+    }
+
+    /// Clears the locations of the entries `pick` names and drops those
+    /// left empty.
+    fn clear(&mut self, pick: impl Fn(&str) -> bool) {
+        for e in &mut self.entries {
+            if pick(&e.path) {
+                e.entry.loc = None;
+                e.entry.replicas.clear();
+            }
+        }
+        self.entries.retain(|e| held(&e.entry));
     }
 
     /// The table holds what the model holds, handle for handle and path
@@ -590,27 +643,42 @@ impl TableModel {
     fn check(&self, table: &mut HandleTable, paths: &[String]) {
         let mut seen = std::collections::BTreeSet::new();
         for vh in 1..self.next {
-            let want = self.live.iter().find(|e| e.vh == vh);
+            let want = self.entries.iter().find(|e| e.entry.vh == Some(vh));
             let got = table.get(vfh(vh));
             assert_eq!(
-                got.map(|e| (e.path.as_str(), e.ftype, e.loc)),
-                want.map(|e| (e.path.as_str(), e.ftype, e.loc)),
+                got,
+                want.map(|e| (e.path.as_str(), &e.entry)),
                 "handle {vh}"
             );
-            if let Some(e) = got {
-                assert!(seen.insert(e.path.clone()), "two handles name {}", e.path);
+            if let Some((p, _)) = got {
+                assert!(seen.insert(p.to_string()), "two handles name {p}");
             }
         }
-        // `by_path` leads back to the same handle (a miss would mint, and
-        // the length below would tell).
-        for e in &self.live {
-            assert_eq!(table.mint(&e.path, e.ftype), vfh(e.vh), "{}", e.path);
+        // Every path's entry, handle or not, holds what the model's does.
+        for p in paths {
+            let want = self.entries.iter().find(|e| &e.path == p);
+            assert_eq!(table.entry(p), want.map(|e| &e.entry), "{p}");
+            let dir =
+                want.and_then(|e| e.entry.loc.filter(|_| e.entry.ftype == FileType::Directory));
+            assert_eq!(table.dir_location(p), dir, "{p}");
+            for addr in [NodeAddr(1), NodeAddr(2)] {
+                let want = want.and_then(|e| e.entry.replicas.iter().find(|r| r.0 == addr));
+                assert_eq!(table.replica_location(addr, p), want.map(|r| r.1), "{p}");
+            }
         }
-        assert_eq!(table.len(), self.live.len());
-        // The descendant counts are a recount of the live entries, every
-        // depth below each directory, and keep no zero.
+        // The handles lead back to themselves (a miss would mint, and the
+        // length below would tell).
+        for e in &self.entries {
+            if let Some(vh) = e.entry.vh {
+                assert_eq!(table.mint(&e.path, e.entry.ftype), vfh(vh), "{}", e.path);
+            }
+        }
+        let handles = self.entries.iter().filter(|e| e.entry.vh.is_some()).count();
+        assert_eq!(table.len(), handles);
+        // The descendant counts are a recount of the entries, every depth
+        // below each directory, and keep no zero.
         let mut recount = std::collections::BTreeMap::new();
-        for e in &self.live {
+        for e in &self.entries {
             let mut p = e.path.clone();
             while let Some(cut) = p.rfind('/').filter(|_| p != "/") {
                 p.truncate(cut.max(1));
@@ -621,12 +689,6 @@ impl TableModel {
             assert_eq!(table.descendants(dir), *n, "below {dir}");
         }
         assert_eq!(table.counted_dirs(), recount.len());
-        for p in paths {
-            for addr in [NodeAddr(1), NodeAddr(2)] {
-                let want = self.replica.iter().find(|(q, a, _)| q == p && *a == addr);
-                assert_eq!(table.replica_location(addr, p), want.map(|r| r.2), "{p}");
-            }
-        }
     }
 }
 
@@ -639,6 +701,7 @@ proptest! {
         let mut table = HandleTable::new();
         let mut model = TableModel::new();
         let ftype = |dir| if dir { FileType::Directory } else { FileType::Regular };
+        let loc = |node, ino| Location { addr: NodeAddr(node), fh: Fh { ino, gen: 7 } };
         for op in ops {
             match op {
                 TableOp::Mint(p, dir) => {
@@ -662,19 +725,44 @@ proptest! {
                     table.rename_subtree(old, new);
                     model.rename(old, new);
                 }
-                TableOp::SetLocation(h, node) => {
-                    let vh = 1 + h as u64 % (model.next - 1);
-                    let loc = Location { addr: NodeAddr(node), fh: Fh { ino: vh, gen: 7 } };
-                    table.set_location(vfh(vh), loc);
-                    if let Some(e) = model.live.iter_mut().find(|e| e.vh == vh) {
-                        e.loc = Some(loc);
-                    }
+                TableOp::SetLocation(p, node, dir) => {
+                    let loc = loc(node, p as u64);
+                    table.set_location(&paths[p], ftype(dir), loc);
+                    model.at(&paths[p], ftype(dir)).loc = Some(loc);
                 }
                 TableOp::SetReplica(p, node) => {
                     let (addr, fh) = (NodeAddr(node), Fh { ino: p as u64, gen: 9 });
                     table.set_replica_location(addr, &paths[p], fh);
-                    model.replica.retain(|(q, a, _)| !(q == &paths[p] && *a == addr));
-                    model.replica.push((paths[p].clone(), addr, fh));
+                    let e = model.entry(&paths[p], FileType::Regular);
+                    match e.replicas.iter_mut().find(|r| r.0 == addr) {
+                        Some(r) => r.1 = fh,
+                        None => e.replicas.push((addr, fh)),
+                    }
+                }
+                TableOp::ClearChain(p) => {
+                    let path = &paths[p];
+                    table.clear_chain(path);
+                    model.clear(|q| q == "/" || q == path || below(q, path) || below(path, q));
+                }
+                TableOp::ClearSubtree(p) => {
+                    let path = &paths[p];
+                    table.clear_subtree(path);
+                    model.clear(|q| q == path || below(q, path));
+                }
+                TableOp::ClearNode(node) => {
+                    table.clear_node(NodeAddr(node));
+                    for e in &mut model.entries {
+                        let e = &mut e.entry;
+                        if e.loc.is_some_and(|l| l.addr == NodeAddr(node)) {
+                            e.loc = None;
+                        }
+                        e.replicas.retain(|r| r.0 != NodeAddr(node));
+                    }
+                    model.entries.retain(|e| held(&e.entry));
+                }
+                TableOp::ClearAll => {
+                    table.clear_all();
+                    model.clear(|_| true);
                 }
             }
             model.check(&mut table, &paths);
@@ -728,7 +816,7 @@ fn rename_over_an_existing_path_leaves_one_handle_for_it() {
     t.set_replica_location(NodeAddr(1), "/a/old/below", rfh);
     let before = t.len();
     t.rename_subtree("/a/new", "/a/old");
-    assert_eq!(t.get(src).unwrap().path, "/a/old");
+    assert_eq!(t.path(src), Some("/a/old"));
     assert!(
         t.get(dst).is_none(),
         "the overwritten file's handle aliases the new one"
