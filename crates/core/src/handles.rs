@@ -237,7 +237,7 @@ impl HandleTable {
     }
 
     /// Drops the cached locations on one path's resolution chain: `path`
-    /// itself, its ancestors and its descendants (what a `NoEnt` retry
+    /// itself, its ancestors and its descendants (what a `Stale` answer
     /// distrusts). Entries on other branches keep theirs, and with
     /// nothing below `path` this touches one entry per ancestor, whatever
     /// the size of the table.

@@ -85,7 +85,7 @@ impl KoshaNode {
         validate_name(name).map_err(|e| NfsError::Status(e.into()))?;
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
-        let (loc, mut attr) = self.with_path_retry(&vpath, |s| s.resolve_object(&vpath))?;
+        let (loc, mut attr) = self.with_retry(&vpath, |s| s.resolve_object(&vpath))?;
         if attr.ftype == FileType::Symlink && is_special_link_mode(attr.mode) {
             attr.ftype = FileType::Directory;
         }
@@ -96,7 +96,7 @@ impl KoshaNode {
     /// GETATTR on a virtual handle.
     pub fn k_getattr(&self, fh: Fh) -> NfsResult<Attr> {
         let vpath = self.vh_path(fh)?;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
             s.nfs.getattr(loc.addr, loc.fh)
         })
@@ -105,7 +105,7 @@ impl KoshaNode {
     /// SETATTR (replicated through the primary).
     pub fn k_setattr(&self, fh: Fh, sattr: SetAttr) -> NfsResult<Attr> {
         let vpath = self.vh_path(fh)?;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
             s.control(
                 loc.addr,
@@ -135,7 +135,7 @@ impl KoshaNode {
                 return Ok(out);
             }
         }
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, ftype) = s.ensure_obj(fh)?;
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
@@ -251,7 +251,7 @@ impl KoshaNode {
     /// `Sync` replication).
     pub fn k_commit(&self, fh: Fh) -> NfsResult<()> {
         let vpath = self.vh_path(fh)?;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
             let path = vpath.clone();
             s.control(loc.addr, &KoshaRequest::Flush { path })
@@ -264,7 +264,7 @@ impl KoshaNode {
     /// is still the view of the frame the client sent.
     pub fn k_write(&self, fh: Fh, offset: u64, data: Bytes) -> NfsResult<u32> {
         let vpath = self.vh_path(fh)?;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, ftype) = s.ensure_obj(fh)?;
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
@@ -318,7 +318,7 @@ impl KoshaNode {
         validate_name(name).map_err(|e| NfsError::Status(e.into()))?;
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
-        let (loc, attr) = self.with_path_retry(&vpath, |s| {
+        let (loc, attr) = self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
             let reply = s.control(
                 parent.addr,
@@ -362,7 +362,7 @@ impl KoshaNode {
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
         let distributed = is_distributed_dir(&vpath, self.cfg.distribution_level);
-        let (loc, attr) = self.with_path_retry(&vpath, |s| {
+        let (loc, attr) = self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
             if distributed {
                 return s.mkdir_distributed(parent, &vpath, name, (mode, uid, gid));
@@ -384,7 +384,7 @@ impl KoshaNode {
     /// The distributed half of MKDIR: the name must be free in `parent`'s
     /// listing, the anchor is made where its routing name maps, and the
     /// special link is placed in `parent` (§3.1). A link that cannot be
-    /// placed (a stale `parent` answers `NoEnt`) takes its anchor down
+    /// placed (a stale `parent` answers `Stale`) takes its anchor down
     /// again, so a retry of the whole call never meets its own first step.
     fn mkdir_distributed(
         &self,
@@ -482,7 +482,7 @@ impl KoshaNode {
         validate_name(name).map_err(|e| NfsError::Status(e.into()))?;
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
-        let (loc, attr) = self.with_path_retry(&vpath, |s| {
+        let (loc, attr) = self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
             s.control(
                 parent.addr,
@@ -513,7 +513,7 @@ impl KoshaNode {
     /// permissions").
     pub fn k_access(&self, fh: Fh, uid: u32, gid: u32, want: u32) -> NfsResult<u32> {
         let vpath = self.vh_path(fh)?;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
             s.nfs.access(loc.addr, loc.fh, uid, gid, want)
         })
@@ -522,7 +522,7 @@ impl KoshaNode {
     /// READLINK on a user symlink.
     pub fn k_readlink(&self, fh: Fh) -> NfsResult<String> {
         let vpath = self.vh_path(fh)?;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
             s.nfs.readlink(loc.addr, loc.fh)
         })
@@ -535,7 +535,7 @@ impl KoshaNode {
         let vpath = join_path(&dpath, name);
         // No LOOKUP first: the parent's primary refuses a directory and a
         // special link itself, with `IsDir`.
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
             s.control(
                 parent.addr,
@@ -561,8 +561,8 @@ impl KoshaNode {
     /// level `Rmdir` goes to the parent's primary, whose store refuses a
     /// file or a link with `NotDir`; at distributed depth every directory
     /// is a special link, so a cached anchor location is torn down as it
-    /// is. A stale one answers `NoEnt` from its old owner and the path
-    /// retry re-resolves; only an uncached name costs a LOOKUP. Once the
+    /// is. A stale one answers `Stale` from its old owner and the retry
+    /// re-resolves; only an uncached name costs a LOOKUP. Once the
     /// anchor is gone, a retry (a stale parent refused the link's
     /// removal) only removes the link: it never meets its own first step.
     pub fn k_rmdir(&self, dir: Fh, name: &str) -> NfsResult<()> {
@@ -571,7 +571,7 @@ impl KoshaNode {
         let vpath = join_path(&dpath, name);
         let distributed = is_distributed_dir(&vpath, self.cfg.distribution_level);
         let mut anchor_gone = false;
-        self.with_path_retry(&vpath, |s| {
+        self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
             let rmdir = || {
                 let req = KoshaRequest::Rmdir {
@@ -627,7 +627,14 @@ impl KoshaNode {
         if spath == dpath {
             return Ok(());
         }
-        self.with_path_retry(&spath, |s| {
+        // A stale location on either side must go: across directories
+        // the chain is the root's, every cached location.
+        let chain = if sdpath == ddpath {
+            spath.as_str()
+        } else {
+            "/"
+        };
+        self.with_retry(chain, |s| {
             let sp = s.resolve_dir(&sdpath)?;
             let dp = s.resolve_dir(&ddpath)?;
             let rename_local = || {
@@ -735,7 +742,7 @@ impl KoshaNode {
     /// shown as directories.
     pub fn k_readdir(&self, dir: Fh) -> NfsResult<Vec<KoshaDirEntry>> {
         let dpath = self.vh_path(dir)?;
-        let (loc, entries) = self.with_path_retry(&dpath, |s| {
+        let (loc, entries) = self.with_retry(&dpath, |s| {
             let loc = s.resolve_dir(&dpath)?;
             Ok((loc, s.nfs.readdir(loc.addr, loc.fh)?))
         })?;

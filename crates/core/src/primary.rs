@@ -7,7 +7,7 @@ use crate::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
-use crate::paths::{check_vpath, is_distributed_dir, slot_local_path, Area};
+use crate::paths::{anchor_slot, check_vpath, is_distributed_dir, slot_local_path, Area};
 use crate::resolve::is_special_link_mode;
 use crate::slots::SlotMeta;
 use kosha_nfs::messages::{ReplyFrame, WireAttr};
@@ -65,14 +65,14 @@ impl KoshaNode {
 
     /// Handle of what virtual path `vpath` is within `anchor`'s slot.
     /// First of the two policies that tell the areas apart, what is
-    /// missing: in the store an anchor this node does not serve (the
-    /// caller misrouted, we lost ownership, or a transfer is not yet
-    /// committed) or a path it lacks is `NoEnt`. So it is on a holder,
-    /// unless the op puts something into the slot (`make`): then the
-    /// replica area takes `vpath` for a directory and makes the chain,
-    /// since a mirrored op may arrive before, or without, the push that
-    /// would have made it. An op that takes something away makes
-    /// nothing, and finds it already gone.
+    /// missing: in the store a path it lacks is `NoEnt`, and an anchor
+    /// this node does not serve (the caller misrouted, we lost ownership,
+    /// or a transfer was cut short) is `Stale`. On a holder a missing
+    /// path is `NoEnt` too, unless the op puts something into the slot
+    /// (`make`): then the replica area takes `vpath` for a directory and
+    /// makes the chain, since a mirrored op may arrive before, or
+    /// without, the push that would have made it. An op that takes
+    /// something away makes nothing, and finds it already gone.
     pub(crate) fn slot_fh(
         &self,
         area: Area,
@@ -812,7 +812,7 @@ impl KoshaNode {
     /// Moves `anchor` from the replica area into the store and starts
     /// serving it as primary (§4.4's transparent failover end-state).
     fn promote_anchor(&self, anchor: &str) -> Result<(), NfsStatus> {
-        self.slot_move(anchor, Area::Replica, Area::Store)?;
+        self.slot_move(anchor)?;
         self.adopt_copy(anchor, &default_routing(anchor));
         self.stats.promotions.inc();
         self.journal(
@@ -884,9 +884,11 @@ impl KoshaNode {
     }
 
     /// Sends the anchor's subtree to `owner` (the node the key space now
-    /// assigns it to) in one `TransferAnchor` and demotes the local copy
-    /// to a replica (§4.3.1: "the files are copied to the new node, and
-    /// their copy on N becomes one of the replicas").
+    /// assigns it to) in one `TransferAnchor` and drops the local copy
+    /// (§4.3.1: "the files are copied to the new node, and their copy on
+    /// N becomes one of the replicas": the new owner pushes its copy to
+    /// its replica targets before it replies, this node among them when
+    /// it is one).
     pub(crate) fn transfer_anchor(
         &self,
         anchor: &str,
@@ -913,18 +915,16 @@ impl KoshaNode {
         Ok(())
     }
 
-    /// Demotes a hosted anchor to a replica copy (after migrating it).
+    /// Stops serving an anchor this node migrated: its store copy goes,
+    /// uncharged, so every handle into it answers `Stale` and a koshad
+    /// that cached one re-resolves. A copy that cannot be dropped stays
+    /// served, and the next leaf change offers it to its owner again.
     fn demote_anchor(&self, anchor: &str) {
         // Hot-copy leases die with the primaryship: the new owner tracks
         // its own heat and spawns its own copies if demand persists.
         self.hot_forget_anchor(anchor);
         self.replica_push_memo.lock().remove(anchor);
-        // The new owner's push of the copy it merged may already be in
-        // the replica area; `slot_move` keeps it and drops ours. A move
-        // that fails leaves the slot, and its routing name, in the store:
-        // the node keeps serving it, and the next leaf change offers it to
-        // its owner again.
-        let _ = self.slot_move(anchor, Area::Store, Area::Replica);
+        self.slot_discard(Area::Store, &anchor_slot(anchor));
         self.client.lock().handles.clear_subtree(anchor);
     }
 
@@ -986,7 +986,7 @@ impl KoshaNode {
             if targets.contains(&self.info.addr) {
                 continue;
             }
-            if self.slot_discard(&slot) {
+            if self.slot_discard(Area::Replica, &slot) {
                 dropped += 1;
                 self.stats.replica_gc.inc();
                 self.journal(
@@ -1096,7 +1096,7 @@ impl KoshaNode {
             }
             KoshaRequest::RenameAnchorDir { from, to } => {
                 if !self.hosted(&from) {
-                    return Err(NfsStatus::NoEnt);
+                    return Err(NfsStatus::Stale);
                 }
                 self.mutate(ReplicaOp::RenameSlot { from, to }, None)
             }

@@ -72,28 +72,35 @@ impl KoshaNode {
         c.handles.clear_node(addr);
     }
 
-    /// Drops all resolution caches: the internal reaction to a
-    /// stale-handle surprise (e.g. a purged and reincarnated store), and
-    /// an admin knob for benchmarks that need a cold resolver. Virtual
-    /// handles stay valid — their paths re-resolve on next use.
+    /// Drops all resolution caches: an admin knob for benchmarks that
+    /// need a cold resolver. Virtual handles stay valid — their paths
+    /// re-resolve on next use.
     pub fn flush_caches(&self) {
         let mut c = self.client.lock();
         c.root_cache.clear();
         c.handles.clear_all();
     }
 
-    /// Retry wrapper implementing transparent fault handling: on an
-    /// unreachable node, fail over and re-run; on a stale handle, flush
-    /// caches and re-run.
-    pub(crate) fn with_retry<T>(&self, mut f: impl FnMut(&Self) -> NfsResult<T>) -> NfsResult<T> {
+    /// Retry wrapper implementing transparent fault handling for an op on
+    /// `vpath` (§4.4): on an unreachable node, fail over and re-run; on a
+    /// stale handle, which a node answers for what it no longer holds,
+    /// drop the cached locations on `vpath`'s chain (the path, its
+    /// ancestors and its descendants) and re-run. Every other answer,
+    /// `NoEnt` included, is the op's.
+    pub(crate) fn with_retry<T>(
+        &self,
+        vpath: &str,
+        mut f: impl FnMut(&Self) -> NfsResult<T>,
+    ) -> NfsResult<T> {
         let mut budget = self.cfg.failover_retries;
-        self.retry_within(&mut budget, |s, _| f(s))
+        self.retry_within(vpath, &mut budget, |s, _| f(s))
     }
 
     /// [`Self::with_retry`] on a `budget` that `f` spends too: a walk's
     /// retries of its own parents share one.
     fn retry_within<T>(
         &self,
+        vpath: &str,
         budget: &mut usize,
         mut f: impl FnMut(&Self, &mut usize) -> NfsResult<T>,
     ) -> NfsResult<T> {
@@ -105,34 +112,10 @@ impl KoshaNode {
                 }
                 Err(NfsError::Status(NfsStatus::Stale)) if *budget > 0 => {
                     *budget -= 1;
-                    self.flush_caches();
+                    self.client.lock().handles.clear_chain(vpath);
                 }
                 r => return r,
             }
-        }
-    }
-
-    /// Path-scoped retry wrapper: like [`Self::with_retry`], plus a
-    /// single scoped retry on `NoEnt`. A cached directory location may
-    /// point at a node that *demoted* the covering anchor (migration to
-    /// a newcomer, or an interim owner that served during an outage);
-    /// that node answers `NoEnt` for paths it no longer authoritatively
-    /// hosts. Invalidating just this path's chain (the path, its
-    /// ancestors and its descendants) and re-resolving finds the current
-    /// primary. Genuinely missing paths still report `NoEnt`, after one
-    /// extra resolution of this path only — all other cached state is
-    /// untouched.
-    pub(crate) fn with_path_retry<T>(
-        &self,
-        vpath: &str,
-        mut f: impl FnMut(&Self) -> NfsResult<T>,
-    ) -> NfsResult<T> {
-        match self.with_retry(&mut f) {
-            Err(NfsError::Status(NfsStatus::NoEnt)) => {
-                self.client.lock().handles.clear_chain(vpath);
-                self.with_retry(f)
-            }
-            r => r,
         }
     }
 
@@ -162,7 +145,14 @@ impl KoshaNode {
             Ok((fh, attr)) if attr.ftype == FileType::Directory => return Ok(fh),
             Ok(_) => return Err(NfsError::Status(NfsStatus::NotDir)),
             Err(NfsError::Status(NfsStatus::NoEnt)) => {}
-            Err(e) => return Err(e),
+            Err(e) => {
+                // A stale export root is a purged store: the retry
+                // fetches the new one.
+                if matches!(e, NfsError::Status(NfsStatus::Stale)) {
+                    self.client.lock().root_cache.remove(&owner);
+                }
+                return Err(e);
+            }
         }
         // Absent: ask the owner to promote from its replica area (§4.4)
         // or, for the root anchor, to create it empty.
@@ -185,7 +175,7 @@ impl KoshaNode {
     }
 
     fn resolve_dir_budget(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
-        self.retry_within(budget, |s, b| s.resolve_dir_once(vpath, b))
+        self.retry_within(vpath, budget, |s, b| s.resolve_dir_once(vpath, b))
     }
 
     fn resolve_dir_once(&self, vpath: &str, budget: &mut usize) -> NfsResult<Location> {
@@ -412,9 +402,9 @@ mod tests {
                 c.handles.mint(p, FileType::Regular)
             });
         }
-        // A `NoEnt` for `/a/b` distrusts its chain before the retry.
-        let missing = || Err::<(), _>(NfsError::Status(NfsStatus::NoEnt));
-        assert!(node.with_path_retry("/a/b", |_| missing()).is_err());
+        // A `Stale` for `/a/b` distrusts its chain before each retry.
+        let stale = || Err::<(), _>(NfsError::Status(NfsStatus::Stale));
+        assert!(node.with_retry("/a/b", |_| stale()).is_err());
         let c = node.client.lock();
         // Directory listings: the chain is dropped, the /ab sibling stays.
         for gone in ["/", "/a", "/a/b"] {

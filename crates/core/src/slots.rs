@@ -127,8 +127,7 @@ impl SlotTable {
     }
 
     /// Takes slot `name` out of the table and the index, whichever anchor
-    /// it is filed under: the one removal that knows no anchor (replica
-    /// GC), so the one that scans.
+    /// it is filed under: the one removal that scans.
     fn take_name(&mut self, area: Area, name: &str) {
         self.records[area.idx()].remove(name);
         self.index[area.idx()].retain(|_, s| s.name != name);
@@ -251,9 +250,10 @@ impl KoshaNode {
     /// holds, uncharged. With `make` (a holder's missing-directory
     /// policy, or a transfer opening the store slot it fills) what is
     /// missing is made as a directory, the slot itself included, with an
-    /// empty record; without it a missing slot or name is `NoEnt`, and
-    /// so is a store slot this node does not serve (no routing name in
-    /// its record: a transfer not yet committed).
+    /// empty record; without it a missing name or replica slot is
+    /// `NoEnt`, and a store slot this node does not serve (not there, or
+    /// no routing name in its record: a transfer cut short) is `Stale`,
+    /// the answer for what the node does not hold.
     pub(crate) fn slot_dir(
         &self,
         area: Area,
@@ -273,6 +273,7 @@ impl KoshaNode {
                 // Every slot this module made is indexed, so a miss is a
                 // slot that is not there: unless a holder is about to
                 // make it, nothing needs its name.
+                None if !make && area == Area::Store => return Err(NfsStatus::Stale),
                 None if !make => return Err(NfsStatus::NoEnt),
                 _ => self.slot_root_by_name(v, area, anchor, make)?,
             };
@@ -341,27 +342,18 @@ impl KoshaNode {
         Ok((fh, attr))
     }
 
-    /// Moves `anchor`'s slot and record from one area to the other,
-    /// uncharged: promotion (replica to store) and demotion after a
-    /// transfer (store to replica). A copy the destination already holds
-    /// stays and the moving one is dropped: after a transfer that is the
-    /// new owner's push of the copy it merged, which the old store copy
-    /// must not overwrite. A promotion finds no store copy there.
-    pub(crate) fn slot_move(&self, anchor: &str, from: Area, to: Area) -> Result<(), NfsStatus> {
-        let slot = self.slot_name(from, anchor);
+    /// Moves `anchor`'s slot and record from the replica area into the
+    /// store, uncharged: a promotion.
+    pub(crate) fn slot_move(&self, anchor: &str) -> Result<(), NfsStatus> {
+        let slot = self.slot_name(Area::Replica, anchor);
         self.store.with_store(|v| {
-            let (src, _) = v.lookup(v.root(), from.dir_name())?;
-            let (dst, _) = v.lookup(v.root(), to.dir_name())?;
-            if v.lookup(dst, &slot).is_ok() {
-                v.remove_tree(src, &slot)?;
-                self.slot_table.lock().take(from, anchor, &slot);
-                return Ok(());
-            }
+            let (src, _) = v.lookup(v.root(), Area::Replica.dir_name())?;
+            let (dst, _) = v.lookup(v.root(), Area::Store.dir_name())?;
             v.rename(src, &slot, dst, &slot)?;
             let (root, _) = v.lookup(dst, &slot)?;
             let mut table = self.slot_table.lock();
-            let meta = table.take(from, anchor, &slot).unwrap_or_default();
-            table.insert(to, anchor, slot, root, meta);
+            let meta = table.take(Area::Replica, anchor, &slot).unwrap_or_default();
+            table.insert(Area::Store, anchor, slot, root, meta);
             Ok(())
         })
     }
@@ -414,13 +406,13 @@ impl KoshaNode {
         Ok(renamed)
     }
 
-    /// Drops replica slot `slot` and its record (replica-slot GC),
-    /// uncharged. True if it was there.
-    pub(crate) fn slot_discard(&self, slot: &str) -> bool {
+    /// Drops slot `slot` of `area` and its record, uncharged: replica-slot
+    /// GC, and a demotion's store copy. True if it was there.
+    pub(crate) fn slot_discard(&self, area: Area, slot: &str) -> bool {
         let discarded = self.store.with_store(|v| {
-            let (rarea, _) = v.lookup(v.root(), Area::Replica.dir_name()).ok()?;
-            v.remove_tree(rarea, slot).ok()?;
-            self.slot_table.lock().take_name(Area::Replica, slot);
+            let (dir, _) = v.lookup(v.root(), area.dir_name()).ok()?;
+            v.remove_tree(dir, slot).ok()?;
+            self.slot_table.lock().take_name(area, slot);
             Some(())
         });
         discarded.is_some()

@@ -477,11 +477,12 @@ fn hosts(nodes: &[&Arc<KoshaNode>], paths: &[String]) -> Vec<Option<NodeAddr>> {
     paths.iter().map(host).collect()
 }
 
-/// A distributed MKDIR under a parent whose anchor migrated: the link goes
-/// to the parent's cached, old primary, which refuses it with `NoEnt`, and
-/// the path retry runs the MKDIR again. The anchor the first pass made
-/// must not meet the retry. It used to, as `Exist` (4 of these 12), and it
-/// stayed behind, hosted and listed by no parent.
+/// A distributed MKDIR under a parent whose anchor migrated: the parent's
+/// cached, old primary no longer holds its slot and answers `Stale`, and
+/// the retry runs the MKDIR again against the new one. An anchor a pass
+/// made before its link was refused must not meet the retry. It used to,
+/// as `Exist` (4 of these 12), and it stayed behind, hosted and listed by
+/// no parent.
 #[test]
 fn mkdir_under_a_migrated_parent_succeeds_and_orphans_no_anchor() {
     let mut cfg = KoshaConfig::for_tests();
@@ -517,15 +518,16 @@ fn mkdir_under_a_migrated_parent_succeeds_and_orphans_no_anchor() {
 }
 
 /// An RMDIR through a stale location cache entry. After the directory's
-/// anchor migrated, the old owner answers `NoEnt` and the retry finds the
+/// anchor migrated, the old owner answers `Stale` and the retry finds the
 /// new one. After only its parent's anchor migrated, the anchor goes and
-/// the old parent refuses the link's removal: the retry removes the link
-/// alone (it used to look the name up, find the link, fail to resolve the
-/// anchor it had just removed, and answer `NoEnt` with the link left
-/// behind). K = 0, so that no copy a join left on an old holder brings the
-/// removed anchor back for that retry to find. After another koshad
-/// replaced the directory with a file, the retry looks the name up and
-/// answers `NotDir`, and the file stays.
+/// the old parent refuses the link's removal with `Stale`: the retry
+/// removes the link alone (it used to look the name up, find the link,
+/// fail to resolve the anchor it had just removed, and answer `NoEnt` with
+/// the link left behind). K = 0, so that no copy a join left on an old
+/// holder brings the removed anchor back for that retry to find. After
+/// another koshad replaced the directory with a file, the old owner
+/// answers `Stale` for the removed anchor, the retry looks the name up
+/// and answers `NotDir`, and the file stays.
 #[test]
 fn rmdir_through_a_stale_cached_anchor() {
     let mut cfg = KoshaConfig::for_tests();
@@ -581,6 +583,154 @@ fn rmdir_through_a_stale_cached_anchor() {
     ));
     assert_eq!(m0.read_file("/r/x").unwrap(), b"a file now");
     assert_eq!(m1.read_file("/r/x").unwrap(), b"a file now");
+}
+
+/// A mount reads what a file's new owner acked after a join moved the
+/// file's anchor, under every replication setting (§4.3.1: the files are
+/// copied to the new node). Node 0's koshad caches every file's
+/// location, five nodes join, a mount on a newcomer overwrites each file,
+/// and node 0's mount must read the new bytes: the old owner dropped its
+/// store copy, so the cached handle answers `Stale` and the retry finds
+/// the new owner. The old owner used to move its copy into its replica
+/// area, where a cached handle still read it unless the new owner's push
+/// had replaced it: at K = 0, 2 of the 4 moved files read the old bytes.
+/// Two maintenance rounds later the audit finds each anchor with one
+/// primary and K alike copies, and no copy without a primary: the old
+/// owner keeps a copy only as the new owner's push put it there.
+#[test]
+fn a_second_mount_reads_what_the_new_owner_acked_after_a_join() {
+    use kosha::{audit_cluster, AuditOptions, ReplicationMode};
+
+    let write_behind = ReplicationMode::WriteBehind {
+        queue_ops: 64,
+        flush_interval: std::time::Duration::from_millis(5),
+    };
+    let settings = [
+        (0, ReplicationMode::Sync),
+        (1, ReplicationMode::Sync),
+        (1, write_behind),
+        (2, ReplicationMode::Sync),
+    ];
+    for (replicas, mode) in settings {
+        let label = format!("K = {replicas}, {mode:?}");
+        let mut cfg = KoshaConfig::for_tests();
+        cfg.distribution_level = 1;
+        cfg.replicas = replicas;
+        cfg.replication_mode = mode;
+        let c = build_cluster(3, cfg.clone());
+        let m0 = mount(&c, 0);
+        let dirs: Vec<String> = (0..12).map(|i| format!("/d{i}")).collect();
+        for d in &dirs {
+            m0.mkdir(d).unwrap();
+            m0.write_file(&format!("{d}/f"), b"before").unwrap();
+            assert_eq!(m0.read_file(&format!("{d}/f")).unwrap(), b"before");
+        }
+        let were = hosts(&c.nodes.iter().collect::<Vec<_>>(), &dirs);
+        let grown = join_nodes(&c, &cfg, 3..8);
+        let all: Vec<&Arc<KoshaNode>> = c.nodes.iter().chain(&grown).collect();
+        let moved = hosts(&all, &dirs)
+            .iter()
+            .zip(&were)
+            .filter(|(a, b)| a != b)
+            .count();
+        assert!(moved > 0, "{label}: no anchor migrated");
+
+        let net = c.net.clone() as Arc<dyn Network>;
+        let newcomer = KoshaMount::new(net, grown[0].addr(), grown[0].addr()).unwrap();
+        for d in &dirs {
+            newcomer.write_file(&format!("{d}/f"), b"after").unwrap();
+        }
+        for d in &dirs {
+            let read = m0.read_file(&format!("{d}/f")).unwrap();
+            assert_eq!(
+                read, b"after",
+                "{label}: {d}/f read before the join's bytes"
+            );
+        }
+
+        for _ in 0..2 {
+            for n in &all {
+                n.maintain();
+            }
+        }
+        let peers: Vec<NodeAddr> = all.iter().map(|n| n.addr()).collect();
+        let opts = AuditOptions {
+            replicas,
+            ..AuditOptions::default()
+        };
+        let r = audit_cluster(&*c.net, peers[0], &peers, 0, &opts);
+        assert_eq!(r.nodes_scanned, peers.len() as u64, "{label}: {r:?}");
+        let faults = [
+            r.under_replicated,
+            r.over_replicated,
+            r.objects_divergent,
+            r.orphaned_replicas,
+            r.duplicate_primaries,
+        ];
+        assert_eq!(faults, [0; 5], "{label}: {r:?}");
+    }
+}
+
+/// A rename from a directory that stayed into one whose anchor a join
+/// moved: the destination's cached listing answers `Stale` from its old
+/// owner, and the retry drops it too, not only the source's chain, so
+/// the file lands with the new owner.
+#[test]
+fn a_rename_into_a_migrated_directory_lands_with_its_new_owner() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 0;
+    let c = build_cluster(3, cfg.clone());
+    let m = mount(&c, 0);
+    let dirs: Vec<String> = (0..12).map(|i| format!("/r{i}")).collect();
+    for d in &dirs {
+        m.mkdir(d).unwrap();
+        m.write_file(&format!("{d}/f"), d.as_bytes()).unwrap();
+    }
+    let were = hosts(&c.nodes.iter().collect::<Vec<_>>(), &dirs);
+    let grown = join_nodes(&c, &cfg, 3..8);
+    let all: Vec<&Arc<KoshaNode>> = c.nodes.iter().chain(&grown).collect();
+    let are = hosts(&all, &dirs);
+    let from = (0..12)
+        .find(|&i| are[i] == were[i])
+        .expect("an anchor that stayed");
+    let to = (0..12)
+        .find(|&i| are[i] != were[i])
+        .expect("an anchor that moved");
+    let (src, dst) = (format!("{}/f", dirs[from]), format!("{}/g", dirs[to]));
+    m.rename(&src, &dst).unwrap();
+    assert_eq!(m.read_file(&dst).unwrap(), dirs[from].as_bytes());
+    assert!(!m.exists(&src));
+}
+
+/// A store purged while its node stays up: every handle into it, the
+/// export root a koshad cached among them, answers `Stale`. The retry
+/// drops the stale root with the path's chain and fetches the new one,
+/// and the owner's `EnsureAnchor` pulls the anchor back from its holder,
+/// so the read succeeds. A `Stale` that left the cached root in place
+/// would fail every retry on it.
+#[test]
+fn a_purged_store_is_found_again_through_a_new_export_root() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 1;
+    let c = build_cluster(4, cfg);
+    let m = mount(&c, 0);
+    let dirs: Vec<String> = (0..8).map(|i| format!("/p{i}")).collect();
+    for d in &dirs {
+        m.mkdir(d).unwrap();
+        m.write_file(&format!("{d}/f"), d.as_bytes()).unwrap();
+    }
+    // Walks from a cold resolver cache every owner's export root.
+    c.nodes[0].flush_caches();
+    for d in &dirs {
+        assert_eq!(m.read_file(&format!("{d}/f")).unwrap(), d.as_bytes());
+    }
+    // Purging node 0 would restart its koshad too, cache and all.
+    let elsewhere = |d: &&String| primary_of(&c, d).addr() != c.nodes[0].addr();
+    let d = dirs.iter().find(elsewhere).expect("an anchor off node 0");
+    primary_of(&c, d).purge();
+    assert_eq!(m.read_file(&format!("{d}/f")).unwrap(), d.as_bytes());
 }
 
 #[test]
@@ -1786,9 +1936,11 @@ fn every_op_kind_lands_alike_in_store_and_replica_areas() {
 
 /// The first of the two policies that tell the areas apart (DESIGN.md
 /// §11): what an op needs and does not find is `NoEnt` in the store (the
-/// caller misrouted or raced a removal) and is made on demand by a
-/// holder (a mirrored op may arrive before the push that would have made
-/// it) — except the object of a `SetAttr`, which a holder cannot invent.
+/// caller raced a removal), or `Stale` if its anchor is not served there
+/// (the caller misrouted or holds a location from before a migration),
+/// and is made on demand by a holder (a mirrored op may arrive before the
+/// push that would have made it) — except the object of a `SetAttr`,
+/// which a holder cannot invent.
 #[test]
 fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
     use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
@@ -1807,10 +1959,10 @@ fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
     let (path, offset, data) = write("/p/q/f");
     let req = KoshaRequest::Write { path, offset, data };
     assert_eq!(control(&c, node, &req), Err(NfsStatus::NoEnt));
-    // ...an anchor this node does not host is refused the same way...
+    // ...an anchor this node does not host is not its to answer for...
     let (path, offset, data) = write("/elsewhere/f");
     let req = KoshaRequest::Write { path, offset, data };
-    assert_eq!(control(&c, node, &req), Err(NfsStatus::NoEnt));
+    assert_eq!(control(&c, node, &req), Err(NfsStatus::Stale));
     // ...and a holder makes the chain and the file.
     let (path, offset, data) = write("/p/q/f");
     let op = ReplicaOp::Write { path, offset, data };
@@ -1990,7 +2142,8 @@ fn the_record_follows_its_slot() {
     check("promotion");
 
     // Transfer and demotion: the key belongs to `owner`, so maintenance
-    // hands the anchor back and keeps the local copy as a replica.
+    // hands the anchor back and drops the store copy; the replica left
+    // here is the one the owner's push brought, this node being a target.
     holder.maintain();
     assert!(!holder.hosted_anchors().contains(&hosted));
     assert_eq!(holder.stats().migrations_out, 1);
@@ -2521,7 +2674,7 @@ fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
 /// once every item has landed, so a transfer the receiver cuts short (an
 /// item whose parent is a file: `Inval`, the items before it landed)
 /// leaves a store slot whose record names none. The anchor is missing
-/// from `hosted_anchors`, a store op on it is `NoEnt` and
+/// from `hosted_anchors`, a store op on it is `Stale` and
 /// `slot_mismatches` reports it. A whole transfer names it and it is
 /// served, and an `EnsureAnchor` on a slot left cut short adopts the
 /// routing name it is sent.
@@ -2565,7 +2718,7 @@ fn a_transfer_cut_short_is_not_served() {
 
     cut_short("/t");
     assert_eq!(served("/t"), None);
-    assert_eq!(write("/t/f"), Err(NfsStatus::NoEnt));
+    assert_eq!(write("/t/f"), Err(NfsStatus::Stale));
     let odd = node.slot_mismatches();
     assert_eq!(odd.len(), 1, "{odd:?}");
     assert!(odd[0].ends_with("no routing name"), "{odd:?}");

@@ -504,7 +504,7 @@ enum TableOp {
     /// directory's listing (what a walk caches) or a file's object.
     SetLocation(usize, u64, bool),
     SetReplica(usize, u64),
-    /// A `NoEnt` retry distrusts one path's chain.
+    /// A `Stale` answer distrusts one path's chain.
     ClearChain(usize),
     /// A demoted anchor's subtree.
     ClearSubtree(usize),

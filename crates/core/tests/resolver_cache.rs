@@ -5,7 +5,8 @@
 //! overwritten file takes exactly its own handle and cache keys with it,
 //! at a cost that does not grow with the handle table, an RMDIR forgets
 //! its directory at a cost that does not grow with the directory caches,
-//! and a lookup of a missing name distrusts its own path's chain alone.
+//! and a lookup of a missing name is one NFS call, whatever the table's
+//! size.
 
 use kosha::handles::VIRTUAL_GEN;
 use kosha::paths::{slot_local_path, Area};
@@ -358,13 +359,12 @@ fn rmdir_cost_does_not_grow_with_the_handle_table() {
 }
 
 /// A LOOKUP of a name that is not there answers `NoEnt`, and koshad
-/// retries it once after distrusting the cached locations on that name's
-/// chain: the name itself, its directories and anything below it. The
-/// chain is found through the directories' descendant counts, not by
-/// comparing every handle's path with it, so the cost does not follow
-/// the table's size. When it compared them the ratio below was ≈ 50 in a
-/// debug build; each side is the better of two runs. Both sizes send the
-/// same NFS calls per miss: the table's size changes no protocol step.
+/// touches no cached location for it. When it retried every `NoEnt` after
+/// distrusting the cached locations on the name's chain, and found that
+/// chain by comparing every handle's path with it, the ratio below was
+/// ≈ 50 in a debug build; each side is the better of two runs. Both sizes
+/// send the same NFS calls per miss: the table's size changes no protocol
+/// step.
 #[test]
 fn a_lookup_of_a_missing_name_does_not_grow_with_the_handle_table() {
     let [(small, per_small), (large, per_large)] = small_and_large_table(Victim::Missing);
@@ -373,6 +373,17 @@ fn a_lookup_of_a_missing_name_does_not_grow_with_the_handle_table() {
         large < small * 5,
         "2 000 missed lookups took {small:?} beside 1 000 handles and {large:?} beside 100 000"
     );
+}
+
+/// A missed LOOKUP is one NFS LOOKUP at the parent's primary, and its
+/// `NoEnt` is the answer: koshad retries only `Stale`, what a node answers
+/// for what it no longer holds. When it distrusted every `NoEnt` and
+/// walked the name's chain again from the root anchor, a miss cost six
+/// (12 000 for these 2 000).
+#[test]
+fn a_missed_lookup_sends_one_nfs_call() {
+    let (_, calls) = time_removes_with_table_of(1_000, Victim::Missing);
+    assert_eq!(calls, 2_000);
 }
 
 /// Time for 2 000 RMDIRs through a mount whose directory cache, and whose

@@ -325,6 +325,45 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Runs `ops` four ways and requires them to agree on every one; the
+/// first that does not fails with its index, the op and the difference.
+fn session_agrees(ops: &[Op]) -> Result<(), String> {
+    let four = FourWays::new();
+    for (i, op) in ops.iter().enumerate() {
+        let agreed = four.agree(|fs| match op {
+            Op::MkdirP(d, s) => fs
+                .mkdir_p(&format!("{}/sub{}", dir_name(*d), s % 3))
+                .map(ok),
+            Op::Write(d, f, n) => {
+                let data = vec![(*f).wrapping_add(1); *n as usize];
+                fs.write_file(&file_path(*d, *f), &data).map(ok)
+            }
+            Op::Read(d, f) => fs
+                .read_file(&file_path(*d, *f))
+                .map(|v| format!("{}:{:x?}", v.len(), v.first())),
+            Op::Stat(d, f) => fs
+                .stat(&file_path(*d, *f))
+                .map(|(_, a)| format!("{}:{:?}", a.size, a.ftype)),
+            Op::List(d) => fs.readdir(&dir_name(*d)).map(|v| {
+                v.into_iter()
+                    .map(|e| format!("{}:{:?}", e.name, e.ftype))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            }),
+            Op::Remove(d, f) => fs.remove(&file_path(*d, *f)).map(ok),
+            Op::RmdirSub(d, s) => fs.rmdir(&format!("{}/sub{}", dir_name(*d), s % 3)).map(ok),
+            Op::RenameFile(d, f, t) => fs
+                .rename(
+                    &file_path(*d, *f),
+                    &format!("{}/renamed{}", dir_name(*d), t % 3),
+                )
+                .map(ok),
+        });
+        agreed.map_err(|e| format!("op {i} ({op:?}) diverged: {e}"))?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -332,41 +371,25 @@ proptest! {
     /// not.
     #[test]
     fn random_sessions_agree(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        let four = FourWays::new();
+        let agreed = session_agrees(&ops);
+        prop_assert!(agreed.is_ok(), "{:?}", agreed);
+    }
+}
 
-        for (i, op) in ops.iter().enumerate() {
-                    let agreed = four.agree(|fs| match op {
-                Op::MkdirP(d, s) => fs
-                    .mkdir_p(&format!("{}/sub{}", dir_name(*d), s % 3))
-                    .map(ok),
-                Op::Write(d, f, n) => {
-                    let data = vec![(*f).wrapping_add(1); *n as usize];
-                    fs.write_file(&file_path(*d, *f), &data).map(ok)
-                }
-                Op::Read(d, f) => fs
-                    .read_file(&file_path(*d, *f))
-                    .map(|v| format!("{}:{:x?}", v.len(), v.first())),
-                Op::Stat(d, f) => fs
-                    .stat(&file_path(*d, *f))
-                    .map(|(_, a)| format!("{}:{:?}", a.size, a.ftype)),
-                Op::List(d) => fs.readdir(&dir_name(*d)).map(|v| {
-                    v.into_iter()
-                        .map(|e| format!("{}:{:?}", e.name, e.ftype))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                }),
-                Op::Remove(d, f) => fs.remove(&file_path(*d, *f)).map(ok),
-                Op::RmdirSub(d, s) => fs
-                    .rmdir(&format!("{}/sub{}", dir_name(*d), s % 3))
-                    .map(ok),
-                Op::RenameFile(d, f, t) => fs
-                    .rename(
-                        &file_path(*d, *f),
-                        &format!("{}/renamed{}", dir_name(*d), t % 3),
-                    )
-                    .map(ok),
-            });
-            prop_assert!(agreed.is_ok(), "op {} ({:?}) diverged: {:?}", i, op, agreed);
-        }
+/// The one session proptest once saved, shrunk to four ops: a `mkdir_p`
+/// below `/zone1`, a write of `/zone1/file0`, a write of the reserved
+/// name `/zone1/.kosha_anchor` (the user's name, since a slot's record is
+/// not a file) and a read of the missing `/zone1/file2`.
+#[test]
+fn the_saved_session_agrees() {
+    use Op::*;
+    let ops = [
+        MkdirP(101, 0),
+        Write(133, 54, 867),
+        Write(125, 179, 56),
+        Read(237, 104),
+    ];
+    if let Err(e) = session_agrees(&ops) {
+        panic!("{e}");
     }
 }
