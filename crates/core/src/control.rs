@@ -106,132 +106,19 @@ wire_struct! {
 wire_enum! {
     /// Requests handled by a node's Kosha control service. Every path is a
     /// full virtual path (relative to `/kosha`, normalized). A variant's
-    /// label (`name()`) names its trace spans (`kosha:{name}` on the
-    /// control service, `replica:{name}` on the replica service) and its
-    /// journal details.
+    /// label (`name()`) names its journal details and, but for `Mutate`'s,
+    /// its trace spans ([`Self::span_name`]: `kosha:{name}` on the control
+    /// service, `replica:{name}` on the replica service).
     #[derive(Debug, Clone, PartialEq)]
     pub enum KoshaRequest labelled(NAMES, index, name) {
-        /// Create a regular file (primary of the parent directory). `size`
-        /// creates a quota-charged sparse file (simulation inserts).
-        CreateFile {
-            /// Virtual path of the new file.
-            path: String,
-            /// Permission bits.
-            mode: u32,
-            /// Owner uid.
-            uid: u32,
-            /// Owner gid.
-            gid: u32,
-            /// Sparse size, if any.
-            size: Option<u64>,
-        } = 0 => "create_file",
-        /// Create a non-distributed directory (depth > level) on the node
-        /// holding its parent.
-        MkdirLocal {
-            /// Virtual path of the new directory.
-            path: String,
-            /// Permission bits.
-            mode: u32,
-            /// Owner uid.
-            uid: u32,
-            /// Owner gid.
-            gid: u32,
-        } = 1 => "mkdir_local",
-        /// Materialize a distributed directory on this node: its slot and
-        /// the slot's record. Replies `Handle` for the slot root; `NoSpc`
-        /// when this node's store is at or above the redirection
-        /// utilization (§3.3), so the caller salts the name and asks
-        /// another node.
-        MkdirAnchor {
-            /// Virtual path of the new anchor directory.
-            path: String,
-            /// The (possibly salted) name this anchor is routed by.
-            routing_name: String,
-            /// Permission bits.
-            mode: u32,
-            /// Owner uid.
-            uid: u32,
-            /// Owner gid.
-            gid: u32,
-        } = 2 => "mkdir_anchor",
-        /// Place a special link in a parent directory hosted on this node
-        /// (§3.1, §3.3). `path` is the link's own virtual path.
-        PlaceLink {
-            /// Virtual path of the link (parent's listing entry).
-            path: String,
-            /// Routing name the link points at (`name` or `name#salt`).
-            target: String,
-            /// Owner uid.
-            uid: u32,
-            /// Owner gid.
-            gid: u32,
-        } = 3 => "place_link",
-        /// Create a user-level symlink (lives with its parent directory).
-        SymlinkFile {
-            /// Virtual path of the symlink.
-            path: String,
-            /// Target string (opaque to Kosha).
-            target: String,
-            /// Owner uid.
-            uid: u32,
-            /// Owner gid.
-            gid: u32,
-        } = 4 => "symlink_file",
-        /// Write data to a file.
-        Write {
-            /// Virtual path of the file.
-            path: String,
-            /// Byte offset.
-            offset: u64,
-            /// Data (on the primary, a view of the request frame).
-            data: Bytes,
-        } = 5 => "write",
-        /// Update attributes of a file or directory hosted on this node.
-        SetAttr {
-            /// Virtual path.
-            path: String,
-            /// Attribute changes.
-            sattr: WireSetAttr,
-        } = 6 => "setattr",
-        /// Remove a file or user symlink.
-        Remove {
-            /// Virtual path.
-            path: String,
-        } = 7 => "remove",
-        /// Remove an empty non-distributed directory.
-        Rmdir {
-            /// Virtual path.
-            path: String,
-        } = 8 => "rmdir",
-        /// Tear down a distributed directory hosted on this node: verify
-        /// empty, remove it, prune the now-empty ancestor hierarchy (§4.1.5).
-        RmdirAnchor {
-            /// Virtual path of the anchor directory.
-            path: String,
-        } = 9 => "rmdir_anchor",
-        /// Remove the special link entry for a deleted/migrated distributed
-        /// directory from its parent's listing on this node.
-        RemoveLink {
-            /// Virtual path of the link.
-            path: String,
-        } = 10 => "remove_link",
-        /// Rename an entry where both source and destination live on this
-        /// node (same-parent renames and local moves). Renames a special link
-        /// without touching its target, per §4.1.4.
-        RenameLocal {
-            /// Source virtual path.
-            from: String,
-            /// Destination virtual path.
-            to: String,
-        } = 11 => "rename_local",
-        /// Rename the materialized directory of an anchor hosted on this node
-        /// (the "rename on B" half of §4.1.4's two-node link rename).
-        RenameAnchorDir {
-            /// Current anchor virtual path.
-            from: String,
-            /// New anchor virtual path.
-            to: String,
-        } = 12 => "rename_anchor_dir",
+        /// One mutation of replicated state, sent by koshad to the primary
+        /// of the slot it lands in, which applies it to its store and
+        /// mirrors the same op to its K replica holders (§4.2). Tags 0–12,
+        /// a request of its own per kind of mutation, are retired.
+        Mutate {
+            /// The mutation.
+            op: ReplicaOp,
+        } = 30 => "mutate",
         /// Resolution/fault handling: make sure this node serves the anchor
         /// at `path`. If the anchor is in the store, a no-op; if it is only in
         /// the replica area, promote it (§4.4); if it is the root anchor and
@@ -365,19 +252,29 @@ wire_enum! {
 }
 
 wire_enum! {
-    /// One replicated mutation, shipped by the primary to each replica
-    /// holder after it has applied the change to its own store (§4.2).
+    /// One mutation of replicated state: what koshad sends the primary
+    /// (`KoshaRequest::Mutate`), and what the primary, once it has applied
+    /// the change to its own store, ships to each replica holder (§4.2).
     /// Paths are full virtual paths; the receiver derives the covering
-    /// anchor itself and finds its replica-area slot in its slot table,
-    /// and treats already-done outcomes (`Exist` on creates, `NoEnt` on
-    /// removes) as success so replays are idempotent.
+    /// anchor itself and finds its slot in its slot table. A holder
+    /// treats already-done outcomes (`Exist` on creates, `NoEnt` on
+    /// removes) as success so replays are idempotent. A variant's label
+    /// names a mutation's control-service span (`kosha:write`).
     #[derive(Debug, Clone, PartialEq)]
-    pub enum ReplicaOp {
-        /// Ensure the replica directory for `path` (a directory) exists.
+    pub enum ReplicaOp labelled(NAMES, index, name) {
+        /// Make the directory `path`. The store makes it with the given
+        /// owner; a holder makes every directory of its replica area
+        /// alike, and finds one already there done.
         Mkdir {
             /// Virtual path of the directory.
             path: String,
-        } = 0,
+            /// Permission bits.
+            mode: u32,
+            /// Owner uid.
+            uid: u32,
+            /// Owner gid.
+            gid: u32,
+        } = 0 => "mkdir",
         /// Create a regular (or sparse, when `size` is set) file.
         Create {
             /// Virtual path of the file.
@@ -390,8 +287,9 @@ wire_enum! {
             gid: u32,
             /// Sparse size, if any.
             size: Option<u64>,
-        } = 1,
-        /// Create a symlink (special or user-level; `mode` distinguishes).
+        } = 1 => "create",
+        /// Create a symlink: a special link ([`crate::primary::SPECIAL_LINK_MODE`],
+        /// the sticky bit) or a user-level one ([`crate::primary::USER_LINK_MODE`]).
         Symlink {
             /// Virtual path of the link.
             path: String,
@@ -403,7 +301,7 @@ wire_enum! {
             uid: u32,
             /// Owner gid.
             gid: u32,
-        } = 2,
+        } = 2 => "symlink",
         /// Write data (creating the file if the replica lacks it).
         Write {
             /// Virtual path of the file.
@@ -412,43 +310,44 @@ wire_enum! {
             offset: u64,
             /// Data (on the holder, a view of the request frame).
             data: Bytes,
-        } = 3,
+        } = 3 => "write",
         /// Update attributes.
         SetAttr {
             /// Virtual path.
             path: String,
             /// Attribute changes.
             sattr: WireSetAttr,
-        } = 4,
+        } = 4 => "setattr",
         /// Remove a file or symlink.
         Remove {
             /// Virtual path.
             path: String,
-        } = 5,
-        /// Remove an empty directory.
+        } = 5 => "remove",
+        /// Remove an empty directory, or the special link that stands for
+        /// a distributed one.
         Rmdir {
             /// Virtual path.
             path: String,
-        } = 6,
+        } = 6 => "rmdir",
         /// Drop the whole replica copy of an anchor (anchor teardown).
         RemoveSlot {
             /// Anchor virtual path.
             anchor: String,
-        } = 7,
+        } = 7 => "remove_slot",
         /// Rename an entry (both paths under anchors this replica mirrors).
         Rename {
             /// Source virtual path.
             from: String,
             /// Destination virtual path.
             to: String,
-        } = 8,
+        } = 8 => "rename",
         /// Rename an anchor's replica slot (anchor directory rename).
         RenameSlot {
             /// Current anchor virtual path.
             from: String,
             /// New anchor virtual path.
             to: String,
-        } = 9,
+        } = 9 => "rename_slot",
         /// Write-behind lag marker. With `bytes > 0`, stamps the replica
         /// slot as *behind* the primary by at least that many queued payload
         /// bytes; with `bytes == 0`, clears the stamp (the flush carrying it
@@ -460,7 +359,7 @@ wire_enum! {
             anchor: String,
             /// Lower bound of queued payload bytes (0 = clear).
             bytes: u64,
-        } = 10,
+        } = 10 => "lag_mark",
         /// Make a new, empty anchor's slot (`mkdir` of a distributed
         /// directory). The primary makes its store slot with the given
         /// owner; a holder replaces whatever stale copy it held with an
@@ -477,7 +376,19 @@ wire_enum! {
             uid: u32,
             /// Owner gid.
             gid: u32,
-        } = 11,
+        } = 11 => "make_slot",
+    }
+}
+
+impl KoshaRequest {
+    /// The label a request's trace spans carry: a mutation's is its op's
+    /// (`write`, `make_slot`), any other request's its own.
+    #[must_use]
+    pub fn span_name(&self) -> &'static str {
+        match self {
+            KoshaRequest::Mutate { op } => op.name(),
+            req => req.name(),
+        }
     }
 }
 
@@ -495,7 +406,7 @@ impl ReplicaOp {
     /// The virtual paths this op names.
     pub(crate) fn names(&self) -> Names<'_> {
         match self {
-            ReplicaOp::Mkdir { path }
+            ReplicaOp::Mkdir { path, .. }
             | ReplicaOp::Create { path, .. }
             | ReplicaOp::Symlink { path, .. }
             | ReplicaOp::Write { path, .. }
@@ -518,9 +429,9 @@ wire_enum! {
     pub enum KoshaReply {
         /// Acknowledged.
         Done = 0,
-        /// A created object's real handle and attributes (CreateFile,
-        /// MkdirLocal, MkdirAnchor) — saves the caller a LOOKUP round
-        /// trip, like NFS CREATE's post-op handle.
+        /// A created object's real handle and attributes (a `Mutate` of
+        /// `Create`, `Mkdir` or `MakeSlot`) — saves the caller a LOOKUP
+        /// round trip, like NFS CREATE's post-op handle.
         Handle {
             /// Real handle on the replying node.
             fh: Fh,
@@ -559,65 +470,21 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let reqs = vec![
-            KoshaRequest::CreateFile {
-                path: "/a/f".into(),
-                mode: 0o644,
-                uid: 1,
-                gid: 2,
-                size: Some(100),
+            KoshaRequest::Mutate {
+                op: ReplicaOp::Create {
+                    path: "/a/f".into(),
+                    mode: 0o644,
+                    uid: 1,
+                    gid: 2,
+                    size: Some(100),
+                },
             },
-            KoshaRequest::MkdirLocal {
-                path: "/a/b/c".into(),
-                mode: 0o755,
-                uid: 0,
-                gid: 0,
-            },
-            KoshaRequest::MkdirAnchor {
-                path: "/a".into(),
-                routing_name: "a#77".into(),
-                mode: 0o755,
-                uid: 0,
-                gid: 0,
-            },
-            KoshaRequest::PlaceLink {
-                path: "/a".into(),
-                target: "a#77".into(),
-                uid: 0,
-                gid: 0,
-            },
-            KoshaRequest::SymlinkFile {
-                path: "/a/l".into(),
-                target: "whatever".into(),
-                uid: 0,
-                gid: 0,
-            },
-            KoshaRequest::Write {
-                path: "/a/f".into(),
-                offset: 9,
-                data: vec![1, 2].into(),
-            },
-            KoshaRequest::SetAttr {
-                path: "/a/f".into(),
-                sattr: WireSetAttr(SetAttr {
-                    size: Some(3),
-                    ..Default::default()
-                }),
-            },
-            KoshaRequest::Remove {
-                path: "/a/f".into(),
-            },
-            KoshaRequest::Rmdir {
-                path: "/a/d".into(),
-            },
-            KoshaRequest::RmdirAnchor { path: "/a".into() },
-            KoshaRequest::RemoveLink { path: "/a".into() },
-            KoshaRequest::RenameLocal {
-                from: "/a/x".into(),
-                to: "/a/y".into(),
-            },
-            KoshaRequest::RenameAnchorDir {
-                from: "/a".into(),
-                to: "/b".into(),
+            KoshaRequest::Mutate {
+                op: ReplicaOp::Write {
+                    path: "/a/f".into(),
+                    offset: 9,
+                    data: vec![1, 2].into(),
+                },
             },
             KoshaRequest::EnsureAnchor {
                 path: "/a".into(),
@@ -752,6 +619,9 @@ mod tests {
         let ops = vec![
             ReplicaOp::Mkdir {
                 path: "/a/d".into(),
+                mode: 0o750,
+                uid: 3,
+                gid: 4,
             },
             ReplicaOp::Create {
                 path: "/a/f".into(),

@@ -531,7 +531,7 @@ impl KoshaNode {
             let drop_slot = ReplicaOp::RemoveSlot {
                 anchor: anchor.to_string(),
             };
-            return self.apply_op(Area::Replica, &drop_slot, None).map(|_| ());
+            return self.apply_op(Area::Replica, &drop_slot).map(|_| ());
         }
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
         if let Ok(dir) = self.slot_fh(Area::Replica, anchor, pp, false) {

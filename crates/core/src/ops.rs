@@ -7,10 +7,11 @@
 //! reads via direct NFS, and transparently retries through failures
 //! (§4.4).
 
-use crate::control::{KoshaReply, KoshaRequest};
+use crate::control::{KoshaReply, KoshaRequest, ReplicaOp};
 use crate::handles::Location;
 use crate::node::{KoshaNode, VirtualFs};
 use crate::paths::is_distributed_dir;
+use crate::primary::{SPECIAL_LINK_MODE, USER_LINK_MODE};
 use crate::resolve::is_special_link_mode;
 use kosha_id::salted_name;
 use kosha_nfs::messages::{NfsReplyFrame, ReplyFrame, WireAttr, WireDirEntry, WireSetAttr};
@@ -78,6 +79,12 @@ impl KoshaNode {
         Ok((l, attr.ftype))
     }
 
+    /// Sends one mutation to the primary at `addr`, which applies it and
+    /// mirrors it to its replica holders (§4.2).
+    fn mutate_at(&self, addr: NodeAddr, op: ReplicaOp) -> NfsResult<KoshaReply> {
+        self.control(addr, &KoshaRequest::Mutate { op })
+    }
+
     // ---- namespace operations -----------------------------------------
 
     /// LOOKUP: resolve `name` under the directory handle `dir`.
@@ -107,13 +114,11 @@ impl KoshaNode {
         let vpath = self.vh_path(fh)?;
         self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
-            s.control(
-                loc.addr,
-                &KoshaRequest::SetAttr {
-                    path: vpath.clone(),
-                    sattr: WireSetAttr(sattr.clone()),
-                },
-            )?;
+            let op = ReplicaOp::SetAttr {
+                path: vpath.clone(),
+                sattr: WireSetAttr(sattr.clone()),
+            };
+            s.mutate_at(loc.addr, op)?;
             s.nfs.getattr(loc.addr, loc.fh)
         })
     }
@@ -269,14 +274,12 @@ impl KoshaNode {
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
             }
-            s.control(
-                loc.addr,
-                &KoshaRequest::Write {
-                    path: vpath.clone(),
-                    offset,
-                    data: data.clone(),
-                },
-            )?;
+            let op = ReplicaOp::Write {
+                path: vpath.clone(),
+                offset,
+                data: data.clone(),
+            };
+            s.mutate_at(loc.addr, op)?;
             Ok(data.len() as u32)
         })
     }
@@ -320,16 +323,14 @@ impl KoshaNode {
         let vpath = join_path(&dpath, name);
         let (loc, attr) = self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            let reply = s.control(
-                parent.addr,
-                &KoshaRequest::CreateFile {
-                    path: vpath.clone(),
-                    mode,
-                    uid,
-                    gid,
-                    size,
-                },
-            )?;
+            let op = ReplicaOp::Create {
+                path: vpath.clone(),
+                mode,
+                uid,
+                gid,
+                size,
+            };
+            let reply = s.mutate_at(parent.addr, op)?;
             let (efh, attr) = match reply {
                 KoshaReply::Handle { fh, attr } => (fh, attr.0),
                 _ => s.nfs.lookup(parent.addr, parent.fh, name)?,
@@ -367,13 +368,13 @@ impl KoshaNode {
             if distributed {
                 return s.mkdir_distributed(parent, &vpath, name, (mode, uid, gid));
             }
-            let req = KoshaRequest::MkdirLocal {
+            let op = ReplicaOp::Mkdir {
                 path: vpath.clone(),
                 mode,
                 uid,
                 gid,
             };
-            let (fh, attr) = made(s.control(parent.addr, &req)?)?;
+            let (fh, attr) = made(s.mutate_at(parent.addr, op)?)?;
             let addr = parent.addr;
             Ok((Location { addr, fh }, attr))
         })?;
@@ -399,15 +400,18 @@ impl KoshaNode {
             Err(e) => return Err(e),
         }
         let (anchor, routing, attr) = self.place_anchor(vpath, name, (mode, uid, gid))?;
-        let link = KoshaRequest::PlaceLink {
+        let link = ReplicaOp::Symlink {
             path: vpath.to_string(),
             target: routing,
+            mode: SPECIAL_LINK_MODE,
             uid,
             gid,
         };
-        if let Err(e) = self.control(parent.addr, &link) {
-            let path = vpath.to_string();
-            let _ = self.control(anchor.addr, &KoshaRequest::RmdirAnchor { path });
+        if let Err(e) = self.mutate_at(parent.addr, link) {
+            let teardown = ReplicaOp::RemoveSlot {
+                anchor: vpath.to_string(),
+            };
+            let _ = self.mutate_at(anchor.addr, teardown);
             return Err(e);
         }
         Ok((anchor, attr))
@@ -446,14 +450,14 @@ impl KoshaNode {
                     continue;
                 }
             };
-            let req = KoshaRequest::MkdirAnchor {
-                path: vpath.to_string(),
-                routing_name: routing.clone(),
+            let op = ReplicaOp::MakeSlot {
+                anchor: vpath.to_string(),
+                routing: routing.clone(),
                 mode,
                 uid,
                 gid,
             };
-            match self.control(owner.addr, &req).and_then(made) {
+            match self.mutate_at(owner.addr, op).and_then(made) {
                 Ok((fh, attr)) => {
                     let addr = owner.addr;
                     return Ok((Location { addr, fh }, routing, attr));
@@ -484,15 +488,14 @@ impl KoshaNode {
         let vpath = join_path(&dpath, name);
         let (loc, attr) = self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            s.control(
-                parent.addr,
-                &KoshaRequest::SymlinkFile {
-                    path: vpath.clone(),
-                    target: target.to_string(),
-                    uid,
-                    gid,
-                },
-            )?;
+            let op = ReplicaOp::Symlink {
+                path: vpath.clone(),
+                target: target.to_string(),
+                mode: USER_LINK_MODE,
+                uid,
+                gid,
+            };
+            s.mutate_at(parent.addr, op)?;
             let (efh, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
             Ok((
                 Location {
@@ -537,13 +540,10 @@ impl KoshaNode {
         // special link itself, with `IsDir`.
         self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
-            s.control(
-                parent.addr,
-                &KoshaRequest::Remove {
-                    path: vpath.clone(),
-                },
-            )
-            .map(|_| ())
+            let op = ReplicaOp::Remove {
+                path: vpath.clone(),
+            };
+            s.mutate_at(parent.addr, op).map(drop)
         })?;
         // No directory went, so no subtree did: the table forgets the one
         // key.
@@ -559,9 +559,10 @@ impl KoshaNode {
     /// (anchor teardown plus special-link removal, §4.1.5). Nothing is
     /// looked up first where the answer is known: below the distribution
     /// level `Rmdir` goes to the parent's primary, whose store refuses a
-    /// file or a link with `NotDir`; at distributed depth every directory
-    /// is a special link, so a cached anchor location is torn down as it
-    /// is. A stale one answers `Stale` from its old owner and the retry
+    /// file or a user link with `NotDir`; at distributed depth every
+    /// directory is a special link, so a cached anchor location is torn
+    /// down as it is, and then the same `Rmdir` takes the link. A stale
+    /// anchor location answers `Stale` from its old owner and the retry
     /// re-resolves; only an uncached name costs a LOOKUP. Once the
     /// anchor is gone, a retry (a stale parent refused the link's
     /// removal) only removes the link: it never meets its own first step.
@@ -574,36 +575,34 @@ impl KoshaNode {
         self.with_retry(&vpath, |s| {
             let parent = s.resolve_dir(&dpath)?;
             let rmdir = || {
-                let req = KoshaRequest::Rmdir {
+                let op = ReplicaOp::Rmdir {
                     path: vpath.clone(),
                 };
-                s.control(parent.addr, &req).map(drop)
+                s.mutate_at(parent.addr, op).map(drop)
             };
-            if !distributed {
+            if !distributed || anchor_gone {
                 return rmdir();
             }
-            if !anchor_gone {
-                let cached = s.client.lock().handles.dir_location(&vpath);
-                let anchor = match cached {
-                    Some(anchor) => anchor,
-                    None => {
-                        let (_, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
-                        match attr.ftype {
-                            FileType::Symlink if is_special_link_mode(attr.mode) => {
-                                s.resolve_dir(&vpath)?
-                            }
-                            FileType::Directory => return rmdir(),
-                            _ => return Err(NfsError::Status(NfsStatus::NotDir)),
+            let cached = s.client.lock().handles.dir_location(&vpath);
+            let anchor = match cached {
+                Some(anchor) => anchor,
+                None => {
+                    let (_, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
+                    match attr.ftype {
+                        FileType::Symlink if is_special_link_mode(attr.mode) => {
+                            s.resolve_dir(&vpath)?
                         }
+                        FileType::Directory => return rmdir(),
+                        _ => return Err(NfsError::Status(NfsStatus::NotDir)),
                     }
-                };
-                let path = vpath.clone();
-                s.control(anchor.addr, &KoshaRequest::RmdirAnchor { path })?;
-                anchor_gone = true;
-            }
-            let path = vpath.clone();
-            s.control(parent.addr, &KoshaRequest::RemoveLink { path })
-                .map(drop)
+                }
+            };
+            let op = ReplicaOp::RemoveSlot {
+                anchor: vpath.clone(),
+            };
+            s.mutate_at(anchor.addr, op)?;
+            anchor_gone = true;
+            rmdir()
         })?;
         self.client.lock().handles.forget_subtree(&vpath);
         self.heat.forget(&vpath);
@@ -639,7 +638,7 @@ impl KoshaNode {
             let dp = s.resolve_dir(&ddpath)?;
             let rename_local = || {
                 let (from, to) = (spath.clone(), dpath.clone());
-                s.control(sp.addr, &KoshaRequest::RenameLocal { from, to })
+                s.mutate_at(sp.addr, ReplicaOp::Rename { from, to })
                     .map(drop)
             };
             let (sefh, sattr) = s.nfs.lookup(sp.addr, sp.fh, sname)?;
@@ -667,13 +666,11 @@ impl KoshaNode {
                         }
                     }
                 }
-                s.control(
-                    anchor.addr,
-                    &KoshaRequest::RenameAnchorDir {
-                        from: spath.clone(),
-                        to: dpath.clone(),
-                    },
-                )?;
+                let op = ReplicaOp::RenameSlot {
+                    from: spath.clone(),
+                    to: dpath.clone(),
+                };
+                s.mutate_at(anchor.addr, op)?;
                 rename_local()
             } else if sp.addr == dp.addr {
                 rename_local()
@@ -683,53 +680,46 @@ impl KoshaNode {
                 // Cross-node move: copy then delete.
                 if sattr.ftype == FileType::Symlink {
                     let target = s.nfs.readlink(sp.addr, sefh)?;
-                    s.control(
-                        dp.addr,
-                        &KoshaRequest::SymlinkFile {
-                            path: dpath.clone(),
-                            target,
-                            uid: sattr.uid,
-                            gid: sattr.gid,
-                        },
-                    )?;
+                    let op = ReplicaOp::Symlink {
+                        path: dpath.clone(),
+                        target,
+                        mode: USER_LINK_MODE,
+                        uid: sattr.uid,
+                        gid: sattr.gid,
+                    };
+                    s.mutate_at(dp.addr, op)?;
                 } else {
-                    s.control(
-                        dp.addr,
-                        &KoshaRequest::CreateFile {
-                            path: dpath.clone(),
-                            mode: sattr.mode,
-                            uid: sattr.uid,
-                            gid: sattr.gid,
-                            size: None,
-                        },
-                    )?;
+                    let op = ReplicaOp::Create {
+                        path: dpath.clone(),
+                        mode: sattr.mode,
+                        uid: sattr.uid,
+                        gid: sattr.gid,
+                        size: None,
+                    };
+                    s.mutate_at(dp.addr, op)?;
                     let chunk = s.cfg.io_chunk;
                     let mut off = 0u64;
                     loop {
                         let (data, eof) = s.nfs.read(sp.addr, sefh, off, chunk)?;
                         if !data.is_empty() {
-                            s.control(
-                                dp.addr,
-                                &KoshaRequest::Write {
-                                    path: dpath.clone(),
-                                    offset: off,
-                                    data: data.clone(),
-                                },
-                            )?;
-                            off += data.len() as u64;
+                            let len = data.len() as u64;
+                            let op = ReplicaOp::Write {
+                                path: dpath.clone(),
+                                offset: off,
+                                data,
+                            };
+                            s.mutate_at(dp.addr, op)?;
+                            off += len;
                         }
                         if eof {
                             break;
                         }
                     }
                 }
-                s.control(
-                    sp.addr,
-                    &KoshaRequest::Remove {
-                        path: spath.clone(),
-                    },
-                )
-                .map(|_| ())
+                let op = ReplicaOp::Remove {
+                    path: spath.clone(),
+                };
+                s.mutate_at(sp.addr, op).map(drop)
             }
         })?;
         self.client.lock().handles.rename_subtree(&spath, &dpath);

@@ -10,7 +10,7 @@ use crate::node::{ControlService, KoshaNode, ReplicaService};
 use crate::paths::{anchor_slot, check_vpath, is_distributed_dir, slot_local_path, Area};
 use crate::resolve::is_special_link_mode;
 use crate::slots::SlotMeta;
-use kosha_nfs::messages::{ReplyFrame, WireAttr};
+use kosha_nfs::messages::ReplyFrame;
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{
@@ -114,22 +114,12 @@ impl KoshaNode {
             .and_then(handle_of)
     }
 
-    /// True if `vpath` is a special link in this node's store. Only a
-    /// name at distributed depth can be one, so only there does this cost
-    /// a lookup.
-    fn is_special_link(&self, vpath: &str) -> bool {
-        if !is_distributed_dir(vpath, self.cfg.distribution_level) || check_vpath(vpath).is_err() {
-            return false;
-        }
-        let Ok((anchor, _, _)) = self.entry_slot(vpath) else {
-            return false;
-        };
-        let Ok(fh) = self.slot_fh(Area::Store, &anchor, vpath, false) else {
-            return false;
-        };
+    /// True if `name` in `dir` is a special link, which stands for a
+    /// distributed directory.
+    fn is_special_link(&self, dir: Fh, name: &str) -> bool {
         self.store
-            .with_store(|v| v.getattr(fh.to_file_id()))
-            .is_ok_and(|a| a.ftype == FileType::Symlink && is_special_link_mode(a.mode))
+            .with_store(|v| v.lookup(dir.to_file_id(), name))
+            .is_ok_and(|(_, a)| a.ftype == FileType::Symlink && is_special_link_mode(a.mode))
     }
 
     pub(crate) fn apply(&self, req: NfsRequest) -> Result<NfsReply, NfsStatus> {
@@ -188,28 +178,6 @@ impl KoshaNode {
             offset: 0,
             data,
         })
-    }
-
-    /// Makes a new, empty anchor in the store and on its holders, a
-    /// mirrored [`ReplicaOp::MakeSlot`], and starts serving it. Returns
-    /// the slot root's handle and attributes.
-    fn create_anchor(
-        &self,
-        anchor: &str,
-        routing: String,
-        (mode, uid, gid): (u32, u32, u32),
-    ) -> Result<(Fh, WireAttr), NfsStatus> {
-        let op = ReplicaOp::MakeSlot {
-            anchor: anchor.to_string(),
-            routing,
-            mode,
-            uid,
-            gid,
-        };
-        match self.mutate(op, None)? {
-            KoshaReply::Handle { fh, attr } => Ok((fh, attr)),
-            _ => Err(NfsStatus::Io),
-        }
     }
 
     /// Primes the push memo for a slot a `MakeSlot` just made (and the
@@ -380,14 +348,14 @@ impl KoshaNode {
                 let items = migrate_items(self.export_slot(Area::Replica, &anchor)?);
                 return Ok(KoshaReply::Slot { record, items });
             }
-            KoshaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op, None).map(drop),
+            KoshaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op).map(drop),
             // Apply in order and stop at the first failure: a partly
             // applied batch must leave the slot's lag marker set (the
             // clears ride at the batch tail), so a later promotion of
             // this copy still reports the divergence.
             KoshaRequest::ReplicaApplyBatch { ops } => ops
                 .iter()
-                .try_for_each(|op| self.apply_op(Area::Replica, op, None).map(drop)),
+                .try_for_each(|op| self.apply_op(Area::Replica, op).map(drop)),
             // A full push replaces the copy under §4.4's bracket: the
             // record says a push is landing until the last item has.
             KoshaRequest::MigrateBatch {
@@ -423,15 +391,8 @@ impl KoshaNode {
     /// store and by each holder on its replica area (§4.2: one
     /// operation, K+1 places). The areas differ in two policies only,
     /// what is missing ([`Self::slot_fh`], [`Self::op_object`]) and what
-    /// is already done ([`settle`]). `dir_attr` is the mode, uid and gid
-    /// of a directory `Mkdir` makes in the store; the wire op carries
-    /// none, and the replica area makes all its directories alike.
-    pub(crate) fn apply_op(
-        &self,
-        area: Area,
-        op: &ReplicaOp,
-        dir_attr: Option<(u32, u32, u32)>,
-    ) -> Result<NfsReply, NfsStatus> {
+    /// is already done ([`settle`]).
+    pub(crate) fn apply_op(&self, area: Area, op: &ReplicaOp) -> Result<NfsReply, NfsStatus> {
         // The paths are a peer's and are about to be joined into local
         // ones: nothing is touched for one that could climb out of its
         // slot.
@@ -439,7 +400,12 @@ impl KoshaNode {
         check_vpath(a)?;
         b.map_or(Ok(()), check_vpath)?;
         match op {
-            ReplicaOp::Mkdir { path } => {
+            ReplicaOp::Mkdir {
+                path,
+                mode,
+                uid,
+                gid,
+            } => {
                 let (anchor, pp, name) = self.entry_slot(path)?;
                 if area == Area::Replica {
                     // Here the op *is* the missing-directory policy,
@@ -448,13 +414,12 @@ impl KoshaNode {
                         .slot_fh(area, &anchor, path, true)
                         .map(|_| NfsReply::Void);
                 }
-                let (mode, uid, gid) = dir_attr.unwrap_or((0o700, 0, 0));
                 self.apply(NfsRequest::Mkdir {
                     dir: self.slot_fh(area, &anchor, pp, false)?,
                     name: name.to_string(),
-                    mode,
-                    uid,
-                    gid,
+                    mode: *mode,
+                    uid: *uid,
+                    gid: *gid,
                 })
             }
             ReplicaOp::Create {
@@ -526,9 +491,15 @@ impl KoshaNode {
                 let r = r.and_then(|(dir, name)| self.apply(NfsRequest::Remove { dir, name }));
                 settle(area, r, NfsStatus::NoEnt)
             }
+            // A special link stands for a directory: RMDIR takes it.
             ReplicaOp::Rmdir { path } => {
-                let r = self.entry_dir(area, path, false);
-                let r = r.and_then(|(dir, name)| self.apply(NfsRequest::Rmdir { dir, name }));
+                let r = self.entry_dir(area, path, false).and_then(|(dir, name)| {
+                    self.apply(if self.is_special_link(dir, &name) {
+                        NfsRequest::Remove { dir, name }
+                    } else {
+                        NfsRequest::Rmdir { dir, name }
+                    })
+                });
                 settle(area, r, NfsStatus::NoEnt)
             }
             ReplicaOp::Rename { from, to } => {
@@ -632,22 +603,77 @@ impl KoshaNode {
         }
     }
 
+    /// What a koshad may ask a primary to do: any mutation but a holder's
+    /// lag stamp, under the store's rules for names and slots. REMOVE
+    /// refuses a special link, which stands for a directory; a symlink
+    /// is a special or a user link; a slot goes only empty, is renamed
+    /// only where it is served, and is made only below the redirection
+    /// utilization.
+    fn admit(&self, op: &ReplicaOp) -> Result<(), NfsStatus> {
+        let (Names::Entry(a, b) | Names::Slot(a, b)) = op.names();
+        check_vpath(a)?;
+        b.map_or(Ok(()), check_vpath)?;
+        match op {
+            // Only a name at distributed depth can be a special link, so
+            // only there does this cost a lookup.
+            ReplicaOp::Remove { path } if is_distributed_dir(path, self.cfg.distribution_level) => {
+                match self.entry_dir(Area::Store, path, false) {
+                    Ok((dir, name)) if self.is_special_link(dir, &name) => Err(NfsStatus::IsDir),
+                    _ => Ok(()),
+                }
+            }
+            ReplicaOp::Symlink { mode, .. }
+                if ![SPECIAL_LINK_MODE, USER_LINK_MODE].contains(mode) =>
+            {
+                Err(NfsStatus::Inval)
+            }
+            ReplicaOp::RemoveSlot { anchor } => {
+                let root = self.slot_fh(Area::Store, anchor, anchor, false)?;
+                let empty = self
+                    .store
+                    .with_store(|v| v.readdir(root.to_file_id()).map(|e| e.is_empty()))
+                    .map_err(NfsStatus::from)?;
+                if empty {
+                    Ok(())
+                } else {
+                    Err(NfsStatus::NotEmpty)
+                }
+            }
+            ReplicaOp::RenameSlot { from, .. } if !self.hosted(from) => Err(NfsStatus::Stale),
+            // Redirection (§3.3): at or above the utilization every node
+            // is configured with, the owner refuses new directories and
+            // the placing koshad salts the name and asks another.
+            ReplicaOp::MakeSlot { .. } => {
+                let (capacity, used, _) = self.store.with_store(|v| v.fsstat());
+                if capacity == 0 || used as f64 / capacity as f64 >= self.cfg.redirect_utilization {
+                    Err(NfsStatus::NoSpc)
+                } else {
+                    Ok(())
+                }
+            }
+            // The write-behind queue stamps a holder's copy; a store slot
+            // carries no lag.
+            ReplicaOp::LagMark { .. } => Err(NfsStatus::NotSupp),
+            _ => Ok(()),
+        }
+    }
+
     /// The one way the primary changes replicated state, in the one
     /// order that is sound: apply to the store, void the hot leases, and
     /// only then mirror — a mutation that acked its fan-out while a lease
     /// was live could be followed by a stale read. The only caller of
     /// [`Self::mirror_op`]. The reply is the one the requesting koshad
     /// expects: the new handle for a create or mkdir, else `Done`.
-    fn mutate(
-        &self,
-        op: ReplicaOp,
-        dir_attr: Option<(u32, u32, u32)>,
-    ) -> Result<KoshaReply, NfsStatus> {
-        let reply = self.apply_op(Area::Store, &op, dir_attr)?;
+    fn mutate(&self, op: ReplicaOp) -> Result<KoshaReply, NfsStatus> {
+        let reply = self.apply_op(Area::Store, &op)?;
         self.void_leases(&op);
         let targets = self.replica_addrs();
-        if let ReplicaOp::MakeSlot { anchor, .. } = &op {
-            self.prime_push_memo(anchor, &targets);
+        match &op {
+            ReplicaOp::MakeSlot { anchor, .. } => self.prime_push_memo(anchor, &targets),
+            ReplicaOp::RemoveSlot { anchor } => {
+                self.replica_push_memo.lock().remove(anchor);
+            }
+            _ => {}
         }
         let makes_object = matches!(
             op,
@@ -1002,120 +1028,11 @@ impl KoshaNode {
 
     pub(crate) fn handle_control(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
-            // Mutations of replicated state: each is its `ReplicaOp`, run
-            // through `mutate`.
-            KoshaRequest::CreateFile {
-                path,
-                mode,
-                uid,
-                gid,
-                size,
-            } => self.mutate(
-                ReplicaOp::Create {
-                    path,
-                    mode,
-                    uid,
-                    gid,
-                    size,
-                },
-                None,
-            ),
-            KoshaRequest::MkdirLocal {
-                path,
-                mode,
-                uid,
-                gid,
-            } => self.mutate(ReplicaOp::Mkdir { path }, Some((mode, uid, gid))),
-            KoshaRequest::PlaceLink {
-                path,
-                target,
-                uid,
-                gid,
-            } => {
-                let mode = SPECIAL_LINK_MODE;
-                self.mutate(
-                    ReplicaOp::Symlink {
-                        path,
-                        target,
-                        mode,
-                        uid,
-                        gid,
-                    },
-                    None,
-                )
-            }
-            KoshaRequest::SymlinkFile {
-                path,
-                target,
-                uid,
-                gid,
-            } => {
-                let mode = USER_LINK_MODE;
-                self.mutate(
-                    ReplicaOp::Symlink {
-                        path,
-                        target,
-                        mode,
-                        uid,
-                        gid,
-                    },
-                    None,
-                )
-            }
-            KoshaRequest::Write { path, offset, data } => {
-                self.mutate(ReplicaOp::Write { path, offset, data }, None)
-            }
-            KoshaRequest::SetAttr { path, sattr } => {
-                self.mutate(ReplicaOp::SetAttr { path, sattr }, None)
-            }
-            // REMOVE is for files and user links; `Vfs::remove` refuses a
-            // directory, and a special link stands for one.
-            KoshaRequest::Remove { path } if self.is_special_link(&path) => Err(NfsStatus::IsDir),
-            KoshaRequest::Remove { path } | KoshaRequest::RemoveLink { path } => {
-                self.mutate(ReplicaOp::Remove { path }, None)
-            }
-            KoshaRequest::Rmdir { path } => self.mutate(ReplicaOp::Rmdir { path }, None),
-            KoshaRequest::RenameLocal { from, to } => {
-                self.mutate(ReplicaOp::Rename { from, to }, None)
-            }
-            KoshaRequest::RmdirAnchor { path } => {
-                let root = self.slot_fh(Area::Store, &path, &path, false)?;
-                let empty = self
-                    .store
-                    .with_store(|v| v.readdir(root.to_file_id()).map(|e| e.is_empty()))
-                    .map_err(NfsStatus::from)?;
-                if !empty {
-                    return Err(NfsStatus::NotEmpty);
-                }
-                let op = ReplicaOp::RemoveSlot {
-                    anchor: path.clone(),
-                };
-                let done = self.mutate(op, None)?;
-                self.replica_push_memo.lock().remove(&path);
-                Ok(done)
-            }
-            KoshaRequest::RenameAnchorDir { from, to } => {
-                if !self.hosted(&from) {
-                    return Err(NfsStatus::Stale);
-                }
-                self.mutate(ReplicaOp::RenameSlot { from, to }, None)
-            }
-            KoshaRequest::MkdirAnchor {
-                path,
-                routing_name,
-                mode,
-                uid,
-                gid,
-            } => {
-                // Redirection (§3.3): at or above the utilization every node
-                // is configured with, the owner refuses new directories and
-                // the placing koshad salts the name and asks another.
-                let (capacity, used, _) = self.store.with_store(|v| v.fsstat());
-                if capacity == 0 || used as f64 / capacity as f64 >= self.cfg.redirect_utilization {
-                    return Err(NfsStatus::NoSpc);
-                }
-                let (fh, attr) = self.create_anchor(&path, routing_name, (mode, uid, gid))?;
-                Ok(KoshaReply::Handle { fh, attr })
+            // A mutation of replicated state, once it is one a koshad
+            // may ask for.
+            KoshaRequest::Mutate { op } => {
+                self.admit(&op)?;
+                self.mutate(op)
             }
             KoshaRequest::EnsureAnchor { path, routing } => {
                 // A store slot is served under the routing name its record
@@ -1150,7 +1067,14 @@ impl KoshaNode {
                 if path == "/" {
                     // Brand-new deployment (or new root owner with no data
                     // yet): create the root anchor empty.
-                    self.create_anchor("/", routing, (0o755, 0, 0))?;
+                    let op = ReplicaOp::MakeSlot {
+                        anchor: path,
+                        routing,
+                        mode: 0o755,
+                        uid: 0,
+                        gid: 0,
+                    };
+                    self.mutate(op)?;
                     return Ok(KoshaReply::DoneBool(false));
                 }
                 Err(NfsStatus::NoEnt)
@@ -1322,7 +1246,7 @@ impl RpcHandler for ControlService {
     fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
         let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
-        let name = req.name();
+        let name = req.span_name();
         let result = k.obs.tracer.child(
             || format!("kosha:{name}"),
             k.info.addr.0,
@@ -1341,7 +1265,7 @@ impl RpcHandler for ReplicaService {
     fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
         let req = KoshaRequest::decode_frame(frame)?;
         let k = &self.0;
-        let name = req.name();
+        let name = req.span_name();
         let result = k.obs.tracer.child(
             || format!("replica:{name}"),
             k.info.addr.0,

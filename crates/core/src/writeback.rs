@@ -561,6 +561,9 @@ mod tests {
     fn rmdir_keeps_its_kind() {
         let mk = ReplicaOp::Mkdir {
             path: "/a/d".into(),
+            mode: 0o755,
+            uid: 0,
+            gid: 0,
         };
         let rm = ReplicaOp::Rmdir {
             path: "/a/d".into(),
@@ -586,6 +589,9 @@ mod tests {
     fn duplicate_creates_dedup() {
         let mk = ReplicaOp::Mkdir {
             path: "/a/d".into(),
+            mode: 0o755,
+            uid: 0,
+            gid: 0,
         };
         let out = coalesce(vec![mk.clone(), w("/a/f", 0, b"x"), mk.clone()]);
         assert_eq!(out, vec![mk, w("/a/f", 0, b"x")]);

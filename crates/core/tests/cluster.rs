@@ -438,10 +438,12 @@ fn a_distributed_mkdir_and_its_rmdir_send_only_their_mutations() {
     };
     let mkdir = sent(&|| m.mkdir("/t1").map(drop).unwrap());
     let rmdir = sent(&|| m.rmdir("/t1").unwrap());
-    // 1 route; 1 LOOKUP; MkdirAnchor + PlaceLink; the push of the new
-    // slot and the link's mirror to 2 holders each. Before: [2, 4, 3, 1, 4].
+    // 1 route; 1 LOOKUP; the anchor's `MakeSlot` and the link's `Symlink`;
+    // the push of the new slot and the link's mirror to 2 holders each.
+    // Before: [2, 4, 3, 1, 4].
     assert_eq!(mkdir, [1, 1, 2, 1, 4]);
-    // RmdirAnchor + RemoveLink, each mirrored twice. Before: [0, 1, 2, 1, 4].
+    // The anchor's `RemoveSlot` and the link's `Rmdir`, each mirrored twice.
+    // Before: [0, 1, 2, 1, 4].
     assert_eq!(rmdir, [0, 0, 2, 1, 4]);
     assert!(!m.exists("/t1"));
 }
@@ -1522,7 +1524,7 @@ fn advertised_hot_holders(c: &Cluster, anchor: &str, path: &str) -> usize {
 /// bare create is the one way to reuse it that voids nothing itself.
 #[test]
 fn every_mutation_kind_voids_hot_leases_before_it_replies() {
-    use kosha::control::KoshaRequest;
+    use kosha::control::{KoshaRequest, ReplicaOp};
     use kosha_nfs::messages::WireSetAttr;
     use kosha_vfs::SetAttr;
 
@@ -1534,17 +1536,17 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
     // must read as afterwards (`None`: the name is gone and is re-created
     // empty).
     enum Do {
-        /// Requests sent straight to the primary's control service.
-        Control(Vec<KoshaRequest>),
+        /// Mutations sent straight to the primary's control service.
+        Control(Vec<ReplicaOp>),
         /// Anchor-level operations, which also fix up the parent's special
-        /// link; koshad sends `RmdirAnchor` / `RenameAnchorDir` for them.
+        /// link; koshad sends `RemoveSlot` / `RenameSlot` for them.
         Mount(fn(&KoshaMount)),
     }
     let rows: Vec<(&str, &str, Do, Option<&[u8]>)> = vec![
         (
             "Write",
             HOT,
-            Do::Control(vec![KoshaRequest::Write {
+            Do::Control(vec![ReplicaOp::Write {
                 path: path(HOT),
                 offset: 0,
                 data: b"new".as_slice().into(),
@@ -1554,7 +1556,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         (
             "SetAttr (truncate)",
             HOT,
-            Do::Control(vec![KoshaRequest::SetAttr {
+            Do::Control(vec![ReplicaOp::SetAttr {
                 path: path(HOT),
                 sattr: WireSetAttr(SetAttr {
                     size: Some(3),
@@ -1566,28 +1568,22 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         (
             "Remove",
             HOT,
-            Do::Control(vec![KoshaRequest::Remove { path: path(HOT) }]),
+            Do::Control(vec![ReplicaOp::Remove { path: path(HOT) }]),
             None,
         ),
         (
-            "RemoveLink",
+            "Rename, hot object is the source",
             HOT,
-            Do::Control(vec![KoshaRequest::RemoveLink { path: path(HOT) }]),
-            None,
-        ),
-        (
-            "RenameLocal, hot object is the source",
-            HOT,
-            Do::Control(vec![KoshaRequest::RenameLocal {
+            Do::Control(vec![ReplicaOp::Rename {
                 from: path(HOT),
                 to: path("/t/moved"),
             }]),
             None,
         ),
         (
-            "RenameLocal, hot object is overwritten",
+            "Rename, hot object is overwritten",
             HOT,
-            Do::Control(vec![KoshaRequest::RenameLocal {
+            Do::Control(vec![ReplicaOp::Rename {
                 from: path("/t/other"),
                 to: path(HOT),
             }]),
@@ -1597,9 +1593,9 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
             // The names under a renamed directory stop meaning their
             // objects too: a lease on one outlives the rename unless the
             // whole subtree is forgotten.
-            "RenameLocal, a directory above the hot object",
+            "Rename, a directory above the hot object",
             DEEP,
-            Do::Control(vec![KoshaRequest::RenameLocal {
+            Do::Control(vec![ReplicaOp::Rename {
                 from: path("/t/d"),
                 to: path("/t/e"),
             }]),
@@ -1610,7 +1606,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
             // empties it has voided the lease already; the row pins that
             // nothing about the torn-down anchor is advertised when the
             // name comes back.
-            "RmdirAnchor",
+            "RemoveSlot",
             HOT,
             Do::Mount(|m| {
                 m.remove(HOT).unwrap();
@@ -1620,7 +1616,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
             None,
         ),
         (
-            "RenameAnchorDir",
+            "RenameSlot",
             HOT,
             Do::Mount(|m| m.rename("/t", "/u").unwrap()),
             None,
@@ -1642,9 +1638,10 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         );
 
         match action {
-            Do::Control(reqs) => {
-                for req in &reqs {
-                    control(&c, primary_of(&c, "/t"), req)
+            Do::Control(ops) => {
+                for op in ops {
+                    let req = KoshaRequest::Mutate { op };
+                    control(&c, primary_of(&c, "/t"), &req)
                         .unwrap_or_else(|e| panic!("{name}: {req:?} failed: {e:?}"));
                 }
                 // The mutation bypassed this koshad, so drop what it cached.
@@ -1738,14 +1735,7 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
                 ops: vec![write(path)],
             },
         ));
-        hostile.push((
-            ServiceId::Kosha,
-            KoshaRequest::Write {
-                path: path.into(),
-                offset: 0,
-                data: b"x".as_slice().into(),
-            },
-        ));
+        hostile.push((ServiceId::Kosha, KoshaRequest::Mutate { op: write(path) }));
         hostile.push((
             ServiceId::KoshaReplica,
             KoshaRequest::HotReplicaPush {
@@ -1957,12 +1947,18 @@ fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
 
     // No directory /p/q: the store refuses the create and the write...
     let (path, offset, data) = write("/p/q/f");
-    let req = KoshaRequest::Write { path, offset, data };
-    assert_eq!(control(&c, node, &req), Err(NfsStatus::NoEnt));
+    let op = ReplicaOp::Write { path, offset, data };
+    assert_eq!(
+        control(&c, node, &KoshaRequest::Mutate { op }),
+        Err(NfsStatus::NoEnt)
+    );
     // ...an anchor this node does not host is not its to answer for...
     let (path, offset, data) = write("/elsewhere/f");
-    let req = KoshaRequest::Write { path, offset, data };
-    assert_eq!(control(&c, node, &req), Err(NfsStatus::Stale));
+    let op = ReplicaOp::Write { path, offset, data };
+    assert_eq!(
+        control(&c, node, &KoshaRequest::Mutate { op }),
+        Err(NfsStatus::Stale)
+    );
     // ...and a holder makes the chain and the file.
     let (path, offset, data) = write("/p/q/f");
     let op = ReplicaOp::Write { path, offset, data };
@@ -2037,25 +2033,18 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
         anchor: "/p".into(),
     });
 
-    let file = KoshaRequest::CreateFile {
-        path: path(),
-        mode: 0o644,
-        uid: 0,
-        gid: 0,
-        size: None,
-    };
+    let file = KoshaRequest::Mutate { op: create() };
     assert!(matches!(
         control(&c, node, &file),
         Ok(KoshaReply::Handle { .. })
     ));
     assert_eq!(control(&c, node, &file), Err(NfsStatus::Exist));
-    let gone = KoshaRequest::Remove { path: path() };
+    let gone = KoshaRequest::Mutate {
+        op: ReplicaOp::Remove { path: path() },
+    };
     assert_eq!(control(&c, node, &gone), Ok(KoshaReply::Done));
     assert_eq!(control(&c, node, &gone), Err(NfsStatus::NoEnt));
-    let rename = KoshaRequest::RenameLocal {
-        from: path(),
-        to: "/p/g".into(),
-    };
+    let rename = KoshaRequest::Mutate { op: moved() };
     assert_eq!(control(&c, node, &rename), Err(NfsStatus::NoEnt));
 }
 
@@ -2065,7 +2054,7 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
 /// `@…` slot directories.
 #[test]
 fn the_record_follows_its_slot() {
-    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem};
+    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, ReplicaOp};
     use kosha::paths::{anchor_slot, slot_local_path, Area};
     use kosha::slots::SlotMeta;
 
@@ -2101,22 +2090,22 @@ fn the_record_follows_its_slot() {
         .iter()
         .find(|n| n.addr() == owner_addr)
         .expect("owner node");
-    let mkdir = KoshaRequest::MkdirAnchor {
-        path: "/rec".into(),
-        routing_name: ROUTING.into(),
+    let mkdir = ReplicaOp::MakeSlot {
+        anchor: "/rec".into(),
+        routing: ROUTING.into(),
         mode: 0o755,
         uid: 0,
         gid: 0,
     };
-    control(&c, owner, &mkdir).expect("mkdir anchor");
-    let file = KoshaRequest::CreateFile {
+    control(&c, owner, &KoshaRequest::Mutate { op: mkdir }).expect("mkdir anchor");
+    let file = ReplicaOp::Create {
         path: "/rec/f".into(),
         mode: 0o644,
         uid: 0,
         gid: 0,
         size: None,
     };
-    control(&c, owner, &file).expect("create");
+    control(&c, owner, &KoshaRequest::Mutate { op: file }).expect("create");
     check("create_anchor and the push");
     let holder = c
         .nodes
@@ -2448,7 +2437,7 @@ fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
 fn lands_below(op: &kosha::control::ReplicaOp, anchor: &str) -> bool {
     use kosha::control::ReplicaOp;
     let path = match op {
-        ReplicaOp::Mkdir { path }
+        ReplicaOp::Mkdir { path, .. }
         | ReplicaOp::Create { path, .. }
         | ReplicaOp::Symlink { path, .. }
         | ReplicaOp::Write { path, .. }
@@ -2680,7 +2669,7 @@ fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
 /// routing name it is sent.
 #[test]
 fn a_transfer_cut_short_is_not_served() {
-    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, MigrateKind};
+    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
 
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
@@ -2708,12 +2697,12 @@ fn a_transfer_cut_short_is_not_served() {
         assert_eq!(refused, Err(NfsStatus::Inval));
     };
     let write = |path: &str| {
-        let req = KoshaRequest::Write {
+        let op = ReplicaOp::Write {
             path: path.into(),
             offset: 0,
             data: b"new"[..].into(),
         };
-        control(&c, node, &req)
+        control(&c, node, &KoshaRequest::Mutate { op })
     };
 
     cut_short("/t");
@@ -2834,4 +2823,134 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
         .filter(|(_, r)| matches!(r, KoshaRequest::SlotRecord { .. }));
     assert_eq!((records.count(), pushes(&log)), (asked, K));
     assert_eq!(m.read_file("/mv/d/f2").unwrap(), [2u8; 100]);
+}
+
+/// The primary takes one `Mutate` for every kind of mutation, so it
+/// checks what a koshad may ask of it: each op below, none of which
+/// koshad sends, is refused with its status and changes nothing on the
+/// primary or on any holder, and the audit then finds every copy whole.
+/// A special link stands for a directory: REMOVE refuses it, and the
+/// RMDIR of a distributed directory takes it, on the parent's primary
+/// and on its K holders.
+#[test]
+fn the_primary_refuses_what_a_koshad_may_not_ask() {
+    use kosha::control::{KoshaRequest, ReplicaOp};
+    use kosha::paths::{slot_local_path, Area};
+    use kosha::{audit_cluster, AuditOptions, AuditReport};
+
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    let c = build_cluster(5, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/full").unwrap();
+    m.write_file("/full/f", b"kept").unwrap();
+    m.mkdir_p("/d").unwrap();
+    let census = || -> Vec<Vec<(String, u64)>> {
+        let tree = |n: &Arc<KoshaNode>| {
+            let mut tree = Vec::new();
+            n.with_store(|v| v.walk(|p, a| tree.push((p.to_string(), a.size))));
+            tree
+        };
+        c.nodes.iter().map(tree).collect()
+    };
+    let before = census();
+
+    let root = primary_of(&c, "/");
+    let owner = primary_of(&c, "/full");
+    let elsewhere = c.nodes.iter().find(|n| n.addr() != owner.addr()).unwrap();
+    // A node at its redirection utilization: its store is as large as
+    // what it holds.
+    let capacity = owner.with_store(|v| v.capacity());
+    owner.with_store(|v| v.set_capacity(v.used_bytes()));
+    let cases = [
+        (
+            owner,
+            ReplicaOp::LagMark {
+                anchor: "/full".into(),
+                bytes: 4096,
+            },
+            NfsStatus::NotSupp,
+        ),
+        (
+            owner,
+            ReplicaOp::Symlink {
+                path: "/full/ln".into(),
+                target: "f".into(),
+                mode: 0o644,
+                uid: 0,
+                gid: 0,
+            },
+            NfsStatus::Inval,
+        ),
+        (
+            root,
+            ReplicaOp::Remove {
+                path: "/full".into(),
+            },
+            NfsStatus::IsDir,
+        ),
+        (
+            owner,
+            ReplicaOp::RemoveSlot {
+                anchor: "/full".into(),
+            },
+            NfsStatus::NotEmpty,
+        ),
+        (
+            elsewhere,
+            ReplicaOp::RenameSlot {
+                from: "/full".into(),
+                to: "/moved".into(),
+            },
+            NfsStatus::Stale,
+        ),
+        (
+            owner,
+            ReplicaOp::MakeSlot {
+                anchor: "/new".into(),
+                routing: "new".into(),
+                mode: 0o755,
+                uid: 0,
+                gid: 0,
+            },
+            NfsStatus::NoSpc,
+        ),
+    ];
+    for (node, op, status) in cases {
+        let req = KoshaRequest::Mutate { op };
+        assert_eq!(control(&c, node, &req), Err(status), "{req:?}");
+    }
+    owner.with_store(|v| v.set_capacity(capacity));
+    assert_eq!(census(), before, "a refused mutation changed a store");
+    let peers: Vec<NodeAddr> = c.nodes.iter().map(|n| n.addr()).collect();
+    let opts = AuditOptions {
+        replicas: 2,
+        ..AuditOptions::default()
+    };
+    let report = audit_cluster(&*c.net, peers[0], &peers, 0, &opts);
+    let whole = AuditReport {
+        nodes_scanned: 5,
+        objects: report.objects,
+        replica_copies: report.objects * 2,
+        ..AuditReport::default()
+    };
+    assert_eq!(report, whole);
+
+    // The link lives in the root's slot, on its primary and K holders.
+    let link = |area: Area, n: &Arc<KoshaNode>| {
+        let path = slot_local_path(area, "/", "/d");
+        n.with_store(|v| v.resolve(&path).is_ok())
+    };
+    let holders = || c.nodes.iter().filter(|n| link(Area::Replica, n)).count();
+    assert!(link(Area::Store, root));
+    assert_eq!(holders(), 2);
+    let seen = record_requests(&c, ServiceId::Kosha);
+    m.rmdir("/d").unwrap();
+    assert!(!link(Area::Store, root), "the primary keeps the link");
+    assert_eq!(holders(), 0, "a holder keeps the link");
+    let rmdir = KoshaRequest::Mutate {
+        op: ReplicaOp::Rmdir { path: "/d".into() },
+    };
+    assert!(seen.lock().unwrap().contains(&(root.addr(), rmdir)));
 }

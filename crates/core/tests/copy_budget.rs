@@ -28,77 +28,14 @@ use kosha_nfs::{DiskModel, NfsClient, NfsReply, NfsRequest, NfsServer};
 use kosha_rpc::wire::MAX_LEN;
 use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
 use kosha_vfs::{ExportKind, Vfs};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Forwards to the system allocator, adds up the bytes asked for and
-/// keeps the largest single request. A `realloc` counts as an
-/// allocation of the new size.
-struct Counting;
-
-// Statistics only: they publish no other data, so `Relaxed` is enough.
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static LARGEST: AtomicU64 = AtomicU64::new(0);
-
-fn count(size: usize) {
-    BYTES.fetch_add(size as u64, Relaxed);
-    CALLS.fetch_add(1, Relaxed);
-    LARGEST.fetch_max(size as u64, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as in `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: as in `alloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../rpc/tests/support/counting.rs"]
+mod counting;
+use counting::{allocated_by, allocations_by, largest_block_of, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the bytes allocated while it ran.
-fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = BYTES.load(Relaxed);
-    let result = f();
-    (result, BYTES.load(Relaxed) - before)
-}
-
-/// `f`'s result and the number of allocations made while it ran.
-fn allocations_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = CALLS.load(Relaxed);
-    let result = f();
-    (result, CALLS.load(Relaxed) - before)
-}
-
-/// `f`'s result and the largest single allocation made while it ran.
-fn largest_block_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    LARGEST.store(0, Relaxed);
-    let result = f();
-    (result, LARGEST.load(Relaxed))
-}
 
 const BLOCK: usize = 128 * 1024;
 const NODES: u64 = 5;

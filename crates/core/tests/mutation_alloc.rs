@@ -14,54 +14,14 @@ use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::NfsClient;
 use kosha_rpc::{Network, NodeAddr, ServiceId, SimNetwork};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Forwards to the system allocator and counts the calls. A `realloc`
-/// counts as one allocation.
-struct Counting;
-
-// A statistic only: it publishes no other data, so `Relaxed` is enough.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as in `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        // SAFETY: as in `alloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../rpc/tests/support/counting.rs"]
+mod counting;
+use counting::{allocations_by, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// `f`'s result and the number of allocations made while it ran.
-fn allocations_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.load(Relaxed);
-    let result = f();
-    (result, ALLOCS.load(Relaxed) - before)
-}
 
 /// The directory the files live in: a second-level directory, an anchor
 /// of its own, as in `meta_sim`'s tree.
@@ -121,10 +81,12 @@ fn a_mutation_allocates_its_pinned_count() {
     // 158 while the primary kept a map of its anchors beside the store:
     // an entry of two `String`s in, one out. It made 155 while koshad
     // cached the new directory's listing in a map of its own beside the
-    // handle table: one more key `String`.
+    // handle table: one more key `String`. It made 154 while the primary
+    // turned a request per kind of mutation into its op: the new anchor's
+    // path and the torn-down one's were copied into the op once more.
     assert_eq!(
         [create, write, remove, mkdir_rmdir],
-        [37, 27, 31, 154],
+        [37, 27, 31, 152],
         "CREATE, 64-byte WRITE, REMOVE, MKDIR + RMDIR"
     );
 }

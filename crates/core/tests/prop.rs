@@ -58,6 +58,66 @@ fn arb_replica_write() -> impl Strategy<Value = ReplicaOp> {
         })
 }
 
+/// A mode, uid and gid.
+fn arb_owner() -> impl Strategy<Value = (u32, u32, u32)> {
+    (0u32..0o10000, any::<u32>(), any::<u32>())
+}
+
+/// Any mutation, of every kind.
+fn arb_replica_op() -> impl Strategy<Value = ReplicaOp> {
+    prop_oneof![
+        (arb_path(), arb_owner()).prop_map(|(path, (mode, uid, gid))| ReplicaOp::Mkdir {
+            path,
+            mode,
+            uid,
+            gid
+        }),
+        (arb_path(), arb_owner(), proptest::option::of(any::<u64>())).prop_map(
+            |(path, (mode, uid, gid), size)| ReplicaOp::Create {
+                path,
+                mode,
+                uid,
+                gid,
+                size
+            }
+        ),
+        (arb_path(), "[a-z#0-9]{1,16}", arb_owner()).prop_map(
+            |(path, target, (mode, uid, gid))| ReplicaOp::Symlink {
+                path,
+                target,
+                mode,
+                uid,
+                gid
+            }
+        ),
+        arb_replica_write(),
+        (arb_path(), proptest::option::of(any::<u64>())).prop_map(|(path, size)| {
+            ReplicaOp::SetAttr {
+                path,
+                sattr: WireSetAttr(SetAttr {
+                    size,
+                    ..Default::default()
+                }),
+            }
+        }),
+        arb_path().prop_map(|path| ReplicaOp::Remove { path }),
+        arb_path().prop_map(|path| ReplicaOp::Rmdir { path }),
+        arb_path().prop_map(|anchor| ReplicaOp::RemoveSlot { anchor }),
+        (arb_path(), arb_path()).prop_map(|(from, to)| ReplicaOp::Rename { from, to }),
+        (arb_path(), arb_path()).prop_map(|(from, to)| ReplicaOp::RenameSlot { from, to }),
+        (arb_path(), any::<u64>()).prop_map(|(anchor, bytes)| ReplicaOp::LagMark { anchor, bytes }),
+        (arb_path(), "[a-z#0-9]{1,16}", arb_owner()).prop_map(
+            |(anchor, routing, (mode, uid, gid))| ReplicaOp::MakeSlot {
+                anchor,
+                routing,
+                mode,
+                uid,
+                gid
+            }
+        ),
+    ]
+}
+
 fn op_payload(op: &ReplicaOp) -> Option<&Bytes> {
     match op {
         ReplicaOp::Write { data, .. } => Some(data),
@@ -75,8 +135,9 @@ fn item_payload(item: &MigrateItem) -> Option<&Bytes> {
 
 fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
     match req {
-        KoshaRequest::Write { data, .. } => vec![data],
-        KoshaRequest::ReplicaApply { op } => op_payload(op).into_iter().collect(),
+        KoshaRequest::Mutate { op } | KoshaRequest::ReplicaApply { op } => {
+            op_payload(op).into_iter().collect()
+        }
         KoshaRequest::ReplicaApplyBatch { ops } => ops.iter().filter_map(op_payload).collect(),
         KoshaRequest::MigrateBatch { items, .. } | KoshaRequest::TransferAnchor { items, .. } => {
             items.iter().filter_map(item_payload).collect()
@@ -97,97 +158,10 @@ fn decode_both<T: WireRead + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Resul
 
 fn arb_request() -> impl Strategy<Value = KoshaRequest> {
     prop_oneof![
-        (
-            arb_path(),
-            0u32..0o10000,
-            any::<u32>(),
-            any::<u32>(),
-            proptest::option::of(any::<u64>())
-        )
-            .prop_map(|(path, mode, uid, gid, size)| KoshaRequest::CreateFile {
-                path,
-                mode,
-                uid,
-                gid,
-                size
-            }),
-        (arb_path(), 0u32..0o10000, any::<u32>(), any::<u32>()).prop_map(
-            |(path, mode, uid, gid)| KoshaRequest::MkdirLocal {
-                path,
-                mode,
-                uid,
-                gid
-            }
-        ),
-        (
-            arb_path(),
-            "[a-z#0-9]{1,16}",
-            0u32..0o10000,
-            any::<u32>(),
-            any::<u32>()
-        )
-            .prop_map(
-                |(path, routing_name, mode, uid, gid)| KoshaRequest::MkdirAnchor {
-                    path,
-                    routing_name,
-                    mode,
-                    uid,
-                    gid
-                }
-            ),
-        (arb_path(), "[a-z#0-9]{1,16}", any::<u32>(), any::<u32>()).prop_map(
-            |(path, target, uid, gid)| KoshaRequest::PlaceLink {
-                path,
-                target,
-                uid,
-                gid
-            }
-        ),
-        (
-            arb_path(),
-            any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..128)
-        )
-            .prop_map(|(path, offset, data)| KoshaRequest::Write {
-                path,
-                offset,
-                data: data.into()
-            }),
+        arb_replica_op().prop_map(|op| KoshaRequest::Mutate { op }),
         arb_replica_write().prop_map(|op| KoshaRequest::ReplicaApply { op }),
-        proptest::collection::vec(
-            prop_oneof![
-                arb_replica_write(),
-                arb_path().prop_map(|path| ReplicaOp::Remove { path }),
-                (arb_path(), any::<u64>())
-                    .prop_map(|(anchor, bytes)| ReplicaOp::LagMark { anchor, bytes }),
-                (arb_path(), arb_path(), any::<u32>()).prop_map(|(anchor, routing, mode)| {
-                    ReplicaOp::MakeSlot {
-                        anchor,
-                        routing,
-                        mode,
-                        uid: mode >> 3,
-                        gid: mode >> 5,
-                    }
-                }),
-            ],
-            0..4
-        )
-        .prop_map(|ops| KoshaRequest::ReplicaApplyBatch { ops }),
-        (arb_path(), proptest::option::of(any::<u64>())).prop_map(|(path, size)| {
-            KoshaRequest::SetAttr {
-                path,
-                sattr: WireSetAttr(SetAttr {
-                    size,
-                    ..Default::default()
-                }),
-            }
-        }),
-        arb_path().prop_map(|path| KoshaRequest::Remove { path }),
-        arb_path().prop_map(|path| KoshaRequest::Rmdir { path }),
-        arb_path().prop_map(|path| KoshaRequest::RmdirAnchor { path }),
-        arb_path().prop_map(|path| KoshaRequest::RemoveLink { path }),
-        (arb_path(), arb_path()).prop_map(|(from, to)| KoshaRequest::RenameLocal { from, to }),
-        (arb_path(), arb_path()).prop_map(|(from, to)| KoshaRequest::RenameAnchorDir { from, to }),
+        proptest::collection::vec(arb_replica_op(), 0..4)
+            .prop_map(|ops| KoshaRequest::ReplicaApplyBatch { ops }),
         (arb_path(), "[a-z#0-9]{1,16}")
             .prop_map(|(path, routing)| KoshaRequest::EnsureAnchor { path, routing }),
         Just(KoshaRequest::ListAnchors),
@@ -343,13 +317,14 @@ proptest! {
     fn oversized_payload_lengths_are_rejected(
         path in arb_path(),
         len in (64u32 << 20) + 1..=u32::MAX,
-        nested in any::<bool>(),
+        mirrored in any::<bool>(),
     ) {
         let data = Bytes::new();
-        let mut frame = if nested {
-            KoshaRequest::ReplicaApply { op: ReplicaOp::Write { path, offset: 0, data } }.encode()
+        let op = ReplicaOp::Write { path, offset: 0, data };
+        let mut frame = if mirrored {
+            KoshaRequest::ReplicaApply { op }.encode()
         } else {
-            KoshaRequest::Write { path, offset: 0, data }.encode()
+            KoshaRequest::Mutate { op }.encode()
         }
         .to_vec();
         let at = frame.len() - 4;
@@ -379,9 +354,12 @@ proptest! {
         prop_assert_eq!(claim(64 << 20), Err(WireError::Truncated));
     }
 
+    /// Any bytes, and the same bytes behind `Mutate`'s tag, which
+    /// arbitrary bytes rarely reach, decode to an error or a message.
     #[test]
     fn control_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_both::<KoshaRequest>(&bytes);
+        let _ = decode_both::<KoshaRequest>(&[&[30u8], &bytes[..]].concat());
         let _ = decode_both::<KoshaReplyFrame>(&bytes);
     }
 

@@ -138,6 +138,67 @@ fn replicated_write_yields_one_accounted_trace() {
     }
 }
 
+/// One `Mutate` message carries every kind of mutation, and its
+/// control-service span is named by the kind: `kosha:write`,
+/// `kosha:make_slot` and so on, never `kosha:mutate`.
+#[test]
+fn a_mutation_span_is_named_by_its_op() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 1;
+    let c = build_cluster(4, cfg);
+    let m = KoshaMount::new(
+        c.net.clone() as Arc<dyn Network>,
+        c.nodes[0].addr(),
+        c.nodes[0].addr(),
+    )
+    .expect("mount");
+    m.mkdir_p("/m").expect("mkdir");
+    collect_spans(&c);
+
+    let clock = c.net.clock();
+    c.net.obs().tracer.root(
+        "client:mutations",
+        999,
+        || clock.now().0,
+        || {
+            m.mkdir("/n").expect("distributed mkdir");
+            m.rename("/n", "/o").expect("anchor rename");
+            m.rmdir("/o").expect("distributed rmdir");
+            m.mkdir("/m/d").expect("mkdir");
+            m.rmdir("/m/d").expect("rmdir");
+            m.write_file("/m/f", b"x").expect("create and write");
+            m.symlink("/m/ln", "f").expect("symlink");
+            m.rename("/m/f", "/m/g").expect("rename");
+            m.remove("/m/g").expect("remove");
+        },
+    );
+    let spans = collect_spans(&c);
+    let mut names: Vec<&str> = spans
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|n| n.starts_with("kosha:"))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(
+        names,
+        [
+            "kosha:create",
+            "kosha:make_slot",
+            "kosha:mirror",
+            "kosha:mkdir",
+            "kosha:remove",
+            "kosha:remove_slot",
+            "kosha:rename",
+            "kosha:rename_slot",
+            "kosha:rmdir",
+            "kosha:symlink",
+            "kosha:write",
+        ]
+    );
+}
+
 #[test]
 fn sampling_knob_roots_traces_server_side() {
     let mut cfg = KoshaConfig::for_tests();

@@ -140,6 +140,9 @@ fn replica_ops() -> Vec<ReplicaOp> {
     vec![
         ReplicaOp::Mkdir {
             path: "/a/d".into(),
+            mode: 0o750,
+            uid: 8,
+            gid: 9,
         },
         ReplicaOp::Create {
             path: "/a/f".into(),
@@ -195,112 +198,60 @@ fn replica_ops() -> Vec<ReplicaOp> {
     ]
 }
 
+/// One `Mutate` per kind of op, then one value of every other variant.
 fn kosha_requests() -> Vec<KoshaRequest> {
-    vec![
-        KoshaRequest::CreateFile {
-            path: "/a/f".into(),
-            mode: 0o644,
-            uid: 1,
-            gid: 2,
-            size: Some(100),
-        },
-        KoshaRequest::MkdirLocal {
-            path: "/a/b/c".into(),
-            mode: 0o755,
-            uid: 3,
-            gid: 4,
-        },
-        KoshaRequest::MkdirAnchor {
-            path: "/a".into(),
-            routing_name: "a#77".into(),
-            mode: 0o750,
-            uid: 5,
-            gid: 6,
-        },
-        KoshaRequest::PlaceLink {
-            path: "/a".into(),
-            target: "a#77".into(),
-            uid: 7,
-            gid: 8,
-        },
-        KoshaRequest::SymlinkFile {
-            path: "/a/l".into(),
-            target: "whatever".into(),
-            uid: 9,
-            gid: 10,
-        },
-        KoshaRequest::Write {
-            path: "/a/f".into(),
-            offset: 9,
-            data: Bytes::from(vec![1, 2]),
-        },
-        KoshaRequest::SetAttr {
-            path: "/a/f".into(),
-            sattr: sattr(),
-        },
-        KoshaRequest::Remove {
-            path: "/a/f".into(),
-        },
-        KoshaRequest::Rmdir {
-            path: "/a/d".into(),
-        },
-        KoshaRequest::RmdirAnchor { path: "/a".into() },
-        KoshaRequest::RemoveLink { path: "/b".into() },
-        KoshaRequest::RenameLocal {
-            from: "/a/x".into(),
-            to: "/a/y".into(),
-        },
-        KoshaRequest::RenameAnchorDir {
-            from: "/a".into(),
-            to: "/b".into(),
-        },
-        KoshaRequest::EnsureAnchor {
-            path: "/a".into(),
-            routing: "a#3".into(),
-        },
-        KoshaRequest::ListAnchors,
-        KoshaRequest::ReplicaTargets { path: "/a".into() },
-        KoshaRequest::MigrateBatch {
-            path: "/a".into(),
-            routing: "a#4".into(),
-            items: items(),
-        },
-        KoshaRequest::ReplicaApply {
-            op: ReplicaOp::LagMark {
-                anchor: "/a".into(),
-                bytes: 0,
+    let mutations = replica_ops().into_iter();
+    mutations
+        .map(|op| KoshaRequest::Mutate { op })
+        .chain([
+            KoshaRequest::EnsureAnchor {
+                path: "/a".into(),
+                routing: "a#3".into(),
             },
-        },
-        KoshaRequest::ReplicaApplyBatch { ops: replica_ops() },
-        KoshaRequest::Flush {
-            path: "/a/f".into(),
-        },
-        KoshaRequest::AuditScan,
-        KoshaRequest::ReplicaTargetsBySlot {
-            slot: "@00c0ffee00c0ffee".into(),
-            holder: 7,
-        },
-        KoshaRequest::HotReplicaPush {
-            anchor: "/a".into(),
-            routing: "a#2".into(),
-            path: "/a/hot".into(),
-            seq: 17,
-            expires_nanos: 9_000_000_000,
-            item: item(MigrateKind::Sparse(5)),
-        },
-        KoshaRequest::HotReplicaDrop {
-            anchor: "/a".into(),
-            path: "/a/hot".into(),
-        },
-        KoshaRequest::SlotRecord {
-            anchor: "/a/b".into(),
-        },
-        KoshaRequest::TransferAnchor {
-            path: "/a".into(),
-            routing: "a#6".into(),
-            items: vec![item(MigrateKind::Bytes(vec![7; 4].into()))],
-        },
-    ]
+            KoshaRequest::ListAnchors,
+            KoshaRequest::ReplicaTargets { path: "/a".into() },
+            KoshaRequest::MigrateBatch {
+                path: "/a".into(),
+                routing: "a#4".into(),
+                items: items(),
+            },
+            KoshaRequest::ReplicaApply {
+                op: ReplicaOp::LagMark {
+                    anchor: "/a".into(),
+                    bytes: 0,
+                },
+            },
+            KoshaRequest::ReplicaApplyBatch { ops: replica_ops() },
+            KoshaRequest::Flush {
+                path: "/a/f".into(),
+            },
+            KoshaRequest::AuditScan,
+            KoshaRequest::ReplicaTargetsBySlot {
+                slot: "@00c0ffee00c0ffee".into(),
+                holder: 7,
+            },
+            KoshaRequest::HotReplicaPush {
+                anchor: "/a".into(),
+                routing: "a#2".into(),
+                path: "/a/hot".into(),
+                seq: 17,
+                expires_nanos: 9_000_000_000,
+                item: item(MigrateKind::Sparse(5)),
+            },
+            KoshaRequest::HotReplicaDrop {
+                anchor: "/a".into(),
+                path: "/a/hot".into(),
+            },
+            KoshaRequest::SlotRecord {
+                anchor: "/a/b".into(),
+            },
+            KoshaRequest::TransferAnchor {
+                path: "/a".into(),
+                routing: "a#6".into(),
+                items: vec![item(MigrateKind::Bytes(vec![7; 4].into()))],
+            },
+        ])
+        .collect()
 }
 
 fn kosha_replies() -> Vec<KoshaReply> {
@@ -601,17 +552,23 @@ const GOLDEN: [(&str, &str); 23] = [
     // `MakeSlot` (tag 11) is new: a distributed mkdir mirrors the new anchor's
     // slot to its holders instead of pushing an empty tree. The older variants
     // keep their bytes; the row gains the new one at its end.
-    ("ReplicaOp", "00040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed0100000600000007000000"),
+    // One mutation message: `Mkdir` carries the new directory's mode, uid and
+    // gid (12 bytes after its path), as `MakeSlot` does; no other byte moved.
+    ("ReplicaOp", "00040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed0100000600000007000000"),
     // `MigrateBatch` gained `routing` after `path` (its items lost the routing-name file);
     // `SlotRecord` (tag 28) is new. `StoreStats` (tag 14, one byte) is gone: the owner
-    // of a new directory answers `MkdirAnchor` with `NoSpc` itself when it is full.
+    // of a new directory answers its `MakeSlot` with `NoSpc` itself when it is full.
     // `ReplicaApplyBatch` carries one of every `ReplicaOp`, so its count goes
     // 11 -> 12 and `MakeSlot`'s 26 bytes follow `LagMark`'s; no other byte moved.
     // One way to copy a slot: the three-step transfer's requests (tags 15-17) are
     // gone and `TransferAnchor` (tag 29: path, routing, items) is new at the end;
     // every other variant keeps its bytes.
-    ("KoshaRequest", "00040000002f612f66a4010000010000000200000001640000000000000001060000002f612f622f63ed010000030000000400000002020000002f610400000061233737e8010000050000000600000003020000002f610400000061233737070000000800000004040000002f612f6c080000007768617465766572090000000a00000005040000002f612f66090000000000000002000000010206040000002f612f6601800100000001160000000117000000000000000001190000000000000007040000002f612f6608040000002f612f6409020000002f610a020000002f620b040000002f612f78040000002f612f790c020000002f61020000002f620d020000002f61030000006123331213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f6401040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed010000060000000700000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f621d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
-    // `Stats` (tag 2, three u64s) is gone with `StoreStats`. `MkdirAnchor` replies
+    // One mutation message: the thirteen requests on tags 0-12 are gone, and
+    // the row opens with one `Mutate` (tag 30) per `ReplicaOp` kind, each the
+    // op's own bytes behind the tag. `ReplicaApplyBatch`'s `Mkdir` gains its
+    // 12 bytes of mode, uid and gid; every other variant keeps its bytes.
+    ("KoshaRequest", "1e00040000002f612f64e801000008000000090000001e01040000002f612f66a401000001000000020000000140000000000000001e02040000002f612f6c03000000742331ff03000003000000040000001e03040000002f612f660500000000000000030000000908071e04040000002f612f660180010000000116000000011700000000000000000119000000000000001e05040000002f612f661e06040000002f612f641e07020000002f611e08040000002f612f78040000002f612f791e09020000002f61020000002f621e0a020000002f6100100000000000001e0b020000002f6103000000612335ed01000006000000070000000d020000002f61030000006123331213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed010000060000000700000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f621d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
+    // `Stats` (tag 2, three u64s) is gone with `StoreStats`. `MakeSlot` replies
     // `Handle` for the slot root: the placing koshad caches it. `Record` (tag 7, the
     // record alone) is gone: `Slot` (tag 8) carries the record and the items, so a
     // pull is one `SlotRecord`. No other byte moved.
@@ -692,7 +649,9 @@ fn every_message_encodes_to_its_pinned_bytes() {
 /// (span names, metric registration order) as they were.
 #[test]
 fn every_variant_has_a_value_and_keeps_its_label() {
-    assert_eq!(replica_ops().len(), 12);
+    for (i, op) in replica_ops().iter().enumerate() {
+        assert_eq!(op.index(), i, "{}", op.name());
+    }
     assert_eq!(kosha_replies().len(), 7);
     assert_eq!(nfs_replies().len(), 11);
     for (i, req) in nfs_requests().iter().enumerate() {
@@ -703,14 +662,19 @@ fn every_variant_has_a_value_and_keeps_its_label() {
         "null mount getattr setattr lookup readlink access read write create create_sized \
          mkdir symlink remove rmdir remove_tree rename readdir fsstat lookup_path commit"
     );
-    let names: Vec<&str> = kosha_requests().iter().map(KoshaRequest::name).collect();
     assert_eq!(
-        names.join(" "),
-        "create_file mkdir_local mkdir_anchor place_link symlink_file write setattr remove \
-         rmdir rmdir_anchor remove_link rename_local rename_anchor_dir ensure_anchor \
-         list_anchors replica_targets migrate_batch replica_apply replica_apply_batch \
-         flush audit_scan replica_targets_by_slot hot_replica_push hot_replica_drop \
-         slot_record transfer_anchor"
+        ReplicaOp::NAMES.join(" "),
+        "mkdir create symlink write setattr remove rmdir remove_slot rename rename_slot \
+         lag_mark make_slot"
+    );
+    let mut names: Vec<&str> = kosha_requests().iter().map(KoshaRequest::name).collect();
+    names.dedup();
+    assert_eq!(names, KoshaRequest::NAMES);
+    assert_eq!(
+        KoshaRequest::NAMES.join(" "),
+        "mutate ensure_anchor list_anchors replica_targets migrate_batch replica_apply \
+         replica_apply_batch flush audit_scan replica_targets_by_slot hot_replica_push \
+         hot_replica_drop slot_record transfer_anchor"
     );
     assert_eq!(
         ServiceId::ALL.map(|s| s.name()).join(" "),
@@ -718,9 +682,11 @@ fn every_variant_has_a_value_and_keeps_its_label() {
     );
 }
 
-/// A retired tag is an unknown tag: the three-step transfer's requests
-/// (15–17) and the record-only reply (7) decode to `BadTag`, whatever
-/// follows, as the long-retired `StoreStats` (14) and `Stats` (2) do.
+/// A retired tag is an unknown tag: the thirteen requests a kind of
+/// mutation each had before `Mutate` (0–12), the three-step transfer's
+/// requests (15–17) and the record-only reply (7) decode to `BadTag`,
+/// whatever follows, as the long-retired `StoreStats` (14) and `Stats`
+/// (2) do.
 #[test]
 fn retired_tags_decode_as_unknown() {
     use kosha_rpc::{WireError, WireRead};
@@ -729,7 +695,7 @@ fn retired_tags_decode_as_unknown() {
         routing: "a".into(),
     }
     .encode();
-    for tag in [14u8, 15, 16, 17] {
+    for tag in (0u8..=12).chain([14, 15, 16, 17]) {
         let bytes = [&[tag], &tail[1..]].concat();
         assert_eq!(KoshaRequest::decode(&bytes), Err(WireError::BadTag(tag)));
     }

@@ -198,7 +198,7 @@ fn plain_mount_sends_a_pinned_number_of_rpcs_per_service() {
     // more control calls (46 before).
     //
     // A distributed MKDIR (`/pin`, `/pin/a`, `/other`) caches the handle
-    // its `MkdirAnchor` returns instead of resolving the new directory
+    // its `MakeSlot` returns instead of resolving the new directory
     // again, and an RMDIR looks nothing up first:
     // - pastry 17 -> 15: the name is routed once, to place it; two of the
     //   three re-resolving routes had cost a hop;
@@ -208,7 +208,7 @@ fn plain_mount_sends_a_pinned_number_of_rpcs_per_service() {
     //   to the parent's primary, the four at distributed depth (one
     //   refused `NotEmpty`) use the anchor location the MKDIR cached;
     // - kosha 48 -> 45: the three `StoreStats` probes; the owner refuses
-    //   a `MkdirAnchor` itself when it is full.
+    //   a `MakeSlot` itself when it is full.
     //
     // The first op makes the root anchor, whose owner first asks its three
     // leaf members for a copy to pull: one `SlotRecord` each on the
