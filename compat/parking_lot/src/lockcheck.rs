@@ -246,37 +246,39 @@ pub(crate) fn on_acquire(
     kind: &'static str,
     blocking: bool,
 ) -> HeldToken {
-    let held: Vec<u32> = if blocking {
-        HELD.with(|h| h.borrow().clone())
-    } else {
-        Vec::new()
-    };
     let mut new_cycles: Vec<CycleReport> = Vec::new();
     let id;
     {
         let mut st = unpoisoned(state().lock());
         id = st.intern(loc, kind);
-        for &h in &held {
-            let fresh = st.edges.entry(h).or_default().insert(id);
-            if !fresh || st.reported.contains(&(h, id)) {
-                continue;
-            }
-            // The new edge h→id closes a cycle iff id already reaches h.
-            let back = if h == id {
-                Some(vec![id])
-            } else {
-                st.path(id, h)
-            };
-            if let Some(back) = back {
-                st.reported.insert((h, id));
-                let report = CycleReport {
-                    held: st.sites[h as usize].clone(),
-                    acquiring: st.sites[id as usize].clone(),
-                    path: back.iter().map(|&s| st.sites[s as usize].clone()).collect(),
-                };
-                st.cycles.push(report.clone());
-                new_cycles.push(report);
-            }
+        if blocking {
+            // The held stack is read in place: cloning it would allocate
+            // on every nested acquisition, inside the allocation counts
+            // of the code under test.
+            HELD.with(|held| {
+                for &h in held.borrow().iter() {
+                    let fresh = st.edges.entry(h).or_default().insert(id);
+                    if !fresh || st.reported.contains(&(h, id)) {
+                        continue;
+                    }
+                    // The new edge h→id closes a cycle iff id already reaches h.
+                    let back = if h == id {
+                        Some(vec![id])
+                    } else {
+                        st.path(id, h)
+                    };
+                    if let Some(back) = back {
+                        st.reported.insert((h, id));
+                        let report = CycleReport {
+                            held: st.sites[h as usize].clone(),
+                            acquiring: st.sites[id as usize].clone(),
+                            path: back.iter().map(|&s| st.sites[s as usize].clone()).collect(),
+                        };
+                        st.cycles.push(report.clone());
+                        new_cycles.push(report);
+                    }
+                }
+            });
         }
     }
     HELD.with(|h| h.borrow_mut().push(id));
@@ -329,12 +331,6 @@ pub fn note_rpc_call(context: &str) -> Option<Vec<Site>> {
 #[must_use]
 pub fn cycles() -> Vec<CycleReport> {
     unpoisoned(state().lock()).cycles.clone()
-}
-
-/// Drains the detected-cycle list (test isolation helper).
-#[must_use]
-pub fn take_cycles() -> Vec<CycleReport> {
-    std::mem::take(&mut unpoisoned(state().lock()).cycles)
 }
 
 /// Whether violations panic (default `true`, which is what lets the

@@ -22,7 +22,7 @@
 //! summary is the `BENCH_hotspot.json` gate.
 
 use crate::{bench_cluster, seed_files, Report, Zipf};
-use kosha::{cluster_flight, FlightOptions, KoshaConfig, KoshaNode};
+use kosha::{cluster_flight, KoshaConfig, KoshaNode};
 use kosha_obs::json::Value;
 use kosha_obs::obj;
 use kosha_rpc::{Clock, LatencyModel, Network, NodeAddr, SimNetwork};
@@ -83,8 +83,6 @@ fn run_storm(hot: bool) -> RunOutcome {
     cfg.read_from_replicas = true;
     if hot {
         cfg.hot_replicas = 5;
-        cfg.hot_threshold_milli = 6_000;
-        cfg.hot_lease_nanos = 5_000_000_000;
     }
     let cluster = bench_cluster(net, &cfg, NODES, 1);
     let (net, nodes) = (&cluster.net, &cluster.nodes);
@@ -141,12 +139,7 @@ fn run_storm(hot: bool) -> RunOutcome {
     copies_series.push((READS, copies_now(nodes)));
 
     let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
-    let report = cluster_flight(
-        Some(&net.obs()),
-        &refs,
-        net.clock().now().0,
-        &FlightOptions::default(),
-    );
+    let report = cluster_flight(Some(&net.obs()), &refs, net.clock().now().0);
 
     lat.sort_unstable();
     RunOutcome {

@@ -17,7 +17,7 @@
 //! is the `BENCH_recorder.json` gate.
 
 use crate::{bench_cluster, seed_files, Report, Zipf};
-use kosha::{cluster_flight, FlightOptions, FlightReport, KoshaConfig, KoshaNode};
+use kosha::{cluster_flight, FlightReport, KoshaConfig, KoshaNode};
 use kosha_obs::json::Value;
 use kosha_obs::{obj, HeatEntry};
 use kosha_rpc::{LatencyModel, Network, SimNetwork};
@@ -56,7 +56,6 @@ pub fn run(_full: bool) -> Report {
     net.run_pumps();
 
     let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
-    let opts = FlightOptions::default();
     let FlightReport {
         heat,
         skew_max_over_mean_x1000: skew,
@@ -66,7 +65,7 @@ pub fn run(_full: bool) -> Report {
         total_series: series,
         memory_ceiling_bytes: ceiling,
         ..
-    } = cluster_flight(Some(&net.obs()), &refs, net.clock().now().0, &opts);
+    } = cluster_flight(Some(&net.obs()), &refs, net.clock().now().0);
 
     // Recorder footprint across all domains, plus a depth probe of one
     // known-busy series on the transport.

@@ -19,7 +19,6 @@ use kosha_obs::obj;
 use kosha_obs::trace::build_traces;
 use kosha_rpc::{Network, ServiceId};
 use std::sync::Arc;
-use std::time::Duration;
 
 const NODES: usize = 8;
 const REPLICAS: usize = 3;
@@ -146,10 +145,7 @@ pub fn run(_full: bool) -> Report {
         flushed_ops,
         coalesced_ops,
         mirror_on_critical_path: wb_mirror,
-    } = run_mode(ReplicationMode::WriteBehind {
-        queue_ops: 256,
-        flush_interval: Duration::from_millis(5),
-    });
+    } = run_mode(ReplicationMode::WriteBehind { queue_ops: 256 });
 
     let speedup_x100 = sync_p50 * 100 / wb_p50.max(1);
     let coalesce_ratio_x100 = enqueued * 100 / flushed_ops.max(1);

@@ -451,7 +451,6 @@ mod tests {
     use kosha_id::node_id_from_seed;
     use kosha_rpc::SimNetwork;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn item(rel: &str, kind: ExportKind, mode: u32) -> ExportItem {
         ExportItem {
@@ -557,13 +556,7 @@ mod tests {
 
     #[test]
     fn write_behind_barrier_leaves_no_false_positives() {
-        let (net, nodes) = build_cluster(
-            4,
-            ReplicationMode::WriteBehind {
-                queue_ops: 256,
-                flush_interval: Duration::from_millis(5),
-            },
-        );
+        let (net, nodes) = build_cluster(4, ReplicationMode::WriteBehind { queue_ops: 256 });
         let mount = KoshaMount::new(net.clone() as _, NodeAddr(1), NodeAddr(1)).expect("mount");
         mount.mkdir_p("/wb").expect("mkdir");
         for i in 0..6 {
@@ -587,13 +580,7 @@ mod tests {
     /// divergent; repair plus a flush returns the count to zero.
     #[test]
     fn dropped_batch_is_reported_then_repair_clears_it() {
-        let (net, nodes) = build_cluster(
-            4,
-            ReplicationMode::WriteBehind {
-                queue_ops: 256,
-                flush_interval: Duration::from_millis(5),
-            },
-        );
+        let (net, nodes) = build_cluster(4, ReplicationMode::WriteBehind { queue_ops: 256 });
         let mount = KoshaMount::new(net.clone() as _, NodeAddr(1), NodeAddr(1)).expect("mount");
         mount.mkdir_p("/crash").expect("mkdir");
         mount.write_file("/crash/f", &[1u8; 64]).expect("write");
@@ -698,13 +685,7 @@ mod tests {
 
     #[test]
     fn crashed_nodes_count_unreachable_and_the_audit_counts_lag_markers() {
-        let (net, nodes) = build_cluster(
-            4,
-            ReplicationMode::WriteBehind {
-                queue_ops: 256,
-                flush_interval: Duration::from_millis(5),
-            },
-        );
+        let (net, nodes) = build_cluster(4, ReplicationMode::WriteBehind { queue_ops: 256 });
         let mount = KoshaMount::new(net.clone() as _, NodeAddr(1), NodeAddr(1)).expect("mount");
         mount.mkdir_p("/gauge").expect("mkdir");
         mount.write_file("/gauge/f", b"v1").expect("write");

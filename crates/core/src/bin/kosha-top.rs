@@ -10,12 +10,11 @@
 //! snapshot instead of the text dashboard.
 
 use kosha::{
-    audit_cluster, boot_cluster, cluster_flight, AuditOptions, FlightOptions, KoshaConfig,
-    KoshaMount, KoshaNode, ReplicationMode,
+    audit_cluster, boot_cluster, cluster_flight, AuditOptions, KoshaConfig, KoshaMount, KoshaNode,
+    ReplicationMode,
 };
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
 use std::sync::Arc;
-use std::time::Duration;
 
 const NODES: usize = 8;
 
@@ -27,10 +26,7 @@ fn main() {
     cfg.distribution_level = 1;
     cfg.replicas = 2;
     cfg.read_from_replicas = true;
-    cfg.replication_mode = ReplicationMode::WriteBehind {
-        queue_ops: 256,
-        flush_interval: Duration::from_millis(5),
-    };
+    cfg.replication_mode = ReplicationMode::WriteBehind { queue_ops: 256 };
     let nodes = boot_cluster(
         &(net.clone() as Arc<dyn Network>),
         |addr, mux| net.attach(addr, mux),
@@ -81,7 +77,7 @@ fn main() {
 
     let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
     let now = net.clock().now().0;
-    let mut report = cluster_flight(Some(&net.obs()), &refs, now, &FlightOptions::default());
+    let mut report = cluster_flight(Some(&net.obs()), &refs, now);
 
     // Consistency-observatory pass: fan an AuditScan out to every node
     // and attach the joined divergence report to the dashboard.

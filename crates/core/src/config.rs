@@ -20,13 +20,19 @@ pub enum ReplicationMode {
         /// queue blocks on a synchronous flush of that target
         /// (backpressure low-water is an empty queue).
         queue_ops: usize,
-        /// Interval at which a background pump drains the queues.
-        /// [`kosha_rpc::ThreadedNetwork`] drives this with a real
-        /// thread; [`kosha_rpc::SimNetwork`] leaves pumping to explicit
-        /// `run_pumps()` calls / flush barriers for determinism.
-        flush_interval: Duration,
     },
 }
+
+/// Maximum redirection attempts when the mapped node is full (§3.3:
+/// "the redirection process repeats till a node with enough disk space
+/// is found, or a pre-specified number of retries is exhausted").
+pub const REDIRECT_ATTEMPTS: usize = 4;
+
+/// Utilization at or above which a node refuses to host *new*
+/// directories, triggering redirection ("redirection is done for all
+/// newly created directories when the local disk space has exceeded the
+/// pre-specified utilization", §3.3).
+pub(crate) const REDIRECT_UTILIZATION: f64 = 0.95;
 
 /// System-wide parameters of a Kosha deployment. All nodes must agree on
 /// `distribution_level` (the paper calls it "a system-wide parameter",
@@ -40,21 +46,8 @@ pub struct KoshaConfig {
     /// Number of additional replicas `K` the primary maintains on its
     /// leaf-set neighbors (§4.2). 0 disables replication.
     pub replicas: usize,
-    /// Maximum redirection attempts when the mapped node is full (§3.3:
-    /// "the redirection process repeats till a node with enough disk
-    /// space is found, or a pre-specified number of retries is
-    /// exhausted").
-    pub redirect_attempts: usize,
-    /// Utilization above which a node refuses to host *new* directories,
-    /// triggering redirection ("redirection is done for all newly created
-    /// directories when the local disk space has exceeded the
-    /// pre-specified utilization", §3.3).
-    pub redirect_utilization: f64,
     /// Bytes of local disk contributed by this node.
     pub contributed_bytes: u64,
-    /// Retries a client-side operation makes across failovers before
-    /// giving up.
-    pub failover_retries: usize,
     /// READ/WRITE transfer chunk used by whole-file helpers (NFSv3
     /// implementations commonly use 32 KiB).
     pub io_chunk: u32,
@@ -80,13 +73,6 @@ pub struct KoshaConfig {
     /// server crossed the user/kernel boundary several times per RPC;
     /// this models that fixed cost.
     pub koshad_op_cost: Duration,
-    /// Server-side trace sampling: when a request arrives at the koshad
-    /// loopback server with no caller-provided trace context, start a
-    /// root trace for every `trace_sampling`-th such request. `0`
-    /// disables sampling (the default); `1` traces everything. Requests
-    /// that already carry a trace header are always recorded regardless
-    /// of this knob.
-    pub trace_sampling: u64,
     /// How mutations reach the K replicas: synchronously on the write
     /// path (the default, matching the prototype) or write-behind
     /// through per-target coalescing queues (DESIGN.md §11).
@@ -96,16 +82,6 @@ pub struct KoshaConfig {
     /// disables heat-driven read scaling entirely: no hot-path heat
     /// tracking at the primary, no lease state, no extra copies.
     pub hot_replicas: usize,
-    /// Read heat (milli-units, 1000 = one undecayed read) at which the
-    /// primary spawns hot copies for an object. Copies shed once decayed
-    /// heat falls below half this value (hysteresis, so an object
-    /// oscillating at the threshold does not thrash push/drop RPCs).
-    pub hot_threshold_milli: u64,
-    /// Hot-copy lease duration in virtual nanoseconds. A hot copy is
-    /// advertised to readers only while its lease is valid; the primary
-    /// renews leases when it refreshes copies at flush barriers and
-    /// maintenance ticks, and a write invalidates them immediately.
-    pub hot_lease_nanos: u64,
 }
 
 impl Default for KoshaConfig {
@@ -113,21 +89,15 @@ impl Default for KoshaConfig {
         KoshaConfig {
             distribution_level: 1,
             replicas: 0,
-            redirect_attempts: 4,
-            redirect_utilization: 0.95,
             contributed_bytes: 35 * 1_000_000_000, // paper: 35 GB per node
-            failover_retries: 4,
             io_chunk: 32 * 1024,
             disk_bandwidth_bps: 40_000_000,
             disk_meta_op: Duration::from_micros(120),
             read_from_replicas: false,
             compound_lookup: true,
             koshad_op_cost: Duration::from_micros(350),
-            trace_sampling: 0,
             replication_mode: ReplicationMode::Sync,
             hot_replicas: 0,
-            hot_threshold_milli: 8_000,
-            hot_lease_nanos: 2_000_000_000,
         }
     }
 }
@@ -139,21 +109,15 @@ impl KoshaConfig {
         KoshaConfig {
             distribution_level: 2,
             replicas: 1,
-            redirect_attempts: 4,
-            redirect_utilization: 0.95,
             contributed_bytes: 1 << 22, // 4 MiB
-            failover_retries: 4,
             io_chunk: 4096,
             disk_bandwidth_bps: u64::MAX,
             disk_meta_op: Duration::ZERO,
             read_from_replicas: false,
             compound_lookup: true,
             koshad_op_cost: Duration::ZERO,
-            trace_sampling: 0,
             replication_mode: ReplicationMode::Sync,
             hot_replicas: 0,
-            hot_threshold_milli: 8_000,
-            hot_lease_nanos: 2_000_000_000,
         }
     }
 }
@@ -166,9 +130,7 @@ mod tests {
     fn defaults_match_paper_setup() {
         let c = KoshaConfig::default();
         assert_eq!(c.distribution_level, 1);
-        assert_eq!(c.redirect_attempts, 4);
         assert_eq!(c.contributed_bytes, 35 * 1_000_000_000);
-        assert!(c.redirect_utilization > 0.5 && c.redirect_utilization <= 1.0);
         // Synchronous replication is the default; write-behind is opt-in.
         assert_eq!(c.replication_mode, ReplicationMode::Sync);
         let t = KoshaConfig::for_tests();

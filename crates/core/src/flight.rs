@@ -18,27 +18,13 @@ use kosha_obs::{obj, HeatEntry, Obs};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Tuning for [`cluster_flight`].
-#[derive(Debug, Clone)]
-pub struct FlightOptions {
-    /// How many heavy-hitter objects to report.
-    pub top_n: usize,
-    /// Latency SLO threshold in nanoseconds, applied to `slo_series`.
-    pub slo_nanos: u64,
-    /// Name of the transport-recorder series the SLO burn is computed
-    /// from (a p99 latency series registered by the transport metrics).
-    pub slo_series: String,
-}
-
-impl Default for FlightOptions {
-    fn default() -> Self {
-        FlightOptions {
-            top_n: 5,
-            slo_nanos: 2_000_000, // 2 ms
-            slo_series: "rpc_latency_nanos{service=\"koshafs\"}:p99".to_string(),
-        }
-    }
-}
+/// How many heavy-hitter objects the report lists.
+const TOP_N: usize = 5;
+/// Latency SLO in nanoseconds (2 ms), applied to [`SLO_SERIES`].
+const SLO_NANOS: u64 = 2_000_000;
+/// The transport-recorder series the SLO burn is computed from: the
+/// p99 latency of the koshad loopback service.
+const SLO_SERIES: &str = "rpc_latency_nanos{service=\"koshafs\"}:p99";
 
 /// One node's row in the dashboard.
 #[derive(Debug, Clone)]
@@ -122,7 +108,6 @@ pub fn cluster_flight(
     transport: Option<&Obs>,
     nodes: &[&KoshaNode],
     now_nanos: u64,
-    opts: &FlightOptions,
 ) -> FlightReport {
     let mut rows = Vec::with_capacity(nodes.len());
     let mut heat_merge: BTreeMap<String, (u64, u64)> = BTreeMap::new();
@@ -156,7 +141,7 @@ pub fn cluster_flight(
             journal_len: obs.journal.len(),
             journal_dropped: obs.journal.dropped(),
         });
-        for e in node.heat.top(opts.top_n.max(1), now_nanos) {
+        for e in node.heat.top(TOP_N, now_nanos) {
             let slot = heat_merge.entry(e.key).or_insert((0, 0));
             slot.0 += e.heat_milli;
             slot.1 += e.err_milli;
@@ -203,11 +188,11 @@ pub fn cluster_flight(
             .cmp(&a.heat_milli)
             .then_with(|| a.key.cmp(&b.key))
     });
-    heat.truncate(opts.top_n);
+    heat.truncate(TOP_N);
 
     let slo = transport
-        .and_then(|t| t.recorder.series(&opts.slo_series))
-        .map(|pts| slo_burn_x1000(&pts, opts.slo_nanos))
+        .and_then(|t| t.recorder.series(SLO_SERIES))
+        .map(|pts| slo_burn_x1000(&pts, SLO_NANOS))
         .unwrap_or((0, 0, 0));
 
     FlightReport {
@@ -407,12 +392,7 @@ mod tests {
             mount.read_file("/kosha/proj/f1").expect("read cold");
             net.run_pumps();
             let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
-            let report = cluster_flight(
-                Some(&net.obs()),
-                &refs,
-                net.clock().now().0,
-                &FlightOptions::default(),
-            );
+            let report = cluster_flight(Some(&net.obs()), &refs, net.clock().now().0);
             (report.render(), report.json().to_string())
         };
         let (text1, json1) = run();
@@ -453,7 +433,7 @@ mod tests {
         net.run_pumps();
         let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
         let now = net.clock().now().0;
-        let json = cluster_flight(Some(&net.obs()), &refs, now, &FlightOptions::default())
+        let json = cluster_flight(Some(&net.obs()), &refs, now)
             .json()
             .to_string();
         assert!(
@@ -471,7 +451,7 @@ mod tests {
         net.run_pumps();
         let refs: Vec<&KoshaNode> = nodes.iter().map(|n| n.as_ref()).collect();
         let now = net.clock().now().0;
-        let mut report = cluster_flight(Some(&net.obs()), &refs, now, &FlightOptions::default());
+        let mut report = cluster_flight(Some(&net.obs()), &refs, now);
         let plain = report.json().to_string();
         assert!(!plain.contains("\"audit\""), "audit absent until attached");
 

@@ -6,7 +6,7 @@
 //! primary and K neighbors. This module lets a primary react to measured
 //! demand: each primary feeds its [`kosha_obs::ReadHeat`] sketch from the
 //! `ReplicaTargets` read-path RPC, and when an object's decayed heat
-//! crosses [`crate::KoshaConfig::hot_threshold_milli`] it pushes up to
+//! crosses [`HOT_THRESHOLD_MILLI`] it pushes up to
 //! [`crate::KoshaConfig::hot_replicas`] extra **read-only cached copies**
 //! onto the next leaf-set neighbors past the K replica targets.
 //!
@@ -34,6 +34,21 @@ use kosha_nfs::{NfsRequest, NfsStatus};
 use kosha_rpc::{NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::path::parent_and_name;
 use std::collections::BTreeMap;
+
+/// Read heat (milli-units, 1000 = one undecayed read) at which a primary
+/// spawns hot copies of an object. Copies shed once decayed heat falls
+/// below half this value (hysteresis, so an object oscillating at the
+/// threshold does not thrash push/drop RPCs).
+pub(crate) const HOT_THRESHOLD_MILLI: u64 = 6_000;
+
+/// Heat below which a still-valid object's copies are dropped.
+const HOT_SHED_MILLI: u64 = HOT_THRESHOLD_MILLI / 2;
+
+/// Hot-copy lease in virtual nanoseconds (5 s). A copy is advertised to
+/// readers only while its lease is valid; the primary renews leases when
+/// it refreshes copies at flush barriers and maintenance ticks, and a
+/// write invalidates them at once.
+const HOT_LEASE_NANOS: u64 = 5_000_000_000;
 
 /// Primary-side record of one object's outstanding hot copies.
 #[derive(Debug, Clone)]
@@ -104,12 +119,6 @@ impl KoshaNode {
         self.cfg.hot_replicas > 0
     }
 
-    /// Heat a mutation-free read shed to cooled copies: below half the
-    /// spawn threshold the copies are dropped (hysteresis).
-    fn hot_shed_milli(&self) -> u64 {
-        self.cfg.hot_threshold_milli / 2
-    }
-
     /// Sets the `kosha_hot_copies` gauge to the number of pushed copies
     /// this primary currently tracks (valid or awaiting refresh).
     fn hot_gauge_sync(&self, map: &BTreeMap<String, HotObject>) {
@@ -166,7 +175,7 @@ impl KoshaNode {
             && self
                 .heat
                 .heat_milli_of(path, now)
-                .is_some_and(|h| h >= self.cfg.hot_threshold_milli)
+                .is_some_and(|h| h >= HOT_THRESHOLD_MILLI)
         {
             self.hot_spawn(path, anchor, now);
         }
@@ -192,7 +201,7 @@ impl KoshaNode {
             return;
         }
         let seq = self.hot.lock().get(path).map_or(1, |o| o.seq + 1);
-        let expires = now + self.cfg.hot_lease_nanos;
+        let expires = now + HOT_LEASE_NANOS;
         let holders = self.hot_push_to(&candidates, anchor, &routing, path, seq, expires, item);
         if holders.is_empty() {
             return;
@@ -374,15 +383,14 @@ impl KoshaNode {
         let now = self.clock.now().0;
         for (path, o) in snapshot {
             let heat = self.heat.heat_milli_of(&path, now).unwrap_or(0);
-            if heat < self.hot_shed_milli() {
+            if heat < HOT_SHED_MILLI {
                 let removed = self.hot.lock().remove(&path);
                 if let Some(o) = removed {
                     self.hot_drop_on(&o.holders, &o.anchor, &path);
                     self.journal(
                         "hot_drop",
                         format!(
-                            "heat of {path} decayed to {heat} (< {}): revoked {} hot cop(ies)",
-                            self.hot_shed_milli(),
+                            "heat of {path} decayed to {heat} (< {HOT_SHED_MILLI}): revoked {} hot cop(ies)",
                             o.holders.len()
                         ),
                     );
@@ -390,7 +398,7 @@ impl KoshaNode {
                 }
                 continue;
             }
-            let lease_low = o.expires_nanos.saturating_sub(now) < self.cfg.hot_lease_nanos / 4;
+            let lease_low = o.expires_nanos.saturating_sub(now) < HOT_LEASE_NANOS / 4;
             if !o.valid || (refresh_valid && lease_low) {
                 self.hot_refresh(&path, &o, now);
             }
@@ -427,7 +435,7 @@ impl KoshaNode {
             return;
         }
         let seq = o.seq + 1;
-        let expires = now + self.cfg.hot_lease_nanos;
+        let expires = now + HOT_LEASE_NANOS;
         let holders = self.hot_push_to(&candidates, &o.anchor, &routing, path, seq, expires, item);
         let mut map = self.hot.lock();
         match map.get_mut(path) {

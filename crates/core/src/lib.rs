@@ -61,7 +61,7 @@ pub mod writeback;
 
 pub use audit::{audit_cluster, slot_summary, tree_digest, AuditOptions, AuditReport, SlotSummary};
 pub use config::{KoshaConfig, ReplicationMode};
-pub use flight::{cluster_flight, FlightOptions, FlightReport, NodeRow};
+pub use flight::{cluster_flight, FlightReport, NodeRow};
 pub use mount::KoshaMount;
 pub use node::{boot_cluster, KoshaNode};
 pub use stats::{KoshaStats, StatsSnapshot};

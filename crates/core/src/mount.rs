@@ -292,12 +292,6 @@ impl KoshaMount {
         self.nfs.read_whole(fh, &attr, self.chunk)
     }
 
-    /// Reads a byte range.
-    pub fn read_at(&self, path: &str, offset: u64, count: u32) -> NfsResult<Bytes> {
-        let (fh, _) = self.stat(path)?;
-        Ok(self.nfs.read(fh, offset, count)?.0)
-    }
-
     /// Lists a directory.
     pub fn readdir(&self, path: &str) -> NfsResult<Vec<ClientDirEntry>> {
         let dir = self.dir_handle(path)?;

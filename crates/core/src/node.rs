@@ -14,6 +14,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
+
+/// Interval at which a write-behind node's background pump drains its
+/// replica queues. [`kosha_rpc::ThreadedNetwork`] drives the pump with
+/// its timer thread; [`kosha_rpc::SimNetwork`] leaves pumping to
+/// explicit `run_pumps()` calls and flush barriers, for determinism.
+const WRITE_BEHIND_PUMP_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Per-anchor memo of the last fully-acknowledged replica push: content
 /// digest and the target set it was acked by.
@@ -65,9 +72,6 @@ pub struct KoshaNode {
     pub(crate) read_rr: std::sync::atomic::AtomicU64,
     /// Operational counters (handles into `obs`'s registry).
     pub(crate) stats: KoshaStats,
-    /// Counts requests arriving at the koshad loopback server without a
-    /// caller trace, for [`KoshaConfig::trace_sampling`].
-    pub(crate) trace_seq: std::sync::atomic::AtomicU64,
     /// Per-node observability domain, shared by this koshad's overlay
     /// endpoint, NFS server/client, and interposition layer so their
     /// metrics and journal events correlate.
@@ -191,7 +195,6 @@ impl KoshaNode {
             salt_rng: Mutex::new(StdRng::seed_from_u64(id.0 as u64)),
             read_rr: std::sync::atomic::AtomicU64::new(0),
             stats: KoshaStats::new(&obs),
-            trace_seq: std::sync::atomic::AtomicU64::new(0),
             writeback: crate::writeback::WritebackState::new(&obs),
             heat: kosha_obs::ReadHeat::default(),
             hot: Mutex::new(BTreeMap::new()),
@@ -206,15 +209,13 @@ impl KoshaNode {
             client: Mutex::new(ClientState::new(HandleTable::new())),
         });
         pastry.add_observer(Arc::new(LeafWatcher(Arc::downgrade(&node))));
-        if let crate::config::ReplicationMode::WriteBehind { flush_interval, .. } =
-            node.cfg.replication_mode
-        {
+        if let crate::config::ReplicationMode::WriteBehind { .. } = node.cfg.replication_mode {
             // ThreadedNetwork drives the pump from its shared timer
             // thread; SimNetwork records the hook in its event heap and
             // leaves pumping to explicit `run_pumps()` / `run_for()`
             // calls so simulations stay deterministic.
             let hook = Arc::downgrade(&node) as Weak<dyn kosha_rpc::PumpHook>;
-            let _ = node.net.schedule_pump(hook, flush_interval);
+            let _ = node.net.schedule_pump(hook, WRITE_BEHIND_PUMP_INTERVAL);
         }
 
         let mux = Arc::new(ServiceMux::new());
@@ -306,15 +307,6 @@ impl KoshaNode {
         Arc::clone(&self.obs)
     }
 
-    /// The `n` hottest objects read through this node's `/kosha` mount,
-    /// decayed to the transport clock's current time. Heat is an EWMA
-    /// with half-life decay in milli-units (1000 ≈ one recent read);
-    /// entries may carry an overestimate bound from sketch evictions.
-    #[must_use]
-    pub fn read_heat_top(&self, n: usize) -> Vec<kosha_obs::HeatEntry> {
-        self.heat.top(n, self.clock.now().0)
-    }
-
     /// Journals a node-scoped event stamped on the transport clock.
     pub(crate) fn journal(&self, kind: &'static str, detail: String) {
         let op = self.obs.next_op_id();
@@ -339,8 +331,6 @@ impl KoshaNode {
         self.replica_push_memo.lock().clear();
         self.heat.clear();
         self.read_rr.store(0, std::sync::atomic::Ordering::Relaxed);
-        self.trace_seq
-            .store(0, std::sync::atomic::Ordering::Relaxed);
         *self.salt_rng.lock() = StdRng::seed_from_u64(self.info.id.0 as u64);
     }
 

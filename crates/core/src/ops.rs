@@ -7,6 +7,7 @@
 //! reads via direct NFS, and transparently retries through failures
 //! (§4.4).
 
+use crate::config::REDIRECT_ATTEMPTS;
 use crate::control::{KoshaReply, KoshaRequest, ReplicaOp};
 use crate::handles::Location;
 use crate::node::{KoshaNode, VirtualFs};
@@ -189,12 +190,12 @@ impl KoshaNode {
         let turn = self
             .read_rr
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let weight = if self.cfg.hot_replicas > 0 && self.cfg.hot_threshold_milli > 0 {
+        let weight = if self.cfg.hot_replicas > 0 {
             let heat = self
                 .heat
                 .heat_milli_of(vpath, self.clock.now().0)
                 .unwrap_or(0);
-            1 + (heat / self.cfg.hot_threshold_milli).min(4)
+            1 + (heat / crate::hot::HOT_THRESHOLD_MILLI).min(4)
         } else {
             1
         };
@@ -431,7 +432,7 @@ impl KoshaNode {
         // not be asked leaves its error, so the caller fails over.
         let mut full = false;
         let mut last_err = NfsError::Status(NfsStatus::NoSpc);
-        for attempt in 0..=self.cfg.redirect_attempts {
+        for attempt in 0..=REDIRECT_ATTEMPTS {
             let salt = if attempt == 0 {
                 None
             } else {
@@ -828,23 +829,12 @@ impl RpcHandler for VirtualFs {
         let req = NfsRequest::decode_frame(frame)?;
         let k = &self.0;
         let proc = req.proc_name();
-        // Server span for the koshad loopback op. Requests arriving with
-        // a caller trace always record a child span; untraced requests
-        // start a sampled root per [`KoshaConfig::trace_sampling`].
+        // Server span for the koshad loopback op: a request that arrives
+        // with a caller trace records a child span; an untraced one
+        // records nothing.
         let frame = if kosha_obs::trace::current().is_some() {
             k.obs.tracer.child(
                 || format!("koshafs:{proc}"),
-                k.info.addr.0,
-                || k.clock.now().0,
-                || self.execute(req),
-            )
-        } else if k.cfg.trace_sampling > 0
-            && k.trace_seq
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                .is_multiple_of(k.cfg.trace_sampling)
-        {
-            k.obs.tracer.root(
-                format!("koshafs:{proc}"),
                 k.info.addr.0,
                 || k.clock.now().0,
                 || self.execute(req),

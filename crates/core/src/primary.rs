@@ -3,6 +3,7 @@
 //! failures (§4.4), and migrating anchors when the key space shifts
 //! (§4.3).
 
+use crate::config::REDIRECT_UTILIZATION;
 use crate::control::{
     KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
 };
@@ -640,12 +641,12 @@ impl KoshaNode {
                 }
             }
             ReplicaOp::RenameSlot { from, .. } if !self.hosted(from) => Err(NfsStatus::Stale),
-            // Redirection (§3.3): at or above the utilization every node
-            // is configured with, the owner refuses new directories and
-            // the placing koshad salts the name and asks another.
+            // Redirection (§3.3): at or above the pre-specified
+            // utilization, the owner refuses new directories and the
+            // placing koshad salts the name and asks another.
             ReplicaOp::MakeSlot { .. } => {
                 let (capacity, used, _) = self.store.with_store(|v| v.fsstat());
-                if capacity == 0 || used as f64 / capacity as f64 >= self.cfg.redirect_utilization {
+                if capacity == 0 || used as f64 / capacity as f64 >= REDIRECT_UTILIZATION {
                     Err(NfsStatus::NoSpc)
                 } else {
                     Ok(())

@@ -24,6 +24,10 @@ use kosha_vfs::path::parent_and_name;
 use kosha_vfs::FileType;
 use std::borrow::Cow;
 
+/// Retries a client-side operation makes across failovers and stale
+/// handles before it gives up and returns the error it last saw.
+pub(crate) const FAILOVER_RETRIES: usize = 4;
+
 /// True if a symlink's mode marks it as a Kosha special link (sticky
 /// bit set by [`crate::primary`] when placing links).
 #[must_use]
@@ -92,7 +96,7 @@ impl KoshaNode {
         vpath: &str,
         mut f: impl FnMut(&Self) -> NfsResult<T>,
     ) -> NfsResult<T> {
-        let mut budget = self.cfg.failover_retries;
+        let mut budget = FAILOVER_RETRIES;
         self.retry_within(vpath, &mut budget, |s, _| f(s))
     }
 
@@ -170,7 +174,7 @@ impl KoshaNode {
     /// Resolves the authoritative listing of directory `vpath` to a
     /// location, walking from the root owner and following special links.
     pub(crate) fn resolve_dir(&self, vpath: &str) -> NfsResult<Location> {
-        let mut budget = self.cfg.failover_retries;
+        let mut budget = FAILOVER_RETRIES;
         self.resolve_dir_budget(vpath, &mut budget)
     }
 
@@ -386,6 +390,24 @@ mod tests {
                 "{kept} swept up with /a"
             );
         }
+    }
+
+    #[test]
+    fn an_unreachable_node_is_retried_until_the_budget_is_spent() {
+        let node = solo_node();
+        let mut attempts = 0;
+        let err = node
+            .with_retry("/a/f", |_| {
+                attempts += 1;
+                Err::<(), _>(NfsError::Rpc(RpcError::Unreachable(NodeAddr(9))))
+            })
+            .unwrap_err();
+        assert_eq!(attempts, FAILOVER_RETRIES + 1);
+        assert!(
+            matches!(err, NfsError::Rpc(RpcError::Unreachable(NodeAddr(9)))),
+            "{err:?}"
+        );
+        assert_eq!(node.stats().failovers, FAILOVER_RETRIES as u64);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! End-to-end tests of the full Kosha stack on a simulated cluster:
 //! overlay + NFS stores + koshad interposition + replication + failover.
 
+use kosha::config::REDIRECT_ATTEMPTS;
+use kosha::control::{KoshaRequest, ReplicaOp};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{NfsError, NfsStatus};
 use kosha_rpc::{
     Clock, LatencyModel, Network, NodeAddr, RpcError, RpcHandler, RpcResponse, ServiceId,
-    ServiceMux, SimNetwork,
+    ServiceMux, SimNetwork, WireRead,
 };
 use kosha_vfs::FileType;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct Cluster {
@@ -231,14 +234,13 @@ fn capacity_redirection_spills_to_other_nodes() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 0;
-    cfg.redirect_attempts = 8;
-    cfg.redirect_utilization = 0.5;
-    cfg.contributed_bytes = 8192; // tiny stores force redirection
+    cfg.contributed_bytes = 6144; // tiny stores force redirection
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     // Fill nodes with directories until redirection must kick in: create
-    // many dirs with a file each; with 8 KiB stores and 3 KiB files,
-    // nodes fill after ~1 directory.
+    // many dirs with a file each. With 6 KiB stores refusing directories
+    // at 0.95 utilization, a store takes a directory after one 3 000-byte
+    // file and refuses one after two.
     let mut created = 0;
     for i in 0..12 {
         let dir = format!("/d{i}");
@@ -284,16 +286,74 @@ impl RpcHandler for DiesWhenAsked {
     }
 }
 
-/// Placement that could not ask an owner is not a full disk: the owner's
-/// transport error reaches the retry wrapper, which fails over to the
-/// next owner of the name (it used to come back as `NoSpc`, and nothing
-/// retried).
+/// A node's control service behind a switch the whole cluster shares:
+/// it answers `Unreachable` to the first `left` placements (`MakeSlot`
+/// mutations) asked of any node and hands every other request to the
+/// node's own handler.
+struct RefusesPlacement {
+    inner: Arc<dyn RpcHandler>,
+    addr: NodeAddr,
+    left: Arc<AtomicUsize>,
+}
+
+impl RpcHandler for RefusesPlacement {
+    fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+        let placing = matches!(
+            KoshaRequest::decode(body),
+            Ok(KoshaRequest::Mutate {
+                op: ReplicaOp::MakeSlot { .. }
+            })
+        );
+        if placing
+            && self
+                .left
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+        {
+            return Err(RpcError::Unreachable(self.addr));
+        }
+        self.inner.handle(from, body)
+    }
+}
+
+/// Placement that could not ask any owner is not a full disk: when every
+/// salted attempt meets a transport error, placement returns that error
+/// (it used to come back as `NoSpc`, and nothing retried), and the retry
+/// wrapper fails over and places the directory.
 #[test]
 fn placement_fails_over_when_the_owner_is_unreachable() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 1;
-    cfg.redirect_attempts = 0;
+    let c = build_cluster(8, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/first").unwrap();
+    let left = Arc::new(AtomicUsize::new(REDIRECT_ATTEMPTS + 1));
+    for (i, mux) in c.muxes.iter().enumerate() {
+        let inner = mux.handler(ServiceId::Kosha).expect("control service");
+        let refuses = RefusesPlacement {
+            inner,
+            addr: NodeAddr(i as u64),
+            left: Arc::clone(&left),
+        };
+        mux.register(ServiceId::Kosha, Arc::new(refuses));
+    }
+    let before = c.nodes[0].stats().failovers;
+    m.mkdir("/placed")
+        .expect("placement fails over instead of reporting a full disk");
+    assert_eq!(left.load(Ordering::SeqCst), 0, "every attempt was refused");
+    assert!(c.nodes[0].stats().failovers > before, "no failover");
+    m.write_file("/placed/f", b"placed").unwrap();
+    assert_eq!(m.read_file("/placed/f").unwrap(), b"placed");
+}
+
+/// An owner that dies as placement asks it does not fail the mkdir:
+/// placement moves on to the owner of the next salted name.
+#[test]
+fn placement_moves_past_an_owner_that_dies_when_asked() {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 1;
     let c = build_cluster(8, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/first").unwrap();
@@ -317,8 +377,7 @@ fn placement_fails_over_when_the_owner_is_unreachable() {
     };
     c.muxes[victim.0 as usize].register(ServiceId::Kosha, Arc::new(dies));
     let path = format!("/{name}");
-    m.mkdir(&path)
-        .expect("placement fails over to a live owner");
+    m.mkdir(&path).expect("placement moves on to a live owner");
     assert!(!c.net.is_up(victim), "the owner was asked, and died");
     m.write_file(&format!("{path}/f"), b"placed").unwrap();
     assert_eq!(m.read_file(&format!("{path}/f")).unwrap(), b"placed");
@@ -603,10 +662,7 @@ fn rmdir_through_a_stale_cached_anchor() {
 fn a_second_mount_reads_what_the_new_owner_acked_after_a_join() {
     use kosha::{audit_cluster, AuditOptions, ReplicationMode};
 
-    let write_behind = ReplicationMode::WriteBehind {
-        queue_ops: 64,
-        flush_interval: std::time::Duration::from_millis(5),
-    };
+    let write_behind = ReplicationMode::WriteBehind { queue_ops: 64 };
     let settings = [
         (0, ReplicationMode::Sync),
         (1, ReplicationMode::Sync),
@@ -1140,9 +1196,7 @@ fn stats_record_capacity_redirections() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 0;
-    cfg.redirect_attempts = 8;
-    cfg.redirect_utilization = 0.5;
-    cfg.contributed_bytes = 8192; // tiny stores force redirection
+    cfg.contributed_bytes = 6144; // tiny stores force redirection
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     for i in 0..12 {
@@ -1235,8 +1289,6 @@ fn hot_cfg() -> KoshaConfig {
     cfg.replicas = 1;
     cfg.read_from_replicas = true;
     cfg.hot_replicas = 2;
-    // Three reads of the same object cross the threshold in these tests.
-    cfg.hot_threshold_milli = 3000;
     cfg
 }
 
@@ -2465,10 +2517,7 @@ fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.replication_mode = kosha::ReplicationMode::WriteBehind {
-        queue_ops: 256,
-        flush_interval: std::time::Duration::from_millis(5),
-    };
+    cfg.replication_mode = kosha::ReplicationMode::WriteBehind { queue_ops: 256 };
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     m.stat("/").unwrap();

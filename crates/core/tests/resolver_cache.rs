@@ -13,7 +13,7 @@ use kosha::paths::{slot_local_path, Area};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{Fh, NfsClient, NfsError, NfsStatus};
-use kosha_rpc::{Network, NodeAddr, ServiceId, SimNetwork};
+use kosha_rpc::{Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,12 +137,14 @@ fn per_component_baseline_still_resolves() {
     assert_eq!(m2.read_file("/base/sub/f").unwrap(), b"old walk");
 }
 
+/// A transport error other than `Unreachable` is not a failover: the
+/// retry wrapper hands it back at once, and the koshad loopback renders
+/// it as `Io` (the NFS rendering of a server that did not answer).
 #[test]
-fn exhausted_retry_budget_returns_underlying_error() {
+fn a_transport_error_other_than_unreachable_reaches_the_client_as_io() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 0;
-    cfg.failover_retries = 0;
     let c = build_cluster(4, cfg);
     mount(&c, 0).mkdir_p("/retrybox").unwrap();
     mount(&c, 0).write_file("/retrybox/f", b"y").unwrap();
@@ -153,17 +155,15 @@ fn exhausted_retry_budget_returns_underlying_error() {
         .expect("anchor hosted")
         .addr();
     // Read through a gateway that is not the primary, so the failure is
-    // remote; warm its cache first so the read targets the dead node.
+    // remote; warm its cache first so the read targets the primary.
     let gateway = (0..c.nodes.len())
         .find(|&i| c.nodes[i].addr() != primary)
         .unwrap();
     let m = mount(&c, gateway);
     assert_eq!(m.read_file("/retrybox/f").unwrap(), b"y");
-    c.net.fail_node(primary);
-    // With no retry budget the transport failure propagates instead of
-    // being retried away: the loopback boundary reports it as IO (the
-    // NFS rendering of an unreachable server), and the gateway performed
-    // no failover.
+    // The primary's machine is reinstalled with no services running:
+    // it answers every call with `NoService`.
+    c.net.attach(primary, Arc::new(ServiceMux::new()));
     match m.read_file("/retrybox/f") {
         Err(NfsError::Status(NfsStatus::Io)) => {}
         other => panic!("expected the underlying IO error, got {other:?}"),
@@ -171,7 +171,7 @@ fn exhausted_retry_budget_returns_underlying_error() {
     assert_eq!(
         c.nodes[gateway].stats().failovers,
         0,
-        "a zero budget must not trigger failover retries"
+        "a node that answers is not failed over"
     );
 }
 

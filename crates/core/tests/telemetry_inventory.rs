@@ -7,7 +7,6 @@
 use kosha::{audit_cluster, boot_cluster, AuditOptions, KoshaConfig, KoshaMount, ReplicationMode};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, SimNetwork};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What one node's domain holds, whatever the workload did.
 const NODE_REGISTRY: [&str; 42] = [
@@ -78,11 +77,7 @@ fn a_busy_cluster_registers_exactly_these_names() {
         replicas: 2,
         read_from_replicas: true,
         hot_replicas: 2,
-        hot_threshold_milli: 3_000,
-        replication_mode: ReplicationMode::WriteBehind {
-            queue_ops: 64,
-            flush_interval: Duration::from_millis(5),
-        },
+        replication_mode: ReplicationMode::WriteBehind { queue_ops: 64 },
         ..KoshaConfig::for_tests()
     };
     let nodes = boot_cluster(

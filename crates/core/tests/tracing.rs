@@ -200,52 +200,9 @@ fn a_mutation_span_is_named_by_its_op() {
 }
 
 #[test]
-fn sampling_knob_roots_traces_server_side() {
-    let mut cfg = KoshaConfig::for_tests();
-    cfg.distribution_level = 1;
-    cfg.replicas = 0;
-    cfg.trace_sampling = 2; // every other untraced koshad request
-    let c = build_cluster(4, cfg);
-    let m = KoshaMount::new(
-        c.net.clone() as Arc<dyn Network>,
-        c.nodes[0].addr(),
-        c.nodes[0].addr(),
-    )
-    .expect("mount");
-    m.mkdir_p("/s").expect("mkdir");
-    collect_spans(&c);
-
-    m.write_file("/s/a", b"x").expect("write");
-    m.read_file("/s/a").expect("read");
-
-    let spans = collect_spans(&c);
-    let roots: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent_id == 0).collect();
-    assert!(
-        !roots.is_empty(),
-        "sampling=2 should have rooted at least one server-side trace"
-    );
-    assert!(
-        roots.iter().all(|s| s.name.starts_with("koshafs:")),
-        "sampled roots start at the koshad loopback server: {roots:?}"
-    );
-    // Sampling every 2nd request traces roughly half the loopback ops —
-    // strictly fewer roots than total koshad requests.
-    let fs_ops: u64 = c.nodes[0]
-        .obs()
-        .registry
-        .counter("kosha_fs_ops_total")
-        .get();
-    assert!(
-        (roots.len() as u64) < fs_ops,
-        "expected a strict subset of {fs_ops} ops to be sampled, got {}",
-        roots.len()
-    );
-}
-
-#[test]
 fn untraced_clusters_record_no_spans() {
-    // With sampling off and no client roots, tracing must stay silent:
-    // nothing allocates span records on the hot path.
+    // With no client roots, tracing must stay silent: nothing allocates
+    // span records on the hot path.
     let c = build_cluster(3, KoshaConfig::for_tests());
     let m = KoshaMount::new(
         c.net.clone() as Arc<dyn Network>,

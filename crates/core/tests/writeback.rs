@@ -11,7 +11,6 @@ use kosha_rpc::{Bytes, Network, NodeAddr, RpcRequest, ServiceId, SimNetwork};
 use kosha_vfs::SetAttr;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Cluster {
     net: Arc<SimNetwork>,
@@ -50,10 +49,7 @@ fn wb_cfg(queue_ops: usize) -> KoshaConfig {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.replication_mode = ReplicationMode::WriteBehind {
-        queue_ops,
-        flush_interval: Duration::from_millis(5),
-    };
+    cfg.replication_mode = ReplicationMode::WriteBehind { queue_ops };
     cfg
 }
 

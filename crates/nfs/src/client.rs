@@ -64,12 +64,6 @@ impl NfsClient {
         self
     }
 
-    /// The address RPCs are issued from.
-    #[must_use]
-    pub fn from_addr(&self) -> NodeAddr {
-        self.from
-    }
-
     /// The transport's clock, which a cache over this client ages its
     /// entries by.
     #[must_use]

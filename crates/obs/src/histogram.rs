@@ -117,11 +117,6 @@ impl Histogram {
         }
     }
 
-    /// Records a `Duration` as nanoseconds (saturating at `u64::MAX`).
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     fn total(&self, word: impl Fn(&Shard) -> &AtomicU64) -> u64 {
         self.shards
             .each()

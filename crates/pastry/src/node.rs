@@ -336,12 +336,6 @@ impl PastryNode {
         self.repair_leafset_excluding(&[addr]);
     }
 
-    /// Refills the leaf set by asking the surviving extremes (and, if the
-    /// set emptied, the routing table) for their leaf sets.
-    pub fn repair_leafset(&self) {
-        self.repair_leafset_excluding(&[]);
-    }
-
     /// Leaf-set repair that refuses to re-learn `dead` addresses — used
     /// right after a failure/departure, when other nodes may still be
     /// advertising the dead node in their leaf sets.

@@ -19,14 +19,13 @@
 
 use crate::availability::{AvailabilityParams, AvailabilityTrace};
 use crate::cluster::{ClusterParams, SimCluster};
-use kosha::{audit_cluster, AuditOptions, KoshaConfig, KoshaNode, ReplicationMode};
+use kosha::{audit_cluster, AuditOptions, KoshaConfig, ReplicationMode};
 use kosha_obs::json::Value;
 use kosha_obs::obj;
 use kosha_rpc::{Clock, LatencyModel, NodeAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Parameters of one churn-survival run.
@@ -219,10 +218,7 @@ pub fn run_churn(p: &ChurnParams) -> ChurnReport {
     kosha.distribution_level = 1;
     kosha.replicas = p.replicas;
     kosha.read_from_replicas = true;
-    kosha.replication_mode = ReplicationMode::WriteBehind {
-        queue_ops: 64,
-        flush_interval: Duration::from_millis(5),
-    };
+    kosha.replication_mode = ReplicationMode::WriteBehind { queue_ops: 64 };
     let cluster = SimCluster::build(&ClusterParams {
         nodes: p.nodes,
         kosha,
@@ -506,16 +502,6 @@ impl ChurnReport {
             "virtual_elapsed_nanos": self.virtual_elapsed_nanos,
         }
     }
-}
-
-/// Convenience: sums a stats counter over nodes (used by tests).
-#[must_use]
-pub fn live_nodes(nodes: &[Arc<KoshaNode>], up: &[bool]) -> usize {
-    nodes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| up.get(i).copied().unwrap_or(false))
-        .count()
 }
 
 #[cfg(test)]

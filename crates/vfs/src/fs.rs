@@ -3,7 +3,7 @@
 
 use crate::error::VfsError;
 use crate::inode::{Attr, FileId, FileType, Ino};
-use crate::path::{components, join_path, normalized, parent_and_name, validate_name};
+use crate::path::{components, join_path, normalized, validate_name};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
@@ -1074,17 +1074,6 @@ impl Vfs {
             s.push('/');
         }
         Ok(s)
-    }
-
-    /// Convenience for tests: resolves `(parent, name)` of a path.
-    pub fn resolve_parent(&self, path: &str) -> Result<(FileId, String), VfsError> {
-        let norm = normalized(path)?;
-        let (parent, name) = parent_and_name(&norm).ok_or(VfsError::Inval)?;
-        let (pid, pattr) = self.resolve(parent)?;
-        if pattr.ftype != FileType::Directory {
-            return Err(VfsError::NotDir);
-        }
-        Ok((pid, name.to_string()))
     }
 }
 
