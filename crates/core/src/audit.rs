@@ -9,7 +9,7 @@
 //!   a slot subtree, computed identically for `/kosha_store` and
 //!   `/kosha_replica` copies, so an up-to-date replica hashes
 //!   byte-for-byte equal to its primary;
-//! * `KoshaRequest::AuditScan` — each node digests every slot it holds
+//! * `ControlRequest::AuditScan` — each node digests every slot it holds
 //!   locally (no nested RPCs, preserving the replica-service deadlock
 //!   discipline) and reports one [`AuditEntry`] per copy;
 //! * [`audit_cluster`] — the audit pass: fan the scan out to every
@@ -24,7 +24,7 @@
 //! no longer counts the holder as a target), whose effect the next
 //! audit pass verifies.
 
-use crate::control::{AuditEntry, KoshaReply, KoshaReplyFrame, KoshaRequest};
+use crate::control::{AuditEntry, ControlRequest, KoshaReply, KoshaReplyFrame};
 use crate::node::KoshaNode;
 use crate::paths::Area;
 use kosha_id::Sha1;
@@ -260,7 +260,7 @@ pub fn audit_cluster(
     now_nanos: u64,
     opts: &AuditOptions,
 ) -> AuditReport {
-    let req = RpcRequest::new(ServiceId::Kosha, &KoshaRequest::AuditScan);
+    let req = RpcRequest::new(ServiceId::Kosha, &ControlRequest::AuditScan);
     let batch: Vec<(NodeAddr, RpcRequest)> = peers.iter().map(|&a| (a, req.clone())).collect();
     let results = net.call_many(from, batch);
 
@@ -445,7 +445,7 @@ impl AuditReport {
 mod tests {
     use super::*;
     use crate::config::{KoshaConfig, ReplicationMode};
-    use crate::control::MigrateItem;
+    use crate::control::{MigrateItem, ReplicaRequest};
     use crate::mount::KoshaMount;
     use crate::paths::slot_local_path;
     use kosha_id::node_id_from_seed;
@@ -658,7 +658,7 @@ mod tests {
             .collect();
         let req = RpcRequest::new(
             ServiceId::KoshaReplica,
-            &KoshaRequest::MigrateBatch {
+            &ReplicaRequest::MigrateBatch {
                 path: "/gc".into(),
                 routing: "gc".into(),
                 items,

@@ -67,7 +67,7 @@ impl From<ExportItem> for MigrateItem {
 
 wire_struct! {
     /// One store or replica slot's consistency digest, as reported by
-    /// [`KoshaRequest::AuditScan`]. The digest is a SHA-1 over the slot
+    /// [`ControlRequest::AuditScan`]. The digest is a SHA-1 over the slot
     /// subtree's canonical serialization, so a primary copy and an
     /// up-to-date replica copy hash identically (see
     /// `kosha::audit::tree_digest`); the three flags come from the slot's
@@ -104,13 +104,15 @@ wire_struct! {
 }
 
 wire_enum! {
-    /// Requests handled by a node's Kosha control service. Every path is a
-    /// full virtual path (relative to `/kosha`, normalized). A variant's
-    /// label (`name()`) names its journal details and, but for `Mutate`'s,
-    /// its trace spans ([`Self::span_name`]: `kosha:{name}` on the control
-    /// service, `replica:{name}` on the replica service).
+    /// Requests a node's control service (`ServiceId::Kosha`) serves:
+    /// koshad's mutations and resolution asks, and the asks one primary
+    /// makes of another. Every path is a full virtual path (relative to
+    /// `/kosha`, normalized). A variant's label (`name()`) names its
+    /// journal details and, but for `Mutate`'s, its `kosha:{name}` trace
+    /// spans ([`Self::span_name`]). Tag 18, the unsent hosted-anchor
+    /// listing, is retired; the replica service's tags are unknown here.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum KoshaRequest labelled(NAMES, index, name) {
+    pub enum ControlRequest labelled(NAMES, index, name) {
         /// One mutation of replicated state, sent by koshad to the primary
         /// of the slot it lands in, which applies it to its store and
         /// mirrors the same op to its K replica holders (§4.2). Tags 0–12,
@@ -122,51 +124,21 @@ wire_enum! {
         /// Resolution/fault handling: make sure this node serves the anchor
         /// at `path`. If the anchor is in the store, a no-op; if it is only in
         /// the replica area, promote it (§4.4); if it is the root anchor and
-        /// absent everywhere, create it empty. Replies `DoneBool(promoted)`;
-        /// fails with `NoEnt` if the anchor cannot be served.
+        /// absent everywhere, create it empty. Replies `Handle` for the
+        /// store slot root; fails with `NoEnt` if the anchor cannot be
+        /// served.
         EnsureAnchor {
             /// Anchor virtual path.
             path: String,
             /// Routing name the caller used to reach this node.
             routing: String,
         } = 13 => "ensure_anchor",
-        /// Introspection: list `(anchor_path, routing_name)` pairs hosted
-        /// here (tests and experiment harnesses).
-        ListAnchors = 18 => "list_anchors",
         /// Ask the primary for the current replica holders of the anchor
         /// covering `path` (read-from-replica optimization, §4.2).
         ReplicaTargets {
             /// Virtual path whose covering anchor's replicas are wanted.
             path: String,
         } = 19 => "replica_targets",
-        /// Replica maintenance (served on `ServiceId::KoshaReplica`): replace
-        /// the receiver's replica copy of `path` with the batched subtree in
-        /// one round trip, bracketed by the slot record's `migrating` flag.
-        MigrateBatch {
-            /// Anchor virtual path.
-            path: String,
-            /// The anchor's routing name, for the copy's record.
-            routing: String,
-            /// The full subtree, in parent-before-child order.
-            items: Vec<MigrateItem>,
-        } = 20 => "migrate_batch",
-        /// Replica maintenance (served on `ServiceId::KoshaReplica`): apply
-        /// one mutation to the receiver's replica area. The primary fans the
-        /// same op out to all K replica holders concurrently. Handlers touch
-        /// only local state — no nested RPCs — so concurrent fan-outs
-        /// between primaries cannot form call cycles.
-        ReplicaApply {
-            /// The mutation, mirroring the primary's own store change.
-            op: ReplicaOp,
-        } = 21 => "replica_apply",
-        /// Replica maintenance (served on `ServiceId::KoshaReplica`): apply a
-        /// coalesced batch of mutations in order, in one round trip — the
-        /// write-behind pump's flush unit. Like `ReplicaApply`, handlers
-        /// touch only local state, so the service stays cycle-free.
-        ReplicaApplyBatch {
-            /// The mutations, in primary apply order (post-coalescing).
-            ops: Vec<ReplicaOp>,
-        } = 22 => "replica_apply_batch",
         /// Flush barrier: drain this primary's write-behind queues
         /// synchronously before replying. Sent by koshad on NFS COMMIT; a
         /// no-op under synchronous replication.
@@ -195,46 +167,6 @@ wire_enum! {
             /// with the primary content unchanged.
             holder: u64,
         } = 25 => "replica_targets_by_slot",
-        /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
-        /// place or refresh one read-only cached copy of a hot object in the
-        /// receiver's replica area, leased until `expires_nanos` and stamped
-        /// with the primary's mutation sequence. The request carries the full
-        /// object payload, so the handler touches only local state (no nested
-        /// RPCs) like every other replica-service handler (DESIGN.md §16).
-        HotReplicaPush {
-            /// Covering anchor virtual path of the hot object.
-            anchor: String,
-            /// The anchor's routing name (recorded in the slot's record so
-            /// replica-slot GC can find the owner).
-            routing: String,
-            /// Virtual path of the hot object.
-            path: String,
-            /// Primary mutation sequence the pushed payload reflects.
-            seq: u64,
-            /// Lease expiry in virtual nanoseconds.
-            expires_nanos: u64,
-            /// The object itself (`rel_path` relative to the anchor root,
-            /// parent directories implied).
-            item: MigrateItem,
-        } = 26 => "hot_replica_push",
-        /// Heat-driven read scaling (served on `ServiceId::KoshaReplica`):
-        /// revoke the receiver's hot copy of `path` — heat decayed, the
-        /// object was mutated without a refresh, or it was removed. A no-op
-        /// when the receiver's slot record holds no lease for the path
-        /// (e.g. the slot became a durable replica in the meantime).
-        HotReplicaDrop {
-            /// Covering anchor virtual path.
-            anchor: String,
-            /// Virtual path of the object whose lease is revoked.
-            path: String,
-        } = 27 => "hot_replica_drop",
-        /// Replica pull (served on `ServiceId::KoshaReplica`): the record
-        /// and the items of the receiver's replica slot of `anchor`, read
-        /// from local state only. `NoEnt` when there is none.
-        SlotRecord {
-            /// Anchor virtual path.
-            anchor: String,
-        } = 28 => "slot_record",
         /// Migration (§4.3.1): the receiver is the anchor's owner now. It
         /// merges the items into its store slot, names the slot `routing`
         /// last (so the slot is served only once it is whole) and pushes
@@ -252,8 +184,82 @@ wire_enum! {
 }
 
 wire_enum! {
+    /// Requests a node's replica service (`ServiceId::KoshaReplica`)
+    /// serves: what a primary sends the holders of its K replicas and of
+    /// its hot copies. Every handler touches only local state (no nested
+    /// RPCs), so concurrent fan-outs between primaries cannot form call
+    /// cycles. A variant's label names its `replica:{name}` trace spans;
+    /// the control service's tags are unknown here.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ReplicaRequest labelled(NAMES, index, name) {
+        /// Replace the receiver's replica copy of `path` with the batched
+        /// subtree in one round trip, bracketed by the slot record's
+        /// `migrating` flag.
+        MigrateBatch {
+            /// Anchor virtual path.
+            path: String,
+            /// The anchor's routing name, for the copy's record.
+            routing: String,
+            /// The full subtree, in parent-before-child order.
+            items: Vec<MigrateItem>,
+        } = 20 => "migrate_batch",
+        /// Apply one mutation to the receiver's replica area. The primary
+        /// fans the same op out to all K replica holders concurrently.
+        ReplicaApply {
+            /// The mutation, mirroring the primary's own store change.
+            op: ReplicaOp,
+        } = 21 => "replica_apply",
+        /// Apply a coalesced batch of mutations in order, in one round
+        /// trip — the write-behind pump's flush unit.
+        ReplicaApplyBatch {
+            /// The mutations, in primary apply order (post-coalescing).
+            ops: Vec<ReplicaOp>,
+        } = 22 => "replica_apply_batch",
+        /// Heat-driven read scaling: place or refresh one read-only cached
+        /// copy of a hot object in the receiver's replica area, leased
+        /// until `expires_nanos` and stamped with the primary's mutation
+        /// sequence. The request carries the full object payload, so the
+        /// handler touches only local state (DESIGN.md §16).
+        HotReplicaPush {
+            /// Covering anchor virtual path of the hot object.
+            anchor: String,
+            /// The anchor's routing name (recorded in the slot's record so
+            /// replica-slot GC can find the owner).
+            routing: String,
+            /// Virtual path of the hot object.
+            path: String,
+            /// Primary mutation sequence the pushed payload reflects.
+            seq: u64,
+            /// Lease expiry in virtual nanoseconds.
+            expires_nanos: u64,
+            /// The object itself (`rel_path` relative to the anchor root,
+            /// parent directories implied).
+            item: MigrateItem,
+        } = 26 => "hot_replica_push",
+        /// Heat-driven read scaling: revoke the receiver's hot copy of
+        /// `path` — heat decayed, the object was mutated without a
+        /// refresh, or it was removed. A no-op when the receiver's slot
+        /// record holds no lease for the path (e.g. the slot became a
+        /// durable replica in the meantime).
+        HotReplicaDrop {
+            /// Covering anchor virtual path.
+            anchor: String,
+            /// Virtual path of the object whose lease is revoked.
+            path: String,
+        } = 27 => "hot_replica_drop",
+        /// Replica pull: the record and the items of the receiver's
+        /// replica slot of `anchor`, read from local state only. `NoEnt`
+        /// when there is none.
+        SlotRecord {
+            /// Anchor virtual path.
+            anchor: String,
+        } = 28 => "slot_record",
+    }
+}
+
+wire_enum! {
     /// One mutation of replicated state: what koshad sends the primary
-    /// (`KoshaRequest::Mutate`), and what the primary, once it has applied
+    /// (`ControlRequest::Mutate`), and what the primary, once it has applied
     /// the change to its own store, ships to each replica holder (§4.2).
     /// Paths are full virtual paths; the receiver derives the covering
     /// anchor itself and finds its slot in its slot table. A holder
@@ -380,13 +386,13 @@ wire_enum! {
     }
 }
 
-impl KoshaRequest {
+impl ControlRequest {
     /// The label a request's trace spans carry: a mutation's is its op's
     /// (`write`, `make_slot`), any other request's its own.
     #[must_use]
     pub fn span_name(&self) -> &'static str {
         match self {
-            KoshaRequest::Mutate { op } => op.name(),
+            ControlRequest::Mutate { op } => op.name(),
             req => req.name(),
         }
     }
@@ -430,24 +436,22 @@ wire_enum! {
         /// Acknowledged.
         Done = 0,
         /// A created object's real handle and attributes (a `Mutate` of
-        /// `Create`, `Mkdir` or `MakeSlot`) — saves the caller a LOOKUP
-        /// round trip, like NFS CREATE's post-op handle.
+        /// `Create`, `Mkdir` or `MakeSlot`), or the slot root an
+        /// `EnsureAnchor` serves — saves the caller a LOOKUP round trip,
+        /// like NFS CREATE's post-op handle.
         Handle {
             /// Real handle on the replying node.
             fh: Fh,
             /// Attributes at creation.
             attr: WireAttr,
         } = 4,
-        /// Boolean outcome (promotion happened or not).
-        DoneBool(promoted: bool) = 1,
-        /// Hosted anchors: `(virtual path, routing name)`.
-        Anchors(anchors: Vec<(String, String)>) = 3,
         /// Node addresses (replica holders).
         Nodes(holders: Vec<kosha_rpc::NodeAddr>) = 5,
         /// Per-slot consistency digests (`AuditScan`), slot order.
         Audit(entries: Vec<AuditEntry>) = 6,
         /// One replica slot's record and items (`SlotRecord`). Tag 7, the
-        /// record alone, is retired.
+        /// record alone, is retired, as are tags 1 and 3, the unread
+        /// promotion flag and the hosted-anchor listing.
         Slot {
             /// The slot's record.
             record: crate::slots::SlotMeta,
@@ -469,8 +473,20 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
-        let reqs = vec![
-            KoshaRequest::Mutate {
+        let write = |offset, data: Vec<u8>| ReplicaOp::Write {
+            path: "/a/f".into(),
+            offset,
+            data: data.into(),
+        };
+        let item = |rel_path: &str, kind| MigrateItem {
+            rel_path: rel_path.into(),
+            kind,
+            mode: 0o644,
+            uid: 1,
+            gid: 2,
+        };
+        for req in [
+            ControlRequest::Mutate {
                 op: ReplicaOp::Create {
                     path: "/a/f".into(),
                     mode: 0o644,
@@ -479,51 +495,38 @@ mod tests {
                     size: Some(100),
                 },
             },
-            KoshaRequest::Mutate {
-                op: ReplicaOp::Write {
-                    path: "/a/f".into(),
-                    offset: 9,
-                    data: vec![1, 2].into(),
-                },
+            ControlRequest::Mutate {
+                op: write(9, vec![1, 2]),
             },
-            KoshaRequest::EnsureAnchor {
+            ControlRequest::EnsureAnchor {
                 path: "/a".into(),
                 routing: "a#3".into(),
             },
-            KoshaRequest::ListAnchors,
-            KoshaRequest::ReplicaTargets { path: "/a".into() },
-            KoshaRequest::ReplicaTargetsBySlot {
+            ControlRequest::ReplicaTargets { path: "/a".into() },
+            ControlRequest::ReplicaTargetsBySlot {
                 slot: "@00c0ffee00c0ffee".into(),
                 holder: 7,
             },
-            KoshaRequest::MigrateBatch {
+            ControlRequest::Flush {
+                path: "/a/f".into(),
+            },
+            ControlRequest::AuditScan,
+        ] {
+            assert_eq!(ControlRequest::decode(&req.encode()).unwrap(), req);
+        }
+        for req in [
+            ReplicaRequest::MigrateBatch {
                 path: "/a".into(),
                 routing: "a#4".into(),
                 items: vec![
-                    MigrateItem {
-                        rel_path: "d".into(),
-                        kind: MigrateKind::Dir,
-                        mode: 0o755,
-                        uid: 1,
-                        gid: 2,
-                    },
-                    MigrateItem {
-                        rel_path: "d/f".into(),
-                        kind: MigrateKind::Bytes(vec![5; 3].into()),
-                        mode: 0o644,
-                        uid: 1,
-                        gid: 2,
-                    },
+                    item("d", MigrateKind::Dir),
+                    item("d/f", MigrateKind::Bytes(vec![5; 3].into())),
                 ],
             },
-            KoshaRequest::ReplicaApply {
-                op: ReplicaOp::Write {
-                    path: "/a/f".into(),
-                    offset: 4,
-                    data: vec![9, 8].into(),
-                },
+            ReplicaRequest::ReplicaApply {
+                op: write(4, vec![9, 8]),
             },
-            KoshaRequest::ReplicaApplyBatch {
+            ReplicaRequest::ReplicaApplyBatch {
                 ops: vec![
                     ReplicaOp::Create {
                         path: "/a/f".into(),
@@ -532,43 +535,27 @@ mod tests {
                         gid: 2,
                         size: None,
                     },
-                    ReplicaOp::Write {
-                        path: "/a/f".into(),
-                        offset: 0,
-                        data: vec![3, 4].into(),
-                    },
+                    write(0, vec![3, 4]),
                     ReplicaOp::LagMark {
                         anchor: "/a".into(),
                         bytes: 0,
                     },
                 ],
             },
-            KoshaRequest::Flush {
-                path: "/a/f".into(),
-            },
-            KoshaRequest::AuditScan,
-            KoshaRequest::HotReplicaPush {
+            ReplicaRequest::HotReplicaPush {
                 anchor: "/a".into(),
                 routing: "a#2".into(),
                 path: "/a/hot".into(),
                 seq: 17,
                 expires_nanos: 9_000_000_000,
-                item: MigrateItem {
-                    rel_path: "hot".into(),
-                    kind: MigrateKind::Bytes(vec![6; 5].into()),
-                    mode: 0o644,
-                    uid: 1,
-                    gid: 2,
-                },
+                item: item("hot", MigrateKind::Bytes(vec![6; 5].into())),
             },
-            KoshaRequest::HotReplicaDrop {
+            ReplicaRequest::HotReplicaDrop {
                 anchor: "/a".into(),
                 path: "/a/hot".into(),
             },
-        ];
-        for req in reqs {
-            let b = req.encode();
-            assert_eq!(KoshaRequest::decode(&b).unwrap(), req);
+        ] {
+            assert_eq!(ReplicaRequest::decode(&req.encode()).unwrap(), req);
         }
     }
 
@@ -576,8 +563,6 @@ mod tests {
     fn replies_round_trip() {
         for frame in [
             ReplyFrame(Ok(KoshaReply::Done)),
-            ReplyFrame(Ok(KoshaReply::DoneBool(true))),
-            ReplyFrame(Ok(KoshaReply::Anchors(vec![("/a".into(), "a#1".into())]))),
             ReplyFrame(Ok(KoshaReply::Nodes(vec![
                 kosha_rpc::NodeAddr(3),
                 kosha_rpc::NodeAddr(9),

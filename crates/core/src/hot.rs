@@ -25,7 +25,7 @@
 //! and the new owner's `ReplicaTargetsBySlot` answer will not list the
 //! holder.
 
-use crate::control::{KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
+use crate::control::{MigrateItem, MigrateKind, ReplicaOp, ReplicaRequest};
 use crate::node::KoshaNode;
 use crate::paths::{check_vpath, slot_local_path, Area};
 use crate::primary::settle;
@@ -242,7 +242,7 @@ impl KoshaNode {
     ) -> Vec<NodeAddr> {
         let req = RpcRequest::new(
             ServiceId::KoshaReplica,
-            &KoshaRequest::HotReplicaPush {
+            &ReplicaRequest::HotReplicaPush {
                 anchor: anchor.to_string(),
                 routing: routing.to_string(),
                 path: path.to_string(),
@@ -271,7 +271,7 @@ impl KoshaNode {
         }
         let req = RpcRequest::new(
             ServiceId::KoshaReplica,
-            &KoshaRequest::HotReplicaDrop {
+            &ReplicaRequest::HotReplicaDrop {
                 anchor: anchor.to_string(),
                 path: path.to_string(),
             },

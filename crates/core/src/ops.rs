@@ -8,7 +8,7 @@
 //! (§4.4).
 
 use crate::config::REDIRECT_ATTEMPTS;
-use crate::control::{KoshaReply, KoshaRequest, ReplicaOp};
+use crate::control::{ControlRequest, KoshaReply, ReplicaOp};
 use crate::handles::Location;
 use crate::node::{KoshaNode, VirtualFs};
 use crate::paths::is_distributed_dir;
@@ -83,7 +83,7 @@ impl KoshaNode {
     /// Sends one mutation to the primary at `addr`, which applies it and
     /// mirrors it to its replica holders (§4.2).
     fn mutate_at(&self, addr: NodeAddr, op: ReplicaOp) -> NfsResult<KoshaReply> {
-        self.control(addr, &KoshaRequest::Mutate { op })
+        self.control(addr, &ControlRequest::Mutate { op })
     }
 
     // ---- namespace operations -----------------------------------------
@@ -168,7 +168,7 @@ impl KoshaNode {
         let targets = match self
             .control(
                 ploc.addr,
-                &KoshaRequest::ReplicaTargets {
+                &ControlRequest::ReplicaTargets {
                     path: vpath.to_string(),
                 },
             )
@@ -260,7 +260,7 @@ impl KoshaNode {
         self.with_retry(&vpath, |s| {
             let (loc, _) = s.ensure_obj(fh)?;
             let path = vpath.clone();
-            s.control(loc.addr, &KoshaRequest::Flush { path })
+            s.control(loc.addr, &ControlRequest::Flush { path })
                 .map(|_| ())
         })
     }
@@ -421,17 +421,15 @@ impl KoshaNode {
     /// Makes the anchor of a new distributed directory on the node its
     /// name maps to, salting and re-hashing while that node refuses it as
     /// too full (§3.3). Returns the slot root's location and attributes
-    /// and the routing name the link must carry.
+    /// and the routing name the link must carry. An owner that cannot be
+    /// asked is no full one: its error goes back at once, so the caller
+    /// fails over and asks again.
     fn place_anchor(
         &self,
         vpath: &str,
         name: &str,
         (mode, uid, gid): (u32, u32, u32),
     ) -> NfsResult<(Location, String, Attr)> {
-        // `NoSpc` only if some owner said it was full; an owner that could
-        // not be asked leaves its error, so the caller fails over.
-        let mut full = false;
-        let mut last_err = NfsError::Status(NfsStatus::NoSpc);
         for attempt in 0..=REDIRECT_ATTEMPTS {
             let salt = if attempt == 0 {
                 None
@@ -444,13 +442,7 @@ impl KoshaNode {
                 Some(self.salt_rng.lock().random_range(0..1_000_000u64))
             };
             let routing = salted_name(name, salt);
-            let owner = match self.owner_of(&routing) {
-                Ok(o) => o,
-                Err(e) => {
-                    last_err = e;
-                    continue;
-                }
-            };
+            let addr = self.owner_of(&routing)?.addr;
             let op = ReplicaOp::MakeSlot {
                 anchor: vpath.to_string(),
                 routing: routing.clone(),
@@ -458,21 +450,12 @@ impl KoshaNode {
                 uid,
                 gid,
             };
-            match self.mutate_at(owner.addr, op).and_then(made) {
-                Ok((fh, attr)) => {
-                    let addr = owner.addr;
-                    return Ok((Location { addr, fh }, routing, attr));
-                }
-                Err(NfsError::Status(NfsStatus::NoSpc)) => full = true,
-                Err(e @ NfsError::Rpc(_)) => last_err = e,
-                Err(e) => return Err(e),
+            match self.mutate_at(addr, op).and_then(made) {
+                Err(NfsError::Status(NfsStatus::NoSpc)) => {}
+                r => return r.map(|(fh, attr)| (Location { addr, fh }, routing, attr)),
             }
         }
-        Err(if full {
-            NfsError::Status(NfsStatus::NoSpc)
-        } else {
-            last_err
-        })
+        Err(NfsError::Status(NfsStatus::NoSpc))
     }
 
     /// SYMLINK (user-level; lives with its parent directory).
@@ -804,8 +787,9 @@ impl KoshaNode {
     }
 }
 
-/// The handle and attributes of what a MKDIR made, from its reply.
-fn made(reply: KoshaReply) -> NfsResult<(Fh, Attr)> {
+/// The handle and attributes a `Handle` reply carries: what a MKDIR
+/// made, or the slot root an `EnsureAnchor` serves.
+pub(crate) fn made(reply: KoshaReply) -> NfsResult<(Fh, Attr)> {
     match reply {
         KoshaReply::Handle { fh, attr } => Ok((fh, attr.0)),
         _ => Err(NfsError::Status(NfsStatus::Io)),

@@ -5,13 +5,14 @@
 
 use crate::config::REDIRECT_UTILIZATION;
 use crate::control::{
-    KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, Names, ReplicaOp,
+    ControlRequest, KoshaReply, KoshaReplyFrame, MigrateItem, MigrateKind, Names, ReplicaOp,
+    ReplicaRequest,
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
 use crate::paths::{anchor_slot, check_vpath, is_distributed_dir, slot_local_path, Area};
 use crate::resolve::is_special_link_mode;
 use crate::slots::SlotMeta;
-use kosha_nfs::messages::ReplyFrame;
+use kosha_nfs::messages::{ReplyFrame, WireAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{
@@ -233,8 +234,10 @@ impl KoshaNode {
             self.info.addr.0,
             || self.clock.now().0,
             || {
-                let req =
-                    RpcRequest::split(ServiceId::KoshaReplica, &KoshaRequest::ReplicaApply { op });
+                let req = RpcRequest::split(
+                    ServiceId::KoshaReplica,
+                    &ReplicaRequest::ReplicaApply { op },
+                );
                 let batch = targets.iter().map(|a| (*a, req.clone())).collect();
                 let results = self.net.call_many(self.info.addr, batch);
                 for (addr, result) in targets.iter().zip(results) {
@@ -300,7 +303,7 @@ impl KoshaNode {
         }
         let req = RpcRequest::new(
             ServiceId::KoshaReplica,
-            &KoshaRequest::MigrateBatch {
+            &ReplicaRequest::MigrateBatch {
                 path: anchor.to_string(),
                 routing,
                 items: migrate_items(exported),
@@ -334,32 +337,31 @@ impl KoshaNode {
 
     // ---- the replica service (receiving side) -----------------------------
 
-    /// Serves the replica-maintenance service: only replica-area
-    /// requests (mirrored ops, full pushes, hot-copy push/drop, and a
-    /// slot's record) are valid here, and all of them touch purely local
-    /// state (no nested RPCs), preserving the transports' deadlock
-    /// discipline.
-    pub(crate) fn handle_replica(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
+    /// Serves the replica-maintenance service: mirrored ops, full
+    /// pushes, hot-copy push/drop, and a slot's record, all of which
+    /// touch purely local state (no nested RPCs), preserving the
+    /// transports' deadlock discipline.
+    pub(crate) fn handle_replica(&self, req: ReplicaRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
             // For a node pulling this copy: the record and the files.
-            KoshaRequest::SlotRecord { anchor } => {
+            ReplicaRequest::SlotRecord { anchor } => {
                 let record = self
                     .slot_meta(Area::Replica, &anchor)
                     .ok_or(NfsStatus::NoEnt)?;
                 let items = migrate_items(self.export_slot(Area::Replica, &anchor)?);
                 return Ok(KoshaReply::Slot { record, items });
             }
-            KoshaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op).map(drop),
+            ReplicaRequest::ReplicaApply { op } => self.apply_op(Area::Replica, &op).map(drop),
             // Apply in order and stop at the first failure: a partly
             // applied batch must leave the slot's lag marker set (the
             // clears ride at the batch tail), so a later promotion of
             // this copy still reports the divergence.
-            KoshaRequest::ReplicaApplyBatch { ops } => ops
+            ReplicaRequest::ReplicaApplyBatch { ops } => ops
                 .iter()
                 .try_for_each(|op| self.apply_op(Area::Replica, op).map(drop)),
             // A full push replaces the copy under §4.4's bracket: the
             // record says a push is landing until the last item has.
-            KoshaRequest::MigrateBatch {
+            ReplicaRequest::MigrateBatch {
                 path,
                 routing,
                 items,
@@ -373,7 +375,7 @@ impl KoshaNode {
                 self.slot_update(Area::Replica, &path, |m| m.migrating = false);
                 Ok(())
             }
-            KoshaRequest::HotReplicaPush {
+            ReplicaRequest::HotReplicaPush {
                 anchor,
                 routing,
                 path,
@@ -381,8 +383,9 @@ impl KoshaNode {
                 expires_nanos,
                 item,
             } => self.receive_hot_push(&anchor, &routing, &path, seq, expires_nanos, &item),
-            KoshaRequest::HotReplicaDrop { anchor, path } => self.receive_hot_drop(&anchor, &path),
-            _ => Err(NfsStatus::NotSupp),
+            ReplicaRequest::HotReplicaDrop { anchor, path } => {
+                self.receive_hot_drop(&anchor, &path)
+            }
         }?;
         Ok(KoshaReply::Done)
     }
@@ -609,7 +612,12 @@ impl KoshaNode {
     /// refuses a special link, which stands for a directory; a symlink
     /// is a special or a user link; a slot goes only empty, is renamed
     /// only where it is served, and is made only below the redirection
-    /// utilization.
+    /// utilization. Every transport runs one handler at a time per
+    /// `(node, service)`, so these checks and the [`Self::mutate`] that
+    /// follows cannot interleave with another request to the same slot:
+    /// a `RemoveSlot` found empty stays empty until it is gone, and the
+    /// `Sync` mirror runs before the next mutation is admitted, so every
+    /// holder sees the primary's order.
     fn admit(&self, op: &ReplicaOp) -> Result<(), NfsStatus> {
         let (Names::Entry(a, b) | Names::Slot(a, b)) = op.names();
         check_vpath(a)?;
@@ -850,6 +858,53 @@ impl KoshaNode {
         Ok(())
     }
 
+    /// Makes this node serve `anchor` (§4.4). A store slot is served
+    /// under the routing name its record holds; one without (a transfer
+    /// cut short) adopts `routing`. Else a full replica copy here is
+    /// promoted, or one is pulled from a leaf-set member, or, as a last
+    /// resort, a copy holding hot leases only is promoted; the root
+    /// anchor, held nowhere, is made empty. `NoEnt` if none of these
+    /// serves it.
+    fn ensure_anchor(&self, anchor: &str, routing: &str) -> Result<(), NfsStatus> {
+        let name = |m: &mut SlotMeta| {
+            m.routing.get_or_insert_with(|| routing.to_string());
+        };
+        if self.slot_update(Area::Store, anchor, name).is_some() {
+            return Ok(());
+        }
+        // A copy with hot leases holds only the hot files (§16): it is
+        // promoted only when no full copy can be pulled.
+        let leased = self
+            .slot_meta(Area::Replica, anchor)
+            .map(|m| !m.hot.is_empty());
+        if leased == Some(false) {
+            return self.promote_anchor(anchor);
+        }
+        // We own the key but hold no full copy (e.g. K=1 and the sole
+        // replica sits on the *other* neighbor of the failed primary).
+        // Pull the anchor from whichever leaf-set member still holds a
+        // replica, then serve it.
+        if self.pull_anchor_from_neighbors(anchor, routing, leased.is_none()) {
+            return Ok(());
+        }
+        if leased == Some(true) {
+            return self.promote_anchor(anchor);
+        }
+        if anchor == "/" {
+            // Brand-new deployment (or new root owner with no data yet):
+            // create the root anchor empty.
+            let op = ReplicaOp::MakeSlot {
+                anchor: anchor.to_string(),
+                routing: routing.to_string(),
+                mode: 0o755,
+                uid: 0,
+                gid: 0,
+            };
+            return self.mutate(op).map(drop);
+        }
+        Err(NfsStatus::NoEnt)
+    }
+
     /// Searches the leaf set for a node holding a replica of `anchor`,
     /// copies it into the local store and serves it. Returns true on
     /// success. This covers the corner the paper's §4.4 glosses over:
@@ -860,7 +915,7 @@ impl KoshaNode {
     /// files (DESIGN.md §16): it is taken, if `leased_ok`, only when no
     /// member holding a full copy answers.
     fn pull_anchor_from_neighbors(&self, anchor: &str, routing: &str, leased_ok: bool) -> bool {
-        let req = KoshaRequest::SlotRecord {
+        let req = ReplicaRequest::SlotRecord {
             anchor: anchor.to_string(),
         };
         let req = RpcRequest::new(ServiceId::KoshaReplica, &req);
@@ -927,7 +982,7 @@ impl KoshaNode {
             .map_err(kosha_nfs::NfsError::Status)?;
         self.control(
             owner.addr,
-            &KoshaRequest::TransferAnchor {
+            &ControlRequest::TransferAnchor {
                 path: anchor.to_string(),
                 routing: routing.to_string(),
                 items: migrate_items(items),
@@ -1003,7 +1058,7 @@ impl KoshaNode {
             }
             let Ok(KoshaReply::Nodes(targets)) = self.control(
                 owner.addr,
-                &KoshaRequest::ReplicaTargetsBySlot {
+                &ControlRequest::ReplicaTargetsBySlot {
                     slot: slot.clone(),
                     holder: self.info.addr.0,
                 },
@@ -1027,60 +1082,26 @@ impl KoshaNode {
 
     // ---- the control handler ----------------------------------------------
 
-    pub(crate) fn handle_control(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
+    pub(crate) fn handle_control(&self, req: ControlRequest) -> Result<KoshaReply, NfsStatus> {
         match req {
             // A mutation of replicated state, once it is one a koshad
             // may ask for.
-            KoshaRequest::Mutate { op } => {
+            ControlRequest::Mutate { op } => {
                 self.admit(&op)?;
                 self.mutate(op)
             }
-            KoshaRequest::EnsureAnchor { path, routing } => {
-                // A store slot is served under the routing name its record
-                // holds; one without (a transfer cut short) adopts the name
-                // it is sent.
-                let name = |m: &mut SlotMeta| {
-                    m.routing.get_or_insert_with(|| routing.clone());
-                };
-                if self.slot_update(Area::Store, &path, name).is_some() {
-                    return Ok(KoshaReply::DoneBool(false));
-                }
-                // A copy with hot leases holds only the hot files (§16):
-                // it is promoted only when no full copy can be pulled.
-                let leased = self
-                    .slot_meta(Area::Replica, &path)
-                    .map(|m| !m.hot.is_empty());
-                if leased == Some(false) {
-                    self.promote_anchor(&path)?;
-                    return Ok(KoshaReply::DoneBool(true));
-                }
-                // We own the key but hold no full copy (e.g. K=1 and the
-                // sole replica sits on the *other* neighbor of the failed
-                // primary). Pull the anchor from whichever leaf-set
-                // member still holds a replica, then serve it.
-                if self.pull_anchor_from_neighbors(&path, &routing, leased.is_none()) {
-                    return Ok(KoshaReply::DoneBool(true));
-                }
-                if leased == Some(true) {
-                    self.promote_anchor(&path)?;
-                    return Ok(KoshaReply::DoneBool(true));
-                }
-                if path == "/" {
-                    // Brand-new deployment (or new root owner with no data
-                    // yet): create the root anchor empty.
-                    let op = ReplicaOp::MakeSlot {
-                        anchor: path,
-                        routing,
-                        mode: 0o755,
-                        uid: 0,
-                        gid: 0,
-                    };
-                    self.mutate(op)?;
-                    return Ok(KoshaReply::DoneBool(false));
-                }
-                Err(NfsStatus::NoEnt)
+            // The slot root, once this node serves it: the caller walks
+            // on from it with no LOOKUP of its own.
+            ControlRequest::EnsureAnchor { path, routing } => {
+                self.ensure_anchor(&path, &routing)?;
+                let fh = self.slot_fh(Area::Store, &path, &path, false)?;
+                let attr = self.store.with_store(|v| v.getattr(fh.to_file_id()))?;
+                Ok(KoshaReply::Handle {
+                    fh,
+                    attr: WireAttr(attr),
+                })
             }
-            KoshaRequest::TransferAnchor {
+            ControlRequest::TransferAnchor {
                 path,
                 routing,
                 items,
@@ -1101,15 +1122,14 @@ impl KoshaNode {
                 self.ensure_replicas(&path);
                 Ok(KoshaReply::Done)
             }
-            KoshaRequest::ListAnchors => Ok(KoshaReply::Anchors(self.hosted_anchors())),
-            KoshaRequest::AuditScan => {
+            ControlRequest::AuditScan => {
                 // Anti-entropy scan: digest every local slot. Local
                 // state only — the auditor fans this out cluster-wide,
                 // and a handler that issued nested RPCs could deadlock
                 // two nodes auditing each other.
                 Ok(KoshaReply::Audit(self.audit_scan()))
             }
-            KoshaRequest::Flush { path } => {
+            ControlRequest::Flush { path } => {
                 // NFS COMMIT barrier: the client fsynced, so every queued
                 // write-behind op must reach the replicas before we ack.
                 // A no-op under `Sync` replication (nothing is queued).
@@ -1117,15 +1137,7 @@ impl KoshaNode {
                 self.flush_replication();
                 Ok(KoshaReply::Done)
             }
-            // Replica maintenance is served on its own leaf service
-            // (`ServiceId::KoshaReplica`), not the control service.
-            KoshaRequest::MigrateBatch { .. }
-            | KoshaRequest::ReplicaApply { .. }
-            | KoshaRequest::ReplicaApplyBatch { .. }
-            | KoshaRequest::HotReplicaPush { .. }
-            | KoshaRequest::HotReplicaDrop { .. }
-            | KoshaRequest::SlotRecord { .. } => Err(NfsStatus::NotSupp),
-            KoshaRequest::ReplicaTargets { path } => {
+            ControlRequest::ReplicaTargets { path } => {
                 let anchor = self.covering_anchor(&path);
                 if !self.hosted(&anchor) {
                     return Err(NfsStatus::NoEnt);
@@ -1141,9 +1153,14 @@ impl KoshaNode {
                         targets.push(a);
                     }
                 }
+                // A holder whose write-behind window on the anchor is
+                // open lacks acked writes: it is not advertised until the
+                // window flushes, so no read returns bytes older than an
+                // acked write.
+                targets.retain(|t| !self.lags(*t, &anchor));
                 Ok(KoshaReply::Nodes(targets))
             }
-            KoshaRequest::ReplicaTargetsBySlot { slot, holder } => {
+            ControlRequest::ReplicaTargetsBySlot { slot, holder } => {
                 // GC probe: a replica holder only knows the slot name, so
                 // map it back through the store's slot index. `NoEnt` (we
                 // don't serve it) tells the holder to keep its copy —
@@ -1245,7 +1262,7 @@ impl RpcHandler for ControlService {
 
     // lint: allow(L005) designed one-level nesting: the control plane fans out to leaf replica/lease services only, and those handlers are verified RPC-free by this same rule
     fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
-        let req = KoshaRequest::decode_frame(frame)?;
+        let req = ControlRequest::decode_frame(frame)?;
         let k = &self.0;
         let name = req.span_name();
         let result = k.obs.tracer.child(
@@ -1264,9 +1281,9 @@ impl RpcHandler for ReplicaService {
     }
 
     fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {
-        let req = KoshaRequest::decode_frame(frame)?;
+        let req = ReplicaRequest::decode_frame(frame)?;
         let k = &self.0;
-        let name = req.span_name();
+        let name = req.name();
         let result = k.obs.tracer.child(
             || format!("replica:{name}"),
             k.info.addr.0,

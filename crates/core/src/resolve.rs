@@ -12,7 +12,7 @@
 //! holds a replica, which the `EnsureAnchor` control call promotes to
 //! primary (§4.4).
 
-use crate::control::{KoshaReply, KoshaReplyFrame, KoshaRequest};
+use crate::control::{ControlRequest, KoshaReply, KoshaReplyFrame};
 use crate::handles::Location;
 use crate::node::KoshaNode;
 use crate::paths::{anchor_dir_of, anchor_slot, is_distributed_dir, Area, ROOT_ANCHOR};
@@ -52,7 +52,7 @@ impl KoshaNode {
 
     /// Sends a control request to another koshad (or ourselves, over the
     /// loopback).
-    pub(crate) fn control(&self, to: NodeAddr, req: &KoshaRequest) -> NfsResult<KoshaReply> {
+    pub(crate) fn control(&self, to: NodeAddr, req: &ControlRequest) -> NfsResult<KoshaReply> {
         let resp = self
             .net
             .call(self.info.addr, to, RpcRequest::split(ServiceId::Kosha, req))
@@ -136,7 +136,7 @@ impl KoshaNode {
 
     /// Locates the slot root of `anchor_path` on `owner`, asking the
     /// owner to promote (or, for the virtual root, create) it if its
-    /// store lacks it.
+    /// store lacks it; the owner's answer is the slot root.
     pub(crate) fn locate_anchor(
         &self,
         owner: NodeAddr,
@@ -160,14 +160,11 @@ impl KoshaNode {
         }
         // Absent: ask the owner to promote from its replica area (§4.4)
         // or, for the root anchor, to create it empty.
-        self.control(
-            owner,
-            &KoshaRequest::EnsureAnchor {
-                path: anchor_path.to_string(),
-                routing: routing.to_string(),
-            },
-        )?;
-        let (fh, _) = self.nfs.lookup(owner, root, &slot)?;
+        let ensure = ControlRequest::EnsureAnchor {
+            path: anchor_path.to_string(),
+            routing: routing.to_string(),
+        };
+        let (fh, _) = crate::ops::made(self.control(owner, &ensure)?)?;
         Ok(fh)
     }
 

@@ -29,7 +29,7 @@
 //! of silently serving stale data.
 
 use crate::config::ReplicationMode;
-use crate::control::{KoshaRequest, Names, ReplicaOp};
+use crate::control::{Names, ReplicaOp, ReplicaRequest};
 use crate::node::KoshaNode;
 use kosha_nfs::messages::WireSetAttr;
 use kosha_obs::{Gauge, Obs};
@@ -365,7 +365,7 @@ impl KoshaNode {
                             *t,
                             RpcRequest::split(
                                 ServiceId::KoshaReplica,
-                                &KoshaRequest::ReplicaApplyBatch { ops: ops.clone() },
+                                &ReplicaRequest::ReplicaApplyBatch { ops: ops.clone() },
                             ),
                         )
                     })
@@ -390,6 +390,13 @@ impl KoshaNode {
             "writeback_flush",
             format!("flushed {shipped} op(s) to {} target(s)", batches.len()),
         );
+    }
+
+    /// Whether `target`'s write-behind window on `anchor` is open: its
+    /// copy lacks acked writes until the window flushes.
+    pub(crate) fn lags(&self, target: NodeAddr, anchor: &str) -> bool {
+        let qs = self.writeback.queues.lock();
+        qs.get(&target).is_some_and(|q| q.marked.contains(anchor))
     }
 
     /// Whether this node replicates in write-behind mode.

@@ -1,8 +1,7 @@
 //! End-to-end tests of the full Kosha stack on a simulated cluster:
 //! overlay + NFS stores + koshad interposition + replication + failover.
 
-use kosha::config::REDIRECT_ATTEMPTS;
-use kosha::control::{KoshaRequest, ReplicaOp};
+use kosha::control::{ControlRequest, KoshaReply, ReplicaOp, ReplicaRequest};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{NfsError, NfsStatus};
@@ -299,8 +298,8 @@ struct RefusesPlacement {
 impl RpcHandler for RefusesPlacement {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
         let placing = matches!(
-            KoshaRequest::decode(body),
-            Ok(KoshaRequest::Mutate {
+            ControlRequest::decode(body),
+            Ok(ControlRequest::Mutate {
                 op: ReplicaOp::MakeSlot { .. }
             })
         );
@@ -316,10 +315,13 @@ impl RpcHandler for RefusesPlacement {
     }
 }
 
-/// Placement that could not ask any owner is not a full disk: when every
-/// salted attempt meets a transport error, placement returns that error
-/// (it used to come back as `NoSpc`, and nothing retried), and the retry
-/// wrapper fails over and places the directory.
+/// Placement that could not ask an owner is not a full disk: a transport
+/// error goes back at once, and the retry wrapper fails over and places
+/// the directory under its own name. It once made placement salt the name
+/// as if the owner were full, and once every salted attempt had met one
+/// it came back as `NoSpc`, which nothing retried. Two owners in a row
+/// cannot be asked here, so the gateway fails over twice and redirects
+/// nothing.
 #[test]
 fn placement_fails_over_when_the_owner_is_unreachable() {
     let mut cfg = KoshaConfig::for_tests();
@@ -328,7 +330,7 @@ fn placement_fails_over_when_the_owner_is_unreachable() {
     let c = build_cluster(8, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/first").unwrap();
-    let left = Arc::new(AtomicUsize::new(REDIRECT_ATTEMPTS + 1));
+    let left = Arc::new(AtomicUsize::new(2));
     for (i, mux) in c.muxes.iter().enumerate() {
         let inner = mux.handler(ServiceId::Kosha).expect("control service");
         let refuses = RefusesPlacement {
@@ -338,17 +340,20 @@ fn placement_fails_over_when_the_owner_is_unreachable() {
         };
         mux.register(ServiceId::Kosha, Arc::new(refuses));
     }
-    let before = c.nodes[0].stats().failovers;
+    let before = c.nodes[0].stats();
     m.mkdir("/placed")
         .expect("placement fails over instead of reporting a full disk");
-    assert_eq!(left.load(Ordering::SeqCst), 0, "every attempt was refused");
-    assert!(c.nodes[0].stats().failovers > before, "no failover");
+    let after = c.nodes[0].stats();
+    assert_eq!(left.load(Ordering::SeqCst), 0, "every refusal was met");
+    assert_eq!(after.failovers - before.failovers, 2);
+    assert_eq!(after.redirections, before.redirections, "a salted name");
     m.write_file("/placed/f", b"placed").unwrap();
     assert_eq!(m.read_file("/placed/f").unwrap(), b"placed");
 }
 
-/// An owner that dies as placement asks it does not fail the mkdir:
-/// placement moves on to the owner of the next salted name.
+/// An owner that dies as placement asks it does not fail the mkdir: the
+/// gateway fails over, and the name's next owner takes the anchor under
+/// the same, unsalted name.
 #[test]
 fn placement_moves_past_an_owner_that_dies_when_asked() {
     let mut cfg = KoshaConfig::for_tests();
@@ -377,8 +382,12 @@ fn placement_moves_past_an_owner_that_dies_when_asked() {
     };
     c.muxes[victim.0 as usize].register(ServiceId::Kosha, Arc::new(dies));
     let path = format!("/{name}");
+    let before = c.nodes[0].stats();
     m.mkdir(&path).expect("placement moves on to a live owner");
+    let after = c.nodes[0].stats();
     assert!(!c.net.is_up(victim), "the owner was asked, and died");
+    assert!(after.failovers > before.failovers, "no failover");
+    assert_eq!(after.redirections, before.redirections, "a salted name");
     m.write_file(&format!("{path}/f"), b"placed").unwrap();
     assert_eq!(m.read_file(&format!("{path}/f")).unwrap(), b"placed");
     let host = c
@@ -1160,6 +1169,65 @@ fn replica_reads_fall_back_when_replicas_fail() {
     }
 }
 
+/// A replica read never returns bytes older than an acked write, under
+/// either replication mode, with or without hot copies. On 6 nodes with
+/// K = 2 and replica reads on, a mount overwrites a 64-byte file 50
+/// times, and after each write it and a mount on another node each read
+/// the file 3 times: no read is stale on either mount. Under write-behind
+/// the primary advertises no holder whose window on the anchor is open;
+/// after a COMMIT flushes it, reads go to the holders again.
+#[test]
+fn a_replica_read_never_returns_bytes_older_than_an_acked_write() {
+    const PATH: &str = "/rw/f";
+    let modes = [
+        kosha::ReplicationMode::Sync,
+        kosha::ReplicationMode::WriteBehind { queue_ops: 64 },
+    ];
+    for mode in modes {
+        for hot_replicas in [0, 3] {
+            let mut cfg = KoshaConfig::for_tests();
+            cfg.distribution_level = 1;
+            cfg.replicas = 2;
+            cfg.read_from_replicas = true;
+            cfg.replication_mode = mode;
+            cfg.hot_replicas = hot_replicas;
+            let c = build_cluster(6, cfg);
+            let (writer, other) = (mount(&c, 0), mount(&c, 3));
+            writer.mkdir_p("/rw").unwrap();
+            let cell = format!("{mode:?}, hot_replicas {hot_replicas}");
+            let mut stale = [0; 2];
+            for i in 0..50u8 {
+                writer.write_file(PATH, &[i; 64]).unwrap();
+                for (m, stale) in [&writer, &other].into_iter().zip(&mut stale) {
+                    for _ in 0..3 {
+                        if m.read_file(PATH).unwrap() != [i; 64] {
+                            *stale += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                stale,
+                [0, 0],
+                "{cell}: stale reads, writer's and other mount"
+            );
+            let replica_reads =
+                || c.nodes[0].stats().replica_reads + c.nodes[3].stats().replica_reads;
+            writer.commit(PATH).unwrap();
+            let before = replica_reads();
+            for m in [&writer, &other] {
+                for _ in 0..15 {
+                    assert_eq!(m.read_file(PATH).unwrap(), [49; 64], "{cell}");
+                }
+            }
+            assert!(
+                replica_reads() > before,
+                "{cell}: no replica read after COMMIT"
+            );
+        }
+    }
+}
+
 #[test]
 fn same_name_directories_colocate_without_conflict() {
     // §3.1: "key collisions due to two or more subdirectories sharing
@@ -1425,7 +1493,6 @@ fn audit_counts_hot_copies_without_flagging_them() {
 /// when a hot holder comes first in its leaf set.
 #[test]
 fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
-    use kosha::control::{KoshaReply, KoshaRequest};
     use kosha::paths::{slot_local_path, Area};
 
     let c = build_cluster(6, hot_cfg());
@@ -1448,7 +1515,7 @@ fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
         let cold = slot_local_path(Area::Store, anchor, &format!("{anchor}/cold.txt"));
         n.with_store(|v| v.resolve(&cold).is_ok())
     };
-    let ensure = |anchor: &str| KoshaRequest::EnsureAnchor {
+    let ensure = |anchor: &str| ControlRequest::EnsureAnchor {
         path: anchor.into(),
         routing: anchor[1..].into(),
     };
@@ -1480,10 +1547,7 @@ fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
         }
     }
     let (anchor, puller) = pull.expect("a puller that meets a hot holder first");
-    assert_eq!(
-        control(&c, &puller, &ensure(&anchor)),
-        Ok(KoshaReply::DoneBool(true))
-    );
+    assert_eq!(ensured(&c, &puller, &ensure(&anchor)), (0, 1), "pulled");
     assert!(
         serves_cold(&puller, &anchor),
         "pulled a hot-only copy of {anchor}"
@@ -1497,10 +1561,7 @@ fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
     let holder = c.nodes.iter().find(|n| leased(n, &anchor) == Some(true));
     let holder = Arc::clone(holder.expect("a hot holder"));
     c.net.fail_node(primary_of(&c, &anchor).addr());
-    assert_eq!(
-        control(&c, &holder, &ensure(&anchor)),
-        Ok(KoshaReply::DoneBool(true))
-    );
+    assert_eq!(ensured(&c, &holder, &ensure(&anchor)), (0, 1), "pulled");
     assert!(
         serves_cold(&holder, &anchor),
         "promoted a hot-only copy of {anchor}"
@@ -1512,8 +1573,8 @@ fn send(
     c: &Cluster,
     node: &Arc<KoshaNode>,
     service: kosha_rpc::ServiceId,
-    req: &kosha::control::KoshaRequest,
-) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    req: &impl kosha_rpc::WireWrite,
+) -> Result<KoshaReply, NfsStatus> {
     c.net
         .call(
             c.nodes[0].addr(),
@@ -1530,17 +1591,41 @@ fn send(
 fn control(
     c: &Cluster,
     node: &Arc<KoshaNode>,
-    req: &kosha::control::KoshaRequest,
-) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    req: &ControlRequest,
+) -> Result<KoshaReply, NfsStatus> {
     send(c, node, kosha_rpc::ServiceId::Kosha, req)
+}
+
+/// Sends `node` an `EnsureAnchor`, as a resolving koshad would, and
+/// checks that it answers the handle of the store slot root it then
+/// serves. Returns the promotions and the pulls `node` made on the way.
+fn ensured(c: &Cluster, node: &Arc<KoshaNode>, req: &ControlRequest) -> (u64, u64) {
+    use kosha::paths::{slot_local_path, Area};
+    let ControlRequest::EnsureAnchor { path, .. } = req else {
+        panic!("{req:?} is no EnsureAnchor");
+    };
+    let before = node.stats();
+    let reply = control(c, node, req);
+    let root = slot_local_path(Area::Store, path, path);
+    let (id, _) = node.with_store(|v| v.resolve(&root)).expect("slot root");
+    let root = kosha_nfs::Fh::from_file_id(id);
+    assert!(
+        matches!(reply, Ok(KoshaReply::Handle { fh, .. }) if fh == root),
+        "{reply:?}"
+    );
+    let after = node.stats();
+    (
+        after.promotions - before.promotions,
+        after.replica_pulls - before.replica_pulls,
+    )
 }
 
 /// Sends one request to `node`'s replica service, as a primary would.
 fn replica(
     c: &Cluster,
     node: &Arc<KoshaNode>,
-    req: &kosha::control::KoshaRequest,
-) -> Result<kosha::control::KoshaReply, NfsStatus> {
+    req: &ReplicaRequest,
+) -> Result<KoshaReply, NfsStatus> {
     send(c, node, kosha_rpc::ServiceId::KoshaReplica, req)
 }
 
@@ -1555,12 +1640,11 @@ fn primary_of<'a>(c: &'a Cluster, anchor: &str) -> &'a Arc<KoshaNode> {
 /// `ReplicaTargets` lists beyond the K durable targets, which is exactly
 /// the set of holders with a valid, unexpired lease.
 fn advertised_hot_holders(c: &Cluster, anchor: &str, path: &str) -> usize {
-    use kosha::control::{KoshaReply, KoshaRequest};
     let primary = primary_of(c, anchor);
     match control(
         c,
         primary,
-        &KoshaRequest::ReplicaTargets { path: path.into() },
+        &ControlRequest::ReplicaTargets { path: path.into() },
     ) {
         Ok(KoshaReply::Nodes(targets)) => targets.len() - primary.config().replicas,
         other => panic!("ReplicaTargets({path}): {other:?}"),
@@ -1576,7 +1660,6 @@ fn advertised_hot_holders(c: &Cluster, anchor: &str, path: &str) -> usize {
 /// bare create is the one way to reuse it that voids nothing itself.
 #[test]
 fn every_mutation_kind_voids_hot_leases_before_it_replies() {
-    use kosha::control::{KoshaRequest, ReplicaOp};
     use kosha_nfs::messages::WireSetAttr;
     use kosha_vfs::SetAttr;
 
@@ -1692,7 +1775,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
         match action {
             Do::Control(ops) => {
                 for op in ops {
-                    let req = KoshaRequest::Mutate { op };
+                    let req = ControlRequest::Mutate { op };
                     control(&c, primary_of(&c, "/t"), &req)
                         .unwrap_or_else(|e| panic!("{name}: {req:?} failed: {e:?}"));
                 }
@@ -1733,8 +1816,7 @@ fn every_mutation_kind_voids_hot_leases_before_it_replies() {
 /// that is not absolute and normalised, before touching anything.
 #[test]
 fn peer_supplied_paths_cannot_leave_their_slot() {
-    use kosha::control::{KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
-    use kosha_rpc::ServiceId;
+    use kosha::control::{MigrateItem, MigrateKind};
 
     let c = build_cluster(1, KoshaConfig::for_tests());
     let node = &c.nodes[0];
@@ -1775,56 +1857,41 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
         let fixed_point = kosha_vfs::path::normalize(p).is_ok_and(|n| n == p);
         assert_eq!(kosha::paths::check_vpath(p).is_ok(), fixed_point, "{p:?}");
     }
-    let mut hostile: Vec<(ServiceId, KoshaRequest)> = Vec::new();
+    let mut to_holders = Vec::new();
+    let mut to_primary = Vec::new();
     for path in hostile_paths {
-        hostile.push((
-            ServiceId::KoshaReplica,
-            KoshaRequest::ReplicaApply { op: write(path) },
-        ));
-        hostile.push((
-            ServiceId::KoshaReplica,
-            KoshaRequest::ReplicaApplyBatch {
-                ops: vec![write(path)],
-            },
-        ));
-        hostile.push((ServiceId::Kosha, KoshaRequest::Mutate { op: write(path) }));
-        hostile.push((
-            ServiceId::KoshaReplica,
-            KoshaRequest::HotReplicaPush {
-                anchor: "/a".into(),
-                routing: "a".into(),
-                path: path.into(),
-                seq: 1,
-                expires_nanos: u64::MAX,
-                item: item("f"),
-            },
-        ));
+        to_holders.push(ReplicaRequest::ReplicaApply { op: write(path) });
+        to_holders.push(ReplicaRequest::ReplicaApplyBatch {
+            ops: vec![write(path)],
+        });
+        to_primary.push(ControlRequest::Mutate { op: write(path) });
+        to_holders.push(ReplicaRequest::HotReplicaPush {
+            anchor: "/a".into(),
+            routing: "a".into(),
+            path: path.into(),
+            seq: 1,
+            expires_nanos: u64::MAX,
+            item: item("f"),
+        });
     }
-    hostile.push((
-        ServiceId::KoshaReplica,
-        KoshaRequest::ReplicaApply {
-            op: ReplicaOp::Rename {
-                from: "/a/f".into(),
-                to: "/a/../../kosha_store/evil".into(),
-            },
+    to_holders.push(ReplicaRequest::ReplicaApply {
+        op: ReplicaOp::Rename {
+            from: "/a/f".into(),
+            to: "/a/../../kosha_store/evil".into(),
         },
-    ));
+    });
     for rel_path in ["../../kosha_replica/evil", "b/../../x", "/x", "b//x", "b/"] {
-        hostile.push((
-            ServiceId::Kosha,
-            KoshaRequest::TransferAnchor {
-                path: "/a".into(),
-                routing: "a".into(),
-                items: vec![item(rel_path)],
-            },
-        ));
+        to_primary.push(ControlRequest::TransferAnchor {
+            path: "/a".into(),
+            routing: "a".into(),
+            items: vec![item(rel_path)],
+        });
     }
-    for (service, req) in &hostile {
-        assert_eq!(
-            send(&c, node, *service, req),
-            Err(NfsStatus::Inval),
-            "{req:?}"
-        );
+    for req in &to_holders {
+        assert_eq!(replica(&c, node, req), Err(NfsStatus::Inval), "{req:?}");
+    }
+    for req in &to_primary {
+        assert_eq!(control(&c, node, req), Err(NfsStatus::Inval), "{req:?}");
     }
     assert_eq!(census(node), before, "a refused request touched the store");
 }
@@ -1838,7 +1905,7 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
 /// In every case the receiver's store is as it was.
 #[test]
 fn items_from_a_peer_land_in_their_slot_or_nowhere() {
-    use kosha::control::{KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind};
+    use kosha::control::{KoshaReplyFrame, MigrateItem, MigrateKind};
     use kosha_rpc::WireRead;
     use std::sync::Mutex;
 
@@ -1846,8 +1913,8 @@ fn items_from_a_peer_land_in_their_slot_or_nowhere() {
     struct Liar(Arc<Mutex<Vec<MigrateItem>>>);
     impl RpcHandler for Liar {
         fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-            let reply = match KoshaRequest::decode(body)? {
-                KoshaRequest::SlotRecord { .. } => Ok(KoshaReply::Slot {
+            let reply = match ReplicaRequest::decode(body)? {
+                ReplicaRequest::SlotRecord { .. } => Ok(KoshaReply::Slot {
                     record: kosha::slots::SlotMeta::default(),
                     items: self.0.lock().unwrap().clone(),
                 }),
@@ -1891,13 +1958,13 @@ fn items_from_a_peer_land_in_their_slot_or_nowhere() {
             item("a", MigrateKind::Dir),
             item(hostile, MigrateKind::Bytes(b"x"[..].into())),
         ];
-        let push = KoshaRequest::MigrateBatch {
+        let push = ReplicaRequest::MigrateBatch {
             path: "/t".into(),
             routing: "t".into(),
             items: items.clone(),
         };
         assert_eq!(replica(&c, node, &push), Err(NfsStatus::Inval), "{hostile}");
-        let migration = KoshaRequest::TransferAnchor {
+        let migration = ControlRequest::TransferAnchor {
             path: "/t".into(),
             routing: "t".into(),
             items: items.clone(),
@@ -1908,7 +1975,7 @@ fn items_from_a_peer_land_in_their_slot_or_nowhere() {
             "{hostile}"
         );
         *lies.lock().unwrap() = items;
-        let pull = KoshaRequest::EnsureAnchor {
+        let pull = ControlRequest::EnsureAnchor {
             path: "/t".into(),
             routing: "t".into(),
         };
@@ -1985,7 +2052,6 @@ fn every_op_kind_lands_alike_in_store_and_replica_areas() {
 /// which a holder cannot invent.
 #[test]
 fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
-    use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
     use kosha::paths::{slot_local_path, Area};
     use kosha_nfs::messages::WireSetAttr;
 
@@ -2001,21 +2067,21 @@ fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
     let (path, offset, data) = write("/p/q/f");
     let op = ReplicaOp::Write { path, offset, data };
     assert_eq!(
-        control(&c, node, &KoshaRequest::Mutate { op }),
+        control(&c, node, &ControlRequest::Mutate { op }),
         Err(NfsStatus::NoEnt)
     );
     // ...an anchor this node does not host is not its to answer for...
     let (path, offset, data) = write("/elsewhere/f");
     let op = ReplicaOp::Write { path, offset, data };
     assert_eq!(
-        control(&c, node, &KoshaRequest::Mutate { op }),
+        control(&c, node, &ControlRequest::Mutate { op }),
         Err(NfsStatus::Stale)
     );
     // ...and a holder makes the chain and the file.
     let (path, offset, data) = write("/p/q/f");
     let op = ReplicaOp::Write { path, offset, data };
     assert_eq!(
-        replica(&c, node, &KoshaRequest::ReplicaApply { op }),
+        replica(&c, node, &ReplicaRequest::ReplicaApply { op }),
         Ok(KoshaReply::Done)
     );
     let landed = slot_local_path(Area::Replica, "/p", "/p/q/f");
@@ -2026,7 +2092,7 @@ fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
         sattr: chmod(),
     };
     assert_eq!(
-        replica(&c, node, &KoshaRequest::ReplicaApply { op }),
+        replica(&c, node, &ReplicaRequest::ReplicaApply { op }),
         Err(NfsStatus::NoEnt)
     );
 }
@@ -2037,8 +2103,6 @@ fn what_is_missing_is_noent_in_the_store_and_made_on_a_holder() {
 /// re-pushed op is idempotent there.
 #[test]
 fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
-    use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
-
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     let c = build_cluster(1, cfg);
@@ -2058,7 +2122,7 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
     };
     let replay = |op: ReplicaOp| {
         for round in 0..2 {
-            let req = KoshaRequest::ReplicaApply { op: op.clone() };
+            let req = ReplicaRequest::ReplicaApply { op: op.clone() };
             assert_eq!(
                 replica(&c, node, &req),
                 Ok(KoshaReply::Done),
@@ -2085,18 +2149,18 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
         anchor: "/p".into(),
     });
 
-    let file = KoshaRequest::Mutate { op: create() };
+    let file = ControlRequest::Mutate { op: create() };
     assert!(matches!(
         control(&c, node, &file),
         Ok(KoshaReply::Handle { .. })
     ));
     assert_eq!(control(&c, node, &file), Err(NfsStatus::Exist));
-    let gone = KoshaRequest::Mutate {
+    let gone = ControlRequest::Mutate {
         op: ReplicaOp::Remove { path: path() },
     };
     assert_eq!(control(&c, node, &gone), Ok(KoshaReply::Done));
     assert_eq!(control(&c, node, &gone), Err(NfsStatus::NoEnt));
-    let rename = KoshaRequest::Mutate { op: moved() };
+    let rename = ControlRequest::Mutate { op: moved() };
     assert_eq!(control(&c, node, &rename), Err(NfsStatus::NoEnt));
 }
 
@@ -2106,7 +2170,7 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
 /// `@…` slot directories.
 #[test]
 fn the_record_follows_its_slot() {
-    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, ReplicaOp};
+    use kosha::control::MigrateItem;
     use kosha::paths::{anchor_slot, slot_local_path, Area};
     use kosha::slots::SlotMeta;
 
@@ -2149,7 +2213,7 @@ fn the_record_follows_its_slot() {
         uid: 0,
         gid: 0,
     };
-    control(&c, owner, &KoshaRequest::Mutate { op: mkdir }).expect("mkdir anchor");
+    control(&c, owner, &ControlRequest::Mutate { op: mkdir }).expect("mkdir anchor");
     let file = ReplicaOp::Create {
         path: "/rec/f".into(),
         mode: 0o644,
@@ -2157,7 +2221,7 @@ fn the_record_follows_its_slot() {
         gid: 0,
         size: None,
     };
-    control(&c, owner, &KoshaRequest::Mutate { op: file }).expect("create");
+    control(&c, owner, &ControlRequest::Mutate { op: file }).expect("create");
     check("create_anchor and the push");
     let holder = c
         .nodes
@@ -2169,11 +2233,11 @@ fn the_record_follows_its_slot() {
 
     // Promotion: the request names the unsalted name, as a stale caller
     // might; the promoted copy answers for the record's.
-    let ensure = KoshaRequest::EnsureAnchor {
+    let ensure = ControlRequest::EnsureAnchor {
         path: "/rec".into(),
         routing: "rec".into(),
     };
-    assert_eq!(control(&c, holder, &ensure), Ok(KoshaReply::DoneBool(true)));
+    assert_eq!(ensured(&c, holder, &ensure), (1, 0), "promoted");
     let hosted = ("/rec".to_string(), ROUTING.to_string());
     assert!(
         holder.hosted_anchors().contains(&hosted),
@@ -2201,7 +2265,7 @@ fn the_record_follows_its_slot() {
             record(n, Area::Store, "/rec").is_none() && record(n, Area::Replica, "/rec").is_none()
         })
         .expect("a node holding no copy");
-    assert_eq!(control(&c, puller, &ensure), Ok(KoshaReply::DoneBool(true)));
+    assert_eq!(ensured(&c, puller, &ensure), (0, 1), "pulled");
     assert_eq!(puller.stats().replica_pulls, 1);
     assert!(
         puller.hosted_anchors().contains(&hosted),
@@ -2234,7 +2298,7 @@ fn the_record_follows_its_slot() {
     let exported = primary
         .with_store(|v| v.export_tree(&slot_path))
         .expect("export");
-    let plant = KoshaRequest::MigrateBatch {
+    let plant = ReplicaRequest::MigrateBatch {
         path: "/gc".into(),
         routing: "gc".into(),
         items: exported.into_iter().map(MigrateItem::from).collect(),
@@ -2284,7 +2348,6 @@ fn the_record_follows_its_slot() {
 /// op that puts something into the slot makes what is missing.
 #[test]
 fn a_removal_mirrored_to_a_holder_without_the_slot_makes_nothing() {
-    use kosha::control::{KoshaReply, KoshaRequest, ReplicaOp};
     use kosha::paths::Area;
     use kosha_nfs::messages::WireSetAttr;
 
@@ -2332,7 +2395,7 @@ fn a_removal_mirrored_to_a_holder_without_the_slot_makes_nothing() {
     ];
     for op in removals {
         let what = format!("{op:?}");
-        let req = KoshaRequest::ReplicaApply { op };
+        let req = ReplicaRequest::ReplicaApply { op };
         assert_eq!(replica(&c, node, &req), Ok(KoshaReply::Done), "{what}");
         nothing_made(&what);
     }
@@ -2341,26 +2404,25 @@ fn a_removal_mirrored_to_a_holder_without_the_slot_makes_nothing() {
         path: "/p/q/f".into(),
         sattr: WireSetAttr(kosha_vfs::SetAttr::default()),
     };
-    let req = KoshaRequest::ReplicaApply { op };
+    let req = ReplicaRequest::ReplicaApply { op };
     assert_eq!(replica(&c, node, &req), Err(NfsStatus::NoEnt));
     nothing_made("SetAttr");
 }
 
 /// Swaps every node's handler of `service` for one that records each
 /// request it receives, with the receiving node, and then serves it.
-fn record_requests(
+fn record_requests<R: kosha_rpc::WireRead + Send + 'static>(
     c: &Cluster,
     service: ServiceId,
-) -> Arc<std::sync::Mutex<Vec<(NodeAddr, kosha::control::KoshaRequest)>>> {
-    struct Recording {
+) -> Arc<std::sync::Mutex<Vec<(NodeAddr, R)>>> {
+    struct Recording<R> {
         addr: NodeAddr,
         inner: Arc<dyn RpcHandler>,
-        seen: Arc<std::sync::Mutex<Vec<(NodeAddr, kosha::control::KoshaRequest)>>>,
+        seen: Arc<std::sync::Mutex<Vec<(NodeAddr, R)>>>,
     }
-    impl RpcHandler for Recording {
+    impl<R: kosha_rpc::WireRead + Send + 'static> RpcHandler for Recording<R> {
         fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-            use kosha_rpc::WireRead;
-            if let Ok(req) = kosha::control::KoshaRequest::decode(body) {
+            if let Ok(req) = R::decode(body) {
                 self.seen.lock().unwrap().push((self.addr, req));
             }
             self.inner.handle(from, body)
@@ -2402,7 +2464,6 @@ fn slot_record(
 /// slot's digest).
 #[test]
 fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
-    use kosha::control::{KoshaRequest, ReplicaOp};
     use kosha::paths::{anchor_slot, Area};
     use kosha::slots::SlotMeta;
     use kosha::{audit_cluster, AuditOptions};
@@ -2414,7 +2475,7 @@ fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
     let c = build_cluster(8, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/warm").unwrap();
-    let seen = record_requests(&c, ServiceId::KoshaReplica);
+    let seen = record_requests::<ReplicaRequest>(&c, ServiceId::KoshaReplica);
     m.mkdir("/t1").unwrap();
 
     let routing = primary_of(&c, "/t1")
@@ -2428,15 +2489,15 @@ fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
         .unwrap()
         .iter()
         .filter_map(|(to, req)| match req {
-            KoshaRequest::ReplicaApply {
+            ReplicaRequest::ReplicaApply {
                 op: ReplicaOp::MakeSlot { anchor, .. },
             } if anchor == "/t1" => Some(*to),
             _ => None,
         })
         .collect();
     assert_eq!(holders.len(), 2, "one MakeSlot per holder");
-    let pushes = |seen: &[(NodeAddr, KoshaRequest)]| {
-        let pushed = |req: &KoshaRequest| matches!(req, KoshaRequest::MigrateBatch { path, .. } if path == "/t1");
+    let pushes = |seen: &[(NodeAddr, ReplicaRequest)]| {
+        let pushed = |req: &ReplicaRequest| matches!(req, ReplicaRequest::MigrateBatch { path, .. } if path == "/t1");
         seen.iter().filter(|(_, req)| pushed(req)).count()
     };
     assert_eq!(
@@ -2487,7 +2548,6 @@ fn a_new_anchor_reaches_its_holders_as_the_slot_a_push_made() {
 /// True if `op` puts something into, or changes something in, `anchor`'s
 /// slot below its root.
 fn lands_below(op: &kosha::control::ReplicaOp, anchor: &str) -> bool {
-    use kosha::control::ReplicaOp;
     let path = match op {
         ReplicaOp::Mkdir { path, .. }
         | ReplicaOp::Create { path, .. }
@@ -2510,7 +2570,6 @@ fn lands_below(op: &kosha::control::ReplicaOp, anchor: &str) -> bool {
 /// holder's copy is the primary's, and its record is what a push left.
 #[test]
 fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
-    use kosha::control::{KoshaRequest, ReplicaOp};
     use kosha::paths::{anchor_slot, Area};
     use kosha::slots::SlotMeta;
 
@@ -2521,7 +2580,7 @@ fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     m.stat("/").unwrap();
-    let seen = record_requests(&c, ServiceId::KoshaReplica);
+    let seen = record_requests::<ReplicaRequest>(&c, ServiceId::KoshaReplica);
     m.mkdir("/wb").unwrap();
     m.write_file("/wb/f", b"queued").unwrap();
     m.mkdir("/wb/d").unwrap();
@@ -2552,8 +2611,8 @@ fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
             .iter()
             .filter(|(to, _)| *to == holder.addr())
             .flat_map(|(_, req)| match req {
-                KoshaRequest::ReplicaApply { op } => vec![op.clone()],
-                KoshaRequest::ReplicaApplyBatch { ops } => ops.clone(),
+                ReplicaRequest::ReplicaApply { op } => vec![op.clone()],
+                ReplicaRequest::ReplicaApplyBatch { ops } => ops.clone(),
                 _ => Vec::new(),
             })
             .collect();
@@ -2590,7 +2649,7 @@ fn under_write_behind_the_queued_make_slot_arrives_before_what_lands_in_it() {
 /// the files read back through the mount.
 #[test]
 fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
-    use kosha::control::{KoshaRequest, MigrateItem};
+    use kosha::control::MigrateItem;
     use kosha::paths::{anchor_slot, slot_local_path, Area};
 
     let mut cfg = KoshaConfig::for_tests();
@@ -2656,7 +2715,7 @@ fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
     let exported = primary
         .with_store(|v| v.export_tree(&slot_local_path(Area::Store, "/b", "/b")))
         .expect("export");
-    let plant = KoshaRequest::MigrateBatch {
+    let plant = ReplicaRequest::MigrateBatch {
         path: "/b".into(),
         routing: "b".into(),
         items: exported.into_iter().map(MigrateItem::from).collect(),
@@ -2718,7 +2777,7 @@ fn the_slot_index_follows_every_move_and_survives_a_stale_root() {
 /// routing name it is sent.
 #[test]
 fn a_transfer_cut_short_is_not_served() {
-    use kosha::control::{KoshaReply, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp};
+    use kosha::control::{MigrateItem, MigrateKind};
 
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
@@ -2734,7 +2793,7 @@ fn a_transfer_cut_short_is_not_served() {
         gid: 0,
     };
     let transfer = |anchor: &str, items: Vec<MigrateItem>| {
-        let req = KoshaRequest::TransferAnchor {
+        let req = ControlRequest::TransferAnchor {
             path: anchor.into(),
             routing: format!("{}#3", &anchor[1..]),
             items,
@@ -2751,7 +2810,7 @@ fn a_transfer_cut_short_is_not_served() {
             offset: 0,
             data: b"new"[..].into(),
         };
-        control(&c, node, &KoshaRequest::Mutate { op })
+        control(&c, node, &ControlRequest::Mutate { op })
     };
 
     cut_short("/t");
@@ -2770,11 +2829,15 @@ fn a_transfer_cut_short_is_not_served() {
     // slot.
     cut_short("/u");
     assert_eq!(served("/u"), None);
-    let ensure = KoshaRequest::EnsureAnchor {
+    let ensure = ControlRequest::EnsureAnchor {
         path: "/u".into(),
         routing: "u#1".into(),
     };
-    assert_eq!(control(&c, node, &ensure), Ok(KoshaReply::DoneBool(false)));
+    assert_eq!(
+        ensured(&c, node, &ensure),
+        (0, 0),
+        "neither promoted nor pulled"
+    );
     assert_eq!(served("/u"), Some(("/u".into(), "u#1".into())));
     assert!(node.slot_mismatches().is_empty());
     assert_eq!(write("/u/f"), Ok(KoshaReply::Done));
@@ -2787,7 +2850,6 @@ fn a_transfer_cut_short_is_not_served() {
 /// push to its K targets. Neither sends an NFS request.
 #[test]
 fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
-    use kosha::control::{KoshaReply, KoshaRequest};
     use kosha::paths::Area;
 
     let mut cfg = KoshaConfig::for_tests();
@@ -2804,7 +2866,7 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
     const N: usize = 6;
     const K: usize = 2;
     let owner = Arc::clone(primary_of(&c, "/mv"));
-    let ensure = KoshaRequest::EnsureAnchor {
+    let ensure = ControlRequest::EnsureAnchor {
         path: "/mv".into(),
         routing: "mv".into(),
     };
@@ -2816,9 +2878,9 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
         .iter()
         .find(|n| slot_record(n, Area::Replica, "/mv").is_some())
         .expect("a holder");
-    assert_eq!(control(&c, holder, &ensure), Ok(KoshaReply::DoneBool(true)));
-    let control_log = record_requests(&c, ServiceId::Kosha);
-    let replica_log = record_requests(&c, ServiceId::KoshaReplica);
+    assert_eq!(ensured(&c, holder, &ensure), (1, 0), "promoted");
+    let control_log = record_requests::<ControlRequest>(&c, ServiceId::Kosha);
+    let replica_log = record_requests::<ReplicaRequest>(&c, ServiceId::KoshaReplica);
     let nfs_before = calls(&c)[1];
     holder.maintain();
     assert_eq!(calls(&c)[1], nfs_before, "a migration sends no NFS request");
@@ -2827,7 +2889,7 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
         .unwrap()
         .iter()
         .filter_map(|(to, req)| match req {
-            KoshaRequest::TransferAnchor { path, items, .. } if path == "/mv" => {
+            ControlRequest::TransferAnchor { path, items, .. } if path == "/mv" => {
                 assert_eq!(*to, owner.addr());
                 Some(items.len())
             }
@@ -2835,8 +2897,8 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
         })
         .collect();
     assert_eq!(transfers, [N]);
-    let pushes = |log: &[(NodeAddr, KoshaRequest)]| {
-        let pushed = |(_, r): &&(NodeAddr, KoshaRequest)| matches!(r, KoshaRequest::MigrateBatch { path, .. } if path == "/mv");
+    let pushes = |log: &[(NodeAddr, ReplicaRequest)]| {
+        let pushed = |(_, r): &&(NodeAddr, ReplicaRequest)| matches!(r, ReplicaRequest::MigrateBatch { path, .. } if path == "/mv");
         log.iter().filter(pushed).count()
     };
     assert_eq!(pushes(&replica_log.lock().unwrap()), K);
@@ -2861,7 +2923,7 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
         .expect("a holder");
     replica_log.lock().unwrap().clear();
     let before = calls(&c);
-    assert_eq!(control(&c, puller, &ensure), Ok(KoshaReply::DoneBool(true)));
+    assert_eq!(ensured(&c, puller, &ensure), (0, 1), "pulled");
     let after = calls(&c);
     let sent = [0, 1, 2, 3, 4].map(|i| after[i] - before[i]);
     // pastry, nfs, kosha (the `EnsureAnchor` itself), koshafs, replica.
@@ -2869,7 +2931,7 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
     let log = replica_log.lock().unwrap();
     let records = log
         .iter()
-        .filter(|(_, r)| matches!(r, KoshaRequest::SlotRecord { .. }));
+        .filter(|(_, r)| matches!(r, ReplicaRequest::SlotRecord { .. }));
     assert_eq!((records.count(), pushes(&log)), (asked, K));
     assert_eq!(m.read_file("/mv/d/f2").unwrap(), [2u8; 100]);
 }
@@ -2883,7 +2945,6 @@ fn one_migration_and_one_pull_send_a_pinned_number_of_rpcs() {
 /// and on its K holders.
 #[test]
 fn the_primary_refuses_what_a_koshad_may_not_ask() {
-    use kosha::control::{KoshaRequest, ReplicaOp};
     use kosha::paths::{slot_local_path, Area};
     use kosha::{audit_cluster, AuditOptions, AuditReport};
 
@@ -2967,7 +3028,7 @@ fn the_primary_refuses_what_a_koshad_may_not_ask() {
         ),
     ];
     for (node, op, status) in cases {
-        let req = KoshaRequest::Mutate { op };
+        let req = ControlRequest::Mutate { op };
         assert_eq!(control(&c, node, &req), Err(status), "{req:?}");
     }
     owner.with_store(|v| v.set_capacity(capacity));
@@ -2994,11 +3055,11 @@ fn the_primary_refuses_what_a_koshad_may_not_ask() {
     let holders = || c.nodes.iter().filter(|n| link(Area::Replica, n)).count();
     assert!(link(Area::Store, root));
     assert_eq!(holders(), 2);
-    let seen = record_requests(&c, ServiceId::Kosha);
+    let seen = record_requests::<ControlRequest>(&c, ServiceId::Kosha);
     m.rmdir("/d").unwrap();
     assert!(!link(Area::Store, root), "the primary keeps the link");
     assert_eq!(holders(), 0, "a holder keeps the link");
-    let rmdir = KoshaRequest::Mutate {
+    let rmdir = ControlRequest::Mutate {
         op: ReplicaOp::Rmdir { path: "/d".into() },
     };
     assert!(seen.lock().unwrap().contains(&(root.addr(), rmdir)));

@@ -4,7 +4,8 @@
 //! end-to-end placement invariants of small clusters.
 
 use kosha::control::{
-    KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
+    ControlRequest, KoshaReply, KoshaReplyFrame, MigrateItem, MigrateKind, ReplicaOp,
+    ReplicaRequest,
 };
 use kosha::slots::{HotLease, SlotMeta};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
@@ -125,7 +126,6 @@ fn op_payload(op: &ReplicaOp) -> Option<&Bytes> {
     }
 }
 
-/// Every payload field of a request, in encoding order.
 fn item_payload(item: &MigrateItem) -> Option<&Bytes> {
     match &item.kind {
         MigrateKind::Bytes(data) => Some(data),
@@ -133,17 +133,37 @@ fn item_payload(item: &MigrateItem) -> Option<&Bytes> {
     }
 }
 
-fn payloads(req: &KoshaRequest) -> Vec<&Bytes> {
-    match req {
-        KoshaRequest::Mutate { op } | KoshaRequest::ReplicaApply { op } => {
-            op_payload(op).into_iter().collect()
+/// A request of one service, as the properties below take it.
+trait Request: WireRead + WireWrite + PartialEq + Clone + std::fmt::Debug {
+    /// Every payload field of the request, in encoding order.
+    fn payloads(&self) -> Vec<&Bytes>;
+}
+
+impl Request for ControlRequest {
+    fn payloads(&self) -> Vec<&Bytes> {
+        match self {
+            ControlRequest::Mutate { op } => op_payload(op).into_iter().collect(),
+            ControlRequest::TransferAnchor { items, .. } => {
+                items.iter().filter_map(item_payload).collect()
+            }
+            _ => Vec::new(),
         }
-        KoshaRequest::ReplicaApplyBatch { ops } => ops.iter().filter_map(op_payload).collect(),
-        KoshaRequest::MigrateBatch { items, .. } | KoshaRequest::TransferAnchor { items, .. } => {
-            items.iter().filter_map(item_payload).collect()
+    }
+}
+
+impl Request for ReplicaRequest {
+    fn payloads(&self) -> Vec<&Bytes> {
+        match self {
+            ReplicaRequest::ReplicaApply { op } => op_payload(op).into_iter().collect(),
+            ReplicaRequest::ReplicaApplyBatch { ops } => {
+                ops.iter().filter_map(op_payload).collect()
+            }
+            ReplicaRequest::MigrateBatch { items, .. } => {
+                items.iter().filter_map(item_payload).collect()
+            }
+            ReplicaRequest::HotReplicaPush { item, .. } => item_payload(item).into_iter().collect(),
+            _ => Vec::new(),
         }
-        KoshaRequest::HotReplicaPush { item, .. } => item_payload(item).into_iter().collect(),
-        _ => Vec::new(),
     }
 }
 
@@ -156,37 +176,40 @@ fn decode_both<T: WireRead + PartialEq + std::fmt::Debug>(bytes: &[u8]) -> Resul
     copied
 }
 
-fn arb_request() -> impl Strategy<Value = KoshaRequest> {
+fn arb_items() -> impl Strategy<Value = (String, String, Vec<MigrateItem>)> {
+    (
+        arb_path(),
+        "[a-z#0-9]{1,16}",
+        proptest::collection::vec(arb_item(), 0..4),
+    )
+}
+
+fn arb_control() -> impl Strategy<Value = ControlRequest> {
     prop_oneof![
-        arb_replica_op().prop_map(|op| KoshaRequest::Mutate { op }),
-        arb_replica_write().prop_map(|op| KoshaRequest::ReplicaApply { op }),
-        proptest::collection::vec(arb_replica_op(), 0..4)
-            .prop_map(|ops| KoshaRequest::ReplicaApplyBatch { ops }),
+        arb_replica_op().prop_map(|op| ControlRequest::Mutate { op }),
         (arb_path(), "[a-z#0-9]{1,16}")
-            .prop_map(|(path, routing)| KoshaRequest::EnsureAnchor { path, routing }),
-        Just(KoshaRequest::ListAnchors),
-        arb_path().prop_map(|path| KoshaRequest::ReplicaTargets { path }),
-        (
-            arb_path(),
-            "[a-z#0-9]{1,16}",
-            proptest::collection::vec(arb_item(), 0..4)
-        )
-            .prop_map(|(path, routing, items)| KoshaRequest::MigrateBatch {
-                path,
-                routing,
-                items
-            }),
-        arb_path().prop_map(|anchor| KoshaRequest::SlotRecord { anchor }),
-        (
-            arb_path(),
-            "[a-z#0-9]{1,16}",
-            proptest::collection::vec(arb_item(), 0..4)
-        )
-            .prop_map(|(path, routing, items)| KoshaRequest::TransferAnchor {
-                path,
-                routing,
-                items
-            }),
+            .prop_map(|(path, routing)| ControlRequest::EnsureAnchor { path, routing }),
+        Just(ControlRequest::AuditScan),
+        arb_path().prop_map(|path| ControlRequest::ReplicaTargets { path }),
+        arb_items().prop_map(|(path, routing, items)| ControlRequest::TransferAnchor {
+            path,
+            routing,
+            items
+        }),
+    ]
+}
+
+fn arb_replica() -> impl Strategy<Value = ReplicaRequest> {
+    prop_oneof![
+        arb_replica_write().prop_map(|op| ReplicaRequest::ReplicaApply { op }),
+        proptest::collection::vec(arb_replica_op(), 0..4)
+            .prop_map(|ops| ReplicaRequest::ReplicaApplyBatch { ops }),
+        arb_items().prop_map(|(path, routing, items)| ReplicaRequest::MigrateBatch {
+            path,
+            routing,
+            items
+        }),
+        arb_path().prop_map(|anchor| ReplicaRequest::SlotRecord { anchor }),
     ]
 }
 
@@ -212,73 +235,97 @@ fn arb_slot_meta() -> impl Strategy<Value = SlotMeta> {
         })
 }
 
+/// A request decodes to itself through both decoders, and over a frame
+/// every payload (nested ones too) is a view of it with the bytes a
+/// copying decode returns.
+fn round_trips<R: Request>(req: R) {
+    let bytes = req.encode();
+    prop_assert_eq!(decode_both::<R>(&bytes).unwrap(), req.clone());
+    let viewed = R::decode_frame(Frame::flat(&bytes)).unwrap();
+    let copied = R::decode(&bytes).unwrap();
+    let views = viewed.payloads();
+    prop_assert_eq!(views.len(), req.payloads().len());
+    for (view, copy) in views.into_iter().zip(copied.payloads()) {
+        prop_assert_eq!(view, copy);
+        if !view.is_empty() {
+            prop_assert!(bytes.as_ptr_range().contains(&view.as_ptr()));
+            prop_assert!(!bytes.as_ptr_range().contains(&copy.as_ptr()));
+        }
+    }
+}
+
+/// The two holdings of a request: the split encoding flattens to the
+/// flat one and decodes to the request; a frame gathers exactly the
+/// first payload (of a `ReplicaApplyBatch` with several WRITEs too,
+/// zero-length ones included) as the message's own buffer, decoding
+/// hands that part out as it is, and later payloads are views of the
+/// head.
+fn holdings_agree<R: Request>(req: R) {
+    let flat = req.encode();
+    let (body, part) = req.encode_split();
+    let frame = Frame {
+        body: &body,
+        payload: part.as_ref(),
+    };
+    prop_assert_eq!(&frame.flatten(), &flat);
+    prop_assert_eq!(frame.len(), flat.len());
+    let decoded = R::decode_frame(frame).unwrap();
+    prop_assert_eq!(&decoded, &req);
+
+    let (sent, handed) = (req.payloads(), decoded.payloads());
+    prop_assert_eq!(part.is_some(), !sent.is_empty());
+    if let Some(part) = &part {
+        prop_assert_eq!(part.data.as_ptr(), sent[0].as_ptr());
+        prop_assert_eq!(part.data.len(), sent[0].len());
+        prop_assert_eq!(handed[0].as_ptr(), part.data.as_ptr());
+        for inlined in handed[1..].iter().filter(|d| !d.is_empty()) {
+            prop_assert!(body.as_ptr_range().contains(&inlined.as_ptr()));
+        }
+    }
+}
+
+/// A frame decodes as `R` to an error or to the message its flat bytes
+/// spell.
+fn frame_decodes_as_flat<R: Request>(frame: Frame<'_>) {
+    if let Ok(req) = R::decode_frame(frame) {
+        prop_assert_eq!(R::decode(&frame.flatten()).unwrap(), req);
+    }
+}
+
 proptest! {
     #[test]
-    fn control_requests_round_trip(req in arb_request()) {
-        let bytes = req.encode();
-        prop_assert_eq!(decode_both::<KoshaRequest>(&bytes).unwrap(), req.clone());
-        // Over a frame every payload (nested ones too) is a view of it
-        // with the bytes a copying decode returns.
-        let viewed = KoshaRequest::decode_frame(Frame::flat(&bytes)).unwrap();
-        let copied = KoshaRequest::decode(&bytes).unwrap();
-        let views = payloads(&viewed);
-        prop_assert_eq!(views.len(), payloads(&req).len());
-        for (view, copy) in views.into_iter().zip(payloads(&copied)) {
-            prop_assert_eq!(view, copy);
-            if !view.is_empty() {
-                prop_assert!(bytes.as_ptr_range().contains(&view.as_ptr()));
-                prop_assert!(!bytes.as_ptr_range().contains(&copy.as_ptr()));
-            }
-        }
+    fn control_requests_round_trip(control in arb_control(), replica in arb_replica()) {
+        round_trips(control);
+        round_trips(replica);
     }
 
-    /// The two holdings of a request: the split encoding flattens to the
-    /// flat one and decodes to the request; a frame gathers exactly the
-    /// first payload (of a `ReplicaApplyBatch` with several WRITEs too,
-    /// zero-length ones included) as the message's own buffer, decoding
-    /// hands that part out as it is, and later payloads are views of the
-    /// head.
     #[test]
-    fn split_and_flat_holdings_agree(req in arb_request()) {
-        let flat = req.encode();
-        let (body, part) = req.encode_split();
-        let frame = Frame { body: &body, payload: part.as_ref() };
-        prop_assert_eq!(&frame.flatten(), &flat);
-        prop_assert_eq!(frame.len(), flat.len());
-        let decoded = KoshaRequest::decode_frame(frame).unwrap();
-        prop_assert_eq!(&decoded, &req);
-
-        let (sent, handed) = (payloads(&req), payloads(&decoded));
-        prop_assert_eq!(part.is_some(), !sent.is_empty());
-        if let Some(part) = &part {
-            prop_assert_eq!(part.data.as_ptr(), sent[0].as_ptr());
-            prop_assert_eq!(part.data.len(), sent[0].len());
-            prop_assert_eq!(handed[0].as_ptr(), part.data.as_ptr());
-            for inlined in handed[1..].iter().filter(|d| !d.is_empty()) {
-                prop_assert!(body.as_ptr_range().contains(&inlined.as_ptr()));
-            }
-        }
+    fn split_and_flat_holdings_agree(control in arb_control(), replica in arb_replica()) {
+        holdings_agree(control);
+        holdings_agree(replica);
     }
 
-    /// Any head, offset and part decode to an error or to the message
-    /// the frame's flat bytes spell: never a panic, and the payload is
-    /// handed out, not allocated.
+    /// Any head, offset and part decode, as a request of either service
+    /// or as a reply, to an error or to the message the frame's flat
+    /// bytes spell: never a panic, and the payload is handed out, not
+    /// allocated.
     #[test]
     fn arbitrary_two_piece_frames_never_panic(
         body in proptest::collection::vec(any::<u8>(), 0..96),
         at in 0usize..128,
         part in proptest::collection::vec(any::<u8>(), 0..64),
-        seed in proptest::option::of(arb_request()),
+        control in proptest::option::of(arb_control()),
+        replica in proptest::option::of(arb_replica()),
     ) {
         let part = PayloadPart { at, data: part.into() };
         let mut heads = vec![Bytes::from(body)];
         // The head of a real message makes the deeper paths reachable.
-        heads.extend(seed.map(|req| req.encode_split().0));
+        heads.extend(control.map(|req| req.encode_split().0));
+        heads.extend(replica.map(|req| req.encode_split().0));
         for body in &heads {
             let frame = Frame { body, payload: Some(&part) };
-            if let Ok(req) = KoshaRequest::decode_frame(frame) {
-                prop_assert_eq!(KoshaRequest::decode(&frame.flatten()).unwrap(), req);
-            }
+            frame_decodes_as_flat::<ControlRequest>(frame);
+            frame_decodes_as_flat::<ReplicaRequest>(frame);
             let _ = KoshaReplyFrame::decode_frame(frame);
         }
     }
@@ -286,13 +333,10 @@ proptest! {
     #[test]
     fn control_replies_round_trip(reply in prop_oneof![
         Just(KoshaReply::Done),
-        any::<bool>().prop_map(KoshaReply::DoneBool),
         (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(ino, gen, size)| KoshaReply::Handle {
             fh: Fh { ino, gen },
             attr: WireAttr(Attr { ftype: FileType::Directory, mode: 0o755, uid: 1, gid: 2, size, nlink: 2, atime: 3, mtime: 4, ctime: 5 }),
         }),
-        proptest::collection::vec(("[a-z/]{1,12}", "[a-z#0-9]{1,12}"), 0..8)
-            .prop_map(|v| KoshaReply::Anchors(v.into_iter().collect())),
         proptest::collection::vec(any::<u64>(), 0..8)
             .prop_map(|v| KoshaReply::Nodes(v.into_iter().map(NodeAddr).collect())),
         (arb_slot_meta(), proptest::collection::vec(arb_item(), 0..4))
@@ -306,9 +350,15 @@ proptest! {
     /// A frame cut short anywhere is an error from both decoders, never
     /// a panic and never a shorter message.
     #[test]
-    fn truncated_control_frames_are_rejected(req in arb_request(), cut in any::<usize>()) {
-        let bytes = req.encode();
-        prop_assert!(decode_both::<KoshaRequest>(&bytes[..cut % bytes.len()]).is_err());
+    fn truncated_control_frames_are_rejected(
+        control in arb_control(),
+        replica in arb_replica(),
+        cut in any::<usize>(),
+    ) {
+        let bytes = control.encode();
+        prop_assert!(decode_both::<ControlRequest>(&bytes[..cut % bytes.len()]).is_err());
+        let bytes = replica.encode();
+        prop_assert!(decode_both::<ReplicaRequest>(&bytes[..cut % bytes.len()]).is_err());
     }
 
     /// A payload length prefix beyond the codec's limit is refused by
@@ -321,29 +371,31 @@ proptest! {
     ) {
         let data = Bytes::new();
         let op = ReplicaOp::Write { path, offset: 0, data };
-        let mut frame = if mirrored {
-            KoshaRequest::ReplicaApply { op }.encode()
+        let claim = |frame: Bytes| {
+            let mut frame = frame.to_vec();
+            let at = frame.len() - 4;
+            frame[at..].copy_from_slice(&len.to_le_bytes());
+            frame
+        };
+        let refused = WireError::BadLength(u64::from(len));
+        if mirrored {
+            let frame = claim(ReplicaRequest::ReplicaApply { op }.encode());
+            prop_assert_eq!(decode_both::<ReplicaRequest>(&frame), Err(refused));
         } else {
-            KoshaRequest::Mutate { op }.encode()
+            let frame = claim(ControlRequest::Mutate { op }.encode());
+            prop_assert_eq!(decode_both::<ControlRequest>(&frame), Err(refused));
         }
-        .to_vec();
-        let at = frame.len() - 4;
-        frame[at..].copy_from_slice(&len.to_le_bytes());
-        prop_assert_eq!(
-            decode_both::<KoshaRequest>(&frame),
-            Err(WireError::BadLength(u64::from(len)))
-        );
     }
 
-    /// A reply that claims more anchors than a frame can hold and ends
+    /// A reply that claims more holders than a frame can hold and ends
     /// after the count is refused on the count, as every sequence is;
     /// the largest count the codec accepts runs out of bytes instead,
     /// with `Reader::seq`'s 4 096 slots reserved and not the 3 GiB the
     /// count asks for.
     #[test]
-    fn hostile_anchor_counts_are_rejected(count in (64u32 << 20) + 1..=u32::MAX) {
+    fn hostile_sequence_counts_are_rejected(count in (64u32 << 20) + 1..=u32::MAX) {
         let claim = |count: u32| {
-            let mut frame = ReplyFrame(Ok(KoshaReply::Anchors(Vec::new()))).encode().to_vec();
+            let mut frame = ReplyFrame(Ok(KoshaReply::Nodes(Vec::new()))).encode().to_vec();
             let at = frame.len() - 4;
             frame[at..].copy_from_slice(&count.to_le_bytes());
             decode_both::<KoshaReplyFrame>(&frame)
@@ -354,13 +406,19 @@ proptest! {
         prop_assert_eq!(claim(64 << 20), Err(WireError::Truncated));
     }
 
-    /// Any bytes, and the same bytes behind `Mutate`'s tag, which
-    /// arbitrary bytes rarely reach, decode to an error or a message.
+    /// Any bytes, and the same bytes behind each request tag of either
+    /// service, which arbitrary bytes rarely reach, decode as a request
+    /// of either service to an error or a message.
     #[test]
     fn control_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_both::<KoshaRequest>(&bytes);
-        let _ = decode_both::<KoshaRequest>(&[&[30u8], &bytes[..]].concat());
+        let _ = decode_both::<ControlRequest>(&bytes);
+        let _ = decode_both::<ReplicaRequest>(&bytes);
         let _ = decode_both::<KoshaReplyFrame>(&bytes);
+        for tag in 13u8..=30 {
+            let tagged = [&[tag], &bytes[..]].concat();
+            let _ = decode_both::<ControlRequest>(&tagged);
+            let _ = decode_both::<ReplicaRequest>(&tagged);
+        }
     }
 
     /// The same, behind the tags of the messages a slot travels in,
@@ -369,9 +427,10 @@ proptest! {
     /// anything.
     #[test]
     fn slot_record_decoders_are_total(tail in proptest::collection::vec(any::<u8>(), 0..256)) {
-        for tag in [20u8, 28, 29] {
-            let _ = decode_both::<KoshaRequest>(&[&[tag], &tail[..]].concat());
+        for tag in [20u8, 28] {
+            let _ = decode_both::<ReplicaRequest>(&[&[tag], &tail[..]].concat());
         }
+        let _ = decode_both::<ControlRequest>(&[&[29u8], &tail[..]].concat());
         let _ = decode_both::<KoshaReplyFrame>(&[&[0u8, 8], &tail[..]].concat());
         let _ = decode_both::<SlotMeta>(&tail);
     }

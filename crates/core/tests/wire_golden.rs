@@ -11,7 +11,8 @@
 //! them (`MigrateItem`, the reply frames).
 
 use kosha::control::{
-    AuditEntry, KoshaReply, KoshaReplyFrame, KoshaRequest, MigrateItem, MigrateKind, ReplicaOp,
+    AuditEntry, ControlRequest, KoshaReply, KoshaReplyFrame, MigrateItem, MigrateKind, ReplicaOp,
+    ReplicaRequest,
 };
 use kosha::slots::{HotLease, SlotMeta};
 use kosha_id::Id;
@@ -199,59 +200,63 @@ fn replica_ops() -> Vec<ReplicaOp> {
 }
 
 /// One `Mutate` per kind of op, then one value of every other variant.
-fn kosha_requests() -> Vec<KoshaRequest> {
+fn control_requests() -> Vec<ControlRequest> {
     let mutations = replica_ops().into_iter();
     mutations
-        .map(|op| KoshaRequest::Mutate { op })
+        .map(|op| ControlRequest::Mutate { op })
         .chain([
-            KoshaRequest::EnsureAnchor {
+            ControlRequest::EnsureAnchor {
                 path: "/a".into(),
                 routing: "a#3".into(),
             },
-            KoshaRequest::ListAnchors,
-            KoshaRequest::ReplicaTargets { path: "/a".into() },
-            KoshaRequest::MigrateBatch {
-                path: "/a".into(),
-                routing: "a#4".into(),
-                items: items(),
-            },
-            KoshaRequest::ReplicaApply {
-                op: ReplicaOp::LagMark {
-                    anchor: "/a".into(),
-                    bytes: 0,
-                },
-            },
-            KoshaRequest::ReplicaApplyBatch { ops: replica_ops() },
-            KoshaRequest::Flush {
+            ControlRequest::ReplicaTargets { path: "/a".into() },
+            ControlRequest::Flush {
                 path: "/a/f".into(),
             },
-            KoshaRequest::AuditScan,
-            KoshaRequest::ReplicaTargetsBySlot {
+            ControlRequest::AuditScan,
+            ControlRequest::ReplicaTargetsBySlot {
                 slot: "@00c0ffee00c0ffee".into(),
                 holder: 7,
             },
-            KoshaRequest::HotReplicaPush {
-                anchor: "/a".into(),
-                routing: "a#2".into(),
-                path: "/a/hot".into(),
-                seq: 17,
-                expires_nanos: 9_000_000_000,
-                item: item(MigrateKind::Sparse(5)),
-            },
-            KoshaRequest::HotReplicaDrop {
-                anchor: "/a".into(),
-                path: "/a/hot".into(),
-            },
-            KoshaRequest::SlotRecord {
-                anchor: "/a/b".into(),
-            },
-            KoshaRequest::TransferAnchor {
+            ControlRequest::TransferAnchor {
                 path: "/a".into(),
                 routing: "a#6".into(),
                 items: vec![item(MigrateKind::Bytes(vec![7; 4].into()))],
             },
         ])
         .collect()
+}
+
+fn replica_requests() -> Vec<ReplicaRequest> {
+    vec![
+        ReplicaRequest::MigrateBatch {
+            path: "/a".into(),
+            routing: "a#4".into(),
+            items: items(),
+        },
+        ReplicaRequest::ReplicaApply {
+            op: ReplicaOp::LagMark {
+                anchor: "/a".into(),
+                bytes: 0,
+            },
+        },
+        ReplicaRequest::ReplicaApplyBatch { ops: replica_ops() },
+        ReplicaRequest::HotReplicaPush {
+            anchor: "/a".into(),
+            routing: "a#2".into(),
+            path: "/a/hot".into(),
+            seq: 17,
+            expires_nanos: 9_000_000_000,
+            item: item(MigrateKind::Sparse(5)),
+        },
+        ReplicaRequest::HotReplicaDrop {
+            anchor: "/a".into(),
+            path: "/a/hot".into(),
+        },
+        ReplicaRequest::SlotRecord {
+            anchor: "/a/b".into(),
+        },
+    ]
 }
 
 fn kosha_replies() -> Vec<KoshaReply> {
@@ -261,11 +266,6 @@ fn kosha_replies() -> Vec<KoshaReply> {
             fh: FH,
             attr: attr(FileType::Directory),
         },
-        KoshaReply::DoneBool(true),
-        KoshaReply::Anchors(vec![
-            ("/a".into(), "a#1".into()),
-            ("/b/c".into(), "c".into()),
-        ]),
         KoshaReply::Nodes(vec![NodeAddr(3), NodeAddr(9)]),
         KoshaReply::Audit(audit_entries()),
         KoshaReply::Slot {
@@ -528,7 +528,7 @@ fn primitives() -> String {
 /// What the wire looked like before any message was declared: the
 /// expectations below were generated from the hand-written codecs and
 /// must not be edited by a change that claims to move no byte.
-const GOLDEN: [(&str, &str); 23] = [
+const GOLDEN: [(&str, &str); 24] = [
     ("primitives", "a1b2b1c4c3c2c1d8d7d6d5d4d3d2d1f0efeeedecebeae9e8e7e6e5e4e3e2e100010600000068c3a96c6c6f000000000300000001020300000000010700000000010000006b09000000000000007766554433221100efcdab8967452301"),
     ("NodeAddr", "0807060504030201"),
     ("ServiceId", "0102030405"),
@@ -567,13 +567,23 @@ const GOLDEN: [(&str, &str); 23] = [
     // the row opens with one `Mutate` (tag 30) per `ReplicaOp` kind, each the
     // op's own bytes behind the tag. `ReplicaApplyBatch`'s `Mkdir` gains its
     // 12 bytes of mode, uid and gid; every other variant keeps its bytes.
-    ("KoshaRequest", "1e00040000002f612f64e801000008000000090000001e01040000002f612f66a401000001000000020000000140000000000000001e02040000002f612f6c03000000742331ff03000003000000040000001e03040000002f612f660500000000000000030000000908071e04040000002f612f660180010000000116000000011700000000000000000119000000000000001e05040000002f612f661e06040000002f612f641e07020000002f611e08040000002f612f78040000002f612f791e09020000002f61020000002f621e0a020000002f6100100000000000001e0b020000002f6103000000612335ed01000006000000070000000d020000002f61030000006123331213020000002f6114020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed010000060000000700000017040000002f612f66181911000000403030633066666565303063306666656507000000000000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f621d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
+    // One request enum per service: the one request row both services
+    // decoded became these two, each variant on its service's row with the
+    // bytes it had there, in the order it had there. The hosted-anchor
+    // listing (tag 18, one byte) is gone.
+    ("ControlRequest", "1e00040000002f612f64e801000008000000090000001e01040000002f612f66a401000001000000020000000140000000000000001e02040000002f612f6c03000000742331ff03000003000000040000001e03040000002f612f660500000000000000030000000908071e04040000002f612f660180010000000116000000011700000000000000000119000000000000001e05040000002f612f661e06040000002f612f641e07020000002f611e08040000002f612f78040000002f612f791e09020000002f61020000002f621e0a020000002f6100100000000000001e0b020000002f6103000000612335ed01000006000000070000000d020000002f610300000061233313020000002f6117040000002f612f66181911000000403030633066666565303063306666656507000000000000001d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
+    ("ReplicaRequest", "14020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed01000006000000070000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
     // `Stats` (tag 2, three u64s) is gone with `StoreStats`. `MakeSlot` replies
     // `Handle` for the slot root: the placing koshad caches it. `Record` (tag 7, the
     // record alone) is gone: `Slot` (tag 8) carries the record and the items, so a
     // pull is one `SlotRecord`. No other byte moved.
-    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f000000000000001000000000000000110000000000000001010302000000020000002f6103000000612331040000002f622f6301000000630502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000100000003000000642f66020900000000000000ed0100001f00000020000000"),
-    ("KoshaReplyFrame", "0001000102030405060708090a0b"),
+    // The promotion flag (tag 1) and the anchor listing (tag 3) are gone:
+    // `EnsureAnchor` answers `Handle` for the slot root, and nothing asked
+    // for the listing. No other byte moved.
+    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000100000003000000642f66020900000000000000ed0100001f00000020000000"),
+    // The `Ok` value is `Done` now that the promotion flag is gone; the
+    // frame's bytes around it did not move.
+    ("KoshaReplyFrame", "00000102030405060708090a0b"),
 ];
 
 #[test]
@@ -585,7 +595,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
         .chain(STATUSES.map(Err))
         .map(|result| NfsReplyFrame { 0: result })
         .collect();
-    let kosha_frames: Vec<KoshaReplyFrame> = [Ok(KoshaReply::DoneBool(false))]
+    let kosha_frames: Vec<KoshaReplyFrame> = [Ok(KoshaReply::Done)]
         .into_iter()
         .chain(STATUSES.map(Err))
         .map(|result| KoshaReplyFrame { 0: result })
@@ -627,7 +637,8 @@ fn every_message_encodes_to_its_pinned_bytes() {
         ("AuditEntry", cat(&audit_entries())),
         ("SlotMeta", cat(&slot_metas())),
         ("ReplicaOp", cat(&replica_ops())),
-        ("KoshaRequest", cat(&kosha_requests())),
+        ("ControlRequest", cat(&control_requests())),
+        ("ReplicaRequest", cat(&replica_requests())),
         ("KoshaReply", cat(&kosha_replies())),
         ("KoshaReplyFrame", cat(&kosha_frames)),
     ];
@@ -652,7 +663,7 @@ fn every_variant_has_a_value_and_keeps_its_label() {
     for (i, op) in replica_ops().iter().enumerate() {
         assert_eq!(op.index(), i, "{}", op.name());
     }
-    assert_eq!(kosha_replies().len(), 7);
+    assert_eq!(kosha_replies().len(), 5);
     assert_eq!(nfs_replies().len(), 11);
     for (i, req) in nfs_requests().iter().enumerate() {
         assert_eq!(req.proc_index(), i, "{}", req.proc_name());
@@ -667,14 +678,26 @@ fn every_variant_has_a_value_and_keeps_its_label() {
         "mkdir create symlink write setattr remove rmdir remove_slot rename rename_slot \
          lag_mark make_slot"
     );
-    let mut names: Vec<&str> = kosha_requests().iter().map(KoshaRequest::name).collect();
+    let mut names: Vec<&str> = control_requests()
+        .iter()
+        .map(ControlRequest::name)
+        .collect();
     names.dedup();
-    assert_eq!(names, KoshaRequest::NAMES);
+    assert_eq!(names, ControlRequest::NAMES);
     assert_eq!(
-        KoshaRequest::NAMES.join(" "),
-        "mutate ensure_anchor list_anchors replica_targets migrate_batch replica_apply \
-         replica_apply_batch flush audit_scan replica_targets_by_slot hot_replica_push \
-         hot_replica_drop slot_record transfer_anchor"
+        ControlRequest::NAMES.join(" "),
+        "mutate ensure_anchor replica_targets flush audit_scan replica_targets_by_slot \
+         transfer_anchor"
+    );
+    let names: Vec<&str> = replica_requests()
+        .iter()
+        .map(ReplicaRequest::name)
+        .collect();
+    assert_eq!(names, ReplicaRequest::NAMES);
+    assert_eq!(
+        ReplicaRequest::NAMES.join(" "),
+        "migrate_batch replica_apply replica_apply_batch hot_replica_push hot_replica_drop \
+         slot_record"
     );
     assert_eq!(
         ServiceId::ALL.map(|s| s.name()).join(" "),
@@ -684,22 +707,43 @@ fn every_variant_has_a_value_and_keeps_its_label() {
 
 /// A retired tag is an unknown tag: the thirteen requests a kind of
 /// mutation each had before `Mutate` (0–12), the three-step transfer's
-/// requests (15–17) and the record-only reply (7) decode to `BadTag`,
-/// whatever follows, as the long-retired `StoreStats` (14) and `Stats`
-/// (2) do.
+/// requests (15–17), the hosted-anchor listing (18), and the replies
+/// that carried a promotion flag (1), that listing (3) and a record
+/// alone (7) decode to `BadTag`, whatever follows, as the long-retired
+/// `StoreStats` (14) and `Stats` (2) do. Each service's requests are
+/// unknown tags to the other's decoder.
 #[test]
 fn retired_tags_decode_as_unknown() {
     use kosha_rpc::{WireError, WireRead};
-    let tail = KoshaRequest::EnsureAnchor {
+    let tail = ControlRequest::EnsureAnchor {
         path: "/a".into(),
         routing: "a".into(),
     }
     .encode();
-    for tag in (0u8..=12).chain([14, 15, 16, 17]) {
-        let bytes = [&[tag], &tail[1..]].concat();
-        assert_eq!(KoshaRequest::decode(&bytes), Err(WireError::BadTag(tag)));
+    let with_tag = |tag: u8| [&[tag], &tail[1..]].concat();
+    let tag = |bytes: Bytes| bytes[0];
+    let control_tags: Vec<u8> = control_requests()
+        .into_iter()
+        .map(|r| tag(r.encode()))
+        .collect();
+    let replica_tags: Vec<u8> = replica_requests()
+        .into_iter()
+        .map(|r| tag(r.encode()))
+        .collect();
+    let retired = (0u8..=12).chain([14, 15, 16, 17, 18]);
+    for t in retired.clone().chain(replica_tags) {
+        assert_eq!(
+            ControlRequest::decode(&with_tag(t)),
+            Err(WireError::BadTag(t))
+        );
     }
-    for tag in [2u8, 7] {
+    for t in retired.chain(control_tags) {
+        assert_eq!(
+            ReplicaRequest::decode(&with_tag(t)),
+            Err(WireError::BadTag(t))
+        );
+    }
+    for tag in [1u8, 2, 3, 7] {
         let bytes = [0u8, tag, 0, 0, 0, 0];
         assert_eq!(KoshaReplyFrame::decode(&bytes), Err(WireError::BadTag(tag)));
     }

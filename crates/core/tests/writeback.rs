@@ -2,7 +2,7 @@
 //! COMMIT and backpressure barriers, failover lag reporting (no silent
 //! stale reads), and the coalescing equivalence property.
 
-use kosha::control::{KoshaReplyFrame, KoshaRequest, MigrateItem, ReplicaOp};
+use kosha::control::{KoshaReplyFrame, MigrateItem, ReplicaOp, ReplicaRequest};
 use kosha::paths::{anchor_slot, slot_local_path, Area};
 use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode, ReplicationMode};
 use kosha_id::node_id_from_seed;
@@ -272,7 +272,7 @@ fn sync_mode_never_queues() {
 // ---- coalescing equivalence property -----------------------------------
 
 /// Applies one replica-service request to `node` and asserts success.
-fn apply_replica(net: &Arc<SimNetwork>, node: &Arc<KoshaNode>, req: &KoshaRequest) {
+fn apply_replica(net: &Arc<SimNetwork>, node: &Arc<KoshaNode>, req: &ReplicaRequest) {
     let resp = net
         .call(
             node.addr(),
@@ -388,7 +388,7 @@ proptest! {
         // Reference: one ReplicaApply per op, in order.
         let (net_a, node_a) = solo_node("wb-prop-seq");
         for op in &ops {
-            apply_replica(&net_a, &node_a, &KoshaRequest::ReplicaApply { op: op.clone() });
+            apply_replica(&net_a, &node_a, &ReplicaRequest::ReplicaApply { op: op.clone() });
         }
 
         // Candidate: the same sequence cut at arbitrary points, each
@@ -402,7 +402,7 @@ proptest! {
             let (chunk, tail) = rest.split_at(take);
             rest = tail;
             let batch = kosha::writeback::coalesce(chunk.to_vec());
-            apply_replica(&net_b, &node_b, &KoshaRequest::ReplicaApplyBatch { ops: batch });
+            apply_replica(&net_b, &node_b, &ReplicaRequest::ReplicaApplyBatch { ops: batch });
         }
 
         prop_assert_eq!(replica_tree(&node_a), replica_tree(&node_b));

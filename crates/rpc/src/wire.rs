@@ -30,7 +30,7 @@
 //! and the offset in the head where it belongs, so that
 //! `body[..at] ++ payload ++ body[at..]` is byte for byte the flat
 //! encoding. A hop that only changes the message around a payload
-//! (`NfsRequest::Write` → `KoshaRequest::Mutate` → `ReplicaApply`, both of
+//! (`NfsRequest::Write` → `ControlRequest::Mutate` → `ReplicaApply`, both of
 //! one `ReplicaOp::Write`, or
 //! koshad handing on the store's READ reply) encodes a new head and bumps
 //! a refcount; no payload byte moves (DESIGN.md §18). The holding is the

@@ -377,9 +377,9 @@ proptest! {
 }
 
 /// The one session proptest once saved, shrunk to four ops: a `mkdir_p`
-/// below `/zone1`, a write of `/zone1/file0`, a write of the reserved
-/// name `/zone1/.kosha_anchor` (the user's name, since a slot's record is
-/// not a file) and a read of the missing `/zone1/file2`.
+/// below `/zone1`, a write of `/zone1/file0`, a write of the name koshad
+/// once kept an anchor's marker file under (the user's name, since a
+/// slot's record is not a file) and a read of the missing `/zone1/file2`.
 #[test]
 fn the_saved_session_agrees() {
     use Op::*;
