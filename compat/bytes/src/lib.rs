@@ -1,15 +1,15 @@
 //! Vendored stand-in for the `bytes` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors the subset it uses: a cheaply-cloneable immutable [`Bytes`],
-//! a growable [`BytesMut`], and the [`Buf`] / [`BufMut`] traits with the
-//! little-endian accessors the wire codec relies on.
+//! vendors the subset it uses: a cheaply-cloneable immutable [`Bytes`]
+//! and the [`Buf`] / [`BufMut`] traits with the little-endian accessors
+//! the wire codec relies on (it writes into a `Vec<u8>`).
 //!
 //! [`Bytes`] is a refcounted *view*: a shared owner plus a byte range.
 //! `clone` and [`Bytes::slice`] bump the refcount and copy nothing, and
-//! `From<Vec<u8>>` / [`BytesMut::freeze`] adopt the vector's allocation
-//! as it is, so an encoded frame is written once and every payload
-//! decoded out of it is a view of that one buffer (DESIGN.md §18).
+//! `From<Vec<u8>>` adopts the vector's allocation as it is, so an
+//! encoded frame is written once and every payload decoded out of it is
+//! a view of that one buffer (DESIGN.md §18).
 //!
 //! What a view pins: its whole owner, however small its range, until the
 //! last view of that owner is dropped. That is why only payload fields
@@ -26,8 +26,15 @@
 //! to a whole view that is the owner's one handle. Equality, ordering,
 //! hashing and `Debug` go by content, never by owner.
 //!
-//! One deliberate addition to the published API: `Bytes` compares with
-//! byte arrays, so `assert_eq!(bytes, b"literal")` works in tests.
+//! An owner is one of two kinds. A vector adopted by `From<Vec<u8>>`
+//! costs its own allocation plus the `Arc` around it, and is the only
+//! kind `with_unique` can lend out to grow. A buffer made by
+//! `From<Arc<[u8]>>` is one allocation, refcount and bytes together:
+//! what the wire codec makes of a message head, which nobody grows.
+//!
+//! Two deliberate additions to the published API: `Bytes` compares with
+//! byte arrays, so `assert_eq!(bytes, b"literal")` works in tests, and
+//! `From<Arc<[u8]>>` adopts a one-allocation buffer.
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -38,9 +45,27 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct Bytes {
     /// `None` only for the empty buffer, which then needs no allocation.
-    owner: Option<Arc<Vec<u8>>>,
+    owner: Option<Owner>,
     start: usize,
     end: usize,
+}
+
+/// What a [`Bytes`] view shares (see the crate docs).
+#[derive(Clone)]
+enum Owner {
+    /// An adopted vector: the kind [`Bytes::with_unique`] lends out.
+    Vec(Arc<Vec<u8>>),
+    /// One allocation holding the refcount and the bytes.
+    Slice(Arc<[u8]>),
+}
+
+impl Owner {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Owner::Vec(v) => v,
+            Owner::Slice(s) => s,
+        }
+    }
 }
 
 impl Bytes {
@@ -109,30 +134,33 @@ impl Bytes {
     pub fn is_whole(&self) -> bool {
         self.owner
             .as_ref()
-            .is_none_or(|owner| self.start == 0 && self.end == owner.len())
+            .is_none_or(|owner| self.start == 0 && self.end == owner.bytes().len())
     }
 
-    /// True when this handle is whole and its owner's only one: what
-    /// [`Bytes::with_unique`] asks before it lends the vector out. The
-    /// owner-less empty buffer is not unique.
+    /// True when this handle is whole and its owner is an adopted
+    /// vector and has no other handle: what [`Bytes::with_unique`] asks
+    /// before it lends the vector out. The owner-less empty buffer is not
+    /// unique.
     #[must_use]
     pub fn is_unique(&self) -> bool {
         self.is_whole()
-            && self
-                .owner
-                .as_ref()
-                .is_some_and(|owner| Arc::strong_count(owner) == 1 && Arc::weak_count(owner) == 0)
+            && matches!(&self.owner, Some(Owner::Vec(v))
+                if Arc::strong_count(v) == 1 && Arc::weak_count(v) == 0)
     }
 
     /// Runs `f` on the owner's vector if this handle is whole and the
     /// owner's only one, so nobody can watch the bytes change; `None`, and
-    /// `f` not run, otherwise (the owner-less empty buffer included).
-    /// `f` may resize the vector: the view is whatever it leaves.
+    /// `f` not run, otherwise (the owner-less empty buffer and a
+    /// one-allocation owner included). `f` may resize the vector: the
+    /// view is whatever it leaves.
     pub fn with_unique<R>(&mut self, f: impl FnOnce(&mut Vec<u8>) -> R) -> Option<R> {
         if !self.is_whole() {
             return None;
         }
-        let vec = Arc::get_mut(self.owner.as_mut()?)?;
+        let Some(Owner::Vec(owner)) = self.owner.as_mut() else {
+            return None;
+        };
+        let vec = Arc::get_mut(owner)?;
         let result = f(vec);
         self.end = vec.len();
         if self.end == 0 {
@@ -143,7 +171,7 @@ impl Bytes {
 
     fn as_slice(&self) -> &[u8] {
         match &self.owner {
-            Some(owner) => &owner[self.start..self.end],
+            Some(owner) => &owner.bytes()[self.start..self.end],
             None => &[],
         }
     }
@@ -171,7 +199,23 @@ impl From<Vec<u8>> for Bytes {
         }
         let end = v.len();
         Bytes {
-            owner: Some(Arc::new(v)),
+            owner: Some(Owner::Vec(Arc::new(v))),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl From<Arc<[u8]>> for Bytes {
+    /// Adopts `s` as it is; no bytes move. The view can never be lent
+    /// out by [`Bytes::with_unique`].
+    fn from(s: Arc<[u8]>) -> Self {
+        if s.is_empty() {
+            return Bytes::new();
+        }
+        let end = s.len();
+        Bytes {
+            owner: Some(Owner::Slice(s)),
             start: 0,
             end,
         }
@@ -246,62 +290,6 @@ impl std::fmt::Debug for Bytes {
             }
         }
         write!(f, "\"")
-    }
-}
-
-/// Growable byte buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// Empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        BytesMut(Vec::new())
-    }
-
-    /// Empty buffer with `cap` bytes reserved.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    /// Number of bytes written.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Bytes the buffer can hold without reallocating.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.0.capacity()
-    }
-
-    /// Makes room for at least `additional` more bytes in one step, so a
-    /// large `put_slice` that follows never grows the buffer by doubling.
-    pub fn reserve(&mut self, additional: usize) {
-        self.0.reserve(additional);
-    }
-
-    /// Converts into an immutable [`Bytes`] that keeps this buffer's
-    /// allocation; nothing is copied.
-    #[must_use]
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
     }
 }
 
@@ -389,12 +377,6 @@ pub trait BufMut {
     }
 }
 
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.0.extend_from_slice(src);
-    }
-}
-
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
@@ -407,14 +389,14 @@ mod tests {
 
     #[test]
     fn round_trip_le() {
-        let mut m = BytesMut::with_capacity(8);
+        let mut m = Vec::with_capacity(8);
         m.put_u8(7);
         m.put_u16_le(300);
         m.put_u32_le(1 << 20);
         m.put_u64_le(u64::MAX);
         m.put_u128_le(42);
         m.put_slice(b"xy");
-        let b = m.freeze();
+        let b = Bytes::from(m);
         let mut r: &[u8] = &b;
         assert_eq!(r.get_u8(), 7);
         assert_eq!(r.get_u16_le(), 300);
@@ -428,17 +410,17 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_and_freeze_keep_the_allocation() {
+    fn from_vec_keeps_the_allocation() {
         let v = vec![1u8, 2, 3, 4];
         let ptr = v.as_ptr();
         let b = Bytes::from(v);
         assert_eq!(b.as_ptr(), ptr);
         assert_eq!(b.clone().as_ptr(), ptr);
 
-        let mut m = BytesMut::with_capacity(16);
+        let mut m = Vec::with_capacity(16);
         m.put_slice(b"frame");
         let ptr = m.as_ptr();
-        assert_eq!(m.freeze().as_ptr(), ptr);
+        assert_eq!(Bytes::from(m).as_ptr(), ptr);
     }
 
     #[test]
@@ -519,6 +501,21 @@ mod tests {
         b.with_unique(Vec::clear).unwrap();
         assert!(b.is_empty());
         assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
+    }
+
+    #[test]
+    fn a_one_allocation_owner_is_a_view_like_any_other_but_never_lent() {
+        let shared: Arc<[u8]> = Arc::from(&b"0123456789"[..]);
+        let ptr = shared.as_ptr();
+        let mut b = Bytes::from(shared);
+        assert_eq!(b.as_ptr(), ptr);
+        assert!(b.is_whole());
+        assert_eq!(b.slice(2..4), b"23");
+        assert_eq!(b.slice(2..4).as_ptr(), b[2..].as_ptr());
+        assert_eq!(b, Bytes::copy_from_slice(b"0123456789"));
+        assert!(!b.is_unique());
+        assert_eq!(b.with_unique(|_| unreachable!()), None::<()>);
+        assert!(Bytes::from(Arc::<[u8]>::from(&b""[..])).is_whole());
     }
 
     #[test]

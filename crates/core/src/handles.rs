@@ -15,9 +15,11 @@
 
 use crate::pathmap::PathMap;
 use kosha_nfs::Fh;
+use kosha_obs::fxhash::FxBuild;
 use kosha_rpc::NodeAddr;
 use kosha_vfs::FileType;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Where an object currently lives: the node and the real NFS handle on
 /// that node's store.
@@ -83,17 +85,22 @@ impl PathEntry {
 /// looking up the same path returns the same handle (NFS clients rely on
 /// handle equality for cache identity).
 ///
-/// Invariants: `paths` and the handles in `by_path` are a bijection.
-/// Every handle's path leads back to it and no two handles share a path,
-/// so forgetting one path is two look-ups and a handle whose object was
+/// Invariants: `handles` and the handles in `by_path` are a bijection,
+/// and a handle's number maps to the slot of its path's entry. Every
+/// handle's path leads back to it and no two handles share a path, so
+/// forgetting one path is two look-ups and a handle whose object was
 /// removed or overwritten is `Stale`, never an alias of what replaced it.
-/// No entry is empty: one without a handle holds a location or a replica
-/// handle. `by_path` counts the entries below each directory, so
-/// clearing or forgetting a path with nothing below it scans nothing.
+/// A handle is one probe of an integer-keyed map and one index: its
+/// path (shared, so a caller keeps it without a copy), type and location
+/// come from the entry that slot holds. No entry is empty: one without a
+/// handle holds a location or a replica handle. `by_path` counts the
+/// entries below each directory, so clearing or forgetting a path with
+/// nothing below it scans nothing.
 #[derive(Debug, Default)]
 pub struct HandleTable {
     next: u64,
-    paths: BTreeMap<u64, String>,
+    /// Handle → slot of its entry in `by_path`.
+    handles: HashMap<u64, usize, FxBuild>,
     by_path: PathMap<PathEntry>,
 }
 
@@ -137,14 +144,14 @@ impl HandleTable {
     /// Returns the existing handle for `path` or mints a new one.
     pub fn mint(&mut self, path: &str, ftype: FileType) -> Fh {
         let next = self.next;
-        let e = self
+        let (slot, e) = self
             .by_path
             .get_or_insert_with(path, || PathEntry::new(ftype));
         e.set_type(ftype);
         let vh = *e.vh.get_or_insert(next);
         if vh == next {
             self.next += 1;
-            self.paths.insert(vh, path.to_string());
+            self.handles.insert(vh, slot);
         }
         Fh {
             ino: vh,
@@ -169,17 +176,17 @@ impl HandleTable {
     /// The path a handle names; `None` for unknown or non-virtual handles.
     #[must_use]
     pub fn path(&self, fh: Fh) -> Option<&str> {
+        self.get(fh).map(|(path, _)| &**path)
+    }
+
+    /// A handle's path and its entry, found by one probe; `None` for
+    /// unknown or non-virtual handles.
+    #[must_use]
+    pub fn get(&self, fh: Fh) -> Option<(&Arc<str>, &PathEntry)> {
         if fh.gen != VIRTUAL_GEN {
             return None;
         }
-        self.paths.get(&fh.ino).map(String::as_str)
-    }
-
-    /// A handle's path and its entry.
-    #[must_use]
-    pub fn get(&self, fh: Fh) -> Option<(&str, &PathEntry)> {
-        let path = self.path(fh)?;
-        Some((path, self.entry(path)?))
+        self.by_path.at(*self.handles.get(&fh.ino)?)
     }
 
     /// The entry for `path`, handle or not.
@@ -198,7 +205,7 @@ impl HandleTable {
     /// Caches where `path`'s object lives and what it is: a directory's
     /// listing, which a walk caches without a handle, or a file's object.
     pub fn set_location(&mut self, path: &str, ftype: FileType, loc: Location) {
-        let e = self
+        let (_, e) = self
             .by_path
             .get_or_insert_with(path, || PathEntry::new(ftype));
         e.set_type(ftype);
@@ -217,7 +224,7 @@ impl HandleTable {
 
     /// Caches the replica file handle `addr` handed out for `path`.
     pub fn set_replica_location(&mut self, addr: NodeAddr, path: &str, fh: Fh) {
-        let e = self
+        let (_, e) = self
             .by_path
             .get_or_insert_with(path, || PathEntry::new(FileType::Regular));
         match e.replicas.iter_mut().find(|(a, _)| *a == addr) {
@@ -276,19 +283,17 @@ impl HandleTable {
     pub fn rename_subtree(&mut self, old: &str, new: &str) {
         self.forget_subtree(new);
         let mut moved = Vec::new();
-        self.by_path.remove_subtree(old, |e| {
+        self.by_path.remove_subtree(old, |p, e| {
             if let Some(vh) = e.vh {
-                moved.push((vh, e.ftype));
+                moved.push((vh, e.ftype, format!("{new}{}", &p[old.len()..])));
             }
         });
-        for (vh, ftype) in moved {
-            let p = self.paths.get_mut(&vh).expect("a handle has a path");
-            *p = format!("{new}{}", &p[old.len()..]);
+        for (vh, ftype, p) in moved {
             let e = PathEntry {
                 vh: Some(vh),
                 ..PathEntry::new(ftype)
             };
-            self.by_path.insert(p.clone(), e);
+            self.handles.insert(vh, self.by_path.insert(&p, e));
         }
     }
 
@@ -299,7 +304,7 @@ impl HandleTable {
     pub fn forget(&mut self, path: &str) {
         if let Some(e) = self.by_path.remove(path) {
             if let Some(vh) = e.vh {
-                self.paths.remove(&vh);
+                self.handles.remove(&vh);
             }
             if e.ftype == FileType::Directory {
                 self.forget_subtree(path);
@@ -313,10 +318,10 @@ impl HandleTable {
     /// (an RMDIR always, since the directory was empty) this is the cost
     /// of [`Self::forget`], whatever the size of the table.
     pub fn forget_subtree(&mut self, path: &str) {
-        let paths = &mut self.paths;
-        self.by_path.remove_subtree(path, |e| {
+        let handles = &mut self.handles;
+        self.by_path.remove_subtree(path, |_, e| {
             if let Some(vh) = e.vh {
-                paths.remove(&vh);
+                handles.remove(&vh);
             }
         });
     }
@@ -324,13 +329,13 @@ impl HandleTable {
     /// Number of live handles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.handles.len()
     }
 
     /// True if only the root handle exists.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.paths.len() <= 1
+        self.handles.len() <= 1
     }
 }
 

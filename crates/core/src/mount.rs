@@ -124,11 +124,11 @@ impl KoshaMount {
     }
 
     fn cache_dir(&self, path: &str, fh: Fh) {
-        self.dcache.lock().insert(path.to_string(), fh);
+        self.dcache.lock().insert(path, fh);
     }
 
     fn drop_cache_subtree(&self, path: &str) {
-        self.dcache.lock().remove_subtree(path, drop);
+        self.dcache.lock().remove_subtree(path, |_, _| ());
     }
 
     /// Resolves a directory path to its (virtual) handle, caching

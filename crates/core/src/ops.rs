@@ -21,6 +21,7 @@ use kosha_rpc::{Bytes, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireR
 use kosha_vfs::path::validate_name;
 use kosha_vfs::{join_path, Attr, FileType, SetAttr};
 use rand::Rng;
+use std::sync::Arc;
 
 /// A directory entry of the virtual file system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +34,9 @@ pub struct KoshaDirEntry {
     pub ftype: FileType,
 }
 
+/// Where an object lives and what it is.
+type Obj = (Location, FileType);
+
 impl KoshaNode {
     // ---- handle plumbing ---------------------------------------------
 
@@ -42,13 +46,20 @@ impl KoshaNode {
         self.client.lock().handles.root()
     }
 
-    fn vh_path(&self, fh: Fh) -> NfsResult<String> {
-        self.client
-            .lock()
+    /// A handle's path, and its object's location and type if the table
+    /// has them, from one probe under one lock. The path is the table's
+    /// own, shared, not copied.
+    fn probe(&self, fh: Fh) -> NfsResult<(Arc<str>, Option<Obj>)> {
+        let c = self.client.lock();
+        let (path, e) = c
             .handles
-            .path(fh)
-            .map(str::to_string)
-            .ok_or(NfsError::Status(NfsStatus::Stale))
+            .get(fh)
+            .ok_or(NfsError::Status(NfsStatus::Stale))?;
+        Ok((Arc::clone(path), e.loc.map(|l| (l, e.ftype))))
+    }
+
+    fn vh_path(&self, fh: Fh) -> NfsResult<Arc<str>> {
+        Ok(self.probe(fh)?.0)
     }
 
     fn mint(&self, path: &str, ftype: FileType, loc: Option<Location>) -> Fh {
@@ -62,22 +73,45 @@ impl KoshaNode {
 
     /// Where a handle's object lives and what it is: the table's entry,
     /// or else a resolution of the handle's path.
-    fn ensure_obj(&self, fh: Fh) -> NfsResult<(Location, FileType)> {
-        let path = {
-            let c = self.client.lock();
-            let (path, e) = c
-                .handles
-                .get(fh)
-                .ok_or(NfsError::Status(NfsStatus::Stale))?;
-            if let Some(l) = e.loc {
-                return Ok((l, e.ftype));
-            }
-            path.to_string()
-        };
+    fn ensure_obj(&self, fh: Fh) -> NfsResult<Obj> {
+        let (path, probed) = self.probe(fh)?;
+        if let Some(known) = probed {
+            return Ok(known);
+        }
         let (l, attr) = self.resolve_object(&path)?;
         let mut c = self.client.lock();
         c.handles.set_location(&path, attr.ftype, l);
         Ok((l, attr.ftype))
+    }
+
+    /// [`Self::with_retry`] on the object `fh` names: `f` gets its path,
+    /// location and type, found by one probe of the table for the first
+    /// attempt and re-resolved for a retry.
+    fn with_obj<T>(
+        &self,
+        fh: Fh,
+        f: impl FnMut(&Self, &str, Location, FileType) -> NfsResult<T>,
+    ) -> NfsResult<T> {
+        let (vpath, probed) = self.probe(fh)?;
+        self.retry_obj(fh, &vpath, probed, f)
+    }
+
+    /// [`Self::with_obj`] for a caller that probed already: the first
+    /// attempt takes `probed`, if the table had the object.
+    fn retry_obj<T>(
+        &self,
+        fh: Fh,
+        vpath: &str,
+        mut probed: Option<Obj>,
+        mut f: impl FnMut(&Self, &str, Location, FileType) -> NfsResult<T>,
+    ) -> NfsResult<T> {
+        self.with_retry(vpath, |s| {
+            let (loc, ftype) = match probed.take() {
+                Some(known) => known,
+                None => s.ensure_obj(fh)?,
+            };
+            f(s, vpath, loc, ftype)
+        })
     }
 
     /// Sends one mutation to the primary at `addr`, which applies it and
@@ -103,20 +137,14 @@ impl KoshaNode {
 
     /// GETATTR on a virtual handle.
     pub fn k_getattr(&self, fh: Fh) -> NfsResult<Attr> {
-        let vpath = self.vh_path(fh)?;
-        self.with_retry(&vpath, |s| {
-            let (loc, _) = s.ensure_obj(fh)?;
-            s.nfs.getattr(loc.addr, loc.fh)
-        })
+        self.with_obj(fh, |s, _, loc, _| s.nfs.getattr(loc.addr, loc.fh))
     }
 
     /// SETATTR (replicated through the primary).
     pub fn k_setattr(&self, fh: Fh, sattr: SetAttr) -> NfsResult<Attr> {
-        let vpath = self.vh_path(fh)?;
-        self.with_retry(&vpath, |s| {
-            let (loc, _) = s.ensure_obj(fh)?;
+        self.with_obj(fh, |s, vpath, loc, _| {
             let op = ReplicaOp::SetAttr {
-                path: vpath.clone(),
+                path: vpath.to_string(),
                 sattr: WireSetAttr(sattr.clone()),
             };
             s.mutate_at(loc.addr, op)?;
@@ -131,7 +159,7 @@ impl KoshaNode {
     /// reads trade a window of staleness for read scalability, like NFS
     /// client caching does.
     pub fn k_read(&self, fh: Fh, offset: u64, count: u32) -> NfsResult<(Bytes, bool)> {
-        let vpath = self.vh_path(fh)?;
+        let (vpath, probed) = self.probe(fh)?;
         // Feed the read-heat tracker before target selection: heat
         // counts demand for the object regardless of which holder ends
         // up serving it (the signal hot-replica spawning needs).
@@ -141,8 +169,9 @@ impl KoshaNode {
                 return Ok(out);
             }
         }
-        self.with_retry(&vpath, |s| {
-            let (loc, ftype) = s.ensure_obj(fh)?;
+        // A replica read that went first may have changed the table.
+        let probed = probed.filter(|_| !self.cfg.read_from_replicas);
+        self.retry_obj(fh, &vpath, probed, |s, _, loc, ftype| {
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
             }
@@ -256,10 +285,8 @@ impl KoshaNode {
     /// mirrored op to its replicas before acknowledging (a no-op under
     /// `Sync` replication).
     pub fn k_commit(&self, fh: Fh) -> NfsResult<()> {
-        let vpath = self.vh_path(fh)?;
-        self.with_retry(&vpath, |s| {
-            let (loc, _) = s.ensure_obj(fh)?;
-            let path = vpath.clone();
+        self.with_obj(fh, |s, vpath, loc, _| {
+            let path = vpath.to_string();
             s.control(loc.addr, &ControlRequest::Flush { path })
                 .map(|_| ())
         })
@@ -269,14 +296,12 @@ impl KoshaNode {
     /// moves into the control request as it is: on the loopback path it
     /// is still the view of the frame the client sent.
     pub fn k_write(&self, fh: Fh, offset: u64, data: Bytes) -> NfsResult<u32> {
-        let vpath = self.vh_path(fh)?;
-        self.with_retry(&vpath, |s| {
-            let (loc, ftype) = s.ensure_obj(fh)?;
+        self.with_obj(fh, |s, vpath, loc, ftype| {
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
             }
             let op = ReplicaOp::Write {
-                path: vpath.clone(),
+                path: vpath.to_string(),
                 offset,
                 data: data.clone(),
             };
@@ -499,20 +524,14 @@ impl KoshaNode {
     /// in Kosha is identical to NFS since files in Kosha maintain their
     /// permissions").
     pub fn k_access(&self, fh: Fh, uid: u32, gid: u32, want: u32) -> NfsResult<u32> {
-        let vpath = self.vh_path(fh)?;
-        self.with_retry(&vpath, |s| {
-            let (loc, _) = s.ensure_obj(fh)?;
+        self.with_obj(fh, |s, _, loc, _| {
             s.nfs.access(loc.addr, loc.fh, uid, gid, want)
         })
     }
 
     /// READLINK on a user symlink.
     pub fn k_readlink(&self, fh: Fh) -> NfsResult<String> {
-        let vpath = self.vh_path(fh)?;
-        self.with_retry(&vpath, |s| {
-            let (loc, _) = s.ensure_obj(fh)?;
-            s.nfs.readlink(loc.addr, loc.fh)
-        })
+        self.with_obj(fh, |s, _, loc, _| s.nfs.readlink(loc.addr, loc.fh))
     }
 
     /// REMOVE a file or user symlink.
@@ -805,7 +824,7 @@ fn nfs_error_to_status(e: NfsError) -> NfsStatus {
 
 impl RpcHandler for VirtualFs {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
+        self.handle_frame(from, Frame::flat(&kosha_rpc::wire::copied(body)))
     }
 
     // lint: allow(L005) client-side loopback facade: the koshad's own NFS interposition executes cluster ops by design and is never invoked from a remote handler context

@@ -1138,7 +1138,10 @@ impl KoshaNode {
                 Ok(KoshaReply::Done)
             }
             ControlRequest::ReplicaTargets { path } => {
-                let anchor = self.covering_anchor(&path);
+                // The slot the file's entry lives in: its parent's
+                // covering anchor, which for a file at or above the
+                // distribution level is not the file's own.
+                let (anchor, _, _) = self.entry_slot(&path)?;
                 if !self.hosted(&anchor) {
                     return Err(NfsStatus::NoEnt);
                 }
@@ -1257,7 +1260,7 @@ fn default_routing(anchor: &str) -> String {
 
 impl RpcHandler for ControlService {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
+        self.handle_frame(from, Frame::flat(&kosha_rpc::wire::copied(body)))
     }
 
     // lint: allow(L005) designed one-level nesting: the control plane fans out to leaf replica/lease services only, and those handlers are verified RPC-free by this same rule
@@ -1277,7 +1280,7 @@ impl RpcHandler for ControlService {
 
 impl RpcHandler for ReplicaService {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
+        self.handle_frame(from, Frame::flat(&kosha_rpc::wire::copied(body)))
     }
 
     fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {

@@ -1076,6 +1076,34 @@ fn stats_record_replica_reads() {
 }
 
 #[test]
+fn a_file_at_or_above_the_distribution_level_is_read_from_replicas_too() {
+    // A file's entry lives in the slot of its parent's covering anchor.
+    // For `/f` at level 1 and `/a/f` at level 2 that is not the file's own
+    // covering anchor, which names the file itself: a primary that looked
+    // the file up by its own answered `NoEnt` to every `ReplicaTargets`,
+    // and such a file was never read from a replica.
+    for (level, path) in [(1, "/f"), (1, "/a/f"), (2, "/a/f"), (2, "/a/b/f")] {
+        let mut cfg = KoshaConfig::for_tests();
+        cfg.distribution_level = level;
+        cfg.replicas = 2;
+        cfg.read_from_replicas = true;
+        let c = build_cluster(6, cfg);
+        let m = mount(&c, 0);
+        if let Some((dir, _)) = path.rsplit_once('/').filter(|(dir, _)| !dir.is_empty()) {
+            m.mkdir_p(dir).unwrap();
+        }
+        m.write_file(path, b"spread me").unwrap();
+        for _ in 0..30 {
+            assert_eq!(m.read_file(path).unwrap(), b"spread me");
+        }
+        assert!(
+            c.nodes[0].stats().replica_reads > 0,
+            "{path} at level {level}: no read went to a replica"
+        );
+    }
+}
+
+#[test]
 fn access_checks_travel_with_the_file() {
     // §4.1.6: "files in Kosha maintain their permissions" — an ACCESS
     // probe against /kosha answers from wherever the file ended up.

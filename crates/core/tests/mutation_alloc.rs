@@ -84,9 +84,12 @@ fn a_mutation_allocates_its_pinned_count() {
     // handle table: one more key `String`. It made 154 while the primary
     // turned a request per kind of mutation into its op: the new anchor's
     // path and the torn-down one's were copied into the op once more.
+    // They made 37, 27, 31 and 152 while every message was a buffer and
+    // an owner for it and koshad copied a handle's path into a `String`
+    // on every use.
     assert_eq!(
         [create, write, remove, mkdir_rmdir],
-        [37, 27, 31, 152],
+        [28, 19, 23, 121],
         "CREATE, 64-byte WRITE, REMOVE, MKDIR + RMDIR"
     );
 }

@@ -681,7 +681,7 @@ impl TableModel {
         let mut seen = std::collections::BTreeSet::new();
         for vh in 1..self.next {
             let want = self.entries.iter().find(|e| e.entry.vh == Some(vh));
-            let got = table.get(vfh(vh));
+            let got = table.get(vfh(vh)).map(|(p, e)| (&**p, e));
             assert_eq!(
                 got,
                 want.map(|e| (e.path.as_str(), &e.entry)),

@@ -3,7 +3,7 @@
 use crate::messages::{NfsReply, NfsReplyFrame, NfsRequest, ReplyFrame, WireAttr};
 use kosha_obs::{Counter, Obs};
 use kosha_rpc::wire::MAX_LEN;
-use kosha_rpc::{Bytes, Clock, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
+use kosha_rpc::{Clock, Frame, NodeAddr, RpcError, RpcHandler, RpcResponse, WireRead};
 use kosha_vfs::Vfs;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -354,7 +354,7 @@ impl NfsServer {
 
 impl RpcHandler for NfsServer {
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-        self.handle_frame(from, Frame::flat(&Bytes::copy_from_slice(body)))
+        self.handle_frame(from, Frame::flat(&kosha_rpc::wire::copied(body)))
     }
 
     fn handle_frame(&self, _from: NodeAddr, frame: Frame<'_>) -> Result<RpcResponse, RpcError> {

@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fxhash;
 pub mod histogram;
 pub mod journal;
 pub mod json;

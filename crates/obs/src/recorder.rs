@@ -27,11 +27,12 @@
 //! time is plain `u64` nanoseconds injected by the caller, which is the
 //! determinism contract (DESIGN.md §13).
 
+use crate::fxhash::FxBuild;
 use crate::histogram::Histogram;
 use crate::json::Value;
 use crate::obj;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -283,32 +284,211 @@ impl HeatEntry {
 
 #[derive(Debug)]
 struct HeatSlot {
-    key: Arc<str>,
+    /// The key, in a buffer the slot's next occupant writes over.
+    key: String,
+    /// The key's hash, so that the index moves the slot without hashing
+    /// the key again.
+    hash: u64,
     heat: f64,
     err: f64,
     last_t: u64,
-    /// This slot's rank as it stands in [`Sketch::coldest`].
-    rank: u64,
 }
 
-/// What the heat lock guards: the slots by key, and the same slots in
-/// eviction order.
+/// What the heat lock guards: the slots, an index of them by key, and
+/// the same slots in eviction order.
 #[derive(Debug, Default)]
 struct Sketch {
-    slots: HashMap<Arc<str>, HeatSlot>,
-    /// One `(rank, Reverse(key))` per slot, so the first element is the
-    /// coldest slot, and among equally cold ones the greater key.
-    coldest: BTreeSet<(u64, Reverse<Arc<str>>)>,
+    /// The slots, in no order; a forgotten slot's number goes to the last.
+    slots: Vec<HeatSlot>,
+    /// Open addressing with linear probing over the keys' hashes: per
+    /// bucket, slot number + 1 (0 for an empty bucket) and the low half
+    /// of the key's hash, so that a probe reads no slot but the one it
+    /// finds; a power of two long, at most half full.
+    index: Vec<(u32, u32)>,
+    /// One entry per slot, as a binary heap whose root is the coldest
+    /// slot, and among equally cold ones the greater key. What the order
+    /// compares sits here, not in the slots, so that a move through the
+    /// heap reads one array (and a key only when two prefixes tie).
+    order: Vec<Ranked>,
+    /// Each slot's place in `order`, by slot number.
+    places: Vec<u32>,
     /// The latest instant any touch has shown the sketch.
     latest: u64,
+    /// Telemetry, kept across [`ReadHeat::clear`]: reads observed, and
+    /// newcomers that took a slot over.
+    touches: u64,
+    evictions: u64,
+}
+
+/// A slot's place in the eviction order.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    rank: u64,
+    /// [`key_prefix`] of the slot's key.
+    prefix: (u64, u64),
+    slot: u32,
+}
+
+/// A key's first 16 bytes, big-endian and zero-padded: two keys whose
+/// prefixes differ compare as their prefixes do (a key that ends first
+/// pads with zeros, below any byte the other can have there or equal to
+/// it), so only equal prefixes need the keys.
+fn key_prefix(key: &str) -> (u64, u64) {
+    let mut b = [0u8; 16];
+    let n = key.len().min(16);
+    b[..n].copy_from_slice(&key.as_bytes()[..n]);
+    let p = u128::from_be_bytes(b);
+    ((p >> 64) as u64, p as u64)
+}
+
+/// Room a new slot's key buffer starts with, so that the keys of later
+/// occupants, which write over it, seldom outgrow it.
+const KEY_ROOM: usize = 64;
+
+impl Sketch {
+    fn mask(&self) -> usize {
+        self.index.len() - 1
+    }
+
+    /// The slot holding `key`.
+    fn find(&self, key: &str, hash: u64) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mut b = hash as usize & self.mask();
+        loop {
+            match self.index[b] {
+                (0, _) => return None,
+                (n, h) if h == hash as u32 && self.slots[n as usize - 1].key == key => {
+                    return Some(n as usize - 1);
+                }
+                _ => b = (b + 1) & self.mask(),
+            }
+        }
+    }
+
+    /// The bucket that files slot number `n`, whose key hashes to `hash`.
+    fn bucket_of(&self, hash: u64, n: usize) -> usize {
+        let mut b = hash as usize & self.mask();
+        while self.index[b].0 as usize != n + 1 {
+            b = (b + 1) & self.mask();
+        }
+        b
+    }
+
+    /// Files slot `i` under its hash, first doubling the index if it
+    /// would be more than half full.
+    fn index_insert(&mut self, i: usize) {
+        if 2 * self.slots.len() > self.index.len() {
+            self.index = vec![(0, 0); (2 * self.index.len()).max(8)];
+            for j in (0..self.slots.len()).filter(|&j| j != i) {
+                self.file(j);
+            }
+        }
+        self.file(i);
+    }
+
+    fn file(&mut self, i: usize) {
+        let hash = self.slots[i].hash;
+        let mut b = hash as usize & self.mask();
+        while self.index[b].0 != 0 {
+            b = (b + 1) & self.mask();
+        }
+        self.index[b] = (i as u32 + 1, hash as u32);
+    }
+
+    /// Takes slot `i` out of the index, shifting back the entries whose
+    /// probe ran through its bucket.
+    fn index_remove(&mut self, i: usize) {
+        let mask = self.mask();
+        let mut hole = self.bucket_of(self.slots[i].hash, i);
+        let mut b = (hole + 1) & mask;
+        while self.index[b].0 != 0 {
+            let home = self.index[b].1 as usize & mask;
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.index[hole] = self.index[b];
+                hole = b;
+            }
+            b = (b + 1) & mask;
+        }
+        self.index[hole] = (0, 0);
+    }
+
+    /// True if heap entry `a` is evicted before `b`: colder, or as cold
+    /// with the greater key.
+    fn colder(&self, a: Ranked, b: Ranked) -> bool {
+        a.rank < b.rank
+            || (a.rank == b.rank
+                && (a.prefix > b.prefix
+                    || (a.prefix == b.prefix
+                        && self.slots[a.slot as usize].key > self.slots[b.slot as usize].key)))
+    }
+
+    fn place(&mut self, at: usize, e: Ranked) {
+        self.order[at] = e;
+        self.places[e.slot as usize] = at as u32;
+    }
+
+    /// Sets the rank at place `at` of the heap and restores the order
+    /// around it. A rank that moves down the heap mostly moves far (a
+    /// newcomer or a slot just read is usually the hottest), so the hole
+    /// is first walked down to a leaf along the colder children, one
+    /// comparison a level, and the entry then climbs back to its place.
+    fn rerank(&mut self, at: usize, rank: u64) {
+        self.order[at].rank = rank;
+        let e = self.order[at];
+        let mut hole = at;
+        if at == 0 || !self.colder(e, self.order[(at - 1) / 2]) {
+            loop {
+                let mut child = 2 * hole + 1;
+                if child >= self.order.len() {
+                    break;
+                }
+                if child + 1 < self.order.len()
+                    && self.colder(self.order[child + 1], self.order[child])
+                {
+                    child += 1;
+                }
+                self.place(hole, self.order[child]);
+                hole = child;
+            }
+        }
+        while hole > 0 && self.colder(e, self.order[(hole - 1) / 2]) {
+            self.place(hole, self.order[(hole - 1) / 2]);
+            hole = (hole - 1) / 2;
+        }
+        self.place(hole, e);
+    }
+
+    /// Drops slot `i`; the last slot takes its number.
+    fn remove(&mut self, i: usize) {
+        self.index_remove(i);
+        let at = self.places[i] as usize;
+        let last = self.order.pop().expect("a slot is in the order");
+        if at < self.order.len() {
+            self.place(at, last);
+            self.rerank(at, last.rank);
+        }
+        self.slots.swap_remove(i);
+        self.places.swap_remove(i);
+        if i < self.slots.len() {
+            let was = self.bucket_of(self.slots[i].hash, self.slots.len());
+            self.index[was].0 = i as u32 + 1;
+            self.order[self.places[i] as usize].slot = i as u32;
+        }
+    }
 }
 
 /// Per-object read popularity: EWMA with half-life decay per key, capped
 /// by a space-saving sketch (on overflow the coldest entry is replaced
 /// and its heat becomes the newcomer's overestimate bound).
 ///
-/// A touch costs a hash lookup and two moves in an ordered set, whatever
-/// the capacity; nothing scans. The order rests on two facts. Every slot
+/// A touch hashes its key once, probes an index for it and moves one
+/// slot in a binary heap, whatever the capacity; nothing scans. A
+/// newcomer to a full sketch takes the coldest slot over, writing its key
+/// into the buffer the old key was in, so it allocates nothing unless
+/// its key is longer than any that slot held. The order rests on two
+/// facts. Every slot
 /// decays at the one half-life, so between two slots the ratio of their
 /// decayed heats is the same at every instant, and
 /// `last_t / half_life + log2(heat)` (the *rank*: the slot's heat in
@@ -331,8 +511,6 @@ pub struct ReadHeat {
     half_life_nanos: u64,
     capacity: usize,
     sketch: Mutex<Sketch>,
-    touches: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// Default heat half-life: 5 virtual seconds.
@@ -347,6 +525,10 @@ impl Default for ReadHeat {
     }
 }
 
+fn key_hash(key: &str) -> u64 {
+    FxBuild::default().hash_one(key)
+}
+
 impl ReadHeat {
     /// New tracker: heat halves every `half_life_nanos`, at most
     /// `capacity` objects tracked.
@@ -356,8 +538,6 @@ impl ReadHeat {
             half_life_nanos: half_life_nanos.max(1),
             capacity: capacity.max(1),
             sketch: Mutex::new(Sketch::default()),
-            touches: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -381,49 +561,70 @@ impl ReadHeat {
     /// Forgets every object (a restart). The touch and eviction counts
     /// are telemetry and keep counting.
     pub fn clear(&self) {
-        *self.sketch.lock().expect("heat lock") = Sketch::default();
+        let mut sketch = self.sketch.lock().expect("heat lock");
+        *sketch = Sketch {
+            touches: sketch.touches,
+            evictions: sketch.evictions,
+            ..Sketch::default()
+        };
     }
 
     /// Records one read of `key` at time `t_nanos`.
     pub fn touch(&self, key: &str, t_nanos: u64) {
-        self.touches.fetch_add(1, Ordering::Relaxed);
+        let hash = key_hash(key);
         let mut guard = self.sketch.lock().expect("heat lock");
         let sketch = &mut *guard;
+        sketch.touches += 1;
         let t = t_nanos.max(sketch.latest);
         sketch.latest = t;
-        if let Some(s) = sketch.slots.get_mut(key) {
+        if let Some(i) = sketch.find(key, hash) {
+            let s = &mut sketch.slots[i];
             s.heat = self.decayed(s.heat, s.last_t, t) + 1.0;
             s.err = self.decayed(s.err, s.last_t, t);
             s.last_t = t;
-            let was = (s.rank, Reverse(Arc::clone(&s.key)));
-            sketch.coldest.remove(&was);
-            s.rank = self.rank(s.heat, t);
-            sketch.coldest.insert((s.rank, was.1));
+            let rank = self.rank(s.heat, t);
+            sketch.rerank(sketch.places[i] as usize, rank);
             return;
         }
-        // Space-saving: a newcomer to a full sketch replaces the coldest
-        // slot, whose decayed heat becomes its overestimate bound.
-        let mut err = 0.0;
         if sketch.slots.len() >= self.capacity {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            let (_, Reverse(victim)) = sketch.coldest.pop_first().expect("capacity >= 1");
-            let gone = sketch.slots.remove(&victim).expect("ranked slot exists");
-            err = self.decayed(gone.heat, gone.last_t, t);
+            // Space-saving: a newcomer to a full sketch takes over the
+            // coldest slot, whose decayed heat becomes its overestimate
+            // bound.
+            sketch.evictions += 1;
+            let victim = sketch.order[0].slot as usize;
+            sketch.index_remove(victim);
+            let s = &mut sketch.slots[victim];
+            let err = self.decayed(s.heat, s.last_t, t);
+            s.key.clear();
+            s.key.push_str(key);
+            s.hash = hash;
+            s.heat = err + 1.0;
+            s.err = err;
+            s.last_t = t;
+            let rank = self.rank(s.heat, t);
+            sketch.index_insert(victim);
+            sketch.order[0].prefix = key_prefix(key);
+            sketch.rerank(0, rank);
+            return;
         }
-        let key: Arc<str> = Arc::from(key);
-        let heat = err + 1.0;
-        let rank = self.rank(heat, t);
-        sketch.coldest.insert((rank, Reverse(Arc::clone(&key))));
-        sketch.slots.insert(
-            Arc::clone(&key),
-            HeatSlot {
-                key,
-                heat,
-                err,
-                last_t: t,
-                rank,
-            },
-        );
+        let mut owned = String::with_capacity(key.len().max(KEY_ROOM));
+        owned.push_str(key);
+        let i = sketch.slots.len();
+        sketch.slots.push(HeatSlot {
+            key: owned,
+            hash,
+            heat: 1.0,
+            err: 0.0,
+            last_t: t,
+        });
+        sketch.index_insert(i);
+        sketch.places.push(i as u32);
+        sketch.order.push(Ranked {
+            rank: 0,
+            prefix: key_prefix(key),
+            slot: i as u32,
+        });
+        sketch.rerank(i, self.rank(1.0, t));
     }
 
     /// The `n` hottest objects as of `now_nanos`, hottest first, ties
@@ -434,9 +635,9 @@ impl ReadHeat {
         let now = now_nanos.max(sketch.latest);
         let mut all: Vec<HeatEntry> = sketch
             .slots
-            .values()
+            .iter()
             .map(|s| HeatEntry {
-                key: s.key.to_string(),
+                key: s.key.clone(),
                 heat_milli: (self.decayed(s.heat, s.last_t, now) * 1000.0).round() as u64,
                 err_milli: (self.decayed(s.err, s.last_t, now) * 1000.0).round() as u64,
             })
@@ -457,12 +658,11 @@ impl ReadHeat {
     /// line?) want a point query, not a full sorted `top`.
     #[must_use]
     pub fn heat_milli_of(&self, key: &str, now_nanos: u64) -> Option<u64> {
+        let hash = key_hash(key);
         let sketch = self.sketch.lock().expect("heat lock");
         let now = now_nanos.max(sketch.latest);
-        sketch
-            .slots
-            .get(key)
-            .map(|s| (self.decayed(s.heat, s.last_t, now) * 1000.0).round() as u64)
+        let s = &sketch.slots[sketch.find(key, hash)?];
+        Some((self.decayed(s.heat, s.last_t, now) * 1000.0).round() as u64)
     }
 
     /// Drops `key`'s slot, if tracked. Removal of the underlying object
@@ -470,22 +670,23 @@ impl ReadHeat {
     /// squat in the sketch until enough fresh heat evicts it), so
     /// unlink/rmdir paths call this alongside their cache invalidation.
     pub fn forget(&self, key: &str) {
+        let hash = key_hash(key);
         let mut sketch = self.sketch.lock().expect("heat lock");
-        if let Some(s) = sketch.slots.remove(key) {
-            sketch.coldest.remove(&(s.rank, Reverse(s.key)));
+        if let Some(i) = sketch.find(key, hash) {
+            sketch.remove(i);
         }
     }
 
     /// Total reads observed.
     #[must_use]
     pub fn touches(&self) -> u64 {
-        self.touches.load(Ordering::Relaxed)
+        self.sketch.lock().expect("heat lock").touches
     }
 
     /// Sketch evictions (non-zero means tail keys carry overestimates).
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.sketch.lock().expect("heat lock").evictions
     }
 }
 
@@ -889,7 +1090,14 @@ mod tests {
             latest: 0,
             evictions: 0,
         };
-        let keys: Vec<String> = (0..=capacity * 3).map(|i| format!("/f{i}")).collect();
+        // Half the keys share their first 16 bytes, so that ties in rank
+        // between them are broken by the keys, not by their prefixes.
+        let keys: Vec<String> = (0..=capacity * 3)
+            .map(|i| match i % 2 {
+                0 => format!("/f{i}"),
+                _ => format!("/sixteen/bytes/+/f{i}"),
+            })
+            .collect();
         let mut now = 5 * hl;
         for &(kind, key, step) in ops {
             let key = &keys[key as usize % keys.len()];
@@ -920,6 +1128,33 @@ mod tests {
                 heat.heat_milli_of(key, t),
                 all.iter().find(|e| &e.key == key).map(|e| e.heat_milli)
             );
+        }
+    }
+
+    #[test]
+    fn key_prefixes_order_as_their_keys_or_tie() {
+        let keys = [
+            "",
+            "/",
+            "/a",
+            "/a/b",
+            "/a\0",
+            "/a\0\0",
+            "/ab",
+            "/b",
+            "/sixteen/bytes/+",
+            "/sixteen/bytes/+/f1",
+            "/sixteen/bytes/+/f2",
+            "/sixteen/bytes/-",
+            "\u{ff}",
+        ];
+        for a in keys {
+            for b in keys {
+                let (pa, pb) = (key_prefix(a), key_prefix(b));
+                if pa != pb {
+                    assert_eq!(pa.cmp(&pb), a.cmp(b), "{a:?} against {b:?}");
+                }
+            }
         }
     }
 

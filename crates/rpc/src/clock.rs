@@ -96,7 +96,9 @@ impl Clock for VirtualClock {
     }
 
     fn advance(&self, d: Duration) {
-        self.nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        if !d.is_zero() {
+            self.nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        }
     }
 }
 

@@ -29,6 +29,7 @@
 
 use crate::clock::SimTime;
 use crate::network::{NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId};
+use kosha_obs::fxhash::FxBuild;
 use kosha_obs::registry::labeled;
 use kosha_obs::stripe::Padded;
 use kosha_obs::{Counter, Histogram, Obs};
@@ -127,8 +128,9 @@ pub(crate) struct NetMetrics {
     peer_latency: Box<[Padded<RwLock<Links>>]>,
 }
 
-/// Link EWMAs by `(source, destination)` address.
-type Links = HashMap<(u64, u64), AtomicU64>;
+/// Link EWMAs by `(source, destination)` address, with the Fx hash:
+/// every completed call probes one.
+type Links = HashMap<(u64, u64), AtomicU64, FxBuild>;
 
 /// Shards of the link map: two threads on different links share a
 /// shard's lock one time in this many.

@@ -365,14 +365,6 @@ impl ServiceMux {
         self.handlers.write()[service.index()] = Some(handler);
     }
 
-    /// Dispatches a request to the registered handler.
-    pub fn dispatch(&self, from: NodeAddr, req: &RpcRequest) -> Result<RpcResponse, RpcError> {
-        let handler = self
-            .handler(req.service)
-            .ok_or(RpcError::NoService(req.service))?;
-        handler.handle_frame(from, req.frame())
-    }
-
     /// Fetches one service's handler.
     #[must_use]
     pub fn handler(&self, service: ServiceId) -> Option<Arc<dyn RpcHandler>> {
@@ -536,15 +528,15 @@ mod tests {
 
     #[test]
     fn mux_dispatches_and_reports_missing() {
-        let mux = ServiceMux::new();
+        let mux = Arc::new(ServiceMux::new());
         mux.register(ServiceId::Nfs, Arc::new(Echo));
-        let req = RpcRequest::new(ServiceId::Nfs, &42u32);
-        let resp = mux.dispatch(NodeAddr(1), &req).unwrap();
+        let net = crate::SimNetwork::new_zero_latency();
+        net.attach(NodeAddr(2), mux);
+        let call = |req| net.call(NodeAddr(1), NodeAddr(2), req);
+        let resp = call(RpcRequest::new(ServiceId::Nfs, &42u32)).unwrap();
         assert_eq!(resp.decode::<u32>().unwrap(), 42);
-
-        let req = RpcRequest::new(ServiceId::Pastry, &1u8);
         assert!(matches!(
-            mux.dispatch(NodeAddr(1), &req),
+            call(RpcRequest::new(ServiceId::Pastry, &1u8)),
             Err(RpcError::NoService(ServiceId::Pastry))
         ));
     }

@@ -106,6 +106,10 @@ struct SchedStats {
 /// ```
 pub struct Scheduler<T> {
     heap: Mutex<BinaryHeap<Entry<T>>>,
+    /// The earliest deadline in the heap, `u64::MAX` when it is empty
+    /// (or when that is the earliest): written under the heap lock, read
+    /// without it by [`Scheduler::due_by`].
+    next_due: AtomicU64,
     seq: AtomicU64,
     hwm: AtomicU64,
     stats: Option<SchedStats>,
@@ -123,6 +127,7 @@ impl<T> Scheduler<T> {
     pub fn new() -> Self {
         Scheduler {
             heap: Mutex::new(BinaryHeap::new()),
+            next_due: AtomicU64::new(u64::MAX),
             seq: AtomicU64::new(0),
             hwm: AtomicU64::new(0),
             stats: None,
@@ -156,6 +161,7 @@ impl<T> Scheduler<T> {
                 enqueued_at: now,
                 payload,
             });
+            self.note_next_due(&heap);
             heap.len() as u64
         };
         if depth > self.hwm.load(Ordering::Relaxed) {
@@ -174,10 +180,12 @@ impl<T> Scheduler<T> {
     pub fn pop_due(&self, by: u64) -> Option<(u64, T)> {
         let entry = {
             let mut heap = self.heap.lock();
-            match heap.peek() {
+            let entry = match heap.peek() {
                 Some(e) if e.deadline <= by => heap.pop(),
                 _ => None,
-            }
+            };
+            self.note_next_due(&heap);
+            entry
         }?;
         if let Some(s) = &self.stats {
             s.events_total.inc();
@@ -187,10 +195,19 @@ impl<T> Scheduler<T> {
         Some((entry.deadline, entry.payload))
     }
 
-    /// Deadline of the earliest queued event, if any.
+    fn note_next_due(&self, heap: &BinaryHeap<Entry<T>>) {
+        let due = heap.peek().map_or(u64::MAX, |e| e.deadline);
+        self.next_due.store(due, Ordering::Relaxed);
+    }
+
+    /// True if some queued event is due at or before `by`, read without
+    /// the heap lock unless the answer turns on an event at `u64::MAX`.
     #[must_use]
-    pub fn peek_deadline(&self) -> Option<u64> {
-        self.heap.lock().peek().map(|e| e.deadline)
+    pub fn due_by(&self, by: u64) -> bool {
+        match self.next_due.load(Ordering::Relaxed) {
+            u64::MAX => by == u64::MAX && !self.is_empty(),
+            due => due <= by,
+        }
     }
 
     /// Number of queued events.
@@ -253,6 +270,31 @@ mod tests {
         assert_eq!(obs.registry.counter("kosha_sched_events_total").get(), 2);
         let h = obs.registry.histogram("kosha_sched_dispatch_latency_nanos");
         assert_eq!((h.count(), h.sum()), (2, 5 + 7));
+    }
+
+    #[test]
+    fn due_by_agrees_with_the_earliest_deadline() {
+        let s: Scheduler<u8> = Scheduler::new();
+        let agrees = |s: &Scheduler<u8>| {
+            for by in [0, 9, 10, 11, 19, 20, u64::MAX - 1, u64::MAX] {
+                let earliest = s.heap.lock().peek().map(|e| e.deadline);
+                let peeked = earliest.is_some_and(|due| due <= by);
+                assert_eq!(s.due_by(by), peeked, "by {by}");
+            }
+        };
+        agrees(&s);
+        s.schedule_at(20, 0, 2);
+        agrees(&s);
+        s.schedule_at(10, 0, 1);
+        agrees(&s);
+        s.pop_due(15);
+        agrees(&s);
+        s.pop_due(25);
+        agrees(&s);
+        s.schedule_at(u64::MAX, 0, 3);
+        agrees(&s);
+        s.pop_due(u64::MAX);
+        agrees(&s);
     }
 
     #[test]

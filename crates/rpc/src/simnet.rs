@@ -43,6 +43,7 @@ use crate::network::{
     Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceMux, TraceHeader,
 };
 use crate::sched::Scheduler;
+use kosha_obs::fxhash::FxBuild;
 use kosha_obs::{trace, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -167,7 +168,8 @@ struct PumpEntry {
 pub struct SimNetwork {
     clock: Arc<VirtualClock>,
     model: LatencyModel,
-    nodes: RwLock<HashMap<NodeAddr, Registered>>,
+    /// Keyed by address with the Fx hash: every call probes it once.
+    nodes: RwLock<HashMap<NodeAddr, Registered, FxBuild>>,
     /// Optional coordinates per host for distance-dependent latency.
     coords: RwLock<HashMap<NodeAddr, (f64, f64)>>,
     metrics: NetMetrics,
@@ -192,7 +194,7 @@ impl SimNetwork {
         let net = Arc::new(SimNetwork {
             clock: VirtualClock::new(),
             model,
-            nodes: RwLock::new(HashMap::new()),
+            nodes: RwLock::new(HashMap::default()),
             coords: RwLock::new(HashMap::new()),
             metrics,
             sched,
@@ -383,7 +385,7 @@ impl SimNetwork {
     fn step(&self, d: Duration) {
         let now = self.clock.now().0;
         let target = now.saturating_add(d.as_nanos() as u64);
-        if self.sched.peek_deadline().is_some_and(|due| due <= target) {
+        if self.sched.due_by(target) {
             self.sched.schedule_at(target, now, SimEvent::Wakeup);
             self.dispatch_until(target);
         } else {
@@ -456,14 +458,17 @@ impl SimNetwork {
         let start = self.clock.now();
         let account = CallAccount::enter(&self.metrics, from, to, &req, start);
 
-        let mux = self
+        // One probe for the machine and its handler: the handler's `Arc`
+        // is the only one cloned, and both read locks are released
+        // before it runs (its nested calls take them again).
+        let handler = self
             .nodes
             .read()
             .get(&to)
             .filter(|r| r.up)
-            .map(|r| Arc::clone(&r.mux));
+            .map(|r| r.mux.handler(req.service));
 
-        let Some(mux) = mux else {
+        let Some(handler) = handler else {
             self.step(self.model.timeout);
             let svc = self.metrics.svc(req.service);
             svc.failed.inc();
@@ -478,8 +483,12 @@ impl SimNetwork {
         // context: on this same-thread transport the caller's context is
         // usually already in scope, but stamping from the header keeps
         // the semantics identical to a cross-thread transport.
-        let dispatch =
-            || trace::with_context(req.trace.map(TraceHeader::ctx), || mux.dispatch(from, &req));
+        let dispatch = || {
+            trace::with_context(req.trace.map(TraceHeader::ctx), || match &handler {
+                Some(h) => h.handle_frame(from, req.frame()),
+                None => Err(RpcError::NoService(req.service)),
+            })
+        };
 
         let result = if from == to {
             self.step(self.model.loopback_cost);

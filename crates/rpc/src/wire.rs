@@ -39,8 +39,10 @@
 //! [`Writer::payload`] and [`Reader::payload`] through a [`Bytes`] field
 //! and never learn which holding they serve.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
+use std::cell::Cell;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error returned when decoding malformed or truncated bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,26 +125,53 @@ impl<'a> Frame<'a> {
     /// decodes to an error in either holding.
     #[must_use]
     pub fn flatten(&self) -> Bytes {
-        let Some(part) = self.payload else {
-            return self.body.clone();
-        };
-        let (before, after) = self.body.split_at(part.at.min(self.body.len()));
-        let mut flat = Vec::with_capacity(self.len());
-        flat.extend_from_slice(before);
-        flat.extend_from_slice(&part.data);
-        flat.extend_from_slice(after);
-        flat.into()
+        match self.payload {
+            None => self.body.clone(),
+            Some(part) => splice(self.body, part),
+        }
     }
 }
 
+/// `head[..at] ++ part ++ head[at..]` in one new buffer, the part
+/// appended if `at` lies past the end of the head.
+fn splice(head: &[u8], part: &PayloadPart) -> Bytes {
+    let (before, after) = head.split_at(part.at.min(head.len()));
+    let mut flat = Vec::with_capacity(head.len() + part.data.len());
+    flat.extend_from_slice(before);
+    flat.extend_from_slice(&part.data);
+    flat.extend_from_slice(after);
+    flat.into()
+}
+
 /// Encoder over a growable byte buffer.
+///
+/// A message costs one allocation: a writer encodes into its thread's
+/// scratch buffer and [`Writer::finish`] copies the few dozen bytes of a
+/// head into one new owner, refcount and bytes together, then hands the
+/// buffer on to the thread's next writer. A buffer grown past
+/// [`SCRATCH_KEEP`] for a copied-in payload is not copied again: it
+/// becomes the message's owner as it is.
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Whether [`Writer::payload`] may keep a view instead of copying.
     splitting: bool,
     /// The one payload kept beside `buf`.
     part: Option<PayloadPart>,
 }
+
+thread_local! {
+    /// The buffer the thread's next [`Writer`] encodes into. A writer
+    /// made while another is open finds it empty and makes its own.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Room a writer's first buffer on a thread starts with: more than most
+/// heads need.
+const SCRATCH_ROOM: usize = 256;
+
+/// The largest buffer a finished writer copies out of and keeps for the
+/// next one; past it the buffer is the message's owner.
+const SCRATCH_KEEP: usize = 4096;
 
 impl Default for Writer {
     fn default() -> Self {
@@ -150,12 +179,26 @@ impl Default for Writer {
     }
 }
 
+impl Drop for Writer {
+    /// Hands the buffer back to the thread for its next writer.
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.buf);
+        if buf.capacity() != 0 && buf.capacity() <= SCRATCH_KEEP {
+            // A thread being torn down has no buffer to keep it in.
+            let _ = SCRATCH.try_with(|s| s.set(buf));
+        }
+    }
+}
+
 impl Writer {
     /// New empty writer.
     #[must_use]
     pub fn new() -> Self {
+        let mut buf = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        buf.clear();
+        buf.reserve(SCRATCH_ROOM);
         Writer {
-            buf: BytesMut::with_capacity(64),
+            buf,
             splitting: false,
             part: None,
         }
@@ -165,32 +208,38 @@ impl Writer {
     /// the buffer; finish it with [`Writer::finish_split`].
     #[must_use]
     pub fn splitting() -> Self {
-        Writer {
-            splitting: true,
-            ..Writer::new()
+        let mut w = Writer::new();
+        w.splitting = true;
+        w
+    }
+
+    /// The bytes written so far as a buffer of their own: one allocation
+    /// for a head, none for an empty one, the buffer itself when it grew
+    /// past [`SCRATCH_KEEP`].
+    fn take_body(&mut self) -> Bytes {
+        if self.buf.capacity() > SCRATCH_KEEP {
+            Bytes::from(std::mem::take(&mut self.buf))
+        } else {
+            copied(&self.buf)
         }
     }
 
-    /// Finishes encoding and returns the flat encoding: the buffer as it
-    /// stands (no copy) unless a payload part was held.
+    /// Finishes encoding and returns the flat encoding: the buffer's
+    /// bytes (see [`Writer`]) unless a payload part was held, which is
+    /// spliced in.
     #[must_use]
-    pub fn finish(self) -> Bytes {
-        let body = self.buf.freeze();
-        match self.part {
-            None => body,
-            Some(part) => Frame {
-                body: &body,
-                payload: Some(&part),
-            }
-            .flatten(),
+    pub fn finish(mut self) -> Bytes {
+        match &self.part {
+            None => self.take_body(),
+            Some(part) => splice(&self.buf, part),
         }
     }
 
-    /// Finishes encoding and returns the head as it stands (no copy) and
-    /// the payload part, if the writer was splitting and met one.
+    /// Finishes encoding and returns the head (see [`Writer`]) and the
+    /// payload part, if the writer was splitting and met one.
     #[must_use]
-    pub fn finish_split(self) -> (Bytes, Option<PayloadPart>) {
-        (self.buf.freeze(), self.part)
+    pub fn finish_split(mut self) -> (Bytes, Option<PayloadPart>) {
+        (self.take_body(), self.part.take())
     }
 
     /// Appends a single raw byte (enum/option tag).
@@ -289,6 +338,19 @@ impl Writer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// `data` in a buffer of its own, made in one allocation (refcount and
+/// bytes together; none for empty `data`): a finished message head, or
+/// the frame a handler given borrowed bytes copies them into. The buffer
+/// is never lent out by [`Bytes::with_unique`].
+#[must_use]
+pub fn copied(data: &[u8]) -> Bytes {
+    if data.is_empty() {
+        Bytes::new()
+    } else {
+        Bytes::from(Arc::<[u8]>::from(data))
     }
 }
 

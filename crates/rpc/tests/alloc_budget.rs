@@ -1,7 +1,8 @@
 //! What a small RPC may allocate, held by `cargo test`: a 16-byte request
-//! and its 16-byte reply over `SimNetwork` allocate four times (the two
-//! message buffers and their two `Bytes` owners), as the wall-clock
-//! benchmark's `rpc.sim_call_allocs` has it. The payload part a frame can
+//! and its 16-byte reply over `SimNetwork` allocate twice, one buffer per
+//! message (the codec encodes into a reused scratch buffer and copies
+//! the bytes into one owner, refcount and bytes together), as the
+//! wall-clock benchmark's `rpc.sim_call_allocs` has it. The payload part a frame can
 //! carry (DESIGN.md §18) is an inline `Option` and must cost a message
 //! without one nothing; an empty `Bytes` allocates nothing at all.
 //!
@@ -34,7 +35,7 @@ impl RpcHandler for Echo {
 }
 
 #[test]
-fn a_16_byte_sim_call_allocates_four_times_and_an_empty_buffer_never() {
+fn a_16_byte_sim_call_allocates_twice_and_an_empty_buffer_never() {
     let net = SimNetwork::new(LatencyModel::zero());
     let mux = Arc::new(ServiceMux::new());
     mux.register(ServiceId::Nfs, Arc::new(Echo));
@@ -47,10 +48,10 @@ fn a_16_byte_sim_call_allocates_four_times_and_an_empty_buffer_never() {
     call(RpcRequest::new(ServiceId::Nfs, &ECHO));
 
     let ((), flat) = allocations_by(|| call(RpcRequest::new(ServiceId::Nfs, &ECHO)));
-    assert_eq!(flat, 4, "a flat 16-byte call");
+    assert_eq!(flat, 2, "a flat 16-byte call");
     // The splitting constructor finds no payload field and costs the same.
     let ((), split) = allocations_by(|| call(RpcRequest::split(ServiceId::Nfs, &ECHO)));
-    assert_eq!(split, 4, "a 16-byte call through the splitting constructor");
+    assert_eq!(split, 2, "a 16-byte call through the splitting constructor");
 
     let (empty, allocs) =
         allocations_by(|| (Bytes::new(), Bytes::from(Vec::new()), Bytes::default()));

@@ -363,7 +363,7 @@ proptest! {
     }
 
     /// A handler that implements only `handle(&[u8])` receives exactly
-    /// the flat encoding behind `ServiceMux::dispatch`, whichever way the
+    /// the flat encoding through `handle_frame`, whichever way the
     /// request holds it.
     #[test]
     fn a_handle_only_handler_receives_the_flat_bytes(msg in arb_block()) {
@@ -374,7 +374,8 @@ proptest! {
             RpcRequest::split(ServiceId::Nfs, &msg),
             RpcRequest::new(ServiceId::Nfs, &msg),
         ] {
-            mux.dispatch(NodeAddr(1), &req).unwrap();
+            let handler = mux.handler(ServiceId::Nfs).unwrap();
+            handler.handle_frame(NodeAddr(1), req.frame()).unwrap();
             prop_assert_eq!(&recorder.0.lock().unwrap()[..], &msg.encode()[..]);
         }
     }

@@ -5,6 +5,7 @@ use crate::error::VfsError;
 use crate::inode::{Attr, FileId, FileType, Ino};
 use crate::path::{components, join_path, normalized, validate_name};
 use bytes::Bytes;
+use kosha_obs::fxhash::FxBuild;
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
 
@@ -180,7 +181,8 @@ impl SetAttr {
 /// ```
 #[derive(Debug)]
 pub struct Vfs {
-    inodes: HashMap<Ino, Inode>,
+    /// Fx-hashed: every NFS operation probes it at least once.
+    inodes: HashMap<Ino, Inode, FxBuild>,
     root: Ino,
     next_ino: Ino,
     generation: u32,
@@ -193,7 +195,7 @@ impl Vfs {
     /// Creates an empty store with a capacity quota in bytes.
     #[must_use]
     pub fn new(capacity: u64) -> Self {
-        let mut inodes = HashMap::new();
+        let mut inodes = HashMap::default();
         let root: Ino = 1;
         inodes.insert(
             root,
