@@ -1,7 +1,7 @@
 //! Scheduler-runtime scale bench (`BENCH_sched.json`): the event-heap
 //! SimNetwork under a message-storm + pump-tick workload at 1k and 10k
-//! nodes, plus a ThreadedNetwork phase proving the reactor's worker
-//! pool stays fixed while thousands of `call_async` RPCs complete.
+//! nodes, plus a ThreadedNetwork phase proving that attaching hundreds
+//! of nodes and serving thousands of RPCs spawns no thread.
 //!
 //! What it proves:
 //!
@@ -11,8 +11,9 @@
 //!   scan-for-minimum would grow 10x. Comparisons are counted inside
 //!   `Ord for Entry` ([`kosha_rpc::heap_comparisons`]), so the evidence
 //!   is exact and deterministic, not a wall-clock proxy.
-//! * **Thread-count collapse** — attaching nodes to the reactor spawns
-//!   zero threads; the pool is sized by the host CPU, not the cluster.
+//! * **Thread-count collapse** — attaching nodes to the threaded
+//!   transport spawns no thread, and neither does serving: every call
+//!   runs on the client thread that issued it.
 //!
 //! Every figure in the JSON derives from virtual time, event counts,
 //! and comparison counters, so double runs are byte-identical (the CI
@@ -99,7 +100,8 @@ const STORM_INTERVAL_MS: u64 = 2;
 const TICK_INTERVAL_SPREAD_MS: u64 = 16;
 const SIM_HORIZON_MS: u64 = 100;
 const THREADED_NODES: usize = 512;
-const THREADED_ASYNC_CALLS: usize = 2000;
+const THREADED_CLIENTS: usize = 4;
+const THREADED_CALLS: usize = 2000;
 
 /// One sim-phase run: what the scaling evidence needs, and the phase's
 /// JSON object (virtual time and counts only).
@@ -203,46 +205,45 @@ fn sim_phase(nodes: usize, out: &mut String) -> SimPhase {
     }
 }
 
-/// The reactor phase's JSON object. The pool is sized by the host, so
-/// `check` masks what follows from the core count.
+/// The threaded phase's JSON object: `THREADED_CALLS` blocking echo
+/// calls among `THREADED_NODES` attached nodes, issued in turn by
+/// `THREADED_CLIENTS` client threads, and the threads the transport
+/// spawned meanwhile (none: it spawns only its timer, for pumps).
 fn threaded_phase() -> Value {
     let net = ThreadedNetwork::new(Duration::from_secs(10));
-    let spawned_at_boot = net.threads_spawned();
     for i in 0..THREADED_NODES {
         let mux = Arc::new(ServiceMux::new());
         mux.register(ServiceId::Nfs, Arc::new(Echo));
         net.attach(NodeAddr(i as u64), mux);
     }
-    // Issue every call before waiting on any: all of them are in flight
-    // against a pool that never grows.
-    let completions: Vec<_> = (0..THREADED_ASYNC_CALLS)
-        .map(|k| {
-            let from = NodeAddr((k % THREADED_NODES) as u64);
-            let to = NodeAddr(((k * 7 + 1) % THREADED_NODES) as u64);
-            net.call_async(from, to, RpcRequest::new(ServiceId::Nfs, &(k as u32)))
-        })
-        .collect();
-    let ok = completions
-        .into_iter()
-        .map(kosha_rpc::CallCompletion::wait)
-        .filter(Result::is_ok)
-        .count();
-    assert_eq!(ok, THREADED_ASYNC_CALLS, "async echo storm had failures");
-
-    let cpu_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (workers, spawned) = (net.worker_threads(), net.threads_spawned());
-    // True when attach + the whole async storm spawned zero threads
-    // beyond the boot-time pool.
-    let pool_fixed = spawned == spawned_at_boot;
-    let workers_le_2x_cores = workers <= 2 * cpu_cores.max(2);
+    let ok = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for client in 0..THREADED_CLIENTS {
+            let (net, ok) = (&net, &ok);
+            s.spawn(move || {
+                for k in (client..THREADED_CALLS).step_by(THREADED_CLIENTS) {
+                    let from = NodeAddr((k % THREADED_NODES) as u64);
+                    let to = NodeAddr(((k * 7 + 1) % THREADED_NODES) as u64);
+                    let req = RpcRequest::new(ServiceId::Nfs, &(k as u32));
+                    if net.call(from, to, req).is_ok() {
+                        ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        ok.into_inner(),
+        THREADED_CALLS as u64,
+        "echo calls had failures"
+    );
     obj! {
-        "attached_nodes": THREADED_NODES, "async_calls": THREADED_ASYNC_CALLS,
-        "worker_threads": workers, "cpu_cores": cpu_cores, "threads_spawned_total": spawned,
-        "pool_fixed": pool_fixed, "workers_le_2x_cores": workers_le_2x_cores,
+        "attached_nodes": THREADED_NODES, "client_threads": THREADED_CLIENTS,
+        "calls": THREADED_CALLS, "threads_spawned_total": net.threads_spawned(),
     }
 }
 
-/// Both sim scales and the reactor phase, with the scaling evidence.
+/// Both sim scales and the threaded phase, with the scaling evidence.
 pub fn run(_full: bool) -> Report {
     let mut out = String::new();
     let small = sim_phase(1_000, &mut out);

@@ -75,33 +75,6 @@ fn compare_reports_a_one_byte_change() {
 }
 
 #[test]
-fn compare_masks_the_host_fields_of_sched_and_nothing_else() {
-    let old = checked_in("BENCH_sched.json");
-    let other_host = old
-        .replacen("\"cpu_cores\": 1,", "\"cpu_cores\": 16,", 1)
-        .replacen("\"worker_threads\": 4,", "\"worker_threads\": 16,", 1)
-        .replacen(
-            "\"threads_spawned_total\": 4,",
-            "\"threads_spawned_total\": 16,",
-            1,
-        );
-    assert_ne!(other_host.matches("16,").count(), 0);
-    assert_eq!(compare("BENCH_sched.json", &old, &other_host), None);
-    // The same edit is a difference in any other gate file.
-    assert!(compare("BENCH_churn.json", &old, &other_host).is_some());
-
-    let events = "\"events_total\": ";
-    let at = old.find(events).expect("sim[0].events_total") + events.len();
-    let mut moved = old.clone();
-    moved.replace_range(at..=at, if &old[at..=at] == "9" { "8" } else { "9" });
-    let diff = compare("BENCH_sched.json", &old, &moved).expect("sim half is held");
-    assert!(diff.contains("events_total"), "{diff}");
-    // `pool_fixed` does not follow from the core count: held as well.
-    let unfixed = old.replacen("\"pool_fixed\": true", "\"pool_fixed\": false", 1);
-    assert!(compare("BENCH_sched.json", &old, &unfixed).is_some());
-}
-
-#[test]
 fn an_unknown_report_exits_non_zero_and_lists_the_valid_names() {
     for args in [&["no_such_report"][..], &["check", "no_such_report"], &[]] {
         let out = kosha_bench(args);

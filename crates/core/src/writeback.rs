@@ -409,7 +409,7 @@ impl KoshaNode {
 }
 
 impl PumpHook for KoshaNode {
-    // lint: allow(L005) timer-driven flush: runs on the pump thread outside any handler mailbox; mirror/lease fan-out here is the write-behind design
+    // lint: allow(L005) timer-driven flush: runs on the pump thread outside any handler's actor; mirror/lease fan-out here is the write-behind design
     fn pump(&self) {
         self.flush_replication();
     }

@@ -339,6 +339,7 @@ fn placement_fails_over_when_the_owner_is_unreachable() {
             left: Arc::clone(&left),
         };
         mux.register(ServiceId::Kosha, Arc::new(refuses));
+        c.net.attach(NodeAddr(i as u64), Arc::clone(mux));
     }
     let before = c.nodes[0].stats();
     m.mkdir("/placed")
@@ -381,6 +382,8 @@ fn placement_moves_past_an_owner_that_dies_when_asked() {
         addr: victim,
     };
     c.muxes[victim.0 as usize].register(ServiceId::Kosha, Arc::new(dies));
+    c.net
+        .attach(victim, Arc::clone(&c.muxes[victim.0 as usize]));
     let path = format!("/{name}");
     let before = c.nodes[0].stats();
     m.mkdir(&path).expect("placement moves on to a live owner");
@@ -1959,6 +1962,7 @@ fn items_from_a_peer_land_in_their_slot_or_nowhere() {
     mount(&c, 0).mkdir_p("/a").unwrap();
     let lies = Arc::new(Mutex::new(Vec::new()));
     c.muxes[1].register(ServiceId::KoshaReplica, Arc::new(Liar(Arc::clone(&lies))));
+    c.net.attach(c.nodes[1].addr(), Arc::clone(&c.muxes[1]));
     let census = || {
         let mut paths = Vec::new();
         node.with_store(|v| v.walk(|p, _| paths.push(p.to_string())));
@@ -2438,7 +2442,8 @@ fn a_removal_mirrored_to_a_holder_without_the_slot_makes_nothing() {
 }
 
 /// Swaps every node's handler of `service` for one that records each
-/// request it receives, with the receiving node, and then serves it.
+/// request it receives, with the receiving node, and then serves it
+/// (re-attaching the node, which is when a transport takes its handlers).
 fn record_requests<R: kosha_rpc::WireRead + Send + 'static>(
     c: &Cluster,
     service: ServiceId,
@@ -2465,6 +2470,7 @@ fn record_requests<R: kosha_rpc::WireRead + Send + 'static>(
             seen: Arc::clone(&seen),
         };
         mux.register(service, Arc::new(recording));
+        c.net.attach(node.addr(), Arc::clone(mux));
     }
     seen
 }

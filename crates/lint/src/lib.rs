@@ -18,9 +18,10 @@
 //!   break the `BENCH_fanout` / `BENCH_trace` / `BENCH_writeback`
 //!   byte-determinism gates.
 //! * **L003** — `unwrap()` / `expect(` / `panic!` inside an RPC or NFS
-//!   server-handler module. A panic in a handler kills a mailbox thread
-//!   silently under `ThreadedNetwork`: the node keeps looking alive while
-//!   one of its services is gone.
+//!   server-handler module. A panic stops a request halfway: whatever the
+//!   handler had changed stays half-changed, and its caller gets a bare
+//!   `RpcError::Remote` (under `ThreadedNetwork`, which catches it) or
+//!   the unwinding itself (under `SimNetwork`) instead of a status.
 //!
 //! A second, call-graph-aware phase (see [`graph`]) builds a
 //! per-function view of the whole workspace and runs two more rules:
@@ -117,10 +118,12 @@ impl Rule {
             Rule::L003 => {
                 "L003 — panic path inside a server-handler module\n\n\
                  `unwrap()` / `expect(` / `panic!` in a module with an\n\
-                 `impl RpcHandler` (or a configured dispatch helper). Under\n\
-                 ThreadedNetwork a handler panic kills the service's mailbox thread\n\
-                 silently: the node looks alive while one service is gone. Return a\n\
-                 protocol error instead.\n\n\
+                 `impl RpcHandler` (or a configured dispatch helper). A handler\n\
+                 panic stops the request halfway, leaving what it had changed\n\
+                 half-changed; its caller gets a bare `Remote` error under\n\
+                 ThreadedNetwork (which catches the panic), or the unwinding itself\n\
+                 under SimNetwork, instead of a status. Return a protocol error\n\
+                 instead.\n\n\
                  Waive: `// lint: allow(L003) <why>`."
             }
             Rule::L005 => {
@@ -132,7 +135,7 @@ impl Rule {
                  first — and flags any `.call(` / `.call_many(` / `call_typed(`\n\
                  reachable from an entry. The replica-service discipline requires\n\
                  handlers to be leaf functions: a handler that blocks on another\n\
-                 node's service while its own mailbox is occupied is one half of a\n\
+                 node's service while its own actor is owned is one half of a\n\
                  distributed deadlock cycle (the PR 7 actor-ownership inversion).\n\n\
                  Waive at three granularities, most specific first:\n\
                  - the RPC line: that one sink is accepted;\n\
@@ -1069,8 +1072,8 @@ fn check_l003(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Finding>) {
                 Rule::L003,
                 line,
                 format!(
-                    "{what} in a server-handler module: a panic here kills the \
-                     service's mailbox thread silently under ThreadedNetwork; \
+                    "{what} in a server-handler module: a panic here stops the \
+                     request halfway and reaches its caller as a bare error; \
                      return a protocol error instead"
                 ),
             );

@@ -12,7 +12,8 @@
 //! * **across threads/nodes** — an optional trace header on the RPC
 //!   wire frame; the transport stamps outgoing requests from the ambient
 //!   context and re-installs it around the server-side handler dispatch
-//!   (this covers `ThreadedNetwork`'s mailbox and fan-out threads).
+//!   (the threaded transport bridges every request this way, though it
+//!   runs each handler on its caller's thread).
 //!
 //! The module is clock-agnostic: every recording call takes the current
 //! time as plain `u64` nanoseconds, so spans land on the virtual clock

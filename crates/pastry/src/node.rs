@@ -669,7 +669,7 @@ impl PastryNode {
 }
 
 impl RpcHandler for PastryNode {
-    // lint: allow(L005) overlay protocol handler: join/announce/repair perform bounded nested routing and probe RPCs by design; the transport's targeted helping prevents mailbox self-deadlock (DESIGN.md §14)
+    // lint: allow(L005) overlay protocol handler: join/announce/repair perform bounded nested routing and probe RPCs by design; a wait for a busy actor ends at the transport's call_timeout (DESIGN.md §14)
     fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
         use kosha_rpc::WireRead;
         let req = PastryRequest::decode(body)?;

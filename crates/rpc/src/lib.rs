@@ -16,10 +16,10 @@
 //!   core (a binary-heap [`sched::Scheduler`] drives message delivery,
 //!   pump ticks, and timer wakeups in O(log n) per event), used by all
 //!   experiments, and
-//! * [`ThreadedNetwork`] — a real concurrent transport (caller-runs
-//!   reactor over a fixed worker pool, continuation-style
-//!   [`Network::call_async`] dispatch) used by concurrency integration
-//!   tests, scale smoke runs and the wall-clock benchmark.
+//! * [`ThreadedNetwork`] — a real concurrent transport (every request
+//!   runs on the thread that issued it, one at a time per node and
+//!   service) used by concurrency integration tests, scale smoke runs
+//!   and the wall-clock benchmark.
 //!
 //! Handlers are registered per [`ServiceId`] (Pastry, NFS, Kosha control),
 //! mirroring the two-level messaging of the prototype: "node lookup and
@@ -43,8 +43,8 @@ pub mod wire;
 pub use bytes::Bytes;
 pub use clock::{Clock, SimTime, VirtualClock, WallClock};
 pub use network::{
-    CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcHandler, RpcRequest, RpcResponse,
-    ServiceId, ServiceMux, TraceHeader,
+    Network, NodeAddr, PumpHook, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId,
+    ServiceMux, TraceHeader,
 };
 pub use sched::{heap_comparisons, Scheduler};
 pub use simnet::{LatencyModel, SimNetwork};

@@ -370,6 +370,13 @@ impl ServiceMux {
     pub fn handler(&self, service: ServiceId) -> Option<Arc<dyn RpcHandler>> {
         self.handlers.read()[service.index()].clone()
     }
+
+    /// Every service's handler, by [`ServiceId::index`]: what a
+    /// transport serves for the node from `attach` on.
+    #[must_use]
+    pub fn handlers(&self) -> [Option<Arc<dyn RpcHandler>>; ServiceId::ALL.len()] {
+        self.handlers.read().clone()
+    }
 }
 
 /// A periodic maintenance hook a transport may drive on behalf of a
@@ -383,65 +390,12 @@ pub trait PumpHook: Send + Sync {
     fn pump(&self);
 }
 
-/// Completion handle for an RPC issued with [`Network::call_async`]:
-/// either an already-finished result (synchronous transports — under
-/// virtual time there is nothing to overlap with) or a deferred wait
-/// the caller redeems when it needs the response. Between issue and
-/// [`CallCompletion::wait`] the caller is free to issue more RPCs or do
-/// local work — continuation-style dispatch without a thread per call.
-pub struct CallCompletion {
-    inner: CompletionInner,
-}
-
-enum CompletionInner {
-    Ready(Result<RpcResponse, RpcError>),
-    Deferred(Box<dyn FnOnce() -> Result<RpcResponse, RpcError> + Send>),
-}
-
-impl CallCompletion {
-    /// A completion that already holds its result.
-    #[must_use]
-    pub fn ready(result: Result<RpcResponse, RpcError>) -> Self {
-        CallCompletion {
-            inner: CompletionInner::Ready(result),
-        }
-    }
-
-    /// A completion redeemed by running `wait` (which may block).
-    #[must_use]
-    pub fn deferred(wait: Box<dyn FnOnce() -> Result<RpcResponse, RpcError> + Send>) -> Self {
-        CallCompletion {
-            inner: CompletionInner::Deferred(wait),
-        }
-    }
-
-    /// Blocks until the RPC finishes (or times out at the transport's
-    /// configured deadline) and returns its result.
-    pub fn wait(self) -> Result<RpcResponse, RpcError> {
-        match self.inner {
-            CompletionInner::Ready(r) => r,
-            CompletionInner::Deferred(f) => f(),
-        }
-    }
-}
-
 /// A transport connecting nodes. Implementations: [`crate::SimNetwork`]
 /// (deterministic, virtual time) and [`crate::ThreadedNetwork`] (real
 /// threads).
 pub trait Network: Send + Sync {
     /// Performs a blocking RPC from `from` to `to`.
     fn call(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> Result<RpcResponse, RpcError>;
-
-    /// Issues an RPC without blocking, returning a [`CallCompletion`]
-    /// the caller redeems later. The default implementation is the
-    /// blocking call wrapped in an already-ready completion — correct
-    /// for synchronous transports ([`crate::SimNetwork`] resolves every
-    /// call under virtual time with nothing real to overlap). The
-    /// threaded transport overrides this with true reactor dispatch, so
-    /// a caller can put hundreds of RPCs in flight from one thread.
-    fn call_async(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> CallCompletion {
-        CallCompletion::ready(self.call(from, to, req))
-    }
 
     /// Performs a batch of RPCs from `from`, blocking until every one
     /// has completed. Results are returned in batch order, each carrying
@@ -455,8 +409,7 @@ pub trait Network: Send + Sync {
     /// take microseconds, less than handing one to another thread
     /// costs. [`crate::SimNetwork`] overrides it to
     /// model the overlap of a real network, charging the virtual clock
-    /// the `max` of the per-call latencies instead of their sum. A caller
-    /// that wants overlap in real time uses [`Network::call_async`].
+    /// the `max` of the per-call latencies instead of their sum.
     fn call_many(
         &self,
         from: NodeAddr,
@@ -476,11 +429,11 @@ pub trait Network: Send + Sync {
 
     /// Registers a [`PumpHook`] the transport should drive roughly every
     /// `interval`. Returns `true` when the transport runs the hook
-    /// itself on a background worker ([`crate::ThreadedNetwork`]);
+    /// itself on its timer thread ([`crate::ThreadedNetwork`]);
     /// `false` when the caller must drive pumping explicitly —
     /// [`crate::SimNetwork`] records the hook and exposes `run_pumps()`
     /// so virtual-time tests and benches stay deterministic. The hook is
-    /// held weakly: it is dropped (and a worker exits) once the owner
+    /// held weakly: the transport forgets it once the owner
     /// goes away. The default implementation ignores the registration.
     fn schedule_pump(&self, hook: std::sync::Weak<dyn PumpHook>, interval: Duration) -> bool {
         let _ = (hook, interval);
@@ -539,6 +492,43 @@ mod tests {
             call(RpcRequest::new(ServiceId::Pastry, &1u8)),
             Err(RpcError::NoService(ServiceId::Pastry))
         ));
+    }
+
+    #[test]
+    fn a_handler_registered_after_attach_waits_for_the_next_attach() {
+        // Both transports take a node's handlers when it is attached: a
+        // service registered later is not served, and a handler swapped
+        // in later is not the one that runs, until the node is attached
+        // again.
+        struct Fixed(u32);
+        impl RpcHandler for Fixed {
+            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+                Ok(RpcResponse::new(&self.0))
+            }
+        }
+        fn check(net: &dyn Network, attach: impl Fn(Arc<ServiceMux>)) {
+            let call = |service| {
+                net.call(NodeAddr(1), NodeAddr(2), RpcRequest::new(service, &0u8))
+                    .and_then(|resp| resp.decode::<u32>())
+            };
+            let mux = Arc::new(ServiceMux::new());
+            mux.register(ServiceId::Nfs, Arc::new(Fixed(1)));
+            attach(Arc::clone(&mux));
+            mux.register(ServiceId::Nfs, Arc::new(Fixed(2)));
+            mux.register(ServiceId::Kosha, Arc::new(Fixed(3)));
+            assert_eq!(call(ServiceId::Nfs), Ok(1));
+            assert_eq!(
+                call(ServiceId::Kosha),
+                Err(RpcError::NoService(ServiceId::Kosha))
+            );
+            attach(mux);
+            assert_eq!(call(ServiceId::Nfs), Ok(2));
+            assert_eq!(call(ServiceId::Kosha), Ok(3));
+        }
+        let sim = crate::SimNetwork::new_zero_latency();
+        check(&*sim, |mux| sim.attach(NodeAddr(2), mux));
+        let thr = crate::ThreadedNetwork::new(Duration::from_secs(5));
+        check(&*thr, |mux| thr.attach(NodeAddr(2), mux));
     }
 
     #[test]

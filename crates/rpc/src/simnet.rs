@@ -40,7 +40,8 @@
 use crate::clock::{Clock, SimTime, VirtualClock};
 use crate::metrics::{CallAccount, NetMetrics, ERR_REPLY_BYTES};
 use crate::network::{
-    Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceMux, TraceHeader,
+    Network, NodeAddr, PumpHook, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId,
+    ServiceMux, TraceHeader,
 };
 use crate::sched::Scheduler;
 use kosha_obs::fxhash::FxBuild;
@@ -118,11 +119,12 @@ impl LatencyModel {
     }
 }
 
-/// One attached address: its mux, and whether the machine is up. An
+/// One attached address: the handlers its mux held when it was
+/// attached, by [`ServiceId::index`], and whether the machine is up. An
 /// address that is not attached is not up, and `attach` brings a machine
 /// up, so a crash needs remembering only for addresses in this table.
 struct Registered {
-    mux: Arc<ServiceMux>,
+    handlers: [Option<Arc<dyn RpcHandler>>; ServiceId::ALL.len()],
     up: bool,
 }
 
@@ -214,12 +216,15 @@ impl SimNetwork {
         Self::new(LatencyModel::zero())
     }
 
-    /// Attaches a node's service mux at `addr`. Re-attaching replaces the
-    /// previous registration (a reinstalled machine).
+    /// Attaches a node at `addr`, serving the handlers `mux` holds now
+    /// (a service registered later is not served until the node is
+    /// attached again). Re-attaching replaces the previous registration
+    /// (a reinstalled machine).
     pub fn attach(&self, addr: NodeAddr, mux: Arc<ServiceMux>) {
+        let handlers = mux.handlers();
         self.nodes
             .write()
-            .insert(addr, Registered { mux, up: true });
+            .insert(addr, Registered { handlers, up: true });
     }
 
     /// Detaches a node entirely (permanent removal). The departed peer's
@@ -466,7 +471,7 @@ impl SimNetwork {
             .read()
             .get(&to)
             .filter(|r| r.up)
-            .map(|r| r.mux.handler(req.service));
+            .map(|r| r.handlers[req.service.index()].clone());
 
         let Some(handler) = handler else {
             self.step(self.model.timeout);

@@ -1,350 +1,155 @@
-//! Real-thread transport: a caller-runs reactor over a fixed worker pool.
+//! Real-thread transport: every request runs on the thread that issued it.
 //!
 //! Used by the concurrency integration tests and the wall-clock
 //! benchmark to exercise the same node logic as [`crate::SimNetwork`]
 //! with genuine parallelism. Every `(node, service)` pair is an
-//! *actor*: a handler, a FIFO queue of requests, and an ownership flag.
-//! No thread belongs to an actor, so thread count is a function of the
-//! host (`max(4, cores)` pool workers, capped at 64, plus one timer),
-//! not of the cluster.
+//! *actor*: a handler behind a first-come, first-served lock. No thread
+//! belongs to an actor or serves requests for others, so the one thread
+//! a transport spawns is its timer, started by the first
+//! [`Network::schedule_pump`].
 //!
-//! # Who may serve an actor
+//! # Who serves an actor
 //!
-//! An actor is *owned* by at most one thread at a time (`running`), and
-//! only its owner runs its handler, so requests to one `(node,
-//! service)` serialize exactly as they would behind one daemon's event
-//! loop (nfsd, koshad, the overlay), in arrival order. Three kinds of
-//! thread take ownership, all through the one [`serve`] routine:
+//! The caller. A blocking [`Network::call`] that finds its destination
+//! idle owns it and runs the handler on its own stack: no queue, no
+//! wake-up, no thread change. It nests: a handler's own calls own their
+//! idle destinations the same way, so a whole `client → koshad →
+//! control → replica` chain runs on the client's thread as it does
+//! under `SimNetwork`.
 //!
-//! * **The caller.** A blocking [`Network::call`] that finds its
-//!   destination idle claims it and runs the handler on its own stack:
-//!   no run queue, no wake-up, no reply channel, no thread change. This
-//!   is the common case — an uncontended RPC costs a lock, the handler,
-//!   and the accounting — and it nests: a handler's own blocking calls
-//!   claim their idle destinations the same way, so a whole
-//!   `client → koshad → control → replica` chain runs on the client's
-//!   thread as it does under `SimNetwork`.
-//! * **A pool worker.** A request that finds its actor owned, or that
-//!   was issued with [`Network::call_async`], is queued on the actor;
-//!   an actor with queued work and no owner goes onto the run queue,
-//!   and a worker serves one request of it per turn. Requests to
-//!   *different* actors genuinely overlap.
-//! * **A helping waiter.** Any thread blocked on a reply (a caller
-//!   queued behind a busy actor, or whoever redeems a
-//!   [`CallCompletion`]) may pull *the one actor its reply depends on*
-//!   off the run queue and serve it while it waits.
+//! A caller that finds its actor owned joins the actor's line and
+//! parks. When the owner's request is done it hands the actor straight
+//! to the oldest waiter, so requests to one `(node, service)` run one at
+//! a time and in arrival order, as behind one daemon's event loop (nfsd,
+//! koshad, the overlay), and no newcomer overtakes the line. A waiter
+//! whose `call_timeout` passes before its turn leaves the line and gets
+//! `Unreachable`; its request never runs, so a caller that retries
+//! cannot meet a late copy of it. [`ThreadedNetwork::detach`] wakes
+//! every waiter with `Unreachable`.
 //!
 //! [`Network::call_many`] is the trait's serial fan-out: each entry is a
-//! blocking `call`, in batch order, so a batch of idle destinations runs
-//! on its caller and wakes nobody. A caller that wants its RPCs in
-//! flight at once asks for that by name, with [`Network::call_async`].
+//! blocking `call`, in batch order.
 //!
 //! # Deadlock discipline
 //!
-//! Handlers issue nested blocking RPCs while they own an actor, so a
-//! fixed set of threads must not wedge when all of them wait. Two rules
-//! prevent that, and neither depends on *which* thread serves:
-//!
-//! * A waiter helps only with the actor its own reply depends on.
-//!   Driving one's own dependency chain is deadlock-free: the chain
-//!   mirrors the nested-call chain, which the service discipline keeps
-//!   acyclic, so the helped handler never needs an actor owned lower on
-//!   the helper's stack. Every waiter helps — pool worker or not — so
-//!   a reply is reachable even when every worker is parked. Helping
-//!   with *unrelated* actors would not be safe: the helped handler can
-//!   call back into an actor the helper owns, inverting the dependency
-//!   into a wedge.
-//! * Nested calls may revisit a node only on a *different* service —
-//!   `client → koshad(A) → control(B) → nfsd(A)` is fine; a
-//!   same-service cycle such as `koshad(A) → … → koshad(A)` is not: the
-//!   actor is owned by the outer request, the inner one queues behind
-//!   it and surfaces as a timeout. The caller never recurses into an
-//!   actor that is already owned, its own included.
-//!
-//! One behavioural difference from a hand-off design: a request being
-//! served in place cannot be abandoned at `call_timeout`, because the
-//! thread that would give up is the one running the handler. Its nested
-//! calls still time out, which bounds it exactly as it bounds a handler
-//! on a worker.
+//! A waiter waits only for the actor it calls. Nested calls may revisit
+//! a node only on a *different* service — `client → koshad(A) →
+//! control(B) → nfsd(A)` is fine, and the service discipline keeps such
+//! chains acyclic. A same-service cycle such as `koshad(A) → … →
+//! koshad(A)` waits for an actor owned lower on its own stack and ends
+//! in `Unreachable` at `call_timeout`. A request being served is never
+//! abandoned at `call_timeout`, because the thread that would give up is
+//! the one running the handler; its nested calls still time out.
 //!
 //! Periodic maintenance ([`PumpHook`]s) shares one `kosha-timer` thread
 //! for the whole transport; it doubles as the flight-recorder sampling
 //! tick.
 
-use crate::clock::{Clock, SimTime, WallClock};
+use crate::clock::{Clock, WallClock};
 use crate::metrics::{CallAccount, NetMetrics};
 use crate::network::{
-    CallCompletion, Network, NodeAddr, PumpHook, RpcError, RpcRequest, RpcResponse, ServiceId,
+    Network, NodeAddr, PumpHook, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId,
     ServiceMux, TraceHeader,
 };
 use kosha_obs::{stripe, trace, Counter, Gauge, Histogram, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 
-type CallResult = Result<RpcResponse, RpcError>;
-
-/// One queued request awaiting dispatch on an actor.
-struct WorkItem {
-    from: NodeAddr,
-    req: RpcRequest,
-    reply: SyncSender<CallResult>,
-    /// Transport-clock reading at enqueue, for the reactor's
-    /// dispatch-latency histogram.
-    enqueued_nanos: u64,
-}
-
-/// Mutable half of an actor: its FIFO request queue plus scheduling
-/// state. `running` is true while some thread owns the actor (it is
-/// serving a request, or the actor sits on the run queue for the next
-/// owner), which is what guarantees per-actor serialization. A
-/// non-empty queue implies `running`.
-#[derive(Default)]
-struct ActorInner {
-    q: VecDeque<WorkItem>,
-    running: bool,
-    closed: bool,
-}
-
-/// One `(node, service)` endpoint: the handler plus its request queue.
+/// One `(node, service)` endpoint: the handler, and the lock that lets
+/// one request at a time run it.
 struct ServiceActor {
-    handler: Arc<dyn crate::network::RpcHandler>,
-    inner: Mutex<ActorInner>,
+    handler: Arc<dyn RpcHandler>,
+    line: Mutex<Line>,
 }
 
-/// What a worker pulls off the run queue.
-enum RunItem {
-    Actor(Arc<ServiceActor>),
-    Shutdown,
+/// An actor's lock. `owned` is true while some thread runs the handler
+/// or has been handed the actor; `waiting` holds the parked callers in
+/// arrival order. A caller leaves `waiting` in one of three ways: the
+/// owner hands it the actor, `close` wakes it, or it gives up.
+#[derive(Default)]
+struct Line {
+    owned: bool,
+    closed: bool,
+    waiting: VecDeque<Thread>,
 }
 
-/// The reactor's MPMC run queue of runnable actors. Hand-rolled on
-/// `std` `Mutex`/`Condvar` because an `std::sync::mpsc` `Receiver` is
-/// single-consumer.
-struct RunQueue {
-    items: std::sync::Mutex<VecDeque<RunItem>>,
-    ready: std::sync::Condvar,
-}
-
-impl RunQueue {
-    fn new() -> Self {
-        RunQueue {
-            items: std::sync::Mutex::new(VecDeque::new()),
-            ready: std::sync::Condvar::new(),
-        }
-    }
-
-    fn push(&self, item: RunItem) {
-        if let Ok(mut q) = self.items.lock() {
-            q.push_back(item);
-        }
-        self.ready.notify_one();
-    }
-
-    /// Blocks until an item is available.
-    fn pop_wait(&self) -> RunItem {
-        let Ok(mut q) = self.items.lock() else {
-            return RunItem::Shutdown;
-        };
-        loop {
-            if let Some(item) = q.pop_front() {
-                return item;
-            }
-            q = match self.ready.wait(q) {
-                Ok(g) => g,
-                Err(_) => return RunItem::Shutdown,
-            };
-        }
-    }
-
-    /// Non-blocking removal of one *specific* runnable actor, used by
-    /// helping waiters: a blocked thread may only pull the actor its
-    /// own reply depends on (see the module docs — popping unrelated
-    /// actors can re-enter an actor owned lower on the helper's stack
-    /// and invert the dependency into a deadlock). `Shutdown` items are
-    /// left for the workers to consume.
-    fn try_pop_specific(&self, target: &Arc<ServiceActor>) -> Option<Arc<ServiceActor>> {
-        let mut q = self.items.lock().ok()?;
-        let pos = q
-            .iter()
-            .position(|item| matches!(item, RunItem::Actor(a) if Arc::ptr_eq(a, target)))?;
-        match q.remove(pos) {
-            Some(RunItem::Actor(a)) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// State shared between the transport handle, its workers, and deferred
-/// completion waits: the run queue, the clock and the metrics.
-struct ReactorShared {
-    runq: RunQueue,
-    clock: Arc<WallClock>,
-    metrics: Arc<NetMetrics>,
-    /// Requests dispatched to handlers (`kosha_reactor_events_total`).
-    events_total: Arc<Counter>,
-    /// Of those, the ones served on their caller's thread without ever
-    /// being queued (`kosha_reactor_inline_total`).
-    inline_total: Arc<Counter>,
-    /// Enqueue→dispatch sojourn per request, wall nanos; 0 for a
-    /// request served in place.
-    dispatch_latency: Arc<Histogram>,
-    /// Requests currently queued across all actors.
-    queue_depth: Arc<Gauge>,
-}
-
-/// Serves one request of `actor` on the calling thread, which owns the
-/// actor for the duration: `claimed` if the caller took the idle actor
-/// for a request of its own (returned: its result), else the head of
-/// the queue (answered through its reply channel). Afterwards the actor
-/// is released, or handed to the run queue if work arrived meanwhile
-/// (one request per turn keeps the pool fair under load; FIFO order
-/// within the actor is preserved because only the owner pops).
-fn serve(
-    shared: &ReactorShared,
-    actor: &Arc<ServiceActor>,
-    claimed: Option<(NodeAddr, RpcRequest)>,
-) -> Option<CallResult> {
-    let (from, req, reply, waited_nanos) = match claimed {
-        Some((from, req)) => {
-            shared.inline_total.inc();
-            (from, req, None, 0)
-        }
-        None => {
-            let item = {
-                let mut inner = actor.inner.lock();
-                if inner.closed {
-                    inner.q.clear();
-                }
-                let Some(item) = inner.q.pop_front() else {
-                    inner.running = false;
-                    return None;
-                };
-                item
-                // Lock released before dispatch: the handler may issue
-                // nested RPCs back into this transport (L001 discipline).
-            };
-            shared.queue_depth.add(-1);
-            let waited = shared.clock.now().0.saturating_sub(item.enqueued_nanos);
-            (item.from, item.req, Some(item.reply), waited)
-        }
-    };
-    shared.events_total.inc();
-    shared.dispatch_latency.record(waited_nanos);
-    // Bridge the caller's trace onto the handler from the wire header
-    // (and restore this thread's own context afterwards, panic or not).
-    let resp = trace::with_context(req.trace.map(TraceHeader::ctx), || {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            actor.handler.handle_frame(from, req.frame())
-        }))
-    })
-    .unwrap_or_else(|_| Err(RpcError::Remote("handler panicked".to_string())));
-    let result = match reply {
-        Some(reply) => {
-            // The caller may have timed out; ignore send failure.
-            let _ = reply.send(resp);
-            None
-        }
-        None => Some(resp),
-    };
-    let more = {
-        let mut inner = actor.inner.lock();
-        if inner.closed {
-            inner.q.clear();
-        }
-        inner.running = !inner.q.is_empty();
-        inner.running
-    };
-    if more {
-        shared.runq.push(RunItem::Actor(Arc::clone(actor)));
-    }
-    result
-}
-
-/// How a request entered its actor, decided under the actor's lock.
-enum Admitted {
-    /// The actor was idle and the caller is going to block anyway: the
-    /// caller owns the actor now and serves the request itself.
-    InPlace(RpcRequest),
-    /// Queued behind the actor's owner, or (if it had none) handed to
-    /// the pool along with the actor.
-    Queued(Receiver<CallResult>),
-    /// The actor is detached.
+/// How a caller's wait for its actor ended.
+enum Turn {
+    /// The caller owns the actor, after waiting this many nanoseconds
+    /// (0 if it was idle).
+    Owned(u64),
+    /// The actor was closed first.
     Closed,
+    /// `call_timeout` passed in line.
+    TimedOut,
 }
 
-/// Admits one request to `actor`: claims the idle actor for a blocking
-/// caller, otherwise queues the request and, if the actor had no owner,
-/// schedules the actor onto the run queue.
-fn admit(
-    shared: &ReactorShared,
-    actor: &Arc<ServiceActor>,
-    from: NodeAddr,
-    req: RpcRequest,
-    now: SimTime,
-    blocking: bool,
-) -> Admitted {
-    let (reply, newly_runnable) = {
-        let mut inner = actor.inner.lock();
-        if inner.closed {
-            return Admitted::Closed;
+impl ServiceActor {
+    /// Takes the actor for the calling thread: at once if it is idle,
+    /// else once every earlier caller is done, parked in its line until
+    /// the owner hands it over, the actor closes, or the transport clock
+    /// reaches `deadline`.
+    fn acquire(&self, net: &ThreadedNetwork, start: u64, deadline: u64) -> Turn {
+        let mut line = self.line.lock();
+        if line.closed {
+            return Turn::Closed;
         }
-        let idle = !inner.running && inner.q.is_empty();
-        inner.running = true;
-        if idle && blocking {
-            return Admitted::InPlace(req);
+        if !line.owned {
+            line.owned = true;
+            return Turn::Owned(0);
         }
-        let (tx, rx) = sync_channel(1);
-        inner.q.push_back(WorkItem {
-            from,
-            req,
-            reply: tx,
-            enqueued_nanos: now.0,
-        });
-        (rx, idle)
-    };
-    shared.queue_depth.add(1);
-    if newly_runnable {
-        shared.runq.push(RunItem::Actor(Arc::clone(actor)));
+        let me = std::thread::current();
+        let id = me.id();
+        line.waiting.push_back(me);
+        net.queue_depth.add(1);
+        let turn = loop {
+            if line.closed {
+                break Turn::Closed;
+            }
+            let now = net.clock.now().0;
+            if !line.waiting.iter().any(|t| t.id() == id) {
+                break Turn::Owned(now.saturating_sub(start));
+            }
+            if now >= deadline {
+                line.waiting.retain(|t| t.id() != id);
+                break Turn::TimedOut;
+            }
+            drop(line);
+            std::thread::park_timeout(Duration::from_nanos(deadline - now));
+            line = self.line.lock();
+        };
+        drop(line);
+        net.queue_depth.add(-1);
+        turn
     }
-    Admitted::Queued(reply)
-}
 
-/// Blocks until the queued request whose reply arrives on `reply` has
-/// been served, helping with `awaited` (the actor it is queued on)
-/// whenever that actor is runnable and nobody has picked it up.
-fn await_reply(
-    shared: &ReactorShared,
-    awaited: &Arc<ServiceActor>,
-    reply: &Receiver<CallResult>,
-    deadline_nanos: u64,
-    to: NodeAddr,
-) -> CallResult {
-    loop {
-        match reply.try_recv() {
-            Ok(resp) => return resp,
-            Err(TryRecvError::Disconnected) => return Err(RpcError::Unreachable(to)),
-            Err(TryRecvError::Empty) => {}
+    /// Hands the actor to the oldest waiter, or leaves it idle.
+    fn release(&self) {
+        let next = {
+            let mut line = self.line.lock();
+            let next = line.waiting.pop_front();
+            line.owned = next.is_some();
+            next
+        };
+        if let Some(next) = next {
+            next.unpark();
         }
-        let now = shared.clock.now().0;
-        if now >= deadline_nanos {
-            return Err(RpcError::Unreachable(to));
-        }
-        // Drive the actor this reply depends on while waiting, so that
-        // a saturated pool cannot starve the waiter (see the module
-        // docs' deadlock discipline).
-        if let Some(target) = shared.runq.try_pop_specific(awaited) {
-            serve(shared, &target, None);
-            continue;
-        }
-        let nap = Duration::from_nanos(deadline_nanos - now).min(Duration::from_micros(500));
-        match reply.recv_timeout(nap) {
-            Ok(resp) => return resp,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return Err(RpcError::Unreachable(to)),
+    }
+
+    /// Refuses every later caller and wakes every waiter, who return
+    /// `Unreachable`. A request being served finishes.
+    fn close(&self) {
+        let waiting = {
+            let mut line = self.line.lock();
+            line.closed = true;
+            std::mem::take(&mut line.waiting)
+        };
+        for waiter in waiting {
+            waiter.unpark();
         }
     }
 }
@@ -360,14 +165,10 @@ struct Registered {
 }
 
 impl Registered {
-    /// Closes every actor of a node that has left the table. Dropping
-    /// queued items drops their reply senders; waiters observe the
-    /// disconnect as `Unreachable`.
+    /// Closes every actor of a node that has left the table.
     fn close(self) {
         for actor in self.actors.into_iter().flatten() {
-            let mut inner = actor.inner.lock();
-            inner.closed = true;
-            inner.q.clear();
+            actor.close();
         }
     }
 }
@@ -415,20 +216,25 @@ struct TimerEntry {
     since: Duration,
 }
 
-/// Caller-runs reactor transport. Nodes are attached with their
-/// [`ServiceMux`]; attaching allocates per-service actors (no threads),
-/// served by their callers and by the pool until the network is dropped
-/// or the node is detached.
+/// Caller-runs transport. Nodes are attached with their [`ServiceMux`];
+/// attaching allocates one actor per registered service (no threads),
+/// served by their callers until the network is dropped or the node is
+/// detached.
 pub struct ThreadedNetwork {
-    shared: Arc<ReactorShared>,
+    clock: Arc<WallClock>,
+    metrics: Arc<NetMetrics>,
+    /// Requests served (`kosha_reactor_events_total`).
+    events_total: Arc<Counter>,
+    /// How long each served request waited to own its actor, wall nanos;
+    /// 0 when the actor was idle.
+    dispatch_latency: Arc<Histogram>,
+    /// Callers waiting in some actor's line.
+    queue_depth: Arc<Gauge>,
     nodes: NodeTable,
-    /// How long callers wait for a reply before declaring the node dead.
+    /// How long a caller waits in line before declaring the node dead.
     call_timeout: Duration,
-    worker_count: usize,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Every OS thread this transport has ever spawned
-    /// (`kosha_reactor_threads_spawned_total`) — the sched bench uses it
-    /// to prove attach does not spawn.
+    /// (`kosha_reactor_threads_spawned_total`): the timer, or nothing.
     threads_spawned: Arc<Counter>,
     /// Raised on drop; the timer thread exits at its next tick.
     pump_stop: Arc<AtomicBool>,
@@ -436,108 +242,60 @@ pub struct ThreadedNetwork {
     timer_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-/// Pool sizing: one worker per hardware thread, floored at 4 so nested
-/// blocking RPCs and small fan-outs overlap even on tiny hosts, capped
-/// at 64 (beyond that, contention on the run queue outweighs
-/// parallelism for RPC-sized work).
-fn worker_pool_size() -> usize {
-    std::thread::available_parallelism()
-        .map_or(4, std::num::NonZeroUsize::get)
-        .clamp(4, 64)
-}
-
 impl ThreadedNetwork {
     /// New threaded network with the given caller-side timeout. Spawns
-    /// the fixed worker pool immediately; nothing else ever spawns per
-    /// node.
+    /// no thread.
     #[must_use]
     pub fn new(call_timeout: Duration) -> Arc<Self> {
-        let clock = WallClock::new();
         let metrics = Arc::new(NetMetrics::new());
         let obs = metrics.obs();
-        let events_total = obs.registry.striped_counter("kosha_reactor_events_total");
-        let inline_total = obs.registry.striped_counter("kosha_reactor_inline_total");
-        let dispatch_latency = obs
-            .registry
-            .histogram("kosha_reactor_dispatch_latency_nanos");
-        let queue_depth = obs.registry.gauge("kosha_reactor_queue_depth");
-        let threads_spawned = obs.registry.counter("kosha_reactor_threads_spawned_total");
-        let shared = Arc::new(ReactorShared {
-            runq: RunQueue::new(),
-            clock,
-            metrics,
-            events_total,
-            inline_total,
-            dispatch_latency,
-            queue_depth,
-        });
-        let worker_count = worker_pool_size();
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            threads_spawned.inc();
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("kosha-worker-{i}"))
-                .spawn(move || {
-                    while let RunItem::Actor(actor) = shared.runq.pop_wait() {
-                        serve(&shared, &actor, None);
-                    }
-                })
-                .expect("spawn reactor worker");
-            workers.push(handle);
-        }
+        let registry = &obs.registry;
         let net = Arc::new(ThreadedNetwork {
-            shared,
+            clock: WallClock::new(),
+            events_total: registry.striped_counter("kosha_reactor_events_total"),
+            dispatch_latency: registry.histogram("kosha_reactor_dispatch_latency_nanos"),
+            queue_depth: registry.gauge("kosha_reactor_queue_depth"),
+            threads_spawned: registry.counter("kosha_reactor_threads_spawned_total"),
+            metrics,
             nodes: NodeTable::new(),
             call_timeout,
-            worker_count,
-            workers: Mutex::new(workers),
-            threads_spawned,
             pump_stop: Arc::new(AtomicBool::new(false)),
             timers: Arc::new(Mutex::new(Vec::new())),
             timer_thread: Mutex::new(None),
         });
         #[cfg(feature = "lockcheck")]
         crate::lockcheck_gate::install_cycle_hook(Arc::downgrade(&net.obs()), {
-            let clock = Arc::clone(&net.shared.clock);
+            let clock = Arc::clone(&net.clock);
             move || clock.now().0
         });
         net
     }
 
     /// Transport-level observability: per-service call/byte counters and
-    /// latency histograms (`rpc_*{service=...}`) plus the reactor's own
+    /// latency histograms (`rpc_*{service=...}`) plus the transport's own
     /// `kosha_reactor_*` series, timestamped on the monotonic wall clock.
     #[must_use]
     pub fn obs(&self) -> Arc<Obs> {
-        self.shared.metrics.obs()
+        self.metrics.obs()
     }
 
-    /// Size of the fixed worker pool (constant for the transport's
-    /// lifetime, independent of how many nodes are attached).
-    #[must_use]
-    pub fn worker_threads(&self) -> usize {
-        self.worker_count
-    }
-
-    /// Total OS threads this transport has spawned so far (workers +
-    /// the shared timer). Attaching nodes never moves this.
+    /// Total OS threads this transport has spawned so far: 1 once a
+    /// pump is scheduled (the shared timer), else 0.
     #[must_use]
     pub fn threads_spawned(&self) -> u64 {
         self.threads_spawned.get()
     }
 
-    /// Attaches a node, allocating one actor per registered service
-    /// (services registered after attach are not served — register
-    /// everything first, as [`ServiceMux`] users do). No threads are
-    /// spawned: the shared pool serves the new actors. Re-attaching
-    /// replaces the previous registration and closes its actors.
+    /// Attaches a node, allocating one actor per service registered in
+    /// `mux` now (a service registered later is not served until the
+    /// node is attached again). Re-attaching replaces the previous
+    /// registration and closes its actors.
     pub fn attach(&self, addr: NodeAddr, mux: Arc<ServiceMux>) {
-        let actors = ServiceId::ALL.map(|service| {
-            mux.handler(service).map(|handler| {
+        let actors = mux.handlers().map(|handler| {
+            handler.map(|handler| {
                 Arc::new(ServiceActor {
                     handler,
-                    inner: Mutex::new(ActorInner::default()),
+                    line: Mutex::new(Line::default()),
                 })
             })
         });
@@ -548,16 +306,16 @@ impl ThreadedNetwork {
         }
     }
 
-    /// Detaches a node, closing all of its actors. Requests already
-    /// queued are dropped (their callers observe `Unreachable`). The
-    /// departed peer's link latencies and crash marker are pruned with
-    /// it, so churn does not grow any per-peer state without bound.
+    /// Detaches a node, closing all of its actors: callers waiting in
+    /// their lines observe `Unreachable`. The departed peer's link
+    /// latencies are pruned with it, so churn does not grow any per-peer
+    /// state without bound.
     pub fn detach(&self, addr: NodeAddr) {
         let removed = self.nodes.change(|nodes| nodes.remove(&addr));
         if let Some(node) = removed {
             node.close();
         }
-        self.shared.metrics.prune_peer(addr);
+        self.metrics.prune_peer(addr);
     }
 
     /// Simulates a crash: the node stops answering (actors keep their
@@ -580,28 +338,21 @@ impl ThreadedNetwork {
         });
     }
 
-    /// The one way into the transport: validate the destination, admit
-    /// the request to its actor, and account the result once it is in.
-    /// With `blocking`, the caller is about to wait for the result
-    /// anyway, so it serves an idle actor itself, waits inline behind a
-    /// busy one, and the completion comes back ready; without, the
-    /// request always goes to the pool and the completion defers the
-    /// wait. `req.trace` must already be stamped by the caller (`call`,
-    /// or the ambient-context shim in `call_async`).
+    /// The one way into the transport: validate the destination, own its
+    /// actor, run the handler on this thread and account the result.
+    /// `req.trace` is already stamped by `call`.
     fn issue(
         &self,
         from: NodeAddr,
         to: NodeAddr,
         req: RpcRequest,
-        blocking: bool,
-    ) -> CallCompletion {
+    ) -> Result<RpcResponse, RpcError> {
         let service = req.service;
-        let shared = &self.shared;
-        let start = shared.clock.now();
-        let account = CallAccount::enter(&shared.metrics, from, to, &req, start);
+        let start = self.clock.now();
+        let account = CallAccount::enter(&self.metrics, from, to, &req, start);
         let refuse = |err| {
-            shared.metrics.svc(service).failed.inc();
-            CallCompletion::ready(Err(err))
+            self.metrics.svc(service).failed.inc();
+            Err(err)
         };
         // One look at the table: a down or unknown node is unreachable,
         // a live one that lacks the service says so, mirroring
@@ -612,63 +363,47 @@ impl ThreadedNetwork {
                 .ok_or(RpcError::NoService(service)),
             _ => Err(RpcError::Unreachable(to)),
         };
-        // No transport lock is held from here on: the handler may run
-        // on this very stack.
+        // No transport lock is held from here on: the handler runs on
+        // this very stack.
         let actor = match actor {
             Ok(actor) => actor,
             Err(err) => return refuse(err),
         };
-        let reply = match admit(shared, &actor, from, req, start, blocking) {
-            Admitted::Closed => return refuse(RpcError::Unreachable(to)),
-            Admitted::InPlace(req) => {
-                let result = serve(shared, &actor, Some((from, req)))
-                    .expect("a claimed request is answered to its caller");
-                return CallCompletion::ready(account.finish(
-                    &shared.metrics,
-                    shared.clock.now(),
-                    result,
-                ));
-            }
-            Admitted::Queued(reply) => reply,
-        };
         let timeout = self.call_timeout.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let deadline = start.0.saturating_add(timeout);
-        let shared = Arc::clone(shared);
-        let wait = move || {
-            let result = await_reply(&shared, &actor, &reply, deadline, to);
-            account.finish(&shared.metrics, shared.clock.now(), result)
+        let waited = match actor.acquire(self, start.0, start.0.saturating_add(timeout)) {
+            Turn::Owned(waited) => waited,
+            Turn::Closed => return refuse(RpcError::Unreachable(to)),
+            Turn::TimedOut => {
+                let result = Err(RpcError::Unreachable(to));
+                return account.finish(&self.metrics, self.clock.now(), result);
+            }
         };
-        if blocking {
-            CallCompletion::ready(wait())
-        } else {
-            CallCompletion::deferred(Box::new(wait))
-        }
+        self.events_total.inc();
+        self.dispatch_latency.record(waited);
+        // Bridge the caller's trace onto the handler from the wire header
+        // (and restore this thread's own context afterwards, panic or not).
+        let result = trace::with_context(req.trace.map(TraceHeader::ctx), || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                actor.handler.handle_frame(from, req.frame())
+            }))
+        })
+        .unwrap_or_else(|_| Err(RpcError::Remote("handler panicked".to_string())));
+        actor.release();
+        account.finish(&self.metrics, self.clock.now(), result)
     }
 }
 
 impl Drop for ThreadedNetwork {
     fn drop(&mut self) {
         self.pump_stop.store(true, Ordering::SeqCst);
-        // The last reference may be released on one of the transport's
-        // own threads (a worker that was the last holder of a detached
-        // node's handler, the timer after upgrading a hook). Joining
+        // The last reference may be released on the timer thread, after
+        // it upgraded a hook whose owner holds the transport. Joining
         // oneself fails with EDEADLK, so that handle is dropped instead:
-        // the thread exits by itself at its queued `Shutdown` (or at its
-        // next tick) once this `drop` returns.
-        let this_thread = std::thread::current().id();
-        let join = |h: std::thread::JoinHandle<()>| {
-            if h.thread().id() != this_thread {
-                let _ = h.join();
+        // the timer exits by itself at its next tick.
+        if let Some(timer) = self.timer_thread.lock().take() {
+            if timer.thread().id() != std::thread::current().id() {
+                let _ = timer.join();
             }
-        };
-        if let Some(h) = self.timer_thread.lock().take() {
-            join(h);
-        }
-        for _ in 0..self.worker_count {
-            self.shared.runq.push(RunItem::Shutdown);
-        }
-        for h in self.workers.lock().drain(..) {
-            join(h);
         }
         let nodes = self.nodes.change(std::mem::take);
         for node in nodes.into_values() {
@@ -678,11 +413,10 @@ impl Drop for ThreadedNetwork {
 }
 
 impl Network for ThreadedNetwork {
-    /// Blocking RPC, served on this thread if the destination is idle
-    /// (see the module docs). When a trace is active on this thread,
-    /// the RPC is wrapped in a client span (wall-clock timed) whose
-    /// context is stamped into the wire header, so the handler picks it
-    /// up on whichever thread serves it.
+    /// Blocking RPC, served on this thread (see the module docs). When a
+    /// trace is active on this thread, the RPC is wrapped in a client
+    /// span (wall-clock timed) whose context is stamped into the wire
+    /// header, from which the handler takes it.
     fn call(
         &self,
         from: NodeAddr,
@@ -691,36 +425,25 @@ impl Network for ThreadedNetwork {
     ) -> Result<RpcResponse, RpcError> {
         #[cfg(feature = "lockcheck")]
         crate::lockcheck_gate::rpc_gate(
-            &self.shared.metrics.obs(),
-            self.shared.clock.now().0,
+            &self.metrics.obs(),
+            self.clock.now().0,
             from,
             "ThreadedNetwork::call",
         );
         let span_name = req.service.rpc_span_name();
-        self.shared.metrics.tracer().child_with(
+        self.metrics.tracer().child_with(
             || span_name.to_string(),
             from.0,
-            || self.shared.clock.now().0,
+            || self.clock.now().0,
             |ctx| {
                 req.trace = ctx.map(TraceHeader::from_ctx);
-                self.issue(from, to, req, true).wait()
+                self.issue(from, to, req)
             },
         )
     }
 
-    /// Continuation-style dispatch: enqueue on the destination actor
-    /// and return immediately. If no span context has been stamped, the
-    /// ambient trace (if any) is propagated; callers that want a
-    /// per-call client span stamp one themselves (as `call` does).
-    fn call_async(&self, from: NodeAddr, to: NodeAddr, mut req: RpcRequest) -> CallCompletion {
-        if req.trace.is_none() {
-            req.trace = trace::current().map(TraceHeader::from_ctx);
-        }
-        self.issue(from, to, req, false)
-    }
-
     fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.shared.clock) as Arc<dyn Clock>
+        Arc::clone(&self.clock) as Arc<dyn Clock>
     }
 
     fn is_up(&self, addr: NodeAddr) -> bool {
@@ -742,8 +465,8 @@ impl Network for ThreadedNetwork {
         if timer.is_none() {
             let stop = Arc::clone(&self.pump_stop);
             let timers = Arc::clone(&self.timers);
-            let obs = self.shared.metrics.obs();
-            let clock = Arc::clone(&self.shared.clock);
+            let obs = self.metrics.obs();
+            let clock = Arc::clone(&self.clock);
             self.threads_spawned.inc();
             // Tick every 2ms so Drop never blocks behind a long flush
             // interval and short test intervals still fire promptly.
@@ -791,17 +514,16 @@ impl Network for ThreadedNetwork {
     }
 
     fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.shared.metrics.peer_latency(from, to)
+        self.metrics.peer_latency(from, to)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::RpcHandler;
     use crate::wire::WireRead;
     use bytes::Bytes;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
     struct Counter(AtomicU64);
     impl RpcHandler for Counter {
@@ -821,17 +543,16 @@ mod tests {
         }
     }
 
-    /// `(events_total, inline_total)` of the reactor.
-    fn served(net: &ThreadedNetwork) -> (u64, u64) {
-        let reg = &net.obs().registry;
-        (
-            reg.counter("kosha_reactor_events_total").get(),
-            reg.counter("kosha_reactor_inline_total").get(),
-        )
+    /// `kosha_reactor_events_total`: requests served.
+    fn served(net: &ThreadedNetwork) -> u64 {
+        net.obs()
+            .registry
+            .counter("kosha_reactor_events_total")
+            .get()
     }
 
-    /// Spins until `n` requests sit in actor queues: the only way to
-    /// know that another thread's blocking call has been admitted.
+    /// Spins until `n` callers wait in actor lines: the only way to know
+    /// that another thread's call has found its actor owned.
     fn until_queued(net: &ThreadedNetwork, n: i64) {
         let depth = net.obs().registry.gauge("kosha_reactor_queue_depth");
         while depth.get() != n {
@@ -884,6 +605,15 @@ mod tests {
 
     fn numbered(id: u64) -> RpcRequest {
         RpcRequest::new(ServiceId::Kosha, &id)
+    }
+
+    /// A transport with `handler` as node 1's Kosha service.
+    fn serving(timeout: Duration, handler: Arc<dyn RpcHandler>) -> Arc<ThreadedNetwork> {
+        let net = ThreadedNetwork::new(timeout);
+        let mux = Arc::new(ServiceMux::new());
+        mux.register(ServiceId::Kosha, handler);
+        net.attach(NodeAddr(1), mux);
+        net
     }
 
     #[test]
@@ -945,8 +675,8 @@ mod tests {
             .unwrap();
         assert_eq!(depth, 3);
         assert_eq!(*ran_on.lock(), vec![std::thread::current().id(); 3]);
-        assert_eq!(served(&net), (3, 3));
-        // Never queued: one zero dispatch-latency sample per request.
+        assert_eq!(served(&net), 3);
+        // Nobody waited: one zero dispatch-latency sample per request.
         let reg = &net.obs().registry;
         let dispatch = reg.histogram("kosha_reactor_dispatch_latency_nanos");
         assert_eq!((dispatch.count(), dispatch.max()), (3, 0));
@@ -955,44 +685,44 @@ mod tests {
 
     #[test]
     fn callers_of_a_busy_actor_queue_behind_its_owner_in_order() {
-        let net = ThreadedNetwork::new(Duration::from_secs(10));
         let (handler, has_entered, release) = Logged::new();
-        let mux = Arc::new(ServiceMux::new());
-        mux.register(ServiceId::Kosha, handler.clone());
-        net.attach(NodeAddr(1), mux);
-
+        let net = serving(Duration::from_secs(10), handler.clone());
         std::thread::scope(|s| {
+            let net = &net;
             // Request 0 claims the idle actor and parks in its handler.
-            let owner = s.spawn(|| net.call(NodeAddr(8), NodeAddr(1), numbered(0)));
+            let owner = s.spawn(move || net.call(NodeAddr(8), NodeAddr(1), numbered(0)));
             has_entered.recv().expect("request 0 is being served");
-            // A second blocking caller and an async one find it owned.
-            let second = s.spawn(|| net.call(NodeAddr(9), NodeAddr(1), numbered(1)));
-            until_queued(&net, 1);
-            let third = net.call_async(NodeAddr(9), NodeAddr(1), numbered(2));
-            until_queued(&net, 2);
-            assert_eq!(*handler.order.lock(), Vec::<u64>::new());
+            // Three more callers find it owned and line up one by one.
+            let waiters: Vec<_> = (1..=3u64)
+                .map(|id| {
+                    let waiter = s.spawn(move || net.call(NodeAddr(9), NodeAddr(1), numbered(id)));
+                    until_queued(net, id as i64);
+                    waiter
+                })
+                .collect();
+            assert!(handler.order.lock().is_empty());
             release.send(()).expect("request 0 is parked");
-            for (id, result) in [
-                (0, owner.join().expect("owner thread")),
-                (1, second.join().expect("second thread")),
-                (2, third.wait()),
-            ] {
+            let results = std::iter::once(owner).chain(waiters);
+            for (id, caller) in (0..).zip(results) {
+                let result = caller.join().expect("caller thread");
                 assert_eq!(result.unwrap().decode::<u64>().unwrap(), id);
             }
         });
-        assert_eq!(*handler.order.lock(), vec![0, 1, 2]);
+        assert_eq!(*handler.order.lock(), vec![0, 1, 2, 3]);
         assert_eq!(handler.max_active.load(Ordering::SeqCst), 1);
-        // Only request 0 found the actor idle.
-        assert_eq!(served(&net), (3, 1));
+        assert_eq!(served(&net), 4);
+        // The three that lined up waited for their turn.
+        let reg = &net.obs().registry;
+        let dispatch = reg.histogram("kosha_reactor_dispatch_latency_nanos");
+        assert_eq!(dispatch.count(), 4);
+        assert!(dispatch.max() > 0);
+        assert_eq!(reg.gauge("kosha_reactor_queue_depth").get(), 0);
     }
 
     #[test]
     fn an_actor_never_runs_on_two_threads_at_once() {
-        let net = ThreadedNetwork::new(Duration::from_secs(30));
         let (handler, _has_entered, _release) = Logged::new();
-        let mux = Arc::new(ServiceMux::new());
-        mux.register(ServiceId::Kosha, handler.clone());
-        net.attach(NodeAddr(1), mux);
+        let net = serving(Duration::from_secs(30), handler.clone());
         std::thread::scope(|s| {
             for caller in 0..8u64 {
                 let net = &net;
@@ -1000,11 +730,7 @@ mod tests {
                     for i in 1..=200u64 {
                         let id = caller * 1000 + i;
                         let from = NodeAddr(100 + caller);
-                        let result = if i % 2 == 0 {
-                            net.call(from, NodeAddr(1), numbered(id))
-                        } else {
-                            net.call_async(from, NodeAddr(1), numbered(id)).wait()
-                        };
+                        let result = net.call(from, NodeAddr(1), numbered(id));
                         assert_eq!(result.unwrap().decode::<u64>().unwrap(), id);
                     }
                 });
@@ -1022,27 +748,23 @@ mod tests {
                 .collect();
             assert!(mine.windows(2).all(|w| w[0] < w[1]), "caller {caller}");
         }
-        let (events, inline) = served(&net);
-        assert_eq!(events, 1600);
-        assert!(inline <= 800, "call_async is never served in place");
+        assert_eq!(served(&net), 1600);
     }
 
     #[test]
     fn same_service_cycle_from_an_in_place_caller_times_out() {
-        // KoshaFs(1) calls KoshaFs(1) while serving: the actor is owned
-        // by the outer request (on the client's own thread), so the
-        // inner one must queue and time out, not recurse.
+        // KoshaFs(1) calls KoshaFs(1) while serving request 0: the actor
+        // is owned by the outer request (on the client's own thread), so
+        // the inner request 1 waits in line, times out, and never runs.
         struct Reenter {
             net: Weak<ThreadedNetwork>,
-            active: AtomicU64,
-            max_active: AtomicU64,
+            ran: Mutex<Vec<u8>>,
         }
         impl RpcHandler for Reenter {
             fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
-                let inside = self.active.fetch_add(1, Ordering::SeqCst) + 1;
-                self.max_active.fetch_max(inside, Ordering::SeqCst);
-                let outer = u8::decode(body)? == 0;
-                let timed_out = outer && {
+                let id = u8::decode(body)?;
+                self.ran.lock().push(id);
+                let timed_out = id == 0 && {
                     let net = self.net.upgrade().expect("the caller holds the transport");
                     let inner = net.call(
                         NodeAddr(1),
@@ -1051,7 +773,6 @@ mod tests {
                     );
                     matches!(inner, Err(RpcError::Unreachable(NodeAddr(1))))
                 };
-                self.active.fetch_sub(1, Ordering::SeqCst);
                 Ok(RpcResponse::new(&timed_out))
             }
         }
@@ -1059,31 +780,32 @@ mod tests {
         let net = ThreadedNetwork::new(timeout);
         let handler = Arc::new(Reenter {
             net: Arc::downgrade(&net),
-            active: AtomicU64::new(0),
-            max_active: AtomicU64::new(0),
+            ran: Mutex::new(Vec::new()),
         });
         let mux = Arc::new(ServiceMux::new());
         mux.register(ServiceId::KoshaFs, handler.clone());
         net.attach(NodeAddr(1), mux);
 
+        let call = |id: u8| {
+            net.call(
+                NodeAddr(9),
+                NodeAddr(1),
+                RpcRequest::new(ServiceId::KoshaFs, &id),
+            )
+        };
         let started = std::time::Instant::now();
-        let outer = net.call(
-            NodeAddr(9),
-            NodeAddr(1),
-            RpcRequest::new(ServiceId::KoshaFs, &0u8),
-        );
-        assert!(outer.unwrap().decode::<bool>().unwrap(), "inner call");
+        assert!(call(0).unwrap().decode::<bool>().unwrap(), "inner call");
         assert!(started.elapsed() >= timeout);
-        assert_eq!(handler.max_active.load(Ordering::SeqCst), 1);
-        // The abandoned inner request is served once its owner lets go,
-        // and the actor is free again afterwards.
-        let again = net.call(
-            NodeAddr(9),
-            NodeAddr(1),
-            RpcRequest::new(ServiceId::KoshaFs, &1u8),
-        );
-        assert!(!again.unwrap().decode::<bool>().unwrap());
-        assert_eq!(served(&net).0, 3);
+        // The actor is free again, and request 2 is the next to run: the
+        // abandoned request 1 is not run late, when nobody waits for it.
+        assert!(!call(2).unwrap().decode::<bool>().unwrap());
+        assert_eq!(*handler.ran.lock(), vec![0, 2]);
+        assert_eq!(served(&net), 2);
+        let failed = net
+            .obs()
+            .registry
+            .counter("rpc_failed_calls_total{service=\"koshafs\"}");
+        assert_eq!(failed.get(), 1);
     }
 
     #[test]
@@ -1095,17 +817,17 @@ mod tests {
                 Ok(RpcResponse::new(&1u8))
             }
         }
-        let net = ThreadedNetwork::new(Duration::from_secs(2));
-        let mux = Arc::new(ServiceMux::new());
-        mux.register(ServiceId::Kosha, Arc::new(BoomOnce(AtomicBool::new(false))));
-        net.attach(NodeAddr(1), mux);
+        let net = serving(
+            Duration::from_secs(2),
+            Arc::new(BoomOnce(AtomicBool::new(false))),
+        );
         assert!(matches!(
             net.call(NodeAddr(2), NodeAddr(1), req()),
             Err(RpcError::Remote(_))
         ));
-        // A leaked `running` flag would queue this call behind nobody.
+        // A leaked ownership would queue this call behind nobody.
         assert!(net.call(NodeAddr(2), NodeAddr(1), req()).is_ok());
-        assert_eq!(served(&net), (2, 2));
+        assert_eq!(served(&net), 2);
         let failed = net
             .obs()
             .registry
@@ -1115,86 +837,46 @@ mod tests {
 
     #[test]
     fn detach_during_an_in_place_request_lets_it_finish_and_clears_the_queue() {
-        let net = ThreadedNetwork::new(Duration::from_secs(10));
         let (handler, has_entered, release) = Logged::new();
-        let mux = Arc::new(ServiceMux::new());
-        mux.register(ServiceId::Kosha, handler.clone());
-        net.attach(NodeAddr(1), mux);
+        let net = serving(Duration::from_secs(10), handler.clone());
         std::thread::scope(|s| {
-            let in_flight = s.spawn(|| net.call(NodeAddr(8), NodeAddr(1), numbered(0)));
+            let net = &net;
+            let in_flight = s.spawn(move || net.call(NodeAddr(8), NodeAddr(1), numbered(0)));
             has_entered.recv().expect("request 0 is being served");
-            let queued = net.call_async(NodeAddr(9), NodeAddr(1), numbered(1));
+            let waiters: Vec<_> = (1..=2u64)
+                .map(|id| {
+                    let waiter = s.spawn(move || net.call(NodeAddr(9), NodeAddr(1), numbered(id)));
+                    until_queued(net, id as i64);
+                    waiter
+                })
+                .collect();
+            // Every caller in line wakes with `Unreachable`, long before
+            // its timeout, while request 0 is still being served.
             net.detach(NodeAddr(1));
-            assert!(matches!(
-                queued.wait(),
-                Err(RpcError::Unreachable(NodeAddr(1)))
-            ));
+            for waiter in waiters {
+                assert!(matches!(
+                    waiter.join().expect("waiter thread"),
+                    Err(RpcError::Unreachable(NodeAddr(1)))
+                ));
+            }
+            assert_eq!(*handler.order.lock(), Vec::<u64>::new());
             release.send(()).expect("request 0 is parked");
             let finished = in_flight.join().expect("caller thread");
             assert_eq!(finished.unwrap().decode::<u64>().unwrap(), 0);
         });
         assert!(matches!(
-            net.call(NodeAddr(9), NodeAddr(1), numbered(2)),
+            net.call(NodeAddr(9), NodeAddr(1), numbered(3)),
             Err(RpcError::Unreachable(NodeAddr(1)))
         ));
         assert_eq!(*handler.order.lock(), vec![0]);
-    }
-
-    #[test]
-    fn a_plain_thread_waiting_on_a_completion_helps() {
-        // Every pool worker parks inside a gate handler; the request the
-        // test thread then issues with `call_async` can only be served
-        // by the test thread itself, while it waits.
-        struct Gate {
-            arrived: SyncSender<()>,
-            open: Arc<std::sync::Barrier>,
-        }
-        impl RpcHandler for Gate {
-            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
-                self.arrived.send(()).expect("the test counts arrivals");
-                self.open.wait();
-                Ok(RpcResponse::new(&0u8))
-            }
-        }
-        let net = ThreadedNetwork::new(Duration::from_secs(10));
-        let pool = net.worker_threads();
-        let (arrived, arrivals) = sync_channel(pool);
-        let open = Arc::new(std::sync::Barrier::new(pool + 1));
-        for gate in 0..pool as u64 {
-            let mux = Arc::new(ServiceMux::new());
-            mux.register(
-                ServiceId::Kosha,
-                Arc::new(Gate {
-                    arrived: arrived.clone(),
-                    open: Arc::clone(&open),
-                }),
-            );
-            net.attach(NodeAddr(gate), mux);
-        }
-        let mux = Arc::new(ServiceMux::new());
-        mux.register(ServiceId::Kosha, Arc::new(Counter(AtomicU64::new(41))));
-        net.attach(NodeAddr(99), mux);
-
-        let parked: Vec<_> = (0..pool as u64)
-            .map(|gate| net.call_async(NodeAddr(100), NodeAddr(gate), req()))
-            .collect();
-        for _ in 0..pool {
-            arrivals.recv().expect("a worker reached its gate");
-        }
-        let helped = net.call_async(NodeAddr(100), NodeAddr(99), req()).wait();
-        assert_eq!(helped.unwrap().decode::<u64>().unwrap(), 41);
-        open.wait();
-        for completion in parked {
-            completion.wait().unwrap();
-        }
-        assert_eq!(served(&net), (pool as u64 + 1, 0));
+        let depth = net.obs().registry.gauge("kosha_reactor_queue_depth");
+        assert_eq!(depth.get(), 0);
     }
 
     #[test]
     fn call_many_runs_on_its_caller_in_batch_order() {
         // The K = 2 mirror fan-out on an idle transport: both entries
-        // are served in place, one after the other, and nothing is
-        // queued for the pool.
+        // are served in place, one after the other.
         struct Stamp(u64, Arc<Mutex<Vec<(u64, std::thread::ThreadId)>>>);
         impl RpcHandler for Stamp {
             fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
@@ -1222,7 +904,7 @@ mod tests {
         assert_eq!(out, vec![2, 1]);
         let me = std::thread::current().id();
         assert_eq!(*ran.lock(), vec![(2, me), (1, me)]);
-        assert_eq!(served(&net), (2, 2));
+        assert_eq!(served(&net), 2);
     }
 
     #[test]
@@ -1249,46 +931,46 @@ mod tests {
     }
 
     #[test]
-    fn last_reference_dropped_inside_a_handler_does_not_join_itself() {
-        // The handler's node holds the transport (as every KoshaNode
-        // does). When the outside world lets go while a request is in
-        // service, the worker serving it releases the last reference and
-        // runs `ThreadedNetwork::drop` on a pool thread.
+    fn last_reference_dropped_on_the_timer_does_not_join_itself() {
+        // A pump hook's owner holds the transport (as every KoshaNode
+        // does). When the outside world lets go while the hook runs, the
+        // timer releases the last reference and runs
+        // `ThreadedNetwork::drop` on the timer thread itself.
         struct LastHolder {
             net: Mutex<Option<Arc<ThreadedNetwork>>>,
             released: Mutex<Receiver<()>>,
+            dropped: SyncSender<()>,
         }
-        impl RpcHandler for LastHolder {
-            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
+        impl PumpHook for LastHolder {
+            fn pump(&self) {
+                let Some(net) = self.net.lock().take() else {
+                    return;
+                };
                 self.released
                     .lock()
                     .recv()
                     .expect("the test releases first");
-                let net = self.net.lock().take().expect("wired");
                 assert_eq!(Arc::strong_count(&net), 1);
                 drop(net);
-                Ok(RpcResponse::new(&1u8))
+                self.dropped.send(()).expect("the test listens");
             }
         }
         let net = ThreadedNetwork::new(Duration::from_secs(5));
         let (release, released) = sync_channel(1);
+        let (dropped, has_dropped) = sync_channel(1);
         let holder = Arc::new(LastHolder {
             net: Mutex::new(Some(Arc::clone(&net))),
             released: Mutex::new(released),
+            dropped,
         });
-        let mux = Arc::new(ServiceMux::new());
-        mux.register(ServiceId::Kosha, holder);
-        net.attach(NodeAddr(7), mux);
-
-        let pending = net.call_async(NodeAddr(1), NodeAddr(7), req());
+        let hook = Arc::downgrade(&holder) as Weak<dyn PumpHook>;
+        assert!(net.schedule_pump(hook, Duration::from_millis(2)));
         drop(net);
-        release.send(()).expect("handler is waiting");
-        // A panic in the handler (the self-join) would come back as
-        // `RpcError::Remote("handler panicked")`.
-        let resp = pending
-            .wait()
-            .expect("served by the worker that dropped the transport");
-        assert_eq!(resp.decode::<u8>().unwrap(), 1);
+        release.send(()).expect("the hook is waiting");
+        // A self-join would panic the timer before it reports.
+        has_dropped
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the timer dropped the transport and went on");
     }
 
     #[test]
@@ -1341,34 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn call_async_is_truly_concurrent() {
-        // Each target's handler blocks on a shared barrier sized to the
-        // three calls: they complete only if all three are in flight at
-        // once. A serial dispatch would stall the first call forever
-        // (surfacing as a timeout error here). This proves that distinct
-        // actors really overlap on distinct pool workers.
-        struct Rendezvous(Arc<std::sync::Barrier>);
-        impl RpcHandler for Rendezvous {
-            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
-                self.0.wait();
-                Ok(RpcResponse::new(&1u64))
-            }
-        }
-        let net = ThreadedNetwork::new(Duration::from_secs(10));
-        let barrier = Arc::new(std::sync::Barrier::new(3));
-        for a in [1, 2, 3] {
-            let mux = Arc::new(ServiceMux::new());
-            mux.register(ServiceId::Kosha, Arc::new(Rendezvous(Arc::clone(&barrier))));
-            net.attach(NodeAddr(a), mux);
-        }
-        let in_flight: Vec<_> = [1, 2, 3]
-            .into_iter()
-            .map(|a| net.call_async(NodeAddr(9), NodeAddr(a), req()))
-            .collect();
-        assert!(in_flight.into_iter().all(|c| c.wait().is_ok()));
-    }
-
-    #[test]
     fn failed_node_rejects_and_recovers() {
         let net = ThreadedNetwork::new(Duration::from_secs(1));
         let mux = Arc::new(ServiceMux::new());
@@ -1418,7 +1072,7 @@ mod tests {
             }
         });
         // Requests served: the first and the last round, one per caller.
-        assert_eq!(served(&net).0, 2 * callers as u64);
+        assert_eq!(served(&net), 2 * callers as u64);
     }
 
     #[test]
@@ -1501,19 +1155,17 @@ mod tests {
                 .map(|r| r.unwrap().decode::<u64>().unwrap())
                 .collect();
             assert!(many.iter().all(|&t| t == tid));
-            // The cross-thread half: a pool worker picks the context up
-            // from the wire header `call_async` stamps.
-            let crossed = net.call_async(NodeAddr(0), NodeAddr(1), req()).wait();
-            let crossed = crossed.unwrap().decode::<u64>().unwrap();
-            assert_eq!(crossed, tid, "pool worker must see the caller's trace");
             (single == tid, many.len())
         });
         assert!(single, "a handler served in place sees the caller's trace");
         assert_eq!(many, 3);
+        // Outside the root, the handler runs under no trace: the
+        // caller's context was restored after each call.
+        let after = net.call(NodeAddr(0), NodeAddr(1), req()).unwrap();
+        assert_eq!(after.decode::<u64>().unwrap(), 0);
 
         // Root + one rpc:kosha + three rpc:replica client spans, on the
-        // wall clock, all in one trace (`call_async` propagates the
-        // ambient context and records no client span of its own).
+        // wall clock, all in one trace.
         let spans = obs.tracer.take();
         assert_eq!(spans.len(), 5);
         let tid = spans[0].trace_id;
@@ -1543,45 +1195,45 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_fixed_while_1k_async_calls_complete() {
-        // ISSUE 7 satellite: worker-pool size stays fixed while 1k
-        // concurrent call_async RPCs complete, and attaching nodes
-        // spawns no threads.
-        let net = ThreadedNetwork::new(Duration::from_secs(10));
-        let pool = net.worker_threads();
-        let spawned_at_start = net.threads_spawned();
-        assert_eq!(spawned_at_start, pool as u64);
-
-        let served = Arc::new(AtomicU64::new(0));
-        struct Count(Arc<AtomicU64>);
-        impl RpcHandler for Count {
-            fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {
-                let n = self.0.fetch_add(1, Ordering::SeqCst);
-                Ok(RpcResponse::new(&n))
-            }
+    fn only_the_timer_thread_is_ever_spawned() {
+        // Attaching nodes and serving calls from several client threads
+        // spawns nothing; the first scheduled pump spawns the shared
+        // timer, and later ones use it.
+        struct Idle;
+        impl PumpHook for Idle {
+            fn pump(&self) {}
         }
-        for a in 0..50u64 {
+        let net = ThreadedNetwork::new(Duration::from_secs(10));
+        assert_eq!(net.threads_spawned(), 0);
+        for a in 0..64u64 {
             let mux = Arc::new(ServiceMux::new());
-            mux.register(ServiceId::Kosha, Arc::new(Count(Arc::clone(&served))));
+            mux.register(ServiceId::Kosha, Arc::new(Counter(AtomicU64::new(0))));
             net.attach(NodeAddr(a), mux);
         }
-        assert_eq!(net.threads_spawned(), spawned_at_start, "attach spawned");
-
-        let completions: Vec<_> = (0..1000u64)
-            .map(|i| net.call_async(NodeAddr(999), NodeAddr(i % 50), req()))
-            .collect();
-        for c in completions {
-            c.wait().unwrap();
+        std::thread::scope(|s| {
+            for c in 0..4u64 {
+                let net = &net;
+                s.spawn(move || {
+                    for i in 0..500u64 {
+                        let to = NodeAddr((c * 500 + i) % 64);
+                        net.call(NodeAddr(100 + c), to, req()).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(served(&net), 2000);
+        assert_eq!(net.threads_spawned(), 0);
+        let idle: Arc<dyn PumpHook> = Arc::new(Idle);
+        for _ in 0..2 {
+            assert!(net.schedule_pump(Arc::downgrade(&idle), Duration::from_millis(10)));
+            assert_eq!(net.threads_spawned(), 1);
         }
-        assert_eq!(served.load(Ordering::SeqCst), 1000);
-        assert_eq!(net.worker_threads(), pool);
-        assert_eq!(net.threads_spawned(), spawned_at_start);
     }
 
     #[test]
     fn panicking_handler_fails_one_call_not_the_pool() {
         // A handler panic must surface as an RPC error to its caller
-        // and leave the shared pool serving everyone else.
+        // and leave the node's other services serving.
         struct Boom;
         impl RpcHandler for Boom {
             fn handle(&self, _from: NodeAddr, _body: &[u8]) -> Result<RpcResponse, RpcError> {

@@ -6,8 +6,7 @@
 use kosha::{audit_cluster, boot_cluster, AuditOptions, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_rpc::{
-    CallCompletion, Clock, Network, NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId,
-    ThreadedNetwork,
+    Clock, Network, NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId, ThreadedNetwork,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -193,32 +192,22 @@ fn assert_audit_clean(net: &ThreadedNetwork, nodes: &[Arc<KoshaNode>]) {
 #[test]
 fn one_client_mutating_a_k2_cluster_queues_nothing() {
     // Every RPC of a lone client finds its actor idle, the K = 2 mirror
-    // fan-out included: each is served on the client's thread, so the
-    // requests the reactor dispatched and the ones it served in place
-    // stay equal (nothing was queued, nobody was woken).
+    // fan-out included: each is served on the client's thread at once,
+    // so no request waited to own its actor.
     let (net, nodes) = threaded_cluster_with_replicas(8, 2);
     let m = KoshaMount::new(net.clone() as Arc<dyn Network>, NodeAddr(0), NodeAddr(0)).unwrap();
     m.mkdir_p("/solo").unwrap();
     let reg = &net.obs().registry;
-    let queued = || {
-        let events = reg.counter("kosha_reactor_events_total").get();
-        (
-            events,
-            events - reg.counter("kosha_reactor_inline_total").get(),
-        )
-    };
-    let (events_before, queued_before) = queued();
+    let events = || reg.counter("kosha_reactor_events_total").get();
+    let events_before = events();
     for i in 0..1_000 {
         let path = format!("/solo/f{i}");
         m.write_file(&path, &[i as u8; 64]).expect("create + write");
         m.remove(&path).expect("remove");
     }
-    let (events_after, queued_after) = queued();
-    assert!(
-        events_after - events_before >= 3_000,
-        "the loop issued RPCs"
-    );
-    assert_eq!(queued_after, queued_before);
+    assert!(events() - events_before >= 3_000, "the loop issued RPCs");
+    let dispatch = reg.histogram("kosha_reactor_dispatch_latency_nanos");
+    assert_eq!(dispatch.max(), 0, "a request waited for its actor");
     assert!(m.readdir("/solo").unwrap().is_empty());
     m.write_file("/solo/kept", b"audited").unwrap();
     assert_audit_clean(&net, &nodes);
@@ -295,10 +284,6 @@ struct ClockCounting {
 impl Network for ClockCounting {
     fn call(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> Result<RpcResponse, RpcError> {
         self.inner.call(from, to, req)
-    }
-
-    fn call_async(&self, from: NodeAddr, to: NodeAddr, req: RpcRequest) -> CallCompletion {
-        self.inner.call_async(from, to, req)
     }
 
     fn clock(&self) -> Arc<dyn Clock> {
