@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 pub struct SlotSummary {
     /// SHA-1 over the canonical serialization (see [`tree_digest`]).
     pub digest: [u8; 20],
-    /// Payload bytes (file contents, sparse sizes, symlink targets).
+    /// Payload bytes (file contents, symlink targets).
     pub bytes: u64,
     /// Objects below the slot root.
     pub files: u64,
@@ -85,11 +85,6 @@ pub fn slot_summary(items: &[ExportItem]) -> SlotSummary {
                 h.update(&(data.len() as u64).to_be_bytes());
                 h.update(data);
                 bytes += data.len() as u64;
-            }
-            ExportKind::Sparse(n) => {
-                h.update(b"S");
-                h.update(&n.to_be_bytes());
-                bytes += *n;
             }
             ExportKind::Symlink { target } => {
                 h.update(b"L");

@@ -38,8 +38,6 @@ wire_enum! {
         /// Regular file with contents: the exporting store's buffer by
         /// refcount on the way out, a view of the frame on the way in.
         Bytes(data: Bytes) = 1,
-        /// Sparse (size-only) file.
-        Sparse(size: u64) = 2,
         /// Symlink (user or special).
         Symlink {
             /// Link target.
@@ -55,7 +53,6 @@ impl From<ExportItem> for MigrateItem {
             kind: match e.kind {
                 ExportKind::Dir => MigrateKind::Dir,
                 ExportKind::Bytes(b) => MigrateKind::Bytes(b),
-                ExportKind::Sparse(n) => MigrateKind::Sparse(n),
                 ExportKind::Symlink { target } => MigrateKind::Symlink { target },
             },
             mode: e.mode,
@@ -281,7 +278,7 @@ wire_enum! {
             /// Owner gid.
             gid: u32,
         } = 0 => "mkdir",
-        /// Create a regular (or sparse, when `size` is set) file.
+        /// Create an empty regular file.
         Create {
             /// Virtual path of the file.
             path: String,
@@ -291,8 +288,6 @@ wire_enum! {
             uid: u32,
             /// Owner gid.
             gid: u32,
-            /// Sparse size, if any.
-            size: Option<u64>,
         } = 1 => "create",
         /// Create a symlink: a special link ([`crate::primary::SPECIAL_LINK_MODE`],
         /// the sticky bit) or a user-level one ([`crate::primary::USER_LINK_MODE`]).
@@ -492,7 +487,6 @@ mod tests {
                     mode: 0o644,
                     uid: 1,
                     gid: 2,
-                    size: Some(100),
                 },
             },
             ControlRequest::Mutate {
@@ -533,7 +527,6 @@ mod tests {
                         mode: 0o644,
                         uid: 1,
                         gid: 2,
-                        size: None,
                     },
                     write(0, vec![3, 4]),
                     ReplicaOp::LagMark {
@@ -613,7 +606,6 @@ mod tests {
                 mode: 0o644,
                 uid: 1,
                 gid: 2,
-                size: Some(64),
             },
             ReplicaOp::Symlink {
                 path: "/a/l".into(),
@@ -674,7 +666,6 @@ mod tests {
         for kind in [
             MigrateKind::Dir,
             MigrateKind::Bytes(vec![1, 2, 3].into()),
-            MigrateKind::Sparse(1 << 40),
             MigrateKind::Symlink {
                 target: "t#1".into(),
             },

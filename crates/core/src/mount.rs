@@ -225,18 +225,6 @@ impl KoshaMount {
         Ok(self.nfs.create(dir, name, 0o644, self.uid, self.gid)?.0)
     }
 
-    /// Creates a quota-charged sparse file of `size` bytes (simulation
-    /// workloads).
-    pub fn create_sized(&self, path: &str, size: u64) -> NfsResult<Fh> {
-        let path = normalized(path).map_err(|e| NfsError::Status(e.into()))?;
-        let (pp, name) = parent_and_name(&path).ok_or(NfsError::Status(NfsStatus::Inval))?;
-        let dir = self.dir_handle(pp)?;
-        Ok(self
-            .nfs
-            .create_sized(dir, name, size, 0o644, self.uid, self.gid)?
-            .0)
-    }
-
     /// Writes `data` into an existing file at `offset` (one WRITE per
     /// chunk, like an appending NFS client).
     pub fn write_at(&self, path: &str, offset: u64, data: &[u8]) -> NfsResult<()> {

@@ -215,7 +215,7 @@ impl KoshaNode {
             // leaves pumping to explicit `run_pumps()` / `run_for()`
             // calls so simulations stay deterministic.
             let hook = Arc::downgrade(&node) as Weak<dyn kosha_rpc::PumpHook>;
-            let _ = node.net.schedule_pump(hook, WRITE_BEHIND_PUMP_INTERVAL);
+            node.net.schedule_pump(hook, WRITE_BEHIND_PUMP_INTERVAL);
         }
 
         let mux = Arc::new(ServiceMux::new());

@@ -319,31 +319,6 @@ impl KoshaNode {
         uid: u32,
         gid: u32,
     ) -> NfsResult<(Fh, Attr)> {
-        self.k_create_inner(dir, name, mode, uid, gid, None)
-    }
-
-    /// CREATE a quota-charged sparse file (simulation workloads).
-    pub fn k_create_sized(
-        &self,
-        dir: Fh,
-        name: &str,
-        size: u64,
-        mode: u32,
-        uid: u32,
-        gid: u32,
-    ) -> NfsResult<(Fh, Attr)> {
-        self.k_create_inner(dir, name, mode, uid, gid, Some(size))
-    }
-
-    fn k_create_inner(
-        &self,
-        dir: Fh,
-        name: &str,
-        mode: u32,
-        uid: u32,
-        gid: u32,
-        size: Option<u64>,
-    ) -> NfsResult<(Fh, Attr)> {
         validate_name(name).map_err(|e| NfsError::Status(e.into()))?;
         let dpath = self.vh_path(dir)?;
         let vpath = join_path(&dpath, name);
@@ -354,7 +329,6 @@ impl KoshaNode {
                 mode,
                 uid,
                 gid,
-                size,
             };
             let reply = s.mutate_at(parent.addr, op)?;
             let (efh, attr) = match reply {
@@ -697,7 +671,6 @@ impl KoshaNode {
                         mode: sattr.mode,
                         uid: sattr.uid,
                         gid: sattr.gid,
-                        size: None,
                     };
                     s.mutate_at(dp.addr, op)?;
                     let chunk = s.cfg.io_chunk;
@@ -892,22 +865,6 @@ impl VirtualFs {
                 } => {
                     let (fh, attr) = k
                         .k_create(dir, &name, mode, uid, gid)
-                        .map_err(nfs_error_to_status)?;
-                    NfsReply::Handle {
-                        fh,
-                        attr: WireAttr(attr),
-                    }
-                }
-                NfsRequest::CreateSized {
-                    dir,
-                    name,
-                    size,
-                    mode,
-                    uid,
-                    gid,
-                } => {
-                    let (fh, attr) = k
-                        .k_create_sized(dir, &name, size, mode, uid, gid)
                         .map_err(nfs_error_to_status)?;
                     NfsReply::Handle {
                         fh,

@@ -431,26 +431,14 @@ impl KoshaNode {
                 mode,
                 uid,
                 gid,
-                size,
             } => {
                 let (dir, name) = self.entry_dir(area, path, true)?;
-                let (mode, uid, gid) = (*mode, *uid, *gid);
-                let req = match *size {
-                    None => NfsRequest::Create {
-                        dir,
-                        name,
-                        mode,
-                        uid,
-                        gid,
-                    },
-                    Some(size) => NfsRequest::CreateSized {
-                        dir,
-                        name,
-                        size,
-                        mode,
-                        uid,
-                        gid,
-                    },
+                let req = NfsRequest::Create {
+                    dir,
+                    name,
+                    mode: *mode,
+                    uid: *uid,
+                    gid: *gid,
                 };
                 settle(area, self.apply(req), NfsStatus::Exist)
             }
@@ -793,14 +781,6 @@ impl KoshaNode {
                     data,
                 })
             }
-            MigrateKind::Sparse(size) => self.apply(NfsRequest::CreateSized {
-                dir,
-                name,
-                size,
-                mode,
-                uid,
-                gid,
-            }),
             MigrateKind::Symlink { target } => self.apply(NfsRequest::Symlink {
                 dir,
                 name,

@@ -545,7 +545,6 @@ mod tests {
                 mode: 0o644,
                 uid: 0,
                 gid: 0,
-                size: None,
             },
             w("/a/f", 0, b"doomed"),
             w("/a/g", 0, b"kept"),
@@ -611,7 +610,6 @@ mod tests {
             mode: 0o644,
             uid: 1,
             gid: 1,
-            size: None,
         };
         let out = coalesce(vec![c.clone(), w("/a/f", 0, b"ab"), w("/a/f", 2, b"cd")]);
         assert_eq!(out, vec![c, w("/a/f", 0, b"abcd")]);

@@ -2050,7 +2050,6 @@ fn every_op_kind_lands_alike_in_store_and_replica_areas() {
     m.mkdir_p("/one").unwrap();
     m.mkdir("/one/d").unwrap(); // Mkdir
     m.create("/one/d/empty").unwrap(); // Create
-    m.create_sized("/one/sparse", 4096).unwrap(); // Create, sized
     m.symlink("/one/ln", "d/empty").unwrap(); // Symlink
     m.write_file("/one/d/f", &[7u8; 300]).unwrap(); // Create + Write
     m.write_at("/one/d/f", 100, &[9u8; 50]).unwrap(); // Write
@@ -2146,7 +2145,6 @@ fn what_is_already_done_fails_in_the_store_and_is_absorbed_by_a_holder() {
         mode: 0o644,
         uid: 0,
         gid: 0,
-        size: None,
     };
     let moved = || ReplicaOp::Rename {
         from: path(),
@@ -2251,7 +2249,6 @@ fn the_record_follows_its_slot() {
         mode: 0o644,
         uid: 0,
         gid: 0,
-        size: None,
     };
     control(&c, owner, &ControlRequest::Mutate { op: file }).expect("create");
     check("create_anchor and the push");

@@ -25,7 +25,6 @@ use kosha::paths::{anchor_slot, slot_local_path, Area};
 use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{DiskModel, NfsClient, NfsReply, NfsRequest, NfsServer};
-use kosha_rpc::wire::MAX_LEN;
 use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
 use kosha_vfs::{ExportKind, Vfs};
 use std::sync::Arc;
@@ -256,26 +255,32 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
         );
     }
 
-    // --- `count` is a peer's number. A sparse file allocates the zeros
-    // it reads: the server reads no more than the wire's longest field,
-    // and says so with a short read that is not EOF.
+    // --- `count` is a peer's number. A hostile one reads the file's
+    // bytes, a view of the store's buffer, and allocates nothing.
     let server = NfsServer::new(Vfs::new(u64::MAX), VirtualClock::new(), DiskModel::zero());
     let NfsReply::Root { fh: root } = server.apply(NfsRequest::Mount).expect("mount") else {
         panic!("mount reply");
     };
     let NfsReply::Handle { fh, .. } = server
-        .apply(NfsRequest::CreateSized {
+        .apply(NfsRequest::Create {
             dir: root,
-            name: "sparse".into(),
-            size: 1 << 32,
+            name: "f".into(),
             mode: 0o644,
             uid: 0,
             gid: 0,
         })
-        .expect("create_sized")
+        .expect("create")
     else {
         panic!("create reply");
     };
+    let body = Bytes::from(vec![5u8; 4096]);
+    server
+        .apply(NfsRequest::Write {
+            fh,
+            offset: 0,
+            data: body.clone(),
+        })
+        .expect("write");
     let (reply, bytes) = allocated_by(|| {
         server.apply(NfsRequest::Read {
             fh,
@@ -286,9 +291,9 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
     let Ok(NfsReply::Data { data, eof }) = reply else {
         panic!("read reply: {reply:?}");
     };
-    assert_eq!((data.len() as u64, eof), (MAX_LEN, false));
-    assert!(
-        bytes <= MAX_LEN + 4096,
-        "Read {{ count: u32::MAX }} of a sparse file allocated {bytes} bytes"
+    assert_eq!((data, eof), (body, true));
+    assert_eq!(
+        bytes, 0,
+        "Read {{ count: u32::MAX }} of a 4 KiB file allocated {bytes} bytes"
     );
 }

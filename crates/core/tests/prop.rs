@@ -30,7 +30,6 @@ fn arb_item() -> impl Strategy<Value = MigrateItem> {
             Just(MigrateKind::Dir),
             proptest::collection::vec(any::<u8>(), 0..128)
                 .prop_map(|b| MigrateKind::Bytes(b.into())),
-            any::<u64>().prop_map(MigrateKind::Sparse),
             "[a-z#0-9]{1,16}".prop_map(|target| MigrateKind::Symlink { target }),
         ],
         0u32..0o10000,
@@ -73,15 +72,12 @@ fn arb_replica_op() -> impl Strategy<Value = ReplicaOp> {
             uid,
             gid
         }),
-        (arb_path(), arb_owner(), proptest::option::of(any::<u64>())).prop_map(
-            |(path, (mode, uid, gid), size)| ReplicaOp::Create {
-                path,
-                mode,
-                uid,
-                gid,
-                size
-            }
-        ),
+        (arb_path(), arb_owner()).prop_map(|(path, (mode, uid, gid))| ReplicaOp::Create {
+            path,
+            mode,
+            uid,
+            gid
+        }),
         (arb_path(), "[a-z#0-9]{1,16}", arb_owner()).prop_map(
             |(path, target, (mode, uid, gid))| ReplicaOp::Symlink {
                 path,

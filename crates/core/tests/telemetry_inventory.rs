@@ -9,7 +9,7 @@ use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, SimNetwork};
 use std::sync::Arc;
 
 /// What one node's domain holds, whatever the workload did.
-const NODE_REGISTRY: [&str; 42] = [
+const NODE_REGISTRY: [&str; 41] = [
     "kosha_failovers_total",
     "kosha_fs_ops_total",
     "kosha_hot_copies",
@@ -33,7 +33,6 @@ const NODE_REGISTRY: [&str; 42] = [
     "nfs_server_ops_total{proc=\"access\"}",
     "nfs_server_ops_total{proc=\"commit\"}",
     "nfs_server_ops_total{proc=\"create\"}",
-    "nfs_server_ops_total{proc=\"create_sized\"}",
     "nfs_server_ops_total{proc=\"fsstat\"}",
     "nfs_server_ops_total{proc=\"getattr\"}",
     "nfs_server_ops_total{proc=\"lookup\"}",

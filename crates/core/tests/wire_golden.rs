@@ -75,7 +75,6 @@ fn items() -> Vec<MigrateItem> {
     vec![
         item(MigrateKind::Dir),
         item(MigrateKind::Bytes(vec![1, 2, 3].into())),
-        item(MigrateKind::Sparse(1 << 40)),
         item(MigrateKind::Symlink {
             target: "t#1".into(),
         }),
@@ -150,7 +149,6 @@ fn replica_ops() -> Vec<ReplicaOp> {
             mode: 0o644,
             uid: 1,
             gid: 2,
-            size: Some(64),
         },
         ReplicaOp::Symlink {
             path: "/a/l".into(),
@@ -247,7 +245,7 @@ fn replica_requests() -> Vec<ReplicaRequest> {
             path: "/a/hot".into(),
             seq: 17,
             expires_nanos: 9_000_000_000,
-            item: item(MigrateKind::Sparse(5)),
+            item: item(MigrateKind::Bytes(vec![5].into())),
         },
         ReplicaRequest::HotReplicaDrop {
             anchor: "/a".into(),
@@ -270,7 +268,7 @@ fn kosha_replies() -> Vec<KoshaReply> {
         KoshaReply::Audit(audit_entries()),
         KoshaReply::Slot {
             record: slot_metas().remove(0),
-            items: vec![item(MigrateKind::Sparse(9))],
+            items: vec![item(MigrateKind::Bytes(vec![9].into()))],
         },
     ]
 }
@@ -326,14 +324,6 @@ fn nfs_requests() -> Vec<NfsRequest> {
             mode: 0o644,
             uid: 1,
             gid: 2,
-        },
-        NfsRequest::CreateSized {
-            dir: FH,
-            name: "s".into(),
-            size: 1 << 30,
-            mode: 0o640,
-            uid: 3,
-            gid: 4,
         },
         NfsRequest::Mkdir {
             dir: FH,
@@ -539,13 +529,17 @@ const GOLDEN: [(&str, &str); 24] = [
     ("WireSetAttr", "018001000000011600000001170000000000000000011900000000000000000000000000"),
     ("WireDirEntry", "010000007208070605040302010d0c0b0a00010000006408070605040302010d0c0b0a01010000006c08070605040302010d0c0b0a02"),
     ("WirePathNode", "08070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000008070605040302010d0c0b0a02a40100000b0000000c0000000d000000000000000e0000000f0000000000000010000000000000001100000000000000010700000040313233342335"),
-    ("NfsRequest", "00010208070605040302010d0c0b0a0308070605040302010d0c0b0a0180010000000116000000011700000000000000000119000000000000000408070605040302010d0c0b0a01000000780508070605040302010d0c0b0a1208070605040302010d0c0b0a0a00000014000000070000000608070605040302010d0c0b0a0500000000000000640000000708070605040302010d0c0b0a0600000000000000030000000102030808070605040302010d0c0b0a0100000066a401000001000000020000000908070605040302010d0c0b0a01000000730000004000000000a001000003000000040000000a08070605040302010d0c0b0a0100000064ed01000005000000060000000b08070605040302010d0c0b0a010000006c03000000742339ff03000007000000080000000c08070605040302010d0c0b0a01000000660d08070605040302010d0c0b0a01000000640e08070605040302010d0c0b0a01000000740f08070605040302010d0c0b0a010000006163000000000000006200000001000000621008070605040302010d0c0b0a111308070605040302010d0c0b0a05000000612f622f631408070605040302010d0c0b0a"),
+    // The sized CREATE (procedure 9) is gone with sparse files; every
+    // other procedure keeps its bytes.
+    ("NfsRequest", "00010208070605040302010d0c0b0a0308070605040302010d0c0b0a0180010000000116000000011700000000000000000119000000000000000408070605040302010d0c0b0a01000000780508070605040302010d0c0b0a1208070605040302010d0c0b0a0a00000014000000070000000608070605040302010d0c0b0a0500000000000000640000000708070605040302010d0c0b0a0600000000000000030000000102030808070605040302010d0c0b0a0100000066a401000001000000020000000a08070605040302010d0c0b0a0100000064ed01000005000000060000000b08070605040302010d0c0b0a010000006c03000000742339ff03000007000000080000000c08070605040302010d0c0b0a01000000660d08070605040302010d0c0b0a01000000640e08070605040302010d0c0b0a01000000740f08070605040302010d0c0b0a010000006163000000000000006200000001000000621008070605040302010d0c0b0a111308070605040302010d0c0b0a05000000612f622f631408070605040302010d0c0b0a"),
     ("NfsReply", "000108070605040302010d0c0b0a0200a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000308070605040302010d0c0b0a02a40100000b0000000c0000000d000000000000000e0000000f000000000000001000000000000000110000000000000004030000007823310505000000090909090901060a0000000703000000010000007208070605040302010d0c0b0a00010000006408070605040302010d0c0b0a01010000006c08070605040302010d0c0b0a0209050000000864000000000000000a000000000000005a000000000000000a0200000008070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000008070605040302010d0c0b0a02a40100000b0000000c0000000d000000000000000e0000000f0000000000000010000000000000001100000000000000010700000040313233342335"),
     ("NfsReplyFrame", "0006030000000102030405060708090a0b"),
     ("NodeInfo", "cdab00000000000000000000000000003412000000000000"),
     ("PastryRequest", "002a0000000000000000000000000000000200000001000000000000000900000000000000010700000002030500000000000000000000000000000003000000000000000406000000000000000000000000000000040000000000000005"),
     ("PastryReply", "000101000000000000000000000000000000020000000000000000000001010200000001000000000000000000000000000000020000000000000003000000000000000000000000000000040000000000000002090000000000000000000000000000000900000000000000010000000100000000000000000000000000000002000000000000000304080000000000000000000000000000000700000000000000"),
-    ("MigrateItem", "03000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000"),
+    // The size-only item (`MigrateKind` 2) is gone with sparse files; the
+    // other three keep their bytes.
+    ("MigrateItem", "03000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000"),
     ("AuditEntry", "110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c00000000000000010000020000004031000000000102000000623601000000000000000200000000000000000101"),
     // New: the per-slot record a `Record` reply carries.
     ("SlotMeta", "010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000000000000000000000100000000"),
@@ -554,7 +548,10 @@ const GOLDEN: [(&str, &str); 24] = [
     // keep their bytes; the row gains the new one at its end.
     // One mutation message: `Mkdir` carries the new directory's mode, uid and
     // gid (12 bytes after its path), as `MakeSlot` does; no other byte moved.
-    ("ReplicaOp", "00040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed0100000600000007000000"),
+    // `Create` lost its optional sparse size: the nine bytes of the
+    // `Some(64)` pinned here go (a real create sent `None`, one byte). No
+    // other byte moved.
+    ("ReplicaOp", "00040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed0100000600000007000000"),
     // `MigrateBatch` gained `routing` after `path` (its items lost the routing-name file);
     // `SlotRecord` (tag 28) is new. `StoreStats` (tag 14, one byte) is gone: the owner
     // of a new directory answers its `MakeSlot` with `NoSpc` itself when it is full.
@@ -571,8 +568,13 @@ const GOLDEN: [(&str, &str); 24] = [
     // decoded became these two, each variant on its service's row with the
     // bytes it had there, in the order it had there. The hosted-anchor
     // listing (tag 18, one byte) is gone.
-    ("ControlRequest", "1e00040000002f612f64e801000008000000090000001e01040000002f612f66a401000001000000020000000140000000000000001e02040000002f612f6c03000000742331ff03000003000000040000001e03040000002f612f660500000000000000030000000908071e04040000002f612f660180010000000116000000011700000000000000000119000000000000001e05040000002f612f661e06040000002f612f641e07020000002f611e08040000002f612f78040000002f612f791e09020000002f61020000002f621e0a020000002f6100100000000000001e0b020000002f6103000000612335ed01000006000000070000000d020000002f610300000061233313020000002f6117040000002f612f66181911000000403030633066666565303063306666656507000000000000001d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
-    ("ReplicaRequest", "14020000002f61030000006123340400000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f66020000000000010000ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000001400000000000000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed01000006000000070000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66020500000000000000ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
+    // `Create`'s `Mutate` lost its sparse size (`Some(64)`, nine bytes);
+    // no other byte moved.
+    ("ControlRequest", "1e00040000002f612f64e801000008000000090000001e01040000002f612f66a401000001000000020000001e02040000002f612f6c03000000742331ff03000003000000040000001e03040000002f612f660500000000000000030000000908071e04040000002f612f660180010000000116000000011700000000000000000119000000000000001e05040000002f612f661e06040000002f612f641e07020000002f611e08040000002f612f78040000002f612f791e09020000002f61020000002f621e0a020000002f6100100000000000001e0b020000002f6103000000612335ed01000006000000070000000d020000002f610300000061233313020000002f6117040000002f612f66181911000000403030633066666565303063306666656507000000000000001d020000002f61030000006123360100000003000000642f66010400000007070707ed0100001f00000020000000"),
+    // The batch's `Create` lost its sparse size (`Some(64)`, nine bytes),
+    // `MigrateBatch` its size-only item, and `HotReplicaPush` carries a one-byte file where it
+    // carried a size-only one. No other byte moved.
+    ("ReplicaRequest", "14020000002f61030000006123340300000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed01000006000000070000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66010100000005ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
     // `Stats` (tag 2, three u64s) is gone with `StoreStats`. `MakeSlot` replies
     // `Handle` for the slot root: the placing koshad caches it. `Record` (tag 7, the
     // record alone) is gone: `Slot` (tag 8) carries the record and the items, so a
@@ -580,7 +582,9 @@ const GOLDEN: [(&str, &str); 24] = [
     // The promotion flag (tag 1) and the anchor listing (tag 3) are gone:
     // `EnsureAnchor` answers `Handle` for the slot root, and nothing asked
     // for the listing. No other byte moved.
-    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000100000003000000642f66020900000000000000ed0100001f00000020000000"),
+    // `Slot` carries a one-byte file where it carried a size-only one; no
+    // other byte moved.
+    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000100000003000000642f66010100000009ed0100001f00000020000000"),
     // The `Ok` value is `Done` now that the promotion flag is gone; the
     // frame's bytes around it did not move.
     ("KoshaReplyFrame", "00000102030405060708090a0b"),
@@ -670,8 +674,8 @@ fn every_variant_has_a_value_and_keeps_its_label() {
     }
     assert_eq!(
         NfsRequest::PROC_NAMES.join(" "),
-        "null mount getattr setattr lookup readlink access read write create create_sized \
-         mkdir symlink remove rmdir remove_tree rename readdir fsstat lookup_path commit"
+        "null mount getattr setattr lookup readlink access read write create mkdir \
+         symlink remove rmdir remove_tree rename readdir fsstat lookup_path commit"
     );
     assert_eq!(
         ReplicaOp::NAMES.join(" "),
@@ -711,7 +715,9 @@ fn every_variant_has_a_value_and_keeps_its_label() {
 /// that carried a promotion flag (1), that listing (3) and a record
 /// alone (7) decode to `BadTag`, whatever follows, as the long-retired
 /// `StoreStats` (14) and `Stats` (2) do. Each service's requests are
-/// unknown tags to the other's decoder.
+/// unknown tags to the other's decoder. So are the sized CREATE (NFS
+/// procedure 9) and the size-only file of a migrated tree (`MigrateKind`
+/// 2), whose sparse files are gone.
 #[test]
 fn retired_tags_decode_as_unknown() {
     use kosha_rpc::{WireError, WireRead};
@@ -747,4 +753,19 @@ fn retired_tags_decode_as_unknown() {
         let bytes = [0u8, tag, 0, 0, 0, 0];
         assert_eq!(KoshaReplyFrame::decode(&bytes), Err(WireError::BadTag(tag)));
     }
+    let create = NfsRequest::Create {
+        dir: FH,
+        name: "s".into(),
+        mode: 0o640,
+        uid: 3,
+        gid: 4,
+    }
+    .encode();
+    let sized = [&[9], &create[1..], &(1u64 << 30).to_le_bytes()].concat();
+    assert_eq!(NfsRequest::decode(&sized), Err(WireError::BadTag(9)));
+    let mut sparse = item(MigrateKind::Dir).encode().to_vec();
+    let kind_at = 4 + "d/f".len();
+    sparse[kind_at] = 2;
+    sparse.splice(kind_at + 1..kind_at + 1, 5u64.to_le_bytes());
+    assert_eq!(MigrateItem::decode(&sparse), Err(WireError::BadTag(2)));
 }

@@ -311,7 +311,6 @@ fn ops_from_script(script: &[(u8, u8, u8, u8, u8)]) -> Vec<ReplicaOp> {
                     mode: 0o644,
                     uid: 0,
                     gid: 0,
-                    size: None,
                 });
                 live[pi] = true;
             }

@@ -404,22 +404,6 @@ impl CachingClient {
         self.prime(dir, name, made)
     }
 
-    /// Extension: CREATE of a quota-charged sparse file; as CREATE.
-    pub fn create_sized(
-        &self,
-        dir: Fh,
-        name: &str,
-        size: u64,
-        mode: u32,
-        uid: u32,
-        gid: u32,
-    ) -> NfsResult<(Fh, Attr)> {
-        let made = self
-            .inner
-            .create_sized(self.server, dir, name, size, mode, uid, gid);
-        self.prime(dir, name, made)
-    }
-
     /// MKDIR: write-through + prime.
     pub fn mkdir(
         &self,

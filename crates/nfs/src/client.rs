@@ -168,8 +168,8 @@ impl NfsClient {
     /// returned; only a longer one is assembled into a new buffer.
     /// `size` is the server's word (`attr.size`) and only a hint: the
     /// buffer is reserved one chunk beyond what has arrived at most and
-    /// grows as data comes, so a wrong or hostile size (or a sparse
-    /// terabyte) cannot make the client reserve what it never receives.
+    /// grows as data comes, so a wrong or hostile size cannot make the
+    /// client reserve what it never receives.
     pub fn read_whole(&self, to: NodeAddr, fh: Fh, size: u64, chunk: u32) -> NfsResult<Bytes> {
         let (first, eof) = self.read(to, fh, 0, chunk)?;
         if eof || first.is_empty() {
@@ -213,34 +213,6 @@ impl NfsClient {
             &NfsRequest::Create {
                 dir,
                 name: name.into(),
-                mode,
-                uid,
-                gid,
-            },
-        )? {
-            NfsReply::Handle { fh, attr } => Ok((fh, attr.0)),
-            _ => Self::unexpected(),
-        }
-    }
-
-    /// Extension: CREATE of a quota-charged sparse file (simulations).
-    #[allow(clippy::too_many_arguments)] // mirrors the NFS procedure arguments
-    pub fn create_sized(
-        &self,
-        to: NodeAddr,
-        dir: Fh,
-        name: &str,
-        size: u64,
-        mode: u32,
-        uid: u32,
-        gid: u32,
-    ) -> NfsResult<(Fh, Attr)> {
-        match self.call(
-            to,
-            &NfsRequest::CreateSized {
-                dir,
-                name: name.into(),
-                size,
                 mode,
                 uid,
                 gid,

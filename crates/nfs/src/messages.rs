@@ -264,11 +264,10 @@ wire_struct! {
 
 wire_enum! {
     /// The NFS procedure set. `Mount` plays the role of the MOUNT protocol's
-    /// `MNT` (hand out the export's root handle); `CreateSized` and
-    /// `RemoveTree` are documented extensions used by the simulation harness
-    /// and the replica manager respectively. The labels (`PROC_NAMES`, in
-    /// declaration order, indexed by `proc_index()`) name the per-procedure
-    /// metrics and `nfsc:`/`nfs:` spans.
+    /// `MNT` (hand out the export's root handle); `RemoveTree` is a
+    /// documented extension used by the replica manager. The labels
+    /// (`PROC_NAMES`, in declaration order, indexed by `proc_index()`) name
+    /// the per-procedure metrics and `nfsc:`/`nfs:` spans.
     #[derive(Debug, Clone, PartialEq)]
     pub enum NfsRequest labelled(PROC_NAMES, proc_index, proc_name) {
         /// No-op liveness probe (NFSPROC3_NULL).
@@ -344,22 +343,6 @@ wire_enum! {
             /// Owner gid.
             gid: u32,
         } = 8 => "create",
-        /// Extension: create a quota-charged sparse file of `size` bytes
-        /// (trace-driven simulations only; see DESIGN.md).
-        CreateSized {
-            /// Parent directory handle.
-            dir: Fh,
-            /// New file name.
-            name: String,
-            /// Logical size in bytes.
-            size: u64,
-            /// Permission bits.
-            mode: u32,
-            /// Owner uid.
-            uid: u32,
-            /// Owner gid.
-            gid: u32,
-        } = 9 => "create_sized",
         /// Create a directory.
         Mkdir {
             /// Parent directory handle.
@@ -603,14 +586,6 @@ mod tests {
         rt(NfsRequest::Create {
             dir: fh,
             name: "f".into(),
-            mode: 0o644,
-            uid: 1,
-            gid: 2,
-        });
-        rt(NfsRequest::CreateSized {
-            dir: fh,
-            name: "s".into(),
-            size: 1 << 30,
             mode: 0o644,
             uid: 1,
             gid: 2,

@@ -173,9 +173,9 @@ impl NfsServer {
                 .map(|target| NfsReply::Target { target })
                 .map_err(Into::into),
             NfsRequest::Read { fh, offset, count } => vfs
-                // `count` is the peer's: a sparse file allocates what it
-                // reads, and no reply may carry more than the wire's
-                // longest field. A short read without EOF is legal NFS.
+                // `count` is the peer's: no reply may carry more than the
+                // wire's longest field. A short read without EOF is legal
+                // NFS.
                 .read(fh.to_file_id(), offset, count.min(MAX_LEN as u32))
                 .map(|(data, eof)| {
                     self.clock.advance(disk.transfer(data.len()));
@@ -198,22 +198,6 @@ impl NfsServer {
             } => {
                 self.clock.advance(disk.meta_op_cost);
                 vfs.create(dir.to_file_id(), &name, mode, uid, gid)
-                    .map(|(id, attr)| NfsReply::Handle {
-                        fh: crate::messages::Fh::from_file_id(id),
-                        attr: WireAttr(attr),
-                    })
-                    .map_err(Into::into)
-            }
-            NfsRequest::CreateSized {
-                dir,
-                name,
-                size,
-                mode,
-                uid,
-                gid,
-            } => {
-                self.clock.advance(disk.meta_op_cost);
-                vfs.create_sized(dir.to_file_id(), &name, size, mode, uid, gid)
                     .map(|(id, attr)| NfsReply::Handle {
                         fh: crate::messages::Fh::from_file_id(id),
                         attr: WireAttr(attr),

@@ -112,24 +112,6 @@ fn arb_request() -> impl Strategy<Value = NfsRequest> {
         (
             arb_fh(),
             arb_name(),
-            any::<u64>(),
-            0u32..0o10000,
-            any::<u32>(),
-            any::<u32>()
-        )
-            .prop_map(
-                |(dir, name, size, mode, uid, gid)| NfsRequest::CreateSized {
-                    dir,
-                    name,
-                    size,
-                    mode,
-                    uid,
-                    gid
-                }
-            ),
-        (
-            arb_fh(),
-            arb_name(),
             0u32..0o10000,
             any::<u32>(),
             any::<u32>()

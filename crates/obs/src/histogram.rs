@@ -5,9 +5,7 @@
 //! into 16 linear sub-buckets, so the relative error of any recorded
 //! value is at most 1/16 (~6%). All state is atomic; recording is three
 //! `fetch_add`s, and a `fetch_max` when the sample is a new maximum, safe
-//! from any thread without locks. Histograms merge losslessly
-//! (bucket-wise addition), which the property tests exercise for
-//! associativity/commutativity.
+//! from any thread without locks.
 //!
 //! Every histogram is striped per thread ([`crate::stripe`]): a thread
 //! records into a shard of its own and readers add the shards up. Every
@@ -192,33 +190,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Adds all of `other`'s buckets into `self` (lossless; the merged
-    /// histogram equals one built from the concatenated sample streams).
-    pub fn merge_from(&self, other: &Histogram) {
-        let mine = self.shards.local();
-        for theirs in other.shards.each() {
-            for (dst, src) in mine.buckets.iter().zip(&theirs.buckets) {
-                let n = src.load(Ordering::Relaxed);
-                if n != 0 {
-                    dst.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            let load = |w: &AtomicU64| w.load(Ordering::Relaxed);
-            mine.count.fetch_add(load(&theirs.count), Ordering::Relaxed);
-            mine.sum.fetch_add(load(&theirs.sum), Ordering::Relaxed);
-            mine.max.fetch_max(load(&theirs.max), Ordering::Relaxed);
-        }
-    }
-
-    /// Bucket-wise equality (used by merge property tests).
-    #[must_use]
-    pub fn same_distribution(&self, other: &Histogram) -> bool {
-        self.count() == other.count()
-            && self.sum() == other.sum()
-            && self.max() == other.max()
-            && self.buckets() == other.buckets()
-    }
-
     /// `(p50, p95, p99, max)` convenience tuple.
     #[must_use]
     pub fn summary(&self) -> (u64, u64, u64, u64) {
@@ -341,26 +312,11 @@ mod tests {
         for t in 0..11u64 {
             (0..2_000).for_each(|i| serial.record(sample(t, i)));
         }
-        assert!(striped.same_distribution(&serial), "{striped:?} {serial:?}");
+        let same = striped.count() == serial.count()
+            && striped.sum() == serial.sum()
+            && striped.max() == serial.max()
+            && striped.buckets() == serial.buckets();
+        assert!(same, "{striped:?} {serial:?}");
         assert_eq!(striped.summary(), serial.summary());
-        // Merging a striped histogram into a fresh one keeps every shard.
-        let merged = Histogram::new();
-        merged.merge_from(&striped);
-        assert!(merged.same_distribution(&serial));
-    }
-
-    #[test]
-    fn merge_is_lossless() {
-        let (a, b, c) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for v in [3u64, 99, 12_345, 1 << 40] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [7u64, 7, 1 << 30] {
-            b.record(v);
-            c.record(v);
-        }
-        a.merge_from(&b);
-        assert!(a.same_distribution(&c));
     }
 }

@@ -7,8 +7,8 @@
 //! literature uses to attribute cost:
 //!
 //! * [`Histogram`] — a lock-free log-linear latency histogram (atomic
-//!   buckets, ~6% relative error) with p50/p95/p99/max and lossless
-//!   merge, striped per thread ([`stripe`]),
+//!   buckets, ~6% relative error) with p50/p95/p99/max, striped per
+//!   thread ([`stripe`]),
 //! * [`Registry`] — named counters (one word, or striped per thread
 //!   where every RPC bumps them), gauges, and histograms with a
 //!   Prometheus-style text exposition ([`Registry::render`]) and a

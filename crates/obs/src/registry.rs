@@ -105,7 +105,6 @@ enum Metric {
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
-    help: Mutex<BTreeMap<String, String>>,
 }
 
 impl Registry {
@@ -174,15 +173,6 @@ impl Registry {
         }
     }
 
-    /// Attaches help text to a base metric name, emitted as a `# HELP`
-    /// line by [`Registry::render`] (with exposition-format escaping).
-    pub fn describe(&self, base: &str, help: &str) {
-        self.help
-            .lock()
-            .expect("registry help lock")
-            .insert(base.to_string(), help.to_string());
-    }
-
     /// Names of all registered metrics, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {
@@ -215,9 +205,6 @@ impl Registry {
                 Metric::Histogram(_) => "summary",
             };
             if base != last_base {
-                if let Some(help) = self.help.lock().expect("registry help lock").get(base) {
-                    out.push_str(&format!("# HELP {base} {}\n", escape_help(help)));
-                }
                 out.push_str(&format!("# TYPE {base} {kind}\n"));
                 last_base = base.to_string();
             }
@@ -285,37 +272,6 @@ pub fn escape_label_value(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-/// Escapes `# HELP` text per the exposition format: backslash and
-/// line-feed become `\\` and `\n` (quotes are legal in help text).
-#[must_use]
-pub fn escape_help(h: &str) -> String {
-    h.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Undoes [`escape_label_value`] (for tests and scrape-side parsing).
-#[must_use]
-pub fn unescape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('"') => out.push('"'),
-                Some('n') => out.push('\n'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 /// Builds a full metric key `base{k="v",...}` with label values escaped
@@ -419,10 +375,7 @@ mod tests {
             .expect("sample line");
         assert!(sample.contains("pa\\\\th\\\"with\\nnewline"), "{sample}");
         assert_eq!(sample.matches('\n').count(), 0);
-        // Round trip: extracting and unescaping recovers the raw value.
-        let start = sample.find("path=\"").unwrap() + 6;
-        let end = sample.rfind("\"}").unwrap();
-        assert_eq!(unescape_label_value(&sample[start..end]), hostile);
+        assert_eq!(sample, "kosha_heat{path=\"pa\\\\th\\\"with\\nnewline\"} 7");
         // JSON stays parseable too: the key re-escapes onto one line.
         let json = r.json().to_string();
         let key_line = json
@@ -430,21 +383,6 @@ mod tests {
             .find(|l| l.contains("kosha_heat"))
             .expect("json key");
         assert!(key_line.trim_end().ends_with(": 7}"), "{json}");
-    }
-
-    #[test]
-    fn help_text_is_emitted_and_escaped() {
-        let r = Registry::new();
-        r.counter("x_total").inc();
-        r.describe("x_total", "line one\nline two \\ backslash");
-        let text = r.render();
-        assert!(
-            text.contains("# HELP x_total line one\\nline two \\\\ backslash"),
-            "{text}"
-        );
-        let help_pos = text.find("# HELP x_total").unwrap();
-        let type_pos = text.find("# TYPE x_total").unwrap();
-        assert!(help_pos < type_pos);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the observability primitives: histogram merge
-//! algebra, quantile error bounds, and exposition stability.
+//! Property tests for the observability primitives: quantile error
+//! bounds and exposition stability.
 
 use kosha_obs::{Histogram, Registry};
 use proptest::prelude::*;
@@ -17,48 +17,6 @@ fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    // merge(a, b) and merge(b, a) describe the same distribution: the
-    // merged histogram equals one built from the concatenated streams,
-    // in either order.
-    #[test]
-    fn merge_is_commutative(xs in arb_samples(), ys in arb_samples()) {
-        let ab = hist_of(&xs);
-        ab.merge_from(&hist_of(&ys));
-        let ba = hist_of(&ys);
-        ba.merge_from(&hist_of(&xs));
-        prop_assert!(ab.same_distribution(&ba));
-    }
-
-    // (a + b) + c == a + (b + c).
-    #[test]
-    fn merge_is_associative(
-        xs in arb_samples(),
-        ys in arb_samples(),
-        zs in arb_samples(),
-    ) {
-        let left = hist_of(&xs);
-        left.merge_from(&hist_of(&ys));
-        left.merge_from(&hist_of(&zs));
-
-        let bc = hist_of(&ys);
-        bc.merge_from(&hist_of(&zs));
-        let right = hist_of(&xs);
-        right.merge_from(&bc);
-
-        prop_assert!(left.same_distribution(&right));
-    }
-
-    // Merging is lossless: the merge of two halves is indistinguishable
-    // from recording every sample into one histogram.
-    #[test]
-    fn merge_is_lossless(xs in arb_samples(), ys in arb_samples()) {
-        let merged = hist_of(&xs);
-        merged.merge_from(&hist_of(&ys));
-        let mut all = xs.clone();
-        all.extend_from_slice(&ys);
-        prop_assert!(merged.same_distribution(&hist_of(&all)));
-    }
-
     // Quantile estimates bound the true sample quantile from above and
     // stay within one sub-bucket width (1/16 relative, +1 for the
     // integer boundary) of it.

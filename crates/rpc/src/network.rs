@@ -428,16 +428,14 @@ pub trait Network: Send + Sync {
     fn is_up(&self, addr: NodeAddr) -> bool;
 
     /// Registers a [`PumpHook`] the transport should drive roughly every
-    /// `interval`. Returns `true` when the transport runs the hook
-    /// itself on its timer thread ([`crate::ThreadedNetwork`]);
-    /// `false` when the caller must drive pumping explicitly —
-    /// [`crate::SimNetwork`] records the hook and exposes `run_pumps()`
-    /// so virtual-time tests and benches stay deterministic. The hook is
-    /// held weakly: the transport forgets it once the owner
-    /// goes away. The default implementation ignores the registration.
-    fn schedule_pump(&self, hook: std::sync::Weak<dyn PumpHook>, interval: Duration) -> bool {
+    /// `interval`. [`crate::ThreadedNetwork`] runs the hook itself on its
+    /// timer thread; [`crate::SimNetwork`] records it and the caller
+    /// drives pumping explicitly (`run_pumps()`), so virtual-time tests
+    /// and benches stay deterministic. The hook is held weakly: the
+    /// transport forgets it once the owner goes away. The default
+    /// implementation ignores the registration.
+    fn schedule_pump(&self, hook: std::sync::Weak<dyn PumpHook>, interval: Duration) {
         let _ = (hook, interval);
-        false
     }
 
     /// Smoothed round-trip latency of the directed link `from → to` in

@@ -86,6 +86,9 @@ impl<T> PartialOrd for Entry<T> {
 
 /// Metric handles for one scheduler (see the module docs).
 struct SchedStats {
+    /// The deepest this scheduler's heap has been; `depth_hwm` is set
+    /// when it grows.
+    hwm: AtomicU64,
     depth_hwm: Arc<Gauge>,
     events_total: Arc<Counter>,
     dispatch_latency: Arc<Histogram>,
@@ -111,7 +114,6 @@ pub struct Scheduler<T> {
     /// without it by [`Scheduler::due_by`].
     next_due: AtomicU64,
     seq: AtomicU64,
-    hwm: AtomicU64,
     stats: Option<SchedStats>,
 }
 
@@ -129,7 +131,6 @@ impl<T> Scheduler<T> {
             heap: Mutex::new(BinaryHeap::new()),
             next_due: AtomicU64::new(u64::MAX),
             seq: AtomicU64::new(0),
-            hwm: AtomicU64::new(0),
             stats: None,
         }
     }
@@ -139,6 +140,7 @@ impl<T> Scheduler<T> {
     pub fn observed(obs: &Obs) -> Self {
         Scheduler {
             stats: Some(SchedStats {
+                hwm: AtomicU64::new(0),
                 depth_hwm: obs.registry.gauge("kosha_sched_heap_depth_hwm"),
                 events_total: obs.registry.counter("kosha_sched_events_total"),
                 dispatch_latency: obs.registry.histogram("kosha_sched_dispatch_latency_nanos"),
@@ -164,9 +166,9 @@ impl<T> Scheduler<T> {
             self.note_next_due(&heap);
             heap.len() as u64
         };
-        if depth > self.hwm.load(Ordering::Relaxed) {
-            self.hwm.store(depth, Ordering::Relaxed);
-            if let Some(s) = &self.stats {
+        if let Some(s) = &self.stats {
+            if depth > s.hwm.load(Ordering::Relaxed) {
+                s.hwm.store(depth, Ordering::Relaxed);
                 s.depth_hwm.set(depth as i64);
             }
         }
@@ -221,12 +223,6 @@ impl<T> Scheduler<T> {
     pub fn is_empty(&self) -> bool {
         self.heap.lock().is_empty()
     }
-
-    /// Deepest the heap has ever been (events queued simultaneously).
-    #[must_use]
-    pub fn high_water(&self) -> u64 {
-        self.hwm.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +259,6 @@ mod tests {
         let s: Scheduler<u8> = Scheduler::observed(&obs);
         s.schedule_at(5, 0, 1);
         s.schedule_at(9, 2, 2);
-        assert_eq!(s.high_water(), 2);
         s.pop_due(10);
         s.pop_due(10);
         assert_eq!(obs.registry.gauge("kosha_sched_heap_depth_hwm").get(), 2);

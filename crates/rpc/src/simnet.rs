@@ -20,17 +20,24 @@
 //!
 //! **Event-driven core.** Timers and pump ticks are events on a
 //! binary-heap [`Scheduler`](crate::sched::Scheduler) keyed by
-//! `(deadline, seq)`, and every modeled cost advances time through it:
-//! a message-delivery leg whose deadline something queued is due at or
-//! before becomes a waypoint event itself and drains the heap up to its
-//! deadline in O(log n) per event, so legs, pump ticks, and timer wakeups
-//! interleave in deadline order; a leg nothing is due before moves the
-//! clock and schedules nothing. Determinism is preserved because ties
-//! break on the insertion sequence number. Two driving styles coexist:
+//! `(deadline, seq)`, and every modeled network cost advances time
+//! through it: a message-delivery leg whose deadline something queued is
+//! due at or before becomes a waypoint event itself and drains the heap
+//! up to its deadline in O(log n) per event, so legs, pump ticks, and
+//! timer wakeups interleave in deadline order; a leg nothing is due
+//! before moves the clock and schedules nothing. Determinism is preserved
+//! because ties break on the insertion sequence number.
 //!
-//! * Legacy [`SimNetwork::run_pumps`] fires every registered pump once at
-//!   the current instant (heap-routed, registration order via `seq`),
-//!   leaving the clock untouched — existing benches are byte-identical.
+//! Costs charged inside a handler are the exception: nfsd's disk cost and
+//! koshad's interposition cost move the clock directly
+//! ([`Clock::advance`]), past any event due meanwhile, which fires at the
+//! next leg or drive instead. nfsd charges its disk cost while it holds
+//! its store's lock, and a pump fired there could call back into that
+//! store and take the lock again. Two driving styles coexist:
+//!
+//! * [`SimNetwork::run_pumps`] fires every registered pump once at the
+//!   current instant (heap-routed, registration order via `seq`),
+//!   leaving the clock untouched.
 //! * [`SimNetwork::run_until`] arms each pump as a *recurring* timer at
 //!   its registered interval and advances the clock to a target instant,
 //!   firing everything due on the way. This is the driver for
@@ -106,16 +113,6 @@ impl LatencyModel {
             return Duration::ZERO;
         }
         Duration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / self.bandwidth_bps)
-    }
-
-    /// Total modeled round-trip cost of a remote call with the given
-    /// request/response sizes.
-    #[must_use]
-    pub fn remote_rtt(&self, req_bytes: usize, resp_bytes: usize) -> Duration {
-        self.hop_latency * 2
-            + self.transfer_time(req_bytes)
-            + self.transfer_time(resp_bytes)
-            + self.server_op_cost
     }
 }
 
@@ -595,16 +592,14 @@ impl Network for SimNetwork {
     }
 
     /// Records the hook (and its interval, the recurring-timer cadence
-    /// [`SimNetwork::run_until`] arms) and returns `false`: under
-    /// virtual time the *caller* decides when pumping happens, keeping
-    /// runs deterministic.
-    fn schedule_pump(&self, hook: Weak<dyn PumpHook>, interval: Duration) -> bool {
+    /// [`SimNetwork::run_until`] arms): under virtual time the *caller*
+    /// decides when pumping happens, keeping runs deterministic.
+    fn schedule_pump(&self, hook: Weak<dyn PumpHook>, interval: Duration) {
         self.pumps.lock().push(PumpEntry {
             hook,
             interval,
             armed: false,
         });
-        false
     }
 
     fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
@@ -763,7 +758,12 @@ mod tests {
                 let to = NodeAddr(u64::from(i % 3) + 1);
                 modelled += match net.call(NodeAddr(1), to, req) {
                     Ok(_) if to == NodeAddr(1) => model.loopback_cost,
-                    Ok(resp) => model.remote_rtt(req_bytes, resp.wire_size()),
+                    Ok(resp) => {
+                        model.hop_latency * 2
+                            + model.transfer_time(req_bytes)
+                            + model.transfer_time(resp.wire_size())
+                            + model.server_op_cost
+                    }
                     Err(_) => model.timeout,
                 };
             }

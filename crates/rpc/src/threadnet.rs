@@ -451,11 +451,10 @@ impl Network for ThreadedNetwork {
     }
 
     /// Registers the hook on the transport's shared timer thread
-    /// (spawned lazily on the first registration, never per hook).
-    /// Returns `true`: on real threads the transport owns pump timing.
-    /// The timer doubles as this transport's flight-recorder ticker
+    /// (spawned lazily on the first registration, never per hook): on
+    /// real threads the transport owns pump timing. The timer doubles as this transport's flight-recorder ticker
     /// (SimNetwork ticks in `run_pumps` instead).
-    fn schedule_pump(&self, hook: Weak<dyn PumpHook>, interval: Duration) -> bool {
+    fn schedule_pump(&self, hook: Weak<dyn PumpHook>, interval: Duration) {
         self.timers.lock().push(TimerEntry {
             hook,
             interval,
@@ -510,7 +509,6 @@ impl Network for ThreadedNetwork {
                 .expect("spawn timer thread");
             *timer = Some(handle);
         }
-        true
     }
 
     fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
@@ -964,7 +962,7 @@ mod tests {
             dropped,
         });
         let hook = Arc::downgrade(&holder) as Weak<dyn PumpHook>;
-        assert!(net.schedule_pump(hook, Duration::from_millis(2)));
+        net.schedule_pump(hook, Duration::from_millis(2));
         drop(net);
         release.send(()).expect("the hook is waiting");
         // A self-join would panic the timer before it reports.
@@ -1225,7 +1223,7 @@ mod tests {
         assert_eq!(net.threads_spawned(), 0);
         let idle: Arc<dyn PumpHook> = Arc::new(Idle);
         for _ in 0..2 {
-            assert!(net.schedule_pump(Arc::downgrade(&idle), Duration::from_millis(10)));
+            net.schedule_pump(Arc::downgrade(&idle), Duration::from_millis(10));
             assert_eq!(net.threads_spawned(), 1);
         }
     }

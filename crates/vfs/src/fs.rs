@@ -9,8 +9,7 @@ use kosha_obs::fxhash::FxBuild;
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
 
-/// File payload: real bytes, or a sparse size-only record used by
-/// trace-driven simulations (charges quota, stores no data).
+/// File payload: the file's bytes, as one buffer or in parts.
 ///
 /// The bytes are refcounted buffers that readers, exports and WRITEs
 /// share with the store, under two conditions every change keeps: each
@@ -24,7 +23,6 @@ enum Payload {
     Bytes(Bytes),
     /// Two to `MAX_PARTS` whole, non-empty buffers, in file order.
     Parts(Vec<Bytes>),
-    Sparse(u64),
 }
 
 /// The most parts a file keeps: the append that would add one more
@@ -43,7 +41,6 @@ impl Payload {
         match self {
             Payload::Bytes(b) => b.len() as u64,
             Payload::Parts(parts) => parts.iter().map(|p| p.len() as u64).sum(),
-            Payload::Sparse(n) => *n,
         }
     }
 
@@ -53,21 +50,20 @@ impl Payload {
         match self {
             Payload::Bytes(b) => !b.is_unique(),
             Payload::Parts(p) => p.len() < MAX_PARTS && p.last().is_some_and(|b| !b.is_unique()),
-            Payload::Sparse(_) => false,
         }
     }
 
     /// The bytes as one buffer, the parts first joined into a vector of
-    /// the store's own with room for `room` bytes; `None` if sparse.
-    fn joined(&mut self, room: usize) -> Option<&mut Bytes> {
+    /// the store's own with room for `room` bytes.
+    fn joined(&mut self, room: usize) -> &mut Bytes {
         if let Payload::Parts(parts) = self {
             let mut v = Vec::with_capacity(room.max(parts.iter().map(|p| p.len()).sum()));
             parts.iter().for_each(|p| v.extend_from_slice(p));
             *self = Payload::Bytes(v.into());
         }
         match self {
-            Payload::Bytes(b) => Some(b),
-            _ => None,
+            Payload::Bytes(b) => b,
+            Payload::Parts(_) => unreachable!("parts were just joined"),
         }
     }
 }
@@ -94,8 +90,6 @@ pub enum ExportKind {
     /// A regular file with real contents: the stored buffer itself, by
     /// refcount.
     Bytes(Bytes),
-    /// A sparse (size-only) file.
-    Sparse(u64),
     /// A symbolic link.
     Symlink {
         /// Link target.
@@ -427,17 +421,14 @@ impl Vfs {
             let inode = self.get_mut(id)?;
             if let Kind::File(p) = &mut inode.kind {
                 let len = new_size as usize;
-                if let Some(b) = p.joined(len) {
-                    if len < b.len() {
-                        // A view of the head would pin the old tail.
-                        *b = Bytes::copy_from_slice(&b[..len]);
-                    } else if len > b.len() && b.with_unique(|v| v.resize(len, 0)).is_none() {
-                        let mut v = unshared(b, len);
-                        v.resize(len, 0);
-                        *b = v.into();
-                    }
-                } else {
-                    *p = Payload::Sparse(new_size);
+                let b = p.joined(len);
+                if len < b.len() {
+                    // A view of the head would pin the old tail.
+                    *b = Bytes::copy_from_slice(&b[..len]);
+                } else if len > b.len() && b.with_unique(|v| v.resize(len, 0)).is_none() {
+                    let mut v = unshared(b, len);
+                    v.resize(len, 0);
+                    *b = v.into();
                 }
             }
             inode.attr.size = new_size;
@@ -465,7 +456,6 @@ impl Vfs {
 
     // ---- creation ---------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)] // one site, all fields needed
     fn insert_child(
         &mut self,
         dir: FileId,
@@ -474,7 +464,6 @@ impl Vfs {
         mode: u32,
         uid: u32,
         gid: u32,
-        size_charge: u64,
     ) -> Result<(FileId, Attr), VfsError> {
         validate_name(name)?;
         let is_dir = matches!(kind, Kind::Dir(_));
@@ -485,7 +474,10 @@ impl Vfs {
                 return Err(VfsError::Exist);
             }
         }
-        self.charge(size_charge)?;
+        // A store whose quota was set below its use takes no new object.
+        if self.used > self.capacity {
+            return Err(VfsError::NoSpc);
+        }
         let ino = self.alloc_ino();
         let ftype = match &kind {
             Kind::File(_) => FileType::Regular,
@@ -493,7 +485,6 @@ impl Vfs {
             Kind::Symlink(_) => FileType::Symlink,
         };
         let mut attr = Attr::new(ftype, mode, uid, gid, self.now);
-        attr.size = size_charge;
         if let Kind::Symlink(t) = &kind {
             attr.size = t.len() as u64;
         }
@@ -534,30 +525,6 @@ impl Vfs {
             mode,
             uid,
             gid,
-            0,
-        )
-    }
-
-    /// Creates a sparse file of `size` bytes: charges quota, stores no
-    /// payload. Used by the trace-driven load-balance and redirection
-    /// simulations (Figures 5 and 6).
-    pub fn create_sized(
-        &mut self,
-        dir: FileId,
-        name: &str,
-        size: u64,
-        mode: u32,
-        uid: u32,
-        gid: u32,
-    ) -> Result<(FileId, Attr), VfsError> {
-        self.insert_child(
-            dir,
-            name,
-            Kind::File(Payload::Sparse(size)),
-            mode,
-            uid,
-            gid,
-            size,
         )
     }
 
@@ -570,7 +537,7 @@ impl Vfs {
         uid: u32,
         gid: u32,
     ) -> Result<(FileId, Attr), VfsError> {
-        self.insert_child(dir, name, Kind::Dir(BTreeMap::new()), mode, uid, gid, 0)
+        self.insert_child(dir, name, Kind::Dir(BTreeMap::new()), mode, uid, gid)
     }
 
     /// Creates every missing component of `path` as a directory and
@@ -606,15 +573,7 @@ impl Vfs {
         uid: u32,
         gid: u32,
     ) -> Result<(FileId, Attr), VfsError> {
-        self.insert_child(
-            dir,
-            name,
-            Kind::Symlink(target.to_string()),
-            mode,
-            uid,
-            gid,
-            0,
-        )
+        self.insert_child(dir, name, Kind::Symlink(target.to_string()), mode, uid, gid)
     }
 
     /// Reads a symlink's target.
@@ -633,8 +592,7 @@ impl Vfs {
     /// joins them, once). The view keeps the bytes it was taken over
     /// whatever happens to the file afterwards (see [`Vfs::write_bytes`]),
     /// and until it is dropped it pins the file's whole buffer as of the
-    /// read, not only the range asked for. Sparse files read as zeros,
-    /// allocated per call, so `count` must have been bounded by the caller.
+    /// read, not only the range asked for.
     pub fn read(&mut self, id: FileId, offset: u64, count: u32) -> Result<(Bytes, bool), VfsError> {
         let now = self.now;
         let inode = self.get_mut(id)?;
@@ -648,11 +606,7 @@ impl Vfs {
         let start = offset.min(size);
         let end = offset.saturating_add(u64::from(count)).min(size);
         let eof = end >= size;
-        let data = match payload.joined(0) {
-            Some(b) => b.slice(start as usize..end as usize),
-            None => vec![0u8; (end - start) as usize].into(),
-        };
-        Ok((data, eof))
+        Ok((payload.joined(0).slice(start as usize..end as usize), eof))
     }
 
     /// Writes `data` at `offset`, extending the file if needed. Growth is
@@ -707,8 +661,7 @@ impl Vfs {
         let inode = self.get_mut(id)?;
         if let Kind::File(p) = &mut inode.kind {
             let (at, to, size) = (offset as usize, end as usize, old_size as usize);
-            // A sparse file stays sparse: only its size is tracked.
-            match whole.filter(|_| !matches!(p, Payload::Sparse(_))) {
+            match whole {
                 // (1) A whole buffer covering the file becomes it.
                 Some(data) if at == 0 && to >= size => *p = Payload::Bytes(data.clone()),
                 // (2) One appended onto a shared last buffer is a part.
@@ -721,22 +674,20 @@ impl Vfs {
                     }
                 }
                 // (3) Anything else is copied once, into one buffer.
-                _ => match p.joined(to) {
-                    Some(b) => {
-                        let put = |v: &mut Vec<u8>| {
-                            if to > v.len() {
-                                v.resize(to, 0);
-                            }
-                            v[at..to].copy_from_slice(data);
-                        };
-                        if b.with_unique(put).is_none() {
-                            let mut v = unshared(b, to);
-                            put(&mut v);
-                            *b = v.into();
+                _ => {
+                    let b = p.joined(to);
+                    let put = |v: &mut Vec<u8>| {
+                        if to > v.len() {
+                            v.resize(to, 0);
                         }
+                        v[at..to].copy_from_slice(data);
+                    };
+                    if b.with_unique(put).is_none() {
+                        let mut v = unshared(b, to);
+                        put(&mut v);
+                        *b = v.into();
                     }
-                    None => *p = Payload::Sparse(old_size.max(end)),
-                },
+                }
             }
             inode.attr.size = inode.attr.size.max(end);
             inode.attr.mtime = now;
@@ -1006,8 +957,7 @@ impl Vfs {
 
     /// Exports the subtree rooted at `root_path` in pre-order, for
     /// migration and replica pushes. The root itself is included with an
-    /// empty relative path. Sparse files export their size only; real
-    /// files export their stored buffer by refcount (a file kept in parts
+    /// empty relative path. Files export their stored buffer by refcount (a file kept in parts
     /// is joined into one buffer first, once), which like a [`Vfs::read`]
     /// view keeps its bytes whatever happens to the file.
     pub fn export_tree(&mut self, root_path: &str) -> Result<Vec<ExportItem>, VfsError> {
@@ -1030,10 +980,7 @@ impl Vfs {
                     }
                     ExportKind::Dir
                 }
-                Kind::File(p) => match p.joined(0) {
-                    Some(b) => ExportKind::Bytes(b.clone()),
-                    None => ExportKind::Sparse(p.len()),
-                },
+                Kind::File(p) => ExportKind::Bytes(p.joined(0).clone()),
                 Kind::Symlink(t) => ExportKind::Symlink { target: t.clone() },
             };
             out.push(ExportItem {
@@ -1320,18 +1267,17 @@ mod tests {
     }
 
     #[test]
-    fn sized_files_charge_quota_without_payload() {
+    fn written_files_charge_quota_for_their_bytes() {
         let mut v = Vfs::new(1000);
         let root = v.root();
-        v.create_sized(root, "big", 900, 0o644, 0, 0).unwrap();
+        let (f, _) = v.create(root, "big", 0o644, 0, 0).unwrap();
+        v.write(f, 0, &[7u8; 900]).unwrap();
         assert_eq!(v.used_bytes(), 900);
-        assert_eq!(
-            v.create_sized(root, "big2", 200, 0o644, 0, 0),
-            Err(VfsError::NoSpc)
-        );
-        let (f, _) = v.lookup(root, "big").unwrap();
+        let (g, _) = v.create(root, "big2", 0o644, 0, 0).unwrap();
+        assert_eq!(v.write(g, 0, &[7u8; 200]), Err(VfsError::NoSpc));
+        assert_eq!(v.getattr(g).unwrap().size, 0);
         let (data, eof) = v.read(f, 890, 100).unwrap();
-        assert_eq!(data, vec![0u8; 10]);
+        assert_eq!(data, vec![7u8; 10]);
         assert!(eof);
     }
 
@@ -1552,7 +1498,8 @@ mod tests {
         let (f, _) = v.create(d, "data.bin", 0o640, 3, 4).unwrap();
         v.write(f, 0, b"payload").unwrap();
         v.symlink(d, "link", "data.bin", 0o777, 3, 4).unwrap();
-        v.create_sized(d, "sparse", 1 << 16, 0o600, 3, 4).unwrap();
+        let (g, _) = v.create(d, "zeros", 0o600, 3, 4).unwrap();
+        v.write(g, (1 << 16) - 1, &[0]).unwrap();
 
         let items = v.export_tree("/tree").unwrap();
         // Root first (pre-order), then children.
@@ -1573,7 +1520,11 @@ mod tests {
                 target: "data.bin".into()
             }
         );
-        assert_eq!(by_path["sub/sparse"].kind, ExportKind::Sparse(1 << 16));
+        assert_eq!(
+            by_path["sub/zeros"].kind,
+            ExportKind::Bytes(vec![0u8; 1 << 16].into())
+        );
+        assert_eq!(by_path["sub/zeros"].mode, 0o600);
         // A parent always precedes its children in the stream.
         let pos = |p: &str| items.iter().position(|i| i.rel_path == p).unwrap();
         assert!(pos("sub") < pos("sub/data.bin"));

@@ -12,8 +12,6 @@
 //!   back the NFSv3 attribute model,
 //! * a capacity quota with exact used-byte accounting — the mechanism that
 //!   triggers Kosha's salt-redirection when a node fills up (Section 3.3),
-//! * *sparse* files that charge quota without storing payload bytes, so the
-//!   trace-driven simulations (221 K files, 17.9 GB) run in modest RAM, and
 //! * a generation number that invalidates all outstanding handles when a
 //!   node is purged (Section 4.3: "all Kosha data on a revived node is
 //!   purged").

@@ -30,16 +30,19 @@ fn main() {
     )
     .unwrap();
 
-    // A small synthetic slice of the departmental trace: a few thousand
-    // files across user homes, inserted as sparse (size-only) files.
-    let trace = FsTrace::generate(&TraceParams::default().scaled(0.008));
+    // A small synthetic slice of the departmental trace: a few hundred
+    // files across user homes, each written with its full size in bytes.
+    let params = TraceParams::default().scaled(0.002);
+    let trace = FsTrace::generate(&params);
     let mount = KoshaMount::new(net.clone() as Arc<dyn Network>, NodeAddr(0), NodeAddr(0)).unwrap();
     for d in &trace.dirs {
         mount.mkdir_p(d).unwrap();
     }
+    let largest = trace.files.iter().map(|f| f.size).max().unwrap_or(0);
+    let body = vec![0u8; largest as usize];
     let mut inserted = 0u64;
     for f in &trace.files {
-        if mount.create_sized(&f.path, f.size).is_ok() {
+        if mount.write_file(&f.path, &body[..f.size as usize]).is_ok() {
             inserted += 1;
         }
     }
@@ -47,7 +50,7 @@ fn main() {
         "placed {} files ({:.2} GB) from {} users across {} machines\n",
         inserted,
         trace.total_bytes() as f64 / 1e9,
-        TraceParams::default().scaled(0.008).users,
+        params.users,
         nodes_count
     );
 
