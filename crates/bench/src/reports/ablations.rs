@@ -17,7 +17,7 @@
 //! baseline and bounds; these are the comparisons nothing else makes.
 
 use crate::{outln, timed, Report};
-use kosha::KoshaConfig;
+use kosha::{KoshaConfig, ReadFrom};
 use kosha_id::{dir_key, node_id_from_seed};
 use kosha_pastry::{PastryConfig, PastryNode};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
@@ -140,14 +140,17 @@ fn leafset(out: &mut String) {
     }
 }
 
-fn read_from_replicas(out: &mut String) {
+fn replica_reads(out: &mut String) {
     // §4.2's future-work optimization: measures the end-to-end cost of
     // round-robined replica reads vs primary-only reads.
-    for (enabled, label) in [(false, "primary-only"), (true, "replica-rr")] {
+    for (read_from, label) in [
+        (ReadFrom::Primary, "primary-only"),
+        (ReadFrom::Replicas { hot_copies: 0 }, "replica-rr"),
+    ] {
         let mut cfg = KoshaConfig::for_tests();
         cfg.replicas = 2;
         cfg.distribution_level = 1;
-        cfg.read_from_replicas = enabled;
+        cfg.read_from = read_from;
         let cluster = SimCluster::build(&ClusterParams {
             nodes: 6,
             kosha: cfg,
@@ -198,7 +201,7 @@ pub fn run(_full: bool) -> Report {
     replication_write_amplification(&mut out);
     granularity(&mut out);
     leafset(&mut out);
-    read_from_replicas(&mut out);
+    replica_reads(&mut out);
     client_cache(&mut out);
     Report::text(out)
 }

@@ -22,7 +22,7 @@
 //! summary is the `BENCH_hotspot.json` gate.
 
 use crate::{bench_cluster, seed_files, Report, Zipf};
-use kosha::{cluster_flight, KoshaConfig, KoshaNode};
+use kosha::{cluster_flight, KoshaConfig, KoshaNode, ReadFrom};
 use kosha_obs::json::Value;
 use kosha_obs::obj;
 use kosha_rpc::{Clock, LatencyModel, Network, NodeAddr, SimNetwork};
@@ -80,10 +80,9 @@ fn run_storm(hot: bool) -> RunOutcome {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 1;
-    cfg.read_from_replicas = true;
-    if hot {
-        cfg.hot_replicas = 5;
-    }
+    cfg.read_from = ReadFrom::Replicas {
+        hot_copies: if hot { 5 } else { 0 },
+    };
     let cluster = bench_cluster(net, &cfg, NODES, 1);
     let (net, nodes) = (&cluster.net, &cluster.nodes);
     let mount = cluster.mount(0);

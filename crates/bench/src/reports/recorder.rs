@@ -17,7 +17,7 @@
 //! is the `BENCH_recorder.json` gate.
 
 use crate::{bench_cluster, seed_files, Report, Zipf};
-use kosha::{cluster_flight, FlightReport, KoshaConfig, KoshaNode};
+use kosha::{cluster_flight, FlightReport, KoshaConfig, KoshaNode, ReadFrom};
 use kosha_obs::json::Value;
 use kosha_obs::{obj, HeatEntry};
 use kosha_rpc::{LatencyModel, Network, SimNetwork};
@@ -34,7 +34,7 @@ pub fn run(_full: bool) -> Report {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.read_from_replicas = true;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
     let cluster = bench_cluster(SimNetwork::new(LatencyModel::default()), &cfg, NODES, 1);
     let (net, nodes) = (&cluster.net, &cluster.nodes);
     let mount = cluster.mount(0);

@@ -220,10 +220,10 @@ pub struct AuditReport {
     /// Replica copies mid-push (their record's migration flag set);
     /// expected to diverge, so excluded from the divergence counts.
     pub migrations_in_flight: u64,
-    /// Lease-stamped hot-copy slots (leases in the record, DESIGN.md
-    /// §16). Hot copies are read caches beyond K, hold only the leased
-    /// objects (their digests are *expected* to differ from the full
-    /// primary slot), and are governed by their lease — so they are
+    /// Hot-copy slots (hot paths listed in the record, DESIGN.md §16).
+    /// Hot copies are read caches beyond K, hold only the hot objects
+    /// (their digests are *expected* to differ from the full primary
+    /// slot), and are governed by the primary's lease — so they are
     /// counted here and excluded from replication, divergence, and
     /// orphan accounting entirely.
     pub hot_copies: u64,
@@ -276,12 +276,12 @@ pub fn audit_cluster(
         report.nodes_scanned += 1;
         for e in entries {
             if e.replica && e.hot {
-                // A leased hot copy is not a replica holder: it must not
-                // count toward K (over-replication), must not be judged
-                // against the primary's digest (it holds only the leased
-                // objects), and is not an orphan (its lease, not a
-                // primary join, governs its lifetime — expired ones are
-                // collected by replica-slot GC).
+                // A hot copy is not a replica holder: it must not count
+                // toward K (over-replication), must not be judged against
+                // the primary's digest (it holds only the hot objects),
+                // and is not an orphan (the primary's vouching, not a
+                // primary join, governs its lifetime — copies no primary
+                // tracks are collected by replica-slot GC).
                 report.hot_copies += 1;
                 continue;
             }

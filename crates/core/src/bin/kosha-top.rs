@@ -11,7 +11,7 @@
 
 use kosha::{
     audit_cluster, boot_cluster, cluster_flight, AuditOptions, KoshaConfig, KoshaMount, KoshaNode,
-    ReplicationMode,
+    ReadFrom, ReplicationMode,
 };
 use kosha_rpc::{LatencyModel, Network, NodeAddr, SimNetwork};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ fn main() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.read_from_replicas = true;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
     cfg.replication_mode = ReplicationMode::WriteBehind { queue_ops: 256 };
     let nodes = boot_cluster(
         &(net.clone() as Arc<dyn Network>),

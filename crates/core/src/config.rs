@@ -23,6 +23,35 @@ pub enum ReplicationMode {
     },
 }
 
+/// Where a READ may be served from (§4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadFrom {
+    /// Every READ goes to the primary — the prototype's behavior.
+    Primary,
+    /// The optimization §4.2 leaves as future work ("We currently are
+    /// exploring optimization techniques that allow at least read
+    /// operations to be served from any one of the K replicas"): READs
+    /// are round-robined over the primary and every holder it
+    /// advertises as current, with transparent fallback to the primary.
+    Replicas {
+        /// Maximum extra read-only cached copies a primary may push for
+        /// one hot object, beyond the K durable replicas (DESIGN.md
+        /// §16). `0` disables heat-driven read scaling: no heat tracking
+        /// at the primary, no leases, no extra copies.
+        hot_copies: usize,
+    },
+}
+
+impl ReadFrom {
+    /// The most hot copies a primary may push for one object.
+    pub(crate) fn hot_copies(self) -> usize {
+        match self {
+            ReadFrom::Primary => 0,
+            ReadFrom::Replicas { hot_copies } => hot_copies,
+        }
+    }
+}
+
 /// Maximum redirection attempts when the mapped node is full (§3.3:
 /// "the redirection process repeats till a node with enough disk space
 /// is found, or a pre-specified number of retries is exhausted").
@@ -55,13 +84,9 @@ pub struct KoshaConfig {
     pub disk_bandwidth_bps: u64,
     /// Metadata-operation disk cost.
     pub disk_meta_op: Duration,
-    /// Serve READs from any of the K replicas instead of always from the
-    /// primary — the optimization §4.2 leaves as future work ("We
-    /// currently are exploring optimization techniques that allow at
-    /// least read operations to be served from any one of the K
-    /// replicas"). Selection is round-robin over primary + replicas with
-    /// transparent fallback to the primary.
-    pub read_from_replicas: bool,
+    /// Where READs are served from: the primary alone, or the primary
+    /// and its current replica and hot-copy holders.
+    pub read_from: ReadFrom,
     /// Resolve paths with the compound LOOKUPPATH extension: one RPC per
     /// *server* along the walk instead of one per component. Disabling it
     /// restores the per-component NFSv3 walk of Section 4.1.3 (the
@@ -77,11 +102,6 @@ pub struct KoshaConfig {
     /// path (the default, matching the prototype) or write-behind
     /// through per-target coalescing queues (DESIGN.md §11).
     pub replication_mode: ReplicationMode,
-    /// Maximum extra read-only cached copies a primary may push for one
-    /// hot object, beyond the K durable replicas (DESIGN.md §16). `0`
-    /// disables heat-driven read scaling entirely: no hot-path heat
-    /// tracking at the primary, no lease state, no extra copies.
-    pub hot_replicas: usize,
 }
 
 impl Default for KoshaConfig {
@@ -93,11 +113,10 @@ impl Default for KoshaConfig {
             io_chunk: 32 * 1024,
             disk_bandwidth_bps: 40_000_000,
             disk_meta_op: Duration::from_micros(120),
-            read_from_replicas: false,
+            read_from: ReadFrom::Primary,
             compound_lookup: true,
             koshad_op_cost: Duration::from_micros(350),
             replication_mode: ReplicationMode::Sync,
-            hot_replicas: 0,
         }
     }
 }
@@ -113,11 +132,10 @@ impl KoshaConfig {
             io_chunk: 4096,
             disk_bandwidth_bps: u64::MAX,
             disk_meta_op: Duration::ZERO,
-            read_from_replicas: false,
+            read_from: ReadFrom::Primary,
             compound_lookup: true,
             koshad_op_cost: Duration::ZERO,
             replication_mode: ReplicationMode::Sync,
-            hot_replicas: 0,
         }
     }
 }
@@ -135,8 +153,8 @@ mod tests {
         assert_eq!(c.replication_mode, ReplicationMode::Sync);
         let t = KoshaConfig::for_tests();
         assert_eq!(t.replication_mode, ReplicationMode::Sync);
-        // Heat-driven read scaling is opt-in everywhere.
-        assert_eq!(c.hot_replicas, 0);
-        assert_eq!(t.hot_replicas, 0);
+        // Replica reads, and with them hot copies, are opt-in everywhere.
+        assert_eq!(c.read_from, ReadFrom::Primary);
+        assert_eq!(t.read_from, ReadFrom::Primary);
     }
 }

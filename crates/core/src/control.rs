@@ -91,9 +91,9 @@ wire_struct! {
         /// The record is flagged mid-push: the copy is expected to diverge
         /// until the bracket closes.
         pub migrating: bool,
-        /// The record carries hot-copy leases: the slot holds read-only
+        /// The record lists hot copies: the slot holds read-only
         /// heat-driven cached copies, not a durable K replica. Hot slots
-        /// carry only the leased objects, so their digests are expected to
+        /// carry only the hot objects, so their digests are expected to
         /// differ from the primary's; the auditor counts them separately
         /// instead of reporting divergence/over-replication (DESIGN.md §16).
         pub hot: bool,
@@ -213,9 +213,9 @@ wire_enum! {
             ops: Vec<ReplicaOp>,
         } = 22 => "replica_apply_batch",
         /// Heat-driven read scaling: place or refresh one read-only cached
-        /// copy of a hot object in the receiver's replica area, leased
-        /// until `expires_nanos` and stamped with the primary's mutation
-        /// sequence. The request carries the full object payload, so the
+        /// copy of a hot object in the receiver's replica area. The lease
+        /// on it stays with the primary, which alone decides when it is
+        /// read. The request carries the full object payload, so the
         /// handler touches only local state (DESIGN.md §16).
         HotReplicaPush {
             /// Covering anchor virtual path of the hot object.
@@ -225,10 +225,6 @@ wire_enum! {
             routing: String,
             /// Virtual path of the hot object.
             path: String,
-            /// Primary mutation sequence the pushed payload reflects.
-            seq: u64,
-            /// Lease expiry in virtual nanoseconds.
-            expires_nanos: u64,
             /// The object itself (`rel_path` relative to the anchor root,
             /// parent directories implied).
             item: MigrateItem,
@@ -236,12 +232,12 @@ wire_enum! {
         /// Heat-driven read scaling: revoke the receiver's hot copy of
         /// `path` — heat decayed, the object was mutated without a
         /// refresh, or it was removed. A no-op when the receiver's slot
-        /// record holds no lease for the path (e.g. the slot became a
+        /// record lists no copy at the path (e.g. the slot became a
         /// durable replica in the meantime).
         HotReplicaDrop {
             /// Covering anchor virtual path.
             anchor: String,
-            /// Virtual path of the object whose lease is revoked.
+            /// Virtual path of the object whose copy is revoked.
             path: String,
         } = 27 => "hot_replica_drop",
         /// Replica pull: the record and the items of the receiver's
@@ -539,8 +535,6 @@ mod tests {
                 anchor: "/a".into(),
                 routing: "a#2".into(),
                 path: "/a/hot".into(),
-                seq: 17,
-                expires_nanos: 9_000_000_000,
                 item: item("hot", MigrateKind::Bytes(vec![6; 5].into())),
             },
             ReplicaRequest::HotReplicaDrop {

@@ -365,7 +365,7 @@ mod tests {
             let id = node_id_from_seed(&format!("kosha-host-{i}"));
             let mut cfg = KoshaConfig::for_tests();
             cfg.distribution_level = 1;
-            cfg.read_from_replicas = true;
+            cfg.read_from = crate::ReadFrom::Replicas { hot_copies: 0 };
             let (node, mux) = KoshaNode::build(cfg, id, addr, net.clone() as _);
             net.attach(addr, mux);
             node.join(if i == 0 { None } else { Some(NodeAddr(1)) })

@@ -7,17 +7,18 @@
 //! demand: each primary feeds its [`kosha_obs::ReadHeat`] sketch from the
 //! `ReplicaTargets` read-path RPC, and when an object's decayed heat
 //! crosses [`HOT_THRESHOLD_MILLI`] it pushes up to
-//! [`crate::KoshaConfig::hot_replicas`] extra **read-only cached copies**
-//! onto the next leaf-set neighbors past the K replica targets.
+//! [`crate::ReadFrom::Replicas`]' `hot_copies` extra **read-only cached
+//! copies** onto the next leaf-set neighbors past the K replica targets.
 //!
 //! A hot copy is not a durable replica: it never counts toward K, is
-//! never promoted, and is advertised to readers only while it holds a
-//! **lease** — a `(mutation sequence, expiry)` pair stamped into the
-//! holding slot's record ([`crate::slots::SlotMeta::hot`]). Any mutation
-//! of the object voids the lease at the primary *before the mutation is
-//! acknowledged*, so a reader that re-fetches targets (every `/kosha`
-//! read does) can never be steered to pre-write data; the next flush
-//! barrier or maintenance tick
+//! never promoted, and is advertised to readers only while the primary's
+//! **lease** on it holds — a `(mutation sequence, expiry)` pair the
+//! primary keeps in its [`HotObject`]; the holder's slot record lists
+//! only the paths it keeps copies of ([`crate::slots::SlotMeta::hot`]).
+//! Any mutation of the object voids the lease at the primary *before the
+//! mutation is acknowledged*, so a reader that re-fetches targets (every
+//! `/kosha` read does) can never be steered to pre-write data
+//! ([`KoshaNode::current`]); the next flush barrier or maintenance tick
 //! re-pushes fresh payload under a new lease while the object stays hot,
 //! and drops the copies once heat decays below half the spawn threshold
 //! (hysteresis). Copies orphaned by a primary failure age out through the
@@ -29,7 +30,6 @@ use crate::control::{MigrateItem, MigrateKind, ReplicaOp, ReplicaRequest};
 use crate::node::KoshaNode;
 use crate::paths::{check_vpath, slot_local_path, Area};
 use crate::primary::settle;
-use crate::slots::HotLease;
 use kosha_nfs::{NfsRequest, NfsStatus};
 use kosha_rpc::{NodeAddr, RpcRequest, ServiceId};
 use kosha_vfs::path::parent_and_name;
@@ -116,7 +116,7 @@ fn anchor_rel(anchor: &str, vpath: &str) -> String {
 
 impl KoshaNode {
     fn hot_enabled(&self) -> bool {
-        self.cfg.hot_replicas > 0
+        self.cfg.read_from.hot_copies() > 0
     }
 
     /// Sets the `kosha_hot_copies` gauge to the number of pushed copies
@@ -131,7 +131,7 @@ impl KoshaNode {
     /// construction disjoint from the durable replica set.
     fn hot_candidates(&self) -> Vec<NodeAddr> {
         self.pastry
-            .replica_targets(self.cfg.replicas + self.cfg.hot_replicas)
+            .replica_targets(self.cfg.replicas + self.cfg.read_from.hot_copies())
             .into_iter()
             .map(|n| n.addr)
             .skip(self.cfg.replicas)
@@ -162,13 +162,12 @@ impl KoshaNode {
 
     /// Read-path hook, called from the primary's `ReplicaTargets`
     /// handler: records one unit of heat for `path`, spawns hot copies
-    /// when it crosses the threshold, and returns the holders a reader
-    /// may be steered to (valid, unexpired leases only).
-    pub(crate) fn hot_read_extras(&self, path: &str, anchor: &str) -> Vec<NodeAddr> {
+    /// when it crosses the threshold, and returns every holder the
+    /// primary tracks for it, lease valid or not.
+    pub(crate) fn hot_read_extras(&self, path: &str, anchor: &str, now: u64) -> Vec<NodeAddr> {
         if !self.hot_enabled() {
             return Vec::new();
         }
-        let now = self.clock.now().0;
         self.heat.touch(path, now);
         let tracked = self.hot.lock().contains_key(path);
         if !tracked
@@ -179,16 +178,12 @@ impl KoshaNode {
         {
             self.hot_spawn(path, anchor, now);
         }
-        let map = self.hot.lock();
-        match map.get(path) {
-            Some(o) if o.valid && now < o.expires_nanos => o.holders.clone(),
-            _ => Vec::new(),
-        }
+        let holders = self.hot.lock().get(path).map(|o| o.holders.clone());
+        holders.unwrap_or_default()
     }
 
     /// Pushes fresh copies of `path` to the candidate set and records
-    /// the lease. `seq` continuity: a re-spawn after a drop starts a new
-    /// lease generation, readers only ever see the latest.
+    /// the lease, which a spawn starts at `seq` 1.
     fn hot_spawn(&self, path: &str, anchor: &str, now: u64) {
         let Some(routing) = self.routing_of(anchor) else {
             return;
@@ -200,16 +195,14 @@ impl KoshaNode {
         if candidates.is_empty() {
             return;
         }
-        let seq = self.hot.lock().get(path).map_or(1, |o| o.seq + 1);
-        let expires = now + HOT_LEASE_NANOS;
-        let holders = self.hot_push_to(&candidates, anchor, &routing, path, seq, expires, item);
+        let holders = self.hot_push_to(&candidates, anchor, &routing, path, item);
         if holders.is_empty() {
             return;
         }
         self.journal(
             "hot_push",
             format!(
-                "spawned {} hot cop(ies) of {path} (lease seq {seq})",
+                "spawned {} hot cop(ies) of {path} (lease seq 1)",
                 holders.len()
             ),
         );
@@ -219,9 +212,9 @@ impl KoshaNode {
             HotObject {
                 anchor: anchor.to_string(),
                 holders,
-                seq,
+                seq: 1,
                 valid: true,
-                expires_nanos: expires,
+                expires_nanos: now + HOT_LEASE_NANOS,
             },
         );
         self.hot_gauge_sync(&map);
@@ -229,15 +222,12 @@ impl KoshaNode {
 
     /// Fans one `HotReplicaPush` out to `targets`, returning the subset
     /// that accepted the copy. Counts each success as a hot push.
-    #[allow(clippy::too_many_arguments)]
     fn hot_push_to(
         &self,
         targets: &[NodeAddr],
         anchor: &str,
         routing: &str,
         path: &str,
-        seq: u64,
-        expires_nanos: u64,
         item: MigrateItem,
     ) -> Vec<NodeAddr> {
         let req = RpcRequest::new(
@@ -246,8 +236,6 @@ impl KoshaNode {
                 anchor: anchor.to_string(),
                 routing: routing.to_string(),
                 path: path.to_string(),
-                seq,
-                expires_nanos,
                 item,
             },
         );
@@ -434,9 +422,7 @@ impl KoshaNode {
             self.hot_gauge_sync(&self.hot.lock());
             return;
         }
-        let seq = o.seq + 1;
-        let expires = now + HOT_LEASE_NANOS;
-        let holders = self.hot_push_to(&candidates, &o.anchor, &routing, path, seq, expires, item);
+        let holders = self.hot_push_to(&candidates, &o.anchor, &routing, path, item);
         let mut map = self.hot.lock();
         match map.get_mut(path) {
             // A mutation may have raced the push fan-out; its seq bump
@@ -444,9 +430,9 @@ impl KoshaNode {
             // and the lease must then stay void until the next sweep.
             Some(cur) if cur.seq == o.seq => {
                 cur.holders = holders;
-                cur.seq = seq;
+                cur.seq += 1;
                 cur.valid = true;
-                cur.expires_nanos = expires;
+                cur.expires_nanos = now + HOT_LEASE_NANOS;
             }
             Some(cur) => {
                 cur.holders = holders;
@@ -481,16 +467,15 @@ impl KoshaNode {
     // ---- the holder (replica-service) side --------------------------------
 
     /// `HotReplicaPush` handler: materializes the pushed copy in the
-    /// local replica area and stamps its lease into the slot's record.
-    /// Local state only — the payload rides in the request — preserving
-    /// the replica service's no-nested-RPC discipline.
+    /// local replica area and lists its path in the slot's record. The
+    /// lease stays with the primary, which alone decides when the copy
+    /// may be read. Local state only — the payload rides in the request —
+    /// preserving the replica service's no-nested-RPC discipline.
     pub(crate) fn receive_hot_push(
         &self,
         anchor: &str,
         routing: &str,
         path: &str,
-        seq: u64,
-        expires_nanos: u64,
         item: &MigrateItem,
     ) -> Result<(), NfsStatus> {
         check_vpath(path)?;
@@ -503,38 +488,34 @@ impl KoshaNode {
         let (pp, name) = parent_and_name(path).ok_or(NfsStatus::Inval)?;
         let dir = self.slot_fh(Area::Replica, anchor, pp, true)?;
         self.replace_file(dir, name, (item.mode, item.uid, item.gid), data.clone())?;
-        let lease = HotLease {
-            path: path.to_string(),
-            seq,
-            expires_nanos,
-        };
         self.slot_update(Area::Replica, anchor, |m| {
             // The routing name lets replica-slot GC ask the owner about
             // this slot even though no full replica push ever named it.
             m.routing.get_or_insert_with(|| routing.to_string());
-            m.hot.retain(|l| l.path != path);
-            m.hot.push(lease);
-            m.hot.sort();
+            if let Err(at) = m.hot.binary_search_by(|p| p.as_str().cmp(path)) {
+                m.hot.insert(at, path.to_string());
+            }
         });
         Ok(())
     }
 
-    /// `HotReplicaDrop` handler: removes the leased copy and its lease.
-    /// A no-op when the slot's record holds no lease for the path — in
-    /// particular when this holder has since been promoted to a durable
-    /// replica target (the full push's bracket replace reset the record,
-    /// and the file now *is* the replica). When the last lease goes, the
-    /// slot held nothing but hot copies, so the whole slot is removed.
+    /// `HotReplicaDrop` handler: removes the hot copy and its path from
+    /// the slot's record. A no-op when the record lists no copy at the
+    /// path — in particular when this holder has since been promoted to a
+    /// durable replica target (the full push's bracket replace reset the
+    /// record, and the file now *is* the replica). When the last copy
+    /// goes, the slot held nothing but hot copies, so the whole slot is
+    /// removed.
     pub(crate) fn receive_hot_drop(&self, anchor: &str, path: &str) -> Result<(), NfsStatus> {
         check_vpath(path)?;
-        let leases = self.slot_meta(Area::Replica, anchor).map(|m| m.hot);
-        let mut leases = leases.unwrap_or_default();
-        let before = leases.len();
-        leases.retain(|l| l.path != path);
-        if leases.len() == before {
-            return Ok(()); // nothing leased under that path here
+        let copies = self.slot_meta(Area::Replica, anchor).map(|m| m.hot);
+        let mut copies = copies.unwrap_or_default();
+        let before = copies.len();
+        copies.retain(|p| p != path);
+        if copies.len() == before {
+            return Ok(()); // no copy at that path here
         }
-        if leases.is_empty() {
+        if copies.is_empty() {
             // Drop the entire slot; it existed only for hot copies.
             let drop_slot = ReplicaOp::RemoveSlot {
                 anchor: anchor.to_string(),
@@ -549,7 +530,7 @@ impl KoshaNode {
             });
             settle(Area::Replica, r, NfsStatus::NoEnt)?;
         }
-        self.slot_update(Area::Replica, anchor, |m| m.hot = leases);
+        self.slot_update(Area::Replica, anchor, |m| m.hot = copies);
         Ok(())
     }
 }

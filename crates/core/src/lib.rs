@@ -60,7 +60,7 @@ pub mod stats;
 pub mod writeback;
 
 pub use audit::{audit_cluster, slot_summary, tree_digest, AuditOptions, AuditReport, SlotSummary};
-pub use config::{KoshaConfig, ReplicationMode};
+pub use config::{KoshaConfig, ReadFrom, ReplicationMode};
 pub use flight::{cluster_flight, FlightReport, NodeRow};
 pub use mount::KoshaMount;
 pub use node::{boot_cluster, KoshaNode};

@@ -68,7 +68,7 @@ pub struct KoshaNode {
     pub(crate) salt_rng: Mutex<StdRng>,
     /// Round-robin counter for read-from-replica selection (§4.2's
     /// future-work optimization, enabled by
-    /// [`KoshaConfig::read_from_replicas`]).
+    /// [`crate::ReadFrom::Replicas`]).
     pub(crate) read_rr: std::sync::atomic::AtomicU64,
     /// Operational counters (handles into `obs`'s registry).
     pub(crate) stats: KoshaStats,
@@ -85,7 +85,7 @@ pub struct KoshaNode {
     pub(crate) heat: kosha_obs::ReadHeat,
     /// Primary-side hot-copy ledger (DESIGN.md §16): virtual path → the
     /// object's outstanding heat-driven cached copies and their lease.
-    /// Empty unless [`KoshaConfig::hot_replicas`] is non-zero.
+    /// Empty unless [`crate::ReadFrom::Replicas`] asks for hot copies.
     pub(crate) hot: Mutex<BTreeMap<String, crate::hot::HotObject>>,
     /// Full-push memo: per hosted anchor, the content digest and target
     /// set of the last fully-acknowledged replica push, or of the empty

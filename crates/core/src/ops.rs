@@ -7,7 +7,7 @@
 //! reads via direct NFS, and transparently retries through failures
 //! (§4.4).
 
-use crate::config::REDIRECT_ATTEMPTS;
+use crate::config::{ReadFrom, REDIRECT_ATTEMPTS};
 use crate::control::{ControlRequest, KoshaReply, ReplicaOp};
 use crate::handles::Location;
 use crate::node::{KoshaNode, VirtualFs};
@@ -152,25 +152,26 @@ impl KoshaNode {
         })
     }
 
-    /// READ directly from the primary's store over NFS — or, when
-    /// [`crate::KoshaConfig::read_from_replicas`] is on, round-robined
-    /// across the primary and its replica holders (§4.2's future-work
-    /// optimization), with transparent fallback to the primary. Replica
-    /// reads trade a window of staleness for read scalability, like NFS
-    /// client caching does.
+    /// READ directly from the primary's store over NFS — or, under
+    /// [`crate::ReadFrom::Replicas`], round-robined across the primary
+    /// and the holders it advertises as current (§4.2's future-work
+    /// optimization, DESIGN.md §16), with transparent fallback to the
+    /// primary. A holder is advertised only while it has every acked
+    /// write, so a replica read is as fresh as the primary's.
     pub fn k_read(&self, fh: Fh, offset: u64, count: u32) -> NfsResult<(Bytes, bool)> {
         let (vpath, probed) = self.probe(fh)?;
         // Feed the read-heat tracker before target selection: heat
         // counts demand for the object regardless of which holder ends
         // up serving it (the signal hot-replica spawning needs).
         self.heat.touch(&vpath, self.clock.now().0);
-        if self.cfg.read_from_replicas {
+        let from_replicas = matches!(self.cfg.read_from, ReadFrom::Replicas { .. });
+        if from_replicas {
             if let Some(out) = self.try_replica_read(&vpath, offset, count) {
                 return Ok(out);
             }
         }
         // A replica read that went first may have changed the table.
-        let probed = probed.filter(|_| !self.cfg.read_from_replicas);
+        let probed = probed.filter(|_| !from_replicas);
         self.retry_obj(fh, &vpath, probed, |s, _, loc, ftype| {
             if ftype == FileType::Directory {
                 return Err(NfsError::Status(NfsStatus::IsDir));
@@ -219,7 +220,7 @@ impl KoshaNode {
         let turn = self
             .read_rr
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let weight = if self.cfg.hot_replicas > 0 {
+        let weight = if self.cfg.read_from.hot_copies() > 0 {
             let heat = self
                 .heat
                 .heat_milli_of(vpath, self.clock.now().0)

@@ -207,6 +207,22 @@ impl KoshaNode {
             .collect()
     }
 
+    /// Whether `holder` may serve a read of `path`, whose entry lives in
+    /// `anchor`'s slot, at `now`: the one rule by which `ReplicaTargets`
+    /// admits every holder it advertises, durable or hot (DESIGN.md §16).
+    /// A holder is current when its write-behind window on the anchor is
+    /// closed (a durable holder then has every acked op) and, if it keeps
+    /// a hot copy of `path`, the primary's lease on that copy is valid
+    /// and unexpired (a hot copy gets no mirrored ops, so only the lease
+    /// says that no write followed its push).
+    pub(crate) fn current(&self, holder: NodeAddr, path: &str, anchor: &str, now: u64) -> bool {
+        let leased = self.hot.lock().get(path).and_then(|o| {
+            let hot = o.holders.contains(&holder);
+            hot.then_some(o.valid && now < o.expires_nanos)
+        });
+        leased.unwrap_or(true) && !self.lags(holder, anchor)
+    }
+
     /// Mirrors one mutation the store has taken to `targets` (§4.2):
     /// queued per target under write-behind (DESIGN.md §11; flush
     /// barriers and the transport pump drain the queues, off the client's
@@ -379,10 +395,8 @@ impl KoshaNode {
                 anchor,
                 routing,
                 path,
-                seq,
-                expires_nanos,
                 item,
-            } => self.receive_hot_push(&anchor, &routing, &path, seq, expires_nanos, &item),
+            } => self.receive_hot_push(&anchor, &routing, &path, &item),
             ReplicaRequest::HotReplicaDrop { anchor, path } => {
                 self.receive_hot_drop(&anchor, &path)
             }
@@ -601,11 +615,11 @@ impl KoshaNode {
     /// is a special or a user link; a slot goes only empty, is renamed
     /// only where it is served, and is made only below the redirection
     /// utilization. Every transport runs one handler at a time per
-    /// `(node, service)`, so these checks and the [`Self::mutate`] that
-    /// follows cannot interleave with another request to the same slot:
-    /// a `RemoveSlot` found empty stays empty until it is gone, and the
-    /// `Sync` mirror runs before the next mutation is admitted, so every
-    /// holder sees the primary's order.
+    /// `(node, service)` actor, and the `Sync` mirror runs while that
+    /// actor is held, so these checks and the [`Self::mutate`] that
+    /// follows cannot interleave with another request to the same
+    /// service: a `RemoveSlot` found empty stays empty until it is gone,
+    /// and every holder sees the primary's order.
     fn admit(&self, op: &ReplicaOp) -> Result<(), NfsStatus> {
         let (Names::Entry(a, b) | Names::Slot(a, b)) = op.names();
         check_vpath(a)?;
@@ -842,7 +856,7 @@ impl KoshaNode {
     /// under the routing name its record holds; one without (a transfer
     /// cut short) adopts `routing`. Else a full replica copy here is
     /// promoted, or one is pulled from a leaf-set member, or, as a last
-    /// resort, a copy holding hot leases only is promoted; the root
+    /// resort, a copy holding hot copies only is promoted; the root
     /// anchor, held nowhere, is made empty. `NoEnt` if none of these
     /// serves it.
     fn ensure_anchor(&self, anchor: &str, routing: &str) -> Result<(), NfsStatus> {
@@ -852,8 +866,8 @@ impl KoshaNode {
         if self.slot_update(Area::Store, anchor, name).is_some() {
             return Ok(());
         }
-        // A copy with hot leases holds only the hot files (§16): it is
-        // promoted only when no full copy can be pulled.
+        // A copy whose record lists hot copies holds only the hot files
+        // (§16): it is promoted only when no full copy can be pulled.
         let leased = self
             .slot_meta(Area::Replica, anchor)
             .map(|m| !m.hot.is_empty());
@@ -891,7 +905,7 @@ impl KoshaNode {
     /// with few replicas, the node that becomes numerically closest after
     /// a failure is not always one of the replica holders. One
     /// `SlotRecord` per member asked brings the holder's record and
-    /// items. A copy whose record lists hot leases holds only the hot
+    /// items. A copy whose record lists hot copies holds only the hot
     /// files (DESIGN.md §16): it is taken, if `leased_ok`, only when no
     /// member holding a full copy answers.
     fn pull_anchor_from_neighbors(&self, anchor: &str, routing: &str, leased_ok: bool) -> bool {
@@ -1128,19 +1142,16 @@ impl KoshaNode {
                 // Every replica-assisted read lands here, so this is
                 // where the primary measures per-object demand — and,
                 // past the heat threshold, where it spawns extra cached
-                // copies and advertises their (valid-lease) holders
-                // alongside the K durable targets (DESIGN.md §16).
+                // copies whose holders join the K durable targets
+                // (DESIGN.md §16). Each is advertised only if current.
+                let now = self.clock.now().0;
                 let mut targets = self.replica_addrs();
-                for a in self.hot_read_extras(&path, &anchor) {
+                for a in self.hot_read_extras(&path, &anchor, now) {
                     if !targets.contains(&a) {
                         targets.push(a);
                     }
                 }
-                // A holder whose write-behind window on the anchor is
-                // open lacks acked writes: it is not advertised until the
-                // window flushes, so no read returns bytes older than an
-                // acked write.
-                targets.retain(|t| !self.lags(*t, &anchor));
+                targets.retain(|t| self.current(*t, &path, &anchor, now));
                 Ok(KoshaReply::Nodes(targets))
             }
             ControlRequest::ReplicaTargetsBySlot { slot, holder } => {

@@ -4,7 +4,7 @@
 //! digits under `/kosha_store` (the node is its primary) or under
 //! `/kosha_replica` (the node holds a copy). What the node knows about a
 //! slot besides its files — the routing name, the write-behind lag, the
-//! push-in-progress flag and the hot-copy leases — is one typed
+//! push-in-progress flag and the hot copies kept — is one typed
 //! [`SlotMeta`] in a table beside the store, not files inside the slot, so
 //! every name in the user's tree belongs to the user.
 //!
@@ -33,19 +33,6 @@ use kosha_vfs::{FileId, FileType, Vfs, VfsError};
 use std::collections::{BTreeMap, BTreeSet};
 
 wire_struct! {
-    /// One hot-copy lease a holder carries (DESIGN.md §16).
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-    pub struct HotLease {
-        /// Virtual path of the leased object.
-        pub path: String,
-        /// Primary mutation sequence the copy reflects.
-        pub seq: u64,
-        /// Lease expiry in virtual nanoseconds.
-        pub expires_nanos: u64,
-    }
-}
-
-wire_struct! {
     /// The record of one slot.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct SlotMeta {
@@ -59,9 +46,10 @@ wire_struct! {
         pub lag_bytes: u64,
         /// A full push is materializing this copy (§4.4's bracket).
         pub migrating: bool,
-        /// The hot-copy leases this holder carries, sorted by path. Any
-        /// lease makes the slot a read cache beyond K, not a replica.
-        pub hot: Vec<HotLease>,
+        /// The virtual paths of the hot copies this holder keeps
+        /// (DESIGN.md §16), sorted. Any makes the slot a read cache beyond
+        /// K, not a replica; their leases are the primary's alone.
+        pub hot: Vec<String>,
     }
 }
 

@@ -2,7 +2,7 @@
 //! overlay + NFS stores + koshad interposition + replication + failover.
 
 use kosha::control::{ControlRequest, KoshaReply, ReplicaOp, ReplicaRequest};
-use kosha::{KoshaConfig, KoshaMount, KoshaNode};
+use kosha::{KoshaConfig, KoshaMount, KoshaNode, ReadFrom};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{NfsError, NfsStatus};
 use kosha_rpc::{
@@ -1064,7 +1064,7 @@ fn stats_record_replica_reads() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.read_from_replicas = true;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/rr").unwrap();
@@ -1089,7 +1089,7 @@ fn a_file_at_or_above_the_distribution_level_is_read_from_replicas_too() {
         let mut cfg = KoshaConfig::for_tests();
         cfg.distribution_level = level;
         cfg.replicas = 2;
-        cfg.read_from_replicas = true;
+        cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
         let c = build_cluster(6, cfg);
         let m = mount(&c, 0);
         if let Some((dir, _)) = path.rsplit_once('/').filter(|(dir, _)| !dir.is_empty()) {
@@ -1148,7 +1148,7 @@ fn read_from_replicas_returns_correct_data() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.read_from_replicas = true;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/rfr").unwrap();
@@ -1170,7 +1170,7 @@ fn replica_reads_fall_back_when_replicas_fail() {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 2;
-    cfg.read_from_replicas = true;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
     let c = build_cluster(6, cfg);
     let m = mount(&c, 0);
     m.mkdir_p("/fb").unwrap();
@@ -1215,17 +1215,16 @@ fn a_replica_read_never_returns_bytes_older_than_an_acked_write() {
         kosha::ReplicationMode::WriteBehind { queue_ops: 64 },
     ];
     for mode in modes {
-        for hot_replicas in [0, 3] {
+        for hot_copies in [0, 3] {
             let mut cfg = KoshaConfig::for_tests();
             cfg.distribution_level = 1;
             cfg.replicas = 2;
-            cfg.read_from_replicas = true;
+            cfg.read_from = ReadFrom::Replicas { hot_copies };
             cfg.replication_mode = mode;
-            cfg.hot_replicas = hot_replicas;
             let c = build_cluster(6, cfg);
             let (writer, other) = (mount(&c, 0), mount(&c, 3));
             writer.mkdir_p("/rw").unwrap();
-            let cell = format!("{mode:?}, hot_replicas {hot_replicas}");
+            let cell = format!("{mode:?}, hot_copies {hot_copies}");
             let mut stale = [0; 2];
             for i in 0..50u8 {
                 writer.write_file(PATH, &[i; 64]).unwrap();
@@ -1386,9 +1385,12 @@ fn hot_cfg() -> KoshaConfig {
     let mut cfg = KoshaConfig::for_tests();
     cfg.distribution_level = 1;
     cfg.replicas = 1;
-    cfg.read_from_replicas = true;
-    cfg.hot_replicas = 2;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 2 };
     cfg
+}
+
+fn hot_pushes(c: &Cluster) -> u64 {
+    c.nodes.iter().map(|n| n.stats().hot_pushes).sum()
 }
 
 fn hot_copies_total(c: &Cluster) -> i64 {
@@ -1420,8 +1422,7 @@ fn hot_object_gains_then_sheds_cached_copies() {
     for _ in 0..24 {
         assert_eq!(m.read_file("/zipf/hot.bin").unwrap(), vec![9u8; 2048]);
     }
-    let pushes: u64 = c.nodes.iter().map(|n| n.stats().hot_pushes).sum();
-    assert!(pushes > 0, "hot spot never spawned a cached copy");
+    assert!(hot_pushes(&c) > 0, "hot spot never spawned a cached copy");
     assert!(hot_copies_total(&c) > 0, "hot-copy gauge stayed zero");
     assert!(
         hot_mark_holders(&c) > 0,
@@ -1453,7 +1454,7 @@ fn write_invalidates_hot_leases_and_reads_are_never_stale() {
     for _ in 0..24 {
         assert_eq!(m.read_file("/inv/doc").unwrap(), b"version one");
     }
-    let pushes: u64 = c.nodes.iter().map(|n| n.stats().hot_pushes).sum();
+    let pushes = hot_pushes(&c);
     assert!(
         pushes > 0,
         "test needs hot copies in place before the write"
@@ -1468,18 +1469,54 @@ fn write_invalidates_hot_leases_and_reads_are_never_stale() {
         .sum();
     assert!(invals > 0, "write did not void the hot-copy leases");
 
-    // ...so in the window before any refresh, every rotor position must
-    // already serve the new bytes (stale holders are not advertised).
+    // ...so in the window before any refresh, no hot holder is
+    // advertised and every rotor position serves the new bytes.
+    assert_eq!(advertised_hot_holders(&c, "/inv", "/inv/doc"), 0);
     for _ in 0..24 {
         assert_eq!(m.read_file("/inv/doc").unwrap(), b"version two");
     }
 
-    // After the flush barrier re-pushes fresh payload under a new
-    // lease, reads keep returning the new bytes from every position.
-    c.net.run_pumps();
+    // The COMMIT barrier re-pushes fresh payload under a new lease: the
+    // holders are advertised again, and the reads they serve return the
+    // new bytes.
+    m.commit("/inv/doc").unwrap();
+    assert!(hot_pushes(&c) > pushes, "COMMIT did not re-push the copies");
+    assert!(advertised_hot_holders(&c, "/inv", "/inv/doc") > 0);
+    let replica_reads = || c.nodes[0].stats().replica_reads;
+    let before = replica_reads();
     for _ in 0..24 {
         assert_eq!(m.read_file("/inv/doc").unwrap(), b"version two");
     }
+    assert!(replica_reads() > before, "replica reads did not resume");
+}
+
+/// The lease clock the primary alone keeps (DESIGN.md §16): a hot copy
+/// whose lease (`HOT_LEASE_NANOS`, 5 s) runs out with no sweep is not
+/// advertised, and one `maintain()` renews it by re-pushing the copy.
+#[test]
+fn an_expired_hot_lease_hides_its_holders_until_maintenance_renews_it() {
+    let c = build_cluster(6, hot_cfg());
+    let m = mount(&c, 0);
+    m.mkdir_p("/exp").unwrap();
+    m.write_file("/exp/doc", b"leased").unwrap();
+    for _ in 0..24 {
+        assert_eq!(m.read_file("/exp/doc").unwrap(), b"leased");
+    }
+    assert!(advertised_hot_holders(&c, "/exp", "/exp/doc") > 0);
+
+    c.net
+        .virtual_clock()
+        .advance(std::time::Duration::from_secs(6));
+    assert_eq!(advertised_hot_holders(&c, "/exp", "/exp/doc"), 0);
+
+    let pushes = hot_pushes(&c);
+    primary_of(&c, "/exp").maintain();
+    assert!(
+        hot_pushes(&c) > pushes,
+        "maintenance did not renew the lease"
+    );
+    assert!(advertised_hot_holders(&c, "/exp", "/exp/doc") > 0);
+    assert_eq!(m.read_file("/exp/doc").unwrap(), b"leased");
 }
 
 #[test]
@@ -1900,8 +1937,6 @@ fn peer_supplied_paths_cannot_leave_their_slot() {
             anchor: "/a".into(),
             routing: "a".into(),
             path: path.into(),
-            seq: 1,
-            expires_nanos: u64::MAX,
             item: item("f"),
         });
     }

@@ -22,7 +22,7 @@
 //! inline on the calling thread.
 
 use kosha::paths::{anchor_slot, slot_local_path, Area};
-use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode};
+use kosha::{tree_digest, KoshaConfig, KoshaMount, KoshaNode, ReadFrom};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::{DiskModel, NfsClient, NfsReply, NfsRequest, NfsServer};
 use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
@@ -64,12 +64,12 @@ fn stored_body(node: &KoshaNode, vpath: &str) -> Option<Bytes> {
 fn cluster(
     tag: &str,
     nodes: u64,
-    read_from_replicas: bool,
+    read_from: ReadFrom,
 ) -> (Vec<Arc<KoshaNode>>, KoshaMount, NfsClient, kosha_nfs::Fh) {
     let net = SimNetwork::new_zero_latency();
     let cfg = KoshaConfig {
         replicas: REPLICAS,
-        read_from_replicas,
+        read_from,
         ..KoshaConfig::for_tests()
     };
     let nodes: Vec<Arc<KoshaNode>> = (0..nodes)
@@ -118,7 +118,7 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
     }
 
     // --- the primary path
-    let (nodes, mount, nfs, fh) = cluster("budget", NODES, false);
+    let (nodes, mount, nfs, fh) = cluster("budget", NODES, ReadFrom::Primary);
     // Warm: the handle's location and the resolver caches are filled by
     // the first op; only steady-state ops have a budget.
     nfs.write(koshad, fh, 0, &vec![7u8; BLOCK])
@@ -209,8 +209,8 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
         "the second export of a chunk-written file allocated {bytes} bytes"
     );
 
-    // --- a read served by a replica holder (`read_from_replicas`)
-    let (nodes, _, nfs, fh) = cluster("budget-rr", NODES, true);
+    // --- a read served by a replica holder (`ReadFrom::Replicas`)
+    let (nodes, _, nfs, fh) = cluster("budget-rr", NODES, ReadFrom::Replicas { hot_copies: 0 });
     nfs.write(koshad, fh, 0, &payload).expect("write");
     // One full turn of the rotor warms the replica handle cache.
     for _ in 0..=REPLICAS {
@@ -229,7 +229,7 @@ fn a_payload_byte_is_allocated_for_where_it_enters_the_system_and_nowhere_else()
     // --- metadata ops through the mount, warm, on the 8-node K = 2
     // cluster `perf`'s `meta_sim` runs: no payload, so every allocation
     // is per-op overhead.
-    let (_, mount, _, _) = cluster("budget-meta", 8, false);
+    let (_, mount, _, _) = cluster("budget-meta", 8, ReadFrom::Primary);
     let [file, warm, gone, new] = ["file", "warm", "gone", "new"].map(|f| format!("{ANCHOR}/{f}"));
     for path in [&warm, &gone] {
         mount.write_file(path, &[1; 64]).expect("warm write_file");

@@ -7,7 +7,7 @@ use kosha::control::{
     ControlRequest, KoshaReply, KoshaReplyFrame, MigrateItem, MigrateKind, ReplicaOp,
     ReplicaRequest,
 };
-use kosha::slots::{HotLease, SlotMeta};
+use kosha::slots::SlotMeta;
 use kosha::{KoshaConfig, KoshaMount, KoshaNode};
 use kosha_id::node_id_from_seed;
 use kosha_nfs::messages::{ReplyFrame, WireAttr, WireSetAttr};
@@ -205,6 +205,16 @@ fn arb_replica() -> impl Strategy<Value = ReplicaRequest> {
             routing,
             items
         }),
+        (arb_path(), "[a-z#0-9]{1,16}", arb_path(), arb_item()).prop_map(
+            |(anchor, routing, path, item)| ReplicaRequest::HotReplicaPush {
+                anchor,
+                routing,
+                path,
+                item
+            }
+        ),
+        (arb_path(), arb_path())
+            .prop_map(|(anchor, path)| ReplicaRequest::HotReplicaDrop { anchor, path }),
         arb_path().prop_map(|anchor| ReplicaRequest::SlotRecord { anchor }),
     ]
 }
@@ -214,20 +224,13 @@ fn arb_slot_meta() -> impl Strategy<Value = SlotMeta> {
         proptest::option::of("[a-z#0-9]{1,16}"),
         any::<u64>(),
         any::<bool>(),
-        proptest::collection::vec((arb_path(), any::<u64>(), any::<u64>()), 0..4),
+        proptest::collection::vec(arb_path(), 0..4),
     )
         .prop_map(|(routing, lag_bytes, migrating, hot)| SlotMeta {
             routing,
             lag_bytes,
             migrating,
-            hot: hot
-                .into_iter()
-                .map(|(path, seq, expires_nanos)| HotLease {
-                    path,
-                    seq,
-                    expires_nanos,
-                })
-                .collect(),
+            hot,
         })
 }
 

@@ -4,7 +4,9 @@
 //! registry name or recorder series shows up in review as a line in one
 //! of these lists, and has to say who reads it.
 
-use kosha::{audit_cluster, boot_cluster, AuditOptions, KoshaConfig, KoshaMount, ReplicationMode};
+use kosha::{
+    audit_cluster, boot_cluster, AuditOptions, KoshaConfig, KoshaMount, ReadFrom, ReplicationMode,
+};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, SimNetwork};
 use std::sync::Arc;
 
@@ -74,8 +76,7 @@ fn a_busy_cluster_registers_exactly_these_names() {
     let cfg = KoshaConfig {
         distribution_level: 1,
         replicas: 2,
-        read_from_replicas: true,
-        hot_replicas: 2,
+        read_from: ReadFrom::Replicas { hot_copies: 2 },
         replication_mode: ReplicationMode::WriteBehind { queue_ops: 64 },
         ..KoshaConfig::for_tests()
     };

@@ -14,7 +14,7 @@ use kosha::control::{
     AuditEntry, ControlRequest, KoshaReply, KoshaReplyFrame, MigrateItem, MigrateKind, ReplicaOp,
     ReplicaRequest,
 };
-use kosha::slots::{HotLease, SlotMeta};
+use kosha::slots::SlotMeta;
 use kosha_id::Id;
 use kosha_nfs::messages::{NfsReplyFrame, WireAttr, WireDirEntry, WirePathNode, WireSetAttr};
 use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsStatus};
@@ -114,18 +114,7 @@ fn slot_metas() -> Vec<SlotMeta> {
             routing: Some("a#1".into()),
             lag_bytes: 4096,
             migrating: false,
-            hot: vec![
-                HotLease {
-                    path: "/a/h".into(),
-                    seq: 3,
-                    expires_nanos: 9,
-                },
-                HotLease {
-                    path: "/a/i".into(),
-                    seq: 4,
-                    expires_nanos: 10,
-                },
-            ],
+            hot: vec!["/a/h".into(), "/a/i".into()],
         },
         SlotMeta {
             routing: None,
@@ -243,8 +232,6 @@ fn replica_requests() -> Vec<ReplicaRequest> {
             anchor: "/a".into(),
             routing: "a#2".into(),
             path: "/a/hot".into(),
-            seq: 17,
-            expires_nanos: 9_000_000_000,
             item: item(MigrateKind::Bytes(vec![5].into())),
         },
         ReplicaRequest::HotReplicaDrop {
@@ -542,7 +529,9 @@ const GOLDEN: [(&str, &str); 24] = [
     ("MigrateItem", "03000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000"),
     ("AuditEntry", "110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c00000000000000010000020000004031000000000102000000623601000000000000000200000000000000000101"),
     // New: the per-slot record a `Record` reply carries.
-    ("SlotMeta", "010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000000000000000000000100000000"),
+    // `hot` lists paths: each entry lost its lease's `seq` and expiry
+    // (two u64s), which only the primary keeps. No other byte moved.
+    ("SlotMeta", "010300000061233100100000000000000002000000040000002f612f68040000002f612f690000000000000000000100000000"),
     // `MakeSlot` (tag 11) is new: a distributed mkdir mirrors the new anchor's
     // slot to its holders instead of pushing an empty tree. The older variants
     // keep their bytes; the row gains the new one at its end.
@@ -574,7 +563,9 @@ const GOLDEN: [(&str, &str); 24] = [
     // The batch's `Create` lost its sparse size (`Some(64)`, nine bytes),
     // `MigrateBatch` its size-only item, and `HotReplicaPush` carries a one-byte file where it
     // carried a size-only one. No other byte moved.
-    ("ReplicaRequest", "14020000002f61030000006123340300000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed01000006000000070000001a020000002f6103000000612332060000002f612f686f741100000000000000001a71180200000003000000642f66010100000005ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
+    // `HotReplicaPush` lost its `seq` and `expires_nanos` (two u64s); no
+    // other byte moved.
+    ("ReplicaRequest", "14020000002f61030000006123340300000003000000642f6600ed0100001f0000002000000003000000642f660103000000010203ed0100001f0000002000000003000000642f660303000000742331ed0100001f00000020000000150a020000002f610000000000000000160c00000000040000002f612f64e8010000080000000900000001040000002f612f66a4010000010000000200000002040000002f612f6c03000000742331ff030000030000000400000003040000002f612f6605000000000000000300000009080704040000002f612f6601800100000001160000000117000000000000000001190000000000000005040000002f612f6606040000002f612f6407020000002f6108040000002f612f78040000002f612f7909020000002f61020000002f620a020000002f6100100000000000000b020000002f6103000000612335ed01000006000000070000001a020000002f6103000000612332060000002f612f686f7403000000642f66010100000005ed0100001f000000200000001b020000002f61060000002f612f686f741c040000002f612f62"),
     // `Stats` (tag 2, three u64s) is gone with `StoreStats`. `MakeSlot` replies
     // `Handle` for the slot root: the placing koshad caches it. `Record` (tag 7, the
     // record alone) is gone: `Slot` (tag 8) carries the record and the items, so a
@@ -584,7 +575,9 @@ const GOLDEN: [(&str, &str); 24] = [
     // for the listing. No other byte moved.
     // `Slot` carries a one-byte file where it carried a size-only one; no
     // other byte moved.
-    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f6803000000000000000900000000000000040000002f612f6904000000000000000a000000000000000100000003000000642f66010100000009ed0100001f00000020000000"),
+    // `Slot`'s record lost the same two u64s per hot path as `SlotMeta`;
+    // no other byte moved.
+    ("KoshaReply", "000408070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000502000000030000000000000009000000000000000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000001000002000000403100000000010200000062360100000000000000020000000000000000010108010300000061233100100000000000000002000000040000002f612f68040000002f612f690100000003000000642f66010100000009ed0100001f00000020000000"),
     // The `Ok` value is `Done` now that the promotion flag is gone; the
     // frame's bytes around it did not move.
     ("KoshaReplyFrame", "00000102030405060708090a0b"),

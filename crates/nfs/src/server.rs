@@ -408,6 +408,66 @@ mod tests {
     }
 
     #[test]
+    fn a_read_is_clamped_to_the_longest_wire_field() {
+        // A peer may ask for any `count`; no reply carries more than
+        // `MAX_LEN` bytes, and the short read says there is more.
+        let len = MAX_LEN as usize;
+        let s = NfsServer::new(
+            Vfs::new(2 * MAX_LEN),
+            VirtualClock::new(),
+            DiskModel::zero(),
+        );
+        let NfsReply::Root { fh: root } = run(&s, NfsRequest::Mount).unwrap() else {
+            panic!()
+        };
+        let create = NfsRequest::Create {
+            dir: root,
+            name: "big".into(),
+            mode: 0o644,
+            uid: 1,
+            gid: 1,
+        };
+        let NfsReply::Handle { fh, .. } = run(&s, create).unwrap() else {
+            panic!()
+        };
+        let mut bytes = vec![0xAA; len + 4096];
+        bytes[len..].fill(0x55);
+        let data = bytes.into();
+        let written = run(
+            &s,
+            NfsRequest::Write {
+                fh,
+                offset: 0,
+                data,
+            },
+        );
+        assert_eq!(
+            written,
+            Ok(NfsReply::Written {
+                count: len as u32 + 4096
+            })
+        );
+        let read = |offset| match run(
+            &s,
+            NfsRequest::Read {
+                fh,
+                offset,
+                count: u32::MAX,
+            },
+        ) {
+            Ok(NfsReply::Data { data, eof }) => (data, eof),
+            other => panic!("READ at {offset}: {other:?}"),
+        };
+        let (head, eof) = read(0);
+        assert_eq!((head.len(), eof), (len, false));
+        assert_eq!((head[0], head[len - 1]), (0xAA, 0xAA));
+        drop(head);
+        let (tail, eof) = read(MAX_LEN);
+        assert_eq!((tail.len(), eof), (4096, true));
+        assert!(tail.iter().all(|&b| b == 0x55));
+    }
+
+    #[test]
     fn a_read_reply_carries_the_stores_copy_beside_its_head() {
         // Served over the wire, a READ's data is the part of a split
         // reply; flattened, the reply is the encoding of what `apply`

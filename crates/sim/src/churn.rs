@@ -19,7 +19,7 @@
 
 use crate::availability::{AvailabilityParams, AvailabilityTrace};
 use crate::cluster::{ClusterParams, SimCluster};
-use kosha::{audit_cluster, AuditOptions, KoshaConfig, ReplicationMode};
+use kosha::{audit_cluster, AuditOptions, KoshaConfig, ReadFrom, ReplicationMode};
 use kosha_obs::json::Value;
 use kosha_obs::obj;
 use kosha_rpc::{Clock, LatencyModel, NodeAddr};
@@ -217,7 +217,7 @@ pub fn run_churn(p: &ChurnParams) -> ChurnReport {
     let mut kosha = KoshaConfig::for_tests();
     kosha.distribution_level = 1;
     kosha.replicas = p.replicas;
-    kosha.read_from_replicas = true;
+    kosha.read_from = ReadFrom::Replicas { hot_copies: 0 };
     kosha.replication_mode = ReplicationMode::WriteBehind { queue_ops: 64 };
     let cluster = SimCluster::build(&ClusterParams {
         nodes: p.nodes,
