@@ -19,7 +19,7 @@
 use crate::{outln, timed, Report};
 use kosha::{KoshaConfig, ReadFrom};
 use kosha_id::{dir_key, node_id_from_seed};
-use kosha_pastry::{PastryConfig, PastryNode};
+use kosha_pastry::PastryNode;
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
 use kosha_sim::cluster::{ClusterParams, SimCluster};
 use kosha_sim::experiments::{mab_lan, table1_kosha_config};
@@ -105,11 +105,7 @@ fn leafset(out: &mut String) {
             let mut nodes = Vec::new();
             for i in 0..20u64 {
                 let node = PastryNode::new(
-                    PastryConfig {
-                        leaf_half: half,
-                        max_hops: 64,
-                        proximity_aware: false,
-                    },
+                    half,
                     node_id_from_seed(&format!("ab-{i}")),
                     NodeAddr(i),
                     net.clone() as Arc<dyn Network>,
@@ -188,7 +184,7 @@ fn client_cache(out: &mut String) {
     });
     time(out, "ablation_client_cache/caching-client", 10, || {
         let cluster = build();
-        let m = cluster.cached_mount(0, kosha_nfs::CacheConfig::default());
+        let m = cluster.cached_mount(0);
         let clock = cluster.clock();
         clock.reset();
         run_mab(&MabParams::small(), &m, &clock).unwrap()

@@ -5,7 +5,6 @@
 
 use crate::{outln, Report};
 use kosha::KoshaMount;
-use kosha_nfs::CacheConfig;
 use kosha_rpc::VirtualClock;
 use kosha_sim::baseline::NfsBaseline;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
@@ -79,21 +78,13 @@ pub fn run(_full: bool) -> Report {
             cluster.clock(),
         );
     }
-    // Both behind a caching kernel-style client (§4.1.1), same
-    // `CacheConfig`: the hot-set skew makes attribute/data caches absorb
+    // Both behind a caching kernel-style client (§4.1.1), same cache
+    // constants: the hot-set skew makes attribute/data caches absorb
     // most of the interposition cost, and most of what NFS costs too.
     let b = NfsBaseline::build(mab_lan(), mab_disk(), 64 << 30);
-    row(
-        "nfs-central+cache",
-        &b.cached_mount(CacheConfig::default()),
-        b.clock(),
-    );
+    row("nfs-central+cache", &b.cached_mount(), b.clock());
     let cluster = kosha(8);
-    row(
-        "kosha-8+cache",
-        &cluster.cached_mount(0, CacheConfig::default()),
-        cluster.clock(),
-    );
+    row("kosha-8+cache", &cluster.cached_mount(0), cluster.clock());
     outln!(
         out,
         "\nExpected shape: uncached Kosha pays roughly the per-op interposition\n\

@@ -10,11 +10,11 @@
 //! [`crate::ReadFrom::Replicas`]' `hot_copies` extra **read-only cached
 //! copies** onto the next leaf-set neighbors past the K replica targets.
 //!
-//! A hot copy is not a durable replica: it never counts toward K, is
-//! never promoted, and is advertised to readers only while the primary's
-//! **lease** on it holds — a `(mutation sequence, expiry)` pair the
-//! primary keeps in its [`HotObject`]; the holder's slot record lists
-//! only the paths it keeps copies of ([`crate::slots::SlotMeta::hot`]).
+//! A hot copy is not a durable replica: it never counts toward K, and it
+//! is advertised to readers only while the primary's **lease** on it
+//! holds — a `(mutation sequence, expiry)` pair the primary keeps in its
+//! [`HotObject`]; the holder's slot record lists only the paths it keeps
+//! copies of ([`crate::slots::SlotMeta::hot`]).
 //! Any mutation of the object voids the lease at the primary *before the
 //! mutation is acknowledged*, so a reader that re-fetches targets (every
 //! `/kosha` read does) can never be steered to pre-write data
@@ -25,6 +25,13 @@
 //! regular replica-slot GC: the slot's record carries the routing name,
 //! and the new owner's `ReplicaTargetsBySlot` answer will not list the
 //! holder.
+//!
+//! A hot copy is served as the anchor only as a last resort: when its
+//! primary has failed and no holder of a full copy answers, the node
+//! asked to serve the anchor promotes its own hot copy, or pulls one
+//! from a neighbor, rather than lose the anchor. The copy holds the hot
+//! files alone, and adopting it journals `hot_only_copy` with their
+//! number.
 
 use crate::control::{MigrateItem, MigrateKind, ReplicaOp, ReplicaRequest};
 use crate::node::KoshaNode;

@@ -17,9 +17,7 @@
 
 use crate::pathmap::PathMap;
 use kosha_nfs::client::ClientDirEntry;
-use kosha_nfs::{
-    CacheConfig, CacheStats, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus,
-};
+use kosha_nfs::{CacheStats, CachingClient, Fh, NfsClient, NfsError, NfsResult, NfsStatus};
 use kosha_rpc::{Bytes, Network, NodeAddr, ServiceId};
 use kosha_vfs::path::{components, normalized, parent_and_name};
 use kosha_vfs::{Attr, FileType, SetAttr};
@@ -82,10 +80,10 @@ impl KoshaMount {
     }
 
     /// [`KoshaMount::over`] with the kernel client's caches switched on:
-    /// attributes and directory entries for `cache.attr_ttl`, file data
-    /// close-to-open (§4.1.1).
-    pub fn cached(nfs: NfsClient, server: NodeAddr, cache: CacheConfig) -> NfsResult<Self> {
-        Self::through(CachingClient::new(nfs, server, cache))
+    /// attributes and directory entries for 3 s, file data close-to-open
+    /// (§4.1.1).
+    pub fn cached(nfs: NfsClient, server: NodeAddr) -> NfsResult<Self> {
+        Self::through(CachingClient::new(nfs, server))
     }
 
     fn through(nfs: CachingClient) -> NfsResult<Self> {

@@ -6,7 +6,7 @@ use crate::stats::{KoshaStats, StatsSnapshot};
 use kosha_id::{node_id_from_seed, Id};
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
 use kosha_obs::Obs;
-use kosha_pastry::{NodeInfo, OverlayError, OverlayObserver, PastryConfig, PastryNode};
+use kosha_pastry::{NodeInfo, OverlayError, OverlayObserver, PastryNode, LEAF_HALF};
 use kosha_rpc::{Clock, Network, NodeAddr, ServiceId, ServiceMux};
 use kosha_vfs::Vfs;
 use parking_lot::Mutex;
@@ -179,7 +179,7 @@ impl KoshaNode {
         );
         let pastry = PastryNode::new_with_obs(
             // The paper's overlay: `l = 16`, no proximity heuristics.
-            PastryConfig::default(),
+            LEAF_HALF,
             id,
             addr,
             Arc::clone(&net),

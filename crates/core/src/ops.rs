@@ -331,18 +331,9 @@ impl KoshaNode {
                 uid,
                 gid,
             };
-            let reply = s.mutate_at(parent.addr, op)?;
-            let (efh, attr) = match reply {
-                KoshaReply::Handle { fh, attr } => (fh, attr.0),
-                _ => s.nfs.lookup(parent.addr, parent.fh, name)?,
-            };
-            Ok((
-                Location {
-                    addr: parent.addr,
-                    fh: efh,
-                },
-                attr,
-            ))
+            let (fh, attr) = made(s.mutate_at(parent.addr, op)?)?;
+            let addr = parent.addr;
+            Ok((Location { addr, fh }, attr))
         })?;
         let fh = self.mint(&vpath, attr.ftype, Some(loc));
         Ok((fh, attr))
@@ -479,15 +470,9 @@ impl KoshaNode {
                 uid,
                 gid,
             };
-            s.mutate_at(parent.addr, op)?;
-            let (efh, attr) = s.nfs.lookup(parent.addr, parent.fh, name)?;
-            Ok((
-                Location {
-                    addr: parent.addr,
-                    fh: efh,
-                },
-                attr,
-            ))
+            let (fh, attr) = made(s.mutate_at(parent.addr, op)?)?;
+            let addr = parent.addr;
+            Ok((Location { addr, fh }, attr))
         })?;
         let fh = self.mint(&vpath, attr.ftype, Some(loc));
         Ok((fh, attr))
@@ -780,8 +765,9 @@ impl KoshaNode {
     }
 }
 
-/// The handle and attributes a `Handle` reply carries: what a MKDIR
-/// made, or the slot root an `EnsureAnchor` serves.
+/// The handle and attributes a `Handle` reply carries: what a CREATE,
+/// a MKDIR or a user SYMLINK made, or the slot root an `EnsureAnchor`
+/// serves.
 pub(crate) fn made(reply: KoshaReply) -> NfsResult<(Fh, Attr)> {
     match reply {
         KoshaReply::Handle { fh, attr } => Ok((fh, attr.0)),

@@ -674,7 +674,8 @@ impl KoshaNode {
     /// only then mirror — a mutation that acked its fan-out while a lease
     /// was live could be followed by a stale read. The only caller of
     /// [`Self::mirror_op`]. The reply is the one the requesting koshad
-    /// expects: the new handle for a create or mkdir, else `Done`.
+    /// expects: the new handle for a create, a mkdir or a user symlink,
+    /// else `Done`.
     fn mutate(&self, op: ReplicaOp) -> Result<KoshaReply, NfsStatus> {
         let reply = self.apply_op(Area::Store, &op)?;
         self.void_leases(&op);
@@ -688,7 +689,13 @@ impl KoshaNode {
         }
         let makes_object = matches!(
             op,
-            ReplicaOp::Create { .. } | ReplicaOp::Mkdir { .. } | ReplicaOp::MakeSlot { .. }
+            ReplicaOp::Create { .. }
+                | ReplicaOp::Mkdir { .. }
+                | ReplicaOp::MakeSlot { .. }
+                | ReplicaOp::Symlink {
+                    mode: USER_LINK_MODE,
+                    ..
+                }
         );
         self.mirror_op(op, &targets);
         Ok(match reply {
@@ -817,17 +824,33 @@ impl KoshaNode {
     /// missing ops the primary had queued but never flushed: the
     /// divergence is journaled as `replica_lag` with the stamped
     /// payload-byte lower bound — failover never *silently* serves stale
-    /// data.
+    /// data. A copy whose record lists hot copies holds those files and
+    /// no other (§16): that is journaled as `hot_only_copy` with their
+    /// number.
     fn adopt_copy(&self, anchor: &str, routing: &str) {
-        let bytes = self.slot_update(Area::Store, anchor, |m| {
+        let adopted = self.slot_update(Area::Store, anchor, |m| {
             m.routing.get_or_insert_with(|| routing.to_string());
             m.migrating = false;
-            m.hot.clear();
-            std::mem::take(&mut m.lag_bytes)
+            (
+                std::mem::take(&mut m.hot).len(),
+                std::mem::take(&mut m.lag_bytes),
+            )
         });
-        let Some(bytes @ 1..) = bytes else {
+        let Some((hot, bytes)) = adopted else {
             return;
         };
+        if hot > 0 {
+            self.journal(
+                "hot_only_copy",
+                format!(
+                    "adopted copy of {anchor:?} held only {hot} hot file(s); \
+                     the anchor's other files are not served"
+                ),
+            );
+        }
+        if bytes == 0 {
+            return;
+        }
         self.stats.replica_lag_events.inc();
         self.journal(
             "replica_lag",

@@ -1552,6 +1552,40 @@ fn audit_counts_hot_copies_without_flagging_them() {
     assert_eq!(report.objects_divergent, 0, "hot slots must not diverge");
 }
 
+/// Whether `n` holds a replica-area copy of `anchor`, and if so whether
+/// its record lists hot copies: a copy of the hot files alone.
+fn leased(n: &KoshaNode, anchor: &str) -> Option<bool> {
+    slot_record(n, kosha::paths::Area::Replica, anchor).map(|r| !r.hot.is_empty())
+}
+
+/// Makes `anchor` with a cold file and a hot one, reads the hot one until
+/// its primary copies it, and says whether some node holds a hot copy.
+fn heat_anchor(c: &Cluster, m: &KoshaMount, anchor: &str) -> bool {
+    m.mkdir_p(anchor).unwrap();
+    m.write_file(&format!("{anchor}/cold.txt"), b"cold")
+        .unwrap();
+    m.write_file(&format!("{anchor}/hot.bin"), &[7u8; 64])
+        .unwrap();
+    for _ in 0..24 {
+        m.read_file(&format!("{anchor}/hot.bin")).unwrap();
+    }
+    c.nodes.iter().any(|n| leased(n, anchor) == Some(true))
+}
+
+/// Whether `n`'s store serves `anchor`'s file `name`.
+fn serves(n: &KoshaNode, anchor: &str, name: &str) -> bool {
+    use kosha::paths::{slot_local_path, Area};
+    let path = slot_local_path(Area::Store, anchor, &format!("{anchor}/{name}"));
+    n.with_store(|v| v.resolve(&path).is_ok())
+}
+
+fn ensure(anchor: &str) -> ControlRequest {
+    ControlRequest::EnsureAnchor {
+        path: anchor.into(),
+        routing: anchor[1..].into(),
+    }
+}
+
 /// A hot copy holds only the hot files, so it must not become the store
 /// copy while a holder of the full copy answers. With K = 1 and two hot
 /// copies, two nodes past the one durable target hold leased slots that
@@ -1561,38 +1595,14 @@ fn audit_counts_hot_copies_without_flagging_them() {
 /// when a hot holder comes first in its leaf set.
 #[test]
 fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
-    use kosha::paths::{slot_local_path, Area};
-
     let c = build_cluster(6, hot_cfg());
     let m = mount(&c, 0);
-    let leased = |n: &KoshaNode, anchor: &str| {
-        slot_record(n, Area::Replica, anchor).map(|r| !r.hot.is_empty())
-    };
-    let heat = |anchor: &str| {
-        m.mkdir_p(anchor).unwrap();
-        m.write_file(&format!("{anchor}/cold.txt"), b"cold")
-            .unwrap();
-        m.write_file(&format!("{anchor}/hot.bin"), &[7u8; 64])
-            .unwrap();
-        for _ in 0..24 {
-            m.read_file(&format!("{anchor}/hot.bin")).unwrap();
-        }
-        c.nodes.iter().any(|n| leased(n, anchor) == Some(true))
-    };
-    let serves_cold = |n: &KoshaNode, anchor: &str| {
-        let cold = slot_local_path(Area::Store, anchor, &format!("{anchor}/cold.txt"));
-        n.with_store(|v| v.resolve(&cold).is_ok())
-    };
-    let ensure = |anchor: &str| ControlRequest::EnsureAnchor {
-        path: anchor.into(),
-        routing: anchor[1..].into(),
-    };
 
     // Pull: a node with no copy whose leaf set lists a hot holder before
     // the durable one.
     let mut pull = None;
     for anchor in (0..16).map(|i| format!("/p{i}")) {
-        if !heat(&anchor) {
+        if !heat_anchor(&c, &m, &anchor) {
             continue;
         }
         let durable = c.nodes.iter().find(|n| leased(n, &anchor) == Some(false));
@@ -1617,22 +1627,57 @@ fn a_hot_copy_is_never_adopted_while_a_full_copy_answers() {
     let (anchor, puller) = pull.expect("a puller that meets a hot holder first");
     assert_eq!(ensured(&c, &puller, &ensure(&anchor)), (0, 1), "pulled");
     assert!(
-        serves_cold(&puller, &anchor),
+        serves(&puller, &anchor, "cold.txt"),
         "pulled a hot-only copy of {anchor}"
     );
 
     // Promotion: a hot holder of an anchor whose primary failed.
     let anchor = (0..16)
         .map(|i| format!("/h{i}"))
-        .find(|a| heat(a) && primary_of(&c, a).addr() != c.nodes[0].addr())
+        .find(|a| heat_anchor(&c, &m, a) && primary_of(&c, a).addr() != c.nodes[0].addr())
         .expect("a hot anchor hosted away from the mount");
     let holder = c.nodes.iter().find(|n| leased(n, &anchor) == Some(true));
     let holder = Arc::clone(holder.expect("a hot holder"));
     c.net.fail_node(primary_of(&c, &anchor).addr());
     assert_eq!(ensured(&c, &holder, &ensure(&anchor)), (0, 1), "pulled");
     assert!(
-        serves_cold(&holder, &anchor),
+        serves(&holder, &anchor, "cold.txt"),
         "promoted a hot-only copy of {anchor}"
+    );
+}
+
+/// The last resort of DESIGN.md §16: with the primary and every durable
+/// holder failed, a hot holder asked to serve the anchor promotes its
+/// own copy, which serves the hot file and not the cold one, and says so
+/// in its journal.
+#[test]
+fn a_hot_copy_is_promoted_when_no_full_copy_answers() {
+    let c = build_cluster(6, hot_cfg());
+    let m = mount(&c, 0);
+    let anchor = (0..16)
+        .map(|i| format!("/q{i}"))
+        .find(|a| {
+            heat_anchor(&c, &m, a)
+                && primary_of(&c, a).addr() != c.nodes[0].addr()
+                && leased(&c.nodes[0], a) != Some(false)
+        })
+        .expect("a hot anchor whose full copies are away from the mount");
+    let holder = c.nodes.iter().find(|n| leased(n, &anchor) == Some(true));
+    let holder = Arc::clone(holder.expect("a hot holder"));
+    c.net.fail_node(primary_of(&c, &anchor).addr());
+    for n in c.nodes.iter().filter(|n| leased(n, &anchor) == Some(false)) {
+        c.net.fail_node(n.addr());
+    }
+
+    assert_eq!(ensured(&c, &holder, &ensure(&anchor)), (1, 0), "promoted");
+    assert!(serves(&holder, &anchor, "hot.bin"));
+    assert!(!serves(&holder, &anchor, "cold.txt"));
+    let adopted = holder.obs().journal.of_kind("hot_only_copy");
+    assert_eq!(adopted.len(), 1, "{adopted:?}");
+    assert!(
+        adopted[0].detail.contains("held only 1 hot file"),
+        "{}",
+        adopted[0].detail
     );
 }
 

@@ -435,7 +435,6 @@ fn pastry_requests() -> Vec<PastryRequest> {
         PastryRequest::GetRow { row: 7 },
         PastryRequest::GetLeafSet,
         PastryRequest::Announce { node: node(5, 3) },
-        PastryRequest::Depart { node: node(6, 4) },
         PastryRequest::Ping,
     ]
 }
@@ -522,7 +521,9 @@ const GOLDEN: [(&str, &str); 24] = [
     ("NfsReply", "000108070605040302010d0c0b0a0200a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000308070605040302010d0c0b0a02a40100000b0000000c0000000d000000000000000e0000000f000000000000001000000000000000110000000000000004030000007823310505000000090909090901060a0000000703000000010000007208070605040302010d0c0b0a00010000006408070605040302010d0c0b0a01010000006c08070605040302010d0c0b0a0209050000000864000000000000000a000000000000005a000000000000000a0200000008070605040302010d0c0b0a01a40100000b0000000c0000000d000000000000000e0000000f00000000000000100000000000000011000000000000000008070605040302010d0c0b0a02a40100000b0000000c0000000d000000000000000e0000000f0000000000000010000000000000001100000000000000010700000040313233342335"),
     ("NfsReplyFrame", "0006030000000102030405060708090a0b"),
     ("NodeInfo", "cdab00000000000000000000000000003412000000000000"),
-    ("PastryRequest", "002a0000000000000000000000000000000200000001000000000000000900000000000000010700000002030500000000000000000000000000000003000000000000000406000000000000000000000000000000040000000000000005"),
+    // The departure notice (tag 4) is gone: nothing sent it, and a
+    // departed node is found failed. The other five keep their bytes.
+    ("PastryRequest", "002a00000000000000000000000000000002000000010000000000000009000000000000000107000000020305000000000000000000000000000000030000000000000005"),
     ("PastryReply", "000101000000000000000000000000000000020000000000000000000001010200000001000000000000000000000000000000020000000000000003000000000000000000000000000000040000000000000002090000000000000000000000000000000900000000000000010000000100000000000000000000000000000002000000000000000304080000000000000000000000000000000700000000000000"),
     // The size-only item (`MigrateKind` 2) is gone with sparse files; the
     // other three keep their bytes.
@@ -661,6 +662,7 @@ fn every_variant_has_a_value_and_keeps_its_label() {
         assert_eq!(op.index(), i, "{}", op.name());
     }
     assert_eq!(kosha_replies().len(), 5);
+    assert_eq!(pastry_requests().len(), 5);
     assert_eq!(nfs_replies().len(), 11);
     for (i, req) in nfs_requests().iter().enumerate() {
         assert_eq!(req.proc_index(), i, "{}", req.proc_name());
@@ -710,7 +712,8 @@ fn every_variant_has_a_value_and_keeps_its_label() {
 /// `StoreStats` (14) and `Stats` (2) do. Each service's requests are
 /// unknown tags to the other's decoder. So are the sized CREATE (NFS
 /// procedure 9) and the size-only file of a migrated tree (`MigrateKind`
-/// 2), whose sparse files are gone.
+/// 2), whose sparse files are gone, and the overlay's departure notice
+/// (`PastryRequest` 4), which nothing sent.
 #[test]
 fn retired_tags_decode_as_unknown() {
     use kosha_rpc::{WireError, WireRead};
@@ -761,4 +764,7 @@ fn retired_tags_decode_as_unknown() {
     sparse[kind_at] = 2;
     sparse.splice(kind_at + 1..kind_at + 1, 5u64.to_le_bytes());
     assert_eq!(MigrateItem::decode(&sparse), Err(WireError::BadTag(2)));
+    let announce = PastryRequest::Announce { node: node(6, 4) }.encode();
+    let depart = [&[4], &announce[1..]].concat();
+    assert_eq!(PastryRequest::decode(&depart), Err(WireError::BadTag(4)));
 }

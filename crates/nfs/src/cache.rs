@@ -13,20 +13,20 @@
 //! operation's cost is visible (the Table 1/2 configuration).
 //! [`CachingClient::new`] has exactly the kernel client's semantics:
 //!
-//! * **attributes** are served from cache within `attr_ttl` of the last
+//! * **attributes** are served from cache within 3 s of the last
 //!   fetch, then revalidated with one GETATTR;
 //! * **directory entries** (LOOKUP results) are cached, including
 //!   negative entries, with the same TTL;
-//! * **file data** is cached whole-file up to a size cap and revalidated
-//!   by mtime comparison whenever the attribute entry is refreshed — the
-//!   close-to-open model;
+//! * **file data** is cached whole-file up to 1 MiB a file and 32 MiB in
+//!   all, and revalidated by mtime comparison whenever the attribute
+//!   entry is refreshed — the close-to-open model;
 //! * **mutations** write through and invalidate the affected entries;
 //!   one that adds, removes or renames a name also drops the cached
 //!   attributes of the directory (or both directories) it changed,
 //!   because the reply carries no post-op attributes for them.
 //!
 //! The consistency trade-off is the standard NFS one: a reader may
-//! observe data up to `attr_ttl` stale; tests pin down both the hit
+//! observe data up to 3 s stale; tests pin down both the hit
 //! behavior and the staleness window.
 
 use crate::client::{ClientDirEntry, NfsClient};
@@ -39,28 +39,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cache tuning.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// How long attributes and directory entries are trusted without
-    /// revalidation (Linux's default `acregmin` is 3 s).
-    pub attr_ttl: Duration,
-    /// Cache file contents (whole-file) up to this size; 0 disables the
-    /// data cache.
-    pub max_cached_file: usize,
-    /// Total bytes of file data kept; oldest entries are evicted first.
-    pub data_capacity: usize,
-}
+/// How long attributes and directory entries are trusted without
+/// revalidation (Linux's default `acregmin`).
+const ATTR_TTL: Duration = Duration::from_secs(3);
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            attr_ttl: Duration::from_secs(3),
-            max_cached_file: 1 << 20,
-            data_capacity: 32 << 20,
-        }
-    }
-}
+/// File contents are cached whole up to this size.
+const MAX_CACHED_FILE: usize = 1 << 20;
+
+/// Total bytes of file data kept; the least recently used entries are
+/// evicted first.
+const DATA_CAPACITY: usize = 32 << 20;
 
 /// Cache effectiveness counters.
 #[derive(Debug, Default)]
@@ -131,9 +119,9 @@ pub struct CachingClient {
     inner: NfsClient,
     server: NodeAddr,
     clock: Arc<dyn Clock>,
-    /// `None` is the cache-less form: every method tests this once, makes
+    /// False is the cache-less form: every method tests this once, makes
     /// the plain call, and the tables below stay empty.
-    cfg: Option<CacheConfig>,
+    cached: bool,
     // lint: allow(L008) client cache: TTL-expired on access and dropped wholesale by clear(); process-scoped, not node state
     attrs: Mutex<HashMap<Fh, AttrEntry>>,
     // lint: allow(L008) client cache: TTL-expired on access and dropped wholesale by clear()
@@ -147,9 +135,9 @@ pub struct CachingClient {
 impl CachingClient {
     /// Wraps `inner` (bound to `server`) with caches that age on the
     /// transport's clock.
-    pub fn new(inner: NfsClient, server: NodeAddr, cfg: CacheConfig) -> Self {
+    pub fn new(inner: NfsClient, server: NodeAddr) -> Self {
         CachingClient {
-            cfg: Some(cfg),
+            cached: true,
             ..Self::plain(inner, server)
         }
     }
@@ -160,7 +148,7 @@ impl CachingClient {
             clock: inner.clock(),
             inner,
             server,
-            cfg: None,
+            cached: false,
             attrs: Mutex::new(HashMap::new()),
             dentries: Mutex::new(HashMap::new()),
             data: Mutex::new(HashMap::new()),
@@ -183,8 +171,8 @@ impl CachingClient {
         self.data_bytes.store(0, Ordering::Relaxed);
     }
 
-    fn fresh(&self, cfg: &CacheConfig, fetched: SimTime) -> bool {
-        self.clock.now().since(fetched) < cfg.attr_ttl
+    fn fresh(&self, fetched: SimTime) -> bool {
+        self.clock.now().since(fetched) < ATTR_TTL
     }
 
     fn remember_attr(&self, fh: Fh, attr: &Attr) {
@@ -218,7 +206,7 @@ impl CachingClient {
     /// attributes and a positive dentry, replacing a negative one, and
     /// no attributes for the directory that gained the name.
     fn prime(&self, dir: Fh, name: &str, made: NfsResult<(Fh, Attr)>) -> NfsResult<(Fh, Attr)> {
-        if let (Some(_), Ok((fh, attr))) = (&self.cfg, &made) {
+        if let (true, Ok((fh, attr))) = (self.cached, &made) {
             self.invalidate_fh(dir);
             self.remember_attr(*fh, attr);
             self.remember_name((dir, name.to_string()), DentryEntry::Positive(*fh));
@@ -257,11 +245,11 @@ impl CachingClient {
 
     /// GETATTR with TTL caching.
     pub fn getattr(&self, fh: Fh) -> NfsResult<Attr> {
-        let Some(cfg) = &self.cfg else {
+        if !self.cached {
             return self.inner.getattr(self.server, fh);
-        };
+        }
         if let Some(e) = self.attrs.lock().get(&fh) {
-            if self.fresh(cfg, e.fetched) {
+            if self.fresh(e.fetched) {
                 tally(&self.stats.attr_hits);
                 return Ok(e.attr.clone());
             }
@@ -274,14 +262,14 @@ impl CachingClient {
 
     /// LOOKUP with dentry caching (positive and negative entries).
     pub fn lookup(&self, dir: Fh, name: &str) -> NfsResult<(Fh, Attr)> {
-        let Some(cfg) = &self.cfg else {
+        if !self.cached {
             return self.inner.lookup(self.server, dir, name);
-        };
+        }
         let key = (dir, name.to_string());
         let cached = {
             let dentries = self.dentries.lock();
             dentries.get(&key).and_then(|d| {
-                if self.fresh(cfg, d.fetched) {
+                if self.fresh(d.fetched) {
                     Some(match &d.entry {
                         DentryEntry::Positive(fh) => Some(*fh),
                         DentryEntry::Negative => None,
@@ -319,9 +307,9 @@ impl CachingClient {
     /// or revalidated), and the cached copy is served only if it was
     /// taken at that mtime. The caller has checked the type.
     pub fn read_whole(&self, fh: Fh, attr: &Attr, chunk: u32) -> NfsResult<Bytes> {
-        let Some(cfg) = &self.cfg else {
+        if !self.cached {
             return self.inner.read_whole(self.server, fh, attr.size, chunk);
-        };
+        }
         {
             let mut data = self.data.lock();
             if let Some(e) = data.get_mut(&fh) {
@@ -334,8 +322,8 @@ impl CachingClient {
         }
         tally(&self.stats.data_misses);
         let out = self.inner.read_whole(self.server, fh, attr.size, chunk)?;
-        if out.len() <= cfg.max_cached_file {
-            self.evict_to_fit(cfg, out.len());
+        if out.len() <= MAX_CACHED_FILE {
+            self.evict_to_fit(out.len());
             self.data.lock().insert(
                 fh,
                 DataEntry {
@@ -350,8 +338,8 @@ impl CachingClient {
         Ok(out)
     }
 
-    fn evict_to_fit(&self, cfg: &CacheConfig, incoming: usize) {
-        let cap = cfg.data_capacity as u64;
+    fn evict_to_fit(&self, incoming: usize) {
+        let cap = DATA_CAPACITY as u64;
         let mut data = self.data.lock();
         while self.data_bytes.load(Ordering::Relaxed) + incoming as u64 > cap && !data.is_empty() {
             let oldest = data
@@ -374,7 +362,7 @@ impl CachingClient {
     /// WRITE: write-through, then update caches with the new reality.
     pub fn write(&self, fh: Fh, offset: u64, data: &[u8]) -> NfsResult<u32> {
         let n = self.inner.write(self.server, fh, offset, data)?;
-        if self.cfg.is_some() {
+        if self.cached {
             // The server-side mtime changed; drop cached attr + data.
             self.invalidate_fh(fh);
         }
@@ -384,7 +372,7 @@ impl CachingClient {
     /// SETATTR: write-through + invalidate.
     pub fn setattr(&self, fh: Fh, sattr: SetAttr) -> NfsResult<Attr> {
         let attr = self.inner.setattr(self.server, fh, sattr)?;
-        if self.cfg.is_some() {
+        if self.cached {
             self.invalidate_fh(fh);
             self.remember_attr(fh, &attr);
         }
@@ -442,7 +430,7 @@ impl CachingClient {
     /// REMOVE: write-through + invalidate the dentry and object.
     pub fn remove(&self, dir: Fh, name: &str) -> NfsResult<()> {
         self.inner.remove(self.server, dir, name)?;
-        if self.cfg.is_some() {
+        if self.cached {
             self.invalidate_entry(dir, name);
         }
         Ok(())
@@ -451,7 +439,7 @@ impl CachingClient {
     /// RMDIR: write-through + invalidate.
     pub fn rmdir(&self, dir: Fh, name: &str) -> NfsResult<()> {
         self.inner.rmdir(self.server, dir, name)?;
-        if self.cfg.is_some() {
+        if self.cached {
             self.invalidate_entry(dir, name);
         }
         Ok(())
@@ -463,7 +451,7 @@ impl CachingClient {
     /// rare, and dropping everything is right whatever the cache held.
     pub fn remove_tree(&self, dir: Fh, name: &str) -> NfsResult<()> {
         self.inner.remove_tree(self.server, dir, name)?;
-        if self.cfg.is_some() {
+        if self.cached {
             self.flush();
         }
         Ok(())
@@ -474,7 +462,7 @@ impl CachingClient {
     /// its attr/data entries stay valid).
     pub fn rename(&self, sdir: Fh, sname: &str, ddir: Fh, dname: &str) -> NfsResult<()> {
         self.inner.rename(self.server, sdir, sname, ddir, dname)?;
-        if self.cfg.is_some() {
+        if self.cached {
             for (dir, name) in [(sdir, sname), (ddir, dname)] {
                 self.invalidate_fh(dir);
                 self.invalidate_dentry(dir, name);
@@ -521,28 +509,23 @@ mod tests {
         cc.read_whole(fh, &attr, 4096)
     }
 
-    fn setup(ttl: Duration) -> (Arc<SimNetwork>, CachingClient) {
+    /// A caching client of a server whose store holds twice the data
+    /// cache.
+    fn setup() -> (Arc<SimNetwork>, CachingClient) {
         let net = SimNetwork::new(LatencyModel::zero());
-        let server = NfsServer::new(Vfs::new(1 << 24), net.clock(), DiskModel::zero());
+        let store = Vfs::new(2 * DATA_CAPACITY as u64);
+        let server = NfsServer::new(store, net.clock(), DiskModel::zero());
         let mux = Arc::new(ServiceMux::new());
         mux.register(ServiceId::Nfs, server);
         net.attach(SERVER, mux);
         net.attach(CLIENT, Arc::new(ServiceMux::new()));
         let inner = NfsClient::new(net.clone() as Arc<dyn Network>, CLIENT);
-        let cc = CachingClient::new(
-            inner,
-            SERVER,
-            CacheConfig {
-                attr_ttl: ttl,
-                ..Default::default()
-            },
-        );
-        (net, cc)
+        (net, CachingClient::new(inner, SERVER))
     }
 
     #[test]
     fn attr_cache_hits_within_ttl() {
-        let (net, cc) = setup(Duration::from_secs(3));
+        let (net, cc) = setup();
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.getattr(fh).unwrap();
@@ -552,7 +535,8 @@ mod tests {
         assert!(hits >= 3, "hits {hits}"); // create primed the cache
         assert_eq!(misses, 0);
         // Advance past the TTL: next getattr goes to the server.
-        net.virtual_clock().advance(Duration::from_secs(4));
+        net.virtual_clock()
+            .advance(ATTR_TTL + Duration::from_secs(1));
         cc.getattr(fh).unwrap();
         let (_, misses, ..) = cc.stats().snapshot();
         assert_eq!(misses, 1);
@@ -560,7 +544,7 @@ mod tests {
 
     #[test]
     fn dentry_cache_covers_negative_lookups() {
-        let (_net, cc) = setup(Duration::from_secs(3));
+        let (_net, cc) = setup();
         let root = cc.mount().unwrap();
         assert!(cc.lookup(root, "ghost").is_err());
         assert!(cc.lookup(root, "ghost").is_err());
@@ -574,7 +558,7 @@ mod tests {
 
     #[test]
     fn data_cache_serves_repeat_reads_and_revalidates() {
-        let (net, cc) = setup(Duration::from_secs(3));
+        let (net, cc) = setup();
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.write(fh, 0, b"version one").unwrap();
@@ -593,13 +577,14 @@ mod tests {
         // Within the TTL we may serve stale (the NFS window)…
         assert_eq!(read_file(&cc, fh).unwrap(), b"version one");
         // …after the TTL, revalidation sees the new mtime and refetches.
-        net.virtual_clock().advance(Duration::from_secs(4));
+        net.virtual_clock()
+            .advance(ATTR_TTL + Duration::from_secs(1));
         assert_eq!(read_file(&cc, fh).unwrap(), b"version TWO");
     }
 
     #[test]
     fn own_writes_are_read_back_immediately() {
-        let (_net, cc) = setup(Duration::from_secs(30));
+        let (_net, cc) = setup();
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.write(fh, 0, b"first").unwrap();
@@ -610,7 +595,7 @@ mod tests {
 
     #[test]
     fn remove_invalidates_dentry_and_data() {
-        let (_net, cc) = setup(Duration::from_secs(30));
+        let (_net, cc) = setup();
         let root = cc.mount().unwrap();
         let (fh, _) = cc.create(root, "f", 0o644, 0, 0).unwrap();
         cc.write(fh, 0, b"bye").unwrap();
@@ -623,39 +608,34 @@ mod tests {
 
     #[test]
     fn eviction_respects_capacity() {
-        let (net, _) = setup(Duration::from_secs(30));
-        let inner = NfsClient::new(net.clone() as Arc<dyn Network>, CLIENT);
-        let cc = CachingClient::new(
-            inner,
-            SERVER,
-            CacheConfig {
-                attr_ttl: Duration::from_secs(30),
-                max_cached_file: 1 << 20,
-                data_capacity: 3000, // tiny: forces eviction
-            },
-        );
+        let (_net, cc) = setup();
         let root = cc.mount().unwrap();
+        let files = DATA_CAPACITY / MAX_CACHED_FILE + 2;
         let mut fhs = Vec::new();
-        for i in 0..4 {
+        for i in 0..files {
             let (fh, _) = cc.create(root, &format!("f{i}"), 0o644, 0, 0).unwrap();
-            cc.write(fh, 0, &[i as u8; 1000]).unwrap();
-            read_file(&cc, fh).unwrap();
+            cc.write(fh, 0, &vec![i as u8; MAX_CACHED_FILE]).unwrap();
+            let attr = cc.getattr(fh).unwrap();
+            cc.read_whole(fh, &attr, 1 << 16).unwrap();
             fhs.push(fh);
         }
+        let kept = cc.data_bytes.load(Ordering::Relaxed);
         assert!(
-            cc.data_bytes.load(Ordering::Relaxed) <= 3000,
-            "cache exceeded capacity: {}",
-            cc.data_bytes.load(Ordering::Relaxed)
+            kept <= DATA_CAPACITY as u64,
+            "cache exceeded capacity: {kept}"
         );
+        assert!(kept > 0, "nothing was cached");
         // All files still readable (evicted ones refetch).
         for (i, fh) in fhs.iter().enumerate() {
-            assert_eq!(read_file(&cc, *fh).unwrap(), vec![i as u8; 1000]);
+            let attr = cc.getattr(*fh).unwrap();
+            let data = cc.read_whole(*fh, &attr, 1 << 16).unwrap();
+            assert_eq!(data, vec![i as u8; MAX_CACHED_FILE]);
         }
     }
 
     #[test]
     fn plain_form_keeps_nothing_and_counts_nothing() {
-        let (net, _) = setup(Duration::from_secs(30));
+        let (net, _) = setup();
         let inner = NfsClient::new(net.clone() as Arc<dyn Network>, CLIENT);
         let cc = CachingClient::plain(inner, SERVER);
         let root = cc.mount().unwrap();

@@ -433,33 +433,6 @@ impl NfsClient {
             None => Err(NfsError::Status(crate::messages::NfsStatus::NoEnt)),
         }
     }
-
-    /// Creates every missing directory along `path` with MKDIR RPCs and
-    /// returns the final directory handle — how Kosha materializes "all
-    /// the missing ancestor directories in the hierarchy on R"
-    /// (Section 4.1.4).
-    pub fn mkdir_path(
-        &self,
-        to: NodeAddr,
-        root: Fh,
-        path: &str,
-        mode: u32,
-        uid: u32,
-        gid: u32,
-    ) -> NfsResult<Fh> {
-        let comps = kosha_vfs::split_path(path).map_err(|e| NfsError::Status(e.into()))?;
-        let mut fh = root;
-        for c in comps {
-            fh = match self.lookup(to, fh, c) {
-                Ok((next, _)) => next,
-                Err(NfsError::Status(crate::messages::NfsStatus::NoEnt)) => {
-                    self.mkdir(to, fh, c, mode, uid, gid)?.0
-                }
-                Err(e) => return Err(e),
-            };
-        }
-        Ok(fh)
-    }
 }
 
 #[cfg(test)]
@@ -508,23 +481,11 @@ mod tests {
     }
 
     #[test]
-    fn mkdir_path_builds_missing_ancestors() {
-        let (_net, c, s) = setup();
-        let root = c.mount(s).unwrap();
-        let leaf = c.mkdir_path(s, root, "/a/b/c", 0o755, 0, 0).unwrap();
-        let (found, attr) = c.lookup_path(s, root, "/a/b/c").unwrap();
-        assert_eq!(found, leaf);
-        assert_eq!(attr.ftype, FileType::Directory);
-        // Idempotent.
-        let again = c.mkdir_path(s, root, "/a/b/c", 0o755, 0, 0).unwrap();
-        assert_eq!(again, leaf);
-    }
-
-    #[test]
     fn lookup_path_maps_short_walks_to_statuses() {
         let (_net, c, s) = setup();
         let root = c.mount(s).unwrap();
-        let dir = c.mkdir_path(s, root, "/a/b", 0o755, 0, 0).unwrap();
+        let (a, _) = c.mkdir(s, root, "a", 0o755, 0, 0).unwrap();
+        let (dir, _) = c.mkdir(s, a, "b", 0o755, 0, 0).unwrap();
         c.create(s, dir, "f", 0o644, 0, 0).unwrap();
         // A file mid-path fails the same way the per-component walk did.
         assert!(matches!(
@@ -606,7 +567,10 @@ mod tests {
     fn remove_tree_extension() {
         let (_net, c, s) = setup();
         let root = c.mount(s).unwrap();
-        let leaf = c.mkdir_path(s, root, "/t/x/y", 0o755, 0, 0).unwrap();
+        let mut leaf = root;
+        for name in ["t", "x", "y"] {
+            leaf = c.mkdir(s, leaf, name, 0o755, 0, 0).unwrap().0;
+        }
         let (fh, _) = c.create(s, leaf, "f", 0o644, 0, 0).unwrap();
         c.write(s, fh, 0, &[0u8; 256]).unwrap();
         c.remove_tree(s, root, "t").unwrap();

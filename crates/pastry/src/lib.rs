@@ -30,5 +30,5 @@ pub mod node;
 pub mod state;
 
 pub use messages::{NodeInfo, PastryReply, PastryRequest};
-pub use node::{OverlayError, OverlayObserver, PastryConfig, PastryNode};
+pub use node::{OverlayError, OverlayObserver, PastryNode, LEAF_HALF};
 pub use state::{LeafSet, RoutingTable};

@@ -41,11 +41,6 @@ wire_enum! {
             /// The announcing node.
             node: NodeInfo,
         } = 3,
-        /// Graceful departure notice.
-        Depart {
-            /// The departing node.
-            node: NodeInfo,
-        } = 4,
         /// Liveness probe.
         Ping = 5,
     }
@@ -120,7 +115,6 @@ mod tests {
         rt_req(PastryRequest::GetRow { row: 7 });
         rt_req(PastryRequest::GetLeafSet);
         rt_req(PastryRequest::Announce { node: ni(5, 3) });
-        rt_req(PastryRequest::Depart { node: ni(5, 3) });
         rt_req(PastryRequest::Ping);
     }
 

@@ -13,31 +13,12 @@ use parking_lot::{Mutex, RwLock};
 use std::fmt;
 use std::sync::Arc;
 
-/// Overlay tuning parameters.
-#[derive(Debug, Clone)]
-pub struct PastryConfig {
-    /// Nodes kept on each side of the leaf set (`l/2`). Pastry's common
-    /// configuration is `l = 16`, i.e. `leaf_half = 8`.
-    pub leaf_half: usize,
-    /// Safety cap on routing hops before declaring a routing loop.
-    pub max_hops: usize,
-    /// Pastry's locality heuristic (Castro et al., "Exploiting network
-    /// proximity in peer-to-peer overlay networks", cited by the paper):
-    /// when learning a node, measure its round-trip time and let closer
-    /// nodes displace farther incumbents in routing-table slots. Costs
-    /// one ping per learned node; off by default.
-    pub proximity_aware: bool,
-}
+/// Nodes kept on each side of the leaf set (`l/2`) in the paper's
+/// overlay: Pastry's common configuration, `l = 16`.
+pub const LEAF_HALF: usize = 8;
 
-impl Default for PastryConfig {
-    fn default() -> Self {
-        PastryConfig {
-            leaf_half: 8,
-            max_hops: 64,
-            proximity_aware: false,
-        }
-    }
-}
+/// Safety cap on routing hops before declaring a routing loop.
+const MAX_HOPS: usize = 64;
 
 /// Errors surfaced by overlay operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +58,7 @@ pub trait OverlayObserver: Send + Sync {
     fn on_leaf_joined(&self, node: NodeInfo) {
         let _ = node;
     }
-    /// A node left this node's leaf set (failure or departure).
+    /// A node left this node's leaf set (it failed).
     fn on_leaf_left(&self, node: NodeInfo) {
         let _ = node;
     }
@@ -109,7 +90,7 @@ const DEAD_TOMBSTONE_CAP: usize = 1024;
 ///
 /// ```
 /// use kosha_id::node_id_from_seed;
-/// use kosha_pastry::{PastryConfig, PastryNode};
+/// use kosha_pastry::{PastryNode, LEAF_HALF};
 /// use kosha_rpc::{Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
 /// use std::sync::Arc;
 ///
@@ -117,7 +98,7 @@ const DEAD_TOMBSTONE_CAP: usize = 1024;
 /// let mut nodes = Vec::new();
 /// for i in 0..4u64 {
 ///     let node = PastryNode::new(
-///         PastryConfig::default(),
+///         LEAF_HALF,
 ///         node_id_from_seed(&format!("doc-{i}")),
 ///         NodeAddr(i),
 ///         net.clone() as Arc<dyn Network>,
@@ -137,7 +118,6 @@ const DEAD_TOMBSTONE_CAP: usize = 1024;
 /// ```
 pub struct PastryNode {
     info: NodeInfo,
-    cfg: PastryConfig,
     net: Arc<dyn Network>,
     /// The transport's clock, taken once: asking `net` clones an `Arc`
     /// that every thread's calls read.
@@ -151,11 +131,12 @@ pub struct PastryNode {
 }
 
 impl PastryNode {
-    /// Creates a node with identifier `id` at transport address `addr`.
-    /// The node participates once [`PastryNode::join`] has been called and
-    /// the returned handler is registered for [`ServiceId::Pastry`].
-    pub fn new(cfg: PastryConfig, id: Id, addr: NodeAddr, net: Arc<dyn Network>) -> Arc<Self> {
-        Self::new_with_obs(cfg, id, addr, net, Obs::new())
+    /// Creates a node with identifier `id` at transport address `addr`,
+    /// keeping `leaf_half` nodes on each side of its leaf set. The node
+    /// participates once [`PastryNode::join`] has been called and the
+    /// returned handler is registered for [`ServiceId::Pastry`].
+    pub fn new(leaf_half: usize, id: Id, addr: NodeAddr, net: Arc<dyn Network>) -> Arc<Self> {
+        Self::new_with_obs(leaf_half, id, addr, net, Obs::new())
     }
 
     /// Like [`PastryNode::new`], but recording its metric, spans and
@@ -163,7 +144,7 @@ impl PastryNode {
     /// hosting `koshad` shares one `Obs` across its layers so events
     /// correlate).
     pub fn new_with_obs(
-        cfg: PastryConfig,
+        leaf_half: usize,
         id: Id,
         addr: NodeAddr,
         net: Arc<dyn Network>,
@@ -174,11 +155,10 @@ impl PastryNode {
             info,
             state: Mutex::new(State {
                 rt: RoutingTable::new(id),
-                ls: LeafSet::new(id, cfg.leaf_half),
+                ls: LeafSet::new(id, leaf_half),
                 dead: std::collections::BTreeMap::new(),
                 dead_seq: 0,
             }),
-            cfg,
             clock: net.clock(),
             net,
             observers: RwLock::new(Vec::new()),
@@ -250,26 +230,17 @@ impl PastryNode {
     // ---- learning and forgetting -------------------------------------
 
     /// Absorbs knowledge of `node`; fires `on_leaf_joined` if it entered
-    /// the leaf set. With proximity awareness on, the node's RTT is
-    /// measured first (outside any lock) so closer nodes win slots.
+    /// the leaf set.
     pub fn learn(&self, node: NodeInfo) {
         if node.id == self.info.id {
             return;
         }
-        let rtt = if self.cfg.proximity_aware {
-            if self.state.lock().dead.contains_key(&node.addr) {
-                return;
-            }
-            self.measure_rtt(node.addr)
-        } else {
-            None
-        };
         let entered_ls = {
             let mut st = self.state.lock();
             if st.dead.contains_key(&node.addr) {
                 return; // refuse to re-learn a suspected-dead address
             }
-            st.rt.insert_with_rtt(node, rtt);
+            st.rt.insert(node);
             let entered = st.ls.insert(node);
             if entered {
                 self.leaf_size.set(st.ls.members().len() as i64);
@@ -337,7 +308,7 @@ impl PastryNode {
     }
 
     /// Leaf-set repair that refuses to re-learn `dead` addresses — used
-    /// right after a failure/departure, when other nodes may still be
+    /// right after a failure, when other nodes may still be
     /// advertising the dead node in their leaf sets.
     fn repair_leafset_excluding(&self, dead: &[NodeAddr]) {
         let sources: Vec<NodeInfo> = {
@@ -434,7 +405,7 @@ impl PastryNode {
         let mut hops = 0;
         loop {
             hops += 1;
-            if hops > self.cfg.max_hops {
+            if hops > MAX_HOPS {
                 return Err(OverlayError::NoRoute);
             }
             let reply = self.rpc(
@@ -510,25 +481,6 @@ impl PastryNode {
         Ok(())
     }
 
-    /// Gracefully leaves the overlay, notifying every known node with
-    /// one concurrent `Depart` fan-out (replies are ignored — nodes
-    /// that miss the notice discover the departure via liveness probes).
-    pub fn leave(&self) {
-        let known = self.known_nodes();
-        if known.is_empty() {
-            return;
-        }
-        let depart = RpcRequest::new(
-            ServiceId::Pastry,
-            &PastryRequest::Depart { node: self.info },
-        );
-        let batch = known
-            .into_iter()
-            .map(|n| (n.addr, depart.clone()))
-            .collect();
-        let _ = self.net.call_many(self.info.addr, batch);
-    }
-
     // ---- routing ------------------------------------------------------
 
     /// Local next-hop decision (one step of Pastry's routing procedure).
@@ -599,7 +551,7 @@ impl PastryNode {
             let mut current = self.info;
             loop {
                 total += 1;
-                if total > self.cfg.max_hops * 2 {
+                if total > MAX_HOPS * 2 {
                     return Err(OverlayError::NoRoute);
                 }
                 let (next, owner) = if current.id == self.info.id {
@@ -647,16 +599,6 @@ impl PastryNode {
         self.route(key).map(|(n, _)| n)
     }
 
-    /// Measures round-trip time to `addr` with one ping, on the shared
-    /// clock (virtual or wall). `None` if the node is unreachable.
-    pub fn measure_rtt(&self, addr: NodeAddr) -> Option<std::time::Duration> {
-        let t0 = self.clock.now();
-        match self.rpc(addr, &PastryRequest::Ping) {
-            Ok(PastryReply::Pong { .. }) => Some(self.clock.now().since(t0)),
-            _ => None,
-        }
-    }
-
     fn rpc(&self, to: NodeAddr, req: &PastryRequest) -> Result<PastryReply, RpcError> {
         call_typed(
             self.net.as_ref(),
@@ -693,10 +635,6 @@ impl RpcHandler for PastryNode {
                 self.learn(node);
                 PastryReply::Ack
             }
-            PastryRequest::Depart { node } => {
-                self.note_failed(node.addr);
-                PastryReply::Ack
-            }
             PastryRequest::Ping => PastryReply::Pong { node: self.info },
         };
         Ok(RpcResponse::new(&reply))
@@ -717,7 +655,7 @@ mod tests {
         for i in 0..n {
             let id = node_id_from_seed(&format!("host-{i}"));
             let node = PastryNode::new(
-                PastryConfig::default(),
+                LEAF_HALF,
                 id,
                 NodeAddr(i as u64),
                 net.clone() as Arc<dyn Network>,
@@ -825,12 +763,8 @@ mod tests {
         // A 7th node joins: observer on node 0 must fire (6 nodes < l, so
         // everyone is in everyone's leaf set).
         let id = node_id_from_seed("host-new");
-        let newcomer = PastryNode::new(
-            PastryConfig::default(),
-            id,
-            NodeAddr(99),
-            net.clone() as Arc<dyn Network>,
-        );
+        let newcomer =
+            PastryNode::new(LEAF_HALF, id, NodeAddr(99), net.clone() as Arc<dyn Network>);
         let mux = Arc::new(ServiceMux::new());
         mux.register(ServiceId::Pastry, newcomer.clone());
         net.attach(NodeAddr(99), mux);
@@ -844,129 +778,17 @@ mod tests {
     }
 
     #[test]
-    fn departure_removes_node_from_tables() {
-        let (_net, nodes) = build_ring(5);
-        nodes[4].leave();
-        for n in &nodes[..4] {
-            assert!(
-                !n.leaf_members().iter().any(|m| m.id == nodes[4].id()),
-                "node {} still lists the departed node",
-                n.addr()
-            );
-        }
-    }
-
-    #[test]
     fn hops_scale_logarithmically() {
         let (_net, nodes) = build_ring(48);
-        let mut max_hops = 0;
+        let mut most = 0;
         for k in 0..60u32 {
             let key = node_id_from_seed(&format!("key-{k}"));
             let (_, hops) = nodes[k as usize % 48].route(key).unwrap();
-            max_hops = max_hops.max(hops);
+            most = most.max(hops);
         }
         // With b=4 and 48 nodes, log_16(48) < 2; generous bound of 4
         // accommodates sparse routing tables right after join.
-        assert!(max_hops <= 4, "max hops {max_hops} too high for 48 nodes");
-    }
-
-    #[test]
-    fn proximity_awareness_prefers_nearby_hops() {
-        use kosha_rpc::{Clock, LatencyModel};
-        use std::time::Duration;
-
-        // Two clusters 100 units apart; within-cluster links are cheap.
-        let build = |proximity: bool| -> Duration {
-            let net = SimNetwork::new(LatencyModel {
-                hop_latency: Duration::from_micros(50),
-                per_distance_unit: Duration::from_micros(20),
-                bandwidth_bps: u64::MAX,
-                server_op_cost: Duration::ZERO,
-                loopback_cost: Duration::ZERO,
-                timeout: Duration::from_millis(100),
-            });
-            let n = 40usize;
-            let mut nodes = Vec::new();
-            for i in 0..n {
-                let addr = NodeAddr(i as u64);
-                // Even nodes in cluster A (near origin), odd in cluster B.
-                let (x, y) = if i % 2 == 0 {
-                    ((i % 7) as f64, (i % 5) as f64)
-                } else {
-                    (100.0 + (i % 7) as f64, (i % 5) as f64)
-                };
-                net.set_coord(addr, x, y);
-                let node = PastryNode::new(
-                    PastryConfig {
-                        leaf_half: 4,
-                        max_hops: 64,
-                        proximity_aware: proximity,
-                    },
-                    node_id_from_seed(&format!("prox-{i}")),
-                    addr,
-                    net.clone() as Arc<dyn Network>,
-                );
-                let mux = Arc::new(ServiceMux::new());
-                mux.register(ServiceId::Pastry, node.clone());
-                net.attach(addr, mux);
-                node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-                    .unwrap();
-                nodes.push(node);
-            }
-            // Measure the routing cost of a key batch from node 0
-            // (cluster A).
-            let clock = net.virtual_clock();
-            clock.reset();
-            for k in 0..50u32 {
-                let key = node_id_from_seed(&format!("key-{k}"));
-                nodes[0].route(key).unwrap();
-            }
-            clock.now().as_duration()
-        };
-
-        let flat = build(false);
-        let proximal = build(true);
-        assert!(
-            proximal <= flat,
-            "proximity routing slower: {proximal:?} > {flat:?}"
-        );
-    }
-
-    #[test]
-    fn rtt_measurement_reflects_topology() {
-        use kosha_rpc::LatencyModel;
-        use std::time::Duration;
-
-        let net = SimNetwork::new(LatencyModel {
-            hop_latency: Duration::from_micros(50),
-            per_distance_unit: Duration::from_micros(10),
-            bandwidth_bps: u64::MAX,
-            server_op_cost: Duration::ZERO,
-            loopback_cost: Duration::ZERO,
-            timeout: Duration::from_millis(100),
-        });
-        for (i, x) in [(0u64, 0.0), (1, 1.0), (2, 50.0)] {
-            net.set_coord(NodeAddr(i), x, 0.0);
-        }
-        let mut nodes = Vec::new();
-        for i in 0..3u64 {
-            let node = PastryNode::new(
-                PastryConfig::default(),
-                node_id_from_seed(&format!("rtt-{i}")),
-                NodeAddr(i),
-                net.clone() as Arc<dyn Network>,
-            );
-            let mux = Arc::new(ServiceMux::new());
-            mux.register(ServiceId::Pastry, node.clone());
-            net.attach(NodeAddr(i), mux);
-            node.join(if i == 0 { None } else { Some(NodeAddr(0)) })
-                .unwrap();
-            nodes.push(node);
-        }
-        let near = nodes[0].measure_rtt(NodeAddr(1)).unwrap();
-        let far = nodes[0].measure_rtt(NodeAddr(2)).unwrap();
-        assert!(far > near, "far {far:?} !> near {near:?}");
-        assert!(nodes[0].measure_rtt(NodeAddr(99)).is_none());
+        assert!(most <= 4, "max hops {most} too high for 48 nodes");
     }
 
     #[test]

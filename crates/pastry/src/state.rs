@@ -3,17 +3,6 @@
 use crate::messages::NodeInfo;
 use kosha_id::{Id, DIGITS, DIGIT_BASE};
 use kosha_rpc::NodeAddr;
-use std::time::Duration;
-
-/// One routing-table entry: a node plus the measured round-trip time to
-/// it, when proximity-aware routing is enabled (Pastry's locality
-/// heuristic: among equally valid candidates for a slot, keep the
-/// closest).
-#[derive(Debug, Clone, Copy)]
-struct RtEntry {
-    info: NodeInfo,
-    rtt: Option<Duration>,
-}
 
 /// Pastry routing table: `DIGITS` rows × `DIGIT_BASE` columns. The entry at
 /// `(row, col)` is a node whose id shares the first `row` digits with this
@@ -21,7 +10,7 @@ struct RtEntry {
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     me: Id,
-    rows: Vec<[Option<RtEntry>; DIGIT_BASE]>,
+    rows: Vec<[Option<NodeInfo>; DIGIT_BASE]>,
 }
 
 impl RoutingTable {
@@ -44,49 +33,24 @@ impl RoutingTable {
         Some((row, col))
     }
 
-    /// Inserts `node` if its slot is empty (the first-known node wins
-    /// when no proximity metric is supplied). Returns true if inserted.
+    /// Inserts `node` if its slot is empty: the first-known node wins,
+    /// and the same id refreshes its address in place. Returns true if
+    /// inserted.
     pub fn insert(&mut self, node: NodeInfo) -> bool {
-        self.insert_with_rtt(node, None)
-    }
-
-    /// Inserts `node` with a measured round-trip time. An occupied slot
-    /// is taken over when the newcomer is strictly closer than the
-    /// incumbent (an unmeasured incumbent counts as infinitely far) —
-    /// Pastry's proximity heuristic for routing-table maintenance.
-    pub fn insert_with_rtt(&mut self, node: NodeInfo, rtt: Option<Duration>) -> bool {
-        match self.slot(node.id) {
-            Some((row, col)) => {
-                let entry = &mut self.rows[row][col];
-                match entry {
-                    None => {
-                        *entry = Some(RtEntry { info: node, rtt });
-                        true
-                    }
-                    Some(e) if e.info.id == node.id => {
-                        // Refresh address/rtt for the same node.
-                        *entry = Some(RtEntry {
-                            info: node,
-                            rtt: rtt.or(e.rtt),
-                        });
-                        false
-                    }
-                    Some(e) => {
-                        let closer = match (rtt, e.rtt) {
-                            (Some(new), Some(old)) => new < old,
-                            (Some(_), None) => true,
-                            _ => false,
-                        };
-                        if closer {
-                            *entry = Some(RtEntry { info: node, rtt });
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                }
+        let Some((row, col)) = self.slot(node.id) else {
+            return false;
+        };
+        match &mut self.rows[row][col] {
+            slot @ None => {
+                *slot = Some(node);
+                true
             }
-            None => false,
+            Some(e) => {
+                if e.id == node.id {
+                    *e = node;
+                }
+                false
+            }
         }
     }
 
@@ -97,7 +61,7 @@ impl RoutingTable {
         let mut n = 0;
         for row in &mut self.rows {
             for e in row.iter_mut() {
-                if e.map(|x| x.info.addr) == Some(addr) {
+                if e.map(|x| x.addr) == Some(addr) {
                     *e = None;
                     n += 1;
                 }
@@ -114,7 +78,7 @@ impl RoutingTable {
         if row >= DIGITS {
             return None; // key == me
         }
-        self.rows[row][key.digit(row) as usize].map(|e| e.info)
+        self.rows[row][key.digit(row) as usize]
     }
 
     /// All populated entries of row `row`.
@@ -123,7 +87,7 @@ impl RoutingTable {
         if row >= DIGITS {
             return Vec::new();
         }
-        self.rows[row].iter().flatten().map(|e| e.info).collect()
+        self.rows[row].iter().flatten().copied().collect()
     }
 
     /// Every populated entry in the table.
@@ -131,7 +95,7 @@ impl RoutingTable {
     pub fn all_entries(&self) -> Vec<NodeInfo> {
         self.rows
             .iter()
-            .flat_map(|r| r.iter().flatten().map(|e| e.info))
+            .flat_map(|r| r.iter().flatten().copied())
             .collect()
     }
 

@@ -5,7 +5,7 @@
 
 use kosha_id::id::numerically_closest;
 use kosha_id::{node_id_from_seed, Id};
-use kosha_pastry::{PastryConfig, PastryNode};
+use kosha_pastry::{PastryNode, LEAF_HALF};
 use kosha_rpc::{Network, NodeAddr, ServiceId, ServiceMux, SimNetwork};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ fn build_ring(n: usize, seed: u64) -> (Arc<SimNetwork>, Vec<Arc<PastryNode>>) {
     for i in 0..n {
         let id = node_id_from_seed(&format!("ring{seed}-host-{i}"));
         let node = PastryNode::new(
-            PastryConfig::default(),
+            LEAF_HALF,
             id,
             NodeAddr(i as u64),
             net.clone() as Arc<dyn Network>,

@@ -68,8 +68,8 @@ pub struct LatencyModel {
     /// Additional one-way latency per unit of coordinate-space distance
     /// between two hosts (see [`SimNetwork::set_coord`]). Zero (the
     /// default) keeps the network topology-flat; non-zero values model a
-    /// multi-switch or multi-site LAN, the setting where Pastry's
-    /// proximity-aware routing pays off.
+    /// multi-switch or multi-site LAN, where which holder serves a read
+    /// decides what it costs (the hotspot report's hosts sit on a line).
     pub per_distance_unit: Duration,
     /// Link bandwidth in bytes/second (100 Mb/s ≈ 12.5 MB/s).
     pub bandwidth_bps: u64,

@@ -4,7 +4,7 @@
 //! the other running as a server", Section 6.1.1).
 
 use kosha::KoshaMount;
-use kosha_nfs::{CacheConfig, DiskModel, NfsClient, NfsServer};
+use kosha_nfs::{DiskModel, NfsClient, NfsServer};
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, ServiceMux, SimNetwork, VirtualClock};
 use kosha_vfs::Vfs;
 use std::sync::Arc;
@@ -50,8 +50,8 @@ impl NfsBaseline {
 
     /// The same export through a caching client on the same machine.
     #[must_use]
-    pub fn cached_mount(&self, cache: CacheConfig) -> KoshaMount {
-        KoshaMount::cached(Self::client(&self.net), SERVER, cache).expect("mount baseline")
+    pub fn cached_mount(&self) -> KoshaMount {
+        KoshaMount::cached(Self::client(&self.net), SERVER).expect("mount baseline")
     }
 
     /// The shared virtual clock.

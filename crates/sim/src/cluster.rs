@@ -3,7 +3,7 @@
 //! FreeBSD testbed (Section 6.1).
 
 use kosha::{boot_cluster, KoshaConfig, KoshaMount, KoshaNode};
-use kosha_nfs::{CacheConfig, NfsClient};
+use kosha_nfs::NfsClient;
 use kosha_rpc::{LatencyModel, Network, NodeAddr, ServiceId, SimNetwork, VirtualClock};
 use std::sync::Arc;
 
@@ -87,14 +87,14 @@ impl SimCluster {
     }
 
     /// [`SimCluster::mount`] with the kernel client's caches on (§4.1.1).
-    pub fn cached_mount(&self, idx: usize, cache: CacheConfig) -> KoshaMount {
+    pub fn cached_mount(&self, idx: usize) -> KoshaMount {
         let addr = self.nodes[idx].addr();
         let nfs = NfsClient::with_service(
             self.net.clone() as Arc<dyn Network>,
             addr,
             ServiceId::KoshaFs,
         );
-        KoshaMount::cached(nfs, addr, cache).expect("mount kosha")
+        KoshaMount::cached(nfs, addr).expect("mount kosha")
     }
 
     /// The shared virtual clock.
@@ -171,7 +171,7 @@ mod tests {
             latency: LatencyModel::zero(),
             seed: 31,
         });
-        let m = c.cached_mount(0, CacheConfig::default());
+        let m = c.cached_mount(0);
         m.mkdir_p("/cachetest/sub").unwrap();
         m.write_file("/cachetest/sub/f", b"cached bytes").unwrap();
         assert_eq!(m.read_file("/cachetest/sub/f").unwrap(), b"cached bytes");
@@ -188,22 +188,23 @@ mod tests {
         // §4.1.1: Kosha behaves the same under client caching — and the
         // caches absorb a large share of the interposition cost.
         let params = MabParams::small();
-        let total = |cache: Option<CacheConfig>| {
+        let total = |cached: bool| {
             let c = SimCluster::build(&ClusterParams {
                 nodes: 4,
                 kosha: table1_kosha_config(),
                 latency: mab_lan(),
                 seed: 32,
             });
-            let m = match cache {
-                None => c.mount(0),
-                Some(cache) => c.cached_mount(0, cache),
+            let m = if cached {
+                c.cached_mount(0)
+            } else {
+                c.mount(0)
             };
             let clock = c.clock();
             clock.reset();
             run_mab(&params, &m, &clock).unwrap().total()
         };
-        let (uncached, cached) = (total(None), total(Some(CacheConfig::default())));
+        let (uncached, cached) = (total(false), total(true));
         assert!(
             cached < uncached,
             "caching did not help: {cached:?} !< {uncached:?}"

@@ -248,3 +248,40 @@ fn plain_mount_sends_a_pinned_number_of_rpcs_per_service() {
         ]
     );
 }
+
+/// A user SYMLINK costs the koshad one `Mutate` to the parent's primary
+/// and nothing over NFS: the primary's reply carries the link's handle
+/// and attributes, which it had answered with a bare `Done` and the
+/// koshad then looked up (one NFS LOOKUP per link).
+#[test]
+fn a_user_symlink_sends_no_nfs_call_after_its_mutate() {
+    let c = cluster(4, 1, 1);
+    let calls = |s: ServiceId| {
+        let name = format!("rpc_calls_total{{service=\"{}\"}}", s.name());
+        c.net.obs().registry.counter(&name).get()
+    };
+    let m = c.mount(0);
+    m.mkdir_p("/links/d").unwrap();
+    m.write_file("/links/d/target", b"pointed at").unwrap();
+    let before = ServiceId::ALL.map(calls);
+    let fh = m.symlink("/links/d/ln", "target").unwrap();
+    let sent: Vec<_> = ServiceId::ALL
+        .iter()
+        .zip(before)
+        .map(|(&s, b)| (s.name(), calls(s) - b))
+        .collect();
+    assert_eq!(
+        sent,
+        [
+            ("pastry", 0),
+            ("nfs", 0),
+            ("kosha", 1),
+            ("koshafs", 1),
+            ("replica", 1),
+        ]
+    );
+    let (found, attr) = m.stat("/links/d/ln").unwrap();
+    assert_eq!(found, fh);
+    assert_eq!(attr.ftype, FileType::Symlink);
+    assert_eq!(m.readlink("/links/d/ln").unwrap(), "target");
+}

@@ -10,7 +10,7 @@
 //! stale dentry or attribute.
 
 use kosha::{KoshaConfig, KoshaMount};
-use kosha_nfs::{CacheConfig, DiskModel, NfsError, NfsStatus};
+use kosha_nfs::{DiskModel, NfsError, NfsStatus};
 use kosha_rpc::LatencyModel;
 use kosha_sim::baseline::NfsBaseline;
 use kosha_sim::cluster::{ClusterParams, SimCluster};
@@ -46,9 +46,9 @@ impl FourWays {
             [(); 2].map(|()| NfsBaseline::build(LatencyModel::zero(), DiskModel::zero(), 1 << 26));
         let clusters = [kosha_cluster(), kosha_cluster()];
         FourWays {
-            nfs_cached: nfs[1].cached_mount(CacheConfig::default()),
+            nfs_cached: nfs[1].cached_mount(),
             kosha: clusters[0].mount(0),
-            kosha_cached: clusters[1].cached_mount(0, CacheConfig::default()),
+            kosha_cached: clusters[1].cached_mount(0),
             nfs,
             _clusters: clusters,
         }
