@@ -6,8 +6,9 @@
 //! few Zipf-popular files funnel most reads through one primary and its
 //! K replica holders. With the feature on (DESIGN.md §16) primaries
 //! spawn leased read-only copies past the heat threshold, the reader's
-//! heat-weighted rotor leans on them, and the latency-EWMA filter picks
-//! the nearest advertised holder. The bench reports, for both runs:
+//! heat-weighted rotor leans on them, and the reader's latency estimate
+//! of its own replica READs picks the nearest advertised holder (the
+//! reading node's own copy when it holds one). The bench reports, for both runs:
 //!
 //! * read latency p50/p99 from virtual-clock deltas around each READ,
 //! * store-load skew across nodes (max/mean and Gini over real NFS ops),
@@ -68,7 +69,7 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
 fn run_storm(hot: bool) -> RunOutcome {
     // A distance-aware LAN: hosts sit on a line, so the latency to a
     // holder depends on which holder serves — giving the reader's
-    // EWMA filter real choices to exploit.
+    // latency filter real choices to exploit.
     let model = LatencyModel {
         per_distance_unit: Duration::from_micros(50),
         ..LatencyModel::default()

@@ -33,6 +33,11 @@ pub(crate) struct ClientState {
     pub handles: HandleTable,
     /// Cache: node address → handle of its `/kosha_store` export root.
     pub root_cache: HashMap<NodeAddr, kosha_nfs::Fh>,
+    /// Smoothed round trip of this node's replica READs per holder
+    /// (EWMA, α = 1/8 like TCP's SRTT), which replica reads pick the
+    /// fastest holders by. Only those READs feed it, failed ones too, so
+    /// a holder that timed out looks slow.
+    pub read_latency: HashMap<NodeAddr, u64>,
 }
 
 impl ClientState {
@@ -40,7 +45,16 @@ impl ClientState {
         ClientState {
             handles,
             root_cache: HashMap::new(),
+            read_latency: HashMap::new(),
         }
+    }
+
+    /// Folds one replica READ's round trip into `holder`'s estimate.
+    pub fn note_read_latency(&mut self, holder: NodeAddr, nanos: u64) {
+        self.read_latency
+            .entry(holder)
+            .and_modify(|ewma| *ewma = (*ewma * 7 + nanos) / 8)
+            .or_insert(nanos);
     }
 }
 
@@ -283,13 +297,13 @@ impl KoshaNode {
         // knows. A departed node's handle is dead weight, and a revived
         // node purges its Kosha data (§4.3) and re-exports, so a stale
         // entry would dangle anyway — without this, churn grows the
-        // per-peer cache without bound.
+        // per-peer cache without bound. A holder that is down loses its
+        // read-latency estimate, so once back it is measured afresh.
         let known: std::collections::HashSet<NodeAddr> =
             self.pastry.known_nodes().iter().map(|n| n.addr).collect();
-        self.client
-            .lock()
-            .root_cache
-            .retain(|addr, _| known.contains(addr));
+        let mut c = self.client.lock();
+        c.root_cache.retain(|addr, _| known.contains(addr));
+        c.read_latency.retain(|&addr, _| self.net.is_up(addr));
     }
 
     /// Point-in-time operational counters for this koshad.

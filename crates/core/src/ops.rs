@@ -183,14 +183,16 @@ impl KoshaNode {
     /// Attempts one replica read; `None` falls back to the primary
     /// (primary's round-robin turn, no replicas, or any failure).
     ///
-    /// Target choice is latency-aware: when the transport exposes
-    /// per-peer latency EWMAs, the round-robin is restricted to targets
-    /// within 10% of the fastest (unmeasured targets always qualify —
-    /// they need traffic to get measured at all). The replica's real
-    /// file handle is cached per `(node, path)` in the handle table, so
-    /// repeated reads skip the mount + lookup RPCs; the cache entry is
-    /// dropped on a failed read and by the same chain-, node-, and
-    /// subtree-scoped invalidation as primary locations.
+    /// Target choice is latency-aware: the round-robin is restricted to
+    /// targets within 10% of the fastest by this node's own estimate of
+    /// its replica READs to each (`ClientState::read_latency`; a
+    /// timed-out READ counts, so a dead holder looks slow). Unmeasured
+    /// targets always qualify: they need reads to get measured at all.
+    /// The replica's real file handle is cached per `(node, path)` in
+    /// the handle table, so repeated reads skip the mount + lookup RPCs;
+    /// the cache entry is dropped on a failed read and by the same
+    /// chain-, node-, and subtree-scoped invalidation as primary
+    /// locations.
     fn try_replica_read(&self, vpath: &str, offset: u64, count: u32) -> Option<(Bytes, bool)> {
         use crate::paths::{slot_local_path, Area};
         let (ppath, _) = kosha_vfs::path::parent_and_name(vpath)?;
@@ -233,21 +235,18 @@ impl KoshaNode {
         if turn == 0 {
             return None; // the primary's turn
         }
-        let lats: Vec<Option<u64>> = targets
-            .iter()
-            .map(|&a| self.net.peer_latency_nanos(self.info.addr, a))
-            .collect();
-        let eligible: Vec<NodeAddr> = match lats.iter().flatten().min().copied() {
-            None => targets.clone(),
-            Some(best) => targets
+        let (addr, cached) = {
+            let c = self.client.lock();
+            let lat = |a: &NodeAddr| c.read_latency.get(a).copied();
+            let best = targets.iter().filter_map(lat).min();
+            let eligible: Vec<NodeAddr> = targets
                 .iter()
-                .zip(&lats)
-                .filter(|(_, l)| l.is_none_or(|l| l <= best + best / 10))
-                .map(|(&a, _)| a)
-                .collect(),
+                .filter(|a| best.is_none_or(|b| lat(a).is_none_or(|l| l <= b + b / 10)))
+                .copied()
+                .collect();
+            let addr = eligible[(turn - 1) as usize % eligible.len()];
+            (addr, c.handles.replica_location(addr, vpath))
         };
-        let addr = eligible[(turn - 1) as usize % eligible.len()];
-        let cached = self.client.lock().handles.replica_location(addr, vpath);
         let rfh = match cached {
             Some(fh) => fh,
             None => {
@@ -265,16 +264,17 @@ impl KoshaNode {
                 rfh
             }
         };
-        match self.nfs.read(addr, rfh, offset, count) {
+        let start = self.clock.now();
+        let read = self.nfs.read(addr, rfh, offset, count);
+        let mut c = self.client.lock();
+        c.note_read_latency(addr, self.clock.now().since_nanos(start));
+        match read {
             Ok(out) => {
                 self.stats.replica_reads.inc();
                 Some(out)
             }
             Err(_) => {
-                self.client
-                    .lock()
-                    .handles
-                    .clear_replica_location(addr, vpath);
+                c.handles.clear_replica_location(addr, vpath);
                 None
             }
         }

@@ -73,6 +73,7 @@ impl KoshaNode {
         self.pastry.note_failed(addr);
         let mut c = self.client.lock();
         c.root_cache.remove(&addr);
+        c.read_latency.remove(&addr);
         c.handles.clear_node(addr);
     }
 

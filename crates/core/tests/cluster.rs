@@ -4,7 +4,7 @@
 use kosha::control::{ControlRequest, KoshaReply, ReplicaOp, ReplicaRequest};
 use kosha::{KoshaConfig, KoshaMount, KoshaNode, ReadFrom};
 use kosha_id::node_id_from_seed;
-use kosha_nfs::{NfsError, NfsStatus};
+use kosha_nfs::{NfsError, NfsRequest, NfsStatus};
 use kosha_rpc::{
     Clock, LatencyModel, Network, NodeAddr, RpcError, RpcHandler, RpcResponse, ServiceId,
     ServiceMux, SimNetwork, WireRead,
@@ -1163,6 +1163,128 @@ fn read_from_replicas_returns_correct_data() {
     for _ in 0..9 {
         assert_eq!(m.read_file("/rfr/doc.bin").unwrap(), b"fresh content");
     }
+}
+
+/// A 6-node cluster on a LAN-like network, K = 2, replica reads on, with
+/// `LAT_FILE` written: the cluster, the file's two holders, and the index
+/// of a node that is neither its primary nor a holder, to read from.
+fn replica_read_cluster() -> (Cluster, [NodeAddr; 2], usize) {
+    let mut cfg = KoshaConfig::for_tests();
+    cfg.distribution_level = 1;
+    cfg.replicas = 2;
+    cfg.read_from = ReadFrom::Replicas { hot_copies: 0 };
+    let c = build_cluster_on(SimNetwork::new(LatencyModel::default()), 6, cfg);
+    let m = mount(&c, 0);
+    m.mkdir_p("/lat").unwrap();
+    m.write_file(LAT_FILE, LAT_DATA).unwrap();
+    let primary = primary_of(&c, "/lat").addr();
+    let req = ControlRequest::ReplicaTargets {
+        path: LAT_FILE.into(),
+    };
+    let Ok(KoshaReply::Nodes(holders)) = control(&c, &c.nodes[primary.0 as usize], &req) else {
+        panic!("no holders of {LAT_FILE}");
+    };
+    let reader = (0..c.nodes.len())
+        .find(|&i| {
+            let a = c.nodes[i].addr();
+            a != primary && !holders.contains(&a)
+        })
+        .expect("a node that holds nothing of the file");
+    (c, holders.try_into().expect("K = 2 holders"), reader)
+}
+
+const LAT_FILE: &str = "/lat/f";
+const LAT_DATA: &[u8] = b"read me from anywhere";
+
+/// How many NFS READs `holder` was sent, of those `seen` recorded.
+fn reads_at(seen: &std::sync::Mutex<Vec<(NodeAddr, NfsRequest)>>, holder: NodeAddr) -> usize {
+    let seen = seen.lock().unwrap();
+    seen.iter()
+        .filter(|(to, req)| *to == holder && matches!(req, NfsRequest::Read { .. }))
+        .count()
+}
+
+/// A holder that the reading node reaches by slow calls of another kind
+/// still takes its share of replica reads: only the reader's replica
+/// READs feed the estimate it picks holders by. Here each control call
+/// to one holder does 20 ms of nested work, as a `ReplicaTargets` that
+/// spawns hot copies would, and the reader sends it one after each read.
+#[test]
+fn slow_control_calls_to_a_holder_do_not_steer_reads_away_from_it() {
+    struct Slow {
+        inner: Arc<dyn RpcHandler>,
+        clock: Arc<dyn Clock>,
+    }
+    impl RpcHandler for Slow {
+        fn handle(&self, from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
+            self.clock.advance(std::time::Duration::from_millis(20));
+            self.inner.handle(from, body)
+        }
+    }
+    let (c, holders, reader) = replica_read_cluster();
+    let seen = record_requests::<NfsRequest>(&c, ServiceId::Nfs);
+    let slow = holders[0];
+    let mux = &c.muxes[slow.0 as usize];
+    let inner = mux.handler(ServiceId::Kosha).expect("control service");
+    mux.register(
+        ServiceId::Kosha,
+        Arc::new(Slow {
+            inner,
+            clock: c.net.clock(),
+        }),
+    );
+    c.net.attach(slow, Arc::clone(mux));
+
+    let m = mount(&c, reader);
+    let req = ControlRequest::ReplicaTargets {
+        path: LAT_FILE.into(),
+    };
+    let before = c.net.clock().now();
+    for _ in 0..30 {
+        assert_eq!(m.read_file(LAT_FILE).unwrap(), LAT_DATA);
+        let call = kosha_rpc::RpcRequest::new(ServiceId::Kosha, &req);
+        let _ = c.net.call(c.nodes[reader].addr(), slow, call);
+    }
+    assert!(c.net.clock().now().since(before) >= std::time::Duration::from_millis(600));
+    // Primary, holder, holder: a third of the 30 reads each.
+    assert_eq!(reads_at(&seen, slow), 10, "the slow-to-call holder's reads");
+    assert_eq!(reads_at(&seen, holders[1]), 10);
+}
+
+/// A holder whose replica READ timed out looks slow, and takes no turns
+/// while that estimate stands, even once it is back. A `maintain` that
+/// finds it down drops the estimate, and once back it takes its share.
+#[test]
+fn a_timed_out_holder_gets_turns_again_once_maintain_saw_it_down() {
+    let (c, [dead, live], reader) = replica_read_cluster();
+    let seen = record_requests::<NfsRequest>(&c, ServiceId::Nfs);
+    let m = mount(&c, reader);
+    let read = |n| {
+        for _ in 0..n {
+            assert_eq!(m.read_file(LAT_FILE).unwrap(), LAT_DATA);
+        }
+    };
+    read(6);
+    assert_eq!((reads_at(&seen, dead), reads_at(&seen, live)), (2, 2));
+
+    c.net.fail_node(dead);
+    let before = c.net.clock().now();
+    read(3);
+    assert!(
+        c.net.clock().now().since(before) >= c.net.model().timeout,
+        "no read reached the failed holder"
+    );
+    c.net.recover_node(dead);
+    read(30);
+    assert_eq!(reads_at(&seen, dead), 2, "the timed-out holder took turns");
+
+    c.net.fail_node(dead);
+    c.nodes[reader].maintain();
+    c.net.recover_node(dead);
+    let (dead_before, live_before) = (reads_at(&seen, dead), reads_at(&seen, live));
+    read(30);
+    assert_eq!(reads_at(&seen, dead) - dead_before, 10);
+    assert_eq!(reads_at(&seen, live) - live_before, 10);
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //! strings never produce symbols, and `#[cfg(test)]` regions are masked
 //! out of both definitions and call sites.
 
-use crate::{Config, FileCtx, Finding, Rule};
+use crate::{ident_after, is_ident_byte, line_of, Config, FileCtx, Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // ---------------------------------------------------------------------------
@@ -41,10 +41,6 @@ pub(crate) struct FnInfo {
     pub body: (usize, usize),
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 /// Matches the closing brace for the `{` at `open`.
 fn close_of(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0i32;
@@ -59,26 +55,6 @@ fn close_of(bytes: &[u8], open: usize) -> usize {
         }
     }
     bytes.len()
-}
-
-fn line_of(bytes: &[u8], pos: usize) -> usize {
-    1 + bytes[..pos.min(bytes.len())]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-}
-
-/// Reads the identifier starting at `pos` (skipping leading whitespace).
-fn ident_at(text: &str, mut pos: usize) -> Option<(String, usize)> {
-    let bytes = text.as_bytes();
-    while pos < bytes.len() && (bytes[pos] == b' ' || bytes[pos] == b'\n') {
-        pos += 1;
-    }
-    let start = pos;
-    while pos < bytes.len() && is_ident_byte(bytes[pos]) {
-        pos += 1;
-    }
-    (pos > start).then(|| (text[start..pos].to_string(), pos))
 }
 
 /// Last path segment of something like `kosha_rpc::PumpHook<T>`.
@@ -161,7 +137,7 @@ pub(crate) fn extract_fns(text: &str) -> Vec<FnInfo> {
     let impls = impl_spans(text);
     let mut out = Vec::new();
     for pos in crate::find_all(text, "fn ") {
-        let Some((name, after)) = ident_at(text, pos + 3) else {
+        let Some((name, after)) = ident_after(text, pos + 3) else {
             continue;
         };
         // Find the body `{` at paren depth 0 (or `;` for a bare
@@ -524,7 +500,7 @@ fn growable_fields(files: &[FileUnit<'_>]) -> Vec<GrowableField> {
         let text = f.ctx.text;
         let bytes = text.as_bytes();
         for pos in crate::find_all(text, "struct ") {
-            let Some((sname, after)) = ident_at(text, pos + 7) else {
+            let Some((sname, after)) = ident_after(text, pos + 7) else {
                 continue;
             };
             // Brace-bodied structs only (tuple structs carry no named

@@ -151,11 +151,11 @@ impl Rule {
                  A struct field of map/set type (HashMap/HashSet/BTreeMap/BTreeSet,\n\
                  possibly wrapped in Mutex/RwLock) with at least one insert site\n\
                  but no remove/retain/clear/drain site in any function reachable\n\
-                 from the cleanup roots (maintain, forget*, detach, leave,\n\
-                 prune_peer), and no self-bounding eviction co-located with an\n\
-                 insert. This is the leak class fixed by hand in PRs 8–9\n\
-                 (replica-slot GC, per-link EWMA prune): under churn the structure\n\
-                 grows for the life of the node.\n\n\
+                 from the cleanup roots (maintain, forget*, detach), and no\n\
+                 self-bounding eviction co-located with an insert. This is the\n\
+                 leak class fixed by hand in PRs 8–9 (replica-slot GC, a\n\
+                 latency map's prune): under churn the structure grows for the\n\
+                 life of the node.\n\n\
                  Fix by pruning from maintenance, or bound the structure at the\n\
                  insert site. Waive: `// lint: allow(L008) <why>` on the field\n\
                  declaration line."
@@ -246,8 +246,6 @@ impl Default for Config {
                 "forget_path".into(),
                 "forget_subtree".into(),
                 "detach".into(),
-                "leave".into(),
-                "prune_peer".into(),
             ],
         }
     }
@@ -688,6 +686,7 @@ struct Guard {
     line: usize,
 }
 
+/// Reads the identifier starting at `pos` (skipping leading whitespace).
 fn ident_after(text: &str, mut pos: usize) -> Option<(String, usize)> {
     let bytes = text.as_bytes();
     while pos < bytes.len() && (bytes[pos] == b' ' || bytes[pos] == b'\n') {

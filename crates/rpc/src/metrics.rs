@@ -20,22 +20,11 @@
 //! relaxed atomic adds with no locking. Every one of them is striped per
 //! thread (`Counter::striped`, and every `Histogram` is), so two threads
 //! making calls at once write no accounting line in common.
-//!
-//! The smoothed per-link latency map behind
-//! [`crate::Network::peer_latency_nanos`] lives here too. It is not a
-//! metric: nothing exports it, so its size follows the links in use
-//! and `prune_peer` alone bounds it. It is split into shards by link, so
-//! that calls on different links take different read locks.
 
 use crate::clock::SimTime;
 use crate::network::{NodeAddr, RpcError, RpcRequest, RpcResponse, ServiceId};
-use kosha_obs::fxhash::FxBuild;
 use kosha_obs::registry::labeled;
-use kosha_obs::stripe::Padded;
 use kosha_obs::{Counter, Histogram, Obs};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Metric handles for one destination service.
@@ -55,8 +44,7 @@ pub(crate) const ERR_REPLY_BYTES: usize = 16;
 /// call served in place, waited for inline, or redeemed later.
 pub(crate) struct CallAccount {
     service: ServiceId,
-    from: NodeAddr,
-    to: NodeAddr,
+    remote: bool,
     req_bytes: usize,
     start: SimTime,
 }
@@ -73,8 +61,7 @@ impl CallAccount {
         metrics.svc(req.service).calls.inc();
         CallAccount {
             service: req.service,
-            from,
-            to,
+            remote: from != to,
             req_bytes: req.wire_size(),
             start,
         }
@@ -90,7 +77,7 @@ impl CallAccount {
         result: Result<RpcResponse, RpcError>,
     ) -> Result<RpcResponse, RpcError> {
         let svc = metrics.svc(self.service);
-        if self.from != self.to {
+        if self.remote {
             let resp_bytes = result
                 .as_ref()
                 .map_or(ERR_REPLY_BYTES, RpcResponse::wire_size);
@@ -99,9 +86,7 @@ impl CallAccount {
         if result.is_err() {
             svc.failed.inc();
         }
-        let elapsed = now.since_nanos(self.start);
-        svc.latency.record(elapsed);
-        metrics.note_peer_latency(self.from, self.to, elapsed);
+        svc.latency.record(now.since_nanos(self.start));
         result
     }
 }
@@ -110,31 +95,7 @@ impl CallAccount {
 pub(crate) struct NetMetrics {
     obs: Arc<Obs>,
     per_service: Vec<SvcMetrics>,
-    /// Smoothed round-trip latency per directed `(source, destination)`
-    /// link (EWMA, α = 1/8 like TCP's SRTT), fed by every completed
-    /// call. Keying by link rather than destination alone matters on
-    /// non-uniform networks: node A's calls to C must not color node
-    /// B's estimate of C, or background maintenance traffic from far
-    /// peers would perturb every reader's nearest-replica choice. Backs
-    /// [`crate::Network::peer_latency_nanos`] for latency-aware replica
-    /// selection.
-    ///
-    /// An update is a load and a store, not a read-modify-write: two
-    /// threads that finish a call on the *same* link at the same instant
-    /// may fold only one of the two samples, which an estimate smoothed
-    /// over eight does not notice, and a compare-exchange on every RPC of
-    /// every transport is not worth that sample. The read lock is a
-    /// read-modify-write, so the map is [`LINK_SHARDS`] maps, by link.
-    peer_latency: Box<[Padded<RwLock<Links>>]>,
 }
-
-/// Link EWMAs by `(source, destination)` address, with the Fx hash:
-/// every completed call probes one.
-type Links = HashMap<(u64, u64), AtomicU64, FxBuild>;
-
-/// Shards of the link map: two threads on different links share a
-/// shard's lock one time in this many.
-const LINK_SHARDS: usize = 64;
 
 impl NetMetrics {
     pub fn new() -> Self {
@@ -163,63 +124,7 @@ impl NetMetrics {
                 }
             })
             .collect();
-        NetMetrics {
-            obs,
-            per_service,
-            peer_latency: (0..LINK_SHARDS).map(|_| Padded::default()).collect(),
-        }
-    }
-
-    /// The shard holding `link`'s EWMA.
-    fn links(&self, link: (u64, u64)) -> &RwLock<Links> {
-        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        let h = (link.0.wrapping_mul(MIX) ^ link.1).wrapping_mul(MIX);
-        &self.peer_latency[(h >> 58) as usize % LINK_SHARDS].0
-    }
-
-    /// Folds one completed round trip into the link's EWMA. Every
-    /// completed call of every client thread passes here, so the steady
-    /// state takes the map's read lock only; the write lock is for the
-    /// first sample of a link (and for `prune_peer`).
-    pub fn note_peer_latency(&self, from: NodeAddr, to: NodeAddr, nanos: u64) {
-        let link = (from.0, to.0);
-        let fold = |ewma: &AtomicU64| {
-            let v = (ewma.load(Ordering::Relaxed) * 7 + nanos) / 8;
-            ewma.store(v, Ordering::Relaxed);
-        };
-        let links = self.links(link);
-        if let Some(ewma) = links.read().get(&link) {
-            fold(ewma);
-            return;
-        }
-        // Another thread may have seen the link first.
-        links
-            .write()
-            .entry(link)
-            .and_modify(|ewma| fold(ewma))
-            .or_insert_with(|| AtomicU64::new(nanos));
-    }
-
-    /// The link's smoothed latency as observed by `from`'s own
-    /// completed calls, if it has made any.
-    pub fn peer_latency(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        let link = (from.0, to.0);
-        self.links(link)
-            .read()
-            .get(&link)
-            .map(|ewma| ewma.load(Ordering::Relaxed))
-    }
-
-    /// Retires a departed peer's latency state: drops every link EWMA
-    /// touching it, as source or destination. Called on transport
-    /// `detach`; without it the map grows without bound under churn.
-    pub fn prune_peer(&self, addr: NodeAddr) {
-        for shard in self.peer_latency.iter() {
-            shard
-                .0
-                .write()
-                .retain(|&(f, t), _| f != addr.0 && t != addr.0);
-        }
+        NetMetrics { obs, per_service }
     }
 
     /// The observability domain (for exposition and tests).
@@ -360,59 +265,6 @@ mod tests {
         );
         let latency = reg.histogram("rpc_latency_nanos{service=\"nfs\"}");
         assert_eq!(latency.count(), threads * calls);
-    }
-
-    #[test]
-    fn peer_latency_ewma_smooths() {
-        let m = NetMetrics::new();
-        let from = NodeAddr(1);
-        let to = NodeAddr(5);
-        assert_eq!(m.peer_latency(from, to), None);
-        m.note_peer_latency(from, to, 800);
-        assert_eq!(m.peer_latency(from, to), Some(800));
-        m.note_peer_latency(from, to, 0);
-        // One zero sample drags the estimate down by 1/8th.
-        assert_eq!(m.peer_latency(from, to), Some(700));
-        assert_eq!(m.peer_latency(from, NodeAddr(6)), None);
-        // The reverse direction is a distinct link.
-        assert_eq!(m.peer_latency(to, from), None);
-    }
-
-    #[test]
-    fn peer_latency_is_per_source_link() {
-        let m = NetMetrics::new();
-        let c = NodeAddr(3);
-        // A sits next to C, B is far away: B's slow calls must not
-        // disturb A's estimate of C, or background traffic would
-        // corrupt every reader's nearest-replica pick.
-        m.note_peer_latency(NodeAddr(1), c, 100);
-        m.note_peer_latency(NodeAddr(2), c, 9_000);
-        assert_eq!(m.peer_latency(NodeAddr(1), c), Some(100));
-        assert_eq!(m.peer_latency(NodeAddr(2), c), Some(9_000));
-    }
-
-    #[test]
-    fn prune_peer_retires_every_link_of_the_peer() {
-        let m = NetMetrics::new();
-        let names = m.obs().registry.names();
-        m.note_peer_latency(NodeAddr(1), NodeAddr(7), 400);
-        m.note_peer_latency(NodeAddr(7), NodeAddr(8), 500);
-        m.note_peer_latency(NodeAddr(1), NodeAddr(8), 600);
-        // Links are not metrics: the registry holds what it held.
-        assert_eq!(m.obs().registry.names(), names);
-
-        // Pruning peer 7 drops links where it is source OR destination.
-        m.prune_peer(NodeAddr(7));
-        assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(7)), None);
-        assert_eq!(m.peer_latency(NodeAddr(7), NodeAddr(8)), None);
-        // The surviving link is untouched.
-        assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(8)), Some(600));
-        // Pruning an unknown peer is a no-op.
-        m.prune_peer(NodeAddr(99));
-        assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(8)), Some(600));
-        // A returning peer starts over.
-        m.note_peer_latency(NodeAddr(1), NodeAddr(7), 1000);
-        assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(7)), Some(1000));
     }
 
     #[test]

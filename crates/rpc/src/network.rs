@@ -437,18 +437,6 @@ pub trait Network: Send + Sync {
     fn schedule_pump(&self, hook: std::sync::Weak<dyn PumpHook>, interval: Duration) {
         let _ = (hook, interval);
     }
-
-    /// Smoothed round-trip latency of the directed link `from → to` in
-    /// nanoseconds (EWMA over calls `from` itself has completed), or
-    /// `None` before that link has carried any traffic. Keyed by link
-    /// rather than destination alone so one node's estimate is never
-    /// colored by another node's vantage point — on a non-uniform
-    /// network a far peer's slow calls to `to` say nothing about ours.
-    /// Feeds latency-aware replica-read selection.
-    fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        let _ = (from, to);
-        None
-    }
 }
 
 /// Typed convenience wrapper: encode `msg`, call, decode the reply.

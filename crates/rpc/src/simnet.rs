@@ -225,12 +225,11 @@ impl SimNetwork {
     }
 
     /// Detaches a node entirely (permanent removal). The departed peer's
-    /// link latencies, crash marker, and coordinates are pruned with it,
-    /// so churn does not grow any per-peer state without bound.
+    /// crash marker and coordinates are pruned with it, so churn does
+    /// not grow any per-peer state without bound.
     pub fn detach(&self, addr: NodeAddr) {
         self.nodes.write().remove(&addr);
         self.coords.write().remove(&addr);
-        self.metrics.prune_peer(addr);
     }
 
     /// Marks a node as crashed: calls to it time out. Its state is
@@ -474,11 +473,7 @@ impl SimNetwork {
             self.step(self.model.timeout);
             let svc = self.metrics.svc(req.service);
             svc.failed.inc();
-            let elapsed = self.clock.now().since_nanos(start);
-            svc.latency.record(elapsed);
-            // A full timeout feeds the EWMA too: dead or flaky targets
-            // look slow, steering replica reads elsewhere.
-            self.metrics.note_peer_latency(from, to, elapsed);
+            svc.latency.record(self.clock.now().since_nanos(start));
             return Err(RpcError::Unreachable(to));
         };
         // Install the request's trace header as the handler's ambient
@@ -601,10 +596,6 @@ impl Network for SimNetwork {
             armed: false,
         });
     }
-
-    fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.metrics.peer_latency(from, to)
-    }
 }
 
 #[cfg(test)]
@@ -634,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn detach_prunes_peer_latency_telemetry() {
+    fn churning_peers_grow_no_registry_or_recorder_name() {
         let net = net_with_echo(LatencyModel::default());
         let obs = net.obs();
         net.call(
@@ -653,17 +644,14 @@ mod tests {
             net.attach(addr, mux);
             net.call(NodeAddr(1), addr, RpcRequest::new(ServiceId::Nfs, &gen))
                 .unwrap();
-            assert!(net.peer_latency_nanos(NodeAddr(1), addr).is_some());
             net.run_pumps();
             net.detach(addr);
-            assert_eq!(net.peer_latency_nanos(NodeAddr(1), addr), None);
+            assert!(!net.is_up(addr));
         }
-        // No name in the registry or the recorder follows a peer or a
-        // link, and the long-lived link kept its estimate.
+        // No name in the registry or the recorder follows a peer or a link.
         assert_eq!(obs.registry.names(), names, "registry grew");
         assert_eq!(obs.recorder.series_names(), series, "recorder grew");
         assert_eq!(obs.recorder.dropped(), 0);
-        assert!(net.peer_latency_nanos(NodeAddr(1), NodeAddr(2)).is_some());
     }
 
     #[test]

@@ -307,15 +307,12 @@ impl ThreadedNetwork {
     }
 
     /// Detaches a node, closing all of its actors: callers waiting in
-    /// their lines observe `Unreachable`. The departed peer's link
-    /// latencies are pruned with it, so churn does not grow any per-peer
-    /// state without bound.
+    /// their lines observe `Unreachable`.
     pub fn detach(&self, addr: NodeAddr) {
         let removed = self.nodes.change(|nodes| nodes.remove(&addr));
         if let Some(node) = removed {
             node.close();
         }
-        self.metrics.prune_peer(addr);
     }
 
     /// Simulates a crash: the node stops answering (actors keep their
@@ -509,10 +506,6 @@ impl Network for ThreadedNetwork {
                 .expect("spawn timer thread");
             *timer = Some(handle);
         }
-    }
-
-    fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.metrics.peer_latency(from, to)
     }
 }
 #[cfg(test)]

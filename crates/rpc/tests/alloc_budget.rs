@@ -44,7 +44,7 @@ fn a_16_byte_sim_call_allocates_twice_and_an_empty_buffer_never() {
         let reply = net.call(NodeAddr(0), NodeAddr(1), req).expect("echo call");
         assert_eq!(reply.decode::<u128>().expect("echo reply"), ECHO);
     };
-    // Warm: the transport's per-link state is created by the first call.
+    // Warm: a thread's first call allocates its accounting stripes.
     call(RpcRequest::new(ServiceId::Nfs, &ECHO));
 
     let ((), flat) = allocations_by(|| call(RpcRequest::new(ServiceId::Nfs, &ECHO)));

@@ -18,7 +18,7 @@
 //! until one returns (a failed machine's disk persists).
 
 use crate::fstrace::FsTrace;
-use crate::placement::anchor_dir_of;
+use kosha::paths::anchor_dir_of;
 use kosha_id::{dir_key, node_id_from_seed, Id};
 use kosha_vfs::path::parent_and_name;
 use rand::rngs::StdRng;
@@ -173,7 +173,9 @@ pub fn simulate_availability(
     let mut unit_files: HashMap<String, u64> = HashMap::new();
     for f in &trace.files {
         let (dir, _) = parent_and_name(&f.path).unwrap_or(("/", ""));
-        let anchor = anchor_dir_of(dir, level);
+        let anchor = anchor_dir_of(dir, level)
+            .expect("trace paths are absolute")
+            .into_owned();
         *unit_files.entry(anchor).or_insert(0) += 1;
     }
     let total_files: u64 = unit_files.values().sum();

@@ -11,6 +11,7 @@
 //! and insertion failures.
 
 use crate::fstrace::FsTrace;
+use kosha::paths::anchor_dir_of;
 use kosha_id::id::numerically_closest;
 use kosha_id::{node_id_from_seed, salted_dir_key, Id};
 use kosha_vfs::path::parent_and_name;
@@ -144,7 +145,9 @@ impl PlacementSim {
     /// path, per §3.1–3.2.
     fn anchor_of(&self, file_path: &str) -> String {
         let (dir, _) = parent_and_name(file_path).unwrap_or(("/", ""));
-        crate::placement::anchor_dir_of(dir, self.params.level)
+        anchor_dir_of(dir, self.params.level)
+            .expect("trace paths are absolute")
+            .into_owned()
     }
 
     /// Resolves (or decides, with redirection) the home node of an
@@ -305,27 +308,6 @@ pub struct BalanceStats {
     pub bytes_std_pct: f64,
 }
 
-/// Anchor of a *directory* path at a distribution level (shared with the
-/// core crate's semantics; duplicated here so the lightweight simulator
-/// has no dependency on koshad internals).
-#[must_use]
-pub fn anchor_dir_of(dir: &str, level: usize) -> String {
-    if dir == "/" || level == 0 {
-        return "/".to_string();
-    }
-    let comps: Vec<&str> = dir.split('/').filter(|c| !c.is_empty()).collect();
-    let take = comps.len().min(level);
-    if take == 0 {
-        return "/".to_string();
-    }
-    let mut s = String::new();
-    for c in comps.iter().take(take) {
-        s.push('/');
-        s.push_str(c);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,10 +322,12 @@ mod tests {
 
     #[test]
     fn anchor_computation() {
-        assert_eq!(anchor_dir_of("/a/b/c", 1), "/a");
-        assert_eq!(anchor_dir_of("/a/b/c", 2), "/a/b");
-        assert_eq!(anchor_dir_of("/a", 4), "/a");
-        assert_eq!(anchor_dir_of("/", 3), "/");
+        // A file is placed with its parent directory's anchor.
+        let at = |level| PlacementSim::new(PlacementParams::fig5(level, 1));
+        assert_eq!(at(1).anchor_of("/a/b/c/f"), "/a");
+        assert_eq!(at(2).anchor_of("/a/b/c/f"), "/a/b");
+        assert_eq!(at(4).anchor_of("/a/f"), "/a");
+        assert_eq!(at(3).anchor_of("/f"), "/");
     }
 
     #[test]

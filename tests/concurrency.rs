@@ -294,10 +294,6 @@ impl Network for ClockCounting {
     fn is_up(&self, addr: NodeAddr) -> bool {
         self.inner.is_up(addr)
     }
-
-    fn peer_latency_nanos(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.inner.peer_latency_nanos(from, to)
-    }
 }
 
 #[test]
